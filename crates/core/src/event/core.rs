@@ -7,7 +7,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use simkit::{NodeId, SimTime};
+use simkit::{NodeId, SimTime, Sleep};
 
 use crate::runtime::{
     current_coro, current_coro_label, current_phase, swap_current_phase, trace_ctx, Runtime,
@@ -294,7 +294,6 @@ impl EventHandle {
             handle: self.clone(),
             deadline: None,
             begun_at: None,
-            timer_armed: false,
         }
     }
 
@@ -302,9 +301,8 @@ impl EventHandle {
     pub fn wait_timeout(&self, d: Duration) -> Wait {
         Wait {
             handle: self.clone(),
-            deadline: Some(self.rt.now() + d),
+            deadline: Some(self.rt.sleep_until(self.rt.now() + d)),
             begun_at: None,
-            timer_armed: false,
         }
     }
 
@@ -323,11 +321,14 @@ impl EventHandle {
 /// Each `Wait` is one *waiting point*: its begin and end are trace records,
 /// which is what lets [`crate::verify`] classify the wait and
 /// [`crate::spg`] draw it as an edge.
+///
+/// A wait that ends before its deadline, resolved or dropped, takes the
+/// deadline's timer with it: a timeout that does not fire costs nothing
+/// afterwards.
 pub struct Wait {
     handle: EventHandle,
-    deadline: Option<SimTime>,
+    deadline: Option<Sleep>,
     begun_at: Option<SimTime>,
-    timer_armed: bool,
 }
 
 impl Wait {
@@ -381,14 +382,10 @@ impl Future for Wait {
             self.finish(result);
             return Poll::Ready(result);
         }
-        if let Some(deadline) = self.deadline {
-            if h.rt.now() >= deadline {
+        if let Some(deadline) = &mut self.deadline {
+            if Pin::new(deadline).poll(cx).is_ready() {
                 self.finish(WaitResult::Timeout);
                 return Poll::Ready(WaitResult::Timeout);
-            }
-            if !self.timer_armed {
-                self.timer_armed = true;
-                h.rt.schedule_wake(deadline, cx.waker().clone());
             }
         }
         h.register_waker(cx.waker().clone());
@@ -523,6 +520,34 @@ mod tests {
         let out = sim.block_on(async move { h.wait_timeout(Duration::from_millis(10)).await });
         assert_eq!(out, WaitResult::Timeout);
         assert_eq!(sim.now(), SimTime::from_millis(10));
+    }
+
+    #[test]
+    fn timeouts_that_did_not_fire_leave_nothing_behind() {
+        let (sim, rt) = rt();
+        let s = sim.clone();
+        let resolved = sim.block_on(async move {
+            let mut resolved = 0;
+            for _ in 0..10_000 {
+                let h = EventHandle::new(&rt, EventKind::Notify, "t");
+                let h2 = h.clone();
+                let s2 = s.clone();
+                s.spawn(async move {
+                    s2.sleep(Duration::from_micros(10)).await;
+                    h2.fire(Signal::Ok);
+                });
+                resolved += h.wait_timeout(Duration::from_secs(5)).await.is_ready() as u32;
+            }
+            resolved
+        });
+        assert_eq!(resolved, 10_000);
+        // One deadline and one sleep per round were armed; none is left.
+        assert_eq!(sim.timers_scheduled(), 20_000);
+        assert_eq!(sim.pending_timers(), 0);
+        let (now, polls) = (sim.now(), sim.polls());
+        sim.run();
+        // So no deadline fires later, moves the clock or wakes the waiter.
+        assert_eq!((sim.now(), sim.polls()), (now, polls));
     }
 
     #[test]

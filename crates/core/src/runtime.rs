@@ -2,10 +2,9 @@
 //!
 //! §3.3: *"A DepFast runtime instance consists of four major components:
 //! coroutines, events, a scheduler, and I/O helper threads."* One
-//! [`Runtime`] is created per server node; its scheduler is supplied by a
-//! [`TimeDriver`] (in this repository, the deterministic `simkit`
-//! executor), and "I/O helper threads" are asynchronous completions with
-//! modelled latency from the same substrate.
+//! [`Runtime`] is created per server node; its scheduler is the
+//! deterministic `simkit` executor, and "I/O helper threads" are
+//! asynchronous completions with modelled latency from the same substrate.
 //!
 //! Multiple runtime instances share one [`Tracer`], which is
 //! how cross-node waiting-for relationships are stitched together for the
@@ -16,10 +15,10 @@ use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 use std::time::Duration;
 
-use simkit::{LocalBoxFuture, NodeId, Sim, SimTime};
+use simkit::{NodeId, Sim, SimTime, Sleep};
 
 use crate::trace::{TraceCtx, TraceRecord, Tracer};
 
@@ -27,47 +26,9 @@ use crate::trace::{TraceCtx, TraceRecord, Tracer};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoroId(pub u64);
 
-/// The scheduling substrate a [`Runtime`] runs on.
-///
-/// The simulation driver wraps [`simkit::Sim`]. The abstraction keeps the
-/// DepFast programming model independent of the substrate, as the paper's
-/// framework/logic separation demands.
-pub trait TimeDriver {
-    /// Current (virtual) time.
-    fn now(&self) -> SimTime;
-    /// Wakes `waker` at instant `at`.
-    fn schedule_wake(&self, at: SimTime, waker: Waker);
-    /// Runs `f` on the scheduler thread at instant `at`.
-    fn schedule_call(&self, at: SimTime, f: Box<dyn FnOnce()>);
-    /// Spawns a task.
-    fn spawn(&self, fut: LocalBoxFuture<()>);
-    /// Draws from the substrate's seeded random stream.
-    fn rand_u64(&self) -> u64;
-}
-
-struct SimDriver(Sim);
-
-impl TimeDriver for SimDriver {
-    fn now(&self) -> SimTime {
-        self.0.now()
-    }
-    fn schedule_wake(&self, at: SimTime, waker: Waker) {
-        self.0.schedule_wake(at, waker);
-    }
-    fn schedule_call(&self, at: SimTime, f: Box<dyn FnOnce()>) {
-        self.0.schedule_call(at, f);
-    }
-    fn spawn(&self, fut: LocalBoxFuture<()>) {
-        self.0.spawn(fut);
-    }
-    fn rand_u64(&self) -> u64 {
-        self.0.rand_u64()
-    }
-}
-
 struct RtInner {
     node: NodeId,
-    driver: Box<dyn TimeDriver>,
+    sim: Sim,
     tracer: Tracer,
 }
 
@@ -90,22 +51,7 @@ impl Runtime {
     /// (required for cluster-wide SPGs).
     pub fn with_tracer(sim: Sim, node: NodeId, tracer: Tracer) -> Self {
         Runtime {
-            inner: Rc::new(RtInner {
-                node,
-                driver: Box::new(SimDriver(sim)),
-                tracer,
-            }),
-        }
-    }
-
-    /// Creates a runtime over a custom [`TimeDriver`].
-    pub fn with_driver(driver: Box<dyn TimeDriver>, node: NodeId, tracer: Tracer) -> Self {
-        Runtime {
-            inner: Rc::new(RtInner {
-                node,
-                driver,
-                tracer,
-            }),
+            inner: Rc::new(RtInner { node, sim, tracer }),
         }
     }
 
@@ -121,33 +67,29 @@ impl Runtime {
 
     /// Current (virtual) time.
     pub fn now(&self) -> SimTime {
-        self.inner.driver.now()
-    }
-
-    /// Wakes `waker` at instant `at`.
-    pub fn schedule_wake(&self, at: SimTime, waker: Waker) {
-        self.inner.driver.schedule_wake(at, waker);
+        self.inner.sim.now()
     }
 
     /// Runs `f` on the scheduler thread at instant `at`.
     pub fn schedule_call(&self, at: SimTime, f: impl FnOnce() + 'static) {
-        self.inner.driver.schedule_call(at, Box::new(f));
+        self.inner.sim.schedule_call(at, f);
     }
 
-    /// Sleeps for virtual duration `d`.
+    /// Sleeps for virtual duration `d`, counted from the first poll.
     pub async fn sleep(&self, d: Duration) {
-        let deadline = self.now() + d;
-        DriverSleep {
-            rt: self.clone(),
-            deadline,
-            armed: false,
-        }
-        .await
+        self.inner.sim.sleep(d).await
+    }
+
+    /// A future that completes at instant `deadline`. Every wait with a
+    /// timeout is built on one: dropped early, it cancels its timer, so a
+    /// deadline that was met costs nothing afterwards.
+    pub fn sleep_until(&self, deadline: SimTime) -> Sleep {
+        self.inner.sim.sleep_until(deadline)
     }
 
     /// Draws a uniformly random `u64` from the substrate's seeded stream.
     pub fn rand_u64(&self) -> u64 {
-        self.inner.driver.rand_u64()
+        self.inner.sim.rand_u64()
     }
 
     /// Draws a random value in `[lo, hi)`.
@@ -163,29 +105,7 @@ impl Runtime {
     /// Spawns a bare task (without coroutine identity). Prefer
     /// [`Coroutine::create`] for logic code so waits are attributed.
     pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) {
-        self.inner.driver.spawn(Box::pin(fut));
-    }
-}
-
-struct DriverSleep {
-    rt: Runtime,
-    deadline: SimTime,
-    armed: bool,
-}
-
-impl Future for DriverSleep {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.rt.now() >= self.deadline {
-            Poll::Ready(())
-        } else {
-            if !self.armed {
-                self.armed = true;
-                self.rt.schedule_wake(self.deadline, cx.waker().clone());
-            }
-            Poll::Pending
-        }
+        self.inner.sim.spawn_detached(Box::pin(fut));
     }
 }
 

@@ -21,7 +21,7 @@ use depfast_rpc::proxy::RpcEvent;
 use depfast_rpc::wire::WireRead;
 use depfast_rpc::{group_method, Endpoint, Method};
 use depfast_storage::{Entry, LogStore, LogStoreCfg};
-use simkit::{NodeId, SimTime, World};
+use simkit::{NodeId, SimTime, Sleep, World};
 
 use crate::types::{
     from_wire, AppendReq, AppendResp, VoteReq, VoteResp, APPEND_ENTRIES, PRE_VOTE, REQUEST_VOTE,
@@ -166,22 +166,21 @@ impl ProposalQueue {
     /// resolve to an empty batch (used as a combined heartbeat timer).
     pub fn pop_batch(&self, rt: &Runtime, max: usize, deadline: Option<SimTime>) -> PopBatch {
         PopBatch {
-            rt: rt.clone(),
             q: self.inner.clone(),
             max,
-            deadline,
-            armed: false,
+            deadline: deadline.map(|dl| rt.sleep_until(dl)),
         }
     }
 }
 
 /// Future returned by [`ProposalQueue::pop_batch`].
+///
+/// Proposals usually arrive before the deadline; its timer goes with the
+/// future when they do.
 pub struct PopBatch {
-    rt: Runtime,
     q: Rc<RefCell<Pq>>,
     max: usize,
-    deadline: Option<SimTime>,
-    armed: bool,
+    deadline: Option<Sleep>,
 }
 
 impl Future for PopBatch {
@@ -196,13 +195,9 @@ impl Future for PopBatch {
             }
             inner.waker = Some(cx.waker().clone());
         }
-        if let Some(dl) = self.deadline {
-            if self.rt.now() >= dl {
+        if let Some(deadline) = &mut self.deadline {
+            if Pin::new(deadline).poll(cx).is_ready() {
                 return Poll::Ready(Vec::new());
-            }
-            if !self.armed {
-                self.armed = true;
-                self.rt.schedule_wake(dl, cx.waker().clone());
             }
         }
         Poll::Pending

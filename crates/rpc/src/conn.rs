@@ -167,6 +167,7 @@ impl Connection {
                 let msg = PopMsg {
                     conn: c.clone(),
                     sim: world.sim().clone(),
+                    credit_expiry: None,
                 }
                 .await;
                 let Some(msg) = msg else { break };
@@ -338,15 +339,19 @@ impl Connection {
 struct PopMsg {
     conn: Connection,
     sim: simkit::Sim,
+    /// Wake-up at the oldest outstanding credit's expiry, armed while
+    /// blocked on credits; cancelled with this future when one returns.
+    credit_expiry: Option<simkit::Sleep>,
 }
 
 impl Future for PopMsg {
     type Output = Option<OutMsg>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<OutMsg>> {
-        let now = self.sim.now();
-        self.conn.reclaim_expired(now);
-        let mut inner = self.conn.inner.borrow_mut();
+        let this = self.get_mut();
+        let now = this.sim.now();
+        this.conn.reclaim_expired(now);
+        let mut inner = this.conn.inner.borrow_mut();
         if inner.closed && inner.queue.is_empty() {
             return Poll::Ready(None);
         }
@@ -363,9 +368,14 @@ impl Future for PopMsg {
             }
             // Blocked on credits with traffic pending: arm a wake at the
             // oldest credit's expiry so a partition cannot wedge the link.
+            // Once per expiry: every enqueue on the stalled link polls this.
             if let Some(t) = inner.outstanding.front() {
-                self.sim
-                    .schedule_wake(*t + CREDIT_TIMEOUT, cx.waker().clone());
+                let expiry = *t + CREDIT_TIMEOUT;
+                let sleep = match &mut this.credit_expiry {
+                    Some(armed) if armed.deadline() == expiry => armed,
+                    stale => stale.insert(this.sim.sleep_until(expiry)),
+                };
+                let _ = Pin::new(sleep).poll(cx);
             }
         }
         inner.waker = Some(cx.waker().clone());
@@ -442,6 +452,38 @@ mod tests {
         // retransmission-timer analog), so the link never wedges.
         sim.run();
         assert_eq!(conn.sent(), 5);
+    }
+
+    #[test]
+    fn stalled_link_arms_one_credit_expiry_timer() {
+        let (sim, world, rt) = setup();
+        let conn = Connection::open(
+            &rt,
+            &world,
+            NodeId(1),
+            BufferPolicy::Unbounded,
+            1,
+            Duration::from_micros(1),
+        );
+        // The only credit goes out with the first message and is never
+        // returned: from here on the link has none.
+        conn.enqueue(&world, msg(1));
+        sim.run_until_time(sim.now() + Duration::from_millis(1));
+        assert_eq!(conn.sent(), 1);
+        let (timers, polls) = (sim.timers_scheduled(), sim.polls());
+        for _ in 0..100 {
+            conn.enqueue(&world, msg(1));
+            // Every enqueue wakes the sender, which finds no credit.
+            sim.run_until_time(sim.now() + Duration::from_millis(1));
+        }
+        assert_eq!(sim.polls() - polls, 100);
+        assert_eq!(conn.queue_len(), 100);
+        assert_eq!(sim.timers_scheduled() - timers, 1);
+        assert_eq!(sim.pending_timers(), 1);
+        // The blocked pop takes its timer with it when it ends.
+        conn.close();
+        sim.run_until_time(sim.now() + Duration::from_millis(1));
+        assert_eq!(sim.pending_timers(), 0);
     }
 
     #[test]

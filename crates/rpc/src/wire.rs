@@ -6,6 +6,8 @@
 //! fixed order. Decoding is fallible (`Option`) — a malformed buffer never
 //! panics.
 
+use std::cell::Cell;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Types that can serialize themselves onto a buffer.
@@ -13,11 +15,23 @@ pub trait WireWrite {
     /// Appends this value's encoding to `buf`.
     fn write(&self, buf: &mut BytesMut);
 
-    /// Convenience: encodes into a fresh buffer.
+    /// Convenience: encodes into a fresh [`Bytes`].
+    ///
+    /// The encoding is built in a per-thread scratch buffer that keeps its
+    /// capacity between calls and is then copied out once, so a message
+    /// costs one allocation of exactly its size however large it is.
     fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        thread_local! {
+            static SCRATCH: Cell<BytesMut> = Cell::new(BytesMut::new());
+        }
+        // Taken, not borrowed: a `write` that itself calls `to_bytes`
+        // finds an empty buffer rather than a borrow conflict.
+        let mut buf = SCRATCH.take();
         self.write(&mut buf);
-        buf.freeze()
+        let out = Bytes::from(&buf[..]);
+        buf.clear();
+        SCRATCH.set(buf);
+        out
     }
 }
 

@@ -2,9 +2,18 @@
 //!
 //! The executor is the heart of the simulation: it polls tasks until every
 //! one of them is blocked, then jumps the virtual clock to the next timer
-//! deadline. Because there is exactly one thread and the ready queue is
-//! FIFO, a given seed always produces the same interleaving — the property
-//! the whole benchmark harness relies on.
+//! deadline. Because there is exactly one thread, the ready queue is FIFO
+//! and timers fire in `(deadline, schedule order)`, a given seed always
+//! produces the same interleaving — the property the whole benchmark
+//! harness relies on.
+//!
+//! Host cost follows *live* work. Tasks sit in a slab indexed by the low
+//! half of their [`TaskId`] (no hashing per poll; a generation in the high
+//! half rejects wakes meant for a finished task whose slot was reused).
+//! Timers can be cancelled by the [`TimerId`] [`Sim::schedule_wake`]
+//! returns, so a timeout whose wait resolved early leaves nothing behind:
+//! no waker, no wake, no poll, and a queue no deeper than twice the timers
+//! still wanted.
 //!
 //! The DepFast paper (§3.3) describes a runtime with "coroutines, events, a
 //! scheduler, and I/O helper threads". This executor plays the scheduler
@@ -14,7 +23,7 @@
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -29,8 +38,20 @@ use rand::{Rng, SeedableRng};
 use crate::time::SimTime;
 use crate::LocalBoxFuture;
 
-/// Identifier of a spawned task, unique within one [`Sim`].
+/// Identifier of a spawned task, unique within one [`Sim`]:
+/// `generation << 32 | slot index`.
 pub type TaskId = u64;
+
+/// Handle to a scheduled wake-up, for [`Sim::cancel_timer`].
+///
+/// It names the timer by where it is kept and by its number in schedule
+/// order. Numbers are never reused, so cancelling a timer that already
+/// fired (or was already cancelled) is a no-op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerId {
+    slot: u32,
+    seq: u64,
+}
 
 /// What a timer fires: either waking a task or running a callback.
 ///
@@ -41,26 +62,112 @@ enum TimerAction {
     Call(Box<dyn FnOnce()>),
 }
 
-struct TimerEntry {
-    at: SimTime,
+/// `TimerSlot::seq` of a slot that holds no timer; never a timer's number.
+const VACANT: u64 = u64::MAX;
+
+struct TimerSlot {
     seq: u64,
-    action: TimerAction,
+    action: Option<TimerAction>,
 }
 
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
+/// The pending timers, in firing order `(deadline, schedule order)`.
+///
+/// A binary heap of `(deadline, seq, slot)` keys over a slab of actions.
+/// Cancelling a timer empties its slot at once (the waker is dropped, the
+/// slot can be reused) and leaves its key in the heap as a tombstone: a
+/// key whose slot no longer holds its `seq`. Tombstones are dropped when
+/// they surface and swept when they outnumber the live keys, so the heap
+/// stays within twice the live timers and every operation costs
+/// O(log live), amortised.
+#[derive(Default)]
+struct TimerQueue {
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    slots: Vec<TimerSlot>,
+    free_slots: Vec<u32>,
+    tombstones: usize,
+    /// Timers ever scheduled; the next one's `seq`.
+    scheduled: u64,
 }
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+impl TimerQueue {
+    fn len(&self) -> usize {
+        self.heap.len() - self.tombstones
     }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+
+    fn schedule(&mut self, at: SimTime, action: TimerAction) -> TimerId {
+        let seq = self.scheduled;
+        self.scheduled += 1;
+        let occupant = TimerSlot {
+            seq,
+            action: Some(action),
+        };
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = occupant;
+                slot
+            }
+            None => {
+                self.slots.push(occupant);
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 pending timers")
+            }
+        };
+        self.heap.push(Reverse((at, seq, slot)));
+        TimerId { slot, seq }
+    }
+
+    /// Empties `slot`, whose timer is firing or cancelled.
+    fn vacate(&mut self, slot: u32) -> TimerAction {
+        self.free_slots.push(slot);
+        let slot = &mut self.slots[slot as usize];
+        slot.seq = VACANT;
+        slot.action.take().expect("an occupied slot has an action")
+    }
+
+    /// Removes timer `id` if it is still pending and returns its action
+    /// (for the caller to drop where no borrow is held).
+    fn cancel(&mut self, id: TimerId) -> Option<TimerAction> {
+        if self.slots.get(id.slot as usize)?.seq != id.seq {
+            return None;
+        }
+        let action = self.vacate(id.slot);
+        self.tombstones += 1;
+        if self.tombstones > self.heap.len() / 2 {
+            let slots = &self.slots;
+            self.heap
+                .retain(|Reverse((_, seq, slot))| slots[*slot as usize].seq == *seq);
+            self.tombstones = 0;
+        }
+        Some(action)
+    }
+
+    /// Deadline of the earliest pending timer.
+    fn next_at(&mut self) -> Option<SimTime> {
+        while let Some(&Reverse((at, seq, slot))) = self.heap.peek() {
+            if self.slots[slot as usize].seq == seq {
+                return Some(at);
+            }
+            self.heap.pop();
+            self.tombstones -= 1;
+        }
+        None
+    }
+
+    /// Moves the actions of every timer due at the earliest pending
+    /// deadline to `due`, in schedule order, and returns that deadline.
+    fn pop_instant(&mut self, due: &mut Vec<TimerAction>) -> Option<SimTime> {
+        let instant = self.next_at()?;
+        while let Some(&Reverse((at, seq, slot))) = self.heap.peek() {
+            if at > instant {
+                break;
+            }
+            self.heap.pop();
+            if self.slots[slot as usize].seq == seq {
+                due.push(self.vacate(slot));
+            } else {
+                self.tombstones -= 1;
+            }
+        }
+        Some(instant)
     }
 }
 
@@ -68,7 +175,8 @@ impl Ord for TimerEntry {
 ///
 /// Wakers must be `Send + Sync` per the std contract, so the queue sits
 /// behind a lightweight mutex even though in practice only the simulation
-/// thread touches it.
+/// thread touches it. It may name a task twice, or one that has since
+/// finished; the slab's generation check drops the latter.
 #[derive(Default)]
 struct WokenQueue {
     queue: Mutex<VecDeque<TaskId>>,
@@ -88,12 +196,21 @@ impl std::task::Wake for TaskWaker {
     }
 }
 
+/// One entry of the task slab.
+struct Slot {
+    /// Bumped when the occupant finishes, so its wakers stop matching.
+    generation: u32,
+    /// The occupant; `None` while it is being polled or the slot is free.
+    task: Option<(LocalBoxFuture<()>, Waker)>,
+}
+
 struct Core {
     now: SimTime,
-    next_task: TaskId,
-    next_timer_seq: u64,
-    tasks: HashMap<TaskId, (LocalBoxFuture<()>, Waker)>,
-    timers: BinaryHeap<Reverse<TimerEntry>>,
+    tasks: Vec<Slot>,
+    free_slots: Vec<u32>,
+    timers: TimerQueue,
+    /// Scratch for the timers of one instant, kept for its capacity.
+    due: Vec<TimerAction>,
     rng: SmallRng,
     /// Total tasks ever spawned, for diagnostics.
     spawned: u64,
@@ -133,10 +250,10 @@ impl Sim {
         Sim {
             core: Rc::new(RefCell::new(Core {
                 now: SimTime::ZERO,
-                next_task: 0,
-                next_timer_seq: 0,
-                tasks: HashMap::new(),
-                timers: BinaryHeap::new(),
+                tasks: Vec::new(),
+                free_slots: Vec::new(),
+                timers: TimerQueue::default(),
+                due: Vec::new(),
                 rng: SmallRng::seed_from_u64(seed),
                 spawned: 0,
                 polls: 0,
@@ -157,7 +274,13 @@ impl Sim {
 
     /// Number of timers scheduled so far (diagnostics).
     pub fn timers_scheduled(&self) -> u64 {
-        self.core.borrow().next_timer_seq
+        self.core.borrow().timers.scheduled
+    }
+
+    /// Number of timers scheduled and neither fired nor cancelled yet
+    /// (diagnostics).
+    pub fn pending_timers(&self) -> usize {
+        self.core.borrow().timers.len()
     }
 
     /// Number of task polls performed so far (diagnostics).
@@ -187,51 +310,71 @@ impl Sim {
 
     /// Spawns a task and returns a handle that resolves to its output.
     ///
-    /// The task starts on the ready queue and is polled during the next
-    /// executor iteration; spawning never polls inline, which keeps
-    /// re-entrancy away from callers holding borrows.
+    /// The task takes a free slot of the task table (the table grows by
+    /// one if there is none), starts on the ready queue and is polled
+    /// during the next executor iteration; spawning never polls inline,
+    /// which keeps re-entrancy away from callers holding borrows.
     pub fn spawn<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> JoinHandle<T> {
         let slot: Rc<RefCell<JoinSlot<T>>> = Rc::new(RefCell::new(JoinSlot {
             value: None,
             waker: None,
         }));
         let slot2 = slot.clone();
-        let wrapped = Box::pin(async move {
+        self.spawn_detached(Box::pin(async move {
             let value = fut.await;
             let mut s = slot2.borrow_mut();
             s.value = Some(value);
             if let Some(w) = s.waker.take() {
                 w.wake();
             }
-        });
+        }));
+        JoinHandle { slot }
+    }
+
+    /// Spawns an already boxed task nobody joins: `fut` goes into the task
+    /// table as it is, so the only allocation made here is the task's
+    /// waker. Scheduling is the same as [`Sim::spawn`]'s.
+    pub fn spawn_detached(&self, fut: LocalBoxFuture<()>) {
         let id = {
             let mut core = self.core.borrow_mut();
-            let id = core.next_task;
-            core.next_task += 1;
             core.spawned += 1;
+            let index = match core.free_slots.pop() {
+                Some(index) => index,
+                None => {
+                    let index = u32::try_from(core.tasks.len()).expect("fewer than 2^32 tasks");
+                    core.tasks.push(Slot {
+                        generation: 0,
+                        task: None,
+                    });
+                    index
+                }
+            };
+            let slot = &mut core.tasks[index as usize];
+            let id = (slot.generation as TaskId) << 32 | index as TaskId;
             // One waker per task for its whole life: lets futures
             // deduplicate registrations via `Waker::will_wake`.
             let waker = Waker::from(Arc::new(TaskWaker {
                 id,
                 woken: self.woken.clone(),
             }));
-            core.tasks.insert(id, (wrapped, waker));
+            slot.task = Some((fut, waker));
             id
         };
         self.woken.queue.lock().push_back(id);
-        JoinHandle { slot }
     }
 
-    /// Schedules `waker` to be woken at virtual instant `at`.
-    pub fn schedule_wake(&self, at: SimTime, waker: Waker) {
-        let mut core = self.core.borrow_mut();
-        let seq = core.next_timer_seq;
-        core.next_timer_seq += 1;
-        core.timers.push(Reverse(TimerEntry {
-            at,
-            seq,
-            action: TimerAction::Wake(waker),
-        }));
+    /// Schedules `waker` to be woken at virtual instant `at`. Pass the
+    /// returned id to [`Sim::cancel_timer`] once the wake is not wanted.
+    pub fn schedule_wake(&self, at: SimTime, waker: Waker) -> TimerId {
+        let action = TimerAction::Wake(waker);
+        self.core.borrow_mut().timers.schedule(at, action)
+    }
+
+    /// Removes a timer that has not fired yet, so that it neither wakes its
+    /// task nor counts as pending. A no-op for one that has.
+    pub fn cancel_timer(&self, id: TimerId) {
+        // The waker is dropped after the borrow ends.
+        let _cancelled = self.core.borrow_mut().timers.cancel(id);
     }
 
     /// Schedules `f` to run on the executor thread at virtual instant `at`.
@@ -239,14 +382,8 @@ impl Sim {
     /// This is how the network model delivers messages: the callback runs
     /// between task polls, so it may freely borrow shared state.
     pub fn schedule_call(&self, at: SimTime, f: impl FnOnce() + 'static) {
-        let mut core = self.core.borrow_mut();
-        let seq = core.next_timer_seq;
-        core.next_timer_seq += 1;
-        core.timers.push(Reverse(TimerEntry {
-            at,
-            seq,
-            action: TimerAction::Call(Box::new(f)),
-        }));
+        let action = TimerAction::Call(Box::new(f));
+        self.core.borrow_mut().timers.schedule(at, action);
     }
 
     /// Returns a future that completes after virtual duration `d`.
@@ -259,7 +396,7 @@ impl Sim {
         Sleep {
             sim: self.clone(),
             deadline,
-            armed: false,
+            timer: None,
         }
     }
 
@@ -330,7 +467,7 @@ impl Sim {
     }
 
     fn next_timer_at(&self) -> Option<SimTime> {
-        self.core.borrow().timers.peek().map(|Reverse(e)| e.at)
+        self.core.borrow_mut().timers.next_at()
     }
 
     /// Polls tasks from the woken queue until it is empty.
@@ -338,18 +475,33 @@ impl Sim {
         loop {
             let id = { self.woken.queue.lock().pop_front() };
             let Some(id) = id else { break };
-            // Take the task out of the map so the poll can spawn/schedule
+            let (index, generation) = (id as u32 as usize, (id >> 32) as u32);
+            // Take the task out of its slot so the poll can spawn/schedule
             // without re-borrowing the core.
-            let Some((mut fut, waker)) = self.core.borrow_mut().tasks.remove(&id) else {
+            let taken = {
+                let mut core = self.core.borrow_mut();
+                let task = match core.tasks.get_mut(index) {
+                    Some(slot) if slot.generation == generation => slot.task.take(),
+                    _ => None,
+                };
+                core.polls += task.is_some() as u64;
+                task
+            };
+            let Some((mut fut, waker)) = taken else {
                 continue; // Already finished; stale wake.
             };
-            self.core.borrow_mut().polls += 1;
             let mut cx = Context::from_waker(&waker);
-            match fut.as_mut().poll(&mut cx) {
-                Poll::Ready(()) => {}
-                Poll::Pending => {
-                    self.core.borrow_mut().tasks.insert(id, (fut, waker));
-                }
+            let done = fut.as_mut().poll(&mut cx).is_ready();
+            let mut core = self.core.borrow_mut();
+            if done {
+                let slot = &mut core.tasks[index];
+                slot.generation = slot.generation.wrapping_add(1);
+                core.free_slots.push(index as u32);
+                // Dropping the future may cancel timers: end the borrow first.
+                drop(core);
+                drop(fut);
+            } else {
+                core.tasks[index].task = Some((fut, waker));
             }
         }
     }
@@ -357,29 +509,26 @@ impl Sim {
     /// Advances the clock to the earliest timer and fires every timer due
     /// at that instant. Returns `false` if there were no timers.
     fn advance_to_next_timer(&self) -> bool {
-        let mut actions = Vec::new();
-        {
+        // Collect the whole instant before firing any of it: what an
+        // action schedules for this same instant fires in the next round,
+        // after the tasks woken by this one have run.
+        let mut due = {
             let mut core = self.core.borrow_mut();
-            let Some(Reverse(first)) = core.timers.peek() else {
+            let mut due = std::mem::take(&mut core.due);
+            let Some(at) = core.timers.pop_instant(&mut due) else {
                 return false;
             };
-            let at = first.at;
             debug_assert!(at >= core.now, "timer scheduled in the past");
             core.now = core.now.max(at);
-            while let Some(Reverse(e)) = core.timers.peek() {
-                if e.at > at {
-                    break;
-                }
-                let Reverse(e) = core.timers.pop().expect("peeked entry exists");
-                actions.push(e.action);
-            }
-        }
-        for action in actions {
+            due
+        };
+        for action in due.drain(..) {
             match action {
                 TimerAction::Wake(w) => w.wake(),
                 TimerAction::Call(f) => f(),
             }
         }
+        self.core.borrow_mut().due = due;
         true
     }
 }
@@ -423,10 +572,13 @@ impl<T> Future for JoinHandle<T> {
 }
 
 /// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`].
+///
+/// Dropped before its deadline, it takes its timer with it.
 pub struct Sleep {
     sim: Sim,
     deadline: SimTime,
-    armed: bool,
+    /// The wake-up, once armed.
+    timer: Option<TimerId>,
 }
 
 impl Sleep {
@@ -445,11 +597,18 @@ impl Future for Sleep {
         } else {
             // Arm the wake-up once; re-polls (spurious wakes) must not
             // multiply timers.
-            if !self.armed {
-                self.armed = true;
-                self.sim.schedule_wake(self.deadline, cx.waker().clone());
+            if self.timer.is_none() {
+                self.timer = Some(self.sim.schedule_wake(self.deadline, cx.waker().clone()));
             }
             Poll::Pending
+        }
+    }
+}
+
+impl Drop for Sleep {
+    fn drop(&mut self) {
+        if let Some(id) = self.timer.take() {
+            self.sim.cancel_timer(id);
         }
     }
 }
@@ -569,6 +728,90 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_secs(5));
         sim.run_until_time(SimTime::from_secs(20));
         assert!(fired.get());
+    }
+
+    /// A waker that counts its wakes, for timers no task owns.
+    struct CountingWaker(std::sync::atomic::AtomicU64);
+
+    impl std::task::Wake for CountingWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn cancelled_timer_never_fires_and_never_wakes() {
+        let sim = Sim::new(1);
+        let wakes = Arc::new(CountingWaker(Default::default()));
+        let kept = sim.schedule_wake(SimTime::from_millis(1), Waker::from(wakes.clone()));
+        let cancelled = sim.schedule_wake(SimTime::from_millis(2), Waker::from(wakes.clone()));
+        assert_eq!(sim.pending_timers(), 2);
+        sim.cancel_timer(cancelled);
+        assert_eq!(sim.pending_timers(), 1);
+        sim.run();
+        assert_eq!(wakes.0.load(std::sync::atomic::Ordering::Relaxed), 1);
+        // The clock stops at the last timer that was still wanted.
+        assert_eq!(sim.now(), SimTime::from_millis(1));
+        // Cancelling a timer that has fired, or twice, changes nothing.
+        sim.cancel_timer(kept);
+        sim.cancel_timer(cancelled);
+        assert_eq!(sim.pending_timers(), 0);
+        assert_eq!(sim.timers_scheduled(), 2);
+    }
+
+    #[test]
+    fn sleeps_dropped_early_leave_no_timers_and_no_polls() {
+        let sim = Sim::new(1);
+        let s = sim.clone();
+        sim.block_on(async move {
+            for _ in 0..10_000 {
+                // Poll once, which arms the timer, then give up on it.
+                let mut sleep = s.sleep(Duration::from_secs(5));
+                std::future::poll_fn(|cx| {
+                    assert!(Pin::new(&mut sleep).poll(cx).is_pending());
+                    Poll::Ready(())
+                })
+                .await;
+                assert_eq!(s.pending_timers(), 1);
+            }
+            s.sleep(Duration::from_millis(1)).await;
+        });
+        assert_eq!(sim.timers_scheduled(), 10_001);
+        assert_eq!(sim.pending_timers(), 0);
+        sim.run();
+        // Nothing was left to advance the clock or to wake the task.
+        assert_eq!(sim.now(), SimTime::from_millis(1));
+        assert_eq!(sim.polls(), 2);
+    }
+
+    #[test]
+    fn stale_waker_does_not_poll_the_slots_next_occupant() {
+        let sim = Sim::new(1);
+        let stale: Rc<RefCell<Option<Waker>>> = Rc::default();
+        let keep = stale.clone();
+        sim.spawn(std::future::poll_fn(move |cx| {
+            *keep.borrow_mut() = Some(cx.waker().clone());
+            Poll::Ready(())
+        }));
+        sim.run();
+        // The next task takes over the finished one's slot.
+        let polls = Rc::new(Cell::new(0));
+        let p = polls.clone();
+        sim.spawn(std::future::poll_fn(move |_| {
+            p.set(p.get() + 1);
+            Poll::<()>::Pending
+        }));
+        sim.run();
+        assert_eq!(polls.get(), 1);
+        let executor_polls = sim.polls();
+        stale.borrow_mut().take().expect("first task ran").wake();
+        sim.run();
+        assert_eq!(
+            polls.get(),
+            1,
+            "a finished task's waker reached its successor"
+        );
+        assert_eq!(sim.polls(), executor_polls);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Property-based tests on the resource models' invariants.
+//! Property-based tests on the resource models' invariants and on the
+//! executor's timer queue.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -7,8 +8,19 @@ use simkit::cpu::{CpuCfg, CpuModel};
 use simkit::disk::{DiskCfg, DiskModel, DiskOp};
 use simkit::memory::{MemCfg, MemoryModel};
 use simkit::net::{NetCfg, NetModel};
-use simkit::{NodeId, SimTime};
+use simkit::{NodeId, Sim, SimTime};
+use std::sync::{Arc, Mutex};
+use std::task::{Wake, Waker};
 use std::time::Duration;
+
+/// A waker that logs its timer's number when woken.
+struct LogWake(usize, Arc<Mutex<Vec<usize>>>);
+
+impl Wake for LogWake {
+    fn wake(self: Arc<Self>) {
+        self.1.lock().unwrap().push(self.0);
+    }
+}
 
 proptest! {
     /// CPU completions never precede submission, and total busy time
@@ -141,5 +153,59 @@ proptest! {
         prop_assert!(net
             .delivery_time(SimTime::ZERO, NodeId(a), NodeId(b), 0, &mut rng)
             .is_some());
+    }
+
+    /// The determinism contract of the executor: whatever is scheduled,
+    /// cancelled and run in between, the timers that survive fire in
+    /// exactly `(deadline, schedule order)`, and nothing else fires. The
+    /// reference model is a `Vec` sorted when time advances. Deadlines
+    /// are whole milliseconds a few apart, so that many of them tie.
+    #[test]
+    fn surviving_timers_fire_in_deadline_then_schedule_order(
+        ops in prop::collection::vec((0u8..4, 0u64..6), 1..200),
+    ) {
+        let sim = Sim::new(0);
+        let fired = Arc::new(Mutex::new(Vec::new()));
+        // Model: the live timers as (deadline, schedule order = number).
+        let mut live: Vec<(SimTime, usize)> = Vec::new();
+        let mut expected = Vec::new();
+        let mut cancellable = Vec::new();
+        let mut scheduled = 0;
+        for (kind, arg) in ops {
+            let at = sim.now() + Duration::from_millis(arg);
+            match kind {
+                0 => {
+                    let waker = Waker::from(Arc::new(LogWake(scheduled, fired.clone())));
+                    cancellable.push((sim.schedule_wake(at, waker), at, scheduled));
+                    live.push((at, scheduled));
+                    scheduled += 1;
+                }
+                1 => {
+                    let (log, number) = (fired.clone(), scheduled);
+                    sim.schedule_call(at, move || log.lock().unwrap().push(number));
+                    live.push((at, scheduled));
+                    scheduled += 1;
+                }
+                2 if !cancellable.is_empty() => {
+                    // May name a timer that already fired or was cancelled.
+                    let (id, at, number) = cancellable[arg as usize % cancellable.len()];
+                    sim.cancel_timer(id);
+                    live.retain(|t| *t != (at, number));
+                }
+                _ => {
+                    sim.run_until_time(at);
+                    live.sort();
+                    let due = live.partition_point(|(t, _)| *t <= at);
+                    expected.extend(live.drain(..due).map(|(_, number)| number));
+                }
+            }
+            prop_assert_eq!(sim.pending_timers(), live.len());
+            prop_assert_eq!(&*fired.lock().unwrap(), &expected);
+        }
+        sim.run();
+        live.sort();
+        expected.extend(live.into_iter().map(|(_, number)| number));
+        prop_assert_eq!(&*fired.lock().unwrap(), &expected);
+        prop_assert_eq!(sim.timers_scheduled(), scheduled as u64);
     }
 }
