@@ -10,17 +10,18 @@
 //!
 //! Environment knob: `ABL_MEASURE_SECS` (default 5).
 
-use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use depfast::event::{QuorumEvent, QuorumMode, Watchable};
+use depfast::event::{QuorumMode, Watchable};
 use depfast::runtime::Runtime;
-use depfast_bench::baseline::{RunRecord, Suite};
-use depfast_bench::Table;
+use depfast_bench::{Run, RunRecord, Suite, Table};
+use depfast_fault::FaultKind;
+use depfast_raft::cluster::RaftKind;
 use depfast_rpc::broadcast::broadcast;
 use depfast_rpc::endpoint::{Endpoint, Registry, RpcCfg};
 use depfast_rpc::{BufferPolicy, OnFull};
+use depfast_ycsb::driver::RunStats;
 use simkit::{NodeId, Sim, World, WorldCfg};
 
 const ECHO: u32 = 1;
@@ -182,15 +183,69 @@ fn ablation_buffers() {
     let _ = t.write_csv("ablation_buffers");
 }
 
-fn ablation_entrycache(suite: &mut Suite) {
-    use depfast_bench::{run_experiment, ExperimentCfg, FaultTarget};
-    use depfast_fault::FaultKind;
-    use depfast_raft::cluster::RaftKind;
-
-    let measure = std::env::var("ABL_MEASURE_SECS")
+fn abl_measure() -> Duration {
+    let secs = std::env::var("ABL_MEASURE_SECS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(5u64);
+    Duration::from_secs(secs)
+}
+
+/// The shared ablation shape: enough concurrency that the leader (not
+/// client supply) is the bottleneck — the fig1 operating point.
+fn abl_run(kind: RaftKind, n_clients: usize, measure: Duration) -> Run {
+    Run {
+        kind,
+        n_clients,
+        warmup: Duration::from_secs(1),
+        measure,
+        records: 100_000,
+        ..Run::default()
+    }
+}
+
+/// Runs `base` healthy and with `fault` on follower `node` from
+/// mid-warm-up on, records both in `suite` under `driver`, and returns
+/// `(healthy, faulted)`.
+fn healthy_vs_faulted(
+    suite: &mut Suite,
+    driver: &str,
+    base: &Run,
+    node: u32,
+    (fault_label, fault): (&str, FaultKind),
+) -> (RunStats, RunStats) {
+    let healthy = base.execute();
+    let faulted = base
+        .clone()
+        .with_fault([node], fault, base.warmup / 2, None)
+        .execute();
+    suite.runs.push(RunRecord::from_stats(
+        driver,
+        "none",
+        "",
+        &healthy.stats,
+        None,
+        healthy.profiler.as_ref(),
+    ));
+    suite.runs.push(RunRecord::from_stats(
+        driver,
+        fault_label,
+        "",
+        &faulted.stats,
+        Some(healthy.stats.throughput),
+        faulted.profiler.as_ref(),
+    ));
+    (healthy.stats, faulted.stats)
+}
+
+const NET_SLOW: (&str, FaultKind) = (
+    "net_slow",
+    FaultKind::NetSlow {
+        delay: Duration::from_millis(400),
+    },
+);
+
+fn ablation_entrycache(suite: &mut Suite) {
     let mut t = Table::new(
         "Ablation: SyncRaft EntryCache size vs slow-follower impact",
         &[
@@ -200,101 +255,27 @@ fn ablation_entrycache(suite: &mut Suite) {
             "Ratio",
         ],
     );
-    // The cache size is part of bench_raft_cfg; sweep via its override. A
-    // +400 ms follower lags ~1 MiB of entries at this throughput, so the
-    // sweep brackets that point: small caches put big evicted-entry reads
-    // on the region thread every round, large caches absorb the lag.
+    // A +400 ms follower lags ~1 MiB of entries at this throughput, so
+    // the sweep brackets that point: small caches put big evicted-entry
+    // reads on the region thread every round, large caches absorb the
+    // lag.
     for cache_kib in [128u64, 512, 2048, 4096, 16384] {
-        let make = |fault| {
-            let cfg = ExperimentCfg {
-                kind: RaftKind::Sync,
-                // Enough concurrency that the region thread (not client
-                // supply) is the bottleneck — the fig1 operating point.
-                n_clients: 256,
-                warmup: Duration::from_secs(1),
-                measure: Duration::from_secs(measure),
-                records: 100_000,
-                fault,
-                ..ExperimentCfg::default()
-            };
-            run_experiment_with_cache(&cfg, cache_kib * 1024)
-        };
-        let healthy = make(None);
+        let mut run = abl_run(RaftKind::Sync, 256, abl_measure());
+        run.raft.log.cache_bytes = cache_kib * 1024;
         // Fault follower 1: it is iterated first in the region loop, so
         // its inline evicted-entry read delays the *healthy* follower's
         // send too (stall position matters in single-threaded designs).
-        let slow = make(Some((
-            FaultTarget::Followers(vec![1]),
-            FaultKind::NetSlow {
-                delay: Duration::from_millis(400),
-            },
-        )));
         let driver = format!("SyncRaft cache={cache_kib}KiB");
-        suite.runs.push(RunRecord::from_stats(
-            &driver, "none", "", &healthy, None, None,
-        ));
-        suite.runs.push(RunRecord::from_stats(
-            &driver,
-            "net_slow",
-            "",
-            &slow,
-            Some(healthy.throughput),
-            None,
-        ));
+        let (healthy, slow) = healthy_vs_faulted(suite, &driver, &run, 1, NET_SLOW);
         t.row(vec![
             cache_kib.to_string(),
             format!("{:.0}", healthy.throughput),
             format!("{:.0}", slow.throughput),
             format!("{:.2}", slow.throughput / healthy.throughput),
         ]);
-        let _ = run_experiment; // Canonical entry point (cache override used here).
     }
     t.print();
     let _ = t.write_csv("ablation_entrycache");
-}
-
-/// `run_experiment` with an EntryCache override (used by the cache sweep).
-fn run_experiment_with_cache(
-    cfg: &depfast_bench::ExperimentCfg,
-    cache_bytes: u64,
-) -> depfast_ycsb::driver::RunStats {
-    use depfast_bench::experiment::{bench_raft_cfg, bench_world_cfg};
-    use depfast_kv::KvCluster;
-    use depfast_ycsb::driver::{run_workload, DriverCfg};
-    use depfast_ycsb::workload::WorkloadSpec;
-
-    let sim = Sim::new(cfg.seed);
-    let world = World::new(sim.clone(), bench_world_cfg(cfg.n_servers + cfg.n_clients));
-    let mut raft_cfg = bench_raft_cfg();
-    raft_cfg.log.cache_bytes = cache_bytes;
-    let cluster = Rc::new(KvCluster::build(
-        &sim,
-        &world,
-        cfg.kind,
-        cfg.n_servers,
-        cfg.n_clients,
-        raft_cfg,
-    ));
-    if let Some((depfast_bench::FaultTarget::Followers(ids), kind)) = &cfg.fault {
-        for id in ids {
-            depfast_fault::inject_at(&sim, &world, NodeId(*id), *kind, cfg.warmup / 2, None);
-        }
-    }
-    #[allow(clippy::let_and_return)]
-    let stats = run_workload(
-        &sim,
-        &world,
-        &cluster,
-        WorkloadSpec::update_heavy()
-            .with_records(cfg.records)
-            .with_value_size(cfg.value_size),
-        DriverCfg {
-            warmup: cfg.warmup,
-            measure: cfg.measure,
-            seed: cfg.seed ^ 0x5eed,
-        },
-    );
-    stats
 }
 
 /// The PR-6 tentpole knobs, ablated: batch size cap (1 = per-entry
@@ -308,14 +289,6 @@ fn run_experiment_with_cache(
 /// per-follower append window sheds sends to it instead (visible as
 /// `raft.append.window_skips`).
 fn ablation_batching(suite: &mut Suite) {
-    use depfast_bench::{run_experiment, ExperimentCfg, FaultTarget};
-    use depfast_fault::FaultKind;
-    use depfast_raft::cluster::RaftKind;
-
-    let measure = std::env::var("ABL_MEASURE_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5u64);
     let mut t = Table::new(
         "Ablation: batch cap x linger window x pipeline depth (DepFastRaft, 256 clients)",
         &[
@@ -336,40 +309,17 @@ fn ablation_batching(suite: &mut Suite) {
         (64, "200us", Duration::from_micros(200), 4),
     ];
     for (batch_max, window_label, window, depth) in configs {
-        let make = |fault| {
-            run_experiment(&ExperimentCfg {
-                kind: RaftKind::DepFast,
-                n_clients: 256,
-                warmup: Duration::from_secs(1),
-                measure: Duration::from_secs(measure),
-                records: 100_000,
-                fault,
-                batch_max: Some(batch_max),
-                batch_window: Some(window),
-                pipeline_depth: Some(depth),
-                ..ExperimentCfg::default()
-            })
+        let mut run = abl_run(RaftKind::DepFast, 256, abl_measure());
+        run.raft.batch_max = batch_max;
+        run.raft.batch_window = window;
+        run.raft.pipeline_depth = depth;
+        let contention = FaultKind::DiskContention {
+            write_bytes: 2200 * 1024,
+            period: Duration::from_millis(10),
         };
-        let healthy = make(None);
-        let contended = make(Some((
-            FaultTarget::Followers(vec![1]),
-            FaultKind::DiskContention {
-                write_bytes: 2200 * 1024,
-                period: Duration::from_millis(10),
-            },
-        )));
         let driver = format!("DepFastRaft batch={batch_max} window={window_label} depth={depth}");
-        suite.runs.push(RunRecord::from_stats(
-            &driver, "none", "", &healthy, None, None,
-        ));
-        suite.runs.push(RunRecord::from_stats(
-            &driver,
-            "disk_contention",
-            "",
-            &contended,
-            Some(healthy.throughput),
-            None,
-        ));
+        let (healthy, contended) =
+            healthy_vs_faulted(suite, &driver, &run, 1, ("disk_contention", contention));
         t.row(vec![
             batch_max.to_string(),
             window_label.to_string(),
@@ -387,10 +337,6 @@ fn ablation_batching(suite: &mut Suite) {
 /// Chain replication vs quorum replication under a slow *tail* — the
 /// §2.1/§3.3 tradeoff, measured.
 fn ablation_chain_vs_quorum(suite: &mut Suite) {
-    use depfast_bench::{run_experiment_profiled, ExperimentCfg, FaultTarget};
-    use depfast_fault::FaultKind;
-    use depfast_raft::cluster::RaftKind;
-
     let mut t = Table::new(
         "Ablation: chain replication vs quorum under one fail-slow member",
         &[
@@ -403,35 +349,10 @@ fn ablation_chain_vs_quorum(suite: &mut Suite) {
         ],
     );
     for kind in [RaftKind::DepFast, RaftKind::Chain] {
-        let make = |fault| {
-            run_experiment_profiled(&ExperimentCfg {
-                kind,
-                n_clients: 128,
-                warmup: Duration::from_secs(1),
-                measure: Duration::from_secs(4),
-                records: 100_000,
-                fault,
-                ..ExperimentCfg::default()
-            })
-        };
-        let healthy_run = make(None);
+        let mut run = abl_run(kind, 128, Duration::from_secs(4));
+        run.instruments.profiler = true;
         // The slow member is node 2: DepFastRaft's follower, ChainRaft's tail.
-        let slow_run = make(Some((
-            FaultTarget::Followers(vec![2]),
-            FaultKind::NetSlow {
-                delay: Duration::from_millis(400),
-            },
-        )));
-        suite
-            .runs
-            .push(RunRecord::from_profiled(&healthy_run, "none", "", None));
-        suite.runs.push(RunRecord::from_profiled(
-            &slow_run,
-            "net_slow",
-            "",
-            Some(healthy_run.stats.throughput),
-        ));
-        let (healthy, slow) = (healthy_run.stats, slow_run.stats);
+        let (healthy, slow) = healthy_vs_faulted(suite, kind.name(), &run, 2, NET_SLOW);
         t.row(vec![
             kind.name().to_string(),
             format!("{:.0}", healthy.throughput),
@@ -448,7 +369,7 @@ fn ablation_chain_vs_quorum(suite: &mut Suite) {
 fn main() {
     ablation_wait_style();
     ablation_buffers();
-    let mut suite = Suite::new("ablations", depfast_bench::ExperimentCfg::default().seed);
+    let mut suite = Suite::new("ablations", Run::default().seed);
     ablation_entrycache(&mut suite);
     ablation_batching(&mut suite);
     ablation_chain_vs_quorum(&mut suite);
@@ -456,6 +377,4 @@ fn main() {
         Ok(p) => println!("[bench-json] {}", p.display()),
         Err(e) => eprintln!("[ablations] cannot write BENCH_ablations.json: {e}"),
     }
-    // Quiet the unused warning for QuorumEvent import used in docs.
-    let _ = QuorumEvent::majority as fn(&Runtime) -> QuorumEvent;
 }

@@ -40,11 +40,10 @@
 
 use std::time::Duration;
 
-use depfast_bench::baseline::{RunRecord, Suite};
+use depfast_bench::suites::{episode, gate_detector_cfg};
 use depfast_bench::{
-    format_ms, group_run_stats, repo_root, run_experiment_instrumented, run_experiment_profiled,
-    run_experiment_traced, run_scale_experiment, run_scale_incident, slug, write_metrics_csv,
-    write_repo_artifact, ExperimentCfg, ScaleCfg, Table,
+    format_ms, repo_root, run_figure_cell, slug, write_repo_artifact, Run, RunRecord, Shape, Suite,
+    Table,
 };
 use depfast_fault::FaultKind;
 use depfast_profile::Profiler;
@@ -60,24 +59,28 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Runs one experiment with the wait-state profiler attached (its site
-/// rollup lands in `BENCH_fig1.json`); with `--metrics`, instead samples
-/// the metric registry and dumps the time series to
-/// `target/depfast-bench/fig1_metrics_<run>.csv`.
-fn run_one(cfg: &ExperimentCfg, metrics: bool, run_name: &str) -> (RunStats, Option<Profiler>) {
-    if !metrics {
-        let run = run_experiment_profiled(cfg);
-        return (run.stats, Some(run.profiler));
-    }
-    let run = run_experiment_instrumented(cfg, Duration::from_millis(100));
-    if let Ok(p) = write_metrics_csv("fig1", run_name, &run.sampler.to_csv()) {
-        println!("[csv] {}", p.display());
-    }
-    if let Ok(p) = depfast_bench::write_metrics_json("fig1", run_name, &run.metrics.to_json()) {
-        println!("[json] {}", p.display());
-    }
-    (run.stats, None)
+/// One figure cell: profiled, or sampled and exported under `--metrics`.
+fn run_one(cfg: &Run, metrics: bool, run_name: &str) -> (RunStats, Option<Profiler>) {
+    let run = run_figure_cell("fig1", run_name, cfg, metrics);
+    (run.stats, run.profiler)
 }
+
+/// The short fixed-seed run of the `--chrome-trace` / `--profile` modes:
+/// a disk-slow follower (node 2) from mid-warm-up on.
+fn short_disk_slow(kind: RaftKind) -> Run {
+    let warmup = Duration::from_millis(500);
+    Run {
+        kind,
+        n_clients: 32,
+        warmup,
+        measure: Duration::from_secs(1),
+        records: 10_000,
+        ..Run::default()
+    }
+    .with_fault([2], DISK_SLOW, warmup / 2, None)
+}
+
+const DISK_SLOW: FaultKind = FaultKind::DiskSlow { bw_factor: 0.008 };
 
 /// `--flag <value>` extraction from the bench's raw argv.
 fn arg_value(flag: &str) -> Option<String> {
@@ -90,33 +93,23 @@ fn arg_value(flag: &str) -> Option<String> {
 /// The `--chrome-trace` / `--trace-out` mode: one short, fully-traced,
 /// fixed-seed DepFastRaft run with a disk-slow follower (node 2).
 fn trace_export(chrome: Option<String>, raw: Option<String>) {
-    let cfg = ExperimentCfg {
-        kind: RaftKind::DepFast,
-        n_clients: 32,
-        warmup: Duration::from_millis(500),
-        measure: Duration::from_secs(1),
-        records: 10_000,
-        fault: Some((
-            depfast_bench::FaultTarget::Followers(vec![2]),
-            FaultKind::DiskSlow { bw_factor: 0.008 },
-        )),
-        ..ExperimentCfg::default()
-    };
+    let mut cfg = short_disk_slow(RaftKind::DepFast);
+    cfg.instruments.trace = true;
     eprintln!(
         "[fig1] traced run (DepFastRaft, disk-slow follower 2, seed {})...",
         cfg.seed
     );
-    let run = run_experiment_traced(&cfg);
+    let run = cfg.execute();
     eprintln!(
         "[fig1] {} records, {:.0} req/s over the traced window",
         run.records.len(),
         run.stats.throughput
     );
-    if run.dropped > 0 {
+    if run.trace_dropped > 0 {
         eprintln!(
             "[fig1] WARNING: trace ring buffer dropped {} record(s); blame shares \
              below are computed from a truncated stream",
-            run.dropped
+            run.trace_dropped
         );
     }
     let index = trace_analysis::TraceIndex::build(&run.records);
@@ -128,7 +121,7 @@ fn trace_export(chrome: Option<String>, raw: Option<String>) {
     if let Some(path) = raw {
         std::fs::write(
             &path,
-            trace_analysis::serialize_dump(&run.records, run.dropped),
+            trace_analysis::serialize_dump(&run.records, run.trace_dropped),
         )
         .expect("write raw trace");
         println!("[trace-out] {path} (analyze with `cargo run -p depfast-bench --bin depfast-trace -- {path}`)");
@@ -146,10 +139,6 @@ fn trace_export(chrome: Option<String>, raw: Option<String>) {
 fn incidents_mode() {
     let dir = repo_root().join("target/depfast-bench");
     std::fs::create_dir_all(&dir).expect("create output dir");
-    let dcfg = depfast_detect::DetectorCfg {
-        min_samples: 4,
-        ..depfast_detect::DetectorCfg::default()
-    };
     let mut table = Table::new(
         "Figure 1 incidents: detector scorecard (disk-slow follower 2)",
         &[
@@ -164,27 +153,21 @@ fn incidents_mode() {
         RaftKind::Backlog,
         RaftKind::Callback,
     ] {
-        let cfg = ExperimentCfg {
-            kind,
-            n_clients: 64,
-            warmup: Duration::from_secs(2),
-            measure: Duration::from_millis(3200),
-            records: 10_000,
-            fault: Some((
-                depfast_bench::FaultTarget::Followers(vec![2]),
-                FaultKind::DiskSlow { bw_factor: 0.008 },
-            )),
-            fault_at: Some(Duration::from_secs(2)),
-            fault_duration: Some(Duration::from_millis(1200)),
-            ..ExperimentCfg::default()
-        };
         eprintln!(
             "[fig1] incident run ({}, disk-slow follower 2)...",
             kind.name()
         );
-        let run = depfast_bench::run_experiment_incident(&cfg, dcfg);
-        let cell = depfast_incident::score(&run.dump, depfast_incident::RECOVERY_BAND);
-        print!("{}", depfast_incident::render_report(&run.dump, &cell));
+        let dump = episode(kind, gate_detector_cfg())
+            .with_fault(
+                [2],
+                DISK_SLOW,
+                Duration::from_secs(2),
+                Some(Duration::from_millis(1200)),
+            )
+            .execute()
+            .dump();
+        let cell = depfast_incident::score(&dump, depfast_incident::RECOVERY_BAND);
+        print!("{}", depfast_incident::render_report(&dump, &cell));
         let ms = |v: Option<u64>| {
             v.map_or_else(|| "-".to_string(), |ns| format!("{:.1}", ns as f64 / 1e6))
         };
@@ -199,7 +182,7 @@ fn incidents_mode() {
             cell.misattributions.to_string(),
         ]);
         if kind == RaftKind::DepFast {
-            let (spans, marks) = depfast_incident::incident_track(&run.dump);
+            let (spans, marks) = depfast_incident::incident_track(&dump);
             let index = trace_analysis::TraceIndex::build(&[]);
             let path = dir.join("fig1_incidents_trace.json");
             std::fs::write(
@@ -209,7 +192,7 @@ fn incidents_mode() {
             .expect("write chrome incident trace");
             chrome = Some(path.display().to_string());
         }
-        dumps.push(run.dump);
+        dumps.push(dump);
     }
     table.print();
     let path = dir.join("fig1_incidents.dump");
@@ -236,34 +219,25 @@ fn profile_mode() {
         RaftKind::Backlog,
         RaftKind::Callback,
     ] {
-        let cfg = ExperimentCfg {
-            kind,
-            n_clients: 32,
-            warmup: Duration::from_millis(500),
-            measure: Duration::from_secs(1),
-            records: 10_000,
-            fault: Some((
-                depfast_bench::FaultTarget::Followers(vec![2]),
-                FaultKind::DiskSlow { bw_factor: 0.008 },
-            )),
-            ..ExperimentCfg::default()
-        };
+        let mut cfg = short_disk_slow(kind);
+        cfg.instruments.profiler = true;
         eprintln!(
             "[fig1] profiled run ({}, disk-slow follower 2, seed {})...",
             kind.name(),
             cfg.seed
         );
-        let run = run_experiment_profiled(&cfg);
+        let run = cfg.execute();
+        let profiler = run.profiler.expect("profiler was on");
         let stem = format!("fig1_profile_{}", slug(kind.name()));
         let folded_path = dir.join(format!("{stem}.folded"));
         let svg_path = dir.join(format!("{stem}.svg"));
-        std::fs::write(&folded_path, run.profiler.folded()).expect("write folded stacks");
-        std::fs::write(&svg_path, run.profiler.svg()).expect("write SVG flamegraph");
+        std::fs::write(&folded_path, profiler.folded()).expect("write folded stacks");
+        std::fs::write(&svg_path, profiler.svg()).expect("write SVG flamegraph");
         println!(
             "{:<28} {:>6.0} req/s  node-2 disk share {:>5.1}%  [folded] {}  [svg] {}",
             kind.name(),
             run.stats.throughput,
-            run.profiler.node_site_share(NodeId(2), "disk") * 100.0,
+            profiler.node_site_share(NodeId(2), "disk") * 100.0,
             folded_path.display(),
             svg_path.display()
         );
@@ -291,7 +265,7 @@ fn main() {
     let systems = [RaftKind::Sync, RaftKind::Backlog, RaftKind::Callback];
     let mem_limit = depfast_bench::experiment::mem_contention_limit();
     let faults = FaultKind::table1(mem_limit);
-    let mut suite = Suite::new("fig1", ExperimentCfg::default().seed);
+    let mut suite = Suite::new("fig1", Run::default().seed);
     suite.config("clients", clients as f64);
     suite.config("measure_secs", measure.as_secs_f64());
 
@@ -309,11 +283,11 @@ fn main() {
     );
 
     for kind in systems {
-        let base_cfg = ExperimentCfg {
+        let base_cfg = Run {
             kind,
             n_clients: clients,
             measure,
-            ..ExperimentCfg::default()
+            ..Run::default()
         };
         eprintln!("[fig1] {} baseline...", kind.name());
         let (base, base_prof) =
@@ -350,10 +324,9 @@ fn main() {
         for fault in faults {
             eprintln!("[fig1] {} + {}...", kind.name(), fault.name());
             let (stats, prof) = run_one(
-                &ExperimentCfg {
-                    fault: Some((ExperimentCfg::followers(1), fault)),
-                    ..base_cfg.clone()
-                },
+                &base_cfg
+                    .clone()
+                    .with_fault([1], fault, base_cfg.warmup / 2, None),
                 metrics,
                 &format!("{}_{}", kind.name(), fault.name()),
             );
@@ -426,14 +399,13 @@ fn main() {
     for (label, batch_max, pipeline_depth) in configs {
         for n_clients in [64usize, 256, 512] {
             eprintln!("[fig1] DepFastRaft {label} @ {n_clients} clients...");
-            let cfg = ExperimentCfg {
-                kind: RaftKind::DepFast,
+            let mut cfg = Run {
                 n_clients,
                 measure,
-                batch_max,
-                pipeline_depth,
-                ..ExperimentCfg::default()
+                ..Run::default()
             };
+            cfg.raft.batch_max = batch_max.unwrap_or(cfg.raft.batch_max);
+            cfg.raft.pipeline_depth = pipeline_depth.unwrap_or(cfg.raft.pipeline_depth);
             let (stats, prof) =
                 run_one(&cfg, metrics, &format!("DepFastRaft_{label}_{n_clients}c"));
             suite.runs.push(RunRecord::from_stats(
@@ -469,30 +441,27 @@ fn main() {
     let mut one_group: Option<f64> = None;
     for n_groups in [1usize, 4, 16, 64] {
         eprintln!("[fig1] DepFastRaft scale-out @ {n_groups} group(s)...");
-        let cfg = ScaleCfg {
-            kind: RaftKind::DepFast,
-            n_groups,
-            n_nodes: 12,
-            group_size: 3,
+        let cfg = Run {
+            shape: Shape::sharded(n_groups, 12),
             n_clients: scale_clients,
             measure: scale_measure,
-            ..ScaleCfg::default()
+            ..Run::default()
         };
-        let stats = run_scale_experiment(&cfg);
-        let base = *one_group.get_or_insert(stats.total.throughput);
+        let stats = cfg.execute().stats;
+        let base = *one_group.get_or_insert(stats.throughput);
         suite.runs.push(RunRecord::from_stats(
             RaftKind::DepFast.name(),
             "none",
             &cfg.cluster_label(),
-            &stats.total,
+            &stats,
             Some(base),
             None,
         ));
         scale.row(vec![
             n_groups.to_string(),
-            format!("{:.0}", stats.total.throughput),
-            format!("{:.2}x", stats.total.throughput / base),
-            format_ms(stats.total.latency.p99),
+            format!("{:.0}", stats.throughput),
+            format!("{:.2}x", stats.throughput / base),
+            format_ms(stats.latency.p99),
         ]);
     }
 
@@ -514,52 +483,36 @@ fn main() {
             "TTD (ms)",
         ],
     );
-    let blast_fault = FaultKind::DiskSlow { bw_factor: 0.008 };
-    let dcfg = depfast_detect::DetectorCfg {
-        min_samples: 4,
-        ..depfast_detect::DetectorCfg::default()
-    };
     for kind in [RaftKind::DepFast, RaftKind::Sync] {
-        let base_cfg = ScaleCfg {
+        let base_cfg = Run {
             kind,
-            n_groups: 8,
-            n_nodes: 9,
-            group_size: 3,
+            shape: Shape::sharded(8, 9),
             n_clients: scale_clients.min(256),
             measure: scale_measure,
-            ..ScaleCfg::default()
+            ..Run::default()
         };
         eprintln!("[fig1] {} blast-radius baseline...", kind.name());
-        let healthy = run_scale_experiment(&base_cfg);
+        let healthy = base_cfg.execute();
         eprintln!("[fig1] {} blast-radius episode...", kind.name());
-        let run = run_scale_incident(
-            &ScaleCfg {
-                fault: Some((8, blast_fault)),
-                fault_at: Some(Duration::from_secs(2)),
-                ..base_cfg.clone()
-            },
-            dcfg,
-        );
-        for (h, f) in healthy.groups.iter().zip(&run.stats.groups) {
-            let dump = &run.dumps[(h.gid - 1) as usize];
+        let run = base_cfg
+            .with_detector(gate_detector_cfg())
+            .with_fault([8], DISK_SLOW, Duration::from_secs(2), None)
+            .execute();
+        let (dumps, hosted) = (run.group_dumps(), run.hosted(8));
+        for ((h, f), dump) in healthy.groups.iter().zip(&run.groups).zip(&dumps) {
             let cell = depfast_incident::score(dump, depfast_incident::RECOVERY_BAND);
             suite.runs.push(RunRecord::from_stats(
                 kind.name(),
-                blast_fault.name(),
+                DISK_SLOW.name(),
                 &dump.cluster,
-                &group_run_stats(f, &run.stats.total),
+                &run.group_stats(f.gid),
                 Some(h.throughput),
                 None,
             ));
             blast.row(vec![
                 kind.name().to_string(),
                 format!("g{}", h.gid),
-                if run.hosted.contains(&h.gid) {
-                    "yes"
-                } else {
-                    ""
-                }
-                .to_string(),
+                if hosted.contains(&h.gid) { "yes" } else { "" }.to_string(),
                 format!("{:.0}", f.throughput),
                 format!(
                     "{:.2}x",

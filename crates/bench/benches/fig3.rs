@@ -27,10 +27,10 @@
 
 use std::time::Duration;
 
-use depfast_bench::baseline::{RunRecord, Suite};
+use depfast_bench::suites::{episode, gate_detector_cfg};
 use depfast_bench::{
-    format_ms, repo_root, run_experiment_instrumented, run_experiment_profiled, slug,
-    write_metrics_csv, write_repo_artifact, ExperimentCfg, Table,
+    format_ms, repo_root, run_figure_cell, slug, write_repo_artifact, Run, RunRecord, Shape, Suite,
+    Table,
 };
 use depfast_fault::FaultKind;
 use depfast_profile::Profiler;
@@ -44,23 +44,17 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Runs one experiment with the wait-state profiler attached (its site
-/// rollup lands in `BENCH_fig3.json`); with `--metrics`, instead samples
-/// the metric registry and dumps the time series to
-/// `target/depfast-bench/fig3_metrics_<run>.csv`.
-fn run_one(cfg: &ExperimentCfg, metrics: bool, run_name: &str) -> (RunStats, Option<Profiler>) {
-    if !metrics {
-        let run = run_experiment_profiled(cfg);
-        return (run.stats, Some(run.profiler));
-    }
-    let run = run_experiment_instrumented(cfg, Duration::from_millis(100));
-    if let Ok(p) = write_metrics_csv("fig3", run_name, &run.sampler.to_csv()) {
-        println!("[csv] {}", p.display());
-    }
-    if let Ok(p) = depfast_bench::write_metrics_json("fig3", run_name, &run.metrics.to_json()) {
-        println!("[json] {}", p.display());
-    }
-    (run.stats, None)
+/// One figure cell: profiled, or sampled and exported under `--metrics`.
+fn run_one(cfg: &Run, metrics: bool, run_name: &str) -> (RunStats, Option<Profiler>) {
+    let run = run_figure_cell("fig3", run_name, cfg, metrics);
+    (run.stats, run.profiler)
+}
+
+const DISK_SLOW: FaultKind = FaultKind::DiskSlow { bw_factor: 0.008 };
+
+/// The first `k` followers of a 0-led cluster.
+fn followers(k: usize) -> std::ops::RangeInclusive<u32> {
+    1..=k as u32
 }
 
 /// The `--profile` mode: one short, fixed-seed, profiled DepFastRaft run
@@ -71,29 +65,28 @@ fn profile_mode() {
     let dir = repo_root().join("target/depfast-bench");
     std::fs::create_dir_all(&dir).expect("create output dir");
     for (n_servers, slow_followers) in [(3usize, 1usize), (5, 2)] {
-        let cfg = ExperimentCfg {
-            kind: RaftKind::DepFast,
-            n_servers,
+        let warmup = Duration::from_millis(500);
+        let mut cfg = Run {
+            shape: Shape::Single { n_servers },
             n_clients: 32,
-            warmup: Duration::from_millis(500),
+            warmup,
             measure: Duration::from_secs(1),
             records: 10_000,
-            fault: Some((
-                ExperimentCfg::followers(slow_followers),
-                FaultKind::DiskSlow { bw_factor: 0.008 },
-            )),
-            ..ExperimentCfg::default()
-        };
+            ..Run::default()
+        }
+        .with_fault(followers(slow_followers), DISK_SLOW, warmup / 2, None);
+        cfg.instruments.profiler = true;
         eprintln!(
             "[fig3] profiled run ({n_servers} nodes, {slow_followers} disk-slow follower(s), seed {})...",
             cfg.seed
         );
-        let run = run_experiment_profiled(&cfg);
+        let run = cfg.execute();
+        let profiler = run.profiler.expect("profiler was on");
         let stem = format!("fig3_profile_{}", slug(&format!("{n_servers}_nodes")));
         let folded_path = dir.join(format!("{stem}.folded"));
         let svg_path = dir.join(format!("{stem}.svg"));
-        std::fs::write(&folded_path, run.profiler.folded()).expect("write folded stacks");
-        std::fs::write(&svg_path, run.profiler.svg()).expect("write SVG flamegraph");
+        std::fs::write(&folded_path, profiler.folded()).expect("write folded stacks");
+        std::fs::write(&svg_path, profiler.svg()).expect("write SVG flamegraph");
         println!(
             "{n_servers} nodes  {:>6.0} req/s  [folded] {}  [svg] {}",
             run.stats.throughput,
@@ -113,10 +106,6 @@ fn profile_mode() {
 fn incidents_mode() {
     let dir = repo_root().join("target/depfast-bench");
     std::fs::create_dir_all(&dir).expect("create output dir");
-    let dcfg = depfast_detect::DetectorCfg {
-        min_samples: 4,
-        ..depfast_detect::DetectorCfg::default()
-    };
     let mut headers = vec!["Cluster"];
     headers.extend(depfast_incident::scorecard_headers());
     let mut table = Table::new(
@@ -125,31 +114,27 @@ fn incidents_mode() {
     );
     let mut dumps = Vec::new();
     for (n_servers, slow_followers) in [(3usize, 1usize), (5, 2)] {
-        let cfg = ExperimentCfg {
-            kind: RaftKind::DepFast,
-            n_servers,
-            n_clients: 64,
-            warmup: Duration::from_secs(2),
-            measure: Duration::from_millis(3200),
-            records: 10_000,
-            fault: Some((
-                ExperimentCfg::followers(slow_followers),
-                FaultKind::DiskSlow { bw_factor: 0.008 },
-            )),
-            fault_at: Some(Duration::from_secs(2)),
-            fault_duration: Some(Duration::from_millis(1200)),
-            ..ExperimentCfg::default()
-        };
         eprintln!(
             "[fig3] incident run ({n_servers} nodes, {slow_followers} disk-slow follower(s))..."
         );
-        let run = depfast_bench::run_experiment_incident(&cfg, dcfg);
-        let cell = depfast_incident::score(&run.dump, depfast_incident::RECOVERY_BAND);
-        print!("{}", depfast_incident::render_report(&run.dump, &cell));
+        let dump = Run {
+            shape: Shape::Single { n_servers },
+            ..episode(RaftKind::DepFast, gate_detector_cfg())
+        }
+        .with_fault(
+            followers(slow_followers),
+            DISK_SLOW,
+            Duration::from_secs(2),
+            Some(Duration::from_millis(1200)),
+        )
+        .execute()
+        .dump();
+        let cell = depfast_incident::score(&dump, depfast_incident::RECOVERY_BAND);
+        print!("{}", depfast_incident::render_report(&dump, &cell));
         let mut row = vec![format!("{n_servers} Nodes")];
         row.extend(depfast_incident::scorecard_cells(&cell));
         table.row(row);
-        dumps.push(run.dump);
+        dumps.push(dump);
     }
     table.print();
     let path = dir.join("fig3_incidents.dump");
@@ -190,17 +175,16 @@ fn main() {
         ],
     );
     let mut worst_drift: f64 = 0.0;
-    let mut suite = Suite::new("fig3", ExperimentCfg::default().seed);
+    let mut suite = Suite::new("fig3", Run::default().seed);
     suite.config("clients", clients as f64);
     suite.config("measure_secs", measure.as_secs_f64());
 
     for (n_servers, slow_followers) in [(3usize, 1usize), (5, 2)] {
-        let base_cfg = ExperimentCfg {
-            kind: RaftKind::DepFast,
-            n_servers,
+        let base_cfg = Run {
+            shape: Shape::Single { n_servers },
             n_clients: clients,
             measure,
-            ..ExperimentCfg::default()
+            ..Run::default()
         };
         eprintln!("[fig3] {n_servers} nodes baseline...");
         let (base, base_prof) = run_one(
@@ -233,10 +217,12 @@ fn main() {
                 fault.name()
             );
             let (stats, prof) = run_one(
-                &ExperimentCfg {
-                    fault: Some((ExperimentCfg::followers(slow_followers), fault)),
-                    ..base_cfg.clone()
-                },
+                &base_cfg.clone().with_fault(
+                    followers(slow_followers),
+                    fault,
+                    base_cfg.warmup / 2,
+                    None,
+                ),
                 metrics,
                 &format!("{n_servers}_nodes_{}", fault.name()),
             );

@@ -1,26 +1,101 @@
-//! Machine-readable perf baselines and the regression gate.
+//! Machine-readable suites and the regression gate.
 //!
-//! Every bench emitter rolls its runs into a [`Suite`] — one record per
-//! (driver, fault, cluster) cell with throughput, latency quantiles,
-//! normalized drift and the wait-state profiler's site rollup — and
-//! writes it as `BENCH_<suite>.json` at the repo root via
-//! [`crate::write_repo_artifact`]. The `bench-gate` binary re-runs a
-//! small-seed suite and [`compare`]s it against the committed
-//! `BENCH_baseline.json` under tolerance bands, exiting nonzero on
-//! regression; CI runs that on every push.
+//! Every bench emitter rolls its runs into a [`Suite`] and writes it as
+//! `BENCH_<suite>.json` at the repo root via
+//! [`crate::write_repo_artifact`]. A suite carries up to three sections,
+//! each a list of cells keyed within the section: perf `runs`
+//! ([`RunRecord`]), `detect` scorecards ([`DetectRecord`]) and
+//! `scenarios` survival verdicts ([`ScenarioRecord`]). The `gate` binary
+//! re-runs a fixed-seed suite and [`compare`]s it against its committed
+//! baseline, exiting nonzero on regression; CI runs that on every push.
 //!
 //! Simulated time is deterministic, so the numbers only move when the
 //! code's behavior moves — the tolerance bands exist for intentional
 //! drift (tuning, new instrumentation on the simulated CPU), not for
-//! noise.
+//! noise. Throughput is gated tighter than tail latency because the
+//! paper's claims are throughput-shaped. Correctness verdicts — liveness,
+//! crashes, lost detections, false positives / negatives,
+//! misattributions, a storm newly outliving its fault — are gated at
+//! zero: a detector that cries wolf or blames the wrong node is broken
+//! no matter how fast it is.
 
-use crate::experiment::ProfiledRun;
+use std::path::Path;
+
+use crate::experiment::SurvivalCell;
 use crate::json::Json;
+use depfast_incident::{IncidentDump, ScoreCell};
 use depfast_profile::Profiler;
 use depfast_ycsb::driver::RunStats;
 
 /// Format marker embedded in every artifact.
 pub const SCHEMA: &str = "depfast-bench/v1";
+
+/// Max allowed relative throughput drop of a perf cell (−8%).
+pub const THROUGHPUT_DROP: f64 = 0.08;
+/// Max allowed relative P99 rise of a perf cell (+30%).
+pub const P99_RISE: f64 = 0.30;
+/// Max allowed relative rise of time-to-detect / time-to-stabilize…
+pub const TIME_RISE: f64 = 0.5;
+/// …plus this absolute slack, milliseconds (one detector poll window of
+/// jitter is legitimate when event interleavings shift). A 2× regression
+/// at realistic times always trips the band.
+pub const TIME_SLACK_MS: f64 = 50.0;
+/// Relative throughput drift of a scenario cell that earns a note (the
+/// perf cells own those numbers; double-gating them would make every
+/// calibration change fail twice).
+pub const THROUGHPUT_NOTE: f64 = 0.10;
+
+/// A cell of one suite section: serializable, keyed, diffable.
+trait Cell: Sized {
+    /// The section's JSON key, also naming it in gate messages.
+    const SECTION: &'static str;
+    fn key(&self) -> String;
+    fn to_json(&self) -> Json;
+    fn from_json(v: &Json) -> Result<Self, String>;
+    /// Diffs `cur` against `self`, the baseline cell of the same key.
+    fn check(&self, cur: &Self, key: &str, out: &mut GateOutcome);
+}
+
+fn str_field(v: &Json, k: &str) -> Result<String, String> {
+    v.str(k)
+        .map(str::to_string)
+        .ok_or_else(|| format!("record missing string field {k:?}"))
+}
+
+fn num_field(v: &Json, k: &str) -> Result<f64, String> {
+    v.num(k)
+        .ok_or_else(|| format!("record missing numeric field {k:?}"))
+}
+
+fn flag(v: &Json, k: &str) -> bool {
+    matches!(v.get(k), Some(Json::Bool(true)))
+}
+
+/// Sets `k` only when there is a measurement: an absent key means "no
+/// measurement", distinct from 0.0.
+fn set_opt(o: &mut Json, k: &str, v: Option<f64>) {
+    if let Some(v) = v {
+        o.set(k, Json::Num(round4(v)));
+    }
+}
+
+fn round2(v: f64) -> f64 {
+    (v * 1e2).round() / 1e2
+}
+
+fn round4(v: f64) -> f64 {
+    (v * 1e4).round() / 1e4
+}
+
+/// Fails `what` when it rose past `base × (1 + TIME_RISE) + TIME_SLACK_MS`.
+fn check_time(what: &str, base: f64, cur: f64, key: &str, out: &mut GateOutcome) {
+    let limit = base * (1.0 + TIME_RISE) + TIME_SLACK_MS;
+    if cur > limit {
+        out.failures.push(format!(
+            "[{key}] {what} {base:.1} → {cur:.1} ms (limit {limit:.1} ms)"
+        ));
+    }
+}
 
 /// One (driver, fault, cluster) measurement cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,10 +141,8 @@ impl RunRecord {
     ) -> RunRecord {
         let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
         let mut profile = std::collections::BTreeMap::<String, u64>::new();
-        if let Some(p) = profiler {
-            for line in p.lines() {
-                *profile.entry(line.site).or_insert(0) += line.nanos;
-            }
+        for line in profiler.map(Profiler::lines).unwrap_or_default() {
+            *profile.entry(line.site).or_insert(0) += line.nanos;
         }
         RunRecord {
             driver: driver.to_string(),
@@ -88,26 +161,12 @@ impl RunRecord {
             profile: profile.into_iter().collect(),
         }
     }
+}
 
-    /// Convenience over [`RunRecord::from_stats`] for profiled runs.
-    pub fn from_profiled(
-        run: &ProfiledRun,
-        fault: &str,
-        cluster: &str,
-        base_throughput: Option<f64>,
-    ) -> RunRecord {
-        RunRecord::from_stats(
-            &run.profiler.driver(),
-            fault,
-            cluster,
-            &run.stats,
-            base_throughput,
-            Some(&run.profiler),
-        )
-    }
+impl Cell for RunRecord {
+    const SECTION: &'static str = "runs";
 
-    /// The record's identity within a suite.
-    pub fn key(&self) -> String {
+    fn key(&self) -> String {
         format!("{} | {} | {}", self.driver, self.cluster, self.fault)
     }
 
@@ -135,15 +194,6 @@ impl RunRecord {
     }
 
     fn from_json(v: &Json) -> Result<RunRecord, String> {
-        let str_field = |k: &str| {
-            v.str(k)
-                .map(str::to_string)
-                .ok_or_else(|| format!("run record missing string field {k:?}"))
-        };
-        let num_field = |k: &str| {
-            v.num(k)
-                .ok_or_else(|| format!("run record missing numeric field {k:?}"))
-        };
         let mut profile = Vec::new();
         for s in v.get("profile").and_then(Json::as_arr).unwrap_or(&[]) {
             profile.push((
@@ -152,32 +202,74 @@ impl RunRecord {
             ));
         }
         Ok(RunRecord {
-            driver: str_field("driver")?,
-            fault: str_field("fault")?,
-            cluster: str_field("cluster")?,
-            ops: num_field("ops")? as u64,
-            throughput: num_field("throughput")?,
-            mean_ms: num_field("mean_ms")?,
-            p50_ms: num_field("p50_ms")?,
-            p99_ms: num_field("p99_ms")?,
-            crashed: matches!(v.get("crashed"), Some(Json::Bool(true))),
+            driver: str_field(v, "driver")?,
+            fault: str_field(v, "fault")?,
+            cluster: str_field(v, "cluster")?,
+            ops: num_field(v, "ops")? as u64,
+            throughput: num_field(v, "throughput")?,
+            mean_ms: num_field(v, "mean_ms")?,
+            p50_ms: num_field(v, "p50_ms")?,
+            p99_ms: num_field(v, "p99_ms")?,
+            crashed: flag(v, "crashed"),
             drift: v.num("drift").unwrap_or(1.0),
             profile,
         })
     }
+
+    /// Fails when throughput drops more than [`THROUGHPUT_DROP`], P99
+    /// rises more than [`P99_RISE`], or the cell crashes where the
+    /// baseline did not. Improvements are notes.
+    fn check(&self, cur: &RunRecord, key: &str, out: &mut GateOutcome) {
+        if cur.crashed && !self.crashed {
+            out.failures
+                .push(format!("[{key}] crashed (baseline did not)"));
+            return;
+        }
+        if self.crashed {
+            // Crash cells have no meaningful numbers; matching crash
+            // behavior is all the gate asks.
+            if !cur.crashed {
+                out.notes.push(format!("[{key}] no longer crashes"));
+            }
+            return;
+        }
+        if self.throughput > 0.0 {
+            let rel = cur.throughput / self.throughput - 1.0;
+            if rel < -THROUGHPUT_DROP {
+                out.failures.push(format!(
+                    "[{key}] throughput {:.0} → {:.0} req/s ({:+.1}%, tolerance −{:.0}%)",
+                    self.throughput,
+                    cur.throughput,
+                    rel * 100.0,
+                    THROUGHPUT_DROP * 100.0
+                ));
+            } else if rel > THROUGHPUT_DROP {
+                out.notes.push(format!(
+                    "[{key}] throughput improved {:+.1}% — consider refreshing the baseline",
+                    rel * 100.0
+                ));
+            }
+        }
+        if self.p99_ms > 0.0 {
+            let rel = cur.p99_ms / self.p99_ms - 1.0;
+            if rel > P99_RISE {
+                out.failures.push(format!(
+                    "[{key}] p99 {:.2} → {:.2} ms ({:+.1}%, tolerance +{:.0}%)",
+                    self.p99_ms,
+                    cur.p99_ms,
+                    rel * 100.0,
+                    P99_RISE * 100.0
+                ));
+            }
+        }
+    }
 }
 
-/// Detection-quality numbers for one `(driver, fault, cluster)` cell —
-/// the suite-level form of `depfast_incident::ScoreCell`, with times in
-/// milliseconds for readability.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DetectRecord {
-    /// Raft driver name (`RaftKind::name()`).
-    pub driver: String,
-    /// Fault-class name, `"none"` for the no-fault matrix.
-    pub fault: String,
-    /// Cluster shape discriminator.
-    pub cluster: String,
+/// Detection quality of one cell — the suite-level form of
+/// `depfast_incident::ScoreCell`, times in milliseconds. Embedded by
+/// both [`DetectRecord`] and [`ScenarioRecord`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Detection {
     /// Every injected fault was suspected (vacuously false with no fault).
     pub detected: bool,
     /// Time to detect, milliseconds.
@@ -194,31 +286,104 @@ pub struct DetectRecord {
     pub misattributions: u64,
 }
 
-impl DetectRecord {
-    /// Lifts a scorecard cell into a suite record.
-    pub fn from_cell(
-        driver: &str,
-        fault: &str,
-        cluster: &str,
-        cell: &depfast_incident::ScoreCell,
-    ) -> DetectRecord {
-        let ms = |ns: u64| ns as f64 / 1e6;
-        DetectRecord {
-            driver: driver.to_string(),
-            fault: fault.to_string(),
-            cluster: cluster.to_string(),
+fn ns_to_ms(ns: u64) -> f64 {
+    ns as f64 / 1e6
+}
+
+impl Detection {
+    /// Lifts a scorecard cell.
+    pub fn from_score(cell: &ScoreCell) -> Detection {
+        Detection {
             detected: cell.detected,
-            ttd_ms: cell.ttd_ns.map(ms),
-            ttm_ms: cell.ttm_ns.map(ms),
-            ttr_ms: cell.ttr_ns.map(ms),
+            ttd_ms: cell.ttd_ns.map(ns_to_ms),
+            ttm_ms: cell.ttm_ns.map(ns_to_ms),
+            ttr_ms: cell.ttr_ns.map(ns_to_ms),
             false_positives: cell.false_positives,
             false_negatives: cell.false_negatives,
             misattributions: cell.misattributions,
         }
     }
 
-    /// The record's identity within a suite.
-    pub fn key(&self) -> String {
+    fn write(&self, o: &mut Json) {
+        o.set("detected", Json::Bool(self.detected));
+        set_opt(o, "ttd_ms", self.ttd_ms);
+        set_opt(o, "ttm_ms", self.ttm_ms);
+        set_opt(o, "ttr_ms", self.ttr_ms);
+        o.set("false_positives", Json::Num(self.false_positives as f64));
+        o.set("false_negatives", Json::Num(self.false_negatives as f64));
+        o.set("misattributions", Json::Num(self.misattributions as f64));
+    }
+
+    fn read(v: &Json) -> Detection {
+        Detection {
+            detected: flag(v, "detected"),
+            ttd_ms: v.num("ttd_ms"),
+            ttm_ms: v.num("ttm_ms"),
+            ttr_ms: v.num("ttr_ms"),
+            false_positives: v.num("false_positives").unwrap_or(0.0) as u64,
+            false_negatives: v.num("false_negatives").unwrap_or(0.0) as u64,
+            misattributions: v.num("misattributions").unwrap_or(0.0) as u64,
+        }
+    }
+
+    /// Fails on a lost detection, a grown false-positive /
+    /// false-negative / misattribution count, or a time-to-detect past
+    /// its band. A halved time-to-detect is a note.
+    fn check(&self, cur: &Detection, key: &str, out: &mut GateOutcome) {
+        if self.detected && !cur.detected {
+            out.failures
+                .push(format!("[{key}] fault no longer detected"));
+        }
+        for (what, b, c) in [
+            ("false positives", self.false_positives, cur.false_positives),
+            ("false negatives", self.false_negatives, cur.false_negatives),
+            ("misattributions", self.misattributions, cur.misattributions),
+        ] {
+            if c > b {
+                out.failures.push(format!("[{key}] {what} {b} → {c}"));
+            }
+        }
+        if let (Some(b), Some(c)) = (self.ttd_ms, cur.ttd_ms) {
+            check_time("time-to-detect", b, c, key, out);
+            if c < b * 0.5 {
+                out.notes.push(format!(
+                    "[{key}] time-to-detect improved {b:.1} → {c:.1} ms — consider refreshing the baseline"
+                ));
+            }
+        }
+    }
+}
+
+/// Detection quality of one `(driver, fault, cluster)` cell.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DetectRecord {
+    /// Raft driver name (`RaftKind::name()`).
+    pub driver: String,
+    /// Fault-class name, `"none"` for the no-fault matrix.
+    pub fault: String,
+    /// Cluster shape discriminator.
+    pub cluster: String,
+    /// The scorecard.
+    pub quality: Detection,
+}
+
+impl DetectRecord {
+    /// Scores nothing itself: lifts a dump's identity and its scorecard
+    /// cell into a suite record.
+    pub fn from_cell(dump: &IncidentDump, cell: &ScoreCell) -> DetectRecord {
+        DetectRecord {
+            driver: dump.driver.clone(),
+            fault: dump.fault.clone(),
+            cluster: dump.cluster.clone(),
+            quality: Detection::from_score(cell),
+        }
+    }
+}
+
+impl Cell for DetectRecord {
+    const SECTION: &'static str = "detect";
+
+    fn key(&self) -> String {
         format!("{} | {} | {}", self.driver, self.cluster, self.fault)
     }
 
@@ -227,46 +392,25 @@ impl DetectRecord {
         o.set("driver", Json::Str(self.driver.clone()));
         o.set("fault", Json::Str(self.fault.clone()));
         o.set("cluster", Json::Str(self.cluster.clone()));
-        o.set("detected", Json::Bool(self.detected));
-        // Absent keys mean "no measurement" — distinct from 0.0.
-        if let Some(v) = self.ttd_ms {
-            o.set("ttd_ms", Json::Num(round4(v)));
-        }
-        if let Some(v) = self.ttm_ms {
-            o.set("ttm_ms", Json::Num(round4(v)));
-        }
-        if let Some(v) = self.ttr_ms {
-            o.set("ttr_ms", Json::Num(round4(v)));
-        }
-        o.set("false_positives", Json::Num(self.false_positives as f64));
-        o.set("false_negatives", Json::Num(self.false_negatives as f64));
-        o.set("misattributions", Json::Num(self.misattributions as f64));
+        self.quality.write(&mut o);
         o
     }
 
     fn from_json(v: &Json) -> Result<DetectRecord, String> {
-        let str_field = |k: &str| {
-            v.str(k)
-                .map(str::to_string)
-                .ok_or_else(|| format!("detect record missing string field {k:?}"))
-        };
         Ok(DetectRecord {
-            driver: str_field("driver")?,
-            fault: str_field("fault")?,
-            cluster: str_field("cluster")?,
-            detected: matches!(v.get("detected"), Some(Json::Bool(true))),
-            ttd_ms: v.num("ttd_ms"),
-            ttm_ms: v.num("ttm_ms"),
-            ttr_ms: v.num("ttr_ms"),
-            false_positives: v.num("false_positives").unwrap_or(0.0) as u64,
-            false_negatives: v.num("false_negatives").unwrap_or(0.0) as u64,
-            misattributions: v.num("misattributions").unwrap_or(0.0) as u64,
+            driver: str_field(v, "driver")?,
+            fault: str_field(v, "fault")?,
+            cluster: str_field(v, "cluster")?,
+            quality: Detection::read(v),
         })
+    }
+
+    fn check(&self, cur: &DetectRecord, key: &str, out: &mut GateOutcome) {
+        self.quality.check(&cur.quality, key, out);
     }
 }
 
-/// One scenario × driver survival cell — the suite-level form of the
-/// scenario matrix's per-cell verdict: liveness plus client-visible
+/// One scenario × driver survival cell: liveness plus client-visible
 /// survival numbers plus detection quality.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioRecord {
@@ -280,29 +424,17 @@ pub struct ScenarioRecord {
     pub crashed: bool,
     /// Measurement-window throughput (ops/s).
     pub throughput: f64,
-    /// Minimum post-onset commit-throughput sample (ops/s).
+    /// Minimum post-onset throughput sample (ops/s).
     pub floor: f64,
     /// Client-visible p99 latency, milliseconds.
     pub p99_ms: f64,
-    /// Longest post-warm-up commit stall, milliseconds.
+    /// Longest post-warm-up stall, milliseconds.
     pub stall_ms: f64,
-    /// Every injected fault was suspected.
-    pub detected: bool,
-    /// Time to detect, milliseconds.
-    pub ttd_ms: Option<f64>,
-    /// Time to mitigate, milliseconds.
-    pub ttm_ms: Option<f64>,
-    /// Time to recover, milliseconds.
-    pub ttr_ms: Option<f64>,
-    /// Suspicions with no fault injected anywhere.
-    pub false_positives: u64,
-    /// Injected faults never suspected.
-    pub false_negatives: u64,
-    /// Suspicions of healthy nodes during a fault elsewhere.
-    pub misattributions: u64,
+    /// The scorecard.
+    pub quality: Detection,
     /// Time to stabilize, milliseconds: fault-clear → `storm_cleared`.
-    /// `None` in a storm cell means the storm never dissolved; absent
-    /// entirely (also `None`) for non-storm matrix cells.
+    /// `None` in a storm cell means the storm never dissolved; also
+    /// `None` for cells without a storm monitor.
     pub tts_ms: Option<f64>,
     /// Storm verdict: `Some(true)` when a retry storm outlived its
     /// fault (metastable), `Some(false)` when monitored and it did not,
@@ -314,8 +446,30 @@ pub struct ScenarioRecord {
 }
 
 impl ScenarioRecord {
-    /// The record's identity within a suite.
-    pub fn key(&self) -> String {
+    /// Lifts a survival cell. The storm columns are set only for
+    /// storm-monitored cells (those carrying an amplification factor).
+    pub fn from_cell(cell: &SurvivalCell) -> ScenarioRecord {
+        ScenarioRecord {
+            scenario: cell.scenario.clone(),
+            driver: cell.driver.clone(),
+            live: cell.live,
+            crashed: cell.crashed,
+            throughput: cell.throughput,
+            floor: cell.floor,
+            p99_ms: cell.p99_ms,
+            stall_ms: cell.stall_ms,
+            quality: Detection::from_score(&cell.score),
+            tts_ms: cell.amp.and(cell.score.tts_ns).map(ns_to_ms),
+            storm_sustained: cell.amp.map(|_| cell.score.storm_sustained),
+            amp: cell.amp,
+        }
+    }
+}
+
+impl Cell for ScenarioRecord {
+    const SECTION: &'static str = "scenarios";
+
+    fn key(&self) -> String {
         format!("{} | {}", self.scenario, self.driver)
     }
 
@@ -329,56 +483,27 @@ impl ScenarioRecord {
         o.set("floor", Json::Num(round2(self.floor)));
         o.set("p99_ms", Json::Num(round4(self.p99_ms)));
         o.set("stall_ms", Json::Num(round2(self.stall_ms)));
-        o.set("detected", Json::Bool(self.detected));
-        // Absent keys mean "no measurement" — distinct from 0.0.
-        if let Some(v) = self.ttd_ms {
-            o.set("ttd_ms", Json::Num(round4(v)));
-        }
-        if let Some(v) = self.ttm_ms {
-            o.set("ttm_ms", Json::Num(round4(v)));
-        }
-        if let Some(v) = self.ttr_ms {
-            o.set("ttr_ms", Json::Num(round4(v)));
-        }
-        o.set("false_positives", Json::Num(self.false_positives as f64));
-        o.set("false_negatives", Json::Num(self.false_negatives as f64));
-        o.set("misattributions", Json::Num(self.misattributions as f64));
-        // Storm columns: emitted only for storm-monitored cells, so
-        // pre-existing (non-storm) baselines stay byte-identical.
-        if let Some(v) = self.tts_ms {
-            o.set("tts_ms", Json::Num(round4(v)));
-        }
+        self.quality.write(&mut o);
+        // Storm columns: emitted only for storm-monitored cells.
+        set_opt(&mut o, "tts_ms", self.tts_ms);
         if let Some(v) = self.storm_sustained {
             o.set("storm_sustained", Json::Bool(v));
         }
-        if let Some(v) = self.amp {
-            o.set("amp", Json::Num(round4(v)));
-        }
+        set_opt(&mut o, "amp", self.amp);
         o
     }
 
     fn from_json(v: &Json) -> Result<ScenarioRecord, String> {
-        let str_field = |k: &str| {
-            v.str(k)
-                .map(str::to_string)
-                .ok_or_else(|| format!("scenario record missing string field {k:?}"))
-        };
         Ok(ScenarioRecord {
-            scenario: str_field("scenario")?,
-            driver: str_field("driver")?,
-            live: matches!(v.get("live"), Some(Json::Bool(true))),
-            crashed: matches!(v.get("crashed"), Some(Json::Bool(true))),
+            scenario: str_field(v, "scenario")?,
+            driver: str_field(v, "driver")?,
+            live: flag(v, "live"),
+            crashed: flag(v, "crashed"),
             throughput: v.num("throughput").unwrap_or(0.0),
             floor: v.num("floor").unwrap_or(0.0),
             p99_ms: v.num("p99_ms").unwrap_or(0.0),
             stall_ms: v.num("stall_ms").unwrap_or(0.0),
-            detected: matches!(v.get("detected"), Some(Json::Bool(true))),
-            ttd_ms: v.num("ttd_ms"),
-            ttm_ms: v.num("ttm_ms"),
-            ttr_ms: v.num("ttr_ms"),
-            false_positives: v.num("false_positives").unwrap_or(0.0) as u64,
-            false_negatives: v.num("false_negatives").unwrap_or(0.0) as u64,
-            misattributions: v.num("misattributions").unwrap_or(0.0) as u64,
+            quality: Detection::read(v),
             tts_ms: v.num("tts_ms"),
             storm_sustained: match v.get("storm_sustained") {
                 Some(Json::Bool(b)) => Some(*b),
@@ -387,13 +512,67 @@ impl ScenarioRecord {
             amp: v.num("amp"),
         })
     }
+
+    /// Fails on a liveness flip, a new crash, any [`Detection`] failure,
+    /// a retry storm that newly outlives its fault, or a lost or slowed
+    /// stabilization. Verdict improvements and throughput drift are
+    /// notes.
+    fn check(&self, cur: &ScenarioRecord, key: &str, out: &mut GateOutcome) {
+        if self.live && !cur.live {
+            out.failures.push(format!(
+                "[{key}] liveness verdict flipped: live → {}",
+                if cur.crashed { "crashed" } else { "stalled" }
+            ));
+        } else if !self.live && cur.live {
+            out.notes.push(format!(
+                "[{key}] now survives (baseline did not) — consider refreshing the baseline"
+            ));
+        }
+        if cur.crashed && !self.crashed {
+            out.failures
+                .push(format!("[{key}] crashed (baseline did not)"));
+        }
+        self.quality.check(&cur.quality, key, out);
+        match (self.storm_sustained, cur.storm_sustained) {
+            (Some(false), Some(true)) => out.failures.push(format!(
+                "[{key}] retry storm now sustained past fault clear (metastable)"
+            )),
+            (Some(true), Some(false)) => out.notes.push(format!(
+                "[{key}] retry storm no longer sustained — consider refreshing the baseline"
+            )),
+            _ => {}
+        }
+        match (self.tts_ms, cur.tts_ms) {
+            (Some(b), Some(c)) => check_time("time-to-stabilize", b, c, key, out),
+            (Some(b), None) if cur.storm_sustained.is_some() => {
+                out.failures.push(format!(
+                    "[{key}] no longer stabilizes (baseline TTS {b:.1} ms, storm never cleared)"
+                ));
+            }
+            (None, Some(c)) => out.notes.push(format!(
+                "[{key}] now stabilizes in {c:.1} ms (baseline never did) — consider refreshing the baseline"
+            )),
+            _ => {}
+        }
+        if self.throughput > 0.0 {
+            let rel = cur.throughput / self.throughput - 1.0;
+            if rel.abs() > THROUGHPUT_NOTE {
+                out.notes.push(format!(
+                    "[{key}] throughput {:.0} → {:.0} op/s ({:+.1}%)",
+                    self.throughput,
+                    cur.throughput,
+                    rel * 100.0
+                ));
+            }
+        }
+    }
 }
 
-/// A full bench suite: provenance plus one [`RunRecord`] per cell and,
-/// for detection suites, one [`DetectRecord`] per scored cell.
+/// A full bench suite: provenance plus the cells of each section.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Suite {
-    /// Suite name (`fig1`, `fig3`, `ablations`, `gate`, `detect`).
+    /// Suite name (`fig1`, `fig3`, `ablations`, `gate`, `detect`,
+    /// `scenarios`).
     pub suite: String,
     /// Determinism seed the runs used.
     pub seed: u64,
@@ -401,13 +580,21 @@ pub struct Suite {
     pub config: Vec<(String, f64)>,
     /// The measurement cells.
     pub runs: Vec<RunRecord>,
-    /// Detection-quality cells (empty for pure perf suites; the JSON
-    /// `detect` array is emitted only when nonempty, so existing
-    /// artifacts are byte-identical).
+    /// Detection-quality cells. The JSON array is emitted only when
+    /// nonempty, so pure perf artifacts do not carry it.
     pub detect: Vec<DetectRecord>,
     /// Scenario-matrix survival cells (same emitted-only-when-nonempty
     /// rule as `detect`).
     pub scenarios: Vec<ScenarioRecord>,
+}
+
+fn section_to_json<C: Cell>(cells: &[C]) -> Json {
+    Json::Arr(cells.iter().map(C::to_json).collect())
+}
+
+fn section_from_json<C: Cell>(v: &Json) -> Result<Vec<C>, String> {
+    let cells = v.get(C::SECTION).and_then(Json::as_arr).unwrap_or(&[]);
+    cells.iter().map(C::from_json).collect()
 }
 
 impl Suite {
@@ -428,6 +615,11 @@ impl Suite {
         self.config.push((key.to_string(), value));
     }
 
+    /// Cells across all sections.
+    pub fn cells(&self) -> usize {
+        self.runs.len() + self.detect.len() + self.scenarios.len()
+    }
+
     /// Serializes the suite (deterministic bytes for identical content).
     pub fn to_json(&self) -> String {
         let mut o = Json::obj();
@@ -439,21 +631,12 @@ impl Suite {
             cfg.set(k, Json::Num(*v));
         }
         o.set("config", cfg);
-        o.set(
-            "runs",
-            Json::Arr(self.runs.iter().map(RunRecord::to_json).collect()),
-        );
+        o.set(RunRecord::SECTION, section_to_json(&self.runs));
         if !self.detect.is_empty() {
-            o.set(
-                "detect",
-                Json::Arr(self.detect.iter().map(DetectRecord::to_json).collect()),
-            );
+            o.set(DetectRecord::SECTION, section_to_json(&self.detect));
         }
         if !self.scenarios.is_empty() {
-            o.set(
-                "scenarios",
-                Json::Arr(self.scenarios.iter().map(ScenarioRecord::to_json).collect()),
-            );
+            o.set(ScenarioRecord::SECTION, section_to_json(&self.scenarios));
         }
         o.pretty()
     }
@@ -474,58 +657,75 @@ impl Suite {
                 }
             }
         }
-        let mut runs = Vec::new();
-        for r in v.get("runs").and_then(Json::as_arr).unwrap_or(&[]) {
-            runs.push(RunRecord::from_json(r)?);
-        }
-        let mut detect = Vec::new();
-        for r in v.get("detect").and_then(Json::as_arr).unwrap_or(&[]) {
-            detect.push(DetectRecord::from_json(r)?);
-        }
-        let mut scenarios = Vec::new();
-        for r in v.get("scenarios").and_then(Json::as_arr).unwrap_or(&[]) {
-            scenarios.push(ScenarioRecord::from_json(r)?);
-        }
         Ok(Suite {
             suite: v.str("suite").unwrap_or("?").to_string(),
             seed: v.num("seed").unwrap_or(0.0) as u64,
             config,
-            runs,
-            detect,
-            scenarios,
+            runs: section_from_json(&v)?,
+            detect: section_from_json(&v)?,
+            scenarios: section_from_json(&v)?,
         })
     }
 }
 
-fn round2(v: f64) -> f64 {
-    (v * 1e2).round() / 1e2
-}
-
-fn round4(v: f64) -> f64 {
-    (v * 1e4).round() / 1e4
-}
-
-/// Allowed movement before the gate fails a cell.
-///
-/// Simulated runs are deterministic, so these bands absorb *intentional*
-/// code-driven drift (a scheduler tweak, extra simulated CPU from new
-/// instrumentation), not measurement noise. Throughput is gated tighter
-/// than tail latency because the paper's claims are throughput-shaped.
-#[derive(Debug, Clone, Copy)]
-pub struct Tolerance {
-    /// Max allowed relative throughput drop (0.08 = −8%).
-    pub throughput_drop: f64,
-    /// Max allowed relative P99 rise (0.30 = +30%).
-    pub p99_rise: f64,
-}
-
-impl Default for Tolerance {
-    fn default() -> Self {
-        Tolerance {
-            throughput_drop: 0.08,
-            p99_rise: 0.30,
+impl Suite {
+    /// One human-readable line per cell, section by section (what the
+    /// gate prints under its verdict).
+    pub fn render_cells(&self) -> String {
+        let opt = |v: Option<f64>| v.map_or_else(|| "      -".to_string(), |m| format!("{m:>7.1}"));
+        let quality = |q: &Detection| {
+            format!(
+                "detected={:<5} ttd{} ms  ttm{} ms  ttr{} ms  fp={} fn={} misattr={}",
+                q.detected,
+                opt(q.ttd_ms),
+                opt(q.ttm_ms),
+                opt(q.ttr_ms),
+                q.false_positives,
+                q.false_negatives,
+                q.misattributions
+            )
+        };
+        let mut out = String::new();
+        for r in &self.runs {
+            out += &format!(
+                "  {:<45} {:>7.0} req/s  p99 {:>7.2} ms  drift {:.2}\n",
+                r.key(),
+                r.throughput,
+                r.p99_ms,
+                r.drift
+            );
         }
+        for r in &self.detect {
+            out += &format!("  {:<45} {}\n", r.key(), quality(&r.quality));
+        }
+        for r in &self.scenarios {
+            let storm = match r.storm_sustained {
+                Some(true) => format!("  storm=SUSTAINED amp={:.1}", r.amp.unwrap_or(0.0)),
+                Some(false) => format!(
+                    "  storm=dissolved tts{} ms amp={:.1}",
+                    opt(r.tts_ms),
+                    r.amp.unwrap_or(0.0)
+                ),
+                None => String::new(),
+            };
+            out += &format!(
+                "  {:<55} live={:<5} tput={:>6.0} floor={:>6.0} {}{storm}\n",
+                r.key(),
+                r.live,
+                r.throughput,
+                r.floor,
+                quality(&r.quality),
+            );
+        }
+        out
     }
+}
+
+/// Reads and parses a suite file.
+pub fn load_suite(path: &Path) -> Result<Suite, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    Suite::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// The gate's verdict: hard failures plus informational notes.
@@ -546,333 +746,53 @@ impl GateOutcome {
     }
 }
 
-/// Diffs `current` against `baseline` cell by cell.
-///
-/// A cell fails when its throughput drops more than
-/// [`Tolerance::throughput_drop`], its P99 rises more than
-/// [`Tolerance::p99_rise`], it crashes where the baseline did not, or it
-/// disappeared entirely. New cells and improvements are notes.
-pub fn compare(baseline: &Suite, current: &Suite, tol: &Tolerance) -> GateOutcome {
-    let mut out = GateOutcome::default();
-    for base in &baseline.runs {
+/// One section's walk: a baseline cell missing from `current` fails, a
+/// cell only in `current` is a note, a matched pair is checked.
+fn diff<C: Cell>(baseline: &[C], current: &[C], out: &mut GateOutcome) {
+    for base in baseline {
         let key = base.key();
-        let Some(cur) = current.runs.iter().find(|r| {
-            r.driver == base.driver && r.fault == base.fault && r.cluster == base.cluster
-        }) else {
-            out.failures
-                .push(format!("[{key}] missing from current run"));
-            continue;
-        };
-        out.checked += 1;
-        if cur.crashed && !base.crashed {
-            out.failures
-                .push(format!("[{key}] crashed (baseline did not)"));
-            continue;
-        }
-        if base.crashed {
-            // Crash cells have no meaningful numbers; matching crash
-            // behavior is all the gate asks.
-            if !cur.crashed {
-                out.notes.push(format!("[{key}] no longer crashes"));
+        match current.iter().find(|c| c.key() == key) {
+            Some(cur) => {
+                out.checked += 1;
+                base.check(cur, &key, out);
             }
-            continue;
-        }
-        if base.throughput > 0.0 {
-            let rel = cur.throughput / base.throughput - 1.0;
-            if rel < -tol.throughput_drop {
-                out.failures.push(format!(
-                    "[{key}] throughput {:.0} → {:.0} req/s ({:+.1}%, tolerance −{:.0}%)",
-                    base.throughput,
-                    cur.throughput,
-                    rel * 100.0,
-                    tol.throughput_drop * 100.0
-                ));
-            } else if rel > tol.throughput_drop {
-                out.notes.push(format!(
-                    "[{key}] throughput improved {:+.1}% — consider refreshing the baseline",
-                    rel * 100.0
-                ));
-            }
-        }
-        if base.p99_ms > 0.0 {
-            let rel = cur.p99_ms / base.p99_ms - 1.0;
-            if rel > tol.p99_rise {
-                out.failures.push(format!(
-                    "[{key}] p99 {:.2} → {:.2} ms ({:+.1}%, tolerance +{:.0}%)",
-                    base.p99_ms,
-                    cur.p99_ms,
-                    rel * 100.0,
-                    tol.p99_rise * 100.0
-                ));
-            }
+            None => out.failures.push(format!(
+                "[{key}] missing from the current suite's {:?}",
+                C::SECTION
+            )),
         }
     }
-    for cur in &current.runs {
-        let known = baseline
-            .runs
-            .iter()
-            .any(|b| b.driver == cur.driver && b.fault == cur.fault && b.cluster == cur.cluster);
-        if !known {
-            out.notes
-                .push(format!("[{}] new cell, not in baseline", cur.key()));
-        }
-    }
-    out
-}
-
-/// Allowed movement in detection quality before the gate fails a cell.
-///
-/// Time-to-detect is gated multiplicatively plus a small absolute slack
-/// (one detector poll window of jitter is legitimate when event
-/// interleavings shift); correctness counters — false positives,
-/// misattributions, lost detections — are gated at zero increase, because
-/// a detector that cries wolf or blames the wrong node is broken no
-/// matter how fast it is.
-#[derive(Debug, Clone, Copy)]
-pub struct DetectTolerance {
-    /// Max allowed relative TTD rise (0.5 = +50%).
-    pub ttd_rise: f64,
-    /// Absolute TTD slack added on top, milliseconds.
-    pub ttd_slack_ms: f64,
-}
-
-impl Default for DetectTolerance {
-    fn default() -> Self {
-        DetectTolerance {
-            ttd_rise: 0.5,
-            ttd_slack_ms: 50.0,
-        }
-    }
-}
-
-/// Diffs detection quality cell by cell.
-///
-/// A cell fails when it disappeared, lost a detection the baseline had,
-/// grew false positives / false negatives / misattributions, or its
-/// time-to-detect rose past `base × (1 + ttd_rise) + ttd_slack_ms` — a
-/// 2× detection-latency regression at realistic TTDs always trips this.
-/// New cells and TTD improvements are notes.
-pub fn compare_detection(baseline: &Suite, current: &Suite, tol: &DetectTolerance) -> GateOutcome {
-    let mut out = GateOutcome::default();
-    for base in &baseline.detect {
-        let key = base.key();
-        let Some(cur) = current.detect.iter().find(|r| {
-            r.driver == base.driver && r.fault == base.fault && r.cluster == base.cluster
-        }) else {
-            out.failures
-                .push(format!("[{key}] missing from current detection run"));
-            continue;
-        };
-        out.checked += 1;
-        if base.detected && !cur.detected {
-            out.failures
-                .push(format!("[{key}] fault no longer detected"));
-        }
-        if cur.false_positives > base.false_positives {
-            out.failures.push(format!(
-                "[{key}] false positives {} → {}",
-                base.false_positives, cur.false_positives
-            ));
-        }
-        if cur.false_negatives > base.false_negatives {
-            out.failures.push(format!(
-                "[{key}] false negatives {} → {}",
-                base.false_negatives, cur.false_negatives
-            ));
-        }
-        if cur.misattributions > base.misattributions {
-            out.failures.push(format!(
-                "[{key}] misattributions {} → {}",
-                base.misattributions, cur.misattributions
-            ));
-        }
-        if let (Some(b), Some(c)) = (base.ttd_ms, cur.ttd_ms) {
-            let limit = b * (1.0 + tol.ttd_rise) + tol.ttd_slack_ms;
-            if c > limit {
-                out.failures.push(format!(
-                    "[{key}] time-to-detect {b:.1} → {c:.1} ms (limit {limit:.1} ms)"
-                ));
-            } else if c < b * 0.5 {
-                out.notes.push(format!(
-                    "[{key}] time-to-detect improved {b:.1} → {c:.1} ms — consider refreshing the baseline"
-                ));
-            }
-        }
-    }
-    for cur in &current.detect {
-        let known = baseline
-            .detect
-            .iter()
-            .any(|b| b.driver == cur.driver && b.fault == cur.fault && b.cluster == cur.cluster);
-        if !known {
+    for cur in current {
+        let key = cur.key();
+        if !baseline.iter().any(|b| b.key() == key) {
             out.notes.push(format!(
-                "[{}] new detection cell, not in baseline",
-                cur.key()
+                "[{key}] new cell in {:?}, not in baseline",
+                C::SECTION
             ));
         }
     }
-    out
 }
 
-/// Allowed movement in scenario-matrix outcomes before the gate fails.
-///
-/// Liveness verdicts, crashes, lost detections and the FP/FN/misattr
-/// counters are gated exactly (a survival flip is always a behavior
-/// change worth a look); time-to-detect follows the same
-/// multiplicative-plus-slack band as [`DetectTolerance`]. Raw
-/// throughput/floor drift is reported as notes only — the perf gates
-/// already own those numbers, and double-gating them here would make
-/// every calibration change fail twice.
-#[derive(Debug, Clone, Copy)]
-pub struct ScenarioTolerance {
-    /// Max allowed relative TTD rise (0.5 = +50%).
-    pub ttd_rise: f64,
-    /// Absolute TTD slack added on top, milliseconds.
-    pub ttd_slack_ms: f64,
-    /// Relative throughput drift that earns a note (not a failure).
-    pub throughput_note: f64,
-    /// Max allowed relative time-to-stabilize rise (0.5 = +50%).
-    pub tts_rise: f64,
-    /// Absolute TTS slack added on top, milliseconds.
-    pub tts_slack_ms: f64,
-}
-
-impl Default for ScenarioTolerance {
-    fn default() -> Self {
-        ScenarioTolerance {
-            ttd_rise: 0.5,
-            ttd_slack_ms: 50.0,
-            throughput_note: 0.10,
-            tts_rise: 0.5,
-            tts_slack_ms: 50.0,
-        }
-    }
-}
-
-/// Diffs scenario-matrix survival cells.
-///
-/// A cell fails when it disappeared, its liveness verdict flipped, it
-/// crashed where the baseline did not, it lost a detection, grew false
-/// positives / false negatives / misattributions, or its time-to-detect
-/// rose past `base × (1 + ttd_rise) + ttd_slack_ms`. Everything else —
-/// new cells, verdict improvements, throughput drift — is a note.
-pub fn compare_scenarios(
-    baseline: &Suite,
-    current: &Suite,
-    tol: &ScenarioTolerance,
-) -> GateOutcome {
+/// Diffs `current` against `baseline`, section by section and cell by
+/// cell; see each record's `check` for what fails it.
+pub fn compare(baseline: &Suite, current: &Suite) -> GateOutcome {
     let mut out = GateOutcome::default();
-    for base in &baseline.scenarios {
-        let key = base.key();
-        let Some(cur) = current
-            .scenarios
-            .iter()
-            .find(|r| r.scenario == base.scenario && r.driver == base.driver)
-        else {
-            out.failures
-                .push(format!("[{key}] missing from current matrix"));
-            continue;
-        };
-        out.checked += 1;
-        if base.live && !cur.live {
-            out.failures.push(format!(
-                "[{key}] liveness verdict flipped: live → {}",
-                if cur.crashed { "crashed" } else { "stalled" }
-            ));
-        } else if !base.live && cur.live {
-            out.notes.push(format!(
-                "[{key}] now survives (baseline did not) — consider refreshing the baseline"
-            ));
-        }
-        if cur.crashed && !base.crashed {
-            out.failures
-                .push(format!("[{key}] crashed (baseline did not)"));
-        }
-        if base.detected && !cur.detected {
-            out.failures
-                .push(format!("[{key}] fault no longer detected"));
-        }
-        if cur.false_positives > base.false_positives {
-            out.failures.push(format!(
-                "[{key}] false positives {} → {}",
-                base.false_positives, cur.false_positives
-            ));
-        }
-        if cur.false_negatives > base.false_negatives {
-            out.failures.push(format!(
-                "[{key}] false negatives {} → {}",
-                base.false_negatives, cur.false_negatives
-            ));
-        }
-        if cur.misattributions > base.misattributions {
-            out.failures.push(format!(
-                "[{key}] misattributions {} → {}",
-                base.misattributions, cur.misattributions
-            ));
-        }
-        if let (Some(b), Some(c)) = (base.ttd_ms, cur.ttd_ms) {
-            let limit = b * (1.0 + tol.ttd_rise) + tol.ttd_slack_ms;
-            if c > limit {
-                out.failures.push(format!(
-                    "[{key}] time-to-detect {b:.1} → {c:.1} ms (limit {limit:.1} ms)"
-                ));
-            }
-        }
-        // Storm columns (present only for storm-monitored cells): a
-        // cell whose retry storm newly outlives its fault is a
-        // metastability regression; so is losing or slowing the
-        // stabilization the retry-budget mitigation used to deliver.
-        match (base.storm_sustained, cur.storm_sustained) {
-            (Some(false), Some(true)) => out.failures.push(format!(
-                "[{key}] retry storm now sustained past fault clear (metastable)"
-            )),
-            (Some(true), Some(false)) => out.notes.push(format!(
-                "[{key}] retry storm no longer sustained — consider refreshing the baseline"
-            )),
-            _ => {}
-        }
-        match (base.tts_ms, cur.tts_ms) {
-            (Some(b), Some(c)) => {
-                let limit = b * (1.0 + tol.tts_rise) + tol.tts_slack_ms;
-                if c > limit {
-                    out.failures.push(format!(
-                        "[{key}] time-to-stabilize {b:.1} → {c:.1} ms (limit {limit:.1} ms)"
-                    ));
-                }
-            }
-            (Some(b), None) if cur.storm_sustained.is_some() => {
-                out.failures.push(format!(
-                    "[{key}] no longer stabilizes (baseline TTS {b:.1} ms, storm never cleared)"
-                ));
-            }
-            (None, Some(c)) => out.notes.push(format!(
-                "[{key}] now stabilizes in {c:.1} ms (baseline never did) — consider refreshing the baseline"
-            )),
-            _ => {}
-        }
-        if base.throughput > 0.0 {
-            let rel = cur.throughput / base.throughput - 1.0;
-            if rel.abs() > tol.throughput_note {
-                out.notes.push(format!(
-                    "[{key}] throughput {:.0} → {:.0} op/s ({:+.1}%)",
-                    base.throughput,
-                    cur.throughput,
-                    rel * 100.0
-                ));
-            }
-        }
-    }
-    for cur in &current.scenarios {
-        let known = baseline
-            .scenarios
-            .iter()
-            .any(|b| b.scenario == cur.scenario && b.driver == cur.driver);
-        if !known {
-            out.notes
-                .push(format!("[{}] new matrix cell, not in baseline", cur.key()));
-        }
-    }
+    diff(&baseline.runs, &current.runs, &mut out);
+    diff(&baseline.detect, &current.detect, &mut out);
+    diff(&baseline.scenarios, &current.scenarios, &mut out);
     out
+}
+
+/// The one rule for loss: a dump whose health timeline was truncated at
+/// the tracer's capacity cap under-counts reactions, so a gate run that
+/// produced one fails rather than warns. Returns the failure line.
+pub fn health_loss(dump: &IncidentDump) -> Option<String> {
+    (dump.health_dropped > 0).then(|| {
+        format!(
+            "[{} | {} | {}] {} health event(s) dropped at the tracer capacity cap — its scorecard under-counts reactions",
+            dump.driver, dump.cluster, dump.fault, dump.health_dropped
+        )
+    })
 }
 
 #[cfg(test)]
@@ -902,86 +822,14 @@ mod tests {
         s
     }
 
-    #[test]
-    fn suite_json_round_trips() {
-        let s = suite(vec![
-            record("DepFastRaft", "none", 5000.0, 8.0),
-            record("SyncRaft (TiDB-style)", "disk_slow", 2100.5, 40.25),
-        ]);
-        let text = s.to_json();
-        assert_eq!(text, s.to_json(), "serialization must be deterministic");
-        let back = Suite::parse(&text).unwrap();
-        assert_eq!(back, s);
-        // Rounding happens at serialization, so a parse → serialize cycle
-        // is idempotent even for values with more precision than stored.
-        let mut ragged = s.clone();
-        ragged.runs[0].mean_ms = 2.0 / 3.0;
-        let rag_text = ragged.to_json();
-        let reparsed = Suite::parse(&rag_text).unwrap();
-        assert_eq!(reparsed.to_json(), rag_text);
-    }
-
-    #[test]
-    fn parse_rejects_foreign_json() {
-        assert!(Suite::parse("{\"schema\": \"other/v9\"}").is_err());
-        assert!(Suite::parse("[1,2,3]").is_err());
-    }
-
-    #[test]
-    fn identical_runs_pass_the_gate() {
-        let s = suite(vec![record("d", "none", 5000.0, 8.0)]);
-        let out = compare(&s, &s, &Tolerance::default());
-        assert!(out.passed(), "{:?}", out.failures);
-        assert_eq!(out.checked, 1);
-    }
-
-    #[test]
-    fn ten_percent_throughput_regression_fails() {
-        let base = suite(vec![record("d", "none", 5000.0, 8.0)]);
-        let cur = suite(vec![record("d", "none", 4500.0, 8.0)]);
-        let out = compare(&base, &cur, &Tolerance::default());
-        assert!(!out.passed());
-        assert!(out.failures[0].contains("throughput"), "{:?}", out.failures);
-    }
-
-    #[test]
-    fn small_drift_inside_the_band_passes() {
-        let base = suite(vec![record("d", "none", 5000.0, 8.0)]);
-        let cur = suite(vec![record("d", "none", 4800.0, 9.0)]);
-        let out = compare(&base, &cur, &Tolerance::default());
-        assert!(out.passed(), "{:?}", out.failures);
-    }
-
-    #[test]
-    fn p99_blowup_fails() {
-        let base = suite(vec![record("d", "none", 5000.0, 8.0)]);
-        let cur = suite(vec![record("d", "none", 5000.0, 12.0)]);
-        let out = compare(&base, &cur, &Tolerance::default());
-        assert!(!out.passed());
-        assert!(out.failures[0].contains("p99"), "{:?}", out.failures);
-    }
-
-    #[test]
-    fn new_crash_fails_and_missing_cell_fails() {
-        let mut crashed = record("d", "cpu_slow", 0.0, 0.0);
-        crashed.crashed = true;
-        let base = suite(vec![
-            record("d", "none", 5000.0, 8.0),
-            record("d", "disk_slow", 4000.0, 10.0),
-        ]);
-        let cur = suite(vec![{
-            let mut r = record("d", "none", 5000.0, 8.0);
-            r.crashed = true;
-            r
-        }]);
-        let out = compare(&base, &cur, &Tolerance::default());
-        assert_eq!(out.failures.len(), 2, "{:?}", out.failures);
-        assert!(out.failures.iter().any(|f| f.contains("crashed")));
-        assert!(out.failures.iter().any(|f| f.contains("missing")));
-        // A cell that crashed in the baseline and still crashes is fine.
-        let base2 = suite(vec![crashed.clone()]);
-        let cur2 = suite(vec![crashed]);
-        assert!(compare(&base2, &cur2, &Tolerance::default()).passed());
+    fn quality(ttd_ms: Option<f64>) -> Detection {
+        Detection {
+            detected: ttd_ms.is_some(),
+            ttd_ms,
+            ttm_ms: ttd_ms.map(|v| v + 50.0),
+            ttr_ms: ttd_ms.map(|v| v + 500.0),
+            ..Detection::default()
+        }
     }
 
     fn detect_record(driver: &str, fault: &str, ttd_ms: Option<f64>) -> DetectRecord {
@@ -989,13 +837,7 @@ mod tests {
             driver: driver.into(),
             fault: fault.into(),
             cluster: "3x64".into(),
-            detected: ttd_ms.is_some(),
-            ttd_ms,
-            ttm_ms: ttd_ms.map(|v| v + 50.0),
-            ttr_ms: ttd_ms.map(|v| v + 500.0),
-            false_positives: 0,
-            false_negatives: 0,
-            misattributions: 0,
+            quality: quality(ttd_ms),
         }
     }
 
@@ -1003,109 +845,6 @@ mod tests {
         let mut s = Suite::new("detect", 7);
         s.detect = detect;
         s
-    }
-
-    #[test]
-    fn detect_records_round_trip_and_runs_only_json_is_unchanged() {
-        let with = detect_suite(vec![
-            detect_record("DepFastRaft", "Disk Slowness", Some(400.0)),
-            detect_record("SyncRaft (TiDB-style)", "none", None),
-        ]);
-        let text = with.to_json();
-        let back = Suite::parse(&text).unwrap();
-        assert_eq!(back, with);
-        // Absent optional times stay absent.
-        assert!(back.detect[1].ttd_ms.is_none());
-        // A suite without detect cells serializes exactly as before the
-        // field existed (no empty "detect" array).
-        let plain = suite(vec![record("d", "none", 5000.0, 8.0)]);
-        assert!(!plain.to_json().contains("detect"));
-    }
-
-    #[test]
-    fn identical_detection_passes_the_gate() {
-        let s = detect_suite(vec![detect_record("d", "Disk Slowness", Some(400.0))]);
-        let out = compare_detection(&s, &s, &DetectTolerance::default());
-        assert!(out.passed(), "{:?}", out.failures);
-        assert_eq!(out.checked, 1);
-    }
-
-    #[test]
-    fn doubled_time_to_detect_fails() {
-        let base = detect_suite(vec![detect_record("d", "Disk Slowness", Some(400.0))]);
-        let cur = detect_suite(vec![detect_record("d", "Disk Slowness", Some(800.0))]);
-        let out = compare_detection(&base, &cur, &DetectTolerance::default());
-        assert!(!out.passed());
-        assert!(
-            out.failures[0].contains("time-to-detect"),
-            "{:?}",
-            out.failures
-        );
-    }
-
-    #[test]
-    fn new_false_positive_and_misattribution_fail() {
-        let base = detect_suite(vec![detect_record("d", "none", None)]);
-        let mut fp = detect_record("d", "none", None);
-        fp.false_positives = 1;
-        let out = compare_detection(
-            &detect_suite(vec![base.detect[0].clone()]),
-            &detect_suite(vec![fp]),
-            &DetectTolerance::default(),
-        );
-        assert!(!out.passed());
-        assert!(
-            out.failures[0].contains("false positives"),
-            "{:?}",
-            out.failures
-        );
-
-        let base2 = detect_suite(vec![detect_record("d", "Disk Slowness", Some(400.0))]);
-        let mut mis = detect_record("d", "Disk Slowness", Some(400.0));
-        mis.misattributions = 1;
-        let out2 = compare_detection(
-            &base2,
-            &detect_suite(vec![mis]),
-            &DetectTolerance::default(),
-        );
-        assert!(!out2.passed());
-        assert!(
-            out2.failures[0].contains("misattributions"),
-            "{:?}",
-            out2.failures
-        );
-    }
-
-    #[test]
-    fn lost_detection_and_missing_cell_fail() {
-        let base = detect_suite(vec![detect_record("d", "Disk Slowness", Some(400.0))]);
-        let mut lost = detect_record("d", "Disk Slowness", Some(400.0));
-        lost.detected = false;
-        lost.false_negatives = 1;
-        let out = compare_detection(
-            &base,
-            &detect_suite(vec![lost]),
-            &DetectTolerance::default(),
-        );
-        assert!(!out.passed());
-        assert!(out
-            .failures
-            .iter()
-            .any(|f| f.contains("no longer detected")));
-        let out2 = compare_detection(&base, &detect_suite(vec![]), &DetectTolerance::default());
-        assert!(out2.failures.iter().any(|f| f.contains("missing")));
-    }
-
-    #[test]
-    fn detection_improvement_and_new_cells_are_notes() {
-        let base = detect_suite(vec![detect_record("d", "Disk Slowness", Some(400.0))]);
-        let cur = detect_suite(vec![
-            detect_record("d", "Disk Slowness", Some(150.0)),
-            detect_record("d", "CPU Slowness", Some(300.0)),
-        ]);
-        let out = compare_detection(&base, &cur, &DetectTolerance::default());
-        assert!(out.passed(), "{:?}", out.failures);
-        assert_eq!(out.notes.len(), 2, "{:?}", out.notes);
     }
 
     fn scenario_record(scenario: &str, driver: &str, live: bool) -> ScenarioRecord {
@@ -1118,13 +857,7 @@ mod tests {
             floor: 800.0,
             p99_ms: 25.0,
             stall_ms: 200.0,
-            detected: true,
-            ttd_ms: Some(400.0),
-            ttm_ms: Some(450.0),
-            ttr_ms: Some(900.0),
-            false_positives: 0,
-            false_negatives: 0,
-            misattributions: 0,
+            quality: quality(Some(400.0)),
             tts_ms: None,
             storm_sustained: None,
             amp: None,
@@ -1147,40 +880,184 @@ mod tests {
         s
     }
 
-    #[test]
-    fn scenario_records_round_trip_and_stay_out_of_plain_suites() {
-        let with = scenario_suite(vec![
-            scenario_record("disk-slow-follower", "DepFastRaft", true),
-            scenario_record("flapping-disk-follower", "SyncRaft (TiDB-style)", false),
-        ]);
-        let text = with.to_json();
-        assert_eq!(text, with.to_json(), "serialization must be deterministic");
-        let back = Suite::parse(&text).unwrap();
-        assert_eq!(back, with);
-        // Suites without scenario cells serialize exactly as before the
-        // field existed.
-        let plain = suite(vec![record("d", "none", 5000.0, 8.0)]);
-        assert!(!plain.to_json().contains("scenarios"));
+    /// One two-cell suite per section, for the section-generic walk.
+    fn one_of_each() -> [Suite; 3] {
+        [
+            suite(vec![
+                record("d", "none", 5000.0, 8.0),
+                record("d", "disk_slow", 4000.0, 10.0),
+            ]),
+            detect_suite(vec![
+                detect_record("d", "Disk Slowness", Some(400.0)),
+                detect_record("d", "none", None),
+            ]),
+            scenario_suite(vec![
+                scenario_record("disk-slow-follower", "d", true),
+                storm_record("retry-storm-budget"),
+            ]),
+        ]
+    }
+
+    fn drop_last(mut s: Suite) -> Suite {
+        let _ = s.runs.pop().is_some() || s.detect.pop().is_some() || s.scenarios.pop().is_some();
+        s
     }
 
     #[test]
-    fn identical_scenario_matrix_passes_the_gate() {
-        let s = scenario_suite(vec![scenario_record("disk-slow-follower", "d", true)]);
-        let out = compare_scenarios(&s, &s, &ScenarioTolerance::default());
+    fn every_section_round_trips_passes_itself_and_flags_missing_and_new_cells() {
+        for s in one_of_each() {
+            let text = s.to_json();
+            assert_eq!(text, s.to_json(), "serialization must be deterministic");
+            let back = Suite::parse(&text).unwrap();
+            assert_eq!(back, s);
+            assert_eq!(back.to_json(), text);
+
+            let same = compare(&s, &s);
+            assert!(same.passed(), "{:?}", same.failures);
+            assert!(same.notes.is_empty(), "{:?}", same.notes);
+            assert_eq!(same.checked, 2);
+
+            let short = drop_last(s.clone());
+            assert_eq!(short.cells(), 1, "{}", s.suite);
+            let missing = compare(&s, &short);
+            assert_eq!(missing.failures.len(), 1, "{:?}", missing.failures);
+            assert!(missing.failures[0].contains("missing"));
+            let new = compare(&short, &s);
+            assert!(new.passed(), "{:?}", new.failures);
+            assert_eq!(new.notes.len(), 1, "{:?}", new.notes);
+            assert!(new.notes[0].contains("new cell"));
+        }
+    }
+
+    #[test]
+    fn rounding_happens_at_serialization_and_optional_parts_stay_absent() {
+        // A parse → serialize cycle is idempotent even for values with
+        // more precision than stored.
+        let mut ragged = suite(vec![record("DepFastRaft", "none", 5000.0, 8.0)]);
+        ragged.runs[0].mean_ms = 2.0 / 3.0;
+        let text = ragged.to_json();
+        assert_eq!(Suite::parse(&text).unwrap().to_json(), text);
+        // A pure perf suite carries no other section's array.
+        assert!(!text.contains("detect") && !text.contains("scenarios"));
+        // Absent optional times stay absent, and storm keys appear only
+        // on storm-monitored cells.
+        let [_, detect, scenarios] = one_of_each();
+        let back = Suite::parse(&detect.to_json()).unwrap();
+        assert!(back.detect[1].quality.ttd_ms.is_none());
+        let text = scenarios.to_json();
+        assert_eq!(text.matches("storm_sustained").count(), 1);
+        assert_eq!(text.matches("tts_ms").count(), 1);
+        assert_eq!(text.matches("\"amp\"").count(), 1);
+    }
+
+    #[test]
+    fn parse_rejects_foreign_json() {
+        assert!(Suite::parse("{\"schema\": \"other/v9\"}").is_err());
+        assert!(Suite::parse("[1,2,3]").is_err());
+    }
+
+    fn compare_runs(base: RunRecord, cur: RunRecord) -> GateOutcome {
+        compare(&suite(vec![base]), &suite(vec![cur]))
+    }
+
+    #[test]
+    fn ten_percent_throughput_regression_fails() {
+        let out = compare_runs(
+            record("d", "none", 5000.0, 8.0),
+            record("d", "none", 4500.0, 8.0),
+        );
+        assert!(!out.passed());
+        assert!(out.failures[0].contains("throughput"), "{:?}", out.failures);
+    }
+
+    #[test]
+    fn small_drift_inside_the_band_passes() {
+        let out = compare_runs(
+            record("d", "none", 5000.0, 8.0),
+            record("d", "none", 4800.0, 9.0),
+        );
         assert!(out.passed(), "{:?}", out.failures);
-        assert_eq!(out.checked, 1);
+    }
+
+    #[test]
+    fn p99_blowup_fails() {
+        let out = compare_runs(
+            record("d", "none", 5000.0, 8.0),
+            record("d", "none", 5000.0, 12.0),
+        );
+        assert!(!out.passed());
+        assert!(out.failures[0].contains("p99"), "{:?}", out.failures);
+    }
+
+    #[test]
+    fn new_crash_fails_but_a_pinned_crash_passes() {
+        let mut crashed = record("d", "cpu_slow", 0.0, 0.0);
+        crashed.crashed = true;
+        let out = compare_runs(record("d", "cpu_slow", 5000.0, 8.0), crashed.clone());
+        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+        assert!(out.failures[0].contains("crashed"));
+        // A cell that crashed in the baseline and still crashes is fine.
+        assert!(compare_runs(crashed.clone(), crashed).passed());
+    }
+
+    #[test]
+    fn throughput_improvement_is_a_note() {
+        let out = compare_runs(
+            record("d", "none", 5000.0, 8.0),
+            record("d", "none", 6000.0, 8.0),
+        );
+        assert!(out.passed(), "{:?}", out.failures);
+        assert_eq!(out.notes.len(), 1, "{:?}", out.notes);
+    }
+
+    /// The five detection checks are defined once; both embedding
+    /// sections must trip each of them.
+    #[test]
+    fn detection_regressions_fail_in_both_embedding_sections() {
+        type Doctor = fn(&mut Detection);
+        let cases: [(&str, Doctor); 5] = [
+            ("time-to-detect", |q| q.ttd_ms = Some(800.0)),
+            ("false positives", |q| q.false_positives = 1),
+            ("false negatives", |q| q.false_negatives = 1),
+            ("misattributions", |q| q.misattributions = 1),
+            ("no longer detected", |q| q.detected = false),
+        ];
+        for (what, doctor) in cases {
+            let base = detect_record("d", "Disk Slowness", Some(400.0));
+            let mut cur = base.clone();
+            doctor(&mut cur.quality);
+            let out = compare(&detect_suite(vec![base]), &detect_suite(vec![cur]));
+            assert_eq!(out.failures.len(), 1, "{what}: {:?}", out.failures);
+            assert!(out.failures[0].contains(what), "{:?}", out.failures);
+
+            let base = scenario_record("leader-cpu-slow", "d", true);
+            let mut cur = base.clone();
+            doctor(&mut cur.quality);
+            let out = compare(&scenario_suite(vec![base]), &scenario_suite(vec![cur]));
+            assert_eq!(out.failures.len(), 1, "{what}: {:?}", out.failures);
+            assert!(out.failures[0].contains(what), "{:?}", out.failures);
+        }
+    }
+
+    #[test]
+    fn detection_improvement_is_a_note() {
+        let out = compare(
+            &detect_suite(vec![detect_record("d", "Disk Slowness", Some(400.0))]),
+            &detect_suite(vec![detect_record("d", "Disk Slowness", Some(150.0))]),
+        );
+        assert!(out.passed(), "{:?}", out.failures);
+        assert_eq!(out.notes.len(), 1, "{:?}", out.notes);
+    }
+
+    fn compare_scenarios(base: ScenarioRecord, cur: ScenarioRecord) -> GateOutcome {
+        compare(&scenario_suite(vec![base]), &scenario_suite(vec![cur]))
     }
 
     #[test]
     fn liveness_flip_fails_the_scenario_gate() {
-        let base = scenario_suite(vec![scenario_record("partial-partition", "d", true)]);
         let mut flipped = scenario_record("partial-partition", "d", false);
         flipped.stall_ms = 3000.0;
-        let out = compare_scenarios(
-            &base,
-            &scenario_suite(vec![flipped]),
-            &ScenarioTolerance::default(),
-        );
+        let out = compare_scenarios(scenario_record("partial-partition", "d", true), flipped);
         assert!(!out.passed());
         assert!(
             out.failures[0].contains("liveness verdict flipped"),
@@ -1190,109 +1067,34 @@ mod tests {
     }
 
     #[test]
-    fn doubled_scenario_ttd_fails_the_gate() {
-        let base = scenario_suite(vec![scenario_record("disk-slow-follower", "d", true)]);
-        let mut slow = scenario_record("disk-slow-follower", "d", true);
-        slow.ttd_ms = Some(800.0);
-        let out = compare_scenarios(
-            &base,
-            &scenario_suite(vec![slow]),
-            &ScenarioTolerance::default(),
-        );
-        assert!(!out.passed());
-        assert!(
-            out.failures[0].contains("time-to-detect"),
-            "{:?}",
-            out.failures
-        );
-    }
-
-    #[test]
-    fn new_scenario_misattribution_fails_and_missing_cell_fails() {
-        let base = scenario_suite(vec![scenario_record("leader-cpu-slow", "d", true)]);
-        let mut mis = scenario_record("leader-cpu-slow", "d", true);
-        mis.misattributions = 1;
-        let out = compare_scenarios(
-            &base,
-            &scenario_suite(vec![mis]),
-            &ScenarioTolerance::default(),
-        );
-        assert!(out.failures.iter().any(|f| f.contains("misattributions")));
-        let out2 = compare_scenarios(
-            &base,
-            &scenario_suite(vec![]),
-            &ScenarioTolerance::default(),
-        );
-        assert!(out2.failures.iter().any(|f| f.contains("missing")));
-    }
-
-    #[test]
     fn scenario_throughput_drift_is_a_note_not_a_failure() {
-        let base = scenario_suite(vec![scenario_record("ramp-net-follower", "d", true)]);
         let mut slower = scenario_record("ramp-net-follower", "d", true);
         slower.throughput = 2000.0;
-        let out = compare_scenarios(
-            &base,
-            &scenario_suite(vec![slower]),
-            &ScenarioTolerance::default(),
-        );
+        let out = compare_scenarios(scenario_record("ramp-net-follower", "d", true), slower);
         assert!(out.passed(), "{:?}", out.failures);
         assert_eq!(out.notes.len(), 1, "{:?}", out.notes);
     }
 
     #[test]
-    fn storm_records_round_trip_and_stay_out_of_plain_cells() {
-        let s = scenario_suite(vec![
-            scenario_record("disk-slow-follower", "d", true),
-            storm_record("retry-storm-budget"),
-        ]);
-        let text = s.to_json();
-        let back = Suite::parse(&text).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.to_json(), text);
-        // Storm keys appear only on the storm-monitored cell, so
-        // pre-existing baseline bytes are untouched.
-        assert_eq!(text.matches("storm_sustained").count(), 1);
-        assert_eq!(text.matches("tts_ms").count(), 1);
-        assert_eq!(text.matches("\"amp\"").count(), 1);
-    }
-
-    #[test]
     fn sustained_storm_flip_fails_the_gate() {
-        let base = scenario_suite(vec![storm_record("retry-storm-budget")]);
         let mut flipped = storm_record("retry-storm-budget");
         flipped.storm_sustained = Some(true);
         flipped.tts_ms = None;
-        let out = compare_scenarios(
-            &base,
-            &scenario_suite(vec![flipped]),
-            &ScenarioTolerance::default(),
-        );
-        assert!(!out.passed());
-        assert!(
-            out.failures.iter().any(|f| f.contains("sustained")),
-            "{:?}",
-            out.failures
-        );
-        assert!(
-            out.failures
-                .iter()
-                .any(|f| f.contains("no longer stabilizes")),
-            "{:?}",
-            out.failures
-        );
+        let out = compare_scenarios(storm_record("retry-storm-budget"), flipped);
+        for what in ["sustained", "no longer stabilizes"] {
+            assert!(
+                out.failures.iter().any(|f| f.contains(what)),
+                "{what}: {:?}",
+                out.failures
+            );
+        }
     }
 
     #[test]
     fn doubled_tts_fails_the_gate_but_dissolving_is_a_note() {
-        let base = scenario_suite(vec![storm_record("retry-storm-budget")]);
         let mut slower = storm_record("retry-storm-budget");
         slower.tts_ms = Some(1600.0);
-        let out = compare_scenarios(
-            &base,
-            &scenario_suite(vec![slower]),
-            &ScenarioTolerance::default(),
-        );
+        let out = compare_scenarios(storm_record("retry-storm-budget"), slower);
         assert!(!out.passed());
         assert!(
             out.failures.iter().any(|f| f.contains("time-to-stabilize")),
@@ -1307,24 +1109,31 @@ mod tests {
         let mut healed = sustained_base.clone();
         healed.storm_sustained = Some(false);
         healed.tts_ms = Some(500.0);
-        let out = compare_scenarios(
-            &scenario_suite(vec![sustained_base]),
-            &scenario_suite(vec![healed]),
-            &ScenarioTolerance::default(),
-        );
+        let out = compare_scenarios(sustained_base, healed);
         assert!(out.passed(), "{:?}", out.failures);
         assert!(out.notes.len() >= 2, "{:?}", out.notes);
     }
 
     #[test]
-    fn improvements_and_new_cells_are_notes_not_failures() {
-        let base = suite(vec![record("d", "none", 5000.0, 8.0)]);
-        let cur = suite(vec![
-            record("d", "none", 6000.0, 8.0),
-            record("d", "mem_contention", 3000.0, 20.0),
-        ]);
-        let out = compare(&base, &cur, &Tolerance::default());
-        assert!(out.passed(), "{:?}", out.failures);
-        assert_eq!(out.notes.len(), 2, "{:?}", out.notes);
+    fn a_dump_that_lost_health_events_fails_the_gate_by_name() {
+        let mut dump = IncidentDump {
+            driver: "DepFastRaft".into(),
+            fault: "Disk Slowness".into(),
+            cluster: "3x64".into(),
+            seed: 7,
+            faults: Vec::new(),
+            events: Vec::new(),
+            throughput: Vec::new(),
+            end_ns: 0,
+            health_dropped: 0,
+        };
+        assert_eq!(health_loss(&dump), None);
+        dump.health_dropped = 7;
+        let line = health_loss(&dump).expect("a lossy dump must fail");
+        assert!(
+            line.contains("DepFastRaft | 3x64 | Disk Slowness"),
+            "{line}"
+        );
+        assert!(line.contains("7 health event(s) dropped"), "{line}");
     }
 }

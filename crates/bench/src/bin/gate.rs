@@ -1,0 +1,227 @@
+//! `gate` — the regression gate over the three fixed-seed suites.
+//!
+//! ```text
+//! gate <bench|detect|scenario>     # run the suite live, diff vs its committed baseline
+//!      --write-baseline            # run the suite and (re)write the baseline instead
+//!      --current <file>            # diff a pre-recorded suite instead of running
+//!      --baseline <file>           # diff against (or write) a different baseline file
+//!      --out <file>                # where a live run writes its fresh suite
+//!      --report                    # also print the suite's reports (detect: incident
+//!                                  # reports; scenario: survival tables)
+//! ```
+//!
+//! | Suite | Protects | Baseline | Fresh suite |
+//! |---|---|---|---|
+//! | `bench` | throughput and tails | `BENCH_baseline.json` | `BENCH_gate.json` |
+//! | `detect` | the detector's scorecard | `BENCH_detect_baseline.json` | `BENCH_detect.json` |
+//! | `scenario` | survival verdicts | `BENCH_scenarios_baseline.json` | `BENCH_scenarios.json` |
+//!
+//! The subcommand picks only which live suite runs (see
+//! [`depfast_bench::suites`]) and the default file names: every suite
+//! file is diffed by the same [`compare`] over every section it
+//! carries, so a detect artifact fed to `gate bench` is held to the
+//! detection bands too. Runs are deterministic, so a diff only moves
+//! when code behavior moves. Exit codes: 0 pass, 1 regression (or a live
+//! run that lost health events), 2 usage/IO error.
+
+use std::path::PathBuf;
+use std::process::ExitCode;
+
+use depfast_bench::baseline::{
+    compare, load_suite, P99_RISE, THROUGHPUT_DROP, TIME_RISE, TIME_SLACK_MS,
+};
+use depfast_bench::repo_root;
+use depfast_bench::suites::{self, Live};
+
+const USAGE: &str = "usage: gate <bench|detect|scenario> [--write-baseline] [--current <file>] \
+                     [--baseline <file>] [--out <file>] [--report]";
+
+/// What a subcommand selects: default file names, the live suite, and
+/// the environment variables that shrink it.
+struct SuiteDef {
+    name: &'static str,
+    baseline: &'static str,
+    out: &'static str,
+    live: fn(bool) -> Result<Live, String>,
+    filters: &'static [&'static str],
+}
+
+const SUITES: [SuiteDef; 3] = [
+    SuiteDef {
+        name: "bench",
+        baseline: "BENCH_baseline.json",
+        out: "BENCH_gate.json",
+        live: suites::bench,
+        filters: &[],
+    },
+    SuiteDef {
+        name: "detect",
+        baseline: "BENCH_detect_baseline.json",
+        out: "BENCH_detect.json",
+        live: suites::detect,
+        filters: &[],
+    },
+    SuiteDef {
+        name: "scenario",
+        baseline: "BENCH_scenarios_baseline.json",
+        out: "BENCH_scenarios.json",
+        live: suites::scenario,
+        filters: &suites::SCENARIO_FILTERS,
+    },
+];
+
+struct Cli {
+    suite: &'static SuiteDef,
+    write_baseline: bool,
+    report: bool,
+    current: Option<PathBuf>,
+    baseline: Option<PathBuf>,
+    out: Option<PathBuf>,
+}
+
+/// Strict: an unknown suite or flag, or a flag missing its value, is an
+/// error — a typo must never silently become a live run that overwrites
+/// the repo-root artifact.
+fn parse(args: &[String]) -> Result<Cli, String> {
+    let mut args = args.iter();
+    let name = args.next().ok_or("no suite named")?;
+    let suite = SUITES
+        .iter()
+        .find(|s| s.name == name)
+        .ok_or_else(|| format!("unknown suite {name:?}"))?;
+    let mut cli = Cli {
+        suite,
+        write_baseline: false,
+        report: false,
+        current: None,
+        baseline: None,
+        out: None,
+    };
+    while let Some(arg) = args.next() {
+        let slot = match arg.as_str() {
+            "--write-baseline" => {
+                cli.write_baseline = true;
+                continue;
+            }
+            "--report" => {
+                cli.report = true;
+                continue;
+            }
+            "--current" => &mut cli.current,
+            "--baseline" => &mut cli.baseline,
+            "--out" => &mut cli.out,
+            other => return Err(format!("unknown argument {other:?}")),
+        };
+        match args.next() {
+            Some(v) if !v.starts_with("--") => *slot = Some(PathBuf::from(v)),
+            _ => return Err(format!("{arg} needs a value")),
+        }
+    }
+    Ok(cli)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let setup_error = |e: String| {
+        eprintln!("gate: {e}");
+        ExitCode::from(2)
+    };
+    let usage_error = |e: String| setup_error(format!("{e}\n{USAGE}"));
+    let cli = match parse(&args) {
+        Ok(cli) => cli,
+        Err(e) => return usage_error(e),
+    };
+    let tag = format!("[gate {}]", cli.suite.name);
+    let root = repo_root();
+    let baseline_path = cli
+        .baseline
+        .unwrap_or_else(|| root.join(cli.suite.baseline));
+    if cli.write_baseline {
+        let set = |var: &&&str| std::env::var_os(var).is_some();
+        if let Some(var) = cli.suite.filters.iter().find(set) {
+            return usage_error(format!(
+                "refusing --write-baseline while {var} filters the suite: \
+                 a truncated baseline makes CI report the other cells missing"
+            ));
+        }
+    }
+
+    let current = match &cli.current {
+        Some(path) if !cli.write_baseline => match load_suite(path) {
+            Ok(s) => s,
+            Err(e) => return setup_error(e),
+        },
+        _ => {
+            let live = match (cli.suite.live)(cli.report) {
+                Ok(live) => live,
+                Err(e) => return setup_error(e),
+            };
+            if !live.lost.is_empty() {
+                for line in &live.lost {
+                    println!("  FAIL: {line}");
+                }
+                println!("{tag} FAIL ({} lossy cell(s))", live.lost.len());
+                return ExitCode::FAILURE;
+            }
+            let (what, path) = if cli.write_baseline {
+                ("baseline", baseline_path.clone())
+            } else {
+                let out = cli.out.unwrap_or_else(|| root.join(cli.suite.out));
+                ("fresh suite", out)
+            };
+            match std::fs::write(&path, live.suite.to_json()) {
+                Ok(()) => println!("{tag} {what} written to {}", path.display()),
+                Err(e) if cli.write_baseline => {
+                    return setup_error(format!("cannot write {}: {e}", path.display()));
+                }
+                Err(e) => eprintln!("gate: cannot write {}: {e} (continuing)", path.display()),
+            }
+            if cli.write_baseline {
+                print!("{}", live.suite.render_cells());
+                return ExitCode::SUCCESS;
+            }
+            live.suite
+        }
+    };
+
+    let baseline = match load_suite(&baseline_path) {
+        Ok(s) => s,
+        Err(e) => {
+            return setup_error(format!(
+                "{e}\nhint: commit one with `cargo run -p depfast-bench --bin gate -- {} --write-baseline`",
+                cli.suite.name
+            ));
+        }
+    };
+
+    let outcome = compare(&baseline, &current);
+    println!(
+        "{tag} {} cell(s) checked against {} (throughput −{:.0}%, p99 +{:.0}%, \
+         time-to-detect/stabilize +{:.0}% +{:.0}ms; liveness, crashes, detection and \
+         FP/FN/misattribution counts exact)",
+        outcome.checked,
+        baseline_path.display(),
+        THROUGHPUT_DROP * 100.0,
+        P99_RISE * 100.0,
+        TIME_RISE * 100.0,
+        TIME_SLACK_MS
+    );
+    print!("{}", current.render_cells());
+    for note in &outcome.notes {
+        println!("  note: {note}");
+    }
+    if outcome.passed() {
+        println!("{tag} PASS");
+        ExitCode::SUCCESS
+    } else {
+        for failure in &outcome.failures {
+            println!("  FAIL: {failure}");
+        }
+        println!("{tag} FAIL ({} regression(s))", outcome.failures.len());
+        ExitCode::FAILURE
+    }
+}

@@ -6,40 +6,22 @@
 //! ```sh
 //! cargo run --release -p depfast-bench --bin profile_sim
 //! ```
-use depfast_bench::experiment::{bench_raft_cfg, bench_world_cfg};
-use depfast_kv::KvCluster;
-use depfast_raft::cluster::RaftKind;
-use depfast_ycsb::driver::{run_workload, DriverCfg};
-use depfast_ycsb::workload::WorkloadSpec;
-use simkit::{Sim, World};
-use std::rc::Rc;
+use depfast_bench::Run;
 use std::time::{Duration, Instant};
 
 fn main() {
     for clients in [128usize, 192, 256] {
         let wall = Instant::now();
-        let sim = Sim::new(1);
-        let world = World::new(sim.clone(), bench_world_cfg(3 + clients));
-        let cluster = Rc::new(KvCluster::build_tuned(
-            &sim,
-            &world,
-            RaftKind::DepFast,
-            3,
-            clients,
-            bench_raft_cfg(),
-            depfast_bench::experiment::bench_serve_cpu(),
-        ));
-        let stats = run_workload(
-            &sim,
-            &world,
-            &cluster,
-            WorkloadSpec::update_heavy().with_records(50_000),
-            DriverCfg {
-                warmup: Duration::from_millis(500),
-                measure: Duration::from_secs(2),
-                seed: 1,
-            },
-        );
+        let run = Run {
+            n_clients: clients,
+            seed: 1,
+            warmup: Duration::from_millis(500),
+            measure: Duration::from_secs(2),
+            records: 50_000,
+            ..Run::default()
+        }
+        .execute();
+        let (stats, sim, world) = (&run.stats, &run.sim, &run.world);
         println!("clients={clients} tput={:.0}/s p99={:?} wall={:?} tasks={} netmsgs={} timers={} polls={}",
             stats.throughput, stats.latency.p99, wall.elapsed(), sim.tasks_spawned(), world.net_messages(), sim.timers_scheduled(), sim.polls());
         println!(

@@ -1,121 +1,33 @@
-//! One fault-injection experiment, following the paper's methodology
-//! (§2.1): build a cluster, drive a YCSB update workload with enough
-//! concurrent clients to load the leader to ~75% CPU, inject one fault
-//! before the measurement window, report throughput / mean / P99.
+//! The one run harness, following the paper's methodology (§2.1): build
+//! a cluster, drive a YCSB update workload with enough concurrent
+//! clients to load the leader to ~75% CPU, inject faults, measure.
+//!
+//! A [`Run`] describes one such procedure — cluster shape, Raft tuning,
+//! an [`InjectionPlan`] of fault windows and load triggers, and the
+//! opt-in [`Instruments`] — and [`Run::execute`] returns one
+//! [`RunReport`] that owns everything derived from it: statistics,
+//! metric series, traces, profiles, incident dumps and the survival
+//! verdict. Deterministic: same description, byte-identical report.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use depfast_detect::{DetectorCfg, FailSlowDetector};
-use depfast_fault::{FaultKind, FaultLedger};
-use depfast_incident::IncidentDump;
-use depfast_kv::KvCluster;
-use depfast_metrics::{Key, MetricsRegistry, Sampler};
+use depfast_detect::{AmpSample, DetectorCfg, FailSlowDetector, StormCfg, StormMonitor};
+use depfast_fault::{FaultKind, FaultLedger, FaultRecord};
+use depfast_incident::{score, IncidentDump, ScoreCell, RECOVERY_BAND};
+use depfast_kv::{KvCluster, RetryPolicy, ShardedKvCluster};
+use depfast_metrics::{group_label, Key, MetricValue, MetricsRegistry, Sampler};
 use depfast_profile::Profiler;
 use depfast_raft::cluster::RaftKind;
 use depfast_raft::core::RaftCfg;
+use depfast_scenario::{CompileError, InjectionPlan, Scenario, Target, Window};
 use depfast_storage::{LogStoreCfg, WalCfg};
-use depfast_ycsb::driver::{run_workload, DriverCfg, RunStats};
+use depfast_ycsb::driver::{run_workload, run_workload_sharded, DriverCfg, GroupStats, RunStats};
 use depfast_ycsb::workload::WorkloadSpec;
-use simkit::{MemCfg, NodeId, Sim, World, WorldCfg};
+use simkit::{MemCfg, NodeId, Sim, SimTime, World, WorldCfg};
 
-/// Which node(s) receive the fault.
-#[derive(Debug, Clone)]
-pub enum FaultTarget {
-    /// No fault (baseline).
-    None,
-    /// Specific follower nodes (the leader is always node 0 here).
-    Followers(Vec<u32>),
-}
-
-/// Full experiment configuration.
-#[derive(Debug, Clone)]
-pub struct ExperimentCfg {
-    /// Raft driver under test.
-    pub kind: RaftKind,
-    /// Cluster size.
-    pub n_servers: usize,
-    /// Concurrent closed-loop clients.
-    pub n_clients: usize,
-    /// Determinism seed.
-    pub seed: u64,
-    /// Warm-up excluded from stats (fault injects at its midpoint).
-    pub warmup: Duration,
-    /// Measurement window.
-    pub measure: Duration,
-    /// YCSB keyspace size.
-    pub records: u64,
-    /// YCSB value bytes.
-    pub value_size: usize,
-    /// Fault to inject, if any.
-    pub fault: Option<(FaultTarget, FaultKind)>,
-    /// When the fault injects, as an offset from run start (`None` =
-    /// the historical default, midway through the warm-up). Incident
-    /// experiments set this past the detector's warm-up windows so the
-    /// baseline is established before the fault lands.
-    pub fault_at: Option<Duration>,
-    /// How long the fault stays active (`None` = the remainder of the
-    /// run, which is how every Table 1 experiment runs).
-    pub fault_duration: Option<Duration>,
-    /// Override of [`bench_raft_cfg`]'s `batch_max` (group-commit batch
-    /// cap; `None` = keep the calibrated value).
-    pub batch_max: Option<usize>,
-    /// Override of the group-commit linger window.
-    pub batch_window: Option<Duration>,
-    /// Override of the replication pipeline depth.
-    pub pipeline_depth: Option<usize>,
-    /// Override of the per-follower in-flight append window.
-    pub append_window: Option<usize>,
-}
-
-impl Default for ExperimentCfg {
-    fn default() -> Self {
-        ExperimentCfg {
-            kind: RaftKind::DepFast,
-            n_servers: 3,
-            n_clients: 256,
-            seed: 20210531, // HotOS '21 opening day.
-            warmup: Duration::from_secs(2),
-            measure: Duration::from_secs(10),
-            records: 500_000,
-            value_size: 1000,
-            fault: None,
-            fault_at: None,
-            fault_duration: None,
-            batch_max: None,
-            batch_window: None,
-            pipeline_depth: None,
-            append_window: None,
-        }
-    }
-}
-
-impl ExperimentCfg {
-    /// The first `k` followers of a 0-led cluster.
-    pub fn followers(k: usize) -> FaultTarget {
-        FaultTarget::Followers((1..=k as u32).collect())
-    }
-
-    /// [`bench_raft_cfg`] with this experiment's batching/pipelining
-    /// overrides applied.
-    pub fn raft_cfg(&self) -> RaftCfg {
-        let mut rc = bench_raft_cfg();
-        if let Some(v) = self.batch_max {
-            rc.batch_max = v;
-        }
-        if let Some(v) = self.batch_window {
-            rc.batch_window = v;
-        }
-        if let Some(v) = self.pipeline_depth {
-            rc.pipeline_depth = v;
-        }
-        if let Some(v) = self.append_window {
-            rc.append_window = v;
-        }
-        rc
-    }
-}
+use crate::report::Table;
 
 /// Raft tuning used by every experiment: calibrated so a healthy 3-node
 /// DepFastRaft cluster lands near the paper's ~5 K req/s base performance
@@ -169,320 +81,797 @@ pub fn mem_contention_limit() -> u64 {
     2 * 1024 * 1024 * 1024 + 200 * 1024 * 1024
 }
 
-/// The full record of an instrumented experiment: client-visible
-/// statistics plus everything the observability layer captured.
-pub struct ExperimentRun {
-    /// Client-side workload statistics (same as [`run_experiment`]).
+/// Sampling interval of the metric sampler, the storm monitor and the
+/// load-trigger poll; the survival series are on this grid.
+pub const SAMPLE_EVERY: Duration = Duration::from_millis(100);
+
+/// Cluster shape. Two shapes, not one: a 1-group sharded cluster routes
+/// through the shard map and tags its metrics, so it is not
+/// wire-identical to the single group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// One Raft group on nodes `0..n_servers`, bootstrap leader 0.
+    Single {
+        /// Replicas.
+        n_servers: usize,
+    },
+    /// `n_groups` co-located groups of `group_size` replicas striped
+    /// over `n_nodes` server nodes, keyspace hash-partitioned.
+    Sharded {
+        /// Raft groups.
+        n_groups: usize,
+        /// Server nodes the groups are striped over.
+        n_nodes: usize,
+        /// Replicas per group.
+        group_size: usize,
+    },
+}
+
+impl Shape {
+    /// `groups` groups of 3 replicas striped over `nodes` nodes.
+    pub fn sharded(n_groups: usize, n_nodes: usize) -> Shape {
+        Shape::Sharded {
+            n_groups,
+            n_nodes,
+            group_size: 3,
+        }
+    }
+
+    fn server_nodes(&self) -> usize {
+        match *self {
+            Shape::Single { n_servers } => n_servers,
+            Shape::Sharded { n_nodes, .. } => n_nodes,
+        }
+    }
+}
+
+/// What a run records beyond client statistics. Everything is off by
+/// default; instruments compose (any subset may be on at once) and none
+/// of sampler / trace / profiler changes the simulated results.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Instruments {
+    /// Sample the metric registry every [`SAMPLE_EVERY`] of virtual
+    /// time. Implied by `detector` and `retry`, whose verdicts read the
+    /// series.
+    pub sampler: bool,
+    /// Full causal tracing for the whole run ([`RunReport::records`]).
+    pub trace: bool,
+    /// Wait-state profiler installed for the whole run, warm-up
+    /// included ([`RunReport::profiler`]).
+    pub profiler: bool,
+    /// Fail-slow detector watching the cluster's RPC aggregates.
+    pub detector: Option<DetectorCfg>,
+    /// Demote-and-campaign mitigation when the detector suspects the
+    /// leader (single group; needs `detector`).
+    pub leader_mitigation: bool,
+    /// Retry policy installed on every client session (single group),
+    /// plus a storm monitor ticked with the sampler. The survival series
+    /// becomes client *goodput* — a storm commits plenty of duplicate
+    /// work while clients see nothing.
+    pub retry: Option<RetryPolicy>,
+}
+
+/// One experiment: the §2.1 procedure as data.
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// Raft driver under test (every group runs the same one).
+    pub kind: RaftKind,
+    /// Cluster shape.
+    pub shape: Shape,
+    /// Concurrent closed-loop clients, one per host node.
+    pub n_clients: usize,
+    /// Determinism seed (sim, workload and scenario target choice).
+    pub seed: u64,
+    /// Warm-up excluded from stats.
+    pub warmup: Duration,
+    /// Measurement window.
+    pub measure: Duration,
+    /// YCSB keyspace size.
+    pub records: u64,
+    /// YCSB value bytes.
+    pub value_size: usize,
+    /// Raft tuning ([`bench_raft_cfg`] unless an ablation edits it).
+    pub raft: RaftCfg,
+    /// Name of what is injected — `"none"`, a fault-class name or a
+    /// scenario name; keys incident dumps and suite cells.
+    pub fault: String,
+    /// Fault windows and load triggers to arm.
+    pub plan: InjectionPlan,
+    /// Opt-in instruments.
+    pub instruments: Instruments,
+}
+
+impl Default for Run {
+    fn default() -> Self {
+        Run {
+            kind: RaftKind::DepFast,
+            shape: Shape::Single { n_servers: 3 },
+            n_clients: 256,
+            seed: 20210531, // HotOS '21 opening day.
+            warmup: Duration::from_secs(2),
+            measure: Duration::from_secs(10),
+            records: 500_000,
+            value_size: 1000,
+            raft: bench_raft_cfg(),
+            fault: "none".to_string(),
+            plan: InjectionPlan::default(),
+            instruments: Instruments::default(),
+        }
+    }
+}
+
+impl Run {
+    /// Adds one window of `kind` per node in `nodes`, from `at` for
+    /// `duration` (`None` = the rest of the run), and names the run
+    /// after the fault class. Table 1 experiments inject at
+    /// `warmup / 2`; incident experiments past the detector's warm-up
+    /// windows.
+    pub fn with_fault(
+        mut self,
+        nodes: impl IntoIterator<Item = u32>,
+        kind: FaultKind,
+        at: Duration,
+        duration: Option<Duration>,
+    ) -> Run {
+        self.fault = kind.name().to_string();
+        self.plan
+            .windows
+            .extend(nodes.into_iter().map(|node| Window {
+                node,
+                kind,
+                at,
+                duration,
+            }));
+        self
+    }
+
+    /// Compiles `scenario` onto this (single-group, 0-led) cluster,
+    /// names the run after it, and wires leader mitigation for DepFast
+    /// leader cells (needs a detector to act on).
+    pub fn with_scenario(mut self, scenario: &Scenario) -> Result<Run, CompileError> {
+        let Shape::Single { n_servers } = self.shape else {
+            panic!("scenarios compile onto a single group");
+        };
+        self.plan = scenario.compile(n_servers, 0, self.seed)?;
+        self.fault = scenario.name.clone();
+        self.instruments.leader_mitigation =
+            self.kind == RaftKind::DepFast && scenario.target == Target::Leader;
+        Ok(self)
+    }
+
+    /// Turns on the detector (and with it the sampler).
+    pub fn with_detector(mut self, dcfg: DetectorCfg) -> Run {
+        self.instruments.detector = Some(dcfg);
+        self
+    }
+
+    /// The cluster-shape discriminator used in suite cells and incident
+    /// dumps: `"{servers}x{clients}"` or `"{groups}g{nodes}n"`.
+    pub fn cluster_label(&self) -> String {
+        match self.shape {
+            Shape::Single { n_servers } => format!("{n_servers}x{}", self.n_clients),
+            Shape::Sharded {
+                n_groups, n_nodes, ..
+            } => format!("{n_groups}g{n_nodes}n"),
+        }
+    }
+
+    /// Runs the experiment end to end.
+    pub fn execute(&self) -> RunReport {
+        let ins = &self.instruments;
+        // Runs must not inherit a causal context left in the ambient slot
+        // by an earlier run in the same process: traces would differ.
+        depfast::set_trace_ctx(None);
+        let sim = Sim::new(self.seed);
+        let world = World::new(
+            sim.clone(),
+            bench_world_cfg(self.shape.server_nodes() + self.n_clients),
+        );
+        let metrics = world.metrics();
+        let cluster = match self.shape {
+            Shape::Single { n_servers } => Cluster::Single(Rc::new(KvCluster::build_tuned(
+                &sim,
+                &world,
+                self.kind,
+                n_servers,
+                self.n_clients,
+                self.raft,
+                bench_serve_cpu(),
+            ))),
+            Shape::Sharded {
+                n_groups,
+                n_nodes,
+                group_size,
+            } => Cluster::Sharded(Rc::new(ShardedKvCluster::build_tuned(
+                &sim,
+                &world,
+                self.kind,
+                n_groups,
+                n_nodes,
+                group_size,
+                self.n_clients,
+                self.raft,
+                bench_serve_cpu(),
+            ))),
+        };
+        let tracer = match &cluster {
+            Cluster::Single(c) => c.raft.tracer.clone(),
+            Cluster::Sharded(c) => c.raft.tracer.clone(),
+        };
+        let ledger = FaultLedger::new();
+        let monitor = ins.retry.map(|policy| {
+            let Cluster::Single(c) = &cluster else {
+                panic!("retry policies are a single-group instrument");
+            };
+            for client in &c.clients {
+                client.set_policy(policy);
+            }
+            let cfg = StormCfg {
+                every: SAMPLE_EVERY,
+                ..StormCfg::default()
+            };
+            StormMonitor::new(&tracer, &ledger, cfg)
+        });
+        if ins.trace {
+            tracer.set_record_full(true);
+        }
+        let profiler = ins.profiler.then(|| {
+            let p = Profiler::new(self.kind.name());
+            p.install(&tracer, &world);
+            p
+        });
+        let sampler = Rc::new(RefCell::new(Sampler::new(
+            metrics.clone(),
+            SAMPLE_EVERY.as_nanos() as u64,
+        )));
+        if ins.sampler || ins.detector.is_some() || monitor.is_some() {
+            // Virtual-clock sampling loop; rows align to the interval
+            // grid. The storm monitor ticks first, so each row carries
+            // its interval's offered/goodput/amplification gauges.
+            let (sampler, monitor, sim2) = (sampler.clone(), monitor.clone(), sim.clone());
+            sim.spawn(async move {
+                loop {
+                    sim2.sleep(SAMPLE_EVERY).await;
+                    if let Some(m) = &monitor {
+                        m.tick(sim2.now());
+                    }
+                    sampler.borrow_mut().sample_at(sim2.now().as_nanos());
+                }
+            });
+        }
+        let detector = ins
+            .detector
+            .map(|dcfg| FailSlowDetector::spawn(&sim, &tracer, dcfg));
+        if ins.leader_mitigation {
+            let (Cluster::Single(c), Some(detector)) = (&cluster, &detector) else {
+                panic!("leader mitigation needs a single group and a detector");
+            };
+            let cores = c.raft.servers.iter().map(|s| s.core().clone()).collect();
+            depfast_detect::spawn_leader_mitigation(&sim, detector, cores, Duration::from_secs(2));
+        }
+        let inject = {
+            let (sim, world, ledger) = (sim.clone(), world.clone(), ledger.clone());
+            move |node: u32, kind, at, duration| {
+                depfast_fault::inject_at_logged(
+                    &sim,
+                    &world,
+                    NodeId(node),
+                    kind,
+                    at,
+                    duration,
+                    &ledger,
+                )
+            }
+        };
+        for w in &self.plan.windows {
+            inject(w.node, w.kind, w.at, w.duration);
+        }
+        metrics
+            .counter(Key::global("scenario.windows.armed"))
+            .add(self.plan.windows.len() as u64);
+        for t in self.plan.triggers.iter().cloned() {
+            let (sim2, metrics2, inject) = (sim.clone(), metrics.clone(), inject.clone());
+            sim.spawn(async move {
+                loop {
+                    sim2.sleep(SAMPLE_EVERY).await;
+                    if Series::Commits.level(&metrics2.snapshot()) >= t.commits as i128 {
+                        for &node in &t.nodes {
+                            inject(node, t.kind, Duration::ZERO, Some(t.duration));
+                        }
+                        metrics2
+                            .counter(Key::global("scenario.trigger.fired"))
+                            .inc();
+                        break;
+                    }
+                }
+            });
+        }
+        let spec = WorkloadSpec::update_heavy()
+            .with_records(self.records)
+            .with_value_size(self.value_size);
+        let dcfg = DriverCfg {
+            warmup: self.warmup,
+            measure: self.measure,
+            seed: self.seed ^ 0x5eed,
+        };
+        let (stats, groups, members) = match &cluster {
+            Cluster::Single(c) => (
+                run_workload(&sim, &world, c, spec, dcfg),
+                Vec::new(),
+                Vec::new(),
+            ),
+            Cluster::Sharded(c) => {
+                let s = run_workload_sharded(&sim, &world, c, spec, dcfg);
+                let members = c.raft.groups.iter().map(|g| g.members.clone()).collect();
+                (s.total, s.groups, members)
+            }
+        };
+        let records = if ins.trace {
+            tracer.set_record_full(false);
+            tracer.take_records()
+        } else {
+            Vec::new()
+        };
+        if let Some(p) = &profiler {
+            p.uninstall(&tracer, &world);
+        }
+        RunReport {
+            run: self.clone(),
+            stats,
+            groups,
+            members,
+            // The sampling task still holds a clone of the cell; swap
+            // the sampler out rather than trying to unwrap the Rc.
+            sampler: sampler.replace(Sampler::new(MetricsRegistry::new(), 1)),
+            health: tracer.take_health_events(),
+            // The one rule for loss: both capacity-capped buffers are
+            // read here, once, and carried by the report.
+            health_dropped: tracer.health_dropped(),
+            trace_dropped: metrics.counter(Key::global("trace.dropped")).get(),
+            records,
+            profiler,
+            faults: ledger.records(),
+            storm: monitor.map_or_else(Vec::new, |m| m.series()),
+            metrics,
+            sim,
+            world,
+        }
+    }
+}
+
+enum Cluster {
+    Single(Rc<KvCluster>),
+    Sharded(Rc<ShardedKvCluster>),
+}
+
+/// The cumulative counter a survival series differences.
+#[derive(Clone, Copy)]
+enum Series {
+    /// Commits anywhere in the cluster.
+    Commits,
+    /// Commits of one group (by gid).
+    GroupCommits(u32),
+    /// Client operations completed `Ok`.
+    Goodput,
+}
+
+impl Series {
+    /// The counter's level in one registry snapshot: the max over the
+    /// matching keys (replicas of a group — leadership may move).
+    fn level(self, values: &[(Key, MetricValue)]) -> i128 {
+        let (name, tag) = match self {
+            Series::Commits => ("raft.commit_index", None),
+            Series::GroupCommits(gid) => ("raft.commit_index", Some(group_label(gid))),
+            Series::Goodput => ("client.success", None),
+        };
+        values
+            .iter()
+            .filter(|(k, _)| k.name == name && (tag.is_none() || k.tag == tag))
+            .map(|(_, v)| v.scalar())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// `(t_ns, ops/s)` per sampling interval: the level differenced
+    /// across consecutive sample rows.
+    fn rate(self, sampler: &Sampler) -> Vec<(u64, f64)> {
+        let mut out = Vec::new();
+        let mut prev: Option<(u64, i128)> = None;
+        for row in sampler.rows() {
+            let level = self.level(&row.values);
+            if let Some((pt, pl)) = prev {
+                let dt = row.t_ns.saturating_sub(pt);
+                if dt > 0 {
+                    out.push((row.t_ns, (level - pl).max(0) as f64 / (dt as f64 / 1e9)));
+                }
+            }
+            prev = Some((row.t_ns, level));
+        }
+        out
+    }
+}
+
+/// Everything one [`Run`] produced.
+pub struct RunReport {
+    /// The description that was run.
+    pub run: Run,
+    /// Client-side workload statistics (the aggregate, when sharded).
     pub stats: RunStats,
+    /// Per-group statistics, indexed by `gid - 1` (empty for a single
+    /// group).
+    pub groups: Vec<GroupStats>,
+    /// Replica nodes per group, indexed by `gid - 1` (empty for a single
+    /// group).
+    pub members: Vec<Vec<NodeId>>,
     /// The cluster-shared registry with final cumulative values for
     /// every `sim.*` / `rpc.*` / `event.*` / `raft.*` series.
     pub metrics: MetricsRegistry,
-    /// Interval-aligned time series sampled over the run (empty when
-    /// the run was not sampled).
+    /// Interval-aligned time series (empty unless sampled).
     pub sampler: Sampler,
     /// Every health-state transition recorded during the run (always on;
     /// empty for a healthy run with no detector installed).
     pub health: Vec<depfast::HealthEvent>,
+    /// Health events lost at the tracer's capacity cap. Nonzero means
+    /// `health` — and every dump and scorecard built from it — is
+    /// incomplete; a live gate run fails on it.
+    pub health_dropped: u64,
+    /// Every trace record the ring buffer retained (empty unless traced).
+    pub records: Vec<depfast::TraceRecord>,
+    /// Records the ring buffer had to drop (`trace.dropped`). Nonzero
+    /// means blame percentages are computed from a truncated stream.
+    pub trace_dropped: u64,
+    /// The wait-state profile of the whole run, ready for folded/SVG
+    /// export (when profiled).
+    pub profiler: Option<Profiler>,
+    /// Ground truth: the fault ledger.
+    pub faults: Vec<FaultRecord>,
+    /// The storm monitor's per-tick amplification series (empty without
+    /// a retry policy).
+    pub storm: Vec<AmpSample>,
+    /// The simulation, for post-run inspection (executor counters).
+    pub sim: Sim,
+    /// The world, for post-run inspection (per-node resource state).
+    pub world: World,
 }
 
-/// The result of an incident-instrumented experiment: client statistics
-/// plus the fully joined incident dump (ground-truth ledger, reaction
-/// timeline, throughput series), canonicalized and ready for scoring,
-/// reporting, or serialization.
-pub struct IncidentRun {
-    /// Client-side workload statistics (same as [`run_experiment`]).
-    pub stats: RunStats,
-    /// The joined incident record of the run.
+impl RunReport {
+    fn dump_of(
+        &self,
+        cluster: String,
+        series: Series,
+        fault_on: impl Fn(NodeId) -> bool,
+        event_in: impl Fn(&depfast::HealthEvent) -> bool,
+    ) -> IncidentDump {
+        let mut dump = IncidentDump {
+            driver: self.run.kind.name().to_string(),
+            fault: self.run.fault.clone(),
+            cluster,
+            seed: self.run.seed,
+            faults: self
+                .faults
+                .iter()
+                .filter(|r| fault_on(r.node))
+                .map(Into::into)
+                .collect(),
+            events: self
+                .health
+                .iter()
+                .filter(|e| event_in(e))
+                .cloned()
+                .map(Into::into)
+                .collect(),
+            throughput: series.rate(&self.sampler),
+            end_ns: (self.run.warmup + self.run.measure).as_nanos() as u64,
+            health_dropped: self.health_dropped,
+        };
+        dump.canonicalize();
+        dump
+    }
+
+    /// The run's joined incident record — ground-truth ledger, reaction
+    /// timeline, throughput series (goodput under a retry policy,
+    /// cluster-wide commits otherwise) — canonicalized and ready for
+    /// scoring, reporting or serialization.
+    pub fn dump(&self) -> IncidentDump {
+        let series = match self.run.instruments.retry {
+            Some(_) => Series::Goodput,
+            None => Series::Commits,
+        };
+        self.dump_of(self.run.cluster_label(), series, |_| true, |_| true)
+    }
+
+    /// One incident dump per group, indexed by `gid - 1` — the blast
+    /// radius split. Ground truth is restricted to the group's replicas
+    /// (a fault on a non-member node is outside the group's radius by
+    /// construction, so its scorecard must stay all-zero); the reaction
+    /// timeline is the group-stamped events for this gid plus node-level
+    /// layers (detector, mitigation) on member nodes; the series
+    /// differences this group's own commit index.
+    pub fn group_dumps(&self) -> Vec<IncidentDump> {
+        (1u32..)
+            .zip(&self.members)
+            .map(|(gid, mine)| {
+                self.dump_of(
+                    format!("{}/g{gid}", self.run.cluster_label()),
+                    Series::GroupCommits(gid),
+                    |node| mine.contains(&node),
+                    |e| e.group.map_or_else(|| mine.contains(&e.node), |g| g == gid),
+                )
+            })
+            .collect()
+    }
+
+    /// Gids of groups hosting a replica on `node`.
+    pub fn hosted(&self, node: u32) -> Vec<u32> {
+        (1u32..)
+            .zip(&self.members)
+            .filter(|(_, mine)| mine.contains(&NodeId(node)))
+            .map(|(gid, _)| gid)
+            .collect()
+    }
+
+    /// One group's stats in the [`RunStats`] shape, so suite records can
+    /// treat a group like a small cluster.
+    pub fn group_stats(&self, gid: u32) -> RunStats {
+        let g = &self.groups[(gid - 1) as usize];
+        RunStats {
+            ops: g.ops,
+            errors: g.errors,
+            throughput: g.throughput,
+            latency: g.latency,
+            server_crashed: self.stats.server_crashed,
+        }
+    }
+
+    /// The survival verdict of a single-group run: client-visible
+    /// survival numbers over [`RunReport::dump`]'s series joined with
+    /// its scorecard. A run whose longest post-warm-up stall exceeds
+    /// `stall_limit` is not live even if throughput recovers later.
+    pub fn survival(&self, stall_limit: Duration) -> SurvivalCell {
+        let dump = self.dump();
+        let warmup_ns = self.run.warmup.as_nanos() as u64;
+        let onset_ns = dump.faults.iter().map(|f| f.onset_ns).min();
+        let floor = dump
+            .throughput
+            .iter()
+            .filter(|(t, _)| *t >= onset_ns.unwrap_or(warmup_ns))
+            .map(|(_, ops)| *ops)
+            .fold(f64::INFINITY, f64::min);
+        // Longest run of near-dead samples after warm-up: the wedge
+        // signal a throughput average would hide.
+        let (mut stall, mut longest) = (0usize, 0usize);
+        for (t, ops) in &dump.throughput {
+            if *t < warmup_ns {
+                continue;
+            }
+            stall = if *ops < 1.0 { stall + 1 } else { 0 };
+            longest = longest.max(stall);
+        }
+        let stall_ms = longest as f64 * SAMPLE_EVERY.as_secs_f64() * 1e3;
+        let amp = self.run.instruments.retry.map(|_| {
+            let onset = SimTime::from_nanos(onset_ns.unwrap_or(0));
+            let (attempts, ops) = self
+                .storm
+                .iter()
+                .filter(|a| a.t >= onset)
+                .fold((0u64, 0u64), |(att, ops), a| {
+                    (att + a.attempts, ops + a.ops)
+                });
+            attempts as f64 / ops.max(1) as f64
+        });
+        SurvivalCell {
+            scenario: self.run.fault.clone(),
+            driver: self.run.kind.name().to_string(),
+            throughput: self.stats.throughput,
+            floor: if floor.is_finite() { floor } else { 0.0 },
+            p99_ms: self.stats.latency.p99.as_secs_f64() * 1e3,
+            stall_ms,
+            crashed: self.stats.server_crashed,
+            live: !self.stats.server_crashed
+                && self.stats.ops > 0
+                && stall_ms <= stall_limit.as_secs_f64() * 1e3,
+            score: score(&dump, RECOVERY_BAND),
+            amp,
+            dump,
+        }
+    }
+}
+
+/// One scenario × driver survival cell.
+#[derive(Debug, Clone)]
+pub struct SurvivalCell {
+    /// Scenario name.
+    pub scenario: String,
+    /// Raft driver name.
+    pub driver: String,
+    /// Measurement-window throughput (ops/s; goodput in storm cells).
+    pub throughput: f64,
+    /// Minimum series sample at/after fault onset (ops/s).
+    pub floor: f64,
+    /// Client-visible p99 latency over the measurement window (ms).
+    pub p99_ms: f64,
+    /// Longest post-warm-up run of near-zero series samples (ms).
+    pub stall_ms: f64,
+    /// Any server node crashed during the run.
+    pub crashed: bool,
+    /// Liveness verdict: no crash, work completed, no stall past the
+    /// limit.
+    pub live: bool,
+    /// Detector/mitigation scorecard for the cell.
+    pub score: ScoreCell,
+    /// Retry amplification at/after fault onset: total RPC attempts per
+    /// fresh operation started. ~1 in a healthy system; ≥ 2 means the
+    /// offered load is mostly retries. `None` without a retry policy.
+    pub amp: Option<f64>,
+    /// The joined incident record (ground truth + reactions + series).
     pub dump: IncidentDump,
 }
 
-/// The result of a fully traced experiment.
-pub struct TracedRun {
-    /// Client-side workload statistics (same as [`run_experiment`]).
-    pub stats: RunStats,
-    /// Every trace record the ring buffer retained.
-    pub records: Vec<depfast::TraceRecord>,
-    /// Records the ring buffer had to drop (`trace.dropped`). Nonzero
-    /// means blame percentages are computed from a truncated stream —
-    /// figure binaries print a warning when they see this.
-    pub dropped: u64,
-}
-
-/// The result of a profiled experiment.
-pub struct ProfiledRun {
-    /// Client-side workload statistics (same as [`run_experiment`]).
-    pub stats: RunStats,
-    /// The wait-state profile accumulated over the whole run (warm-up
-    /// included), ready for folded/SVG export.
-    pub profiler: Profiler,
-}
-
-/// Runs one experiment end to end and returns its statistics.
-pub fn run_experiment(cfg: &ExperimentCfg) -> RunStats {
-    run(cfg, None, None, None, None).stats
-}
-
-/// Like [`run_experiment`], but additionally samples the cluster's
-/// metric registry every `sample_every` of virtual time and returns the
-/// registry plus the recorded time series, ready for CSV export.
-pub fn run_experiment_instrumented(cfg: &ExperimentCfg, sample_every: Duration) -> ExperimentRun {
-    run(cfg, Some(sample_every), None, None, None)
-}
-
-/// Sampling interval for incident experiments' throughput series.
-pub const INCIDENT_SAMPLE_EVERY: Duration = Duration::from_millis(100);
-
-/// Like [`run_experiment`], but incident-instrumented: faults are
-/// journaled into a ground-truth [`FaultLedger`], a [`FailSlowDetector`]
-/// with `dcfg` watches the cluster's RPC aggregates, and the run's
-/// health-event timeline and commit-throughput series are joined into an
-/// [`IncidentDump`] ready for the scorecard. Deterministic: same-seed
-/// calls return identical dumps.
-pub fn run_experiment_incident(cfg: &ExperimentCfg, dcfg: DetectorCfg) -> IncidentRun {
-    let ledger = FaultLedger::new();
-    let run = run(
-        cfg,
-        Some(INCIDENT_SAMPLE_EVERY),
-        None,
-        None,
-        Some((&ledger, dcfg)),
-    );
-    // Commit throughput per interval: the cluster-wide max of the
-    // `raft.commit_index` gauge (leadership may move) differenced across
-    // consecutive sample rows.
-    let mut throughput = Vec::new();
-    let mut prev: Option<(u64, i128)> = None;
-    for row in run.sampler.rows() {
-        let commit = row
-            .values
-            .iter()
-            .filter(|(k, _)| k.name == "raft.commit_index")
-            .map(|(_, v)| v.scalar())
-            .max()
-            .unwrap_or(0);
-        if let Some((pt, pc)) = prev {
-            let dt = row.t_ns.saturating_sub(pt);
-            if dt > 0 {
-                let ops = (commit - pc).max(0) as f64 / (dt as f64 / 1e9);
-                throughput.push((row.t_ns, ops));
-            }
-        }
-        prev = Some((row.t_ns, commit));
-    }
-    let mut dump = IncidentDump {
-        driver: cfg.kind.name().to_string(),
-        fault: cfg
-            .fault
-            .as_ref()
-            .map_or_else(|| "none".to_string(), |(_, k)| k.name().to_string()),
-        cluster: format!("{}x{}", cfg.n_servers, cfg.n_clients),
-        seed: cfg.seed,
-        faults: ledger.records().iter().map(Into::into).collect(),
-        events: run.health.into_iter().map(Into::into).collect(),
-        throughput,
-        end_ns: (cfg.warmup + cfg.measure).as_nanos() as u64,
-        health_dropped: run
-            .metrics
-            .counter(Key::global("trace.health_dropped"))
-            .get(),
-    };
-    dump.canonicalize();
-    IncidentRun {
-        stats: run.stats,
-        dump,
-    }
-}
-
-/// Like [`run_experiment`], but with full causal tracing enabled for the
-/// whole run: returns the statistics plus every trace record collected,
-/// ready for [`depfast_trace_analysis`]'s blame report or Chrome export.
-/// The run is deterministic, so same-seed calls return identical record
-/// streams.
-pub fn run_experiment_traced(cfg: &ExperimentCfg) -> TracedRun {
-    let records = Rc::new(RefCell::new(Vec::new()));
-    let run = run(cfg, None, Some(records.clone()), None, None);
-    TracedRun {
-        stats: run.stats,
-        records: records.take(),
-        dropped: run.metrics.counter(Key::global("trace.dropped")).get(),
-    }
-}
-
-/// Like [`run_experiment`], but with a wait-state [`Profiler`] installed
-/// for the whole run. Profiling taps synchronous probes only — it never
-/// creates events or touches the virtual clock — so the returned
-/// statistics are identical to an unprofiled run of the same config
-/// (asserted by the `profiler_determinism` integration test).
-pub fn run_experiment_profiled(cfg: &ExperimentCfg) -> ProfiledRun {
-    let profiler = Profiler::new(cfg.kind.name());
-    let stats = run(cfg, None, None, Some(&profiler), None).stats;
-    ProfiledRun { stats, profiler }
-}
-
-fn run(
-    cfg: &ExperimentCfg,
-    sample_every: Option<Duration>,
-    trace_into: Option<Rc<RefCell<Vec<depfast::TraceRecord>>>>,
-    profiler: Option<&Profiler>,
-    incident: Option<(&FaultLedger, DetectorCfg)>,
-) -> ExperimentRun {
-    // Runs must not inherit a causal context left in the ambient slot by
-    // an earlier experiment in the same process: traces would differ.
-    depfast::set_trace_ctx(None);
-    let sim = Sim::new(cfg.seed);
-    let world = World::new(sim.clone(), bench_world_cfg(cfg.n_servers + cfg.n_clients));
-    let metrics = world.metrics();
-    let cluster = Rc::new(KvCluster::build_tuned(
-        &sim,
-        &world,
-        cfg.kind,
-        cfg.n_servers,
-        cfg.n_clients,
-        cfg.raft_cfg(),
-        bench_serve_cpu(),
-    ));
-    if trace_into.is_some() {
-        cluster.raft.tracer.set_record_full(true);
-    }
-    if let Some(p) = profiler {
-        p.install(&cluster.raft.tracer, &world);
-    }
-    let interval = sample_every.unwrap_or(Duration::from_millis(100));
-    let sampler = Rc::new(RefCell::new(Sampler::new(
-        metrics.clone(),
-        interval.as_nanos() as u64,
-    )));
-    if sample_every.is_some() {
-        // Virtual-clock sampling loop; rows align to the interval grid
-        // (the sampler pins timestamps down to interval multiples).
-        let sampler = sampler.clone();
-        let sim2 = sim.clone();
-        sim.spawn(async move {
-            loop {
-                sim2.sleep(interval).await;
-                sampler.borrow_mut().sample_at(sim2.now().as_nanos());
-            }
-        });
-    }
-    let _detector = incident
-        .as_ref()
-        .map(|(_, dcfg)| FailSlowDetector::spawn(&sim, &cluster.raft.tracer, *dcfg));
-    if let Some((target, kind)) = &cfg.fault {
-        let nodes: Vec<NodeId> = match target {
-            FaultTarget::None => vec![],
-            FaultTarget::Followers(ids) => ids.iter().copied().map(NodeId).collect(),
-        };
-        let at = cfg.fault_at.unwrap_or(cfg.warmup / 2);
-        for node in nodes {
-            match &incident {
-                Some((ledger, _)) => depfast_fault::inject_at_logged(
-                    &sim,
-                    &world,
-                    node,
-                    *kind,
-                    at,
-                    cfg.fault_duration,
-                    ledger,
-                ),
-                None => depfast_fault::inject_at(&sim, &world, node, *kind, at, cfg.fault_duration),
-            }
+impl SurvivalCell {
+    /// `CRASH`, `yes` or `STALLED`.
+    pub fn verdict(&self) -> &'static str {
+        match (self.crashed, self.live) {
+            (true, _) => "CRASH",
+            (false, true) => "yes",
+            (false, false) => "STALLED",
         }
     }
-    let spec = WorkloadSpec::update_heavy()
-        .with_records(cfg.records)
-        .with_value_size(cfg.value_size);
-    let stats = run_workload(
-        &sim,
-        &world,
-        &cluster,
-        spec,
-        DriverCfg {
-            warmup: cfg.warmup,
-            measure: cfg.measure,
-            seed: cfg.seed ^ 0x5eed,
+}
+
+/// Renders a survival table. Pure function of the cells, so same-seed
+/// matrices render byte-identical reports. Storm cells (those carrying
+/// an amplification factor) get an `Amp` column and their throughput is
+/// headed as goodput.
+pub fn render_survival_report(title: &str, cells: &[SurvivalCell], seed: u64) -> String {
+    let storm = cells.iter().any(|c| c.amp.is_some());
+    let mut headers = vec![
+        "Scenario",
+        "Driver",
+        if storm {
+            "Goodput (op/s)"
+        } else {
+            "Tput (op/s)"
         },
+        "Floor (op/s)",
+        "P99 (ms)",
+        "Stall (ms)",
+    ];
+    headers.extend(storm.then_some("Amp"));
+    headers.push("Live");
+    headers.extend(depfast_incident::scorecard_headers());
+    let mut table = Table::new(
+        &format!("{title} · {} cells · seed {seed}", cells.len()),
+        &headers,
     );
-    if let Some(sink) = trace_into {
-        cluster.raft.tracer.set_record_full(false);
-        *sink.borrow_mut() = cluster.raft.tracer.take_records();
+    for c in cells {
+        let mut row = vec![
+            c.scenario.clone(),
+            c.driver.clone(),
+            format!("{:.0}", c.throughput),
+            format!("{:.0}", c.floor),
+            format!("{:.1}", c.p99_ms),
+            format!("{:.0}", c.stall_ms),
+        ];
+        if storm {
+            row.push(c.amp.map_or_else(|| "-".to_string(), |a| format!("{a:.1}")));
+        }
+        row.push(c.verdict().to_string());
+        row.extend(depfast_incident::scorecard_cells(&c.score));
+        table.row(row);
     }
-    if let Some(p) = profiler {
-        p.uninstall(&cluster.raft.tracer, &world);
-    }
-    // The sampling task still holds a clone of the cell; swap the
-    // sampler out rather than trying to unwrap the Rc.
-    let sampler = sampler.replace(Sampler::new(MetricsRegistry::new(), 1));
-    let health = cluster.raft.tracer.take_health_events();
-    ExperimentRun {
-        stats,
-        metrics,
-        sampler,
-        health,
-    }
+    table.render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn quick(kind: RaftKind, fault: Option<(FaultTarget, FaultKind)>) -> RunStats {
-        run_experiment(&ExperimentCfg {
+    fn quick(kind: RaftKind) -> Run {
+        Run {
             kind,
             n_clients: 64,
             warmup: Duration::from_millis(600),
             measure: Duration::from_secs(2),
             records: 10_000,
-            fault,
-            ..ExperimentCfg::default()
-        })
+            ..Run::default()
+        }
+    }
+
+    fn slow_follower(kind: RaftKind, fault: FaultKind) -> f64 {
+        let base = quick(kind);
+        let slow = base
+            .clone()
+            .with_fault([1], fault, base.warmup / 2, None)
+            .execute();
+        slow.stats.throughput / base.execute().stats.throughput
     }
 
     #[test]
     fn baseline_depfast_hits_healthy_throughput() {
-        let s = quick(RaftKind::DepFast, None);
+        let s = quick(RaftKind::DepFast).execute().stats;
         assert!(s.throughput > 1000.0, "got {:.0}/s", s.throughput);
         assert!(!s.server_crashed);
     }
 
     #[test]
     fn depfast_tolerates_slow_follower() {
-        let base = quick(RaftKind::DepFast, None);
-        let slow = quick(
-            RaftKind::DepFast,
-            Some((
-                ExperimentCfg::followers(1),
-                FaultKind::CpuSlow { quota: 0.05 },
-            )),
-        );
-        let ratio = slow.throughput / base.throughput;
+        let ratio = slow_follower(RaftKind::DepFast, FaultKind::CpuSlow { quota: 0.05 });
         assert!(
             ratio > 0.90,
-            "DepFastRaft throughput should hold: {:.2} ({:.0} vs {:.0})",
-            ratio,
-            slow.throughput,
-            base.throughput
+            "DepFastRaft throughput should hold: {ratio:.2}"
         );
     }
 
     #[test]
     fn sync_raft_degrades_under_slow_follower() {
-        let base = quick(RaftKind::Sync, None);
-        let slow = quick(
-            RaftKind::Sync,
-            Some((
-                ExperimentCfg::followers(1),
-                FaultKind::NetSlow {
-                    delay: Duration::from_millis(400),
-                },
-            )),
-        );
-        let ratio = slow.throughput / base.throughput;
+        let delay = Duration::from_millis(400);
+        let ratio = slow_follower(RaftKind::Sync, FaultKind::NetSlow { delay });
+        assert!(ratio < 0.95, "SyncRaft should lose throughput: {ratio:.2}");
+    }
+
+    fn sharded(n_groups: usize, n_clients: usize) -> RunReport {
+        Run {
+            shape: Shape::sharded(n_groups, 6),
+            n_clients,
+            ..quick(RaftKind::DepFast)
+        }
+        .execute()
+    }
+
+    #[test]
+    fn sharded_baseline_commits_on_every_group() {
+        let r = sharded(4, 48);
         assert!(
-            ratio < 0.95,
-            "SyncRaft should lose throughput: {:.2} ({:.0} vs {:.0})",
-            ratio,
-            slow.throughput,
-            base.throughput
+            r.stats.throughput > 1000.0,
+            "got {:.0}/s",
+            r.stats.throughput
         );
+        assert_eq!(r.groups.len(), 4);
+        for g in &r.groups {
+            assert!(g.ops > 0, "group {} starved: {:?}", g.gid, g.ops);
+        }
+    }
+
+    #[test]
+    fn more_groups_scale_aggregate_throughput() {
+        let (one, four) = (sharded(1, 128), sharded(4, 128));
+        let ratio = four.stats.throughput / one.stats.throughput;
+        assert!(
+            ratio > 1.5,
+            "4 groups should out-commit 1: {ratio:.2} ({:.0} vs {:.0})",
+            four.stats.throughput,
+            one.stats.throughput
+        );
+    }
+
+    /// Each old wrapper enabled exactly one instrument; the one harness
+    /// lets them all run at once, and none may move the simulation.
+    #[test]
+    fn instruments_compose_without_perturbing_the_run() {
+        let bare = quick(RaftKind::DepFast);
+        let bare = bare.clone().with_fault(
+            [2],
+            FaultKind::DiskSlow { bw_factor: 0.008 },
+            bare.warmup / 2,
+            None,
+        );
+        let mut all = bare.clone();
+        all.instruments = Instruments {
+            sampler: true,
+            trace: true,
+            profiler: true,
+            ..Instruments::default()
+        };
+        let (a, b) = (bare.execute(), all.execute());
+        assert_eq!(a.stats.ops, b.stats.ops);
+        assert_eq!(a.stats.errors, b.stats.errors);
+        assert_eq!(a.stats.throughput, b.stats.throughput);
+        assert_eq!(a.stats.latency, b.stats.latency);
+        assert_eq!(a.stats.server_crashed, b.stats.server_crashed);
+        assert!(a.records.is_empty() && a.profiler.is_none() && a.sampler.rows().is_empty());
+        assert!(!b.records.is_empty(), "tracing recorded nothing");
+        assert!(b.sampler.rows().len() > 10, "sampler recorded nothing");
+        let profiler = b.profiler.expect("profiler was on");
+        assert!(!profiler.folded().is_empty(), "profiler saw no samples");
     }
 }

@@ -1,4 +1,5 @@
-//! Benchmark harness shared by the table/figure reproductions.
+//! Benchmark harness shared by the table/figure reproductions and the
+//! regression gate.
 //!
 //! Each paper artifact has a dedicated bench target (all `harness = false`
 //! except the Criterion micro-bench):
@@ -14,26 +15,24 @@
 //!
 //! Run one with `cargo bench -p depfast-bench --bench fig1`, or everything
 //! with `cargo bench --workspace`.
+//!
+//! Every experiment anywhere in the tree is one [`Run`] description
+//! executed into one [`RunReport`] ([`experiment`]); the fixed-seed
+//! [`suites`] are lists of `Run`s, and the `gate` binary
+//! (`gate bench | detect | scenario`) diffs a fresh [`Suite`] against its
+//! committed baseline ([`baseline`]).
 
 pub mod baseline;
 pub mod experiment;
 pub mod json;
 pub mod report;
-pub mod scale;
+pub mod suites;
 
 pub use baseline::{
-    compare_detection, compare_scenarios, DetectRecord, DetectTolerance, GateOutcome, RunRecord,
-    ScenarioRecord, ScenarioTolerance, Suite, Tolerance,
+    compare, DetectRecord, Detection, GateOutcome, RunRecord, ScenarioRecord, Suite,
 };
 pub use experiment::{
-    run_experiment, run_experiment_incident, run_experiment_instrumented, run_experiment_profiled,
-    run_experiment_traced, ExperimentCfg, ExperimentRun, FaultTarget, IncidentRun, ProfiledRun,
-    TracedRun,
+    render_survival_report, Instruments, Run, RunReport, Shape, SurvivalCell, SAMPLE_EVERY,
 };
 pub use json::Json;
-pub use report::{
-    format_ms, repo_root, slug, write_metrics_csv, write_metrics_json, write_repo_artifact, Table,
-};
-pub use scale::{
-    group_run_stats, run_scale_experiment, run_scale_incident, ScaleCfg, ScaleIncidentRun,
-};
+pub use report::{format_ms, repo_root, run_figure_cell, slug, write_repo_artifact, Table};

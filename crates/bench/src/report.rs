@@ -4,6 +4,8 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use crate::experiment::{Run, RunReport};
+
 /// Formats a duration as milliseconds with two decimals.
 pub fn format_ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
@@ -26,26 +28,31 @@ pub fn slug(s: &str) -> String {
         .join("_")
 }
 
-/// Writes a metric time-series CSV (see `depfast_metrics::Sampler::to_csv`)
-/// under `target/depfast-bench/<bench>_metrics_<run>.csv` and returns the
-/// path.
-pub fn write_metrics_csv(bench: &str, run_name: &str, csv: &str) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from("target/depfast-bench");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{bench}_metrics_{}.csv", slug(run_name)));
-    std::fs::write(&path, csv)?;
-    Ok(path)
-}
-
-/// Writes a `MetricsRegistry::to_json` snapshot next to the CSV export,
-/// under `target/depfast-bench/<bench>_metrics_<run>.json`, and returns
-/// the path.
-pub fn write_metrics_json(bench: &str, run_name: &str, json: &str) -> std::io::Result<PathBuf> {
-    let dir = PathBuf::from("target/depfast-bench");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{bench}_metrics_{}.json", slug(run_name)));
-    std::fs::write(&path, json)?;
-    Ok(path)
+/// Runs one figure cell of `bench` with the wait-state profiler attached
+/// (its site rollup lands in `BENCH_<bench>.json`); with `metrics`,
+/// instead samples the metric registry and writes the time series
+/// (`Sampler::to_csv`) and the final registry (`MetricsRegistry::to_json`)
+/// to `target/depfast-bench/<bench>_metrics_<run_name>.{csv,json}`.
+pub fn run_figure_cell(bench: &str, run_name: &str, cfg: &Run, metrics: bool) -> RunReport {
+    let mut cfg = cfg.clone();
+    cfg.instruments.sampler = metrics;
+    cfg.instruments.profiler = !metrics;
+    let run = cfg.execute();
+    if metrics {
+        let dir = PathBuf::from("target/depfast-bench");
+        let exports = [
+            ("csv", run.sampler.to_csv()),
+            ("json", run.metrics.to_json()),
+        ];
+        let _ = std::fs::create_dir_all(&dir);
+        for (ext, contents) in exports {
+            let path = dir.join(format!("{bench}_metrics_{}.{ext}", slug(run_name)));
+            if std::fs::write(&path, contents).is_ok() {
+                println!("[{ext}] {}", path.display());
+            }
+        }
+    }
+    run
 }
 
 /// The workspace root, resolved from this crate's manifest directory.

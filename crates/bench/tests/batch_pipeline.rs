@@ -12,39 +12,36 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use depfast_bench::{
-    run_experiment, run_experiment_instrumented, ExperimentCfg, ExperimentRun, FaultTarget,
-};
+use depfast_bench::{Run, RunReport};
 use depfast_fault::FaultKind;
 use depfast_metrics::Key;
 use depfast_raft::cluster::{build_cluster, RaftKind};
 use depfast_raft::core::RaftCfg;
 use simkit::{Sim, World, WorldCfg};
 
-fn batched_cfg(fault: Option<(FaultTarget, FaultKind)>) -> ExperimentCfg {
-    ExperimentCfg {
-        kind: RaftKind::DepFast,
+fn batched_cfg() -> Run {
+    let mut run = Run {
         n_clients: 64,
         warmup: Duration::from_millis(600),
         measure: Duration::from_secs(2),
         records: 10_000,
-        fault,
-        // Pin the tentpole knobs explicitly so this test keeps covering
-        // batching + pipelining even if the bench defaults move.
-        batch_max: Some(64),
-        batch_window: Some(Duration::from_millis(4)),
-        pipeline_depth: Some(4),
-        append_window: Some(8),
-        ..ExperimentCfg::default()
-    }
+        ..Run::default()
+    };
+    // Pin the tentpole knobs explicitly so this test keeps covering
+    // batching + pipelining even if the bench defaults move.
+    run.raft.batch_max = 64;
+    run.raft.batch_window = Duration::from_millis(4);
+    run.raft.pipeline_depth = 4;
+    run.raft.append_window = 8;
+    run
 }
 
 /// Group commit and pipelining introduce no hidden nondeterminism: two
 /// runs of the same seed produce identical client-visible statistics.
 #[test]
 fn same_seed_runs_are_identical_with_batching_on() {
-    let a = run_experiment(&batched_cfg(None));
-    let b = run_experiment(&batched_cfg(None));
+    let a = batched_cfg().execute().stats;
+    let b = batched_cfg().execute().stats;
     assert_eq!(a.ops, b.ops, "op counts must match exactly");
     assert_eq!(a.errors, b.errors);
     assert_eq!(a.throughput, b.throughput, "throughput must be bit-equal");
@@ -116,16 +113,21 @@ fn pipelined_rounds_preserve_commit_order() {
 #[test]
 fn fail_slow_follower_stalls_its_window_not_the_batch_quorum() {
     const SLOW: u32 = 2;
-    let run = |fault| run_experiment_instrumented(&batched_cfg(fault), Duration::from_millis(100));
-    let base = run(None);
-    let faulted = run(Some((
-        FaultTarget::Followers(vec![SLOW]),
-        FaultKind::DiskSlow { bw_factor: 0.008 },
-    )));
+    let base_cfg = batched_cfg();
+    let base = base_cfg.execute();
+    let faulted = base_cfg
+        .clone()
+        .with_fault(
+            [SLOW],
+            FaultKind::DiskSlow { bw_factor: 0.008 },
+            base_cfg.warmup / 2,
+            None,
+        )
+        .execute();
     assert!(!base.stats.server_crashed && !faulted.stats.server_crashed);
 
     let leader_counter =
-        |run: &ExperimentRun, name: &'static str| run.metrics.counter(Key::node(name, 0)).get();
+        |run: &RunReport, name: &'static str| run.metrics.counter(Key::node(name, 0)).get();
     // The window filled at least once and the peer was quarantined …
     assert!(
         leader_counter(&faulted, "raft.append.window_skips") > 0,

@@ -7,30 +7,35 @@
 
 use std::time::Duration;
 
-use depfast_bench::{run_experiment_traced, ExperimentCfg, FaultTarget};
+use depfast_bench::Run;
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 use depfast_trace_analysis::{blame_report, chrome_trace, serialize_records, TraceIndex};
 use simkit::NodeId;
 
-fn traced_cfg(kind: RaftKind) -> ExperimentCfg {
-    ExperimentCfg {
+fn traced_cfg(kind: RaftKind) -> Run {
+    let warmup = Duration::from_millis(500);
+    let mut run = Run {
         kind,
         n_clients: 32,
-        warmup: Duration::from_millis(500),
+        warmup,
         measure: Duration::from_secs(2),
         records: 10_000,
-        fault: Some((
-            FaultTarget::Followers(vec![2]),
-            FaultKind::DiskSlow { bw_factor: 0.008 },
-        )),
-        ..ExperimentCfg::default()
+        ..Run::default()
     }
+    .with_fault(
+        [2],
+        FaultKind::DiskSlow { bw_factor: 0.008 },
+        warmup / 2,
+        None,
+    );
+    run.instruments.trace = true;
+    run
 }
 
 #[test]
 fn depfast_quorum_keeps_the_disk_slow_follower_off_the_critical_path() {
-    let run = run_experiment_traced(&traced_cfg(RaftKind::DepFast));
+    let run = traced_cfg(RaftKind::DepFast).execute();
     let (stats, records) = (run.stats, run.records);
     assert!(stats.ops > 100, "workload ran: {}", stats.ops);
     let report = blame_report(&TraceIndex::build(&records));
@@ -50,11 +55,11 @@ fn sync_driver_blame_lands_on_the_disk_slow_follower() {
     // reads below the cache floor are byte-sized (inline on the region
     // thread) while apply cost is per-entry, so the laggard-induced disk
     // reads dominate the critical path — exactly the paper's §2 story.
-    let cfg = ExperimentCfg {
+    let cfg = Run {
         value_size: 4096,
         ..traced_cfg(RaftKind::Sync)
     };
-    let run = run_experiment_traced(&cfg);
+    let run = cfg.execute();
     let (stats, records) = (run.stats, run.records);
     assert!(stats.ops > 100, "workload ran: {}", stats.ops);
     let report = blame_report(&TraceIndex::build(&records));
@@ -69,12 +74,12 @@ fn sync_driver_blame_lands_on_the_disk_slow_follower() {
 
 #[test]
 fn traced_runs_are_deterministic_and_exports_are_byte_identical() {
-    let cfg = ExperimentCfg {
+    let cfg = Run {
         measure: Duration::from_secs(1),
         ..traced_cfg(RaftKind::DepFast)
     };
-    let records_a = run_experiment_traced(&cfg).records;
-    let records_b = run_experiment_traced(&cfg).records;
+    let records_a = cfg.execute().records;
+    let records_b = cfg.execute().records;
     assert!(!records_a.is_empty());
     assert_eq!(
         serialize_records(&records_a),

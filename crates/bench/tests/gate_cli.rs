@@ -1,0 +1,303 @@
+//! End-to-end acceptance for the one `gate` binary: fed two suite
+//! files, it must exit 0 when the current suite matches the baseline
+//! and exit 1 — naming the regressed metric — on every doctored
+//! regression: a 10% throughput drop, a 2× time-to-detect, a new false
+//! positive, a new misattribution, a liveness flip, a sustained-storm
+//! flip, a 2× time-to-stabilize. This is the same code path CI runs —
+//! the only difference there is that the current suite comes from a live
+//! fixed-seed run instead of a file. Setup mistakes (missing baseline,
+//! unknown or incomplete flags, a filtered `--write-baseline`) are
+//! exit 2 and never start a live run.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+use depfast_bench::{DetectRecord, Detection, RunRecord, ScenarioRecord, Suite};
+
+fn run(driver: &str, fault: &str, throughput: f64) -> RunRecord {
+    RunRecord {
+        driver: driver.to_string(),
+        fault: fault.to_string(),
+        cluster: "3_nodes".to_string(),
+        ops: 10_000,
+        throughput,
+        mean_ms: 2.0,
+        p50_ms: 1.5,
+        p99_ms: 6.0,
+        crashed: false,
+        drift: 1.0,
+        profile: vec![("disk:log_durable".to_string(), 123_456)],
+    }
+}
+
+fn bench_suite(scale: f64) -> Suite {
+    let mut s = Suite::new("gate", 20210531);
+    s.config("clients", 64.0);
+    for (driver, fault, tput) in [
+        ("DepFastRaft", "none", 5000.0),
+        ("DepFastRaft", "disk_slow", 4800.0),
+        ("SyncRaft (TiDB-style)", "none", 4200.0),
+        ("SyncRaft (TiDB-style)", "disk_slow", 2500.0),
+    ] {
+        s.runs.push(run(driver, fault, tput * scale));
+    }
+    s
+}
+
+fn quality(ttd_ms: Option<f64>, false_positives: u64, misattributions: u64) -> Detection {
+    Detection {
+        detected: ttd_ms.is_some(),
+        ttd_ms,
+        ttm_ms: ttd_ms.map(|v| v / 2.0),
+        ttr_ms: ttd_ms.map(|_| 1200.0),
+        false_positives,
+        false_negatives: 0,
+        misattributions,
+    }
+}
+
+/// The shape `gate detect` itself emits: two drivers × [healthy,
+/// disk-slow], doctored on the DepFastRaft cells.
+fn detect_suite(ttd_scale: f64, false_positives: u64, misattributions: u64) -> Suite {
+    let ttd = Some(200.0 * ttd_scale);
+    let mut s = Suite::new("detect", 20210531);
+    s.config("clients", 64.0);
+    for (driver, fault, quality) in [
+        ("DepFastRaft", "none", quality(None, false_positives, 0)),
+        (
+            "DepFastRaft",
+            "Disk Slowness",
+            quality(ttd, 0, misattributions),
+        ),
+        ("SyncRaft (TiDB-style)", "none", quality(None, 0, 0)),
+        ("SyncRaft (TiDB-style)", "Disk Slowness", quality(ttd, 0, 0)),
+    ] {
+        s.detect.push(DetectRecord {
+            driver: driver.to_string(),
+            fault: fault.to_string(),
+            cluster: "3x64".to_string(),
+            quality,
+        });
+    }
+    s
+}
+
+/// One storm-monitored survival cell, the shape `gate scenario` emits
+/// for the retry-budget cell.
+fn storm_suite(live: bool, sustained: bool, tts_ms: Option<f64>, amp: f64) -> Suite {
+    let mut s = Suite::new("scenarios", 20210531);
+    s.config("clients", 160.0);
+    s.scenarios.push(ScenarioRecord {
+        scenario: "retry-storm-budget".to_string(),
+        driver: "DepFastRaft".to_string(),
+        live,
+        crashed: false,
+        throughput: 430.0,
+        floor: 0.0,
+        p99_ms: 900.0,
+        stall_ms: 1700.0,
+        quality: Detection {
+            ttm_ms: None,
+            ttr_ms: Some(900.0),
+            ..quality(Some(210.0), 0, 0)
+        },
+        tts_ms,
+        storm_sustained: Some(sustained),
+        amp: Some(amp),
+    });
+    s
+}
+
+fn tmp(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("depfast_gate_{}_{name}.json", std::process::id()))
+}
+
+fn write_suite(name: &str, s: &Suite) -> PathBuf {
+    let path = tmp(name);
+    std::fs::write(&path, s.to_json()).expect("write suite file");
+    path
+}
+
+fn gate(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_gate"))
+        .args(args)
+        .output()
+        .expect("spawn gate")
+}
+
+/// Runs `gate <suite> --baseline <baseline> --current <current>` and
+/// returns `(exit code, stdout)`.
+fn diff(suite: &str, name: &str, baseline: &Suite, current: &Suite) -> (Option<i32>, String) {
+    let base = write_suite(&format!("{name}_base"), baseline);
+    let cur = write_suite(&format!("{name}_cur"), current);
+    let out = gate(&[
+        suite,
+        "--baseline",
+        base.to_str().unwrap(),
+        "--current",
+        cur.to_str().unwrap(),
+    ]);
+    let _ = std::fs::remove_file(base);
+    let _ = std::fs::remove_file(cur);
+    let text = format!(
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    (out.status.code(), text)
+}
+
+#[test]
+fn identical_suites_pass_every_subcommand() {
+    let storm = storm_suite(true, false, Some(800.0), 1.5);
+    for (suite, s) in [
+        ("bench", bench_suite(1.0)),
+        ("detect", detect_suite(1.0, 0, 0)),
+        ("scenario", storm),
+    ] {
+        let (code, text) = diff(suite, &format!("same_{suite}"), &s, &s);
+        assert_eq!(code, Some(0), "gate {suite} must pass on itself:\n{text}");
+        assert!(text.contains(&format!("{} cell(s) checked", s.cells())));
+    }
+}
+
+/// Every doctored regression drives the real binary to exit 1, and the
+/// failure report names the regressed metric.
+#[test]
+fn doctored_suites_fail_the_gate_naming_the_metric() {
+    let storm = storm_suite(true, false, Some(800.0), 1.5);
+    let mut flipped = storm.clone();
+    flipped.scenarios[0].live = false;
+    let cases: [(&str, &str, Suite, Suite, &str); 8] = [
+        (
+            "bench",
+            "tput",
+            bench_suite(1.0),
+            bench_suite(0.9),
+            "throughput",
+        ),
+        (
+            "detect",
+            "ttd",
+            detect_suite(1.0, 0, 0),
+            detect_suite(2.0, 0, 0),
+            "time-to-detect",
+        ),
+        (
+            "detect",
+            "fp",
+            detect_suite(1.0, 0, 0),
+            detect_suite(1.0, 1, 0),
+            "false positives",
+        ),
+        (
+            "detect",
+            "mis",
+            detect_suite(1.0, 0, 0),
+            detect_suite(1.0, 0, 1),
+            "misattributions",
+        ),
+        // Any subcommand holds a suite to every section it carries: a
+        // doctored detect artifact fails `gate bench` the same way.
+        (
+            "bench",
+            "cross",
+            detect_suite(1.0, 0, 0),
+            detect_suite(2.0, 0, 0),
+            "time-to-detect",
+        ),
+        (
+            "scenario",
+            "live",
+            storm.clone(),
+            flipped,
+            "liveness verdict flipped",
+        ),
+        // The mitigation stopped working: the storm outlives its fault.
+        (
+            "scenario",
+            "storm",
+            storm.clone(),
+            storm_suite(false, true, None, 6.1),
+            "metastable",
+        ),
+        // Still dissolves, but takes 2× as long (band is +50% + 50 ms).
+        (
+            "scenario",
+            "tts",
+            storm,
+            storm_suite(true, false, Some(1600.0), 1.5),
+            "time-to-stabilize",
+        ),
+    ];
+    for (suite, name, baseline, current, metric) in cases {
+        let (code, text) = diff(suite, name, &baseline, &current);
+        assert_eq!(code, Some(1), "{name}: gate {suite} must exit 1:\n{text}");
+        assert!(
+            text.contains(metric),
+            "{name}: failure report should name {metric:?}:\n{text}"
+        );
+    }
+}
+
+#[test]
+fn missing_baseline_is_a_usage_error_not_a_regression() {
+    let current = write_suite("nobase_cur", &bench_suite(1.0));
+    for suite in ["bench", "detect", "scenario"] {
+        let out = gate(&[
+            suite,
+            "--baseline",
+            tmp("does_not_exist").to_str().unwrap(),
+            "--current",
+            current.to_str().unwrap(),
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "a missing baseline is exit 2 (setup problem), not exit 1 (regression)"
+        );
+    }
+    let _ = std::fs::remove_file(current);
+}
+
+/// A typo must never silently become a live run that overwrites the
+/// repo-root artifact: each of these exits 2 with usage on stderr
+/// (instantly — a live run would take seconds and print cells).
+#[test]
+fn unknown_flags_and_missing_values_are_usage_errors() {
+    for args in [
+        &["bench", "--curent", "x.json"][..],
+        &["bench", "--current"],
+        &["bench", "--current", "--baseline"],
+        &["detect", "--reports"],
+        &["benchmark"],
+        &[],
+    ] {
+        let out = gate(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: gate"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not start a run");
+    }
+    let help = gate(&["--help"]);
+    assert_eq!(help.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&help.stdout).contains("usage: gate"));
+}
+
+/// A local shrink run must not be able to commit a truncated baseline.
+#[test]
+fn write_baseline_is_refused_while_a_scenario_filter_is_set() {
+    let target = tmp("filtered_baseline");
+    for var in ["SCEN_SCALE_SCENARIOS", "SCEN_SCALE_DRIVERS"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gate"))
+            .args(["scenario", "--write-baseline", "--baseline"])
+            .arg(&target)
+            .env(var, "nothing-matches-this")
+            .output()
+            .expect("spawn gate");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{var}: {stderr}");
+        assert!(stderr.contains(var), "message must name {var}: {stderr}");
+        assert!(!target.exists(), "{var}: a baseline was written");
+    }
+}

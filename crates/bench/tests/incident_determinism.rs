@@ -6,51 +6,45 @@
 
 use std::time::Duration;
 
-use depfast_bench::baseline::{DetectRecord, Suite};
-use depfast_bench::{run_experiment_incident, ExperimentCfg, FaultTarget, IncidentRun};
-use depfast_detect::DetectorCfg;
+use depfast_bench::suites::gate_detector_cfg;
+use depfast_bench::{DetectRecord, Run, Suite};
 use depfast_fault::FaultKind;
-use depfast_incident::{incident_track, render_report, score, serialize_dumps, RECOVERY_BAND};
+use depfast_incident::{
+    incident_track, render_report, score, serialize_dumps, IncidentDump, RECOVERY_BAND,
+};
 use depfast_raft::cluster::RaftKind;
 use depfast_trace_analysis::{chrome_trace_with_incidents, TraceIndex};
 
-fn episode() -> IncidentRun {
-    let cfg = ExperimentCfg {
+fn episode() -> IncidentDump {
+    Run {
         kind: RaftKind::DepFast,
         n_clients: 32,
         warmup: Duration::from_secs(2),
         measure: Duration::from_millis(2400),
         records: 10_000,
-        fault: Some((
-            FaultTarget::Followers(vec![2]),
-            FaultKind::DiskSlow { bw_factor: 0.008 },
-        )),
-        fault_at: Some(Duration::from_secs(2)),
-        fault_duration: Some(Duration::from_millis(1000)),
-        ..ExperimentCfg::default()
-    };
-    let dcfg = DetectorCfg {
-        min_samples: 4,
-        ..DetectorCfg::default()
-    };
-    run_experiment_incident(&cfg, dcfg)
+        ..Run::default()
+    }
+    .with_detector(gate_detector_cfg())
+    .with_fault(
+        [2],
+        FaultKind::DiskSlow { bw_factor: 0.008 },
+        Duration::from_secs(2),
+        Some(Duration::from_millis(1000)),
+    )
+    .execute()
+    .dump()
 }
 
-fn artifacts(run: &IncidentRun) -> (String, String, String, String) {
-    let cell = score(&run.dump, RECOVERY_BAND);
+fn artifacts(dump: &IncidentDump) -> (String, String, String, String) {
+    let cell = score(dump, RECOVERY_BAND);
     let mut suite = Suite::new("detect", 20210531);
-    suite.detect.push(DetectRecord::from_cell(
-        &run.dump.driver,
-        &run.dump.fault,
-        &run.dump.cluster,
-        &cell,
-    ));
-    let (spans, marks) = incident_track(&run.dump);
+    suite.detect.push(DetectRecord::from_cell(dump, &cell));
+    let (spans, marks) = incident_track(dump);
     let chrome = chrome_trace_with_incidents(&TraceIndex::build(&[]), &spans, &marks);
     (
         suite.to_json(),
-        serialize_dumps(std::slice::from_ref(&run.dump)),
-        render_report(&run.dump, &cell),
+        serialize_dumps(std::slice::from_ref(dump)),
+        render_report(dump, &cell),
         chrome,
     )
 }
@@ -62,7 +56,7 @@ fn same_seed_episodes_produce_byte_identical_artifacts() {
     let (suite_a, dump_a, report_a, chrome_a) = artifacts(&a);
     let (suite_b, dump_b, report_b, chrome_b) = artifacts(&b);
     assert!(
-        !a.dump.events.is_empty(),
+        !a.events.is_empty(),
         "episode produced no health events; the determinism check would be vacuous"
     );
     assert_eq!(suite_a, suite_b, "scorecard suite JSON must be byte-stable");

@@ -7,36 +7,32 @@
 
 use std::time::Duration;
 
-use depfast_bench::{run_experiment_incident, ExperimentCfg, FaultTarget};
-use depfast_detect::DetectorCfg;
+use depfast_bench::suites::gate_detector_cfg;
+use depfast_bench::Run;
 use depfast_fault::FaultKind;
 use depfast_incident::{score, ScoreCell, RECOVERY_BAND};
 use depfast_raft::cluster::RaftKind;
 
 fn disk_slow_cell(kind: RaftKind) -> ScoreCell {
-    let cfg = ExperimentCfg {
+    let run = Run {
         kind,
         n_clients: 32,
         warmup: Duration::from_secs(2),
         measure: Duration::from_millis(2400),
         records: 10_000,
-        fault: Some((
-            FaultTarget::Followers(vec![2]),
-            FaultKind::DiskSlow { bw_factor: 0.008 },
-        )),
-        fault_at: Some(Duration::from_secs(2)),
-        fault_duration: Some(Duration::from_millis(1000)),
-        ..ExperimentCfg::default()
-    };
-    // The lowered sample floor mirrors detect-gate: a SyncRaft leader
-    // coupled to a 125×-slow disk completes too few appends per window
-    // for the default floor of 10.
-    let dcfg = DetectorCfg {
-        min_samples: 4,
-        ..DetectorCfg::default()
-    };
-    let run = run_experiment_incident(&cfg, dcfg);
-    score(&run.dump, RECOVERY_BAND)
+        ..Run::default()
+    }
+    // The gate's lowered sample floor: a SyncRaft leader coupled to a
+    // 125×-slow disk completes too few appends per window for the
+    // default floor of 10.
+    .with_detector(gate_detector_cfg())
+    .with_fault(
+        [2],
+        FaultKind::DiskSlow { bw_factor: 0.008 },
+        Duration::from_secs(2),
+        Some(Duration::from_millis(1000)),
+    );
+    score(&run.execute().dump(), RECOVERY_BAND)
 }
 
 #[test]

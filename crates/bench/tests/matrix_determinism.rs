@@ -4,15 +4,18 @@
 //! peer-relative signal alone misses, and survival regressions doctored
 //! into a recorded suite fail the gate comparison.
 
-use depfast_bench::baseline::{compare_scenarios, ScenarioRecord, ScenarioTolerance, Suite};
+use depfast_bench::suites::{matrix_cell, GATE_SEED};
+use depfast_bench::{compare, render_survival_report, ScenarioRecord, Suite, SurvivalCell};
 use depfast_raft::cluster::RaftKind;
-use depfast_scenario::{catalog, render_survival_report, run_cell, run_matrix, MatrixCfg};
+use depfast_scenario::catalog;
 
-fn pick(name: &str) -> depfast_scenario::Scenario {
-    catalog()
+/// One matrix cell, the way `gate scenario` runs it.
+fn run_cell(name: &str, kind: RaftKind) -> SurvivalCell {
+    let scenario = catalog()
         .into_iter()
         .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("{name} missing from catalog"))
+        .unwrap_or_else(|| panic!("{name} missing from catalog"));
+    matrix_cell(&scenario, kind).expect("catalog scenarios compile on the matrix shape")
 }
 
 /// Two same-seed runs of the same sub-matrix — including a flapping
@@ -20,12 +23,14 @@ fn pick(name: &str) -> depfast_scenario::Scenario {
 /// survival reports.
 #[test]
 fn same_seed_sub_matrix_renders_byte_identical_reports() {
-    let scenarios = vec![pick("flapping-disk-follower"), pick("leader-cpu-slow")];
-    let drivers = vec![RaftKind::DepFast, RaftKind::Chain];
-    let cfg = MatrixCfg::default();
     let run = || {
-        let cells = run_matrix(&scenarios, &drivers, &cfg, |_| {}).expect("matrix must run");
-        render_survival_report(&cells, &cfg)
+        let mut cells = Vec::new();
+        for scenario in ["flapping-disk-follower", "leader-cpu-slow"] {
+            for kind in [RaftKind::DepFast, RaftKind::Chain] {
+                cells.push(run_cell(scenario, kind));
+            }
+        }
+        render_survival_report("Scenario survival matrix", &cells, GATE_SEED)
     };
     let first = run();
     let second = run();
@@ -39,9 +44,7 @@ fn same_seed_sub_matrix_renders_byte_identical_reports() {
 /// inside the recovery band.
 #[test]
 fn correlated_pair_cell_is_detected_via_the_fallback_track() {
-    let cfg = MatrixCfg::default();
-    let cell = run_cell(&pick("correlated-disk-pair"), RaftKind::DepFast, &cfg)
-        .expect("correlated pair must compile with its override");
+    let cell = run_cell("correlated-disk-pair", RaftKind::DepFast);
     assert!(cell.score.detected, "correlated slowness must be detected");
     assert_eq!(
         cell.score.false_negatives, 0,
@@ -72,46 +75,25 @@ fn correlated_pair_cell_is_detected_via_the_fallback_track() {
 /// committed `BENCH_scenarios_baseline.json` rides on).
 #[test]
 fn doctored_survival_records_fail_the_gate_comparison() {
-    let cfg = MatrixCfg::default();
-    let cell = run_cell(&pick("disk-slow-follower"), RaftKind::DepFast, &cfg).expect("must run");
-    let record = ScenarioRecord {
-        scenario: cell.scenario.clone(),
-        driver: cell.driver.clone(),
-        live: cell.live,
-        crashed: cell.crashed,
-        throughput: cell.throughput,
-        floor: cell.floor,
-        p99_ms: cell.p99_ms,
-        stall_ms: cell.stall_ms,
-        detected: cell.score.detected,
-        ttd_ms: cell.score.ttd_ns.map(|ns| ns as f64 / 1e6),
-        ttm_ms: cell.score.ttm_ns.map(|ns| ns as f64 / 1e6),
-        ttr_ms: cell.score.ttr_ns.map(|ns| ns as f64 / 1e6),
-        false_positives: cell.score.false_positives,
-        false_negatives: cell.score.false_negatives,
-        misattributions: cell.score.misattributions,
-        tts_ms: None,
-        storm_sustained: None,
-        amp: None,
-    };
+    let cell = run_cell("disk-slow-follower", RaftKind::DepFast);
+    let record = ScenarioRecord::from_cell(&cell);
     assert!(
-        record.live && record.detected,
+        record.live && record.quality.detected,
         "healthy baseline cell expected"
     );
-    let mut baseline = Suite::new("scenarios", cfg.seed);
+    let mut baseline = Suite::new("scenarios", GATE_SEED);
     baseline.scenarios = vec![record.clone()];
-    let tol = ScenarioTolerance::default();
 
     // Identical current suite: pass.
-    let mut current = Suite::new("scenarios", cfg.seed);
+    let mut current = Suite::new("scenarios", GATE_SEED);
     current.scenarios = vec![record.clone()];
-    assert!(compare_scenarios(&baseline, &current, &tol).passed());
+    assert!(compare(&baseline, &current).passed());
 
     // Liveness flip: fail.
     let mut flipped = record.clone();
     flipped.live = false;
     current.scenarios = vec![flipped];
-    let outcome = compare_scenarios(&baseline, &current, &tol);
+    let outcome = compare(&baseline, &current);
     assert!(!outcome.passed());
     assert!(
         outcome.failures.iter().any(|f| f.contains("liveness")),
@@ -121,9 +103,9 @@ fn doctored_survival_records_fail_the_gate_comparison() {
 
     // 2× TTD: fail (default band is +50% + 50ms on a 200ms TTD).
     let mut slower = record.clone();
-    slower.ttd_ms = record.ttd_ms.map(|v| v * 2.0);
+    slower.quality.ttd_ms = record.quality.ttd_ms.map(|v| v * 2.0);
     current.scenarios = vec![slower];
-    let outcome = compare_scenarios(&baseline, &current, &tol);
+    let outcome = compare(&baseline, &current);
     assert!(!outcome.passed());
     assert!(
         outcome

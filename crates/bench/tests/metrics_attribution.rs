@@ -12,26 +12,32 @@
 
 use std::time::Duration;
 
-use depfast_bench::{run_experiment_instrumented, ExperimentCfg, ExperimentRun};
+use depfast_bench::{Instruments, Run, RunReport};
 use depfast_fault::FaultKind;
 use depfast_metrics::Key;
 use depfast_raft::cluster::RaftKind;
 
 const SLOW: u32 = 1;
 
-fn run(fault: Option<FaultKind>) -> ExperimentRun {
-    run_experiment_instrumented(
-        &ExperimentCfg {
-            kind: RaftKind::DepFast,
-            n_clients: 64,
-            warmup: Duration::from_millis(600),
-            measure: Duration::from_secs(2),
-            records: 10_000,
-            fault: fault.map(|f| (ExperimentCfg::followers(1), f)),
-            ..ExperimentCfg::default()
+fn run(fault: Option<FaultKind>) -> RunReport {
+    let warmup = Duration::from_millis(600);
+    let run = Run {
+        kind: RaftKind::DepFast,
+        n_clients: 64,
+        warmup,
+        measure: Duration::from_secs(2),
+        records: 10_000,
+        instruments: Instruments {
+            sampler: true,
+            ..Instruments::default()
         },
-        Duration::from_millis(100),
-    )
+        ..Run::default()
+    };
+    match fault {
+        Some(f) => run.with_fault([SLOW], f, warmup / 2, None),
+        None => run,
+    }
+    .execute()
 }
 
 #[test]
@@ -42,7 +48,7 @@ fn disk_fault_shows_in_substrate_metrics_but_not_commit_lag() {
 
     // 1. Fault class: the faulted node's disk service time inflates
     //    (bandwidth cut to 10% ≈ 10× slower writes) …
-    let disk_mean = |run: &ExperimentRun, node: u32| {
+    let disk_mean = |run: &RunReport, node: u32| {
         let snap = run
             .metrics
             .histogram(Key::node("sim.disk.service", node))
@@ -64,7 +70,7 @@ fn disk_fault_shows_in_substrate_metrics_but_not_commit_lag() {
 
     // 2. Fault isolation: DepFastRaft commits on the majority quorum, so
     //    the leader's commit lag barely moves.
-    let commit_mean = |run: &ExperimentRun| {
+    let commit_mean = |run: &RunReport| {
         let snap = run
             .metrics
             .histogram(Key::node("raft.commit_lag", 0))
@@ -81,7 +87,7 @@ fn disk_fault_shows_in_substrate_metrics_but_not_commit_lag() {
 
     // 3. Attribution: the straggler counters name the slow follower
     //    (tagged with the quorum's label, "replicate" in DepFastRaft).
-    let stragglers = |run: &ExperimentRun, node: u32| {
+    let stragglers = |run: &RunReport, node: u32| {
         run.metrics
             .counter(Key::tagged("event.quorum.straggler", node, "replicate"))
             .get()

@@ -16,40 +16,39 @@
 
 use std::time::Duration;
 
-use depfast_bench::{run_scale_experiment, run_scale_incident, ScaleCfg, ScaleIncidentRun};
-use depfast_detect::DetectorCfg;
+use depfast_bench::suites::gate_detector_cfg;
+use depfast_bench::{Run, RunReport, Shape};
 use depfast_fault::FaultKind;
 use depfast_incident::{score, RECOVERY_BAND};
 use depfast_raft::cluster::RaftKind;
 
 const FAULT_NODE: u32 = 4;
 
-fn cfg(kind: RaftKind, fault: bool) -> ScaleCfg {
-    ScaleCfg {
+fn cfg(kind: RaftKind) -> Run {
+    Run {
         kind,
-        n_groups: 4,
-        n_nodes: 5,
-        group_size: 3,
+        shape: Shape::sharded(4, 5),
         n_clients: 64,
         warmup: Duration::from_secs(2),
         measure: Duration::from_millis(2400),
         records: 10_000,
-        fault: fault.then_some((FAULT_NODE, FaultKind::DiskSlow { bw_factor: 0.008 })),
-        fault_at: Some(Duration::from_secs(2)),
-        fault_duration: None,
-        ..ScaleCfg::default()
+        ..Run::default()
     }
 }
 
-fn incident(kind: RaftKind) -> ScaleIncidentRun {
-    // Same lowered sample floor as detect-gate: a SyncRaft group coupled
-    // to a 125x-slow disk completes too few appends per window for the
+fn incident(kind: RaftKind) -> RunReport {
+    // The gate's lowered sample floor: a SyncRaft group coupled to a
+    // 125x-slow disk completes too few appends per window for the
     // default floor.
-    let dcfg = DetectorCfg {
-        min_samples: 4,
-        ..DetectorCfg::default()
-    };
-    run_scale_incident(&cfg(kind, true), dcfg)
+    cfg(kind)
+        .with_detector(gate_detector_cfg())
+        .with_fault(
+            [FAULT_NODE],
+            FaultKind::DiskSlow { bw_factor: 0.008 },
+            Duration::from_secs(2),
+            None,
+        )
+        .execute()
 }
 
 /// Per-group P99 of the faulted run normalized to the same group's
@@ -57,12 +56,12 @@ fn incident(kind: RaftKind) -> ScaleIncidentRun {
 /// radius here: the groups share closed-loop clients, so a slow shard
 /// lowers every group's op rate evenly. Latency is attributed to the
 /// group that served the op, so it splits cleanly.)
-fn p99_inflation(kind: RaftKind, faulted: &ScaleIncidentRun) -> Vec<f64> {
-    let healthy = run_scale_experiment(&cfg(kind, false));
+fn p99_inflation(kind: RaftKind, faulted: &RunReport) -> Vec<f64> {
+    let healthy = cfg(kind).execute();
     healthy
         .groups
         .iter()
-        .zip(&faulted.stats.groups)
+        .zip(&faulted.groups)
         .map(|(h, f)| f.latency.p99.as_secs_f64() / h.latency.p99.as_secs_f64())
         .collect()
 }
@@ -70,11 +69,12 @@ fn p99_inflation(kind: RaftKind, faulted: &ScaleIncidentRun) -> Vec<f64> {
 #[test]
 fn scorecards_confine_the_fault_to_hosted_groups() {
     let run = incident(RaftKind::DepFast);
-    assert_eq!(run.hosted, vec![3, 4], "striping changed under us");
-    for dump in &run.dumps {
+    let hosted = run.hosted(FAULT_NODE);
+    assert_eq!(hosted, vec![3, 4], "striping changed under us");
+    for dump in &run.group_dumps() {
         let gid: u32 = dump.cluster.rsplit('g').next().unwrap().parse().unwrap();
         let cell = score(dump, RECOVERY_BAND);
-        if run.hosted.contains(&gid) {
+        if hosted.contains(&gid) {
             assert_eq!(dump.faults.len(), 1, "g{gid} hosts the fault: {dump:?}");
             assert!(cell.detected, "g{gid} must detect its fault: {cell:?}");
             assert_eq!(cell.misattributions, 0, "g{gid}: {cell:?}");
@@ -116,7 +116,7 @@ fn depfast_confines_p99_where_sync_drags_hosted_groups() {
     // node stay flat. That's the blast radius, group by group.
     for gid in 1..=4u32 {
         let r = sync_p99[(gid - 1) as usize];
-        if sync.hosted.contains(&gid) {
+        if sync.hosted(FAULT_NODE).contains(&gid) {
             assert!(
                 r > BAND,
                 "SyncRaft hosted g{gid} should feel the slow disk: {:.2}x (all: {sync_p99:?})",

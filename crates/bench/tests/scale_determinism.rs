@@ -6,32 +6,30 @@
 
 use std::time::Duration;
 
-use depfast_bench::{run_scale_incident, ScaleCfg, ScaleIncidentRun};
-use depfast_detect::DetectorCfg;
+use depfast_bench::suites::gate_detector_cfg;
+use depfast_bench::{Run, RunReport, Shape};
 use depfast_fault::FaultKind;
 use depfast_incident::{render_report, score, serialize_dumps, RECOVERY_BAND};
 use depfast_raft::cluster::RaftKind;
 
-fn episode() -> ScaleIncidentRun {
-    let cfg = ScaleCfg {
+fn episode() -> RunReport {
+    Run {
         kind: RaftKind::DepFast,
-        n_groups: 4,
-        n_nodes: 5,
-        group_size: 3,
+        shape: Shape::sharded(4, 5),
         n_clients: 48,
         warmup: Duration::from_secs(2),
         measure: Duration::from_millis(2400),
         records: 10_000,
-        fault: Some((4, FaultKind::DiskSlow { bw_factor: 0.008 })),
-        fault_at: Some(Duration::from_secs(2)),
-        fault_duration: Some(Duration::from_millis(1000)),
-        ..ScaleCfg::default()
-    };
-    let dcfg = DetectorCfg {
-        min_samples: 4,
-        ..DetectorCfg::default()
-    };
-    run_scale_incident(&cfg, dcfg)
+        ..Run::default()
+    }
+    .with_detector(gate_detector_cfg())
+    .with_fault(
+        [4],
+        FaultKind::DiskSlow { bw_factor: 0.008 },
+        Duration::from_secs(2),
+        Some(Duration::from_millis(1000)),
+    )
+    .execute()
 }
 
 #[test]
@@ -40,9 +38,9 @@ fn same_seed_sharded_runs_are_byte_identical() {
     let b = episode();
 
     // Client-visible statistics agree group by group.
-    assert_eq!(a.stats.total.ops, b.stats.total.ops);
-    assert_eq!(a.stats.total.errors, b.stats.total.errors);
-    for (ga, gb) in a.stats.groups.iter().zip(&b.stats.groups) {
+    assert_eq!(a.stats.ops, b.stats.ops);
+    assert_eq!(a.stats.errors, b.stats.errors);
+    for (ga, gb) in a.groups.iter().zip(&b.groups) {
         assert_eq!(ga.gid, gb.gid);
         assert_eq!(ga.ops, gb.ops, "g{} op count drifted", ga.gid);
         assert_eq!(
@@ -53,23 +51,24 @@ fn same_seed_sharded_runs_are_byte_identical() {
     }
 
     // The group-scoped incident artifacts are byte-stable.
+    let (dumps_a, dumps_b) = (a.group_dumps(), b.group_dumps());
     assert!(
-        a.dumps.iter().any(|d| !d.events.is_empty()),
+        dumps_a.iter().any(|d| !d.events.is_empty()),
         "no group recorded health events; the check would be vacuous"
     );
     assert!(
-        a.dumps
+        dumps_a
             .iter()
             .flat_map(|d| &d.events)
             .any(|e| e.group.is_some()),
         "no group-stamped events; the 7-field serial path is untested"
     );
     assert_eq!(
-        serialize_dumps(&a.dumps),
-        serialize_dumps(&b.dumps),
+        serialize_dumps(&dumps_a),
+        serialize_dumps(&dumps_b),
         "per-group serial dumps must be byte-stable"
     );
-    for (da, db) in a.dumps.iter().zip(&b.dumps) {
+    for (da, db) in dumps_a.iter().zip(&dumps_b) {
         let (ca, cb) = (score(da, RECOVERY_BAND), score(db, RECOVERY_BAND));
         assert_eq!(
             render_report(da, &ca),

@@ -12,65 +12,65 @@
 
 use std::time::Duration;
 
-use depfast_bench::{run_experiment, run_experiment_profiled, ExperimentCfg, FaultTarget};
+use depfast_bench::{Instruments, Run};
 use depfast_fault::FaultKind;
+use depfast_profile::Profiler;
 use depfast_raft::cluster::RaftKind;
 use simkit::NodeId;
 
-fn profiled_cfg(kind: RaftKind) -> ExperimentCfg {
-    ExperimentCfg {
+fn profiled_cfg(kind: RaftKind) -> Run {
+    let warmup = Duration::from_millis(500);
+    let mut run = Run {
         kind,
         n_clients: 32,
-        warmup: Duration::from_millis(500),
+        warmup,
         measure: Duration::from_secs(2),
         records: 10_000,
-        fault: Some((
-            FaultTarget::Followers(vec![2]),
-            FaultKind::DiskSlow { bw_factor: 0.008 },
-        )),
-        ..ExperimentCfg::default()
+        ..Run::default()
     }
+    .with_fault(
+        [2],
+        FaultKind::DiskSlow { bw_factor: 0.008 },
+        warmup / 2,
+        None,
+    );
+    run.instruments.profiler = true;
+    run
+}
+
+fn profile(cfg: &Run) -> Profiler {
+    cfg.execute().profiler.expect("profiler was on")
 }
 
 #[test]
 fn profiled_exports_are_byte_identical_across_same_seed_runs() {
     let cfg = profiled_cfg(RaftKind::DepFast);
-    let a = run_experiment_profiled(&cfg);
-    let b = run_experiment_profiled(&cfg);
-    let folded = a.profiler.folded();
+    let (a, b) = (profile(&cfg), profile(&cfg));
+    let folded = a.folded();
     assert!(!folded.is_empty(), "profiler saw no samples");
-    assert_eq!(
-        folded,
-        b.profiler.folded(),
-        "folded stacks must be byte-identical"
-    );
-    assert_eq!(
-        a.profiler.svg(),
-        b.profiler.svg(),
-        "SVGs must be byte-identical"
-    );
+    assert_eq!(folded, b.folded(), "folded stacks must be byte-identical");
+    assert_eq!(a.svg(), b.svg(), "SVGs must be byte-identical");
 }
 
 #[test]
 fn profiling_does_not_perturb_the_simulation() {
     let cfg = profiled_cfg(RaftKind::Sync);
-    let profiled = run_experiment_profiled(&cfg);
-    let plain = run_experiment(&cfg);
-    assert_eq!(profiled.stats.ops, plain.ops, "ops must match");
-    assert_eq!(profiled.stats.errors, plain.errors, "errors must match");
+    let profiled = cfg.execute().stats;
+    let plain = Run {
+        instruments: Instruments::default(),
+        ..cfg
+    }
+    .execute()
+    .stats;
+    assert_eq!(profiled.ops, plain.ops, "ops must match");
+    assert_eq!(profiled.errors, plain.errors, "errors must match");
     assert_eq!(
-        profiled.stats.latency.p50, plain.latency.p50,
-        "p50 must match exactly"
+        profiled.latency, plain.latency,
+        "latency must match exactly"
     );
     assert_eq!(
-        profiled.stats.latency.p99, plain.latency.p99,
-        "p99 must match exactly"
-    );
-    assert!(
-        (profiled.stats.throughput - plain.throughput).abs() < 1e-9,
-        "throughput must match: {} vs {}",
-        profiled.stats.throughput,
-        plain.throughput
+        profiled.throughput, plain.throughput,
+        "throughput must match exactly"
     );
 }
 
@@ -84,10 +84,10 @@ fn profiling_does_not_perturb_the_simulation() {
 /// spends well under half of its waiting on disk.
 #[test]
 fn disk_wait_dominates_the_slow_follower_under_sync_but_not_depfast() {
-    let sync = run_experiment_profiled(&profiled_cfg(RaftKind::Sync));
-    let depfast = run_experiment_profiled(&profiled_cfg(RaftKind::DepFast));
-    let sync_share = sync.profiler.node_wait_share(NodeId(2), "disk");
-    let depfast_share = depfast.profiler.node_wait_share(NodeId(2), "disk");
+    let sync = profile(&profiled_cfg(RaftKind::Sync));
+    let depfast = profile(&profiled_cfg(RaftKind::DepFast));
+    let sync_share = sync.node_wait_share(NodeId(2), "disk");
+    let depfast_share = depfast.node_wait_share(NodeId(2), "disk");
     assert!(
         sync_share > 0.5,
         "SyncRaft: the disk-slow follower's waiting should be disk-dominated, got {sync_share:.3}"

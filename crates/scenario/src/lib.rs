@@ -1,4 +1,4 @@
-//! Gray-failure scenarios as first-class, repeatable tests.
+//! Gray-failure scenarios as pure data.
 //!
 //! The paper's Table 1 measures six *static, single-node* fail-slow
 //! faults. Real fleets see flapping disks, correlated stragglers,
@@ -13,27 +13,16 @@
 //!   fixed 8-cell matrix.
 //! - [`compile`]: pure scenario → [`InjectionPlan`] lowering, enforcing
 //!   the never-degrade-a-majority invariant before anything runs.
-//! - [`matrix`]: the deterministic scenario × driver runner emitting
-//!   per-cell [`SurvivalCell`]s and the per-driver survival report.
 //!
-//! The `scenario-gate` binary diffs a fixed-seed matrix against the
-//! committed `BENCH_scenarios.json` baseline in CI: a liveness-verdict
-//! flip, a new false positive/negative/misattribution, or a TTD
-//! regression fails the build.
+//! Nothing here touches a clock or a cluster. `depfast-bench` runs a
+//! plan (its `Run` description holds one) and `gate scenario` diffs the
+//! fixed-seed scenario × driver matrix against the committed
+//! `BENCH_scenarios_baseline.json`.
 
 #![warn(missing_docs)]
 
 pub mod compile;
 pub mod dsl;
-pub mod matrix;
-pub mod storm;
 
 pub use compile::{scale_kind, CompileError, InjectionPlan, Trigger, Window};
 pub use dsl::{catalog, Scenario, Schedule, Target};
-pub use matrix::{
-    all_drivers, render_survival_report, run_cell, run_matrix, MatrixCfg, SurvivalCell,
-};
-pub use storm::{
-    render_storm_report, run_storm_cell, run_storm_matrix, storm_catalog, storm_cfg, StormCell,
-    StormScenario,
-};

@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use depfast_bench::{run_experiment, ExperimentCfg};
+use depfast_bench::Run;
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 
@@ -28,19 +28,18 @@ fn main() {
         RaftKind::Backlog,
         RaftKind::Callback,
     ] {
-        let cfg = ExperimentCfg {
+        let cfg = Run {
             kind,
             n_clients: 128,
             warmup: Duration::from_secs(1),
             measure: Duration::from_secs(4),
             records: 100_000,
-            ..ExperimentCfg::default()
+            ..Run::default()
         };
-        let healthy = run_experiment(&cfg);
-        let faulty = run_experiment(&ExperimentCfg {
-            fault: Some((ExperimentCfg::followers(1), fault)),
-            ..cfg
-        });
+        let healthy = cfg.execute().stats;
+        // One slow follower (node 1), from mid-warm-up to the end.
+        let at = cfg.warmup / 2;
+        let faulty = cfg.with_fault([1], fault, at, None).execute().stats;
         if faulty.server_crashed {
             println!(
                 "{:<32} {:>14.0} {:>14} {:>9} {:>10} {:>10}",

@@ -19,7 +19,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use depfast_bench::{run_scale_experiment, ScaleCfg};
+use depfast_bench::{Run, Shape};
 use depfast_kv::ShardedKvCluster;
 use depfast_raft::cluster::RaftKind;
 use depfast_raft::core::RaftCfg;
@@ -81,24 +81,23 @@ fn sweep_demo() {
     );
     let mut one_group = None;
     for n_groups in [1usize, 2, 4, 8] {
-        let stats = run_scale_experiment(&ScaleCfg {
-            kind: RaftKind::DepFast,
-            n_groups,
-            n_nodes: 9,
-            group_size: 3,
+        let stats = Run {
+            shape: Shape::sharded(n_groups, 9),
             n_clients: 128,
             warmup: Duration::from_secs(1),
             measure: Duration::from_millis(1500),
             records: 10_000,
-            ..ScaleCfg::default()
-        });
-        let base = *one_group.get_or_insert(stats.total.throughput);
+            ..Run::default()
+        }
+        .execute()
+        .stats;
+        let base = *one_group.get_or_insert(stats.throughput);
         println!(
             "  {:>6}  {:>10.0}  {:>8.2}  {:>7.2}x",
             n_groups,
-            stats.total.throughput,
-            stats.total.latency.p99.as_secs_f64() * 1e3,
-            stats.total.throughput / base,
+            stats.throughput,
+            stats.latency.p99.as_secs_f64() * 1e3,
+            stats.throughput / base,
         );
     }
 }

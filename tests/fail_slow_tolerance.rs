@@ -6,22 +6,28 @@
 
 use std::time::Duration;
 
-use depfast_bench::{run_experiment, ExperimentCfg};
+use depfast_bench::{Run, Shape};
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 use depfast_ycsb::driver::RunStats;
 
 fn quick(kind: RaftKind, n_servers: usize, fault: Option<FaultKind>, slow: usize) -> RunStats {
-    run_experiment(&ExperimentCfg {
+    let warmup = Duration::from_millis(800);
+    let run = Run {
         kind,
-        n_servers,
+        shape: Shape::Single { n_servers },
         n_clients: 96,
-        warmup: Duration::from_millis(800),
+        warmup,
         measure: Duration::from_millis(2500),
         records: 20_000,
-        fault: fault.map(|f| (ExperimentCfg::followers(slow), f)),
-        ..ExperimentCfg::default()
-    })
+        ..Run::default()
+    };
+    match fault {
+        Some(f) => run.with_fault(1..=slow as u32, f, warmup / 2, None),
+        None => run,
+    }
+    .execute()
+    .stats
 }
 
 #[test]
