@@ -1,5 +1,5 @@
 //! The replicated key-value store: §3.4's "Raft-based replicated key-value
-//! store" over any of the four Raft drivers.
+//! store" over any of the five Raft drivers.
 //!
 //! * [`command`] — the client command/response wire format and session ids;
 //! * [`server`] — installs the KV state machine (with exactly-once session

@@ -27,38 +27,19 @@ use depfast::runtime::Coroutine;
 use depfast_storage::Entry;
 use simkit::NodeId;
 
-use crate::core::{classified_reply, RaftCore, Role};
-use crate::types::{to_wire, AppendReq, AppendResp, APPEND_ENTRIES};
+use crate::core::{RaftCore, Role};
 
-/// BacklogRaft options.
-#[derive(Debug, Clone, Copy)]
-pub struct BacklogOpts {
-    /// Entries per send.
-    pub chunk: usize,
-    /// Maximum chunks in flight per follower (the replication pipeline —
-    /// the transport is competent; the pathology is the unbounded queue
-    /// *behind* it).
-    pub pipeline: usize,
-    /// Memory charged per queued entry byte (models per-write buffer
-    /// amplification in the real system).
-    pub amplification: u64,
-    /// Per-send reply deadline before retrying.
-    pub rpc_timeout: Duration,
-    /// Region-thread commit wait per round.
-    pub commit_wait: Duration,
-}
-
-impl Default for BacklogOpts {
-    fn default() -> Self {
-        BacklogOpts {
-            chunk: 16,
-            pipeline: 64,
-            amplification: 768,
-            rpc_timeout: Duration::from_millis(500),
-            commit_wait: Duration::from_millis(500),
-        }
-    }
-}
+/// Entries per send.
+const CHUNK: usize = 16;
+/// Maximum chunks in flight per follower (the replication pipeline — the
+/// transport is competent; the pathology is the unbounded queue *behind*
+/// it).
+const PIPELINE: usize = 64;
+/// Memory charged per queued entry byte (models per-write buffer
+/// amplification in the real system).
+const AMPLIFICATION: u64 = 768;
+/// Per-send reply deadline before retrying.
+const RPC_TIMEOUT: Duration = Duration::from_millis(500);
 
 struct FollowerQueue {
     q: VecDeque<Entry>,
@@ -72,7 +53,7 @@ pub struct BacklogRaft;
 
 impl BacklogRaft {
     /// Starts BacklogRaft coroutines on `core`.
-    pub fn start(core: &Rc<RaftCore>, opts: BacklogOpts) {
+    pub fn start(core: &Rc<RaftCore>) {
         core.install_follower_services();
         if core.is_leader() {
             let queues: Vec<Rc<RefCell<FollowerQueue>>> = core
@@ -88,55 +69,31 @@ impl BacklogRaft {
                 })
                 .collect();
             for (i, peer) in core.peers.clone().into_iter().enumerate() {
-                Self::spawn_sender(core, peer, queues[i].clone(), opts);
+                Self::spawn_sender(core, peer, queues[i].clone());
             }
-            Self::spawn_main_loop(core, queues, opts);
+            Self::spawn_main_loop(core, queues);
         } else {
             core.spawn_apply_loop();
         }
     }
 
-    fn spawn_main_loop(
-        core: &Rc<RaftCore>,
-        queues: Vec<Rc<RefCell<FollowerQueue>>>,
-        opts: BacklogOpts,
-    ) {
+    fn spawn_main_loop(core: &Rc<RaftCore>, queues: Vec<Rc<RefCell<FollowerQueue>>>) {
         let core = core.clone();
         Coroutine::create(&core.rt.clone(), "raft:backlog_main", async move {
             loop {
                 if core.st.borrow().role != Role::Leader || core.world.is_crashed(core.id) {
                     break;
                 }
-                let deadline = core.rt.now() + core.cfg.heartbeat;
-                let batch = {
-                    let _g = depfast::PhaseGuard::enter("intake");
-                    core.proposals
-                        .pop_batch(&core.rt, core.cfg.batch_max, Some(deadline))
-                        .await
-                };
-                let cpu = core.cfg.propose_cpu * batch.len().max(1) as u32;
-                if core.world.cpu(core.id, cpu).await.is_err() {
+                let tick = core.rt.now() + core.cfg.heartbeat;
+                let Ok(batch) = core.intake(Some(tick)).await else {
                     break;
-                }
+                };
                 if batch.is_empty() {
                     continue;
                 }
-                let term = core.log.current_term();
-                let start = core.log.last_index() + 1;
-                let mut entries = Vec::with_capacity(batch.len());
-                for (i, (payload, ev)) in batch.into_iter().enumerate() {
-                    let index = start + i as u64;
-                    entries.push(Entry {
-                        term,
-                        index,
-                        payload,
-                    });
-                    core.pending.borrow_mut().insert(index, ev);
-                }
-                let hi = start + entries.len() as u64 - 1;
                 let phase = depfast::PhaseSpan::begin(&core.rt, "wal_append");
-                let io = core.log.append(&entries);
-                if !io.handle().wait().await.is_ready() {
+                let staged = core.stage_batch(batch);
+                if !staged.durable.handle().wait().await.is_ready() {
                     break;
                 }
                 phase.end();
@@ -145,8 +102,8 @@ impl BacklogRaft {
                 let phase = depfast::PhaseSpan::begin(&core.rt, "queue_push");
                 for q in &queues {
                     let mut fq = q.borrow_mut();
-                    for e in &entries {
-                        let charge = e.size() * opts.amplification;
+                    for e in &staged.entries {
+                        let charge = e.size() * AMPLIFICATION;
                         if core.world.mem_alloc(core.id, charge).is_err() {
                             // OOM: the leader process is killed.
                             core.world.crash(core.id);
@@ -160,35 +117,20 @@ impl BacklogRaft {
                     }
                 }
                 phase.end();
-                if hi > core.commit.get() {
-                    let phase = depfast::PhaseSpan::begin(&core.rt, "commit_wait");
-                    core.commit
-                        .when_at_least(hi)
-                        .wait_timeout(opts.commit_wait)
-                        .await;
-                    phase.end();
-                }
-                // Apply on the main loop (the swap penalty from the
-                // growing buffers slows this directly).
-                let phase = depfast::PhaseSpan::begin(&core.rt, "apply");
-                if core.apply_committed_inline().await.is_err() {
+                // Commit wait, then apply, on the main loop (the swap
+                // penalty from the growing buffers slows this directly).
+                if core.commit_then_apply(staged.hi).await.is_err() {
                     break;
                 }
-                phase.end();
             }
         });
     }
 
-    /// Pipelined sender: up to `pipeline` chunks in flight, each
+    /// Pipelined sender: up to [`PIPELINE`] chunks in flight, each
     /// individually retried until acknowledged. The transport keeps up
     /// with latency; a follower whose *throughput* is degraded still sets
     /// the drain rate, and the queue behind the pipeline grows unbounded.
-    fn spawn_sender(
-        core: &Rc<RaftCore>,
-        peer: NodeId,
-        queue: Rc<RefCell<FollowerQueue>>,
-        opts: BacklogOpts,
-    ) {
+    fn spawn_sender(core: &Rc<RaftCore>, peer: NodeId, queue: Rc<RefCell<FollowerQueue>>) {
         let core = core.clone();
         Coroutine::create(&core.rt.clone(), "raft:backlog_sender", async move {
             loop {
@@ -197,62 +139,31 @@ impl BacklogRaft {
                 }
                 let chunk = PopChunk {
                     queue: queue.clone(),
-                    max: opts.chunk,
-                    pipeline: opts.pipeline,
                 }
                 .await;
                 queue.borrow_mut().in_flight += 1;
                 let c = core.clone();
                 let q = queue.clone();
                 Coroutine::create(&core.rt.clone(), "raft:backlog_ack", async move {
-                    let prev_index = chunk[0].index - 1;
-                    c.note_entries_per_append(chunk.len());
-                    let req = AppendReq {
-                        term: c.log.current_term(),
-                        leader: c.id.0,
-                        prev_index,
-                        prev_term: c.log.term_at(prev_index),
-                        entries: to_wire(&chunk),
-                        commit: c.commit.get(),
-                        lazy: false,
-                    };
+                    let req = c.append_req(c.log.current_term(), chunk[0].index - 1, &chunk, false);
                     // Retry until this chunk is acknowledged.
                     loop {
-                        let ev = c.ep.proxy(peer).call_t(
-                            c.method(APPEND_ENTRIES),
-                            "append_entries",
-                            &req,
-                        );
-                        let c2 = c.clone();
-                        let classified = classified_reply::<AppendResp>(
-                            &c.rt,
-                            &ev,
-                            peer,
-                            "append_entries",
-                            move |resp| {
-                                let Some(resp) = resp else { return false };
-                                if resp.success {
-                                    c2.note_match(peer, resp.match_index);
-                                    c2.advance_commit_from_matches();
-                                }
-                                resp.success
-                            },
-                        );
+                        let accepted = c.send_append(peer, &req);
                         // The singular wait: this ack path is fully coupled
                         // to this one follower's speed.
                         let out = {
                             let _g = depfast::PhaseGuard::enter("queue_drain");
-                            classified.wait_timeout(opts.rpc_timeout).await
+                            accepted.wait_timeout(RPC_TIMEOUT).await
                         };
                         if out.is_ready() {
                             break;
                         }
-                        if c.world.is_crashed(c.id) {
-                            return;
+                        if c.world.is_crashed(c.id) || !c.is_leader() {
+                            return; // Crashed or deposed: stop re-sending.
                         }
                     }
                     // Chunk acknowledged: release its memory charge.
-                    let released: u64 = chunk.iter().map(|e| e.size() * opts.amplification).sum();
+                    let released: u64 = chunk.iter().map(|e| e.size() * AMPLIFICATION).sum();
                     let waker = {
                         let mut fq = q.borrow_mut();
                         fq.charged = fq.charged.saturating_sub(released);
@@ -267,17 +178,10 @@ impl BacklogRaft {
             }
         });
     }
-
-    /// Current replication-queue memory charge for diagnostics.
-    pub fn queued_bytes(world: &simkit::World, node: NodeId) -> u64 {
-        world.mem_used(node)
-    }
 }
 
 struct PopChunk {
     queue: Rc<RefCell<FollowerQueue>>,
-    max: usize,
-    pipeline: usize,
 }
 
 impl Future for PopChunk {
@@ -285,11 +189,11 @@ impl Future for PopChunk {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Vec<Entry>> {
         let mut fq = self.queue.borrow_mut();
-        if fq.q.is_empty() || fq.in_flight >= self.pipeline {
+        if fq.q.is_empty() || fq.in_flight >= PIPELINE {
             fq.waker = Some(cx.waker().clone());
             return Poll::Pending;
         }
-        let take = fq.q.len().min(self.max);
+        let take = fq.q.len().min(CHUNK);
         Poll::Ready(fq.q.drain(..take).collect())
     }
 }

@@ -22,47 +22,29 @@ use depfast::runtime::Coroutine;
 use depfast_storage::Entry;
 use simkit::{NodeId, SimTime};
 
-use crate::core::{classified_reply, RaftCore, Role};
-use crate::types::{to_wire, AppendReq, AppendResp, APPEND_ENTRIES, FLOW_PROBE};
+use crate::core::{RaftCore, Role};
+use crate::types::FLOW_PROBE;
 
-/// CallbackRaft options.
-#[derive(Debug, Clone, Copy)]
-pub struct CallbackOpts {
-    /// Replication lag (entries) beyond which flow control engages.
-    pub flow_threshold: u64,
-    /// Extra per-batch CPU burned while flow control is engaged.
-    pub flow_cpu: Duration,
-    /// Deadline of the synchronous follower probe.
-    pub probe_timeout: Duration,
-    /// Minimum interval between synchronous probes.
-    pub probe_every: Duration,
-    /// Commit wait per round.
-    pub commit_wait: Duration,
-}
-
-impl Default for CallbackOpts {
-    fn default() -> Self {
-        CallbackOpts {
-            flow_threshold: 256,
-            flow_cpu: Duration::from_micros(150),
-            probe_timeout: Duration::from_millis(30),
-            probe_every: Duration::from_millis(100),
-            commit_wait: Duration::from_millis(500),
-        }
-    }
-}
+/// Replication lag (entries) beyond which flow control engages.
+const FLOW_THRESHOLD: u64 = 256;
+/// Extra per-batch CPU burned while flow control is engaged.
+const FLOW_CPU: Duration = Duration::from_micros(150);
+/// Deadline of the synchronous follower probe.
+const PROBE_TIMEOUT: Duration = Duration::from_millis(30);
+/// Minimum interval between synchronous probes.
+const PROBE_EVERY: Duration = Duration::from_millis(100);
 
 /// The CallbackRaft driver (fixed leader; use `bootstrap_leader`).
 pub struct CallbackRaft;
 
 impl CallbackRaft {
     /// Starts CallbackRaft coroutines on `core`.
-    pub fn start(core: &Rc<RaftCore>, opts: CallbackOpts) {
+    pub fn start(core: &Rc<RaftCore>) {
         core.install_follower_services();
         Self::install_probe_service(core);
         if core.is_leader() {
             // Apply runs as callbacks on the message loop itself.
-            Self::spawn_message_loop(core, opts);
+            Self::spawn_message_loop(core);
         } else {
             core.spawn_apply_loop();
         }
@@ -85,7 +67,7 @@ impl CallbackRaft {
         );
     }
 
-    fn spawn_message_loop(core: &Rc<RaftCore>, opts: CallbackOpts) {
+    fn spawn_message_loop(core: &Rc<RaftCore>) {
         let core = core.clone();
         Coroutine::create(&core.rt.clone(), "raft:message_loop", async move {
             let mut last_probe = SimTime::ZERO;
@@ -93,17 +75,10 @@ impl CallbackRaft {
                 if core.st.borrow().role != Role::Leader || core.world.is_crashed(core.id) {
                     break;
                 }
-                let deadline = core.rt.now() + core.cfg.heartbeat;
-                let batch = {
-                    let _g = depfast::PhaseGuard::enter("intake");
-                    core.proposals
-                        .pop_batch(&core.rt, core.cfg.batch_max, Some(deadline))
-                        .await
-                };
-                let cpu = core.cfg.propose_cpu * batch.len().max(1) as u32;
-                if core.world.cpu(core.id, cpu).await.is_err() {
+                let tick = core.rt.now() + core.cfg.heartbeat;
+                let Ok(batch) = core.intake(Some(tick)).await else {
                     break;
-                }
+                };
 
                 // Flow control: replication lag of the slowest member.
                 let max_lag = {
@@ -114,12 +89,12 @@ impl CallbackRaft {
                         .max()
                         .unwrap_or(0)
                 };
-                if max_lag > opts.flow_threshold {
+                if max_lag > FLOW_THRESHOLD {
                     // Throttling work runs inline on the loop.
-                    if core.world.cpu(core.id, opts.flow_cpu).await.is_err() {
+                    if core.world.cpu(core.id, FLOW_CPU).await.is_err() {
                         break;
                     }
-                    if core.rt.now() - last_probe >= opts.probe_every {
+                    if core.rt.now() - last_probe >= PROBE_EVERY {
                         last_probe = core.rt.now();
                         let laggard = {
                             let last = core.log.last_index();
@@ -135,30 +110,18 @@ impl CallbackRaft {
                             bytes::Bytes::new(),
                         );
                         // THE SINGULAR WAIT: the whole message loop stalls
-                        // on the slow follower, up to probe_timeout.
+                        // on the slow follower, up to PROBE_TIMEOUT.
                         let phase =
                             depfast::PhaseSpan::begin_blaming(&core.rt, "flow_probe", laggard);
-                        ev.handle().wait_timeout(opts.probe_timeout).await;
+                        ev.handle().wait_timeout(PROBE_TIMEOUT).await;
                         phase.end();
                     }
                 }
 
-                let term = core.log.current_term();
-                let start = core.log.last_index() + 1;
-                let mut entries = Vec::with_capacity(batch.len());
-                for (i, (payload, ev)) in batch.into_iter().enumerate() {
-                    let index = start + i as u64;
-                    entries.push(Entry {
-                        term,
-                        index,
-                        payload,
-                    });
-                    core.pending.borrow_mut().insert(index, ev);
-                }
-                if !entries.is_empty() {
+                if !batch.is_empty() {
                     let phase = depfast::PhaseSpan::begin(&core.rt, "wal_append");
-                    let io = core.log.append(&entries);
-                    if !io.handle().wait().await.is_ready() {
+                    let staged = core.stage_batch(batch);
+                    if !staged.durable.handle().wait().await.is_ready() {
                         break;
                     }
                     phase.end();
@@ -174,67 +137,30 @@ impl CallbackRaft {
                     if miss_bytes > 0 {
                         // Cold reads happen on a helper, not the loop.
                         let c = core.clone();
-                        let peer2 = peer;
-                        let req_entries = to_send.clone();
-                        let prev = next - 1;
                         Coroutine::create(&core.rt.clone(), "raft:cold_read", async move {
                             if c.world
                                 .disk(c.id, simkit::disk::DiskOp::Read { bytes: miss_bytes })
                                 .await
                                 .is_ok()
                             {
-                                Self::send(&c, peer2, prev, req_entries);
+                                Self::send(&c, peer, next - 1, to_send);
                             }
                         });
                     } else {
                         Self::send(&core, peer, next - 1, to_send);
                     }
                 }
-                if hi > core.commit.get() {
-                    let phase = depfast::PhaseSpan::begin(&core.rt, "commit_wait");
-                    core.commit
-                        .when_at_least(hi)
-                        .wait_timeout(opts.commit_wait)
-                        .await;
-                    phase.end();
-                }
-                // Apply callbacks run on this same loop.
-                let phase = depfast::PhaseSpan::begin(&core.rt, "apply");
-                if core.apply_committed_inline().await.is_err() {
+                // Commit wait, then the apply callbacks, on this same loop.
+                if core.commit_then_apply(hi).await.is_err() {
                     break;
                 }
-                phase.end();
             }
         });
     }
 
     fn send(core: &Rc<RaftCore>, peer: NodeId, prev_index: u64, entries: Vec<Entry>) {
-        core.note_entries_per_append(entries.len());
-        let req = AppendReq {
-            term: core.log.current_term(),
-            leader: core.id.0,
-            prev_index,
-            prev_term: core.log.term_at(prev_index),
-            entries: to_wire(&entries),
-            commit: core.commit.get(),
-            lazy: false,
-        };
-        let ev = core
-            .ep
-            .proxy(peer)
-            .call_t(core.method(APPEND_ENTRIES), "append_entries", &req);
-        let c2 = core.clone();
-        classified_reply::<AppendResp>(&core.rt, &ev, peer, "append_entries", move |resp| {
-            let Some(resp) = resp else { return false };
-            if resp.success {
-                c2.note_match(peer, resp.match_index);
-                c2.advance_commit_from_matches();
-                true
-            } else {
-                c2.note_reject(peer, resp.match_index);
-                false
-            }
-        });
+        let req = core.append_req(core.log.current_term(), prev_index, &entries, false);
+        core.send_append(peer, &req);
     }
 }
 
@@ -286,6 +212,31 @@ mod tests {
         let (sim, _world, cl) = cluster();
         let (committed, _) = drive(&sim, &cl, 30);
         assert_eq!(committed, 30);
+    }
+
+    /// Reachable when `DepFastRaft::force_campaign` (which works on any
+    /// core) elects a follower while this leader misses the vote request:
+    /// every later append is answered at the higher term.
+    #[test]
+    fn higher_term_reply_deposes_the_leader() {
+        let (sim, _world, cl) = cluster();
+        for follower in &cl.servers[1..] {
+            follower.core().step_down(2, None);
+        }
+        let ev = cl.servers[0].propose(Bytes::from_static(b"stale"));
+        sim.block_on({
+            let ev = ev.clone();
+            async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
+        });
+        let leader = cl.servers[0].core();
+        assert_eq!(leader.st.borrow().role, Role::Follower);
+        assert_eq!(leader.log.current_term(), 2);
+        assert_eq!(
+            ev.handle().fired(),
+            Some(depfast::Signal::Err),
+            "a deposed leader must fail its pending proposals"
+        );
+        assert_eq!(cl.leader(), None);
     }
 
     #[test]

@@ -19,26 +19,13 @@ use std::time::Duration;
 use depfast::event::Watchable;
 use depfast::runtime::Coroutine;
 use depfast_rpc::wire::WireRead;
-use depfast_storage::Entry;
 use simkit::NodeId;
 
 use crate::core::{classified_reply, RaftCore, Role};
-use crate::types::{to_wire, AppendReq, AppendResp, CHAIN_FORWARD};
+use crate::types::{AppendReq, AppendResp, CHAIN_FORWARD};
 
-/// ChainRaft options.
-#[derive(Debug, Clone, Copy)]
-pub struct ChainOpts {
-    /// Per-hop ack deadline.
-    pub hop_timeout: Duration,
-}
-
-impl Default for ChainOpts {
-    fn default() -> Self {
-        ChainOpts {
-            hop_timeout: Duration::from_millis(1500),
-        }
-    }
-}
+/// Per-hop ack deadline.
+const HOP_TIMEOUT: Duration = Duration::from_millis(1500);
 
 /// The chain replication driver (head = `bootstrap_leader`; chain order =
 /// member order).
@@ -51,18 +38,18 @@ impl ChainRaft {
     }
 
     /// Starts ChainRaft coroutines on `core`.
-    pub fn start(core: &Rc<RaftCore>, opts: ChainOpts) {
-        Self::install_forward_service(core, opts);
+    pub fn start(core: &Rc<RaftCore>) {
+        Self::install_forward_service(core);
         core.spawn_apply_loop();
         if core.is_leader() {
-            Self::spawn_head_loop(core, opts);
+            Self::spawn_head_loop(core);
         }
     }
 
     /// Handles a forwarded batch: append durably, relay down-chain, and
     /// only then acknowledge up-chain (so the head's ack implies the tail
     /// has the data).
-    fn install_forward_service(core: &Rc<RaftCore>, opts: ChainOpts) {
+    fn install_forward_service(core: &Rc<RaftCore>) {
         let c = core.clone();
         core.ep.register(
             core.method(CHAIN_FORWARD),
@@ -101,33 +88,16 @@ impl ChainRaft {
                     c.set_commit(req.commit.min(match_to));
                     // Relay to the successor and wait for its ack — the
                     // chain's singular dependence, by design.
+                    let mut success = true;
                     if let Some(next) = Self::successor(&c) {
-                        let ev =
-                            c.ep.proxy(next)
-                                .call_t(c.method(CHAIN_FORWARD), "chain_forward", &req);
-                        let ok = classified_reply::<AppendResp>(
-                            &c.rt,
-                            &ev,
-                            next,
-                            "chain_forward",
-                            |resp| resp.is_some_and(|r| r.success),
-                        );
+                        let ok = Self::forward(&c, next, &req);
                         let phase = depfast::PhaseSpan::begin_blaming(&c.rt, "hop_wait", next);
-                        let hop = ok.wait_timeout(opts.hop_timeout).await;
+                        success = ok.wait_timeout(HOP_TIMEOUT).await.is_ready();
                         phase.end();
-                        if !hop.is_ready() {
-                            responder.reply_t(&AppendResp {
-                                term: c.log.current_term(),
-                                success: false,
-                                match_index: match_to,
-                                verified: match_to,
-                            });
-                            return;
-                        }
                     }
                     responder.reply_t(&AppendResp {
                         term: c.log.current_term(),
-                        success: true,
+                        success,
                         match_index: match_to,
                         verified: match_to,
                     });
@@ -136,72 +106,49 @@ impl ChainRaft {
         );
     }
 
+    /// Forwards `req` to the successor `next`; the returned event fires
+    /// `Ok` iff `next` (and so everything behind it) acknowledged.
+    fn forward(core: &Rc<RaftCore>, next: NodeId, req: &AppendReq) -> depfast::EventHandle {
+        let ev = core
+            .ep
+            .proxy(next)
+            .call_t(core.method(CHAIN_FORWARD), "chain_forward", req);
+        classified_reply::<AppendResp>(&core.rt, &ev, next, "chain_forward", |resp| {
+            resp.is_some_and(|r| r.success)
+        })
+    }
+
     /// The head's loop: batch, append locally, forward once down the
     /// chain, wait for the (tail-implied) ack, commit.
-    fn spawn_head_loop(core: &Rc<RaftCore>, opts: ChainOpts) {
+    fn spawn_head_loop(core: &Rc<RaftCore>) {
         let core = core.clone();
         Coroutine::create(&core.rt.clone(), "chain:head", async move {
             loop {
                 if core.st.borrow().role != Role::Leader || core.world.is_crashed(core.id) {
                     break;
                 }
-                let batch = {
-                    let _g = depfast::PhaseGuard::enter("intake");
-                    core.proposals
-                        .pop_batch(&core.rt, core.cfg.batch_max, None)
-                        .await
-                };
-                let cpu = core.cfg.propose_cpu * batch.len().max(1) as u32;
-                if core.world.cpu(core.id, cpu).await.is_err() {
+                let Ok(batch) = core.intake(None).await else {
                     break;
-                }
+                };
                 let term = core.log.current_term();
-                let start = core.log.last_index() + 1;
-                let mut entries = Vec::with_capacity(batch.len());
-                for (i, (payload, ev)) in batch.into_iter().enumerate() {
-                    let index = start + i as u64;
-                    entries.push(Entry {
-                        term,
-                        index,
-                        payload,
-                    });
-                    core.pending.borrow_mut().insert(index, ev);
-                }
-                let hi = start + entries.len() as u64 - 1;
                 let phase = depfast::PhaseSpan::begin(&core.rt, "wal_append");
-                let io = core.log.append(&entries);
-                if !io.handle().wait().await.is_ready() {
+                let staged = core.stage_batch(batch);
+                if !staged.durable.handle().wait().await.is_ready() {
                     break;
                 }
                 phase.end();
                 let Some(next) = Self::successor(&core) else {
-                    core.set_commit(hi); // Single-node chain.
+                    core.set_commit(staged.hi); // Single-node chain.
                     continue;
                 };
-                core.note_entries_per_append(entries.len());
-                let req = AppendReq {
-                    term,
-                    leader: core.id.0,
-                    prev_index: start - 1,
-                    prev_term: core.log.term_at(start - 1),
-                    entries: to_wire(&entries),
-                    commit: core.commit.get(),
-                    lazy: false,
-                };
-                let ev =
-                    core.ep
-                        .proxy(next)
-                        .call_t(core.method(CHAIN_FORWARD), "chain_forward", &req);
-                let ok =
-                    classified_reply::<AppendResp>(&core.rt, &ev, next, "chain_forward", |resp| {
-                        resp.is_some_and(|r| r.success)
-                    });
+                let req = core.append_req(term, staged.lo - 1, &staged.entries, false);
+                let ok = Self::forward(&core, next, &req);
                 // The head waits on ONE successor — a red SPG edge. (The
                 // successor is itself waiting on its own successor: the
                 // whole chain is on the critical path.)
                 let phase = depfast::PhaseSpan::begin_blaming(&core.rt, "hop_wait", next);
-                if ok.wait_timeout(opts.hop_timeout).await.is_ready() {
-                    core.set_commit(hi);
+                if ok.wait_timeout(HOP_TIMEOUT).await.is_ready() {
+                    core.set_commit(staged.hi);
                 }
                 phase.end();
             }

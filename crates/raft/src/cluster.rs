@@ -7,12 +7,12 @@ use depfast_rpc::endpoint::Registry;
 use depfast_rpc::{BufferPolicy, Endpoint, RpcCfg};
 use simkit::{NodeId, Sim, World};
 
-use crate::backlog_driver::{BacklogOpts, BacklogRaft};
-use crate::callback_driver::{CallbackOpts, CallbackRaft};
-use crate::chain_driver::{ChainOpts, ChainRaft};
+use crate::backlog_driver::BacklogRaft;
+use crate::callback_driver::CallbackRaft;
+use crate::chain_driver::ChainRaft;
 use crate::core::{RaftCfg, RaftCore, RaftServer};
-use crate::depfast_driver::{DepFastOpts, DepFastRaft};
-use crate::sync_driver::{SyncOpts, SyncRaft};
+use crate::depfast_driver::DepFastRaft;
+use crate::sync_driver::SyncRaft;
 
 /// Which implementation style drives the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +40,25 @@ impl RaftKind {
             RaftKind::Chain => "ChainRaft (chain replication)",
         }
     }
+
+    /// Starts this driver's coroutines on `core` and wraps it.
+    fn start(self, core: std::rc::Rc<RaftCore>) -> RaftServer {
+        match self {
+            RaftKind::DepFast => DepFastRaft::start(&core),
+            RaftKind::Sync => SyncRaft::start(&core),
+            RaftKind::Backlog => BacklogRaft::start(&core),
+            RaftKind::Callback => CallbackRaft::start(&core),
+            RaftKind::Chain => ChainRaft::start(&core),
+        }
+        RaftServer::new(core, self)
+    }
+}
+
+/// The node among `servers` that claims leadership, if exactly one does.
+fn sole_leader(servers: &[RaftServer]) -> Option<NodeId> {
+    let mut leaders = servers.iter().filter(|s| s.is_leader());
+    let one = leaders.next()?;
+    leaders.next().is_none().then(|| one.node())
 }
 
 /// A built cluster: servers, runtimes, endpoints and the shared tracer.
@@ -59,16 +78,7 @@ pub struct RaftCluster {
 impl RaftCluster {
     /// The current leader's node id, if exactly one server claims it.
     pub fn leader(&self) -> Option<NodeId> {
-        let leaders: Vec<NodeId> = self
-            .servers
-            .iter()
-            .filter(|s| s.is_leader())
-            .map(|s| s.node())
-            .collect();
-        match leaders.as_slice() {
-            [one] => Some(*one),
-            _ => None,
-        }
+        sole_leader(&self.servers)
     }
 }
 
@@ -107,14 +117,7 @@ pub fn build_cluster(
         let rt = Runtime::with_tracer(sim.clone(), *id, tracer.clone());
         let ep = Endpoint::new(&rt, world, &registry, rpc_cfg_for(kind));
         let core = RaftCore::new(&rt, world, &ep, members.clone(), cfg);
-        match kind {
-            RaftKind::DepFast => DepFastRaft::start(&core, DepFastOpts::default()),
-            RaftKind::Sync => SyncRaft::start(&core, SyncOpts::default()),
-            RaftKind::Backlog => BacklogRaft::start(&core, BacklogOpts::default()),
-            RaftKind::Callback => CallbackRaft::start(&core, CallbackOpts::default()),
-            RaftKind::Chain => ChainRaft::start(&core, ChainOpts::default()),
-        }
-        servers.push(RaftServer::new(core, kind));
+        servers.push(kind.start(core));
         runtimes.push(rt);
         endpoints.push(ep);
     }
@@ -143,16 +146,7 @@ pub struct RaftGroup {
 impl RaftGroup {
     /// The group's current leader node, if exactly one member claims it.
     pub fn leader(&self) -> Option<NodeId> {
-        let leaders: Vec<NodeId> = self
-            .servers
-            .iter()
-            .filter(|s| s.is_leader())
-            .map(|s| s.node())
-            .collect();
-        match leaders.as_slice() {
-            [one] => Some(*one),
-            _ => None,
-        }
+        sole_leader(&self.servers)
     }
 
     /// The server handle running on `node`, if this group has a member
@@ -296,14 +290,7 @@ pub fn build_multi_cluster_placed(
             let rt = &runtimes[m.0 as usize];
             let ep = &endpoints[m.0 as usize];
             let core = RaftCore::new_in_group(rt, world, ep, members.clone(), group_cfg, g);
-            match kind {
-                RaftKind::DepFast => DepFastRaft::start(&core, DepFastOpts::default()),
-                RaftKind::Sync => SyncRaft::start(&core, SyncOpts::default()),
-                RaftKind::Backlog => BacklogRaft::start(&core, BacklogOpts::default()),
-                RaftKind::Callback => CallbackRaft::start(&core, CallbackOpts::default()),
-                RaftKind::Chain => ChainRaft::start(&core, ChainOpts::default()),
-            }
-            servers.push(RaftServer::new(core, kind));
+            servers.push(kind.start(core));
         }
         groups.push(RaftGroup {
             gid: g,
@@ -335,6 +322,7 @@ mod tests {
             RaftKind::Sync,
             RaftKind::Backlog,
             RaftKind::Callback,
+            RaftKind::Chain,
         ] {
             let sim = Sim::new(17);
             let world = World::new(
@@ -354,13 +342,38 @@ mod tests {
                     ..RaftCfg::default()
                 },
             );
-            let ev = cl.servers[0].propose(Bytes::from_static(b"smoke"));
-            let out = sim.block_on({
-                let ev = ev.clone();
-                async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
-            });
-            assert!(out.is_ready(), "{} failed to commit", kind.name());
+            for i in 0..20u8 {
+                let ev = cl.servers[0].propose(Bytes::from(vec![i; 16]));
+                let out = sim.block_on({
+                    let ev = ev.clone();
+                    async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
+                });
+                assert!(out.is_ready(), "{} failed to commit #{i}", kind.name());
+            }
             assert_eq!(cl.leader(), Some(NodeId(0)));
+            // Let the followers catch up, then every replica's log must
+            // match the leader's term by term.
+            sim.run_until_time(sim.now() + Duration::from_secs(1));
+            let leader_log = &cl.servers[0].core().log;
+            assert!(leader_log.last_index() >= 20);
+            for s in &cl.servers[1..] {
+                let log = &s.core().log;
+                let node = s.node().0;
+                assert_eq!(
+                    log.last_index(),
+                    leader_log.last_index(),
+                    "{}: node {node} log length",
+                    kind.name()
+                );
+                for i in 1..=leader_log.last_index() {
+                    assert_eq!(
+                        log.term_at(i),
+                        leader_log.term_at(i),
+                        "{}: node {node} log matching at {i}",
+                        kind.name()
+                    );
+                }
+            }
         }
     }
 

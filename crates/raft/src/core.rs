@@ -1,8 +1,14 @@
 //! Shared Raft machinery: configuration, per-node state, the proposal
-//! queue, follower services, the apply loop and commit accounting.
+//! queue, follower services, the apply loop, commit accounting and the
+//! leader-side steps of a replication round.
 //!
-//! Everything protocol-correct lives here so the four drivers differ only
-//! in their *waiting structure* — the paper's variable of interest.
+//! Everything protocol-correct lives here so the five drivers differ only
+//! in their *waiting structure* — the paper's variable of interest. A
+//! leader round is the same steps under every driver — stage
+//! ([`RaftCore::stage_batch`]), build ([`RaftCore::append_req`]), digest
+//! ([`RaftCore::on_append_reply`]), apply (detached, or inline after
+//! [`RaftCore::commit_then_apply`]) — so a driver file holds what is left:
+//! its coroutines and where they block.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -20,11 +26,13 @@ use depfast_metrics::{Counter, Gauge, HistogramHandle};
 use depfast_rpc::proxy::RpcEvent;
 use depfast_rpc::wire::WireRead;
 use depfast_rpc::{group_method, Endpoint, Method};
-use depfast_storage::{Entry, LogStore, LogStoreCfg};
-use simkit::{NodeId, SimTime, Sleep, World};
+use depfast_storage::{Entry, IoEvent, LogStore, LogStoreCfg};
+use simkit::{Crashed, NodeId, SimTime, Sleep, World};
 
+use crate::flow::Flow;
 use crate::types::{
-    from_wire, AppendReq, AppendResp, VoteReq, VoteResp, APPEND_ENTRIES, PRE_VOTE, REQUEST_VOTE,
+    from_wire, to_wire, AppendReq, AppendResp, VoteReq, VoteResp, APPEND_ENTRIES, PRE_VOTE,
+    REQUEST_VOTE,
 };
 
 /// Raft timing, batching and cost configuration (shared by all drivers).
@@ -102,6 +110,23 @@ pub enum Role {
 /// One queued client proposal: payload plus the event fired with the apply
 /// result once committed.
 pub type Proposal = (Bytes, TypedEvent<Bytes>);
+
+/// A batch staged by [`RaftCore::stage_batch`]: stamped, registered and in
+/// the local log, not yet shipped.
+pub struct Staged {
+    /// Index of the first staged entry.
+    pub lo: u64,
+    /// Index of the last staged entry.
+    pub hi: u64,
+    /// The stamped entries `lo..=hi`.
+    pub entries: Vec<Entry>,
+    /// Fires once the batch is durable in the local WAL.
+    pub durable: IoEvent,
+}
+
+/// How long a legacy driver's region/message thread waits for its round to
+/// commit before it takes the next batch anyway.
+const REGION_COMMIT_WAIT: Duration = Duration::from_millis(500);
 
 struct Pq {
     q: std::collections::VecDeque<Proposal>,
@@ -226,23 +251,23 @@ type ApplyFn = Box<dyn FnMut(&Entry) -> Bytes>;
 /// proposal creation, so they reflect what a *client* would attribute to
 /// the consensus layer; the substrate series (`sim.*`) say which resource
 /// actually caused an inflation.
-struct RaftStats {
+pub(crate) struct RaftStats {
     commit_lag: HistogramHandle,
     apply_lag: HistogramHandle,
     commit_index: Gauge,
     applied_index: Gauge,
     /// Entries folded into each replication round (group commit size).
-    batch_size: HistogramHandle,
+    pub(crate) batch_size: HistogramHandle,
     /// Replication rounds launched.
-    batch_rounds: Counter,
+    pub(crate) batch_rounds: Counter,
     /// Unresolved rounds right now (≤ `pipeline_depth`).
-    pipeline_inflight: Gauge,
+    pub(crate) pipeline_inflight: Gauge,
     /// Intake stalls at the pipeline-depth gate.
-    pipeline_stalls: Counter,
+    pub(crate) pipeline_stalls: Counter,
     /// Sends skipped because a follower's append window was full.
-    window_skips: Counter,
+    pub(crate) window_skips: Counter,
     /// Followers quarantined into lazy-probe catch-up (suspect mode).
-    suspects: Counter,
+    pub(crate) suspects: Counter,
     /// Entries per outgoing non-empty `AppendEntries`.
     entries_per_append: HistogramHandle,
 }
@@ -288,7 +313,7 @@ impl RaftStats {
     }
 }
 
-/// The shared per-node Raft core all four drivers build on.
+/// The shared per-node Raft core all five drivers build on.
 pub struct RaftCore {
     /// DepFast runtime of this node.
     pub rt: Runtime,
@@ -320,21 +345,12 @@ pub struct RaftCore {
     pub proposals: ProposalQueue,
     apply_fn: RefCell<Option<ApplyFn>>,
     applied: Cell<u64>,
-    stats: RaftStats,
-    /// Replication rounds launched by this node as leader (pipeline
-    /// accounting; never reset — the gate only looks at the difference).
-    pub rounds_launched: Cell<u64>,
-    /// Resolved-round count as a watchable: the pipeline-depth gate
-    /// waits on it.
-    pub rounds_done: ValueEvent<u64>,
-    /// Per-peer in-flight `AppendEntries` send times (window slots).
-    append_inflight: RefCell<HashMap<u32, std::collections::VecDeque<SimTime>>>,
-    /// Per-peer count of sends skipped on a full window.
-    append_skips: RefCell<HashMap<u32, u64>>,
-    /// Per-peer quarantine state: a follower whose append window filled
-    /// up is fed by lazy probes instead of pipelined rounds until its lag
-    /// shrinks again.
-    suspects: RefCell<HashMap<u32, SuspectState>>,
+    pub(crate) stats: RaftStats,
+    /// DepFastRaft's append windows, quarantine law and round count.
+    pub(crate) flow: RefCell<Flow>,
+    /// [`Flow`]'s resolved-round count as a watchable: DepFastRaft's
+    /// pipeline-depth gate waits on it.
+    pub(crate) rounds_done: ValueEvent<u64>,
     /// Follower-side: highest index log-match-verified against the
     /// current leader's stream (appended locally, though possibly not yet
     /// durable). Clamped on truncation; reported in every append reply.
@@ -346,8 +362,6 @@ pub struct RaftCore {
     /// applying to the log in arrival order even though their (entry-count
     /// proportional) CPU costs finish out of order on a multi-core node.
     append_turn: ValueEvent<u64>,
-    /// Committed-entry counter (throughput accounting).
-    pub committed_count: Cell<u64>,
     /// Extra delay added to this node's election timeout draws — the
     /// fail-slow mitigation (§5) uses it to keep a demoted fail-slow
     /// leader from immediately winning re-election.
@@ -417,15 +431,11 @@ impl RaftCore {
             apply_fn: RefCell::new(None),
             applied: Cell::new(0),
             stats: RaftStats::new(rt, group),
-            rounds_launched: Cell::new(0),
+            flow: RefCell::new(Flow::new(cfg)),
             rounds_done: ValueEvent::labeled(rt, 0, "rounds_done"),
-            append_inflight: RefCell::new(HashMap::new()),
-            append_skips: RefCell::new(HashMap::new()),
-            suspects: RefCell::new(HashMap::new()),
             verified_index: Cell::new(0),
             append_ticket: Cell::new(0),
             append_turn: ValueEvent::labeled(rt, 0, "append_turn"),
-            committed_count: Cell::new(0),
             election_penalty: Cell::new(Duration::ZERO),
             group,
         });
@@ -473,11 +483,6 @@ impl RaftCore {
         self.st.borrow().leader_hint
     }
 
-    /// Entries applied to the state machine so far.
-    pub fn applied(&self) -> u64 {
-        self.applied.get()
-    }
-
     /// An event that fires once the state machine has applied everything
     /// up to `index` (immediately if it already has).
     pub fn wait_applied(&self, index: u64) -> EventHandle {
@@ -511,10 +516,7 @@ impl RaftCore {
             st.leader_epoch += 1;
             st.leader_epoch
         };
-        // Fresh leadership: quarantine and window state belong to the old
-        // term's view of the peers.
-        self.suspects.borrow_mut().clear();
-        self.append_inflight.borrow_mut().clear();
+        self.flow.borrow_mut().reset_peers();
         self.leader_gen.set(epoch);
     }
 
@@ -544,11 +546,153 @@ impl RaftCore {
         }
     }
 
+    /// Legacy round step 0, **intake**: waits for up to `batch_max`
+    /// proposals (with a `deadline`, for an empty batch at the heartbeat
+    /// tick) and charges the leader-side CPU of parsing them.
+    pub async fn intake(&self, deadline: Option<SimTime>) -> Result<Vec<Proposal>, Crashed> {
+        let batch = {
+            let _g = depfast::PhaseGuard::enter("intake");
+            self.proposals
+                .pop_batch(&self.rt, self.cfg.batch_max, deadline)
+                .await
+        };
+        let cpu = self.cfg.propose_cpu * batch.len().max(1) as u32;
+        self.world.cpu(self.id, cpu).await?;
+        Ok(batch)
+    }
+
+    /// Round step 1, **stage**: stamps `batch` with the current term and
+    /// the next log indices, registers each proposal's completion event
+    /// under its index and appends the entries to the local log. `batch`
+    /// is non-empty: a round with nothing to ship is a heartbeat.
+    pub fn stage_batch(&self, batch: Vec<Proposal>) -> Staged {
+        debug_assert!(!batch.is_empty());
+        let term = self.log.current_term();
+        let lo = self.log.last_index() + 1;
+        let mut entries = Vec::with_capacity(batch.len());
+        {
+            let mut pending = self.pending.borrow_mut();
+            for (i, (payload, ev)) in batch.into_iter().enumerate() {
+                let index = lo + i as u64;
+                entries.push(Entry {
+                    term,
+                    index,
+                    payload,
+                });
+                pending.insert(index, ev);
+            }
+        }
+        let durable = self.log.append(&entries);
+        Staged {
+            lo,
+            hi: lo + entries.len() as u64 - 1,
+            entries,
+            durable,
+        }
+    }
+
+    /// Round step 2, **build**: the `AppendEntries` of `term` carrying
+    /// `entries` after `prev_index` (empty = heartbeat or probe). `term` is
+    /// the term the caller decided to send in — not re-read here, because
+    /// a driver may have awaited since and a deposed leader must not
+    /// speak in its successor's term. Non-empty requests feed the
+    /// `rpc.entries_per_append` series.
+    pub fn append_req(
+        &self,
+        term: u64,
+        prev_index: u64,
+        entries: &[Entry],
+        lazy: bool,
+    ) -> AppendReq {
+        if !entries.is_empty() {
+            self.stats
+                .entries_per_append
+                .record_ns(entries.len() as u64);
+        }
+        AppendReq {
+            term,
+            leader: self.id.0,
+            prev_index,
+            prev_term: self.log.term_at(prev_index),
+            entries: to_wire(entries),
+            commit: self.commit.get(),
+            lazy,
+        }
+    }
+
+    /// Ships `req` to `peer` and digests the reply through
+    /// [`RaftCore::on_append_reply`] from a reply hook — nothing waits
+    /// unless the caller waits on the returned event, which fires `Ok` iff
+    /// the peer accepted.
+    pub fn send_append(self: &Rc<Self>, peer: NodeId, req: &AppendReq) -> EventHandle {
+        let ev = self
+            .ep
+            .proxy(peer)
+            .call_t(self.method(APPEND_ENTRIES), "append_entries", req);
+        let core = self.clone();
+        classified_reply::<AppendResp>(&self.rt, &ev, peer, "append_entries", move |resp| {
+            resp.is_some_and(|r| core.on_append_reply(peer, &r))
+        })
+    }
+
+    /// The term half of the reply rule: a reply from a higher term deposes
+    /// this leader. Returns whether `term` left it in place.
+    pub fn observe_term(&self, term: u64) -> bool {
+        if term > self.log.current_term() {
+            self.step_down(term, None);
+            return false;
+        }
+        true
+    }
+
+    /// Round step 3, **digest**: the one rule for an `AppendEntries` reply
+    /// from `peer`. A higher term steps this node down; a success
+    /// advances the peer's match index and, from the matches, the commit
+    /// index; a reject backs `next_index` up to the peer's hint. Returns
+    /// whether the peer accepted.
+    pub fn on_append_reply(&self, peer: NodeId, resp: &AppendResp) -> bool {
+        if !self.observe_term(resp.term) {
+            return false;
+        }
+        if resp.success {
+            self.note_match(peer, resp.match_index);
+            self.advance_commit_from_matches();
+        } else {
+            self.note_reject(peer, resp.match_index);
+        }
+        resp.success
+    }
+
+    /// Records a successful replication ack from `peer`.
+    fn note_match(&self, peer: NodeId, match_index: u64) {
+        let mut st = self.st.borrow_mut();
+        let m = st.match_index.entry(peer.0).or_insert(0);
+        if match_index > *m {
+            *m = match_index;
+        }
+        let n = st.next_index.entry(peer.0).or_insert(1);
+        if match_index + 1 > *n {
+            *n = match_index + 1;
+        }
+    }
+
+    /// Records a rejection hint from `peer`: back `next_index` up.
+    ///
+    /// Guarded against *stale* rejections (a reply computed long ago, when
+    /// the peer was further behind, arriving after newer successes): the
+    /// index never regresses below `match_index + 1`.
+    fn note_reject(&self, peer: NodeId, hint: u64) {
+        let mut st = self.st.borrow_mut();
+        let floor = st.match_index.get(&peer.0).copied().unwrap_or(0) + 1;
+        let n = st.next_index.entry(peer.0).or_insert(1);
+        *n = (hint + 1).max(floor).min(self.log.last_index() + 1);
+    }
+
     /// Advances the commit index from the match indices (plus own log).
     ///
     /// Only entries of the current term commit by counting, per the Raft
     /// safety rule.
-    pub fn advance_commit_from_matches(&self) {
+    fn advance_commit_from_matches(&self) {
         let mut matches: Vec<u64> = {
             let st = self.st.borrow();
             st.match_index.values().copied().collect()
@@ -561,14 +705,11 @@ impl RaftCore {
         }
     }
 
-    /// Sets the commit index (monotonic) and counts newly committed
-    /// entries.
+    /// Sets the commit index (monotonic).
     pub fn set_commit(&self, index: u64) {
         use depfast::event::Watchable;
         let old = self.commit.get();
         if index > old {
-            self.committed_count
-                .set(self.committed_count.get() + (index - old));
             self.stats.commit_index.set(index as i64);
             // Commit lag of each newly committed proposal still pending
             // here (the leader): proposal creation → commit.
@@ -584,88 +725,96 @@ impl RaftCore {
         }
     }
 
-    /// Starts the apply loop: waits for the commit index to pass the last
-    /// applied entry, reads, charges apply CPU, applies, and completes any
-    /// pending client proposal at that index.
+    /// Snapshot of `next_index` for `peer`.
+    pub fn next_index(&self, peer: NodeId) -> u64 {
+        *self.st.borrow().next_index.get(&peer.0).unwrap_or(&1)
+    }
+
+    /// Snapshot of `match_index` for `peer`.
+    pub fn match_index(&self, peer: NodeId) -> u64 {
+        *self.st.borrow().match_index.get(&peer.0).unwrap_or(&0)
+    }
+
+    /// Optimistically advances `next_index` for `peer` past entries just
+    /// shipped, so pipelined rounds do not re-send what is already in
+    /// flight. A lost or rejected append self-corrects: the follower's
+    /// reject hint (via [`RaftCore::on_append_reply`]) backs the index up.
+    pub fn note_sent_through(&self, peer: NodeId, hi: u64) {
+        let mut st = self.st.borrow_mut();
+        let n = st.next_index.entry(peer.0).or_insert(1);
+        if hi + 1 > *n {
+            *n = hi + 1;
+        }
+    }
+
+    /// Starts the detached apply loop: waits for the commit index to pass
+    /// the last applied entry, then applies (round step 4) everything
+    /// committed.
     pub fn spawn_apply_loop(self: &Rc<Self>) {
         let core = self.clone();
         Coroutine::create(&self.rt, "raft:apply", async move {
             loop {
                 let target = core.applied.get() + 1;
-                let gate = core.commit.when_at_least(target);
-                gate.wait().await;
-                let hi = core.commit.get();
-                let Ok(entries) = core.log.read(target, hi + 1).await else {
+                core.commit.when_at_least(target).wait().await;
+                if core.apply_committed().await.is_err() {
                     break; // Crashed.
-                };
-                for e in entries {
-                    if core.world.cpu(core.id, core.cfg.apply_cpu).await.is_err() {
-                        return;
-                    }
-                    let reply = {
-                        let mut f = core.apply_fn.borrow_mut();
-                        match f.as_mut() {
-                            Some(f) => f(&e),
-                            None => Bytes::new(),
-                        }
-                    };
-                    core.applied.set(e.index);
-                    core.stats.applied_index.set(e.index as i64);
-                    core.applied_idx.set(e.index);
-                    let pending = core.pending.borrow_mut().remove(&e.index);
-                    if let Some(ev) = pending {
-                        core.record_apply_lag(&ev);
-                        ev.fire_ok(reply);
-                    }
                 }
             }
         });
     }
 
-    /// Applies every committed-but-unapplied entry *in the calling
-    /// coroutine*, charging apply CPU there. Legacy drivers run this on
-    /// their single region/message thread — faithful to the architectures
-    /// whose blocking the paper documents — whereas DepFastRaft uses the
-    /// detached [`RaftCore::spawn_apply_loop`].
-    pub async fn apply_committed_inline(self: &Rc<Self>) -> Result<(), simkit::Crashed> {
+    /// Round step 4, **apply** — the one apply body: reads every
+    /// committed-but-unapplied entry, charges apply CPU *in the calling
+    /// coroutine*, applies, and completes the pending client proposal at
+    /// that index.
+    async fn apply_committed(&self) -> Result<(), Crashed> {
         let hi = self.commit.get();
         let lo = self.applied.get() + 1;
         if lo > hi {
             return Ok(());
         }
-        let entries = self
-            .log
-            .read(lo, hi + 1)
-            .await
-            .map_err(|_| simkit::Crashed)?;
+        let entries = self.log.read(lo, hi + 1).await.map_err(|_| Crashed)?;
         for e in entries {
             self.world.cpu(self.id, self.cfg.apply_cpu).await?;
-            let reply = {
-                let mut f = self.apply_fn.borrow_mut();
-                match f.as_mut() {
-                    Some(f) => f(&e),
-                    None => Bytes::new(),
-                }
+            let reply = match self.apply_fn.borrow_mut().as_mut() {
+                Some(f) => f(&e),
+                None => Bytes::new(),
             };
             self.applied.set(e.index);
             self.stats.applied_index.set(e.index as i64);
             self.applied_idx.set(e.index);
             let pending = self.pending.borrow_mut().remove(&e.index);
             if let Some(ev) = pending {
-                self.record_apply_lag(&ev);
+                use depfast::event::Watchable;
+                // Creation → state-machine apply: what the client
+                // experiences as latency.
+                self.stats
+                    .apply_lag
+                    .record(self.rt.now() - ev.handle().created_at());
                 ev.fire_ok(reply);
             }
         }
         Ok(())
     }
 
-    /// Records `raft.apply_lag` for a completed proposal: creation →
-    /// state-machine apply (what the client experiences as latency).
-    fn record_apply_lag(&self, ev: &TypedEvent<Bytes>) {
-        use depfast::event::Watchable;
-        self.stats
-            .apply_lag
-            .record(self.rt.now() - ev.handle().created_at());
+    /// Legacy round step 5, the **region-thread tail**: waits (bounded) for
+    /// `hi` to commit, then applies inline. The legacy leaders run this on
+    /// their single region/message thread — faithful to the architectures
+    /// whose blocking the paper documents — whereas DepFastRaft uses the
+    /// detached [`RaftCore::spawn_apply_loop`].
+    pub async fn commit_then_apply(&self, hi: u64) -> Result<(), Crashed> {
+        if hi > self.commit.get() {
+            let phase = depfast::PhaseSpan::begin(&self.rt, "commit_wait");
+            self.commit
+                .when_at_least(hi)
+                .wait_timeout(REGION_COMMIT_WAIT)
+                .await;
+            phase.end();
+        }
+        let phase = depfast::PhaseSpan::begin(&self.rt, "apply");
+        self.apply_committed().await?;
+        phase.end();
+        Ok(())
     }
 
     /// Registers the follower-side `AppendEntries` and `RequestVote`
@@ -725,335 +874,6 @@ impl RaftCore {
             },
         );
     }
-
-    /// Records a successful replication ack from `peer`.
-    pub fn note_match(&self, peer: NodeId, match_index: u64) {
-        let mut st = self.st.borrow_mut();
-        let m = st.match_index.entry(peer.0).or_insert(0);
-        if match_index > *m {
-            *m = match_index;
-        }
-        let n = st.next_index.entry(peer.0).or_insert(1);
-        if match_index + 1 > *n {
-            *n = match_index + 1;
-        }
-    }
-
-    /// Records a rejection hint from `peer`: back `next_index` up.
-    ///
-    /// Guarded against *stale* rejections (a reply computed long ago, when
-    /// the peer was further behind, arriving after newer successes): the
-    /// index never regresses below `match_index + 1`.
-    pub fn note_reject(&self, peer: NodeId, hint: u64) {
-        let mut st = self.st.borrow_mut();
-        let floor = st.match_index.get(&peer.0).copied().unwrap_or(0) + 1;
-        let n = st.next_index.entry(peer.0).or_insert(1);
-        *n = (hint + 1).max(floor).min(self.log.last_index() + 1);
-    }
-
-    /// Snapshot of `next_index` for `peer`.
-    pub fn next_index(&self, peer: NodeId) -> u64 {
-        *self.st.borrow().next_index.get(&peer.0).unwrap_or(&1)
-    }
-
-    /// Snapshot of `match_index` for `peer`.
-    pub fn match_index(&self, peer: NodeId) -> u64 {
-        *self.st.borrow().match_index.get(&peer.0).unwrap_or(&0)
-    }
-
-    /// Optimistically advances `next_index` for `peer` past entries just
-    /// shipped, so pipelined rounds do not re-send what is already in
-    /// flight. A lost or rejected append self-corrects: the follower's
-    /// reject hint (via [`RaftCore::note_reject`]) backs the index up.
-    pub fn note_sent_through(&self, peer: NodeId, hi: u64) {
-        let mut st = self.st.borrow_mut();
-        let n = st.next_index.entry(peer.0).or_insert(1);
-        if hi + 1 > *n {
-            *n = hi + 1;
-        }
-    }
-
-    /// Unresolved replication rounds (launched minus resolved).
-    pub fn rounds_inflight(&self) -> u64 {
-        self.rounds_launched
-            .get()
-            .saturating_sub(self.rounds_done.get())
-    }
-
-    /// Marks a replication round launched with `batch_entries` entries:
-    /// feeds the `raft.batch.*` series and the pipeline gauge.
-    pub fn note_round_launched(&self, batch_entries: usize) {
-        let launched = self.rounds_launched.get() + 1;
-        self.rounds_launched.set(launched);
-        self.stats.batch_rounds.inc();
-        self.stats.batch_size.record_ns(batch_entries as u64);
-        self.stats
-            .pipeline_inflight
-            .set(launched.saturating_sub(self.rounds_done.get()) as i64);
-    }
-
-    /// Marks a replication round resolved (quorum reached, timed out, or
-    /// leadership lost) and wakes the pipeline-depth gate.
-    pub fn note_round_done(&self) {
-        let done = self.rounds_done.get() + 1;
-        self.stats
-            .pipeline_inflight
-            .set(self.rounds_launched.get().saturating_sub(done) as i64);
-        self.rounds_done.set(done);
-    }
-
-    /// Records an intake stall at the pipeline-depth gate.
-    pub fn note_pipeline_stall(&self) {
-        self.stats.pipeline_stalls.inc();
-    }
-
-    /// Records the entry count of an outgoing non-empty `AppendEntries`
-    /// (the `rpc.entries_per_append` series; empty heartbeats are not
-    /// counted).
-    pub fn note_entries_per_append(&self, n: usize) {
-        if n > 0 {
-            self.stats.entries_per_append.record_ns(n as u64);
-        }
-    }
-
-    /// Claims an in-flight `AppendEntries` slot toward `peer`, or
-    /// returns `false` when the per-follower window
-    /// ([`RaftCfg::append_window`]) is full. Slots normally free when the
-    /// classified reply fires (including the `Err` fired for discarded
-    /// requests); because a reply can also *never* fire — lost after a
-    /// successful send — stale slots additionally expire after
-    /// `replicate_timeout`, so a fail-slow follower stalls only its own
-    /// append stream and can never wedge the window shut.
-    pub fn try_acquire_append_slot(&self, peer: NodeId) -> bool {
-        let now = self.rt.now();
-        let mut map = self.append_inflight.borrow_mut();
-        let q = map.entry(peer.0).or_default();
-        while let Some(t) = q.front() {
-            if now - *t >= self.cfg.replicate_timeout {
-                q.pop_front();
-            } else {
-                break;
-            }
-        }
-        if q.len() >= self.cfg.append_window.max(1) {
-            *self.append_skips.borrow_mut().entry(peer.0).or_insert(0) += 1;
-            self.stats.window_skips.inc();
-            false
-        } else {
-            q.push_back(now);
-            true
-        }
-    }
-
-    /// Frees one in-flight append slot toward `peer`.
-    pub fn release_append_slot(&self, peer: NodeId) {
-        if let Some(q) = self.append_inflight.borrow_mut().get_mut(&peer.0) {
-            q.pop_front();
-        }
-    }
-
-    /// Appends currently charged against `peer`'s window.
-    pub fn append_inflight(&self, peer: NodeId) -> usize {
-        self.append_inflight
-            .borrow()
-            .get(&peer.0)
-            .map_or(0, |q| q.len())
-    }
-
-    /// Sends to `peer` skipped because its window was full.
-    pub fn append_window_skips(&self, peer: NodeId) -> u64 {
-        self.append_skips
-            .borrow()
-            .get(&peer.0)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Whether `peer` is quarantined into lazy-probe catch-up.
-    pub fn is_suspect(&self, peer: NodeId) -> bool {
-        self.suspects.borrow().contains_key(&peer.0)
-    }
-
-    /// Quarantines `peer`: a follower whose append window filled is no
-    /// longer fed by pipelined rounds (each such send parks one of its
-    /// append handlers behind its crawling disk). Instead the heartbeat
-    /// loop polls it with lazy probes and re-feeds it with adaptively
-    /// paced catch-up chunks (see [`RaftCore::suspect_plan`]); it rejoins
-    /// normal replication once its lag shrinks. Optimistically advanced
-    /// `next_index` is reset to the acked prefix.
-    pub fn mark_suspect(&self, peer: NodeId) {
-        {
-            let mut map = self.suspects.borrow_mut();
-            if map.contains_key(&peer.0) {
-                return;
-            }
-            map.insert(
-                peer.0,
-                SuspectState {
-                    chunk: self.cfg.batch_max.max(1),
-                    pending: None,
-                    next_chunk_at: self.rt.now(),
-                    peer_verified: None,
-                    // Pessimistic until the first probe reply proves the
-                    // disk is keeping up: the window just filled, which
-                    // is itself evidence it is not.
-                    draining_fast: false,
-                },
-            );
-        }
-        let m = self.match_index(peer);
-        self.st.borrow_mut().next_index.insert(peer.0, m + 1);
-        self.append_inflight.borrow_mut().remove(&peer.0);
-        self.stats.suspects.inc();
-        self.rt.tracer().record_health(depfast::HealthEvent {
-            t: self.rt.now(),
-            node: peer,
-            layer: "raft",
-            transition: "quarantine",
-            evidence: format!(
-                "append window full; acked={} leader_last={}",
-                m,
-                self.log.last_index()
-            ),
-            group: self.health_group(),
-        });
-    }
-
-    /// Lifts `peer`'s quarantine (normal replication resumes).
-    pub fn clear_suspect(&self, peer: NodeId) {
-        self.suspects.borrow_mut().remove(&peer.0);
-    }
-
-    /// Decides the next action toward a quarantined peer; `None` if the
-    /// peer is not quarantined. Control law: probe with empty lazy
-    /// appends (which cost the peer nothing but report its durable
-    /// prefix) until the peer has drained everything delivered, then ship
-    /// one catch-up chunk; a chunk that drains within ~a heartbeat ramps
-    /// the chunk size (the disk recovered), a slow drain backs the pace
-    /// off proportionally so a still-crawling disk is never saturated by
-    /// its own catch-up stream.
-    pub fn suspect_plan(&self, peer: NodeId) -> Option<SuspectAction> {
-        let now = self.rt.now();
-        let m = self.match_index(peer);
-        let last = self.log.last_index();
-        let mut map = self.suspects.borrow_mut();
-        let s = map.get_mut(&peer.0)?;
-        if s.draining_fast && last.saturating_sub(m) <= (2 * self.cfg.batch_max) as u64 {
-            map.remove(&peer.0);
-            self.rt.tracer().record_health(depfast::HealthEvent {
-                t: now,
-                node: peer,
-                layer: "raft",
-                transition: "resume",
-                evidence: format!(
-                    "lag {} entries; drain verified fast",
-                    last.saturating_sub(m)
-                ),
-                group: self.health_group(),
-            });
-            return Some(SuspectAction::Resume);
-        }
-        if let Some((at, _)) = s.pending {
-            if now - at >= self.cfg.replicate_timeout {
-                // The chunk (or the probes observing it) went missing.
-                s.pending = None;
-                s.next_chunk_at = now + self.cfg.replicate_timeout;
-            }
-        }
-        let drained = s.peer_verified.is_some_and(|v| m >= v);
-        if s.pending.is_none() && drained && now >= s.next_chunk_at {
-            let n = s.chunk;
-            s.pending = Some((now, m + n as u64));
-            Some(SuspectAction::Chunk { lo: m + 1, n })
-        } else {
-            Some(SuspectAction::Probe)
-        }
-    }
-
-    /// Corrects the outstanding chunk's target after the send actually
-    /// shipped entries through `hi` (the log may have had fewer than
-    /// planned).
-    pub fn suspect_chunk_sent(&self, peer: NodeId, hi: Option<u64>) {
-        let mut map = self.suspects.borrow_mut();
-        let Some(s) = map.get_mut(&peer.0) else {
-            return;
-        };
-        match (hi, s.pending) {
-            (Some(hi), Some((at, _))) => s.pending = Some((at, hi)),
-            (None, _) => s.pending = None,
-            _ => {}
-        }
-    }
-
-    /// Digests a lazy reply from a quarantined peer: advances the acked
-    /// prefix, learns the peer's verified index, and adapts the catch-up
-    /// pace from how fast the outstanding chunk drained.
-    pub fn suspect_on_reply(&self, peer: NodeId, resp: &AppendResp) {
-        if resp.success {
-            self.note_match(peer, resp.match_index);
-            self.advance_commit_from_matches();
-        } else {
-            self.note_reject(peer, resp.match_index);
-        }
-        let now = self.rt.now();
-        let mut map = self.suspects.borrow_mut();
-        let Some(s) = map.get_mut(&peer.0) else {
-            return;
-        };
-        s.peer_verified = Some(resp.verified.max(s.peer_verified.unwrap_or(0)));
-        s.draining_fast = resp.success && resp.match_index >= resp.verified;
-        if let Some((at, target)) = s.pending {
-            if resp.success && resp.match_index >= target {
-                let dt = now - at;
-                let fast = self.cfg.heartbeat + self.cfg.heartbeat / 2;
-                if dt <= fast {
-                    s.chunk = (s.chunk * 2).min(self.cfg.max_entries_per_append);
-                    s.next_chunk_at = now;
-                } else {
-                    s.chunk = (s.chunk / 2).max(self.cfg.batch_max.max(1));
-                    s.next_chunk_at = now + (dt * 4).min(self.cfg.replicate_timeout);
-                }
-                s.pending = None;
-            }
-        }
-    }
-}
-
-/// Leader-side catch-up state for one quarantined (suspect) peer.
-struct SuspectState {
-    /// Entries per catch-up chunk; ramps up on fast drains, backs off on
-    /// slow ones.
-    chunk: usize,
-    /// Outstanding chunk: (send time, last index it carries).
-    pending: Option<(SimTime, u64)>,
-    /// Earliest time the next chunk may ship.
-    next_chunk_at: SimTime,
-    /// The peer's last reported verified index (`None` until the first
-    /// lazy reply arrives).
-    peer_verified: Option<u64>,
-    /// Whether the peer's disk is keeping up: the latest lazy reply
-    /// reported a fully durable log (`match_index >= verified`). Gating
-    /// [`SuspectAction::Resume`] on this prevents the re-flood trap: a
-    /// catch-up trickle can shrink the *lag* below the resume threshold
-    /// while the disk is still crawling, and resuming then would park a
-    /// fresh window of append handlers behind it all over again.
-    draining_fast: bool,
-}
-
-/// What the leader should do next toward a quarantined peer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SuspectAction {
-    /// Lag has shrunk: quarantine lifted, resume normal replication.
-    Resume,
-    /// Send an empty lazy probe (harvests the peer's durable prefix).
-    Probe,
-    /// Send a lazy catch-up chunk of `n` entries starting at `lo`.
-    Chunk {
-        /// First entry index of the chunk.
-        lo: u64,
-        /// Planned entry count.
-        n: usize,
-    },
 }
 
 /// Retires an append-processing ticket on every exit path of the ordered

@@ -1,17 +1,19 @@
 //! Raft replicated state machines: the paper's case study (§2) and
-//! demonstration system (§3.4), four ways.
+//! demonstration system (§3.4), five ways.
 //!
-//! The protocol logic — terms, election, log matching, commit rules — is
-//! shared ([`core`], [`types`]). What differs between the four drivers is
-//! *where the implementation waits*, which is precisely the paper's point:
+//! The protocol logic — terms, election, log matching, commit rules, the
+//! steps of a leader round — is shared ([`core`], [`types`]). What differs
+//! between the five drivers is *where the implementation waits*, which is
+//! precisely the paper's point (wait site = the label `depfast-profile`
+//! prints for it):
 //!
-//! | Driver | Waits like | Paper root cause |
-//! |---|---|---|
-//! | [`DepFastRaft`](depfast_driver::DepFastRaft) | `QuorumEvent` over {own disk write} ∪ {peer acks}; bounded buffers; quorum-discard broadcast | none — §3.4's fail-slow tolerant implementation |
-//! | [`SyncRaft`](sync_driver::SyncRaft) | one region thread does everything serially; EntryCache misses for a lagging follower are read from disk *inline* | TiDB (§2.2): "blocking the whole thread during the disk I/O" |
-//! | [`BacklogRaft`](backlog_driver::BacklogRaft) | per-follower unbounded replication queues charged to leader memory; stop-and-wait senders | RethinkDB (§2.2): "unbounded buffer ... run out of memory" |
-//! | [`CallbackRaft`](callback_driver::CallbackRaft) | one message loop runs every callback serially; lag triggers synchronous flow-control probes of the slow follower | MongoDB-style event-loop head-of-line blocking; tail amplification |
-//! | [`ChainRaft`](chain_driver::ChainRaft) | head→…→tail forwarding, each hop a singular wait | §2.1/§3.3's chained-replication tradeoff: slowness anywhere propagates everywhere |
+//! | Driver | Waits like | Wait site (profile label) | Paper root cause |
+//! |---|---|---|---|
+//! | [`DepFastRaft`](depfast_driver::DepFastRaft) | `QuorumEvent` over {own disk write} ∪ {peer acks}; bounded buffers; quorum-discard broadcast; per-follower append window and quarantine ([`flow`]) | `replicate_wait` (a quorum, never one peer) | none — §3.4's fail-slow tolerant implementation |
+//! | [`SyncRaft`](sync_driver::SyncRaft) | one region thread does everything serially; EntryCache misses for a lagging follower are read from disk *inline* | `cold_read` | TiDB (§2.2): "blocking the whole thread during the disk I/O" |
+//! | [`BacklogRaft`](backlog_driver::BacklogRaft) | per-follower unbounded replication queues charged to leader memory; stop-and-wait senders | `queue_drain` | RethinkDB (§2.2): "unbounded buffer ... run out of memory" |
+//! | [`CallbackRaft`](callback_driver::CallbackRaft) | one message loop runs every callback serially; lag triggers synchronous flow-control probes of the slow follower | `flow_probe` | MongoDB-style event-loop head-of-line blocking; tail amplification |
+//! | [`ChainRaft`](chain_driver::ChainRaft) | head→…→tail forwarding, each hop a singular wait | `hop_wait` | §2.1/§3.3's chained-replication tradeoff: slowness anywhere propagates everywhere |
 //!
 //! All five expose the same [`RaftServer`] surface so the
 //! KV layer, fault injector and benchmarks treat them interchangeably.
@@ -22,6 +24,7 @@ pub mod chain_driver;
 pub mod cluster;
 pub mod core;
 pub mod depfast_driver;
+pub mod flow;
 pub mod sync_driver;
 pub mod types;
 

@@ -14,30 +14,12 @@
 //! commit rule itself only needs the healthy majority.
 
 use std::rc::Rc;
-use std::time::Duration;
 
 use depfast::event::Watchable;
 use depfast::runtime::Coroutine;
-use depfast_storage::Entry;
 use simkit::disk::DiskOp;
 
-use crate::core::{classified_reply, RaftCore, Role};
-use crate::types::{to_wire, AppendReq, AppendResp, APPEND_ENTRIES};
-
-/// SyncRaft options.
-#[derive(Debug, Clone, Copy)]
-pub struct SyncOpts {
-    /// Per-iteration deadline for the region thread's commit wait.
-    pub commit_wait: Duration,
-}
-
-impl Default for SyncOpts {
-    fn default() -> Self {
-        SyncOpts {
-            commit_wait: Duration::from_millis(500),
-        }
-    }
-}
+use crate::core::{RaftCore, Role};
 
 /// The SyncRaft driver (fixed leader; use `bootstrap_leader`).
 pub struct SyncRaft;
@@ -48,10 +30,10 @@ impl SyncRaft {
     /// On the leader, *apply also runs on the region thread* (TiDB's
     /// raftstore architecture) — so anything that blocks the thread blocks
     /// the state machine too.
-    pub fn start(core: &Rc<RaftCore>, opts: SyncOpts) {
+    pub fn start(core: &Rc<RaftCore>) {
         core.install_follower_services();
         if core.is_leader() {
-            Self::spawn_region_thread(core, opts);
+            Self::spawn_region_thread(core);
         } else {
             core.spawn_apply_loop();
         }
@@ -59,43 +41,25 @@ impl SyncRaft {
 
     /// The single region thread: batch intake → sync local append → one
     /// sequential send-preparation pass (with inline cold reads) → commit
-    /// wait.
-    fn spawn_region_thread(core: &Rc<RaftCore>, opts: SyncOpts) {
+    /// wait → inline apply.
+    fn spawn_region_thread(core: &Rc<RaftCore>) {
         let core = core.clone();
         Coroutine::create(&core.rt.clone(), "raft:region_thread", async move {
             loop {
                 if core.st.borrow().role != Role::Leader {
                     break;
                 }
-                let deadline = core.rt.now() + core.cfg.heartbeat;
-                let batch = {
-                    let _g = depfast::PhaseGuard::enter("intake");
-                    core.proposals
-                        .pop_batch(&core.rt, core.cfg.batch_max, Some(deadline))
-                        .await
-                };
-                let cpu = core.cfg.propose_cpu * batch.len().max(1) as u32;
-                if core.world.cpu(core.id, cpu).await.is_err() {
+                let tick = core.rt.now() + core.cfg.heartbeat;
+                let Ok(batch) = core.intake(Some(tick)).await else {
                     break;
-                }
+                };
                 let term = core.log.current_term();
-                let start = core.log.last_index() + 1;
-                let mut entries = Vec::with_capacity(batch.len());
-                for (i, (payload, ev)) in batch.into_iter().enumerate() {
-                    let index = start + i as u64;
-                    entries.push(Entry {
-                        term,
-                        index,
-                        payload,
-                    });
-                    core.pending.borrow_mut().insert(index, ev);
-                }
-                if !entries.is_empty() {
+                if !batch.is_empty() {
                     let phase = depfast::PhaseSpan::begin(&core.rt, "wal_append");
-                    let io = core.log.append(&entries);
                     // Synchronous wait on the local WAL: the region thread
                     // does nothing else meanwhile.
-                    if !io.handle().wait().await.is_ready() {
+                    let staged = core.stage_batch(batch);
+                    if !staged.durable.handle().wait().await.is_ready() {
                         break;
                     }
                     phase.end();
@@ -104,8 +68,7 @@ impl SyncRaft {
 
                 // Sequential send preparation, one follower at a time.
                 for peer in core.peers.clone() {
-                    let next = core.next_index(peer);
-                    let lo = next;
+                    let lo = core.next_index(peer);
                     let send_hi = (hi + 1).min(lo + core.cfg.max_entries_per_append as u64);
                     let (to_send, miss_bytes) = core.log.read_raw(lo, send_hi);
                     if miss_bytes > 0 {
@@ -123,62 +86,16 @@ impl SyncRaft {
                         }
                         phase.end();
                     }
-                    core.note_entries_per_append(to_send.len());
-                    let req = AppendReq {
-                        term,
-                        leader: core.id.0,
-                        prev_index: lo - 1,
-                        prev_term: core.log.term_at(lo - 1),
-                        entries: to_wire(&to_send),
-                        commit: core.commit.get(),
-                        lazy: false,
-                    };
-                    let ev = core.ep.proxy(peer).call_t(
-                        core.method(APPEND_ENTRIES),
-                        "append_entries",
-                        &req,
-                    );
-                    let c2 = core.clone();
-                    // Replies are processed by hooks (the region thread
+                    // Replies are digested by hooks (the region thread
                     // does not wait for them individually).
-                    classified_reply::<AppendResp>(
-                        &core.rt,
-                        &ev,
-                        peer,
-                        "append_entries",
-                        move |resp| {
-                            let Some(resp) = resp else { return false };
-                            if resp.term > c2.log.current_term() {
-                                c2.step_down(resp.term, None);
-                                return false;
-                            }
-                            if resp.success {
-                                c2.note_match(peer, resp.match_index);
-                                c2.advance_commit_from_matches();
-                                true
-                            } else {
-                                c2.note_reject(peer, resp.match_index);
-                                false
-                            }
-                        },
-                    );
+                    core.send_append(peer, &core.append_req(term, lo - 1, &to_send, false));
                 }
-                if hi > core.commit.get() {
-                    // Wait for this round's entries to commit before the
-                    // next intake (single-threaded pipeline of depth one).
-                    let phase = depfast::PhaseSpan::begin(&core.rt, "commit_wait");
-                    core.commit
-                        .when_at_least(hi)
-                        .wait_timeout(opts.commit_wait)
-                        .await;
-                    phase.end();
-                }
-                // Apply on the region thread itself.
-                let phase = depfast::PhaseSpan::begin(&core.rt, "apply");
-                if core.apply_committed_inline().await.is_err() {
+                // Wait for this round's entries to commit before the next
+                // intake (single-threaded pipeline of depth one), then
+                // apply on the region thread itself.
+                if core.commit_then_apply(hi).await.is_err() {
                     break;
                 }
-                phase.end();
             }
         });
     }
@@ -193,6 +110,7 @@ mod tests {
     use depfast_storage::LogStoreCfg;
     use simkit::NodeId;
     use simkit::{Sim, World, WorldCfg};
+    use std::time::Duration;
 
     fn cluster(cache_bytes: u64) -> (Sim, World, crate::cluster::RaftCluster) {
         let sim = Sim::new(5);

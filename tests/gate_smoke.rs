@@ -1,9 +1,10 @@
 //! Tier-1 smoke test of the regression gate and its artifact format, so
 //! `cargo test -q` at the root cannot be green while either is broken:
 //! every committed baseline parses, re-serialises to its own bytes and
-//! self-compares green over all of its cells, and one live gate cell —
-//! DepFastRaft healthy, the first cell of `gate bench` — still equals
-//! its committed record field for field.
+//! self-compares green over all of its cells, and two live gate cells —
+//! the healthy DepFastRaft and SyncRaft cells of `gate bench`, so a drift
+//! in the legacy drivers shows as well — still equal their committed
+//! records field for field.
 
 use depfast_bench::suites::bench_cell;
 use depfast_bench::{compare, repo_root, RunRecord, Suite};
@@ -39,21 +40,23 @@ fn committed_baselines_round_trip_and_self_compare_green() {
 }
 
 #[test]
-fn live_depfast_healthy_cell_equals_its_committed_record() {
+fn live_healthy_cells_equal_their_committed_records() {
     let (_, baseline) = committed("BENCH_baseline.json");
-    let kind = RaftKind::DepFast;
-    let run = bench_cell(kind).execute();
-    let record = RunRecord::from_stats(
-        kind.name(),
-        "none",
-        "",
-        &run.stats,
-        None,
-        run.profiler.as_ref(),
-    );
-    // Through the artifact format, which is where the rounding lives.
-    let mut live = Suite::new(&baseline.suite, baseline.seed);
-    live.runs.push(record);
-    let live = Suite::parse(&live.to_json()).expect("a fresh suite parses");
-    assert_eq!(live.runs[0], baseline.runs[0]);
+    // (driver, index of its healthy cell in the committed suite)
+    for (kind, cell) in [(RaftKind::DepFast, 0), (RaftKind::Sync, 2)] {
+        let run = bench_cell(kind).execute();
+        let record = RunRecord::from_stats(
+            kind.name(),
+            "none",
+            "",
+            &run.stats,
+            None,
+            run.profiler.as_ref(),
+        );
+        // Through the artifact format, which is where the rounding lives.
+        let mut live = Suite::new(&baseline.suite, baseline.seed);
+        live.runs.push(record);
+        let live = Suite::parse(&live.to_json()).expect("a fresh suite parses");
+        assert_eq!(live.runs[0], baseline.runs[cell], "{}", kind.name());
+    }
 }
