@@ -16,34 +16,35 @@
 //! `FIG1_SCALE_CLIENTS` (default 1024) and `FIG1_SCALE_MEASURE_SECS`
 //! (default 4).
 //!
+//! Every side mode below exports each of its runs as one `.run` file
+//! under `target/depfast-bench/` (`RunReport::export`), rendered offline
+//! by `depfast-inspect`; same seed, byte-identical files. See
+//! `docs/OBSERVABILITY.md`.
+//!
 //! Pass `--metrics` (`cargo bench -p depfast-bench --bench fig1 --
 //! --metrics`) to additionally sample every run's metric registry on a
-//! 100 ms virtual-clock grid and write one long-format CSV per
-//! (system, condition) under `target/depfast-bench/` — the per-layer
-//! series (`sim.*`, `rpc.*`, `event.*`, `raft.*`) that let an operator
-//! attribute a collapse to a fault class and name the slow follower
-//! without touching the workload numbers. See `docs/OBSERVABILITY.md`.
+//! 100 ms virtual-clock grid and export one run per (system, condition)
+//! — the per-layer series (`sim.*`, `rpc.*`, `event.*`, `raft.*`) that
+//! let an operator attribute a collapse to a fault class and name the
+//! slow follower without touching the workload numbers.
 //!
-//! Pass `--chrome-trace <path>` (and/or `--trace-out <path>`) to instead
-//! run ONE short fully-traced DepFastRaft experiment with a disk-slow
-//! follower and write the request span trees as Chrome `trace_event`
-//! JSON (load in Perfetto) / as a raw record dump for the
-//! `depfast-trace` binary. Deterministic: same seed, byte-identical
-//! files.
+//! Pass `--trace` to instead run ONE short fully-traced DepFastRaft
+//! experiment with a disk-slow follower: the blame table is printed and
+//! `depfast-inspect --chrome` turns the export into Chrome `trace_event`
+//! JSON (load in Perfetto).
 //!
 //! Pass `--incidents` to run each legacy system (plus DepFastRaft for
 //! contrast) through one incident-instrumented disk-slow episode:
 //! ground-truth fault ledger vs health-event timeline, per-run incident
-//! reports, a detector scorecard table, a `fig1_incidents.dump` replayable
-//! with the `depfast-incident` binary, and one Chrome export with the
-//! incident track. See `docs/OBSERVABILITY.md`.
+//! reports and a detector scorecard table.
+//!
+//! Pass `--profile` for one short profiled disk-slow run per system.
 
 use std::time::Duration;
 
 use depfast_bench::suites::{episode, gate_detector_cfg};
 use depfast_bench::{
-    format_ms, repo_root, run_figure_cell, slug, write_repo_artifact, Run, RunRecord, Shape, Suite,
-    Table,
+    format_ms, run_figure_cell, slug, write_repo_artifact, Run, RunRecord, Shape, Suite, Table,
 };
 use depfast_fault::FaultKind;
 use depfast_profile::Profiler;
@@ -65,7 +66,7 @@ fn run_one(cfg: &Run, metrics: bool, run_name: &str) -> (RunStats, Option<Profil
     (run.stats, run.profiler)
 }
 
-/// The short fixed-seed run of the `--chrome-trace` / `--profile` modes:
+/// The short fixed-seed run of the `--trace` / `--profile` modes:
 /// a disk-slow follower (node 2) from mid-warm-up on.
 fn short_disk_slow(kind: RaftKind) -> Run {
     let warmup = Duration::from_millis(500);
@@ -82,17 +83,9 @@ fn short_disk_slow(kind: RaftKind) -> Run {
 
 const DISK_SLOW: FaultKind = FaultKind::DiskSlow { bw_factor: 0.008 };
 
-/// `--flag <value>` extraction from the bench's raw argv.
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// The `--chrome-trace` / `--trace-out` mode: one short, fully-traced,
-/// fixed-seed DepFastRaft run with a disk-slow follower (node 2).
-fn trace_export(chrome: Option<String>, raw: Option<String>) {
+/// The `--trace` mode: one short, fully-traced, fixed-seed DepFastRaft
+/// run with a disk-slow follower (node 2).
+fn trace_mode() {
     let mut cfg = short_disk_slow(RaftKind::DepFast);
     cfg.instruments.trace = true;
     eprintln!(
@@ -114,39 +107,20 @@ fn trace_export(chrome: Option<String>, raw: Option<String>) {
     }
     let index = trace_analysis::TraceIndex::build(&run.records);
     print!("{}", trace_analysis::blame_report(&index).table(12));
-    if let Some(path) = chrome {
-        std::fs::write(&path, trace_analysis::chrome_trace(&index)).expect("write chrome trace");
-        println!("[chrome-trace] {path} (open in Perfetto or chrome://tracing)");
-    }
-    if let Some(path) = raw {
-        std::fs::write(
-            &path,
-            trace_analysis::serialize_dump(&run.records, run.trace_dropped),
-        )
-        .expect("write raw trace");
-        println!("[trace-out] {path} (analyze with `cargo run -p depfast-bench --bin depfast-trace -- {path}`)");
-    }
+    run.export("fig1_trace").expect("write run artifact");
 }
 
 /// The `--incidents` mode: one incident-instrumented disk-slow episode
 /// per system — fault onset at 2 s (after the detector's warm-up
 /// windows), healed 1.2 s later — scored against the ground-truth fault
-/// ledger. Prints each run's incident report and a scorecard table,
-/// writes the raw dumps to `target/depfast-bench/fig1_incidents.dump`
-/// (replay with the `depfast-incident` binary) and the DepFastRaft
-/// episode's incident track as Chrome `trace_event` JSON. Deterministic:
-/// same seed ⇒ byte-identical files.
+/// ledger. Prints each run's incident report and a scorecard table.
 fn incidents_mode() {
-    let dir = repo_root().join("target/depfast-bench");
-    std::fs::create_dir_all(&dir).expect("create output dir");
     let mut table = Table::new(
         "Figure 1 incidents: detector scorecard (disk-slow follower 2)",
         &[
             "System", "Detected", "TTD (ms)", "TTM (ms)", "TTR (ms)", "FP", "FN", "Misattr",
         ],
     );
-    let mut dumps = Vec::new();
-    let mut chrome: Option<String> = None;
     for kind in [
         RaftKind::DepFast,
         RaftKind::Sync,
@@ -157,15 +131,15 @@ fn incidents_mode() {
             "[fig1] incident run ({}, disk-slow follower 2)...",
             kind.name()
         );
-        let dump = episode(kind, gate_detector_cfg())
+        let run = episode(kind, gate_detector_cfg())
             .with_fault(
                 [2],
                 DISK_SLOW,
                 Duration::from_secs(2),
                 Some(Duration::from_millis(1200)),
             )
-            .execute()
-            .dump();
+            .execute();
+        let dump = run.dump();
         let cell = depfast_incident::score(&dump, depfast_incident::RECOVERY_BAND);
         print!("{}", depfast_incident::render_report(&dump, &cell));
         let ms = |v: Option<u64>| {
@@ -181,38 +155,15 @@ fn incidents_mode() {
             cell.false_negatives.to_string(),
             cell.misattributions.to_string(),
         ]);
-        if kind == RaftKind::DepFast {
-            let (spans, marks) = depfast_incident::incident_track(&dump);
-            let index = trace_analysis::TraceIndex::build(&[]);
-            let path = dir.join("fig1_incidents_trace.json");
-            std::fs::write(
-                &path,
-                trace_analysis::chrome_trace_with_incidents(&index, &spans, &marks),
-            )
-            .expect("write chrome incident trace");
-            chrome = Some(path.display().to_string());
-        }
-        dumps.push(dump);
+        run.export(&format!("fig1_incidents_{}", slug(kind.name())))
+            .expect("write run artifact");
     }
     table.print();
-    let path = dir.join("fig1_incidents.dump");
-    std::fs::write(&path, depfast_incident::serialize_dumps(&dumps)).expect("write incident dumps");
-    println!(
-        "[incidents] {} (replay with `cargo run -p depfast-incident -- {}`)",
-        path.display(),
-        path.display()
-    );
-    if let Some(chrome) = chrome {
-        println!("[chrome-incidents] {chrome} (open in Perfetto or chrome://tracing)");
-    }
 }
 
 /// The `--profile` mode: one short, fixed-seed, profiled run per system
-/// with a disk-slow follower (node 2), exporting folded stacks + SVG
-/// flamegraphs. Deterministic: same seed ⇒ byte-identical files.
+/// with a disk-slow follower (node 2).
 fn profile_mode() {
-    let dir = repo_root().join("target/depfast-bench");
-    std::fs::create_dir_all(&dir).expect("create output dir");
     for kind in [
         RaftKind::DepFast,
         RaftKind::Sync,
@@ -227,28 +178,21 @@ fn profile_mode() {
             cfg.seed
         );
         let run = cfg.execute();
-        let profiler = run.profiler.expect("profiler was on");
-        let stem = format!("fig1_profile_{}", slug(kind.name()));
-        let folded_path = dir.join(format!("{stem}.folded"));
-        let svg_path = dir.join(format!("{stem}.svg"));
-        std::fs::write(&folded_path, profiler.folded()).expect("write folded stacks");
-        std::fs::write(&svg_path, profiler.svg()).expect("write SVG flamegraph");
+        let profiler = run.profiler.as_ref().expect("profiler was on");
         println!(
-            "{:<28} {:>6.0} req/s  node-2 disk share {:>5.1}%  [folded] {}  [svg] {}",
+            "{:<28} {:>6.0} req/s  node-2 disk share {:>5.1}%",
             kind.name(),
             run.stats.throughput,
             profiler.node_site_share(NodeId(2), "disk") * 100.0,
-            folded_path.display(),
-            svg_path.display()
         );
+        run.export(&format!("fig1_profile_{}", slug(kind.name())))
+            .expect("write run artifact");
     }
 }
 
 fn main() {
-    let chrome = arg_value("--chrome-trace");
-    let raw = arg_value("--trace-out");
-    if chrome.is_some() || raw.is_some() {
-        trace_export(chrome, raw);
+    if std::env::args().any(|a| a == "--trace") {
+        trace_mode();
         return;
     }
     if std::env::args().any(|a| a == "--incidents") {

@@ -98,11 +98,11 @@ fn main() {
     let _ = table.write_csv("fig2_edges");
 
     let dot = spg.to_dot(name_of);
-    let dir = std::path::Path::new("target/depfast-bench");
-    let _ = std::fs::create_dir_all(dir);
-    let dot_path = dir.join("fig2_spg.dot");
-    if std::fs::write(&dot_path, &dot).is_ok() {
-        println!("[dot] {}", dot_path.display());
+    if let Ok(dir) = depfast_bench::out_dir() {
+        let dot_path = dir.join("fig2_spg.dot");
+        if std::fs::write(&dot_path, &dot).is_ok() {
+            println!("[dot] {}", dot_path.display());
+        }
     }
 
     // Observation 1: no singular waits inside the replica groups.

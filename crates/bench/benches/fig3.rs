@@ -14,23 +14,29 @@
 //! Environment knobs: `FIG3_MEASURE_SECS` (default 10),
 //! `FIG3_CLIENTS` (default 256).
 //!
+//! Every side mode below exports each of its runs as one `.run` file
+//! under `target/depfast-bench/` (`RunReport::export`), rendered offline
+//! by `depfast-inspect`; same seed, byte-identical files. See
+//! `docs/OBSERVABILITY.md`.
+//!
 //! Pass `--metrics` to sample every run's metric registry on a 100 ms
-//! virtual-clock grid and write one CSV per (cluster, condition) under
-//! `target/depfast-bench/`. Because these are DepFastRaft runs, the
-//! series include the `event.quorum.*` straggler-attribution counters
-//! that name the slow follower(s). See `docs/OBSERVABILITY.md`.
+//! virtual-clock grid and export one run per (cluster, condition).
+//! Because these are DepFastRaft runs, the series include the
+//! `event.quorum.*` straggler-attribution counters that name the slow
+//! follower(s).
 //!
 //! Pass `--incidents` to run each cluster shape through one
-//! incident-instrumented disk-slow episode: per-run incident reports, a
-//! detector scorecard table, and a `fig3_incidents.dump` replayable with
-//! the `depfast-incident` binary. See `docs/OBSERVABILITY.md`.
+//! incident-instrumented disk-slow episode: per-run incident reports and
+//! a detector scorecard table.
+//!
+//! Pass `--profile` for one short profiled disk-slow run per cluster
+//! shape.
 
 use std::time::Duration;
 
 use depfast_bench::suites::{episode, gate_detector_cfg};
 use depfast_bench::{
-    format_ms, repo_root, run_figure_cell, slug, write_repo_artifact, Run, RunRecord, Shape, Suite,
-    Table,
+    format_ms, run_figure_cell, write_repo_artifact, Run, RunRecord, Shape, Suite, Table,
 };
 use depfast_fault::FaultKind;
 use depfast_profile::Profiler;
@@ -58,12 +64,8 @@ fn followers(k: usize) -> std::ops::RangeInclusive<u32> {
 }
 
 /// The `--profile` mode: one short, fixed-seed, profiled DepFastRaft run
-/// per cluster shape with a disk-slow follower minority, exporting
-/// folded stacks + SVG flamegraphs. Deterministic: same seed ⇒
-/// byte-identical files.
+/// per cluster shape with a disk-slow follower minority.
 fn profile_mode() {
-    let dir = repo_root().join("target/depfast-bench");
-    std::fs::create_dir_all(&dir).expect("create output dir");
     for (n_servers, slow_followers) in [(3usize, 1usize), (5, 2)] {
         let warmup = Duration::from_millis(500);
         let mut cfg = Run {
@@ -81,43 +83,28 @@ fn profile_mode() {
             cfg.seed
         );
         let run = cfg.execute();
-        let profiler = run.profiler.expect("profiler was on");
-        let stem = format!("fig3_profile_{}", slug(&format!("{n_servers}_nodes")));
-        let folded_path = dir.join(format!("{stem}.folded"));
-        let svg_path = dir.join(format!("{stem}.svg"));
-        std::fs::write(&folded_path, profiler.folded()).expect("write folded stacks");
-        std::fs::write(&svg_path, profiler.svg()).expect("write SVG flamegraph");
-        println!(
-            "{n_servers} nodes  {:>6.0} req/s  [folded] {}  [svg] {}",
-            run.stats.throughput,
-            folded_path.display(),
-            svg_path.display()
-        );
+        println!("{n_servers} nodes  {:>6.0} req/s", run.stats.throughput);
+        run.export(&format!("fig3_profile_{n_servers}_nodes"))
+            .expect("write run artifact");
     }
 }
 
 /// The `--incidents` mode: one incident-instrumented disk-slow episode
 /// per cluster shape — onset at 2 s (after the detector's warm-up
 /// windows), healed 1.2 s later — scored against the ground-truth fault
-/// ledger. Prints each run's incident report and a scorecard table, and
-/// writes the raw dumps to `target/depfast-bench/fig3_incidents.dump`
-/// (replay with the `depfast-incident` binary). Deterministic: same seed
-/// ⇒ byte-identical files.
+/// ledger. Prints each run's incident report and a scorecard table.
 fn incidents_mode() {
-    let dir = repo_root().join("target/depfast-bench");
-    std::fs::create_dir_all(&dir).expect("create output dir");
     let mut headers = vec!["Cluster"];
     headers.extend(depfast_incident::scorecard_headers());
     let mut table = Table::new(
         "Figure 3 incidents: DepFastRaft detector scorecard (disk-slow minority)",
         &headers,
     );
-    let mut dumps = Vec::new();
     for (n_servers, slow_followers) in [(3usize, 1usize), (5, 2)] {
         eprintln!(
             "[fig3] incident run ({n_servers} nodes, {slow_followers} disk-slow follower(s))..."
         );
-        let dump = Run {
+        let run = Run {
             shape: Shape::Single { n_servers },
             ..episode(RaftKind::DepFast, gate_detector_cfg())
         }
@@ -127,23 +114,17 @@ fn incidents_mode() {
             Duration::from_secs(2),
             Some(Duration::from_millis(1200)),
         )
-        .execute()
-        .dump();
+        .execute();
+        let dump = run.dump();
         let cell = depfast_incident::score(&dump, depfast_incident::RECOVERY_BAND);
         print!("{}", depfast_incident::render_report(&dump, &cell));
         let mut row = vec![format!("{n_servers} Nodes")];
         row.extend(depfast_incident::scorecard_cells(&cell));
         table.row(row);
-        dumps.push(dump);
+        run.export(&format!("fig3_incidents_{n_servers}_nodes"))
+            .expect("write run artifact");
     }
     table.print();
-    let path = dir.join("fig3_incidents.dump");
-    std::fs::write(&path, depfast_incident::serialize_dumps(&dumps)).expect("write incident dumps");
-    println!(
-        "[incidents] {} (replay with `cargo run -p depfast-incident -- {}`)",
-        path.display(),
-        path.display()
-    );
 }
 
 fn main() {

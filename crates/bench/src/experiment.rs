@@ -139,7 +139,7 @@ pub struct Instruments {
     /// Wait-state profiler installed for the whole run, warm-up
     /// included ([`RunReport::profiler`]).
     pub profiler: bool,
-    /// Fail-slow detector watching the cluster's RPC aggregates.
+    /// Fail-slow detector watching the cluster's `rpc.latency` series.
     pub detector: Option<DetectorCfg>,
     /// Demote-and-campaign mitigation when the detector suspects the
     /// leader (single group; needs `detector`).
@@ -872,6 +872,6 @@ mod tests {
         assert!(!b.records.is_empty(), "tracing recorded nothing");
         assert!(b.sampler.rows().len() > 10, "sampler recorded nothing");
         let profiler = b.profiler.expect("profiler was on");
-        assert!(!profiler.folded().is_empty(), "profiler saw no samples");
+        assert!(!profiler.lines().is_empty(), "profiler saw no samples");
     }
 }

@@ -10,6 +10,8 @@
 
 use std::fmt::Write as _;
 
+use depfast_metrics::text::JsonStr;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -102,7 +104,9 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_num(out, *n),
-            Json::Str(s) => write_str(out, s),
+            Json::Str(s) => {
+                let _ = write!(out, "{}", JsonStr(s));
+            }
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -133,8 +137,7 @@ impl Json {
                     }
                     out.push('\n');
                     out.push_str(&"  ".repeat(indent + 1));
-                    write_str(out, k);
-                    out.push_str(": ");
+                    let _ = write!(out, "{}: ", JsonStr(k));
                     v.write(out, indent + 1);
                 }
                 out.push('\n');
@@ -165,24 +168,6 @@ fn write_num(out: &mut String, n: f64) {
     } else {
         let _ = write!(out, "{n}");
     }
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {

@@ -17,17 +17,21 @@
 //! with `cargo bench --workspace`.
 //!
 //! Every experiment anywhere in the tree is one [`Run`] description
-//! executed into one [`RunReport`] ([`experiment`]); the fixed-seed
+//! executed into one [`RunReport`] ([`experiment`]), whose one on-disk
+//! form is the `.run` file of [`artifact`] (`RunReport::export` writes
+//! it, the `depfast-inspect` binary renders it); the fixed-seed
 //! [`suites`] are lists of `Run`s, and the `gate` binary
 //! (`gate bench | detect | scenario`) diffs a fresh [`Suite`] against its
 //! committed baseline ([`baseline`]).
 
+pub mod artifact;
 pub mod baseline;
 pub mod experiment;
 pub mod json;
 pub mod report;
 pub mod suites;
 
+pub use artifact::Artifact;
 pub use baseline::{
     compare, DetectRecord, Detection, GateOutcome, RunRecord, ScenarioRecord, Suite,
 };
@@ -35,4 +39,6 @@ pub use experiment::{
     render_survival_report, Instruments, Run, RunReport, Shape, SurvivalCell, SAMPLE_EVERY,
 };
 pub use json::Json;
-pub use report::{format_ms, repo_root, run_figure_cell, slug, write_repo_artifact, Table};
+pub use report::{
+    format_ms, out_dir, repo_root, run_figure_cell, slug, write_repo_artifact, Table,
+};

@@ -30,26 +30,16 @@ pub fn slug(s: &str) -> String {
 
 /// Runs one figure cell of `bench` with the wait-state profiler attached
 /// (its site rollup lands in `BENCH_<bench>.json`); with `metrics`,
-/// instead samples the metric registry and writes the time series
-/// (`Sampler::to_csv`) and the final registry (`MetricsRegistry::to_json`)
-/// to `target/depfast-bench/<bench>_metrics_<run_name>.{csv,json}`.
+/// instead samples the metric registry and exports the run as
+/// `<bench>_metrics_<run_name>.run` (`series` + `metrics` sections).
 pub fn run_figure_cell(bench: &str, run_name: &str, cfg: &Run, metrics: bool) -> RunReport {
     let mut cfg = cfg.clone();
     cfg.instruments.sampler = metrics;
     cfg.instruments.profiler = !metrics;
     let run = cfg.execute();
     if metrics {
-        let dir = PathBuf::from("target/depfast-bench");
-        let exports = [
-            ("csv", run.sampler.to_csv()),
-            ("json", run.metrics.to_json()),
-        ];
-        let _ = std::fs::create_dir_all(&dir);
-        for (ext, contents) in exports {
-            let path = dir.join(format!("{bench}_metrics_{}.{ext}", slug(run_name)));
-            if std::fs::write(&path, contents).is_ok() {
-                println!("[{ext}] {}", path.display());
-            }
+        if let Err(e) = run.export(&format!("{bench}_metrics_{}", slug(run_name))) {
+            eprintln!("[{bench}] cannot write the run artifact: {e}");
         }
     }
     run
@@ -58,9 +48,9 @@ pub fn run_figure_cell(bench: &str, run_name: &str, cfg: &Run, metrics: bool) ->
 /// The workspace root, resolved from this crate's manifest directory.
 ///
 /// Bench binaries run with varying working directories (`cargo bench`
-/// sets the package dir, CI may use the workspace root), so artifacts
-/// that must land at the repo root — `BENCH_*.json`, folded profiles —
-/// are anchored here instead of relying on the cwd.
+/// sets the package dir, CI may use the workspace root), so everything
+/// written to disk — `BENCH_*.json` here, run artifacts and CSVs under
+/// [`out_dir`] — is anchored here instead of relying on the cwd.
 pub fn repo_root() -> PathBuf {
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     manifest
@@ -68,6 +58,15 @@ pub fn repo_root() -> PathBuf {
         .and_then(std::path::Path::parent)
         .map(std::path::Path::to_path_buf)
         .unwrap_or(manifest)
+}
+
+/// The one output directory, `<repo-root>/target/depfast-bench`, created
+/// on demand: every `.run` artifact and table CSV lands here whatever the
+/// cwd.
+pub fn out_dir() -> std::io::Result<PathBuf> {
+    let dir = repo_root().join("target/depfast-bench");
+    std::fs::create_dir_all(&dir)?;
+    Ok(dir)
 }
 
 /// Writes `contents` to `<repo-root>/<name>` and returns the path.
@@ -131,11 +130,9 @@ impl Table {
         print!("{}", self.render());
     }
 
-    /// Writes the table as CSV under `target/depfast-bench/<name>.csv`.
+    /// Writes the table as CSV to `<out_dir>/<name>.csv`.
     pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from("target/depfast-bench");
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{name}.csv"));
+        let path = out_dir()?.join(format!("{name}.csv"));
         let mut out = String::new();
         let esc = |s: &str| {
             if s.contains(',') || s.contains('"') {

@@ -7,10 +7,10 @@
 
 use std::time::Duration;
 
-use depfast_bench::Run;
+use depfast_bench::{Artifact, Run};
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
-use depfast_trace_analysis::{blame_report, chrome_trace, serialize_records, TraceIndex};
+use depfast_trace_analysis::{blame_report, TraceIndex};
 use simkit::NodeId;
 
 fn traced_cfg(kind: RaftKind) -> Run {
@@ -78,16 +78,14 @@ fn traced_runs_are_deterministic_and_exports_are_byte_identical() {
         measure: Duration::from_secs(1),
         ..traced_cfg(RaftKind::DepFast)
     };
-    let records_a = cfg.execute().records;
-    let records_b = cfg.execute().records;
-    assert!(!records_a.is_empty());
-    assert_eq!(
-        serialize_records(&records_a),
-        serialize_records(&records_b),
-        "same seed must record the same trace"
-    );
-    let chrome_a = chrome_trace(&TraceIndex::build(&records_a));
-    let chrome_b = chrome_trace(&TraceIndex::build(&records_b));
-    assert_eq!(chrome_a, chrome_b, "Chrome export must be byte-identical");
-    assert!(chrome_a.starts_with("{\"displayTimeUnit\""));
+    let (a, b) = (cfg.execute().artifact(), cfg.execute().artifact());
+    assert_eq!(a, b, "same seed must record the same trace");
+    let parsed = Artifact::parse(&a).expect("a fresh artifact parses");
+    assert!(!parsed
+        .trace
+        .as_ref()
+        .expect("trace section")
+        .records
+        .is_empty());
+    assert!(parsed.chrome().starts_with("{\"displayTimeUnit\""));
 }

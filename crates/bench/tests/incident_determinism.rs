@@ -1,21 +1,19 @@
 //! Determinism of every incident artifact: two runs of the same seeded
-//! configuration must produce byte-identical scorecard suite JSON,
-//! incident serial dumps, timeline reports, and Chrome incident tracks.
-//! This is what lets `BENCH_detect.json` be diffed in CI and incident
-//! dumps be attached to bug reports as exact reproductions.
+//! configuration must produce byte-identical scorecard suite JSON, `.run`
+//! files (incident dump, series, final metrics), and the timeline report
+//! and Chrome incident track rendered from them. This is what lets
+//! `BENCH_detect.json` be diffed in CI and `.run` files be attached to
+//! bug reports as exact reproductions.
 
 use std::time::Duration;
 
 use depfast_bench::suites::gate_detector_cfg;
-use depfast_bench::{DetectRecord, Run, Suite};
+use depfast_bench::{Artifact, DetectRecord, Run, RunReport, Suite};
 use depfast_fault::FaultKind;
-use depfast_incident::{
-    incident_track, render_report, score, serialize_dumps, IncidentDump, RECOVERY_BAND,
-};
+use depfast_incident::{score, RECOVERY_BAND};
 use depfast_raft::cluster::RaftKind;
-use depfast_trace_analysis::{chrome_trace_with_incidents, TraceIndex};
 
-fn episode() -> IncidentDump {
+fn episode() -> RunReport {
     Run {
         kind: RaftKind::DepFast,
         n_clients: 32,
@@ -32,35 +30,35 @@ fn episode() -> IncidentDump {
         Some(Duration::from_millis(1000)),
     )
     .execute()
-    .dump()
 }
 
-fn artifacts(dump: &IncidentDump) -> (String, String, String, String) {
-    let cell = score(dump, RECOVERY_BAND);
+/// Suite JSON, `.run` text, and the report + Chrome track rendered from
+/// the `.run` text alone.
+fn artifacts(run: &RunReport) -> (String, String, String, String) {
+    let dump = run.dump();
+    let cell = score(&dump, RECOVERY_BAND);
     let mut suite = Suite::new("detect", 20210531);
-    suite.detect.push(DetectRecord::from_cell(dump, &cell));
-    let (spans, marks) = incident_track(dump);
-    let chrome = chrome_trace_with_incidents(&TraceIndex::build(&[]), &spans, &marks);
-    (
-        suite.to_json(),
-        serialize_dumps(std::slice::from_ref(dump)),
-        render_report(dump, &cell),
-        chrome,
-    )
+    suite.detect.push(DetectRecord::from_cell(&dump, &cell));
+    let text = run.artifact();
+    let parsed = Artifact::parse(&text).expect("a fresh artifact parses");
+    let (report, chrome) = (parsed.render(12, RECOVERY_BAND), parsed.chrome());
+    (suite.to_json(), text, report, chrome)
 }
 
 #[test]
 fn same_seed_episodes_produce_byte_identical_artifacts() {
     let a = episode();
     let b = episode();
-    let (suite_a, dump_a, report_a, chrome_a) = artifacts(&a);
-    let (suite_b, dump_b, report_b, chrome_b) = artifacts(&b);
+    let (suite_a, run_a, report_a, chrome_a) = artifacts(&a);
+    let (suite_b, run_b, report_b, chrome_b) = artifacts(&b);
     assert!(
-        !a.events.is_empty(),
+        !a.health.is_empty(),
         "episode produced no health events; the determinism check would be vacuous"
     );
+    assert!(report_a.contains("incident report"), "{report_a}");
+    assert!(chrome_a.contains("\"incidents\""), "no incident track");
     assert_eq!(suite_a, suite_b, "scorecard suite JSON must be byte-stable");
-    assert_eq!(dump_a, dump_b, "incident serial dump must be byte-stable");
+    assert_eq!(run_a, run_b, "the .run artifact must be byte-stable");
     assert_eq!(report_a, report_b, "timeline report must be byte-stable");
     assert_eq!(
         chrome_a, chrome_b,

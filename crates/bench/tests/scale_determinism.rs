@@ -9,7 +9,7 @@ use std::time::Duration;
 use depfast_bench::suites::gate_detector_cfg;
 use depfast_bench::{Run, RunReport, Shape};
 use depfast_fault::FaultKind;
-use depfast_incident::{render_report, score, serialize_dumps, RECOVERY_BAND};
+use depfast_incident::{render_report, score, RECOVERY_BAND};
 use depfast_raft::cluster::RaftKind;
 
 fn episode() -> RunReport {
@@ -64,9 +64,9 @@ fn same_seed_sharded_runs_are_byte_identical() {
         "no group-stamped events; the 7-field serial path is untested"
     );
     assert_eq!(
-        serialize_dumps(&dumps_a),
-        serialize_dumps(&dumps_b),
-        "per-group serial dumps must be byte-stable"
+        a.artifact(),
+        b.artifact(),
+        "the .run artifact (cluster dump + per-group dumps) must be byte-stable"
     );
     for (da, db) in dumps_a.iter().zip(&dumps_b) {
         let (ca, cb) = (score(da, RECOVERY_BAND), score(db, RECOVERY_BAND));

@@ -1,8 +1,9 @@
 //! Integration acceptance for the wait-state profiler.
 //!
 //! Two properties make profiles trustworthy enough to commit as perf
-//! baselines: fixed-seed runs export byte-identical folded stacks and
-//! SVGs (the profiler is a pure observer of a deterministic simulation),
+//! baselines: fixed-seed runs export byte-identical `.run` files, hence
+//! folded stacks and SVGs (the profiler is a pure observer of a
+//! deterministic simulation),
 //! and enabling it does not change the simulated results at all (probes
 //! are synchronous callbacks — no events, no virtual-clock interaction).
 //! On top of that, the profiles must tell the paper's story: the same
@@ -12,7 +13,7 @@
 
 use std::time::Duration;
 
-use depfast_bench::{Instruments, Run};
+use depfast_bench::{Artifact, Instruments, Run};
 use depfast_fault::FaultKind;
 use depfast_profile::Profiler;
 use depfast_raft::cluster::RaftKind;
@@ -45,11 +46,12 @@ fn profile(cfg: &Run) -> Profiler {
 #[test]
 fn profiled_exports_are_byte_identical_across_same_seed_runs() {
     let cfg = profiled_cfg(RaftKind::DepFast);
-    let (a, b) = (profile(&cfg), profile(&cfg));
-    let folded = a.folded();
-    assert!(!folded.is_empty(), "profiler saw no samples");
-    assert_eq!(folded, b.folded(), "folded stacks must be byte-identical");
-    assert_eq!(a.svg(), b.svg(), "SVGs must be byte-identical");
+    let (a, b) = (cfg.execute().artifact(), cfg.execute().artifact());
+    assert_eq!(a, b, "the .run artifact must be byte-identical");
+    let parsed = Artifact::parse(&a).expect("a fresh artifact parses");
+    let profile = parsed.profile.as_ref().expect("profile section");
+    assert!(!profile.lines.is_empty(), "profiler saw no samples");
+    assert!(parsed.svg().expect("renders").starts_with("<svg"));
 }
 
 #[test]

@@ -267,7 +267,7 @@ impl EventHandle {
             if let EventKind::Rpc { target } = kind {
                 self.rt
                     .tracer()
-                    .sample_rpc(self.node(), target, self.label(), latency, signal);
+                    .sample_rpc(target, self.label(), latency, signal);
             }
         }
         for w in wakers {

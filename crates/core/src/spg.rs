@@ -12,13 +12,13 @@
 //! with a `k/n` label — exactly the Figure 2 visualization, which
 //! [`Spg::to_dot`] emits in Graphviz form.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use simkit::{NodeId, SimTime};
 
 use crate::event::{EventId, EventKind};
 use crate::runtime::CoroId;
-use crate::trace::TraceRecord;
+use crate::trace::{TraceIndex, TraceRecord};
 
 /// Color of an SPG edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -80,56 +80,12 @@ pub struct Spg {
     pub groups: Vec<WaitGroup>,
 }
 
-struct EventInfo {
-    kind: EventKind,
-    label: &'static str,
-    children: Vec<EventId>,
-    quorum_meta: Option<(usize, usize)>,
-}
-
 /// Builds an SPG from full trace records.
 ///
 /// Requires the tracer to have been in full-recording mode
 /// ([`crate::Tracer::set_record_full`]) during the run.
 pub fn build(records: &[TraceRecord]) -> Spg {
-    let mut events: HashMap<EventId, EventInfo> = HashMap::new();
-    let mut coro_labels: HashMap<CoroId, &'static str> = HashMap::new();
-
-    for rec in records {
-        match rec {
-            TraceRecord::EventCreated {
-                event, kind, label, ..
-            } => {
-                events.insert(
-                    *event,
-                    EventInfo {
-                        kind: *kind,
-                        label,
-                        children: Vec::new(),
-                        quorum_meta: None,
-                    },
-                );
-            }
-            TraceRecord::ChildAdded {
-                parent,
-                child,
-                parent_meta,
-                ..
-            } => {
-                if let Some(info) = events.get_mut(parent) {
-                    info.children.push(*child);
-                    if parent_meta.is_some() {
-                        info.quorum_meta = *parent_meta;
-                    }
-                }
-            }
-            TraceRecord::CoroutineStart { coro, label, .. } => {
-                coro_labels.insert(*coro, label);
-            }
-            _ => {}
-        }
-    }
-
+    let index = TraceIndex::build(records);
     let mut groups = Vec::new();
     for rec in records {
         let TraceRecord::WaitBegin {
@@ -146,11 +102,11 @@ pub fn build(records: &[TraceRecord]) -> Spg {
         let coro_label = if *coro_label != "?" {
             coro_label
         } else {
-            coro.and_then(|c| coro_labels.get(&c).copied())
-                .unwrap_or("?")
+            coro.and_then(|c| index.coros.get(&c))
+                .map_or("?", |c| c.label)
         };
         collect_groups(
-            &events,
+            &index,
             *event,
             *quorum,
             *node,
@@ -164,15 +120,15 @@ pub fn build(records: &[TraceRecord]) -> Spg {
 }
 
 /// Every remote (RPC) leaf target under `event`, in child order.
-fn leaf_targets(events: &HashMap<EventId, EventInfo>, event: EventId, out: &mut Vec<NodeId>) {
-    let Some(info) = events.get(&event) else {
+fn leaf_targets(index: &TraceIndex, event: EventId, out: &mut Vec<NodeId>) {
+    let Some(info) = index.events.get(&event) else {
         return;
     };
     match info.kind {
         EventKind::Rpc { target } => out.push(target),
         EventKind::Quorum | EventKind::And | EventKind::Or => {
-            for c in &info.children {
-                leaf_targets(events, *c, out);
+            for c in index.children_of(event) {
+                leaf_targets(index, *c, out);
             }
         }
         _ => {}
@@ -181,15 +137,12 @@ fn leaf_targets(events: &HashMap<EventId, EventInfo>, event: EventId, out: &mut 
 
 /// Splits a compound event's children into remote leaf targets and the
 /// count of purely-local children.
-fn split_children(
-    events: &HashMap<EventId, EventInfo>,
-    children: &[EventId],
-) -> (Vec<NodeId>, usize) {
+fn split_children(index: &TraceIndex, children: &[EventId]) -> (Vec<NodeId>, usize) {
     let mut targets = Vec::new();
     let mut local = 0;
     for c in children {
         let mut t = Vec::new();
-        leaf_targets(events, *c, &mut t);
+        leaf_targets(index, *c, &mut t);
         if t.is_empty() {
             local += 1;
         } else {
@@ -201,7 +154,7 @@ fn split_children(
 
 #[allow(clippy::too_many_arguments)]
 fn collect_groups(
-    events: &HashMap<EventId, EventInfo>,
+    index: &TraceIndex,
     event: EventId,
     wait_quorum: Option<(usize, usize)>,
     waiter: NodeId,
@@ -210,9 +163,10 @@ fn collect_groups(
     t: SimTime,
     out: &mut Vec<WaitGroup>,
 ) {
-    let Some(info) = events.get(&event) else {
+    let Some(info) = index.events.get(&event) else {
         return;
     };
+    let children = index.children_of(event);
     // A requirement over remote targets. If every remote dependence is on
     // one single node, the wait is semantically singular on that node (the
     // paper's red edge) no matter how it was composed.
@@ -259,9 +213,9 @@ fn collect_groups(
             push(out, vec![target], 1, 1, 1, EdgeKind::Singular);
         }
         EventKind::Quorum => {
-            let n_children = info.children.len();
+            let n_children = children.len();
             let (k, _n) = wait_quorum
-                .or(info.quorum_meta)
+                .or(index.quorum_meta.get(&event).copied())
                 .unwrap_or((n_children / 2 + 1, n_children));
             // An all-mode quorum over compound children — a quorum of
             // quorums — requires every child individually, so each nested
@@ -270,34 +224,32 @@ fn collect_groups(
             // (k < n) outer thresholds over compound children stay
             // flattened below: the flat WaitGroup form cannot express
             // "k of these sub-requirements".
-            let compound: Vec<EventId> = info
-                .children
+            let compound: Vec<EventId> = children
                 .iter()
                 .copied()
                 .filter(|c| {
                     matches!(
-                        events.get(c).map(|i| i.kind),
+                        index.events.get(c).map(|i| i.kind),
                         Some(EventKind::Quorum | EventKind::And | EventKind::Or)
                     )
                 })
                 .collect();
             if k == n_children && !compound.is_empty() {
                 for c in &compound {
-                    let meta = events.get(c).and_then(|i| i.quorum_meta);
-                    collect_groups(events, *c, meta, waiter, coro, coro_label, t, out);
+                    let meta = index.quorum_meta.get(c).copied();
+                    collect_groups(index, *c, meta, waiter, coro, coro_label, t, out);
                 }
-                let simple: Vec<EventId> = info
-                    .children
+                let simple: Vec<EventId> = children
                     .iter()
                     .copied()
                     .filter(|c| !compound.contains(c))
                     .collect();
-                let (targets, local) = split_children(events, &simple);
+                let (targets, local) = split_children(index, &simple);
                 let k_remote = simple.len().saturating_sub(local);
                 push(out, targets, k_remote, k, n_children, EdgeKind::Quorum);
                 return;
             }
-            let (targets, local) = split_children(events, &info.children);
+            let (targets, local) = split_children(index, children);
             // Local children (own disk write, self vote) are assumed to
             // succeed; the remote requirement shrinks accordingly.
             let k_remote = k.saturating_sub(local);
@@ -306,25 +258,18 @@ fn collect_groups(
         EventKind::And => {
             // Each conjunct is its own requirement: recurse per child so a
             // nested quorum keeps its own threshold.
-            for c in &info.children {
-                let meta = events.get(c).and_then(|i| i.quorum_meta);
-                collect_groups(events, *c, meta, waiter, coro, coro_label, t, out);
+            for c in children {
+                let meta = index.quorum_meta.get(c).copied();
+                collect_groups(index, *c, meta, waiter, coro, coro_label, t, out);
             }
         }
         EventKind::Or => {
             // Any branch suffices. A fully-local branch means the wait can
             // resolve without any remote node; otherwise it needs one of
             // the union of leaf dependences (a conservative green edge).
-            let (targets, local) = split_children(events, &info.children);
+            let (targets, local) = split_children(index, children);
             let k_remote = if local > 0 { 0 } else { 1 };
-            push(
-                out,
-                targets,
-                k_remote,
-                1,
-                info.children.len(),
-                EdgeKind::Quorum,
-            );
+            push(out, targets, k_remote, 1, children.len(), EdgeKind::Quorum);
         }
         // Local waits (notify, value, timer, io) do not produce SPG edges.
         _ => {}

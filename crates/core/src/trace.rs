@@ -3,15 +3,16 @@
 //! §3.3: *"Having events as trace points, DepFast supports runtime
 //! verification and trace analysis for fail-slow fault tolerance."* Every
 //! event creation, fire, wait-begin and wait-end can be recorded; RPC
-//! completions additionally feed per-peer latency aggregates that the
-//! fail-slow detector (`depfast-detect`) consumes online.
+//! completions additionally feed the per-callee `rpc.latency` /
+//! `rpc.errors` registry series that the fail-slow detector
+//! (`depfast-detect`) reads from registry snapshots.
 //!
 //! Full recording is opt-in ([`Tracer::set_record_full`]) because a
-//! saturated benchmark produces millions of records; aggregates are cheap
-//! and always on.
+//! saturated benchmark produces millions of records; the registry series
+//! are cheap and always on. [`TraceIndex`] is the queryable form of a
+//! record stream that the SPG builder and the offline analyses share.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -20,6 +21,10 @@ use simkit::{NodeId, SimTime};
 
 use crate::event::{EventId, EventKind, Signal, WaitResult};
 use crate::runtime::CoroId;
+
+mod index;
+
+pub use index::{CoroInfo, EventInfo, TraceIndex};
 
 /// Identifier of a span in a request's causal tree.
 ///
@@ -182,41 +187,6 @@ pub enum TraceRecord {
     },
 }
 
-/// Aggregate of RPC completion latencies for one (caller, callee, label).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RpcSample {
-    /// Completions observed.
-    pub count: u64,
-    /// Completions that fired [`Signal::Err`].
-    pub errors: u64,
-    /// Sum of latencies.
-    pub total: Duration,
-    /// Maximum latency.
-    pub max: Duration,
-}
-
-impl RpcSample {
-    /// Mean completion latency (zero if no samples).
-    pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.count as u32
-        }
-    }
-}
-
-/// Key of an RPC latency aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RpcSampleKey {
-    /// Calling node.
-    pub caller: NodeId,
-    /// Called node (the one whose slowness the latency reflects).
-    pub callee: NodeId,
-    /// RPC label.
-    pub label: &'static str,
-}
-
 /// Default cap on full-record collection (~a few hundred MB worst case);
 /// see [`Tracer::set_record_capacity`].
 pub const DEFAULT_RECORD_CAPACITY: usize = 4_000_000;
@@ -288,7 +258,6 @@ struct TraceInner {
     records: Vec<TraceRecord>,
     capacity: usize,
     dropped: Counter,
-    samples: HashMap<RpcSampleKey, RpcSample>,
     health: Vec<HealthEvent>,
     health_dropped: Counter,
     next_event: u64,
@@ -328,7 +297,6 @@ impl Tracer {
                 records: Vec::new(),
                 capacity: DEFAULT_RECORD_CAPACITY,
                 dropped: metrics.counter(Key::global("trace.dropped")),
-                samples: HashMap::new(),
                 health: Vec::new(),
                 health_dropped: metrics.counter(Key::global("trace.health_dropped")),
                 next_event: 0,
@@ -422,35 +390,18 @@ impl Tracer {
         }
     }
 
-    /// Feeds one RPC completion into the per-peer aggregates.
+    /// Feeds one RPC completion into the shared registry, scoped to the
+    /// *callee*: an `rpc.latency` series that inflates names the slow
+    /// peer, which is exactly the attribution the fail-slow detector
+    /// needs.
     pub fn sample_rpc(
         &self,
-        caller: NodeId,
         callee: NodeId,
         label: &'static str,
         latency: Duration,
         signal: Signal,
     ) {
-        let mut inner = self.inner.borrow_mut();
-        let agg = inner
-            .samples
-            .entry(RpcSampleKey {
-                caller,
-                callee,
-                label,
-            })
-            .or_default();
-        agg.count += 1;
-        if signal == Signal::Err {
-            agg.errors += 1;
-        }
-        agg.total += latency;
-        agg.max = agg.max.max(latency);
-        // Mirror into the shared registry, scoped to the *callee*: an
-        // `rpc.latency` series that inflates names the slow peer, which is
-        // exactly the attribution the fail-slow detector needs.
-        let metrics = inner.metrics.clone();
-        drop(inner);
+        let metrics = self.metrics();
         metrics
             .histogram(Key::tagged("rpc.latency", callee.0, label))
             .record(latency);
@@ -478,19 +429,6 @@ impl Tracer {
     /// Number of full records collected so far.
     pub fn record_count(&self) -> usize {
         self.inner.borrow().records.len()
-    }
-
-    /// Drains and returns the RPC latency aggregates accumulated since the
-    /// last drain. The fail-slow detector calls this periodically.
-    pub fn drain_rpc_samples(&self) -> Vec<(RpcSampleKey, RpcSample)> {
-        let mut out: Vec<_> = self.inner.borrow_mut().samples.drain().collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
-    }
-
-    /// Clears all full records (aggregates are untouched).
-    pub fn clear_records(&self) {
-        self.inner.borrow_mut().records.clear();
     }
 
     /// Records one health-state transition. Always on (no gating flag):
@@ -551,42 +489,6 @@ mod tests {
             signal: Signal::Ok,
         });
         assert_eq!(t.record_count(), 1);
-        t.clear_records();
-        assert_eq!(t.record_count(), 0);
-    }
-
-    #[test]
-    fn rpc_samples_aggregate_and_drain() {
-        let t = Tracer::new();
-        let key = RpcSampleKey {
-            caller: NodeId(0),
-            callee: NodeId(1),
-            label: "append",
-        };
-        t.sample_rpc(
-            key.caller,
-            key.callee,
-            key.label,
-            Duration::from_millis(2),
-            Signal::Ok,
-        );
-        t.sample_rpc(
-            key.caller,
-            key.callee,
-            key.label,
-            Duration::from_millis(4),
-            Signal::Err,
-        );
-        let drained = t.drain_rpc_samples();
-        assert_eq!(drained.len(), 1);
-        let (k, agg) = drained[0];
-        assert_eq!(k, key);
-        assert_eq!(agg.count, 2);
-        assert_eq!(agg.errors, 1);
-        assert_eq!(agg.mean(), Duration::from_millis(3));
-        assert_eq!(agg.max, Duration::from_millis(4));
-        // Second drain is empty.
-        assert!(t.drain_rpc_samples().is_empty());
     }
 
     #[test]
@@ -670,64 +572,15 @@ mod tests {
     }
 
     #[test]
-    fn drained_rpc_samples_are_ordered_under_label_collisions() {
-        // Same label used by several (caller, callee) pairs, plus two
-        // labels on the same pair: the drain order must be the total
-        // (caller, callee, label) order regardless of insertion order.
-        let t = Tracer::new();
-        let lat = Duration::from_millis(1);
-        for (caller, callee, label) in [
-            (2u32, 1u32, "append"),
-            (0, 2, "vote"),
-            (0, 2, "append"),
-            (1, 0, "append"),
-            (0, 1, "append"),
-        ] {
-            t.sample_rpc(NodeId(caller), NodeId(callee), label, lat, Signal::Ok);
-        }
-        let keys: Vec<RpcSampleKey> = t.drain_rpc_samples().into_iter().map(|(k, _)| k).collect();
-        let expect: Vec<RpcSampleKey> = [
-            (0u32, 1u32, "append"),
-            (0, 2, "append"),
-            (0, 2, "vote"),
-            (1, 0, "append"),
-            (2, 1, "append"),
-        ]
-        .into_iter()
-        .map(|(caller, callee, label)| RpcSampleKey {
-            caller: NodeId(caller),
-            callee: NodeId(callee),
-            label,
-        })
-        .collect();
-        assert_eq!(keys, expect);
-    }
-
-    #[test]
     fn rpc_samples_mirror_into_the_metric_registry() {
         let r = MetricsRegistry::new();
         let t = Tracer::with_metrics(r.clone());
-        t.sample_rpc(
-            NodeId(0),
-            NodeId(2),
-            "append",
-            Duration::from_millis(7),
-            Signal::Ok,
-        );
-        t.sample_rpc(
-            NodeId(0),
-            NodeId(2),
-            "append",
-            Duration::from_millis(9),
-            Signal::Err,
-        );
+        t.sample_rpc(NodeId(2), "append", Duration::from_millis(7), Signal::Ok);
+        t.sample_rpc(NodeId(2), "append", Duration::from_millis(9), Signal::Err);
         // Scoped to the callee (node 2), tagged with the RPC label.
         let h = r.histogram(Key::tagged("rpc.latency", 2, "append"));
         assert_eq!(h.snapshot().count, 2);
         assert_eq!(h.snapshot().max_ns, 9_000_000);
         assert_eq!(r.counter(Key::tagged("rpc.errors", 2, "append")).get(), 1);
-        // Draining the aggregates leaves the cumulative histograms alone.
-        t.drain_rpc_samples();
-        assert_eq!(h.snapshot().count, 2);
     }
 }

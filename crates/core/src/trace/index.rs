@@ -2,9 +2,11 @@
 
 use std::collections::HashMap;
 
-use depfast::event::Signal;
-use depfast::{CoroId, EventId, EventKind, TraceCtx, TraceRecord};
 use simkit::{NodeId, SimTime};
+
+use super::{TraceCtx, TraceRecord};
+use crate::event::{EventId, EventKind, Signal};
+use crate::runtime::CoroId;
 
 /// Creation-time facts about one event.
 #[derive(Debug, Clone, Copy)]
@@ -26,12 +28,16 @@ pub struct EventInfo {
 /// Facts about one coroutine launch.
 #[derive(Debug, Clone, Copy)]
 pub struct CoroInfo {
-    pub(crate) node: NodeId,
-    pub(crate) label: &'static str,
+    /// Node the coroutine runs on.
+    pub node: NodeId,
+    /// Label given at creation.
+    pub label: &'static str,
 }
 
 /// Index over one trace: events by id, fire times, compound-event
-/// structure, proposal→round links.
+/// structure, proposal→round links. Built once per record stream and
+/// shared by the SPG builder ([`crate::spg::build`]), the blame report and
+/// the Chrome export.
 #[derive(Default)]
 pub struct TraceIndex {
     /// Creation records by event id.
@@ -44,8 +50,10 @@ pub struct TraceIndex {
     pub quorum_meta: HashMap<EventId, (usize, usize)>,
     /// Replication round (quorum event) of each linked proposal.
     pub round_of: HashMap<EventId, EventId>,
-    pub(crate) coros: HashMap<CoroId, CoroInfo>,
-    pub(crate) begins: Vec<(SimTime, NodeId, u64, &'static str)>,
+    /// Launch records by coroutine id.
+    pub coros: HashMap<CoroId, CoroInfo>,
+    /// Request roots, in record order: `(t, node, trace id, label)`.
+    pub begins: Vec<(SimTime, NodeId, u64, &'static str)>,
 }
 
 impl TraceIndex {
@@ -118,5 +126,10 @@ impl TraceIndex {
             Some((t, Signal::Ok)) => Some(*t),
             _ => None,
         }
+    }
+
+    /// Children of `event`, in add order (empty for a basic event).
+    pub fn children_of(&self, event: EventId) -> &[EventId] {
+        self.children.get(&event).map_or(&[], Vec::as_slice)
     }
 }

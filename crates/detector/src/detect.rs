@@ -136,7 +136,8 @@ pub struct FailSlowDetector {
 }
 
 impl FailSlowDetector {
-    /// Starts a detector polling `tracer`'s RPC aggregates.
+    /// Starts a detector polling the `rpc.latency` histograms of
+    /// `tracer`'s metric registry.
     pub fn spawn(sim: &Sim, tracer: &Tracer, cfg: DetectorCfg) -> Self {
         let detector = FailSlowDetector {
             state: Rc::new(RefCell::new(DetectorState {
@@ -443,7 +444,6 @@ mod tests {
     fn feed(tracer: &Tracer, callee: u32, mean_ms: u64, count: u64) {
         for _ in 0..count {
             tracer.sample_rpc(
-                NodeId(0),
                 NodeId(callee),
                 "append_entries",
                 Duration::from_millis(mean_ms),
@@ -529,7 +529,6 @@ mod tests {
         for _ in 0..8 {
             for _ in 0..50 {
                 tracer.sample_rpc(
-                    NodeId(0),
                     NodeId(1),
                     "append_entries",
                     Duration::from_micros(100),
@@ -540,7 +539,6 @@ mod tests {
         }
         for _ in 0..50 {
             tracer.sample_rpc(
-                NodeId(0),
                 NodeId(1),
                 "append_entries",
                 Duration::from_micros(500),

@@ -9,9 +9,9 @@
 //! > a leader re-election can be triggered to turn the fail-slow leader
 //! > into a fail-slow follower, which is well tolerated by DepFastRaft."*
 //!
-//! [`detect`] consumes the RPC-latency aggregates every event fire feeds
-//! into the shared [`Tracer`](depfast::Tracer) and flags nodes whose
-//! completion latencies deviate from their own baseline; [`mitigate`]
+//! [`detect`] polls the callee-scoped `rpc.latency` histograms every RPC
+//! event fire records into the shared metric registry and flags nodes
+//! whose completion latencies deviate from their own baseline; [`mitigate`]
 //! implements the named mitigation: demote a suspected fail-slow leader
 //! and penalize its next candidacy so a healthy follower takes over.
 

@@ -23,8 +23,9 @@
 //! - a human-readable [`report`](crate::render_report);
 //! - an incident track for the Chrome/Perfetto export
 //!   ([`incident_track`]);
-//! - a portable text encoding ([`serialize_dumps`] / [`parse_dumps`])
-//!   consumed by the offline `depfast-incident` binary.
+//! - a portable text encoding ([`serialize_dumps`] / [`parse_dumps`]):
+//!   the `incident` sections of a `.run` file, rendered offline by
+//!   `depfast-inspect`.
 //!
 //! Everything is a pure function of the dump, and dumps are
 //! [canonicalized](IncidentDump::canonicalize), so same-seed runs render

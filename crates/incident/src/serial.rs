@@ -22,55 +22,15 @@
 //! same-seed runs write byte-identical files — the property the
 //! determinism tests pin.
 
+use depfast_metrics::text::{unescape, Field, Fields, LineError};
+
 use crate::{Event, FaultEntry, IncidentDump};
 
 /// Header line starting each serialized dump.
 pub const HEADER: &str = "# depfast-incident/v1";
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('t') => out.push('\t'),
-                Some('n') => out.push('\n'),
-                Some('\\') => out.push('\\'),
-                Some(other) => out.push(other),
-                None => {}
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
 fn opt_ns(v: Option<u64>) -> String {
     v.map_or_else(|| "-".to_string(), |n| n.to_string())
-}
-
-fn parse_opt_ns(s: &str) -> Result<Option<u64>, String> {
-    if s == "-" {
-        Ok(None)
-    } else {
-        s.parse()
-            .map(Some)
-            .map_err(|e| format!("bad ns {s:?}: {e}"))
-    }
 }
 
 /// Serializes `dumps` into one text artifact.
@@ -81,9 +41,9 @@ pub fn serialize_dumps(dumps: &[IncidentDump]) -> String {
         out.push('\n');
         out.push_str(&format!(
             "meta\t{}\t{}\t{}\t{}\t{}\n",
-            escape(&d.driver),
-            escape(&d.fault),
-            escape(&d.cluster),
+            Field(&d.driver),
+            Field(&d.fault),
+            Field(&d.cluster),
             d.seed,
             d.end_ns
         ));
@@ -94,7 +54,7 @@ pub fn serialize_dumps(dumps: &[IncidentDump]) -> String {
             out.push_str(&format!(
                 "fault\t{}\t{}\t{}\t{}\t{}\t{:.6}\n",
                 f.node,
-                escape(&f.kind),
+                Field(&f.kind),
                 opt_ns(f.scheduled_ns),
                 f.onset_ns,
                 opt_ns(f.cleared_ns),
@@ -106,9 +66,9 @@ pub fn serialize_dumps(dumps: &[IncidentDump]) -> String {
                 "event\t{}\t{}\t{}\t{}\t{}",
                 e.t_ns,
                 e.node,
-                escape(&e.layer),
-                escape(&e.transition),
-                escape(&e.evidence)
+                Field(&e.layer),
+                Field(&e.transition),
+                Field(&e.evidence)
             ));
             if let Some(g) = e.group {
                 out.push_str(&format!("\t{g}"));
@@ -122,11 +82,10 @@ pub fn serialize_dumps(dumps: &[IncidentDump]) -> String {
     out
 }
 
-/// Parses a file produced by [`serialize_dumps`].
-pub fn parse_dumps(text: &str) -> Result<Vec<IncidentDump>, String> {
+/// Parses text produced by [`serialize_dumps`].
+pub fn parse_dumps(text: &str) -> Result<Vec<IncidentDump>, LineError> {
     let mut dumps: Vec<IncidentDump> = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
-        let ln = lineno + 1;
         if line.is_empty() {
             continue;
         }
@@ -144,90 +103,40 @@ pub fn parse_dumps(text: &str) -> Result<Vec<IncidentDump>, String> {
             });
             continue;
         }
+        let mut f = Fields::new(lineno + 1, line);
         let d = dumps
             .last_mut()
-            .ok_or_else(|| format!("line {ln}: record before {HEADER:?} header"))?;
-        let fields: Vec<&str> = line.split('\t').collect();
-        let want = |n: usize| -> Result<(), String> {
-            if fields.len() == n {
-                Ok(())
-            } else {
-                Err(format!(
-                    "line {ln}: expected {n} fields, got {}",
-                    fields.len()
-                ))
-            }
-        };
-        match fields[0] {
+            .ok_or_else(|| f.err(format!("record before {HEADER:?} header")))?;
+        match f.next("record kind")? {
             "meta" => {
-                want(6)?;
-                d.driver = unescape(fields[1]);
-                d.fault = unescape(fields[2]);
-                d.cluster = unescape(fields[3]);
-                d.seed = fields[4]
-                    .parse()
-                    .map_err(|e| format!("line {ln}: seed: {e}"))?;
-                d.end_ns = fields[5]
-                    .parse()
-                    .map_err(|e| format!("line {ln}: end_ns: {e}"))?;
+                d.driver = unescape(f.next("driver")?);
+                d.fault = unescape(f.next("fault")?);
+                d.cluster = unescape(f.next("cluster")?);
+                d.seed = f.parse("seed")?;
+                d.end_ns = f.parse("end_ns")?;
             }
-            "dropped" => {
-                want(2)?;
-                d.health_dropped = fields[1]
-                    .parse()
-                    .map_err(|e| format!("line {ln}: dropped: {e}"))?;
-            }
-            "fault" => {
-                want(7)?;
-                d.faults.push(FaultEntry {
-                    node: fields[1]
-                        .parse()
-                        .map_err(|e| format!("line {ln}: node: {e}"))?,
-                    kind: unescape(fields[2]),
-                    scheduled_ns: parse_opt_ns(fields[3]).map_err(|e| format!("line {ln}: {e}"))?,
-                    onset_ns: fields[4]
-                        .parse()
-                        .map_err(|e| format!("line {ln}: onset: {e}"))?,
-                    cleared_ns: parse_opt_ns(fields[5]).map_err(|e| format!("line {ln}: {e}"))?,
-                    severity: fields[6]
-                        .parse()
-                        .map_err(|e| format!("line {ln}: severity: {e}"))?,
-                });
-            }
-            "event" => {
-                // 6 fields (legacy) or 7 (group-scoped).
-                if fields.len() != 6 {
-                    want(7)?;
-                }
-                d.events.push(Event {
-                    t_ns: fields[1]
-                        .parse()
-                        .map_err(|e| format!("line {ln}: t_ns: {e}"))?,
-                    node: fields[2]
-                        .parse()
-                        .map_err(|e| format!("line {ln}: node: {e}"))?,
-                    layer: unescape(fields[3]),
-                    transition: unescape(fields[4]),
-                    evidence: unescape(fields[5]),
-                    group: match fields.get(6) {
-                        Some(g) => Some(g.parse().map_err(|e| format!("line {ln}: group: {e}"))?),
-                        None => None,
-                    },
-                });
-            }
-            "tput" => {
-                want(3)?;
-                d.throughput.push((
-                    fields[1]
-                        .parse()
-                        .map_err(|e| format!("line {ln}: t_ns: {e}"))?,
-                    fields[2]
-                        .parse()
-                        .map_err(|e| format!("line {ln}: ops: {e}"))?,
-                ));
-            }
-            other => return Err(format!("line {ln}: unknown record kind {other:?}")),
+            "dropped" => d.health_dropped = f.parse("dropped")?,
+            "fault" => d.faults.push(FaultEntry {
+                node: f.parse("node")?,
+                kind: unescape(f.next("kind")?),
+                scheduled_ns: f.opt("scheduled_ns")?,
+                onset_ns: f.parse("onset_ns")?,
+                cleared_ns: f.opt("cleared_ns")?,
+                severity: f.parse("severity")?,
+            }),
+            "event" => d.events.push(Event {
+                t_ns: f.parse("t_ns")?,
+                node: f.parse("node")?,
+                layer: unescape(f.next("layer")?),
+                transition: unescape(f.next("transition")?),
+                evidence: unescape(f.next("evidence")?),
+                // Written for group-scoped events only.
+                group: f.more().then(|| f.parse("group")).transpose()?,
+            }),
+            "tput" => d.throughput.push((f.parse("t_ns")?, f.parse("ops")?)),
+            other => return Err(f.err(format!("unknown record kind {other:?}"))),
         }
+        f.end()?;
     }
     Ok(dumps)
 }
@@ -290,10 +199,10 @@ mod tests {
 
     #[test]
     fn garbage_is_rejected_with_line_numbers() {
-        assert!(parse_dumps("event\t1\t2\tx\ty\tz")
-            .unwrap_err()
-            .contains("line 1"));
+        assert_eq!(parse_dumps("event\t1\t2\tx\ty\tz").unwrap_err().line, 1);
         let bad = format!("{HEADER}\nmeta\tonly\tthree\tfields");
-        assert!(parse_dumps(&bad).unwrap_err().contains("line 2"));
+        assert_eq!(parse_dumps(&bad).unwrap_err().line, 2);
+        let long = format!("{HEADER}\ntput\t1\t2.0\t3");
+        assert!(parse_dumps(&long).unwrap_err().msg.contains("trailing"));
     }
 }

@@ -56,6 +56,7 @@
 pub mod histogram;
 pub mod registry;
 pub mod sampler;
+pub mod text;
 
 pub use histogram::{Histogram, Summary};
 pub use registry::{

@@ -7,6 +7,7 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::histogram::Histogram;
+use crate::text::JsonStr;
 
 /// Identity of one metric: a static name plus optional node scope and
 /// optional tag (e.g. an RPC label).
@@ -312,54 +313,22 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Renders the current state as CSV:
-    /// `name,node,tag,kind,value,count,mean_ns,p50_ns,p99_ns,max_ns`.
-    ///
-    /// Counters and gauges fill `value`; histograms fill the
-    /// distribution columns.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("name,node,tag,kind,value,count,mean_ns,p50_ns,p99_ns,max_ns\n");
-        for (k, v) in self.snapshot() {
-            let node = k.node.map(|n| n.to_string()).unwrap_or_default();
-            let tag = k.tag.unwrap_or("");
-            match v {
-                MetricValue::Counter(c) => {
-                    let _ = writeln!(out, "{},{},{},counter,{},,,,,", k.name, node, tag, c);
-                }
-                MetricValue::Gauge(g) => {
-                    let _ = writeln!(out, "{},{},{},gauge,{},,,,,", k.name, node, tag, g);
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = writeln!(
-                        out,
-                        "{},{},{},histogram,,{},{},{},{},{}",
-                        k.name, node, tag, h.count, h.mean_ns, h.p50_ns, h.p99_ns, h.max_ns
-                    );
-                }
-            }
-        }
-        out
-    }
-
     /// Renders the current state as a JSON array, one object per metric,
     /// in the same deterministic key order as [`MetricsRegistry::snapshot`].
     ///
     /// Counters and gauges carry `value`; histograms carry `count`,
     /// `mean_ns`, `p50_ns`, `p99_ns` and `max_ns`. `node`/`tag` are
-    /// `null` when the key is unscoped. The bench harness embeds this in
-    /// its `BENCH_*.json` artifacts next to the CSV export.
+    /// `null` when the key is unscoped. The bench harness writes this as
+    /// the `metrics` section of a run's `.run` file, next to the
+    /// sampler's `series`.
     pub fn to_json(&self) -> String {
-        // Names and tags are static identifiers; escape defensively anyway.
-        fn jstr(s: &str) -> String {
-            format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-        }
         let mut out = String::from("[");
         for (i, (k, v)) in self.snapshot().into_iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("\n  {");
-            let _ = write!(out, "\"name\": {}", jstr(k.name));
+            let _ = write!(out, "\"name\": {}", JsonStr(k.name));
             match k.node {
                 Some(n) => {
                     let _ = write!(out, ", \"node\": {n}");
@@ -368,11 +337,11 @@ impl MetricsRegistry {
             }
             match k.tag {
                 Some(t) => {
-                    let _ = write!(out, ", \"tag\": {}", jstr(t));
+                    let _ = write!(out, ", \"tag\": {}", JsonStr(t));
                 }
                 None => out.push_str(", \"tag\": null"),
             }
-            let _ = write!(out, ", \"kind\": {}", jstr(v.kind()));
+            let _ = write!(out, ", \"kind\": {}", JsonStr(v.kind()));
             match v {
                 MetricValue::Counter(c) => {
                     let _ = write!(out, ", \"value\": {c}");
@@ -515,18 +484,6 @@ mod tests {
         let snap = r.snapshot();
         let keys: Vec<&str> = snap.iter().map(|(k, _)| k.name).collect();
         assert_eq!(keys, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let r = MetricsRegistry::new();
-        r.node(0).counter("rpc.sent").add(3);
-        r.node(0).histogram("rpc.latency").record_ns(1500);
-        let csv = r.to_csv();
-        let mut lines = csv.lines();
-        assert!(lines.next().unwrap().starts_with("name,node,tag,kind"));
-        assert!(csv.contains("rpc.sent,0,,counter,3"));
-        assert!(csv.contains("rpc.latency,0,,histogram,,1,"));
     }
 
     #[test]

@@ -42,6 +42,7 @@ use std::time::Duration;
 
 use depfast::trace::WaitObservation;
 use depfast::{current_coro_label, current_phase, EventKind, Tracer};
+use depfast_metrics::text::LineError;
 use simkit::{NodeId, ResourceKind, ResourceObservation, World};
 
 pub mod flame;
@@ -353,14 +354,37 @@ impl Profiler {
         }
         out
     }
+}
 
-    /// Renders the current profile as a self-contained SVG flamegraph.
-    pub fn svg(&self) -> String {
-        flame::render_svg(
-            &self.folded(),
-            &format!("wait-state profile — {}", self.driver()),
-        )
+/// Parses what [`Profiler::folded`] wrote back into profile lines (frames
+/// stay sanitized; the driver frame is dropped). Empty lines and `#`
+/// lines (a `.run` file's section header) are skipped.
+pub fn parse_folded(text: &str) -> Result<Vec<ProfileLine>, LineError> {
+    let mut lines = Vec::new();
+    for (no, raw) in text.lines().enumerate() {
+        if raw.is_empty() || raw.starts_with('#') {
+            continue;
+        }
+        let err = |msg: &str| LineError {
+            line: no + 1,
+            msg: format!("{msg} in folded stack {raw:?}"),
+        };
+        let (stack, nanos) = raw.rsplit_once(' ').ok_or_else(|| err("no sample value"))?;
+        let frames: Vec<&str> = stack.split(';').collect();
+        let [node, _driver, phase, site] = frames[..] else {
+            return Err(err("expected node;driver;phase;site"));
+        };
+        lines.push(ProfileLine {
+            node: node
+                .strip_prefix('n')
+                .and_then(|n| n.parse().ok())
+                .ok_or_else(|| err("bad node frame"))?,
+            phase: phase.to_string(),
+            site: site.to_string(),
+            nanos: nanos.parse().map_err(|_| err("bad sample value"))?,
+        });
     }
+    Ok(lines)
 }
 
 /// Makes `s` safe to use as a folded-stack frame.
@@ -489,5 +513,19 @@ mod tests {
         assert_eq!(lines[0].phase, "apply");
         assert_eq!(lines[0].site, "notify:applied");
         assert_eq!(lines[0].nanos, 7_000_000);
+        assert_eq!(parse_folded(&p.folded()), Ok(lines));
+    }
+
+    #[test]
+    fn malformed_folded_lines_are_rejected_with_their_line() {
+        for bad in [
+            "n0;d;apply;cpu",
+            "n0;d;cpu 5",
+            "x0;d;apply;cpu 5",
+            "n0;d;apply;cpu five",
+        ] {
+            let e = parse_folded(&format!("n0;d;apply;cpu 5\n{bad}\n")).unwrap_err();
+            assert_eq!(e.line, 2, "{bad}: {e}");
+        }
     }
 }

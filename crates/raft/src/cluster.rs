@@ -149,15 +149,6 @@ impl RaftGroup {
         sole_leader(&self.servers)
     }
 
-    /// The server handle running on `node`, if this group has a member
-    /// there.
-    pub fn server_on(&self, node: NodeId) -> Option<&RaftServer> {
-        self.members
-            .iter()
-            .position(|m| *m == node)
-            .map(|i| &self.servers[i])
-    }
-
     /// Whether `node` hosts a replica of this group.
     pub fn hosts(&self, node: NodeId) -> bool {
         self.members.contains(&node)

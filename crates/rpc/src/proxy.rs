@@ -18,7 +18,7 @@ use simkit::NodeId;
 
 use crate::conn::CancelToken;
 use crate::endpoint::Endpoint;
-use crate::wire::{WireRead, WireWrite};
+use crate::wire::WireWrite;
 use crate::Method;
 
 /// The reply event of an outstanding RPC. Fires `Ok` with the reply
@@ -74,13 +74,4 @@ impl Proxy {
     ) -> RpcEvent {
         self.call(method, label, req.to_bytes())
     }
-}
-
-/// Decodes a reply payload from a completed [`RpcEvent`].
-///
-/// Returns `None` if the event has not fired `Ok`, the payload was already
-/// taken, or decoding fails.
-pub fn take_reply<T: WireRead>(event: &RpcEvent) -> Option<T> {
-    let payload = event.take()?;
-    T::from_bytes(&payload)
 }

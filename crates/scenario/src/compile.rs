@@ -57,11 +57,6 @@ impl InjectionPlan {
             .chain(self.triggers.iter().flat_map(|t| t.nodes.iter().copied()))
             .collect()
     }
-
-    /// Earliest static onset, if any window is scheduled.
-    pub fn first_onset(&self) -> Option<Duration> {
-        self.windows.iter().map(|w| w.at).min()
-    }
 }
 
 /// Why a scenario refused to compile.

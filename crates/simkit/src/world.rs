@@ -228,11 +228,6 @@ impl World {
         self.inner.borrow().nodes.len()
     }
 
-    /// All node ids.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        (0..self.node_count() as u32).map(NodeId).collect()
-    }
-
     fn check(&self, node: NodeId) -> Result<(), Crashed> {
         if self.inner.borrow().nodes[node.0 as usize].crashed {
             Err(Crashed)
@@ -352,11 +347,6 @@ impl World {
         self.inner.borrow().nodes[node.0 as usize].mem.used()
     }
 
-    /// Peak memory usage of `node` in bytes.
-    pub fn mem_peak(&self, node: NodeId) -> u64 {
-        self.inner.borrow().nodes[node.0 as usize].mem.peak()
-    }
-
     /// Current swap-penalty multiplier of `node`.
     pub fn mem_slowdown(&self, node: NodeId) -> f64 {
         self.inner.borrow().nodes[node.0 as usize].mem.slowdown()
@@ -474,20 +464,6 @@ impl World {
     /// Total payload bytes accepted by the network so far.
     pub fn net_bytes(&self) -> u64 {
         self.inner.borrow().net.bytes()
-    }
-
-    /// Total bytes written to `node`'s disk so far.
-    pub fn disk_bytes_written(&self, node: NodeId) -> u64 {
-        self.inner.borrow().nodes[node.0 as usize]
-            .disk
-            .bytes_written()
-    }
-
-    /// Isolated (no-queueing) service time of `op` on `node`'s disk.
-    pub fn disk_service_time(&self, node: NodeId, op: DiskOp) -> Duration {
-        self.inner.borrow().nodes[node.0 as usize]
-            .disk
-            .service_time(op)
     }
 
     /// Current effective CPU rate multiplier of `node`.

@@ -6,7 +6,7 @@ use std::time::Duration;
 use depfast::{EventId, EventKind};
 use simkit::NodeId;
 
-use crate::index::TraceIndex;
+use depfast::trace::TraceIndex;
 
 /// What a blame segment is charged to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

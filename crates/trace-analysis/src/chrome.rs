@@ -2,27 +2,14 @@
 
 use std::collections::BTreeSet;
 
+use depfast::trace::{CoroInfo, TraceIndex};
 use depfast::{CoroId, EventId};
-
-use crate::index::TraceIndex;
+use depfast_metrics::text::JsonStr;
 
 /// Timestamps are microseconds with fractional part; integer math keeps
 /// the rendering byte-stable.
 fn fmt_us(nanos: u64) -> String {
     format!("{}.{:03}", nanos / 1_000, nanos % 1_000)
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Track (tid) of an event: its creating coroutine's lane, or lane 0 for
@@ -66,29 +53,20 @@ pub struct IncidentMark {
     pub detail: String,
 }
 
-/// Renders the indexed trace as Chrome `trace_event` JSON.
+/// Renders the indexed trace as Chrome `trace_event` JSON, with the
+/// run's *incident track* laid over it.
 ///
 /// Every event that both started and fired becomes a complete (`"X"`)
 /// slice on `pid = node`, `tid = coroutine`; request roots become
-/// instants; proposal→round links become flow (`"s"`/`"f"`) arrows. The
-/// output is a pure function of the records, so deterministic
-/// simulations export byte-identical files.
-pub fn chrome_trace(index: &TraceIndex) -> String {
-    chrome_trace_with_incidents(index, &[], &[])
-}
-
-/// [`chrome_trace`] plus an *incident track*: each node whose incident
-/// spans or marks mention it gains a dedicated `tid` [`INCIDENT_TID`]
-/// lane named `"incidents"`, carrying fault intervals / suspicion
-/// lifetimes as complete slices and health-state transitions as instants.
-/// Spans and marks are rendered in the order given — callers are expected
-/// to pass canonically sorted inputs (see `depfast-incident`), keeping
-/// the export byte-stable.
-pub fn chrome_trace_with_incidents(
-    index: &TraceIndex,
-    spans: &[IncidentSpan],
-    marks: &[IncidentMark],
-) -> String {
+/// instants; proposal→round links become flow (`"s"`/`"f"`) arrows. Each
+/// node that `spans` or `marks` mention gains a dedicated `tid`
+/// [`INCIDENT_TID`] lane named `"incidents"`, carrying fault intervals /
+/// suspicion lifetimes as complete slices and health-state transitions
+/// as instants, rendered in the order given — callers pass canonically
+/// sorted inputs (`depfast_incident::incident_track`). The output is a
+/// pure function of its inputs, so deterministic simulations export
+/// byte-identical files.
+pub fn chrome_trace(index: &TraceIndex, spans: &[IncidentSpan], marks: &[IncidentMark]) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     let mut first = true;
     let mut push = |out: &mut String, line: String| {
@@ -118,17 +96,17 @@ pub fn chrome_trace_with_incidents(
             ),
         );
     }
-    let mut coros: Vec<(&CoroId, &crate::index::CoroInfo)> = index.coros.iter().collect();
+    let mut coros: Vec<(&CoroId, &CoroInfo)> = index.coros.iter().collect();
     coros.sort_by_key(|(id, _)| **id);
     for (id, info) in coros {
         push(
             &mut out,
             format!(
                 "{{\"ph\":\"M\",\"pid\":{},\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
+                 \"args\":{{\"name\":{}}}}}",
                 info.node.0,
                 tid_of(Some(*id)),
-                escape(info.label)
+                JsonStr(info.label)
             ),
         );
     }
@@ -148,10 +126,10 @@ pub fn chrome_trace_with_incidents(
             &mut out,
             format!(
                 "{{\"ph\":\"i\",\"pid\":{},\"tid\":0,\"ts\":{},\"s\":\"p\",\
-                 \"name\":\"{}\",\"args\":{{\"trace\":{}}}}}",
+                 \"name\":{},\"args\":{{\"trace\":{}}}}}",
                 node.0,
                 fmt_us(t.as_nanos()),
-                escape(label),
+                JsonStr(label),
                 trace_id
             ),
         );
@@ -175,12 +153,12 @@ pub fn chrome_trace_with_incidents(
             &mut out,
             format!(
                 "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\
-                 \"name\":\"{}\",\"cat\":\"{}\",\"args\":{{\"event\":{}{}}}}}",
+                 \"name\":{},\"cat\":\"{}\",\"args\":{{\"event\":{}{}}}}}",
                 info.node.0,
                 tid_of(info.coro),
                 fmt_us(begin),
                 fmt_us(dur),
-                escape(info.label),
+                JsonStr(info.label),
                 info.kind.name(),
                 id.0,
                 trace
@@ -226,12 +204,12 @@ pub fn chrome_trace_with_incidents(
             &mut out,
             format!(
                 "{{\"ph\":\"X\",\"pid\":{},\"tid\":{INCIDENT_TID},\"ts\":{},\"dur\":{},\
-                 \"name\":\"{}\",\"cat\":\"incident\",\"args\":{{\"detail\":\"{}\"}}}}",
+                 \"name\":{},\"cat\":\"incident\",\"args\":{{\"detail\":{}}}}}",
                 s.node,
                 fmt_us(s.start_ns),
                 fmt_us(s.end_ns.saturating_sub(s.start_ns)),
-                escape(&s.name),
-                escape(&s.detail)
+                JsonStr(&s.name),
+                JsonStr(&s.detail)
             ),
         );
     }
@@ -240,11 +218,11 @@ pub fn chrome_trace_with_incidents(
             &mut out,
             format!(
                 "{{\"ph\":\"i\",\"pid\":{},\"tid\":{INCIDENT_TID},\"ts\":{},\"s\":\"t\",\
-                 \"name\":\"{}\",\"cat\":\"incident\",\"args\":{{\"detail\":\"{}\"}}}}",
+                 \"name\":{},\"cat\":\"incident\",\"args\":{{\"detail\":{}}}}}",
                 m.node,
                 fmt_us(m.t_ns),
-                escape(&m.name),
-                escape(&m.detail)
+                JsonStr(&m.name),
+                JsonStr(&m.detail)
             ),
         );
     }
@@ -395,7 +373,7 @@ mod tests {
                 signal: Signal::Ok,
             },
         ];
-        let json = chrome_trace(&TraceIndex::build(&records));
+        let json = chrome_trace(&TraceIndex::build(&records), &[], &[]);
         check_json(&json).expect("valid JSON");
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ts\":0.100"));
@@ -438,7 +416,7 @@ mod tests {
             name: "detector: suspect".into(),
             detail: "append_entries: window mean 40000us".into(),
         }];
-        let json = chrome_trace_with_incidents(&index, &spans, &marks);
+        let json = chrome_trace(&index, &spans, &marks);
         check_json(&json).expect("valid JSON");
         assert!(json.contains(&format!("\"tid\":{INCIDENT_TID}")));
         assert!(json.contains("\"name\":\"incidents\""));
@@ -446,12 +424,8 @@ mod tests {
         assert!(json.contains("\"cat\":\"incident\""));
         assert!(json.contains("\"ts\":1000.000,\"dur\":2500.000"));
         assert!(json.contains("\"name\":\"detector: suspect\""));
-        // Without incidents, the export is unchanged from chrome_trace.
-        assert_eq!(
-            chrome_trace(&index),
-            chrome_trace_with_incidents(&index, &[], &[])
-        );
-        assert!(!chrome_trace(&index).contains("incidents"));
+        // Without incidents there is no incident lane.
+        assert!(!chrome_trace(&index, &[], &[]).contains("incidents"));
     }
 
     #[test]
@@ -472,8 +446,8 @@ mod tests {
                 signal: Signal::Ok,
             },
         ];
-        let a = chrome_trace(&TraceIndex::build(&records));
-        let b = chrome_trace(&TraceIndex::build(&records));
+        let a = chrome_trace(&TraceIndex::build(&records), &[], &[]);
+        let b = chrome_trace(&TraceIndex::build(&records), &[], &[]);
         assert_eq!(a, b);
     }
 }

@@ -11,12 +11,13 @@
 //!   `(node, layer)` pair — the node whose slowness the segment's
 //!   duration evidences, and the layer (disk, rpc, queue, apply, or a
 //!   driver-annotated phase) it was spent in;
-//! - a **Chrome trace** ([`chrome_trace`]): the span trees as
-//!   `trace_event` JSON loadable in `chrome://tracing` or Perfetto;
+//! - a **Chrome trace** ([`chrome_trace`]): the span trees, with the
+//!   run's incident track over them, as `trace_event` JSON loadable in
+//!   `chrome://tracing` or Perfetto;
 //! - a **portable dump format** ([`serialize_records`] /
-//!   [`parse_records`]): a line-based encoding of the raw records so the
-//!   `depfast-trace` binary can analyze a recorded run without
-//!   re-running the simulation.
+//!   [`parse_records`]): a line-based encoding of the raw records — the
+//!   `trace` section of a `.run` file — so `depfast-inspect` can analyze
+//!   a recorded run without re-running the simulation.
 //!
 //! Everything here is a pure function of the record stream: a
 //! deterministic simulation therefore yields byte-identical reports and
@@ -48,12 +49,9 @@
 
 mod blame;
 mod chrome;
-mod index;
 mod serial;
 
 pub use blame::{blame_report, BlameKey, BlameReport};
-pub use chrome::{
-    chrome_trace, chrome_trace_with_incidents, IncidentMark, IncidentSpan, INCIDENT_TID,
-};
-pub use index::{EventInfo, TraceIndex};
-pub use serial::{dump_dropped, parse_records, serialize_dump, serialize_records};
+pub use chrome::{chrome_trace, IncidentMark, IncidentSpan, INCIDENT_TID};
+pub use depfast::trace::{EventInfo, TraceIndex};
+pub use serial::{parse_records, serialize_records};

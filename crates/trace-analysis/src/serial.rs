@@ -1,6 +1,6 @@
-//! A portable line-based dump format for raw trace records, so analysis
-//! binaries can work from a recorded file instead of re-running the
-//! simulation. One record per line, tab-separated fields, first field is
+//! A portable line-based dump format for raw trace records — the body of
+//! a `.run` file's `trace` section — so `depfast-inspect` can work from a
+//! recorded file instead of re-running the simulation. One record per line, tab-separated fields, first field is
 //! the record tag. `-` encodes "absent"; causal contexts are encoded as
 //! `trace_id` + `parent_span` with `0 0` meaning "none" (trace ids start
 //! at 1 and span 0 is [`depfast::SpanId::NONE`]).
@@ -11,6 +11,7 @@ use std::fmt::Write as _;
 
 use depfast::event::{Signal, WaitResult};
 use depfast::{CoroId, EventId, EventKind, SpanId, TraceCtx, TraceRecord};
+use depfast_metrics::text::{Fields, LineError};
 use simkit::{NodeId, SimTime};
 
 /// Labels parsed from a dump must be `&'static str` like the originals;
@@ -195,204 +196,137 @@ pub fn serialize_records(records: &[TraceRecord]) -> String {
     out
 }
 
-/// Serializes a dump with a metadata header recording how many records
-/// the tracer's ring buffer dropped before this stream was taken. A
-/// nonzero count means blame shares are computed from a truncated stream;
-/// `depfast-trace` warns when it sees one. Header lines start with `#`
-/// and are skipped by [`parse_records`], so legacy headerless dumps and
-/// new ones parse identically.
-pub fn serialize_dump(records: &[TraceRecord], dropped: u64) -> String {
-    let mut out = format!("#meta\tdropped\t{dropped}\n");
-    out.push_str(&serialize_records(records));
-    out
-}
-
-/// The `dropped` count from a dump's `#meta` header; 0 for legacy dumps
-/// without one.
-pub fn dump_dropped(text: &str) -> u64 {
-    text.lines()
-        .take_while(|l| l.starts_with('#'))
-        .find_map(|l| {
-            l.strip_prefix("#meta\tdropped\t")
-                .and_then(|v| v.trim().parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-struct Line<'a> {
-    no: usize,
-    fields: Vec<&'a str>,
-    at: usize,
-}
-
-impl<'a> Line<'a> {
-    fn next(&mut self) -> Result<&'a str, String> {
-        let f = self
-            .fields
-            .get(self.at)
-            .ok_or_else(|| format!("line {}: missing field {}", self.no, self.at))?;
-        self.at += 1;
-        Ok(f)
+/// Parses one line of a dump produced by [`serialize_records`] (a
+/// causal context is two fields, a `(k, n)` snapshot two `-`-able ones).
+fn parse_record(line: &mut Fields<'_>) -> Result<TraceRecord, LineError> {
+    fn time(line: &mut Fields<'_>) -> Result<SimTime, LineError> {
+        line.parse("time").map(SimTime::from_nanos)
     }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let no = self.no;
-        self.next()?
-            .parse()
-            .map_err(|e| format!("line {no}: bad number: {e}"))
+    fn node(line: &mut Fields<'_>, what: &str) -> Result<NodeId, LineError> {
+        line.parse(what).map(NodeId)
     }
-
-    fn time(&mut self) -> Result<SimTime, String> {
-        Ok(SimTime::from_nanos(self.u64()?))
+    fn event(line: &mut Fields<'_>, what: &str) -> Result<EventId, LineError> {
+        line.parse(what).map(EventId)
     }
-
-    fn node(&mut self) -> Result<NodeId, String> {
-        Ok(NodeId(self.u64()? as u32))
+    fn opt_coro(line: &mut Fields<'_>) -> Result<Option<CoroId>, LineError> {
+        Ok(line.opt("coro id")?.map(CoroId))
     }
-
-    fn opt_coro(&mut self) -> Result<Option<CoroId>, String> {
-        let f = self.next()?;
-        if f == "-" {
-            return Ok(None);
-        }
-        let no = self.no;
-        f.parse()
-            .map(|v| Some(CoroId(v)))
-            .map_err(|e| format!("line {no}: bad coro id: {e}"))
+    fn opt_meta(line: &mut Fields<'_>) -> Result<Option<(usize, usize)>, LineError> {
+        let (k, n) = (line.opt("quorum k")?, line.opt("quorum n")?);
+        Ok(k.zip(n))
     }
-
-    fn opt_meta(&mut self) -> Result<Option<(usize, usize)>, String> {
-        let (k, n) = (self.next()?, self.next()?);
-        if k == "-" || n == "-" {
-            return Ok(None);
-        }
-        let no = self.no;
-        let parse = |s: &str| {
-            s.parse::<usize>()
-                .map_err(|e| format!("line {no}: bad quorum meta: {e}"))
-        };
-        Ok(Some((parse(k)?, parse(n)?)))
-    }
-
-    fn ctx(&mut self) -> Result<Option<TraceCtx>, String> {
-        let (tid, span) = (self.u64()?, self.u64()?);
-        Ok((tid != 0 || span != 0).then_some(TraceCtx {
-            trace_id: tid,
+    fn ctx(line: &mut Fields<'_>) -> Result<Option<TraceCtx>, LineError> {
+        let (trace_id, span) = (line.parse("trace id")?, line.parse("parent span")?);
+        Ok((trace_id != 0 || span != 0).then_some(TraceCtx {
+            trace_id,
             parent_span: SpanId(span),
         }))
     }
+    let rec = match line.next("record tag")? {
+        "begin" => TraceRecord::TraceBegin {
+            t: time(line)?,
+            node: node(line, "node")?,
+            trace_id: line.parse("trace id")?,
+            label: intern(line.next("label")?),
+        },
+        "coro" => TraceRecord::CoroutineStart {
+            t: time(line)?,
+            node: node(line, "node")?,
+            coro: CoroId(line.parse("coro id")?),
+            label: intern(line.next("label")?),
+            ctx: ctx(line)?,
+        },
+        "event" => {
+            let t = time(line)?;
+            let at = node(line, "node")?;
+            let coro = opt_coro(line)?;
+            let event = event(line, "event id")?;
+            let kind = match line.next("kind")? {
+                "notify" => EventKind::Notify,
+                "value" => EventKind::Value,
+                "timer" => EventKind::Timer,
+                "io" => EventKind::Io,
+                "quorum" => EventKind::Quorum,
+                "and" => EventKind::And,
+                "or" => EventKind::Or,
+                "rpc" => EventKind::Rpc {
+                    target: node(line, "rpc target")?,
+                },
+                "phase" => EventKind::Phase {
+                    blame: node(line, "phase blame")?,
+                },
+                other => return Err(line.err(format!("unknown kind {other:?}"))),
+            };
+            if !matches!(kind, EventKind::Rpc { .. } | EventKind::Phase { .. }) {
+                line.next("kind argument")?;
+            }
+            TraceRecord::EventCreated {
+                t,
+                node: at,
+                coro,
+                event,
+                kind,
+                label: intern(line.next("label")?),
+                ctx: ctx(line)?,
+            }
+        }
+        "link" => TraceRecord::RoundLink {
+            t: time(line)?,
+            proposal: event(line, "proposal id")?,
+            round: event(line, "round id")?,
+        },
+        "child" => TraceRecord::ChildAdded {
+            t: time(line)?,
+            parent: event(line, "parent id")?,
+            child: event(line, "child id")?,
+            parent_meta: opt_meta(line)?,
+        },
+        "fired" => TraceRecord::EventFired {
+            t: time(line)?,
+            event: event(line, "event id")?,
+            signal: match line.next("signal")? {
+                "ok" => Signal::Ok,
+                "err" => Signal::Err,
+                other => return Err(line.err(format!("unknown signal {other:?}"))),
+            },
+        },
+        "wbegin" => TraceRecord::WaitBegin {
+            t: time(line)?,
+            node: node(line, "node")?,
+            coro: opt_coro(line)?,
+            event: event(line, "event id")?,
+            coro_label: intern(line.next("coroutine label")?),
+            quorum: opt_meta(line)?,
+        },
+        "wend" => TraceRecord::WaitEnd {
+            t: time(line)?,
+            node: node(line, "node")?,
+            coro: opt_coro(line)?,
+            event: event(line, "event id")?,
+            result: match line.next("result")? {
+                "ready" => WaitResult::Ready,
+                "failed" => WaitResult::Failed,
+                "timeout" => WaitResult::Timeout,
+                other => return Err(line.err(format!("unknown result {other:?}"))),
+            },
+            waited: std::time::Duration::from_nanos(line.parse("waited")?),
+        },
+        other => return Err(line.err(format!("unknown record tag {other:?}"))),
+    };
+    Ok(rec)
 }
 
-/// Parses a dump produced by [`serialize_records`].
-pub fn parse_records(text: &str) -> Result<Vec<TraceRecord>, String> {
+/// Parses a dump produced by [`serialize_records`]. Empty lines and `#`
+/// lines (a `.run` file's section header) are skipped.
+pub fn parse_records(text: &str) -> Result<Vec<TraceRecord>, LineError> {
     let mut records = Vec::new();
     for (no, raw) in text.lines().enumerate() {
         if raw.is_empty() || raw.starts_with('#') {
             continue;
         }
-        let mut line = Line {
-            no: no + 1,
-            fields: raw.split('\t').collect(),
-            at: 0,
-        };
-        let tag = line.next()?;
-        let rec = match tag {
-            "begin" => TraceRecord::TraceBegin {
-                t: line.time()?,
-                node: line.node()?,
-                trace_id: line.u64()?,
-                label: intern(line.next()?),
-            },
-            "coro" => TraceRecord::CoroutineStart {
-                t: line.time()?,
-                node: line.node()?,
-                coro: CoroId(line.u64()?),
-                label: intern(line.next()?),
-                ctx: line.ctx()?,
-            },
-            "event" => {
-                let t = line.time()?;
-                let node = line.node()?;
-                let coro = line.opt_coro()?;
-                let event = EventId(line.u64()?);
-                let kname = line.next()?;
-                let karg = line.next()?;
-                let kind = match kname {
-                    "notify" => EventKind::Notify,
-                    "value" => EventKind::Value,
-                    "timer" => EventKind::Timer,
-                    "io" => EventKind::Io,
-                    "quorum" => EventKind::Quorum,
-                    "and" => EventKind::And,
-                    "or" => EventKind::Or,
-                    "rpc" => EventKind::Rpc {
-                        target: NodeId(
-                            karg.parse()
-                                .map_err(|e| format!("line {}: bad rpc target: {e}", line.no))?,
-                        ),
-                    },
-                    "phase" => EventKind::Phase {
-                        blame: NodeId(
-                            karg.parse()
-                                .map_err(|e| format!("line {}: bad phase blame: {e}", line.no))?,
-                        ),
-                    },
-                    other => return Err(format!("line {}: unknown kind {other:?}", line.no)),
-                };
-                TraceRecord::EventCreated {
-                    t,
-                    node,
-                    coro,
-                    event,
-                    kind,
-                    label: intern(line.next()?),
-                    ctx: line.ctx()?,
-                }
-            }
-            "link" => TraceRecord::RoundLink {
-                t: line.time()?,
-                proposal: EventId(line.u64()?),
-                round: EventId(line.u64()?),
-            },
-            "child" => TraceRecord::ChildAdded {
-                t: line.time()?,
-                parent: EventId(line.u64()?),
-                child: EventId(line.u64()?),
-                parent_meta: line.opt_meta()?,
-            },
-            "fired" => TraceRecord::EventFired {
-                t: line.time()?,
-                event: EventId(line.u64()?),
-                signal: match line.next()? {
-                    "ok" => Signal::Ok,
-                    "err" => Signal::Err,
-                    other => return Err(format!("line {}: unknown signal {other:?}", line.no)),
-                },
-            },
-            "wbegin" => TraceRecord::WaitBegin {
-                t: line.time()?,
-                node: line.node()?,
-                coro: line.opt_coro()?,
-                event: EventId(line.u64()?),
-                coro_label: intern(line.next()?),
-                quorum: line.opt_meta()?,
-            },
-            "wend" => TraceRecord::WaitEnd {
-                t: line.time()?,
-                node: line.node()?,
-                coro: line.opt_coro()?,
-                event: EventId(line.u64()?),
-                result: match line.next()? {
-                    "ready" => WaitResult::Ready,
-                    "failed" => WaitResult::Failed,
-                    "timeout" => WaitResult::Timeout,
-                    other => return Err(format!("line {}: unknown result {other:?}", line.no)),
-                },
-                waited: std::time::Duration::from_nanos(line.u64()?),
-            },
-            other => return Err(format!("line {}: unknown record tag {other:?}", line.no)),
-        };
-        records.push(rec);
+        let mut line = Fields::new(no + 1, raw);
+        records.push(parse_record(&mut line)?);
+        line.end()?;
     }
     Ok(records)
 }
@@ -488,22 +422,15 @@ mod tests {
         assert!(parse_records("nonsense\t1\t2\n").is_err());
         assert!(parse_records("fired\t1\n").is_err());
         assert!(parse_records("fired\t1\t2\tmaybe\n").is_err());
+        assert!(parse_records("fired\t1\t2\tok\textra\n").is_err());
+        let e = parse_records("fired\t1\t2\tok\nfired\t1\n").unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
     }
 
     #[test]
-    fn empty_lines_are_skipped() {
-        assert!(parse_records("\n\n").expect("ok").is_empty());
-    }
-
-    #[test]
-    fn meta_header_round_trips_and_stays_back_compatible() {
-        let records = sample();
-        let dump = serialize_dump(&records, 42);
-        assert!(dump.starts_with("#meta\tdropped\t42\n"));
-        assert_eq!(dump_dropped(&dump), 42);
-        let parsed = parse_records(&dump).expect("header is skipped");
-        assert_eq!(serialize_records(&parsed), serialize_records(&records));
-        // Legacy dumps have no header: dropped reads as 0.
-        assert_eq!(dump_dropped(&serialize_records(&records)), 0);
+    fn empty_and_header_lines_are_skipped() {
+        assert!(parse_records("\n# depfast-trace/v1\tdropped\t0\n\n")
+            .expect("ok")
+            .is_empty());
     }
 }

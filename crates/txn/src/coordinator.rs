@@ -82,11 +82,6 @@ impl TxnClient {
             .unwrap_or(self.shards[shard][0])
     }
 
-    /// Notes a redirect.
-    pub fn set_leader(&self, shard: usize, leader: NodeId) {
-        self.leaders.borrow_mut().insert(shard, leader);
-    }
-
     fn exec(&self, shard: usize, cmd: &TxnCmd, label: &'static str) -> depfast_rpc::RpcEvent {
         // Shard `i` is served by Raft group `i + 1` (the ShardedCluster
         // convention), so the call rides the group-namespaced method id.

@@ -1,13 +1,17 @@
-//! Tier-1 smoke test of the regression gate and its artifact format, so
-//! `cargo test -q` at the root cannot be green while either is broken:
-//! every committed baseline parses, re-serialises to its own bytes and
-//! self-compares green over all of its cells, and two live gate cells —
-//! the healthy DepFastRaft and SyncRaft cells of `gate bench`, so a drift
-//! in the legacy drivers shows as well — still equal their committed
-//! records field for field.
+//! Tier-1 smoke test of the regression gate, its suite format and the
+//! run-artifact path, so `cargo test -q` at the root cannot be green
+//! while any is broken: every committed baseline parses, re-serialises to
+//! its own bytes and self-compares green over all of its cells; two live
+//! gate cells — the healthy DepFastRaft and SyncRaft cells of `gate
+//! bench`, so a drift in the legacy drivers shows as well — still equal
+//! their committed records field for field; and a run with every
+//! instrument on survives `.run` text → parse → render.
 
-use depfast_bench::suites::bench_cell;
-use depfast_bench::{compare, repo_root, RunRecord, Suite};
+use std::time::Duration;
+
+use depfast_bench::suites::{bench_cell, gate_detector_cfg};
+use depfast_bench::{compare, repo_root, Artifact, Run, RunRecord, Suite};
+use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 
 fn committed(name: &str) -> (String, Suite) {
@@ -59,4 +63,42 @@ fn live_healthy_cells_equal_their_committed_records() {
         let live = Suite::parse(&live.to_json()).expect("a fresh suite parses");
         assert_eq!(live.runs[0], baseline.runs[cell], "{}", kind.name());
     }
+}
+
+/// What `depfast-inspect` does, minus the argv: a short disk-slow run
+/// with trace + profiler + detector on renders all of its sections from
+/// the `.run` text alone, and a cut-off file is refused with its line.
+#[test]
+fn a_run_artifact_parses_and_renders_every_section() {
+    let warmup = Duration::from_millis(1200);
+    let mut run = Run {
+        n_clients: 16,
+        warmup,
+        measure: Duration::from_millis(800),
+        records: 10_000,
+        ..Run::default()
+    }
+    .with_detector(gate_detector_cfg())
+    .with_fault([2], FaultKind::DiskSlow { bw_factor: 0.008 }, warmup, None);
+    run.instruments.trace = true;
+    run.instruments.profiler = true;
+    let text = run.execute().artifact();
+    let artifact = Artifact::parse(&text).expect("a fresh artifact parses");
+    let rendered = artifact.render(12, depfast_incident::RECOVERY_BAND);
+    for rendering in [
+        "series: ",
+        "critical-path blame over",
+        "Top wait sites",
+        "incident report",
+    ] {
+        assert!(
+            rendered.contains(rendering),
+            "missing {rendering:?}:\n{rendered}"
+        );
+    }
+    // Line 50 is a trace record; keep its tag and drop the rest.
+    let head: usize = text.split_inclusive('\n').take(49).map(str::len).sum();
+    let cut = head + text[head..].find('\t').expect("a record has fields") + 1;
+    let e = Artifact::parse(&text[..cut]).err().expect("cut mid-record");
+    assert_eq!(e.line, 50, "{e}");
 }
