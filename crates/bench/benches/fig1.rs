@@ -44,7 +44,7 @@ use std::time::Duration;
 
 use depfast_bench::suites::{episode, gate_detector_cfg};
 use depfast_bench::{
-    format_ms, run_figure_cell, slug, write_repo_artifact, Run, RunRecord, Shape, Suite, Table,
+    format_ms, run_figure_cell, slug, striped, write_repo_artifact, Run, RunRecord, Suite, Table,
 };
 use depfast_fault::FaultKind;
 use depfast_profile::Profiler;
@@ -386,7 +386,7 @@ fn main() {
     for n_groups in [1usize, 4, 16, 64] {
         eprintln!("[fig1] DepFastRaft scale-out @ {n_groups} group(s)...");
         let cfg = Run {
-            shape: Shape::sharded(n_groups, 12),
+            placement: striped(n_groups, 12),
             n_clients: scale_clients,
             measure: scale_measure,
             ..Run::default()
@@ -430,7 +430,7 @@ fn main() {
     for kind in [RaftKind::DepFast, RaftKind::Sync] {
         let base_cfg = Run {
             kind,
-            shape: Shape::sharded(8, 9),
+            placement: striped(8, 9),
             n_clients: scale_clients.min(256),
             measure: scale_measure,
             ..Run::default()
@@ -443,7 +443,13 @@ fn main() {
             .with_fault([8], DISK_SLOW, Duration::from_secs(2), None)
             .execute();
         let (dumps, hosted) = (run.group_dumps(), run.hosted(8));
-        for ((h, f), dump) in healthy.groups.iter().zip(&run.groups).zip(&dumps) {
+        for ((h, f), dump) in healthy
+            .stats
+            .groups
+            .iter()
+            .zip(&run.stats.groups)
+            .zip(&dumps)
+        {
             let cell = depfast_incident::score(dump, depfast_incident::RECOVERY_BAND);
             suite.runs.push(RunRecord::from_stats(
                 kind.name(),

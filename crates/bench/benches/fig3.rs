@@ -36,7 +36,7 @@ use std::time::Duration;
 
 use depfast_bench::suites::{episode, gate_detector_cfg};
 use depfast_bench::{
-    format_ms, run_figure_cell, write_repo_artifact, Run, RunRecord, Shape, Suite, Table,
+    format_ms, run_figure_cell, write_repo_artifact, Placement, Run, RunRecord, Suite, Table,
 };
 use depfast_fault::FaultKind;
 use depfast_profile::Profiler;
@@ -69,7 +69,7 @@ fn profile_mode() {
     for (n_servers, slow_followers) in [(3usize, 1usize), (5, 2)] {
         let warmup = Duration::from_millis(500);
         let mut cfg = Run {
-            shape: Shape::Single { n_servers },
+            placement: Placement::Single { n: n_servers },
             n_clients: 32,
             warmup,
             measure: Duration::from_secs(1),
@@ -105,7 +105,7 @@ fn incidents_mode() {
             "[fig3] incident run ({n_servers} nodes, {slow_followers} disk-slow follower(s))..."
         );
         let run = Run {
-            shape: Shape::Single { n_servers },
+            placement: Placement::Single { n: n_servers },
             ..episode(RaftKind::DepFast, gate_detector_cfg())
         }
         .with_fault(
@@ -162,7 +162,7 @@ fn main() {
 
     for (n_servers, slow_followers) in [(3usize, 1usize), (5, 2)] {
         let base_cfg = Run {
-            shape: Shape::Single { n_servers },
+            placement: Placement::Single { n: n_servers },
             n_clients: clients,
             measure,
             ..Run::default()

@@ -55,7 +55,10 @@ impl RunReport {
         }
         if ins.detector.is_some() || ins.retry.is_some() {
             let mut dumps = vec![self.dump()];
-            dumps.extend(self.group_dumps());
+            // One group's split is the cluster dump again.
+            if self.stats.groups.len() > 1 {
+                dumps.extend(self.group_dumps());
+            }
             out.push_str(&serialize_dumps(&dumps));
         }
         if let Some(profiler) = &self.profiler {

@@ -16,14 +16,14 @@ use std::time::Duration;
 use depfast_detect::{AmpSample, DetectorCfg, FailSlowDetector, StormCfg, StormMonitor};
 use depfast_fault::{FaultKind, FaultLedger, FaultRecord};
 use depfast_incident::{score, IncidentDump, ScoreCell, RECOVERY_BAND};
-use depfast_kv::{KvCluster, RetryPolicy, ShardedKvCluster};
+use depfast_kv::{RetryPolicy, ShardedKvCluster};
 use depfast_metrics::{group_label, Key, MetricValue, MetricsRegistry, Sampler};
 use depfast_profile::Profiler;
-use depfast_raft::cluster::RaftKind;
+use depfast_raft::cluster::{Placement, RaftKind};
 use depfast_raft::core::RaftCfg;
 use depfast_scenario::{CompileError, InjectionPlan, Scenario, Target, Window};
 use depfast_storage::{LogStoreCfg, WalCfg};
-use depfast_ycsb::driver::{run_workload, run_workload_sharded, DriverCfg, GroupStats, RunStats};
+use depfast_ycsb::driver::{run_workload, DriverCfg, RunStats};
 use depfast_ycsb::workload::WorkloadSpec;
 use simkit::{MemCfg, NodeId, Sim, SimTime, World, WorldCfg};
 
@@ -85,43 +85,12 @@ pub fn mem_contention_limit() -> u64 {
 /// load-trigger poll; the survival series are on this grid.
 pub const SAMPLE_EVERY: Duration = Duration::from_millis(100);
 
-/// Cluster shape. Two shapes, not one: a 1-group sharded cluster routes
-/// through the shard map and tags its metrics, so it is not
-/// wire-identical to the single group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Shape {
-    /// One Raft group on nodes `0..n_servers`, bootstrap leader 0.
-    Single {
-        /// Replicas.
-        n_servers: usize,
-    },
-    /// `n_groups` co-located groups of `group_size` replicas striped
-    /// over `n_nodes` server nodes, keyspace hash-partitioned.
-    Sharded {
-        /// Raft groups.
-        n_groups: usize,
-        /// Server nodes the groups are striped over.
-        n_nodes: usize,
-        /// Replicas per group.
-        group_size: usize,
-    },
-}
-
-impl Shape {
-    /// `groups` groups of 3 replicas striped over `nodes` nodes.
-    pub fn sharded(n_groups: usize, n_nodes: usize) -> Shape {
-        Shape::Sharded {
-            n_groups,
-            n_nodes,
-            group_size: 3,
-        }
-    }
-
-    fn server_nodes(&self) -> usize {
-        match *self {
-            Shape::Single { n_servers } => n_servers,
-            Shape::Sharded { n_nodes, .. } => n_nodes,
-        }
+/// `groups` groups of 3 replicas striped over `nodes` server nodes.
+pub fn striped(groups: usize, nodes: usize) -> Placement {
+    Placement::Striped {
+        groups,
+        nodes,
+        size: 3,
     }
 }
 
@@ -142,12 +111,12 @@ pub struct Instruments {
     /// Fail-slow detector watching the cluster's `rpc.latency` series.
     pub detector: Option<DetectorCfg>,
     /// Demote-and-campaign mitigation when the detector suspects the
-    /// leader (single group; needs `detector`).
+    /// leader (one group only; needs `detector`).
     pub leader_mitigation: bool,
-    /// Retry policy installed on every client session (single group),
-    /// plus a storm monitor ticked with the sampler. The survival series
-    /// becomes client *goodput* — a storm commits plenty of duplicate
-    /// work while clients see nothing.
+    /// Retry policy installed on every client session, plus a storm
+    /// monitor ticked with the sampler. The survival series becomes
+    /// client *goodput* — a storm commits plenty of duplicate work while
+    /// clients see nothing.
     pub retry: Option<RetryPolicy>,
 }
 
@@ -156,8 +125,12 @@ pub struct Instruments {
 pub struct Run {
     /// Raft driver under test (every group runs the same one).
     pub kind: RaftKind,
-    /// Cluster shape.
-    pub shape: Shape,
+    /// Where the Raft groups live. There is no separate single-group
+    /// path: [`Placement::Single`] is one group at gid 0, and gid 0 is the
+    /// identity namespace (base method ids, untagged `raft.*` keys,
+    /// `HealthEvent::group == None`), so its results are byte-identical
+    /// to a cluster that never heard of groups.
+    pub placement: Placement,
     /// Concurrent closed-loop clients, one per host node.
     pub n_clients: usize,
     /// Determinism seed (sim, workload and scenario target choice).
@@ -185,7 +158,7 @@ impl Default for Run {
     fn default() -> Self {
         Run {
             kind: RaftKind::DepFast,
-            shape: Shape::Single { n_servers: 3 },
+            placement: Placement::Single { n: 3 },
             n_clients: 256,
             seed: 20210531, // HotOS '21 opening day.
             warmup: Duration::from_secs(2),
@@ -229,10 +202,10 @@ impl Run {
     /// names the run after it, and wires leader mitigation for DepFast
     /// leader cells (needs a detector to act on).
     pub fn with_scenario(mut self, scenario: &Scenario) -> Result<Run, CompileError> {
-        let Shape::Single { n_servers } = self.shape else {
+        let Placement::Single { n } = self.placement else {
             panic!("scenarios compile onto a single group");
         };
-        self.plan = scenario.compile(n_servers, 0, self.seed)?;
+        self.plan = scenario.compile(n, 0, self.seed)?;
         self.fault = scenario.name.clone();
         self.instruments.leader_mitigation =
             self.kind == RaftKind::DepFast && scenario.target == Target::Leader;
@@ -248,11 +221,9 @@ impl Run {
     /// The cluster-shape discriminator used in suite cells and incident
     /// dumps: `"{servers}x{clients}"` or `"{groups}g{nodes}n"`.
     pub fn cluster_label(&self) -> String {
-        match self.shape {
-            Shape::Single { n_servers } => format!("{n_servers}x{}", self.n_clients),
-            Shape::Sharded {
-                n_groups, n_nodes, ..
-            } => format!("{n_groups}g{n_nodes}n"),
+        match self.placement {
+            Placement::Single { n } => format!("{n}x{}", self.n_clients),
+            p => format!("{}g{}n", p.groups().len(), p.server_nodes()),
         }
     }
 
@@ -265,45 +236,22 @@ impl Run {
         let sim = Sim::new(self.seed);
         let world = World::new(
             sim.clone(),
-            bench_world_cfg(self.shape.server_nodes() + self.n_clients),
+            bench_world_cfg(self.placement.server_nodes() + self.n_clients),
         );
         let metrics = world.metrics();
-        let cluster = match self.shape {
-            Shape::Single { n_servers } => Cluster::Single(Rc::new(KvCluster::build_tuned(
-                &sim,
-                &world,
-                self.kind,
-                n_servers,
-                self.n_clients,
-                self.raft,
-                bench_serve_cpu(),
-            ))),
-            Shape::Sharded {
-                n_groups,
-                n_nodes,
-                group_size,
-            } => Cluster::Sharded(Rc::new(ShardedKvCluster::build_tuned(
-                &sim,
-                &world,
-                self.kind,
-                n_groups,
-                n_nodes,
-                group_size,
-                self.n_clients,
-                self.raft,
-                bench_serve_cpu(),
-            ))),
-        };
-        let tracer = match &cluster {
-            Cluster::Single(c) => c.raft.tracer.clone(),
-            Cluster::Sharded(c) => c.raft.tracer.clone(),
-        };
+        let cluster = Rc::new(ShardedKvCluster::build(
+            &sim,
+            &world,
+            self.kind,
+            self.placement,
+            self.n_clients,
+            self.raft,
+            bench_serve_cpu(),
+        ));
+        let tracer = cluster.raft.tracer.clone();
         let ledger = FaultLedger::new();
         let monitor = ins.retry.map(|policy| {
-            let Cluster::Single(c) = &cluster else {
-                panic!("retry policies are a single-group instrument");
-            };
-            for client in &c.clients {
+            for client in &cluster.clients {
                 client.set_policy(policy);
             }
             let cfg = StormCfg {
@@ -343,10 +291,10 @@ impl Run {
             .detector
             .map(|dcfg| FailSlowDetector::spawn(&sim, &tracer, dcfg));
         if ins.leader_mitigation {
-            let (Cluster::Single(c), Some(detector)) = (&cluster, &detector) else {
+            let ([group], Some(detector)) = (&cluster.raft.groups[..], &detector) else {
                 panic!("leader mitigation needs a single group and a detector");
             };
-            let cores = c.raft.servers.iter().map(|s| s.core().clone()).collect();
+            let cores = group.servers.iter().map(|s| s.core().clone()).collect();
             depfast_detect::spawn_leader_mitigation(&sim, detector, cores, Duration::from_secs(2));
         }
         let inject = {
@@ -394,18 +342,7 @@ impl Run {
             measure: self.measure,
             seed: self.seed ^ 0x5eed,
         };
-        let (stats, groups, members) = match &cluster {
-            Cluster::Single(c) => (
-                run_workload(&sim, &world, c, spec, dcfg),
-                Vec::new(),
-                Vec::new(),
-            ),
-            Cluster::Sharded(c) => {
-                let s = run_workload_sharded(&sim, &world, c, spec, dcfg);
-                let members = c.raft.groups.iter().map(|g| g.members.clone()).collect();
-                (s.total, s.groups, members)
-            }
-        };
+        let stats = run_workload(&sim, &world, &cluster, spec, dcfg);
         let records = if ins.trace {
             tracer.set_record_full(false);
             tracer.take_records()
@@ -418,8 +355,6 @@ impl Run {
         RunReport {
             run: self.clone(),
             stats,
-            groups,
-            members,
             // The sampling task still holds a clone of the cell; swap
             // the sampler out rather than trying to unwrap the Rc.
             sampler: sampler.replace(Sampler::new(MetricsRegistry::new(), 1)),
@@ -439,11 +374,6 @@ impl Run {
     }
 }
 
-enum Cluster {
-    Single(Rc<KvCluster>),
-    Sharded(Rc<ShardedKvCluster>),
-}
-
 /// The cumulative counter a survival series differences.
 #[derive(Clone, Copy)]
 enum Series {
@@ -460,7 +390,8 @@ impl Series {
     /// matching keys (replicas of a group — leadership may move).
     fn level(self, values: &[(Key, MetricValue)]) -> i128 {
         let (name, tag) = match self {
-            Series::Commits => ("raft.commit_index", None),
+            // Group 0 is a cluster's only group, and its series are untagged.
+            Series::Commits | Series::GroupCommits(0) => ("raft.commit_index", None),
             Series::GroupCommits(gid) => ("raft.commit_index", Some(group_label(gid))),
             Series::Goodput => ("client.success", None),
         };
@@ -495,14 +426,9 @@ impl Series {
 pub struct RunReport {
     /// The description that was run.
     pub run: Run,
-    /// Client-side workload statistics (the aggregate, when sharded).
+    /// Client-side workload statistics: the aggregate and, in
+    /// `stats.groups`, the per-group split (one element for one group).
     pub stats: RunStats,
-    /// Per-group statistics, indexed by `gid - 1` (empty for a single
-    /// group).
-    pub groups: Vec<GroupStats>,
-    /// Replica nodes per group, indexed by `gid - 1` (empty for a single
-    /// group).
-    pub members: Vec<Vec<NodeId>>,
     /// The cluster-shared registry with final cumulative values for
     /// every `sim.*` / `rpc.*` / `event.*` / `raft.*` series.
     pub metrics: MetricsRegistry,
@@ -580,16 +506,18 @@ impl RunReport {
         self.dump_of(self.run.cluster_label(), series, |_| true, |_| true)
     }
 
-    /// One incident dump per group, indexed by `gid - 1` — the blast
-    /// radius split. Ground truth is restricted to the group's replicas
-    /// (a fault on a non-member node is outside the group's radius by
-    /// construction, so its scorecard must stay all-zero); the reaction
-    /// timeline is the group-stamped events for this gid plus node-level
-    /// layers (detector, mitigation) on member nodes; the series
-    /// differences this group's own commit index.
+    /// One incident dump per group, indexed like `stats.groups` — the
+    /// blast radius split. Ground truth is restricted to the group's
+    /// replicas (a fault on a non-member node is outside the group's
+    /// radius by construction, so its scorecard must stay all-zero); the
+    /// reaction timeline is the group-stamped events for this gid plus
+    /// node-level layers (detector, mitigation) on member nodes; the
+    /// series differences this group's own commit index.
     pub fn group_dumps(&self) -> Vec<IncidentDump> {
-        (1u32..)
-            .zip(&self.members)
+        self.run
+            .placement
+            .groups()
+            .into_iter()
             .map(|(gid, mine)| {
                 self.dump_of(
                     format!("{}/g{gid}", self.run.cluster_label()),
@@ -603,8 +531,10 @@ impl RunReport {
 
     /// Gids of groups hosting a replica on `node`.
     pub fn hosted(&self, node: u32) -> Vec<u32> {
-        (1u32..)
-            .zip(&self.members)
+        self.run
+            .placement
+            .groups()
+            .into_iter()
             .filter(|(_, mine)| mine.contains(&NodeId(node)))
             .map(|(gid, _)| gid)
             .collect()
@@ -613,13 +543,15 @@ impl RunReport {
     /// One group's stats in the [`RunStats`] shape, so suite records can
     /// treat a group like a small cluster.
     pub fn group_stats(&self, gid: u32) -> RunStats {
-        let g = &self.groups[(gid - 1) as usize];
+        let g = self.stats.groups.iter().find(|g| g.gid == gid);
+        let g = g.unwrap_or_else(|| panic!("no group {gid} in this run"));
         RunStats {
             ops: g.ops,
             errors: g.errors,
             throughput: g.throughput,
             latency: g.latency,
             server_crashed: self.stats.server_crashed,
+            groups: vec![g.clone()],
         }
     }
 
@@ -811,7 +743,7 @@ mod tests {
 
     fn sharded(n_groups: usize, n_clients: usize) -> RunReport {
         Run {
-            shape: Shape::sharded(n_groups, 6),
+            placement: striped(n_groups, 6),
             n_clients,
             ..quick(RaftKind::DepFast)
         }
@@ -826,8 +758,8 @@ mod tests {
             "got {:.0}/s",
             r.stats.throughput
         );
-        assert_eq!(r.groups.len(), 4);
-        for g in &r.groups {
+        assert_eq!(r.stats.groups.len(), 4);
+        for g in &r.stats.groups {
             assert!(g.ops > 0, "group {} starved: {:?}", g.gid, g.ops);
         }
     }

@@ -1,8 +1,7 @@
 //! Benchmark harness shared by the table/figure reproductions and the
 //! regression gate.
 //!
-//! Each paper artifact has a dedicated bench target (all `harness = false`
-//! except the Criterion micro-bench):
+//! Each paper artifact has a dedicated bench target (all `harness = false`):
 //!
 //! | Target | Paper artifact |
 //! |---|---|
@@ -11,7 +10,6 @@
 //! | `fig2` | Figure 2 — DepFastRaft slowness propagation graph (DOT + edges) |
 //! | `fig3` | Figure 3 — DepFastRaft under minority fail-slow followers (absolute) |
 //! | `ablations` | design-choice ablations (buffers, EntryCache, wait style) |
-//! | `events` | Criterion micro-costs of the event machinery |
 //!
 //! Run one with `cargo bench -p depfast-bench --bench fig1`, or everything
 //! with `cargo bench --workspace`.
@@ -35,8 +33,9 @@ pub use artifact::Artifact;
 pub use baseline::{
     compare, DetectRecord, Detection, GateOutcome, RunRecord, ScenarioRecord, Suite,
 };
+pub use depfast_raft::cluster::Placement;
 pub use experiment::{
-    render_survival_report, Instruments, Run, RunReport, Shape, SurvivalCell, SAMPLE_EVERY,
+    render_survival_report, striped, Instruments, Run, RunReport, SurvivalCell, SAMPLE_EVERY,
 };
 pub use json::Json;
 pub use report::{

@@ -23,7 +23,7 @@ use depfast_raft::cluster::RaftKind;
 use depfast_scenario::{CompileError, Scenario};
 
 use crate::baseline::{health_loss, DetectRecord, RunRecord, ScenarioRecord, Suite};
-use crate::experiment::{render_survival_report, Instruments, Run, Shape, SurvivalCell};
+use crate::experiment::{render_survival_report, striped, Instruments, Run, SurvivalCell};
 
 /// Seed of every gated cell.
 pub const GATE_SEED: u64 = 20210531;
@@ -165,7 +165,7 @@ pub fn bench(_report: bool) -> Result<Live, String> {
     suite.config("scale_clients", 96.0);
     eprintln!("[gate] DepFastRaft 8 groups / 9 nodes healthy...");
     let sharded = Run {
-        shape: Shape::sharded(8, 9),
+        placement: striped(8, 9),
         n_clients: 96,
         instruments: Instruments::default(),
         ..bench_cell(RaftKind::DepFast)
@@ -240,7 +240,7 @@ pub fn detect(report: bool) -> Result<Live, String> {
             kind.name()
         );
         let run = Run {
-            shape: Shape::sharded(8, 9),
+            placement: striped(8, 9),
             ..episode(kind, gate_detector_cfg())
         }
         .with_fault([8], DISK_SLOW, EPISODE_AT, EPISODE_FOR);

@@ -15,7 +15,7 @@ use bytes::Bytes;
 use depfast_bench::{Run, RunReport};
 use depfast_fault::FaultKind;
 use depfast_metrics::Key;
-use depfast_raft::cluster::{build_cluster, RaftKind};
+use depfast_raft::cluster::{Placement, RaftCluster, RaftKind};
 use depfast_raft::core::RaftCfg;
 use simkit::{Sim, World, WorldCfg};
 
@@ -61,11 +61,10 @@ fn pipelined_rounds_preserve_commit_order() {
             ..WorldCfg::default()
         },
     );
-    let cl = build_cluster(
+    let cl = RaftCluster::build(
         &sim,
         &world,
         RaftKind::DepFast,
-        3,
         RaftCfg {
             bootstrap_leader: Some(0),
             // Small batches + deep pipeline: many rounds in flight at
@@ -75,11 +74,12 @@ fn pipelined_rounds_preserve_commit_order() {
             pipeline_depth: 4,
             ..RaftCfg::default()
         },
+        Placement::Single { n: 3 },
     );
     // Fire all proposals without waiting in between, so consecutive
     // batches ride different pipelined rounds.
     let events: Vec<_> = (0..200u32)
-        .map(|i| cl.servers[0].propose(Bytes::from(i.to_be_bytes().to_vec())))
+        .map(|i| cl.groups[0].servers[0].propose(Bytes::from(i.to_be_bytes().to_vec())))
         .collect();
     for ev in &events {
         use depfast::event::Watchable;
@@ -90,7 +90,7 @@ fn pipelined_rounds_preserve_commit_order() {
         assert!(out.is_ready(), "every pipelined proposal must commit");
     }
     sim.run_until_time(sim.now() + Duration::from_secs(1)); // Heartbeat catch-up.
-    for s in &cl.servers {
+    for s in &cl.groups[0].servers {
         let core = s.core();
         let node = core.id.0;
         assert_eq!(core.log.last_index(), 200, "node {node} fully replicated");

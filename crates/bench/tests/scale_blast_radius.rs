@@ -17,7 +17,7 @@
 use std::time::Duration;
 
 use depfast_bench::suites::gate_detector_cfg;
-use depfast_bench::{Run, RunReport, Shape};
+use depfast_bench::{striped, Run, RunReport};
 use depfast_fault::FaultKind;
 use depfast_incident::{score, RECOVERY_BAND};
 use depfast_raft::cluster::RaftKind;
@@ -27,7 +27,7 @@ const FAULT_NODE: u32 = 4;
 fn cfg(kind: RaftKind) -> Run {
     Run {
         kind,
-        shape: Shape::sharded(4, 5),
+        placement: striped(4, 5),
         n_clients: 64,
         warmup: Duration::from_secs(2),
         measure: Duration::from_millis(2400),
@@ -59,9 +59,10 @@ fn incident(kind: RaftKind) -> RunReport {
 fn p99_inflation(kind: RaftKind, faulted: &RunReport) -> Vec<f64> {
     let healthy = cfg(kind).execute();
     healthy
+        .stats
         .groups
         .iter()
-        .zip(&faulted.groups)
+        .zip(&faulted.stats.groups)
         .map(|(h, f)| f.latency.p99.as_secs_f64() / h.latency.p99.as_secs_f64())
         .collect()
 }

@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use depfast_bench::suites::gate_detector_cfg;
-use depfast_bench::{Run, RunReport, Shape};
+use depfast_bench::{striped, Run, RunReport};
 use depfast_fault::FaultKind;
 use depfast_incident::{render_report, score, RECOVERY_BAND};
 use depfast_raft::cluster::RaftKind;
@@ -15,7 +15,7 @@ use depfast_raft::cluster::RaftKind;
 fn episode() -> RunReport {
     Run {
         kind: RaftKind::DepFast,
-        shape: Shape::sharded(4, 5),
+        placement: striped(4, 5),
         n_clients: 48,
         warmup: Duration::from_secs(2),
         measure: Duration::from_millis(2400),
@@ -40,7 +40,7 @@ fn same_seed_sharded_runs_are_byte_identical() {
     // Client-visible statistics agree group by group.
     assert_eq!(a.stats.ops, b.stats.ops);
     assert_eq!(a.stats.errors, b.stats.errors);
-    for (ga, gb) in a.groups.iter().zip(&b.groups) {
+    for (ga, gb) in a.stats.groups.iter().zip(&b.stats.groups) {
         assert_eq!(ga.gid, gb.gid);
         assert_eq!(ga.ops, gb.ops, "g{} op count drifted", ga.gid);
         assert_eq!(

@@ -135,7 +135,11 @@ mod tests {
                 ..RaftCfg::default()
             },
         ));
-        let cores: Vec<Rc<RaftCore>> = cl.raft.servers.iter().map(|s| s.core().clone()).collect();
+        let cores: Vec<Rc<RaftCore>> = cl.raft.groups[0]
+            .servers
+            .iter()
+            .map(|s| s.core().clone())
+            .collect();
         let detector = FailSlowDetector::spawn(
             &sim,
             &cl.raft.tracer,

@@ -38,8 +38,7 @@ fn setup() -> (
             ..RaftCfg::default()
         },
     ));
-    let cores: Vec<Rc<RaftCore>> = cluster
-        .raft
+    let cores: Vec<Rc<RaftCore>> = cluster.raft.groups[0]
         .servers
         .iter()
         .map(|s| s.core().clone())

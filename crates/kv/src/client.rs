@@ -224,17 +224,12 @@ pub struct KvClient {
 }
 
 impl KvClient {
-    /// Creates a client talking to `servers` from `ep`'s node (legacy
-    /// single-group form: group 0).
-    pub fn new(ep: Endpoint, servers: Vec<NodeId>, client_id: u64) -> Self {
-        Self::for_group(ep, servers, client_id, 0)
-    }
-
-    /// Creates a client session bound to one Raft group of a multi-group
-    /// cluster: requests go to the group-namespaced `CLIENT_PROPOSE`
-    /// method, so co-located groups on a server node cannot intercept
-    /// each other's traffic. `servers` must be the group's member nodes.
-    pub fn for_group(ep: Endpoint, servers: Vec<NodeId>, client_id: u64, group: u32) -> Self {
+    /// Creates a client session from `ep`'s node to Raft group `group`,
+    /// whose member nodes are `servers`: requests go to the
+    /// group-namespaced `CLIENT_PROPOSE` method, so co-located groups on
+    /// a server node cannot intercept each other's traffic (group 0, a
+    /// cluster's only group, is the base method id).
+    pub fn new(ep: Endpoint, servers: Vec<NodeId>, client_id: u64, group: u32) -> Self {
         let metrics = ClientMetrics::new(&ep.runtime().tracer().metrics());
         KvClient {
             ep,

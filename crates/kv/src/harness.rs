@@ -1,23 +1,46 @@
-//! One-call construction of a complete replicated KV deployment: world
-//! nodes `0..n` host servers, nodes `n..n+c` host clients.
+//! One-call construction of a complete replicated KV deployment: the
+//! server nodes of a [`Placement`] host the replicas, the nodes right
+//! after them host the client sessions.
 
 use std::time::Duration;
 
-use depfast::runtime::Runtime;
-use depfast_raft::cluster::{
-    build_cluster, build_multi_cluster, rpc_cfg_for, MultiRaftCluster, RaftCluster, RaftKind,
-};
-use depfast_raft::core::RaftCfg;
+use depfast_raft::cluster::{Placement, RaftCluster, RaftKind};
+use depfast_raft::core::{RaftCfg, RaftServer};
 use depfast_rpc::Endpoint;
 use simkit::{NodeId, Sim, World};
 
 use crate::client::KvClient;
-use crate::server::KvServer;
+use crate::server::{KvServer, DEFAULT_SERVE_CPU};
 use crate::shard::{ShardMap, ShardedKvClient};
 
-/// A running KV cluster plus client sessions.
+/// The one deploy step: a started Raft cluster, a KV state machine on
+/// every replica (`servers[group][replica]`, indexed like
+/// `raft.groups[group].members`) and one endpoint per client session.
+/// `world` must have `placement.server_nodes() + n_clients` nodes.
+fn deploy(
+    sim: &Sim,
+    world: &World,
+    kind: RaftKind,
+    placement: Placement,
+    n_clients: usize,
+    cfg: RaftCfg,
+    serve_cpu: Duration,
+) -> (RaftCluster, Vec<Vec<KvServer>>, Vec<Endpoint>) {
+    let raft = RaftCluster::build(sim, world, kind, cfg, placement);
+    let install = |s: &RaftServer| KvServer::install_tuned(s.clone(), serve_cpu);
+    let servers = raft
+        .groups
+        .iter()
+        .map(|g| g.servers.iter().map(install).collect())
+        .collect();
+    let clients = raft.client_endpoints(sim, world, n_clients);
+    (raft, servers, clients)
+}
+
+/// A running single-group KV cluster plus client sessions: the flat view
+/// of a [`Placement::Single`] deployment.
 pub struct KvCluster {
-    /// The underlying Raft cluster.
+    /// The underlying Raft cluster (one group, gid 0).
     pub raft: RaftCluster,
     /// One KV server per cluster node.
     pub servers: Vec<KvServer>,
@@ -30,7 +53,7 @@ pub struct KvCluster {
 impl KvCluster {
     /// Builds `n_servers` KV servers of the given driver and `n_clients`
     /// clients on one `world` (which must have at least
-    /// `n_servers + n_clients` nodes).
+    /// `n_servers + n_clients` nodes), at [`DEFAULT_SERVE_CPU`].
     pub fn build(
         sim: &Sim,
         world: &World,
@@ -46,7 +69,7 @@ impl KvCluster {
             n_servers,
             n_clients,
             cfg,
-            Duration::from_micros(30),
+            DEFAULT_SERVE_CPU,
         )
     }
 
@@ -61,46 +84,29 @@ impl KvCluster {
         cfg: RaftCfg,
         serve_cpu: Duration,
     ) -> Self {
-        assert!(
-            world.node_count() >= n_servers + n_clients,
-            "world too small: {} nodes for {} servers + {} clients",
-            world.node_count(),
-            n_servers,
-            n_clients
-        );
-        let raft = build_cluster(sim, world, kind, n_servers, cfg);
-        let servers: Vec<KvServer> = raft
-            .servers
-            .iter()
-            .map(|s| KvServer::install_tuned(s.clone(), serve_cpu))
-            .collect();
-        let server_nodes: Vec<NodeId> = (0..n_servers as u32).map(NodeId).collect();
-        let mut clients = Vec::with_capacity(n_clients);
-        let mut client_nodes = Vec::with_capacity(n_clients);
-        for i in 0..n_clients {
-            let node = NodeId((n_servers + i) as u32);
-            let rt = Runtime::with_tracer(sim.clone(), node, raft.tracer.clone());
-            let ep = Endpoint::new(&rt, world, &raft.registry, rpc_cfg_for(kind));
-            clients.push(KvClient::new(ep, server_nodes.clone(), i as u64 + 1));
-            client_nodes.push(node);
-        }
+        let single = Placement::Single { n: n_servers };
+        let (raft, mut servers, eps) = deploy(sim, world, kind, single, n_clients, cfg, serve_cpu);
+        let members = raft.groups[0].members.clone();
         KvCluster {
             raft,
-            servers,
-            clients,
-            client_nodes,
+            servers: servers.remove(0),
+            client_nodes: eps.iter().map(Endpoint::node).collect(),
+            clients: (1..)
+                .zip(eps)
+                .map(|(id, ep)| KvClient::new(ep, members.clone(), id, 0))
+                .collect(),
         }
     }
 }
 
-/// A running multi-group (sharded) KV deployment: `n_nodes` server nodes
-/// hosting `groups.len()` co-located Raft groups, plus shard-aware client
-/// sessions on nodes `n_nodes..n_nodes + n_clients`.
+/// A running KV deployment over any [`Placement`], with shard-aware
+/// client sessions on the nodes after the servers. A single group is the
+/// one-group case: its sessions route every key to group 0.
 pub struct ShardedKvCluster {
-    /// The underlying multi-group Raft cluster.
-    pub raft: MultiRaftCluster,
-    /// KV servers per group: `servers[g][r]` is group `g + 1`'s replica
-    /// `r` (indexed like `raft.groups[g].members`).
+    /// The underlying Raft cluster.
+    pub raft: RaftCluster,
+    /// KV servers per group: `servers[g][r]` is replica `r` of
+    /// `raft.groups[g]` (indexed like its `members`).
     pub servers: Vec<Vec<KvServer>>,
     /// Shard-aware client sessions (one per client host node).
     pub clients: Vec<ShardedKvClient>,
@@ -111,10 +117,35 @@ pub struct ShardedKvCluster {
 }
 
 impl ShardedKvCluster {
-    /// Builds `n_groups` co-located Raft groups of `group_size` replicas
-    /// striped over `n_nodes` server nodes, installs one KV state machine
-    /// per group replica, and creates `n_clients` shard-aware clients.
-    /// `world` must have at least `n_nodes + n_clients` nodes.
+    /// Builds the Raft groups of `placement`, installs one KV state
+    /// machine per group replica, and creates `n_clients` shard-aware
+    /// clients. `world` must have at least
+    /// `placement.server_nodes() + n_clients` nodes.
+    pub fn build(
+        sim: &Sim,
+        world: &World,
+        kind: RaftKind,
+        placement: Placement,
+        n_clients: usize,
+        cfg: RaftCfg,
+        serve_cpu: Duration,
+    ) -> Self {
+        let (raft, servers, eps) = deploy(sim, world, kind, placement, n_clients, cfg, serve_cpu);
+        let groups = placement.groups();
+        ShardedKvCluster {
+            raft,
+            servers,
+            map: ShardMap::new(groups.len()),
+            client_nodes: eps.iter().map(Endpoint::node).collect(),
+            clients: (1..)
+                .zip(eps)
+                .map(|(id, ep)| ShardedKvClient::new(ep, groups.clone(), id))
+                .collect(),
+        }
+    }
+
+    /// [`ShardedKvCluster::build`] on [`Placement::Striped`], spelled
+    /// positionally (the form `benchmark/` calls).
     #[allow(clippy::too_many_arguments)]
     pub fn build_tuned(
         sim: &Sim,
@@ -127,46 +158,12 @@ impl ShardedKvCluster {
         cfg: RaftCfg,
         serve_cpu: Duration,
     ) -> Self {
-        assert!(
-            world.node_count() >= n_nodes + n_clients,
-            "world too small: {} nodes for {} servers + {} clients",
-            world.node_count(),
-            n_nodes,
-            n_clients
-        );
-        let raft = build_multi_cluster(sim, world, kind, n_groups, n_nodes, group_size, cfg);
-        let servers: Vec<Vec<KvServer>> = raft
-            .groups
-            .iter()
-            .map(|g| {
-                g.servers
-                    .iter()
-                    .map(|s| KvServer::install_tuned(s.clone(), serve_cpu))
-                    .collect()
-            })
-            .collect();
-        let group_servers: Vec<Vec<NodeId>> =
-            raft.groups.iter().map(|g| g.members.clone()).collect();
-        let mut clients = Vec::with_capacity(n_clients);
-        let mut client_nodes = Vec::with_capacity(n_clients);
-        for i in 0..n_clients {
-            let node = NodeId((n_nodes + i) as u32);
-            let rt = Runtime::with_tracer(sim.clone(), node, raft.tracer.clone());
-            let ep = Endpoint::new(&rt, world, &raft.registry, rpc_cfg_for(kind));
-            clients.push(ShardedKvClient::new(
-                ep,
-                group_servers.clone(),
-                i as u64 + 1,
-            ));
-            client_nodes.push(node);
-        }
-        ShardedKvCluster {
-            raft,
-            servers,
-            clients,
-            client_nodes,
-            map: ShardMap::new(n_groups),
-        }
+        let striped = Placement::Striped {
+            groups: n_groups,
+            nodes: n_nodes,
+            size: group_size,
+        };
+        Self::build(sim, world, kind, striped, n_clients, cfg, serve_cpu)
     }
 }
 
@@ -273,19 +270,21 @@ mod tests {
     fn sharded_cluster_routes_puts_and_gets_per_group() {
         let (sim, w) = world(8);
         // 4 groups of 3 replicas striped over 6 nodes, 2 clients.
-        let cl = Rc::new(ShardedKvCluster::build_tuned(
+        let cl = Rc::new(ShardedKvCluster::build(
             &sim,
             &w,
             RaftKind::DepFast,
-            4,
-            6,
-            3,
+            Placement::Striped {
+                groups: 4,
+                nodes: 6,
+                size: 3,
+            },
             2,
             RaftCfg {
                 bootstrap_leader: Some(0),
                 ..RaftCfg::default()
             },
-            std::time::Duration::from_micros(30),
+            DEFAULT_SERVE_CPU,
         ));
         let cl2 = cl.clone();
         sim.block_on(async move {

@@ -20,5 +20,5 @@ pub mod shard;
 pub use client::{Backoff, KvClient, KvError, RetryBudget, RetryPolicy};
 pub use command::{KvOp, KvRequest, KvResponse, KvStatus};
 pub use harness::{KvCluster, ShardedKvCluster};
-pub use server::KvServer;
+pub use server::{KvServer, DEFAULT_SERVE_CPU};
 pub use shard::{ShardMap, ShardedKvClient};

@@ -28,15 +28,15 @@ pub struct KvServer {
     read_index: Rc<Cell<bool>>,
 }
 
-impl KvServer {
-    /// Installs the KV state machine and client service on `raft` with
-    /// default request-processing cost.
-    pub fn install(raft: RaftServer) -> Self {
-        Self::install_tuned(raft, Duration::from_micros(30))
-    }
+/// Per-request serve CPU of an untuned deployment ([`KvCluster::build`]).
+///
+/// [`KvCluster::build`]: crate::harness::KvCluster::build
+pub const DEFAULT_SERVE_CPU: Duration = Duration::from_micros(30);
 
-    /// Installs with an explicit per-request CPU cost (`serve_cpu` models
-    /// request parsing/validation; it runs concurrently across cores).
+impl KvServer {
+    /// Installs the KV state machine and client service on `raft`.
+    /// `serve_cpu` is the per-request CPU cost (request parsing and
+    /// validation; it runs concurrently across cores).
     pub fn install_tuned(raft: RaftServer, serve_cpu: Duration) -> Self {
         let read_index = Rc::new(Cell::new(false));
         let state = Rc::new(RefCell::new(MemKv::new()));

@@ -13,8 +13,9 @@ use simkit::NodeId;
 
 use crate::client::{KvClient, KvError, RetryPolicy};
 
-/// Partitions the keyspace over `n_groups` Raft groups (gids 1-based, as
-/// produced by `build_multi_cluster`).
+/// Partitions the keyspace over `n_groups` Raft groups, numbered from 1
+/// as every multi-group `Placement` numbers them; `group_of(key) - 1` is
+/// the owning group's index whatever the gids are.
 ///
 /// Hash partitioning with FNV-1a: total (every key maps to exactly one
 /// group), deterministic (a pure function of the bytes — clients,
@@ -42,8 +43,8 @@ impl ShardMap {
 
     /// The 1-based group id owning `key`.
     pub fn group_of(&self, key: &[u8]) -> u32 {
-        // FNV-1a, same constants as the txn coordinator's `shard_of` —
-        // one hash for the whole workspace keeps routing auditable.
+        // FNV-1a. The one hash of the workspace (the txn coordinator
+        // routes through this map too), which keeps routing auditable.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in key {
             h ^= *b as u64;
@@ -62,19 +63,18 @@ impl ShardMap {
 /// routing table.
 pub struct ShardedKvClient {
     map: ShardMap,
-    /// One session per group, indexed by `gid - 1`.
+    /// One session per group, in the cluster's group order.
     groups: Vec<KvClient>,
 }
 
 impl ShardedKvClient {
-    /// Creates a session from `ep`'s node to a multi-group cluster.
-    /// `group_servers[i]` must be the member nodes of group `i + 1`.
-    pub fn new(ep: Endpoint, group_servers: Vec<Vec<NodeId>>, client_id: u64) -> Self {
-        let map = ShardMap::new(group_servers.len());
-        let groups = group_servers
+    /// Creates a session from `ep`'s node to the `(gid, members)` groups
+    /// of a cluster, in the cluster's group order.
+    pub fn new(ep: Endpoint, groups: Vec<(u32, Vec<NodeId>)>, client_id: u64) -> Self {
+        let map = ShardMap::new(groups.len());
+        let groups = groups
             .into_iter()
-            .enumerate()
-            .map(|(i, servers)| KvClient::for_group(ep.clone(), servers, client_id, i as u32 + 1))
+            .map(|(gid, servers)| KvClient::new(ep.clone(), servers, client_id, gid))
             .collect();
         ShardedKvClient { map, groups }
     }
@@ -99,7 +99,7 @@ impl ShardedKvClient {
         &self.groups[(self.map.group_of(key) - 1) as usize]
     }
 
-    /// All per-group sessions, indexed by `gid - 1`.
+    /// All per-group sessions, in the cluster's group order.
     pub fn groups(&self) -> &[KvClient] {
         &self.groups
     }

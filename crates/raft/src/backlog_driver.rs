@@ -201,12 +201,12 @@ impl Future for PopChunk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{build_cluster, RaftKind};
+    use crate::cluster::{Placement, RaftCluster, RaftKind};
     use crate::core::RaftCfg;
     use bytes::Bytes;
     use simkit::{MemCfg, Sim, SimTime, World, WorldCfg};
 
-    fn cluster(mem_limit: u64) -> (Sim, World, crate::cluster::RaftCluster) {
+    fn cluster(mem_limit: u64) -> (Sim, World, RaftCluster) {
         let sim = Sim::new(9);
         let world = World::new(
             sim.clone(),
@@ -225,7 +225,13 @@ mod tests {
             bootstrap_leader: Some(0),
             ..RaftCfg::default()
         };
-        let cl = build_cluster(&sim, &world, RaftKind::Backlog, 3, cfg);
+        let cl = RaftCluster::build(
+            &sim,
+            &world,
+            RaftKind::Backlog,
+            cfg,
+            Placement::Single { n: 3 },
+        );
         (sim, world, cl)
     }
 
@@ -234,7 +240,7 @@ mod tests {
         let (sim, _world, cl) = cluster(1 << 30);
         let mut committed = 0;
         for i in 0..30u32 {
-            let ev = cl.servers[0].propose(Bytes::from(vec![i as u8; 64]));
+            let ev = cl.groups[0].servers[0].propose(Bytes::from(vec![i as u8; 64]));
             let out = sim.block_on({
                 let ev = ev.clone();
                 async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
@@ -252,7 +258,7 @@ mod tests {
         world.set_cpu_quota(NodeId(2), 0.005);
         let before = world.mem_used(NodeId(0));
         for i in 0..300u32 {
-            let ev = cl.servers[0].propose(Bytes::from(vec![(i % 251) as u8; 512]));
+            let ev = cl.groups[0].servers[0].propose(Bytes::from(vec![(i % 251) as u8; 512]));
             sim.block_on({
                 let ev = ev.clone();
                 async move { ev.handle().wait_timeout(Duration::from_secs(1)).await }
@@ -273,7 +279,7 @@ mod tests {
         let mut crashed = false;
         'outer: for _round in 0..200 {
             for i in 0..64u32 {
-                cl.servers[0].propose(Bytes::from(vec![(i % 251) as u8; 1024]));
+                cl.groups[0].servers[0].propose(Bytes::from(vec![(i % 251) as u8; 1024]));
             }
             sim.run_until_time(sim.now() + Duration::from_millis(50));
             if world.is_crashed(NodeId(0)) {

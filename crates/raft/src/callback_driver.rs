@@ -167,12 +167,12 @@ impl CallbackRaft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{build_cluster, RaftKind};
+    use crate::cluster::{Placement, RaftCluster, RaftKind};
     use crate::core::RaftCfg;
     use bytes::Bytes;
     use simkit::{Sim, World, WorldCfg};
 
-    fn cluster() -> (Sim, World, crate::cluster::RaftCluster) {
+    fn cluster() -> (Sim, World, RaftCluster) {
         let sim = Sim::new(13);
         let world = World::new(
             sim.clone(),
@@ -185,16 +185,22 @@ mod tests {
             bootstrap_leader: Some(0),
             ..RaftCfg::default()
         };
-        let cl = build_cluster(&sim, &world, RaftKind::Callback, 3, cfg);
+        let cl = RaftCluster::build(
+            &sim,
+            &world,
+            RaftKind::Callback,
+            cfg,
+            Placement::Single { n: 3 },
+        );
         (sim, world, cl)
     }
 
-    fn drive(sim: &Sim, cl: &crate::cluster::RaftCluster, n: u32) -> (u32, Duration) {
+    fn drive(sim: &Sim, cl: &RaftCluster, n: u32) -> (u32, Duration) {
         let mut committed = 0;
         let mut worst = Duration::ZERO;
         for i in 0..n {
             let t0 = sim.now();
-            let ev = cl.servers[0].propose(Bytes::from(vec![(i % 251) as u8; 128]));
+            let ev = cl.groups[0].servers[0].propose(Bytes::from(vec![(i % 251) as u8; 128]));
             let out = sim.block_on({
                 let ev = ev.clone();
                 async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
@@ -220,15 +226,15 @@ mod tests {
     #[test]
     fn higher_term_reply_deposes_the_leader() {
         let (sim, _world, cl) = cluster();
-        for follower in &cl.servers[1..] {
+        for follower in &cl.groups[0].servers[1..] {
             follower.core().step_down(2, None);
         }
-        let ev = cl.servers[0].propose(Bytes::from_static(b"stale"));
+        let ev = cl.groups[0].servers[0].propose(Bytes::from_static(b"stale"));
         sim.block_on({
             let ev = ev.clone();
             async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
         });
-        let leader = cl.servers[0].core();
+        let leader = cl.groups[0].servers[0].core();
         assert_eq!(leader.st.borrow().role, Role::Follower);
         assert_eq!(leader.log.current_term(), 2);
         assert_eq!(
@@ -236,7 +242,7 @@ mod tests {
             Some(depfast::Signal::Err),
             "a deposed leader must fail its pending proposals"
         );
-        assert_eq!(cl.leader(), None);
+        assert_eq!(cl.groups[0].leader(), None);
     }
 
     #[test]

@@ -159,12 +159,12 @@ impl ChainRaft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{build_cluster, RaftKind};
+    use crate::cluster::{Placement, RaftCluster, RaftKind};
     use crate::core::RaftCfg;
     use bytes::Bytes;
     use simkit::{Sim, World, WorldCfg};
 
-    fn cluster() -> (Sim, World, crate::cluster::RaftCluster) {
+    fn cluster() -> (Sim, World, RaftCluster) {
         let sim = Sim::new(19);
         let world = World::new(
             sim.clone(),
@@ -173,24 +173,24 @@ mod tests {
                 ..WorldCfg::default()
             },
         );
-        let cl = build_cluster(
+        let cl = RaftCluster::build(
             &sim,
             &world,
             RaftKind::Chain,
-            3,
             RaftCfg {
                 bootstrap_leader: Some(0),
                 ..RaftCfg::default()
             },
+            Placement::Single { n: 3 },
         );
         (sim, world, cl)
     }
 
-    fn drive(sim: &Sim, cl: &crate::cluster::RaftCluster, n: u32) -> (u32, Duration) {
+    fn drive(sim: &Sim, cl: &RaftCluster, n: u32) -> (u32, Duration) {
         let t0 = sim.now();
         let mut ok = 0;
         for i in 0..n {
-            let ev = cl.servers[0].propose(Bytes::from(vec![(i % 251) as u8; 64]));
+            let ev = cl.groups[0].servers[0].propose(Bytes::from(vec![(i % 251) as u8; 64]));
             let out = sim.block_on({
                 let ev = ev.clone();
                 async move { ev.handle().wait_timeout(Duration::from_secs(3)).await }
@@ -208,7 +208,7 @@ mod tests {
         let (ok, _) = drive(&sim, &cl, 30);
         assert_eq!(ok, 30);
         sim.run_until_time(sim.now() + Duration::from_secs(1));
-        for s in &cl.servers {
+        for s in &cl.groups[0].servers {
             assert_eq!(s.core().log.last_index(), 30, "chain fully replicated");
         }
     }

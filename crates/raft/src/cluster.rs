@@ -54,34 +54,6 @@ impl RaftKind {
     }
 }
 
-/// The node among `servers` that claims leadership, if exactly one does.
-fn sole_leader(servers: &[RaftServer]) -> Option<NodeId> {
-    let mut leaders = servers.iter().filter(|s| s.is_leader());
-    let one = leaders.next()?;
-    leaders.next().is_none().then(|| one.node())
-}
-
-/// A built cluster: servers, runtimes, endpoints and the shared tracer.
-pub struct RaftCluster {
-    /// One server handle per node, indexed by node id.
-    pub servers: Vec<RaftServer>,
-    /// Per-node DepFast runtimes.
-    pub runtimes: Vec<Runtime>,
-    /// Per-node RPC endpoints.
-    pub endpoints: Vec<Endpoint>,
-    /// The cluster-shared tracer.
-    pub tracer: Tracer,
-    /// The cluster-shared RPC registry.
-    pub registry: Registry,
-}
-
-impl RaftCluster {
-    /// The current leader's node id, if exactly one server claims it.
-    pub fn leader(&self) -> Option<NodeId> {
-        sole_leader(&self.servers)
-    }
-}
-
 /// RPC configuration appropriate for `kind`: DepFastRaft uses bounded
 /// buffers (part of its design); legacy drivers use unbounded transport
 /// buffers like the systems they model.
@@ -95,49 +67,92 @@ pub fn rpc_cfg_for(kind: RaftKind) -> RpcCfg {
     }
 }
 
-/// Builds and starts a cluster of `n` nodes of the given driver on nodes
-/// `0..n` of `world`.
-pub fn build_cluster(
-    sim: &Sim,
-    world: &World,
-    kind: RaftKind,
-    n: usize,
-    cfg: RaftCfg,
-) -> RaftCluster {
-    // One tracer recording into the world's registry: substrate (`sim.*`),
-    // transport (`rpc.*`), event (`event.*`) and driver (`raft.*`) series
-    // all land in one place, keyed by node.
-    let tracer = Tracer::with_metrics(world.metrics());
-    let registry = Registry::new();
-    let members: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-    let mut servers = Vec::with_capacity(n);
-    let mut runtimes = Vec::with_capacity(n);
-    let mut endpoints = Vec::with_capacity(n);
-    for id in &members {
-        let rt = Runtime::with_tracer(sim.clone(), *id, tracer.clone());
-        let ep = Endpoint::new(&rt, world, &registry, rpc_cfg_for(kind));
-        let core = RaftCore::new(&rt, world, &ep, members.clone(), cfg);
-        servers.push(kind.start(core));
-        runtimes.push(rt);
-        endpoints.push(ep);
+/// How a cluster lays its Raft groups over the server nodes `0..`. Pure
+/// data: [`Placement::groups`] is the whole rule, and a single group is
+/// simply the one-group case — group id 0 is the identity namespace for
+/// method ids ([`depfast_rpc::group_method`]), metric tags and
+/// [`depfast::HealthEvent::group`], so its wire and metric bytes are those
+/// of a cluster that never heard of groups.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// One group, gid 0, on nodes `0..n`. `cfg.bootstrap_leader` names
+    /// the bootstrap leader.
+    Single {
+        /// Replicas.
+        n: usize,
+    },
+    /// Group `g` (gids from 1) lives on nodes `(g - 1 + r) % nodes` —
+    /// consecutive groups start one node apart, so replicas (and
+    /// bootstrap leaders, which round-robin with the stripe) spread
+    /// evenly and any single node hosts roughly `groups * size / nodes`
+    /// replicas. This co-location is the fleet-scale topology the
+    /// blast-radius experiments model.
+    Striped {
+        /// Raft groups.
+        groups: usize,
+        /// Server nodes the groups are striped over.
+        nodes: usize,
+        /// Replicas per group.
+        size: usize,
+    },
+    /// Group `g` (gids from 1) owns nodes `(g-1)*size .. g*size`
+    /// exclusively — the paper's Figure 2 topology (shard 1 on s1–s3,
+    /// shard 2 on s4–s6, …).
+    Disjoint {
+        /// Raft groups.
+        groups: usize,
+        /// Replicas per group.
+        size: usize,
+    },
+}
+
+impl Placement {
+    /// Server nodes the placement occupies (`0..server_nodes()`).
+    pub fn server_nodes(&self) -> usize {
+        match *self {
+            Placement::Single { n } => n,
+            Placement::Striped { nodes, .. } => nodes,
+            Placement::Disjoint { groups, size } => groups * size,
+        }
     }
-    RaftCluster {
-        servers,
-        runtimes,
-        endpoints,
-        tracer,
-        registry,
+
+    /// Every group as `(gid, members)`, in gid order; `members[0]` is
+    /// the bootstrap leader of a multi-group placement.
+    pub fn groups(&self) -> Vec<(u32, Vec<NodeId>)> {
+        let node = |n: usize| NodeId(n as u32);
+        let gid = |g: usize| g as u32 + 1;
+        match *self {
+            Placement::Single { n } => {
+                assert!(n >= 1, "a group needs a replica");
+                vec![(0, (0..n).map(node).collect())]
+            }
+            Placement::Striped {
+                groups,
+                nodes,
+                size,
+            } => {
+                assert!(groups >= 1 && size >= 1, "empty placement");
+                assert!(nodes >= size, "{size} replicas do not fit {nodes} nodes");
+                (0..groups)
+                    .map(|g| (gid(g), (g..g + size).map(|n| node(n % nodes)).collect()))
+                    .collect()
+            }
+            Placement::Disjoint { groups, size } => {
+                assert!(groups >= 1 && size >= 1, "empty placement");
+                (0..groups)
+                    .map(|g| (gid(g), (g * size..(g + 1) * size).map(node).collect()))
+                    .collect()
+            }
+        }
     }
 }
 
-/// One Raft group of a multi-group cluster: its id, its member nodes and
-/// a server handle per member (same order as `members`).
+/// One Raft group of a cluster: its id, its member nodes and a server
+/// handle per member (same order as `members`).
 pub struct RaftGroup {
-    /// Group id (1-based; 0 is reserved for the legacy single-group
-    /// namespace).
+    /// Group id: 0 for [`Placement::Single`], 1.. otherwise.
     pub gid: u32,
-    /// Member nodes, in placement order (`members[0]` is the bootstrap
-    /// leader when the cluster was built with one).
+    /// Member nodes, in placement order.
     pub members: Vec<NodeId>,
     /// One server handle per member, indexed like `members`.
     pub servers: Vec<RaftServer>,
@@ -146,20 +161,17 @@ pub struct RaftGroup {
 impl RaftGroup {
     /// The group's current leader node, if exactly one member claims it.
     pub fn leader(&self) -> Option<NodeId> {
-        sole_leader(&self.servers)
-    }
-
-    /// Whether `node` hosts a replica of this group.
-    pub fn hosts(&self, node: NodeId) -> bool {
-        self.members.contains(&node)
+        let mut leaders = self.servers.iter().filter(|s| s.is_leader());
+        let one = leaders.next()?;
+        leaders.next().is_none().then(|| one.node())
     }
 }
 
-/// A multi-group cluster: `groups.len()` Raft groups striped over
-/// `runtimes.len()` nodes, sharing one world, tracer, registry and one
-/// RPC endpoint per node.
-pub struct MultiRaftCluster {
-    /// The groups, in gid order (`groups[i].gid == i as u32 + 1`).
+/// A built cluster: `groups.len()` Raft groups over `runtimes.len()`
+/// server nodes, sharing one world, tracer, registry and one RPC
+/// endpoint per node.
+pub struct RaftCluster {
+    /// The groups, in gid order.
     pub groups: Vec<RaftGroup>,
     /// Per-node DepFast runtimes, indexed by node id.
     pub runtimes: Vec<Runtime>,
@@ -172,139 +184,272 @@ pub struct MultiRaftCluster {
     pub registry: Registry,
 }
 
-impl MultiRaftCluster {
-    /// The group with id `gid` (1-based).
-    pub fn group(&self, gid: u32) -> &RaftGroup {
-        &self.groups[(gid - 1) as usize]
-    }
-
-    /// Ids of every group hosting a replica on `node`.
-    pub fn groups_on(&self, node: NodeId) -> Vec<u32> {
-        self.groups
-            .iter()
-            .filter(|g| g.hosts(node))
-            .map(|g| g.gid)
-            .collect()
-    }
-}
-
-/// How a multi-group cluster lays its replicas over the server nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GroupPlacement {
-    /// Group `g` (1-based) lives on nodes `(g - 1 + r) % n_nodes` —
-    /// consecutive groups start one node apart, so replicas (and
-    /// bootstrap leaders, which round-robin with the stripe) spread
-    /// evenly and any single node hosts roughly
-    /// `n_groups * group_size / n_nodes` replicas. This co-location is
-    /// the fleet-scale topology the blast-radius experiments model.
-    Striped,
-    /// Group `g` (1-based) owns nodes
-    /// `(g-1)*group_size .. g*group_size` exclusively — the paper's
-    /// Figure 2 topology (shard 1 on s1–s3, shard 2 on s4–s6, …).
-    /// Requires `n_nodes >= n_groups * group_size`.
-    Disjoint,
-}
-
-/// Builds and starts `n_groups` Raft groups of `group_size` replicas
-/// each, striped over nodes `0..n_nodes` of `world`
-/// ([`GroupPlacement::Striped`]).
-///
-/// All groups co-located on a node share that node's runtime and RPC
-/// endpoint; method-id namespacing ([`RaftCore::method`]) and `g{gid}`
-/// metric tags keep them apart. When `cfg.bootstrap_leader` is set (to
-/// any value), each group bootstraps its first member as leader.
-pub fn build_multi_cluster(
-    sim: &Sim,
-    world: &World,
-    kind: RaftKind,
-    n_groups: usize,
-    n_nodes: usize,
-    group_size: usize,
-    cfg: RaftCfg,
-) -> MultiRaftCluster {
-    build_multi_cluster_placed(
-        sim,
-        world,
-        kind,
-        n_groups,
-        n_nodes,
-        group_size,
-        cfg,
-        GroupPlacement::Striped,
-    )
-}
-
-/// [`build_multi_cluster`] with an explicit [`GroupPlacement`].
-#[allow(clippy::too_many_arguments)]
-pub fn build_multi_cluster_placed(
-    sim: &Sim,
-    world: &World,
-    kind: RaftKind,
-    n_groups: usize,
-    n_nodes: usize,
-    group_size: usize,
-    cfg: RaftCfg,
-    placement: GroupPlacement,
-) -> MultiRaftCluster {
-    assert!(n_groups >= 1 && group_size >= 1 && n_nodes >= group_size);
-    if placement == GroupPlacement::Disjoint {
+impl RaftCluster {
+    /// Builds and starts every group of `placement` on nodes `0..` of
+    /// `world`, all running the `kind` driver.
+    ///
+    /// Groups co-located on a node share that node's runtime and RPC
+    /// endpoint; method-id namespacing ([`RaftCore::method`]) and `g{gid}`
+    /// metric tags keep them apart. [`Placement::Single`] bootstraps the
+    /// node `cfg.bootstrap_leader` names; with several groups a set
+    /// `cfg.bootstrap_leader` (any value) makes each group's first
+    /// member its leader.
+    pub fn build(
+        sim: &Sim,
+        world: &World,
+        kind: RaftKind,
+        cfg: RaftCfg,
+        placement: Placement,
+    ) -> RaftCluster {
+        let n_nodes = placement.server_nodes();
         assert!(
-            n_nodes >= n_groups * group_size,
-            "disjoint placement needs {} nodes, world has {n_nodes}",
-            n_groups * group_size
+            world.node_count() >= n_nodes,
+            "{placement:?} needs {n_nodes} nodes, world has {}",
+            world.node_count()
         );
-    }
-    let tracer = Tracer::with_metrics(world.metrics());
-    let registry = Registry::new();
-    let mut runtimes = Vec::with_capacity(n_nodes);
-    let mut endpoints = Vec::with_capacity(n_nodes);
-    for id in 0..n_nodes as u32 {
-        let rt = Runtime::with_tracer(sim.clone(), NodeId(id), tracer.clone());
-        let ep = Endpoint::new(&rt, world, &registry, rpc_cfg_for(kind));
-        runtimes.push(rt);
-        endpoints.push(ep);
-    }
-    let mut groups = Vec::with_capacity(n_groups);
-    for g in 1..=n_groups as u32 {
-        let members: Vec<NodeId> = (0..group_size as u32)
-            .map(|r| match placement {
-                GroupPlacement::Striped => NodeId((g - 1 + r) % n_nodes as u32),
-                GroupPlacement::Disjoint => NodeId((g - 1) * group_size as u32 + r),
+        // One tracer recording into the world's registry: substrate
+        // (`sim.*`), transport (`rpc.*`), event (`event.*`) and driver
+        // (`raft.*`) series all land in one place, keyed by node.
+        let tracer = Tracer::with_metrics(world.metrics());
+        let registry = Registry::new();
+        let endpoints = node_endpoints(sim, world, &tracer, &registry, kind, 0..n_nodes);
+        let groups = placement
+            .groups()
+            .into_iter()
+            .map(|(gid, members)| {
+                let cfg = match placement {
+                    Placement::Single { .. } => cfg,
+                    _ => RaftCfg {
+                        bootstrap_leader: cfg.bootstrap_leader.map(|_| members[0].0),
+                        ..cfg
+                    },
+                };
+                let servers = members
+                    .iter()
+                    .map(|m| {
+                        let ep = &endpoints[m.0 as usize];
+                        let members = members.clone();
+                        kind.start(RaftCore::new(ep.runtime(), world, ep, members, cfg, gid))
+                    })
+                    .collect();
+                RaftGroup {
+                    gid,
+                    members,
+                    servers,
+                }
             })
             .collect();
-        let group_cfg = RaftCfg {
-            bootstrap_leader: cfg.bootstrap_leader.map(|_| members[0].0),
-            ..cfg
-        };
-        let mut servers = Vec::with_capacity(group_size);
-        for m in &members {
-            let rt = &runtimes[m.0 as usize];
-            let ep = &endpoints[m.0 as usize];
-            let core = RaftCore::new_in_group(rt, world, ep, members.clone(), group_cfg, g);
-            servers.push(kind.start(core));
+        RaftCluster {
+            groups,
+            runtimes: endpoints.iter().map(|ep| ep.runtime().clone()).collect(),
+            endpoints,
+            tracer,
+            registry,
         }
-        groups.push(RaftGroup {
-            gid: g,
-            members,
-            servers,
-        });
     }
-    MultiRaftCluster {
-        groups,
-        runtimes,
-        endpoints,
-        tracer,
-        registry,
+
+    /// The group with id `gid`.
+    pub fn group(&self, gid: u32) -> &RaftGroup {
+        self.groups
+            .iter()
+            .find(|g| g.gid == gid)
+            .unwrap_or_else(|| panic!("no group {gid}"))
     }
+
+    /// Endpoints for `n` client sessions on the nodes right after the
+    /// servers, on the cluster's tracer and registry.
+    pub fn client_endpoints(&self, sim: &Sim, world: &World, n: usize) -> Vec<Endpoint> {
+        let first = self.runtimes.len();
+        assert!(
+            world.node_count() >= first + n,
+            "world too small: {} nodes for {first} servers + {n} clients",
+            world.node_count(),
+        );
+        let kind = self.groups[0].servers[0].kind();
+        let nodes = first..first + n;
+        node_endpoints(sim, world, &self.tracer, &self.registry, kind, nodes)
+    }
+}
+
+/// One runtime and one endpoint on it per node of `nodes`.
+fn node_endpoints(
+    sim: &Sim,
+    world: &World,
+    tracer: &Tracer,
+    registry: &Registry,
+    kind: RaftKind,
+    nodes: std::ops::Range<usize>,
+) -> Vec<Endpoint> {
+    nodes
+        .map(|n| {
+            let rt = Runtime::with_tracer(sim.clone(), NodeId(n as u32), tracer.clone());
+            Endpoint::new(&rt, world, registry, rpc_cfg_for(kind))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::{VoteReq, VoteResp, APPEND_ENTRIES, CLIENT_PROPOSE, REQUEST_VOTE};
     use bytes::Bytes;
     use depfast::event::Watchable;
+    use depfast_rpc::wire::WireRead;
     use simkit::WorldCfg;
     use std::time::Duration;
+
+    fn build(seed: u64, nodes: usize, kind: RaftKind, placement: Placement) -> (Sim, RaftCluster) {
+        let sim = Sim::new(seed);
+        let world = World::new(
+            sim.clone(),
+            WorldCfg {
+                nodes,
+                ..WorldCfg::default()
+            },
+        );
+        let cfg = RaftCfg {
+            bootstrap_leader: Some(0),
+            ..RaftCfg::default()
+        };
+        let cl = RaftCluster::build(&sim, &world, kind, cfg, placement);
+        (sim, cl)
+    }
+
+    fn commits(sim: &Sim, server: &RaftServer, payload: Bytes) -> bool {
+        let ev = server.propose(payload);
+        sim.block_on(async move { ev.handle().wait_timeout(Duration::from_secs(2)).await })
+            .is_ready()
+    }
+
+    fn ids(nodes: &[u32]) -> Vec<NodeId> {
+        nodes.iter().copied().map(NodeId).collect()
+    }
+
+    /// The placements every gate suite, benchmark workload and example
+    /// builds: gids, member lists and (as `members[0]`) bootstrap leaders.
+    #[test]
+    fn placement_table() {
+        let single = Placement::Single { n: 3 };
+        assert_eq!(single.groups(), vec![(0, ids(&[0, 1, 2]))]);
+        assert_eq!(single.server_nodes(), 3);
+
+        // `scale-out`: 16 groups of 3 on 12 nodes; the stripe wraps.
+        let scale_out = Placement::Striped {
+            groups: 16,
+            nodes: 12,
+            size: 3,
+        };
+        let groups = scale_out.groups();
+        assert_eq!(groups.len(), 16);
+        assert_eq!(groups[0], (1, ids(&[0, 1, 2])));
+        assert_eq!(groups[10], (11, ids(&[10, 11, 0])));
+        assert_eq!(groups[11], (12, ids(&[11, 0, 1])));
+        assert_eq!(groups[12], (13, ids(&[0, 1, 2])));
+        assert_eq!(groups[15], (16, ids(&[3, 4, 5])));
+        assert_eq!(scale_out.server_nodes(), 12);
+
+        // The blast-radius cell: node 8 of 9 hosts exactly g7 and g8.
+        let blast = Placement::Striped {
+            groups: 8,
+            nodes: 9,
+            size: 3,
+        };
+        let on_8: Vec<u32> = blast
+            .groups()
+            .into_iter()
+            .filter(|(_, m)| m.contains(&NodeId(8)))
+            .map(|(gid, _)| gid)
+            .collect();
+        assert_eq!(on_8, vec![7, 8]);
+
+        // Figure 2: shard 1 on s1–s3, shard 2 on s4–s6.
+        let fig2 = Placement::Disjoint { groups: 2, size: 3 };
+        assert_eq!(
+            fig2.groups(),
+            vec![(1, ids(&[0, 1, 2])), (2, ids(&[3, 4, 5]))]
+        );
+        assert_eq!(fig2.server_nodes(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit")]
+    fn striped_refuses_groups_wider_than_the_node_set() {
+        Placement::Striped {
+            groups: 2,
+            nodes: 2,
+            size: 3,
+        }
+        .groups();
+    }
+
+    #[test]
+    #[should_panic(expected = "needs 6 nodes, world has 5")]
+    fn disjoint_refuses_a_world_with_too_few_nodes() {
+        build(
+            1,
+            5,
+            RaftKind::DepFast,
+            Placement::Disjoint { groups: 2, size: 3 },
+        );
+    }
+
+    /// The facts the byte-identical baselines rest on: a single group is
+    /// group 0, and group 0 is the identity namespace.
+    #[test]
+    fn single_group_lives_in_the_identity_namespace() {
+        let (sim, cl) = build(41, 3, RaftKind::DepFast, Placement::Single { n: 3 });
+        let [group] = &cl.groups[..] else {
+            panic!("one group expected");
+        };
+        assert_eq!(group.gid, 0);
+        let leader = &group.servers[0];
+        for m in [APPEND_ENTRIES, REQUEST_VOTE, CLIENT_PROPOSE] {
+            assert_eq!(leader.core().method(m), m);
+        }
+        // A service answers under the base id: a stale vote request from
+        // node 1 is refused by node 0, not dropped.
+        let stale = VoteReq {
+            term: 0,
+            candidate: 1,
+            last_index: 0,
+            last_term: 0,
+        };
+        let ev = cl.endpoints[1]
+            .proxy(NodeId(0))
+            .call_t(REQUEST_VOTE, "probe", &stale);
+        let reply = sim.block_on({
+            let ev = ev.clone();
+            async move {
+                ev.handle().wait_timeout(Duration::from_secs(1)).await;
+                ev.take().and_then(|b| VoteResp::from_bytes(&b))
+            }
+        });
+        assert!(!reply.expect("served under the base id").granted);
+
+        // A disk-slow follower under load trips the leader's append
+        // window: raft-layer health events, none group-stamped.
+        leader.core().world.set_disk_bw_factor(NodeId(2), 0.001);
+        for i in 0..400u32 {
+            leader.propose(Bytes::from(vec![i as u8; 4096]));
+        }
+        sim.run_until_time(sim.now() + Duration::from_secs(3));
+        let health = cl.tracer.health_events();
+        assert!(
+            health.iter().any(|e| e.layer == "raft"),
+            "no flow-control transition recorded"
+        );
+        assert!(health.iter().all(|e| e.group.is_none()));
+        let raft_keys: Vec<_> = cl
+            .tracer
+            .metrics()
+            .snapshot()
+            .into_iter()
+            .map(|(k, _)| k)
+            .filter(|k| k.name.starts_with("raft."))
+            .collect();
+        assert!(!raft_keys.is_empty());
+        assert!(raft_keys.iter().all(|k| k.tag.is_none()), "{raft_keys:?}");
+    }
 
     #[test]
     fn every_kind_builds_and_commits() {
@@ -315,39 +460,22 @@ mod tests {
             RaftKind::Callback,
             RaftKind::Chain,
         ] {
-            let sim = Sim::new(17);
-            let world = World::new(
-                sim.clone(),
-                WorldCfg {
-                    nodes: 3,
-                    ..WorldCfg::default()
-                },
-            );
-            let cl = build_cluster(
-                &sim,
-                &world,
-                kind,
-                3,
-                RaftCfg {
-                    bootstrap_leader: Some(0),
-                    ..RaftCfg::default()
-                },
-            );
+            let (sim, cl) = build(17, 3, kind, Placement::Single { n: 3 });
+            let group = &cl.groups[0];
             for i in 0..20u8 {
-                let ev = cl.servers[0].propose(Bytes::from(vec![i; 16]));
-                let out = sim.block_on({
-                    let ev = ev.clone();
-                    async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
-                });
-                assert!(out.is_ready(), "{} failed to commit #{i}", kind.name());
+                assert!(
+                    commits(&sim, &group.servers[0], Bytes::from(vec![i; 16])),
+                    "{} failed to commit #{i}",
+                    kind.name()
+                );
             }
-            assert_eq!(cl.leader(), Some(NodeId(0)));
+            assert_eq!(group.leader(), Some(NodeId(0)));
             // Let the followers catch up, then every replica's log must
             // match the leader's term by term.
             sim.run_until_time(sim.now() + Duration::from_secs(1));
-            let leader_log = &cl.servers[0].core().log;
+            let leader_log = &group.servers[0].core().log;
             assert!(leader_log.last_index() >= 20);
-            for s in &cl.servers[1..] {
+            for s in &group.servers[1..] {
                 let log = &s.core().log;
                 let node = s.node().0;
                 assert_eq!(
@@ -370,103 +498,48 @@ mod tests {
 
     #[test]
     fn five_node_cluster_commits() {
-        let sim = Sim::new(23);
-        let world = World::new(
-            sim.clone(),
-            WorldCfg {
-                nodes: 5,
-                ..WorldCfg::default()
-            },
-        );
-        let cl = build_cluster(
+        let (sim, cl) = build(23, 5, RaftKind::DepFast, Placement::Single { n: 5 });
+        assert!(commits(
             &sim,
-            &world,
-            RaftKind::DepFast,
-            5,
-            RaftCfg {
-                bootstrap_leader: Some(0),
-                ..RaftCfg::default()
-            },
-        );
-        let ev = cl.servers[0].propose(Bytes::from_static(b"five"));
-        let out = sim.block_on({
-            let ev = ev.clone();
-            async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
-        });
-        assert!(out.is_ready());
+            &cl.groups[0].servers[0],
+            Bytes::from_static(b"five")
+        ));
     }
 
     #[test]
     fn multi_group_cluster_commits_in_every_group() {
-        let sim = Sim::new(29);
-        let world = World::new(
-            sim.clone(),
-            WorldCfg {
-                nodes: 5,
-                ..WorldCfg::default()
-            },
-        );
-        let mc = build_multi_cluster(
-            &sim,
-            &world,
-            RaftKind::DepFast,
-            4,
-            5,
-            3,
-            RaftCfg {
-                bootstrap_leader: Some(0),
-                ..RaftCfg::default()
-            },
-        );
+        let striped = Placement::Striped {
+            groups: 4,
+            nodes: 5,
+            size: 3,
+        };
+        let (sim, mc) = build(29, 5, RaftKind::DepFast, striped);
         assert_eq!(mc.groups.len(), 4);
         // Striped placement: group g starts on node g-1, leaders round-robin.
         assert_eq!(mc.group(1).members[0], NodeId(0));
         assert_eq!(mc.group(3).members[0], NodeId(2));
-        assert_eq!(mc.groups_on(NodeId(2)), vec![1, 2, 3]);
         for g in &mc.groups {
-            let ev = g.servers[0].propose(Bytes::from_static(b"multi"));
-            let out = sim.block_on({
-                let ev = ev.clone();
-                async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
-            });
-            assert!(out.is_ready(), "group {} failed to commit", g.gid);
+            assert!(
+                commits(&sim, &g.servers[0], Bytes::from_static(b"multi")),
+                "group {} failed to commit",
+                g.gid
+            );
             assert_eq!(g.leader(), Some(g.members[0]));
         }
     }
 
     #[test]
     fn disjoint_placement_gives_each_group_its_own_nodes() {
-        let sim = Sim::new(37);
-        let world = World::new(
-            sim.clone(),
-            WorldCfg {
-                nodes: 6,
-                ..WorldCfg::default()
-            },
-        );
-        let mc = build_multi_cluster_placed(
-            &sim,
-            &world,
-            RaftKind::DepFast,
-            2,
-            6,
-            3,
-            RaftCfg {
-                bootstrap_leader: Some(0),
-                ..RaftCfg::default()
-            },
-            GroupPlacement::Disjoint,
-        );
-        assert_eq!(mc.group(1).members, vec![NodeId(0), NodeId(1), NodeId(2)]);
-        assert_eq!(mc.group(2).members, vec![NodeId(3), NodeId(4), NodeId(5)]);
-        assert_eq!(mc.groups_on(NodeId(4)), vec![2]);
+        let disjoint = Placement::Disjoint { groups: 2, size: 3 };
+        let (sim, mc) = build(37, 6, RaftKind::DepFast, disjoint);
+        assert_eq!(mc.group(1).members, ids(&[0, 1, 2]));
+        assert_eq!(mc.group(2).members, ids(&[3, 4, 5]));
         for g in &mc.groups {
-            let ev = g.servers[0].propose(Bytes::from_static(b"disjoint"));
-            let out = sim.block_on({
-                let ev = ev.clone();
-                async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
-            });
-            assert!(out.is_ready(), "group {} failed to commit", g.gid);
+            assert!(
+                commits(&sim, &g.servers[0], Bytes::from_static(b"disjoint")),
+                "group {} failed to commit",
+                g.gid
+            );
         }
     }
 }

@@ -366,31 +366,19 @@ pub struct RaftCore {
     /// fail-slow mitigation (§5) uses it to keep a demoted fail-slow
     /// leader from immediately winning re-election.
     pub election_penalty: Cell<Duration>,
-    /// Raft group id. `0` is the legacy single-group namespace (untagged
-    /// metrics, un-namespaced RPC methods); multi-group clusters number
-    /// their groups from 1.
+    /// Raft group id. `0` is the identity namespace of a single group
+    /// (untagged metrics, un-namespaced RPC methods); multi-group
+    /// placements number their groups from 1.
     pub group: u32,
 }
 
 impl RaftCore {
-    /// Creates the core for `rt`'s node in a cluster of `members`
-    /// (legacy single-group form: group id 0).
-    pub fn new(
-        rt: &Runtime,
-        world: &World,
-        ep: &Endpoint,
-        members: Vec<NodeId>,
-        cfg: RaftCfg,
-    ) -> Rc<Self> {
-        Self::new_in_group(rt, world, ep, members, cfg, 0)
-    }
-
     /// Creates the core for `rt`'s node as a member of Raft group
     /// `group`. Groups co-located on one [`Endpoint`] keep their RPC
     /// services and metric series apart: every method id is namespaced
     /// through [`RaftCore::method`] and every `raft.*` series carries a
-    /// `g{group}` tag (group 0 = the legacy untagged namespace).
-    pub fn new_in_group(
+    /// `g{group}` tag (group 0 = the untagged identity namespace).
+    pub fn new(
         rt: &Runtime,
         world: &World,
         ep: &Endpoint,
@@ -1198,6 +1186,7 @@ mod tests {
                 bootstrap_leader: Some(0),
                 ..RaftCfg::default()
             },
+            0,
         );
         (sim, world, core)
     }

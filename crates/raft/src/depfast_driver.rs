@@ -549,11 +549,11 @@ impl DepFastRaft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{build_cluster, RaftKind};
+    use crate::cluster::{Placement, RaftCluster, RaftKind};
     use bytes::Bytes;
     use simkit::{Sim, SimTime, World, WorldCfg};
 
-    fn cluster(n: usize, bootstrap: bool) -> (Sim, World, crate::cluster::RaftCluster) {
+    fn cluster(n: usize, bootstrap: bool) -> (Sim, World, RaftCluster) {
         let sim = Sim::new(11);
         let world = World::new(
             sim.clone(),
@@ -566,14 +566,20 @@ mod tests {
             bootstrap_leader: if bootstrap { Some(0) } else { None },
             ..crate::core::RaftCfg::default()
         };
-        let cl = build_cluster(&sim, &world, RaftKind::DepFast, n, cfg);
+        let cl = RaftCluster::build(
+            &sim,
+            &world,
+            RaftKind::DepFast,
+            cfg,
+            Placement::Single { n },
+        );
         (sim, world, cl)
     }
 
     #[test]
     fn bootstrap_leader_commits_a_proposal() {
         let (sim, _world, cl) = cluster(3, true);
-        let ev = cl.servers[0].propose(Bytes::from_static(b"hello"));
+        let ev = cl.groups[0].servers[0].propose(Bytes::from_static(b"hello"));
         let out = sim.block_on({
             let ev = ev.clone();
             async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
@@ -585,7 +591,11 @@ mod tests {
     fn election_produces_exactly_one_leader() {
         let (sim, _world, cl) = cluster(3, false);
         sim.run_until_time(SimTime::from_secs(3));
-        let leaders: Vec<_> = cl.servers.iter().filter(|s| s.is_leader()).collect();
+        let leaders: Vec<_> = cl.groups[0]
+            .servers
+            .iter()
+            .filter(|s| s.is_leader())
+            .collect();
         assert_eq!(leaders.len(), 1, "expected exactly one leader");
     }
 
@@ -596,7 +606,7 @@ mod tests {
         world.set_cpu_quota(NodeId(2), 0.01);
         let mut committed = 0;
         for i in 0..50u32 {
-            let ev = cl.servers[0].propose(Bytes::from(vec![i as u8; 64]));
+            let ev = cl.groups[0].servers[0].propose(Bytes::from(vec![i as u8; 64]));
             let out = sim.block_on({
                 let ev = ev.clone();
                 async move { ev.handle().wait_timeout(Duration::from_secs(1)).await }
@@ -612,7 +622,7 @@ mod tests {
     fn leader_crash_triggers_reelection_and_progress() {
         let (sim, world, cl) = cluster(3, true);
         // Commit something first.
-        let ev = cl.servers[0].propose(Bytes::from_static(b"a"));
+        let ev = cl.groups[0].servers[0].propose(Bytes::from_static(b"a"));
         sim.block_on({
             let ev = ev.clone();
             async move { ev.handle().wait_timeout(Duration::from_secs(1)).await }
@@ -620,11 +630,13 @@ mod tests {
         world.crash(NodeId(0));
         sim.run_until_time(sim.now() + Duration::from_secs(3));
         let leaders: Vec<usize> = (0..3)
-            .filter(|i| !world.is_crashed(NodeId(*i as u32)) && cl.servers[*i].is_leader())
+            .filter(|i| {
+                !world.is_crashed(NodeId(*i as u32)) && cl.groups[0].servers[*i].is_leader()
+            })
             .collect();
         assert_eq!(leaders.len(), 1, "a new leader must emerge");
         let new_leader = leaders[0];
-        let ev = cl.servers[new_leader].propose(Bytes::from_static(b"b"));
+        let ev = cl.groups[0].servers[new_leader].propose(Bytes::from_static(b"b"));
         let out = sim.block_on({
             let ev = ev.clone();
             async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }

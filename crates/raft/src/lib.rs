@@ -28,9 +28,6 @@ pub mod flow;
 pub mod sync_driver;
 pub mod types;
 
-pub use cluster::{
-    build_cluster, build_multi_cluster, build_multi_cluster_placed, GroupPlacement,
-    MultiRaftCluster, RaftCluster, RaftGroup, RaftKind,
-};
+pub use cluster::{Placement, RaftCluster, RaftGroup, RaftKind};
 pub use core::{RaftCfg, RaftCore, RaftServer, Role};
 pub use types::{AppendReq, AppendResp, VoteReq, VoteResp};

@@ -104,7 +104,7 @@ impl SyncRaft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{build_cluster, RaftKind};
+    use crate::cluster::{Placement, RaftCluster, RaftKind};
     use crate::core::RaftCfg;
     use bytes::Bytes;
     use depfast_storage::LogStoreCfg;
@@ -112,7 +112,7 @@ mod tests {
     use simkit::{Sim, World, WorldCfg};
     use std::time::Duration;
 
-    fn cluster(cache_bytes: u64) -> (Sim, World, crate::cluster::RaftCluster) {
+    fn cluster(cache_bytes: u64) -> (Sim, World, RaftCluster) {
         let sim = Sim::new(5);
         let world = World::new(
             sim.clone(),
@@ -129,14 +129,20 @@ mod tests {
             },
             ..RaftCfg::default()
         };
-        let cl = build_cluster(&sim, &world, RaftKind::Sync, 3, cfg);
+        let cl = RaftCluster::build(
+            &sim,
+            &world,
+            RaftKind::Sync,
+            cfg,
+            Placement::Single { n: 3 },
+        );
         (sim, world, cl)
     }
 
-    fn drive(sim: &Sim, cl: &crate::cluster::RaftCluster, n: u32, size: usize) -> u32 {
+    fn drive(sim: &Sim, cl: &RaftCluster, n: u32, size: usize) -> u32 {
         let mut committed = 0;
         for i in 0..n {
-            let ev = cl.servers[0].propose(Bytes::from(vec![(i % 251) as u8; size]));
+            let ev = cl.groups[0].servers[0].propose(Bytes::from(vec![(i % 251) as u8; size]));
             let out = sim.block_on({
                 let ev = ev.clone();
                 async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
@@ -161,7 +167,7 @@ mod tests {
         // next_index falls behind the cache floor.
         world.set_egress_delay(NodeId(2), Duration::from_millis(400));
         drive(&sim, &cl, 200, 1024);
-        let leader_log = &cl.servers[0].core().log;
+        let leader_log = &cl.groups[0].servers[0].core().log;
         assert!(
             leader_log.cache_misses() > 0,
             "lagging follower should push reads below the cache floor"

@@ -1,9 +1,13 @@
-//! Criterion micro-benchmarks of the executor's hot path: what a task
-//! costs to spawn, poll, put to sleep, and to give a deadline it does not
-//! need. Each runs on an empty timer queue and again with 50 000
+//! Criterion micro-benchmarks of the one thing no `benchmark/` probe
+//! isolates: what a timer operation costs as a function of the queue's
+//! depth. Each bench runs on an empty timer queue and again with 50 000
 //! far-future timers resident — the queue a busy simulation used to carry
-//! when timeouts that had resolved were never removed, and the case in
-//! which the cost of a timer operation depends on the queue's depth.
+//! when timeouts that had resolved were never removed.
+//!
+//! Everything else about the executor and the event core (spawn, poll,
+//! sleeping tasks ~1 000 deep, notify fire, majority quorum, coroutine
+//! switch) is a bound-gated `simkit.probe.*` / `core.probe.*` line of
+//! `benchmark/` and is measured there, once.
 
 use std::future::{poll_fn, Future};
 use std::pin::Pin;
@@ -11,7 +15,6 @@ use std::task::Poll;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use simkit::executor::yield_now;
 use simkit::{Sim, SimTime};
 
 const RESIDENT: [usize; 2] = [0, 50_000];
@@ -38,24 +41,6 @@ fn bench(c: &mut Criterion, name: &str, routine: impl Fn(&Sim)) {
             b.iter(|| routine(&sim));
         });
     }
-}
-
-fn bench_spawn_and_complete(c: &mut Criterion) {
-    bench(c, "spawn_and_complete", |sim| {
-        sim.spawn_detached(Box::pin(async {}));
-        settle(sim);
-    });
-}
-
-fn bench_yield_poll(c: &mut Criterion) {
-    bench(c, "yield_now_x100", |sim| {
-        sim.spawn_detached(Box::pin(async {
-            for _ in 0..100 {
-                yield_now().await;
-            }
-        }));
-        settle(sim);
-    });
 }
 
 fn bench_sleep_fire(c: &mut Criterion) {
@@ -87,11 +72,5 @@ fn bench_arm_and_cancel(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_spawn_and_complete,
-    bench_yield_poll,
-    bench_sleep_fire,
-    bench_arm_and_cancel
-);
+criterion_group!(benches, bench_sleep_fire, bench_arm_and_cancel);
 criterion_main!(benches);

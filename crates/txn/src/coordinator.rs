@@ -12,20 +12,17 @@ use std::time::Duration;
 use bytes::Bytes;
 use depfast::event::{AndEvent, OrEvent, QuorumEvent, QuorumMode, Signal, Watchable};
 use depfast::runtime::Runtime;
+use depfast_kv::ShardMap;
 use depfast_rpc::wire::WireRead;
 use depfast_rpc::{group_method, Endpoint};
 use simkit::NodeId;
 
 use crate::command::{TxnCmd, TxnVote, TxnWrite, TXN_EXEC};
 
-/// Routes a key to a shard by FNV-1a hash.
+/// Routes a key to a shard: shard `i` is the group `ShardMap` numbers
+/// `i + 1`.
 pub fn shard_of(key: &Bytes, n_shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.iter() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    (h % n_shards as u64) as usize
+    (ShardMap::new(n_shards).group_of(key) - 1) as usize
 }
 
 /// Transaction failure modes.
@@ -221,8 +218,29 @@ mod tests {
         (sim, world, Rc::new(cl))
     }
 
+    const PINS: [(&str, usize, usize); 8] = [
+        ("", 3, 2),
+        ("k", 1, 0),
+        ("key0", 3, 2),
+        ("key1", 3, 0),
+        ("key2", 3, 1),
+        ("shared-key", 2, 0),
+        ("other-key", 2, 1),
+        ("user00000042", 16, 0),
+    ];
+
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
+    }
+
+    /// Routing must not move: these values were pinned against the
+    /// FNV-1a this crate carried by hand before it routed through
+    /// `ShardMap`.
+    #[test]
+    fn key_to_shard_routing_is_pinned() {
+        for (key, n_shards, shard) in PINS {
+            assert_eq!(shard_of(&b(key), n_shards), shard, "{key} over {n_shards}");
+        }
     }
 
     #[test]

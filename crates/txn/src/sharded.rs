@@ -2,20 +2,15 @@
 //! (client) hosts — the topology of the paper's Figure 2 (3 shards ×
 //! 3 servers, s1–s9, with clients c1–c3).
 //!
-//! Built on the real multi-group cluster layer
-//! ([`build_multi_cluster_placed`]): shard `i` is Raft group `i + 1`, so
-//! transaction RPCs ride group-namespaced method ids and every group's
-//! Raft metrics and health events carry its `g{gid}` label. Placement is
-//! [`GroupPlacement::Disjoint`] to preserve the figure's one-shard-per-
-//! node-triple layout.
+//! Built on the one cluster builder ([`RaftCluster::build`]): shard `i`
+//! is Raft group `i + 1`, so transaction RPCs ride group-namespaced
+//! method ids and every group's Raft metrics and health events carry its
+//! `g{gid}` label. Placement is [`Placement::Disjoint`] to preserve the
+//! figure's one-shard-per-node-triple layout.
 
-use depfast::runtime::Runtime;
 use depfast::Tracer;
-use depfast_raft::cluster::{
-    build_multi_cluster_placed, rpc_cfg_for, GroupPlacement, MultiRaftCluster, RaftKind,
-};
+use depfast_raft::cluster::{Placement, RaftCluster, RaftKind};
 use depfast_raft::core::RaftCfg;
-use depfast_rpc::Endpoint;
 use simkit::{NodeId, Sim, World};
 
 use crate::coordinator::TxnClient;
@@ -23,9 +18,8 @@ use crate::server::TxnServer;
 
 /// A sharded transactional deployment.
 pub struct ShardedCluster {
-    /// The underlying multi-group Raft cluster (shard `i` is group
-    /// `i + 1`).
-    pub raft: MultiRaftCluster,
+    /// The underlying Raft cluster (shard `i` is group `i + 1`).
+    pub raft: RaftCluster,
     /// `servers[shard][replica]`.
     pub servers: Vec<Vec<TxnServer>>,
     /// Shard membership (node ids), `shards[shard]`.
@@ -50,46 +44,28 @@ impl ShardedCluster {
         n_clients: usize,
         cfg: RaftCfg,
     ) -> Self {
-        let total_servers = n_shards * group_size;
-        assert!(world.node_count() >= total_servers + n_clients);
-        let raft = build_multi_cluster_placed(
-            sim,
-            world,
-            RaftKind::DepFast,
-            n_shards,
-            total_servers,
-            group_size,
-            cfg,
-            GroupPlacement::Disjoint,
-        );
-        let servers: Vec<Vec<TxnServer>> = raft
+        let disjoint = Placement::Disjoint {
+            groups: n_shards,
+            size: group_size,
+        };
+        let raft = RaftCluster::build(sim, world, RaftKind::DepFast, cfg, disjoint);
+        let servers = raft
             .groups
             .iter()
-            .map(|g| {
-                g.servers
-                    .iter()
-                    .map(|s| TxnServer::install(s.clone()))
-                    .collect()
-            })
+            .map(|g| g.servers.iter().cloned().map(TxnServer::install).collect())
             .collect();
         let shards: Vec<Vec<NodeId>> = raft.groups.iter().map(|g| g.members.clone()).collect();
-        let tracer = raft.tracer.clone();
-        let mut clients = Vec::with_capacity(n_clients);
-        let mut client_nodes = Vec::with_capacity(n_clients);
-        for i in 0..n_clients {
-            let node = NodeId((total_servers + i) as u32);
-            let rt = Runtime::with_tracer(sim.clone(), node, tracer.clone());
-            let ep = Endpoint::new(&rt, world, &raft.registry, rpc_cfg_for(RaftKind::DepFast));
-            clients.push(TxnClient::new(rt, ep, shards.clone(), i as u64 + 1));
-            client_nodes.push(node);
-        }
+        let eps = raft.client_endpoints(sim, world, n_clients);
         ShardedCluster {
-            raft,
             servers,
+            client_nodes: eps.iter().map(|ep| ep.node()).collect(),
+            clients: (1..)
+                .zip(eps)
+                .map(|(id, ep)| TxnClient::new(ep.runtime().clone(), ep, shards.clone(), id))
+                .collect(),
             shards,
-            clients,
-            client_nodes,
-            tracer,
+            tracer: raft.tracer.clone(),
+            raft,
         }
     }
 

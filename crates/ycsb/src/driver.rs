@@ -4,8 +4,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use depfast_kv::{KvCluster, ShardedKvCluster};
-use simkit::{Sim, World};
+use depfast_kv::{KvError, ShardedKvCluster};
+use simkit::{NodeId, Sim, World};
 
 use crate::stats::{Histogram, Summary};
 use crate::workload::{OpGen, OpKind, WorkloadSpec};
@@ -31,7 +31,8 @@ impl Default for DriverCfg {
     }
 }
 
-/// Results of one workload run.
+/// Results of one workload run: the aggregate plus the per-group split
+/// the blast-radius analysis reads.
 #[derive(Debug, Clone)]
 pub struct RunStats {
     /// Successful operations inside the measurement window.
@@ -45,34 +46,66 @@ pub struct RunStats {
     /// `true` if any server node crashed during the run (e.g. the
     /// BacklogRaft leader OOM).
     pub server_crashed: bool,
+    /// The same numbers per Raft group, in the cluster's group order
+    /// (one element, equal to the aggregate, for a single group).
+    pub groups: Vec<GroupStats>,
 }
 
+/// One group's share of a workload run.
+#[derive(Debug, Clone)]
+pub struct GroupStats {
+    /// Raft group id.
+    pub gid: u32,
+    /// Successful operations routed to this group in the window.
+    pub ops: u64,
+    /// Failed operations routed to this group in the window.
+    pub errors: u64,
+    /// This group's throughput over the measurement window (ops/s).
+    pub throughput: f64,
+    /// Latency distribution of this group's measured operations.
+    pub latency: Summary,
+}
+
+#[derive(Default)]
 struct Recorder {
     hist: Histogram,
     ops: u64,
     errors: u64,
 }
 
+impl Recorder {
+    fn record(&mut self, result: Result<(), KvError>, latency: Duration) {
+        match result {
+            Ok(()) => {
+                self.ops += 1;
+                self.hist.record(latency);
+            }
+            Err(_) => self.errors += 1,
+        }
+    }
+}
+
 /// Runs `spec` against `cluster` with all of its clients in closed loop,
-/// then reports statistics for the measurement window.
+/// then reports statistics for the measurement window. Every operation
+/// is also attributed to the Raft group its key routes to.
 pub fn run_workload(
     sim: &Sim,
     world: &World,
-    cluster: &Rc<KvCluster>,
+    cluster: &Rc<ShardedKvCluster>,
     spec: WorkloadSpec,
     cfg: DriverCfg,
 ) -> RunStats {
-    let rec = Rc::new(RefCell::new(Recorder {
-        hist: Histogram::new(),
-        ops: 0,
-        errors: 0,
-    }));
+    let n_groups = cluster.raft.groups.len();
+    // The aggregate, then one recorder per group.
+    let recs: Rc<RefCell<Vec<Recorder>>> = Rc::new(RefCell::new(
+        (0..=n_groups).map(|_| Recorder::default()).collect(),
+    ));
     let t_start = sim.now();
     let t_measure = t_start + cfg.warmup;
     let t_end = t_measure + cfg.measure;
     for i in 0..cluster.clients.len() {
         let cluster = cluster.clone();
-        let rec = rec.clone();
+        let recs = recs.clone();
         let sim2 = sim.clone();
         let mut gen = OpGen::new(spec, cfg.seed.wrapping_add(i as u64 * 7919));
         // Each client loop is a proper coroutine so the causal context a
@@ -87,162 +120,46 @@ pub fn run_workload(
                     break;
                 }
                 let (kind, key, value) = gen.next_op();
+                let group = cluster.map.group_of(&key) as usize;
                 let t0 = sim2.now();
                 let result = match kind {
-                    OpKind::Update | OpKind::Insert => client.put(key, value).await.map(|_| ()),
+                    OpKind::Update | OpKind::Insert => client.put(key, value).await,
                     OpKind::Read => client.get(key).await.map(|_| ()),
                 };
                 let t1 = sim2.now();
                 if t0 >= t_measure && t1 <= t_end {
-                    let mut r = rec.borrow_mut();
-                    match result {
-                        Ok(()) => {
-                            r.ops += 1;
-                            r.hist.record(t1 - t0);
-                        }
-                        Err(_) => r.errors += 1,
-                    }
-                }
-            }
-        });
-    }
-    sim.run_until_time(t_end);
-    let server_crashed = cluster
-        .raft
-        .servers
-        .iter()
-        .any(|s| world.is_crashed(s.node()));
-    let rec = rec.borrow();
-    RunStats {
-        ops: rec.ops,
-        errors: rec.errors,
-        throughput: rec.ops as f64 / cfg.measure.as_secs_f64(),
-        latency: rec.hist.summary(),
-        server_crashed,
-    }
-}
-
-/// Per-group results of one sharded workload run.
-#[derive(Debug, Clone)]
-pub struct GroupStats {
-    /// Raft group id (1-based).
-    pub gid: u32,
-    /// Successful operations routed to this group in the window.
-    pub ops: u64,
-    /// Failed operations routed to this group in the window.
-    pub errors: u64,
-    /// This group's throughput over the measurement window (ops/s).
-    pub throughput: f64,
-    /// Latency distribution of this group's measured operations.
-    pub latency: Summary,
-}
-
-/// Results of one sharded workload run: the aggregate plus the per-group
-/// split the blast-radius analysis reads.
-#[derive(Debug, Clone)]
-pub struct ShardedRunStats {
-    /// Aggregate statistics across every group.
-    pub total: RunStats,
-    /// Per-group statistics, indexed by `gid - 1`.
-    pub groups: Vec<GroupStats>,
-}
-
-/// Runs `spec` against a sharded (multi-group) `cluster` with all of its
-/// clients in closed loop. Identical measurement protocol to
-/// [`run_workload`], but every operation is additionally attributed to
-/// the Raft group its key routes to, so the result carries the
-/// per-group throughput/latency split.
-pub fn run_workload_sharded(
-    sim: &Sim,
-    world: &World,
-    cluster: &Rc<ShardedKvCluster>,
-    spec: WorkloadSpec,
-    cfg: DriverCfg,
-) -> ShardedRunStats {
-    let n_groups = cluster.map.n_groups();
-    let total = Rc::new(RefCell::new(Recorder {
-        hist: Histogram::new(),
-        ops: 0,
-        errors: 0,
-    }));
-    let per_group: Rc<RefCell<Vec<Recorder>>> = Rc::new(RefCell::new(
-        (0..n_groups)
-            .map(|_| Recorder {
-                hist: Histogram::new(),
-                ops: 0,
-                errors: 0,
-            })
-            .collect(),
-    ));
-    let t_start = sim.now();
-    let t_measure = t_start + cfg.warmup;
-    let t_end = t_measure + cfg.measure;
-    for i in 0..cluster.clients.len() {
-        let cluster = cluster.clone();
-        let total = total.clone();
-        let per_group = per_group.clone();
-        let sim2 = sim.clone();
-        let mut gen = OpGen::new(spec, cfg.seed.wrapping_add(i as u64 * 7919));
-        let rt = cluster.clients[i].runtime().clone();
-        depfast::Coroutine::create(&rt, "ycsb:client", async move {
-            let client = &cluster.clients[i];
-            loop {
-                let now = sim2.now();
-                if now >= t_end {
-                    break;
-                }
-                let (kind, key, value) = gen.next_op();
-                let gid = cluster.map.group_of(&key);
-                let t0 = sim2.now();
-                let result = match kind {
-                    OpKind::Update | OpKind::Insert => client.put(key, value).await.map(|_| ()),
-                    OpKind::Read => client.get(key).await.map(|_| ()),
-                };
-                let t1 = sim2.now();
-                if t0 >= t_measure && t1 <= t_end {
-                    let mut t = total.borrow_mut();
-                    let mut groups = per_group.borrow_mut();
-                    let g = &mut groups[(gid - 1) as usize];
-                    match result {
-                        Ok(()) => {
-                            t.ops += 1;
-                            t.hist.record(t1 - t0);
-                            g.ops += 1;
-                            g.hist.record(t1 - t0);
-                        }
-                        Err(_) => {
-                            t.errors += 1;
-                            g.errors += 1;
-                        }
-                    }
+                    let mut recs = recs.borrow_mut();
+                    recs[0].record(result, t1 - t0);
+                    recs[group].record(result, t1 - t0);
                 }
             }
         });
     }
     sim.run_until_time(t_end);
     let server_crashed =
-        (0..cluster.raft.runtimes.len()).any(|n| world.is_crashed(simkit::NodeId(n as u32)));
-    let total = total.borrow();
-    let groups = per_group
-        .borrow()
+        (0..cluster.raft.runtimes.len()).any(|n| world.is_crashed(NodeId(n as u32)));
+    let recs = recs.borrow();
+    let throughput = |r: &Recorder| r.ops as f64 / cfg.measure.as_secs_f64();
+    let groups = cluster
+        .raft
+        .groups
         .iter()
-        .enumerate()
-        .map(|(i, r)| GroupStats {
-            gid: i as u32 + 1,
+        .zip(&recs[1..])
+        .map(|(g, r)| GroupStats {
+            gid: g.gid,
             ops: r.ops,
             errors: r.errors,
-            throughput: r.ops as f64 / cfg.measure.as_secs_f64(),
+            throughput: throughput(r),
             latency: r.hist.summary(),
         })
         .collect();
-    ShardedRunStats {
-        total: RunStats {
-            ops: total.ops,
-            errors: total.errors,
-            throughput: total.ops as f64 / cfg.measure.as_secs_f64(),
-            latency: total.hist.summary(),
-            server_crashed,
-        },
+    let total = &recs[0];
+    RunStats {
+        ops: total.ops,
+        errors: total.errors,
+        throughput: throughput(total),
+        latency: total.hist.summary(),
+        server_crashed,
         groups,
     }
 }
@@ -250,7 +167,7 @@ pub fn run_workload_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use depfast_raft::cluster::RaftKind;
+    use depfast_raft::cluster::{Placement, RaftKind};
     use depfast_raft::core::RaftCfg;
     use simkit::WorldCfg;
 
@@ -263,16 +180,17 @@ mod tests {
                 ..WorldCfg::default()
             },
         );
-        let cluster = Rc::new(KvCluster::build(
+        let cluster = Rc::new(ShardedKvCluster::build(
             &sim,
             &world,
             kind,
-            3,
+            Placement::Single { n: 3 },
             n_clients,
             RaftCfg {
                 bootstrap_leader: Some(0),
                 ..RaftCfg::default()
             },
+            depfast_kv::DEFAULT_SERVE_CPU,
         ));
         run_workload(
             &sim,
@@ -297,6 +215,12 @@ mod tests {
         assert!(!stats.server_crashed);
         assert!(stats.latency.p50 > Duration::ZERO);
         assert!(stats.latency.p99 >= stats.latency.p50);
+        // A single group's split is one element: the aggregate, at gid 0.
+        let [only] = &stats.groups[..] else {
+            panic!("one group expected, got {}", stats.groups.len());
+        };
+        assert_eq!((only.gid, only.ops, only.errors), (0, stats.ops, 0));
+        assert_eq!(only.latency, stats.latency);
     }
 
     #[test]

@@ -20,8 +20,6 @@ pub mod stats;
 pub mod workload;
 
 pub use dist::{KeyDist, Latest, Uniform, Zipfian};
-pub use driver::{
-    run_workload, run_workload_sharded, DriverCfg, GroupStats, RunStats, ShardedRunStats,
-};
+pub use driver::{run_workload, DriverCfg, GroupStats, RunStats};
 pub use stats::{Histogram, Summary};
 pub use workload::{OpKind, WorkloadSpec};

@@ -36,8 +36,7 @@ fn main() {
             ..RaftCfg::default()
         },
     ));
-    let cores: Vec<Rc<RaftCore>> = cluster
-        .raft
+    let cores: Vec<Rc<RaftCore>> = cluster.raft.groups[0]
         .servers
         .iter()
         .map(|s| s.core().clone())

@@ -23,6 +23,8 @@ fn main() {
     );
 
     // Build DepFastRaft + the KV layer on nodes 0..3, a client on node 3.
+    // (`KvCluster` is the flat view of `Placement::Single`: one Raft
+    // group, gid 0 — the same builder every multi-group cluster uses.)
     let cluster = Rc::new(KvCluster::build(
         &sim,
         &world,

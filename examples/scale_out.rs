@@ -19,9 +19,9 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use depfast_bench::{Run, Shape};
+use depfast_bench::{striped, Run};
 use depfast_kv::ShardedKvCluster;
-use depfast_raft::cluster::RaftKind;
+use depfast_raft::cluster::{Placement, RaftKind};
 use depfast_raft::core::RaftCfg;
 use simkit::{Sim, World, WorldCfg};
 
@@ -34,13 +34,15 @@ fn routing_demo() {
             ..WorldCfg::default()
         },
     );
-    let cluster = Rc::new(ShardedKvCluster::build_tuned(
+    let cluster = Rc::new(ShardedKvCluster::build(
         &sim,
         &world,
         RaftKind::DepFast,
-        4, // groups
-        5, // server nodes
-        3, // replicas per group
+        Placement::Striped {
+            groups: 4,
+            nodes: 5,
+            size: 3,
+        },
         1, // clients
         RaftCfg {
             bootstrap_leader: Some(0),
@@ -66,7 +68,7 @@ fn routing_demo() {
             let back = client.get(Bytes::from(key)).await.expect("sharded get");
             println!(
                 "  put+get {key:<10} -> g{gid} (leader {:?}), read back {:?}",
-                cl.raft.groups[(gid - 1) as usize].members[0],
+                cl.raft.group(gid).members[0],
                 back.map(|v| String::from_utf8_lossy(&v).into_owned()),
             );
         }
@@ -82,7 +84,7 @@ fn sweep_demo() {
     let mut one_group = None;
     for n_groups in [1usize, 2, 4, 8] {
         let stats = Run {
-            shape: Shape::sharded(n_groups, 9),
+            placement: striped(n_groups, 9),
             n_clients: 128,
             warmup: Duration::from_secs(1),
             measure: Duration::from_millis(1500),

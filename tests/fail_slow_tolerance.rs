@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use depfast_bench::{Run, Shape};
+use depfast_bench::{Placement, Run};
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 use depfast_ycsb::driver::RunStats;
@@ -15,7 +15,7 @@ fn quick(kind: RaftKind, n_servers: usize, fault: Option<FaultKind>, slow: usize
     let warmup = Duration::from_millis(800);
     let run = Run {
         kind,
-        shape: Shape::Single { n_servers },
+        placement: Placement::Single { n: n_servers },
         n_clients: 96,
         warmup,
         measure: Duration::from_millis(2500),
@@ -98,7 +98,8 @@ fn callback_raft_p99_inflates_under_cpu_slow_follower() {
 fn backlog_raft_leader_memory_grows_under_cpu_slow_follower() {
     // (The OOM crash itself is covered in the driver's unit tests and the
     // fig1 bench; here we check the precursor at test scale.)
-    use depfast_kv::KvCluster;
+    use depfast_kv::{ShardedKvCluster, DEFAULT_SERVE_CPU};
+    use depfast_raft::cluster::Placement;
     use depfast_raft::core::RaftCfg;
     use simkit::{NodeId, Sim, World};
     use std::rc::Rc;
@@ -108,16 +109,17 @@ fn backlog_raft_leader_memory_grows_under_cpu_slow_follower() {
         sim.clone(),
         depfast_bench::experiment::bench_world_cfg(3 + 32),
     );
-    let cluster = Rc::new(KvCluster::build(
+    let cluster = Rc::new(ShardedKvCluster::build(
         &sim,
         &world,
         RaftKind::Backlog,
-        3,
+        Placement::Single { n: 3 },
         32,
         RaftCfg {
             bootstrap_leader: Some(0),
             ..RaftCfg::default()
         },
+        DEFAULT_SERVE_CPU,
     ));
     world.set_cpu_quota(NodeId(2), 0.01);
     let before = world.mem_used(NodeId(0));

@@ -7,7 +7,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use depfast::event::Watchable;
 use depfast_kv::KvCluster;
-use depfast_raft::cluster::{build_cluster, RaftKind};
+use depfast_raft::cluster::{Placement, RaftCluster, RaftKind};
 use depfast_raft::core::RaftCfg;
 use simkit::{NodeId, Sim, World, WorldCfg};
 
@@ -21,8 +21,8 @@ fn world(sim: &Sim, nodes: usize) -> World {
     )
 }
 
-fn propose_ok(sim: &Sim, cl: &depfast_raft::cluster::RaftCluster, node: usize) -> bool {
-    let ev = cl.servers[node].propose(Bytes::from_static(b"x"));
+fn propose_ok(sim: &Sim, cl: &RaftCluster, node: usize) -> bool {
+    let ev = cl.groups[0].servers[node].propose(Bytes::from_static(b"x"));
     sim.block_on({
         let ev = ev.clone();
         async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
@@ -30,8 +30,9 @@ fn propose_ok(sim: &Sim, cl: &depfast_raft::cluster::RaftCluster, node: usize) -
     .is_ready()
 }
 
-fn current_leader(cl: &depfast_raft::cluster::RaftCluster, w: &World) -> Option<usize> {
-    (0..cl.servers.len()).find(|i| !w.is_crashed(NodeId(*i as u32)) && cl.servers[*i].is_leader())
+fn current_leader(cl: &RaftCluster, w: &World) -> Option<usize> {
+    (0..cl.groups[0].servers.len())
+        .find(|i| !w.is_crashed(NodeId(*i as u32)) && cl.groups[0].servers[*i].is_leader())
 }
 
 /// A leader cut off from both followers stops committing; the majority
@@ -41,22 +42,22 @@ fn current_leader(cl: &depfast_raft::cluster::RaftCluster, w: &World) -> Option<
 fn partitioned_leader_loses_leadership_majority_continues() {
     let sim = Sim::new(61);
     let w = world(&sim, 3);
-    let cl = build_cluster(
+    let cl = RaftCluster::build(
         &sim,
         &w,
         RaftKind::DepFast,
-        3,
         RaftCfg {
             bootstrap_leader: Some(0),
             ..RaftCfg::default()
         },
+        Placement::Single { n: 3 },
     );
     assert!(propose_ok(&sim, &cl, 0));
     // Isolate the leader.
     w.partition(NodeId(0), NodeId(1));
     w.partition(NodeId(0), NodeId(2));
     sim.run_until_time(sim.now() + Duration::from_secs(3));
-    let new_leader = (1..3).find(|i| cl.servers[*i].is_leader());
+    let new_leader = (1..3).find(|i| cl.groups[0].servers[*i].is_leader());
     assert!(new_leader.is_some(), "majority side must elect a leader");
     let new_leader = new_leader.unwrap();
     assert!(propose_ok(&sim, &cl, new_leader), "majority side commits");
@@ -68,19 +69,19 @@ fn partitioned_leader_loses_leadership_majority_continues() {
     w.heal(NodeId(0), NodeId(2));
     sim.run_until_time(sim.now() + Duration::from_secs(3));
     assert!(
-        !cl.servers[0].is_leader(),
+        !cl.groups[0].servers[0].is_leader(),
         "old leader must have stepped down"
     );
-    let last = cl.servers[new_leader].core().log.last_index();
+    let last = cl.groups[0].servers[new_leader].core().log.last_index();
     assert_eq!(
-        cl.servers[0].core().log.last_index(),
+        cl.groups[0].servers[0].core().log.last_index(),
         last,
         "healed node must converge"
     );
     for i in 1..=last {
         assert_eq!(
-            cl.servers[0].core().log.term_at(i),
-            cl.servers[new_leader].core().log.term_at(i)
+            cl.groups[0].servers[0].core().log.term_at(i),
+            cl.groups[0].servers[new_leader].core().log.term_at(i)
         );
     }
 }
@@ -91,18 +92,18 @@ fn partitioned_leader_loses_leadership_majority_continues() {
 fn prevote_prevents_partitioned_node_disruption() {
     let sim = Sim::new(67);
     let w = world(&sim, 3);
-    let cl = build_cluster(
+    let cl = RaftCluster::build(
         &sim,
         &w,
         RaftKind::DepFast,
-        3,
         RaftCfg {
             bootstrap_leader: Some(0),
             ..RaftCfg::default()
         },
+        Placement::Single { n: 3 },
     );
     assert!(propose_ok(&sim, &cl, 0));
-    let term_before = cl.servers[0].core().log.current_term();
+    let term_before = cl.groups[0].servers[0].core().log.current_term();
     // Isolate follower 2 for a long time.
     w.partition(NodeId(2), NodeId(0));
     w.partition(NodeId(2), NodeId(1));
@@ -112,7 +113,7 @@ fn prevote_prevents_partitioned_node_disruption() {
     }
     // Its term must not have ballooned (PreVote fails without a majority).
     assert_eq!(
-        cl.servers[2].core().log.current_term(),
+        cl.groups[0].servers[2].core().log.current_term(),
         term_before,
         "PreVote must stop term inflation in the minority"
     );
@@ -120,8 +121,14 @@ fn prevote_prevents_partitioned_node_disruption() {
     w.heal(NodeId(2), NodeId(0));
     w.heal(NodeId(2), NodeId(1));
     sim.run_until_time(sim.now() + Duration::from_secs(2));
-    assert!(cl.servers[0].is_leader(), "returning node must not disrupt");
-    assert_eq!(cl.servers[0].core().log.current_term(), term_before);
+    assert!(
+        cl.groups[0].servers[0].is_leader(),
+        "returning node must not disrupt"
+    );
+    assert_eq!(
+        cl.groups[0].servers[0].core().log.current_term(),
+        term_before
+    );
 }
 
 /// Repeated leader crashes: the cluster keeps making progress as long as
@@ -172,18 +179,19 @@ fn serial_leader_crashes_preserve_committed_data() {
 fn no_two_leaders_in_same_term() {
     let sim = Sim::new(73);
     let w = world(&sim, 3);
-    let cl = build_cluster(
+    // No bootstrap: full election from cold start.
+    let cl = RaftCluster::build(
         &sim,
         &w,
         RaftKind::DepFast,
-        3,
-        RaftCfg::default(), // No bootstrap: full election from cold start.
+        RaftCfg::default(),
+        Placement::Single { n: 3 },
     );
     for step in 0..100 {
         sim.run_until_time(sim.now() + Duration::from_millis(100));
         let leaders: Vec<(usize, u64)> = (0..3)
-            .filter(|i| cl.servers[*i].is_leader())
-            .map(|i| (i, cl.servers[i].core().log.current_term()))
+            .filter(|i| cl.groups[0].servers[*i].is_leader())
+            .map(|i| (i, cl.groups[0].servers[i].core().log.current_term()))
             .collect();
         if leaders.len() > 1 {
             let mut terms: Vec<u64> = leaders.iter().map(|(_, t)| *t).collect();
@@ -196,6 +204,8 @@ fn no_two_leaders_in_same_term() {
         }
     }
     // And eventually exactly one leader exists.
-    let leaders = (0..3).filter(|i| cl.servers[*i].is_leader()).count();
+    let leaders = (0..3)
+        .filter(|i| cl.groups[0].servers[*i].is_leader())
+        .count();
     assert_eq!(leaders, 1);
 }

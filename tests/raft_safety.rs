@@ -8,7 +8,7 @@ use bytes::Bytes;
 use depfast::event::Watchable;
 use depfast_fault::{inject_at, FaultKind};
 use depfast_kv::KvCluster;
-use depfast_raft::cluster::{build_cluster, RaftKind};
+use depfast_raft::cluster::{Placement, RaftCluster, RaftKind};
 use depfast_raft::core::RaftCfg;
 use simkit::{NodeId, Sim, World, WorldCfg};
 
@@ -30,10 +30,10 @@ fn world(sim: &Sim, nodes: usize) -> World {
 }
 
 /// Drives `n` sequential proposals through the leader, returning commits.
-fn drive(sim: &Sim, cl: &depfast_raft::cluster::RaftCluster, n: u32, size: usize) -> u32 {
+fn drive(sim: &Sim, cl: &RaftCluster, n: u32, size: usize) -> u32 {
     let mut ok = 0;
     for i in 0..n {
-        let ev = cl.servers[0].propose(Bytes::from(vec![(i % 251) as u8; size]));
+        let ev = cl.groups[0].servers[0].propose(Bytes::from(vec![(i % 251) as u8; size]));
         let out = sim.block_on({
             let ev = ev.clone();
             async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
@@ -52,15 +52,15 @@ fn logs_match_across_replicas_under_transient_fault() {
     for kind in ALL_KINDS {
         let sim = Sim::new(101);
         let w = world(&sim, 3);
-        let cl = build_cluster(
+        let cl = RaftCluster::build(
             &sim,
             &w,
             kind,
-            3,
             RaftCfg {
                 bootstrap_leader: Some(0),
                 ..RaftCfg::default()
             },
+            Placement::Single { n: 3 },
         );
         // Transient CPU slowness on follower 2 during the middle of the run.
         inject_at(
@@ -75,9 +75,9 @@ fn logs_match_across_replicas_under_transient_fault() {
         assert!(committed >= 58, "{}: committed {committed}", kind.name());
         // Give the laggard time to catch up after the fault clears.
         sim.run_until_time(sim.now() + Duration::from_secs(5));
-        let leader_log = &cl.servers[0].core().log;
+        let leader_log = &cl.groups[0].servers[0].core().log;
         let last = leader_log.last_index();
-        for s in &cl.servers[1..] {
+        for s in &cl.groups[0].servers[1..] {
             let flog = &s.core().log;
             assert_eq!(
                 flog.last_index(),
@@ -103,23 +103,23 @@ fn logs_match_across_replicas_under_transient_fault() {
 fn no_commit_without_majority() {
     let sim = Sim::new(5);
     let w = world(&sim, 3);
-    let cl = build_cluster(
+    let cl = RaftCluster::build(
         &sim,
         &w,
         RaftKind::DepFast,
-        3,
         RaftCfg {
             bootstrap_leader: Some(0),
             ..RaftCfg::default()
         },
+        Placement::Single { n: 3 },
     );
     assert_eq!(drive(&sim, &cl, 10, 32), 10);
     w.crash(NodeId(1));
     w.crash(NodeId(2));
-    let before = cl.servers[0].core().commit.get();
+    let before = cl.groups[0].servers[0].core().commit.get();
     let committed = drive(&sim, &cl, 5, 32);
     assert_eq!(committed, 0, "no majority, no commit");
-    assert_eq!(cl.servers[0].core().commit.get(), before);
+    assert_eq!(cl.groups[0].servers[0].core().commit.get(), before);
 }
 
 /// Linearizable sessions: a value read after a commit reflects it, for
@@ -163,15 +163,15 @@ fn depfast_soak_across_random_faults() {
     for seed in [1u64, 2, 3, 4, 5] {
         let sim = Sim::new(seed);
         let w = world(&sim, 3);
-        let cl = build_cluster(
+        let cl = RaftCluster::build(
             &sim,
             &w,
             RaftKind::DepFast,
-            3,
             RaftCfg {
                 bootstrap_leader: Some(0),
                 ..RaftCfg::default()
             },
+            Placement::Single { n: 3 },
         );
         let faults = FaultKind::table1(mem_limit);
         let fault = faults[(seed as usize) % faults.len()];
@@ -193,18 +193,21 @@ fn identical_seeds_identical_outcomes() {
     let run = |seed: u64| -> (u64, u64) {
         let sim = Sim::new(seed);
         let w = world(&sim, 3);
-        let cl = build_cluster(
+        let cl = RaftCluster::build(
             &sim,
             &w,
             RaftKind::DepFast,
-            3,
             RaftCfg {
                 bootstrap_leader: Some(0),
                 ..RaftCfg::default()
             },
+            Placement::Single { n: 3 },
         );
         drive(&sim, &cl, 30, 64);
-        (sim.now().as_nanos(), cl.servers[0].core().commit.get())
+        (
+            sim.now().as_nanos(),
+            cl.groups[0].servers[0].core().commit.get(),
+        )
     };
     assert_eq!(run(77), run(77));
     assert_ne!(run(77).0, run(78).0);

@@ -76,7 +76,10 @@ fn read_index_is_cheaper_than_logged_reads() {
                 c.get(Bytes::from_static(b"k")).await.unwrap();
             }
         });
-        (cl.raft.servers[0].core().log.last_index(), sim.now() - t0)
+        (
+            cl.raft.groups[0].servers[0].core().log.last_index(),
+            sim.now() - t0,
+        )
     };
     let (entries_logged, _) = measure(false);
     let (entries_ri, _) = measure(true);

@@ -6,8 +6,8 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use depfast_kv::KvCluster;
-use depfast_raft::cluster::RaftKind;
+use depfast_kv::{ShardedKvCluster, DEFAULT_SERVE_CPU};
+use depfast_raft::cluster::{Placement, RaftKind};
 use depfast_raft::core::RaftCfg;
 use depfast_ycsb::driver::{run_workload, DriverCfg};
 use depfast_ycsb::workload::WorkloadSpec;
@@ -28,16 +28,17 @@ fn run(seed: u64) -> (u64, (SimTime, u64, u64, u64), usize) {
             ..WorldCfg::default()
         },
     );
-    let cluster = Rc::new(KvCluster::build(
+    let cluster = Rc::new(ShardedKvCluster::build(
         &sim,
         &world,
         RaftKind::DepFast,
-        SERVERS,
+        Placement::Single { n: SERVERS },
         CLIENTS,
         RaftCfg {
             bootstrap_leader: Some(0),
             ..RaftCfg::default()
         },
+        DEFAULT_SERVE_CPU,
     ));
     let stats = run_workload(
         &sim,
@@ -53,7 +54,7 @@ fn run(seed: u64) -> (u64, (SimTime, u64, u64, u64), usize) {
         },
     );
     assert_eq!(stats.errors, 0);
-    let commit = cluster.raft.servers[0].core().commit.get();
+    let commit = cluster.raft.groups[0].servers[0].core().commit.get();
     let fingerprint = (sim.now(), commit, sim.polls(), sim.timers_scheduled());
     // The sessions have stopped. Let what is in flight finish, for far
     // less than the shortest timeout armed per operation (1.5 s).

@@ -4,8 +4,8 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use depfast_kv::KvCluster;
-use depfast_raft::cluster::RaftKind;
+use depfast_kv::{ShardedKvCluster, DEFAULT_SERVE_CPU};
+use depfast_raft::cluster::{Placement, RaftKind};
 use depfast_raft::core::RaftCfg;
 use depfast_ycsb::driver::{run_workload, DriverCfg};
 use depfast_ycsb::mixes;
@@ -21,16 +21,17 @@ fn run(spec: WorkloadSpec) -> depfast_ycsb::driver::RunStats {
             ..WorldCfg::default()
         },
     );
-    let cluster = Rc::new(KvCluster::build(
+    let cluster = Rc::new(ShardedKvCluster::build(
         &sim,
         &world,
         RaftKind::DepFast,
-        3,
+        Placement::Single { n: 3 },
         16,
         RaftCfg {
             bootstrap_leader: Some(0),
             ..RaftCfg::default()
         },
+        DEFAULT_SERVE_CPU,
     ));
     run_workload(
         &sim,
