@@ -15,13 +15,13 @@ use std::time::Duration;
 use bytes::Bytes;
 use depfast::event::{QuorumMode, Watchable};
 use depfast::runtime::Runtime;
-use depfast_bench::{Run, RunRecord, Suite, Table};
+use depfast_bench::suites::contrast;
+use depfast_bench::{env_knob, Run, Suite, Table};
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 use depfast_rpc::broadcast::broadcast;
 use depfast_rpc::endpoint::{Endpoint, Registry, RpcCfg};
 use depfast_rpc::{BufferPolicy, OnFull};
-use depfast_ycsb::driver::RunStats;
 use simkit::{NodeId, Sim, World, WorldCfg};
 
 const ECHO: u32 = 1;
@@ -184,11 +184,7 @@ fn ablation_buffers() {
 }
 
 fn abl_measure() -> Duration {
-    let secs = std::env::var("ABL_MEASURE_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5u64);
-    Duration::from_secs(secs)
+    Duration::from_secs(env_knob("ABL_MEASURE_SECS", 5))
 }
 
 /// The shared ablation shape: enough concurrency that the leader (not
@@ -204,46 +200,9 @@ fn abl_run(kind: RaftKind, n_clients: usize, measure: Duration) -> Run {
     }
 }
 
-/// Runs `base` healthy and with `fault` on follower `node` from
-/// mid-warm-up on, records both in `suite` under `driver`, and returns
-/// `(healthy, faulted)`.
-fn healthy_vs_faulted(
-    suite: &mut Suite,
-    driver: &str,
-    base: &Run,
-    node: u32,
-    (fault_label, fault): (&str, FaultKind),
-) -> (RunStats, RunStats) {
-    let healthy = base.execute();
-    let faulted = base
-        .clone()
-        .with_fault([node], fault, base.warmup / 2, None)
-        .execute();
-    suite.runs.push(RunRecord::from_stats(
-        driver,
-        "none",
-        "",
-        &healthy.stats,
-        None,
-        healthy.profiler.as_ref(),
-    ));
-    suite.runs.push(RunRecord::from_stats(
-        driver,
-        fault_label,
-        "",
-        &faulted.stats,
-        Some(healthy.stats.throughput),
-        faulted.profiler.as_ref(),
-    ));
-    (healthy.stats, faulted.stats)
-}
-
-const NET_SLOW: (&str, FaultKind) = (
-    "net_slow",
-    FaultKind::NetSlow {
-        delay: Duration::from_millis(400),
-    },
-);
+const NET_SLOW: FaultKind = FaultKind::NetSlow {
+    delay: Duration::from_millis(400),
+};
 
 fn ablation_entrycache(suite: &mut Suite) {
     let mut t = Table::new(
@@ -266,7 +225,9 @@ fn ablation_entrycache(suite: &mut Suite) {
         // its inline evicted-entry read delays the *healthy* follower's
         // send too (stall position matters in single-threaded designs).
         let driver = format!("SyncRaft cache={cache_kib}KiB");
-        let (healthy, slow) = healthy_vs_faulted(suite, &driver, &run, 1, NET_SLOW);
+        let net_slow = [("net_slow", &[1][..], NET_SLOW)];
+        let reports = contrast(suite, (&driver, ""), &run, &net_slow, Run::execute);
+        let (healthy, slow) = (&reports[0].stats, &reports[1].stats);
         t.row(vec![
             cache_kib.to_string(),
             format!("{:.0}", healthy.throughput),
@@ -318,8 +279,9 @@ fn ablation_batching(suite: &mut Suite) {
             period: Duration::from_millis(10),
         };
         let driver = format!("DepFastRaft batch={batch_max} window={window_label} depth={depth}");
-        let (healthy, contended) =
-            healthy_vs_faulted(suite, &driver, &run, 1, ("disk_contention", contention));
+        let contended = [("disk_contention", &[1][..], contention)];
+        let reports = contrast(suite, (&driver, ""), &run, &contended, Run::execute);
+        let (healthy, contended) = (&reports[0].stats, &reports[1].stats);
         t.row(vec![
             batch_max.to_string(),
             window_label.to_string(),
@@ -352,7 +314,9 @@ fn ablation_chain_vs_quorum(suite: &mut Suite) {
         let mut run = abl_run(kind, 128, Duration::from_secs(4));
         run.instruments.profiler = true;
         // The slow member is node 2: DepFastRaft's follower, ChainRaft's tail.
-        let (healthy, slow) = healthy_vs_faulted(suite, kind.name(), &run, 2, NET_SLOW);
+        let net_slow = [("net_slow", &[2][..], NET_SLOW)];
+        let reports = contrast(suite, (kind.name(), ""), &run, &net_slow, Run::execute);
+        let (healthy, slow) = (&reports[0].stats, &reports[1].stats);
         t.row(vec![
             kind.name().to_string(),
             format!("{:.0}", healthy.throughput),

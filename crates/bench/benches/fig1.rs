@@ -42,51 +42,31 @@
 
 use std::time::Duration;
 
-use depfast_bench::suites::{episode, gate_detector_cfg};
+use depfast_bench::suites::{
+    contrast, disk_slow_episode, episode, gate_detector_cfg, short_disk_slow, DISK_SLOW, EPISODE_AT,
+};
 use depfast_bench::{
-    format_ms, run_figure_cell, slug, striped, write_repo_artifact, Run, RunRecord, Suite, Table,
+    condition, env_knob, format_ms, run_figure_cell, slug, striped, write_repo_artifact,
+    DetectRecord, Run, Suite, Table,
 };
 use depfast_fault::FaultKind;
-use depfast_profile::Profiler;
 use depfast_raft::cluster::RaftKind;
 use depfast_trace_analysis as trace_analysis;
 use depfast_ycsb::driver::RunStats;
 use simkit::NodeId;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// One of Figures 1a–1c: its table, the value it plots, how it prints.
+type Panel<'a> = (&'a mut Table, fn(&RunStats) -> f64, fn(f64) -> String);
 
-/// One figure cell: profiled, or sampled and exported under `--metrics`.
-fn run_one(cfg: &Run, metrics: bool, run_name: &str) -> (RunStats, Option<Profiler>) {
-    let run = run_figure_cell("fig1", run_name, cfg, metrics);
-    (run.stats, run.profiler)
+/// Seconds as milliseconds with two decimals ([`format_ms`] on a float).
+fn format_secs(secs: f64) -> String {
+    format!("{:.2}", secs * 1e3)
 }
-
-/// The short fixed-seed run of the `--trace` / `--profile` modes:
-/// a disk-slow follower (node 2) from mid-warm-up on.
-fn short_disk_slow(kind: RaftKind) -> Run {
-    let warmup = Duration::from_millis(500);
-    Run {
-        kind,
-        n_clients: 32,
-        warmup,
-        measure: Duration::from_secs(1),
-        records: 10_000,
-        ..Run::default()
-    }
-    .with_fault([2], DISK_SLOW, warmup / 2, None)
-}
-
-const DISK_SLOW: FaultKind = FaultKind::DiskSlow { bw_factor: 0.008 };
 
 /// The `--trace` mode: one short, fully-traced, fixed-seed DepFastRaft
 /// run with a disk-slow follower (node 2).
 fn trace_mode() {
-    let mut cfg = short_disk_slow(RaftKind::DepFast);
+    let mut cfg = short_disk_slow(RaftKind::DepFast, 3, [2]);
     cfg.instruments.trace = true;
     eprintln!(
         "[fig1] traced run (DepFastRaft, disk-slow follower 2, seed {})...",
@@ -115,12 +95,8 @@ fn trace_mode() {
 /// windows), healed 1.2 s later — scored against the ground-truth fault
 /// ledger. Prints each run's incident report and a scorecard table.
 fn incidents_mode() {
-    let mut table = Table::new(
-        "Figure 1 incidents: detector scorecard (disk-slow follower 2)",
-        &[
-            "System", "Detected", "TTD (ms)", "TTM (ms)", "TTR (ms)", "FP", "FN", "Misattr",
-        ],
-    );
+    let title = "Figure 1 incidents: detector scorecard (disk-slow follower 2)";
+    let mut suite = Suite::new(title, Run::default().seed);
     for kind in [
         RaftKind::DepFast,
         RaftKind::Sync,
@@ -131,34 +107,15 @@ fn incidents_mode() {
             "[fig1] incident run ({}, disk-slow follower 2)...",
             kind.name()
         );
-        let run = episode(kind, gate_detector_cfg())
-            .with_fault(
-                [2],
-                DISK_SLOW,
-                Duration::from_secs(2),
-                Some(Duration::from_millis(1200)),
-            )
-            .execute();
+        let run = disk_slow_episode(episode(kind, gate_detector_cfg()), [2]).execute();
         let dump = run.dump();
-        let cell = depfast_incident::score(&dump, depfast_incident::RECOVERY_BAND);
-        print!("{}", depfast_incident::render_report(&dump, &cell));
-        let ms = |v: Option<u64>| {
-            v.map_or_else(|| "-".to_string(), |ns| format!("{:.1}", ns as f64 / 1e6))
-        };
-        table.row(vec![
-            kind.name().to_string(),
-            cell.detected.to_string(),
-            ms(cell.ttd_ns),
-            ms(cell.ttm_ns),
-            ms(cell.ttr_ns),
-            cell.false_positives.to_string(),
-            cell.false_negatives.to_string(),
-            cell.misattributions.to_string(),
-        ]);
+        let cell = DetectRecord::from_dump(&dump);
+        print!("{}", depfast_incident::render_report(&dump, &cell.score));
+        suite.detect.push(cell);
         run.export(&format!("fig1_incidents_{}", slug(kind.name())))
             .expect("write run artifact");
     }
-    table.print();
+    print!("{}", suite.render_cells());
 }
 
 /// The `--profile` mode: one short, fixed-seed, profiled run per system
@@ -170,7 +127,7 @@ fn profile_mode() {
         RaftKind::Backlog,
         RaftKind::Callback,
     ] {
-        let mut cfg = short_disk_slow(kind);
+        let mut cfg = short_disk_slow(kind, 3, [2]);
         cfg.instruments.profiler = true;
         eprintln!(
             "[fig1] profiled run ({}, disk-slow follower 2, seed {})...",
@@ -204,8 +161,8 @@ fn main() {
         return;
     }
     let metrics = std::env::args().any(|a| a == "--metrics");
-    let measure = Duration::from_secs(env_u64("FIG1_MEASURE_SECS", 10));
-    let clients = env_u64("FIG1_CLIENTS", 256) as usize;
+    let measure = Duration::from_secs(env_knob("FIG1_MEASURE_SECS", 10));
+    let clients = env_knob("FIG1_CLIENTS", 256) as usize;
     let systems = [RaftKind::Sync, RaftKind::Backlog, RaftKind::Callback];
     let mem_limit = depfast_bench::experiment::mem_contention_limit();
     let faults = FaultKind::table1(mem_limit);
@@ -233,90 +190,33 @@ fn main() {
             measure,
             ..Run::default()
         };
-        eprintln!("[fig1] {} baseline...", kind.name());
-        let (base, base_prof) =
-            run_one(&base_cfg, metrics, &format!("{}_no_slowness", kind.name()));
-        suite.runs.push(RunRecord::from_stats(
-            kind.name(),
-            "none",
-            "",
-            &base,
-            None,
-            base_prof.as_ref(),
-        ));
-        let rows = |t: &mut Table, cond: &str, value: String, norm: String| {
-            t.row(vec![kind.name().to_string(), cond.to_string(), value, norm]);
+        // One follower under each Table 1 fault; each cell is profiled,
+        // or sampled and exported as `<system>_<condition>` under
+        // `--metrics`.
+        let sweep: Vec<_> = faults.iter().map(|f| (f.name(), &[1][..], *f)).collect();
+        let cell = |run: &Run| {
+            let name = format!("{}_{}", kind.name(), condition(run));
+            run_figure_cell("fig1", &name, run, metrics)
         };
-        rows(
-            &mut tput,
-            "No Slowness",
-            format!("{:.0}", base.throughput),
-            "1.00".into(),
-        );
-        rows(
-            &mut avg,
-            "No Slowness",
-            format_ms(base.latency.mean),
-            "1.00".into(),
-        );
-        rows(
-            &mut p99,
-            "No Slowness",
-            format_ms(base.latency.p99),
-            "1.00".into(),
-        );
-        for fault in faults {
-            eprintln!("[fig1] {} + {}...", kind.name(), fault.name());
-            let (stats, prof) = run_one(
-                &base_cfg
-                    .clone()
-                    .with_fault([1], fault, base_cfg.warmup / 2, None),
-                metrics,
-                &format!("{}_{}", kind.name(), fault.name()),
-            );
-            suite.runs.push(RunRecord::from_stats(
-                kind.name(),
-                fault.name(),
-                "",
-                &stats,
-                Some(base.throughput),
-                prof.as_ref(),
-            ));
-            if stats.server_crashed {
-                for t in [&mut tput, &mut avg, &mut p99] {
-                    t.row(vec![
-                        kind.name().to_string(),
-                        fault.name().to_string(),
-                        "CRASH".into(),
-                        "CRASH".into(),
-                    ]);
-                }
-                continue;
+        let reports = contrast(&mut suite, (kind.name(), ""), &base_cfg, &sweep, cell);
+        // One row per run in each panel: the value, and the value over
+        // the same system's healthy run.
+        let panels: [Panel; 3] = [
+            (&mut tput, |s| s.throughput, |v| format!("{v:.0}")),
+            (&mut avg, |s| s.latency.mean.as_secs_f64(), format_secs),
+            (&mut p99, |s| s.latency.p99.as_secs_f64(), format_secs),
+        ];
+        for (table, value, show) in panels {
+            for report in &reports {
+                let condition = condition(&report.run).to_string();
+                let (v, healthy) = (value(&report.stats), value(&reports[0].stats));
+                let [shown, normalized] = match report.stats.server_crashed {
+                    true => ["CRASH".to_string(), "CRASH".to_string()],
+                    false => [show(v), format!("{:.2}", v / healthy)],
+                };
+                let system = kind.name().to_string();
+                table.row(vec![system, condition, shown, normalized]);
             }
-            rows(
-                &mut tput,
-                fault.name(),
-                format!("{:.0}", stats.throughput),
-                format!("{:.2}", stats.throughput / base.throughput),
-            );
-            rows(
-                &mut avg,
-                fault.name(),
-                format_ms(stats.latency.mean),
-                format!(
-                    "{:.2}",
-                    stats.latency.mean.as_secs_f64() / base.latency.mean.as_secs_f64()
-                ),
-            );
-            rows(
-                &mut p99,
-                fault.name(),
-                format_ms(stats.latency.p99),
-                format!(
-                    "{:.2}",
-                    stats.latency.p99.as_secs_f64() / base.latency.p99.as_secs_f64()
-                ),
-            );
         }
     }
     // Figure 1d (repro extension): the DepFastRaft leader's group commit +
@@ -350,16 +250,11 @@ fn main() {
             };
             cfg.raft.batch_max = batch_max.unwrap_or(cfg.raft.batch_max);
             cfg.raft.pipeline_depth = pipeline_depth.unwrap_or(cfg.raft.pipeline_depth);
-            let (stats, prof) =
-                run_one(&cfg, metrics, &format!("DepFastRaft_{label}_{n_clients}c"));
-            suite.runs.push(RunRecord::from_stats(
-                "DepFastRaft",
-                "none",
-                &format!("{label}/{n_clients}c"),
-                &stats,
-                None,
-                prof.as_ref(),
-            ));
+            let name = format!("DepFastRaft_{label}_{n_clients}c");
+            let run = run_figure_cell("fig1", &name, &cfg, metrics);
+            let cluster = format!("{label}/{n_clients}c");
+            suite.runs.push(run.perf("DepFastRaft", "none", &cluster));
+            let stats = run.stats;
             step.row(vec![
                 label.to_string(),
                 n_clients.to_string(),
@@ -374,8 +269,8 @@ fn main() {
     // keyspace hash-partitioned across groups — aggregate throughput
     // grows as leaders (and apply/serve work) spread over the fleet.
     // Each cell's `drift` is its speedup over the 1-group cell.
-    let scale_clients = env_u64("FIG1_SCALE_CLIENTS", 1024) as usize;
-    let scale_measure = Duration::from_secs(env_u64("FIG1_SCALE_MEASURE_SECS", 4));
+    let scale_clients = env_knob("FIG1_SCALE_CLIENTS", 1024) as usize;
+    let scale_measure = Duration::from_secs(env_knob("FIG1_SCALE_MEASURE_SECS", 4));
     suite.config("scale_clients", scale_clients as f64);
     suite.config("scale_measure_secs", scale_measure.as_secs_f64());
     let mut scale = Table::new(
@@ -391,16 +286,11 @@ fn main() {
             measure: scale_measure,
             ..Run::default()
         };
-        let stats = cfg.execute().stats;
+        let run = cfg.execute();
+        let stats = &run.stats;
         let base = *one_group.get_or_insert(stats.throughput);
-        suite.runs.push(RunRecord::from_stats(
-            RaftKind::DepFast.name(),
-            "none",
-            &cfg.cluster_label(),
-            &stats,
-            Some(base),
-            None,
-        ));
+        let cell = run.perf(cfg.kind.name(), "none", &cfg.cluster_label());
+        suite.runs.push(cell.over(base));
         scale.row(vec![
             n_groups.to_string(),
             format!("{:.0}", stats.throughput),
@@ -440,7 +330,7 @@ fn main() {
         eprintln!("[fig1] {} blast-radius episode...", kind.name());
         let run = base_cfg
             .with_detector(gate_detector_cfg())
-            .with_fault([8], DISK_SLOW, Duration::from_secs(2), None)
+            .with_fault([8], DISK_SLOW, EPISODE_AT, None)
             .execute();
         let (dumps, hosted) = (run.group_dumps(), run.hosted(8));
         for ((h, f), dump) in healthy
@@ -450,15 +340,9 @@ fn main() {
             .zip(&run.stats.groups)
             .zip(&dumps)
         {
-            let cell = depfast_incident::score(dump, depfast_incident::RECOVERY_BAND);
-            suite.runs.push(RunRecord::from_stats(
-                kind.name(),
-                DISK_SLOW.name(),
-                &dump.cluster,
-                &run.group_stats(f.gid),
-                Some(h.throughput),
-                None,
-            ));
+            let score = DetectRecord::from_dump(dump);
+            let cell = run.group_perf(f.gid, kind.name(), DISK_SLOW.name(), &dump.cluster);
+            suite.runs.push(cell.over(h.throughput));
             blast.row(vec![
                 kind.name().to_string(),
                 format!("g{}", h.gid),
@@ -471,10 +355,9 @@ fn main() {
                 if dump.faults.is_empty() {
                     "n/a".to_string()
                 } else {
-                    cell.detected.to_string()
+                    score.shown("Detected")
                 },
-                cell.ttd_ns
-                    .map_or_else(|| "-".to_string(), |ns| format!("{:.1}", ns as f64 / 1e6)),
+                score.shown("TTD (ms)"),
             ]);
         }
     }
@@ -485,15 +368,10 @@ fn main() {
     step.print();
     scale.print();
     blast.print();
-    for (t, name) in [(&scale, "fig1e_scale_out"), (&blast, "fig1f_blast_radius")] {
-        if let Ok(p) = t.write_csv(name) {
-            println!("[csv] {}", p.display());
-        }
-    }
-    if let Ok(p) = step.write_csv("fig1d_batching") {
-        println!("[csv] {}", p.display());
-    }
     for (t, name) in [
+        (&scale, "fig1e_scale_out"),
+        (&blast, "fig1f_blast_radius"),
+        (&step, "fig1d_batching"),
         (&tput, "fig1a_throughput"),
         (&avg, "fig1b_avg_latency"),
         (&p99, "fig1c_p99_latency"),

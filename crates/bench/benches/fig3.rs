@@ -34,49 +34,26 @@
 
 use std::time::Duration;
 
-use depfast_bench::suites::{episode, gate_detector_cfg};
+use depfast_bench::suites::{
+    contrast, disk_slow_episode, episode, gate_detector_cfg, short_disk_slow,
+};
 use depfast_bench::{
-    format_ms, run_figure_cell, write_repo_artifact, Placement, Run, RunRecord, Suite, Table,
+    condition, env_knob, format_ms, run_figure_cell, write_repo_artifact, DetectRecord, Placement,
+    Run, Suite, Table,
 };
 use depfast_fault::FaultKind;
-use depfast_profile::Profiler;
 use depfast_raft::cluster::RaftKind;
-use depfast_ycsb::driver::RunStats;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// One figure cell: profiled, or sampled and exported under `--metrics`.
-fn run_one(cfg: &Run, metrics: bool, run_name: &str) -> (RunStats, Option<Profiler>) {
-    let run = run_figure_cell("fig3", run_name, cfg, metrics);
-    (run.stats, run.profiler)
-}
-
-const DISK_SLOW: FaultKind = FaultKind::DiskSlow { bw_factor: 0.008 };
 
 /// The first `k` followers of a 0-led cluster.
-fn followers(k: usize) -> std::ops::RangeInclusive<u32> {
-    1..=k as u32
+fn followers(k: usize) -> Vec<u32> {
+    (1..=k as u32).collect()
 }
 
 /// The `--profile` mode: one short, fixed-seed, profiled DepFastRaft run
 /// per cluster shape with a disk-slow follower minority.
 fn profile_mode() {
     for (n_servers, slow_followers) in [(3usize, 1usize), (5, 2)] {
-        let warmup = Duration::from_millis(500);
-        let mut cfg = Run {
-            placement: Placement::Single { n: n_servers },
-            n_clients: 32,
-            warmup,
-            measure: Duration::from_secs(1),
-            records: 10_000,
-            ..Run::default()
-        }
-        .with_fault(followers(slow_followers), DISK_SLOW, warmup / 2, None);
+        let mut cfg = short_disk_slow(RaftKind::DepFast, n_servers, followers(slow_followers));
         cfg.instruments.profiler = true;
         eprintln!(
             "[fig3] profiled run ({n_servers} nodes, {slow_followers} disk-slow follower(s), seed {})...",
@@ -94,12 +71,8 @@ fn profile_mode() {
 /// windows), healed 1.2 s later — scored against the ground-truth fault
 /// ledger. Prints each run's incident report and a scorecard table.
 fn incidents_mode() {
-    let mut headers = vec!["Cluster"];
-    headers.extend(depfast_incident::scorecard_headers());
-    let mut table = Table::new(
-        "Figure 3 incidents: DepFastRaft detector scorecard (disk-slow minority)",
-        &headers,
-    );
+    let title = "Figure 3 incidents: DepFastRaft detector scorecard (disk-slow minority)";
+    let mut suite = Suite::new(title, Run::default().seed);
     for (n_servers, slow_followers) in [(3usize, 1usize), (5, 2)] {
         eprintln!(
             "[fig3] incident run ({n_servers} nodes, {slow_followers} disk-slow follower(s))..."
@@ -107,24 +80,16 @@ fn incidents_mode() {
         let run = Run {
             placement: Placement::Single { n: n_servers },
             ..episode(RaftKind::DepFast, gate_detector_cfg())
-        }
-        .with_fault(
-            followers(slow_followers),
-            DISK_SLOW,
-            Duration::from_secs(2),
-            Some(Duration::from_millis(1200)),
-        )
-        .execute();
+        };
+        let run = disk_slow_episode(run, followers(slow_followers)).execute();
         let dump = run.dump();
-        let cell = depfast_incident::score(&dump, depfast_incident::RECOVERY_BAND);
-        print!("{}", depfast_incident::render_report(&dump, &cell));
-        let mut row = vec![format!("{n_servers} Nodes")];
-        row.extend(depfast_incident::scorecard_cells(&cell));
-        table.row(row);
+        let cell = DetectRecord::from_dump(&dump);
+        print!("{}", depfast_incident::render_report(&dump, &cell.score));
+        suite.detect.push(cell);
         run.export(&format!("fig3_incidents_{n_servers}_nodes"))
             .expect("write run artifact");
     }
-    table.print();
+    print!("{}", suite.render_cells());
 }
 
 fn main() {
@@ -137,8 +102,8 @@ fn main() {
         return;
     }
     let metrics = std::env::args().any(|a| a == "--metrics");
-    let measure = Duration::from_secs(env_u64("FIG3_MEASURE_SECS", 10));
-    let clients = env_u64("FIG3_CLIENTS", 256) as usize;
+    let measure = Duration::from_secs(env_knob("FIG3_MEASURE_SECS", 10));
+    let clients = env_knob("FIG3_CLIENTS", 256) as usize;
     let mem_limit = depfast_bench::experiment::mem_contention_limit();
     let faults = FaultKind::table1(mem_limit);
 
@@ -167,21 +132,19 @@ fn main() {
             measure,
             ..Run::default()
         };
-        eprintln!("[fig3] {n_servers} nodes baseline...");
-        let (base, base_prof) = run_one(
-            &base_cfg,
-            metrics,
-            &format!("{n_servers}_nodes_no_slowness"),
-        );
+        // The largest follower minority under each Table 1 fault; each
+        // cell is profiled, or sampled and exported as
+        // `<cluster>_<condition>` under `--metrics`.
         let cluster = format!("{n_servers}_nodes");
-        suite.runs.push(RunRecord::from_stats(
-            RaftKind::DepFast.name(),
-            "none",
-            &cluster,
-            &base,
-            None,
-            base_prof.as_ref(),
-        ));
+        let slow = followers(slow_followers);
+        let sweep: Vec<_> = faults.iter().map(|f| (f.name(), &slow[..], *f)).collect();
+        let cell = |run: &Run| {
+            let name = format!("{cluster}_{}", condition(run));
+            run_figure_cell("fig3", &name, run, metrics)
+        };
+        let labels = (RaftKind::DepFast.name(), cluster.as_str());
+        let reports = contrast(&mut suite, labels, &base_cfg, &sweep, cell);
+        let base = &reports[0].stats;
         table.row(vec![
             format!("{n_servers} Nodes"),
             "No Slowness".into(),
@@ -192,29 +155,8 @@ fn main() {
             format_ms(base.latency.p99),
             "--".into(),
         ]);
-        for fault in faults {
-            eprintln!(
-                "[fig3] {n_servers} nodes + {} on {slow_followers} follower(s)...",
-                fault.name()
-            );
-            let (stats, prof) = run_one(
-                &base_cfg.clone().with_fault(
-                    followers(slow_followers),
-                    fault,
-                    base_cfg.warmup / 2,
-                    None,
-                ),
-                metrics,
-                &format!("{n_servers}_nodes_{}", fault.name()),
-            );
-            suite.runs.push(RunRecord::from_stats(
-                RaftKind::DepFast.name(),
-                fault.name(),
-                &cluster,
-                &stats,
-                Some(base.throughput),
-                prof.as_ref(),
-            ));
+        for (fault, report) in faults.iter().zip(&reports[1..]) {
+            let stats = &report.stats;
             let drift = |v: f64, b: f64| (v - b) / b;
             let d_t = drift(stats.throughput, base.throughput);
             let d_a = drift(

@@ -1,13 +1,11 @@
-//! Machine-readable suites and the regression gate.
+//! The regression gate: what it takes for a fresh [`Suite`] to pass
+//! against its committed baseline.
 //!
-//! Every bench emitter rolls its runs into a [`Suite`] and writes it as
-//! `BENCH_<suite>.json` at the repo root via
-//! [`crate::write_repo_artifact`]. A suite carries up to three sections,
-//! each a list of cells keyed within the section: perf `runs`
-//! ([`RunRecord`]), `detect` scorecards ([`DetectRecord`]) and
-//! `scenarios` survival verdicts ([`ScenarioRecord`]). The `gate` binary
-//! re-runs a fixed-seed suite and [`compare`]s it against its committed
-//! baseline, exiting nonzero on regression; CI runs that on every push.
+//! The `gate` binary re-runs a fixed-seed suite and [`compare`]s it
+//! against its committed baseline, exiting nonzero on regression; CI
+//! runs that on every push. The file format is [`crate::cells`]'s
+//! business; this module is the policy — one explicit `check` per
+//! section.
 //!
 //! Simulated time is deterministic, so the numbers only move when the
 //! code's behavior moves — the tolerance bands exist for intentional
@@ -21,14 +19,8 @@
 
 use std::path::Path;
 
-use crate::experiment::SurvivalCell;
-use crate::json::Json;
+use crate::cells::{ms, Cell, DetectRecord, RunRecord, ScenarioRecord, Suite};
 use depfast_incident::{IncidentDump, ScoreCell};
-use depfast_profile::Profiler;
-use depfast_ycsb::driver::RunStats;
-
-/// Format marker embedded in every artifact.
-pub const SCHEMA: &str = "depfast-bench/v1";
 
 /// Max allowed relative throughput drop of a perf cell (−8%).
 pub const THROUGHPUT_DROP: f64 = 0.08;
@@ -45,47 +37,8 @@ pub const TIME_SLACK_MS: f64 = 50.0;
 /// calibration change fail twice).
 pub const THROUGHPUT_NOTE: f64 = 0.10;
 
-/// A cell of one suite section: serializable, keyed, diffable.
-trait Cell: Sized {
-    /// The section's JSON key, also naming it in gate messages.
-    const SECTION: &'static str;
-    fn key(&self) -> String;
-    fn to_json(&self) -> Json;
-    fn from_json(v: &Json) -> Result<Self, String>;
-    /// Diffs `cur` against `self`, the baseline cell of the same key.
-    fn check(&self, cur: &Self, key: &str, out: &mut GateOutcome);
-}
-
-fn str_field(v: &Json, k: &str) -> Result<String, String> {
-    v.str(k)
-        .map(str::to_string)
-        .ok_or_else(|| format!("record missing string field {k:?}"))
-}
-
-fn num_field(v: &Json, k: &str) -> Result<f64, String> {
-    v.num(k)
-        .ok_or_else(|| format!("record missing numeric field {k:?}"))
-}
-
-fn flag(v: &Json, k: &str) -> bool {
-    matches!(v.get(k), Some(Json::Bool(true)))
-}
-
-/// Sets `k` only when there is a measurement: an absent key means "no
-/// measurement", distinct from 0.0.
-fn set_opt(o: &mut Json, k: &str, v: Option<f64>) {
-    if let Some(v) = v {
-        o.set(k, Json::Num(round4(v)));
-    }
-}
-
-fn round2(v: f64) -> f64 {
-    (v * 1e2).round() / 1e2
-}
-
-fn round4(v: f64) -> f64 {
-    (v * 1e4).round() / 1e4
-}
+/// Diffs `cur` against `base`, the baseline cell of the same `key`.
+type Check<C> = fn(base: &C, cur: &C, key: &str, out: &mut GateOutcome);
 
 /// Fails `what` when it rose past `base × (1 + TIME_RISE) + TIME_SLACK_MS`.
 fn check_time(what: &str, base: f64, cur: f64, key: &str, out: &mut GateOutcome) {
@@ -97,627 +50,139 @@ fn check_time(what: &str, base: f64, cur: f64, key: &str, out: &mut GateOutcome)
     }
 }
 
-/// One (driver, fault, cluster) measurement cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunRecord {
-    /// Raft driver name (`RaftKind::name()`).
-    pub driver: String,
-    /// Fault-class name, `"none"` for the healthy baseline.
-    pub fault: String,
-    /// Cluster shape discriminator (e.g. `"3_nodes"`); empty when the
-    /// suite has only one shape.
-    pub cluster: String,
-    /// Committed operations in the measurement window.
-    pub ops: u64,
-    /// Requests per second.
-    pub throughput: f64,
-    /// Mean latency, milliseconds.
-    pub mean_ms: f64,
-    /// Median latency, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile latency, milliseconds.
-    pub p99_ms: f64,
-    /// Whether a server crashed during the run (RethinkDB-style leaders
-    /// do, under CPU faults).
-    pub crashed: bool,
-    /// Throughput normalized to the same driver+cluster healthy run
-    /// (1.0 for the baseline itself).
-    pub drift: f64,
-    /// Wait-state profiler rollup: total nanoseconds per site, summed
-    /// across nodes and phases. Empty when the run was not profiled.
-    pub profile: Vec<(String, u64)>,
-}
-
-impl RunRecord {
-    /// Builds a record from workload statistics. `base_throughput` is the
-    /// same driver+cluster healthy-run throughput (drift denominator).
-    pub fn from_stats(
-        driver: &str,
-        fault: &str,
-        cluster: &str,
-        stats: &RunStats,
-        base_throughput: Option<f64>,
-        profiler: Option<&Profiler>,
-    ) -> RunRecord {
-        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-        let mut profile = std::collections::BTreeMap::<String, u64>::new();
-        for line in profiler.map(Profiler::lines).unwrap_or_default() {
-            *profile.entry(line.site).or_insert(0) += line.nanos;
+/// Fails when throughput drops more than [`THROUGHPUT_DROP`], P99
+/// rises more than [`P99_RISE`], or the cell crashes where the
+/// baseline did not. Improvements are notes.
+fn check_run(base: &RunRecord, cur: &RunRecord, key: &str, out: &mut GateOutcome) {
+    if cur.crashed && !base.crashed {
+        out.failures
+            .push(format!("[{key}] crashed (baseline did not)"));
+        return;
+    }
+    if base.crashed {
+        // Crash cells have no meaningful numbers; matching crash
+        // behavior is all the gate asks.
+        if !cur.crashed {
+            out.notes.push(format!("[{key}] no longer crashes"));
         }
-        RunRecord {
-            driver: driver.to_string(),
-            fault: fault.to_string(),
-            cluster: cluster.to_string(),
-            ops: stats.ops,
-            throughput: stats.throughput,
-            mean_ms: ms(stats.latency.mean),
-            p50_ms: ms(stats.latency.p50),
-            p99_ms: ms(stats.latency.p99),
-            crashed: stats.server_crashed,
-            drift: match base_throughput {
-                Some(b) if b > 0.0 => stats.throughput / b,
-                _ => 1.0,
-            },
-            profile: profile.into_iter().collect(),
-        }
+        return;
     }
-}
-
-impl Cell for RunRecord {
-    const SECTION: &'static str = "runs";
-
-    fn key(&self) -> String {
-        format!("{} | {} | {}", self.driver, self.cluster, self.fault)
-    }
-
-    fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.set("driver", Json::Str(self.driver.clone()));
-        o.set("fault", Json::Str(self.fault.clone()));
-        o.set("cluster", Json::Str(self.cluster.clone()));
-        o.set("ops", Json::Num(self.ops as f64));
-        o.set("throughput", Json::Num(round2(self.throughput)));
-        o.set("mean_ms", Json::Num(round4(self.mean_ms)));
-        o.set("p50_ms", Json::Num(round4(self.p50_ms)));
-        o.set("p99_ms", Json::Num(round4(self.p99_ms)));
-        o.set("crashed", Json::Bool(self.crashed));
-        o.set("drift", Json::Num(round4(self.drift)));
-        let mut sites = Vec::new();
-        for (site, nanos) in &self.profile {
-            let mut s = Json::obj();
-            s.set("site", Json::Str(site.clone()));
-            s.set("ns", Json::Num(*nanos as f64));
-            sites.push(s);
-        }
-        o.set("profile", Json::Arr(sites));
-        o
-    }
-
-    fn from_json(v: &Json) -> Result<RunRecord, String> {
-        let mut profile = Vec::new();
-        for s in v.get("profile").and_then(Json::as_arr).unwrap_or(&[]) {
-            profile.push((
-                s.str("site").unwrap_or("").to_string(),
-                s.num("ns").unwrap_or(0.0) as u64,
-            ));
-        }
-        Ok(RunRecord {
-            driver: str_field(v, "driver")?,
-            fault: str_field(v, "fault")?,
-            cluster: str_field(v, "cluster")?,
-            ops: num_field(v, "ops")? as u64,
-            throughput: num_field(v, "throughput")?,
-            mean_ms: num_field(v, "mean_ms")?,
-            p50_ms: num_field(v, "p50_ms")?,
-            p99_ms: num_field(v, "p99_ms")?,
-            crashed: flag(v, "crashed"),
-            drift: v.num("drift").unwrap_or(1.0),
-            profile,
-        })
-    }
-
-    /// Fails when throughput drops more than [`THROUGHPUT_DROP`], P99
-    /// rises more than [`P99_RISE`], or the cell crashes where the
-    /// baseline did not. Improvements are notes.
-    fn check(&self, cur: &RunRecord, key: &str, out: &mut GateOutcome) {
-        if cur.crashed && !self.crashed {
-            out.failures
-                .push(format!("[{key}] crashed (baseline did not)"));
-            return;
-        }
-        if self.crashed {
-            // Crash cells have no meaningful numbers; matching crash
-            // behavior is all the gate asks.
-            if !cur.crashed {
-                out.notes.push(format!("[{key}] no longer crashes"));
-            }
-            return;
-        }
-        if self.throughput > 0.0 {
-            let rel = cur.throughput / self.throughput - 1.0;
-            if rel < -THROUGHPUT_DROP {
-                out.failures.push(format!(
-                    "[{key}] throughput {:.0} → {:.0} req/s ({:+.1}%, tolerance −{:.0}%)",
-                    self.throughput,
-                    cur.throughput,
-                    rel * 100.0,
-                    THROUGHPUT_DROP * 100.0
-                ));
-            } else if rel > THROUGHPUT_DROP {
-                out.notes.push(format!(
-                    "[{key}] throughput improved {:+.1}% — consider refreshing the baseline",
-                    rel * 100.0
-                ));
-            }
-        }
-        if self.p99_ms > 0.0 {
-            let rel = cur.p99_ms / self.p99_ms - 1.0;
-            if rel > P99_RISE {
-                out.failures.push(format!(
-                    "[{key}] p99 {:.2} → {:.2} ms ({:+.1}%, tolerance +{:.0}%)",
-                    self.p99_ms,
-                    cur.p99_ms,
-                    rel * 100.0,
-                    P99_RISE * 100.0
-                ));
-            }
-        }
-    }
-}
-
-/// Detection quality of one cell — the suite-level form of
-/// `depfast_incident::ScoreCell`, times in milliseconds. Embedded by
-/// both [`DetectRecord`] and [`ScenarioRecord`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Detection {
-    /// Every injected fault was suspected (vacuously false with no fault).
-    pub detected: bool,
-    /// Time to detect, milliseconds.
-    pub ttd_ms: Option<f64>,
-    /// Time to mitigate, milliseconds.
-    pub ttm_ms: Option<f64>,
-    /// Time to recover, milliseconds.
-    pub ttr_ms: Option<f64>,
-    /// Suspicions with no fault injected anywhere.
-    pub false_positives: u64,
-    /// Injected faults never suspected.
-    pub false_negatives: u64,
-    /// Suspicions of healthy nodes during a fault elsewhere.
-    pub misattributions: u64,
-}
-
-fn ns_to_ms(ns: u64) -> f64 {
-    ns as f64 / 1e6
-}
-
-impl Detection {
-    /// Lifts a scorecard cell.
-    pub fn from_score(cell: &ScoreCell) -> Detection {
-        Detection {
-            detected: cell.detected,
-            ttd_ms: cell.ttd_ns.map(ns_to_ms),
-            ttm_ms: cell.ttm_ns.map(ns_to_ms),
-            ttr_ms: cell.ttr_ns.map(ns_to_ms),
-            false_positives: cell.false_positives,
-            false_negatives: cell.false_negatives,
-            misattributions: cell.misattributions,
-        }
-    }
-
-    fn write(&self, o: &mut Json) {
-        o.set("detected", Json::Bool(self.detected));
-        set_opt(o, "ttd_ms", self.ttd_ms);
-        set_opt(o, "ttm_ms", self.ttm_ms);
-        set_opt(o, "ttr_ms", self.ttr_ms);
-        o.set("false_positives", Json::Num(self.false_positives as f64));
-        o.set("false_negatives", Json::Num(self.false_negatives as f64));
-        o.set("misattributions", Json::Num(self.misattributions as f64));
-    }
-
-    fn read(v: &Json) -> Detection {
-        Detection {
-            detected: flag(v, "detected"),
-            ttd_ms: v.num("ttd_ms"),
-            ttm_ms: v.num("ttm_ms"),
-            ttr_ms: v.num("ttr_ms"),
-            false_positives: v.num("false_positives").unwrap_or(0.0) as u64,
-            false_negatives: v.num("false_negatives").unwrap_or(0.0) as u64,
-            misattributions: v.num("misattributions").unwrap_or(0.0) as u64,
-        }
-    }
-
-    /// Fails on a lost detection, a grown false-positive /
-    /// false-negative / misattribution count, or a time-to-detect past
-    /// its band. A halved time-to-detect is a note.
-    fn check(&self, cur: &Detection, key: &str, out: &mut GateOutcome) {
-        if self.detected && !cur.detected {
-            out.failures
-                .push(format!("[{key}] fault no longer detected"));
-        }
-        for (what, b, c) in [
-            ("false positives", self.false_positives, cur.false_positives),
-            ("false negatives", self.false_negatives, cur.false_negatives),
-            ("misattributions", self.misattributions, cur.misattributions),
-        ] {
-            if c > b {
-                out.failures.push(format!("[{key}] {what} {b} → {c}"));
-            }
-        }
-        if let (Some(b), Some(c)) = (self.ttd_ms, cur.ttd_ms) {
-            check_time("time-to-detect", b, c, key, out);
-            if c < b * 0.5 {
-                out.notes.push(format!(
-                    "[{key}] time-to-detect improved {b:.1} → {c:.1} ms — consider refreshing the baseline"
-                ));
-            }
-        }
-    }
-}
-
-/// Detection quality of one `(driver, fault, cluster)` cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DetectRecord {
-    /// Raft driver name (`RaftKind::name()`).
-    pub driver: String,
-    /// Fault-class name, `"none"` for the no-fault matrix.
-    pub fault: String,
-    /// Cluster shape discriminator.
-    pub cluster: String,
-    /// The scorecard.
-    pub quality: Detection,
-}
-
-impl DetectRecord {
-    /// Scores nothing itself: lifts a dump's identity and its scorecard
-    /// cell into a suite record.
-    pub fn from_cell(dump: &IncidentDump, cell: &ScoreCell) -> DetectRecord {
-        DetectRecord {
-            driver: dump.driver.clone(),
-            fault: dump.fault.clone(),
-            cluster: dump.cluster.clone(),
-            quality: Detection::from_score(cell),
-        }
-    }
-}
-
-impl Cell for DetectRecord {
-    const SECTION: &'static str = "detect";
-
-    fn key(&self) -> String {
-        format!("{} | {} | {}", self.driver, self.cluster, self.fault)
-    }
-
-    fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.set("driver", Json::Str(self.driver.clone()));
-        o.set("fault", Json::Str(self.fault.clone()));
-        o.set("cluster", Json::Str(self.cluster.clone()));
-        self.quality.write(&mut o);
-        o
-    }
-
-    fn from_json(v: &Json) -> Result<DetectRecord, String> {
-        Ok(DetectRecord {
-            driver: str_field(v, "driver")?,
-            fault: str_field(v, "fault")?,
-            cluster: str_field(v, "cluster")?,
-            quality: Detection::read(v),
-        })
-    }
-
-    fn check(&self, cur: &DetectRecord, key: &str, out: &mut GateOutcome) {
-        self.quality.check(&cur.quality, key, out);
-    }
-}
-
-/// One scenario × driver survival cell: liveness plus client-visible
-/// survival numbers plus detection quality.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioRecord {
-    /// Scenario name (DSL catalog key).
-    pub scenario: String,
-    /// Raft driver name (`RaftKind::name()`).
-    pub driver: String,
-    /// Liveness verdict: no crash, work completed, no over-limit stall.
-    pub live: bool,
-    /// Any server node crashed during the cell.
-    pub crashed: bool,
-    /// Measurement-window throughput (ops/s).
-    pub throughput: f64,
-    /// Minimum post-onset throughput sample (ops/s).
-    pub floor: f64,
-    /// Client-visible p99 latency, milliseconds.
-    pub p99_ms: f64,
-    /// Longest post-warm-up stall, milliseconds.
-    pub stall_ms: f64,
-    /// The scorecard.
-    pub quality: Detection,
-    /// Time to stabilize, milliseconds: fault-clear → `storm_cleared`.
-    /// `None` in a storm cell means the storm never dissolved; also
-    /// `None` for cells without a storm monitor.
-    pub tts_ms: Option<f64>,
-    /// Storm verdict: `Some(true)` when a retry storm outlived its
-    /// fault (metastable), `Some(false)` when monitored and it did not,
-    /// `None` for cells without a storm monitor.
-    pub storm_sustained: Option<bool>,
-    /// Retry amplification (attempts per fresh op) at/after fault
-    /// onset. `None` for cells without a storm monitor.
-    pub amp: Option<f64>,
-}
-
-impl ScenarioRecord {
-    /// Lifts a survival cell. The storm columns are set only for
-    /// storm-monitored cells (those carrying an amplification factor).
-    pub fn from_cell(cell: &SurvivalCell) -> ScenarioRecord {
-        ScenarioRecord {
-            scenario: cell.scenario.clone(),
-            driver: cell.driver.clone(),
-            live: cell.live,
-            crashed: cell.crashed,
-            throughput: cell.throughput,
-            floor: cell.floor,
-            p99_ms: cell.p99_ms,
-            stall_ms: cell.stall_ms,
-            quality: Detection::from_score(&cell.score),
-            tts_ms: cell.amp.and(cell.score.tts_ns).map(ns_to_ms),
-            storm_sustained: cell.amp.map(|_| cell.score.storm_sustained),
-            amp: cell.amp,
-        }
-    }
-}
-
-impl Cell for ScenarioRecord {
-    const SECTION: &'static str = "scenarios";
-
-    fn key(&self) -> String {
-        format!("{} | {}", self.scenario, self.driver)
-    }
-
-    fn to_json(&self) -> Json {
-        let mut o = Json::obj();
-        o.set("scenario", Json::Str(self.scenario.clone()));
-        o.set("driver", Json::Str(self.driver.clone()));
-        o.set("live", Json::Bool(self.live));
-        o.set("crashed", Json::Bool(self.crashed));
-        o.set("throughput", Json::Num(round2(self.throughput)));
-        o.set("floor", Json::Num(round2(self.floor)));
-        o.set("p99_ms", Json::Num(round4(self.p99_ms)));
-        o.set("stall_ms", Json::Num(round2(self.stall_ms)));
-        self.quality.write(&mut o);
-        // Storm columns: emitted only for storm-monitored cells.
-        set_opt(&mut o, "tts_ms", self.tts_ms);
-        if let Some(v) = self.storm_sustained {
-            o.set("storm_sustained", Json::Bool(v));
-        }
-        set_opt(&mut o, "amp", self.amp);
-        o
-    }
-
-    fn from_json(v: &Json) -> Result<ScenarioRecord, String> {
-        Ok(ScenarioRecord {
-            scenario: str_field(v, "scenario")?,
-            driver: str_field(v, "driver")?,
-            live: flag(v, "live"),
-            crashed: flag(v, "crashed"),
-            throughput: v.num("throughput").unwrap_or(0.0),
-            floor: v.num("floor").unwrap_or(0.0),
-            p99_ms: v.num("p99_ms").unwrap_or(0.0),
-            stall_ms: v.num("stall_ms").unwrap_or(0.0),
-            quality: Detection::read(v),
-            tts_ms: v.num("tts_ms"),
-            storm_sustained: match v.get("storm_sustained") {
-                Some(Json::Bool(b)) => Some(*b),
-                _ => None,
-            },
-            amp: v.num("amp"),
-        })
-    }
-
-    /// Fails on a liveness flip, a new crash, any [`Detection`] failure,
-    /// a retry storm that newly outlives its fault, or a lost or slowed
-    /// stabilization. Verdict improvements and throughput drift are
-    /// notes.
-    fn check(&self, cur: &ScenarioRecord, key: &str, out: &mut GateOutcome) {
-        if self.live && !cur.live {
+    if base.throughput > 0.0 {
+        let rel = cur.throughput / base.throughput - 1.0;
+        if rel < -THROUGHPUT_DROP {
             out.failures.push(format!(
-                "[{key}] liveness verdict flipped: live → {}",
-                if cur.crashed { "crashed" } else { "stalled" }
+                "[{key}] throughput {:.0} → {:.0} req/s ({:+.1}%, tolerance −{:.0}%)",
+                base.throughput,
+                cur.throughput,
+                rel * 100.0,
+                THROUGHPUT_DROP * 100.0
             ));
-        } else if !self.live && cur.live {
+        } else if rel > THROUGHPUT_DROP {
             out.notes.push(format!(
-                "[{key}] now survives (baseline did not) — consider refreshing the baseline"
+                "[{key}] throughput improved {:+.1}% — consider refreshing the baseline",
+                rel * 100.0
             ));
         }
-        if cur.crashed && !self.crashed {
-            out.failures
-                .push(format!("[{key}] crashed (baseline did not)"));
-        }
-        self.quality.check(&cur.quality, key, out);
-        match (self.storm_sustained, cur.storm_sustained) {
-            (Some(false), Some(true)) => out.failures.push(format!(
-                "[{key}] retry storm now sustained past fault clear (metastable)"
-            )),
-            (Some(true), Some(false)) => out.notes.push(format!(
-                "[{key}] retry storm no longer sustained — consider refreshing the baseline"
-            )),
-            _ => {}
-        }
-        match (self.tts_ms, cur.tts_ms) {
-            (Some(b), Some(c)) => check_time("time-to-stabilize", b, c, key, out),
-            (Some(b), None) if cur.storm_sustained.is_some() => {
-                out.failures.push(format!(
-                    "[{key}] no longer stabilizes (baseline TTS {b:.1} ms, storm never cleared)"
-                ));
-            }
-            (None, Some(c)) => out.notes.push(format!(
-                "[{key}] now stabilizes in {c:.1} ms (baseline never did) — consider refreshing the baseline"
-            )),
-            _ => {}
-        }
-        if self.throughput > 0.0 {
-            let rel = cur.throughput / self.throughput - 1.0;
-            if rel.abs() > THROUGHPUT_NOTE {
-                out.notes.push(format!(
-                    "[{key}] throughput {:.0} → {:.0} op/s ({:+.1}%)",
-                    self.throughput,
-                    cur.throughput,
-                    rel * 100.0
-                ));
-            }
+    }
+    if base.p99_ms > 0.0 {
+        let rel = cur.p99_ms / base.p99_ms - 1.0;
+        if rel > P99_RISE {
+            out.failures.push(format!(
+                "[{key}] p99 {:.2} → {:.2} ms ({:+.1}%, tolerance +{:.0}%)",
+                base.p99_ms,
+                cur.p99_ms,
+                rel * 100.0,
+                P99_RISE * 100.0
+            ));
         }
     }
 }
 
-/// A full bench suite: provenance plus the cells of each section.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Suite {
-    /// Suite name (`fig1`, `fig3`, `ablations`, `gate`, `detect`,
-    /// `scenarios`).
-    pub suite: String,
-    /// Determinism seed the runs used.
-    pub seed: u64,
-    /// Free-form config provenance (clients, measure window, …).
-    pub config: Vec<(String, f64)>,
-    /// The measurement cells.
-    pub runs: Vec<RunRecord>,
-    /// Detection-quality cells. The JSON array is emitted only when
-    /// nonempty, so pure perf artifacts do not carry it.
-    pub detect: Vec<DetectRecord>,
-    /// Scenario-matrix survival cells (same emitted-only-when-nonempty
-    /// rule as `detect`).
-    pub scenarios: Vec<ScenarioRecord>,
+fn check_detect(base: &DetectRecord, cur: &DetectRecord, key: &str, out: &mut GateOutcome) {
+    check_detection(&base.score, &cur.score, key, out);
 }
 
-fn section_to_json<C: Cell>(cells: &[C]) -> Json {
-    Json::Arr(cells.iter().map(C::to_json).collect())
-}
-
-fn section_from_json<C: Cell>(v: &Json) -> Result<Vec<C>, String> {
-    let cells = v.get(C::SECTION).and_then(Json::as_arr).unwrap_or(&[]);
-    cells.iter().map(C::from_json).collect()
-}
-
-impl Suite {
-    /// An empty suite.
-    pub fn new(suite: &str, seed: u64) -> Suite {
-        Suite {
-            suite: suite.to_string(),
-            seed,
-            config: Vec::new(),
-            runs: Vec::new(),
-            detect: Vec::new(),
-            scenarios: Vec::new(),
+/// The detection checks, shared by both sections that embed a scorecard:
+/// fails on a lost detection, a grown false-positive / false-negative /
+/// misattribution count, or a time-to-detect past its band. A halved
+/// time-to-detect is a note.
+fn check_detection(base: &ScoreCell, cur: &ScoreCell, key: &str, out: &mut GateOutcome) {
+    if base.detected && !cur.detected {
+        out.failures
+            .push(format!("[{key}] fault no longer detected"));
+    }
+    for (what, b, c) in [
+        ("false positives", base.false_positives, cur.false_positives),
+        ("false negatives", base.false_negatives, cur.false_negatives),
+        ("misattributions", base.misattributions, cur.misattributions),
+    ] {
+        if c > b {
+            out.failures.push(format!("[{key}] {what} {b} → {c}"));
         }
     }
-
-    /// Records one config provenance entry.
-    pub fn config(&mut self, key: &str, value: f64) {
-        self.config.push((key.to_string(), value));
-    }
-
-    /// Cells across all sections.
-    pub fn cells(&self) -> usize {
-        self.runs.len() + self.detect.len() + self.scenarios.len()
-    }
-
-    /// Serializes the suite (deterministic bytes for identical content).
-    pub fn to_json(&self) -> String {
-        let mut o = Json::obj();
-        o.set("schema", Json::Str(SCHEMA.to_string()));
-        o.set("suite", Json::Str(self.suite.clone()));
-        o.set("seed", Json::Num(self.seed as f64));
-        let mut cfg = Json::obj();
-        for (k, v) in &self.config {
-            cfg.set(k, Json::Num(*v));
+    if let (Some(b), Some(c)) = (base.ttd_ns.map(ms), cur.ttd_ns.map(ms)) {
+        check_time("time-to-detect", b, c, key, out);
+        if c < b * 0.5 {
+            out.notes.push(format!(
+                "[{key}] time-to-detect improved {b:.1} → {c:.1} ms — consider refreshing the baseline"
+            ));
         }
-        o.set("config", cfg);
-        o.set(RunRecord::SECTION, section_to_json(&self.runs));
-        if !self.detect.is_empty() {
-            o.set(DetectRecord::SECTION, section_to_json(&self.detect));
-        }
-        if !self.scenarios.is_empty() {
-            o.set(ScenarioRecord::SECTION, section_to_json(&self.scenarios));
-        }
-        o.pretty()
-    }
-
-    /// Parses a suite previously written by [`Suite::to_json`].
-    pub fn parse(text: &str) -> Result<Suite, String> {
-        let v = Json::parse(text)?;
-        match v.str("schema") {
-            Some(SCHEMA) => {}
-            Some(other) => return Err(format!("unsupported schema {other:?}")),
-            None => return Err("not a bench suite (no schema field)".into()),
-        }
-        let mut config = Vec::new();
-        if let Some(Json::Obj(pairs)) = v.get("config") {
-            for (k, val) in pairs {
-                if let Some(n) = val.as_f64() {
-                    config.push((k.clone(), n));
-                }
-            }
-        }
-        Ok(Suite {
-            suite: v.str("suite").unwrap_or("?").to_string(),
-            seed: v.num("seed").unwrap_or(0.0) as u64,
-            config,
-            runs: section_from_json(&v)?,
-            detect: section_from_json(&v)?,
-            scenarios: section_from_json(&v)?,
-        })
     }
 }
 
-impl Suite {
-    /// One human-readable line per cell, section by section (what the
-    /// gate prints under its verdict).
-    pub fn render_cells(&self) -> String {
-        let opt = |v: Option<f64>| v.map_or_else(|| "      -".to_string(), |m| format!("{m:>7.1}"));
-        let quality = |q: &Detection| {
-            format!(
-                "detected={:<5} ttd{} ms  ttm{} ms  ttr{} ms  fp={} fn={} misattr={}",
-                q.detected,
-                opt(q.ttd_ms),
-                opt(q.ttm_ms),
-                opt(q.ttr_ms),
-                q.false_positives,
-                q.false_negatives,
-                q.misattributions
-            )
-        };
-        let mut out = String::new();
-        for r in &self.runs {
-            out += &format!(
-                "  {:<45} {:>7.0} req/s  p99 {:>7.2} ms  drift {:.2}\n",
-                r.key(),
-                r.throughput,
-                r.p99_ms,
-                r.drift
-            );
+/// Fails on a liveness flip, a new crash, any detection failure, a
+/// retry storm that newly outlives its fault, or a lost or slowed
+/// stabilization. Verdict improvements and throughput drift are
+/// notes.
+fn check_scenario(base: &ScenarioRecord, cur: &ScenarioRecord, key: &str, out: &mut GateOutcome) {
+    if base.live && !cur.live {
+        out.failures.push(format!(
+            "[{key}] liveness verdict flipped: live → {}",
+            if cur.crashed { "crashed" } else { "stalled" }
+        ));
+    } else if !base.live && cur.live {
+        out.notes.push(format!(
+            "[{key}] now survives (baseline did not) — consider refreshing the baseline"
+        ));
+    }
+    if cur.crashed && !base.crashed {
+        out.failures
+            .push(format!("[{key}] crashed (baseline did not)"));
+    }
+    check_detection(&base.score, &cur.score, key, out);
+    let sustained = |r: &ScenarioRecord| r.amp.map(|_| r.score.storm_sustained);
+    match (sustained(base), sustained(cur)) {
+        (Some(false), Some(true)) => out.failures.push(format!(
+            "[{key}] retry storm now sustained past fault clear (metastable)"
+        )),
+        (Some(true), Some(false)) => out.notes.push(format!(
+            "[{key}] retry storm no longer sustained — consider refreshing the baseline"
+        )),
+        _ => {}
+    }
+    let tts = |r: &ScenarioRecord| r.amp.and(r.score.tts_ns).map(ms);
+    match (tts(base), tts(cur)) {
+        (Some(b), Some(c)) => check_time("time-to-stabilize", b, c, key, out),
+        (Some(b), None) if cur.amp.is_some() => {
+            out.failures.push(format!(
+                "[{key}] no longer stabilizes (baseline TTS {b:.1} ms, storm never cleared)"
+            ));
         }
-        for r in &self.detect {
-            out += &format!("  {:<45} {}\n", r.key(), quality(&r.quality));
+        (None, Some(c)) => out.notes.push(format!(
+            "[{key}] now stabilizes in {c:.1} ms (baseline never did) — consider refreshing the baseline"
+        )),
+        _ => {}
+    }
+    if base.throughput > 0.0 {
+        let rel = cur.throughput / base.throughput - 1.0;
+        if rel.abs() > THROUGHPUT_NOTE {
+            out.notes.push(format!(
+                "[{key}] throughput {:.0} → {:.0} op/s ({:+.1}%)",
+                base.throughput,
+                cur.throughput,
+                rel * 100.0
+            ));
         }
-        for r in &self.scenarios {
-            let storm = match r.storm_sustained {
-                Some(true) => format!("  storm=SUSTAINED amp={:.1}", r.amp.unwrap_or(0.0)),
-                Some(false) => format!(
-                    "  storm=dissolved tts{} ms amp={:.1}",
-                    opt(r.tts_ms),
-                    r.amp.unwrap_or(0.0)
-                ),
-                None => String::new(),
-            };
-            out += &format!(
-                "  {:<55} live={:<5} tput={:>6.0} floor={:>6.0} {}{storm}\n",
-                r.key(),
-                r.live,
-                r.throughput,
-                r.floor,
-                quality(&r.quality),
-            );
-        }
-        out
     }
 }
 
@@ -747,14 +212,17 @@ impl GateOutcome {
 }
 
 /// One section's walk: a baseline cell missing from `current` fails, a
-/// cell only in `current` is a note, a matched pair is checked.
-fn diff<C: Cell>(baseline: &[C], current: &[C], out: &mut GateOutcome) {
+/// cell only in `current` is a note, a matched pair is checked, and a
+/// key `current` holds twice fails — pairs match by key, so the second
+/// holder would never be looked at (a parsed suite cannot hold one; a
+/// live one can).
+fn diff<C: Cell>(baseline: &[C], current: &[C], check: Check<C>, out: &mut GateOutcome) {
     for base in baseline {
         let key = base.key();
         match current.iter().find(|c| c.key() == key) {
             Some(cur) => {
                 out.checked += 1;
-                base.check(cur, &key, out);
+                check(base, cur, &key, out);
             }
             None => out.failures.push(format!(
                 "[{key}] missing from the current suite's {:?}",
@@ -762,9 +230,14 @@ fn diff<C: Cell>(baseline: &[C], current: &[C], out: &mut GateOutcome) {
             )),
         }
     }
-    for cur in current {
+    for (i, cur) in current.iter().enumerate() {
         let key = cur.key();
-        if !baseline.iter().any(|b| b.key() == key) {
+        if current[..i].iter().any(|c| c.key() == key) {
+            out.failures.push(format!(
+                "[{key}] duplicate cell in the current suite's {:?}",
+                C::SECTION
+            ));
+        } else if !baseline.iter().any(|b| b.key() == key) {
             out.notes.push(format!(
                 "[{key}] new cell in {:?}, not in baseline",
                 C::SECTION
@@ -774,12 +247,17 @@ fn diff<C: Cell>(baseline: &[C], current: &[C], out: &mut GateOutcome) {
 }
 
 /// Diffs `current` against `baseline`, section by section and cell by
-/// cell; see each record's `check` for what fails it.
+/// cell; see each section's `check_*` for what fails it.
 pub fn compare(baseline: &Suite, current: &Suite) -> GateOutcome {
     let mut out = GateOutcome::default();
-    diff(&baseline.runs, &current.runs, &mut out);
-    diff(&baseline.detect, &current.detect, &mut out);
-    diff(&baseline.scenarios, &current.scenarios, &mut out);
+    diff(&baseline.runs, &current.runs, check_run, &mut out);
+    diff(&baseline.detect, &current.detect, check_detect, &mut out);
+    diff(
+        &baseline.scenarios,
+        &current.scenarios,
+        check_scenario,
+        &mut out,
+    );
     out
 }
 
@@ -822,22 +300,24 @@ mod tests {
         s
     }
 
-    fn quality(ttd_ms: Option<f64>) -> Detection {
-        Detection {
+    const MS: u64 = 1_000_000;
+
+    fn quality(ttd_ms: Option<u64>) -> ScoreCell {
+        ScoreCell {
             detected: ttd_ms.is_some(),
-            ttd_ms,
-            ttm_ms: ttd_ms.map(|v| v + 50.0),
-            ttr_ms: ttd_ms.map(|v| v + 500.0),
-            ..Detection::default()
+            ttd_ns: ttd_ms.map(|v| v * MS),
+            ttm_ns: ttd_ms.map(|v| (v + 50) * MS),
+            ttr_ns: ttd_ms.map(|v| (v + 500) * MS),
+            ..ScoreCell::default()
         }
     }
 
-    fn detect_record(driver: &str, fault: &str, ttd_ms: Option<f64>) -> DetectRecord {
+    fn detect_record(driver: &str, fault: &str, ttd_ms: Option<u64>) -> DetectRecord {
         DetectRecord {
             driver: driver.into(),
             fault: fault.into(),
             cluster: "3x64".into(),
-            quality: quality(ttd_ms),
+            score: quality(ttd_ms),
         }
     }
 
@@ -857,9 +337,7 @@ mod tests {
             floor: 800.0,
             p99_ms: 25.0,
             stall_ms: 200.0,
-            quality: quality(Some(400.0)),
-            tts_ms: None,
-            storm_sustained: None,
+            score: quality(Some(400)),
             amp: None,
         }
     }
@@ -868,8 +346,7 @@ mod tests {
     /// sustained) unless doctored otherwise.
     fn storm_record(scenario: &str) -> ScenarioRecord {
         let mut r = scenario_record(scenario, "DepFastRaft", true);
-        r.tts_ms = Some(800.0);
-        r.storm_sustained = Some(false);
+        r.score.tts_ns = Some(800 * MS);
         r.amp = Some(1.5);
         r
     }
@@ -888,7 +365,7 @@ mod tests {
                 record("d", "disk_slow", 4000.0, 10.0),
             ]),
             detect_suite(vec![
-                detect_record("d", "Disk Slowness", Some(400.0)),
+                detect_record("d", "Disk Slowness", Some(400)),
                 detect_record("d", "none", None),
             ]),
             scenario_suite(vec![
@@ -943,7 +420,7 @@ mod tests {
         // on storm-monitored cells.
         let [_, detect, scenarios] = one_of_each();
         let back = Suite::parse(&detect.to_json()).unwrap();
-        assert!(back.detect[1].quality.ttd_ms.is_none());
+        assert!(back.detect[1].score.ttd_ns.is_none());
         let text = scenarios.to_json();
         assert_eq!(text.matches("storm_sustained").count(), 1);
         assert_eq!(text.matches("tts_ms").count(), 1);
@@ -1014,25 +491,25 @@ mod tests {
     /// sections must trip each of them.
     #[test]
     fn detection_regressions_fail_in_both_embedding_sections() {
-        type Doctor = fn(&mut Detection);
+        type Doctor = fn(&mut ScoreCell);
         let cases: [(&str, Doctor); 5] = [
-            ("time-to-detect", |q| q.ttd_ms = Some(800.0)),
+            ("time-to-detect", |q| q.ttd_ns = Some(800 * MS)),
             ("false positives", |q| q.false_positives = 1),
             ("false negatives", |q| q.false_negatives = 1),
             ("misattributions", |q| q.misattributions = 1),
             ("no longer detected", |q| q.detected = false),
         ];
         for (what, doctor) in cases {
-            let base = detect_record("d", "Disk Slowness", Some(400.0));
+            let base = detect_record("d", "Disk Slowness", Some(400));
             let mut cur = base.clone();
-            doctor(&mut cur.quality);
+            doctor(&mut cur.score);
             let out = compare(&detect_suite(vec![base]), &detect_suite(vec![cur]));
             assert_eq!(out.failures.len(), 1, "{what}: {:?}", out.failures);
             assert!(out.failures[0].contains(what), "{:?}", out.failures);
 
             let base = scenario_record("leader-cpu-slow", "d", true);
             let mut cur = base.clone();
-            doctor(&mut cur.quality);
+            doctor(&mut cur.score);
             let out = compare(&scenario_suite(vec![base]), &scenario_suite(vec![cur]));
             assert_eq!(out.failures.len(), 1, "{what}: {:?}", out.failures);
             assert!(out.failures[0].contains(what), "{:?}", out.failures);
@@ -1042,8 +519,8 @@ mod tests {
     #[test]
     fn detection_improvement_is_a_note() {
         let out = compare(
-            &detect_suite(vec![detect_record("d", "Disk Slowness", Some(400.0))]),
-            &detect_suite(vec![detect_record("d", "Disk Slowness", Some(150.0))]),
+            &detect_suite(vec![detect_record("d", "Disk Slowness", Some(400))]),
+            &detect_suite(vec![detect_record("d", "Disk Slowness", Some(150))]),
         );
         assert!(out.passed(), "{:?}", out.failures);
         assert_eq!(out.notes.len(), 1, "{:?}", out.notes);
@@ -1078,8 +555,8 @@ mod tests {
     #[test]
     fn sustained_storm_flip_fails_the_gate() {
         let mut flipped = storm_record("retry-storm-budget");
-        flipped.storm_sustained = Some(true);
-        flipped.tts_ms = None;
+        flipped.score.storm_sustained = true;
+        flipped.score.tts_ns = None;
         let out = compare_scenarios(storm_record("retry-storm-budget"), flipped);
         for what in ["sustained", "no longer stabilizes"] {
             assert!(
@@ -1093,7 +570,7 @@ mod tests {
     #[test]
     fn doubled_tts_fails_the_gate_but_dissolving_is_a_note() {
         let mut slower = storm_record("retry-storm-budget");
-        slower.tts_ms = Some(1600.0);
+        slower.score.tts_ns = Some(1600 * MS);
         let out = compare_scenarios(storm_record("retry-storm-budget"), slower);
         assert!(!out.passed());
         assert!(
@@ -1103,12 +580,12 @@ mod tests {
         );
         // The unmitigated cell learning to stabilize is an improvement.
         let mut sustained_base = storm_record("retry-storm");
-        sustained_base.storm_sustained = Some(true);
-        sustained_base.tts_ms = None;
+        sustained_base.score.storm_sustained = true;
+        sustained_base.score.tts_ns = None;
         sustained_base.live = false;
         let mut healed = sustained_base.clone();
-        healed.storm_sustained = Some(false);
-        healed.tts_ms = Some(500.0);
+        healed.score.storm_sustained = false;
+        healed.score.tts_ns = Some(500 * MS);
         let out = compare_scenarios(sustained_base, healed);
         assert!(out.passed(), "{:?}", out.failures);
         assert!(out.notes.len() >= 2, "{:?}", out.notes);

@@ -6,8 +6,8 @@
 //!      --current <file>            # diff a pre-recorded suite instead of running
 //!      --baseline <file>           # diff against (or write) a different baseline file
 //!      --out <file>                # where a live run writes its fresh suite
-//!      --report                    # also print the suite's reports (detect: incident
-//!                                  # reports; scenario: survival tables)
+//!      --report                    # also print each cell's incident report on stderr
+//!                                  # (detect, scenario)
 //! ```
 //!
 //! | Suite | Protects | Baseline | Fresh suite |

@@ -15,9 +15,9 @@ use std::time::Duration;
 
 use depfast_detect::{AmpSample, DetectorCfg, FailSlowDetector, StormCfg, StormMonitor};
 use depfast_fault::{FaultKind, FaultLedger, FaultRecord};
-use depfast_incident::{score, IncidentDump, ScoreCell, RECOVERY_BAND};
+use depfast_incident::{score, IncidentDump, RECOVERY_BAND};
 use depfast_kv::{RetryPolicy, ShardedKvCluster};
-use depfast_metrics::{group_label, Key, MetricValue, MetricsRegistry, Sampler};
+use depfast_metrics::{group_label, Key, MetricValue, MetricsRegistry, Sampler, Summary};
 use depfast_profile::Profiler;
 use depfast_raft::cluster::{Placement, RaftKind};
 use depfast_raft::core::RaftCfg;
@@ -27,7 +27,7 @@ use depfast_ycsb::driver::{run_workload, DriverCfg, RunStats};
 use depfast_ycsb::workload::WorkloadSpec;
 use simkit::{MemCfg, NodeId, Sim, SimTime, World, WorldCfg};
 
-use crate::report::Table;
+use crate::cells::{RunRecord, ScenarioRecord};
 
 /// Raft tuning used by every experiment: calibrated so a healthy 3-node
 /// DepFastRaft cluster lands near the paper's ~5 K req/s base performance
@@ -540,26 +540,55 @@ impl RunReport {
             .collect()
     }
 
-    /// One group's stats in the [`RunStats`] shape, so suite records can
-    /// treat a group like a small cluster.
-    pub fn group_stats(&self, gid: u32) -> RunStats {
-        let g = self.stats.groups.iter().find(|g| g.gid == gid);
-        let g = g.unwrap_or_else(|| panic!("no group {gid} in this run"));
-        RunStats {
-            ops: g.ops,
-            errors: g.errors,
-            throughput: g.throughput,
-            latency: g.latency,
-            server_crashed: self.stats.server_crashed,
-            groups: vec![g.clone()],
+    fn perf_of(&self, labels: [&str; 3], ops: u64, throughput: f64, latency: Summary) -> RunRecord {
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        let [driver, fault, cluster] = labels.map(str::to_string);
+        RunRecord {
+            driver,
+            fault,
+            cluster,
+            ops,
+            throughput,
+            mean_ms: ms(latency.mean),
+            p50_ms: ms(latency.p50),
+            p99_ms: ms(latency.p99),
+            crashed: self.stats.server_crashed,
+            drift: 1.0,
+            profile: Vec::new(),
         }
     }
 
-    /// The survival verdict of a single-group run: client-visible
-    /// survival numbers over [`RunReport::dump`]'s series joined with
-    /// its scorecard. A run whose longest post-warm-up stall exceeds
-    /// `stall_limit` is not live even if throughput recovers later.
-    pub fn survival(&self, stall_limit: Duration) -> SurvivalCell {
+    /// This run as a perf cell under the labels its suite pins — the
+    /// driver is usually `kind.name()` but an ablation names its knob,
+    /// and fault / cluster labels are each suite's own. Carries the
+    /// wait-profile rollup when the run was profiled; `drift` is 1.0
+    /// until [`RunRecord::over`] sets it.
+    pub fn perf(&self, driver: &str, fault: &str, cluster: &str) -> RunRecord {
+        let mut profile = std::collections::BTreeMap::<String, u64>::new();
+        for line in self.profiler.iter().flat_map(Profiler::lines) {
+            *profile.entry(line.site).or_insert(0) += line.nanos;
+        }
+        let s = &self.stats;
+        RunRecord {
+            profile: profile.into_iter().collect(),
+            ..self.perf_of([driver, fault, cluster], s.ops, s.throughput, s.latency)
+        }
+    }
+
+    /// One group's client numbers as a perf cell (the blast-radius
+    /// split treats a group like a small cluster); never profiled.
+    pub fn group_perf(&self, gid: u32, driver: &str, fault: &str, cluster: &str) -> RunRecord {
+        let g = self.stats.groups.iter().find(|g| g.gid == gid);
+        let g = g.unwrap_or_else(|| panic!("no group {gid} in this run"));
+        self.perf_of([driver, fault, cluster], g.ops, g.throughput, g.latency)
+    }
+
+    /// The survival cell of a single-group run, with the incident dump
+    /// it was judged from: client-visible survival numbers over
+    /// [`RunReport::dump`]'s series joined with its scorecard. A run
+    /// whose longest post-warm-up stall exceeds `stall_limit` is not
+    /// live even if throughput recovers later.
+    pub fn survival(&self, stall_limit: Duration) -> (ScenarioRecord, IncidentDump) {
         let dump = self.dump();
         let warmup_ns = self.run.warmup.as_nanos() as u64;
         let onset_ns = dump.faults.iter().map(|f| f.onset_ns).min();
@@ -591,107 +620,22 @@ impl RunReport {
                 });
             attempts as f64 / ops.max(1) as f64
         });
-        SurvivalCell {
+        let cell = ScenarioRecord {
             scenario: self.run.fault.clone(),
             driver: self.run.kind.name().to_string(),
+            live: !self.stats.server_crashed
+                && self.stats.ops > 0
+                && stall_ms <= stall_limit.as_secs_f64() * 1e3,
+            crashed: self.stats.server_crashed,
             throughput: self.stats.throughput,
             floor: if floor.is_finite() { floor } else { 0.0 },
             p99_ms: self.stats.latency.p99.as_secs_f64() * 1e3,
             stall_ms,
-            crashed: self.stats.server_crashed,
-            live: !self.stats.server_crashed
-                && self.stats.ops > 0
-                && stall_ms <= stall_limit.as_secs_f64() * 1e3,
             score: score(&dump, RECOVERY_BAND),
             amp,
-            dump,
-        }
+        };
+        (cell, dump)
     }
-}
-
-/// One scenario × driver survival cell.
-#[derive(Debug, Clone)]
-pub struct SurvivalCell {
-    /// Scenario name.
-    pub scenario: String,
-    /// Raft driver name.
-    pub driver: String,
-    /// Measurement-window throughput (ops/s; goodput in storm cells).
-    pub throughput: f64,
-    /// Minimum series sample at/after fault onset (ops/s).
-    pub floor: f64,
-    /// Client-visible p99 latency over the measurement window (ms).
-    pub p99_ms: f64,
-    /// Longest post-warm-up run of near-zero series samples (ms).
-    pub stall_ms: f64,
-    /// Any server node crashed during the run.
-    pub crashed: bool,
-    /// Liveness verdict: no crash, work completed, no stall past the
-    /// limit.
-    pub live: bool,
-    /// Detector/mitigation scorecard for the cell.
-    pub score: ScoreCell,
-    /// Retry amplification at/after fault onset: total RPC attempts per
-    /// fresh operation started. ~1 in a healthy system; ≥ 2 means the
-    /// offered load is mostly retries. `None` without a retry policy.
-    pub amp: Option<f64>,
-    /// The joined incident record (ground truth + reactions + series).
-    pub dump: IncidentDump,
-}
-
-impl SurvivalCell {
-    /// `CRASH`, `yes` or `STALLED`.
-    pub fn verdict(&self) -> &'static str {
-        match (self.crashed, self.live) {
-            (true, _) => "CRASH",
-            (false, true) => "yes",
-            (false, false) => "STALLED",
-        }
-    }
-}
-
-/// Renders a survival table. Pure function of the cells, so same-seed
-/// matrices render byte-identical reports. Storm cells (those carrying
-/// an amplification factor) get an `Amp` column and their throughput is
-/// headed as goodput.
-pub fn render_survival_report(title: &str, cells: &[SurvivalCell], seed: u64) -> String {
-    let storm = cells.iter().any(|c| c.amp.is_some());
-    let mut headers = vec![
-        "Scenario",
-        "Driver",
-        if storm {
-            "Goodput (op/s)"
-        } else {
-            "Tput (op/s)"
-        },
-        "Floor (op/s)",
-        "P99 (ms)",
-        "Stall (ms)",
-    ];
-    headers.extend(storm.then_some("Amp"));
-    headers.push("Live");
-    headers.extend(depfast_incident::scorecard_headers());
-    let mut table = Table::new(
-        &format!("{title} · {} cells · seed {seed}", cells.len()),
-        &headers,
-    );
-    for c in cells {
-        let mut row = vec![
-            c.scenario.clone(),
-            c.driver.clone(),
-            format!("{:.0}", c.throughput),
-            format!("{:.0}", c.floor),
-            format!("{:.1}", c.p99_ms),
-            format!("{:.0}", c.stall_ms),
-        ];
-        if storm {
-            row.push(c.amp.map_or_else(|| "-".to_string(), |a| format!("{a:.1}")));
-        }
-        row.push(c.verdict().to_string());
-        row.extend(depfast_incident::scorecard_cells(&c.score));
-        table.row(row);
-    }
-    table.render()
 }
 
 #[cfg(test)]

@@ -18,26 +18,26 @@
 //! executed into one [`RunReport`] ([`experiment`]), whose one on-disk
 //! form is the `.run` file of [`artifact`] (`RunReport::export` writes
 //! it, the `depfast-inspect` binary renders it); the fixed-seed
-//! [`suites`] are lists of `Run`s, and the `gate` binary
-//! (`gate bench | detect | scenario`) diffs a fresh [`Suite`] against its
-//! committed baseline ([`baseline`]).
+//! [`suites`] are lists of `Run`s rolled into a [`Suite`] of cells
+//! ([`cells`]: the one place that knows the `BENCH_*.json` format), and
+//! the `gate` binary (`gate bench | detect | scenario`) diffs a fresh
+//! suite against its committed baseline ([`baseline`]).
 
 pub mod artifact;
 pub mod baseline;
+pub mod cells;
 pub mod experiment;
 pub mod json;
 pub mod report;
 pub mod suites;
 
 pub use artifact::Artifact;
-pub use baseline::{
-    compare, DetectRecord, Detection, GateOutcome, RunRecord, ScenarioRecord, Suite,
-};
+pub use baseline::{compare, GateOutcome};
+pub use cells::{DetectRecord, RunRecord, ScenarioRecord, Suite};
 pub use depfast_raft::cluster::Placement;
-pub use experiment::{
-    render_survival_report, striped, Instruments, Run, RunReport, SurvivalCell, SAMPLE_EVERY,
-};
+pub use experiment::{striped, Instruments, Run, RunReport, SAMPLE_EVERY};
 pub use json::Json;
 pub use report::{
-    format_ms, out_dir, repo_root, run_figure_cell, slug, write_repo_artifact, Table,
+    condition, env_knob, format_ms, out_dir, repo_root, run_figure_cell, slug, write_repo_artifact,
+    Table,
 };

@@ -28,6 +28,25 @@ pub fn slug(s: &str) -> String {
         .join("_")
 }
 
+/// An integer knob from the environment — how CI shrinks the figure
+/// benches (`FIG1_*`, `FIG3_*`, `ABL_MEASURE_SECS`); `default` when
+/// unset or unparsable.
+pub fn env_knob(name: &str, default: u64) -> u64 {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// The figures' name for what a run injects: its fault class, or
+/// `No Slowness`.
+pub fn condition(run: &Run) -> &str {
+    match run.fault.as_str() {
+        "none" => "No Slowness",
+        fault => fault,
+    }
+}
+
 /// Runs one figure cell of `bench` with the wait-state profiler attached
 /// (its site rollup lands in `BENCH_<bench>.json`); with `metrics`,
 /// instead samples the metric registry and exports the run as

@@ -19,11 +19,12 @@ use depfast_detect::{DetectorCfg, DetectorMode};
 use depfast_fault::FaultKind;
 use depfast_incident::{render_report, score, IncidentDump, RECOVERY_BAND};
 use depfast_kv::{RetryBudget, RetryPolicy};
-use depfast_raft::cluster::RaftKind;
+use depfast_raft::cluster::{Placement, RaftKind};
 use depfast_scenario::{CompileError, Scenario};
 
-use crate::baseline::{health_loss, DetectRecord, RunRecord, ScenarioRecord, Suite};
-use crate::experiment::{render_survival_report, striped, Instruments, Run, SurvivalCell};
+use crate::baseline::health_loss;
+use crate::cells::{DetectRecord, ScenarioRecord, Suite};
+use crate::experiment::{striped, Instruments, Run, RunReport};
 
 /// Seed of every gated cell.
 pub const GATE_SEED: u64 = 20210531;
@@ -42,7 +43,9 @@ pub const STORM_STALL_LIMIT: Duration = Duration::from_millis(2500);
 /// baseline is never written from a filtered one.
 pub const SCENARIO_FILTERS: [&str; 2] = ["SCEN_SCALE_SCENARIOS", "SCEN_SCALE_DRIVERS"];
 
-const DISK_SLOW: FaultKind = FaultKind::DiskSlow { bw_factor: 0.008 };
+/// The disk-slow fault of every gated cell and figure side mode: Table
+/// 1's 125× write-bandwidth cut.
+pub const DISK_SLOW: FaultKind = FaultKind::DiskSlow { bw_factor: 0.008 };
 
 /// Detector tuning of the gated suites. The sample floor is lowered from
 /// 10: a SyncRaft leader coupled to a 125×-slow disk completes so few
@@ -84,27 +87,60 @@ impl Live {
         }
     }
 
-    fn push_detect(&mut self, dump: &IncidentDump, report: bool) {
-        let cell = score(dump, RECOVERY_BAND);
+    /// Admits the incident dump a cell is scored from: its incident
+    /// report on stderr when asked for, a failure line if it lost
+    /// health events.
+    fn admit(&mut self, dump: &IncidentDump, report: bool) {
         if report {
-            eprint!("{}", render_report(dump, &cell));
+            eprint!("{}", render_report(dump, &score(dump, RECOVERY_BAND)));
         }
         self.lost.extend(health_loss(dump));
-        self.suite.detect.push(DetectRecord::from_cell(dump, &cell));
     }
+}
 
-    fn push_survival(&mut self, cell: &SurvivalCell) {
-        eprintln!(
-            "[gate] {} / {}: {} ({:.0} op/s, floor {:.0})",
-            cell.scenario,
-            cell.driver,
-            cell.verdict(),
-            cell.throughput,
-            cell.floor
-        );
-        self.lost.extend(health_loss(&cell.dump));
-        self.suite.scenarios.push(ScenarioRecord::from_cell(cell));
+/// The perf contrast every figure, ablation and the perf gate runs:
+/// `healthy` as is, then once more per `(label, nodes, fault)` with that
+/// fault on `nodes` from mid-warm-up on. Pushes one perf cell per run
+/// into `suite` under `driver` / `cluster` — each faulted cell's drift
+/// is over the healthy throughput — and returns the reports, healthy
+/// first. `execute` is [`Run::execute`] or a figure's instrumented
+/// variant of it.
+pub fn contrast(
+    suite: &mut Suite,
+    (driver, cluster): (&str, &str),
+    healthy: &Run,
+    faults: &[(&str, &[u32], FaultKind)],
+    execute: impl Fn(&Run) -> RunReport,
+) -> Vec<RunReport> {
+    eprintln!("[{}] {driver} | {cluster} | none...", suite.suite);
+    let base = execute(healthy);
+    suite.runs.push(base.perf(driver, "none", cluster));
+    let mut reports = vec![base];
+    for &(label, nodes, fault) in faults {
+        eprintln!("[{}] {driver} | {cluster} | {label}...", suite.suite);
+        let at = healthy.warmup / 2;
+        let faulted = execute(&healthy.clone().with_fault(nodes.to_vec(), fault, at, None));
+        let cell = faulted.perf(driver, label, cluster);
+        suite.runs.push(cell.over(reports[0].stats.throughput));
+        reports.push(faulted);
     }
+    reports
+}
+
+/// The short fixed-seed run of the figures' `--trace` / `--profile`
+/// side modes: `n` servers, [`DISK_SLOW`] on `nodes` from mid-warm-up on.
+pub fn short_disk_slow(kind: RaftKind, n: usize, nodes: impl IntoIterator<Item = u32>) -> Run {
+    let warmup = Duration::from_millis(500);
+    Run {
+        kind,
+        placement: Placement::Single { n },
+        n_clients: 32,
+        warmup,
+        measure: Duration::from_secs(1),
+        records: 10_000,
+        ..Run::default()
+    }
+    .with_fault(nodes, DISK_SLOW, warmup / 2, None)
 }
 
 /// One healthy, profiled cell of the perf suite.
@@ -128,56 +164,41 @@ pub fn bench_cell(kind: RaftKind) -> Run {
 pub fn bench(_report: bool) -> Result<Live, String> {
     let mut live = Live::new("gate");
     let suite = &mut live.suite;
-    suite.config("clients", 64.0);
-    suite.config("warmup_ms", 600.0);
-    suite.config("measure_secs", 2.0);
-    suite.config("records", 10_000.0);
+    let shape = bench_cell(RaftKind::DepFast);
+    suite.config("clients", shape.n_clients as f64);
+    suite.config("warmup_ms", shape.warmup.as_millis() as f64);
+    suite.config("measure_secs", shape.measure.as_secs_f64());
+    suite.config("records", shape.records as f64);
     for kind in [RaftKind::DepFast, RaftKind::Sync] {
-        let cell = bench_cell(kind);
-        eprintln!("[gate] {} healthy...", kind.name());
-        let base = cell.execute();
-        eprintln!("[gate] {} + disk-slow follower...", kind.name());
-        let slow = cell
-            .clone()
-            .with_fault([2], DISK_SLOW, cell.warmup / 2, None)
-            .execute();
-        for (fault, r, over) in [
-            ("none", &base, None),
-            ("disk_slow", &slow, Some(base.stats.throughput)),
-        ] {
-            let profiler = r.profiler.as_ref();
-            suite.runs.push(RunRecord::from_stats(
-                kind.name(),
-                fault,
-                "",
-                &r.stats,
-                over,
-                profiler,
-            ));
-        }
+        let slow_follower = [("disk_slow", &[2][..], DISK_SLOW)];
+        let healthy = bench_cell(kind);
+        contrast(
+            suite,
+            (kind.name(), ""),
+            &healthy,
+            &slow_follower,
+            Run::execute,
+        );
     }
     // The multi-group cell: 8 DepFastRaft groups striped over 9 nodes,
     // same small seed/window. Guards the sharded routing + co-located
     // group scheduling path — its aggregate throughput moving is a
     // scale-out regression even when the single-group cells hold.
-    suite.config("scale_groups", 8.0);
-    suite.config("scale_nodes", 9.0);
-    suite.config("scale_clients", 96.0);
-    eprintln!("[gate] DepFastRaft 8 groups / 9 nodes healthy...");
     let sharded = Run {
         placement: striped(8, 9),
         n_clients: 96,
         instruments: Instruments::default(),
-        ..bench_cell(RaftKind::DepFast)
+        ..shape
     };
-    suite.runs.push(RunRecord::from_stats(
-        RaftKind::DepFast.name(),
-        "none",
-        &sharded.cluster_label(),
-        &sharded.execute().stats,
-        None,
-        None,
-    ));
+    suite.config("scale_groups", sharded.placement.groups().len() as f64);
+    suite.config("scale_nodes", sharded.placement.server_nodes() as f64);
+    suite.config("scale_clients", sharded.n_clients as f64);
+    let cluster = sharded.cluster_label();
+    eprintln!("[gate] DepFastRaft | {cluster} | none...");
+    let cell = sharded
+        .execute()
+        .perf(sharded.kind.name(), "none", &cluster);
+    suite.runs.push(cell);
     Ok(live)
 }
 
@@ -199,20 +220,28 @@ pub fn episode(kind: RaftKind, dcfg: DetectorCfg) -> Run {
     .with_detector(dcfg)
 }
 
-const EPISODE_AT: Duration = Duration::from_secs(2);
-const EPISODE_FOR: Option<Duration> = Some(Duration::from_millis(1200));
+/// When an [`episode`]'s fault lands…
+pub const EPISODE_AT: Duration = Duration::from_secs(2);
+/// …and how long it lasts.
+pub const EPISODE_FOR: Duration = Duration::from_millis(1200);
+
+/// `run` with one [`DISK_SLOW`] episode on `nodes`.
+pub fn disk_slow_episode(run: Run, nodes: impl IntoIterator<Item = u32>) -> Run {
+    run.with_fault(nodes, DISK_SLOW, EPISODE_AT, Some(EPISODE_FOR))
+}
 
 /// Runs the detection-quality suite. `report` also prints each cell's
-/// incident report.
+/// incident report (stderr).
 pub fn detect(report: bool) -> Result<Live, String> {
     let mut live = Live::new("detect");
     let suite = &mut live.suite;
-    suite.config("clients", 64.0);
-    suite.config("warmup_secs", 2.0);
-    suite.config("measure_secs", 3.2);
-    suite.config("records", 10_000.0);
-    suite.config("fault_at_secs", 2.0);
-    suite.config("fault_duration_secs", 1.2);
+    let base = episode(RaftKind::DepFast, gate_detector_cfg());
+    suite.config("clients", base.n_clients as f64);
+    suite.config("warmup_secs", base.warmup.as_secs_f64());
+    suite.config("measure_secs", base.measure.as_secs_f64());
+    suite.config("records", base.records as f64);
+    suite.config("fault_at_secs", EPISODE_AT.as_secs_f64());
+    suite.config("fault_duration_secs", EPISODE_FOR.as_secs_f64());
     suite.config("recovery_band", RECOVERY_BAND);
     // Blast-radius cells: 8 groups of 3 striped over 9 nodes put node 8
     // under exactly two groups (g7, g8 — as a follower in both); one
@@ -221,17 +250,22 @@ pub fn detect(report: bool) -> Result<Live, String> {
     // detecting the fault inside their replica set, and the other six
     // must stay all-zero — a detector that starts bleeding suspicion
     // across group boundaries fails CI.
-    suite.config("blast_groups", 8.0);
-    suite.config("blast_nodes", 9.0);
-    suite.config("blast_fault_node", 8.0);
+    let blast = Run {
+        placement: striped(8, 9),
+        ..base
+    };
+    let blast = disk_slow_episode(blast, [8]);
+    suite.config("blast_groups", blast.placement.groups().len() as f64);
+    suite.config("blast_nodes", blast.placement.server_nodes() as f64);
+    suite.config("blast_fault_node", f64::from(blast.plan.windows[0].node));
     for kind in [RaftKind::DepFast, RaftKind::Sync] {
         let healthy = episode(kind, gate_detector_cfg());
-        let faulted = healthy
-            .clone()
-            .with_fault([2], DISK_SLOW, EPISODE_AT, EPISODE_FOR);
+        let faulted = disk_slow_episode(healthy.clone(), [2]);
         for run in [healthy, faulted] {
             eprintln!("[gate] {} / {}...", kind.name(), run.fault);
-            live.push_detect(&run.execute().dump(), report);
+            let dump = run.execute().dump();
+            live.admit(&dump, report);
+            live.suite.detect.push(DetectRecord::from_dump(&dump));
         }
     }
     for kind in [RaftKind::DepFast, RaftKind::Sync] {
@@ -240,12 +274,12 @@ pub fn detect(report: bool) -> Result<Live, String> {
             kind.name()
         );
         let run = Run {
-            placement: striped(8, 9),
-            ..episode(kind, gate_detector_cfg())
-        }
-        .with_fault([8], DISK_SLOW, EPISODE_AT, EPISODE_FOR);
+            kind,
+            ..blast.clone()
+        };
         for dump in run.execute().group_dumps() {
-            live.push_detect(&dump, report);
+            live.admit(&dump, report);
+            live.suite.detect.push(DetectRecord::from_dump(&dump));
         }
     }
     Ok(live)
@@ -296,14 +330,18 @@ pub fn storm_catalog() -> Vec<Run> {
         .collect()
 }
 
-/// The allowlist in `var` as a predicate on names (everything passes
-/// when it is unset).
-/// One scenario × driver cell of the survival matrix.
-pub fn matrix_cell(scenario: &Scenario, kind: RaftKind) -> Result<SurvivalCell, CompileError> {
+/// One scenario × driver cell of the survival matrix, with the incident
+/// dump it was judged from.
+pub fn matrix_cell(
+    scenario: &Scenario,
+    kind: RaftKind,
+) -> Result<(ScenarioRecord, IncidentDump), CompileError> {
     let run = episode(kind, matrix_detector_cfg()).with_scenario(scenario)?;
     Ok(run.execute().survival(MATRIX_STALL_LIMIT))
 }
 
+/// The allowlist in `var` as a predicate on names (everything passes
+/// when it is unset).
 fn env_filter(var: &str) -> impl Fn(&str) -> bool {
     let list = std::env::var(var).ok();
     if let Some(list) = &list {
@@ -319,7 +357,7 @@ fn env_filter(var: &str) -> impl Fn(&str) -> bool {
 }
 
 /// Runs the survival suite, shrunk by [`SCENARIO_FILTERS`] when set.
-/// `report` also prints the survival tables.
+/// `report` also prints each cell's incident report (stderr).
 pub fn scenario(report: bool) -> Result<Live, String> {
     let [keep_scenario, keep_driver] = SCENARIO_FILTERS.map(env_filter);
     let mut live = Live::new("scenarios");
@@ -333,33 +371,23 @@ pub fn scenario(report: bool) -> Result<Live, String> {
     suite.config("stall_limit_secs", MATRIX_STALL_LIMIT.as_secs_f64());
     suite.config("recovery_band", RECOVERY_BAND);
     suite.config("storm_stall_limit_secs", STORM_STALL_LIMIT.as_secs_f64());
-    let mut cells = Vec::new();
     for s in depfast_scenario::catalog() {
         for kind in ALL_DRIVERS {
-            if !keep_scenario(&s.name) || !keep_driver(kind.name()) {
-                continue;
+            if keep_scenario(&s.name) && keep_driver(kind.name()) {
+                eprintln!("[gate] {} / {}...", s.name, kind.name());
+                let (cell, dump) = matrix_cell(&s, kind)
+                    .map_err(|e| format!("scenario {} failed to compile: {e}", s.name))?;
+                live.admit(&dump, report);
+                live.suite.scenarios.push(cell);
             }
-            let cell = matrix_cell(&s, kind)
-                .map_err(|e| format!("scenario {} failed to compile: {e}", s.name))?;
-            live.push_survival(&cell);
-            cells.push(cell);
         }
     }
-    let mut storm_cells = Vec::new();
     for run in storm_catalog() {
         if keep_scenario(&run.fault) {
-            let cell = run.execute().survival(STORM_STALL_LIMIT);
-            live.push_survival(&cell);
-            storm_cells.push(cell);
-        }
-    }
-    if report {
-        let table = |title, cells: &[SurvivalCell]| {
-            print!("{}", render_survival_report(title, cells, GATE_SEED));
-        };
-        table("Scenario survival matrix", &cells);
-        if !storm_cells.is_empty() {
-            table("Retry-storm ablation", &storm_cells);
+            eprintln!("[gate] {} / {}...", run.fault, run.kind.name());
+            let (cell, dump) = run.execute().survival(STORM_STALL_LIMIT);
+            live.admit(&dump, report);
+            live.suite.scenarios.push(cell);
         }
     }
     Ok(live)

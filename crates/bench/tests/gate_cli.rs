@@ -12,7 +12,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use depfast_bench::{DetectRecord, Detection, RunRecord, ScenarioRecord, Suite};
+use depfast_bench::{DetectRecord, RunRecord, ScenarioRecord, Suite};
+use depfast_incident::ScoreCell;
 
 fn run(driver: &str, fault: &str, throughput: f64) -> RunRecord {
     RunRecord {
@@ -44,25 +45,28 @@ fn bench_suite(scale: f64) -> Suite {
     s
 }
 
-fn quality(ttd_ms: Option<f64>, false_positives: u64, misattributions: u64) -> Detection {
-    Detection {
+const MS: u64 = 1_000_000;
+
+fn quality(ttd_ms: Option<u64>, false_positives: u64, misattributions: u64) -> ScoreCell {
+    ScoreCell {
         detected: ttd_ms.is_some(),
-        ttd_ms,
-        ttm_ms: ttd_ms.map(|v| v / 2.0),
-        ttr_ms: ttd_ms.map(|_| 1200.0),
+        ttd_ns: ttd_ms.map(|v| v * MS),
+        ttm_ns: ttd_ms.map(|v| v * MS / 2),
+        ttr_ns: ttd_ms.map(|_| 1200 * MS),
         false_positives,
         false_negatives: 0,
         misattributions,
+        ..ScoreCell::default()
     }
 }
 
 /// The shape `gate detect` itself emits: two drivers × [healthy,
 /// disk-slow], doctored on the DepFastRaft cells.
-fn detect_suite(ttd_scale: f64, false_positives: u64, misattributions: u64) -> Suite {
-    let ttd = Some(200.0 * ttd_scale);
+fn detect_suite(ttd_scale: u64, false_positives: u64, misattributions: u64) -> Suite {
+    let ttd = Some(200 * ttd_scale);
     let mut s = Suite::new("detect", 20210531);
     s.config("clients", 64.0);
-    for (driver, fault, quality) in [
+    for (driver, fault, score) in [
         ("DepFastRaft", "none", quality(None, false_positives, 0)),
         (
             "DepFastRaft",
@@ -76,7 +80,7 @@ fn detect_suite(ttd_scale: f64, false_positives: u64, misattributions: u64) -> S
             driver: driver.to_string(),
             fault: fault.to_string(),
             cluster: "3x64".to_string(),
-            quality,
+            score,
         });
     }
     s
@@ -84,7 +88,7 @@ fn detect_suite(ttd_scale: f64, false_positives: u64, misattributions: u64) -> S
 
 /// One storm-monitored survival cell, the shape `gate scenario` emits
 /// for the retry-budget cell.
-fn storm_suite(live: bool, sustained: bool, tts_ms: Option<f64>, amp: f64) -> Suite {
+fn storm_suite(live: bool, sustained: bool, tts_ms: Option<u64>, amp: f64) -> Suite {
     let mut s = Suite::new("scenarios", 20210531);
     s.config("clients", 160.0);
     s.scenarios.push(ScenarioRecord {
@@ -96,13 +100,13 @@ fn storm_suite(live: bool, sustained: bool, tts_ms: Option<f64>, amp: f64) -> Su
         floor: 0.0,
         p99_ms: 900.0,
         stall_ms: 1700.0,
-        quality: Detection {
-            ttm_ms: None,
-            ttr_ms: Some(900.0),
-            ..quality(Some(210.0), 0, 0)
+        score: ScoreCell {
+            ttm_ns: None,
+            ttr_ns: Some(900 * MS),
+            tts_ns: tts_ms.map(|v| v * MS),
+            storm_sustained: sustained,
+            ..quality(Some(210), 0, 0)
         },
-        tts_ms,
-        storm_sustained: Some(sustained),
         amp: Some(amp),
     });
     s
@@ -149,10 +153,10 @@ fn diff(suite: &str, name: &str, baseline: &Suite, current: &Suite) -> (Option<i
 
 #[test]
 fn identical_suites_pass_every_subcommand() {
-    let storm = storm_suite(true, false, Some(800.0), 1.5);
+    let storm = storm_suite(true, false, Some(800), 1.5);
     for (suite, s) in [
         ("bench", bench_suite(1.0)),
-        ("detect", detect_suite(1.0, 0, 0)),
+        ("detect", detect_suite(1, 0, 0)),
         ("scenario", storm),
     ] {
         let (code, text) = diff(suite, &format!("same_{suite}"), &s, &s);
@@ -165,7 +169,7 @@ fn identical_suites_pass_every_subcommand() {
 /// failure report names the regressed metric.
 #[test]
 fn doctored_suites_fail_the_gate_naming_the_metric() {
-    let storm = storm_suite(true, false, Some(800.0), 1.5);
+    let storm = storm_suite(true, false, Some(800), 1.5);
     let mut flipped = storm.clone();
     flipped.scenarios[0].live = false;
     let cases: [(&str, &str, Suite, Suite, &str); 8] = [
@@ -179,22 +183,22 @@ fn doctored_suites_fail_the_gate_naming_the_metric() {
         (
             "detect",
             "ttd",
-            detect_suite(1.0, 0, 0),
-            detect_suite(2.0, 0, 0),
+            detect_suite(1, 0, 0),
+            detect_suite(2, 0, 0),
             "time-to-detect",
         ),
         (
             "detect",
             "fp",
-            detect_suite(1.0, 0, 0),
-            detect_suite(1.0, 1, 0),
+            detect_suite(1, 0, 0),
+            detect_suite(1, 1, 0),
             "false positives",
         ),
         (
             "detect",
             "mis",
-            detect_suite(1.0, 0, 0),
-            detect_suite(1.0, 0, 1),
+            detect_suite(1, 0, 0),
+            detect_suite(1, 0, 1),
             "misattributions",
         ),
         // Any subcommand holds a suite to every section it carries: a
@@ -202,8 +206,8 @@ fn doctored_suites_fail_the_gate_naming_the_metric() {
         (
             "bench",
             "cross",
-            detect_suite(1.0, 0, 0),
-            detect_suite(2.0, 0, 0),
+            detect_suite(1, 0, 0),
+            detect_suite(2, 0, 0),
             "time-to-detect",
         ),
         (
@@ -226,7 +230,7 @@ fn doctored_suites_fail_the_gate_naming_the_metric() {
             "scenario",
             "tts",
             storm,
-            storm_suite(true, false, Some(1600.0), 1.5),
+            storm_suite(true, false, Some(1600), 1.5),
             "time-to-stabilize",
         ),
     ];
@@ -258,6 +262,43 @@ fn missing_baseline_is_a_usage_error_not_a_regression() {
         );
     }
     let _ = std::fs::remove_file(current);
+}
+
+/// A suite file the strict parser refuses — a required column deleted,
+/// a key held twice — is a setup problem (exit 2, naming the cell), not
+/// a verdict.
+#[test]
+fn a_truncated_or_duplicated_suite_file_is_a_setup_error() {
+    let good = bench_suite(1.0).to_json();
+    let truncated: String = good
+        .split_inclusive('\n')
+        .filter(|line| !line.contains("\"crashed\""))
+        .collect();
+    let mut twice = bench_suite(1.0);
+    twice.runs.push(twice.runs[0].clone());
+    let base = write_suite("strict_base", &bench_suite(1.0));
+    for (name, text, what) in [
+        ("truncated", truncated, "\"crashed\""),
+        ("twice", twice.to_json(), "duplicate"),
+    ] {
+        let cur = tmp(&format!("strict_{name}"));
+        std::fs::write(&cur, text).expect("write suite file");
+        for (baseline, current) in [(&base, &cur), (&cur, &base)] {
+            let out = gate(&[
+                "bench",
+                "--baseline",
+                baseline.to_str().unwrap(),
+                "--current",
+                current.to_str().unwrap(),
+            ]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+            assert!(stderr.contains(what), "{name}: {stderr}");
+            assert!(stderr.contains("DepFastRaft | 3_nodes | none"), "{stderr}");
+        }
+        let _ = std::fs::remove_file(cur);
+    }
+    let _ = std::fs::remove_file(base);
 }
 
 /// A typo must never silently become a live run that overwrites the

@@ -10,7 +10,7 @@ use std::time::Duration;
 use depfast_bench::suites::gate_detector_cfg;
 use depfast_bench::{Artifact, DetectRecord, Run, RunReport, Suite};
 use depfast_fault::FaultKind;
-use depfast_incident::{score, RECOVERY_BAND};
+use depfast_incident::RECOVERY_BAND;
 use depfast_raft::cluster::RaftKind;
 
 fn episode() -> RunReport {
@@ -35,10 +35,8 @@ fn episode() -> RunReport {
 /// Suite JSON, `.run` text, and the report + Chrome track rendered from
 /// the `.run` text alone.
 fn artifacts(run: &RunReport) -> (String, String, String, String) {
-    let dump = run.dump();
-    let cell = score(&dump, RECOVERY_BAND);
     let mut suite = Suite::new("detect", 20210531);
-    suite.detect.push(DetectRecord::from_cell(&dump, &cell));
+    suite.detect.push(DetectRecord::from_dump(&run.dump()));
     let text = run.artifact();
     let parsed = Artifact::parse(&text).expect("a fresh artifact parses");
     let (report, chrome) = (parsed.render(12, RECOVERY_BAND), parsed.chrome());

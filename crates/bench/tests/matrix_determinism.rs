@@ -1,16 +1,19 @@
 //! Matrix-runner determinism and detector-track behavior, end to end:
 //! same-seed sub-matrices render byte-identical survival reports, the
 //! correlated-pair cell is caught by the fallback track that the
-//! peer-relative signal alone misses, and survival regressions doctored
-//! into a recorded suite fail the gate comparison.
+//! peer-relative signal alone misses, survival regressions doctored
+//! into a recorded suite fail the gate comparison, and the scenario
+//! counters audit what a cell actually injected.
 
-use depfast_bench::suites::{matrix_cell, GATE_SEED};
-use depfast_bench::{compare, render_survival_report, ScenarioRecord, Suite, SurvivalCell};
+use depfast_bench::suites::{episode, matrix_cell, matrix_detector_cfg, GATE_SEED};
+use depfast_bench::{compare, ScenarioRecord, Suite};
+use depfast_incident::IncidentDump;
+use depfast_metrics::Key;
 use depfast_raft::cluster::RaftKind;
-use depfast_scenario::catalog;
+use depfast_scenario::{catalog, Schedule};
 
 /// One matrix cell, the way `gate scenario` runs it.
-fn run_cell(name: &str, kind: RaftKind) -> SurvivalCell {
+fn run_cell(name: &str, kind: RaftKind) -> (ScenarioRecord, IncidentDump) {
     let scenario = catalog()
         .into_iter()
         .find(|s| s.name == name)
@@ -24,13 +27,13 @@ fn run_cell(name: &str, kind: RaftKind) -> SurvivalCell {
 #[test]
 fn same_seed_sub_matrix_renders_byte_identical_reports() {
     let run = || {
-        let mut cells = Vec::new();
+        let mut suite = Suite::new("Scenario survival matrix", GATE_SEED);
         for scenario in ["flapping-disk-follower", "leader-cpu-slow"] {
             for kind in [RaftKind::DepFast, RaftKind::Chain] {
-                cells.push(run_cell(scenario, kind));
+                suite.scenarios.push(run_cell(scenario, kind).0);
             }
         }
-        render_survival_report("Scenario survival matrix", &cells, GATE_SEED)
+        suite.render_cells()
     };
     let first = run();
     let second = run();
@@ -44,7 +47,7 @@ fn same_seed_sub_matrix_renders_byte_identical_reports() {
 /// inside the recovery band.
 #[test]
 fn correlated_pair_cell_is_detected_via_the_fallback_track() {
-    let cell = run_cell("correlated-disk-pair", RaftKind::DepFast);
+    let (cell, dump) = run_cell("correlated-disk-pair", RaftKind::DepFast);
     assert!(cell.score.detected, "correlated slowness must be detected");
     assert_eq!(
         cell.score.false_negatives, 0,
@@ -57,8 +60,7 @@ fn correlated_pair_cell_is_detected_via_the_fallback_track() {
     );
     // The timeline itself shows which track fired: correlated slowness is
     // only visible to the absolute-baseline fallback.
-    let suspect_evidence: Vec<&str> = cell
-        .dump
+    let suspect_evidence: Vec<&str> = dump
         .events
         .iter()
         .filter(|e| e.transition == "suspect")
@@ -75,10 +77,9 @@ fn correlated_pair_cell_is_detected_via_the_fallback_track() {
 /// committed `BENCH_scenarios_baseline.json` rides on).
 #[test]
 fn doctored_survival_records_fail_the_gate_comparison() {
-    let cell = run_cell("disk-slow-follower", RaftKind::DepFast);
-    let record = ScenarioRecord::from_cell(&cell);
+    let (record, _) = run_cell("disk-slow-follower", RaftKind::DepFast);
     assert!(
-        record.live && record.quality.detected,
+        record.live && record.score.detected,
         "healthy baseline cell expected"
     );
     let mut baseline = Suite::new("scenarios", GATE_SEED);
@@ -103,7 +104,7 @@ fn doctored_survival_records_fail_the_gate_comparison() {
 
     // 2× TTD: fail (default band is +50% + 50ms on a 200ms TTD).
     let mut slower = record.clone();
-    slower.quality.ttd_ms = record.quality.ttd_ms.map(|v| v * 2.0);
+    slower.score.ttd_ns = record.score.ttd_ns.map(|v| v * 2);
     current.scenarios = vec![slower];
     let outcome = compare(&baseline, &current);
     assert!(!outcome.passed());
@@ -115,4 +116,46 @@ fn doctored_survival_records_fail_the_gate_comparison() {
         "failures: {:?}",
         outcome.failures
     );
+}
+
+/// The audit `docs/OBSERVABILITY.md` promises: `scenario.windows.armed`
+/// equals the plan's window count, and a load-triggered cell whose
+/// commit threshold is crossed shows every trigger in
+/// `scenario.trigger.fired` — a cell that silently tested nothing would
+/// read 0.
+#[test]
+fn the_scenario_counters_equal_the_plan_that_ran() {
+    let mut load_triggered = 0;
+    for scenario in catalog() {
+        let triggered = matches!(scenario.schedule, Schedule::LoadTriggered { .. });
+        if !triggered && scenario.name != "flapping-disk-follower" {
+            continue;
+        }
+        load_triggered += usize::from(triggered);
+        let run = episode(RaftKind::DepFast, matrix_detector_cfg())
+            .with_scenario(&scenario)
+            .expect("catalog scenarios compile on the matrix shape");
+        assert_eq!(
+            triggered,
+            !run.plan.triggers.is_empty(),
+            "{}",
+            scenario.name
+        );
+        assert_eq!(triggered, run.plan.windows.is_empty(), "{}", scenario.name);
+        let report = run.execute();
+        let count = |name| report.metrics.counter(Key::global(name)).get() as usize;
+        assert_eq!(
+            count("scenario.windows.armed"),
+            run.plan.windows.len(),
+            "{}",
+            scenario.name
+        );
+        assert_eq!(
+            count("scenario.trigger.fired"),
+            run.plan.triggers.len(),
+            "{}",
+            scenario.name
+        );
+    }
+    assert_eq!(load_triggered, 1, "the catalog has one load-triggered cell");
 }

@@ -8,9 +8,9 @@
 //! enforces.
 
 use depfast_bench::suites::{storm_catalog, GATE_SEED, STORM_STALL_LIMIT};
-use depfast_bench::{render_survival_report, SurvivalCell};
+use depfast_bench::{ScenarioRecord, Suite};
 
-fn pick<'a>(cells: &'a [SurvivalCell], name: &str) -> &'a SurvivalCell {
+fn pick<'a>(cells: &'a [ScenarioRecord], name: &str) -> &'a ScenarioRecord {
     cells
         .iter()
         .find(|c| c.scenario == name)
@@ -19,13 +19,13 @@ fn pick<'a>(cells: &'a [SurvivalCell], name: &str) -> &'a SurvivalCell {
 
 #[test]
 fn storm_matrix_is_metastable_without_budget_and_deterministic() {
-    let run = || -> Vec<SurvivalCell> {
+    let run = || -> Vec<ScenarioRecord> {
         storm_catalog()
             .iter()
-            .map(|run| run.execute().survival(STORM_STALL_LIMIT))
+            .map(|run| run.execute().survival(STORM_STALL_LIMIT).0)
             .collect()
     };
-    let amp = |c: &SurvivalCell| c.amp.expect("storm cells carry an amplification factor");
+    let amp = |c: &ScenarioRecord| c.amp.expect("storm cells carry an amplification factor");
     let first = run();
 
     // Unmitigated cell: a 1 s fault births a storm the cluster never
@@ -72,8 +72,12 @@ fn storm_matrix_is_metastable_without_budget_and_deterministic() {
 
     // Determinism: a second same-seed run renders the identical report.
     let second = run();
-    let report = |cells| render_survival_report("Retry-storm ablation", cells, GATE_SEED);
-    let (report_a, report_b) = (report(&first), report(&second));
+    let report = |cells: Vec<ScenarioRecord>| {
+        let mut suite = Suite::new("Retry-storm ablation", GATE_SEED);
+        suite.scenarios = cells;
+        suite.render_cells()
+    };
+    let (report_a, report_b) = (report(first), report(second));
     assert!(report_a.contains("| Amp "), "storm tables carry Amp");
     assert_eq!(
         report_a, report_b,

@@ -37,7 +37,7 @@ pub mod report;
 pub mod scorecard;
 pub mod serial;
 
-pub use report::{render_report, scorecard_cells, scorecard_headers};
+pub use report::render_report;
 pub use scorecard::{score, ScoreCell, RECOVERY_BAND};
 pub use serial::{parse_dumps, serialize_dumps};
 

@@ -24,34 +24,6 @@ fn fmt_opt_ms(v: Option<u64>) -> String {
     v.map_or_else(|| "-".to_string(), fmt_ms)
 }
 
-/// Column headers for a tabular scorecard, in the order
-/// [`scorecard_cells`] emits values. Callers prepend their own label
-/// columns (cluster shape, scenario name, driver, ...).
-pub fn scorecard_headers() -> Vec<&'static str> {
-    vec![
-        "Detected", "TTD (ms)", "TTM (ms)", "TTR (ms)", "TTS (ms)", "Storm", "FP", "FN", "Misattr",
-    ]
-}
-
-/// One scorecard as table cells, aligned with [`scorecard_headers`].
-/// Shared by every scorecard-table printer (`fig3 -- --incidents`, the
-/// scenario matrix runner) so the formats cannot drift apart.
-pub fn scorecard_cells(cell: &ScoreCell) -> Vec<String> {
-    let ms =
-        |v: Option<u64>| v.map_or_else(|| "-".to_string(), |ns| format!("{:.1}", ns as f64 / 1e6));
-    vec![
-        cell.detected.to_string(),
-        ms(cell.ttd_ns),
-        ms(cell.ttm_ns),
-        ms(cell.ttr_ns),
-        ms(cell.tts_ns),
-        cell.storm_sustained.to_string(),
-        cell.false_positives.to_string(),
-        cell.false_negatives.to_string(),
-        cell.misattributions.to_string(),
-    ]
-}
-
 /// Renders one dump (expected [canonicalized](IncidentDump::canonicalize))
 /// and its score as a plain-text report. Pure function of its inputs, so
 /// same-seed runs render byte-identical reports.

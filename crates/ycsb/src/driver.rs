@@ -5,9 +5,9 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use depfast_kv::{KvError, ShardedKvCluster};
+use depfast_metrics::{Histogram, Summary};
 use simkit::{NodeId, Sim, World};
 
-use crate::stats::{Histogram, Summary};
 use crate::workload::{OpGen, OpKind, WorkloadSpec};
 
 /// Driver configuration.

@@ -10,16 +10,15 @@
 //!   0.99) and latest;
 //! * [`workload`] — op mixes and record/value sizing (the paper's update
 //!   workload is [`WorkloadSpec::update_heavy`]);
-//! * [`stats`] — log-bucketed latency histogram and run summaries;
-//! * [`driver`] — closed-loop client driver with warm-up trimming.
+//! * [`driver`] — closed-loop client driver with warm-up trimming; its
+//!   latency [`Histogram`] and [`Summary`] are `depfast-metrics`' own.
 
 pub mod dist;
 pub mod driver;
 pub mod mixes;
-pub mod stats;
 pub mod workload;
 
+pub use depfast_metrics::{Histogram, Summary};
 pub use dist::{KeyDist, Latest, Uniform, Zipfian};
 pub use driver::{run_workload, DriverCfg, GroupStats, RunStats};
-pub use stats::{Histogram, Summary};
 pub use workload::{OpKind, WorkloadSpec};

@@ -1,7 +1,9 @@
 //! Tier-1 smoke test of the regression gate, its suite format and the
 //! run-artifact path, so `cargo test -q` at the root cannot be green
-//! while any is broken: every committed baseline parses, re-serialises to
-//! its own bytes and self-compares green over all of its cells; two live
+//! while any is broken: every committed suite file parses, re-serialises
+//! to its own bytes and self-compares green over all of its cells; a
+//! baseline that lost a required column or carries one key twice is
+//! refused instead of silently passing everything; two live
 //! gate cells — the healthy DepFastRaft and SyncRaft cells of `gate
 //! bench`, so a drift in the legacy drivers shows as well — still equal
 //! their committed records field for field; and a run with every
@@ -10,7 +12,7 @@
 use std::time::Duration;
 
 use depfast_bench::suites::{bench_cell, gate_detector_cfg};
-use depfast_bench::{compare, repo_root, Artifact, Run, RunRecord, Suite};
+use depfast_bench::{compare, repo_root, Artifact, Run, Suite};
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 
@@ -28,6 +30,9 @@ fn committed_baselines_round_trip_and_self_compare_green() {
         ("BENCH_baseline.json", 5),
         ("BENCH_detect_baseline.json", 20),
         ("BENCH_scenarios_baseline.json", 42),
+        // The one with `profile` arrays, `8g9n/g3`-style cluster labels
+        // and a crashed cell.
+        ("BENCH_fig1.json", 50),
     ] {
         let (text, suite) = committed(name);
         assert_eq!(suite.cells(), cells, "{name}: cell count");
@@ -43,20 +48,63 @@ fn committed_baselines_round_trip_and_self_compare_green() {
     }
 }
 
+/// Every column that is always written is required on read: a baseline
+/// with its `live` and `detected` lines deleted used to parse, default
+/// both to false, and then pass an all-dead, all-undetected suite.
+#[test]
+fn a_baseline_missing_a_required_column_is_refused_by_name() {
+    let (text, _) = committed("BENCH_scenarios_baseline.json");
+    for field in ["live", "detected", "stall_ms", "false_positives"] {
+        let key = format!("\"{field}\": ");
+        let doctored: String = text
+            .split_inclusive('\n')
+            .filter(|line| !line.trim_start().starts_with(&key))
+            .collect();
+        assert_ne!(doctored, text, "{field}: nothing was deleted");
+        let e = Suite::parse(&doctored).expect_err("a truncated baseline must not parse");
+        for what in ["\"scenarios\"", "disk-slow-follower | DepFastRaft", field] {
+            assert!(e.contains(what), "{field}: error should name {what}: {e}");
+        }
+    }
+    // The documented optionals may be absent: the committed file has
+    // cells without `ttm_ms` and without the storm part.
+    assert!(text.matches("\"ttd_ms\"").count() > text.matches("\"ttm_ms\"").count());
+    for meta in ["suite", "seed"] {
+        let doctored = text.replacen(&format!("\"{meta}\":"), "\"x\":", 1);
+        let e = Suite::parse(&doctored).expect_err("provenance is required");
+        assert!(e.contains(meta), "{e}");
+    }
+}
+
+/// Cells are matched by key, so the second holder of a key would never
+/// be looked at: a file carrying one is a parse error, a live suite
+/// carrying one fails the comparison, both naming the key.
+#[test]
+fn a_duplicate_cell_key_is_refused_by_name() {
+    let (_, baseline) = committed("BENCH_baseline.json");
+    let mut doctored = baseline.clone();
+    let mut copy = doctored.runs[0].clone();
+    copy.throughput = 1.0;
+    doctored.runs.push(copy);
+    let outcome = compare(&baseline, &doctored);
+    assert_eq!(outcome.failures.len(), 1, "{:?}", outcome.failures);
+    for what in ["duplicate", "DepFastRaft |  | none"] {
+        assert!(outcome.failures[0].contains(what), "{:?}", outcome.failures);
+    }
+    let e = Suite::parse(&doctored.to_json()).expect_err("duplicate keys must not parse");
+    assert!(
+        e.contains("duplicate") && e.contains("DepFastRaft |  | none"),
+        "{e}"
+    );
+}
+
 #[test]
 fn live_healthy_cells_equal_their_committed_records() {
     let (_, baseline) = committed("BENCH_baseline.json");
     // (driver, index of its healthy cell in the committed suite)
     for (kind, cell) in [(RaftKind::DepFast, 0), (RaftKind::Sync, 2)] {
         let run = bench_cell(kind).execute();
-        let record = RunRecord::from_stats(
-            kind.name(),
-            "none",
-            "",
-            &run.stats,
-            None,
-            run.profiler.as_ref(),
-        );
+        let record = run.perf(kind.name(), "none", "");
         // Through the artifact format, which is where the rounding lives.
         let mut live = Suite::new(&baseline.suite, baseline.seed);
         live.runs.push(record);

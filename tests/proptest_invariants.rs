@@ -3,11 +3,11 @@
 use bytes::Bytes;
 use depfast::event::{Notify, QuorumEvent, QuorumMode, Signal, Watchable};
 use depfast::runtime::Runtime;
+use depfast_metrics::Histogram;
 use depfast_raft::types::{to_wire, AppendReq, AppendResp, VoteReq};
 use depfast_rpc::wire::{WireRead, WireWrite};
 use depfast_storage::Entry;
 use depfast_ycsb::dist::{KeyDist, Latest, Uniform, Zipfian};
-use depfast_ycsb::stats::Histogram;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
