@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use depfast::event::{QuorumMode, Watchable};
+use depfast::event::{QuorumEvent, QuorumMode, Watchable};
 use depfast::runtime::Runtime;
 use depfast_bench::suites::contrast;
 use depfast_bench::{env_knob, Run, Suite, Table};
@@ -21,10 +21,13 @@ use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 use depfast_rpc::broadcast::broadcast;
 use depfast_rpc::endpoint::{Endpoint, Registry, RpcCfg};
-use depfast_rpc::{BufferPolicy, OnFull};
+use depfast_rpc::{BufferPolicy, OnFull, WireRead, WireWrite};
 use simkit::{NodeId, Sim, World, WorldCfg};
 
 const ECHO: u32 = 1;
+
+/// How long either wait style of the wait-style ablation waits for a reply.
+const ROUND_PATIENCE: Duration = Duration::from_millis(600);
 
 fn echo_cluster(n: usize, buffer: BufferPolicy) -> (Sim, World, Vec<Endpoint>) {
     let sim = Sim::new(5);
@@ -64,25 +67,28 @@ fn sequential_round(sim: &Sim, eps: &[Endpoint], peers: &[NodeId]) -> Duration {
         let ev = eps[0]
             .proxy(*peer)
             .call(ECHO, "append_entries", Bytes::from_static(b"x"));
-        sim.block_on(async move { ev.handle().wait_timeout(Duration::from_millis(600)).await });
+        sim.block_on(async move { ev.handle().wait_timeout(ROUND_PATIENCE).await });
     }
     sim.now() - t0
 }
 
-/// §3.1 snippet 2: broadcast in parallel, wait on the majority quorum.
-fn quorum_round(sim: &Sim, eps: &[Endpoint], peers: &[NodeId]) -> Duration {
+/// §3.1 snippet 2: broadcast in parallel, wait on the majority quorum —
+/// the call DepFastRaft's confirmation, vote and 2PC rounds make. Every
+/// echo that arrives counts; `discard` is §2.3's quorum-aware discard.
+fn quorum_round<M: WireWrite + WireRead + Clone + 'static>(
+    sim: &Sim,
+    ep: &Endpoint,
+    peers: &[NodeId],
+    msg: &M,
+    discard: bool,
+    patience: Duration,
+) -> Duration {
     let t0 = sim.now();
-    let h = broadcast(
-        &eps[0],
-        peers,
-        ECHO,
-        "append_entries",
-        Bytes::from_static(b"x"),
-        QuorumMode::Majority,
-        true,
-    );
-    let q = h.quorum.clone();
-    sim.block_on(async move { q.wait_timeout(Duration::from_millis(600)).await });
+    let quorum = QuorumEvent::labeled(ep.runtime(), QuorumMode::Majority, "append_entries");
+    let calls = peers.iter().map(|&p| (p, ECHO, msg.clone()));
+    let arrived = |echo: Option<M>| echo.is_some();
+    broadcast(ep, &quorum, None, "append_entries", calls, arrived, discard);
+    sim.block_on(async move { quorum.wait_timeout(patience).await });
     sim.now() - t0
 }
 
@@ -105,7 +111,8 @@ fn ablation_wait_style() {
         let mut quo = Duration::ZERO;
         for _ in 0..200 {
             seq += sequential_round(&sim, &eps, &peers);
-            quo += quorum_round(&sim, &eps, &peers);
+            // One byte on the wire, as `sequential_round` sends.
+            quo += quorum_round(&sim, &eps[0], &peers, &b'x', true, ROUND_PATIENCE);
         }
         t.row(vec![
             if slow {
@@ -155,18 +162,17 @@ fn ablation_buffers() {
         let baseline_mem = world.mem_used(NodeId(0));
         world.set_cpu_quota(NodeId(3), 0.001);
         let peers = [NodeId(1), NodeId(2), NodeId(3)];
+        // 512 bytes on the wire: the length prefix and 508 of body.
+        let body = Bytes::from_static(&[0u8; 508]);
         for _ in 0..2000 {
-            let h = broadcast(
+            quorum_round(
+                &sim,
                 &eps[0],
                 &peers,
-                ECHO,
-                "append_entries",
-                Bytes::from(vec![0u8; 512]),
-                QuorumMode::Majority,
+                &body,
                 discard,
+                Duration::from_secs(1),
             );
-            let q = h.quorum.clone();
-            sim.block_on(async move { q.wait_timeout(Duration::from_secs(1)).await });
         }
         let conn = eps[0].conn(NodeId(3));
         t.row(vec![

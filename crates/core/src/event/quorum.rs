@@ -22,14 +22,16 @@ pub enum QuorumMode {
     /// `⌊n/2⌋ + 1` of the children added so far (the paper's
     /// `FLAG_MAJORITY`).
     Majority,
-    /// A fixed count of `Ok` children.
+    /// A fixed count of `Ok` children ([`OrEvent`](super::OrEvent) is
+    /// `Count(1)`).
     Count(usize),
-    /// All children (equivalent to an [`AndEvent`](super::AndEvent) but
-    /// with quorum accounting).
+    /// All children ([`AndEvent`](super::AndEvent) is this mode).
     All,
 }
 
-struct QState {
+/// The one k-of-n counter behind [`QuorumEvent`] and its
+/// [`AndEvent`](super::AndEvent) / [`OrEvent`](super::OrEvent) faces.
+struct Tally {
     mode: QuorumMode,
     n: usize,
     ok: usize,
@@ -41,12 +43,30 @@ struct QState {
     children: Vec<EventHandle>,
 }
 
-impl QState {
+impl Tally {
     fn threshold(&self) -> usize {
         match self.mode {
             QuorumMode::Majority => self.n / 2 + 1,
             QuorumMode::Count(k) => k,
             QuorumMode::All => self.n,
+        }
+    }
+
+    /// What the counts decide, if anything yet: `Ok` at `k` successes,
+    /// `Err` once so many children failed that `k` successes cannot
+    /// happen. A verdict that a child added later could overturn waits for
+    /// the child set to be sealed — "all of n" cannot be met before then,
+    /// a fixed or majority threshold cannot be missed before then — while
+    /// "all of n" is lost at the first failure whatever is added after it.
+    fn verdict(&self) -> Option<Signal> {
+        let k = self.threshold();
+        let all = self.mode == QuorumMode::All;
+        if self.ok >= k && (self.sealed || !all) {
+            Some(Signal::Ok)
+        } else if self.n - self.err < k && (self.sealed || all) {
+            Some(Signal::Err)
+        } else {
+            None
         }
     }
 }
@@ -56,7 +76,11 @@ impl QState {
 /// It fires `Err` ("unreachable") as soon as so many children have failed
 /// that `k` successes can no longer happen — the precise
 /// "minority-plus-one-reject" condition §3.2 says traditional code
-/// approximates badly.
+/// approximates badly. Unreachability is only decidable once the child
+/// set is complete, which [`QuorumEvent::seal`] declares; waiting through
+/// [`QuorumEvent::wait`] / [`QuorumEvent::wait_timeout`] seals implicitly.
+/// For the same reason [`QuorumMode::All`] never fires `Ok` before it is
+/// sealed.
 ///
 /// Add all children before the first child can fire (adds are synchronous,
 /// completions arrive via the scheduler, so ordinary straight-line code
@@ -93,15 +117,26 @@ impl QState {
 #[derive(Clone)]
 pub struct QuorumEvent {
     handle: EventHandle,
-    state: Rc<RefCell<QState>>,
+    state: Rc<RefCell<Tally>>,
 }
 
 impl QuorumEvent {
     /// Creates a quorum event with the given mode and label.
     pub fn labeled(rt: &Runtime, mode: QuorumMode, label: &'static str) -> Self {
+        Self::with_kind(rt, EventKind::Quorum, mode, label)
+    }
+
+    /// The tally under another structural kind: how the And/Or faces keep
+    /// their own trace identity.
+    pub(super) fn with_kind(
+        rt: &Runtime,
+        kind: EventKind,
+        mode: QuorumMode,
+        label: &'static str,
+    ) -> Self {
         QuorumEvent {
-            handle: EventHandle::new(rt, EventKind::Quorum, label),
-            state: Rc::new(RefCell::new(QState {
+            handle: EventHandle::new(rt, kind, label),
+            state: Rc::new(RefCell::new(Tally {
                 mode,
                 n: 0,
                 ok: 0,
@@ -158,22 +193,12 @@ impl QuorumEvent {
     }
 
     fn maybe_fire(&self) {
-        let outcome = {
+        let verdict = {
             let st = self.state.borrow();
-            let k = st.threshold();
-            self.handle.set_quorum_meta(k, st.n);
-            if st.ok >= k {
-                Some(Signal::Ok)
-            } else if st.sealed && st.n - st.err < k {
-                // Unreachability is only decidable once the child set is
-                // complete; sealing happens on the first wait (or an
-                // explicit `seal()`).
-                Some(Signal::Err)
-            } else {
-                None
-            }
+            self.handle.set_quorum_meta(st.threshold(), st.n);
+            st.verdict()
         };
-        if let Some(s) = outcome {
+        if let Some(s) = verdict {
             let first = self.handle.fired().is_none();
             self.handle.fire(s);
             if first && s == Signal::Ok {
@@ -208,8 +233,10 @@ impl QuorumEvent {
         }
     }
 
-    /// Declares the child set complete, enabling the "quorum unreachable"
-    /// (`Err`) outcome. Waiting via [`QuorumEvent::wait`] seals implicitly.
+    /// Declares the child set complete, enabling every verdict that
+    /// depends on it: "quorum unreachable" (`Err`), and `Ok` under
+    /// [`QuorumMode::All`]. Waiting via [`QuorumEvent::wait`] seals
+    /// implicitly.
     pub fn seal(&self) {
         self.state.borrow_mut().sealed = true;
         self.maybe_fire();
@@ -278,16 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn majority_of_three_is_two() {
-        let (_s, _rt, q, c) = setup(3);
-        assert_eq!(q.threshold(), 2);
-        c[0].set(Signal::Ok);
-        assert!(!q.ready());
-        c[2].set(Signal::Ok);
-        assert!(q.ready());
-    }
-
-    #[test]
     fn slowest_child_never_blocks_quorum() {
         let (sim, _rt, q, c) = setup(3);
         c[0].set(Signal::Ok);
@@ -318,66 +335,7 @@ mod tests {
         assert_eq!(q.ok_count(), 1);
         assert_eq!(q.err_count(), 1);
         assert_eq!(q.n(), 5);
-    }
-
-    #[test]
-    fn fixed_count_mode() {
-        let sim = Sim::new(1);
-        let rt = Runtime::new_sim(sim.clone(), NodeId(0));
-        let q = QuorumEvent::count(&rt, 1);
-        let a = Notify::new(&rt);
-        let b = Notify::new(&rt);
-        q.add(&a);
-        q.add(&b);
-        a.set(Signal::Ok);
-        assert!(q.ready());
-    }
-
-    #[test]
-    fn all_mode_requires_every_child() {
-        let sim = Sim::new(1);
-        let rt = Runtime::new_sim(sim.clone(), NodeId(0));
-        let q = QuorumEvent::labeled(&rt, QuorumMode::All, "all");
-        let a = Notify::new(&rt);
-        let b = Notify::new(&rt);
-        q.add(&a);
-        q.add(&b);
-        a.set(Signal::Ok);
-        assert!(!q.ready());
-        b.set(Signal::Ok);
-        assert!(q.ready());
-    }
-
-    #[test]
-    fn already_fired_children_count_on_add() {
-        let sim = Sim::new(1);
-        let rt = Runtime::new_sim(sim.clone(), NodeId(0));
-        let a = Notify::new(&rt);
-        let b = Notify::new(&rt);
-        a.set(Signal::Ok);
-        b.set(Signal::Ok);
-        let q = QuorumEvent::count(&rt, 2);
-        q.add(&a);
-        q.add(&b);
-        assert!(q.ready());
-    }
-
-    #[test]
-    fn prefired_child_under_dynamic_majority_resolves_early() {
-        // The documented pitfall: a fired child added first under
-        // Majority resolves the quorum at n = 1. Count is the safe mode
-        // for pre-fired seeds.
-        let sim = Sim::new(1);
-        let rt = Runtime::new_sim(sim.clone(), NodeId(0));
-        let fired = Notify::new(&rt);
-        fired.set(Signal::Ok);
-        let dynamic = QuorumEvent::majority(&rt);
-        dynamic.add(&fired);
-        assert!(dynamic.ready(), "dynamic majority resolves at n=1");
-        let fixed = QuorumEvent::count(&rt, 2);
-        fixed.add(&fired);
-        fixed.add(&Notify::new(&rt));
-        assert!(!fixed.ready(), "fixed threshold waits for the real quorum");
+        assert_eq!(q.threshold(), 3);
     }
 
     #[test]
@@ -442,6 +400,7 @@ mod tests {
             outer.add(&inner);
             groups.push((inner, children));
         }
+        outer.seal();
         groups[0].1[0].set(Signal::Ok);
         groups[0].1[1].set(Signal::Ok);
         assert!(groups[0].0.ready());

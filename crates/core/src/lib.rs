@@ -24,9 +24,18 @@
 //!
 //! # Quick example
 //!
-//! The paper's motivating snippet — broadcast `AppendEntries`, proceed on a
-//! majority — looks like this (with the RPC layer from `depfast-rpc`
-//! supplying the per-peer events):
+//! The paper's motivating snippet — broadcast `AppendEntries`, add each
+//! reply to a quorum event, proceed on a majority — is one call and one
+//! wait once the RPC layer supplies the per-peer events. With
+//! `depfast-rpc` (whose crate documentation runs this end to end):
+//!
+//! ```text
+//! let quorum = QuorumEvent::labeled(&rt, QuorumMode::Count(majority), "read_index");
+//! broadcast(&ep, &quorum, Some("self_ack"), "read_index", requests, judge, false);
+//! quorum.wait_timeout(deadline).await   // any majority; no single peer can delay it
+//! ```
+//!
+//! What the wait does, with plain events standing in for the replies:
 //!
 //! ```
 //! use depfast::event::{Notify, QuorumEvent, Signal, WaitResult};
@@ -47,6 +56,13 @@
 //! let done = sim.block_on(async move { q.wait().await });
 //! assert_eq!(done, WaitResult::Ready);
 //! ```
+//!
+//! [`QuorumEvent`], [`AndEvent`] and [`OrEvent`] are one k-of-n tally
+//! under three kinds. A verdict that a child added later could overturn —
+//! "all of n" met, "any of n" lost, a threshold unreachable — is decided
+//! only once the child set is declared complete: by `seal()`, by
+//! [`OrEvent::of2`], or by waiting through the compound's own `wait` /
+//! `wait_timeout`.
 
 pub mod event;
 pub mod runtime;

@@ -455,9 +455,8 @@ mod tests {
             }
             and.add(&q);
         }
-        let h = and.handle().clone();
         Coroutine::create(&rt, "txn", async move {
-            h.wait().await;
+            and.wait().await;
         });
         sim.run();
         let spg = build(&rt.tracer().records());

@@ -91,6 +91,37 @@ fn three_level_nesting_resolves() {
     assert!(!and.ready());
 }
 
+/// A disjunction does not fail on the strength of its first child alone:
+/// `of2` adds `a` and then `b`, and `a` having already failed says nothing
+/// about `b`.
+#[test]
+fn or_of_a_failed_and_a_pending_child_waits_for_the_pending_one() {
+    let (_sim, rt) = rt();
+    let a = Notify::new(&rt);
+    let b = Notify::new(&rt);
+    a.set(Signal::Err);
+    let or = OrEvent::of2(&rt, &a, &b);
+    assert_eq!(or.handle().fired(), None, "b has not spoken");
+    b.set(Signal::Ok);
+    assert_eq!(or.handle().fired(), Some(Signal::Ok));
+}
+
+/// A conjunction does not hold on the strength of its first child alone:
+/// `a` having already succeeded when it is added says nothing about `b`.
+#[test]
+fn and_with_a_ready_first_child_waits_for_the_later_one() {
+    let (_sim, rt) = rt();
+    let a = Notify::new(&rt);
+    let b = Notify::new(&rt);
+    a.set(Signal::Ok);
+    let and = AndEvent::new(&rt);
+    and.add(&a);
+    assert_eq!(and.handle().fired(), None, "b is not even added yet");
+    and.add(&b);
+    b.set(Signal::Err);
+    assert_eq!(and.handle().fired(), Some(Signal::Err));
+}
+
 /// Signals arriving after an event resolved are ignored everywhere in a
 /// compound tree (no double counting, no panic).
 #[test]
@@ -166,8 +197,7 @@ fn fastpath_timeout_leaves_branches_inspectable() {
     }
     let fastpath = OrEvent::of2(&rt, &fast_ok, &fast_reject);
     let fp = fastpath.clone();
-    let out =
-        sim.block_on(async move { fp.handle().wait_timeout(Duration::from_millis(100)).await });
+    let out = sim.block_on(async move { fp.wait_timeout(Duration::from_millis(100)).await });
     assert_eq!(out, WaitResult::Timeout);
     assert!(!fast_ok.ready());
     assert!(!fast_reject.ready());

@@ -34,15 +34,12 @@ use crate::command::{KvOp, KvRequest, KvResponse, KvStatus};
 pub enum KvError {
     /// No attempt got a successful reply in time.
     Timeout,
-    /// The cluster reported a persistent error.
-    Failed,
 }
 
 impl std::fmt::Display for KvError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             KvError::Timeout => write!(f, "request timed out"),
-            KvError::Failed => write!(f, "request failed"),
         }
     }
 }

@@ -372,11 +372,6 @@ pub struct NodeScope {
 }
 
 impl NodeScope {
-    /// The node this scope records for.
-    pub fn node_id(&self) -> u32 {
-        self.node
-    }
-
     /// Node-scoped counter.
     pub fn counter(&self, name: &'static str) -> Counter {
         self.registry.counter(Key::node(name, self.node))

@@ -16,16 +16,15 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::future::Future;
-use std::pin::Pin;
+use std::future::poll_fn;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::Poll;
 use std::time::Duration;
 
 use depfast::event::Watchable;
 use depfast::runtime::Coroutine;
 use depfast_storage::Entry;
-use simkit::NodeId;
+use simkit::{NodeId, WakerSlot};
 
 use crate::core::{RaftCore, Role};
 
@@ -41,11 +40,14 @@ const AMPLIFICATION: u64 = 768;
 /// Per-send reply deadline before retrying.
 const RPC_TIMEOUT: Duration = Duration::from_millis(500);
 
+#[derive(Default)]
 struct FollowerQueue {
     q: VecDeque<Entry>,
     charged: u64,
     in_flight: usize,
-    waker: Option<Waker>,
+    /// Where the follower's sender parks: on an empty queue or a full
+    /// pipeline.
+    sender: WakerSlot,
 }
 
 /// The BacklogRaft driver (fixed leader; use `bootstrap_leader`).
@@ -56,18 +58,8 @@ impl BacklogRaft {
     pub fn start(core: &Rc<RaftCore>) {
         core.install_follower_services();
         if core.is_leader() {
-            let queues: Vec<Rc<RefCell<FollowerQueue>>> = core
-                .peers
-                .iter()
-                .map(|_| {
-                    Rc::new(RefCell::new(FollowerQueue {
-                        q: VecDeque::new(),
-                        charged: 0,
-                        in_flight: 0,
-                        waker: None,
-                    }))
-                })
-                .collect();
+            let queues: Vec<Rc<RefCell<FollowerQueue>>> =
+                core.peers.iter().map(|_| Rc::default()).collect();
             for (i, peer) in core.peers.clone().into_iter().enumerate() {
                 Self::spawn_sender(core, peer, queues[i].clone());
             }
@@ -112,9 +104,7 @@ impl BacklogRaft {
                         fq.charged += charge;
                         fq.q.push_back(e.clone());
                     }
-                    if let Some(w) = fq.waker.take() {
-                        w.wake();
-                    }
+                    fq.sender.wake();
                 }
                 phase.end();
                 // Commit wait, then apply, on the main loop (the swap
@@ -137,9 +127,15 @@ impl BacklogRaft {
                 if core.world.is_crashed(core.id) {
                     break;
                 }
-                let chunk = PopChunk {
-                    queue: queue.clone(),
-                }
+                let chunk: Vec<Entry> = poll_fn(|cx| {
+                    let mut fq = queue.borrow_mut();
+                    if fq.q.is_empty() || fq.in_flight >= PIPELINE {
+                        fq.sender.park(cx);
+                        return Poll::Pending;
+                    }
+                    let take = fq.q.len().min(CHUNK);
+                    Poll::Ready(fq.q.drain(..take).collect())
+                })
                 .await;
                 queue.borrow_mut().in_flight += 1;
                 let c = core.clone();
@@ -164,37 +160,16 @@ impl BacklogRaft {
                     }
                     // Chunk acknowledged: release its memory charge.
                     let released: u64 = chunk.iter().map(|e| e.size() * AMPLIFICATION).sum();
-                    let waker = {
+                    {
                         let mut fq = q.borrow_mut();
                         fq.charged = fq.charged.saturating_sub(released);
                         fq.in_flight -= 1;
-                        fq.waker.take()
-                    };
-                    c.world.mem_free(c.id, released);
-                    if let Some(w) = waker {
-                        w.wake();
                     }
+                    c.world.mem_free(c.id, released);
+                    q.borrow().sender.wake();
                 });
             }
         });
-    }
-}
-
-struct PopChunk {
-    queue: Rc<RefCell<FollowerQueue>>,
-}
-
-impl Future for PopChunk {
-    type Output = Vec<Entry>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Vec<Entry>> {
-        let mut fq = self.queue.borrow_mut();
-        if fq.q.is_empty() || fq.in_flight >= PIPELINE {
-            fq.waker = Some(cx.waker().clone());
-            return Poll::Pending;
-        }
-        let take = fq.q.len().min(CHUNK);
-        Poll::Ready(fq.q.drain(..take).collect())
     }
 }
 
@@ -202,53 +177,29 @@ impl Future for PopChunk {
 mod tests {
     use super::*;
     use crate::cluster::{Placement, RaftCluster, RaftKind};
-    use crate::core::RaftCfg;
+    use crate::fixture::{self, bootstrapped, drive};
     use bytes::Bytes;
     use simkit::{MemCfg, Sim, SimTime, World, WorldCfg};
 
     fn cluster(mem_limit: u64) -> (Sim, World, RaftCluster) {
-        let sim = Sim::new(9);
-        let world = World::new(
-            sim.clone(),
-            WorldCfg {
-                nodes: 3,
-                mem: MemCfg {
-                    limit: mem_limit,
-                    baseline: mem_limit / 8,
-                    swap_threshold: 0.5,
-                    swap_max_slowdown: 10.0,
-                },
-                ..WorldCfg::default()
+        let world = WorldCfg {
+            nodes: 3,
+            mem: MemCfg {
+                limit: mem_limit,
+                baseline: mem_limit / 8,
+                swap_threshold: 0.5,
+                swap_max_slowdown: 10.0,
             },
-        );
-        let cfg = RaftCfg {
-            bootstrap_leader: Some(0),
-            ..RaftCfg::default()
+            ..WorldCfg::default()
         };
-        let cl = RaftCluster::build(
-            &sim,
-            &world,
-            RaftKind::Backlog,
-            cfg,
-            Placement::Single { n: 3 },
-        );
-        (sim, world, cl)
+        let single = Placement::Single { n: 3 };
+        fixture::cluster(9, RaftKind::Backlog, bootstrapped(), world, single)
     }
 
     #[test]
     fn healthy_cluster_commits() {
         let (sim, _world, cl) = cluster(1 << 30);
-        let mut committed = 0;
-        for i in 0..30u32 {
-            let ev = cl.groups[0].servers[0].propose(Bytes::from(vec![i as u8; 64]));
-            let out = sim.block_on({
-                let ev = ev.clone();
-                async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
-            });
-            if out.is_ready() {
-                committed += 1;
-            }
-        }
+        let committed = drive(&sim, &cl, 30, 64, Duration::from_secs(2)).committed;
         assert_eq!(committed, 30);
     }
 
@@ -257,13 +208,7 @@ mod tests {
         let (sim, world, cl) = cluster(1 << 30);
         world.set_cpu_quota(NodeId(2), 0.005);
         let before = world.mem_used(NodeId(0));
-        for i in 0..300u32 {
-            let ev = cl.groups[0].servers[0].propose(Bytes::from(vec![(i % 251) as u8; 512]));
-            sim.block_on({
-                let ev = ev.clone();
-                async move { ev.handle().wait_timeout(Duration::from_secs(1)).await }
-            });
-        }
+        drive(&sim, &cl, 300, 512, Duration::from_secs(1));
         let after = world.mem_used(NodeId(0));
         assert!(
             after > before + 10 * 1024 * 1024,

@@ -52,17 +52,16 @@ impl CallbackRaft {
 
     fn install_probe_service(core: &Rc<RaftCore>) {
         let c = core.clone();
-        core.ep.register(
+        core.ep.serve(
             core.method(FLOW_PROBE),
             "raft:handle_probe",
-            move |_from, _p, responder| {
+            move |_from, (): ()| {
                 let c = c.clone();
-                Coroutine::create(&c.rt.clone(), "raft:handle_probe", async move {
+                async move {
                     // Status computation on the (possibly slow) follower.
-                    if c.world.cpu(c.id, Duration::from_micros(200)).await.is_ok() {
-                        responder.reply_t(&c.log.last_index());
-                    }
-                });
+                    c.world.cpu(c.id, Duration::from_micros(200)).await.ok()?;
+                    Some(c.log.last_index())
+                }
             },
         );
     }
@@ -104,10 +103,10 @@ impl CallbackRaft {
                                 .max_by_key(|p| last.saturating_sub(core.match_index(*p)))
                                 .expect("has peers")
                         };
-                        let ev = core.ep.proxy(laggard).call(
+                        let ev = core.ep.proxy(laggard).call_t(
                             core.method(FLOW_PROBE),
                             "flow_probe",
-                            bytes::Bytes::new(),
+                            &(),
                         );
                         // THE SINGULAR WAIT: the whole message loop stalls
                         // on the slow follower, up to PROBE_TIMEOUT.
@@ -167,50 +166,19 @@ impl CallbackRaft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{Placement, RaftCluster, RaftKind};
-    use crate::core::RaftCfg;
+    use crate::cluster::{RaftCluster, RaftKind};
+    use crate::fixture::{bootstrapped, trio};
     use bytes::Bytes;
-    use simkit::{Sim, World, WorldCfg};
+    use simkit::{Sim, World};
 
     fn cluster() -> (Sim, World, RaftCluster) {
-        let sim = Sim::new(13);
-        let world = World::new(
-            sim.clone(),
-            WorldCfg {
-                nodes: 3,
-                ..WorldCfg::default()
-            },
-        );
-        let cfg = RaftCfg {
-            bootstrap_leader: Some(0),
-            ..RaftCfg::default()
-        };
-        let cl = RaftCluster::build(
-            &sim,
-            &world,
-            RaftKind::Callback,
-            cfg,
-            Placement::Single { n: 3 },
-        );
-        (sim, world, cl)
+        trio(13, RaftKind::Callback, bootstrapped())
     }
 
+    /// `(committed, slowest commit)` of `n` 128-byte proposals.
     fn drive(sim: &Sim, cl: &RaftCluster, n: u32) -> (u32, Duration) {
-        let mut committed = 0;
-        let mut worst = Duration::ZERO;
-        for i in 0..n {
-            let t0 = sim.now();
-            let ev = cl.groups[0].servers[0].propose(Bytes::from(vec![(i % 251) as u8; 128]));
-            let out = sim.block_on({
-                let ev = ev.clone();
-                async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
-            });
-            if out.is_ready() {
-                committed += 1;
-                worst = worst.max(sim.now() - t0);
-            }
-        }
-        (committed, worst)
+        let d = crate::fixture::drive(sim, cl, n, 128, Duration::from_secs(2));
+        (d.committed, d.worst)
     }
 
     #[test]

@@ -18,10 +18,9 @@ use std::time::Duration;
 
 use depfast::event::Watchable;
 use depfast::runtime::Coroutine;
-use depfast_rpc::wire::WireRead;
 use simkit::NodeId;
 
-use crate::core::{classified_reply, RaftCore, Role};
+use crate::core::{RaftCore, Role};
 use crate::types::{AppendReq, AppendResp, CHAIN_FORWARD};
 
 /// Per-hop ack deadline.
@@ -51,21 +50,16 @@ impl ChainRaft {
     /// has the data).
     fn install_forward_service(core: &Rc<RaftCore>) {
         let c = core.clone();
-        core.ep.register(
+        core.ep.serve(
             core.method(CHAIN_FORWARD),
             "chain:forward",
-            move |_from, payload, responder| {
+            move |_from, req: AppendReq| {
                 let c = c.clone();
-                let Some(req) = AppendReq::from_bytes(&payload) else {
-                    return;
-                };
-                Coroutine::create(&c.rt.clone(), "chain:forward", async move {
+                async move {
                     let entry_count = req.entries.len();
                     let cpu =
                         c.cfg.append_cpu_base + c.cfg.append_cpu_per_entry * entry_count as u32;
-                    if c.world.cpu(c.id, cpu).await.is_err() {
-                        return;
-                    }
+                    c.world.cpu(c.id, cpu).await.ok()?;
                     // Append (idempotently) and wait for durability.
                     let entries = crate::types::from_wire(req.entries.clone());
                     let mut new = Vec::new();
@@ -82,7 +76,7 @@ impl ChainRaft {
                         let _g = depfast::PhaseGuard::enter("wal_wait");
                         let gate = c.log.wait_durable(match_to.min(c.log.last_index()));
                         if !gate.wait().await.is_ready() {
-                            return;
+                            return None;
                         }
                     }
                     c.set_commit(req.commit.min(match_to));
@@ -95,13 +89,13 @@ impl ChainRaft {
                         success = ok.wait_timeout(HOP_TIMEOUT).await.is_ready();
                         phase.end();
                     }
-                    responder.reply_t(&AppendResp {
+                    Some(AppendResp {
                         term: c.log.current_term(),
                         success,
                         match_index: match_to,
                         verified: match_to,
-                    });
-                });
+                    })
+                }
             },
         );
     }
@@ -109,13 +103,13 @@ impl ChainRaft {
     /// Forwards `req` to the successor `next`; the returned event fires
     /// `Ok` iff `next` (and so everything behind it) acknowledged.
     fn forward(core: &Rc<RaftCore>, next: NodeId, req: &AppendReq) -> depfast::EventHandle {
-        let ev = core
-            .ep
-            .proxy(next)
-            .call_t(core.method(CHAIN_FORWARD), "chain_forward", req);
-        classified_reply::<AppendResp>(&core.rt, &ev, next, "chain_forward", |resp| {
-            resp.is_some_and(|r| r.success)
-        })
+        core.ep.proxy(next).call_classified(
+            core.method(CHAIN_FORWARD),
+            "chain_forward",
+            req,
+            None,
+            |resp: Option<AppendResp>| resp.is_some_and(|r| r.success),
+        )
     }
 
     /// The head's loop: batch, append locally, forward once down the
@@ -159,47 +153,18 @@ impl ChainRaft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{Placement, RaftCluster, RaftKind};
-    use crate::core::RaftCfg;
-    use bytes::Bytes;
-    use simkit::{Sim, World, WorldCfg};
+    use crate::cluster::{RaftCluster, RaftKind};
+    use crate::fixture::{bootstrapped, trio};
+    use simkit::{Sim, World};
 
     fn cluster() -> (Sim, World, RaftCluster) {
-        let sim = Sim::new(19);
-        let world = World::new(
-            sim.clone(),
-            WorldCfg {
-                nodes: 3,
-                ..WorldCfg::default()
-            },
-        );
-        let cl = RaftCluster::build(
-            &sim,
-            &world,
-            RaftKind::Chain,
-            RaftCfg {
-                bootstrap_leader: Some(0),
-                ..RaftCfg::default()
-            },
-            Placement::Single { n: 3 },
-        );
-        (sim, world, cl)
+        trio(19, RaftKind::Chain, bootstrapped())
     }
 
+    /// `(committed, virtual time taken)` of `n` 64-byte proposals.
     fn drive(sim: &Sim, cl: &RaftCluster, n: u32) -> (u32, Duration) {
-        let t0 = sim.now();
-        let mut ok = 0;
-        for i in 0..n {
-            let ev = cl.groups[0].servers[0].propose(Bytes::from(vec![(i % 251) as u8; 64]));
-            let out = sim.block_on({
-                let ev = ev.clone();
-                async move { ev.handle().wait_timeout(Duration::from_secs(3)).await }
-            });
-            if out.is_ready() {
-                ok += 1;
-            }
-        }
-        (ok, sim.now() - t0)
+        let d = crate::fixture::drive(sim, cl, n, 64, Duration::from_secs(3));
+        (d.committed, d.elapsed)
     }
 
     #[test]

@@ -291,27 +291,16 @@ fn node_endpoints(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixture::{self, bootstrapped};
     use crate::types::{VoteReq, VoteResp, APPEND_ENTRIES, CLIENT_PROPOSE, REQUEST_VOTE};
     use bytes::Bytes;
     use depfast::event::Watchable;
     use depfast_rpc::wire::WireRead;
-    use simkit::WorldCfg;
     use std::time::Duration;
 
     fn build(seed: u64, nodes: usize, kind: RaftKind, placement: Placement) -> (Sim, RaftCluster) {
-        let sim = Sim::new(seed);
-        let world = World::new(
-            sim.clone(),
-            WorldCfg {
-                nodes,
-                ..WorldCfg::default()
-            },
-        );
-        let cfg = RaftCfg {
-            bootstrap_leader: Some(0),
-            ..RaftCfg::default()
-        };
-        let cl = RaftCluster::build(&sim, &world, kind, cfg, placement);
+        let world = fixture::nodes(nodes);
+        let (sim, _world, cl) = fixture::cluster(seed, kind, bootstrapped(), world, placement);
         (sim, cl)
     }
 

@@ -11,23 +11,21 @@
 //! its coroutines and where they block.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::future::Future;
+use std::collections::{HashMap, VecDeque};
+use std::future::{poll_fn, Future};
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::Poll;
 use std::time::Duration;
 
 use bytes::Bytes;
-use depfast::event::{EventHandle, EventKind, Signal, ValueEvent};
+use depfast::event::{EventHandle, EventKind, ValueEvent};
 use depfast::runtime::{Coroutine, Runtime};
 use depfast::TypedEvent;
 use depfast_metrics::{Counter, Gauge, HistogramHandle};
-use depfast_rpc::proxy::RpcEvent;
-use depfast_rpc::wire::WireRead;
 use depfast_rpc::{group_method, Endpoint, Method};
 use depfast_storage::{Entry, IoEvent, LogStore, LogStoreCfg};
-use simkit::{Crashed, NodeId, SimTime, Sleep, World};
+use simkit::{Crashed, NodeId, SimTime, WakerSlot, World};
 
 use crate::flow::Flow;
 use crate::types::{
@@ -128,41 +126,29 @@ pub struct Staged {
 /// commit before it takes the next batch anyway.
 const REGION_COMMIT_WAIT: Duration = Duration::from_millis(500);
 
+#[derive(Default)]
 struct Pq {
-    q: std::collections::VecDeque<Proposal>,
-    waker: Option<Waker>,
+    q: RefCell<VecDeque<Proposal>>,
+    /// Where the driver loop parks on an empty queue.
+    intake: WakerSlot,
 }
 
 /// The leader's incoming-proposal queue.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct ProposalQueue {
-    inner: Rc<RefCell<Pq>>,
-}
-
-impl Default for ProposalQueue {
-    fn default() -> Self {
-        ProposalQueue {
-            inner: Rc::new(RefCell::new(Pq {
-                q: std::collections::VecDeque::new(),
-                waker: None,
-            })),
-        }
-    }
+    inner: Rc<Pq>,
 }
 
 impl ProposalQueue {
     /// Enqueues a proposal and wakes the driver loop.
     pub fn push(&self, p: Proposal) {
-        let mut inner = self.inner.borrow_mut();
-        inner.q.push_back(p);
-        if let Some(w) = inner.waker.take() {
-            w.wake();
-        }
+        self.inner.q.borrow_mut().push_back(p);
+        self.inner.intake.wake();
     }
 
     /// Current queue depth.
     pub fn len(&self) -> usize {
-        self.inner.borrow().q.len()
+        self.inner.q.borrow().len()
     }
 
     /// `true` if no proposals are queued.
@@ -172,8 +158,7 @@ impl ProposalQueue {
 
     /// Fails and drains every queued proposal (leadership lost).
     pub fn fail_all(&self) {
-        let drained: Vec<Proposal> = self.inner.borrow_mut().q.drain(..).collect();
-        for (_, ev) in drained {
+        for (_, ev) in self.drain_up_to(usize::MAX) {
             ev.fire_err();
         }
     }
@@ -182,50 +167,36 @@ impl ProposalQueue {
     /// commit batch window uses this to fold in whatever arrived while
     /// the leader lingered.
     pub fn drain_up_to(&self, max: usize) -> Vec<Proposal> {
-        let mut inner = self.inner.borrow_mut();
-        let take = inner.q.len().min(max);
-        inner.q.drain(..take).collect()
+        let mut q = self.inner.q.borrow_mut();
+        let take = q.len().min(max);
+        q.drain(..take).collect()
     }
 
     /// Waits for proposals and takes up to `max`; with a deadline, may
     /// resolve to an empty batch (used as a combined heartbeat timer).
-    pub fn pop_batch(&self, rt: &Runtime, max: usize, deadline: Option<SimTime>) -> PopBatch {
-        PopBatch {
-            q: self.inner.clone(),
-            max,
-            deadline: deadline.map(|dl| rt.sleep_until(dl)),
-        }
-    }
-}
-
-/// Future returned by [`ProposalQueue::pop_batch`].
-///
-/// Proposals usually arrive before the deadline; its timer goes with the
-/// future when they do.
-pub struct PopBatch {
-    q: Rc<RefCell<Pq>>,
-    max: usize,
-    deadline: Option<Sleep>,
-}
-
-impl Future for PopBatch {
-    type Output = Vec<Proposal>;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Vec<Proposal>> {
-        {
-            let mut inner = self.q.borrow_mut();
-            if !inner.q.is_empty() {
-                let take = inner.q.len().min(self.max);
-                return Poll::Ready(inner.q.drain(..take).collect());
+    /// Proposals usually arrive before the deadline; its timer goes with
+    /// the future when they do.
+    pub fn pop_batch(
+        &self,
+        rt: &Runtime,
+        max: usize,
+        deadline: Option<SimTime>,
+    ) -> impl Future<Output = Vec<Proposal>> + '_ {
+        let mut deadline = deadline.map(|dl| rt.sleep_until(dl));
+        poll_fn(move |cx| {
+            if !self.is_empty() {
+                return Poll::Ready(self.drain_up_to(max));
             }
-            inner.waker = Some(cx.waker().clone());
-        }
-        if let Some(deadline) = &mut self.deadline {
-            if Pin::new(deadline).poll(cx).is_ready() {
-                return Poll::Ready(Vec::new());
+            self.inner.intake.park(cx);
+            let expired = deadline
+                .as_mut()
+                .is_some_and(|d| Pin::new(d).poll(cx).is_ready());
+            if expired {
+                Poll::Ready(Vec::new())
+            } else {
+                Poll::Pending
             }
-        }
-        Poll::Pending
+        })
     }
 }
 
@@ -613,14 +584,14 @@ impl RaftCore {
     /// unless the caller waits on the returned event, which fires `Ok` iff
     /// the peer accepted.
     pub fn send_append(self: &Rc<Self>, peer: NodeId, req: &AppendReq) -> EventHandle {
-        let ev = self
-            .ep
-            .proxy(peer)
-            .call_t(self.method(APPEND_ENTRIES), "append_entries", req);
         let core = self.clone();
-        classified_reply::<AppendResp>(&self.rt, &ev, peer, "append_entries", move |resp| {
-            resp.is_some_and(|r| core.on_append_reply(peer, &r))
-        })
+        self.ep.proxy(peer).call_classified(
+            self.method(APPEND_ENTRIES),
+            "append_entries",
+            req,
+            None,
+            move |resp: Option<AppendResp>| resp.is_some_and(|r| core.on_append_reply(peer, &r)),
+        )
     }
 
     /// The term half of the reply rule: a reply from a higher term deposes
@@ -805,62 +776,50 @@ impl RaftCore {
         Ok(())
     }
 
-    /// Registers the follower-side `AppendEntries` and `RequestVote`
-    /// services (identical across drivers).
+    /// Registers the follower-side `AppendEntries`, `RequestVote` and
+    /// `PreVote` services (identical across drivers).
     pub fn install_follower_services(self: &Rc<Self>) {
         let core = self.clone();
-        self.ep.register(
+        self.ep.serve(
             self.method(APPEND_ENTRIES),
             "raft:handle_append",
-            move |from, payload, responder| {
-                let core = core.clone();
-                let Some(req) = AppendReq::from_bytes(&payload) else {
-                    return;
-                };
-                // Ticket taken here, synchronously at delivery, so the
-                // ordered section of `handle_append` runs in arrival order
-                // regardless of coroutine scheduling.
+            move |from, req: AppendReq| {
+                // Ticket taken here, in the handler's synchronous prefix,
+                // so the ordered section of `handle_append` runs in arrival
+                // order regardless of coroutine scheduling.
                 let ticket = core.append_ticket.get();
                 core.append_ticket.set(ticket + 1);
-                Coroutine::create(&core.rt.clone(), "raft:handle_append", async move {
-                    if let Some(resp) = handle_append(&core, from, req, ticket).await {
-                        responder.reply_t(&resp);
-                    }
-                });
+                let core = core.clone();
+                async move { handle_append(&core, from, req, ticket).await }
             },
         );
         let core = self.clone();
-        self.ep.register(
+        self.ep.serve(
             self.method(REQUEST_VOTE),
             "raft:handle_vote",
-            move |_from, payload, responder| {
+            move |_from, req: VoteReq| {
                 let core = core.clone();
-                let Some(req) = VoteReq::from_bytes(&payload) else {
-                    return;
-                };
-                Coroutine::create(&core.rt.clone(), "raft:handle_vote", async move {
-                    if let Some(resp) = handle_vote(&core, req).await {
-                        responder.reply_t(&resp);
-                    }
-                });
+                async move { handle_vote(&core, req).await }
             },
         );
         let core = self.clone();
-        self.ep.register(
+        self.ep.serve(
             self.method(PRE_VOTE),
             "raft:handle_prevote",
-            move |_from, payload, responder| {
+            move |_from, req: VoteReq| {
                 let core = core.clone();
-                let Some(req) = VoteReq::from_bytes(&payload) else {
-                    return;
-                };
-                Coroutine::create(&core.rt.clone(), "raft:handle_prevote", async move {
-                    if let Some(resp) = handle_prevote(&core, req).await {
-                        responder.reply_t(&resp);
-                    }
-                });
+                async move { handle_prevote(&core, req).await }
             },
         );
+    }
+
+    /// The election restriction: whether a candidate whose log ends at
+    /// (`req.last_term`, `req.last_index`) is at least as up to date as
+    /// this node's.
+    fn candidate_up_to_date(&self, req: &VoteReq) -> bool {
+        let my_last = self.log.last_index();
+        let my_term = self.log.term_at(my_last);
+        req.last_term > my_term || (req.last_term == my_term && req.last_index >= my_last)
     }
 }
 
@@ -1041,14 +1000,9 @@ pub async fn handle_prevote(core: &Rc<RaftCore>, req: VoteReq) -> Option<VoteRes
         let st = core.st.borrow();
         st.role == Role::Leader || core.rt.now() - st.last_heartbeat < core.cfg.election_timeout.0
     };
-    let up_to_date = {
-        let my_last = core.log.last_index();
-        let my_term = core.log.term_at(my_last);
-        req.last_term > my_term || (req.last_term == my_term && req.last_index >= my_last)
-    };
     Some(VoteResp {
         term: current,
-        granted: !fresh && up_to_date && req.term > current,
+        granted: !fresh && core.candidate_up_to_date(&req) && req.term > current,
     })
 }
 
@@ -1068,12 +1022,7 @@ pub async fn handle_vote(core: &Rc<RaftCore>, req: VoteReq) -> Option<VoteResp> 
     if req.term > current {
         core.step_down(req.term, None);
     }
-    let up_to_date = {
-        let my_last = core.log.last_index();
-        let my_term = core.log.term_at(my_last);
-        req.last_term > my_term || (req.last_term == my_term && req.last_index >= my_last)
-    };
-    let grant = up_to_date
+    let grant = core.candidate_up_to_date(&req)
         && match core.log.voted_for() {
             None => true,
             Some(v) => v == req.candidate,
@@ -1090,33 +1039,6 @@ pub async fn handle_vote(core: &Rc<RaftCore>, req: VoteReq) -> Option<VoteResp> 
         term: core.log.current_term(),
         granted: grant,
     })
-}
-
-/// Creates a classified view over an RPC reply: an event with RPC identity
-/// (for the SPG) that fires `Ok`/`Err` according to `judge`, letting a
-/// [`QuorumEvent`](depfast::QuorumEvent) count protocol-level outcomes
-/// rather than mere reply arrival.
-pub fn classified_reply<R: WireRead + 'static>(
-    rt: &Runtime,
-    ev: &RpcEvent,
-    target: NodeId,
-    label: &'static str,
-    judge: impl FnOnce(Option<R>) -> bool + 'static,
-) -> EventHandle {
-    use depfast::event::Watchable;
-    let derived = EventHandle::with_sampling(rt, EventKind::Rpc { target }, label, false);
-    let d = derived.clone();
-    let ev2 = ev.clone();
-    ev.handle().on_fire(move |s| {
-        let decoded: Option<R> = if s == Signal::Ok {
-            ev2.take().and_then(|b| R::from_bytes(&b))
-        } else {
-            None
-        };
-        let ok = judge(decoded);
-        d.fire(if ok { Signal::Ok } else { Signal::Err });
-    });
-    derived
 }
 
 /// The public, driver-agnostic server handle the KV layer talks to.
@@ -1166,7 +1088,7 @@ impl RaftServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use depfast::event::Watchable;
+    use depfast::event::{Signal, Watchable};
     use depfast::Tracer;
     use depfast_rpc::endpoint::{Registry, RpcCfg};
     use simkit::{Sim, WorldCfg};

@@ -9,9 +9,11 @@
 //! their still-buffered traffic is discarded once the quorum no longer
 //! needs it (the §2.3 framework-awareness optimization).
 //!
-//! Leader election uses the §3.2 nested-event pattern verbatim: an
-//! [`OrEvent`] over a majority-granted quorum and a
-//! minority-plus-one-rejected quorum, waited with a timeout.
+//! Every other round — leadership confirmation, PreVote, election — is
+//! one [`broadcast()`] into a quorum and one wait. Leader election uses the
+//! §3.2 nested-event pattern verbatim: an [`OrEvent`] over a
+//! majority-granted quorum and a minority-plus-one-rejected quorum, waited
+//! with a timeout.
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -19,9 +21,10 @@ use std::time::Duration;
 use depfast::event::{OrEvent, QuorumEvent, QuorumMode, Signal, Watchable};
 use depfast::runtime::Coroutine;
 use depfast_rpc::conn::CancelToken;
+use depfast_rpc::{broadcast, inverse, Method};
 use simkit::NodeId;
 
-use crate::core::{classified_reply, RaftCore, Role};
+use crate::core::{RaftCore, Role};
 use crate::flow::{Admit, Health, SuspectAction};
 use crate::types::{AppendResp, VoteReq, VoteResp, APPEND_ENTRIES, PRE_VOTE, REQUEST_VOTE};
 
@@ -115,23 +118,13 @@ impl DepFastRaft {
                 core.note_sent_through(peer, last.index);
             }
             let req = core.append_req(term, lo - 1, &entries, false);
-            let proxy = core.ep.proxy(peer);
-            let ev = match cancel {
-                Some(c) => proxy.call_cancellable(
-                    core.method(APPEND_ENTRIES),
-                    "append_entries",
-                    depfast_rpc::wire::WireWrite::to_bytes(&req),
-                    c,
-                ),
-                None => proxy.call_t(core.method(APPEND_ENTRIES), "append_entries", &req),
-            };
             let c2 = core.clone();
-            let derived = classified_reply::<AppendResp>(
-                &core.rt,
-                &ev,
-                peer,
+            let derived = core.ep.proxy(peer).call_classified(
+                core.method(APPEND_ENTRIES),
                 "append_entries",
-                move |resp| {
+                &req,
+                cancel,
+                move |resp: Option<AppendResp>| {
                     c2.flow.borrow_mut().release(peer);
                     resp.is_some_and(|r| {
                         c2.on_append_reply(peer, &r) && r.match_index >= target_index
@@ -223,18 +216,13 @@ impl DepFastRaft {
                 quorum.add(&staged.durable);
                 let cancel = CancelToken::new();
                 for peer in core.peers.clone() {
-                    let child = depfast::EventHandle::with_sampling(
-                        &core.rt,
-                        depfast::EventKind::Rpc { target: peer },
-                        "append_entries",
-                        false,
-                    );
+                    let child = core.ep.proxy(peer).pending_reply("append_entries");
                     quorum.add(&child);
                     Self::send_append(&core, peer, hi, Some(child), Some(cancel.clone()));
                 }
                 // Once the quorum is reached, cancel the `AppendEntries`
                 // still queued toward slow peers.
-                quorum.handle().on_fire(move |_| cancel.cancel());
+                cancel.cancel_when(&quorum);
                 let inflight = core.flow.borrow_mut().round_launched();
                 core.stats.batch_rounds.inc();
                 core.stats.batch_size.record_ns(staged.entries.len() as u64);
@@ -337,17 +325,19 @@ impl DepFastRaft {
             // Same trace label as a regular append: probes ARE
             // AppendEntries, and the fail-slow detector's latency view
             // of a quarantined peer must not go dark.
-            let ev =
-                core.ep
-                    .proxy(peer)
-                    .call_t(core.method(APPEND_ENTRIES), "append_entries", &req);
             let c2 = core.clone();
-            classified_reply::<AppendResp>(&core.rt, &ev, peer, "append_entries", move |resp| {
-                let Some(resp) = resp else { return false };
-                let accepted = c2.on_append_reply(peer, &resp);
-                c2.flow.borrow_mut().on_lazy_reply(c2.rt.now(), peer, &resp);
-                accepted
-            });
+            core.ep.proxy(peer).call_classified(
+                core.method(APPEND_ENTRIES),
+                "append_entries",
+                &req,
+                None,
+                move |resp: Option<AppendResp>| {
+                    let Some(resp) = resp else { return false };
+                    let accepted = c2.on_append_reply(peer, &resp);
+                    c2.flow.borrow_mut().on_lazy_reply(c2.rt.now(), peer, &resp);
+                    accepted
+                },
+            );
         });
     }
 
@@ -403,27 +393,30 @@ impl DepFastRaft {
         }
         let term = core.log.current_term();
         // A fixed Count threshold, not Majority-of-current-children: the
-        // self ack below is already fired, and a dynamic majority would
-        // resolve at n = 1 the moment it is added.
+        // self ack is already fired, and a dynamic majority would resolve
+        // at n = 1 the moment it is added.
         let quorum =
             QuorumEvent::labeled(&core.rt, QuorumMode::Count(core.majority()), "read_index");
-        let self_ack = depfast::Notify::labeled(&core.rt, "self_ack");
-        self_ack.set(Signal::Ok);
-        quorum.add(&self_ack);
-        for peer in core.peers.clone() {
-            let req = core.append_req(term, core.next_index(peer) - 1, &[], false);
-            let ev = core
-                .ep
-                .proxy(peer)
-                .call_t(core.method(APPEND_ENTRIES), "read_index", &req);
-            let c2 = core.clone();
-            // A confirmation, not an ack: only the term half of the reply
-            // rule applies.
-            let ok = classified_reply::<AppendResp>(&core.rt, &ev, peer, "read_index", move |r| {
-                r.is_some_and(|r| c2.observe_term(r.term) && r.term == term)
-            });
-            quorum.add(&ok);
-        }
+        let method = core.method(APPEND_ENTRIES);
+        let probes = core.peers.iter().map(|&peer| {
+            let prev = core.next_index(peer) - 1;
+            (peer, method, core.append_req(term, prev, &[], false))
+        });
+        let c2 = core.clone();
+        // A confirmation, not an ack: only the term half of the reply
+        // rule applies.
+        let confirms = move |r: Option<AppendResp>| {
+            r.is_some_and(|r| c2.observe_term(r.term) && r.term == term)
+        };
+        broadcast(
+            &core.ep,
+            &quorum,
+            Some("self_ack"),
+            "read_index",
+            probes,
+            confirms,
+            false,
+        );
         let out = {
             let _g = depfast::PhaseGuard::enter("read_index_wait");
             quorum.wait_timeout(core.cfg.replicate_timeout).await
@@ -431,30 +424,37 @@ impl DepFastRaft {
         out.is_ready() && core.log.current_term() == term && core.st.borrow().role == Role::Leader
     }
 
-    /// A PreVote round: non-binding majority probe at `term + 1`.
-    async fn run_prevote(core: &Rc<RaftCore>) -> bool {
-        let term = core.log.current_term() + 1;
-        let granted =
-            QuorumEvent::labeled(&core.rt, QuorumMode::Count(core.majority()), "prevote_ok");
-        let self_vote = depfast::Notify::labeled(&core.rt, "self_prevote");
-        self_vote.set(Signal::Ok);
-        granted.add(&self_vote);
+    /// This node's candidacy for `term`, addressed to every peer's
+    /// `method` service.
+    fn candidacy(
+        core: &RaftCore,
+        term: u64,
+        method: Method,
+    ) -> impl Iterator<Item = (NodeId, Method, VoteReq)> + '_ {
         let req = VoteReq {
             term,
             candidate: core.id.0,
             last_index: core.log.last_index(),
             last_term: core.log.term_at(core.log.last_index()),
         };
-        for peer in core.peers.clone() {
-            let ev = core
-                .ep
-                .proxy(peer)
-                .call_t(core.method(PRE_VOTE), "pre_vote", &req);
-            let ok = classified_reply::<VoteResp>(&core.rt, &ev, peer, "pre_vote", move |r| {
-                r.is_some_and(|r| r.granted)
-            });
-            granted.add(&ok);
-        }
+        let method = core.method(method);
+        core.peers.iter().map(move |&peer| (peer, method, req))
+    }
+
+    /// A PreVote round: non-binding majority probe at `term + 1`.
+    async fn run_prevote(core: &Rc<RaftCore>) -> bool {
+        let term = core.log.current_term() + 1;
+        let granted =
+            QuorumEvent::labeled(&core.rt, QuorumMode::Count(core.majority()), "prevote_ok");
+        broadcast(
+            &core.ep,
+            &granted,
+            Some("self_prevote"),
+            "pre_vote",
+            Self::candidacy(core, term, PRE_VOTE),
+            |r: Option<VoteResp>| r.is_some_and(|r| r.granted),
+            false,
+        );
         granted
             .wait_timeout(core.cfg.election_timeout.1)
             .await
@@ -477,61 +477,31 @@ impl DepFastRaft {
             QuorumMode::Count(n - majority + 1),
             "election_reject",
         );
-        // Self vote.
-        let self_vote = depfast::Notify::labeled(&core.rt, "self_vote");
-        self_vote.set(Signal::Ok);
-        granted.add(&self_vote);
-        let req = VoteReq {
-            term,
-            candidate: core.id.0,
-            last_index: core.log.last_index(),
-            last_term: core.log.term_at(core.log.last_index()),
-        };
-        for peer in core.peers.clone() {
-            let ev = core
-                .ep
-                .proxy(peer)
-                .call_t(core.method(REQUEST_VOTE), "request_vote", &req);
-            let c2 = core.clone();
-            let ok =
-                classified_reply::<VoteResp>(
-                    &core.rt,
-                    &ev,
-                    peer,
-                    "request_vote",
-                    move |r| match r {
-                        Some(r) if r.term > term => {
-                            c2.step_down(r.term, None);
-                            false
-                        }
-                        Some(r) => r.granted,
-                        None => false,
-                    },
-                );
-            granted.add(&ok);
-            // The rejection quorum sees the inverse signal.
-            let rej = depfast::EventHandle::with_sampling(
-                &core.rt,
-                depfast::EventKind::Rpc { target: peer },
-                "request_vote",
-                false,
-            );
-            let r2 = rej.clone();
-            ok.on_fire(move |s| {
-                r2.fire(match s {
-                    Signal::Ok => Signal::Err,
-                    Signal::Err => Signal::Ok,
-                })
-            });
-            rejected.add(&rej);
+        let c2 = core.clone();
+        let votes = broadcast(
+            &core.ep,
+            &granted,
+            Some("self_vote"),
+            "request_vote",
+            Self::candidacy(core, term, REQUEST_VOTE),
+            move |r: Option<VoteResp>| match r {
+                Some(r) if r.term > term => {
+                    c2.step_down(r.term, None);
+                    false
+                }
+                Some(r) => r.granted,
+                None => false,
+            },
+            false,
+        );
+        // The rejection quorum sees the inverse signal.
+        for vote in &votes {
+            rejected.add(&inverse(vote));
         }
         granted.seal();
         rejected.seal();
         let either = OrEvent::of2(&core.rt, &granted, &rejected);
-        either
-            .handle()
-            .wait_timeout(core.cfg.election_timeout.1)
-            .await;
+        either.wait_timeout(core.cfg.election_timeout.1).await;
         if granted.ready()
             && core.log.current_term() == term
             && core.st.borrow().role == Role::Candidate
@@ -550,30 +520,19 @@ impl DepFastRaft {
 mod tests {
     use super::*;
     use crate::cluster::{Placement, RaftCluster, RaftKind};
+    use crate::core::RaftCfg;
+    use crate::fixture::{self, bootstrapped, drive, nodes};
     use bytes::Bytes;
-    use simkit::{Sim, SimTime, World, WorldCfg};
+    use simkit::{Sim, SimTime, World};
 
     fn cluster(n: usize, bootstrap: bool) -> (Sim, World, RaftCluster) {
-        let sim = Sim::new(11);
-        let world = World::new(
-            sim.clone(),
-            WorldCfg {
-                nodes: n,
-                ..WorldCfg::default()
-            },
-        );
-        let cfg = crate::core::RaftCfg {
-            bootstrap_leader: if bootstrap { Some(0) } else { None },
-            ..crate::core::RaftCfg::default()
+        let cfg = if bootstrap {
+            bootstrapped()
+        } else {
+            RaftCfg::default()
         };
-        let cl = RaftCluster::build(
-            &sim,
-            &world,
-            RaftKind::DepFast,
-            cfg,
-            Placement::Single { n },
-        );
-        (sim, world, cl)
+        let single = Placement::Single { n };
+        fixture::cluster(11, RaftKind::DepFast, cfg, nodes(n), single)
     }
 
     #[test]
@@ -604,17 +563,7 @@ mod tests {
         let (sim, world, cl) = cluster(3, true);
         // Follower 2 is severely CPU-limited.
         world.set_cpu_quota(NodeId(2), 0.01);
-        let mut committed = 0;
-        for i in 0..50u32 {
-            let ev = cl.groups[0].servers[0].propose(Bytes::from(vec![i as u8; 64]));
-            let out = sim.block_on({
-                let ev = ev.clone();
-                async move { ev.handle().wait_timeout(Duration::from_secs(1)).await }
-            });
-            if out.is_ready() {
-                committed += 1;
-            }
-        }
+        let committed = drive(&sim, &cl, 50, 64, Duration::from_secs(1)).committed;
         assert_eq!(committed, 50, "healthy majority must keep committing");
     }
 

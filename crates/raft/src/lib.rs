@@ -31,3 +31,6 @@ pub mod types;
 pub use cluster::{Placement, RaftCluster, RaftGroup, RaftKind};
 pub use core::{RaftCfg, RaftCore, RaftServer, Role};
 pub use types::{AppendReq, AppendResp, VoteReq, VoteResp};
+
+#[cfg(test)]
+mod fixture;

@@ -103,61 +103,30 @@ impl SyncRaft {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::cluster::{Placement, RaftCluster, RaftKind};
+    use crate::cluster::{RaftCluster, RaftKind};
     use crate::core::RaftCfg;
-    use bytes::Bytes;
+    use crate::fixture::{bootstrapped, drive, trio};
     use depfast_storage::LogStoreCfg;
-    use simkit::NodeId;
-    use simkit::{Sim, World, WorldCfg};
+    use simkit::{NodeId, Sim, World};
     use std::time::Duration;
 
+    const PATIENCE: Duration = Duration::from_secs(2);
+
     fn cluster(cache_bytes: u64) -> (Sim, World, RaftCluster) {
-        let sim = Sim::new(5);
-        let world = World::new(
-            sim.clone(),
-            WorldCfg {
-                nodes: 3,
-                ..WorldCfg::default()
-            },
-        );
         let cfg = RaftCfg {
-            bootstrap_leader: Some(0),
             log: LogStoreCfg {
                 cache_bytes,
                 ..LogStoreCfg::default()
             },
-            ..RaftCfg::default()
+            ..bootstrapped()
         };
-        let cl = RaftCluster::build(
-            &sim,
-            &world,
-            RaftKind::Sync,
-            cfg,
-            Placement::Single { n: 3 },
-        );
-        (sim, world, cl)
-    }
-
-    fn drive(sim: &Sim, cl: &RaftCluster, n: u32, size: usize) -> u32 {
-        let mut committed = 0;
-        for i in 0..n {
-            let ev = cl.groups[0].servers[0].propose(Bytes::from(vec![(i % 251) as u8; size]));
-            let out = sim.block_on({
-                let ev = ev.clone();
-                async move { ev.handle().wait_timeout(Duration::from_secs(2)).await }
-            });
-            if out.is_ready() {
-                committed += 1;
-            }
-        }
-        committed
+        trio(5, RaftKind::Sync, cfg)
     }
 
     #[test]
     fn healthy_cluster_commits() {
         let (sim, _world, cl) = cluster(1 << 20);
-        assert_eq!(drive(&sim, &cl, 30, 64), 30);
+        assert_eq!(drive(&sim, &cl, 30, 64, PATIENCE).committed, 30);
     }
 
     #[test]
@@ -166,7 +135,7 @@ mod tests {
         // Slow follower 2's network egress so its acks lag and its
         // next_index falls behind the cache floor.
         world.set_egress_delay(NodeId(2), Duration::from_millis(400));
-        drive(&sim, &cl, 200, 1024);
+        drive(&sim, &cl, 200, 1024, PATIENCE);
         let leader_log = &cl.groups[0].servers[0].core().log;
         assert!(
             leader_log.cache_misses() > 0,
@@ -178,7 +147,7 @@ mod tests {
     fn commits_continue_with_one_slow_follower() {
         let (sim, world, cl) = cluster(64 * 1024);
         world.set_cpu_quota(NodeId(1), 0.05);
-        let committed = drive(&sim, &cl, 50, 256);
+        let committed = drive(&sim, &cl, 50, 256, PATIENCE).committed;
         assert_eq!(committed, 50, "majority commit must still work");
     }
 }

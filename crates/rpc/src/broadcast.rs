@@ -1,78 +1,87 @@
-//! Quorum-aware broadcast: the framework-level optimization of §2.3.
+//! Quorum-aware broadcast: the paper's round shape, and the
+//! framework-level optimization of §2.3.
 //!
-//! *"If the framework is aware that this is a broadcast that can succeed
-//! with a quorum of replies, it can safely discard the messages for the
-//! slow connection."* [`broadcast`] sends one request per peer, collects
-//! the reply events under a [`QuorumEvent`], and (when `discard_on_quorum`
-//! is set) cancels every request still sitting in an outgoing buffer the
-//! moment the quorum is satisfied — so a slow peer's buffer cannot grow
-//! without bound.
+//! §3.1: broadcast, add each reply to a `QuorumEvent`, wait once.
+//! [`broadcast()`] is that round for every protocol in the workspace — a
+//! leadership confirmation, a (pre-)vote, a 2PC phase: it sends one typed
+//! request per peer, classifies each reply with the round's `judge`, and
+//! adds the verdicts (after the round's own pre-fired local member, if it
+//! has one) to the caller's [`QuorumEvent`].
+//!
+//! §2.3: *"If the framework is aware that this is a broadcast that can
+//! succeed with a quorum of replies, it can safely discard the messages
+//! for the slow connection."* With `discard_on_quorum` every request still
+//! sitting in an outgoing buffer is cancelled the moment the quorum
+//! resolves — so a slow peer's buffer cannot grow without bound.
 
-use bytes::Bytes;
-use depfast::event::{QuorumEvent, QuorumMode, Watchable};
+use std::rc::Rc;
+
+use depfast::event::{EventHandle, Notify, QuorumEvent, Signal};
 use simkit::NodeId;
 
 use crate::conn::CancelToken;
 use crate::endpoint::Endpoint;
-use crate::proxy::RpcEvent;
+use crate::wire::{WireRead, WireWrite};
 use crate::Method;
 
-/// The in-flight state of a quorum broadcast.
-pub struct BroadcastHandle {
-    /// Fires when the quorum condition resolves.
-    pub quorum: QuorumEvent,
-    /// Per-peer reply events, in `peers` order.
-    pub replies: Vec<(NodeId, RpcEvent)>,
-    /// Cancels requests still queued in outgoing buffers.
-    pub cancel: CancelToken,
-}
-
-/// Broadcasts `payload` to `peers` and returns a quorum over the replies.
+/// Sends each of `calls` — `(peer, method, request)` — under `label` and
+/// adds one classified reply per call to `quorum`; returns those verdict
+/// events in call order. The caller then waits on `quorum`, once.
 ///
-/// `extra` events (e.g. the leader's own disk-write completion) can be
-/// added to the returned quorum by the caller *before* waiting; use
-/// [`QuorumMode::Count`] to account for them in the threshold.
-pub fn broadcast(
+/// `judge` turns a decoded reply (`None`: dropped by the framework, or
+/// undecodable) into the vote the quorum counts. `local` names the
+/// round's own already-cast vote — the leader's self ack, a candidate's
+/// self vote: an event fired `Ok` and added before any peer's. Give such
+/// a quorum a [`QuorumMode::Count`](depfast::event::QuorumMode::Count)
+/// threshold; a dynamic majority would resolve on that first member.
+pub fn broadcast<Req: WireWrite, Resp: WireRead + 'static>(
     ep: &Endpoint,
-    peers: &[NodeId],
-    method: Method,
+    quorum: &QuorumEvent,
+    local: Option<&'static str>,
     label: &'static str,
-    payload: Bytes,
-    mode: QuorumMode,
+    calls: impl IntoIterator<Item = (NodeId, Method, Req)>,
+    judge: impl Fn(Option<Resp>) -> bool + 'static,
     discard_on_quorum: bool,
-) -> BroadcastHandle {
-    let quorum = QuorumEvent::labeled(ep.runtime(), mode, label);
-    let cancel = CancelToken::new();
-    let mut replies = Vec::with_capacity(peers.len());
-    for peer in peers {
-        let ev = ep
-            .proxy(*peer)
-            .call_cancellable(method, label, payload.clone(), cancel.clone());
-        quorum.add(&ev);
-        replies.push((*peer, ev));
+) -> Vec<EventHandle> {
+    if let Some(local) = local {
+        let vote = Notify::labeled(ep.runtime(), local);
+        vote.set(Signal::Ok);
+        quorum.add(&vote);
     }
-    if discard_on_quorum {
-        let c = cancel.clone();
-        quorum.handle().on_fire(move |_| c.cancel());
+    let judge = Rc::new(judge);
+    let cancel = discard_on_quorum.then(CancelToken::new);
+    let calls = calls.into_iter();
+    let mut votes = Vec::with_capacity(calls.size_hint().0);
+    for (peer, method, req) in calls {
+        let judge = judge.clone();
+        let vote = ep
+            .proxy(peer)
+            .call_classified(method, label, &req, cancel.clone(), move |r| judge(r));
+        quorum.add(&vote);
+        votes.push(vote);
     }
-    BroadcastHandle {
-        quorum,
-        replies,
-        cancel,
+    if let Some(cancel) = cancel {
+        cancel.cancel_when(quorum);
     }
+    votes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::endpoint::{Registry, RpcCfg};
+    use crate::{BufferPolicy, OnFull};
+    use bytes::Bytes;
+    use depfast::event::QuorumMode;
     use depfast::runtime::Runtime;
     use simkit::{Sim, World, WorldCfg};
+    use std::cell::RefCell;
     use std::time::Duration;
 
     const ECHO: u32 = 1;
+    const PEERS: [NodeId; 3] = [NodeId(1), NodeId(2), NodeId(3)];
 
-    fn cluster(n: usize) -> (Sim, World, Vec<Endpoint>) {
+    fn cluster_with(n: usize, cfg: RpcCfg) -> (Sim, World, Vec<Endpoint>) {
         let sim = Sim::new(3);
         let world = World::new(
             sim.clone(),
@@ -86,7 +95,7 @@ mod tests {
         let eps: Vec<Endpoint> = (0..n as u32)
             .map(|i| {
                 let rt = Runtime::with_tracer(sim.clone(), NodeId(i), tracer.clone());
-                Endpoint::new(&rt, &world, &registry, RpcCfg::default())
+                Endpoint::new(&rt, &world, &registry, cfg)
             })
             .collect();
         for ep in &eps {
@@ -95,24 +104,43 @@ mod tests {
         (sim, world, eps)
     }
 
+    fn cluster(n: usize) -> (Sim, World, Vec<Endpoint>) {
+        cluster_with(n, RpcCfg::default())
+    }
+
+    /// One echo round to [`PEERS`] counting every reply that arrives,
+    /// waited up to `patience`.
+    fn echo_round(
+        sim: &Sim,
+        ep: &Endpoint,
+        mode: QuorumMode,
+        body: usize,
+        discard: bool,
+        patience: Duration,
+    ) -> (QuorumEvent, depfast::WaitResult) {
+        let quorum = QuorumEvent::labeled(ep.runtime(), mode, "bcast");
+        let calls = PEERS.map(|p| (p, ECHO, Bytes::from(vec![0u8; body])));
+        let arrived = |reply: Option<Bytes>| reply.is_some();
+        broadcast(ep, &quorum, None, "bcast", calls, arrived, discard);
+        let q = quorum.clone();
+        let out = sim.block_on(async move { q.wait_timeout(patience).await });
+        (quorum, out)
+    }
+
     #[test]
     fn majority_completes_despite_one_dead_peer() {
         let (sim, world, eps) = cluster(4);
         world.crash(NodeId(3));
-        let peers = [NodeId(1), NodeId(2), NodeId(3)];
-        let h = broadcast(
+        let (quorum, out) = echo_round(
+            &sim,
             &eps[0],
-            &peers,
-            ECHO,
-            "bcast",
-            Bytes::from_static(b"m"),
             QuorumMode::Majority,
+            1,
             false,
+            Duration::from_secs(1),
         );
-        let q = h.quorum.clone();
-        let out = sim.block_on(async move { q.wait_timeout(Duration::from_secs(1)).await });
         assert!(out.is_ready());
-        assert_eq!(h.quorum.ok_count(), 2);
+        assert_eq!(quorum.ok_count(), 2);
     }
 
     #[test]
@@ -121,20 +149,16 @@ mod tests {
         // Peer 3 is CPU-starved: its pump drains very slowly, so credits
         // stop returning and requests pile up in the sender's queue.
         world.set_cpu_quota(NodeId(3), 0.001);
-        let peers = [NodeId(1), NodeId(2), NodeId(3)];
         let mut done = 0u64;
         for _ in 0..2000 {
-            let h = broadcast(
+            let (_, r) = echo_round(
+                &sim,
                 &eps[0],
-                &peers,
-                ECHO,
-                "bcast",
-                Bytes::from(vec![0u8; 128]),
                 QuorumMode::Majority,
+                128,
                 true,
+                Duration::from_secs(1),
             );
-            let q = h.quorum.clone();
-            let r = sim.block_on(async move { q.wait_timeout(Duration::from_secs(1)).await });
             if r.is_ready() {
                 done += 1;
             }
@@ -155,19 +179,15 @@ mod tests {
     fn without_discard_queue_to_slow_peer_grows() {
         let (sim, world, eps) = cluster(4);
         world.set_cpu_quota(NodeId(3), 0.001);
-        let peers = [NodeId(1), NodeId(2), NodeId(3)];
         for _ in 0..500 {
-            let h = broadcast(
+            echo_round(
+                &sim,
                 &eps[0],
-                &peers,
-                ECHO,
-                "bcast",
-                Bytes::from(vec![0u8; 128]),
                 QuorumMode::Majority,
+                128,
                 false,
+                Duration::from_secs(1),
             );
-            let q = h.quorum.clone();
-            sim.block_on(async move { q.wait_timeout(Duration::from_secs(1)).await });
         }
         let slow_conn = eps[0].conn(NodeId(3));
         assert!(
@@ -182,21 +202,78 @@ mod tests {
         let (sim, world, eps) = cluster(4);
         world.crash(NodeId(2));
         world.crash(NodeId(3));
-        let peers = [NodeId(1), NodeId(2), NodeId(3)];
-        let h = broadcast(
-            &eps[0],
-            &peers,
-            ECHO,
-            "bcast",
-            Bytes::new(),
-            QuorumMode::Majority,
-            false,
-        );
-        let q = h.quorum.clone();
         // Dead peers never reply (no transport error signal), so the
         // wait resolves by timeout rather than explicit failure.
-        let out = sim.block_on(async move { q.wait_timeout(Duration::from_millis(500)).await });
+        let (quorum, out) = echo_round(
+            &sim,
+            &eps[0],
+            QuorumMode::Majority,
+            0,
+            false,
+            Duration::from_millis(500),
+        );
         assert!(out.is_timeout());
-        assert_eq!(h.quorum.ok_count(), 1);
+        assert_eq!(quorum.ok_count(), 1);
+    }
+
+    #[test]
+    fn the_judge_sees_none_on_a_transport_err() {
+        // A zero-capacity buffer drops every request at enqueue: the
+        // transport fails each call before anything is sent.
+        let full = BufferPolicy::Bounded {
+            cap: 0,
+            on_full: OnFull::DropNewest,
+        };
+        let (_sim, _world, eps) = cluster_with(
+            4,
+            RpcCfg {
+                buffer: full,
+                ..RpcCfg::default()
+            },
+        );
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let s = seen.clone();
+        let quorum = QuorumEvent::labeled(eps[0].runtime(), QuorumMode::Majority, "bcast");
+        let votes = broadcast(
+            &eps[0],
+            &quorum,
+            None,
+            "bcast",
+            PEERS.map(|p| (p, ECHO, 7u64)),
+            move |reply: Option<u64>| {
+                s.borrow_mut().push(reply);
+                true
+            },
+            false,
+        );
+        assert_eq!(*seen.borrow(), vec![None, None, None]);
+        // The judge, not the transport, decides the vote.
+        assert!(votes.iter().all(|v| v.ready()));
+        assert!(quorum.ready());
+    }
+
+    #[test]
+    fn the_local_member_counts_toward_count_k() {
+        let (sim, world, eps) = cluster(4);
+        world.crash(NodeId(2));
+        world.crash(NodeId(3));
+        // One live peer of three: two remote votes never arrive, so a
+        // 2-of-4 round is met only because the local vote is one of them.
+        let quorum = QuorumEvent::labeled(eps[0].runtime(), QuorumMode::Count(2), "round");
+        let votes = broadcast(
+            &eps[0],
+            &quorum,
+            Some("self_vote"),
+            "bcast",
+            PEERS.map(|p| (p, ECHO, 7u64)),
+            |reply: Option<u64>| reply == Some(7),
+            false,
+        );
+        assert_eq!((quorum.n(), quorum.ok_count(), votes.len()), (4, 1, 3));
+        assert!(!quorum.ready(), "the local vote alone is not the quorum");
+        let q = quorum.clone();
+        let out = sim.block_on(async move { q.wait_timeout(Duration::from_secs(1)).await });
+        assert!(out.is_ready());
+        assert_eq!(quorum.ok_count(), 2);
     }
 }

@@ -18,16 +18,17 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::future::Future;
+use std::future::{poll_fn, Future};
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::Poll;
 use std::time::Duration;
 
 use bytes::Bytes;
+use depfast::event::Watchable;
 use depfast::runtime::{Coroutine, Runtime};
 use depfast_metrics::{Counter, Gauge};
-use simkit::{NodeId, World};
+use simkit::{NodeId, WakerSlot, World};
 
 /// What to do when a bounded buffer is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +73,13 @@ impl CancelToken {
     pub fn is_cancelled(&self) -> bool {
         self.0.get()
     }
+
+    /// Cancels when `round` resolves either way: a quorum that has been
+    /// reached, or can no longer be, needs none of its queued requests.
+    pub fn cancel_when(&self, round: &impl Watchable) {
+        let token = self.clone();
+        round.handle().on_fire(move |_| token.cancel());
+    }
 }
 
 pub(crate) struct OutMsg {
@@ -104,7 +112,8 @@ struct ConnInner {
     /// analog of a TCP retransmission timer — without it, messages dropped
     /// by a partition would leak their credits and wedge the link).
     outstanding: VecDeque<simkit::SimTime>,
-    waker: Option<Waker>,
+    /// Where the sender coroutine parks between messages.
+    sender: WakerSlot,
     closed: bool,
     policy: BufferPolicy,
     queued_bytes: u64,
@@ -151,7 +160,7 @@ impl Connection {
                 credits: window,
                 window,
                 outstanding: VecDeque::new(),
-                waker: None,
+                sender: WakerSlot::default(),
                 closed: false,
                 policy,
                 queued_bytes: 0,
@@ -164,13 +173,9 @@ impl Connection {
         let from = rt.node();
         Coroutine::create(rt, "rpc:sender", async move {
             loop {
-                let msg = PopMsg {
-                    conn: c.clone(),
-                    sim: world.sim().clone(),
-                    credit_expiry: None,
-                }
-                .await;
-                let Some(msg) = msg else { break };
+                let Some(msg) = c.pop_msg(world.sim()).await else {
+                    break;
+                };
                 let len = msg.bytes.len() as u64;
                 if msg.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                     c.finish_msg(&world, len, false);
@@ -208,10 +213,10 @@ impl Connection {
     /// node's memory model; an out-of-memory allocation crashes the node
     /// (the unbounded-backlog failure mode).
     pub(crate) fn enqueue(&self, world: &World, msg: OutMsg) {
-        let (drop_msg, wake) = {
+        let drop_msg = {
             let mut inner = self.inner.borrow_mut();
             if inner.closed {
-                (Some(msg), None)
+                Some(msg)
             } else {
                 match inner.policy {
                     BufferPolicy::Bounded { cap, on_full } if inner.queue.len() >= cap => {
@@ -220,7 +225,7 @@ impl Connection {
                         }
                         inner.dropped += 1;
                         inner.stats.dropped.inc();
-                        (Some(msg), None)
+                        Some(msg)
                     }
                     _ => {
                         let len = msg.bytes.len() as u64;
@@ -228,41 +233,32 @@ impl Connection {
                             // The process exceeded its memory limit
                             // buffering for a slow peer: OOM kill.
                             world.crash(inner.from);
-                            (Some(msg), None)
+                            Some(msg)
                         } else {
                             inner.queued_bytes += len;
                             inner.stats.buffer_bytes.add(len as i64);
                             inner.stats.buffer_msgs.add(1);
                             inner.queue.push_back(msg);
-                            (None, inner.waker.take())
+                            inner.sender.wake();
+                            None
                         }
                     }
                 }
             }
         };
-        if let Some(m) = drop_msg {
-            if let Some(f) = m.on_drop {
-                f();
-            }
-        }
-        if let Some(w) = wake {
-            w.wake();
+        if let Some(f) = drop_msg.and_then(|m| m.on_drop) {
+            f();
         }
     }
 
     /// Returns one flow-control credit (the peer processed a message).
     pub fn grant_credit(&self) {
-        let waker = {
-            let mut inner = self.inner.borrow_mut();
-            inner.outstanding.pop_front();
-            if inner.credits < inner.window {
-                inner.credits += 1;
-            }
-            inner.waker.take()
-        };
-        if let Some(w) = waker {
-            w.wake();
+        let mut inner = self.inner.borrow_mut();
+        inner.outstanding.pop_front();
+        if inner.credits < inner.window {
+            inner.credits += 1;
         }
+        inner.sender.wake();
     }
 
     /// Reclaims credits whose messages have gone unacknowledged past the
@@ -283,9 +279,52 @@ impl Connection {
         inner.credits = (inner.credits + reclaimed).min(inner.window);
     }
 
+    /// Resolves to the next sendable message: waits for a non-empty queue
+    /// *and* an available credit (reclaiming expired credits lazily), or
+    /// to `None` once closed.
+    fn pop_msg(&self, sim: &simkit::Sim) -> impl Future<Output = Option<OutMsg>> + '_ {
+        let sim = sim.clone();
+        // Wake-up at the oldest outstanding credit's expiry, armed while
+        // blocked on credits; cancelled with this future when one returns.
+        let mut credit_expiry: Option<simkit::Sleep> = None;
+        poll_fn(move |cx| {
+            let now = sim.now();
+            self.reclaim_expired(now);
+            let mut inner = self.inner.borrow_mut();
+            if inner.closed && inner.queue.is_empty() {
+                return Poll::Ready(None);
+            }
+            // Cancelled messages do not consume credits.
+            if let Some(front) = inner.queue.front() {
+                let cancelled = front.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+                if cancelled {
+                    return Poll::Ready(inner.queue.pop_front());
+                }
+                if inner.credits > 0 {
+                    inner.credits -= 1;
+                    inner.outstanding.push_back(now);
+                    return Poll::Ready(inner.queue.pop_front());
+                }
+                // Blocked on credits with traffic pending: arm a wake at the
+                // oldest credit's expiry so a partition cannot wedge the link.
+                // Once per expiry: every enqueue on the stalled link polls this.
+                if let Some(t) = inner.outstanding.front() {
+                    let expiry = *t + CREDIT_TIMEOUT;
+                    let sleep = match &mut credit_expiry {
+                        Some(armed) if armed.deadline() == expiry => armed,
+                        stale => stale.insert(sim.sleep_until(expiry)),
+                    };
+                    let _ = Pin::new(sleep).poll(cx);
+                }
+            }
+            inner.sender.park(cx);
+            Poll::Pending
+        })
+    }
+
     /// Closes the connection; queued messages are dropped.
     pub fn close(&self) {
-        let (msgs, waker) = {
+        let msgs = {
             let mut inner = self.inner.borrow_mut();
             inner.closed = true;
             let msgs: Vec<OutMsg> = inner.queue.drain(..).collect();
@@ -295,16 +334,14 @@ impl Connection {
             inner.stats.buffer_msgs.sub(msgs.len() as i64);
             inner.dropped += msgs.len() as u64;
             inner.stats.dropped.add(msgs.len() as u64);
-            (msgs, inner.waker.take())
+            msgs
         };
         for m in msgs {
             if let Some(f) = m.on_drop {
                 f();
             }
         }
-        if let Some(w) = waker {
-            w.wake();
-        }
+        self.inner.borrow().sender.wake();
     }
 
     /// Messages currently queued.
@@ -330,56 +367,6 @@ impl Connection {
     /// The destination node.
     pub fn peer(&self) -> NodeId {
         self.inner.borrow().to
-    }
-}
-
-/// Future resolving to the next sendable message: waits for a non-empty
-/// queue *and* an available credit (reclaiming expired credits lazily).
-/// Resolves to `None` when closed.
-struct PopMsg {
-    conn: Connection,
-    sim: simkit::Sim,
-    /// Wake-up at the oldest outstanding credit's expiry, armed while
-    /// blocked on credits; cancelled with this future when one returns.
-    credit_expiry: Option<simkit::Sleep>,
-}
-
-impl Future for PopMsg {
-    type Output = Option<OutMsg>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<OutMsg>> {
-        let this = self.get_mut();
-        let now = this.sim.now();
-        this.conn.reclaim_expired(now);
-        let mut inner = this.conn.inner.borrow_mut();
-        if inner.closed && inner.queue.is_empty() {
-            return Poll::Ready(None);
-        }
-        // Cancelled messages do not consume credits.
-        if let Some(front) = inner.queue.front() {
-            let cancelled = front.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-            if cancelled {
-                return Poll::Ready(inner.queue.pop_front());
-            }
-            if inner.credits > 0 {
-                inner.credits -= 1;
-                inner.outstanding.push_back(now);
-                return Poll::Ready(inner.queue.pop_front());
-            }
-            // Blocked on credits with traffic pending: arm a wake at the
-            // oldest credit's expiry so a partition cannot wedge the link.
-            // Once per expiry: every enqueue on the stalled link polls this.
-            if let Some(t) = inner.outstanding.front() {
-                let expiry = *t + CREDIT_TIMEOUT;
-                let sleep = match &mut this.credit_expiry {
-                    Some(armed) if armed.deadline() == expiry => armed,
-                    stale => stale.insert(this.sim.sleep_until(expiry)),
-                };
-                let _ = Pin::new(sleep).poll(cx);
-            }
-        }
-        inner.waker = Some(cx.waker().clone());
-        Poll::Pending
     }
 }
 

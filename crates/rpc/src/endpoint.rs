@@ -8,17 +8,16 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
-use std::future::Future;
-use std::pin::Pin;
+use std::future::{poll_fn, Future};
 use std::rc::{Rc, Weak};
-use std::task::{Context, Poll, Waker};
+use std::task::Poll;
 use std::time::Duration;
 
 use bytes::Bytes;
 use depfast::event::{EventKind, Watchable};
 use depfast::runtime::{Coroutine, Runtime};
 use depfast::TypedEvent;
-use simkit::{NodeId, World};
+use simkit::{NodeId, WakerSlot, World};
 
 use crate::conn::{BufferPolicy, Connection, OutMsg};
 use crate::proxy::{Proxy, RpcEvent};
@@ -122,7 +121,8 @@ pub(crate) struct EndpointInner {
     conns: RefCell<HashMap<u32, Connection>>,
     registry: Registry,
     inbox: RefCell<VecDeque<simkit::world::NetMessage>>,
-    inbox_waker: RefCell<Option<Waker>>,
+    /// Where the receive pump parks on an empty inbox.
+    pump: WakerSlot,
     /// Peak inbox depth, for diagnostics.
     inbox_peak: Cell<usize>,
 }
@@ -149,7 +149,7 @@ impl Endpoint {
             conns: RefCell::new(HashMap::new()),
             registry: registry.clone(),
             inbox: RefCell::new(VecDeque::new()),
-            inbox_waker: RefCell::new(None),
+            pump: WakerSlot::default(),
             inbox_peak: Cell::new(0),
         });
         registry
@@ -166,9 +166,7 @@ impl Endpoint {
                     .inbox_peak
                     .set(inner.inbox_peak.get().max(inbox.len()));
                 drop(inbox);
-                if let Some(w) = inner.inbox_waker.borrow_mut().take() {
-                    w.wake();
-                }
+                inner.pump.wake();
             }
         });
         ep.spawn_pump();
@@ -212,6 +210,37 @@ impl Endpoint {
             .services
             .borrow_mut()
             .insert(method, (label, Rc::new(f)));
+    }
+
+    /// Registers a typed service, the shape of every protocol handler: a
+    /// request that does not decode as `Req` is dropped (the caller times
+    /// out); otherwise `handler` runs *at delivery* up to the future it
+    /// returns — whatever must happen in arrival order, such as taking a
+    /// FIFO ticket, goes in that synchronous prefix — and the future runs
+    /// in a fresh coroutine labelled `label`, replying iff it resolves to
+    /// `Some`.
+    pub fn serve<Req, Resp, Fut>(
+        &self,
+        method: Method,
+        label: &'static str,
+        handler: impl Fn(NodeId, Req) -> Fut + 'static,
+    ) where
+        Req: WireRead,
+        Resp: WireWrite,
+        Fut: Future<Output = Option<Resp>> + 'static,
+    {
+        let rt = self.inner.rt.clone();
+        self.register(method, label, move |from, payload, responder| {
+            let Some(req) = Req::from_bytes(&payload) else {
+                return;
+            };
+            let work = handler(from, req);
+            Coroutine::create(&rt, label, async move {
+                if let Some(resp) = work.await {
+                    responder.reply_t(&resp);
+                }
+            });
+        });
     }
 
     /// Returns a proxy for calling `peer`.
@@ -309,9 +338,13 @@ impl Endpoint {
         let ep = self.clone();
         Coroutine::create(&self.inner.rt, "rpc:pump", async move {
             loop {
-                let msg = InboxPop {
-                    inner: ep.inner.clone(),
-                }
+                let msg = poll_fn(|cx| match ep.inner.inbox.borrow_mut().pop_front() {
+                    Some(m) => Poll::Ready(m),
+                    None => {
+                        ep.inner.pump.park(cx);
+                        Poll::Pending
+                    }
+                })
                 .await;
                 if ep
                     .inner
@@ -402,22 +435,6 @@ impl Responder {
     }
 }
 
-struct InboxPop {
-    inner: Rc<EndpointInner>,
-}
-
-impl Future for InboxPop {
-    type Output = simkit::world::NetMessage;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if let Some(m) = self.inner.inbox.borrow_mut().pop_front() {
-            return Poll::Ready(m);
-        }
-        *self.inner.inbox_waker.borrow_mut() = Some(cx.waker().clone());
-        Poll::Pending
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,6 +505,76 @@ mod tests {
                 parent_span: sent_span.get(),
             })
         );
+    }
+
+    /// A typed service on node 1: doubles even numbers after `10 - n` ms
+    /// (so completions invert arrival order), resolves to `None` on odd
+    /// ones, and logs each request in its synchronous prefix.
+    fn serve_doubler(ep: &Endpoint) -> Rc<RefCell<Vec<u64>>> {
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let (s, rt) = (seen.clone(), ep.runtime().clone());
+        ep.serve(90, "svc:typed", move |_from, n: u64| {
+            s.borrow_mut().push(n);
+            let rt = rt.clone();
+            async move {
+                rt.sleep(Duration::from_millis(10 - n)).await;
+                n.is_multiple_of(2).then_some(n * 2)
+            }
+        });
+        seen
+    }
+
+    #[test]
+    fn serve_drops_a_malformed_request_before_any_coroutine() {
+        let (sim, _world, eps) = cluster(2);
+        let seen = serve_doubler(&eps[1]);
+        let tasks = |payload: Bytes| {
+            let before = sim.tasks_spawned();
+            let ev = eps[0].proxy(NodeId(1)).call(90, "typed", payload);
+            let out = sim
+                .block_on(async move { ev.handle().wait_timeout(Duration::from_millis(50)).await });
+            (out, sim.tasks_spawned() - before)
+        };
+        tasks(4u64.to_bytes()); // Opens both connections (a sender task each).
+        let (ok, served) = tasks(4u64.to_bytes());
+        let (bad, dropped) = tasks(Bytes::from_static(b"not a u64"));
+        assert!(ok.is_ready());
+        assert!(
+            bad.is_timeout(),
+            "no reply to a request that does not decode"
+        );
+        assert_eq!(*seen.borrow(), vec![4, 4], "the handler never saw it");
+        assert_eq!(served - dropped, 1, "and no handler coroutine was spawned");
+    }
+
+    #[test]
+    fn serve_sends_no_reply_when_the_handler_resolves_to_none() {
+        let (sim, _world, eps) = cluster(2);
+        let seen = serve_doubler(&eps[1]);
+        let ev = eps[0].proxy(NodeId(1)).call_t(90, "typed", &3u64);
+        let out =
+            sim.block_on(async move { ev.handle().wait_timeout(Duration::from_millis(50)).await });
+        assert!(out.is_timeout());
+        assert_eq!(*seen.borrow(), vec![3], "the handler ran");
+    }
+
+    #[test]
+    fn serve_runs_the_synchronous_prefix_in_delivery_order() {
+        let (sim, _world, eps) = cluster(2);
+        let seen = serve_doubler(&eps[1]);
+        let order = Rc::new(RefCell::new(Vec::new()));
+        for n in [0u64, 2, 4, 6] {
+            let ev = eps[0].proxy(NodeId(1)).call_t(90, "typed", &n);
+            let (o, ev2) = (order.clone(), ev.clone());
+            ev.handle().on_fire(move |_| {
+                let reply = ev2.take().and_then(|b| u64::from_bytes(&b));
+                o.borrow_mut().push(reply);
+            });
+        }
+        sim.run();
+        assert_eq!(*seen.borrow(), vec![0, 2, 4, 6], "prefixes: arrival order");
+        let replies = [Some(12), Some(8), Some(4), Some(0)];
+        assert_eq!(*order.borrow(), replies, "futures: their own pace");
     }
 
     #[test]

@@ -13,13 +13,57 @@
 //!   pluggable [`BufferPolicy`]: `Unbounded` buffers
 //!   reproduce the RethinkDB backlog/OOM root cause, bounded buffers are
 //!   what DepFast systems use;
-//! * [`endpoint`] — per-node servers dispatching requests into coroutines
-//!   and routing replies back to [`RpcEvent`]s;
+//! * [`endpoint`] — per-node servers: [`Endpoint::serve`] decodes a typed
+//!   request, runs its handler in a coroutine and replies; replies route
+//!   back to [`RpcEvent`]s;
 //! * [`proxy`] — the caller side: `proxy.call(...)` returns an event, the
-//!   paper's `rpc_proxy.AppendEntries(entries)` shape;
-//! * [`broadcast`](mod@broadcast) — quorum-aware broadcast returning a
+//!   paper's `rpc_proxy.AppendEntries(entries)` shape, and
+//!   [`Proxy::call_classified`] one that fires with the protocol's verdict
+//!   on the reply;
+//! * [`broadcast`](mod@broadcast) — the quorum call: one classified
+//!   request per peer, every verdict added to a
 //!   [`QuorumEvent`](depfast::QuorumEvent), with optional discard of
 //!   still-queued sends once the quorum is satisfied.
+//!
+//! # The quorum call
+//!
+//! §3.1's shape — broadcast, add each reply to a `QuorumEvent`, wait once —
+//! is one call and one wait. This is the round DepFastRaft's leadership
+//! confirmation, PreVote and election and the 2PC coordinator's commit
+//! phase all run (they differ in request, judge and threshold):
+//!
+//! ```
+//! use depfast::event::{QuorumEvent, QuorumMode, WaitResult};
+//! use depfast::runtime::Runtime;
+//! use depfast_rpc::endpoint::Registry;
+//! use depfast_rpc::{broadcast, Endpoint, RpcCfg};
+//! use simkit::{NodeId, Sim, World, WorldCfg};
+//!
+//! const VOTE: u32 = 1;
+//! let sim = Sim::new(1);
+//! let world = World::new(sim.clone(), WorldCfg { nodes: 3, ..WorldCfg::default() });
+//! let (registry, tracer) = (Registry::new(), depfast::Tracer::new());
+//! let eps: Vec<Endpoint> = (0..3)
+//!     .map(|i| {
+//!         let rt = Runtime::with_tracer(sim.clone(), NodeId(i), tracer.clone());
+//!         Endpoint::new(&rt, &world, &registry, RpcCfg::default())
+//!     })
+//!     .collect();
+//! // Every node grants a vote for an even term.
+//! for ep in &eps {
+//!     ep.serve(VOTE, "svc:vote", |_from, term: u64| async move { Some(term.is_multiple_of(2)) });
+//! }
+//! // Node 2 is fail-slow beyond anyone's patience; the round does not care.
+//! world.crash(NodeId(2));
+//!
+//! // The candidate's own vote plus one peer's is a majority of three.
+//! let granted = QuorumEvent::labeled(eps[0].runtime(), QuorumMode::Count(2), "election_ok");
+//! let peers = [NodeId(1), NodeId(2)].map(|peer| (peer, VOTE, 4u64));
+//! let judge = |reply: Option<bool>| reply == Some(true);
+//! broadcast(&eps[0], &granted, Some("self_vote"), "request_vote", peers, judge, true);
+//! let outcome = sim.block_on(async move { granted.wait().await });
+//! assert_eq!(outcome, WaitResult::Ready);
+//! ```
 
 pub mod broadcast;
 pub mod conn;
@@ -27,10 +71,10 @@ pub mod endpoint;
 pub mod proxy;
 pub mod wire;
 
-pub use broadcast::{broadcast, BroadcastHandle};
+pub use broadcast::broadcast;
 pub use conn::{BufferPolicy, OnFull};
 pub use endpoint::{Endpoint, Responder, RpcCfg};
-pub use proxy::{Proxy, RpcEvent};
+pub use proxy::{classified_reply, inverse, Proxy, RpcEvent};
 pub use wire::{WireRead, WireWrite};
 
 /// RPC method identifier. Applications define their own constants.

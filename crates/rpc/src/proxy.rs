@@ -11,14 +11,20 @@
 //! *singular* waiting point (a red SPG edge), which is why logic code
 //! should hand these events to a [`QuorumEvent`](depfast::QuorumEvent)
 //! (see [`crate::broadcast::broadcast`]) instead of waiting on them one by one.
+//!
+//! A quorum counts *protocol* outcomes, not reply arrivals: a vote
+//! refused, an append rejected and a request the transport dropped are all
+//! "no". [`Proxy::call_classified`] is the typed call whose result is
+//! that verdict — the reply-side twin of [`Proxy::call_t`].
 
 use bytes::Bytes;
+use depfast::event::{EventHandle, Signal, Watchable};
 use depfast::TypedEvent;
 use simkit::NodeId;
 
 use crate::conn::CancelToken;
 use crate::endpoint::Endpoint;
-use crate::wire::WireWrite;
+use crate::wire::{WireRead, WireWrite};
 use crate::Method;
 
 /// The reply event of an outstanding RPC. Fires `Ok` with the reply
@@ -52,19 +58,6 @@ impl Proxy {
         self.ep.call_raw(self.peer, method, label, payload, None)
     }
 
-    /// Like [`Proxy::call`] but the request can be discarded while still
-    /// queued if `cancel` fires — the hook quorum-aware broadcast uses.
-    pub fn call_cancellable(
-        &self,
-        method: Method,
-        label: &'static str,
-        payload: Bytes,
-        cancel: CancelToken,
-    ) -> RpcEvent {
-        self.ep
-            .call_raw(self.peer, method, label, payload, Some(cancel))
-    }
-
     /// Typed convenience over [`Proxy::call`].
     pub fn call_t<Req: WireWrite>(
         &self,
@@ -74,4 +67,77 @@ impl Proxy {
     ) -> RpcEvent {
         self.call(method, label, req.to_bytes())
     }
+
+    /// Typed call whose reply is classified: the returned event fires `Ok`
+    /// iff `judge` accepts the decoded reply (see [`classified_reply`]).
+    /// With a `cancel` token the request can be discarded while queued.
+    pub fn call_classified<Req: WireWrite, Resp: WireRead + 'static>(
+        &self,
+        method: Method,
+        label: &'static str,
+        req: &Req,
+        cancel: Option<CancelToken>,
+        judge: impl FnOnce(Option<Resp>) -> bool + 'static,
+    ) -> EventHandle {
+        let ev = self
+            .ep
+            .call_raw(self.peer, method, label, req.to_bytes(), cancel);
+        classified_reply(&ev, judge)
+    }
+
+    /// An unfired event with the identity of a classified reply from this
+    /// peer, for a round that must hand its quorum the child *before* the
+    /// call can be issued (the send may first read cold entries): the
+    /// caller fires it with the verdict of the eventual
+    /// [`Proxy::call_classified`], or `Err` if the call is never made.
+    pub fn pending_reply(&self, label: &'static str) -> EventHandle {
+        let kind = depfast::EventKind::Rpc { target: self.peer };
+        EventHandle::with_sampling(self.ep.runtime(), kind, label, false)
+    }
+}
+
+/// An unfired twin of `of`: same runtime, kind and label, outside RPC
+/// latency sampling (the completion it derives from is already counted).
+fn derived(of: &EventHandle) -> EventHandle {
+    EventHandle::with_sampling(of.runtime(), of.kind(), of.label(), false)
+}
+
+/// Creates a classified view over an RPC reply: an event with the call's
+/// RPC identity (for the SPG) that fires `Ok`/`Err` according to `judge`,
+/// letting a [`QuorumEvent`](depfast::QuorumEvent) count protocol-level
+/// outcomes rather than mere reply arrival. `judge` sees `None` when the
+/// framework dropped the request or the reply does not decode.
+pub fn classified_reply<R: WireRead + 'static>(
+    ev: &RpcEvent,
+    judge: impl FnOnce(Option<R>) -> bool + 'static,
+) -> EventHandle {
+    let verdict = derived(ev.handle());
+    let (v, ev2) = (verdict.clone(), ev.clone());
+    ev.handle().on_fire(move |s| {
+        let decoded = match s {
+            Signal::Ok => ev2.take().and_then(|b| R::from_bytes(&b)),
+            Signal::Err => None,
+        };
+        v.fire(if judge(decoded) {
+            Signal::Ok
+        } else {
+            Signal::Err
+        });
+    });
+    verdict
+}
+
+/// The inverse of a classified vote: fires `Ok` when `vote` fires `Err`
+/// and the reverse. A "rejected by minority-plus-one" or "any participant
+/// aborted" quorum counts these.
+pub fn inverse(vote: &EventHandle) -> EventHandle {
+    let inv = derived(vote);
+    let i = inv.clone();
+    vote.on_fire(move |s| {
+        i.fire(match s {
+            Signal::Ok => Signal::Err,
+            Signal::Err => Signal::Ok,
+        })
+    });
+    inv
 }

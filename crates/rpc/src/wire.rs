@@ -75,6 +75,17 @@ wire_uint!(u16, put_u16_le, get_u16_le, 2);
 wire_uint!(u32, put_u32_le, get_u32_le, 4);
 wire_uint!(u64, put_u64_le, get_u64_le, 8);
 
+/// The empty message: a request that is only its method id.
+impl WireWrite for () {
+    fn write(&self, _buf: &mut BytesMut) {}
+}
+
+impl WireRead for () {
+    fn read(_buf: &mut Bytes) -> Option<Self> {
+        Some(())
+    }
+}
+
 impl WireWrite for bool {
     fn write(&self, buf: &mut BytesMut) {
         buf.put_u8(*self as u8);

@@ -21,7 +21,7 @@
 //! top, and the resource models in this crate stand in for the I/O helper
 //! threads by completing simulated I/O after a modelled delay.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
@@ -315,18 +315,15 @@ impl Sim {
     /// during the next executor iteration; spawning never polls inline,
     /// which keeps re-entrancy away from callers holding borrows.
     pub fn spawn<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> JoinHandle<T> {
-        let slot: Rc<RefCell<JoinSlot<T>>> = Rc::new(RefCell::new(JoinSlot {
-            value: None,
-            waker: None,
-        }));
+        let slot: Rc<JoinSlot<T>> = Rc::new(JoinSlot {
+            value: RefCell::new(None),
+            joiner: WakerSlot::default(),
+        });
         let slot2 = slot.clone();
         self.spawn_detached(Box::pin(async move {
             let value = fut.await;
-            let mut s = slot2.borrow_mut();
-            s.value = Some(value);
-            if let Some(w) = s.waker.take() {
-                w.wake();
-            }
+            *slot2.value.borrow_mut() = Some(value);
+            slot2.joiner.wake();
         }));
         JoinHandle { slot }
     }
@@ -533,27 +530,75 @@ impl Sim {
     }
 }
 
+/// Where the one task that waits on a queue parks — the whole of a
+/// *queue wait*. The consumer's poll reads the queue's state and, finding
+/// nothing to take, [`park`](WakerSlot::park)s; every producer
+/// [`wake`](WakerSlot::wake)s after changing that state. The future
+/// itself is a [`std::future::poll_fn`] over the queue:
+///
+/// ```
+/// use std::cell::RefCell;
+/// use std::collections::VecDeque;
+/// use std::rc::Rc;
+/// use std::task::Poll;
+///
+/// use simkit::{Sim, WakerSlot};
+///
+/// let sim = Sim::new(0);
+/// let queue = Rc::new((RefCell::new(VecDeque::new()), WakerSlot::default()));
+/// let q = queue.clone();
+/// let popped = sim.spawn(std::future::poll_fn(move |cx| match q.0.borrow_mut().pop_front() {
+///     Some(item) => Poll::Ready(item),
+///     None => {
+///         q.1.park(cx);
+///         Poll::Pending
+///     }
+/// }));
+/// sim.run();
+/// queue.0.borrow_mut().push_back(7);
+/// queue.1.wake();
+/// assert_eq!(sim.run_until(popped), 7);
+/// ```
+///
+/// These waits are not events: nothing is traced, which is what keeps the
+/// framework's own plumbing (connection pumps, the WAL flusher, proposal
+/// intake) out of the traces of the protocols built on it.
+#[derive(Default)]
+pub struct WakerSlot(Cell<Option<Waker>>);
+
+impl WakerSlot {
+    /// Parks the polling task here until the next [`wake`](Self::wake),
+    /// replacing whoever was parked before (a queue has one consumer; its
+    /// re-polls re-park it).
+    pub fn park(&self, cx: &Context<'_>) {
+        self.0.set(Some(cx.waker().clone()));
+    }
+
+    /// Wakes the parked task, if there is one. With nobody parked the wake
+    /// is dropped: the consumer's next poll reads the queue, not the wake.
+    pub fn wake(&self) {
+        if let Some(w) = self.0.take() {
+            w.wake();
+        }
+    }
+}
+
 struct JoinSlot<T> {
-    value: Option<T>,
-    waker: Option<Waker>,
+    value: RefCell<Option<T>>,
+    joiner: WakerSlot,
 }
 
 /// Handle to a spawned task's eventual output.
 ///
 /// Await it inside the simulation, or use [`Sim::run_until`] from outside.
 pub struct JoinHandle<T> {
-    slot: Rc<RefCell<JoinSlot<T>>>,
+    slot: Rc<JoinSlot<T>>,
 }
 
 impl<T> JoinHandle<T> {
     /// Takes the output if the task has finished.
     pub fn try_take(&self) -> Option<T> {
-        self.slot.borrow_mut().value.take()
-    }
-
-    /// Returns `true` if the task has finished (output still available).
-    pub fn is_finished(&self) -> bool {
-        self.slot.borrow().value.is_some()
+        self.slot.value.borrow_mut().take()
     }
 }
 
@@ -561,11 +606,10 @@ impl<T> Future for JoinHandle<T> {
     type Output = T;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        let mut slot = self.slot.borrow_mut();
-        if let Some(v) = slot.value.take() {
+        if let Some(v) = self.slot.value.borrow_mut().take() {
             Poll::Ready(v)
         } else {
-            slot.waker = Some(cx.waker().clone());
+            self.slot.joiner.park(cx);
             Poll::Pending
         }
     }
@@ -782,6 +826,49 @@ mod tests {
         // Nothing was left to advance the clock or to wake the task.
         assert_eq!(sim.now(), SimTime::from_millis(1));
         assert_eq!(sim.polls(), 2);
+    }
+
+    #[test]
+    fn a_push_wakes_exactly_one_parked_poll() {
+        let sim = Sim::new(1);
+        let queue = Rc::new((RefCell::new(VecDeque::new()), WakerSlot::default()));
+        let push = |item: u32| {
+            queue.0.borrow_mut().push_back(item);
+            queue.1.wake();
+        };
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let (q, g) = (queue.clone(), got.clone());
+        sim.spawn(async move {
+            loop {
+                let item = std::future::poll_fn(|cx| match q.0.borrow_mut().pop_front() {
+                    Some(item) => Poll::Ready(item),
+                    None => {
+                        q.1.park(cx);
+                        Poll::Pending
+                    }
+                })
+                .await;
+                g.borrow_mut().push(item);
+            }
+        });
+        sim.run();
+        let parked = sim.polls();
+        // One push: one wake, one poll — which takes the item and, finding
+        // the queue empty again, parks in the same poll.
+        push(1);
+        sim.run();
+        assert_eq!((sim.polls() - parked, got.borrow().len()), (1, 1));
+        // Two pushes before the consumer runs: the second finds nobody
+        // parked, so there is still one wake and one poll for both items.
+        push(2);
+        push(3);
+        sim.run();
+        assert_eq!((sim.polls() - parked, got.borrow().len()), (2, 3));
+        // A wake with nothing pushed is a poll that parks again.
+        queue.1.wake();
+        queue.1.wake();
+        sim.run();
+        assert_eq!((sim.polls() - parked, got.borrow().len()), (3, 3));
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod world;
 
 pub use cpu::CpuCfg;
 pub use disk::DiskCfg;
-pub use executor::{JoinHandle, Sim, Sleep, TimerId};
+pub use executor::{JoinHandle, Sim, Sleep, TimerId, WakerSlot};
 pub use memory::MemCfg;
 pub use net::NetCfg;
 pub use time::SimTime;

@@ -6,17 +6,16 @@
 //! emergent: the slower the disk, the bigger the batches.
 
 use std::cell::RefCell;
-use std::future::Future;
-use std::pin::Pin;
+use std::future::poll_fn;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::Poll;
 
 use depfast::event::EventKind;
 use depfast::runtime::{Coroutine, Runtime};
 use depfast::TypedEvent;
 use depfast_metrics::HistogramHandle;
 use simkit::disk::DiskOp;
-use simkit::{NodeId, World};
+use simkit::{NodeId, WakerSlot, World};
 
 /// Completion event of a durable append. Fires `Ok(())` once the batch
 /// containing the append has been fsynced; fires `Err` if the node crashed
@@ -40,7 +39,8 @@ impl Default for WalCfg {
 
 struct WalInner {
     pending: Vec<(u64, IoEvent)>,
-    waker: Option<Waker>,
+    /// Where the flusher parks while nothing is pending.
+    flusher: WakerSlot,
     appended: u64,
     synced_batches: u64,
     synced_bytes: u64,
@@ -75,7 +75,7 @@ impl Wal {
             batch_bytes: scope.histogram("wal.batch_bytes"),
             inner: Rc::new(RefCell::new(WalInner {
                 pending: Vec::new(),
-                waker: None,
+                flusher: WakerSlot::default(),
                 appended: 0,
                 synced_batches: 0,
                 synced_bytes: 0,
@@ -99,9 +99,7 @@ impl Wal {
         inner
             .pending
             .push((bytes + self.cfg.record_overhead, event.clone()));
-        if let Some(w) = inner.waker.take() {
-            w.wake();
-        }
+        inner.flusher.wake();
         event
     }
 
@@ -124,9 +122,18 @@ impl Wal {
         let wal = self.clone();
         Coroutine::create(&self.rt, "wal:flusher", async move {
             loop {
-                let batch = PendingBatch {
-                    inner: wal.inner.clone(),
-                }
+                // The next batch of pending appends (`None` once stopped).
+                let batch = poll_fn(|cx| {
+                    let mut inner = wal.inner.borrow_mut();
+                    if inner.stopped {
+                        return Poll::Ready(None);
+                    }
+                    if !inner.pending.is_empty() {
+                        return Poll::Ready(Some(std::mem::take(&mut inner.pending)));
+                    }
+                    inner.flusher.park(cx);
+                    Poll::Pending
+                })
                 .await;
                 let Some(batch) = batch else { break };
                 let total: u64 = batch.iter().map(|(b, _)| *b).sum();
@@ -165,27 +172,6 @@ impl Wal {
                 }
             }
         });
-    }
-}
-
-/// Resolves to the next batch of pending appends (`None` once stopped).
-struct PendingBatch {
-    inner: Rc<RefCell<WalInner>>,
-}
-
-impl Future for PendingBatch {
-    type Output = Option<Vec<(u64, IoEvent)>>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut inner = self.inner.borrow_mut();
-        if inner.stopped {
-            return Poll::Ready(None);
-        }
-        if !inner.pending.is_empty() {
-            return Poll::Ready(Some(std::mem::take(&mut inner.pending)));
-        }
-        inner.waker = Some(cx.waker().clone());
-        Poll::Pending
     }
 }
 

@@ -2,19 +2,20 @@
 //!
 //! Phase 1 waits on `OrEvent(AndEvent(per-shard prepared…), any_abort)`
 //! with a timeout — the §3.2 fast-path/slow-path pattern applied to
-//! transaction commit. Phase 2 fires commits (or aborts) to every
-//! participant and waits for all of them under a single compound event.
+//! transaction commit. Phase 2 [`broadcast()`]s the commit to every
+//! participant and waits for all of them under a single quorum event (or
+//! fires aborts and waits for nothing).
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use depfast::event::{AndEvent, OrEvent, QuorumEvent, QuorumMode, Signal, Watchable};
+use depfast::event::{AndEvent, OrEvent, QuorumEvent, QuorumMode};
 use depfast::runtime::Runtime;
 use depfast_kv::ShardMap;
-use depfast_rpc::wire::WireRead;
-use depfast_rpc::{group_method, Endpoint};
+use depfast_rpc::{broadcast, group_method, inverse, Endpoint, Method};
 use simkit::NodeId;
 
 use crate::command::{TxnCmd, TxnVote, TxnWrite, TXN_EXEC};
@@ -32,6 +33,10 @@ pub enum TxnError {
     Conflict,
     /// Prepares did not resolve in time; the transaction aborted.
     Timeout,
+    /// A participant was not its shard's leader; the transaction aborted
+    /// and the coordinator will ask another member of that shard next
+    /// time. Retry.
+    NotLeader,
 }
 
 impl std::fmt::Display for TxnError {
@@ -39,6 +44,7 @@ impl std::fmt::Display for TxnError {
         match self {
             TxnError::Conflict => write!(f, "transaction aborted: lock conflict"),
             TxnError::Timeout => write!(f, "transaction aborted: prepare timeout"),
+            TxnError::NotLeader => write!(f, "transaction aborted: shard leader moved, retry"),
         }
     }
 }
@@ -50,7 +56,8 @@ pub struct TxnClient {
     rt: Runtime,
     ep: Endpoint,
     shards: Vec<Vec<NodeId>>,
-    leaders: RefCell<HashMap<usize, NodeId>>,
+    /// Per shard, which of `shards[shard]` is believed to lead it.
+    leaders: Rc<Vec<Cell<usize>>>,
     client_id: u64,
     seq: Cell<u64>,
     /// Phase-1 deadline.
@@ -63,30 +70,41 @@ impl TxnClient {
         TxnClient {
             rt,
             ep,
+            leaders: Rc::new(shards.iter().map(|_| Cell::new(0)).collect()),
             shards,
-            leaders: RefCell::new(HashMap::new()),
             client_id,
             seq: Cell::new(0),
             prepare_timeout: Duration::from_millis(1000),
         }
     }
 
-    fn leader_of(&self, shard: usize) -> NodeId {
-        self.leaders
-            .borrow()
-            .get(&shard)
-            .copied()
-            .unwrap_or(self.shards[shard][0])
+    /// Where `shard`'s commands go: its believed leader, under the method
+    /// id of Raft group `shard + 1` (the ShardedCluster convention).
+    fn route(&self, shard: usize) -> (NodeId, Method) {
+        let leader = self.shards[shard][self.leaders[shard].get()];
+        (leader, group_method(TXN_EXEC, shard as u32 + 1))
     }
 
-    fn exec(&self, shard: usize, cmd: &TxnCmd, label: &'static str) -> depfast_rpc::RpcEvent {
-        // Shard `i` is served by Raft group `i + 1` (the ShardedCluster
-        // convention), so the call rides the group-namespaced method id.
-        self.ep.proxy(self.leader_of(shard)).call_t(
-            group_method(TXN_EXEC, shard as u32 + 1),
-            label,
-            cmd,
-        )
+    /// The judge of `shard`'s prepare vote: `Yes` counts. `NotLeader`
+    /// marks the attempt `redirected` and moves the shard's believed
+    /// leader on to its next member — once per refusal: a reply from a
+    /// member already left behind moves nothing.
+    fn prepare_judge(
+        &self,
+        shard: usize,
+        redirected: &Rc<Cell<bool>>,
+    ) -> impl Fn(Option<TxnVote>) -> bool {
+        let (leaders, redirected) = (self.leaders.clone(), redirected.clone());
+        let (asked, members) = (leaders[shard].get(), self.shards[shard].len());
+        move |vote| {
+            if vote == Some(TxnVote::NotLeader) {
+                redirected.set(true);
+                if leaders[shard].get() == asked {
+                    leaders[shard].set((asked + 1) % members);
+                }
+            }
+            vote == Some(TxnVote::Yes)
+        }
     }
 
     /// Runs one write transaction across however many shards its keys
@@ -111,54 +129,31 @@ impl TxnClient {
 
         // ---- Phase 1: prepare everywhere. --------------------------------
         // all_prepared = AndEvent over per-shard classified votes;
-        // any_abort   = QuorumEvent(count=1) over per-shard "voted no".
+        // any_abort   = QuorumEvent(count=1) over their inverses.
         let all_prepared = AndEvent::labeled(&self.rt, "txn_all_prepared");
         let any_abort = QuorumEvent::labeled(&self.rt, QuorumMode::Count(1), "txn_any_abort");
+        let redirected = Rc::new(Cell::new(false));
         for (&shard, writes) in &by_shard {
             let cmd = TxnCmd::Prepare {
                 txn,
                 writes: writes.clone(),
             };
-            let ev = self.exec(shard, &cmd, "txn_prepare");
-            let target = self.leader_of(shard);
-            let yes = depfast::EventHandle::with_sampling(
-                &self.rt,
-                depfast::EventKind::Rpc { target },
+            let (leader, method) = self.route(shard);
+            let yes = self.ep.proxy(leader).call_classified(
+                method,
                 "txn_prepare",
-                false,
+                &cmd,
+                None,
+                self.prepare_judge(shard, &redirected),
             );
-            let no = depfast::EventHandle::with_sampling(
-                &self.rt,
-                depfast::EventKind::Rpc { target },
-                "txn_prepare",
-                false,
-            );
-            let (y2, n2) = (yes.clone(), no.clone());
-            let ev2 = ev.clone();
-            ev.handle().on_fire(move |s| {
-                let vote = if s == Signal::Ok {
-                    ev2.take().and_then(|b| TxnVote::from_bytes(&b))
-                } else {
-                    None
-                };
-                match vote {
-                    Some(TxnVote::Yes) => {
-                        y2.fire(Signal::Ok);
-                        n2.fire(Signal::Err);
-                    }
-                    _ => {
-                        y2.fire(Signal::Err);
-                        n2.fire(Signal::Ok);
-                    }
-                }
-            });
             all_prepared.add(&yes);
-            any_abort.add(&no);
+            any_abort.add(&inverse(&yes));
         }
+        all_prepared.seal();
         let outcome = OrEvent::labeled(&self.rt, "txn_phase1");
         outcome.add(&all_prepared);
         outcome.add(&any_abort);
-        outcome.handle().wait_timeout(self.prepare_timeout).await;
+        outcome.wait_timeout(self.prepare_timeout).await;
 
         // ---- Phase 2: commit or abort everywhere. ------------------------
         if all_prepared.ready() {
@@ -167,18 +162,33 @@ impl TxnClient {
                 QuorumMode::Count(participants.len()),
                 "txn_commit",
             );
-            for &shard in &participants {
-                let ev = self.exec(shard, &TxnCmd::Commit { txn }, "txn_commit");
-                done.add(ev.handle());
-            }
+            let commits = participants.iter().map(|&shard| {
+                let (leader, method) = self.route(shard);
+                (leader, method, TxnCmd::Commit { txn })
+            });
+            let committed = |vote: Option<TxnVote>| vote == Some(TxnVote::Yes);
+            broadcast(
+                &self.ep,
+                &done,
+                None,
+                "txn_commit",
+                commits,
+                committed,
+                false,
+            );
             done.wait_timeout(Duration::from_secs(5)).await;
             Ok(true)
         } else {
             for &shard in &participants {
                 // Fire-and-forget aborts; shards also GC via replay safety.
-                self.exec(shard, &TxnCmd::Abort { txn }, "txn_abort");
+                let (leader, method) = self.route(shard);
+                self.ep
+                    .proxy(leader)
+                    .call_t(method, "txn_abort", &TxnCmd::Abort { txn });
             }
-            if any_abort.ready() {
+            if redirected.get() {
+                Err(TxnError::NotLeader)
+            } else if any_abort.ready() {
                 Err(TxnError::Conflict)
             } else {
                 Err(TxnError::Timeout)
@@ -310,6 +320,29 @@ mod tests {
         let out =
             sim.block_on(async move { cl2.clients[0].transact(vec![(b("k"), b("v"))]).await });
         assert_eq!(out, Ok(true));
+    }
+
+    #[test]
+    fn a_moved_shard_leader_is_followed_not_read_as_a_conflict() {
+        let (sim, _w, cl) = setup(1, 1);
+        // Leadership of the only shard leaves member 0.
+        depfast_raft::depfast_driver::DepFastRaft::force_campaign(cl.servers[0][1].raft().core());
+        sim.run_until_time(sim.now() + Duration::from_secs(1));
+        assert!(cl.servers[0][1].raft().is_leader());
+        let cl2 = cl.clone();
+        let results = sim.block_on(async move {
+            let mut results = Vec::new();
+            for i in 0..5 {
+                let writes = vec![(b(&format!("k{i}")), b("v"))];
+                results.push(cl2.clients[0].transact(writes).await);
+            }
+            results
+        });
+        // The first attempt learns that member 0 no longer leads — a
+        // retryable error, not a lock conflict — and every later one goes
+        // to the member that does.
+        assert_eq!(results[0], Err(TxnError::NotLeader), "{results:?}");
+        assert_eq!(results[1..], [Ok(true); 4], "{results:?}");
     }
 
     #[test]

@@ -58,27 +58,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// YCSB workload A (50/50 update/read).
-    pub fn ycsb_a() -> Self {
-        WorkloadSpec {
-            records: 500_000,
-            value_size: 1000,
-            update_prop: 0.5,
-            read_prop: 0.5,
-            insert_prop: 0.0,
-            dist: DistKind::Zipfian,
-        }
-    }
-
-    /// YCSB workload B (5/95 update/read).
-    pub fn ycsb_b() -> Self {
-        WorkloadSpec {
-            update_prop: 0.05,
-            read_prop: 0.95,
-            ..Self::ycsb_a()
-        }
-    }
-
     /// Scale the keyspace down (for fast tests).
     pub fn with_records(self, records: u64) -> Self {
         WorkloadSpec { records, ..self }
@@ -158,35 +137,6 @@ mod tests {
             assert!(key.starts_with(b"user"));
             assert_eq!(value.len(), 1000);
         }
-    }
-
-    #[test]
-    fn mixed_workload_respects_proportions() {
-        let mut g = OpGen::new(WorkloadSpec::ycsb_a().with_records(100), 2);
-        let mut updates = 0;
-        let mut reads = 0;
-        for _ in 0..2000 {
-            match g.next_op().0 {
-                OpKind::Update => updates += 1,
-                OpKind::Read => reads += 1,
-                OpKind::Insert => {}
-            }
-        }
-        let frac = updates as f64 / (updates + reads) as f64;
-        assert!((0.42..0.58).contains(&frac), "update frac {frac}");
-    }
-
-    #[test]
-    fn reads_have_empty_values() {
-        let mut g = OpGen::new(WorkloadSpec::ycsb_b().with_records(100), 3);
-        for _ in 0..100 {
-            let (kind, _, value) = g.next_op();
-            if kind == OpKind::Read {
-                assert!(value.is_empty());
-                return;
-            }
-        }
-        panic!("no read generated");
     }
 
     #[test]

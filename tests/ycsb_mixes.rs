@@ -53,7 +53,6 @@ fn all_letter_workloads_complete() {
         ("B", mixes::workload_b()),
         ("C", mixes::workload_c()),
         ("D", mixes::workload_d()),
-        ("F", mixes::workload_f()),
     ] {
         let stats = run(spec);
         assert!(stats.ops > 200, "workload {name}: only {} ops", stats.ops);
