@@ -21,7 +21,7 @@ use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 use depfast_rpc::broadcast::broadcast;
 use depfast_rpc::endpoint::{Endpoint, Registry, RpcCfg};
-use depfast_rpc::{BufferPolicy, OnFull, WireRead, WireWrite};
+use depfast_rpc::{BufferPolicy, WireRead, WireWrite};
 use simkit::{NodeId, Sim, World, WorldCfg};
 
 const ECHO: u32 = 1;
@@ -43,15 +43,7 @@ fn echo_cluster(n: usize, buffer: BufferPolicy) -> (Sim, World, Vec<Endpoint>) {
     let eps: Vec<Endpoint> = (0..n as u32)
         .map(|i| {
             let rt = Runtime::with_tracer(sim.clone(), NodeId(i), tracer.clone());
-            Endpoint::new(
-                &rt,
-                &world,
-                &registry,
-                RpcCfg {
-                    buffer,
-                    ..RpcCfg::default()
-                },
-            )
+            Endpoint::new(&rt, &world, &registry, RpcCfg { buffer })
         })
         .collect();
     for ep in &eps {
@@ -142,18 +134,12 @@ fn ablation_buffers() {
         ("Unbounded (legacy)", BufferPolicy::Unbounded, false),
         (
             "Bounded cap=4096",
-            BufferPolicy::Bounded {
-                cap: 4096,
-                on_full: OnFull::DropNewest,
-            },
+            BufferPolicy::Bounded { cap: 4096 },
             false,
         ),
         (
             "Bounded + quorum-discard (DepFast)",
-            BufferPolicy::Bounded {
-                cap: 4096,
-                on_full: OnFull::DropNewest,
-            },
+            BufferPolicy::Bounded { cap: 4096 },
             true,
         ),
     ];

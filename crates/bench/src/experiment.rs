@@ -13,7 +13,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use depfast_detect::{AmpSample, DetectorCfg, FailSlowDetector, StormCfg, StormMonitor};
+use depfast_detect::{AmpSample, DetectorCfg, FailSlowDetector, StormMonitor};
 use depfast_fault::{FaultKind, FaultLedger, FaultRecord};
 use depfast_incident::{score, IncidentDump, RECOVERY_BAND};
 use depfast_kv::{RetryPolicy, ShardedKvCluster};
@@ -254,11 +254,7 @@ impl Run {
             for client in &cluster.clients {
                 client.set_policy(policy);
             }
-            let cfg = StormCfg {
-                every: SAMPLE_EVERY,
-                ..StormCfg::default()
-            };
-            StormMonitor::new(&tracer, &ledger, cfg)
+            StormMonitor::new(&tracer, &ledger)
         });
         if ins.trace {
             tracer.set_record_full(true);
@@ -272,31 +268,6 @@ impl Run {
             metrics.clone(),
             SAMPLE_EVERY.as_nanos() as u64,
         )));
-        if ins.sampler || ins.detector.is_some() || monitor.is_some() {
-            // Virtual-clock sampling loop; rows align to the interval
-            // grid. The storm monitor ticks first, so each row carries
-            // its interval's offered/goodput/amplification gauges.
-            let (sampler, monitor, sim2) = (sampler.clone(), monitor.clone(), sim.clone());
-            sim.spawn(async move {
-                loop {
-                    sim2.sleep(SAMPLE_EVERY).await;
-                    if let Some(m) = &monitor {
-                        m.tick(sim2.now());
-                    }
-                    sampler.borrow_mut().sample_at(sim2.now().as_nanos());
-                }
-            });
-        }
-        let detector = ins
-            .detector
-            .map(|dcfg| FailSlowDetector::spawn(&sim, &tracer, dcfg));
-        if ins.leader_mitigation {
-            let ([group], Some(detector)) = (&cluster.raft.groups[..], &detector) else {
-                panic!("leader mitigation needs a single group and a detector");
-            };
-            let cores = group.servers.iter().map(|s| s.core().clone()).collect();
-            depfast_detect::spawn_leader_mitigation(&sim, detector, cores, Duration::from_secs(2));
-        }
         let inject = {
             let (sim, world, ledger) = (sim.clone(), world.clone(), ledger.clone());
             move |node: u32, kind, at, duration| {
@@ -311,29 +282,56 @@ impl Run {
                 )
             }
         };
+        let mut armed = self.plan.triggers.clone();
+        if ins.sampler || ins.detector.is_some() || monitor.is_some() || !armed.is_empty() {
+            // The run's one virtual-clock tick; rows align to the interval
+            // grid. A load trigger is checked on the row just taken and
+            // fires the first time that row's commit level reaches its
+            // threshold.
+            let (sampler, monitor, sim2) = (sampler.clone(), monitor.clone(), sim.clone());
+            let (inject, metrics) = (inject.clone(), metrics.clone());
+            sim.spawn(async move {
+                loop {
+                    sim2.sleep(SAMPLE_EVERY).await;
+                    if let Some(m) = &monitor {
+                        m.tick(sim2.now());
+                    }
+                    let mut sampler = sampler.borrow_mut();
+                    sampler.sample_at(sim2.now().as_nanos());
+                    if armed.is_empty() {
+                        continue;
+                    }
+                    let row = sampler.rows().last().expect("a row was just taken");
+                    let commits = Series::Commits.level(&row.values);
+                    let (due, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut armed)
+                        .into_iter()
+                        .partition(|t| commits >= t.commits as i128);
+                    armed = waiting;
+                    for t in due {
+                        for &node in &t.nodes {
+                            inject(node, t.kind, Duration::ZERO, Some(t.duration));
+                        }
+                        metrics.counter(Key::global("scenario.trigger.fired")).inc();
+                    }
+                }
+            });
+        }
+        let detector = ins
+            .detector
+            .map(|dcfg| FailSlowDetector::spawn(&sim, &tracer, dcfg));
+        if ins.leader_mitigation {
+            let ([group], Some(detector)) = (&cluster.raft.groups[..], &detector) else {
+                panic!("leader mitigation needs a single group and a detector");
+            };
+            let cores = group.servers.iter().map(|s| s.core().clone()).collect();
+            depfast_detect::spawn_leader_mitigation(&sim, detector, cores, Duration::from_secs(2));
+        }
         for w in &self.plan.windows {
             inject(w.node, w.kind, w.at, w.duration);
         }
         metrics
             .counter(Key::global("scenario.windows.armed"))
             .add(self.plan.windows.len() as u64);
-        for t in self.plan.triggers.iter().cloned() {
-            let (sim2, metrics2, inject) = (sim.clone(), metrics.clone(), inject.clone());
-            sim.spawn(async move {
-                loop {
-                    sim2.sleep(SAMPLE_EVERY).await;
-                    if Series::Commits.level(&metrics2.snapshot()) >= t.commits as i128 {
-                        for &node in &t.nodes {
-                            inject(node, t.kind, Duration::ZERO, Some(t.duration));
-                        }
-                        metrics2
-                            .counter(Key::global("scenario.trigger.fired"))
-                            .inc();
-                        break;
-                    }
-                }
-            });
-        }
         let spec = WorkloadSpec::update_heavy()
             .with_records(self.records)
             .with_value_size(self.value_size);
@@ -718,6 +716,33 @@ mod tests {
             four.stats.throughput,
             one.stats.throughput
         );
+    }
+
+    #[test]
+    fn a_plan_with_a_trigger_and_no_other_instrument_still_fires_it() {
+        let mut run = quick(RaftKind::DepFast);
+        run.plan.triggers = vec![depfast_scenario::Trigger {
+            commits: 500,
+            nodes: vec![1],
+            kind: FaultKind::CpuSlow { quota: 0.05 },
+            duration: Duration::from_millis(300),
+        }];
+        let r = run.execute();
+        let fired = r.metrics.counter(Key::global("scenario.trigger.fired"));
+        assert_eq!(fired.get(), 1, "fired once, not once per tick");
+        let [fault] = &r.faults[..] else {
+            panic!("one ledger record, got {:?}", r.faults);
+        };
+        assert_eq!(fault.node, NodeId(1));
+        // On the tick grid, at the first row whose commit level reached it.
+        let onset = fault.onset.as_nanos();
+        assert_eq!(onset % SAMPLE_EVERY.as_nanos() as u64, 0);
+        let level_at = |t| {
+            let row = r.sampler.rows().iter().find(|row| row.t_ns == t);
+            Series::Commits.level(&row.expect("a row per tick").values)
+        };
+        assert!(level_at(onset) >= 500);
+        assert!(level_at(onset - SAMPLE_EVERY.as_nanos() as u64) < 500);
     }
 
     /// Each old wrapper enabled exactly one instrument; the one harness

@@ -32,7 +32,6 @@ fn batched_cfg() -> Run {
     run.raft.batch_max = 64;
     run.raft.batch_window = Duration::from_millis(4);
     run.raft.pipeline_depth = 4;
-    run.raft.append_window = 8;
     run
 }
 

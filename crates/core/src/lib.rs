@@ -77,4 +77,6 @@ pub use event::{
 pub use runtime::{
     current_coro_label, current_phase, set_trace_ctx, trace_ctx, CoroId, Coroutine, Runtime,
 };
-pub use trace::{HealthEvent, SpanId, TraceCtx, TraceRecord, Tracer, WaitObservation, WaitProbe};
+pub use trace::{
+    Health, HealthEvent, SpanId, TraceCtx, TraceRecord, Tracer, WaitObservation, WaitProbe,
+};

@@ -233,10 +233,10 @@ pub struct HealthEvent {
     /// The *subject* node — the one suspected / quarantined / demoted —
     /// not the observer that recorded the transition.
     pub node: NodeId,
-    /// Reacting layer: `"detector"`, `"raft"`, `"mitigation"`.
+    /// Reacting layer: `"detector"`, `"raft"`, `"mitigation"`, `"storm"`.
     pub layer: &'static str,
     /// State transition, e.g. `"suspect"`, `"quarantine"`, `"probe"`,
-    /// `"resume"`, `"clear"`, `"confirm"`.
+    /// `"resume"`, `"clear"`, `"demote"`.
     pub transition: &'static str,
     /// Free-form supporting evidence (deterministically formatted).
     pub evidence: String,
@@ -246,6 +246,28 @@ pub struct HealthEvent {
     /// watches a node's RPC latencies regardless of which co-located
     /// group produced them — and for legacy single-group runs.
     pub group: Option<u32>,
+}
+
+/// What a reacting layer's law decided — the transition and why — before
+/// its shell adds when, about whom and on whose behalf
+/// ([`Tracer::record_health`]). The pure laws (`raft::flow::Flow`, the
+/// detector's and the storm monitor's) return this; only shells record.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Health {
+    /// State transition ([`HealthEvent::transition`]).
+    pub transition: &'static str,
+    /// Supporting evidence ([`HealthEvent::evidence`]).
+    pub evidence: String,
+}
+
+impl Health {
+    /// `transition`, because of `evidence`.
+    pub fn new(transition: &'static str, evidence: String) -> Self {
+        Health {
+            transition,
+            evidence,
+        }
+    }
 }
 
 /// Cap on buffered health events; a run that floods past it is itself an
@@ -431,14 +453,30 @@ impl Tracer {
         self.inner.borrow().records.len()
     }
 
-    /// Records one health-state transition. Always on (no gating flag):
-    /// reacting layers call this only when something is actually wrong,
-    /// so a healthy run's buffer stays empty — which the incident layer's
-    /// false-positive tests rely on.
-    pub fn record_health(&self, event: HealthEvent) {
+    /// Records one health-state transition — the one way to say one: at
+    /// `t`, `layer` decided `health` about the subject `node`, on behalf
+    /// of `group` (see [`HealthEvent`] for each part). Always on (no
+    /// gating flag): reacting layers call this only when something is
+    /// actually wrong, so a healthy run's buffer stays empty — which the
+    /// incident layer's false-positive tests rely on.
+    pub fn record_health(
+        &self,
+        t: SimTime,
+        node: NodeId,
+        layer: &'static str,
+        health: Health,
+        group: Option<u32>,
+    ) {
         let mut inner = self.inner.borrow_mut();
         if inner.health.len() < HEALTH_EVENT_CAPACITY {
-            inner.health.push(event);
+            inner.health.push(HealthEvent {
+                t,
+                node,
+                layer,
+                transition: health.transition,
+                evidence: health.evidence,
+                group,
+            });
         } else {
             inner.health_dropped.inc();
         }
@@ -540,14 +578,8 @@ mod tests {
         let r = MetricsRegistry::new();
         let t = Tracer::with_metrics(r.clone());
         assert!(t.health_events().is_empty());
-        t.record_health(HealthEvent {
-            t: SimTime::from_nanos(5),
-            node: NodeId(2),
-            layer: "detector",
-            transition: "suspect",
-            evidence: "mean 40ms vs baseline 1ms".into(),
-            group: None,
-        });
+        let health = Health::new("suspect", "mean 40ms vs baseline 1ms".into());
+        t.record_health(SimTime::from_nanos(5), NodeId(2), "detector", health, None);
         // Recording is not gated on record_full.
         assert!(!t.record_full());
         assert_eq!(t.health_events().len(), 1);

@@ -19,6 +19,6 @@ pub mod detect;
 pub mod mitigate;
 pub mod storm;
 
-pub use detect::{Confirmation, DetectorCfg, DetectorMode, FailSlowDetector, Suspicion};
+pub use detect::{DetectorCfg, DetectorMode, FailSlowDetector, Suspicion};
 pub use mitigate::spawn_leader_mitigation;
-pub use storm::{AmpSample, StormCfg, StormMonitor};
+pub use storm::{AmpSample, StormMonitor};

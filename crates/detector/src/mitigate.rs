@@ -13,6 +13,7 @@
 use std::rc::Rc;
 use std::time::Duration;
 
+use depfast::Health;
 use depfast_raft::core::RaftCore;
 use depfast_raft::depfast_driver::DepFastRaft;
 use simkit::{NodeId, Sim};
@@ -54,18 +55,14 @@ pub fn spawn_leader_mitigation(
             return;
         };
         let suspect = suspect.clone();
-        suspect.rt.tracer().record_health(depfast::HealthEvent {
-            t: sim.now(),
-            node: suspect.id,
-            layer: "mitigation",
-            transition: "demote",
-            evidence: format!(
-                "fail-slow leader: election penalty {}ms, transfer to n{}",
-                penalty.as_millis(),
-                target_id.0
-            ),
-            group: None,
-        });
+        let evidence = format!(
+            "fail-slow leader: election penalty {}ms, transfer to n{}",
+            penalty.as_millis(),
+            target_id.0
+        );
+        let demote = Health::new("demote", evidence);
+        let tracer = suspect.rt.tracer();
+        tracer.record_health(sim.now(), suspect.id, "mitigation", demote, None);
         let s = sim.clone();
         sim.spawn(async move {
             // Leadership transfer: wait for the target to be (nearly)
@@ -76,14 +73,10 @@ pub fn spawn_leader_mitigation(
                 }
                 let caught_up = suspect.match_index(target.id) + 8 >= suspect.log.last_index();
                 if caught_up {
-                    target.rt.tracer().record_health(depfast::HealthEvent {
-                        t: s.now(),
-                        node: target.id,
-                        layer: "mitigation",
-                        transition: "campaign",
-                        evidence: format!("leadership transfer from n{}", suspect.id.0),
-                        group: None,
-                    });
+                    let evidence = format!("leadership transfer from n{}", suspect.id.0);
+                    let campaign = Health::new("campaign", evidence);
+                    let tracer = target.rt.tracer();
+                    tracer.record_health(s.now(), target.id, "mitigation", campaign, None);
                     DepFastRaft::force_campaign(&target);
                     s.sleep(Duration::from_millis(400)).await;
                     if !suspect.is_leader() {
@@ -140,14 +133,7 @@ mod tests {
             .iter()
             .map(|s| s.core().clone())
             .collect();
-        let detector = FailSlowDetector::spawn(
-            &sim,
-            &cl.raft.tracer,
-            DetectorCfg {
-                floor: Duration::from_millis(2),
-                ..DetectorCfg::default()
-            },
-        );
+        let detector = FailSlowDetector::spawn(&sim, &cl.raft.tracer, DetectorCfg::default());
         spawn_leader_mitigation(&sim, &detector, cores.clone(), Duration::from_secs(2));
 
         // Concurrent closed-loop clients over real RPC (their kv_request
@@ -188,9 +174,8 @@ mod tests {
 
         assert!(
             detector.history().iter().any(|s| s.node == NodeId(0)),
-            "detector must flag the slow leader; history: {:?}; tracks: {:?}",
-            detector.history(),
-            detector.debug_tracks()
+            "detector must flag the slow leader; history: {:?}",
+            detector.history()
         );
         let new_leader = current_leader(&cores);
         assert!(

@@ -9,63 +9,42 @@
 //! amplification stays high *after the injected fault has cleared*: the
 //! retries themselves are now the load keeping the system saturated.
 //!
-//! Verdicts are emitted as structured [`HealthEvent`]s on the `"storm"`
-//! layer (`storm_onset` / `storm_sustained` / `storm_cleared`), which
+//! The law is [`StormLaw`], a pure state machine over per-tick deltas and
+//! two facts about the ledger; [`StormMonitor`] is the shell that reads the
+//! counters and the ledger and records the verdicts as
+//! [`HealthEvent`](depfast::HealthEvent)s on the `"storm"` layer
+//! (`storm_onset` / `storm_sustained` / `storm_cleared`), which
 //! `depfast-incident` scores into a time-to-stabilize (TTS) column.
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Duration;
 
-use depfast::{HealthEvent, Tracer};
+use depfast::{Health, Tracer};
 use depfast_fault::FaultLedger;
-use depfast_metrics::{Gauge, Key};
-use simkit::{NodeId, Sim, SimTime};
+use depfast_metrics::Key;
+use simkit::{NodeId, SimTime};
 
-/// Storm-monitor tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct StormCfg {
-    /// Sampling tick. Align with the incident sampler interval so the
-    /// amplification series lines up with the throughput series.
-    pub every: Duration,
-    /// Ticks of pre-fault goodput averaged into the baseline.
-    pub baseline_ticks: u32,
-    /// Rolling window (in ticks) the storm condition is evaluated over.
-    /// Smoothing matters: admission-controlled clients phase-lock on
-    /// their token refills, so single ticks alternate between
-    /// all-attempts and all-successes — a beat pattern, not a storm.
-    pub smooth_ticks: u32,
-    /// Storm requires amplification ≥ this (attempts per fresh op,
-    /// over the rolling window).
-    pub amp_high: f64,
-    /// ... and windowed goodput < this fraction of the pre-fault
-    /// baseline.
-    pub floor_frac: f64,
-    /// ... and at least this many attempts in the window (ignore idle).
-    pub min_attempts: u64,
-    /// Consecutive storm ticks *after every ledger fault has cleared*
-    /// before the storm is flagged sustained (metastable). Must be
-    /// comfortably larger than `smooth_ticks`: the window lags a real
-    /// recovery by up to its own length.
-    pub sustain_ticks: u32,
-    /// Consecutive healthy ticks before the storm is declared over.
-    pub clear_ticks: u32,
-}
-
-impl Default for StormCfg {
-    fn default() -> Self {
-        StormCfg {
-            every: Duration::from_millis(100),
-            baseline_ticks: 5,
-            smooth_ticks: 5,
-            amp_high: 2.0,
-            floor_frac: 0.5,
-            min_attempts: 10,
-            sustain_ticks: 12,
-            clear_ticks: 3,
-        }
-    }
-}
+/// Ticks of pre-fault goodput averaged into the baseline.
+const BASELINE_TICKS: usize = 5;
+/// Rolling window (in ticks) the storm condition is evaluated over.
+/// Smoothing matters: admission-controlled clients phase-lock on their
+/// token refills, so single ticks alternate between all-attempts and
+/// all-successes — a beat pattern, not a storm.
+const SMOOTH_TICKS: usize = 5;
+/// Storm requires amplification ≥ this (attempts per fresh op, over the
+/// rolling window) ...
+const AMP_HIGH: f64 = 2.0;
+/// ... and windowed goodput < this fraction of the pre-fault baseline ...
+const FLOOR_FRAC: f64 = 0.5;
+/// ... and at least this many attempts in the window (ignore idle).
+const MIN_ATTEMPTS: u64 = 10;
+/// Consecutive storm ticks *after every ledger fault has cleared* before
+/// the storm is flagged sustained (metastable). Comfortably larger than
+/// `SMOOTH_TICKS`: the window lags a real recovery by up to its own
+/// length.
+const SUSTAIN_TICKS: u32 = 12;
+/// Consecutive healthy ticks before the storm is declared over.
+const CLEAR_TICKS: u32 = 3;
 
 /// One tick of the offered-load / goodput series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,16 +57,17 @@ pub struct AmpSample {
     pub ops: u64,
     /// Operations completed `Ok` this tick (goodput).
     pub success: u64,
-    /// Attempts per fresh op over the rolling
-    /// [`smooth_ticks`](StormCfg::smooth_ticks) window (1.0 when idle).
+    /// Attempts per fresh op over the rolling `SMOOTH_TICKS` window
+    /// (1.0 when idle).
     pub amplification: f64,
     /// `true` while this tick met the (windowed) storm condition.
     pub stormy: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Phase {
     /// No storm condition seen (or the last one fully cleared).
+    #[default]
     Calm,
     /// Storm condition holding; not yet flagged sustained.
     Storming,
@@ -95,12 +75,12 @@ enum Phase {
     Sustained,
 }
 
-struct StormState {
-    last_attempts: u64,
-    last_ops: u64,
-    last_success: u64,
+/// The storm law: the rolling windows and the Calm → Storming → Sustained
+/// machine. No clock, registry, ledger or tracer of its own.
+#[derive(Default)]
+pub struct StormLaw {
     /// Rolling `(attempts, ops, success)` per-tick deltas, newest last,
-    /// at most `smooth_ticks` long.
+    /// at most `SMOOTH_TICKS` long.
     window: Vec<(u64, u64, u64)>,
     /// Pre-fault goodput ticks (per-tick success counts).
     baseline_window: Vec<u64>,
@@ -108,129 +88,41 @@ struct StormState {
     phase: Phase,
     stormy_after_clear: u32,
     calm_ticks: u32,
-    series: Vec<AmpSample>,
     sustained_ever: bool,
 }
 
-/// Joins client amplification telemetry with fault ground truth and
-/// emits `storm_*` health events. Drive it either from your own sampling
-/// loop via [`StormMonitor::tick`] (interval-aligned with an incident
-/// sampler — what the scenario harness does) or detached via
-/// [`StormMonitor::spawn`].
-#[derive(Clone)]
-pub struct StormMonitor {
-    state: Rc<RefCell<StormState>>,
-    tracer: Tracer,
-    ledger: FaultLedger,
-    cfg: StormCfg,
-    offered: Gauge,
-    goodput: Gauge,
-    amp_x100: Gauge,
+/// Keeps the newest `len` elements of `window`.
+fn keep_newest<T>(window: &mut Vec<T>, len: usize) {
+    let extra = window.len().saturating_sub(len);
+    window.drain(..extra);
 }
 
-impl StormMonitor {
-    /// Creates a monitor over `tracer`'s client counters and `ledger`'s
-    /// ground truth. Call [`tick`](StormMonitor::tick) once per interval.
-    pub fn new(tracer: &Tracer, ledger: &FaultLedger, cfg: StormCfg) -> Self {
-        let metrics = tracer.metrics();
-        StormMonitor {
-            state: Rc::new(RefCell::new(StormState {
-                last_attempts: 0,
-                last_ops: 0,
-                last_success: 0,
-                window: Vec::new(),
-                baseline_window: Vec::new(),
-                baseline: None,
-                phase: Phase::Calm,
-                stormy_after_clear: 0,
-                calm_ticks: 0,
-                series: Vec::new(),
-                sustained_ever: false,
-            })),
-            tracer: tracer.clone(),
-            ledger: ledger.clone(),
-            cfg,
-            offered: metrics.gauge(Key::global("client.offered")),
-            goodput: metrics.gauge(Key::global("client.goodput")),
-            amp_x100: metrics.gauge(Key::global("client.amplification_x100")),
-        }
-    }
-
-    /// Starts a detached monitor ticking every `cfg.every`.
-    pub fn spawn(sim: &Sim, tracer: &Tracer, ledger: &FaultLedger, cfg: StormCfg) -> Self {
-        let monitor = Self::new(tracer, ledger, cfg);
-        let m = monitor.clone();
-        let sim2 = sim.clone();
-        sim.spawn(async move {
-            loop {
-                sim2.sleep(cfg.every).await;
-                m.tick(sim2.now());
-            }
-        });
-        monitor
-    }
-
-    /// The amplification series so far.
-    pub fn series(&self) -> Vec<AmpSample> {
-        self.state.borrow().series.clone()
-    }
-
+impl StormLaw {
     /// `true` if any storm episode was flagged sustained (metastable).
     pub fn sustained(&self) -> bool {
-        self.state.borrow().sustained_ever
+        self.sustained_ever
     }
 
-    /// The node the storm is pinned on: the first ledger fault's target
-    /// (the storm is *caused* by retries, but *about* the fault that
-    /// seeded it); `NodeId(0)` when no fault was ever recorded.
-    fn subject(&self) -> NodeId {
-        self.ledger.records().first().map_or(NodeId(0), |r| r.node)
-    }
-
-    fn record(&self, t: SimTime, transition: &'static str, evidence: String) {
-        self.tracer.record_health(HealthEvent {
-            t,
-            node: self.subject(),
-            layer: "storm",
-            transition,
-            evidence,
-            group: None,
-        });
-    }
-
-    /// Processes one interval ending at `now`: updates the amplification
-    /// gauges/series, advances the storm state machine, and emits any
-    /// `storm_*` health events.
-    pub fn tick(&self, now: SimTime) {
-        let cfg = self.cfg;
-        let metrics = self.tracer.metrics();
-        let attempts_c = metrics.counter(Key::global("client.attempts")).get();
-        let ops_c = metrics.counter(Key::global("client.ops")).get();
-        let success_c = metrics.counter(Key::global("client.success")).get();
-        let mut st = self.state.borrow_mut();
-        let attempts = attempts_c - st.last_attempts;
-        let ops = ops_c - st.last_ops;
-        let success = success_c - st.last_success;
-        st.last_attempts = attempts_c;
-        st.last_ops = ops_c;
-        st.last_success = success_c;
-
-        st.window.push((attempts, ops, success));
-        let extra = st
-            .window
-            .len()
-            .saturating_sub(cfg.smooth_ticks.max(1) as usize);
-        if extra > 0 {
-            st.window.drain(..extra);
-        }
-        let w_len = st.window.len() as f64;
-        let (w_attempts, w_ops, w_success) = st
+    /// Digests the interval ending at `now`: its `(attempts, ops,
+    /// success)` deltas, whether any ledger fault has begun (`fault_seen`)
+    /// and whether every one has cleared (`all_cleared`). Returns the
+    /// tick's sample and the `storm_*` transition it caused, if any.
+    pub fn tick(
+        &mut self,
+        now: SimTime,
+        (attempts, ops, success): (u64, u64, u64),
+        fault_seen: bool,
+        all_cleared: bool,
+    ) -> (AmpSample, Option<Health>) {
+        self.window.push((attempts, ops, success));
+        keep_newest(&mut self.window, SMOOTH_TICKS);
+        let w_len = self.window.len() as f64;
+        let (w_attempts, w_ops, w_success) = self
             .window
             .iter()
             .fold((0u64, 0u64, 0u64), |(a, o, s), (da, db, dc)| {
                 (a + da, o + db, s + dc)
             });
-
         let amplification = if w_ops > 0 {
             w_attempts as f64 / w_ops as f64
         } else if w_attempts > 0 {
@@ -240,92 +132,153 @@ impl StormMonitor {
         } else {
             1.0
         };
-        let secs = cfg.every.as_secs_f64();
-        self.offered.set((attempts as f64 / secs) as i64);
-        self.goodput.set((success as f64 / secs) as i64);
-        self.amp_x100.set((amplification * 100.0) as i64);
 
-        let records = self.ledger.records();
-        let fault_seen = records.iter().any(|r| r.onset <= now);
-        let all_cleared =
-            !records.is_empty() && records.iter().all(|r| r.cleared.is_some_and(|c| c <= now));
-
-        // Goodput baseline: mean of the last `baseline_ticks` pre-fault
+        // Goodput baseline: mean of the last `BASELINE_TICKS` pre-fault
         // ticks, frozen at first fault onset.
         if !fault_seen {
-            st.baseline_window.push(success);
-            let extra = st
-                .baseline_window
-                .len()
-                .saturating_sub(cfg.baseline_ticks as usize);
-            if extra > 0 {
-                st.baseline_window.drain(..extra);
-            }
-        } else if st.baseline.is_none() && !st.baseline_window.is_empty() {
-            let sum: u64 = st.baseline_window.iter().sum();
-            st.baseline = Some(sum as f64 / st.baseline_window.len() as f64);
+            self.baseline_window.push(success);
+            keep_newest(&mut self.baseline_window, BASELINE_TICKS);
+        } else if self.baseline.is_none() && !self.baseline_window.is_empty() {
+            let sum: u64 = self.baseline_window.iter().sum();
+            self.baseline = Some(sum as f64 / self.baseline_window.len() as f64);
         }
 
-        let stormy = match st.baseline {
-            Some(base) if base > 0.0 => {
-                w_attempts >= cfg.min_attempts
-                    && (w_success as f64) < cfg.floor_frac * base * w_len
-                    && amplification >= cfg.amp_high
-            }
-            _ => false,
-        };
-        st.series.push(AmpSample {
+        let stormy = self.baseline.is_some_and(|base| {
+            base > 0.0
+                && w_attempts >= MIN_ATTEMPTS
+                && (w_success as f64) < FLOOR_FRAC * base * w_len
+                && amplification >= AMP_HIGH
+        });
+        let sample = AmpSample {
             t: now,
             attempts,
             ops,
             success,
             amplification,
             stormy,
-        });
-
-        let base = st.baseline.unwrap_or(0.0);
-        let evidence = || {
-            format!(
-                "goodput {}/tick vs baseline {}/tick, amp x100 = {}, attempts {}",
-                (w_success as f64 / w_len) as u64,
-                base as u64,
-                (amplification * 100.0) as u64,
-                (w_attempts as f64 / w_len) as u64
-            )
         };
-        if stormy {
-            st.calm_ticks = 0;
-            if st.phase == Phase::Calm {
-                st.phase = Phase::Storming;
-                st.stormy_after_clear = 0;
-                drop(st);
-                self.record(now, "storm_onset", evidence());
-                return;
-            }
-            if st.phase == Phase::Storming {
+
+        let transition = if stormy {
+            self.calm_ticks = 0;
+            match self.phase {
+                Phase::Calm => {
+                    self.phase = Phase::Storming;
+                    self.stormy_after_clear = 0;
+                    Some("storm_onset")
+                }
                 // The storm is only *metastable* once it outlives its
                 // cause: count storm ticks after the last fault cleared.
-                if all_cleared {
-                    st.stormy_after_clear += 1;
-                    if st.stormy_after_clear >= cfg.sustain_ticks {
-                        st.phase = Phase::Sustained;
-                        st.sustained_ever = true;
-                        drop(st);
-                        self.record(now, "storm_sustained", evidence());
-                    }
-                } else {
-                    st.stormy_after_clear = 0;
+                Phase::Storming if all_cleared => {
+                    self.stormy_after_clear += 1;
+                    (self.stormy_after_clear >= SUSTAIN_TICKS).then(|| {
+                        self.phase = Phase::Sustained;
+                        self.sustained_ever = true;
+                        "storm_sustained"
+                    })
                 }
+                Phase::Storming => {
+                    self.stormy_after_clear = 0;
+                    None
+                }
+                Phase::Sustained => None,
             }
-        } else if st.phase != Phase::Calm {
-            st.calm_ticks += 1;
-            if st.calm_ticks >= cfg.clear_ticks {
-                st.phase = Phase::Calm;
-                st.calm_ticks = 0;
-                st.stormy_after_clear = 0;
-                drop(st);
-                self.record(now, "storm_cleared", evidence());
-            }
+        } else if self.phase != Phase::Calm {
+            self.calm_ticks += 1;
+            (self.calm_ticks >= CLEAR_TICKS).then(|| {
+                self.phase = Phase::Calm;
+                self.calm_ticks = 0;
+                self.stormy_after_clear = 0;
+                "storm_cleared"
+            })
+        } else {
+            None
+        };
+        let health = transition.map(|transition| {
+            let evidence = format!(
+                "goodput {}/tick vs baseline {}/tick, amp x100 = {}, attempts {}",
+                (w_success as f64 / w_len) as u64,
+                self.baseline.unwrap_or(0.0) as u64,
+                (amplification * 100.0) as u64,
+                (w_attempts as f64 / w_len) as u64
+            );
+            Health::new(transition, evidence)
+        });
+        (sample, health)
+    }
+}
+
+#[derive(Default)]
+struct StormState {
+    /// Last-seen `client.attempts` / `client.ops` / `client.success`.
+    last: (u64, u64, u64),
+    law: StormLaw,
+    series: Vec<AmpSample>,
+}
+
+/// Joins client amplification telemetry with fault ground truth and
+/// emits `storm_*` health events. Drive it from your own sampling loop
+/// via [`StormMonitor::tick`], interval-aligned with an incident sampler
+/// so the amplification series lines up with the throughput series —
+/// what the run harness does.
+#[derive(Clone)]
+pub struct StormMonitor {
+    state: Rc<RefCell<StormState>>,
+    tracer: Tracer,
+    ledger: FaultLedger,
+}
+
+impl StormMonitor {
+    /// Creates a monitor over `tracer`'s client counters and `ledger`'s
+    /// ground truth. Call [`tick`](StormMonitor::tick) once per interval.
+    pub fn new(tracer: &Tracer, ledger: &FaultLedger) -> Self {
+        StormMonitor {
+            state: Rc::default(),
+            tracer: tracer.clone(),
+            ledger: ledger.clone(),
+        }
+    }
+
+    /// The amplification series so far.
+    pub fn series(&self) -> Vec<AmpSample> {
+        self.state.borrow().series.clone()
+    }
+
+    /// `true` if any storm episode was flagged sustained (metastable).
+    pub fn sustained(&self) -> bool {
+        self.state.borrow().law.sustained()
+    }
+
+    /// Processes one interval ending at `now`: extends the amplification
+    /// series, advances the storm law, and records the `storm_*` health
+    /// event it returns, if any.
+    pub fn tick(&self, now: SimTime) {
+        let metrics = self.tracer.metrics();
+        let read = |name| metrics.counter(Key::global(name)).get();
+        let level = (
+            read("client.attempts"),
+            read("client.ops"),
+            read("client.success"),
+        );
+        let records = self.ledger.records();
+        let fault_seen = records.iter().any(|r| r.onset <= now);
+        let all_cleared =
+            !records.is_empty() && records.iter().all(|r| r.cleared.is_some_and(|c| c <= now));
+        let mut st = self.state.borrow_mut();
+        let deltas = (
+            level.0 - st.last.0,
+            level.1 - st.last.1,
+            level.2 - st.last.2,
+        );
+        st.last = level;
+        let (sample, health) = st.law.tick(now, deltas, fault_seen, all_cleared);
+        st.series.push(sample);
+        if let Some(health) = health {
+            // The storm is pinned on the first ledger fault's target (it
+            // is *caused* by retries, but *about* the fault that seeded
+            // it); `NodeId(0)` when no fault was ever recorded.
+            let subject = records.first().map_or(NodeId(0), |r| r.node);
+            self.tracer
+                .record_health(now, subject, "storm", health, None);
         }
     }
 }
@@ -335,8 +288,127 @@ mod tests {
     use super::*;
     use depfast_fault::FaultKind;
 
-    fn cfg() -> StormCfg {
-        StormCfg::default()
+    /// One tick: `(attempts, ops, success, fault seen, all cleared)`.
+    type Tick = (u64, u64, u64, bool, bool);
+
+    const HEALTHY: Tick = (100, 100, 100, false, false);
+    /// Goodput collapsed under 30x amplification while the fault is active.
+    const COLLAPSED: Tick = (300, 10, 5, true, false);
+    /// The same collapse after the ledger's last fault cleared.
+    const OUTLIVES: Tick = (300, 10, 5, true, true);
+    const RECOVERED: Tick = (110, 100, 100, true, true);
+
+    /// Runs `ticks` through a fresh law, 100 ms apart: its transitions as
+    /// `(tick number from 1, transition)`, its samples, and the law.
+    fn run(ticks: &[Tick]) -> (Vec<(usize, &'static str)>, Vec<AmpSample>, StormLaw) {
+        let mut law = StormLaw::default();
+        let (mut transitions, mut samples) = (Vec::new(), Vec::new());
+        for (i, &(attempts, ops, success, seen, cleared)) in ticks.iter().enumerate() {
+            let now = ns(100 * (i as u64 + 1));
+            let (sample, health) = law.tick(now, (attempts, ops, success), seen, cleared);
+            samples.push(sample);
+            transitions.extend(health.map(|h| (i + 1, h.transition)));
+        }
+        (transitions, samples, law)
+    }
+
+    fn ticks(parts: &[(usize, Tick)]) -> Vec<Tick> {
+        parts.iter().flat_map(|&(n, t)| vec![t; n]).collect()
+    }
+
+    #[test]
+    fn the_law_walks_calm_storming_sustained_calm() {
+        // Script -> transitions. Onset lags the collapse by the smoothing
+        // window (third collapsed tick of five); a storm is sustained only
+        // once it has outlived every fault by 12 ticks; 3 calm ticks (the
+        // first is the third recovered one, for the same lag) end it.
+        type Row = (&'static [(usize, Tick)], &'static [(usize, &'static str)]);
+        let table: &[Row] = &[
+            (&[(20, HEALTHY)], &[]),
+            (&[(6, HEALTHY), (3, COLLAPSED)], &[(9, "storm_onset")]),
+            // However long: while a fault is active it is a storm, not a
+            // metastable one.
+            (&[(6, HEALTHY), (40, COLLAPSED)], &[(9, "storm_onset")]),
+            (
+                &[(6, HEALTHY), (2, COLLAPSED), (12, OUTLIVES)],
+                &[(9, "storm_onset")],
+            ),
+            (
+                &[(6, HEALTHY), (2, COLLAPSED), (13, OUTLIVES)],
+                &[(9, "storm_onset"), (21, "storm_sustained")],
+            ),
+            (
+                &[(6, HEALTHY), (2, COLLAPSED), (16, OUTLIVES), (6, RECOVERED)],
+                &[
+                    (9, "storm_onset"),
+                    (21, "storm_sustained"),
+                    (29, "storm_cleared"),
+                ],
+            ),
+            // The storm dies with its fault: never sustained.
+            (
+                &[(6, HEALTHY), (10, COLLAPSED), (6, RECOVERED)],
+                &[(9, "storm_onset"), (21, "storm_cleared")],
+            ),
+            // No pre-fault goodput, no baseline, no verdict.
+            (&[(20, COLLAPSED)], &[]),
+        ];
+        for (script, expected) in table {
+            let (transitions, samples, law) = run(&ticks(script));
+            assert_eq!(transitions, *expected, "{script:?}");
+            let sustained = expected.iter().any(|t| t.1 == "storm_sustained");
+            assert_eq!(law.sustained(), sustained, "sustained latches");
+            let stormy_from = samples.iter().position(|s| s.stormy).map(|i| i + 1);
+            assert_eq!(stormy_from, expected.first().map(|t| t.0));
+        }
+        let (_, _, law) = run(&ticks(&[(6, HEALTHY), (2, COLLAPSED)]));
+        assert_eq!(law.baseline, Some(100.0), "frozen at first fault onset");
+    }
+
+    #[test]
+    fn the_token_bucket_beat_pattern_is_not_a_storm() {
+        // Admission-controlled clients phase-lock on their token refills:
+        // ticks alternate between all-attempts and all-successes. Every
+        // `burst` tick alone meets the storm condition (3 attempts per op,
+        // no goodput); over the rolling window the pair is 1.5 attempts per
+        // op at full goodput.
+        let (burst, drain) = ((300, 100, 0), (0, 100, 200));
+        let beat = |seen| {
+            [
+                (burst.0, burst.1, burst.2, seen, false),
+                (drain.0, drain.1, drain.2, seen, false),
+            ]
+        };
+        let script = [beat(false).repeat(5), beat(true).repeat(20)].concat();
+        let (transitions, samples, _) = run(&script);
+        assert_eq!(transitions, vec![]);
+        assert!(samples.iter().all(|s| !s.stormy));
+        let full_windows = samples.iter().skip(SMOOTH_TICKS - 1);
+        assert!(full_windows.map(|s| s.amplification).all(|a| a <= 1.8));
+        // One tick's window would have called it.
+        let mut law = StormLaw {
+            baseline: Some(100.0),
+            ..StormLaw::default()
+        };
+        assert!(law.tick(ns(100), burst, true, false).0.stormy);
+    }
+
+    #[test]
+    fn evidence_reports_windowed_goodput_against_the_frozen_baseline() {
+        let mut law = StormLaw::default();
+        let mut onset = None;
+        for (i, &(a, o, s, seen, cleared)) in
+            ticks(&[(6, HEALTHY), (3, COLLAPSED)]).iter().enumerate()
+        {
+            onset = law
+                .tick(ns(100 * (i as u64 + 1)), (a, o, s), seen, cleared)
+                .1;
+        }
+        let evidence = "goodput 43/tick vs baseline 100/tick, amp x100 = 478, attempts 220";
+        assert_eq!(
+            onset,
+            Some(Health::new("storm_onset", evidence.to_string()))
+        );
     }
 
     /// Pushes client counters forward by one tick's worth of activity.
@@ -355,7 +427,7 @@ mod tests {
     fn healthy_traffic_never_storms() {
         let tracer = Tracer::new();
         let ledger = FaultLedger::new();
-        let mon = StormMonitor::new(&tracer, &ledger, cfg());
+        let mon = StormMonitor::new(&tracer, &ledger);
         for i in 1..=20u64 {
             activity(&tracer, 100, 100, 100);
             mon.tick(ns(i * 100));
@@ -372,7 +444,7 @@ mod tests {
     fn run_storm(recover: bool) -> (Tracer, StormMonitor) {
         let tracer = Tracer::new();
         let ledger = FaultLedger::new();
-        let mon = StormMonitor::new(&tracer, &ledger, cfg());
+        let mon = StormMonitor::new(&tracer, &ledger);
         let mut t = 0u64;
         let mut tick = |tr: &Tracer, ops, attempts, success| {
             t += 100;
@@ -432,7 +504,7 @@ mod tests {
     fn storm_that_dies_with_the_fault_is_not_metastable() {
         let tracer = Tracer::new();
         let ledger = FaultLedger::new();
-        let mon = StormMonitor::new(&tracer, &ledger, cfg());
+        let mon = StormMonitor::new(&tracer, &ledger);
         let mut t = 0u64;
         let mut tick = |tr: &Tracer, ops, attempts, success| {
             t += 100;
@@ -465,7 +537,7 @@ mod tests {
     fn amplification_series_tracks_offered_vs_goodput() {
         let tracer = Tracer::new();
         let ledger = FaultLedger::new();
-        let mon = StormMonitor::new(&tracer, &ledger, cfg());
+        let mon = StormMonitor::new(&tracer, &ledger);
         activity(&tracer, 50, 150, 40);
         mon.tick(ns(100));
         let s = mon.series();
@@ -474,10 +546,5 @@ mod tests {
         assert_eq!(s[0].ops, 50);
         assert_eq!(s[0].success, 40);
         assert!((s[0].amplification - 3.0).abs() < 1e-9);
-        // Gauges mirror the tick for the interval-aligned sampler.
-        let m = tracer.metrics();
-        assert_eq!(m.gauge(Key::global("client.amplification_x100")).get(), 300);
-        assert_eq!(m.gauge(Key::global("client.offered")).get(), 1500);
-        assert_eq!(m.gauge(Key::global("client.goodput")).get(), 400);
     }
 }

@@ -259,11 +259,6 @@ impl KvClient {
         self.leader.get()
     }
 
-    /// The session's retry policy.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy.get()
-    }
-
     /// Replaces the session's retry policy. A new admission budget
     /// starts full (burst tokens available).
     pub fn set_policy(&self, policy: RetryPolicy) {

@@ -277,6 +277,7 @@ impl MetricsRegistry {
         NodeScope {
             registry: self.clone(),
             node,
+            tag: None,
         }
     }
 
@@ -364,42 +365,44 @@ impl MetricsRegistry {
     }
 }
 
-/// A [`MetricsRegistry`] view bound to one node id.
+/// A [`MetricsRegistry`] view bound to one node id and, optionally, one
+/// tag.
 #[derive(Clone)]
 pub struct NodeScope {
     registry: MetricsRegistry,
     node: u32,
+    tag: Option<&'static str>,
 }
 
 impl NodeScope {
-    /// Node-scoped counter.
+    /// This scope with every key carrying `tag` (`None` = untagged):
+    /// `registry.node(3).tagged(Some("g2")).counter("x")` is
+    /// `registry.counter(Key::tagged("x", 3, "g2"))`.
+    pub fn tagged(self, tag: Option<&'static str>) -> NodeScope {
+        NodeScope { tag, ..self }
+    }
+
+    fn key(&self, name: &'static str) -> Key {
+        Key {
+            name,
+            node: Some(self.node),
+            tag: self.tag,
+        }
+    }
+
+    /// Counter in this scope.
     pub fn counter(&self, name: &'static str) -> Counter {
-        self.registry.counter(Key::node(name, self.node))
+        self.registry.counter(self.key(name))
     }
 
-    /// Node-scoped gauge.
+    /// Gauge in this scope.
     pub fn gauge(&self, name: &'static str) -> Gauge {
-        self.registry.gauge(Key::node(name, self.node))
+        self.registry.gauge(self.key(name))
     }
 
-    /// Node-scoped histogram.
+    /// Histogram in this scope.
     pub fn histogram(&self, name: &'static str) -> HistogramHandle {
-        self.registry.histogram(Key::node(name, self.node))
-    }
-
-    /// Node-scoped, tagged counter.
-    pub fn counter_tagged(&self, name: &'static str, tag: &'static str) -> Counter {
-        self.registry.counter(Key::tagged(name, self.node, tag))
-    }
-
-    /// Node-scoped, tagged gauge.
-    pub fn gauge_tagged(&self, name: &'static str, tag: &'static str) -> Gauge {
-        self.registry.gauge(Key::tagged(name, self.node, tag))
-    }
-
-    /// Node-scoped, tagged histogram.
-    pub fn histogram_tagged(&self, name: &'static str, tag: &'static str) -> HistogramHandle {
-        self.registry.histogram(Key::tagged(name, self.node, tag))
+        self.registry.histogram(self.key(name))
     }
 }
 
@@ -440,12 +443,10 @@ mod tests {
     #[test]
     fn tags_separate_series_under_one_name() {
         let r = MetricsRegistry::new();
-        r.node(2)
-            .histogram_tagged("rpc.latency", "append")
-            .record_ns(10);
-        r.node(2)
-            .histogram_tagged("rpc.latency", "vote")
-            .record_ns(20);
+        let append = r.node(2).tagged(Some("append"));
+        append.histogram("rpc.latency").record_ns(10);
+        let vote = r.node(2).tagged(Some("vote"));
+        vote.histogram("rpc.latency").record_ns(20);
         let found = r.histograms_named("rpc.latency");
         assert_eq!(found.len(), 2);
         assert!(found.iter().all(|(k, _)| k.node == Some(2)));
@@ -486,9 +487,8 @@ mod tests {
         let r = MetricsRegistry::new();
         r.node(0).counter("rpc.sent").add(3);
         r.node(1).gauge("rpc.buffer.bytes").set(-2);
-        r.node(0)
-            .histogram_tagged("rpc.latency", "append")
-            .record_ns(1500);
+        let append = r.node(0).tagged(Some("append"));
+        append.histogram("rpc.latency").record_ns(1500);
         let json = r.to_json();
         assert_eq!(json, r.to_json(), "same state must emit identical bytes");
         assert!(json.starts_with('['));

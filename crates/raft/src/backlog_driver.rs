@@ -26,7 +26,7 @@ use depfast::runtime::Coroutine;
 use depfast_storage::Entry;
 use simkit::{NodeId, WakerSlot};
 
-use crate::core::{RaftCore, Role};
+use crate::core::{RaftCore, Role, HEARTBEAT};
 
 /// Entries per send.
 const CHUNK: usize = 16;
@@ -76,7 +76,7 @@ impl BacklogRaft {
                 if core.st.borrow().role != Role::Leader || core.world.is_crashed(core.id) {
                     break;
                 }
-                let tick = core.rt.now() + core.cfg.heartbeat;
+                let tick = core.rt.now() + HEARTBEAT;
                 let Ok(batch) = core.intake(Some(tick)).await else {
                     break;
                 };

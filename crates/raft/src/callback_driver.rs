@@ -22,7 +22,7 @@ use depfast::runtime::Coroutine;
 use depfast_storage::Entry;
 use simkit::{NodeId, SimTime};
 
-use crate::core::{RaftCore, Role};
+use crate::core::{RaftCore, Role, HEARTBEAT};
 use crate::types::FLOW_PROBE;
 
 /// Replication lag (entries) beyond which flow control engages.
@@ -74,7 +74,7 @@ impl CallbackRaft {
                 if core.st.borrow().role != Role::Leader || core.world.is_crashed(core.id) {
                     break;
                 }
-                let tick = core.rt.now() + core.cfg.heartbeat;
+                let tick = core.rt.now() + HEARTBEAT;
                 let Ok(batch) = core.intake(Some(tick)).await else {
                     break;
                 };

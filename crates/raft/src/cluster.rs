@@ -62,7 +62,6 @@ pub fn rpc_cfg_for(kind: RaftKind) -> RpcCfg {
         RaftKind::DepFast => RpcCfg::default(),
         _ => RpcCfg {
             buffer: BufferPolicy::Unbounded,
-            ..RpcCfg::default()
         },
     }
 }

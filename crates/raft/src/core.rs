@@ -36,10 +36,6 @@ use crate::types::{
 /// Raft timing, batching and cost configuration (shared by all drivers).
 #[derive(Debug, Clone, Copy)]
 pub struct RaftCfg {
-    /// Leader heartbeat interval.
-    pub heartbeat: Duration,
-    /// Election timeout range `[lo, hi)`.
-    pub election_timeout: (Duration, Duration),
     /// Maximum proposals folded into one replication round.
     pub batch_max: usize,
     /// How long the leader lingers after intake to grow a round's batch
@@ -49,15 +45,8 @@ pub struct RaftCfg {
     /// Replication rounds the leader may have unresolved before intake
     /// stalls (1 = strictly serial rounds, the classic lock-step leader).
     pub pipeline_depth: usize,
-    /// In-flight (not yet classified) `AppendEntries` allowed per
-    /// follower before further sends to it are skipped. Stale slots
-    /// expire after `replicate_timeout`, so a lost reply cannot wedge
-    /// the window shut.
-    pub append_window: usize,
     /// Maximum entries shipped in one `AppendEntries`.
     pub max_entries_per_append: usize,
-    /// Quorum-wait deadline per replication round.
-    pub replicate_timeout: Duration,
     /// Follower CPU cost: fixed part of handling an `AppendEntries`.
     pub append_cpu_base: Duration,
     /// Follower CPU cost per entry appended.
@@ -76,14 +65,10 @@ pub struct RaftCfg {
 impl Default for RaftCfg {
     fn default() -> Self {
         RaftCfg {
-            heartbeat: Duration::from_millis(30),
-            election_timeout: (Duration::from_millis(150), Duration::from_millis(300)),
             batch_max: 64,
             batch_window: Duration::ZERO,
             pipeline_depth: 4,
-            append_window: 8,
             max_entries_per_append: 256,
-            replicate_timeout: Duration::from_millis(1000),
             append_cpu_base: Duration::from_micros(20),
             append_cpu_per_entry: Duration::from_micros(15),
             propose_cpu: Duration::from_micros(25),
@@ -121,6 +106,11 @@ pub struct Staged {
     /// Fires once the batch is durable in the local WAL.
     pub durable: IoEvent,
 }
+
+/// Leader heartbeat interval: DepFastRaft's heartbeat loop sleeps it, the
+/// legacy leaders' intake waits at most this long for a batch before
+/// shipping an empty one.
+pub const HEARTBEAT: Duration = Duration::from_millis(30);
 
 /// How long a legacy driver's region/message thread waits for its round to
 /// commit before it takes the next batch anyway.
@@ -226,7 +216,6 @@ pub(crate) struct RaftStats {
     commit_lag: HistogramHandle,
     apply_lag: HistogramHandle,
     commit_index: Gauge,
-    applied_index: Gauge,
     /// Entries folded into each replication round (group commit size).
     pub(crate) batch_size: HistogramHandle,
     /// Replication rounds launched.
@@ -245,41 +234,24 @@ pub(crate) struct RaftStats {
 
 impl RaftStats {
     fn new(rt: &Runtime, group: u32) -> Self {
-        let scope = rt.tracer().metrics().node(rt.node().0);
-        if group == 0 {
-            // Legacy single-group namespace: untagged keys, byte-identical
-            // to every pre-multi-group artifact.
-            RaftStats {
-                commit_lag: scope.histogram("raft.commit_lag"),
-                apply_lag: scope.histogram("raft.apply_lag"),
-                commit_index: scope.gauge("raft.commit_index"),
-                applied_index: scope.gauge("raft.applied_index"),
-                batch_size: scope.histogram("raft.batch.size"),
-                batch_rounds: scope.counter("raft.batch.rounds"),
-                pipeline_inflight: scope.gauge("raft.pipeline.inflight"),
-                pipeline_stalls: scope.counter("raft.pipeline.stalls"),
-                window_skips: scope.counter("raft.append.window_skips"),
-                suspects: scope.counter("raft.append.suspects"),
-                entries_per_append: scope.histogram("rpc.entries_per_append"),
-            }
-        } else {
-            // Multi-group: co-located groups share a node, so every series
-            // carries a `g{gid}` tag — aggregating them silently would hide
-            // exactly the per-group blast-radius split this repo measures.
-            let g = depfast_metrics::group_label(group);
-            RaftStats {
-                commit_lag: scope.histogram_tagged("raft.commit_lag", g),
-                apply_lag: scope.histogram_tagged("raft.apply_lag", g),
-                commit_index: scope.gauge_tagged("raft.commit_index", g),
-                applied_index: scope.gauge_tagged("raft.applied_index", g),
-                batch_size: scope.histogram_tagged("raft.batch.size", g),
-                batch_rounds: scope.counter_tagged("raft.batch.rounds", g),
-                pipeline_inflight: scope.gauge_tagged("raft.pipeline.inflight", g),
-                pipeline_stalls: scope.counter_tagged("raft.pipeline.stalls", g),
-                window_skips: scope.counter_tagged("raft.append.window_skips", g),
-                suspects: scope.counter_tagged("raft.append.suspects", g),
-                entries_per_append: scope.histogram_tagged("rpc.entries_per_append", g),
-            }
+        // Co-located groups share a node, so a multi-group core's series
+        // carry a `g{gid}` tag — aggregating them silently would hide
+        // exactly the per-group blast-radius split this repo measures.
+        // Group 0 is a cluster's only group: untagged keys, byte-identical
+        // to every pre-multi-group artifact.
+        let tag = (group > 0).then(|| depfast_metrics::group_label(group));
+        let scope = rt.tracer().metrics().node(rt.node().0).tagged(tag);
+        RaftStats {
+            commit_lag: scope.histogram("raft.commit_lag"),
+            apply_lag: scope.histogram("raft.apply_lag"),
+            commit_index: scope.gauge("raft.commit_index"),
+            batch_size: scope.histogram("raft.batch.size"),
+            batch_rounds: scope.counter("raft.batch.rounds"),
+            pipeline_inflight: scope.gauge("raft.pipeline.inflight"),
+            pipeline_stalls: scope.counter("raft.pipeline.stalls"),
+            window_skips: scope.counter("raft.append.window_skips"),
+            suspects: scope.counter("raft.append.suspects"),
+            entries_per_append: scope.histogram("rpc.entries_per_append"),
         }
     }
 }
@@ -740,7 +712,6 @@ impl RaftCore {
                 None => Bytes::new(),
             };
             self.applied.set(e.index);
-            self.stats.applied_index.set(e.index as i64);
             self.applied_idx.set(e.index);
             let pending = self.pending.borrow_mut().remove(&e.index);
             if let Some(ev) = pending {
@@ -984,6 +955,12 @@ pub async fn handle_append(
     })
 }
 
+/// Election timeout range `[lo, hi)`: a follower campaigns after a draw
+/// from it without leader contact, vote rounds wait at most `hi`, and a
+/// follower that heard from a leader within `lo` refuses a PreVote.
+pub const ELECTION_TIMEOUT: (Duration, Duration) =
+    (Duration::from_millis(150), Duration::from_millis(300));
+
 /// Follower-side `PreVote`: a non-binding probe that grants only if this
 /// node has *not* heard from a live leader recently and the candidate's
 /// log is up to date. PreVote keeps a starved or partitioned node's
@@ -998,7 +975,7 @@ pub async fn handle_prevote(core: &Rc<RaftCore>, req: VoteReq) -> Option<VoteRes
     let current = core.log.current_term();
     let fresh = {
         let st = core.st.borrow();
-        st.role == Role::Leader || core.rt.now() - st.last_heartbeat < core.cfg.election_timeout.0
+        st.role == Role::Leader || core.rt.now() - st.last_heartbeat < ELECTION_TIMEOUT.0
     };
     Some(VoteResp {
         term: current,

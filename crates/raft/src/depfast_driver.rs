@@ -24,9 +24,15 @@ use depfast_rpc::conn::CancelToken;
 use depfast_rpc::{broadcast, inverse, Method};
 use simkit::NodeId;
 
-use crate::core::{RaftCore, Role};
-use crate::flow::{Admit, Health, SuspectAction};
+use crate::core::{RaftCore, Role, ELECTION_TIMEOUT, HEARTBEAT};
+use crate::flow::{Admit, SuspectAction};
 use crate::types::{AppendResp, VoteReq, VoteResp, APPEND_ENTRIES, PRE_VOTE, REQUEST_VOTE};
+
+/// Quorum-wait deadline per replication round (and per leadership
+/// confirmation). [`crate::flow`] ages its window slots and lost catch-up
+/// chunks by the same bound: what a round has given up on, the window may
+/// reuse.
+pub const REPLICATE_TIMEOUT: Duration = Duration::from_millis(1000);
 
 /// The DepFastRaft driver.
 pub struct DepFastRaft;
@@ -42,15 +48,9 @@ impl DepFastRaft {
     }
 
     /// Records a flow-control transition toward `peer` in the health log.
-    fn record_health(core: &RaftCore, peer: NodeId, health: Health) {
-        core.rt.tracer().record_health(depfast::HealthEvent {
-            t: core.rt.now(),
-            node: peer,
-            layer: "raft",
-            transition: health.transition,
-            evidence: health.evidence,
-            group: core.health_group(),
-        });
+    fn record_health(core: &RaftCore, peer: NodeId, health: depfast::Health) {
+        let tracer = core.rt.tracer();
+        tracer.record_health(core.rt.now(), peer, "raft", health, core.health_group());
     }
 
     /// Whether a round or heartbeat send toward `peer` may go out now; if
@@ -234,7 +234,7 @@ impl DepFastRaft {
                 Coroutine::create(&core.rt.clone(), "raft:round_wait", async move {
                     let outcome = {
                         let _g = depfast::PhaseGuard::enter("replicate_wait");
-                        quorum.wait_timeout(c.cfg.replicate_timeout).await
+                        quorum.wait_timeout(REPLICATE_TIMEOUT).await
                     };
                     // Rounds may resolve out of order; that is safe: a
                     // quorum on a later round's hi implies this round's
@@ -264,7 +264,7 @@ impl DepFastRaft {
         let core = core.clone();
         Coroutine::create(&core.rt.clone(), "raft:heartbeat", async move {
             loop {
-                core.rt.sleep(core.cfg.heartbeat).await;
+                core.rt.sleep(HEARTBEAT).await;
                 if core.world.is_crashed(core.id) {
                     break;
                 }
@@ -345,7 +345,7 @@ impl DepFastRaft {
         let core = core.clone();
         Coroutine::create(&core.rt.clone(), "raft:election", async move {
             loop {
-                let (lo, hi) = core.cfg.election_timeout;
+                let (lo, hi) = ELECTION_TIMEOUT;
                 let span = (hi - lo).as_nanos() as u64;
                 let timeout = lo
                     + Duration::from_nanos(core.rt.rand_range(0, span.max(1)))
@@ -419,7 +419,7 @@ impl DepFastRaft {
         );
         let out = {
             let _g = depfast::PhaseGuard::enter("read_index_wait");
-            quorum.wait_timeout(core.cfg.replicate_timeout).await
+            quorum.wait_timeout(REPLICATE_TIMEOUT).await
         };
         out.is_ready() && core.log.current_term() == term && core.st.borrow().role == Role::Leader
     }
@@ -455,10 +455,7 @@ impl DepFastRaft {
             |r: Option<VoteResp>| r.is_some_and(|r| r.granted),
             false,
         );
-        granted
-            .wait_timeout(core.cfg.election_timeout.1)
-            .await
-            .is_ready()
+        granted.wait_timeout(ELECTION_TIMEOUT.1).await.is_ready()
     }
 
     /// One election round, in the paper's §3.2 nested-event style.
@@ -501,7 +498,7 @@ impl DepFastRaft {
         granted.seal();
         rejected.seal();
         let either = OrEvent::of2(&core.rt, &granted, &rejected);
-        either.wait_timeout(core.cfg.election_timeout.1).await;
+        either.wait_timeout(ELECTION_TIMEOUT.1).await;
         if granted.ready()
             && core.log.current_term() == term
             && core.st.borrow().role == Role::Candidate

@@ -10,28 +10,23 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use depfast::Health;
 use simkit::{NodeId, SimTime};
 
-use crate::core::RaftCfg;
+use crate::core::{RaftCfg, HEARTBEAT};
+use crate::depfast_driver::REPLICATE_TIMEOUT;
 use crate::types::AppendResp;
 
-/// The health-log entry of one flow decision toward a peer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Health {
-    /// Transition name (`quarantine`, `probe`, `chunk`, `resume`).
-    pub transition: &'static str,
-    /// Free-form evidence.
-    pub evidence: String,
-}
-
-impl Health {
-    fn new(transition: &'static str, evidence: String) -> Self {
-        Health {
-            transition,
-            evidence,
-        }
-    }
-}
+/// In-flight (not yet classified) `AppendEntries` allowed per follower
+/// before further sends to it are skipped. Stale slots expire after
+/// [`REPLICATE_TIMEOUT`], so a lost reply cannot wedge the window shut.
+///
+/// This is the fail-slow tripwire: a healthy follower never fills it, a
+/// fail-slow one does, which quarantines it. Sizing rule: at least 2 ×
+/// [`RaftCfg::pipeline_depth`], so a deeper pipeline needs a wider window;
+/// `raft.append.window_skips` > 0 on a *healthy* cluster means the window
+/// is undersized for the pipeline depth.
+pub const APPEND_WINDOW: usize = 8;
 
 /// Whether a round or heartbeat `AppendEntries` toward a peer may go out.
 #[derive(Debug, PartialEq, Eq)]
@@ -43,7 +38,7 @@ pub enum Admit {
     /// every append it receives parks a handler behind its crawling disk.
     Quarantined,
     /// The window was full — the fail-slow signal itself: healthy operation
-    /// never accumulates [`RaftCfg::append_window`] unclassified sends — so
+    /// never accumulates [`APPEND_WINDOW`] unclassified sends — so
     /// the peer has just been quarantined. The caller resets the
     /// optimistically advanced `next_index` to the acked prefix.
     WindowFull(Health),
@@ -124,7 +119,7 @@ impl Flow {
     /// normally free when the classified reply fires (including the `Err`
     /// fired for discarded requests); because a reply can also *never*
     /// fire — lost after a successful send — stale slots additionally
-    /// expire after `replicate_timeout`, so a fail-slow follower stalls
+    /// expire after [`REPLICATE_TIMEOUT`], so a fail-slow follower stalls
     /// only its own append stream and can never wedge the window shut.
     pub fn admit(
         &mut self,
@@ -137,13 +132,10 @@ impl Flow {
             return Admit::Quarantined;
         }
         let q = self.inflight.entry(peer.0).or_default();
-        while q
-            .front()
-            .is_some_and(|t| now - *t >= self.cfg.replicate_timeout)
-        {
+        while q.front().is_some_and(|t| now - *t >= REPLICATE_TIMEOUT) {
             q.pop_front();
         }
-        if q.len() < self.cfg.append_window.max(1) {
+        if q.len() < APPEND_WINDOW {
             q.push_back(now);
             return Admit::Send;
         }
@@ -195,11 +187,11 @@ impl Flow {
             return Some((SuspectAction::Resume, Health::new("resume", evidence)));
         }
         if s.pending
-            .is_some_and(|(at, _)| now - at >= self.cfg.replicate_timeout)
+            .is_some_and(|(at, _)| now - at >= REPLICATE_TIMEOUT)
         {
             // The chunk (or the probes observing it) went missing.
             s.pending = None;
-            s.next_chunk_at = now + self.cfg.replicate_timeout;
+            s.next_chunk_at = now + REPLICATE_TIMEOUT;
         }
         let drained = s.peer_verified.is_some_and(|v| match_index >= v);
         if s.pending.is_none() && drained && now >= s.next_chunk_at {
@@ -239,12 +231,12 @@ impl Flow {
         };
         if resp.success && resp.match_index >= target {
             let dt = now - at;
-            if dt <= self.cfg.heartbeat + self.cfg.heartbeat / 2 {
+            if dt <= HEARTBEAT + HEARTBEAT / 2 {
                 s.chunk = (s.chunk * 2).min(self.cfg.max_entries_per_append);
                 s.next_chunk_at = now;
             } else {
                 s.chunk = (s.chunk / 2).max(self.cfg.batch_max.max(1));
-                s.next_chunk_at = now + (dt * 4).min(self.cfg.replicate_timeout);
+                s.next_chunk_at = now + (dt * 4).min(REPLICATE_TIMEOUT);
             }
             s.pending = None;
         }
@@ -306,7 +298,7 @@ mod tests {
     /// A flow whose `PEER` was quarantined at `at` by a full window.
     fn quarantined(at: SimTime) -> Flow {
         let mut f = Flow::new(cfg());
-        for _ in 0..cfg().append_window {
+        for _ in 0..APPEND_WINDOW {
             assert_eq!(f.admit(at, PEER, 0, 1000), Admit::Send);
         }
         assert!(matches!(f.admit(at, PEER, 0, 1000), Admit::WindowFull(_)));

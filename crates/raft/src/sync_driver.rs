@@ -19,7 +19,7 @@ use depfast::event::Watchable;
 use depfast::runtime::Coroutine;
 use simkit::disk::DiskOp;
 
-use crate::core::{RaftCore, Role};
+use crate::core::{RaftCore, Role, HEARTBEAT};
 
 /// The SyncRaft driver (fixed leader; use `bootstrap_leader`).
 pub struct SyncRaft;
@@ -49,7 +49,7 @@ impl SyncRaft {
                 if core.st.borrow().role != Role::Leader {
                     break;
                 }
-                let tick = core.rt.now() + core.cfg.heartbeat;
+                let tick = core.rt.now() + HEARTBEAT;
                 let Ok(batch) = core.intake(Some(tick)).await else {
                     break;
                 };

@@ -70,7 +70,7 @@ pub fn broadcast<Req: WireWrite, Resp: WireRead + 'static>(
 mod tests {
     use super::*;
     use crate::endpoint::{Registry, RpcCfg};
-    use crate::{BufferPolicy, OnFull};
+    use crate::BufferPolicy;
     use bytes::Bytes;
     use depfast::event::QuorumMode;
     use depfast::runtime::Runtime;
@@ -220,17 +220,8 @@ mod tests {
     fn the_judge_sees_none_on_a_transport_err() {
         // A zero-capacity buffer drops every request at enqueue: the
         // transport fails each call before anything is sent.
-        let full = BufferPolicy::Bounded {
-            cap: 0,
-            on_full: OnFull::DropNewest,
-        };
-        let (_sim, _world, eps) = cluster_with(
-            4,
-            RpcCfg {
-                buffer: full,
-                ..RpcCfg::default()
-            },
-        );
+        let full = BufferPolicy::Bounded { cap: 0 };
+        let (_sim, _world, eps) = cluster_with(4, RpcCfg { buffer: full });
         let seen = Rc::new(RefCell::new(Vec::new()));
         let s = seen.clone();
         let quorum = QuorumEvent::labeled(eps[0].runtime(), QuorumMode::Majority, "bcast");

@@ -6,8 +6,8 @@
 //! * **Buffer policy** — [`BufferPolicy::Unbounded`] reproduces the
 //!   RethinkDB root cause (§2.2): queued messages are charged to the node's
 //!   memory model, so a backlog to a slow peer inflates memory pressure and
-//!   can OOM-crash the node. Bounded policies cap the queue and drop or
-//!   disconnect instead — what a DepFast system uses.
+//!   can OOM-crash the node. The bounded policy caps the queue and drops
+//!   the overflow instead — what a DepFast system uses.
 //! * **Credit flow control** — a window of unacknowledged messages per
 //!   connection, standing in for TCP backpressure: a peer that processes
 //!   slowly returns credits slowly, so the sender's queue (not the
@@ -30,27 +30,17 @@ use depfast::runtime::{Coroutine, Runtime};
 use depfast_metrics::{Counter, Gauge};
 use simkit::{NodeId, WakerSlot, World};
 
-/// What to do when a bounded buffer is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OnFull {
-    /// Silently drop the newest message (its completion callback fails).
-    DropNewest,
-    /// Close the connection: this and all future messages fail.
-    Disconnect,
-}
-
 /// Outgoing buffer sizing policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BufferPolicy {
     /// No cap; queued bytes are charged to the node's memory model. This
     /// is the legacy-system behaviour that backlogs and eventually OOMs.
     Unbounded,
-    /// Cap at `cap` messages, applying `on_full` beyond it.
+    /// Cap at `cap` messages; beyond it the newest message is dropped
+    /// (its completion callback fails).
     Bounded {
         /// Maximum queued messages.
         cap: usize,
-        /// Overflow behaviour.
-        on_full: OnFull,
     },
 }
 
@@ -102,7 +92,6 @@ struct ConnStats {
 
 struct ConnInner {
     from: NodeId,
-    to: NodeId,
     stats: ConnStats,
     queue: VecDeque<OutMsg>,
     credits: usize,
@@ -114,7 +103,6 @@ struct ConnInner {
     outstanding: VecDeque<simkit::SimTime>,
     /// Where the sender coroutine parks between messages.
     sender: WakerSlot,
-    closed: bool,
     policy: BufferPolicy,
     queued_bytes: u64,
     sent: u64,
@@ -154,14 +142,12 @@ impl Connection {
         let conn = Connection {
             inner: Rc::new(RefCell::new(ConnInner {
                 from: rt.node(),
-                to,
                 stats,
                 queue: VecDeque::new(),
                 credits: window,
                 window,
                 outstanding: VecDeque::new(),
                 sender: WakerSlot::default(),
-                closed: false,
                 policy,
                 queued_bytes: 0,
                 sent: 0,
@@ -173,9 +159,7 @@ impl Connection {
         let from = rt.node();
         Coroutine::create(rt, "rpc:sender", async move {
             loop {
-                let Some(msg) = c.pop_msg(world.sim()).await else {
-                    break;
-                };
+                let msg = c.pop_msg(world.sim()).await;
                 let len = msg.bytes.len() as u64;
                 if msg.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                     c.finish_msg(&world, len, false);
@@ -215,33 +199,26 @@ impl Connection {
     pub(crate) fn enqueue(&self, world: &World, msg: OutMsg) {
         let drop_msg = {
             let mut inner = self.inner.borrow_mut();
-            if inner.closed {
-                Some(msg)
-            } else {
-                match inner.policy {
-                    BufferPolicy::Bounded { cap, on_full } if inner.queue.len() >= cap => {
-                        if on_full == OnFull::Disconnect {
-                            inner.closed = true;
-                        }
-                        inner.dropped += 1;
-                        inner.stats.dropped.inc();
+            match inner.policy {
+                BufferPolicy::Bounded { cap } if inner.queue.len() >= cap => {
+                    inner.dropped += 1;
+                    inner.stats.dropped.inc();
+                    Some(msg)
+                }
+                _ => {
+                    let len = msg.bytes.len() as u64;
+                    if world.mem_alloc(inner.from, len).is_err() {
+                        // The process exceeded its memory limit
+                        // buffering for a slow peer: OOM kill.
+                        world.crash(inner.from);
                         Some(msg)
-                    }
-                    _ => {
-                        let len = msg.bytes.len() as u64;
-                        if world.mem_alloc(inner.from, len).is_err() {
-                            // The process exceeded its memory limit
-                            // buffering for a slow peer: OOM kill.
-                            world.crash(inner.from);
-                            Some(msg)
-                        } else {
-                            inner.queued_bytes += len;
-                            inner.stats.buffer_bytes.add(len as i64);
-                            inner.stats.buffer_msgs.add(1);
-                            inner.queue.push_back(msg);
-                            inner.sender.wake();
-                            None
-                        }
+                    } else {
+                        inner.queued_bytes += len;
+                        inner.stats.buffer_bytes.add(len as i64);
+                        inner.stats.buffer_msgs.add(1);
+                        inner.queue.push_back(msg);
+                        inner.sender.wake();
+                        None
                     }
                 }
             }
@@ -280,9 +257,8 @@ impl Connection {
     }
 
     /// Resolves to the next sendable message: waits for a non-empty queue
-    /// *and* an available credit (reclaiming expired credits lazily), or
-    /// to `None` once closed.
-    fn pop_msg(&self, sim: &simkit::Sim) -> impl Future<Output = Option<OutMsg>> + '_ {
+    /// *and* an available credit (reclaiming expired credits lazily).
+    fn pop_msg(&self, sim: &simkit::Sim) -> impl Future<Output = OutMsg> + '_ {
         let sim = sim.clone();
         // Wake-up at the oldest outstanding credit's expiry, armed while
         // blocked on credits; cancelled with this future when one returns.
@@ -291,19 +267,16 @@ impl Connection {
             let now = sim.now();
             self.reclaim_expired(now);
             let mut inner = self.inner.borrow_mut();
-            if inner.closed && inner.queue.is_empty() {
-                return Poll::Ready(None);
-            }
             // Cancelled messages do not consume credits.
             if let Some(front) = inner.queue.front() {
                 let cancelled = front.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-                if cancelled {
-                    return Poll::Ready(inner.queue.pop_front());
-                }
-                if inner.credits > 0 {
-                    inner.credits -= 1;
-                    inner.outstanding.push_back(now);
-                    return Poll::Ready(inner.queue.pop_front());
+                if cancelled || inner.credits > 0 {
+                    if !cancelled {
+                        inner.credits -= 1;
+                        inner.outstanding.push_back(now);
+                    }
+                    let msg = inner.queue.pop_front().expect("front was just seen");
+                    return Poll::Ready(msg);
                 }
                 // Blocked on credits with traffic pending: arm a wake at the
                 // oldest credit's expiry so a partition cannot wedge the link.
@@ -322,28 +295,6 @@ impl Connection {
         })
     }
 
-    /// Closes the connection; queued messages are dropped.
-    pub fn close(&self) {
-        let msgs = {
-            let mut inner = self.inner.borrow_mut();
-            inner.closed = true;
-            let msgs: Vec<OutMsg> = inner.queue.drain(..).collect();
-            let drained: u64 = msgs.iter().map(|m| m.bytes.len() as u64).sum();
-            inner.queued_bytes -= drained;
-            inner.stats.buffer_bytes.sub(drained as i64);
-            inner.stats.buffer_msgs.sub(msgs.len() as i64);
-            inner.dropped += msgs.len() as u64;
-            inner.stats.dropped.add(msgs.len() as u64);
-            msgs
-        };
-        for m in msgs {
-            if let Some(f) = m.on_drop {
-                f();
-            }
-        }
-        self.inner.borrow().sender.wake();
-    }
-
     /// Messages currently queued.
     pub fn queue_len(&self) -> usize {
         self.inner.borrow().queue.len()
@@ -359,14 +310,9 @@ impl Connection {
         self.inner.borrow().sent
     }
 
-    /// Messages dropped (policy, cancellation or close) so far.
+    /// Messages dropped (policy or cancellation) so far.
     pub fn dropped(&self) -> u64 {
         self.inner.borrow().dropped
-    }
-
-    /// The destination node.
-    pub fn peer(&self) -> NodeId {
-        self.inner.borrow().to
     }
 }
 
@@ -467,10 +413,13 @@ mod tests {
         assert_eq!(conn.queue_len(), 100);
         assert_eq!(sim.timers_scheduled() - timers, 1);
         assert_eq!(sim.pending_timers(), 1);
-        // The blocked pop takes its timer with it when it ends.
-        conn.close();
-        sim.run_until_time(sim.now() + Duration::from_millis(1));
-        assert_eq!(sim.pending_timers(), 0);
+        // The blocked pop takes its timer with it when it ends: a returned
+        // credit ends it, and the only timer left pending is the one armed
+        // by the next pop, blocked behind the message that credit let out.
+        conn.grant_credit();
+        sim.run_until_time(sim.now() + Duration::from_millis(10));
+        assert_eq!(conn.sent(), 2);
+        assert_eq!(sim.pending_timers(), 1);
     }
 
     #[test]
@@ -508,10 +457,7 @@ mod tests {
             &rt,
             &world,
             NodeId(1),
-            BufferPolicy::Bounded {
-                cap: 2,
-                on_full: OnFull::DropNewest,
-            },
+            BufferPolicy::Bounded { cap: 2 },
             // Zero effective throughput: one credit, never returned after
             // first send... use window 1 and don't run the sim yet.
             1,
@@ -531,36 +477,10 @@ mod tests {
         }
         assert_eq!(conn.queue_len(), 2);
         assert_eq!(dropped.get(), 3);
+        assert_eq!(conn.dropped(), 3);
+        let metric = rt.tracer().metrics().node(0).counter("rpc.dropped");
+        assert_eq!(metric.get(), 3, "accessor agrees with the metric");
         sim.run();
-    }
-
-    #[test]
-    fn disconnect_policy_closes_connection() {
-        let (_sim, world, rt) = setup();
-        let conn = Connection::open(
-            &rt,
-            &world,
-            NodeId(1),
-            BufferPolicy::Bounded {
-                cap: 1,
-                on_full: OnFull::Disconnect,
-            },
-            1,
-            Duration::from_micros(1),
-        );
-        conn.enqueue(&world, msg(1));
-        conn.enqueue(&world, msg(1)); // Overflows: disconnect.
-        let hit = Rc::new(Cell::new(false));
-        let h = hit.clone();
-        conn.enqueue(
-            &world,
-            OutMsg {
-                bytes: Bytes::new(),
-                cancel: None,
-                on_drop: Some(Box::new(move || h.set(true))),
-            },
-        );
-        assert!(hit.get(), "post-disconnect messages fail immediately");
     }
 
     #[test]
@@ -648,39 +568,10 @@ mod tests {
         assert_eq!(m.node(0).counter("rpc.sent").get(), 1);
         assert_eq!(bytes.get(), 400);
         assert_eq!(msgs.get(), 4);
-        conn.close();
-        assert_eq!(bytes.get(), 0, "close drains the buffer gauges");
-        assert_eq!(msgs.get(), 0);
-        assert_eq!(m.node(0).counter("rpc.dropped").get(), 4);
-        assert_eq!(conn.dropped(), 4, "accessor agrees with the metric");
+        // Unreturned credits expire, so the rest drains too.
         sim.run();
-    }
-
-    #[test]
-    fn close_drops_queued_messages() {
-        let (_sim, world, rt) = setup();
-        let conn = Connection::open(
-            &rt,
-            &world,
-            NodeId(1),
-            BufferPolicy::Unbounded,
-            1,
-            Duration::from_micros(1),
-        );
-        let dropped = Rc::new(Cell::new(0));
-        for _ in 0..3 {
-            let d = dropped.clone();
-            conn.enqueue(
-                &world,
-                OutMsg {
-                    bytes: Bytes::from_static(b"x"),
-                    cancel: None,
-                    on_drop: Some(Box::new(move || d.set(d.get() + 1))),
-                },
-            );
-        }
-        conn.close();
-        assert_eq!(dropped.get(), 3);
-        assert_eq!(conn.queue_len(), 0);
+        assert_eq!(m.node(0).counter("rpc.sent").get(), 5);
+        assert_eq!(bytes.get(), 0);
+        assert_eq!(msgs.get(), 0);
     }
 }

@@ -27,33 +27,30 @@ use crate::{wire_struct, Method};
 /// Endpoint configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RpcCfg {
-    /// CPU charged on the sender per outgoing message.
-    pub tx_cpu: Duration,
-    /// CPU charged on the receiver per incoming message (in the pump).
-    pub rx_cpu: Duration,
-    /// Flow-control window per connection.
-    pub window: usize,
     /// Outgoing buffer policy.
     pub buffer: BufferPolicy,
-    /// Delay before a processed message's credit returns to the sender
-    /// (models the transport ack round-trip).
-    pub ack_latency: Duration,
 }
 
 impl Default for RpcCfg {
     fn default() -> Self {
         RpcCfg {
-            tx_cpu: Duration::from_micros(15),
-            rx_cpu: Duration::from_micros(15),
-            window: 128,
-            buffer: BufferPolicy::Bounded {
-                cap: 4096,
-                on_full: crate::conn::OnFull::DropNewest,
-            },
-            ack_latency: Duration::from_micros(250),
+            buffer: BufferPolicy::Bounded { cap: 4096 },
         }
     }
 }
+
+/// CPU charged on the sender per outgoing message.
+const TX_CPU: Duration = Duration::from_micros(15);
+
+/// Flow-control window per connection.
+const WINDOW: usize = 128;
+
+/// CPU charged on the receiver per incoming message (in the pump).
+const RX_CPU: Duration = Duration::from_micros(15);
+
+/// Delay before a processed message's credit returns to the sender
+/// (models the transport ack round-trip).
+const ACK_LATENCY: Duration = Duration::from_micros(250);
 
 #[derive(Debug)]
 pub(crate) struct Envelope {
@@ -114,7 +111,7 @@ pub(crate) struct EndpointInner {
     rt: Runtime,
     world: World,
     node: NodeId,
-    cfg: RpcCfg,
+    buffer: BufferPolicy,
     services: RefCell<HashMap<Method, (&'static str, Service)>>,
     pending: RefCell<HashMap<u64, RpcEvent>>,
     next_id: Cell<u64>,
@@ -123,8 +120,6 @@ pub(crate) struct EndpointInner {
     inbox: RefCell<VecDeque<simkit::world::NetMessage>>,
     /// Where the receive pump parks on an empty inbox.
     pump: WakerSlot,
-    /// Peak inbox depth, for diagnostics.
-    inbox_peak: Cell<usize>,
 }
 
 /// One node's RPC endpoint. Cheap to clone.
@@ -142,7 +137,7 @@ impl Endpoint {
             rt: rt.clone(),
             world: world.clone(),
             node,
-            cfg,
+            buffer: cfg.buffer,
             services: RefCell::new(HashMap::new()),
             pending: RefCell::new(HashMap::new()),
             next_id: Cell::new(1),
@@ -150,7 +145,6 @@ impl Endpoint {
             registry: registry.clone(),
             inbox: RefCell::new(VecDeque::new()),
             pump: WakerSlot::default(),
-            inbox_peak: Cell::new(0),
         });
         registry
             .endpoints
@@ -160,12 +154,7 @@ impl Endpoint {
         let weak = Rc::downgrade(&ep.inner);
         world.register_handler(node, move |msg| {
             if let Some(inner) = weak.upgrade() {
-                let mut inbox = inner.inbox.borrow_mut();
-                inbox.push_back(msg);
-                inner
-                    .inbox_peak
-                    .set(inner.inbox_peak.get().max(inbox.len()));
-                drop(inbox);
+                inner.inbox.borrow_mut().push_back(msg);
                 inner.pump.wake();
             }
         });
@@ -186,16 +175,6 @@ impl Endpoint {
     /// The simulated world.
     pub fn world(&self) -> &World {
         &self.inner.world
-    }
-
-    /// The endpoint configuration.
-    pub fn cfg(&self) -> RpcCfg {
-        self.inner.cfg
-    }
-
-    /// Peak inbox depth observed (diagnostics).
-    pub fn inbox_peak(&self) -> usize {
-        self.inner.inbox_peak.get()
     }
 
     /// Registers a service: requests for `method` run `f` in a fresh
@@ -254,14 +233,8 @@ impl Endpoint {
         conns
             .entry(peer.0)
             .or_insert_with(|| {
-                Connection::open(
-                    &self.inner.rt,
-                    &self.inner.world,
-                    peer,
-                    self.inner.cfg.buffer,
-                    self.inner.cfg.window,
-                    self.inner.cfg.tx_cpu,
-                )
+                let inner = &self.inner;
+                Connection::open(&inner.rt, &inner.world, peer, inner.buffer, WINDOW, TX_CPU)
             })
             .clone()
     }
@@ -346,13 +319,7 @@ impl Endpoint {
                     }
                 })
                 .await;
-                if ep
-                    .inner
-                    .world
-                    .cpu(ep.inner.node, ep.inner.cfg.rx_cpu)
-                    .await
-                    .is_err()
-                {
+                if ep.inner.world.cpu(ep.inner.node, RX_CPU).await.is_err() {
                     break; // Node crashed: stop serving.
                 }
                 ep.return_credit(msg.from);
@@ -371,7 +338,7 @@ impl Endpoint {
         let me = self.inner.node;
         let conn = sender.conns.borrow().get(&me.0).cloned();
         if let Some(conn) = conn {
-            let at = self.inner.rt.now() + self.inner.cfg.ack_latency;
+            let at = self.inner.rt.now() + ACK_LATENCY;
             self.inner.rt.schedule_call(at, move || conn.grant_credit());
         }
     }
@@ -427,11 +394,6 @@ impl Responder {
     /// Sends a typed reply.
     pub fn reply_t<T: WireWrite>(self, value: &T) {
         self.reply(value.to_bytes());
-    }
-
-    /// The node that sent the request.
-    pub fn caller(&self) -> NodeId {
-        self.to
     }
 }
 

@@ -72,7 +72,7 @@ pub mod proxy;
 pub mod wire;
 
 pub use broadcast::broadcast;
-pub use conn::{BufferPolicy, OnFull};
+pub use conn::BufferPolicy;
 pub use endpoint::{Endpoint, Responder, RpcCfg};
 pub use proxy::{classified_reply, inverse, Proxy, RpcEvent};
 pub use wire::{WireRead, WireWrite};

@@ -15,7 +15,6 @@ use std::rc::Rc;
 use bytes::Bytes;
 use depfast::event::{EventHandle, EventKind, ValueEvent, Watchable};
 use depfast::runtime::Runtime;
-use depfast_metrics::HistogramHandle;
 use simkit::disk::DiskOp;
 use simkit::{Crashed, NodeId, World};
 
@@ -86,8 +85,6 @@ pub struct LogStore {
     /// otherwise a retransmitted entry could be acked from memory while
     /// its fsync is still queued behind a slow disk.
     durable: ValueEvent<u64>,
-    /// `raft.append_lag` series: append-to-durable latency of each batch.
-    append_lag: HistogramHandle,
 }
 
 impl LogStore {
@@ -112,11 +109,6 @@ impl LogStore {
             // WAL disk completion, and tracing/blame/profiling all
             // classify that as disk time on this node.
             durable: ValueEvent::with_kind(rt, 0, EventKind::Io, "log_durable"),
-            append_lag: rt
-                .tracer()
-                .metrics()
-                .node(rt.node().0)
-                .histogram("raft.append_lag"),
         }
     }
 
@@ -202,12 +194,8 @@ impl LogStore {
         let io = self.wal.append(bytes);
         if last > 0 {
             let durable = self.durable.clone();
-            let lag = self.append_lag.clone();
-            let sim = self.world.sim().clone();
-            let started = io.handle().created_at();
             io.handle().on_fire(move |sig| {
                 if sig == depfast::Signal::Ok {
-                    lag.record(sim.now() - started);
                     durable.set(last);
                 }
             });
