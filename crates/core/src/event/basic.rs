@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use super::core::{EventHandle, EventKind, Signal, Watchable};
+use super::core::{EventHandle, EventId, EventKind, Signal, Watchable};
 use crate::runtime::Runtime;
 
 /// A manually-triggered condition event.
@@ -226,6 +226,28 @@ impl<T: Copy + PartialOrd + 'static> ValueEvent<T> {
         }
     }
 
+    /// Fires every pending threshold wait with [`Signal::Err`]: the value
+    /// will not get there on its owner's present course (a deposed leader's
+    /// watermark), and a waiter should hear so before its deadline.
+    pub fn fail_waiters(&self) {
+        let waiters = std::mem::take(&mut self.inner.borrow_mut().waiters);
+        for (_, h) in waiters {
+            h.fire(Signal::Err);
+        }
+    }
+
+    /// The pending threshold waits a `set(v)` would fire, by event id —
+    /// for a tracing setter to link each to the cause of the set before
+    /// making it.
+    pub fn waiting_through(&self, v: T) -> Vec<EventId> {
+        let inner = self.inner.borrow();
+        let due = inner
+            .waiters
+            .iter()
+            .filter(|(threshold, _)| *threshold <= v);
+        due.map(|(_, h)| h.id()).collect()
+    }
+
     /// Returns an event that fires once the value reaches `threshold`
     /// (immediately if it already has).
     pub fn when_at_least(&self, threshold: T) -> EventHandle {
@@ -304,8 +326,24 @@ mod tests {
         v.set(5);
         assert!(a.ready());
         assert!(!b.ready());
+        assert_eq!(v.waiting_through(10), vec![b.id()], "a fired, b pending");
+        assert_eq!(v.waiting_through(9), vec![]);
         v.set(10);
         assert!(b.ready());
+    }
+
+    #[test]
+    fn value_event_fails_its_pending_waiters_once() {
+        let (_sim, rt) = rt();
+        let v = ValueEvent::new(&rt, 0u64);
+        let (reached, pending) = (v.when_at_least(0), v.when_at_least(3));
+        v.fail_waiters();
+        assert_eq!(reached.fired(), Some(Signal::Ok));
+        assert_eq!(pending.fired(), Some(Signal::Err));
+        // The variable itself goes on: a later waiter is served as ever.
+        let later = v.when_at_least(3);
+        v.set(3);
+        assert!(later.ready() && !pending.ready());
     }
 
     #[test]

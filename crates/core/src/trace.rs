@@ -125,13 +125,15 @@ pub enum TraceRecord {
     },
     /// Links a proposal's completion event to the replication round
     /// (quorum event) that carries it — the hop critical-path analysis
-    /// walks from a committed command into the quorum's children.
+    /// walks from a committed command into the quorum's children — and,
+    /// likewise, a ReadIndex get's wait to the confirmation round that
+    /// ended it.
     RoundLink {
         /// Virtual time.
         t: SimTime,
-        /// The proposal's completion event.
+        /// The proposal's completion event, or the get's wait.
         proposal: EventId,
-        /// The replication round's quorum event.
+        /// The round's quorum event.
         round: EventId,
     },
     /// A child was added to a compound event.

@@ -48,7 +48,7 @@ pub struct TraceIndex {
     pub children: HashMap<EventId, Vec<EventId>>,
     /// Last `(k, n)` snapshot seen for each quorum-like event.
     pub quorum_meta: HashMap<EventId, (usize, usize)>,
-    /// Replication round (quorum event) of each linked proposal.
+    /// Round (quorum event) of each linked proposal or ReadIndex wait.
     pub round_of: HashMap<EventId, EventId>,
     /// Launch records by coroutine id.
     pub coros: HashMap<CoroId, CoroInfo>,

@@ -75,6 +75,11 @@ impl KvServer {
                 let r = r.clone();
                 let ri = read_index.clone();
                 let st = state.clone();
+                // Taken on arrival, before the serve CPU and before the op
+                // is known: a get may only ride a confirmation round
+                // launched after this instant. Reads counters only, so it
+                // is free for everything that is not a get.
+                let ticket = DepFastRaft::read_ticket(r.core());
                 Coroutine::create(&r.core().rt.clone(), "kv:serve", async move {
                     if r.core().world.cpu(r.core().id, serve_cpu).await.is_err() {
                         return;
@@ -89,24 +94,24 @@ impl KvServer {
                     // — no log append, no disk write, still no singular
                     // wait on any one follower.
                     if ri.get() && r.kind() == RaftKind::DepFast {
-                        if let Some(req) = KvRequest::from_bytes(&payload) {
-                            if req.op == KvOp::Get {
-                                let core = r.core();
-                                let observed_commit = core.commit.get();
-                                if !DepFastRaft::confirm_leadership(core).await {
-                                    let hint = r.leader_hint().map(|n| n.0);
-                                    responder.reply_t(&KvResponse::not_leader(hint));
-                                    return;
-                                }
-                                let gate = core.wait_applied(observed_commit);
-                                if !gate.wait_timeout(PROPOSAL_DEADLINE).await.is_ready() {
-                                    responder.reply_t(&KvResponse::error());
-                                    return;
-                                }
-                                let value = st.borrow().get(&req.key).cloned();
-                                responder.reply_t(&KvResponse::ok(value));
+                        let core = r.core();
+                        let get = KvRequest::from_bytes(&payload).filter(|q| q.op == KvOp::Get);
+                        // No read index yet (a new leader, Raft §6.4): the
+                        // get goes through the log below.
+                        if let Some((req, observed_commit)) = get.zip(core.read_index()) {
+                            if !DepFastRaft::confirm_leadership(core, ticket).await {
+                                let hint = r.leader_hint().map(|n| n.0);
+                                responder.reply_t(&KvResponse::not_leader(hint));
                                 return;
                             }
+                            let gate = core.wait_applied(observed_commit);
+                            if !gate.wait_timeout(PROPOSAL_DEADLINE).await.is_ready() {
+                                responder.reply_t(&KvResponse::error());
+                                return;
+                            }
+                            let value = st.borrow().get(&req.key).cloned();
+                            responder.reply_t(&KvResponse::ok(value));
+                            return;
                         }
                     }
                     let ev = r.propose(payload);

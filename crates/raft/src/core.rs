@@ -28,6 +28,7 @@ use depfast_storage::{Entry, IoEvent, LogStore, LogStoreCfg};
 use simkit::{Crashed, NodeId, SimTime, WakerSlot, World};
 
 use crate::flow::Flow;
+use crate::reads::ReadRounds;
 use crate::types::{
     from_wire, to_wire, AppendReq, AppendResp, VoteReq, VoteResp, APPEND_ENTRIES, PRE_VOTE,
     REQUEST_VOTE,
@@ -294,6 +295,12 @@ pub struct RaftCore {
     /// [`Flow`]'s resolved-round count as a watchable: DepFastRaft's
     /// pipeline-depth gate waits on it.
     pub(crate) rounds_done: ValueEvent<u64>,
+    /// DepFastRaft's ReadIndex round sharing: which confirmation round a
+    /// get may ride.
+    pub(crate) reads: RefCell<ReadRounds>,
+    /// [`ReadRounds`]' newest confirmed round as a watchable: a get that
+    /// joined or launched a round waits for it to reach its ticket's need.
+    pub(crate) reads_confirmed: ValueEvent<u64>,
     /// Follower-side: highest index log-match-verified against the
     /// current leader's stream (appended locally, though possibly not yet
     /// durable). Clamped on truncation; reported in every append reply.
@@ -364,6 +371,8 @@ impl RaftCore {
             stats: RaftStats::new(rt, group),
             flow: RefCell::new(Flow::new(cfg)),
             rounds_done: ValueEvent::labeled(rt, 0, "rounds_done"),
+            reads: RefCell::new(ReadRounds::default()),
+            reads_confirmed: ValueEvent::labeled(rt, 0, "read_confirmed"),
             verified_index: Cell::new(0),
             append_ticket: Cell::new(0),
             append_turn: ValueEvent::labeled(rt, 0, "append_turn"),
@@ -412,6 +421,18 @@ impl RaftCore {
     /// Last known leader, if any.
     pub fn leader_hint(&self) -> Option<NodeId> {
         self.st.borrow().leader_hint
+    }
+
+    /// The index a linearizable read may be served at once this node's
+    /// leadership is confirmed: its commit index — but `None` until an
+    /// entry of its current term has committed (Raft §6.4). A new leader
+    /// appends nothing at election and commits only by a current-term
+    /// quorum, so until then its commit index may trail writes its
+    /// predecessor acknowledged; a read arriving that early goes through
+    /// the log, which commits the entry that ends the wait.
+    pub fn read_index(&self) -> Option<u64> {
+        let commit = self.commit.get();
+        (self.log.term_at(commit) == self.log.current_term()).then_some(commit)
     }
 
     /// An event that fires once the state machine has applied everything
@@ -466,6 +487,9 @@ impl RaftCore {
             was
         };
         if was_leader {
+            // No round will confirm the gets waiting for one: refuse them
+            // now rather than at their deadline.
+            self.reads_confirmed.fail_waiters();
             self.proposals.fail_all();
             // Fail in log-index order: HashMap drain order varies per
             // process and would wake waiting proposers nondeterministically.

@@ -26,6 +26,7 @@ use simkit::NodeId;
 
 use crate::core::{RaftCore, Role, ELECTION_TIMEOUT, HEARTBEAT};
 use crate::flow::{Admit, SuspectAction};
+use crate::reads::{ReadTicket, Resume};
 use crate::types::{AppendResp, VoteReq, VoteResp, APPEND_ENTRIES, PRE_VOTE, REQUEST_VOTE};
 
 /// Quorum-wait deadline per replication round (and per leadership
@@ -382,46 +383,108 @@ impl DepFastRaft {
         });
     }
 
-    /// Confirms this node's leadership with a majority round (the
-    /// ReadIndex protocol's heartbeat exchange): returns `true` if a
-    /// majority acknowledged the current term, so every commit index the
-    /// caller observed is safe to serve linearizable reads from. Another
-    /// quorum-event wait — no single slow follower delays a read.
-    pub async fn confirm_leadership(core: &Rc<RaftCore>) -> bool {
-        if core.st.borrow().role != Role::Leader {
-            return false;
+    /// What the read-sharing law is told of this node: its term, and
+    /// whether it leads.
+    fn standing(core: &RaftCore) -> (u64, bool) {
+        (core.log.current_term(), core.is_leader())
+    }
+
+    /// The [`ReadTicket`] of a client request reaching this node now. Taken
+    /// for every request before its op is parsed, so it only reads
+    /// counters (see [`ReadRounds::ticket`](crate::reads::ReadRounds::ticket)).
+    pub fn read_ticket(core: &RaftCore) -> ReadTicket {
+        core.reads.borrow().ticket(core.log.current_term())
+    }
+
+    /// Confirms this node's leadership for the get holding `ticket` (the
+    /// ReadIndex protocol's heartbeat exchange), sharing the exchange: the
+    /// get is served by a confirmation round launched since it arrived if
+    /// one is already acknowledged, joins one in flight, and otherwise
+    /// launches the next at once ([`crate::reads`] holds the rule and why
+    /// it is safe). `true` means a majority acknowledged this node's term
+    /// after the get was invoked, so the commit index the caller observed
+    /// is safe to serve the read from. The one wait is on the
+    /// confirmed-round watermark, never on a follower, and no longer than
+    /// the private round the get would have launched now.
+    pub async fn confirm_leadership(core: &Rc<RaftCore>, ticket: ReadTicket) -> bool {
+        let (term, leader) = Self::standing(core);
+        let plan = core.reads.borrow_mut().resume(ticket, term, leader);
+        match plan {
+            Resume::Refused => return false,
+            Resume::Served => return true,
+            Resume::Join => {}
+            Resume::Launch(round) => Self::launch_read_round(core, round, term),
         }
-        let term = core.log.current_term();
-        // A fixed Count threshold, not Majority-of-current-children: the
-        // self ack is already fired, and a dynamic majority would resolve
-        // at n = 1 the moment it is added.
-        let quorum =
-            QuorumEvent::labeled(&core.rt, QuorumMode::Count(core.majority()), "read_index");
-        let method = core.method(APPEND_ENTRIES);
-        let probes = core.peers.iter().map(|&peer| {
-            let prev = core.next_index(peer) - 1;
-            (peer, method, core.append_req(term, prev, &[], false))
-        });
-        let c2 = core.clone();
-        // A confirmation, not an ack: only the term half of the reply
-        // rule applies.
-        let confirms = move |r: Option<AppendResp>| {
-            r.is_some_and(|r| c2.observe_term(r.term) && r.term == term)
-        };
-        broadcast(
-            &core.ep,
-            &quorum,
-            Some("self_ack"),
-            "read_index",
-            probes,
-            confirms,
-            false,
-        );
+        let confirmed = core.reads_confirmed.when_at_least(ticket.need());
         let out = {
-            let _g = depfast::PhaseGuard::enter("read_index_wait");
-            quorum.wait_timeout(REPLICATE_TIMEOUT).await
+            let _g = depfast::PhaseGuard::enter("read_confirm_wait");
+            confirmed.wait_timeout(REPLICATE_TIMEOUT).await
         };
-        out.is_ready() && core.log.current_term() == term && core.st.borrow().role == Role::Leader
+        let (term, leader) = Self::standing(core);
+        out.is_ready() && core.reads.borrow().confirms(ticket, term, leader)
+    }
+
+    /// Confirmation round number `round` of `term`: one broadcast of empty
+    /// `AppendEntries` into a majority quorum, waited once by the round's
+    /// own coroutine — a quorum-event wait, so no single slow follower
+    /// delays the reads riding it — which then publishes "round `round`
+    /// confirmed" to them.
+    fn launch_read_round(core: &Rc<RaftCore>, round: u64, term: u64) {
+        let core = core.clone();
+        Coroutine::create(&core.rt.clone(), "raft:read_round", async move {
+            // A fixed Count threshold, not Majority-of-current-children: the
+            // self ack is already fired, and a dynamic majority would resolve
+            // at n = 1 the moment it is added.
+            let quorum =
+                QuorumEvent::labeled(&core.rt, QuorumMode::Count(core.majority()), "read_index");
+            let method = core.method(APPEND_ENTRIES);
+            let probes = core.peers.iter().map(|&peer| {
+                let prev = core.next_index(peer) - 1;
+                (peer, method, core.append_req(term, prev, &[], false))
+            });
+            let c2 = core.clone();
+            // A confirmation, not an ack: only the term half of the reply
+            // rule applies.
+            let confirms = move |r: Option<AppendResp>| {
+                r.is_some_and(|r| c2.observe_term(r.term) && r.term == term)
+            };
+            broadcast(
+                &core.ep,
+                &quorum,
+                Some("self_ack"),
+                "read_index",
+                probes,
+                confirms,
+                false,
+            );
+            let out = {
+                let _g = depfast::PhaseGuard::enter("read_index_wait");
+                quorum.wait_timeout(REPLICATE_TIMEOUT).await
+            };
+            let (now, leader) = Self::standing(&core);
+            let confirmed = core
+                .reads
+                .borrow_mut()
+                .resolve(round, out.is_ready(), now, leader);
+            // A round that confirms nobody publishes nothing: the gets that
+            // joined it run into their own deadline, as their private
+            // rounds would have, or are failed by the step-down.
+            let Some(watermark) = confirmed else { return };
+            // Tie each get this round wakes to it, as a proposal is tied to
+            // its replication round.
+            let tracer = core.rt.tracer();
+            if tracer.record_full() {
+                let (t, round_id) = (core.rt.now(), quorum.handle().id());
+                for get in core.reads_confirmed.waiting_through(watermark) {
+                    tracer.record(|| depfast::TraceRecord::RoundLink {
+                        t,
+                        proposal: get,
+                        round: round_id,
+                    });
+                }
+            }
+            core.reads_confirmed.set(watermark);
+        });
     }
 
     /// This node's candidacy for `term`, addressed to every peer's
@@ -562,6 +625,26 @@ mod tests {
         world.set_cpu_quota(NodeId(2), 0.01);
         let committed = drive(&sim, &cl, 50, 64, Duration::from_secs(1)).committed;
         assert_eq!(committed, 50, "healthy majority must keep committing");
+    }
+
+    #[test]
+    fn a_step_down_refuses_the_gets_waiting_for_a_round_at_once() {
+        let (sim, world, cl) = cluster(3, true);
+        let core = cl.groups[0].servers[0].core().clone();
+        for peer in [NodeId(1), NodeId(2)] {
+            world.partition(NodeId(0), peer);
+        }
+        // Nobody answers the round; 100 ms in, a higher term is heard of.
+        let t0 = sim.now();
+        let c = core.clone();
+        let deposed_at = t0 + Duration::from_millis(100);
+        core.rt
+            .schedule_call(deposed_at, move || c.step_down(2, None));
+        let ticket = DepFastRaft::read_ticket(&core);
+        let confirmed =
+            sim.block_on(async move { DepFastRaft::confirm_leadership(&core, ticket).await });
+        assert!(!confirmed);
+        assert_eq!(sim.now(), deposed_at, "not at the round's deadline");
     }
 
     #[test]

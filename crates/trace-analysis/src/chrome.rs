@@ -58,9 +58,9 @@ pub struct IncidentMark {
 ///
 /// Every event that both started and fired becomes a complete (`"X"`)
 /// slice on `pid = node`, `tid = coroutine`; request roots become
-/// instants; proposal→round links become flow (`"s"`/`"f"`) arrows. Each
-/// node that `spans` or `marks` mention gains a dedicated `tid`
-/// [`INCIDENT_TID`] lane named `"incidents"`, carrying fault intervals /
+/// instants; proposal→round and round→get links become flow (`"s"`/`"f"`)
+/// arrows. Each node that `spans` or `marks` mention gains a dedicated
+/// `tid` [`INCIDENT_TID`] lane named `"incidents"`, carrying fault intervals /
 /// suspicion lifetimes as complete slices and health-state transitions
 /// as instants, rendered in the order given — callers pass canonically
 /// sorted inputs (`depfast_incident::incident_track`). The output is a
@@ -166,35 +166,30 @@ pub fn chrome_trace(index: &TraceIndex, spans: &[IncidentSpan], marks: &[Inciden
         );
     }
 
-    // Flow arrows: proposal → replication round.
+    // Flow arrows: proposal → replication round, and confirmation round →
+    // the ReadIndex get it woke. A flow must start no later than it ends,
+    // so the arrow runs from whichever end was created first: a proposal
+    // precedes the round that carries it, a get joins a round in flight.
     let mut links: Vec<(EventId, EventId)> = index.round_of.iter().map(|(p, r)| (*p, *r)).collect();
     links.sort();
-    for (proposal, round) in links {
-        let (Some(p), Some(r)) = (index.events.get(&proposal), index.events.get(&round)) else {
+    for (rider, round) in links {
+        let (Some(p), Some(r)) = (index.events.get(&rider), index.events.get(&round)) else {
             continue;
         };
-        push(
-            &mut out,
-            format!(
-                "{{\"ph\":\"s\",\"pid\":{},\"tid\":{},\"ts\":{},\"id\":{},\
-                 \"name\":\"commit_path\",\"cat\":\"flow\"}}",
-                p.node.0,
-                tid_of(p.coro),
-                fmt_us(p.t.as_nanos()),
-                proposal.0
-            ),
-        );
-        push(
-            &mut out,
-            format!(
-                "{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":{},\"tid\":{},\"ts\":{},\"id\":{},\
-                 \"name\":\"commit_path\",\"cat\":\"flow\"}}",
-                r.node.0,
-                tid_of(r.coro),
-                fmt_us(r.t.as_nanos()),
-                proposal.0
-            ),
-        );
+        let (from, to) = if p.t <= r.t { (p, r) } else { (r, p) };
+        for (ph, end) in [("\"ph\":\"s\"", from), ("\"ph\":\"f\",\"bp\":\"e\"", to)] {
+            push(
+                &mut out,
+                format!(
+                    "{{{ph},\"pid\":{},\"tid\":{},\"ts\":{},\"id\":{},\
+                     \"name\":\"commit_path\",\"cat\":\"flow\"}}",
+                    end.node.0,
+                    tid_of(end.coro),
+                    fmt_us(end.t.as_nanos()),
+                    rider.0
+                ),
+            );
+        }
     }
 
     // The incident track: fault / suspicion intervals as slices, health
@@ -426,6 +421,41 @@ mod tests {
         assert!(json.contains("\"name\":\"detector: suspect\""));
         // Without incidents there is no incident lane.
         assert!(!chrome_trace(&index, &[], &[]).contains("incidents"));
+    }
+
+    #[test]
+    fn a_link_s_arrow_runs_forward_in_time_whichever_end_came_first() {
+        let created = |t, event, kind, label| TraceRecord::EventCreated {
+            t: SimTime::from_nanos(t),
+            node: NodeId(0),
+            coro: None,
+            event: depfast::EventId(event),
+            kind,
+            label,
+            ctx: None,
+        };
+        let link = |rider, round| TraceRecord::RoundLink {
+            t: SimTime::from_nanos(9000),
+            proposal: depfast::EventId(rider),
+            round: depfast::EventId(round),
+        };
+        // A proposal (1 µs) carried by a round created after it (2 µs); a
+        // get's wait (4 µs) woken by a round it joined in flight (3 µs).
+        let records = vec![
+            created(1000, 0, EventKind::Notify, "proposal"),
+            created(2000, 1, EventKind::Quorum, "replicate"),
+            link(0, 1),
+            created(3000, 2, EventKind::Quorum, "read_index"),
+            created(4000, 3, EventKind::Value, "read_confirmed"),
+            link(3, 2),
+        ];
+        let json = chrome_trace(&TraceIndex::build(&records), &[], &[]);
+        check_json(&json).expect("valid JSON");
+        for (start, finish, id) in [("1.000", "2.000", 0), ("3.000", "4.000", 3)] {
+            let s = format!("\"ph\":\"s\",\"pid\":0,\"tid\":0,\"ts\":{start},\"id\":{id},");
+            let f = format!("\"bp\":\"e\",\"pid\":0,\"tid\":0,\"ts\":{finish},\"id\":{id},");
+            assert!(json.contains(&s) && json.contains(&f), "flow {id}: {json}");
+        }
     }
 
     #[test]

@@ -1,14 +1,21 @@
 //! ReadIndex linearizable reads: correctness under partitions and
 //! performance under fail-slow followers.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use depfast::runtime::Coroutine;
+use depfast::trace::TraceIndex;
+use depfast::{EventId, EventKind};
 use depfast_kv::KvCluster;
 use depfast_raft::cluster::RaftKind;
 use depfast_raft::core::RaftCfg;
-use simkit::{NodeId, Sim, World, WorldCfg};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use simkit::{NodeId, Sim, SimTime, World, WorldCfg};
 
 fn cluster(sim: &Sim, w: &World, clients: usize, read_index: bool) -> Rc<KvCluster> {
     let cl = Rc::new(KvCluster::build(
@@ -157,4 +164,270 @@ fn deposed_leader_refuses_stale_reads() {
     if let Ok(v) = got {
         assert_eq!(v, Some(Bytes::from_static(b"new")), "stale read!");
     }
+}
+
+/// Raft §6.4: a newly elected leader's commit index trails whatever its
+/// predecessor acknowledged after the last heartbeat it heard, and a
+/// leadership confirmation proves leadership, not commit coverage. Until
+/// an entry of its own term commits, it must not serve a get from that
+/// commit index.
+#[test]
+fn new_leader_does_not_read_below_its_predecessors_acknowledged_writes() {
+    for seed in 0..8 {
+        let sim = Sim::new(seed);
+        let w = world(&sim, 5); // 3 servers + 2 client hosts
+        let cl = cluster(&sim, &w, 2, true);
+        let cl2 = cl.clone();
+        sim.block_on(async move {
+            let c = &cl2.clients[0];
+            for v in ["old", "new"] {
+                c.put(Bytes::from_static(b"k"), Bytes::from_static(v.as_bytes()))
+                    .await
+                    .unwrap();
+            }
+        });
+        // Both acknowledged; the leader dies before its next heartbeat
+        // carries the commit index that covers "new".
+        w.crash(NodeId(0));
+        sim.run_until_time(sim.now() + Duration::from_secs(3));
+        let cl2 = cl.clone();
+        let got = sim.block_on(async move { cl2.clients[1].get(Bytes::from_static(b"k")).await });
+        assert_eq!(got, Ok(Some(Bytes::from_static(b"new"))), "seed {seed}");
+    }
+}
+
+/// One client operation as its session saw it, on the virtual clock.
+struct Op {
+    /// `Some(v)`: a put of `v`; `None`: a get.
+    put: Option<u64>,
+    key: usize,
+    invoked: SimTime,
+    returned: SimTime,
+    /// A put: whether it was acknowledged. A get: the value it returned
+    /// (0 for a key never written), `None` if it gave up.
+    outcome: Option<u64>,
+}
+
+const SESSIONS: usize = 32;
+/// The first `WRITERS` sessions each own a key; the rest only read, so
+/// they stay with a leader for as long as it answers gets.
+const WRITERS: usize = 16;
+/// When the oracle run isolates its leader.
+const CUT: SimTime = SimTime::from_millis(200);
+
+/// What one oracle run leaves: the history, the number of confirmation
+/// rounds and successful gets of the healthy part, and the executor
+/// fingerprints `(now, commit, polls, timers scheduled)` — the one
+/// `tests/scheduler_determinism.rs` compares — at the end of the healthy
+/// part and of the run.
+struct OracleRun {
+    history: Vec<Op>,
+    healthy_rounds: u64,
+    healthy_gets: u64,
+    fingerprints: [(SimTime, u64, u64, u64); 2],
+}
+
+/// `SESSIONS` closed-loop sessions at the benchmark's operating point
+/// (250 µs serve CPU, so gets overlap on the leader's cores and share
+/// rounds). Session `i < WRITERS` is the only writer of key `i` and writes
+/// 1, 2, 3, ... to it; every session gets keys at random. The leader is cut
+/// off from both followers — client links stay up — from [`CUT`] for two
+/// seconds, then the run goes on for another half. Once the cut is made
+/// the sessions pace themselves (20 ms between operations), which keeps
+/// the history, and the test, short.
+fn oracle_run(seed: u64) -> OracleRun {
+    let sim = Sim::new(seed);
+    let w = world(&sim, 3 + SESSIONS);
+    let cl = Rc::new(KvCluster::build_tuned(
+        &sim,
+        &w,
+        RaftKind::DepFast,
+        3,
+        SESSIONS,
+        RaftCfg {
+            bootstrap_leader: Some(0),
+            ..RaftCfg::default()
+        },
+        Duration::from_micros(250),
+    ));
+    for s in &cl.servers {
+        s.set_read_index(true);
+    }
+    let key = |k: usize| Bytes::from(format!("key{k:02}"));
+    let history = Rc::new(RefCell::new(Vec::new()));
+    let heal = CUT + Duration::from_secs(2);
+    let end = heal + Duration::from_millis(500);
+    for i in 0..SESSIONS {
+        let (cl, history) = (cl.clone(), history.clone());
+        let rt = cl.clients[i].runtime().clone();
+        Coroutine::create(&rt.clone(), "session", async move {
+            let c = &cl.clients[i];
+            let mut rng = SmallRng::seed_from_u64(seed ^ ((i as u64) << 32));
+            let mut written = 0u64;
+            while rt.now() < end {
+                if rt.now() >= CUT {
+                    rt.sleep(Duration::from_millis(20)).await;
+                }
+                let invoked = rt.now();
+                let (put, k, outcome) = if i < WRITERS && rng.random_range(0..5u32) == 0 {
+                    written += 1;
+                    let acked = c.put(key(i), Bytes::from(written.to_string())).await;
+                    (Some(written), i, acked.ok().map(|()| written))
+                } else {
+                    let k = rng.random_range(0..WRITERS);
+                    let read = c.get(key(k)).await.ok();
+                    let value = |v: Bytes| std::str::from_utf8(&v).unwrap().parse().unwrap();
+                    (None, k, read.map(|v| v.map_or(0, value)))
+                };
+                history.borrow_mut().push(Op {
+                    put,
+                    key: k,
+                    invoked,
+                    returned: rt.now(),
+                    outcome,
+                });
+            }
+        });
+    }
+    let fingerprint = || {
+        let commit = cl.servers.iter().map(|s| s.raft().core().commit.get());
+        let commit = commit.max().unwrap();
+        (sim.now(), commit, sim.polls(), sim.timers_scheduled())
+    };
+
+    sim.run_until_time(CUT);
+    let healthy = fingerprint();
+    let rounds = cl
+        .raft
+        .tracer
+        .metrics()
+        .histograms_named("event.quorum.wait");
+    let healthy_rounds = rounds
+        .iter()
+        .filter(|(key, _)| key.tag == Some("read_index"))
+        .map(|(_, h)| h.with(|h| h.count()))
+        .sum();
+    let served = |op: &&Op| op.put.is_none() && op.outcome.is_some();
+    let healthy_gets = history.borrow().iter().filter(served).count() as u64;
+
+    for follower in [NodeId(1), NodeId(2)] {
+        w.partition(NodeId(0), follower);
+    }
+    sim.run_until_time(heal);
+    for follower in [NodeId(1), NodeId(2)] {
+        w.heal(NodeId(0), follower);
+    }
+    // Past `end`, for every session's last operation to return: one
+    // attempt may still time out (1.5 s) on the deposed leader.
+    sim.run_until_time(end + Duration::from_secs(2));
+    let fingerprints = [healthy, fingerprint()];
+    let history = Rc::try_unwrap(history).ok();
+    OracleRun {
+        history: history.expect("every session has returned").into_inner(),
+        healthy_rounds,
+        healthy_gets,
+        fingerprints,
+    }
+}
+
+/// The rule `benchmark/src/verify.rs` applies to `read-mostly`, here with
+/// shared rounds under a fault: a get of `k` that returned `v` must see
+/// every put of `k` acknowledged before the get was invoked (`v` is at
+/// least the largest such value) and nothing from the future (`v` is at
+/// most the largest value whose put was invoked before the get returned;
+/// a put that timed out may still have been applied, so it raises only
+/// this bound).
+#[test]
+fn shared_rounds_serve_no_stale_read_while_the_leader_is_isolated() {
+    for seed in 0..8 {
+        let run = oracle_run(seed);
+        let mut checked = [0, 0]; // gets invoked before / after the cut
+        let mut puts = vec![Vec::new(); WRITERS];
+        for op in run.history.iter().filter(|op| op.put.is_some()) {
+            puts[op.key].push(op);
+        }
+        for get in run.history.iter().filter(|op| op.put.is_none()) {
+            let Some(v) = get.outcome else { continue };
+            let puts = &puts[get.key];
+            let acked_before = puts
+                .iter()
+                .filter(|p| p.outcome.is_some() && p.returned < get.invoked)
+                .filter_map(|p| p.put)
+                .max();
+            let invoked_before_return = puts
+                .iter()
+                .filter(|p| p.invoked <= get.returned)
+                .filter_map(|p| p.put)
+                .max();
+            let case = || {
+                let (k, from, to) = (get.key, get.invoked, get.returned);
+                format!("seed {seed}: get of key {k} over [{from:?}, {to:?}] returned {v}")
+            };
+            let (lo, hi) = (
+                acked_before.unwrap_or(0),
+                invoked_before_return.unwrap_or(0),
+            );
+            assert!(v >= lo, "stale read, {lo} was acknowledged — {}", case());
+            assert!(v <= hi, "read from the future, past {hi} — {}", case());
+            checked[(get.invoked >= CUT) as usize] += 1;
+        }
+        assert!(checked[0] > 1_000, "seed {seed}: {checked:?}");
+        assert!(checked[1] > 1_000, "seed {seed}: {checked:?}");
+        // Rounds really were shared while the cluster was healthy.
+        assert!(
+            run.healthy_rounds > 0 && 2 * run.healthy_rounds <= run.healthy_gets,
+            "seed {seed}: {} rounds for {} gets",
+            run.healthy_rounds,
+            run.healthy_gets
+        );
+        if seed == 0 {
+            assert_eq!(oracle_run(seed).fingerprints, run.fingerprints);
+        }
+    }
+}
+
+/// The path from symptom to cause: in a traced run, every get that waited
+/// for a confirmation is linked to the round whose end woke it — the
+/// flow arrow `depfast-inspect --chrome` draws — and a shared round shows
+/// all its riders.
+#[test]
+fn a_traced_get_links_to_the_confirmation_round_that_woke_it() {
+    let sim = Sim::new(99);
+    let w = world(&sim, 3 + 8);
+    let cl = cluster(&sim, &w, 8, true);
+    let cl2 = cl.clone();
+    sim.block_on(async move {
+        let put = cl2.clients[0].put(Bytes::from_static(b"k"), Bytes::from_static(b"v"));
+        put.await.unwrap();
+    });
+    cl.raft.tracer.set_record_full(true);
+    for i in 0..8 {
+        let cl = cl.clone();
+        let rt = cl.clients[i].runtime().clone();
+        Coroutine::create(&rt, "session", async move {
+            for _ in 0..20 {
+                cl.clients[i].get(Bytes::from_static(b"k")).await.unwrap();
+            }
+        });
+    }
+    sim.run_until_time(sim.now() + Duration::from_secs(1));
+
+    let index = TraceIndex::build(&cl.raft.tracer.records());
+    let mut riders: HashMap<EventId, usize> = HashMap::new();
+    for (wait, _) in index
+        .events
+        .iter()
+        .filter(|(_, e)| e.label == "read_confirmed")
+    {
+        let round = index.round_of[wait];
+        let quorum = &index.events[&round];
+        assert_eq!(
+            (quorum.label, quorum.kind),
+            ("read_index", EventKind::Quorum)
+        );
+        assert_eq!(index.ok_fire_time(*wait), index.ok_fire_time(round));
+        *riders.entry(round).or_default() += 1;
+    }
+    let shared = riders.values().filter(|n| **n > 1).count();
+    assert!(shared > 0, "no round had two riders: {riders:?}");
 }
