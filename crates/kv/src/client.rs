@@ -379,7 +379,7 @@ impl KvClient {
             let out = ev.handle().wait_timeout(policy.attempt_timeout).await;
             drop(span);
             if out.is_ready() {
-                if let Some(resp) = ev.take().and_then(|b| KvResponse::from_bytes(&b)) {
+                if let Some(resp) = ev.take().and_then(|b| KvResponse::from_frame(&b)) {
                     match resp.status {
                         KvStatus::Ok => {
                             self.leader.set(Some(target));

@@ -1,7 +1,7 @@
 //! KV command and response wire formats.
 
-use bytes::{Bytes, BytesMut};
-use depfast_rpc::wire::{WireRead, WireWrite};
+use bytes::Bytes;
+use depfast_rpc::wire::{Reader, WireRead, WireWrite, Writer};
 
 /// A key-value operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,23 +49,23 @@ pub struct KvRequest {
 }
 
 impl WireWrite for KvRequest {
-    fn write(&self, buf: &mut BytesMut) {
-        self.client.write(buf);
-        self.seq.write(buf);
-        self.op.to_u8().write(buf);
-        self.key.write(buf);
-        self.value.write(buf);
+    fn write(&self, w: &mut Writer) {
+        self.client.write(w);
+        self.seq.write(w);
+        self.op.to_u8().write(w);
+        self.key.write(w);
+        self.value.write(w);
     }
 }
 
 impl WireRead for KvRequest {
-    fn read(buf: &mut Bytes) -> Option<Self> {
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
         Some(KvRequest {
-            client: u64::read(buf)?,
-            seq: u64::read(buf)?,
-            op: KvOp::from_u8(u8::read(buf)?)?,
-            key: Bytes::read(buf)?,
-            value: Bytes::read(buf)?,
+            client: u64::read(r)?,
+            seq: u64::read(r)?,
+            op: KvOp::from_u8(u8::read(r)?)?,
+            key: Bytes::read(r)?,
+            value: Bytes::read(r)?,
         })
     }
 }
@@ -141,19 +141,19 @@ impl KvResponse {
 }
 
 impl WireWrite for KvResponse {
-    fn write(&self, buf: &mut BytesMut) {
-        self.status.to_u8().write(buf);
-        self.value.write(buf);
-        self.leader_hint.write(buf);
+    fn write(&self, w: &mut Writer) {
+        self.status.to_u8().write(w);
+        self.value.write(w);
+        self.leader_hint.write(w);
     }
 }
 
 impl WireRead for KvResponse {
-    fn read(buf: &mut Bytes) -> Option<Self> {
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
         Some(KvResponse {
-            status: KvStatus::from_u8(u8::read(buf)?)?,
-            value: Option::<Bytes>::read(buf)?,
-            leader_hint: Option::<u32>::read(buf)?,
+            status: KvStatus::from_u8(u8::read(r)?)?,
+            value: Option::<Bytes>::read(r)?,
+            leader_hint: Option::<u32>::read(r)?,
         })
     }
 }
@@ -161,6 +161,34 @@ impl WireRead for KvResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
+    use depfast_rpc::wire::testing;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn request_and_response_decode_from_any_segmentation(
+            ids in (any::<u64>(), any::<u64>()),
+            op in prop_oneof![Just(KvOp::Put), Just(KvOp::Get), Just(KvOp::Delete)],
+            key in prop::collection::vec(any::<u8>(), 0..32),
+            pick in 0usize..4,
+            hint in prop_oneof![Just(None), any::<u32>().prop_map(Some)],
+            cuts in prop::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let (client, seq) = ids;
+            let value = testing::payload(pick, seq as u8);
+            let req = KvRequest { client, seq, op, key: Bytes::from(key), value: value.clone() };
+            testing::assert_segmentation_agnostic(&req, &cuts);
+            for (status, value) in [
+                (KvStatus::Ok, Some(value)),
+                (KvStatus::NotLeader, None),
+                (KvStatus::Error, None),
+            ] {
+                let resp = KvResponse { status, value, leader_hint: hint };
+                testing::assert_segmentation_agnostic(&resp, &cuts);
+            }
+        }
+    }
 
     #[test]
     fn request_round_trip() {

@@ -212,6 +212,70 @@ mod tests {
         assert_eq!(out, Some(Bytes::from_static(b"v")));
     }
 
+    /// One acknowledged put and one ReadIndex get of a `len`-byte value;
+    /// returns each replica's log payload for the put, each replica's
+    /// stored value, and the value the get handed the client.
+    fn put_then_read_index_get(len: usize) -> (Vec<Bytes>, Vec<Bytes>, Bytes) {
+        let (sim, w) = world(4);
+        let cfg = RaftCfg {
+            bootstrap_leader: Some(0),
+            ..RaftCfg::default()
+        };
+        let cl = Rc::new(KvCluster::build(&sim, &w, RaftKind::DepFast, 3, 1, cfg));
+        for s in &cl.servers {
+            s.set_read_index(true);
+        }
+        let key = Bytes::from_static(b"user0000000000000000042");
+        let (cl2, k) = (cl.clone(), key.clone());
+        let got = sim.block_on(async move {
+            let c = &cl2.clients[0];
+            c.put(k.clone(), Bytes::from(vec![7u8; len])).await.unwrap();
+            c.get(k).await.unwrap()
+        });
+        // Let the followers apply.
+        sim.run_until_time(sim.now() + std::time::Duration::from_secs(1));
+        let logged = |s: &KvServer| {
+            let log = &s.raft().core().log;
+            let (entries, _) = log.read_raw(log.last_index(), log.last_index() + 1);
+            entries[0].payload.clone()
+        };
+        (
+            cl.servers.iter().map(logged).collect(),
+            cl.servers
+                .iter()
+                .map(|s| s.local_get(&key).expect("applied"))
+                .collect(),
+            got.expect("the get sees the put"),
+        )
+    }
+
+    /// A record-sized value is copied once, by the client that encodes the
+    /// put: all three logs, all three state machines and the get's reply
+    /// hold views of that one buffer. A silent fall-back to a copy per hop
+    /// fails here, not only in a later memory benchmark.
+    #[test]
+    fn a_large_value_is_one_allocation_from_the_put_to_every_replica_and_back() {
+        let (payloads, values, got) = put_then_read_index_get(1000);
+        let body = payloads[0].as_ptr_range();
+        for p in &payloads {
+            assert_eq!(p.as_ptr_range(), body, "each log holds the client's buffer");
+        }
+        for v in values.iter().chain([&got]) {
+            assert_eq!(v.len(), 1000);
+            let v = v.as_ptr_range();
+            assert!(body.start <= v.start && v.end <= body.end, "a view of it");
+        }
+    }
+
+    /// Below the splice line a value travels by copy, as every message
+    /// did: the contract is equality, and says nothing about sharing.
+    #[test]
+    fn a_small_value_arrives_equal_everywhere() {
+        let (payloads, values, got) = put_then_read_index_get(100);
+        assert!(payloads.iter().all(|p| *p == payloads[0]));
+        assert!(values.iter().chain([&got]).all(|v| v[..] == [7u8; 100]));
+    }
+
     #[test]
     fn client_discovers_leader_via_redirect() {
         let (sim, w) = world(4);

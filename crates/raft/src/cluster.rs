@@ -409,7 +409,7 @@ mod tests {
             let ev = ev.clone();
             async move {
                 ev.handle().wait_timeout(Duration::from_secs(1)).await;
-                ev.take().and_then(|b| VoteResp::from_bytes(&b))
+                ev.take().and_then(|b| VoteResp::from_frame(&b))
             }
         });
         assert!(!reply.expect("served under the base id").granted);

@@ -1,7 +1,6 @@
 //! Raft message types and their wire encodings.
 
-use bytes::{Bytes, BytesMut};
-use depfast_rpc::wire::{WireRead, WireWrite};
+use depfast_rpc::wire::{Reader, WireRead, WireWrite, Writer};
 use depfast_rpc::{wire_struct, Method};
 use depfast_storage::Entry;
 
@@ -23,19 +22,19 @@ pub const PRE_VOTE: Method = 0x15;
 pub struct WireEntry(pub Entry);
 
 impl WireWrite for WireEntry {
-    fn write(&self, buf: &mut BytesMut) {
-        self.0.term.write(buf);
-        self.0.index.write(buf);
-        self.0.payload.write(buf);
+    fn write(&self, w: &mut Writer) {
+        self.0.term.write(w);
+        self.0.index.write(w);
+        self.0.payload.write(w);
     }
 }
 
 impl WireRead for WireEntry {
-    fn read(buf: &mut Bytes) -> Option<Self> {
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
         Some(WireEntry(Entry {
-            term: u64::read(buf)?,
-            index: u64::read(buf)?,
-            payload: Bytes::read(buf)?,
+            term: WireRead::read(r)?,
+            index: WireRead::read(r)?,
+            payload: WireRead::read(r)?,
         }))
     }
 }
@@ -137,12 +136,39 @@ pub fn from_wire(entries: Vec<WireEntry>) -> Vec<Entry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use depfast_rpc::wire::testing;
+    use proptest::prelude::*;
 
     fn entry(i: u64) -> Entry {
         Entry {
             term: 3,
             index: i,
             payload: Bytes::from(vec![i as u8; 8]),
+        }
+    }
+
+    proptest! {
+        /// A heartbeat, a single entry and a full batch, with payloads on
+        /// both sides of the splice line.
+        #[test]
+        fn append_req_decodes_from_any_segmentation(
+            header in (any::<u64>(), any::<u32>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            lazy in any::<bool>(),
+            count in prop_oneof![Just(0u64), Just(1), Just(25)],
+            pick in 0usize..4,
+            cuts in prop::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let (term, leader, prev_index, prev_term, commit) = header;
+            let entries = (0..count)
+                .map(|i| WireEntry(Entry {
+                    term,
+                    index: prev_index.wrapping_add(i + 1),
+                    payload: testing::payload(pick, i as u8),
+                }))
+                .collect();
+            let req = AppendReq { term, leader, prev_index, prev_term, entries, commit, lazy };
+            testing::assert_segmentation_agnostic(&req, &cuts);
         }
     }
 

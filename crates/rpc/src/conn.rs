@@ -24,11 +24,10 @@ use std::rc::Rc;
 use std::task::Poll;
 use std::time::Duration;
 
-use bytes::Bytes;
 use depfast::event::Watchable;
 use depfast::runtime::{Coroutine, Runtime};
 use depfast_metrics::{Counter, Gauge};
-use simkit::{NodeId, WakerSlot, World};
+use simkit::{Frame, NodeId, WakerSlot, World};
 
 /// Outgoing buffer sizing policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +72,7 @@ impl CancelToken {
 }
 
 pub(crate) struct OutMsg {
-    pub bytes: Bytes,
+    pub bytes: Frame,
     pub cancel: Option<CancelToken>,
     /// Runs if the message is discarded without being sent.
     pub on_drop: Option<Box<dyn FnOnce()>>,
@@ -319,6 +318,7 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use simkit::{Sim, WorldCfg};
     use std::cell::Cell;
 
@@ -331,7 +331,7 @@ mod tests {
 
     fn msg(n: usize) -> OutMsg {
         OutMsg {
-            bytes: Bytes::from(vec![0u8; n]),
+            bytes: Bytes::from(vec![0u8; n]).into(),
             cancel: None,
             on_drop: None,
         }
@@ -468,7 +468,7 @@ mod tests {
             conn.enqueue(
                 &world,
                 OutMsg {
-                    bytes: Bytes::from_static(b"x"),
+                    bytes: Bytes::from_static(b"x").into(),
                     cancel: None,
                     on_drop: Some(Box::new(move || d.set(d.get() + 1))),
                 },
@@ -502,7 +502,7 @@ mod tests {
             conn.enqueue(
                 &world,
                 OutMsg {
-                    bytes: Bytes::from_static(b"x"),
+                    bytes: Bytes::from_static(b"x").into(),
                     cancel: Some(token.clone()),
                     on_drop: None,
                 },

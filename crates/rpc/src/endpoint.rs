@@ -13,16 +13,15 @@ use std::rc::{Rc, Weak};
 use std::task::Poll;
 use std::time::Duration;
 
-use bytes::Bytes;
 use depfast::event::{EventKind, Watchable};
 use depfast::runtime::{Coroutine, Runtime};
 use depfast::TypedEvent;
-use simkit::{NodeId, WakerSlot, World};
+use simkit::{Frame, NodeId, WakerSlot, World};
 
 use crate::conn::{BufferPolicy, Connection, OutMsg};
 use crate::proxy::{Proxy, RpcEvent};
-use crate::wire::{WireRead, WireWrite};
-use crate::{wire_struct, Method};
+use crate::wire::{Reader, WireRead, WireWrite, Writer};
+use crate::Method;
 
 /// Endpoint configuration.
 #[derive(Debug, Clone, Copy)]
@@ -52,8 +51,16 @@ const RX_CPU: Duration = Duration::from_micros(15);
 /// (models the transport ack round-trip).
 const ACK_LATENCY: Duration = Duration::from_micros(250);
 
-#[derive(Debug)]
-pub(crate) struct Envelope {
+/// What every RPC message is on the wire: routing header, then the payload
+/// behind its `u32` length. `P` is the payload's form on the sending side
+/// — already-encoded segments, or a [`Typed`] body encoded in the same
+/// pass; a received envelope's payload is a [`Frame`] of views.
+///
+/// Public (and hidden) so that robustness tests can forge a message with
+/// the codec the endpoint itself uses.
+#[doc(hidden)]
+#[derive(Debug, PartialEq)]
+pub struct Envelope<P> {
     pub is_reply: bool,
     pub rpc_id: u64,
     pub method: u32,
@@ -63,16 +70,43 @@ pub(crate) struct Envelope {
     /// Span that caused this message (the RPC event on the caller for
     /// requests, the service coroutine for replies; `0` = none).
     pub parent_span: u64,
-    pub payload: Bytes,
+    pub payload: P,
 }
-wire_struct!(Envelope {
-    is_reply,
-    rpc_id,
-    method,
-    trace_id,
-    parent_span,
-    payload
-});
+
+impl<P: WireWrite> WireWrite for Envelope<P> {
+    fn write(&self, w: &mut Writer) {
+        self.is_reply.write(w);
+        self.rpc_id.write(w);
+        self.method.write(w);
+        self.trace_id.write(w);
+        self.parent_span.write(w);
+        self.payload.write(w);
+    }
+}
+
+impl WireRead for Envelope<Frame> {
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        Some(Envelope {
+            is_reply: WireRead::read(r)?,
+            rpc_id: WireRead::read(r)?,
+            method: WireRead::read(r)?,
+            trace_id: WireRead::read(r)?,
+            parent_span: WireRead::read(r)?,
+            payload: WireRead::read(r)?,
+        })
+    }
+}
+
+/// A typed body in payload position: its encoding goes straight into the
+/// envelope's sink, and the length a decoder reads the payload by is
+/// patched in once it is known — no body buffer is built to be copied.
+pub(crate) struct Typed<'a, T>(pub(crate) &'a T);
+
+impl<T: WireWrite> WireWrite for Typed<'_, T> {
+    fn write(&self, w: &mut Writer) {
+        w.length_prefixed(|w| self.0.write(w));
+    }
+}
 
 /// Encodes the ambient [`TraceCtx`] for the wire (`(0, 0)` = untraced),
 /// with `parent_span` replaced by the given span.
@@ -91,7 +125,7 @@ fn unwire_ctx(trace_id: u64, parent_span: u64) -> Option<depfast::TraceCtx> {
     })
 }
 
-type Service = Rc<dyn Fn(NodeId, Bytes, Responder)>;
+type Service = Rc<dyn Fn(NodeId, Frame, Responder)>;
 
 /// Shared registry so endpoints can return flow-control credits to each
 /// other's connections. One per cluster.
@@ -183,7 +217,7 @@ impl Endpoint {
         &self,
         method: Method,
         label: &'static str,
-        f: impl Fn(NodeId, Bytes, Responder) + 'static,
+        f: impl Fn(NodeId, Frame, Responder) + 'static,
     ) {
         self.inner
             .services
@@ -210,7 +244,7 @@ impl Endpoint {
     {
         let rt = self.inner.rt.clone();
         self.register(method, label, move |from, payload, responder| {
-            let Some(req) = Req::from_bytes(&payload) else {
+            let Some(req) = Req::from_frame(&payload) else {
                 return;
             };
             let work = handler(from, req);
@@ -245,7 +279,7 @@ impl Endpoint {
         peer: NodeId,
         method: Method,
         label: &'static str,
-        payload: Bytes,
+        payload: impl WireWrite,
         cancel: Option<crate::conn::CancelToken>,
     ) -> RpcEvent {
         let event: RpcEvent =
@@ -272,7 +306,7 @@ impl Endpoint {
         self.conn(peer).enqueue(
             &self.inner.world,
             OutMsg {
-                bytes: env.to_bytes(),
+                bytes: env.to_frame(),
                 cancel,
                 on_drop: Some(Box::new(move || {
                     if let Some(inner) = me.upgrade() {
@@ -286,7 +320,7 @@ impl Endpoint {
     }
 
     /// Sends a reply for `rpc_id` back to `peer`.
-    fn reply(&self, peer: NodeId, rpc_id: u64, payload: Bytes, ctx: (u64, u64)) {
+    fn reply(&self, peer: NodeId, rpc_id: u64, payload: impl WireWrite, ctx: (u64, u64)) {
         let env = Envelope {
             is_reply: true,
             rpc_id,
@@ -298,7 +332,7 @@ impl Endpoint {
         self.conn(peer).enqueue(
             &self.inner.world,
             OutMsg {
-                bytes: env.to_bytes(),
+                bytes: env.to_frame(),
                 cancel: None,
                 on_drop: None,
             },
@@ -343,8 +377,8 @@ impl Endpoint {
         }
     }
 
-    fn route(&self, from: NodeId, raw: Bytes) {
-        let Some(env) = Envelope::from_bytes(&raw) else {
+    fn route(&self, from: NodeId, raw: Frame) {
+        let Some(env) = Envelope::from_frame(&raw) else {
             return; // Malformed: drop.
         };
         if env.is_reply {
@@ -387,20 +421,23 @@ pub struct Responder {
 
 impl Responder {
     /// Sends the reply payload.
-    pub fn reply(self, payload: Bytes) {
-        self.ep.reply(self.to, self.rpc_id, payload, self.ctx);
+    pub fn reply(self, payload: impl Into<Frame>) {
+        self.ep
+            .reply(self.to, self.rpc_id, payload.into(), self.ctx);
     }
 
     /// Sends a typed reply.
     pub fn reply_t<T: WireWrite>(self, value: &T) {
-        self.reply(value.to_bytes());
+        self.ep.reply(self.to, self.rpc_id, Typed(value), self.ctx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use depfast::event::Watchable;
+    use proptest::prelude::*;
     use simkit::{Sim, WorldCfg};
 
     pub(crate) const ECHO: Method = 1;
@@ -426,11 +463,44 @@ mod tests {
         for ep in &eps {
             ep.register(ECHO, "svc:echo", |_, payload, r| r.reply(payload));
             ep.register(DOUBLE, "svc:double", |_, payload, r| {
-                let v = u64::from_bytes(&payload).unwrap();
+                let v = u64::from_frame(&payload).unwrap();
                 r.reply_t(&(v * 2));
             });
         }
         (sim, world, eps)
+    }
+
+    proptest! {
+        #[test]
+        fn envelope_decodes_from_any_segmentation(
+            is_reply in any::<bool>(),
+            ids in (0u64..u64::MAX, 0u32..u32::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            pick in 0usize..4,
+            cuts in prop::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let (rpc_id, method, trace_id, parent_span) = ids;
+            let payload = Frame::from(crate::wire::testing::payload(pick, rpc_id as u8));
+            let env = Envelope { is_reply, rpc_id, method, trace_id, parent_span, payload };
+            crate::wire::testing::assert_segmentation_agnostic(&env, &cuts);
+        }
+
+        /// A typed body written in the envelope's own pass is the same
+        /// byte string as the finished body carried as an opaque payload.
+        #[test]
+        fn typed_body_in_one_pass_equals_the_encoded_body_as_payload(
+            rpc_id in any::<u64>(),
+            pick in 0usize..4,
+        ) {
+            let body = crate::wire::testing::payload(pick, rpc_id as u8);
+            fn env<P>(rpc_id: u64, payload: P) -> Envelope<P> {
+                Envelope { is_reply: false, rpc_id, method: 7, trace_id: 1, parent_span: 2, payload }
+            }
+            let one_pass = env(rpc_id, Typed(&body)).to_frame();
+            let two_pass = env(rpc_id, Frame::from(body.to_bytes())).to_frame();
+            prop_assert_eq!(&one_pass, &two_pass);
+            let decoded = Envelope::from_frame(&one_pass).expect("decodes");
+            prop_assert_eq!(Bytes::from_frame(&decoded.payload), Some(body));
+        }
     }
 
     #[test]
@@ -529,7 +599,7 @@ mod tests {
             let ev = eps[0].proxy(NodeId(1)).call_t(90, "typed", &n);
             let (o, ev2) = (order.clone(), ev.clone());
             ev.handle().on_fire(move |_| {
-                let reply = ev2.take().and_then(|b| u64::from_bytes(&b));
+                let reply = ev2.take().and_then(|b| u64::from_frame(&b));
                 o.borrow_mut().push(reply);
             });
         }
@@ -548,7 +618,7 @@ mod tests {
         let ev2 = ev.clone();
         let out = sim.block_on(async move { ev2.handle().wait().await });
         assert!(out.is_ready());
-        assert_eq!(ev.take().unwrap(), Bytes::from_static(b"ping"));
+        assert_eq!(ev.take().unwrap().into_bytes(), Bytes::from_static(b"ping"));
     }
 
     #[test]
@@ -557,7 +627,7 @@ mod tests {
         let ev = eps[0].proxy(NodeId(1)).call_t(DOUBLE, "double", &21u64);
         let ev2 = ev.clone();
         sim.block_on(async move { ev2.handle().wait().await });
-        let reply: u64 = u64::from_bytes(&ev.take().unwrap()).unwrap();
+        let reply: u64 = u64::from_frame(&ev.take().unwrap()).unwrap();
         assert_eq!(reply, 42);
     }
 
@@ -609,7 +679,7 @@ mod tests {
             .collect();
         sim.run();
         for (i, ev) in evs.iter().enumerate() {
-            let reply = u64::from_bytes(&ev.take().unwrap()).unwrap();
+            let reply = u64::from_frame(&ev.take().unwrap()).unwrap();
             assert_eq!(reply, i as u64 * 2);
         }
     }

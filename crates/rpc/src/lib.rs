@@ -8,14 +8,17 @@
 //! that framework layer:
 //!
 //! * [`wire`] — a hand-rolled binary codec, so the network model charges
-//!   bandwidth for true message sizes;
+//!   bandwidth for true message sizes; a message is encoded once, into a
+//!   [`simkit::Frame`] that carries large payloads by reference, and
+//!   decodes from any segmentation of its byte string;
 //! * [`conn`] — per-peer connections with credit-based flow control and a
 //!   pluggable [`BufferPolicy`]: `Unbounded` buffers
 //!   reproduce the RethinkDB backlog/OOM root cause, bounded buffers are
 //!   what DepFast systems use;
 //! * [`endpoint`] — per-node servers: [`Endpoint::serve`] decodes a typed
 //!   request, runs its handler in a coroutine and replies; replies route
-//!   back to [`RpcEvent`]s;
+//!   back to [`RpcEvent`]s; envelope header and typed body are written in
+//!   one pass;
 //! * [`proxy`] — the caller side: `proxy.call(...)` returns an event, the
 //!   paper's `rpc_proxy.AppendEntries(entries)` shape, and
 //!   [`Proxy::call_classified`] one that fires with the protocol's verdict

@@ -17,13 +17,12 @@
 //! "no". [`Proxy::call_classified`] is the typed call whose result is
 //! that verdict — the reply-side twin of [`Proxy::call_t`].
 
-use bytes::Bytes;
 use depfast::event::{EventHandle, Signal, Watchable};
 use depfast::TypedEvent;
-use simkit::NodeId;
+use simkit::{Frame, NodeId};
 
 use crate::conn::CancelToken;
-use crate::endpoint::Endpoint;
+use crate::endpoint::{Endpoint, Typed};
 use crate::wire::{WireRead, WireWrite};
 use crate::Method;
 
@@ -31,7 +30,7 @@ use crate::Method;
 /// payload, or `Err` if the framework dropped the request (buffer policy,
 /// disconnect); never firing at all (peer crashed or fail-slow beyond the
 /// caller's patience) is handled by waiting with a timeout.
-pub type RpcEvent = TypedEvent<Bytes>;
+pub type RpcEvent = TypedEvent<Frame>;
 
 /// A client handle for calling one remote node.
 #[derive(Clone)]
@@ -54,8 +53,9 @@ impl Proxy {
     ///
     /// `label` names this waiting point in traces and reports (e.g.
     /// `"append_entries"`).
-    pub fn call(&self, method: Method, label: &'static str, payload: Bytes) -> RpcEvent {
-        self.ep.call_raw(self.peer, method, label, payload, None)
+    pub fn call(&self, method: Method, label: &'static str, payload: impl Into<Frame>) -> RpcEvent {
+        self.ep
+            .call_raw(self.peer, method, label, payload.into(), None)
     }
 
     /// Typed convenience over [`Proxy::call`].
@@ -65,7 +65,7 @@ impl Proxy {
         label: &'static str,
         req: &Req,
     ) -> RpcEvent {
-        self.call(method, label, req.to_bytes())
+        self.ep.call_raw(self.peer, method, label, Typed(req), None)
     }
 
     /// Typed call whose reply is classified: the returned event fires `Ok`
@@ -81,7 +81,7 @@ impl Proxy {
     ) -> EventHandle {
         let ev = self
             .ep
-            .call_raw(self.peer, method, label, req.to_bytes(), cancel);
+            .call_raw(self.peer, method, label, Typed(req), cancel);
         classified_reply(&ev, judge)
     }
 
@@ -115,7 +115,7 @@ pub fn classified_reply<R: WireRead + 'static>(
     let (v, ev2) = (verdict.clone(), ev.clone());
     ev.handle().on_fire(move |s| {
         let decoded = match s {
-            Signal::Ok => ev2.take().and_then(|b| R::from_bytes(&b)),
+            Signal::Ok => ev2.take().and_then(|b| R::from_frame(&b)),
             Signal::Err => None,
         };
         v.fire(if judge(decoded) {

@@ -5,96 +5,322 @@
 //! plain little-endian TLV-free layout: each type writes its fields in a
 //! fixed order. Decoding is fallible (`Option`) — a malformed buffer never
 //! panics.
+//!
+//! # A payload is copied once
+//!
+//! The models need a message's *length*; only the host pays for where its
+//! bytes live. A value therefore has one byte string and two ways to hold
+//! it. [`WireWrite::to_bytes`] is the contiguous buffer — what a log entry
+//! stores and what tests compare. [`WireWrite::to_frame`] is what goes on
+//! the wire: a [`Frame`] whose small fields are copied into one run and
+//! whose large [`Bytes`] fields (`SPLICE_MIN` bytes and up) are put in *by
+//! reference*, so an entry payload is not copied into every
+//! `AppendEntries` that carries it. Both come from the same
+//! [`WireWrite::write`] into a [`Writer`]; the byte strings are equal to
+//! the byte.
+//!
+//! Decoding is a [`Reader`] over segments that accepts **any** segmentation
+//! of the byte string: a field that lies inside one segment decodes as a
+//! view of it (so the spliced buffer comes back out as the field, not as a
+//! copy), a field that straddles a cut is gathered by copy, and truncation
+//! or trailing bytes are `None` wherever the cuts fall.
 
 use std::cell::Cell;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use simkit::Frame;
 
-/// Types that can serialize themselves onto a buffer.
-pub trait WireWrite {
-    /// Appends this value's encoding to `buf`.
-    fn write(&self, buf: &mut BytesMut);
+/// Smallest [`Bytes`] field a [`Writer`] puts on the wire by reference.
+///
+/// A splice costs a reference count and two list slots on each side of the
+/// wire and leaves the receiver holding the sender's whole buffer; a copy
+/// costs its bytes once per message. Keys, votes and 100 B values stay
+/// below the line and travel as one contiguous run exactly as before;
+/// the 1 KB record bodies that dominate replication traffic cross it.
+const SPLICE_MIN: usize = 256;
 
-    /// Convenience: encodes into a fresh [`Bytes`].
-    ///
-    /// The encoding is built in a per-thread scratch buffer that keeps its
-    /// capacity between calls and is then copied out once, so a message
-    /// costs one allocation of exactly its size however large it is.
-    fn to_bytes(&self) -> Bytes {
-        thread_local! {
-            static SCRATCH: Cell<BytesMut> = Cell::new(BytesMut::new());
-        }
+thread_local! {
+    /// The previous [`Writer`]'s run, kept for its capacity.
+    static SCRATCH: Cell<BytesMut> = Cell::default();
+}
+
+/// The sink a value encodes into: small fields are copied into one
+/// contiguous run, large [`Bytes`] fields are spliced in by reference.
+///
+/// The run is built in per-thread scratch that keeps its capacity between
+/// messages and is copied out once, so a message costs one allocation of
+/// exactly its copied bytes however many fields it has.
+pub struct Writer {
+    /// Every copied byte, in wire order.
+    run: BytesMut,
+    /// Each spliced buffer with the `run` offset it goes in at.
+    splices: Vec<(usize, Bytes)>,
+    spliced_len: usize,
+    /// `false` for a sink that must come out contiguous: copy everything.
+    splicing: bool,
+}
+
+impl Writer {
+    fn new(splicing: bool) -> Self {
         // Taken, not borrowed: a `write` that itself calls `to_bytes`
-        // finds an empty buffer rather than a borrow conflict.
-        let mut buf = SCRATCH.take();
-        self.write(&mut buf);
-        let out = Bytes::from(&buf[..]);
-        buf.clear();
-        SCRATCH.set(buf);
-        out
+        // finds empty scratch rather than a borrow conflict.
+        Writer {
+            run: SCRATCH.take(),
+            splices: Vec::new(),
+            spliced_len: 0,
+            splicing,
+        }
+    }
+
+    /// Bytes written so far.
+    fn len(&self) -> usize {
+        self.run.len() + self.spliced_len
+    }
+
+    /// Appends `bytes` raw (no length prefix): by reference from
+    /// `SPLICE_MIN` bytes up, by copy below.
+    fn put_bytes(&mut self, bytes: &Bytes) {
+        if self.splicing && bytes.len() >= SPLICE_MIN {
+            self.splices.push((self.run.len(), bytes.clone()));
+            self.spliced_len += bytes.len();
+        } else {
+            self.run.put_slice(bytes);
+        }
+    }
+
+    /// Runs `body` and writes, in front of what it wrote, that many bytes
+    /// as a `u32` — the encoding of an opaque payload, produced in the
+    /// same pass as whatever surrounds it instead of from a finished copy.
+    pub(crate) fn length_prefixed(&mut self, body: impl FnOnce(&mut Self)) {
+        let at = self.run.len();
+        self.run.put_u32_le(0);
+        let before = self.len();
+        body(self);
+        let len = (self.len() - before) as u32;
+        self.run[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+
+    fn finish(mut self) -> Frame {
+        let run = Bytes::from(&self.run[..]);
+        self.run.clear();
+        let frame = if self.splices.is_empty() {
+            Frame::from(run)
+        } else {
+            let mut segments = Vec::with_capacity(2 * self.splices.len() + 1);
+            let mut cut = 0;
+            for (at, spliced) in self.splices {
+                if at > cut {
+                    segments.push(run.slice(cut..at));
+                    cut = at;
+                }
+                segments.push(spliced);
+            }
+            if cut < run.len() {
+                segments.push(run.slice(cut..));
+            }
+            Frame::from_segments(segments)
+        };
+        SCRATCH.set(self.run);
+        frame
     }
 }
 
-/// Types that can deserialize themselves from a buffer.
-pub trait WireRead: Sized {
-    /// Consumes this value's encoding from `buf`, or returns `None` if the
-    /// buffer is malformed or truncated.
-    fn read(buf: &mut Bytes) -> Option<Self>;
-
-    /// Convenience: decodes from a complete buffer.
-    fn from_bytes(bytes: &Bytes) -> Option<Self> {
-        let mut b = bytes.clone();
-        let v = Self::read(&mut b)?;
-        if b.has_remaining() {
-            return None; // Trailing garbage.
-        }
-        Some(v)
+impl BufMut for Writer {
+    fn put_slice(&mut self, slice: &[u8]) {
+        self.run.put_slice(slice);
     }
+}
+
+/// Types that can serialize themselves into a [`Writer`].
+pub trait WireWrite {
+    /// Appends this value's encoding to `w`.
+    fn write(&self, w: &mut Writer);
+
+    /// Convenience: encodes into one contiguous [`Bytes`].
+    fn to_bytes(&self) -> Bytes {
+        let mut w = Writer::new(false);
+        self.write(&mut w);
+        w.finish().into_bytes()
+    }
+
+    /// Encodes for the wire: the same byte string as
+    /// [`to_bytes`](WireWrite::to_bytes), with large fields held by
+    /// reference.
+    fn to_frame(&self) -> Frame {
+        let mut w = Writer::new(true);
+        self.write(&mut w);
+        w.finish()
+    }
+}
+
+/// A cursor over the segments of an encoded value.
+///
+/// The fast paths — an integer or a field that lies inside the segment
+/// being read — touch only `cur`; everything about cuts is on the slow
+/// ones.
+pub struct Reader<'a> {
+    /// Segments not yet consumed; the first is the one being read.
+    segs: &'a [Bytes],
+    /// The unread tail of `segs[0]` (empty when there are no segments).
+    cur: &'a [u8],
+}
+
+/// The bytes of the first segment (none if there is none).
+fn head(segs: &[Bytes]) -> &[u8] {
+    segs.first().map_or(&[], |s| &s[..])
+}
+
+impl<'a> Reader<'a> {
+    fn new(segs: &'a [Bytes]) -> Self {
+        Reader {
+            segs,
+            cur: head(segs),
+        }
+    }
+
+    /// Bytes left to consume.
+    fn remaining(&self) -> usize {
+        let later = self.segs.get(1..).unwrap_or_default();
+        self.cur.len() + later.iter().map(Bytes::len).sum::<usize>()
+    }
+
+    /// Moves on to the next segment; `false` at the end of input.
+    fn next_segment(&mut self) -> bool {
+        self.segs = self.segs.get(1..).unwrap_or_default();
+        self.cur = head(self.segs);
+        !self.segs.is_empty()
+    }
+
+    /// Consumes `n` bytes of the current segment (which has them) as a view.
+    fn view(&mut self, n: usize) -> Bytes {
+        let Some(seg) = self.segs.first() else {
+            return Bytes::new();
+        };
+        let at = seg.len() - self.cur.len();
+        self.cur = &self.cur[n..];
+        seg.slice(at..at + n)
+    }
+
+    /// Consumes the next `N` bytes, wherever the cuts fall among them.
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        if let Some((whole, tail)) = self.cur.split_first_chunk::<N>() {
+            self.cur = tail;
+            return Some(*whole);
+        }
+        let mut out = [0u8; N];
+        let mut filled = 0;
+        while filled < N {
+            if self.cur.is_empty() && !self.next_segment() {
+                return None;
+            }
+            let n = self.cur.len().min(N - filled);
+            out[filled..filled + n].copy_from_slice(&self.cur[..n]);
+            self.cur = &self.cur[n..];
+            filled += n;
+        }
+        Some(out)
+    }
+
+    /// Consumes the next `len` bytes as views of the segments they lie
+    /// in: nothing is copied.
+    fn frame(&mut self, len: usize) -> Option<Frame> {
+        // A spliced field starts exactly at a cut, and must come back out
+        // as a view of its own segment: move on from a used-up one first.
+        while self.cur.is_empty() && self.next_segment() {}
+        if len <= self.cur.len() {
+            return Some(Frame::from(self.view(len)));
+        }
+        if len > self.remaining() {
+            return None;
+        }
+        let mut segments = Vec::with_capacity(self.segs.len());
+        let mut left = len;
+        while left > 0 {
+            let n = self.cur.len().min(left);
+            if n > 0 {
+                segments.push(self.view(n));
+                left -= n;
+            } else {
+                self.next_segment();
+            }
+        }
+        Some(Frame::from_segments(segments))
+    }
+
+    /// Consumes the next `len` bytes as one buffer: a view when they lie
+    /// inside one segment, a gathered copy when they straddle a cut.
+    fn bytes(&mut self, len: usize) -> Option<Bytes> {
+        if len <= self.cur.len() {
+            return Some(self.view(len));
+        }
+        self.frame(len).map(Frame::into_bytes)
+    }
+}
+
+/// Types that can deserialize themselves from a [`Reader`].
+pub trait WireRead: Sized {
+    /// Consumes this value's encoding from `r`, or returns `None` if the
+    /// input is malformed or truncated.
+    fn read(r: &mut Reader<'_>) -> Option<Self>;
+
+    /// Convenience: decodes from a complete contiguous buffer.
+    fn from_bytes(bytes: &Bytes) -> Option<Self> {
+        decode(std::slice::from_ref(bytes))
+    }
+
+    /// Decodes from a complete frame, however it is segmented.
+    fn from_frame(frame: &Frame) -> Option<Self> {
+        decode(frame.segments())
+    }
+}
+
+fn decode<T: WireRead>(segs: &[Bytes]) -> Option<T> {
+    let mut r = Reader::new(segs);
+    let v = T::read(&mut r)?;
+    // Trailing garbage is malformed.
+    (r.remaining() == 0).then_some(v)
 }
 
 macro_rules! wire_uint {
-    ($ty:ty, $put:ident, $get:ident, $len:expr) => {
+    ($ty:ty, $put:ident) => {
         impl WireWrite for $ty {
-            fn write(&self, buf: &mut BytesMut) {
-                buf.$put(*self);
+            fn write(&self, w: &mut Writer) {
+                w.$put(*self);
             }
         }
         impl WireRead for $ty {
-            fn read(buf: &mut Bytes) -> Option<Self> {
-                if buf.remaining() < $len {
-                    return None;
-                }
-                Some(buf.$get())
+            fn read(r: &mut Reader<'_>) -> Option<Self> {
+                r.array().map(<$ty>::from_le_bytes)
             }
         }
     };
 }
 
-wire_uint!(u8, put_u8, get_u8, 1);
-wire_uint!(u16, put_u16_le, get_u16_le, 2);
-wire_uint!(u32, put_u32_le, get_u32_le, 4);
-wire_uint!(u64, put_u64_le, get_u64_le, 8);
+wire_uint!(u8, put_u8);
+wire_uint!(u16, put_u16_le);
+wire_uint!(u32, put_u32_le);
+wire_uint!(u64, put_u64_le);
 
 /// The empty message: a request that is only its method id.
 impl WireWrite for () {
-    fn write(&self, _buf: &mut BytesMut) {}
+    fn write(&self, _w: &mut Writer) {}
 }
 
 impl WireRead for () {
-    fn read(_buf: &mut Bytes) -> Option<Self> {
+    fn read(_r: &mut Reader<'_>) -> Option<Self> {
         Some(())
     }
 }
 
 impl WireWrite for bool {
-    fn write(&self, buf: &mut BytesMut) {
-        buf.put_u8(*self as u8);
+    fn write(&self, w: &mut Writer) {
+        w.put_u8(*self as u8);
     }
 }
 
 impl WireRead for bool {
-    fn read(buf: &mut Bytes) -> Option<Self> {
-        match u8::read(buf)? {
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        match u8::read(r)? {
             0 => Some(false),
             1 => Some(true),
             _ => None,
@@ -103,78 +329,93 @@ impl WireRead for bool {
 }
 
 impl WireWrite for Bytes {
-    fn write(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.len() as u32);
-        buf.put_slice(self);
+    fn write(&self, w: &mut Writer) {
+        w.put_u32_le(self.len() as u32);
+        w.put_bytes(self);
     }
 }
 
 impl WireRead for Bytes {
-    fn read(buf: &mut Bytes) -> Option<Self> {
-        let len = u32::read(buf)? as usize;
-        if buf.remaining() < len {
-            return None;
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let len = u32::read(r)? as usize;
+        r.bytes(len)
+    }
+}
+
+/// An opaque payload that is already segments: the same encoding as a
+/// [`Bytes`] of its byte string, each segment spliced or copied by size.
+impl WireWrite for Frame {
+    fn write(&self, w: &mut Writer) {
+        w.put_u32_le(self.len() as u32);
+        for segment in self.segments() {
+            w.put_bytes(segment);
         }
-        Some(buf.split_to(len))
+    }
+}
+
+impl WireRead for Frame {
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let len = u32::read(r)? as usize;
+        r.frame(len)
     }
 }
 
 impl WireWrite for String {
-    fn write(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.len() as u32);
-        buf.put_slice(self.as_bytes());
+    fn write(&self, w: &mut Writer) {
+        w.put_u32_le(self.len() as u32);
+        w.put_slice(self.as_bytes());
     }
 }
 
 impl WireRead for String {
-    fn read(buf: &mut Bytes) -> Option<Self> {
-        let raw = Bytes::read(buf)?;
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let raw = Bytes::read(r)?;
         String::from_utf8(raw.to_vec()).ok()
     }
 }
 
 impl<T: WireWrite> WireWrite for Vec<T> {
-    fn write(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.len() as u32);
+    fn write(&self, w: &mut Writer) {
+        w.put_u32_le(self.len() as u32);
         for item in self {
-            item.write(buf);
+            item.write(w);
         }
     }
 }
 
 impl<T: WireRead> WireRead for Vec<T> {
-    fn read(buf: &mut Bytes) -> Option<Self> {
-        let len = u32::read(buf)? as usize;
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let len = u32::read(r)? as usize;
         // Guard against absurd length prefixes in malformed buffers: each
         // element consumes at least one byte.
-        if len > buf.remaining() {
+        if len > r.remaining() {
             return None;
         }
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
-            out.push(T::read(buf)?);
+            out.push(T::read(r)?);
         }
         Some(out)
     }
 }
 
 impl<T: WireWrite> WireWrite for Option<T> {
-    fn write(&self, buf: &mut BytesMut) {
+    fn write(&self, w: &mut Writer) {
         match self {
-            None => buf.put_u8(0),
+            None => w.put_u8(0),
             Some(v) => {
-                buf.put_u8(1);
-                v.write(buf);
+                w.put_u8(1);
+                v.write(w);
             }
         }
     }
 }
 
 impl<T: WireRead> WireRead for Option<T> {
-    fn read(buf: &mut Bytes) -> Option<Self> {
-        match u8::read(buf)? {
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        match u8::read(r)? {
             0 => Some(None),
-            1 => Some(Some(T::read(buf)?)),
+            1 => Some(Some(T::read(r)?)),
             _ => None,
         }
     }
@@ -204,23 +445,95 @@ impl<T: WireRead> WireRead for Option<T> {
 macro_rules! wire_struct {
     ($name:ident { $($field:ident),+ $(,)? }) => {
         impl $crate::wire::WireWrite for $name {
-            fn write(&self, buf: &mut bytes::BytesMut) {
-                $(self.$field.write(buf);)+
+            fn write(&self, w: &mut $crate::wire::Writer) {
+                $(self.$field.write(w);)+
             }
         }
         impl $crate::wire::WireRead for $name {
-            fn read(buf: &mut bytes::Bytes) -> Option<Self> {
+            fn read(r: &mut $crate::wire::Reader<'_>) -> Option<Self> {
                 Some($name {
-                    $($field: $crate::wire::WireRead::read(buf)?,)+
+                    $($field: $crate::wire::WireRead::read(r)?,)+
                 })
             }
         }
     };
 }
 
+/// The codec's contract as one check, for the property tests that sit
+/// next to each message type in this crate and its dependents.
+#[doc(hidden)]
+pub mod testing {
+    use super::*;
+
+    /// A payload of one of four sizes around the splice line — none, the
+    /// largest that is copied, the smallest that is spliced, a YCSB
+    /// record — chosen by `pick`, with contents that vary with `seed`.
+    pub fn payload(pick: usize, seed: u8) -> Bytes {
+        let len = [0, SPLICE_MIN - 1, SPLICE_MIN, 1000][pick % 4];
+        Bytes::from(
+            (0..len)
+                .map(|i| seed.wrapping_add(i as u8))
+                .collect::<Vec<u8>>(),
+        )
+    }
+
+    /// `bytes` as a frame cut at each of `cuts` (taken modulo its length,
+    /// so any numbers do; repeats make empty segments).
+    pub fn recut(bytes: &Bytes, cuts: &[usize]) -> Frame {
+        let mut at: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
+        at.push(bytes.len());
+        at.sort_unstable();
+        let mut from = 0;
+        let segments = at.iter().map(|&to| {
+            let seg = bytes.slice(from..to);
+            from = to;
+            seg
+        });
+        Frame::from_segments(segments.collect())
+    }
+
+    /// Asserts that `value` has one byte string whichever way it is
+    /// encoded, and decodes from it however it is segmented: contiguous,
+    /// as spliced by [`WireWrite::to_frame`], and re-cut at `cuts`; that
+    /// every proper prefix of it is refused, and one trailing byte is.
+    pub fn assert_segmentation_agnostic<T>(value: &T, cuts: &[usize])
+    where
+        T: WireWrite + WireRead + PartialEq + std::fmt::Debug,
+    {
+        let flat = value.to_bytes();
+        let spliced = value.to_frame();
+        assert_eq!(spliced.clone().into_bytes(), flat, "one byte string");
+        assert_eq!(T::from_bytes(&flat).as_ref(), Some(value));
+        assert_eq!(T::from_frame(&spliced).as_ref(), Some(value));
+        assert_eq!(T::from_frame(&recut(&flat, cuts)).as_ref(), Some(value));
+        // A cut inside every integer and every length prefix at once.
+        let shredded = recut(&flat, &(0..flat.len()).collect::<Vec<_>>());
+        assert_eq!(T::from_frame(&shredded).as_ref(), Some(value));
+        for len in 0..flat.len() {
+            let prefix = flat.slice(..len);
+            assert_eq!(T::from_bytes(&prefix), None, "prefix of {len} B");
+            assert_eq!(
+                T::from_frame(&recut(&prefix, cuts)),
+                None,
+                "re-cut prefix of {len} B"
+            );
+        }
+        let mut longer = flat.to_vec();
+        longer.push(0);
+        let longer = Bytes::from(longer);
+        assert_eq!(T::from_bytes(&longer), None, "one trailing byte");
+        assert_eq!(
+            T::from_frame(&recut(&longer, cuts)),
+            None,
+            "one trailing byte, re-cut"
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[derive(Debug, PartialEq)]
     struct Sample {
@@ -270,23 +583,36 @@ mod tests {
 
     #[test]
     fn trailing_garbage_rejected() {
-        let mut enc = BytesMut::from(&sample().to_bytes()[..]);
-        enc.put_u8(0xff);
-        assert_eq!(Sample::from_bytes(&enc.freeze()), None);
+        let mut enc = sample().to_bytes().to_vec();
+        enc.push(0xff);
+        assert_eq!(Sample::from_bytes(&Bytes::from(enc)), None);
     }
 
     #[test]
     fn absurd_vec_length_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(u32::MAX);
-        let mut b = buf.freeze();
-        assert!(Vec::<u64>::read(&mut b).is_none());
+        // A prefix that claims more elements than there are bytes, with
+        // some bytes behind it: refused before anything is reserved.
+        let mut enc = u32::MAX.to_le_bytes().to_vec();
+        enc.extend_from_slice(&[0; 64]);
+        assert_eq!(Vec::<u64>::from_bytes(&Bytes::from(enc)), None);
     }
 
     #[test]
     fn invalid_bool_rejected() {
-        let mut b = Bytes::from_static(&[7]);
-        assert!(bool::read(&mut b).is_none());
+        assert_eq!(bool::from_bytes(&Bytes::from_static(&[7])), None);
+    }
+
+    proptest! {
+        /// The primitive codecs, whole: every field kind in one struct.
+        #[test]
+        fn sample_decodes_from_any_segmentation(
+            a in any::<u64>(),
+            pick in 0usize..4,
+            cuts in prop::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let s = Sample { a, e: testing::payload(pick, a as u8), ..sample() };
+            testing::assert_segmentation_agnostic(&s, &cuts);
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   injects fail-slow faults into: [`cpu`], [`disk`], [`memory`] and
 //!   [`net`],
 //! * a [`World`] that wires per-node resource models and a
-//!   shared network into one simulated cluster.
+//!   shared network into one simulated cluster, carrying each message as
+//!   a [`Frame`] — charged by its length, held in shared segments.
 //!
 //! The substrate replaces the paper's Azure testbed (see `DESIGN.md` §1):
 //! fail-slow faults are *performance* faults, so a discrete-event simulator
@@ -22,6 +23,7 @@
 pub mod cpu;
 pub mod disk;
 pub mod executor;
+pub mod frame;
 pub mod memory;
 pub mod net;
 pub mod time;
@@ -30,6 +32,7 @@ pub mod world;
 pub use cpu::CpuCfg;
 pub use disk::DiskCfg;
 pub use executor::{JoinHandle, Sim, Sleep, TimerId, WakerSlot};
+pub use frame::Frame;
 pub use memory::MemCfg;
 pub use net::NetCfg;
 pub use time::SimTime;

@@ -11,12 +11,12 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use depfast_metrics::{Counter, Gauge, HistogramHandle, MetricsRegistry};
 
 use crate::cpu::{CpuCfg, CpuModel};
 use crate::disk::{DiskCfg, DiskModel, DiskOp};
 use crate::executor::Sim;
+use crate::frame::Frame;
 use crate::memory::{MemCfg, MemoryModel, Oom};
 use crate::net::{NetCfg, NetModel};
 use crate::Crashed;
@@ -66,7 +66,7 @@ pub struct NetMessage {
     /// Receiving node.
     pub to: NodeId,
     /// Serialized payload.
-    pub payload: Bytes,
+    pub payload: Frame,
 }
 
 /// Cached metric handles for one node's substrate series (`sim.*` in the
@@ -363,7 +363,8 @@ impl World {
     /// Sends `payload` from `from` to `to`. Delivery is asynchronous; the
     /// message is silently dropped if the link is partitioned or either
     /// end has crashed by delivery time.
-    pub fn send(&self, from: NodeId, to: NodeId, payload: Bytes) {
+    pub fn send(&self, from: NodeId, to: NodeId, payload: impl Into<Frame>) {
+        let payload = payload.into();
         if self.is_crashed(from) {
             return;
         }
@@ -484,6 +485,7 @@ impl World {
 mod tests {
     use super::*;
     use crate::time::SimTime;
+    use bytes::Bytes;
 
     fn world() -> (Sim, World) {
         let sim = Sim::new(42);
@@ -535,7 +537,7 @@ mod tests {
     #[test]
     fn messages_are_delivered_with_latency() {
         let (sim, w) = world();
-        let got: Rc<RefCell<Vec<(NodeId, Bytes)>>> = Rc::new(RefCell::new(Vec::new()));
+        let got: Rc<RefCell<Vec<(NodeId, Frame)>>> = Rc::new(RefCell::new(Vec::new()));
         let got2 = got.clone();
         w.register_handler(NodeId(1), move |m| {
             got2.borrow_mut().push((m.from, m.payload));

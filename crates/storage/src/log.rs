@@ -242,30 +242,7 @@ impl LogStore {
     /// below the cache floor costs a simulated disk read of its size —
     /// the TiDB root-cause path.
     pub async fn read(&self, lo: u64, hi: u64) -> Result<Vec<Entry>, Crashed> {
-        let (slice, miss_bytes) = {
-            let mut inner = self.inner.borrow_mut();
-            let first = inner.first_index;
-            let lo = lo.max(first);
-            let last = first + inner.entries.len() as u64;
-            let hi = hi.min(last);
-            if lo >= hi {
-                return Ok(Vec::new());
-            }
-            let slice: Vec<Entry> =
-                inner.entries[(lo - first) as usize..(hi - first) as usize].to_vec();
-            if lo >= inner.cache_low {
-                inner.cache_hits += 1;
-                (slice, 0)
-            } else {
-                inner.cache_misses += 1;
-                let miss_hi = hi.min(inner.cache_low);
-                let bytes: u64 = inner.entries[(lo - first) as usize..(miss_hi - first) as usize]
-                    .iter()
-                    .map(Entry::size)
-                    .sum();
-                (slice, bytes)
-            }
-        };
+        let (slice, miss_bytes) = self.read_raw(lo, hi);
         if miss_bytes > 0 {
             self.world
                 .disk(self.node, DiskOp::Read { bytes: miss_bytes })
@@ -275,9 +252,10 @@ impl LogStore {
     }
 
     /// Like [`LogStore::read`] but *blind to cost*: returns the entries
-    /// and the cache-miss byte count without performing the disk read.
-    /// Legacy drivers use this to charge the read wherever their
-    /// (pathological) threading model puts it.
+    /// (clamped to the log) and the cache-miss byte count without
+    /// performing the disk read, counting one hit or one miss. Legacy
+    /// drivers use this to charge the read wherever their (pathological)
+    /// threading model puts it.
     pub fn read_raw(&self, lo: u64, hi: u64) -> (Vec<Entry>, u64) {
         let mut inner = self.inner.borrow_mut();
         let first = inner.first_index;

@@ -1,7 +1,7 @@
 //! Transaction command and vote wire formats.
 
-use bytes::{Bytes, BytesMut};
-use depfast_rpc::wire::{WireRead, WireWrite};
+use bytes::Bytes;
+use depfast_rpc::wire::{Reader, WireRead, WireWrite, Writer};
 use depfast_rpc::Method;
 
 /// RPC method id for transaction commands (served by `TxnServer`).
@@ -17,17 +17,17 @@ pub struct TxnWrite {
 }
 
 impl WireWrite for TxnWrite {
-    fn write(&self, buf: &mut BytesMut) {
-        self.key.write(buf);
-        self.value.write(buf);
+    fn write(&self, w: &mut Writer) {
+        self.key.write(w);
+        self.value.write(w);
     }
 }
 
 impl WireRead for TxnWrite {
-    fn read(buf: &mut Bytes) -> Option<Self> {
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
         Some(TxnWrite {
-            key: Bytes::read(buf)?,
-            value: Bytes::read(buf)?,
+            key: Bytes::read(r)?,
+            value: Bytes::read(r)?,
         })
     }
 }
@@ -55,38 +55,34 @@ pub enum TxnCmd {
 }
 
 impl WireWrite for TxnCmd {
-    fn write(&self, buf: &mut BytesMut) {
+    fn write(&self, w: &mut Writer) {
         match self {
             TxnCmd::Prepare { txn, writes } => {
-                0u8.write(buf);
-                txn.write(buf);
-                writes.write(buf);
+                0u8.write(w);
+                txn.write(w);
+                writes.write(w);
             }
             TxnCmd::Commit { txn } => {
-                1u8.write(buf);
-                txn.write(buf);
+                1u8.write(w);
+                txn.write(w);
             }
             TxnCmd::Abort { txn } => {
-                2u8.write(buf);
-                txn.write(buf);
+                2u8.write(w);
+                txn.write(w);
             }
         }
     }
 }
 
 impl WireRead for TxnCmd {
-    fn read(buf: &mut Bytes) -> Option<Self> {
-        match u8::read(buf)? {
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        match u8::read(r)? {
             0 => Some(TxnCmd::Prepare {
-                txn: u64::read(buf)?,
-                writes: Vec::read(buf)?,
+                txn: u64::read(r)?,
+                writes: Vec::read(r)?,
             }),
-            1 => Some(TxnCmd::Commit {
-                txn: u64::read(buf)?,
-            }),
-            2 => Some(TxnCmd::Abort {
-                txn: u64::read(buf)?,
-            }),
+            1 => Some(TxnCmd::Commit { txn: u64::read(r)? }),
+            2 => Some(TxnCmd::Abort { txn: u64::read(r)? }),
             _ => None,
         }
     }
@@ -104,19 +100,19 @@ pub enum TxnVote {
 }
 
 impl WireWrite for TxnVote {
-    fn write(&self, buf: &mut BytesMut) {
+    fn write(&self, w: &mut Writer) {
         let v: u8 = match self {
             TxnVote::Yes => 0,
             TxnVote::No => 1,
             TxnVote::NotLeader => 2,
         };
-        v.write(buf);
+        v.write(w);
     }
 }
 
 impl WireRead for TxnVote {
-    fn read(buf: &mut Bytes) -> Option<Self> {
-        match u8::read(buf)? {
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        match u8::read(r)? {
             0 => Some(TxnVote::Yes),
             1 => Some(TxnVote::No),
             2 => Some(TxnVote::NotLeader),
@@ -128,6 +124,28 @@ impl WireRead for TxnVote {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use depfast_rpc::wire::testing;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn commands_decode_from_any_segmentation(
+            txn in any::<u64>(),
+            writes in prop::collection::vec((prop::collection::vec(any::<u8>(), 0..16), 0usize..4), 0..4),
+            cuts in prop::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let writes = writes
+                .into_iter()
+                .map(|(key, pick)| TxnWrite {
+                    value: testing::payload(pick, key.len() as u8),
+                    key: Bytes::from(key),
+                })
+                .collect();
+            for cmd in [TxnCmd::Prepare { txn, writes }, TxnCmd::Commit { txn }, TxnCmd::Abort { txn }] {
+                testing::assert_segmentation_agnostic(&cmd, &cuts);
+            }
+        }
+    }
 
     #[test]
     fn prepare_round_trips() {
@@ -163,7 +181,6 @@ mod tests {
 
     #[test]
     fn malformed_tag_rejected() {
-        let mut b = Bytes::from_static(&[9]);
-        assert!(TxnCmd::read(&mut b).is_none());
+        assert_eq!(TxnCmd::from_bytes(&Bytes::from_static(&[9])), None);
     }
 }

@@ -107,7 +107,7 @@ impl TxnServer {
                         responder.reply_t(&TxnVote::NotLeader);
                         return;
                     }
-                    let ev = r.propose(payload);
+                    let ev = r.propose(payload.into_bytes());
                     let out = ev.handle().wait_timeout(PROPOSAL_DEADLINE).await;
                     if out.is_ready() {
                         let reply = ev.take().unwrap_or_else(|| TxnVote::No.to_bytes());
