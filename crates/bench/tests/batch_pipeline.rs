@@ -93,13 +93,19 @@ fn pipelined_rounds_preserve_commit_order() {
         let core = s.core();
         let node = core.id.0;
         assert_eq!(core.log.last_index(), 200, "node {node} fully replicated");
-        let (entries, _) = core.log.read_raw(1, 201);
-        for (i, e) in entries.iter().enumerate() {
+        // Whatever the log still holds (all of it, this short) must be in
+        // proposal order; a compacted prefix was applied in log order.
+        let first = core.log.first_index();
+        assert!(first <= core.applied_idx.get() + 1);
+        let (entries, _) = core.log.read_raw(first, 201);
+        assert_eq!(entries.len() as u64, 201 - first);
+        for e in &entries {
+            let i = (e.index - 1) as u32;
             assert_eq!(
                 e.payload.as_ref(),
-                (i as u32).to_be_bytes(),
+                i.to_be_bytes(),
                 "proposal {i} must sit at index {} on node {node}",
-                i + 1,
+                e.index,
             );
         }
     }

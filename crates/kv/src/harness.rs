@@ -170,8 +170,15 @@ impl ShardedKvCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::command::{KvOp, KvRequest};
     use bytes::Bytes;
-    use simkit::WorldCfg;
+    use depfast::event::Watchable;
+    use depfast_raft::depfast_driver::DepFastRaft;
+    use depfast_rpc::wire::WireWrite;
+    use depfast_storage::LogStoreCfg;
+    use simkit::{MemCfg, WorldCfg};
+    use std::cell::{Cell, RefCell};
+    use std::collections::VecDeque;
     use std::rc::Rc;
 
     fn world(n: usize) -> (Sim, World) {
@@ -180,6 +187,12 @@ mod tests {
             sim.clone(),
             WorldCfg {
                 nodes: n,
+                // Room for BacklogRaft's per-follower queues (charged 768x)
+                // behind a partitioned peer: these tests are about the log.
+                mem: MemCfg {
+                    limit: 1 << 50,
+                    ..MemCfg::default()
+                },
                 ..WorldCfg::default()
             },
         );
@@ -274,6 +287,424 @@ mod tests {
         let (payloads, values, got) = put_then_read_index_get(100);
         assert!(payloads.iter().all(|p| *p == payloads[0]));
         assert!(values.iter().chain([&got]).all(|v| v[..] == [7u8; 100]));
+    }
+
+    /// What the log-GC tests below build on: three servers of `kind` led
+    /// by node 0, and `n_clients` sessions.
+    fn trio(kind: RaftKind, n_clients: usize) -> (Sim, World, Rc<KvCluster>) {
+        trio_caching(kind, n_clients, LogStoreCfg::default().cache_bytes)
+    }
+
+    /// [`trio`] with an EntryCache of `cache_bytes` per replica.
+    fn trio_caching(
+        kind: RaftKind,
+        n_clients: usize,
+        cache_bytes: u64,
+    ) -> (Sim, World, Rc<KvCluster>) {
+        let (sim, w) = world(3 + n_clients);
+        let cfg = RaftCfg {
+            bootstrap_leader: Some(0),
+            log: LogStoreCfg {
+                cache_bytes,
+                ..LogStoreCfg::default()
+            },
+            ..RaftCfg::default()
+        };
+        let cl = KvCluster::build(&sim, &w, kind, 3, n_clients, cfg);
+        (sim, w, Rc::new(cl))
+    }
+
+    fn key(i: u32) -> Bytes {
+        Bytes::from(format!("user{i:019}"))
+    }
+
+    /// Puts number `range` of a run — put `i` writes a `len`-byte value
+    /// to key `i % keys` — from every session but `spare` of them at
+    /// once, each taking the next put as it finishes its last.
+    fn put_many(
+        sim: &Sim,
+        cl: &Rc<KvCluster>,
+        range: std::ops::Range<u32>,
+        keys: u32,
+        len: usize,
+        spare: usize,
+    ) {
+        let queue: VecDeque<u32> = range.collect();
+        let queue = Rc::new(RefCell::new(queue));
+        let sessions = cl.clients.len() - spare;
+        let idle = Rc::new(Cell::new(0));
+        for c in 0..sessions {
+            let (cl, queue, idle) = (cl.clone(), queue.clone(), idle.clone());
+            sim.spawn(async move {
+                loop {
+                    let Some(i) = queue.borrow_mut().pop_front() else {
+                        break;
+                    };
+                    let mut value = format!("{i:08}").into_bytes();
+                    value.resize(len.max(8), b'.');
+                    let put = cl.clients[c].put(key(i % keys), value.into());
+                    put.await.expect("acknowledged");
+                }
+                idle.set(idle.get() + 1);
+            });
+        }
+        while idle.get() < sessions {
+            sim.run_until_time(sim.now() + Duration::from_millis(20));
+        }
+    }
+
+    fn settle(sim: &Sim, secs: u64) {
+        sim.run_until_time(sim.now() + Duration::from_secs(secs));
+    }
+
+    /// Entries a replica's log holds.
+    fn held(s: &KvServer) -> u64 {
+        let log = &s.raft().core().log;
+        log.last_index() + 1 - log.first_index()
+    }
+
+    /// `InstallSnapshot` calls answered so far, cluster-wide.
+    fn snapshots_answered(cl: &KvCluster) -> u64 {
+        let calls = cl.raft.tracer.metrics().histograms_named("rpc.latency");
+        let snapshots = calls
+            .iter()
+            .filter(|(k, _)| k.tag == Some("install_snapshot"));
+        snapshots.map(|(_, h)| h.snapshot().count).sum()
+    }
+
+    /// `replicas` agree on what they applied and on every key's value.
+    fn assert_converged(cl: &KvCluster, replicas: &[usize], keys: u32, case: &str) {
+        let first = &cl.servers[replicas[0]];
+        assert!(first.applied() > 0, "{case}: nothing applied");
+        for &r in &replicas[1..] {
+            let s = &cl.servers[r];
+            assert_eq!(s.applied(), first.applied(), "{case}: replica {r} applied");
+            assert_eq!(s.keys(), first.keys(), "{case}: replica {r} keys");
+            for k in (0..keys).map(key) {
+                assert_eq!(s.local_get(&k), first.local_get(&k), "{case}: {k:?}");
+            }
+        }
+    }
+
+    /// The log no longer grows with the run: ten times the puts, the same
+    /// entries held — one to two slacks of 1 024 applied entries once
+    /// nothing is in flight — under every driver, on every replica whose
+    /// rule lets it compact (ChainRaft's head never learns a match index,
+    /// so it retains for its peers until the size limit). No replica is
+    /// behind, so nobody is sent a snapshot. (BacklogRaft and ChainRaft
+    /// send nothing while idle, so their followers learn of the last
+    /// round's commit with the next one: the state comparison is for the
+    /// three drivers that heartbeat.)
+    #[test]
+    fn a_ten_times_longer_run_holds_the_same_log() {
+        for kind in [
+            RaftKind::DepFast,
+            RaftKind::Sync,
+            RaftKind::Backlog,
+            RaftKind::Callback,
+            RaftKind::Chain,
+        ] {
+            let (sim, _w, cl) = trio(kind, 8);
+            let compacting = if kind == RaftKind::Chain { 1..3 } else { 0..3 };
+            let heartbeats = !matches!(kind, RaftKind::Backlog | RaftKind::Chain);
+            for (run, puts) in [(0..2_000, 2_000), (2_000..22_000, 22_000)] {
+                put_many(&sim, &cl, run, 200, 16, 0);
+                settle(&sim, 1);
+                let case = format!("{} after {puts} puts", kind.name());
+                for s in &cl.servers {
+                    let log = &s.raft().core().log;
+                    assert_eq!(log.last_index(), puts as u64, "{case}");
+                }
+                for s in &cl.servers[compacting.clone()] {
+                    assert!(held(s) <= 2 * 1_024, "{case}: holds {}", held(s));
+                    assert!(held(s) >= 1_024.min(puts as u64), "{case}");
+                }
+                if heartbeats {
+                    assert_converged(&cl, &[0, 1, 2], 200, &case);
+                }
+                assert_eq!(snapshots_answered(&cl), 0, "{case}");
+            }
+        }
+    }
+
+    /// The values a put leaves behind stay shared (the test above this
+    /// one); the *key* does not: a key that stayed a view of the first body
+    /// ever written for it would pin that body for good, and compacting
+    /// the log would free nothing.
+    #[test]
+    fn a_stored_key_does_not_pin_the_first_body_written_for_it() {
+        let (sim, _w, cl) = trio(RaftKind::DepFast, 1);
+        let k = key(9_999);
+        let bodies: Vec<Bytes> = (0..2)
+            .map(|round: u8| {
+                let (cl2, k2) = (cl.clone(), k.clone());
+                let put = async move { cl2.clients[0].put(k2, vec![round; 1000].into()).await };
+                sim.block_on(put).expect("acknowledged");
+                let log = &cl.servers[0].raft().core().log;
+                let (entries, _) = log.read_raw(log.last_index(), log.last_index() + 1);
+                entries[0].payload.clone()
+            })
+            .collect();
+        // A compaction past both puts: the log lets go of both bodies.
+        put_many(&sim, &cl, 0..2_100, 50, 16, 0);
+        settle(&sim, 1);
+        for s in &cl.servers {
+            assert!(s.raft().core().log.first_index() > 2, "compacted past both");
+            let stored_key = s.stored_key(&k).expect("stored");
+            let value = s.local_get(&k).expect("stored");
+            for body in &bodies {
+                let body = body.as_ptr_range();
+                assert!(!body.contains(&stored_key.as_ptr()), "key owns its bytes");
+            }
+            assert_eq!(value[..], [1u8; 1000]);
+            let (second, v) = (bodies[1].as_ptr_range(), value.as_ptr_range());
+            assert!(
+                second.start <= v.start && v.end <= second.end,
+                "the value is still a view of the second body"
+            );
+        }
+    }
+
+    /// Vanilla Raft §7, the path no gated run reaches: follower B misses
+    /// everything, the leader and follower A compact far past B's log, the
+    /// leader dies, A — whose log no longer reaches back to B — wins, and B
+    /// can only be brought forward by A's state machine. That state
+    /// includes the dedup sessions: a put A applied before the crash,
+    /// retried after it, is answered from the table B was *sent*.
+    /// DepFastRaft only: it is the one driver that elects (the legacy
+    /// leaders are fixed, and a follower made to campaign under them runs
+    /// no leader loop to send anything from).
+    #[test]
+    fn a_follower_behind_the_new_leaders_base_converges_by_snapshot() {
+        const A: usize = 1;
+        const B: usize = 2;
+        let (sim, w, cl) = trio(RaftKind::DepFast, 5);
+        let b = cl.servers[B].raft().node();
+        put_many(&sim, &cl, 0..100, 200, 16, 1);
+        settle(&sim, 1);
+        for peer in [NodeId(0), NodeId(1)] {
+            w.partition(b, peer);
+        }
+        put_many(&sim, &cl, 100..3_000, 200, 16, 1);
+        // The spare session's only put, ever: `(client, seq 1)`.
+        let cl2 = cl.clone();
+        let once = async move {
+            let value = Bytes::from_static(b"once");
+            cl2.clients[4].put(key(1_000), value).await
+        };
+        sim.block_on(once).expect("acknowledged");
+        settle(&sim, 1);
+        let (a_log, b_log) = (
+            &cl.servers[A].raft().core().log,
+            &cl.servers[B].raft().core().log,
+        );
+        assert!(
+            a_log.first_index() > b_log.last_index() + 1,
+            "A compacted past the end of B's log"
+        );
+        assert_eq!(snapshots_answered(&cl), 0);
+
+        w.crash(NodeId(0));
+        w.heal(b, NodeId(1));
+        settle(&sim, 3);
+        assert!(cl.servers[A].raft().is_leader(), "A holds the longer log");
+        put_many(&sim, &cl, 3_000..3_050, 200, 16, 1);
+        settle(&sim, 2);
+        assert!(snapshots_answered(&cl) >= 1, "B was sent A's state");
+        assert_eq!(b_log.last_index(), a_log.last_index());
+        assert!(
+            b_log.first_index() > 2_000,
+            "B's log restarts at the snapshot"
+        );
+        assert_converged(&cl, &[A, B], 1_001, "after the snapshot");
+
+        // The retry of `(client 5, seq 1)`, with a value that would show.
+        let applied = cl.servers[A].applied();
+        let retry = KvRequest {
+            client: cl.clients[4].id(),
+            seq: 1,
+            op: KvOp::Put,
+            key: key(1_000),
+            value: Bytes::from_static(b"twice"),
+        };
+        let ev = cl.servers[A].raft().propose(retry.to_bytes());
+        let ack = async move { ev.handle().wait_timeout(Duration::from_secs(2)).await };
+        assert!(sim.block_on(ack).is_ready());
+        settle(&sim, 1);
+        for r in [A, B] {
+            let s = &cl.servers[r];
+            assert_eq!(
+                &s.local_get(&key(1_000)).unwrap()[..],
+                b"once",
+                "replica {r}"
+            );
+            assert_eq!(s.applied(), applied, "replica {r} applied it twice");
+        }
+    }
+
+    /// Cut loose by size: with B unreachable the leader retains what B has
+    /// not matched — until the log passes the 72 MB limit. Then it compacts
+    /// past B's match like a follower would, and when B is back the leader
+    /// finds B's next entry below its base and sends state instead — from
+    /// DepFastRaft's catch-up sends, SyncRaft's region thread and
+    /// CallbackRaft's message loop alike (BacklogRaft feeds from its own
+    /// queue and has its own test below; ChainRaft's head digests no
+    /// append reply, so it has no `next_index` to find below anything).
+    #[test]
+    fn a_peer_the_size_limit_cut_loose_comes_back_by_snapshot() {
+        const B: usize = 2;
+        for kind in [RaftKind::DepFast, RaftKind::Sync, RaftKind::Callback] {
+            let (sim, w, cl) = trio(kind, 4);
+            let b = cl.servers[B].raft().node();
+            put_many(&sim, &cl, 0..2_000, 100, 16, 0);
+            settle(&sim, 1);
+            let core = cl.servers[0].raft().core().clone();
+            let b_match = core.match_index(b);
+            assert_eq!(b_match, 2_000, "{}", kind.name());
+            for peer in [NodeId(0), NodeId(1)] {
+                w.partition(b, peer);
+            }
+            // Under the limit the leader keeps everything B lacks...
+            put_many(&sim, &cl, 2_000..3_000, 100, 64 * 1024, 0);
+            assert!(core.log.first_index() <= b_match + 1, "retained for B");
+            assert!(core.log.bytes() > 60 << 20);
+            // ...past it, B is cut loose.
+            put_many(&sim, &cl, 3_000..3_200, 100, 64 * 1024, 0);
+            assert!(core.log.first_index() > b_match + 1, "compacted past B");
+            assert!(core.log.bytes() <= 72 << 20);
+            assert_eq!(snapshots_answered(&cl), 0);
+
+            for peer in [NodeId(0), NodeId(1)] {
+                w.heal(b, peer);
+            }
+            settle(&sim, 5);
+            assert!(snapshots_answered(&cl) >= 1, "B was sent the state");
+            assert!(core.is_leader());
+            assert_eq!(core.match_index(b), core.log.last_index());
+            assert_converged(&cl, &[0, 1, B], 100, kind.name());
+        }
+    }
+
+    /// The race the fork has to survive. B is slow, not gone: the leader
+    /// keeps feeding it, every read for it comes off the disk (a 1 MB
+    /// EntryCache under 16 KB values), and the leader's apply passes go on
+    /// meanwhile. When the log crosses the size limit one of them compacts
+    /// far past the entries a read has in its hands; the request that read
+    /// was for can no longer be built (`append_req` is `None`) and B is
+    /// brought forward by state instead. CallbackRaft, with a cold-read
+    /// helper in flight every round, is in exactly that interleaving here
+    /// (an `append_req` that panics below the base fails this test);
+    /// DepFastRaft's paced quarantine reads are rarely on the disk at the
+    /// crossing — `raft::core`'s unit test pins its interleaving — and
+    /// what this adds for it is the cut-loose peer that was never
+    /// partitioned: state sent from the lazy catch-up path.
+    #[test]
+    fn a_cold_read_in_flight_when_the_log_crosses_the_limit_ends_in_a_snapshot() {
+        const B: usize = 2;
+        for kind in [RaftKind::DepFast, RaftKind::Callback] {
+            let (sim, w, cl) = trio_caching(kind, 4, 1 << 20);
+            let b = cl.servers[B].raft().node();
+            put_many(&sim, &cl, 0..2_000, 100, 16, 0);
+            settle(&sim, 1);
+            w.set_cpu_quota(b, 0.02);
+            let core = cl.servers[0].raft().core().clone();
+            put_many(&sim, &cl, 2_000..7_200, 100, 16 * 1024, 0);
+            assert!(core.log.cache_misses() > 0, "B was fed from the disk");
+            w.set_cpu_quota(b, 1.0);
+            settle(&sim, 5);
+            assert!(snapshots_answered(&cl) >= 1, "{}", kind.name());
+            assert_eq!(core.match_index(b), core.log.last_index());
+            assert_converged(&cl, &[0, 1, B], 100, kind.name());
+        }
+    }
+
+    /// The other way a read is overtaken: the leader is deposed while its
+    /// cold-read helpers for B are on the disk. Its loop finishes the pass
+    /// it was in, applies, and — the law is told of no peers any more —
+    /// compacts as a follower would, past what those helpers hold. They
+    /// must send nothing at all: not an append standing on a term the log
+    /// has dropped, and not the state of a node that no longer leads.
+    #[test]
+    fn a_leader_deposed_with_cold_reads_in_flight_sends_nothing() {
+        const B: usize = 2;
+        let (sim, w, cl) = trio_caching(RaftKind::Callback, 4, 1 << 20);
+        let b = cl.servers[B].raft().node();
+        put_many(&sim, &cl, 0..2_000, 100, 16, 0);
+        settle(&sim, 1);
+        w.set_cpu_quota(b, 0.02);
+        put_many(&sim, &cl, 2_000..4_000, 100, 16 * 1024, 0);
+        let core = cl.servers[0].raft().core().clone();
+        assert!(
+            core.log.first_index() <= core.next_index(b),
+            "retained for B"
+        );
+        assert!(core.log.cache_misses() > 100, "B is fed from the disk");
+        // Writes keep coming (and fail, once nobody leads: CallbackRaft has
+        // a fixed leader) while A is made to campaign.
+        for c in 0..4 {
+            let cl = cl.clone();
+            sim.spawn(async move {
+                for i in 0..50 {
+                    let value = vec![b'x'; 16 * 1024];
+                    let _ = cl.clients[c].put(key(i), value.into()).await;
+                }
+            });
+        }
+        sim.run_until_time(sim.now() + Duration::from_millis(40));
+        DepFastRaft::force_campaign(cl.servers[1].raft().core());
+        settle(&sim, 2);
+        assert!(!core.is_leader());
+        assert!(
+            core.log.first_index() > core.next_index(b),
+            "the deposed leader compacted past what it was reading for B"
+        );
+        assert_eq!(snapshots_answered(&cl), 0);
+    }
+
+    /// BacklogRaft feeds a follower from its own queue, not from the log,
+    /// and builds a chunk's request when the chunk leaves the queue: the 64
+    /// chunks (1 024 entries) in flight toward a partitioned B were built
+    /// while the log still held their `prev_index`. The one that leaves
+    /// after the size limit has cut B loose finds it gone and is covered by
+    /// the state machine instead — as is every chunk behind it that the
+    /// snapshot's ack has already matched, without another snapshot each.
+    #[test]
+    fn a_backlog_chunk_the_log_was_compacted_past_is_covered_by_a_snapshot() {
+        const B: usize = 2;
+        let (sim, w, cl) = trio(RaftKind::Backlog, 4);
+        let b = cl.servers[B].raft().node();
+        put_many(&sim, &cl, 0..2_000, 100, 16, 0);
+        let core = cl.servers[0].raft().core().clone();
+        // BacklogRaft sends nothing while idle: the last ack arrives with
+        // the next round, so B's match is read after the partition.
+        for peer in [NodeId(0), NodeId(1)] {
+            w.partition(b, peer);
+        }
+        put_many(&sim, &cl, 2_000..4_400, 100, 32 * 1024, 0);
+        let b_match = core.match_index(b);
+        assert!(b_match <= 2_000);
+        assert!(
+            core.log.first_index() > b_match + 1 + 1_024 + 16,
+            "compacted past everything in flight toward B"
+        );
+        assert_eq!(snapshots_answered(&cl), 0);
+
+        for peer in [NodeId(0), NodeId(1)] {
+            w.heal(b, peer);
+        }
+        settle(&sim, 5);
+        assert_eq!(snapshots_answered(&cl), 1, "one snapshot covers them all");
+        assert_eq!(core.match_index(b), core.log.last_index());
+        // One more round tells the followers of the last commit.
+        put_many(&sim, &cl, 4_400..4_401, 100, 16, 0);
+        settle(&sim, 1);
+        put_many(&sim, &cl, 4_401..4_402, 100, 16, 0);
+        settle(&sim, 1);
+        let applied: Vec<u64> = cl.servers.iter().map(KvServer::applied).collect();
+        assert_eq!(applied[B], applied[1], "B is where A is");
+        for k in (0..100).map(key) {
+            assert_eq!(cl.servers[B].local_get(&k), cl.servers[1].local_get(&k));
+        }
     }
 
     #[test]

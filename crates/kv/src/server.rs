@@ -8,11 +8,12 @@ use bytes::Bytes;
 use depfast::event::Watchable;
 use depfast::runtime::Coroutine;
 use depfast_raft::cluster::RaftKind;
-use depfast_raft::core::RaftServer;
+use depfast_raft::core::{RaftServer, StateMachine};
 use depfast_raft::depfast_driver::DepFastRaft;
 use depfast_raft::types::CLIENT_PROPOSE;
 use depfast_rpc::wire::{WireRead, WireWrite};
-use depfast_storage::MemKv;
+use depfast_storage::{Entry, MemKv};
+use simkit::Frame;
 
 use crate::command::{KvOp, KvRequest, KvResponse};
 
@@ -28,6 +29,44 @@ pub struct KvServer {
     read_index: Rc<Cell<bool>>,
 }
 
+/// The replica's [`MemKv`] as the Raft core drives it: log entries decode
+/// to [`KvRequest`]s, and the snapshot is the `MemKv`'s own encoding — map
+/// and dedup sessions, so a restored replica answers a retried
+/// `(client, seq)` from the table instead of applying it twice.
+struct KvMachine(Rc<RefCell<MemKv>>);
+
+impl StateMachine for KvMachine {
+    fn apply(&mut self, entry: &Entry) -> Bytes {
+        let Some(req) = KvRequest::from_bytes(&entry.payload) else {
+            return KvResponse::error().to_bytes();
+        };
+        let mut kv = self.0.borrow_mut();
+        kv.apply_dedup(req.client, req.seq, |kv| {
+            let resp = match req.op {
+                KvOp::Put => {
+                    kv.put(req.key.clone(), req.value.clone());
+                    KvResponse::ok(None)
+                }
+                KvOp::Get => KvResponse::ok(kv.get(&req.key).cloned()),
+                KvOp::Delete => {
+                    kv.delete(&req.key);
+                    KvResponse::ok(None)
+                }
+            };
+            resp.to_bytes()
+        })
+    }
+
+    fn snapshot(&self) -> Frame {
+        self.0.borrow().to_frame()
+    }
+
+    fn restore(&mut self, snapshot: &Frame) -> bool {
+        let restored = MemKv::from_frame(snapshot);
+        restored.map(|kv| *self.0.borrow_mut() = kv).is_some()
+    }
+}
+
 /// Per-request serve CPU of an untuned deployment ([`KvCluster::build`]).
 ///
 /// [`KvCluster::build`]: crate::harness::KvCluster::build
@@ -40,27 +79,7 @@ impl KvServer {
     pub fn install_tuned(raft: RaftServer, serve_cpu: Duration) -> Self {
         let read_index = Rc::new(Cell::new(false));
         let state = Rc::new(RefCell::new(MemKv::new()));
-        let st = state.clone();
-        raft.core().set_apply(move |entry| {
-            let Some(req) = KvRequest::from_bytes(&entry.payload) else {
-                return KvResponse::error().to_bytes();
-            };
-            let mut kv = st.borrow_mut();
-            kv.apply_dedup(req.client, req.seq, |kv| {
-                let resp = match req.op {
-                    crate::command::KvOp::Put => {
-                        kv.put(req.key.clone(), req.value.clone());
-                        KvResponse::ok(None)
-                    }
-                    crate::command::KvOp::Get => KvResponse::ok(kv.get(&req.key).cloned()),
-                    crate::command::KvOp::Delete => {
-                        kv.delete(&req.key);
-                        KvResponse::ok(None)
-                    }
-                };
-                resp.to_bytes()
-            })
-        });
+        raft.core().set_state_machine(KvMachine(state.clone()));
 
         let server = KvServer {
             raft: raft.clone(),
@@ -158,5 +177,13 @@ impl KvServer {
     /// not linearizable).
     pub fn local_get(&self, key: &Bytes) -> Option<Bytes> {
         self.state.borrow().get(key).cloned()
+    }
+
+    /// The key the local replica stores for `key` (where it lives is what
+    /// the harness tests look at).
+    #[cfg(test)]
+    pub(crate) fn stored_key(&self, key: &Bytes) -> Option<Bytes> {
+        let state = self.state.borrow();
+        state.get_key_value(key).map(|(stored, _)| stored.clone())
     }
 }

@@ -141,10 +141,18 @@ impl BacklogRaft {
                 let c = core.clone();
                 let q = queue.clone();
                 Coroutine::create(&core.rt.clone(), "raft:backlog_ack", async move {
+                    // `None` for a chunk that sat in the queue until the log
+                    // was compacted past it (the size limit cut this
+                    // follower loose): the state machine covers it instead.
                     let req = c.append_req(c.log.current_term(), chunk[0].index - 1, &chunk, false);
+                    let last = chunk[chunk.len() - 1].index;
                     // Retry until this chunk is acknowledged.
                     loop {
-                        let accepted = c.send_append(peer, &req);
+                        let accepted = match &req {
+                            Some(req) => c.send_append(peer, req),
+                            None if c.match_index(peer) >= last => break,
+                            None => c.send_snapshot(peer),
+                        };
                         // The singular wait: this ack path is fully coupled
                         // to this one follower's speed.
                         let out = {

@@ -19,8 +19,7 @@ use std::time::Duration;
 
 use depfast::event::Watchable;
 use depfast::runtime::Coroutine;
-use depfast_storage::Entry;
-use simkit::{NodeId, SimTime};
+use simkit::SimTime;
 
 use crate::core::{RaftCore, Role, HEARTBEAT};
 use crate::types::FLOW_PROBE;
@@ -131,6 +130,9 @@ impl CallbackRaft {
                 // that also run (their CPU) on this node.
                 for peer in core.peers.clone() {
                     let next = core.next_index(peer);
+                    if core.snapshot_instead(peer, next) {
+                        continue;
+                    }
                     let send_hi = (hi + 1).min(next + core.cfg.max_entries_per_append as u64);
                     let (to_send, miss_bytes) = core.log.read_raw(next, send_hi);
                     if miss_bytes > 0 {
@@ -142,11 +144,14 @@ impl CallbackRaft {
                                 .await
                                 .is_ok()
                             {
-                                Self::send(&c, peer, next - 1, to_send);
+                                // The loop has gone on to apply meanwhile
+                                // and may have compacted past `next`: then
+                                // this sends state, or nothing.
+                                c.send_entries(peer, c.log.current_term(), next - 1, &to_send);
                             }
                         });
                     } else {
-                        Self::send(&core, peer, next - 1, to_send);
+                        core.send_entries(peer, core.log.current_term(), next - 1, &to_send);
                     }
                 }
                 // Commit wait, then the apply callbacks, on this same loop.
@@ -156,11 +161,6 @@ impl CallbackRaft {
             }
         });
     }
-
-    fn send(core: &Rc<RaftCore>, peer: NodeId, prev_index: u64, entries: Vec<Entry>) {
-        let req = core.append_req(core.log.current_term(), prev_index, &entries, false);
-        core.send_append(peer, &req);
-    }
 }
 
 #[cfg(test)]
@@ -169,7 +169,7 @@ mod tests {
     use crate::cluster::{RaftCluster, RaftKind};
     use crate::fixture::{bootstrapped, trio};
     use bytes::Bytes;
-    use simkit::{Sim, World};
+    use simkit::{NodeId, Sim, World};
 
     fn cluster() -> (Sim, World, RaftCluster) {
         trio(13, RaftKind::Callback, bootstrapped())

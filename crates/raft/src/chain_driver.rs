@@ -135,7 +135,10 @@ impl ChainRaft {
                     core.set_commit(staged.hi); // Single-node chain.
                     continue;
                 };
-                let req = core.append_req(term, staged.lo - 1, &staged.entries, false);
+                // What was just staged is not applied, so not compacted.
+                let Some(req) = core.append_req(term, staged.lo - 1, &staged.entries, false) else {
+                    continue;
+                };
                 let ok = Self::forward(&core, next, &req);
                 // The head waits on ONE successor — a red SPG edge. (The
                 // successor is itself waiting on its own successor: the

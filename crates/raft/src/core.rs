@@ -9,6 +9,22 @@
 //! ([`RaftCore::on_append_reply`]), apply (detached, or inline after
 //! [`RaftCore::commit_then_apply`]) — so a driver file holds what is left:
 //! its coroutines and where they block.
+//!
+//! The log is not everything since index 1. At the end of each apply pass
+//! the core asks [`crate::gc`] how far its log may be compacted — behind
+//! what it has applied, and while it leads behind its slowest peer — and
+//! drops that prefix. What the log no longer holds the [`StateMachine`]
+//! does: wherever a leader is about to read `[next_index, ..)` for a peer
+//! and finds `next_index` at or below its base
+//! ([`RaftCore::snapshot_instead`]), it sends the state machine itself, as
+//! of its applied index, in an `InstallSnapshot` ([`handle_snapshot`] on the
+//! other side) — taken on demand, never stored. That send is on the
+//! per-peer catch-up path only: nothing waits on it, and no round's quorum
+//! counts it. The fork is asked on both sides of a cold read: the log may
+//! be compacted past a peer while its entries are coming off the disk, and
+//! then there is no request to build ([`RaftCore::append_req`] is `None`;
+//! [`RaftCore::read_append`] and [`RaftCore::send_entries`] are the two
+//! shapes of asking again).
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -21,17 +37,18 @@ use std::time::Duration;
 use bytes::Bytes;
 use depfast::event::{EventHandle, EventKind, ValueEvent};
 use depfast::runtime::{Coroutine, Runtime};
-use depfast::TypedEvent;
+use depfast::{Signal, TypedEvent};
 use depfast_metrics::{Counter, Gauge, HistogramHandle};
 use depfast_rpc::{group_method, Endpoint, Method};
 use depfast_storage::{Entry, IoEvent, LogStore, LogStoreCfg};
-use simkit::{Crashed, NodeId, SimTime, WakerSlot, World};
+use simkit::{Crashed, Frame, NodeId, SimTime, WakerSlot, World};
 
 use crate::flow::Flow;
+use crate::gc;
 use crate::reads::ReadRounds;
 use crate::types::{
-    from_wire, to_wire, AppendReq, AppendResp, VoteReq, VoteResp, APPEND_ENTRIES, PRE_VOTE,
-    REQUEST_VOTE,
+    from_wire, to_wire, AppendReq, AppendResp, SnapshotReq, VoteReq, VoteResp, APPEND_ENTRIES,
+    INSTALL_SNAPSHOT, PRE_VOTE, REQUEST_VOTE,
 };
 
 /// Raft timing, batching and cost configuration (shared by all drivers).
@@ -112,6 +129,20 @@ pub struct Staged {
 /// legacy leaders' intake waits at most this long for a batch before
 /// shipping an empty one.
 pub const HEARTBEAT: Duration = Duration::from_millis(30);
+
+/// How long an unanswered `InstallSnapshot` stands before another is sent
+/// to the same peer, the first time ([`RaftCore::send_snapshot`] doubles it
+/// from there). Every driver reaches the catch-up fork once per round or
+/// heartbeat, and each send encodes and ships the whole state machine: the
+/// interval is what keeps that to one in flight. It is long against a
+/// healthy transfer (35 MB of `steady-write` state crosses the modelled
+/// link in 35 ms and a healthy disk in 0.2 s), and a lost one — the
+/// transport reports no loss — costs the peer this much more of being
+/// behind. A peer that takes longer than this to write one (the same state
+/// on a disk at 0.8 % bandwidth: 20 s) is sent it again at 1, 3, 7 and 15 s
+/// rather than every second, and is protected on its own side:
+/// [`handle_snapshot`] installs one at a time.
+const SNAPSHOT_RESEND: Duration = Duration::from_secs(1);
 
 /// How long a legacy driver's region/message thread waits for its round to
 /// commit before it takes the next batch anyway.
@@ -207,7 +238,26 @@ pub struct CoreState {
     pub leader_epoch: u64,
 }
 
-type ApplyFn = Box<dyn FnMut(&Entry) -> Bytes>;
+/// The replicated state machine a core feeds its committed entries to.
+///
+/// The state machine *is* the snapshot: none is stored beside it. A leader
+/// that must bring a peer up to date past what its log holds encodes the
+/// live state at its applied index and ships that.
+pub trait StateMachine {
+    /// Applies one committed entry; the reply completes the client
+    /// proposal waiting at that index, if there is one.
+    fn apply(&mut self, entry: &Entry) -> Bytes;
+
+    /// The whole state as of the last applied entry — everything a replica
+    /// restored from it needs to answer as this one would, a retried
+    /// command included. Encoded through [`depfast_rpc::wire`], so large
+    /// values are in the frame by reference.
+    fn snapshot(&self) -> Frame;
+
+    /// Replaces the state with a decoded `snapshot`. `false` (and the
+    /// state untouched) if it does not decode.
+    fn restore(&mut self, snapshot: &Frame) -> bool;
+}
 
 /// Cached handles for this node's `raft.*` series. Lags are measured from
 /// proposal creation, so they reflect what a *client* would attribute to
@@ -287,8 +337,12 @@ pub struct RaftCore {
     pub pending: RefCell<HashMap<u64, TypedEvent<Bytes>>>,
     /// Incoming proposals.
     pub proposals: ProposalQueue,
-    apply_fn: RefCell<Option<ApplyFn>>,
+    machine: RefCell<Option<Box<dyn StateMachine>>>,
     applied: Cell<u64>,
+    /// The `InstallSnapshot` last sent to each peer, and how long it is
+    /// given to be answered: one is outstanding at a time (see
+    /// [`RaftCore::send_snapshot`]).
+    snapshots: RefCell<HashMap<u32, (EventHandle, Duration)>>,
     pub(crate) stats: RaftStats,
     /// DepFastRaft's append windows, quarantine law and round count.
     pub(crate) flow: RefCell<Flow>,
@@ -366,8 +420,9 @@ impl RaftCore {
             }),
             pending: RefCell::new(HashMap::new()),
             proposals: ProposalQueue::default(),
-            apply_fn: RefCell::new(None),
+            machine: RefCell::new(None),
             applied: Cell::new(0),
+            snapshots: RefCell::new(HashMap::new()),
             stats: RaftStats::new(rt, group),
             flow: RefCell::new(Flow::new(cfg)),
             rounds_done: ValueEvent::labeled(rt, 0, "rounds_done"),
@@ -389,9 +444,10 @@ impl RaftCore {
         core
     }
 
-    /// Installs the state-machine apply function.
-    pub fn set_apply(&self, f: impl FnMut(&Entry) -> Bytes + 'static) {
-        *self.apply_fn.borrow_mut() = Some(Box::new(f));
+    /// Installs the state machine. A core without one applies entries to
+    /// nothing (empty replies, empty snapshots).
+    pub fn set_state_machine(&self, machine: impl StateMachine + 'static) {
+        *self.machine.borrow_mut() = Some(Box::new(machine));
     }
 
     /// Namespaces `base` into this core's group: the method id every
@@ -552,19 +608,31 @@ impl RaftCore {
     /// a driver may have awaited since and a deposed leader must not
     /// speak in its successor's term. Non-empty requests feed the
     /// `rpc.entries_per_append` series.
+    ///
+    /// `None` if `prev_index` is below the log's base: its term is gone,
+    /// and the 0 that would go out in its place reads to a follower still
+    /// holding that entry as a conflict — it would truncate a committed
+    /// entry. A caller that asked [`RaftCore::snapshot_instead`] and then
+    /// awaited (a cold read's disk time) can still get here: an apply pass
+    /// may have compacted past its peer meanwhile — the log crossed the
+    /// size limit, or this node was deposed and keeps only what a follower
+    /// keeps. It sends nothing and asks the fork again.
     pub fn append_req(
         &self,
         term: u64,
         prev_index: u64,
         entries: &[Entry],
         lazy: bool,
-    ) -> AppendReq {
+    ) -> Option<AppendReq> {
+        if prev_index + 1 < self.log.first_index() {
+            return None;
+        }
         if !entries.is_empty() {
             self.stats
                 .entries_per_append
                 .record_ns(entries.len() as u64);
         }
-        AppendReq {
+        Some(AppendReq {
             term,
             leader: self.id.0,
             prev_index,
@@ -572,6 +640,63 @@ impl RaftCore {
             entries: to_wire(entries),
             commit: self.commit.get(),
             lazy,
+        })
+    }
+
+    /// An empty `AppendEntries` standing after `prev_index` — or after the
+    /// log's base, if that is higher. A probe carries no entries, so it may
+    /// stand anywhere the log can still vouch for: what comes back (the
+    /// peer's term, its durable prefix, a reject with where its log ends)
+    /// is as useful from there, and a new leader, which knows no acked
+    /// prefix at all, need not reach below what it holds to ask.
+    pub fn probe_req(&self, term: u64, prev_index: u64, lazy: bool) -> AppendReq {
+        let base = self.log.first_index() - 1;
+        self.append_req(term, prev_index.max(base), &[], lazy)
+            .expect("at or above the base")
+    }
+
+    /// The catch-up path's read, for a driver that pays for cold entries in
+    /// its own coroutine: `[lo, hi)` for `peer` as the `AppendEntries` of
+    /// `term` carrying them, with the last index carried. `None` if the
+    /// node crashed, or if the log no longer reaches `lo` — the fork
+    /// ([`RaftCore::snapshot_instead`]) is asked before the read and again
+    /// after it, because an apply pass may have compacted past `lo` while
+    /// the read was on the disk.
+    pub async fn read_append(
+        self: &Rc<Self>,
+        peer: NodeId,
+        term: u64,
+        lo: u64,
+        hi: u64,
+        lazy: bool,
+    ) -> Option<(AppendReq, Option<u64>)> {
+        if self.snapshot_instead(peer, lo) {
+            return None;
+        }
+        let entries = self.log.read(lo, hi).await.ok()?;
+        let Some(req) = self.append_req(term, lo - 1, &entries, lazy) else {
+            self.snapshot_instead(peer, lo);
+            return None;
+        };
+        Some((req, entries.last().map(|e| e.index)))
+    }
+
+    /// Steps 2 and ship in one, for a driver that read `entries` itself and
+    /// hooks nothing onto the reply: the `AppendEntries` goes out through
+    /// [`RaftCore::send_append`] — or, if the log was compacted past
+    /// `prev_index` while the driver awaited, the catch-up fork is asked
+    /// again ([`RaftCore::snapshot_instead`]) and no append is sent.
+    pub fn send_entries(
+        self: &Rc<Self>,
+        peer: NodeId,
+        term: u64,
+        prev_index: u64,
+        entries: &[Entry],
+    ) {
+        if let Some(req) = self.append_req(term, prev_index, entries, false) {
+            self.send_append(peer, &req);
+        } else {
+            self.snapshot_instead(peer, prev_index + 1);
         }
     }
 
@@ -588,6 +713,69 @@ impl RaftCore {
             None,
             move |resp: Option<AppendResp>| resp.is_some_and(|r| core.on_append_reply(peer, &r)),
         )
+    }
+
+    /// The catch-up fork, asked wherever a leader is about to read
+    /// `[lo, ..)` for `peer`: `false` while the log still holds `lo`.
+    /// Otherwise what the peer lacks is state, not entries — an
+    /// `InstallSnapshot` is on its way ([`RaftCore::send_snapshot`]; a node
+    /// deposed in the meantime sends none) and the caller sends nothing.
+    pub fn snapshot_instead(self: &Rc<Self>, peer: NodeId, lo: u64) -> bool {
+        let gone = lo < self.log.first_index();
+        if gone {
+            self.send_snapshot(peer);
+        }
+        gone
+    }
+
+    /// Sends `peer` this node's state machine as of its applied index and
+    /// digests the reply as an append reply matching through that index —
+    /// fire-and-forget unless the caller waits on the returned event, which
+    /// fires `Ok` iff the peer took it. One is outstanding per peer: while
+    /// the last one sent is unanswered and younger than its patience —
+    /// `SNAPSHOT_RESEND`, doubled with each resend that also went
+    /// unanswered — its event is returned and nothing is sent. A node that
+    /// does not lead has no state to impose: it sends nothing and the event
+    /// it returns has failed.
+    pub fn send_snapshot(self: &Rc<Self>, peer: NodeId) -> EventHandle {
+        if !self.is_leader() {
+            let unsent = self.ep.proxy(peer).pending_reply("install_snapshot");
+            unsent.fire(Signal::Err);
+            return unsent;
+        }
+        let mut patience = SNAPSHOT_RESEND;
+        if let Some((sent, waited)) = self.snapshots.borrow().get(&peer.0) {
+            if sent.fired().is_none() {
+                if self.rt.now() - sent.created_at() < *waited {
+                    return sent.clone();
+                }
+                patience = *waited * 2;
+            }
+        }
+        let last_index = self.applied.get();
+        let state = match self.machine.borrow().as_ref() {
+            Some(m) => m.snapshot(),
+            None => Frame::default(),
+        };
+        let req = SnapshotReq {
+            term: self.log.current_term(),
+            leader: self.id.0,
+            last_index,
+            last_term: self.log.term_at(last_index),
+            state,
+        };
+        let core = self.clone();
+        let sent = self.ep.proxy(peer).call_classified(
+            self.method(INSTALL_SNAPSHOT),
+            "install_snapshot",
+            &req,
+            None,
+            move |resp: Option<AppendResp>| resp.is_some_and(|r| core.on_append_reply(peer, &r)),
+        );
+        self.snapshots
+            .borrow_mut()
+            .insert(peer.0, (sent.clone(), patience));
+        sent
     }
 
     /// The term half of the reply rule: a reply from a higher term deposes
@@ -721,7 +909,8 @@ impl RaftCore {
     /// Round step 4, **apply** — the one apply body: reads every
     /// committed-but-unapplied entry, charges apply CPU *in the calling
     /// coroutine*, applies, and completes the pending client proposal at
-    /// that index.
+    /// that index; then drops the log prefix [`crate::gc`] says nobody
+    /// needs any more.
     async fn apply_committed(&self) -> Result<(), Crashed> {
         let hi = self.commit.get();
         let lo = self.applied.get() + 1;
@@ -731,8 +920,13 @@ impl RaftCore {
         let entries = self.log.read(lo, hi + 1).await.map_err(|_| Crashed)?;
         for e in entries {
             self.world.cpu(self.id, self.cfg.apply_cpu).await?;
-            let reply = match self.apply_fn.borrow_mut().as_mut() {
-                Some(f) => f(&e),
+            if e.index <= self.applied.get() {
+                // A snapshot was installed while this pass was on the CPU:
+                // the state machine is already past this entry.
+                continue;
+            }
+            let reply = match self.machine.borrow_mut().as_mut() {
+                Some(m) => m.apply(&e),
                 None => Bytes::new(),
             };
             self.applied.set(e.index);
@@ -747,6 +941,18 @@ impl RaftCore {
                     .record(self.rt.now() - ev.handle().created_at());
                 ev.fire_ok(reply);
             }
+        }
+        let standing = gc::Standing {
+            first_index: self.log.first_index(),
+            applied: self.applied.get(),
+            log_bytes: self.log.bytes(),
+            slowest_match: self
+                .is_leader()
+                .then(|| self.st.borrow().match_index.values().copied().min())
+                .flatten(),
+        };
+        if let Some(through) = gc::compact_through(&standing) {
+            self.log.compact_through(through);
         }
         Ok(())
     }
@@ -771,8 +977,40 @@ impl RaftCore {
         Ok(())
     }
 
-    /// Registers the follower-side `AppendEntries`, `RequestVote` and
-    /// `PreVote` services (identical across drivers).
+    /// The term rule for a message from `leader` claiming `term`: `false`
+    /// if the term is stale (the caller answers with the current one);
+    /// otherwise this node follows that leader from now on — stepping down
+    /// into a higher term if need be — and the contact counts as a
+    /// heartbeat.
+    fn follow_leader(&self, term: u64, leader: u32) -> bool {
+        let current = self.log.current_term();
+        if term < current {
+            return false;
+        }
+        if term > current {
+            self.step_down(term, Some(NodeId(leader)));
+        } else if self.st.borrow().role != Role::Leader {
+            let mut st = self.st.borrow_mut();
+            st.role = Role::Follower;
+            st.leader_hint = Some(NodeId(leader));
+        }
+        self.st.borrow_mut().last_heartbeat = self.rt.now();
+        true
+    }
+
+    /// What a leader whose term [`RaftCore::follow_leader`] refused hears:
+    /// the current term, and nothing about the log.
+    fn stale_term_reply(&self) -> AppendResp {
+        AppendResp {
+            term: self.log.current_term(),
+            success: false,
+            match_index: 0,
+            verified: self.verified_index.get(),
+        }
+    }
+
+    /// Registers the follower-side `AppendEntries`, `InstallSnapshot`,
+    /// `RequestVote` and `PreVote` services (identical across drivers).
     pub fn install_follower_services(self: &Rc<Self>) {
         let core = self.clone();
         self.ep.serve(
@@ -786,6 +1024,15 @@ impl RaftCore {
                 core.append_ticket.set(ticket + 1);
                 let core = core.clone();
                 async move { handle_append(&core, from, req, ticket).await }
+            },
+        );
+        let core = self.clone();
+        self.ep.serve(
+            self.method(INSTALL_SNAPSHOT),
+            "raft:handle_snapshot",
+            move |_from, req: SnapshotReq| {
+                let core = core.clone();
+                async move { handle_snapshot(&core, req).await }
             },
         );
         let core = self.clone();
@@ -862,24 +1109,10 @@ pub async fn handle_append(
         return None;
     }
 
-    let current = core.log.current_term();
-    if req.term < current {
+    if !core.follow_leader(req.term, req.leader) {
         retire_append_ticket(core, ticket);
-        return Some(AppendResp {
-            term: current,
-            success: false,
-            match_index: 0,
-            verified: core.verified_index.get(),
-        });
+        return Some(core.stale_term_reply());
     }
-    if req.term > current {
-        core.step_down(req.term, Some(NodeId(req.leader)));
-    } else if core.st.borrow().role != Role::Leader {
-        let mut st = core.st.borrow_mut();
-        st.role = Role::Follower;
-        st.leader_hint = Some(NodeId(req.leader));
-    }
-    core.st.borrow_mut().last_heartbeat = core.rt.now();
 
     // Ordered section: log reads and mutations run strictly in arrival
     // order. With pipelined replication several appends are in flight at
@@ -900,7 +1133,18 @@ pub async fn handle_append(
             verified: core.verified_index.get(),
         });
     }
-    if req.prev_index > 0 && core.log.term_at(req.prev_index) != req.prev_term {
+    // Everything at or below the compaction base is committed, hence
+    // identical on every replica (Log Matching + Leader Completeness):
+    // below it there is no term to compare and nothing to conflict with. A
+    // *stale retransmission* — a leader that rewound `next_index` past what
+    // this follower has since applied and compacted — lands here; reading
+    // the 0 `term_at` answers below the base as a mismatch would truncate
+    // committed entries.
+    let base = core.log.first_index() - 1;
+    if req.prev_index >= base
+        && req.prev_index > 0
+        && core.log.term_at(req.prev_index) != req.prev_term
+    {
         core.log.truncate_from(req.prev_index);
         core.verified_index.set(
             core.verified_index
@@ -920,6 +1164,9 @@ pub async fn handle_append(
     let entries = from_wire(req.entries);
     let mut new = Vec::new();
     for e in entries {
+        if e.index <= base {
+            continue; // Already held, as state rather than as an entry.
+        }
         if e.index <= core.log.last_index() {
             if core.log.term_at(e.index) != e.term {
                 core.log.truncate_from(e.index);
@@ -975,6 +1222,67 @@ pub async fn handle_append(
         term: core.log.current_term(),
         success: true,
         match_index: match_to,
+        verified: core.verified_index.get(),
+    })
+}
+
+/// Follower-side `InstallSnapshot` (returns `None` — no answer — if the
+/// node crashed, the state does not decode, or an earlier snapshot is still
+/// being written). The usual term rule; a snapshot at or below what this
+/// node has applied tells it nothing and changes nothing. Otherwise the
+/// state machine is replaced, the log keeps the suffix that extends the
+/// snapshot or nothing, and applied, commit and verified all stand at the
+/// snapshot's index — in one synchronous step, so an apply pass or an
+/// append handler sees the node before it or after it, never between. The
+/// ack says the node matches through the snapshot, whichever way it got
+/// there, and like an append's it waits until that is durable: for a local
+/// write of the snapshot's length, or for what is still queued of the log
+/// through it (this node's own disk: a local wait).
+///
+/// One install at a time: a leader resends an unanswered snapshot
+/// (`SNAPSHOT_RESEND`), and on a node whose disk is the slow part each
+/// newer one would queue one more state-sized write behind the last. While
+/// the log's base is not durable — only a snapshot's write in progress
+/// puts a follower's base ahead of its disk: it commits, applies and so
+/// compacts behind what it has made durable — a newer snapshot is dropped;
+/// the write in progress acks when it is done and the leader goes on from
+/// there.
+pub async fn handle_snapshot(core: &Rc<RaftCore>, req: SnapshotReq) -> Option<AppendResp> {
+    core.world
+        .cpu(core.id, core.cfg.append_cpu_base)
+        .await
+        .ok()?;
+    if !core.follow_leader(req.term, req.leader) {
+        return Some(core.stale_term_reply());
+    }
+    if req.last_index > core.applied.get() {
+        if core.log.durable_index() + 1 < core.log.first_index() {
+            return None;
+        }
+        if let Some(m) = core.machine.borrow_mut().as_mut() {
+            if !m.restore(&req.state) {
+                return None;
+            }
+        }
+        core.log
+            .install_snapshot(req.last_index, req.last_term, req.state.len() as u64);
+        core.applied.set(req.last_index);
+        core.applied_idx.set(req.last_index);
+        core.set_commit(req.last_index);
+        // What was verified past the snapshot still is iff the log kept it.
+        let kept = core.verified_index.get().min(core.log.last_index());
+        core.verified_index.set(kept.max(req.last_index));
+    }
+    let durable = core
+        .log
+        .wait_durable(req.last_index.min(core.log.last_index()));
+    if !durable.wait().await.is_ready() {
+        return None;
+    }
+    Some(AppendResp {
+        term: core.log.current_term(),
+        success: true,
+        match_index: req.last_index,
         verified: core.verified_index.get(),
     })
 }
@@ -1095,6 +1403,18 @@ mod tests {
     use simkit::{Sim, WorldCfg};
 
     fn one_node() -> (Sim, World, Rc<RaftCore>) {
+        node_zero_under(0)
+    }
+
+    /// Node 0 of three, with node `leader` bootstrapped as leader.
+    fn node_zero_under(leader: u32) -> (Sim, World, Rc<RaftCore>) {
+        node_zero(RaftCfg {
+            bootstrap_leader: Some(leader),
+            ..RaftCfg::default()
+        })
+    }
+
+    fn node_zero(cfg: RaftCfg) -> (Sim, World, Rc<RaftCore>) {
         let sim = Sim::new(1);
         let world = World::new(sim.clone(), WorldCfg::default());
         let rt = Runtime::with_tracer(sim.clone(), NodeId(0), Tracer::new());
@@ -1105,13 +1425,293 @@ mod tests {
             &world,
             &ep,
             vec![NodeId(0), NodeId(1), NodeId(2)],
-            RaftCfg {
-                bootstrap_leader: Some(0),
-                ..RaftCfg::default()
-            },
+            cfg,
             0,
         );
         (sim, world, core)
+    }
+
+    /// Entries `lo..=hi` of term 1.
+    fn entries(lo: u64, hi: u64) -> Vec<Entry> {
+        let entry = |index| Entry {
+            term: 1,
+            index,
+            payload: Bytes::from(vec![index as u8; 8]),
+        };
+        (lo..=hi).map(entry).collect()
+    }
+
+    /// A state machine that is a count of what it applied.
+    struct Tally(Rc<Cell<u64>>);
+
+    impl StateMachine for Tally {
+        fn apply(&mut self, _entry: &Entry) -> Bytes {
+            self.0.set(self.0.get() + 1);
+            Bytes::new()
+        }
+
+        fn snapshot(&self) -> Frame {
+            depfast_rpc::wire::WireWrite::to_frame(&self.0.get())
+        }
+
+        fn restore(&mut self, snapshot: &Frame) -> bool {
+            let count: Option<u64> = depfast_rpc::wire::WireRead::from_frame(snapshot);
+            count.map(|n| self.0.set(n)).is_some()
+        }
+    }
+
+    /// The trap log GC sets for `handle_append`: a leader that rewound
+    /// `next_index` — a reject, a full append window — retransmits from
+    /// below what the follower has since applied and compacted. Below the
+    /// base `term_at` answers 0; read as a log-matching conflict that
+    /// would truncate committed entries. The sizing prototype of this
+    /// change walked into it in `gate scenario`'s **`leader-cpu-slow` /
+    /// DepFastRaft** cell, where the mitigation's new leader quarantines
+    /// the slow old one and rewinds to an acked prefix of 0 (this tree
+    /// anchors such probes at the leader's own base, so the pinned seed no
+    /// longer gets there; a deeper rewind still does). The follower must
+    /// answer as it would have with the whole log in hand.
+    #[test]
+    fn an_append_below_the_base_is_a_retransmission_not_a_conflict() {
+        let (sim, _w, core) = node_zero_under(1);
+        core.log.append(&entries(1, 10));
+        sim.run();
+        core.log.compact_through(6);
+        // prev_index 3 is below the base (6); the entries straddle it.
+        let stale = AppendReq {
+            term: 1,
+            leader: 1,
+            prev_index: 3,
+            prev_term: 1,
+            entries: to_wire(&entries(4, 8)),
+            commit: 8,
+            lazy: false,
+        };
+        let c = core.clone();
+        let resp = sim.block_on(async move { handle_append(&c, NodeId(1), stale, 0).await });
+        assert_eq!(
+            resp,
+            Some(AppendResp {
+                term: 1,
+                success: true,
+                match_index: 8,
+                verified: 8,
+            })
+        );
+        assert_eq!((core.log.first_index(), core.log.last_index()), (7, 10));
+        let (kept, _) = core.log.read_raw(7, 11);
+        assert_eq!(kept, entries(7, 10), "log untouched");
+        assert_eq!(core.commit.get(), 8);
+    }
+
+    #[test]
+    fn a_snapshot_replaces_state_and_log_and_a_stale_one_changes_nothing() {
+        let (sim, _w, core) = node_zero_under(1);
+        let tally = Rc::new(Cell::new(0));
+        core.set_state_machine(Tally(tally.clone()));
+        core.log.append(&entries(1, 5));
+        sim.run();
+        let snapshot = |last_index: u64, term: u64| SnapshotReq {
+            term,
+            leader: 1,
+            last_index,
+            last_term: 1,
+            state: depfast_rpc::wire::WireWrite::to_frame(&last_index),
+        };
+        let install = |req: SnapshotReq| {
+            let c = core.clone();
+            sim.block_on(async move { handle_snapshot(&c, req).await })
+        };
+        let ack = |match_index| {
+            Some(AppendResp {
+                term: 1,
+                success: true,
+                match_index,
+                verified: match_index.max(50),
+            })
+        };
+        // Past the log's end: the five entries are not known to lead to
+        // it, so they go; every watermark stands at the snapshot.
+        let wal_before = core.log.wal().synced_bytes();
+        assert_eq!(install(snapshot(50, 1)), ack(50));
+        assert_eq!(tally.get(), 50);
+        assert_eq!((core.log.first_index(), core.log.last_index()), (51, 50));
+        assert_eq!(core.log.term_at(50), 1);
+        assert_eq!((core.applied.get(), core.commit.get()), (50, 50));
+        assert!(core.log.durable_index() >= 50);
+        assert!(
+            core.log.wal().synced_bytes() >= wal_before + 8,
+            "the ack waited for a local write of the snapshot's length"
+        );
+        // At or below what is applied: acknowledged, nothing touched.
+        assert_eq!(install(snapshot(40, 1)), ack(40));
+        assert_eq!(tally.get(), 50);
+        assert_eq!(core.applied.get(), 50);
+        // From a stale term: refused by the term rule.
+        let refused = install(snapshot(90, 0)).expect("answered");
+        assert!(!refused.success);
+        assert_eq!(tally.get(), 50);
+        // One that does not decode is dropped, state untouched.
+        let mut garbled = snapshot(90, 1);
+        garbled.state = Frame::from(Bytes::from_static(b"xyz"));
+        assert_eq!(install(garbled), None);
+        assert_eq!((tally.get(), core.applied.get()), (50, 50));
+    }
+
+    #[test]
+    fn an_append_request_is_not_built_below_the_base() {
+        let (sim, _w, core) = one_node();
+        core.log.append(&entries(1, 10));
+        sim.run();
+        core.log.compact_through(6);
+        assert_eq!(core.append_req(1, 4, &[], false), None);
+        let at_base = core.append_req(1, 6, &entries(7, 8), false).expect("held");
+        assert_eq!((at_base.prev_index, at_base.prev_term), (6, 1));
+        assert_eq!(
+            core.probe_req(1, 4, false).prev_index,
+            6,
+            "stands at the base"
+        );
+        assert_eq!(core.probe_req(1, 9, false).prev_index, 9);
+    }
+
+    /// Messages node 0 has put on the network.
+    fn sent(world: &World) -> u64 {
+        let key = depfast_metrics::Key::node("sim.net.msgs", 0);
+        world.metrics().counter(key).get()
+    }
+
+    /// The race `append_req`'s `None` is for. A leader asks the fork, is
+    /// told the log still reaches its peer, and goes to the disk for cold
+    /// entries; while it waits an apply pass compacts past them — the log
+    /// crossed the size limit, or the node was deposed and keeps only what
+    /// a follower keeps. No request can be built from a `prev_index` whose
+    /// term is gone: a node that still leads sends its state instead, a
+    /// deposed one sends nothing. Both shapes of the path: the read a
+    /// coroutine pays for itself (`read_append`: DepFastRaft) and entries a
+    /// driver read before it awaited (`send_entries`: the legacy drivers).
+    #[test]
+    fn a_cold_read_overtaken_by_compaction_sends_state_or_nothing_never_a_stale_append() {
+        for deposed in [false, true] {
+            let (sim, world, core) = node_zero(RaftCfg {
+                bootstrap_leader: Some(0),
+                log: LogStoreCfg {
+                    cache_bytes: 64,
+                    ..LogStoreCfg::default()
+                },
+                ..RaftCfg::default()
+            });
+            core.log.append(&entries(1, 20));
+            sim.run();
+            let (c, before) = (core.clone(), sent(&world));
+            sim.spawn(async move {
+                c.rt.sleep(Duration::from_nanos(1)).await;
+                if deposed {
+                    c.step_down(2, None);
+                }
+                c.log.compact_through(10);
+            });
+            let c = core.clone();
+            let built = sim.block_on(async move {
+                let from_disk = c.read_append(NodeId(2), 1, 3, 9, false).await;
+                assert!(c.rt.now() > SimTime::ZERO + Duration::from_nanos(1));
+                from_disk
+            });
+            assert_eq!(core.log.cache_misses(), 1, "the read went to the disk");
+            assert_eq!(built, None, "deposed: {deposed}");
+            core.send_entries(NodeId(1), 1, 2, &entries(3, 8));
+            sim.run();
+            let snapshots = core.snapshots.borrow();
+            let expect = if deposed { vec![] } else { vec![1, 2] };
+            let mut to: Vec<u32> = snapshots.keys().copied().collect();
+            to.sort_unstable();
+            assert_eq!(to, expect, "deposed: {deposed}");
+            assert_eq!(sent(&world) - before, expect.len() as u64);
+        }
+    }
+
+    #[test]
+    fn one_snapshot_is_outstanding_per_peer_and_an_unanswered_one_is_resent() {
+        let (sim, world, core) = one_node();
+        core.log.append(&entries(1, 10));
+        sim.run();
+        core.log.compact_through(6);
+        let before = sent(&world);
+        assert!(!core.snapshot_instead(NodeId(1), 7), "the log holds 7");
+        assert_eq!(sent(&world), before);
+        // Below the base: state goes out, once however often it is asked.
+        assert!(core.snapshot_instead(NodeId(1), 4));
+        let first = core.snapshots.borrow()[&1].0.id();
+        sim.run_until_time(sim.now() + (SNAPSHOT_RESEND - Duration::from_millis(1)));
+        assert!(core.snapshot_instead(NodeId(1), 4));
+        assert_eq!(core.send_snapshot(NodeId(1)).id(), first);
+        assert_eq!(sent(&world) - before, 1);
+        // Another peer's is its own.
+        assert!(core.snapshot_instead(NodeId(2), 1));
+        sim.run_until_time(sim.now() + Duration::from_millis(1));
+        assert_eq!(sent(&world) - before, 2);
+        // Nobody answered within the interval: again.
+        assert!(core.snapshot_instead(NodeId(1), 4));
+        let second = core.snapshots.borrow()[&1].0.id();
+        assert_ne!(second, first);
+        sim.run_until_time(sim.now() + Duration::from_millis(1));
+        assert_eq!(sent(&world) - before, 3);
+        // That one is given twice as long.
+        sim.run_until_time(sim.now() + SNAPSHOT_RESEND);
+        assert_eq!(core.send_snapshot(NodeId(1)).id(), second);
+        sim.run_until_time(sim.now() + SNAPSHOT_RESEND);
+        assert_ne!(core.send_snapshot(NodeId(1)).id(), second);
+        sim.run_until_time(sim.now() + Duration::from_millis(1));
+        assert_eq!(sent(&world) - before, 4);
+        // A node that no longer leads has no state to impose.
+        core.step_down(5, None);
+        sim.run_until_time(sim.now() + SNAPSHOT_RESEND * 4);
+        assert!(
+            core.snapshot_instead(NodeId(1), 4),
+            "still what the peer lacks"
+        );
+        assert_eq!(core.send_snapshot(NodeId(2)).fired(), Some(Signal::Err));
+        assert_eq!(sent(&world) - before, 4);
+    }
+
+    /// A leader resends an unanswered snapshot; a follower whose disk is
+    /// the slow part must not queue a state-sized write for each.
+    #[test]
+    fn a_snapshot_arriving_while_one_is_being_written_is_dropped_unanswered() {
+        let (sim, _w, core) = node_zero_under(1);
+        let snapshot = |last_index: u64| SnapshotReq {
+            term: 1,
+            leader: 1,
+            last_index,
+            last_term: 1,
+            state: Frame::from(Bytes::from(vec![0u8; 1 << 20])),
+        };
+        let install = |req: SnapshotReq| {
+            let c = core.clone();
+            sim.spawn(async move {
+                let ack = handle_snapshot(&c, req).await;
+                (ack, c.log.durable_index())
+            })
+        };
+        // All arrive together; the later ones get the CPU while the first's
+        // megabyte is on the disk. A newer one is dropped; the same one
+        // again is acknowledged like the first, once it is durable.
+        let first = install(snapshot(50));
+        let (newer, again) = (install(snapshot(60)), install(snapshot(50)));
+        sim.run();
+        for taken in [first, again] {
+            let (ack, durable_then) = taken.try_take().expect("ran");
+            let ack = ack.expect("answered");
+            assert_eq!((ack.success, ack.match_index), (true, 50));
+            assert!(durable_then >= 50, "acknowledged before it was durable");
+        }
+        assert_eq!(newer.try_take().expect("ran").0, None);
+        assert_eq!((core.applied.get(), core.log.last_index()), (50, 50));
+        // Once the write is done the next one is taken.
+        let third = install(snapshot(60));
+        sim.run();
+        assert!(third.try_take().expect("ran").0.is_some());
+        assert_eq!(core.applied.get(), 60);
     }
 
     #[test]

@@ -105,7 +105,10 @@ impl DepFastRaft {
             let term = core.log.current_term();
             let lo = core.next_index(peer);
             let hi = (target_index + 1).min(lo + core.cfg.max_entries_per_append as u64);
-            let Ok(entries) = core.log.read(lo, hi).await else {
+            // A peer the log no longer reaches is sent the state machine,
+            // off this round: its quorum child hears "no", as for a read
+            // that failed.
+            let Some((req, sent_hi)) = core.read_append(peer, term, lo, hi, false).await else {
                 core.flow.borrow_mut().release(peer);
                 if let Some(d) = done {
                     d.fire(Signal::Err);
@@ -115,10 +118,9 @@ impl DepFastRaft {
             // Advance next_index past what this send carries, so rounds
             // pipelined behind this one do not re-ship entries already in
             // flight. Rejects and lost replies back it up again.
-            if let Some(last) = entries.last() {
-                core.note_sent_through(peer, last.index);
+            if let Some(sent_hi) = sent_hi {
+                core.note_sent_through(peer, sent_hi);
             }
-            let req = core.append_req(term, lo - 1, &entries, false);
             let c2 = core.clone();
             let derived = core.ep.proxy(peer).call_classified(
                 core.method(APPEND_ENTRIES),
@@ -310,19 +312,21 @@ impl DepFastRaft {
         let core = core.clone();
         Coroutine::create(&core.rt.clone(), "raft:send_probe", async move {
             let term = core.log.current_term();
-            let (lo, entries) = match chunk {
+            let req = match chunk {
                 Some((lo, n)) => {
                     let hi = (lo + n as u64).min(core.log.last_index() + 1);
-                    let Ok(es) = core.log.read(lo, hi).await else {
+                    let built = core.read_append(peer, term, lo, hi, true).await;
+                    let sent_hi = built.as_ref().and_then(|(_, sent_hi)| *sent_hi);
+                    core.flow.borrow_mut().chunk_sent(peer, sent_hi);
+                    // Cut loose by the size limit: the chunk is dropped,
+                    // the snapshot's ack will move the acked prefix.
+                    let Some((req, _)) = built else {
                         return;
                     };
-                    let sent_hi = es.last().map(|e| e.index);
-                    core.flow.borrow_mut().chunk_sent(peer, sent_hi);
-                    (lo, es)
+                    req
                 }
-                None => (core.match_index(peer) + 1, Vec::new()),
+                None => core.probe_req(term, core.match_index(peer), true),
             };
-            let req = core.append_req(term, lo - 1, &entries, true);
             // Same trace label as a regular append: probes ARE
             // AppendEntries, and the fail-slow detector's latency view
             // of a quarantined peer must not go dark.
@@ -336,6 +340,13 @@ impl DepFastRaft {
                     let Some(resp) = resp else { return false };
                     let accepted = c2.on_append_reply(peer, &resp);
                     c2.flow.borrow_mut().on_lazy_reply(c2.rt.now(), peer, &resp);
+                    // A reject backs `next_index` up to where the peer's log
+                    // ends. Quarantine never reads there (it feeds from the
+                    // acked prefix), so if that is below the base this is
+                    // the one place to notice that only state can help.
+                    if !accepted {
+                        c2.snapshot_instead(peer, c2.next_index(peer));
+                    }
                     accepted
                 },
             );
@@ -440,7 +451,7 @@ impl DepFastRaft {
             let method = core.method(APPEND_ENTRIES);
             let probes = core.peers.iter().map(|&peer| {
                 let prev = core.next_index(peer) - 1;
-                (peer, method, core.append_req(term, prev, &[], false))
+                (peer, method, core.probe_req(term, prev, false))
             });
             let c2 = core.clone();
             // A confirmation, not an ack: only the term half of the reply

@@ -2,7 +2,8 @@
 //! demonstration system (§3.4), five ways.
 //!
 //! The protocol logic — terms, election, log matching, commit rules, the
-//! steps of a leader round — is shared ([`core`], [`types`]). What differs
+//! steps of a leader round, log GC ([`gc`]) and the snapshot that stands in
+//! for a compacted prefix — is shared ([`core`], [`types`]). What differs
 //! between the five drivers is *where the implementation waits*, which is
 //! precisely the paper's point (wait site = the label `depfast-profile`
 //! prints for it):
@@ -25,13 +26,16 @@ pub mod cluster;
 pub mod core;
 pub mod depfast_driver;
 pub mod flow;
+pub mod gc;
 pub mod reads;
 pub mod sync_driver;
 pub mod types;
 
 pub use cluster::{Placement, RaftCluster, RaftGroup, RaftKind};
-pub use core::{RaftCfg, RaftCore, RaftServer, Role};
-pub use types::{AppendReq, AppendResp, VoteReq, VoteResp};
+pub use core::{RaftCfg, RaftCore, RaftServer, Role, StateMachine};
+/// What a [`StateMachine`] is handed to apply.
+pub use depfast_storage::Entry;
+pub use types::{AppendReq, AppendResp, SnapshotReq, VoteReq, VoteResp};
 
 #[cfg(test)]
 mod fixture;

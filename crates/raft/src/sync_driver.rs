@@ -69,6 +69,9 @@ impl SyncRaft {
                 // Sequential send preparation, one follower at a time.
                 for peer in core.peers.clone() {
                     let lo = core.next_index(peer);
+                    if core.snapshot_instead(peer, lo) {
+                        continue;
+                    }
                     let send_hi = (hi + 1).min(lo + core.cfg.max_entries_per_append as u64);
                     let (to_send, miss_bytes) = core.log.read_raw(lo, send_hi);
                     if miss_bytes > 0 {
@@ -88,7 +91,7 @@ impl SyncRaft {
                     }
                     // Replies are digested by hooks (the region thread
                     // does not wait for them individually).
-                    core.send_append(peer, &core.append_req(term, lo - 1, &to_send, false));
+                    core.send_entries(peer, term, lo - 1, &to_send);
                 }
                 // Wait for this round's entries to commit before the next
                 // intake (single-threaded pipeline of depth one), then

@@ -3,6 +3,7 @@
 use depfast_rpc::wire::{Reader, WireRead, WireWrite, Writer};
 use depfast_rpc::{wire_struct, Method};
 use depfast_storage::Entry;
+use simkit::Frame;
 
 /// RPC method id of `AppendEntries`.
 pub const APPEND_ENTRIES: Method = 0x10;
@@ -16,6 +17,9 @@ pub const FLOW_PROBE: Method = 0x13;
 pub const CHAIN_FORWARD: Method = 0x14;
 /// RPC method id of `PreVote` (Raft §9.6-style pre-election probe).
 pub const PRE_VOTE: Method = 0x15;
+
+/// RPC method id of `InstallSnapshot`.
+pub const INSTALL_SNAPSHOT: Method = 0x16;
 
 /// Newtype giving [`Entry`] a wire encoding in this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,6 +96,33 @@ wire_struct!(AppendResp {
     success,
     match_index,
     verified
+});
+
+/// `InstallSnapshot` request: what a leader sends a peer whose next entry
+/// it no longer holds. Answered with an [`AppendResp`] — on success the
+/// peer matches through `last_index` — so the leader digests it by the one
+/// reply rule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotReq {
+    /// Leader's term.
+    pub term: u64,
+    /// Leader's node id.
+    pub leader: u32,
+    /// The applied index the state was taken at.
+    pub last_index: u64,
+    /// Term of the entry at `last_index`.
+    pub last_term: u64,
+    /// The state machine, as its own
+    /// [`StateMachine::snapshot`](crate::core::StateMachine::snapshot)
+    /// encoded it: large values travel in it by reference.
+    pub state: Frame,
+}
+wire_struct!(SnapshotReq {
+    term,
+    leader,
+    last_index,
+    last_term,
+    state
 });
 
 /// `RequestVote` request.
@@ -185,6 +216,25 @@ mod tests {
         };
         let enc = req.to_bytes();
         assert_eq!(AppendReq::from_bytes(&enc), Some(req));
+    }
+
+    #[test]
+    fn snapshot_req_round_trips_and_splices_its_state() {
+        let value = Bytes::from(vec![5u8; 1000]);
+        let req = SnapshotReq {
+            term: 4,
+            leader: 1,
+            last_index: 9_000,
+            last_term: 3,
+            state: value.to_frame(),
+        };
+        let frame = req.to_frame();
+        assert_eq!(frame.len(), req.to_bytes().len());
+        let back = SnapshotReq::from_frame(&frame).expect("decodes");
+        assert_eq!(back, req);
+        // The value inside the state is the sender's buffer, not a copy.
+        let inner = Bytes::from_frame(&back.state).expect("decodes");
+        assert_eq!(inner.as_ptr(), value.as_ptr());
     }
 
     #[test]

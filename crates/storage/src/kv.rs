@@ -4,13 +4,20 @@
 //! encoding and session semantics. `MemKv` supplies the raw map plus a
 //! session table for exactly-once apply (client id → last sequence number
 //! and its cached reply), the standard RSM dedup construction.
+//!
+//! The state machine *is* the snapshot: [`MemKv`]'s wire encoding carries
+//! the map, the session table and the apply count, so a replica restored
+//! from it answers a retried command exactly as the one it was taken from
+//! would. Values keep the buffers they arrived in (`depfast_rpc::wire`
+//! splices large ones by reference); keys do not — see [`MemKv::put`].
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
+use depfast_rpc::wire::{Reader, WireRead, WireWrite, Writer};
 
 /// An in-memory key-value state machine with session deduplication.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct MemKv {
     map: HashMap<Bytes, Bytes>,
     sessions: HashMap<u64, (u64, Bytes)>,
@@ -23,14 +30,32 @@ impl MemKv {
         Self::default()
     }
 
-    /// Inserts or overwrites `key`.
+    /// Inserts or overwrites `key`. A key seen for the first time is
+    /// copied out of the buffer it came in: `key` is usually a view into a
+    /// whole request body, the map keeps the key it already has on an
+    /// overwrite, and a 23-byte view would otherwise pin the first body
+    /// ever written for it long after the log has dropped it. The value is
+    /// kept as it came — it *is* most of the body.
     pub fn put(&mut self, key: Bytes, value: Bytes) {
-        self.map.insert(key, value);
+        match self.map.get_mut(&key) {
+            Some(slot) => *slot = value,
+            None => {
+                self.map.insert(Bytes::copy_from_slice(&key), value);
+            }
+        }
     }
 
     /// Reads `key`.
     pub fn get(&self, key: &Bytes) -> Option<&Bytes> {
         self.map.get(key)
+    }
+
+    /// Reads `key` together with the key the map holds for it (its own
+    /// copy, see [`MemKv::put`]). For `depfast-kv`'s pointer-range test of
+    /// that copy; nothing in production asks where a key lives.
+    #[doc(hidden)]
+    pub fn get_key_value(&self, key: &Bytes) -> Option<(&Bytes, &Bytes)> {
+        self.map.get_key_value(key)
     }
 
     /// Removes `key`, returning whether it existed.
@@ -73,6 +98,44 @@ impl MemKv {
         let reply = f(self);
         self.sessions.insert(client, (seq, reply.clone()));
         reply
+    }
+}
+
+/// Map entries and sessions go out in key order, so two replicas in the
+/// same state encode to the same bytes whatever their hash seeds.
+impl WireWrite for MemKv {
+    fn write(&self, w: &mut Writer) {
+        let mut entries: Vec<_> = self.map.iter().collect();
+        entries.sort_unstable();
+        (entries.len() as u32).write(w);
+        for (key, value) in entries {
+            key.write(w);
+            value.write(w);
+        }
+        let mut sessions: Vec<_> = self.sessions.iter().collect();
+        sessions.sort_unstable_by_key(|(client, _)| **client);
+        (sessions.len() as u32).write(w);
+        for (client, (seq, reply)) in sessions {
+            client.write(w);
+            seq.write(w);
+            reply.write(w);
+        }
+        self.applied.write(w);
+    }
+}
+
+impl WireRead for MemKv {
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let mut kv = MemKv::new();
+        for _ in 0..u32::read(r)? {
+            kv.put(Bytes::read(r)?, Bytes::read(r)?);
+        }
+        for _ in 0..u32::read(r)? {
+            let (client, session) = (u64::read(r)?, (u64::read(r)?, Bytes::read(r)?));
+            kv.sessions.insert(client, session);
+        }
+        kv.applied = u64::read(r)?;
+        Some(kv)
     }
 }
 
@@ -127,6 +190,47 @@ mod tests {
         // seq 1's cache is gone, but clients never go backwards.
         let r = kv.apply_dedup(7, 2, |_| panic!("must not re-apply"));
         assert_eq!(r, b("b"));
+    }
+
+    #[test]
+    fn a_new_key_is_copied_out_of_the_buffer_it_came_in() {
+        let body = Bytes::from(vec![7u8; 64]);
+        let mut kv = MemKv::new();
+        kv.put(body.slice(0..8), body.slice(8..64));
+        kv.put(body.slice(0..8), b("second"));
+        let (key, value) = kv.map.get_key_value(&body.slice(0..8)).unwrap();
+        let (range, k) = (body.as_ptr_range(), key.as_ptr());
+        assert!(!range.contains(&k), "the stored key pins no request body");
+        assert_eq!(value, &b("second"));
+        assert_eq!(kv.len(), 1);
+    }
+
+    #[test]
+    fn the_encoding_round_trips_map_sessions_and_count() {
+        let mut kv = MemKv::new();
+        let big = Bytes::from(vec![9u8; 1000]);
+        kv.apply_dedup(7, 3, |kv| {
+            kv.put(b("k1"), big.clone());
+            b("ok")
+        });
+        kv.apply_dedup(8, 1, |kv| {
+            kv.put(b("k0"), b("small"));
+            b("fine")
+        });
+        let frame = kv.to_frame();
+        assert_eq!(frame.len(), kv.to_bytes().len());
+        let mut back = MemKv::from_frame(&frame).expect("decodes");
+        assert_eq!(back, kv);
+        // A large value travels by reference: the restored map holds the
+        // buffer the original does.
+        assert_eq!(back.get(&b("k1")).unwrap().as_ptr(), big.as_ptr());
+        // The restored session table answers a retry; it does not re-apply.
+        let r = back.apply_dedup(7, 3, |_| panic!("must not re-apply"));
+        assert_eq!(r, b("ok"));
+        assert_eq!(back.applied(), 2);
+        // Truncated input is refused, not half-restored.
+        let bytes = kv.to_bytes();
+        assert!(MemKv::from_bytes(&bytes.slice(..bytes.len() - 1)).is_none());
     }
 
     #[test]

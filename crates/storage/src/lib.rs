@@ -11,9 +11,10 @@
 //!   fail-slow follower could force the leader to read old entries from
 //!   the disk (those entries have been evicted from the in-memory
 //!   EntryCache), thus blocking the whole thread" — is exactly a cache
-//!   miss on this path;
+//!   miss on this path. The log is what lies after a compaction base:
+//!   a prefix the replication layer no longer needs is dropped for free;
 //! * [`kv`] — the in-memory KV state machine replicated by the Raft
-//!   drivers.
+//!   drivers, whose wire encoding is its snapshot.
 
 pub mod kv;
 pub mod log;

@@ -8,8 +8,24 @@
 //! blocks anything else is the *driver's* choice: `SyncRaft` performs it
 //! inline on its single region thread; `DepFastRaft` performs it in the
 //! requesting coroutine where it harms only the laggard's replication.
+//!
+//! # The compaction base
+//!
+//! The log is what lies *after* a base `(first_index - 1, base_term)`,
+//! `(0, 0)` for a log that was never compacted.
+//! [`LogStore::compact_through`] drops a prefix and moves the base up to
+//! its last entry, so [`LogStore::term_at`] still answers for the base —
+//! the `prev_term` of the first entry kept — and answers 0 below it;
+//! reads clamp to what is kept, and the EntryCache accounting moves with
+//! the prefix. When to compact is the replication layer's decision
+//! (`depfast_raft::gc`); this module only guarantees that compaction is a
+//! metadata delete: no disk operation, no virtual time, O(1) per dropped
+//! entry on the host. [`LogStore::install_snapshot`] is the other way the
+//! base moves: to a snapshot's position, keeping the suffix that matches
+//! it or nothing.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -58,9 +74,15 @@ impl Default for LogStoreCfg {
 
 struct LogInner {
     /// All entries from `first_index` (ground truth; what "disk" holds).
-    entries: Vec<Entry>,
-    /// Index of `entries[0]`.
+    /// A deque: compaction pops the front without moving the rest.
+    entries: VecDeque<Entry>,
+    /// Index of `entries[0]`: one past the compaction base.
     first_index: u64,
+    /// Term of the entry at the base, `first_index - 1` (0 while that is
+    /// the sentinel).
+    base_term: u64,
+    /// Sum of [`Entry::size`] over `entries`.
+    bytes: u64,
     /// Entries with `index >= cache_low` are in the EntryCache.
     cache_low: u64,
     cached_bytes: u64,
@@ -70,6 +92,32 @@ struct LogInner {
     /// Counters.
     cache_hits: u64,
     cache_misses: u64,
+}
+
+impl LogInner {
+    fn last_index(&self) -> u64 {
+        self.first_index + self.entries.len() as u64 - 1
+    }
+
+    /// Takes an entry that has just left `entries` off the books.
+    fn forget(&mut self, e: &Entry) {
+        self.bytes -= e.size();
+        if e.index >= self.cache_low {
+            self.cached_bytes -= e.size();
+        }
+    }
+
+    /// Evicts oldest-first until the EntryCache fits `budget`.
+    fn evict(&mut self, budget: u64) {
+        while self.cached_bytes > budget {
+            let idx = (self.cache_low - self.first_index) as usize;
+            let Some(e) = self.entries.get(idx) else {
+                break;
+            };
+            self.cached_bytes -= e.size();
+            self.cache_low += 1;
+        }
+    }
 }
 
 /// A per-node Raft log store: WAL-durable appends + EntryCache reads.
@@ -96,8 +144,10 @@ impl LogStore {
             wal: Wal::new(rt, world, cfg.wal),
             cfg,
             inner: Rc::new(RefCell::new(LogInner {
-                entries: Vec::new(),
+                entries: VecDeque::new(),
                 first_index: 1,
+                base_term: 0,
+                bytes: 0,
                 cache_low: 1,
                 cached_bytes: 0,
                 term: 0,
@@ -128,18 +178,29 @@ impl LogStore {
         &self.wal
     }
 
-    /// Index of the last entry (0 if empty).
-    pub fn last_index(&self) -> u64 {
-        let inner = self.inner.borrow();
-        inner.first_index + inner.entries.len() as u64 - 1
+    /// Index of the first entry still held: one past the compaction base
+    /// (1 for a log never compacted).
+    pub fn first_index(&self) -> u64 {
+        self.inner.borrow().first_index
     }
 
-    /// Term of the entry at `index` (0 for the sentinel / unknown).
+    /// Index of the last entry (the base's if none is held; 0 if empty).
+    pub fn last_index(&self) -> u64 {
+        self.inner.borrow().last_index()
+    }
+
+    /// Bytes of the entries still held ([`Entry::size`] summed).
+    pub fn bytes(&self) -> u64 {
+        self.inner.borrow().bytes
+    }
+
+    /// Term of the entry at `index`: the entry's if it is held, the base's
+    /// at the base, and 0 for the sentinel, below the base or past the end.
     pub fn term_at(&self, index: u64) -> u64 {
-        if index == 0 {
-            return 0;
-        }
         let inner = self.inner.borrow();
+        if index + 1 == inner.first_index {
+            return inner.base_term;
+        }
         if index < inner.first_index {
             return 0;
         }
@@ -178,25 +239,29 @@ impl LogStore {
     /// Panics if the entries do not continue the log contiguously.
     pub fn append(&self, new: &[Entry]) -> IoEvent {
         let mut bytes = 0;
-        let mut last = 0;
         {
             let mut inner = self.inner.borrow_mut();
             for e in new {
-                let expected = inner.first_index + inner.entries.len() as u64;
-                assert_eq!(e.index, expected, "non-contiguous append");
+                assert_eq!(e.index, inner.last_index() + 1, "non-contiguous append");
                 bytes += e.size();
-                inner.cached_bytes += e.size();
-                last = e.index;
-                inner.entries.push(e.clone());
+                inner.entries.push_back(e.clone());
             }
-            Self::evict(&mut inner, self.cfg.cache_bytes);
+            inner.bytes += bytes;
+            inner.cached_bytes += bytes;
+            inner.evict(self.cfg.cache_bytes);
         }
+        self.durable_after(bytes, new.last().map_or(0, |e| e.index))
+    }
+
+    /// A WAL record of `bytes`; once it is durable, so is the log through
+    /// `through`.
+    fn durable_after(&self, bytes: u64, through: u64) -> IoEvent {
         let io = self.wal.append(bytes);
-        if last > 0 {
+        if through > 0 {
             let durable = self.durable.clone();
             io.handle().on_fire(move |sig| {
                 if sig == depfast::Signal::Ok {
-                    durable.set(last);
+                    durable.set(through);
                 }
             });
         }
@@ -204,38 +269,61 @@ impl LogStore {
     }
 
     /// Removes all entries at `index` and beyond (conflict resolution),
-    /// returning the durability event of the truncation record.
+    /// returning the durability event of the truncation record. Nothing at
+    /// or below the compaction base can be removed: it is committed.
     pub fn truncate_from(&self, index: u64) -> IoEvent {
         {
             let mut inner = self.inner.borrow_mut();
             if index >= inner.first_index {
-                let keep = (index - inner.first_index) as usize;
-                let mut reclaimed = 0;
-                for e in &inner.entries[keep.min(inner.entries.len())..] {
-                    if e.index >= inner.cache_low {
-                        reclaimed += e.size();
-                    }
+                let keep = ((index - inner.first_index) as usize).min(inner.entries.len());
+                for e in inner.entries.split_off(keep) {
+                    inner.forget(&e);
                 }
-                inner.cached_bytes = inner.cached_bytes.saturating_sub(reclaimed);
-                inner.entries.truncate(keep);
-                let last = inner.first_index + inner.entries.len() as u64;
-                if inner.cache_low > last {
-                    inner.cache_low = last;
-                }
+                let end = inner.last_index() + 1;
+                inner.cache_low = inner.cache_low.min(end);
             }
         }
         self.wal.append(16)
     }
 
-    fn evict(inner: &mut LogInner, budget: u64) {
-        while inner.cached_bytes > budget {
-            let idx = (inner.cache_low - inner.first_index) as usize;
-            let Some(e) = inner.entries.get(idx) else {
-                break;
-            };
-            inner.cached_bytes -= e.size();
-            inner.cache_low += 1;
+    /// Drops every entry at or below `index` (clamped to the log) and
+    /// makes the last one dropped the compaction base. A metadata delete:
+    /// the disk model has no capacity to give back, so it costs no disk
+    /// operation and no virtual time. `last_index` does not move.
+    pub fn compact_through(&self, index: u64) {
+        let mut inner = self.inner.borrow_mut();
+        let index = index.min(inner.last_index());
+        while inner.first_index <= index {
+            let e = inner.entries.pop_front().expect("index is in the log");
+            inner.forget(&e);
+            inner.base_term = e.term;
+            inner.first_index += 1;
         }
+        inner.cache_low = inner.cache_low.max(inner.first_index);
+    }
+
+    /// Moves the compaction base to a snapshot's position `(index, term)`:
+    /// if the log holds that very entry, the suffix after it is kept (it
+    /// extends the snapshot); otherwise nothing the log holds is known to
+    /// follow the snapshot and all of it goes. The returned event fires
+    /// once a WAL record of the snapshot's `bytes` is durable — and with
+    /// it the log through `index`. At or below the base there is nothing to
+    /// move: that prefix is committed, and the snapshot agrees with it.
+    pub fn install_snapshot(&self, index: u64, term: u64, bytes: u64) -> IoEvent {
+        if index >= self.first_index() {
+            if index <= self.last_index() && self.term_at(index) == term {
+                self.compact_through(index);
+            } else {
+                let mut inner = self.inner.borrow_mut();
+                inner.entries.clear();
+                inner.bytes = 0;
+                inner.cached_bytes = 0;
+                inner.first_index = index + 1;
+                inner.base_term = term;
+                inner.cache_low = index + 1;
+            }
+        }
+        self.durable_after(bytes, index)
     }
 
     /// Reads entries `[lo, hi)`. Cached ranges return instantly; any part
@@ -260,23 +348,20 @@ impl LogStore {
         let mut inner = self.inner.borrow_mut();
         let first = inner.first_index;
         let lo = lo.max(first);
-        let last = first + inner.entries.len() as u64;
-        let hi = hi.min(last);
+        let hi = hi.min(inner.last_index() + 1);
         if lo >= hi {
             return (Vec::new(), 0);
         }
-        let slice: Vec<Entry> =
-            inner.entries[(lo - first) as usize..(hi - first) as usize].to_vec();
+        let at = |index: u64| (index - first) as usize;
+        let slice: Vec<Entry> = inner.entries.range(at(lo)..at(hi)).cloned().collect();
         if lo >= inner.cache_low {
             inner.cache_hits += 1;
             (slice, 0)
         } else {
             inner.cache_misses += 1;
             let miss_hi = hi.min(inner.cache_low);
-            let bytes: u64 = inner.entries[(lo - first) as usize..(miss_hi - first) as usize]
-                .iter()
-                .map(Entry::size)
-                .sum();
+            let missed = inner.entries.range(at(lo)..at(miss_hi));
+            let bytes: u64 = missed.map(Entry::size).sum();
             (slice, bytes)
         }
     }
@@ -294,6 +379,14 @@ impl LogStore {
     /// Lowest index currently in the EntryCache.
     pub fn cache_low(&self) -> u64 {
         self.inner.borrow().cache_low
+    }
+
+    /// Bytes currently in the EntryCache ([`Entry::size`] summed from
+    /// [`LogStore::cache_low`] up). The eviction books, exposed for
+    /// `tests/proptest_log.rs` to hold against its model.
+    #[doc(hidden)]
+    pub fn cached_bytes(&self) -> u64 {
+        self.inner.borrow().cached_bytes
     }
 }
 
@@ -395,6 +488,62 @@ mod tests {
         }]);
         assert_eq!(log.last_index(), 3);
         assert_eq!(log.term_at(3), 2);
+    }
+
+    #[test]
+    fn compaction_keeps_the_base_term_and_clamps_reads() {
+        let (sim, _w, log) = setup(1 << 20);
+        for i in 1..=6 {
+            log.append(&[Entry {
+                term: i,
+                index: i,
+                payload: Bytes::new(),
+            }]);
+        }
+        sim.run();
+        log.compact_through(4);
+        assert_eq!((log.first_index(), log.last_index()), (5, 6));
+        assert_eq!(log.term_at(4), 4, "the base answers for the dropped entry");
+        assert_eq!(log.term_at(3), 0);
+        assert_eq!(log.bytes(), 2 * 16);
+        let (got, miss) = log.read_raw(1, 7);
+        assert_eq!(got.iter().map(|e| e.index).collect::<Vec<_>>(), [5, 6]);
+        assert_eq!(miss, 0);
+        // Past the end is clamped: an empty log that still knows its base.
+        log.compact_through(100);
+        assert_eq!((log.first_index(), log.last_index()), (7, 6));
+        assert_eq!(log.term_at(6), 6);
+        log.append(&[Entry {
+            term: 7,
+            index: 7,
+            payload: Bytes::new(),
+        }]);
+        assert_eq!(log.last_index(), 7);
+    }
+
+    #[test]
+    fn a_snapshot_keeps_a_matching_suffix_and_nothing_else() {
+        // (snapshot index, snapshot term) -> (first, last) afterwards, on a
+        // log of 1..=5 at term 1.
+        for (index, term, first, last) in [
+            (3, 1, 4, 5),  // the log holds that entry: 4..5 extend the snapshot
+            (3, 2, 4, 3),  // it holds another at 3: nothing is known to follow
+            (9, 1, 10, 9), // past the end
+        ] {
+            let (sim, _w, log) = setup(1 << 20);
+            for i in 1..=5 {
+                log.append(&[entry(i, 10)]);
+            }
+            sim.run();
+            let io = log.install_snapshot(index, term, 4096);
+            assert_eq!((log.first_index(), log.last_index()), (first, last));
+            assert_eq!(log.term_at(index), term);
+            assert_eq!(log.bytes(), (last + 1 - first) * 26);
+            assert_eq!(log.cached_bytes(), log.bytes());
+            sim.run();
+            assert!(io.handle().ready(), "the snapshot's write is awaited");
+            assert!(log.durable_index() >= index);
+        }
     }
 
     #[test]

@@ -14,14 +14,16 @@ use std::time::Duration;
 use bytes::Bytes;
 use depfast::event::Watchable;
 use depfast::runtime::Coroutine;
-use depfast_raft::core::RaftServer;
-use depfast_rpc::wire::{WireRead, WireWrite};
+use depfast_raft::core::{RaftServer, StateMachine};
+use depfast_raft::Entry;
+use depfast_rpc::wire::{Reader, WireRead, WireWrite, Writer};
+use simkit::Frame;
 
 use crate::command::{TxnCmd, TxnVote, TxnWrite, TXN_EXEC};
 
 const PROPOSAL_DEADLINE: Duration = Duration::from_secs(5);
 
-#[derive(Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct TxnState {
     data: HashMap<Bytes, Bytes>,
     /// key → owning transaction.
@@ -55,9 +57,19 @@ impl TxnState {
             }
             TxnCmd::Commit { txn } => {
                 if let Some(writes) = self.staged.remove(txn) {
-                    for w in &writes {
-                        self.data.insert(w.key.clone(), w.value.clone());
+                    for w in writes {
                         self.locks.remove(&w.key);
+                        // As `MemKv::put`: the map keeps the key it has, so
+                        // a new key is copied out of the prepare's body
+                        // rather than pinning it for good. (A lock's key is
+                        // a view too, but lives exactly as long as the
+                        // staged writes that hold the same body.)
+                        match self.data.get_mut(&w.key) {
+                            Some(slot) => *slot = w.value,
+                            None => {
+                                self.data.insert(Bytes::copy_from_slice(&w.key), w.value);
+                            }
+                        }
                     }
                     self.commits += 1;
                 }
@@ -76,6 +88,77 @@ impl TxnState {
     }
 }
 
+/// Everything a shard must remember across a log compaction — committed
+/// data, and the locks and staged writes of transactions between their
+/// prepare and their outcome — in key / transaction order, so replicas in
+/// one state encode to the same bytes.
+impl WireWrite for TxnState {
+    fn write(&self, w: &mut Writer) {
+        let mut data: Vec<_> = self.data.iter().collect();
+        data.sort_unstable();
+        (data.len() as u32).write(w);
+        for (key, value) in data {
+            key.write(w);
+            value.write(w);
+        }
+        let mut locks: Vec<_> = self.locks.iter().collect();
+        locks.sort_unstable();
+        (locks.len() as u32).write(w);
+        for (key, txn) in locks {
+            key.write(w);
+            txn.write(w);
+        }
+        let mut staged: Vec<_> = self.staged.iter().collect();
+        staged.sort_unstable_by_key(|(txn, _)| **txn);
+        (staged.len() as u32).write(w);
+        for (txn, writes) in staged {
+            txn.write(w);
+            writes.write(w);
+        }
+        self.commits.write(w);
+        self.aborts.write(w);
+    }
+}
+
+impl WireRead for TxnState {
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let mut st = TxnState::default();
+        for _ in 0..u32::read(r)? {
+            st.data.insert(Bytes::read(r)?, Bytes::read(r)?);
+        }
+        for _ in 0..u32::read(r)? {
+            st.locks.insert(Bytes::read(r)?, u64::read(r)?);
+        }
+        for _ in 0..u32::read(r)? {
+            st.staged.insert(u64::read(r)?, Vec::read(r)?);
+        }
+        st.commits = u64::read(r)?;
+        st.aborts = u64::read(r)?;
+        Some(st)
+    }
+}
+
+/// The shard's [`TxnState`] as the Raft core drives it.
+struct TxnMachine(Rc<RefCell<TxnState>>);
+
+impl StateMachine for TxnMachine {
+    fn apply(&mut self, entry: &Entry) -> Bytes {
+        let Some(cmd) = TxnCmd::from_bytes(&entry.payload) else {
+            return TxnVote::No.to_bytes();
+        };
+        self.0.borrow_mut().apply(&cmd).to_bytes()
+    }
+
+    fn snapshot(&self) -> Frame {
+        self.0.borrow().to_frame()
+    }
+
+    fn restore(&mut self, snapshot: &Frame) -> bool {
+        let restored = TxnState::from_frame(snapshot);
+        restored.map(|st| *self.0.borrow_mut() = st).is_some()
+    }
+}
+
 /// A transaction server on one node of one shard's Raft group.
 #[derive(Clone)]
 pub struct TxnServer {
@@ -87,13 +170,7 @@ impl TxnServer {
     /// Installs the lock-table state machine and the `TXN_EXEC` service.
     pub fn install(raft: RaftServer) -> Self {
         let state = Rc::new(RefCell::new(TxnState::default()));
-        let st = state.clone();
-        raft.core().set_apply(move |entry| {
-            let Some(cmd) = TxnCmd::from_bytes(&entry.payload) else {
-                return TxnVote::No.to_bytes();
-            };
-            st.borrow_mut().apply(&cmd).to_bytes()
-        });
+        raft.core().set_state_machine(TxnMachine(state.clone()));
         let r = raft.clone();
         // Namespaced per group, so co-located shards on one endpoint stay
         // apart (group 0 keeps the bare method id).
@@ -226,6 +303,45 @@ mod tests {
         assert_eq!(st.apply(&cmd), TxnVote::Yes);
         st.apply(&TxnCmd::Commit { txn: 1 });
         assert_eq!(st.commits, 1);
+    }
+
+    /// A compaction may fall between a prepare and its outcome: the staged
+    /// writes and the locks are state like any other.
+    #[test]
+    fn a_snapshot_between_prepare_and_commit_keeps_staged_writes_and_locks() {
+        let mut st = TxnState::default();
+        st.apply(&TxnCmd::Prepare {
+            txn: 1,
+            writes: vec![w(b"a", b"0")],
+        });
+        st.apply(&TxnCmd::Commit { txn: 1 });
+        st.apply(&TxnCmd::Prepare {
+            txn: 2,
+            writes: vec![w(b"a", b"1"), w(b"b", b"2")],
+        });
+        st.apply(&TxnCmd::Prepare {
+            txn: 3,
+            writes: vec![w(b"c", b"3")],
+        });
+        st.apply(&TxnCmd::Abort { txn: 3 });
+        let mut back = TxnState::from_frame(&st.to_frame()).expect("decodes");
+        assert_eq!(back, st);
+        // The restored lock still refuses a rival, and the restored staged
+        // writes are what the commit applies.
+        let rival = TxnCmd::Prepare {
+            txn: 4,
+            writes: vec![w(b"b", b"x")],
+        };
+        assert_eq!(back.apply(&rival), TxnVote::No);
+        assert_eq!(back.apply(&TxnCmd::Commit { txn: 2 }), TxnVote::Yes);
+        assert_eq!(
+            back.data.get(&Bytes::from_static(b"b")),
+            Some(&Bytes::from_static(b"2"))
+        );
+        assert!(back.locks.is_empty());
+        assert_eq!((back.commits, back.aborts), (2, 1));
+        let bytes = st.to_bytes();
+        assert!(TxnState::from_bytes(&bytes.slice(..bytes.len() - 1)).is_none());
     }
 
     #[test]
