@@ -1,11 +1,19 @@
-//! The retry-storm ablation pair, end to end: the unmitigated cell must
-//! be genuinely metastable (goodput stays collapsed after the ledger
-//! says the fault cleared, offered load amplified ≥ 2×), the
-//! retry-budget cell must dissolve the same storm (finite
-//! time-to-stabilize, verdict live), and the whole storm matrix must
+//! The retry-storm ablation pair, end to end: both cells must stabilise
+//! after the leader's 1 s CPU fault clears, and the whole storm matrix must
 //! render byte-identically across same-seed runs — the properties the
 //! committed `BENCH_scenarios_baseline.json` pins and `gate scenario`
 //! enforces.
+//!
+//! The unbudgeted cell used to be the "metastable" one, and the cause was
+//! not the retries alone. The starved leader filled both followers' append
+//! windows, so both were quarantined, and a quorum then needed one of them
+//! to drain lazy catch-up chunks. The catch-up law judged a chunk by how
+//! long its drain took to be *seen* — the leader's own round trip and its
+//! next heartbeat's probe included — so the followers were never resumed:
+//! commits crawled at the catch-up pace, every attempt timed out, and the
+//! storm outlived the fault. Judged by whether each chunk gained on the
+//! leader, the followers are resumed 0.76 s after the fault clears and the
+//! storm dissolves without a retry budget.
 
 use depfast_bench::suites::{storm_catalog, GATE_SEED, STORM_STALL_LIMIT};
 use depfast_bench::{ScenarioRecord, Suite};
@@ -17,8 +25,27 @@ fn pick<'a>(cells: &'a [ScenarioRecord], name: &str) -> &'a ScenarioRecord {
         .unwrap_or_else(|| panic!("{name} missing from storm matrix"))
 }
 
+/// Asserts that `cell` stabilised within `tts_max_ns` of the fault
+/// clearing and stayed live.
+fn assert_stabilises(cell: &ScenarioRecord, tts_max_ns: u64) {
+    let name = &cell.scenario;
+    assert!(
+        !cell.score.storm_sustained,
+        "{name}: the storm must not outlive the fault"
+    );
+    let tts = cell
+        .score
+        .tts_ns
+        .unwrap_or_else(|| panic!("{name}: a dissolved storm has a finite time-to-stabilize"));
+    assert!(
+        tts <= tts_max_ns,
+        "{name}: time-to-stabilize {tts} ns outside the {tts_max_ns} ns band"
+    );
+    assert!(cell.live, "{name}: the cell must stay live");
+}
+
 #[test]
-fn storm_matrix_is_metastable_without_budget_and_deterministic() {
+fn both_storm_cells_stabilise_and_render_deterministically() {
     let run = || -> Vec<ScenarioRecord> {
         storm_catalog()
             .iter()
@@ -28,47 +55,21 @@ fn storm_matrix_is_metastable_without_budget_and_deterministic() {
     let amp = |c: &ScenarioRecord| c.amp.expect("storm cells carry an amplification factor");
     let first = run();
 
-    // Unmitigated cell: a 1 s fault births a storm the cluster never
-    // escapes — zombie retries keep per-attempt latency above the
-    // deadline long after the fault clears.
+    // No retry budget: the followers rejoin the quorum, zombie attempts
+    // stop timing out, and offered load falls back to about one attempt
+    // per fresh op.
     let storm = pick(&first, "retry-storm");
+    assert_stabilises(storm, 2_000_000_000);
     assert!(
-        storm.score.storm_sustained,
-        "retry-storm must sustain past the fault clearing"
-    );
-    assert!(
-        storm.score.tts_ns.is_none(),
-        "a sustained storm has no time-to-stabilize"
-    );
-    assert!(!storm.live, "metastable collapse must flunk liveness");
-    assert!(
-        amp(storm) >= 2.0,
-        "offered load must be ≥ 2× goodput, got {:.2}",
+        amp(storm) < 2.0,
+        "offered load must fall back below 2× goodput, got {:.2}",
         amp(storm)
     );
 
     // Same fault, same clients, plus a token-bucket retry budget: the
-    // storm dissolves shortly after the fault clears.
+    // storm still dissolves shortly after the fault clears.
     let budget = pick(&first, "retry-storm-budget");
-    assert!(
-        !budget.score.storm_sustained,
-        "the retry budget must dissolve the storm"
-    );
-    let tts = budget
-        .score
-        .tts_ns
-        .expect("a dissolved storm has a finite time-to-stabilize");
-    assert!(
-        tts <= 2_000_000_000,
-        "time-to-stabilize {tts} ns outside the 2 s band"
-    );
-    assert!(budget.live, "the mitigated cell must stay live");
-    assert!(
-        amp(budget) < amp(storm),
-        "admission control must cut amplification ({:.2} vs {:.2})",
-        amp(budget),
-        amp(storm)
-    );
+    assert_stabilises(budget, 2_000_000_000);
 
     // Determinism: a second same-seed run renders the identical report.
     let second = run();

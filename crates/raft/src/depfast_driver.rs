@@ -339,7 +339,10 @@ impl DepFastRaft {
                 move |resp: Option<AppendResp>| {
                     let Some(resp) = resp else { return false };
                     let accepted = c2.on_append_reply(peer, &resp);
-                    c2.flow.borrow_mut().on_lazy_reply(c2.rt.now(), peer, &resp);
+                    let last = c2.log.last_index();
+                    c2.flow
+                        .borrow_mut()
+                        .on_lazy_reply(c2.rt.now(), peer, last, &resp);
                     // A reject backs `next_index` up to where the peer's log
                     // ends. Quarantine never reads there (it feeds from the
                     // acked prefix), so if that is below the base this is

@@ -13,7 +13,7 @@ use std::collections::{HashMap, VecDeque};
 use depfast::Health;
 use simkit::{NodeId, SimTime};
 
-use crate::core::{RaftCfg, HEARTBEAT};
+use crate::core::RaftCfg;
 use crate::depfast_driver::REPLICATE_TIMEOUT;
 use crate::types::AppendResp;
 
@@ -60,13 +60,30 @@ pub enum SuspectAction {
     },
 }
 
+/// A catch-up chunk shipped and not yet drained: it carries the entries
+/// `(from, target]`.
+#[derive(Clone, Copy)]
+struct Outstanding {
+    /// When it shipped.
+    at: SimTime,
+    /// The peer's acked prefix when it shipped.
+    from: u64,
+    /// Last index it carries.
+    target: u64,
+    /// The leader's last index when it shipped.
+    last_at_ship: u64,
+    /// The leader's last index when a reply last showed the peer still
+    /// draining the chunk (at first: when it shipped).
+    last_while_draining: u64,
+}
+
 /// Catch-up state for one quarantined (suspect) peer.
 struct Suspect {
-    /// Entries per catch-up chunk; ramps up on fast drains, backs off on
-    /// slow ones.
+    /// Entries per catch-up chunk; ramps up while the peer gains on the
+    /// leader, backs off while it does not.
     chunk: usize,
-    /// Outstanding chunk: (send time, last index it carries).
-    pending: Option<(SimTime, u64)>,
+    /// Outstanding chunk, if any.
+    pending: Option<Outstanding>,
     /// Earliest time the next chunk may ship.
     next_chunk_at: SimTime,
     /// The peer's last reported verified index (`None` until the first
@@ -168,10 +185,11 @@ impl Flow {
     /// `None` if the peer is not quarantined. Control law: probe with
     /// empty lazy appends (which cost the peer nothing but report its
     /// durable prefix) until the peer has drained everything delivered,
-    /// then ship one catch-up chunk; a chunk that drains within ~a
-    /// heartbeat ramps the chunk size (the disk recovered), a slow drain
-    /// backs the pace off proportionally so a still-crawling disk is
-    /// never saturated by its own catch-up stream.
+    /// then ship one catch-up chunk; a chunk the peer drained faster than
+    /// the leader appended ramps the chunk size (the peer gains on the
+    /// leader), any other drain backs the pace off proportionally so a
+    /// still-crawling disk is never saturated by its own catch-up stream
+    /// ([`Flow::on_lazy_reply`]).
     pub fn plan(
         &mut self,
         now: SimTime,
@@ -186,9 +204,7 @@ impl Flow {
             let evidence = format!("lag {lag} entries; drain verified fast");
             return Some((SuspectAction::Resume, Health::new("resume", evidence)));
         }
-        if s.pending
-            .is_some_and(|(at, _)| now - at >= REPLICATE_TIMEOUT)
-        {
+        if s.pending.is_some_and(|p| now - p.at >= REPLICATE_TIMEOUT) {
             // The chunk (or the probes observing it) went missing.
             s.pending = None;
             s.next_chunk_at = now + REPLICATE_TIMEOUT;
@@ -196,7 +212,13 @@ impl Flow {
         let drained = s.peer_verified.is_some_and(|v| match_index >= v);
         if s.pending.is_none() && drained && now >= s.next_chunk_at {
             let (lo, n) = (match_index + 1, s.chunk);
-            s.pending = Some((now, match_index + n as u64));
+            s.pending = Some(Outstanding {
+                at: now,
+                from: match_index,
+                target: match_index + n as u64,
+                last_at_ship: last_index,
+                last_while_draining: last_index,
+            });
             let evidence = format!("catch-up chunk [{lo}, {})", lo + n as u64);
             Some((
                 SuspectAction::Chunk { lo, n },
@@ -213,25 +235,43 @@ impl Flow {
     /// planned).
     pub fn chunk_sent(&mut self, peer: NodeId, hi: Option<u64>) {
         if let Some(s) = self.suspects.get_mut(&peer.0) {
-            s.pending = hi.zip(s.pending).map(|(hi, (at, _))| (at, hi));
+            s.pending = hi
+                .zip(s.pending)
+                .map(|(target, p)| Outstanding { target, ..p });
         }
     }
 
-    /// Digests a lazy reply from a quarantined peer: learns the peer's
-    /// verified index and adapts the catch-up pace from how fast the
-    /// outstanding chunk drained.
-    pub fn on_lazy_reply(&mut self, now: SimTime, peer: NodeId, resp: &AppendResp) {
+    /// Digests a lazy reply from a quarantined peer, `last_index` being
+    /// the leader's last index now: learns the peer's verified index and
+    /// adapts the catch-up pace to whether the peer gained on the leader
+    /// with the outstanding chunk — whether, once it drained, it had
+    /// delivered more entries than the leader appended while it was
+    /// draining them, that is, until the last reply that still showed it
+    /// short of the chunk. How long the drain took is no evidence either
+    /// way: a full chunk costs even a healthy peer more than a heartbeat
+    /// of append CPU, and the drain is only *seen* at the next heartbeat's
+    /// probe, up to a heartbeat after it happened.
+    pub fn on_lazy_reply(
+        &mut self,
+        now: SimTime,
+        peer: NodeId,
+        last_index: u64,
+        resp: &AppendResp,
+    ) {
         let Some(s) = self.suspects.get_mut(&peer.0) else {
             return;
         };
         s.peer_verified = Some(resp.verified.max(s.peer_verified.unwrap_or(0)));
         s.draining_fast = resp.success && resp.match_index >= resp.verified;
-        let Some((at, target)) = s.pending else {
+        let Some(p) = s.pending.as_mut().filter(|_| resp.success) else {
             return;
         };
-        if resp.success && resp.match_index >= target {
-            let dt = now - at;
-            if dt <= HEARTBEAT + HEARTBEAT / 2 {
+        if resp.match_index < p.target {
+            p.last_while_draining = last_index;
+        } else {
+            let dt = now - p.at;
+            let arrived = p.last_while_draining.saturating_sub(p.last_at_ship);
+            if p.target - p.from > arrived {
                 s.chunk = (s.chunk * 2).min(self.cfg.max_entries_per_append);
                 s.next_chunk_at = now;
             } else {
@@ -281,9 +321,13 @@ mod tests {
     }
 
     /// heartbeat 30 ms, batch_max 64, append_window 8, pipeline_depth 4,
-    /// max_entries_per_append 256, replicate_timeout 1 s.
+    /// replicate_timeout 1 s, and the benchmarks' max_entries_per_append
+    /// of 512.
     fn cfg() -> RaftCfg {
-        RaftCfg::default()
+        RaftCfg {
+            max_entries_per_append: 512,
+            ..RaftCfg::default()
+        }
     }
 
     fn reply(success: bool, match_index: u64, verified: u64) -> AppendResp {
@@ -353,12 +397,12 @@ mod tests {
         // No reply yet: nothing is known about the peer's disk.
         assert_eq!(action(&mut f, ms(30), 100, 1000), SuspectAction::Probe);
         // Durable prefix 100 trails the verified 180: still draining.
-        f.on_lazy_reply(ms(31), PEER, &reply(true, 100, 180));
+        f.on_lazy_reply(ms(31), PEER, 1000, &reply(true, 100, 180));
         assert_eq!(action(&mut f, ms(60), 100, 1000), SuspectAction::Probe);
-        f.on_lazy_reply(ms(61), PEER, &reply(true, 150, 180));
+        f.on_lazy_reply(ms(61), PEER, 1000, &reply(true, 150, 180));
         assert_eq!(action(&mut f, ms(90), 150, 1000), SuspectAction::Probe);
         // Drained (match_index >= verified): one chunk of batch_max.
-        f.on_lazy_reply(ms(91), PEER, &reply(true, 180, 180));
+        f.on_lazy_reply(ms(91), PEER, 1000, &reply(true, 180, 180));
         let (act, health) = f.plan(ms(120), PEER, 180, 1000).unwrap();
         assert_eq!(act, SuspectAction::Chunk { lo: 181, n: 64 });
         assert_eq!(health.transition, "chunk");
@@ -370,37 +414,51 @@ mod tests {
     }
 
     #[test]
-    fn drain_speed_sets_chunk_size_and_pace() {
-        // (drain time ms, chunk size after, pause before the next chunk ms),
-        // starting from chunk = batch_max = 64; 1.5 heartbeats = 45 ms.
-        let table: &[(u64, usize, u64)] = &[
-            (10, 128, 0),    // fast: doubles, next chunk at once
-            (45, 256, 0),    // exactly 1.5 heartbeats still counts as fast
-            (20, 256, 0),    // capped at max_entries_per_append
-            (46, 128, 184),  // slow: halves, paced by 4·dt
-            (100, 64, 400),  //
-            (200, 64, 800),  // floored at batch_max
-            (300, 64, 1000), // pace capped at replicate_timeout
+    fn gaining_on_the_leader_sets_chunk_size_and_pace() {
+        // (chunk, a reply shows it still draining at ms, entries the leader
+        // had appended by then, the next shows it drained at ms, appended
+        // by then) -> (chunk after, pause before the next chunk ms). The
+        // peer starts 100 000 entries behind and acks exactly the chunk.
+        #[rustfmt::skip]
+        let table: &[(usize, u64, u64, u64, u64, usize, u64)] = &[
+            // The defect: a recovered follower drains a full chunk — 30 µs
+            // + 512 × 120 µs ≈ 61.5 ms of append CPU — in 65 ms while 200
+            // arrive. A 45 ms deadline halved it and paused 260 ms.
+            (512, 60, 185, 65, 200, 512, 0),
+            // Drained within a heartbeat and seen at the next probe, by
+            // when 90 had arrived; only the 20 that arrived while the peer
+            // still held it count against it.
+            (64, 8, 20, 31, 90, 128, 0),
+            (256, 60, 100, 90, 150, 512, 0),    // doubles up to max_entries_per_append
+            (64, 370, 10, 400, 12, 128, 0),     // a healthy peer behind a starved leader
+            (256, 70, 256, 100, 300, 128, 400), // drained what arrived: no gain; halves, 4·dt
+            (128, 30, 170, 46, 200, 64, 184),   // lost ground
+            (64, 170, 500, 200, 600, 64, 800),  // floored at batch_max
+            (64, 270, 810, 300, 900, 64, 1000), // a crawling disk: pace capped at replicate_timeout
         ];
-        let mut f = quarantined(ms(0));
-        f.on_lazy_reply(ms(1), PEER, &reply(true, 0, 0));
-        let (mut now, mut m, mut n) = (ms(10), 0u64, 64usize);
-        for &(dt, chunk_after, pause) in table {
-            let shipped = action(&mut f, now, m, 100_000);
-            assert_eq!(shipped, SuspectAction::Chunk { lo: m + 1, n }, "dt={dt}");
-            m += n as u64;
-            now += Duration::from_millis(dt);
-            f.on_lazy_reply(now, PEER, &reply(true, m, m));
+        for &(chunk, busy_ms, busy_arrived, done_ms, arrived, chunk_after, pause) in table {
+            let case = format!("chunk={chunk} draining at {busy_ms} ms, drained at {done_ms}");
+            let last = 100_000;
+            let mut f = quarantined(ms(0));
+            f.on_lazy_reply(ms(1), PEER, last, &reply(true, 0, 0));
+            f.suspects.get_mut(&PEER.0).unwrap().chunk = chunk;
+            let shipped = action(&mut f, ms(10), 0, last);
+            assert_eq!(shipped, SuspectAction::Chunk { lo: 1, n: chunk }, "{case}");
+            let m = chunk as u64;
+            // Appended (verified) but not yet durable.
+            let busy = reply(true, 0, m);
+            f.on_lazy_reply(ms(10 + busy_ms), PEER, last + busy_arrived, &busy);
+            let (now, last) = (ms(10 + done_ms), last + arrived);
+            f.on_lazy_reply(now, PEER, last, &reply(true, m, m));
             if pause > 0 {
                 let early = now + Duration::from_millis(pause - 1);
-                let held = action(&mut f, early, m, 100_000);
-                assert_eq!(held, SuspectAction::Probe, "dt={dt}: paced {pause} ms");
+                let held = action(&mut f, early, m, last);
+                assert_eq!(held, SuspectAction::Probe, "{case}: paced {pause} ms");
             }
-            now += Duration::from_millis(pause);
-            n = chunk_after;
+            let next = action(&mut f, now + Duration::from_millis(pause), m, last);
+            let n = chunk_after;
+            assert_eq!(next, SuspectAction::Chunk { lo: m + 1, n }, "{case}");
         }
-        let last = action(&mut f, now, m, 100_000);
-        assert_eq!(last, SuspectAction::Chunk { lo: m + 1, n });
     }
 
     #[test]
@@ -415,7 +473,12 @@ mod tests {
         for &(success, matched, verified, lag, resumes) in table {
             let case = format!("success={success} match={matched} verified={verified} lag={lag}");
             let mut f = quarantined(ms(0));
-            f.on_lazy_reply(ms(1), PEER, &reply(success, matched, verified));
+            f.on_lazy_reply(
+                ms(1),
+                PEER,
+                matched + lag,
+                &reply(success, matched, verified),
+            );
             let (act, health) = f.plan(ms(30), PEER, matched, matched + lag).unwrap();
             assert_eq!(act == SuspectAction::Resume, resumes, "{case}");
             if resumes {
@@ -433,13 +496,13 @@ mod tests {
     #[test]
     fn a_lost_chunk_is_forgotten_after_replicate_timeout() {
         let mut f = quarantined(ms(0));
-        f.on_lazy_reply(ms(1), PEER, &reply(true, 0, 0));
+        f.on_lazy_reply(ms(1), PEER, 10_000, &reply(true, 0, 0));
         let first = action(&mut f, ms(10), 0, 10_000);
         assert_eq!(first, SuspectAction::Chunk { lo: 1, n: 64 });
         // The send shipped fewer entries than planned: the target follows,
         // so an ack through 50 completes the chunk.
         f.chunk_sent(PEER, Some(50));
-        f.on_lazy_reply(ms(20), PEER, &reply(true, 50, 50));
+        f.on_lazy_reply(ms(20), PEER, 10_000, &reply(true, 50, 50));
         let second = action(&mut f, ms(40), 50, 10_000);
         assert_eq!(second, SuspectAction::Chunk { lo: 51, n: 128 });
         // No reply ever covers this one. Until the timeout: probes. At the
