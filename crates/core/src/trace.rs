@@ -252,7 +252,7 @@ pub struct HealthEvent {
 
 /// What a reacting layer's law decided — the transition and why — before
 /// its shell adds when, about whom and on whose behalf
-/// ([`Tracer::record_health`]). The pure laws (`raft::flow::Flow`, the
+/// ([`Tracer::record_health`]). The pure laws (`raft::feed::Feed`, the
 /// detector's and the storm monitor's) return this; only shells record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Health {

@@ -26,7 +26,7 @@ use depfast::runtime::Coroutine;
 use depfast_storage::Entry;
 use simkit::{NodeId, WakerSlot};
 
-use crate::core::{RaftCore, Role, HEARTBEAT};
+use crate::core::{Fed, RaftCore, Role, HEARTBEAT};
 
 /// Entries per send.
 const CHUNK: usize = 16;
@@ -143,15 +143,19 @@ impl BacklogRaft {
                 Coroutine::create(&core.rt.clone(), "raft:backlog_ack", async move {
                     // `None` for a chunk that sat in the queue until the log
                     // was compacted past it (the size limit cut this
-                    // follower loose): the state machine covers it instead.
-                    let req = c.append_req(c.log.current_term(), chunk[0].index - 1, &chunk, false);
-                    let last = chunk[chunk.len() - 1].index;
+                    // follower loose): the feed law covers it instead.
+                    let (lo, hi) = (chunk[0].index, chunk[chunk.len() - 1].index + 1);
+                    let term = c.log.current_term();
+                    let req = c.append_req(term, lo - 1, &chunk, false);
                     // Retry until this chunk is acknowledged.
                     loop {
                         let accepted = match &req {
                             Some(req) => c.send_append(peer, req),
-                            None if c.match_index(peer) >= last => break,
-                            None => c.send_snapshot(peer),
+                            None if c.match_index(peer) >= hi - 1 => break,
+                            None => match c.feed(peer, term, lo, hi, chunk.clone()) {
+                                Fed::Pending(sent) => sent,
+                                _ => return, // Deposed: it has no state to impose.
+                            },
                         };
                         // The singular wait: this ack path is fully coupled
                         // to this one follower's speed.

@@ -19,9 +19,10 @@ use std::time::Duration;
 
 use depfast::event::Watchable;
 use depfast::runtime::Coroutine;
+use simkit::disk::DiskOp;
 use simkit::SimTime;
 
-use crate::core::{RaftCore, Role, HEARTBEAT};
+use crate::core::{Fed, RaftCore, Role, HEARTBEAT};
 use crate::types::FLOW_PROBE;
 
 /// Replication lag (entries) beyond which flow control engages.
@@ -130,28 +131,29 @@ impl CallbackRaft {
                 // that also run (their CPU) on this node.
                 for peer in core.peers.clone() {
                     let next = core.next_index(peer);
-                    if core.snapshot_instead(peer, next) {
-                        continue;
-                    }
                     let send_hi = (hi + 1).min(next + core.cfg.max_entries_per_append as u64);
-                    let (to_send, miss_bytes) = core.log.read_raw(next, send_hi);
-                    if miss_bytes > 0 {
+                    match core.feed(peer, core.log.current_term(), next, send_hi, Vec::new()) {
+                        Fed::Append(req) => {
+                            core.send_append(peer, &req);
+                        }
                         // Cold reads happen on a helper, not the loop.
-                        let c = core.clone();
-                        Coroutine::create(&core.rt.clone(), "raft:cold_read", async move {
-                            if c.world
-                                .disk(c.id, simkit::disk::DiskOp::Read { bytes: miss_bytes })
-                                .await
-                                .is_ok()
-                            {
+                        Fed::Cold(to_send, bytes) => {
+                            let c = core.clone();
+                            Coroutine::create(&core.rt.clone(), "raft:cold_read", async move {
+                                if c.world.disk(c.id, DiskOp::Read { bytes }).await.is_err() {
+                                    return;
+                                }
                                 // The loop has gone on to apply meanwhile
                                 // and may have compacted past `next`: then
                                 // this sends state, or nothing.
-                                c.send_entries(peer, c.log.current_term(), next - 1, &to_send);
-                            }
-                        });
-                    } else {
-                        core.send_entries(peer, core.log.current_term(), next - 1, &to_send);
+                                let term = c.log.current_term();
+                                let fed = c.feed(peer, term, next, send_hi, to_send);
+                                if let Fed::Append(req) = fed {
+                                    c.send_append(peer, &req);
+                                }
+                            });
+                        }
+                        _ => {}
                     }
                 }
                 // Commit wait, then the apply callbacks, on this same loop.
@@ -211,6 +213,42 @@ mod tests {
             "a deposed leader must fail its pending proposals"
         );
         assert_eq!(cl.groups[0].leader(), None);
+    }
+
+    /// The cold-read helper, a route to the fork of its own. The loop hands
+    /// a lagging follower's cold read to a helper and goes on; the log is
+    /// compacted past those entries while they are on the disk. The helper
+    /// hands them back, finds them gone, and sends state itself — before
+    /// the loop's next pass, a heartbeat later, would have.
+    #[test]
+    fn a_cold_read_helper_overtaken_by_compaction_sends_state_itself() {
+        let cfg = crate::core::RaftCfg {
+            log: depfast_storage::LogStoreCfg {
+                cache_bytes: 64,
+                ..Default::default()
+            },
+            ..bootstrapped()
+        };
+        let (sim, world, cl) = trio(13, RaftKind::Callback, cfg);
+        let core = cl.groups[0].servers[0].core().clone();
+        let b = NodeId(2);
+        world.partition(NodeId(0), b);
+        assert_eq!(drive(&sim, &cl, 20).0, 20);
+        let state_to_b = || {
+            let feed = core.feed.borrow();
+            let fork = feed.fork(core.rt.now(), b, 0, 1, true, |_| false);
+            matches!(fork, Some(crate::feed::Fork::Waiting(_)))
+        };
+        // One more round: the loop's read for B goes to the disk.
+        let misses = core.log.cache_misses();
+        cl.groups[0].servers[0].propose(Bytes::from_static(b"x"));
+        while core.log.cache_misses() == misses {
+            sim.run_until_time(sim.now() + Duration::from_micros(10));
+        }
+        core.log.compact_through(10);
+        assert!(!state_to_b());
+        sim.run_until_time(sim.now() + HEARTBEAT / 3);
+        assert!(state_to_b());
     }
 
     #[test]

@@ -10,21 +10,22 @@
 //! [`RaftCore::commit_then_apply`]) — so a driver file holds what is left:
 //! its coroutines and where they block.
 //!
-//! The log is not everything since index 1. At the end of each apply pass
-//! the core asks [`crate::gc`] how far its log may be compacted — behind
-//! what it has applied, and while it leads behind its slowest peer — and
-//! drops that prefix. What the log no longer holds the [`StateMachine`]
-//! does: wherever a leader is about to read `[next_index, ..)` for a peer
-//! and finds `next_index` at or below its base
-//! ([`RaftCore::snapshot_instead`]), it sends the state machine itself, as
-//! of its applied index, in an `InstallSnapshot` ([`handle_snapshot`] on the
-//! other side) — taken on demand, never stored. That send is on the
+//! The log is not everything since index 1, and how a peer that is behind
+//! gets its data is one law, [`crate::feed`], whose every verdict the core
+//! acts on. At the end of each apply pass it says how far the log may be
+//! compacted — behind what this node has applied, and while it leads
+//! behind its slowest peer — and the core drops that prefix. What the log
+//! no longer holds the [`StateMachine`] does: a driver reaches for a peer's
+//! entries through [`RaftCore::feed`], the one build-or-state entry, and a
+//! peer whose next entry is at or below the base is sent the state machine
+//! itself, as of the applied index, in an `InstallSnapshot`
+//! ([`handle_snapshot`] on the other side) — taken on demand, never stored,
+//! and sent from one private method no driver can call. That send is on the
 //! per-peer catch-up path only: nothing waits on it, and no round's quorum
 //! counts it. The fork is asked on both sides of a cold read: the log may
-//! be compacted past a peer while its entries are coming off the disk, and
-//! then there is no request to build ([`RaftCore::append_req`] is `None`;
-//! [`RaftCore::read_append`] and [`RaftCore::send_entries`] are the two
-//! shapes of asking again).
+//! be compacted past a peer while its entries are coming off the disk, so a
+//! driver that was handed [`Fed::Cold`] pays the read where its waiting
+//! structure puts it and hands the entries back to be built, or not.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -37,14 +38,14 @@ use std::time::Duration;
 use bytes::Bytes;
 use depfast::event::{EventHandle, EventKind, ValueEvent};
 use depfast::runtime::{Coroutine, Runtime};
-use depfast::{Signal, TypedEvent};
+use depfast::TypedEvent;
 use depfast_metrics::{Counter, Gauge, HistogramHandle};
 use depfast_rpc::{group_method, Endpoint, Method};
 use depfast_storage::{Entry, IoEvent, LogStore, LogStoreCfg};
 use simkit::{Crashed, Frame, NodeId, SimTime, WakerSlot, World};
 
+use crate::feed::{self, Feed, Fork};
 use crate::flow::Flow;
-use crate::gc;
 use crate::reads::ReadRounds;
 use crate::types::{
     from_wire, to_wire, AppendReq, AppendResp, SnapshotReq, VoteReq, VoteResp, APPEND_ENTRIES,
@@ -125,24 +126,26 @@ pub struct Staged {
     pub durable: IoEvent,
 }
 
+/// What [`RaftCore::feed`] hands a driver that reached for a peer's
+/// entries.
+pub enum Fed {
+    /// The `AppendEntries` carrying them.
+    Append(AppendReq),
+    /// The entries, and how many of their bytes are not in the EntryCache:
+    /// the caller pays for a disk read of that size wherever its waiting
+    /// structure puts it, then hands them back to [`RaftCore::feed`].
+    Cold(Vec<Entry>, u64),
+    /// The log no longer holds them: the peer is being brought forward
+    /// past them, and this fires when that is answered (`Ok` iff it took).
+    Pending(EventHandle),
+    /// The log no longer holds them and this node does not lead.
+    Nothing,
+}
+
 /// Leader heartbeat interval: DepFastRaft's heartbeat loop sleeps it, the
 /// legacy leaders' intake waits at most this long for a batch before
 /// shipping an empty one.
 pub const HEARTBEAT: Duration = Duration::from_millis(30);
-
-/// How long an unanswered `InstallSnapshot` stands before another is sent
-/// to the same peer, the first time ([`RaftCore::send_snapshot`] doubles it
-/// from there). Every driver reaches the catch-up fork once per round or
-/// heartbeat, and each send encodes and ships the whole state machine: the
-/// interval is what keeps that to one in flight. It is long against a
-/// healthy transfer (35 MB of `steady-write` state crosses the modelled
-/// link in 35 ms and a healthy disk in 0.2 s), and a lost one — the
-/// transport reports no loss — costs the peer this much more of being
-/// behind. A peer that takes longer than this to write one (the same state
-/// on a disk at 0.8 % bandwidth: 20 s) is sent it again at 1, 3, 7 and 15 s
-/// rather than every second, and is protected on its own side:
-/// [`handle_snapshot`] installs one at a time.
-const SNAPSHOT_RESEND: Duration = Duration::from_secs(1);
 
 /// How long a legacy driver's region/message thread waits for its round to
 /// commit before it takes the next batch anyway.
@@ -339,12 +342,11 @@ pub struct RaftCore {
     pub proposals: ProposalQueue,
     machine: RefCell<Option<Box<dyn StateMachine>>>,
     applied: Cell<u64>,
-    /// The `InstallSnapshot` last sent to each peer, and how long it is
-    /// given to be answered: one is outstanding at a time (see
-    /// [`RaftCore::send_snapshot`]).
-    snapshots: RefCell<HashMap<u32, (EventHandle, Duration)>>,
     pub(crate) stats: RaftStats,
-    /// DepFastRaft's append windows, quarantine law and round count.
+    /// Every per-peer catch-up decision: log or state, the state in
+    /// flight, what the log retains, DepFastRaft's quarantine.
+    pub(crate) feed: RefCell<Feed<EventHandle>>,
+    /// DepFastRaft's append windows and round count.
     pub(crate) flow: RefCell<Flow>,
     /// [`Flow`]'s resolved-round count as a watchable: DepFastRaft's
     /// pipeline-depth gate waits on it.
@@ -422,8 +424,8 @@ impl RaftCore {
             proposals: ProposalQueue::default(),
             machine: RefCell::new(None),
             applied: Cell::new(0),
-            snapshots: RefCell::new(HashMap::new()),
             stats: RaftStats::new(rt, group),
+            feed: RefCell::new(Feed::new(cfg)),
             flow: RefCell::new(Flow::new(cfg)),
             rounds_done: ValueEvent::labeled(rt, 0, "rounds_done"),
             reads: RefCell::new(ReadRounds::default()),
@@ -525,6 +527,7 @@ impl RaftCore {
             st.leader_epoch
         };
         self.flow.borrow_mut().reset_peers();
+        self.feed.borrow_mut().reset_peers();
         self.leader_gen.set(epoch);
     }
 
@@ -612,11 +615,8 @@ impl RaftCore {
     /// `None` if `prev_index` is below the log's base: its term is gone,
     /// and the 0 that would go out in its place reads to a follower still
     /// holding that entry as a conflict — it would truncate a committed
-    /// entry. A caller that asked [`RaftCore::snapshot_instead`] and then
-    /// awaited (a cold read's disk time) can still get here: an apply pass
-    /// may have compacted past its peer meanwhile — the log crossed the
-    /// size limit, or this node was deposed and keeps only what a follower
-    /// keeps. It sends nothing and asks the fork again.
+    /// entry. A peer's entries are built through [`RaftCore::feed`], which
+    /// asks the catch-up fork first; this is the builder under it.
     pub fn append_req(
         &self,
         term: u64,
@@ -655,114 +655,59 @@ impl RaftCore {
             .expect("at or above the base")
     }
 
-    /// The catch-up path's read, for a driver that pays for cold entries in
-    /// its own coroutine: `[lo, hi)` for `peer` as the `AppendEntries` of
-    /// `term` carrying them, with the last index carried. `None` if the
-    /// node crashed, or if the log no longer reaches `lo` — the fork
-    /// ([`RaftCore::snapshot_instead`]) is asked before the read and again
-    /// after it, because an apply pass may have compacted past `lo` while
-    /// the read was on the disk.
-    pub async fn read_append(
-        self: &Rc<Self>,
-        peer: NodeId,
-        term: u64,
-        lo: u64,
-        hi: u64,
-        lazy: bool,
-    ) -> Option<(AppendReq, Option<u64>)> {
-        if self.snapshot_instead(peer, lo) {
-            return None;
+    /// The one build-or-state entry: how a driver feeds peer `to` from `lo`
+    /// in `term`. The catch-up fork ([`Feed::fork`]) is asked first. If the
+    /// log no longer holds `lo`, what the peer lacks is state: the verdict
+    /// is the event of the `InstallSnapshot` outstanding to it — sent now if
+    /// none stands — or, on a node that does not lead, nothing. Otherwise
+    /// the entries are the ones `held` from `lo` on (read by the caller, or
+    /// queued) or, if it holds none, `[lo, hi)` read from the log here, and
+    /// what comes back is the `AppendEntries` carrying them — unless some
+    /// are not in the EntryCache. Then they come back [`Fed::Cold`] and
+    /// nothing is built: the caller pays for the read and asks again with
+    /// them in hand, because an apply pass may compact past `lo` while the
+    /// read is on the disk (the log crossed the size limit, or this node was
+    /// deposed and keeps only what a follower keeps).
+    pub fn feed(self: &Rc<Self>, to: NodeId, term: u64, lo: u64, hi: u64, held: Vec<Entry>) -> Fed {
+        if let Some(state) = self.fork(to, lo) {
+            return state;
         }
-        let entries = self.log.read(lo, hi).await.ok()?;
-        let Some(req) = self.append_req(term, lo - 1, &entries, lazy) else {
-            self.snapshot_instead(peer, lo);
-            return None;
+        let (entries, cold_bytes) = match held.is_empty() {
+            true => self.log.read_raw(lo, hi),
+            false => (held, 0),
         };
-        Some((req, entries.last().map(|e| e.index)))
+        if cold_bytes > 0 {
+            return Fed::Cold(entries, cold_bytes);
+        }
+        let req = self.append_req(term, lo - 1, &entries, false);
+        Fed::Append(req.expect("the fork found lo in the log"))
     }
 
-    /// Steps 2 and ship in one, for a driver that read `entries` itself and
-    /// hooks nothing onto the reply: the `AppendEntries` goes out through
-    /// [`RaftCore::send_append`] — or, if the log was compacted past
-    /// `prev_index` while the driver awaited, the catch-up fork is asked
-    /// again ([`RaftCore::snapshot_instead`]) and no append is sent.
-    pub fn send_entries(
-        self: &Rc<Self>,
-        peer: NodeId,
-        term: u64,
-        prev_index: u64,
-        entries: &[Entry],
-    ) {
-        if let Some(req) = self.append_req(term, prev_index, entries, false) {
-            self.send_append(peer, &req);
-        } else {
-            self.snapshot_instead(peer, prev_index + 1);
-        }
-    }
-
-    /// Ships `req` to `peer` and digests the reply through
-    /// [`RaftCore::on_append_reply`] from a reply hook — nothing waits
-    /// unless the caller waits on the returned event, which fires `Ok` iff
-    /// the peer accepted.
-    pub fn send_append(self: &Rc<Self>, peer: NodeId, req: &AppendReq) -> EventHandle {
-        let core = self.clone();
-        self.ep.proxy(peer).call_classified(
-            self.method(APPEND_ENTRIES),
-            "append_entries",
-            req,
-            None,
-            move |resp: Option<AppendResp>| resp.is_some_and(|r| core.on_append_reply(peer, &r)),
-        )
-    }
-
-    /// The catch-up fork, asked wherever a leader is about to read
-    /// `[lo, ..)` for `peer`: `false` while the log still holds `lo`.
-    /// Otherwise what the peer lacks is state, not entries — an
-    /// `InstallSnapshot` is on its way ([`RaftCore::send_snapshot`]; a node
-    /// deposed in the meantime sends none) and the caller sends nothing.
-    pub fn snapshot_instead(self: &Rc<Self>, peer: NodeId, lo: u64) -> bool {
-        let gone = lo < self.log.first_index();
-        if gone {
-            self.send_snapshot(peer);
-        }
-        gone
-    }
-
-    /// Sends `peer` this node's state machine as of its applied index and
-    /// digests the reply as an append reply matching through that index —
-    /// fire-and-forget unless the caller waits on the returned event, which
-    /// fires `Ok` iff the peer took it. One is outstanding per peer: while
-    /// the last one sent is unanswered and younger than its patience —
-    /// `SNAPSHOT_RESEND`, doubled with each resend that also went
-    /// unanswered — its event is returned and nothing is sent. A node that
-    /// does not lead has no state to impose: it sends nothing and the event
-    /// it returns has failed.
-    pub fn send_snapshot(self: &Rc<Self>, peer: NodeId) -> EventHandle {
-        if !self.is_leader() {
-            let unsent = self.ep.proxy(peer).pending_reply("install_snapshot");
-            unsent.fire(Signal::Err);
-            return unsent;
-        }
-        let mut patience = SNAPSHOT_RESEND;
-        if let Some((sent, waited)) = self.snapshots.borrow().get(&peer.0) {
-            if sent.fired().is_none() {
-                if self.rt.now() - sent.created_at() < *waited {
-                    return sent.clone();
-                }
-                patience = *waited * 2;
-            }
-        }
+    /// The catch-up fork for `peer`'s entry `lo`: `None` while the log
+    /// holds it, otherwise what stands in for entries. This is the one
+    /// place an `InstallSnapshot` starts, on a [`Fork::Snapshot`] verdict:
+    /// this node's state machine as of its applied index goes to `peer`,
+    /// its reply digested as an append reply matching through that index,
+    /// and nothing waits on it but a caller that waits on the returned
+    /// event (which fires `Ok` iff the peer took it).
+    fn fork(self: &Rc<Self>, peer: NodeId, lo: u64) -> Option<Fed> {
+        let (now, first, leads) = (self.rt.now(), self.log.first_index(), self.is_leader());
+        let answered = |sent: &EventHandle| sent.fired().is_some();
+        let feed = self.feed.borrow();
+        let patience = match feed.fork(now, peer, lo, first, leads, answered)? {
+            Fork::Waiting(sent) => return Some(Fed::Pending(sent)),
+            Fork::Nothing => return Some(Fed::Nothing),
+            Fork::Snapshot(patience) => patience,
+        };
+        drop(feed);
         let last_index = self.applied.get();
-        let state = match self.machine.borrow().as_ref() {
-            Some(m) => m.snapshot(),
-            None => Frame::default(),
-        };
+        let state = self.machine.borrow().as_ref().map(|m| m.snapshot());
         let req = SnapshotReq {
             term: self.log.current_term(),
             leader: self.id.0,
             last_index,
             last_term: self.log.term_at(last_index),
-            state,
+            state: state.unwrap_or_default(),
         };
         let core = self.clone();
         let sent = self.ep.proxy(peer).call_classified(
@@ -772,10 +717,35 @@ impl RaftCore {
             None,
             move |resp: Option<AppendResp>| resp.is_some_and(|r| core.on_append_reply(peer, &r)),
         );
-        self.snapshots
-            .borrow_mut()
-            .insert(peer.0, (sent.clone(), patience));
-        sent
+        let mut feed = self.feed.borrow_mut();
+        feed.snapshot_sent(now, peer, sent.clone(), patience);
+        Some(Fed::Pending(sent))
+    }
+
+    /// Ships `req` to `peer` and digests the reply through
+    /// [`RaftCore::on_append_reply`] from a reply hook — nothing waits
+    /// unless the caller waits on the returned event, which fires `Ok` iff
+    /// the peer accepted. A lazy request's reply (DepFastRaft's probes and
+    /// catch-up chunks to a quarantined peer) is the feed law's to read as
+    /// well, and on a reject it has the fork asked at the peer's next
+    /// index.
+    pub fn send_append(self: &Rc<Self>, peer: NodeId, req: &AppendReq) -> EventHandle {
+        let (core, lazy) = (self.clone(), req.lazy);
+        let digest = move |r: AppendResp| {
+            let accepted = core.on_append_reply(peer, &r);
+            let (now, last) = (core.rt.now(), core.log.last_index());
+            if lazy && core.feed.borrow_mut().on_lazy_reply(now, peer, last, &r) {
+                core.fork(peer, core.next_index(peer));
+            }
+            accepted
+        };
+        self.ep.proxy(peer).call_classified(
+            self.method(APPEND_ENTRIES),
+            "append_entries",
+            req,
+            None,
+            move |resp: Option<AppendResp>| resp.is_some_and(digest),
+        )
     }
 
     /// The term half of the reply rule: a reply from a higher term deposes
@@ -810,13 +780,9 @@ impl RaftCore {
     fn note_match(&self, peer: NodeId, match_index: u64) {
         let mut st = self.st.borrow_mut();
         let m = st.match_index.entry(peer.0).or_insert(0);
-        if match_index > *m {
-            *m = match_index;
-        }
+        *m = (*m).max(match_index);
         let n = st.next_index.entry(peer.0).or_insert(1);
-        if match_index + 1 > *n {
-            *n = match_index + 1;
-        }
+        *n = (*n).max(match_index + 1);
     }
 
     /// Records a rejection hint from `peer`: back `next_index` up.
@@ -885,9 +851,7 @@ impl RaftCore {
     pub fn note_sent_through(&self, peer: NodeId, hi: u64) {
         let mut st = self.st.borrow_mut();
         let n = st.next_index.entry(peer.0).or_insert(1);
-        if hi + 1 > *n {
-            *n = hi + 1;
-        }
+        *n = (*n).max(hi + 1);
     }
 
     /// Starts the detached apply loop: waits for the commit index to pass
@@ -909,7 +873,7 @@ impl RaftCore {
     /// Round step 4, **apply** — the one apply body: reads every
     /// committed-but-unapplied entry, charges apply CPU *in the calling
     /// coroutine*, applies, and completes the pending client proposal at
-    /// that index; then drops the log prefix [`crate::gc`] says nobody
+    /// that index; then drops the log prefix [`crate::feed`] says nobody
     /// needs any more.
     async fn apply_committed(&self) -> Result<(), Crashed> {
         let hi = self.commit.get();
@@ -942,7 +906,7 @@ impl RaftCore {
                 ev.fire_ok(reply);
             }
         }
-        let standing = gc::Standing {
+        let standing = feed::Standing {
             first_index: self.log.first_index(),
             applied: self.applied.get(),
             log_bytes: self.log.bytes(),
@@ -951,7 +915,7 @@ impl RaftCore {
                 .then(|| self.st.borrow().match_index.values().copied().min())
                 .flatten(),
         };
-        if let Some(through) = gc::compact_through(&standing) {
+        if let Some(through) = feed::compact_through(&standing) {
             self.log.compact_through(through);
         }
         Ok(())
@@ -1400,6 +1364,7 @@ mod tests {
     use depfast::event::{Signal, Watchable};
     use depfast::Tracer;
     use depfast_rpc::endpoint::{Registry, RpcCfg};
+    use simkit::disk::DiskOp;
     use simkit::{Sim, WorldCfg};
 
     fn one_node() -> (Sim, World, Rc<RaftCore>) {
@@ -1418,8 +1383,7 @@ mod tests {
         let sim = Sim::new(1);
         let world = World::new(sim.clone(), WorldCfg::default());
         let rt = Runtime::with_tracer(sim.clone(), NodeId(0), Tracer::new());
-        let registry = Registry::new();
-        let ep = Endpoint::new(&rt, &world, &registry, RpcCfg::default());
+        let ep = Endpoint::new(&rt, &world, &REGISTRY.with(Clone::clone), RpcCfg::default());
         let core = RaftCore::new(
             &rt,
             &world,
@@ -1429,6 +1393,26 @@ mod tests {
             0,
         );
         (sim, world, core)
+    }
+
+    thread_local! {
+        /// The registry of every endpoint a test of this module builds.
+        static REGISTRY: Registry = Registry::new();
+    }
+
+    /// Node 1 of `core`'s world, answering every `AppendEntries` with
+    /// `reply`.
+    fn peer_answering(core: &RaftCore, sim: &Sim, reply: AppendResp) -> Endpoint {
+        let rt = Runtime::with_tracer(sim.clone(), NodeId(1), Tracer::new());
+        let ep = Endpoint::new(
+            &rt,
+            &core.world,
+            &REGISTRY.with(Clone::clone),
+            RpcCfg::default(),
+        );
+        let serve = move |_, _: AppendReq| async move { Some(reply) };
+        ep.serve(APPEND_ENTRIES, "append_entries", serve);
+        ep
     }
 
     /// Entries `lo..=hi` of term 1.
@@ -1581,15 +1565,25 @@ mod tests {
         world.metrics().counter(key).get()
     }
 
-    /// The race `append_req`'s `None` is for. A leader asks the fork, is
-    /// told the log still reaches its peer, and goes to the disk for cold
-    /// entries; while it waits an apply pass compacts past them — the log
-    /// crossed the size limit, or the node was deposed and keeps only what
-    /// a follower keeps. No request can be built from a `prev_index` whose
+    /// Peers node 0's feed law holds an `InstallSnapshot` in flight to.
+    fn sent_state_to(core: &RaftCore) -> Vec<u32> {
+        let feed = core.feed.borrow();
+        let held = |peer| feed.fork(core.rt.now(), NodeId(peer), 0, 1, true, |_| false);
+        let peers = [1, 2].into_iter();
+        peers
+            .filter(|&p| matches!(held(p), Some(Fork::Waiting(_))))
+            .collect()
+    }
+
+    /// The race the fork is asked twice for. A leader asks it, is told the
+    /// log still reaches its peer, and goes to the disk for cold entries;
+    /// while it waits an apply pass compacts past them — the log crossed
+    /// the size limit, or the node was deposed and keeps only what a
+    /// follower keeps. No request can be built from a `prev_index` whose
     /// term is gone: a node that still leads sends its state instead, a
     /// deposed one sends nothing. Both shapes of the path: the read a
-    /// coroutine pays for itself (`read_append`: DepFastRaft) and entries a
-    /// driver read before it awaited (`send_entries`: the legacy drivers).
+    /// coroutine pays for itself (DepFastRaft) and entries a driver read
+    /// before it awaited (the legacy drivers), handed back to `feed`.
     #[test]
     fn a_cold_read_overtaken_by_compaction_sends_state_or_nothing_never_a_stale_append() {
         for deposed in [false, true] {
@@ -1613,23 +1607,66 @@ mod tests {
             });
             let c = core.clone();
             let built = sim.block_on(async move {
-                let from_disk = c.read_append(NodeId(2), 1, 3, 9, false).await;
+                // DepFastRaft's shape: the coroutine pays for the read itself.
+                let Fed::Cold(entries, bytes) = c.feed(NodeId(2), 1, 3, 9, Vec::new()) else {
+                    panic!("the entries are not in the cache");
+                };
+                c.world.disk(c.id, DiskOp::Read { bytes }).await.unwrap();
                 assert!(c.rt.now() > SimTime::ZERO + Duration::from_nanos(1));
-                from_disk
+                match c.feed(NodeId(2), 1, 3, 9, entries) {
+                    Fed::Append(req) => Some(req),
+                    _ => None,
+                }
             });
             assert_eq!(core.log.cache_misses(), 1, "the read went to the disk");
             assert_eq!(built, None, "deposed: {deposed}");
-            core.send_entries(NodeId(1), 1, 2, &entries(3, 8));
+            core.feed(NodeId(1), 1, 3, 9, entries(3, 8));
             sim.run();
-            let snapshots = core.snapshots.borrow();
             let expect = if deposed { vec![] } else { vec![1, 2] };
-            let mut to: Vec<u32> = snapshots.keys().copied().collect();
-            to.sort_unstable();
+            let to = sent_state_to(&core);
             assert_eq!(to, expect, "deposed: {deposed}");
             assert_eq!(sent(&world) - before, expect.len() as u64);
         }
     }
 
+    /// DepFastRaft's rejected lazy probe, the one route to the fork that is
+    /// a reply. A new leader's probe to a quarantined peer stands at its
+    /// base; the peer's log ends below it, so the peer rejects, and the
+    /// reject backs `next_index` up to where that log ends — below the
+    /// base, where quarantine never reads. The lazy digest has the fork
+    /// asked there on the reply itself, not a heartbeat later.
+    #[test]
+    fn a_rejected_lazy_probe_has_the_fork_asked_where_the_peers_log_ends() {
+        // Node 1's log ends at 3, and it says so to every append.
+        let short = AppendResp {
+            term: 1,
+            success: false,
+            match_index: 3,
+            verified: 3,
+        };
+        for lazy in [true, false] {
+            let (sim, world, core) = one_node();
+            core.log.append(&entries(1, 10));
+            sim.run();
+            core.log.compact_through(6);
+            let _peer = peer_answering(&core, &sim, short);
+            let before = sent(&world);
+            core.send_append(NodeId(1), &core.probe_req(1, 0, lazy));
+            sim.run_until_time(sim.now() + Duration::from_millis(5));
+            assert_eq!(core.next_index(NodeId(1)), 4, "lazy: {lazy}");
+            // A reply to an append that is not lazy is no route to the fork:
+            // the next read for the peer asks it.
+            let expect = if lazy { vec![1] } else { vec![] };
+            assert_eq!(sent_state_to(&core), expect, "lazy: {lazy}");
+            assert_eq!(sent(&world) - before, 1 + expect.len() as u64);
+        }
+    }
+
+    /// When state goes out is the law's
+    /// (`feed::tests::the_fork_and_its_patience_by_table`); what needs a
+    /// `Sim` is that each verdict puts on the wire exactly what it says:
+    /// one `InstallSnapshot` per send, nothing while one stands or from a
+    /// node that does not lead.
     #[test]
     fn one_snapshot_is_outstanding_per_peer_and_an_unanswered_one_is_resent() {
         let (sim, world, core) = one_node();
@@ -1637,41 +1674,36 @@ mod tests {
         sim.run();
         core.log.compact_through(6);
         let before = sent(&world);
-        assert!(!core.snapshot_instead(NodeId(1), 7), "the log holds 7");
+        let ask = |peer: u32, lo: u64| {
+            let fed = core.feed(NodeId(peer), 1, lo, 11, Vec::new());
+            sim.run_until_time(sim.now() + Duration::from_millis(1));
+            fed
+        };
+        let pending = |fed: Fed| match fed {
+            Fed::Pending(sent) => sent.id(),
+            _ => panic!("state is what the peer lacks"),
+        };
+        assert!(matches!(ask(1, 7), Fed::Append(_)), "the log holds 7");
         assert_eq!(sent(&world), before);
         // Below the base: state goes out, once however often it is asked.
-        assert!(core.snapshot_instead(NodeId(1), 4));
-        let first = core.snapshots.borrow()[&1].0.id();
-        sim.run_until_time(sim.now() + (SNAPSHOT_RESEND - Duration::from_millis(1)));
-        assert!(core.snapshot_instead(NodeId(1), 4));
-        assert_eq!(core.send_snapshot(NodeId(1)).id(), first);
+        let first = pending(ask(1, 4));
+        assert_eq!(pending(ask(1, 4)), first);
         assert_eq!(sent(&world) - before, 1);
         // Another peer's is its own.
-        assert!(core.snapshot_instead(NodeId(2), 1));
-        sim.run_until_time(sim.now() + Duration::from_millis(1));
+        pending(ask(2, 1));
         assert_eq!(sent(&world) - before, 2);
-        // Nobody answered within the interval: again.
-        assert!(core.snapshot_instead(NodeId(1), 4));
-        let second = core.snapshots.borrow()[&1].0.id();
+        // Nobody answered within the patience: again.
+        sim.run_until_time(sim.now() + Duration::from_secs(1));
+        let second = pending(ask(1, 4));
         assert_ne!(second, first);
-        sim.run_until_time(sim.now() + Duration::from_millis(1));
+        assert_eq!(pending(ask(1, 4)), second);
         assert_eq!(sent(&world) - before, 3);
-        // That one is given twice as long.
-        sim.run_until_time(sim.now() + SNAPSHOT_RESEND);
-        assert_eq!(core.send_snapshot(NodeId(1)).id(), second);
-        sim.run_until_time(sim.now() + SNAPSHOT_RESEND);
-        assert_ne!(core.send_snapshot(NodeId(1)).id(), second);
-        sim.run_until_time(sim.now() + Duration::from_millis(1));
-        assert_eq!(sent(&world) - before, 4);
         // A node that no longer leads has no state to impose.
         core.step_down(5, None);
-        sim.run_until_time(sim.now() + SNAPSHOT_RESEND * 4);
-        assert!(
-            core.snapshot_instead(NodeId(1), 4),
-            "still what the peer lacks"
-        );
-        assert_eq!(core.send_snapshot(NodeId(2)).fired(), Some(Signal::Err));
-        assert_eq!(sent(&world) - before, 4);
+        sim.run_until_time(sim.now() + Duration::from_secs(8));
+        assert!(matches!(ask(1, 4), Fed::Nothing));
+        assert!(matches!(ask(2, 4), Fed::Nothing));
+        assert_eq!(sent(&world) - before, 3);
     }
 
     /// A leader resends an unanswered snapshot; a follower whose disk is

@@ -22,17 +22,20 @@ use depfast::event::{OrEvent, QuorumEvent, QuorumMode, Signal, Watchable};
 use depfast::runtime::Coroutine;
 use depfast_rpc::conn::CancelToken;
 use depfast_rpc::{broadcast, inverse, Method};
+use simkit::disk::DiskOp;
 use simkit::NodeId;
 
-use crate::core::{RaftCore, Role, ELECTION_TIMEOUT, HEARTBEAT};
-use crate::flow::{Admit, SuspectAction};
+use crate::core::{Fed, RaftCore, Role, ELECTION_TIMEOUT, HEARTBEAT};
+use crate::feed::SuspectAction;
 use crate::reads::{ReadTicket, Resume};
-use crate::types::{AppendResp, VoteReq, VoteResp, APPEND_ENTRIES, PRE_VOTE, REQUEST_VOTE};
+use crate::types::{
+    AppendReq, AppendResp, VoteReq, VoteResp, APPEND_ENTRIES, PRE_VOTE, REQUEST_VOTE,
+};
 
 /// Quorum-wait deadline per replication round (and per leadership
-/// confirmation). [`crate::flow`] ages its window slots and lost catch-up
-/// chunks by the same bound: what a round has given up on, the window may
-/// reuse.
+/// confirmation). [`crate::flow`] ages its window slots and [`crate::feed`]
+/// its lost catch-up chunks by the same bound: what a round has given up
+/// on, the window may reuse.
 pub const REPLICATE_TIMEOUT: Duration = Duration::from_millis(1000);
 
 /// The DepFastRaft driver.
@@ -55,31 +58,51 @@ impl DepFastRaft {
     }
 
     /// Whether a round or heartbeat send toward `peer` may go out now; if
-    /// so, one of the peer's append-window slots is held for it.
+    /// so, one of the peer's append-window slots is held for it. A
+    /// quarantined peer is fed by the heartbeat's lazy probes only — every
+    /// append it receives parks a handler behind its crawling disk — and a
+    /// full window quarantines the peer: the caller's optimistically
+    /// advanced `next_index` goes back to the acked prefix.
     fn admit(core: &RaftCore, peer: NodeId) -> bool {
-        let m = core.match_index(peer);
-        let admit = core
-            .flow
-            .borrow_mut()
-            .admit(core.rt.now(), peer, m, core.log.last_index());
-        match admit {
-            // Framework-aware backpressure: if this peer's outgoing buffer
-            // is already deep (a laggard that is not absorbing catch-up
-            // traffic), do not stack more entries onto it — the next
-            // heartbeat retries.
-            Admit::Send if core.ep.conn(peer).queue_len() > 64 => {
-                core.flow.borrow_mut().release(peer);
-                false
-            }
-            Admit::Send => true,
-            Admit::Quarantined => false,
-            Admit::WindowFull(health) => {
-                core.st.borrow_mut().next_index.insert(peer.0, m + 1);
-                core.stats.window_skips.inc();
-                core.stats.suspects.inc();
-                Self::record_health(core, peer, health);
-                false
-            }
+        if core.feed.borrow().quarantined(peer) {
+            return false;
+        }
+        let now = core.rt.now();
+        if !core.flow.borrow_mut().admit(now, peer) {
+            let (m, last) = (core.match_index(peer), core.log.last_index());
+            let health = core.feed.borrow_mut().quarantine(now, peer, m, last);
+            core.st.borrow_mut().next_index.insert(peer.0, m + 1);
+            core.stats.window_skips.inc();
+            core.stats.suspects.inc();
+            Self::record_health(core, peer, health);
+            return false;
+        }
+        // Framework-aware backpressure: if this peer's outgoing buffer is
+        // already deep (a laggard that is not absorbing catch-up traffic),
+        // do not stack more entries onto it — the next heartbeat retries.
+        if core.ep.conn(peer).queue_len() > 64 {
+            core.flow.borrow_mut().release(peer);
+            return false;
+        }
+        true
+    }
+
+    /// The `AppendEntries` of the current term carrying `[lo, hi)` to
+    /// `peer`, cold entries read at the cost of disk time in this coroutine
+    /// only; `None` if there is nothing to send from the log — the node
+    /// crashed, or the log no longer holds `lo` and the feed law has the
+    /// peer fed state.
+    async fn append_to(core: &Rc<RaftCore>, peer: NodeId, lo: u64, hi: u64) -> Option<AppendReq> {
+        let term = core.log.current_term();
+        let mut fed = core.feed(peer, term, lo, hi, Vec::new());
+        if let Fed::Cold(entries, bytes) = fed {
+            let read = core.world.disk(core.id, DiskOp::Read { bytes });
+            read.await.ok()?;
+            fed = core.feed(peer, term, lo, hi, entries);
+        }
+        match fed {
+            Fed::Append(req) => Some(req),
+            _ => None,
         }
     }
 
@@ -102,13 +125,11 @@ impl DepFastRaft {
             return;
         }
         Coroutine::create(&core.rt.clone(), "raft:send_append", async move {
-            let term = core.log.current_term();
             let lo = core.next_index(peer);
             let hi = (target_index + 1).min(lo + core.cfg.max_entries_per_append as u64);
-            // A peer the log no longer reaches is sent the state machine,
-            // off this round: its quorum child hears "no", as for a read
-            // that failed.
-            let Some((req, sent_hi)) = core.read_append(peer, term, lo, hi, false).await else {
+            // A peer the log no longer reaches is fed state, off this round:
+            // its quorum child hears "no", as for a read that failed.
+            let Some(req) = Self::append_to(&core, peer, lo, hi).await else {
                 core.flow.borrow_mut().release(peer);
                 if let Some(d) = done {
                     d.fire(Signal::Err);
@@ -118,9 +139,7 @@ impl DepFastRaft {
             // Advance next_index past what this send carries, so rounds
             // pipelined behind this one do not re-ship entries already in
             // flight. Rejects and lost replies back it up again.
-            if let Some(sent_hi) = sent_hi {
-                core.note_sent_through(peer, sent_hi);
-            }
+            core.note_sent_through(peer, req.prev_index + req.entries.len() as u64);
             let c2 = core.clone();
             let derived = core.ep.proxy(peer).call_classified(
                 core.method(APPEND_ENTRIES),
@@ -277,7 +296,7 @@ impl DepFastRaft {
                 let last = core.log.last_index();
                 for peer in core.peers.clone() {
                     let m = core.match_index(peer);
-                    let plan = core.flow.borrow_mut().plan(core.rt.now(), peer, m, last);
+                    let plan = core.feed.borrow_mut().plan(core.rt.now(), peer, m, last);
                     let Some((action, health)) = plan else {
                         // Heartbeats double as laggard catch-up: they send
                         // from next_index, fire-and-forget.
@@ -291,12 +310,8 @@ impl DepFastRaft {
                     // and once its lag has shrunk the quarantine lifts
                     // (the next heartbeat's normal send takes over).
                     Self::record_health(&core, peer, health);
-                    match action {
-                        SuspectAction::Resume => {}
-                        SuspectAction::Probe => Self::send_lazy(&core, peer, None),
-                        SuspectAction::Chunk { lo, n } => {
-                            Self::send_lazy(&core, peer, Some((lo, n)))
-                        }
+                    if action != SuspectAction::Resume {
+                        Self::send_lazy(&core, peer, action);
                     }
                 }
             }
@@ -304,55 +319,31 @@ impl DepFastRaft {
     }
 
     /// Sends one lazy `AppendEntries` to a quarantined `peer`: an empty
-    /// probe (`chunk == None`) or a catch-up chunk. The follower replies
-    /// immediately with its durable prefix instead of parking a handler
-    /// on its WAL, so polling a fail-slow disk costs the slow node
-    /// nothing but the append CPU.
-    fn send_lazy(core: &Rc<RaftCore>, peer: NodeId, chunk: Option<(u64, usize)>) {
+    /// probe or a catch-up chunk. The follower replies immediately with its
+    /// durable prefix instead of parking a handler on its WAL, so polling a
+    /// fail-slow disk costs the slow node nothing but the append CPU.
+    fn send_lazy(core: &Rc<RaftCore>, peer: NodeId, action: SuspectAction) {
         let core = core.clone();
         Coroutine::create(&core.rt.clone(), "raft:send_probe", async move {
-            let term = core.log.current_term();
-            let req = match chunk {
-                Some((lo, n)) => {
+            let req = match action {
+                SuspectAction::Chunk { lo, n } => {
                     let hi = (lo + n as u64).min(core.log.last_index() + 1);
-                    let built = core.read_append(peer, term, lo, hi, true).await;
-                    let sent_hi = built.as_ref().and_then(|(_, sent_hi)| *sent_hi);
-                    core.flow.borrow_mut().chunk_sent(peer, sent_hi);
+                    let built = Self::append_to(&core, peer, lo, hi).await;
+                    let sent_hi = built.as_ref().and_then(|r| Some(r.entries.last()?.0.index));
+                    core.feed.borrow_mut().chunk_sent(peer, sent_hi);
                     // Cut loose by the size limit: the chunk is dropped,
-                    // the snapshot's ack will move the acked prefix.
-                    let Some((req, _)) = built else {
+                    // and the state's ack will move the acked prefix.
+                    let Some(req) = built else {
                         return;
                     };
-                    req
+                    AppendReq { lazy: true, ..req }
                 }
-                None => core.probe_req(term, core.match_index(peer), true),
+                _ => core.probe_req(core.log.current_term(), core.match_index(peer), true),
             };
             // Same trace label as a regular append: probes ARE
             // AppendEntries, and the fail-slow detector's latency view
             // of a quarantined peer must not go dark.
-            let c2 = core.clone();
-            core.ep.proxy(peer).call_classified(
-                core.method(APPEND_ENTRIES),
-                "append_entries",
-                &req,
-                None,
-                move |resp: Option<AppendResp>| {
-                    let Some(resp) = resp else { return false };
-                    let accepted = c2.on_append_reply(peer, &resp);
-                    let last = c2.log.last_index();
-                    c2.flow
-                        .borrow_mut()
-                        .on_lazy_reply(c2.rt.now(), peer, last, &resp);
-                    // A reject backs `next_index` up to where the peer's log
-                    // ends. Quarantine never reads there (it feeds from the
-                    // acked prefix), so if that is below the base this is
-                    // the one place to notice that only state can help.
-                    if !accepted {
-                        c2.snapshot_instead(peer, c2.next_index(peer));
-                    }
-                    accepted
-                },
-            );
+            core.send_append(peer, &req);
         });
     }
 
@@ -659,6 +650,37 @@ mod tests {
             sim.block_on(async move { DepFastRaft::confirm_leadership(&core, ticket).await });
         assert!(!confirmed);
         assert_eq!(sim.now(), deposed_at, "not at the round's deadline");
+    }
+
+    /// The lazy catch-up chunk, a route to the fork of its own. A follower
+    /// cut off since the start fills its append window and is quarantined:
+    /// from then on only the heartbeat's lazy sends feed it, and a chunk
+    /// starts at its acked prefix. Once the leader's log no longer holds
+    /// that, the chunk's send is where state goes out.
+    #[test]
+    fn a_lazy_chunk_below_the_base_sends_state_instead() {
+        let (sim, world, cl) = cluster(3, true);
+        let core = cl.groups[0].servers[0].core().clone();
+        let b = NodeId(2);
+        world.partition(NodeId(0), b);
+        assert_eq!(
+            drive(&sim, &cl, 20, 64, Duration::from_secs(1)).committed,
+            20
+        );
+        assert!(core.feed.borrow().quarantined(b));
+        assert_eq!(core.match_index(b), 0);
+        core.log.compact_through(10);
+        let state_to_b = || {
+            let feed = core.feed.borrow();
+            let fork = feed.fork(core.rt.now(), b, 0, 1, true, |_| false);
+            matches!(fork, Some(crate::feed::Fork::Waiting(_)))
+        };
+        // Probing a follower that never answers sends it nothing.
+        sim.run_until_time(sim.now() + HEARTBEAT * 3);
+        assert!(!state_to_b());
+        DepFastRaft::send_lazy(&core, b, SuspectAction::Chunk { lo: 1, n: 64 });
+        sim.run_until_time(sim.now() + Duration::from_millis(1));
+        assert!(state_to_b());
     }
 
     #[test]

@@ -2,15 +2,17 @@
 //! demonstration system (§3.4), five ways.
 //!
 //! The protocol logic — terms, election, log matching, commit rules, the
-//! steps of a leader round, log GC ([`gc`]) and the snapshot that stands in
-//! for a compacted prefix — is shared ([`core`], [`types`]). What differs
+//! steps of a leader round and the snapshot that stands in for a compacted
+//! prefix — is shared ([`core`], [`types`]), and so is how a peer that is
+//! behind gets its data: log or state, what the log retains, and
+//! DepFastRaft's quarantine are one law ([`feed`]). What differs
 //! between the five drivers is *where the implementation waits*, which is
 //! precisely the paper's point (wait site = the label `depfast-profile`
 //! prints for it):
 //!
 //! | Driver | Waits like | Wait site (profile label) | Paper root cause |
 //! |---|---|---|---|
-//! | [`DepFastRaft`](depfast_driver::DepFastRaft) | `QuorumEvent` over {own disk write} ∪ {peer acks}; bounded buffers; quorum-discard broadcast; per-follower append window and quarantine ([`flow`]); ReadIndex gets sharing confirmation rounds ([`reads`]) | `replicate_wait` (a quorum, never one peer) | none — §3.4's fail-slow tolerant implementation |
+//! | [`DepFastRaft`](depfast_driver::DepFastRaft) | `QuorumEvent` over {own disk write} ∪ {peer acks}; bounded buffers; quorum-discard broadcast; per-follower append window ([`flow`]) and quarantine ([`feed`]); ReadIndex gets sharing confirmation rounds ([`reads`]) | `replicate_wait` (a quorum, never one peer) | none — §3.4's fail-slow tolerant implementation |
 //! | [`SyncRaft`](sync_driver::SyncRaft) | one region thread does everything serially; EntryCache misses for a lagging follower are read from disk *inline* | `cold_read` | TiDB (§2.2): "blocking the whole thread during the disk I/O" |
 //! | [`BacklogRaft`](backlog_driver::BacklogRaft) | per-follower unbounded replication queues charged to leader memory; stop-and-wait senders | `queue_drain` | RethinkDB (§2.2): "unbounded buffer ... run out of memory" |
 //! | [`CallbackRaft`](callback_driver::CallbackRaft) | one message loop runs every callback serially; lag triggers synchronous flow-control probes of the slow follower | `flow_probe` | MongoDB-style event-loop head-of-line blocking; tail amplification |
@@ -25,8 +27,8 @@ pub mod chain_driver;
 pub mod cluster;
 pub mod core;
 pub mod depfast_driver;
+pub mod feed;
 pub mod flow;
-pub mod gc;
 pub mod reads;
 pub mod sync_driver;
 pub mod types;

@@ -19,7 +19,7 @@ use depfast::event::Watchable;
 use depfast::runtime::Coroutine;
 use simkit::disk::DiskOp;
 
-use crate::core::{RaftCore, Role, HEARTBEAT};
+use crate::core::{Fed, RaftCore, Role, HEARTBEAT};
 
 /// The SyncRaft driver (fixed leader; use `bootstrap_leader`).
 pub struct SyncRaft;
@@ -69,29 +69,25 @@ impl SyncRaft {
                 // Sequential send preparation, one follower at a time.
                 for peer in core.peers.clone() {
                     let lo = core.next_index(peer);
-                    if core.snapshot_instead(peer, lo) {
-                        continue;
-                    }
                     let send_hi = (hi + 1).min(lo + core.cfg.max_entries_per_append as u64);
-                    let (to_send, miss_bytes) = core.log.read_raw(lo, send_hi);
-                    if miss_bytes > 0 {
+                    let mut fed = core.feed(peer, term, lo, send_hi, Vec::new());
+                    if let Fed::Cold(to_send, bytes) = fed {
                         // THE ROOT CAUSE: the evicted-entry disk read runs
                         // inline on the region thread. Blame the follower
                         // whose lag forced the read below the cache floor.
                         let phase = depfast::PhaseSpan::begin_blaming(&core.rt, "cold_read", peer);
-                        if core
-                            .world
-                            .disk(core.id, DiskOp::Read { bytes: miss_bytes })
-                            .await
-                            .is_err()
-                        {
+                        let read = core.world.disk(core.id, DiskOp::Read { bytes });
+                        if read.await.is_err() {
                             return;
                         }
                         phase.end();
+                        fed = core.feed(peer, term, lo, send_hi, to_send);
                     }
                     // Replies are digested by hooks (the region thread
                     // does not wait for them individually).
-                    core.send_entries(peer, term, lo - 1, &to_send);
+                    if let Fed::Append(req) = fed {
+                        core.send_append(peer, &req);
+                    }
                 }
                 // Wait for this round's entries to commit before the next
                 // intake (single-threaded pipeline of depth one), then

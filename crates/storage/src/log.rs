@@ -18,7 +18,7 @@
 //! the `prev_term` of the first entry kept — and answers 0 below it;
 //! reads clamp to what is kept, and the EntryCache accounting moves with
 //! the prefix. When to compact is the replication layer's decision
-//! (`depfast_raft::gc`); this module only guarantees that compaction is a
+//! (`depfast_raft::feed`); this module only guarantees that compaction is a
 //! metadata delete: no disk operation, no virtual time, O(1) per dropped
 //! entry on the host. [`LogStore::install_snapshot`] is the other way the
 //! base moves: to a snapshot's position, keeping the suffix that matches
