@@ -167,18 +167,26 @@ fn fail_slow_follower_stalls_its_window_not_the_batch_quorum() {
 
 /// Open loop at 3 000 proposals/s — 57 % of what the leader's serial apply
 /// stage sustains (1 / 190 µs) — with one follower's disk at 0.8 %
-/// bandwidth from 1 s to 3 s, and the load stopping at 8 s.
+/// bandwidth from 1 s to 3 s, and the load stopping at 7 s.
 ///
-/// The fault quarantines the follower and leaves it about 5 500 entries
-/// behind. Once its disk recovers, its catch-up chunks outrun what the
-/// leader appends meanwhile, so its lag, sampled each second from the
-/// clear, never grows again. It is resumed within 6 s of the clear: the
-/// catch-up closes the gap in about 5 s. While the load runs, the lag then
-/// settles at one catch-up cycle of arrivals (a few hundred entries), above
-/// the 2 × `batch_max` resume threshold, so the resume itself comes when
-/// the load stops. A law that judges a chunk by how soon its drain is
-/// seen halves every full chunk instead: the lag then grows by about 2 000
-/// entries a second after the clear, and no resume comes within 6 s.
+/// The fault quarantines the follower and leaves it about 3 400 entries
+/// behind: one catch-up chunk is in flight at a time, and the next ships
+/// on the first heartbeat after the last is durable, so even the crawling
+/// disk is fed at the rate it drains. A law that backs off every chunk the
+/// follower did not gain on the leader with — and under the fault none
+/// gains — halves each one and pauses after it, and leaves the follower
+/// about 5 500 behind. Once its disk recovers, its catch-up chunks outrun
+/// what the leader appends meanwhile, so its lag, sampled each second from
+/// the clear, never grows again. It is resumed within 6 s of the clear.
+///
+/// The catch-up closes the gap in about 3.5 s. While the load runs, the lag
+/// then settles at one catch-up cycle of arrivals: a chunk of ~270 entries
+/// costs more than a heartbeat of append CPU, so its drain is seen two
+/// heartbeats after it ships and the next ships on the third. That is a
+/// 90 ms sawtooth of ~100–370 entries, above the 2 × `batch_max` resume
+/// threshold, so the resume itself comes when the load stops. The load
+/// stops at the first sample of that sawtooth: a second one, a second
+/// later, would read the cycle 10 ms further on, not a trend.
 ///
 /// The quorum never waited on the follower. Its crawling disk takes 3.2
 /// MB/s of log at 1.6 MB/s, so a round that waited on it would wait longer
@@ -191,7 +199,7 @@ fn a_recovered_follower_gains_on_the_leader_until_it_is_resumed() {
     const SLOW: NodeId = NodeId(2);
     const RATE: u64 = 3_000;
     let secs = SimTime::from_secs;
-    let (onset, clear, load_end) = (secs(1), secs(3), secs(8));
+    let (onset, clear, load_end) = (secs(1), secs(3), secs(7));
     let sim = Sim::new(20210531);
     let world = World::new(sim.clone(), bench_world_cfg(3));
     let cl = RaftCluster::build(
@@ -236,7 +244,11 @@ fn a_recovered_follower_gains_on_the_leader_until_it_is_resumed() {
         sim.run_until_time(clear + Duration::from_secs(k));
         lags.push(lag());
     }
-    assert!(lags[0] > 4_000, "the fault left it {} behind", lags[0]);
+    assert!(
+        (1_000..=4_500).contains(&lags[0]),
+        "the fault left it {} behind",
+        lags[0]
+    );
     for pair in lags.windows(2) {
         assert!(pair[1] <= pair[0], "lag grew after the clear: {lags:?}");
     }

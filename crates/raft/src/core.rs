@@ -359,7 +359,8 @@ pub struct RaftCore {
     pub(crate) reads_confirmed: ValueEvent<u64>,
     /// Follower-side: highest index log-match-verified against the
     /// current leader's stream (appended locally, though possibly not yet
-    /// durable). Clamped on truncation; reported in every append reply.
+    /// durable). Clamped on truncation, and to the commit index on a new
+    /// term ([`RaftCore::adopt_term`]); reported in every append reply.
     verified_index: Cell<u64>,
     /// Next FIFO ticket for incoming `AppendEntries` (taken at delivery).
     append_ticket: Cell<u64>,
@@ -531,10 +532,21 @@ impl RaftCore {
         self.leader_gen.set(epoch);
     }
 
+    /// Adopts `term`, voting for `vote`. What this node verified against
+    /// the old term's leader stands for the new term only as far as it is
+    /// committed: committed entries are the same under every leader, and
+    /// past them a lazy reply's `min(durable, verified)` would report a
+    /// prefix of the old leader's stream as a match to the new one.
+    pub fn adopt_term(&self, term: u64, vote: Option<u32>) -> IoEvent {
+        let verified = self.verified_index.get().min(self.commit.get());
+        self.verified_index.set(verified);
+        self.log.set_term_vote(term, vote)
+    }
+
     /// Steps down to follower in `term` (observed a higher term).
     pub fn step_down(&self, term: u64, leader: Option<NodeId>) {
         if term > self.log.current_term() {
-            self.log.set_term_vote(term, None);
+            self.adopt_term(term, None);
         }
         let was_leader = {
             let mut st = self.st.borrow_mut();
@@ -733,8 +745,7 @@ impl RaftCore {
         let (core, lazy) = (self.clone(), req.lazy);
         let digest = move |r: AppendResp| {
             let accepted = core.on_append_reply(peer, &r);
-            let (now, last) = (core.rt.now(), core.log.last_index());
-            if lazy && core.feed.borrow_mut().on_lazy_reply(now, peer, last, &r) {
+            if lazy && core.feed.borrow_mut().on_lazy_reply(peer, &r) {
                 core.fork(peer, core.next_index(peer));
             }
             accepted
@@ -1486,6 +1497,48 @@ mod tests {
         let (kept, _) = core.log.read_raw(7, 11);
         assert_eq!(kept, entries(7, 10), "log untouched");
         assert_eq!(core.commit.get(), 8);
+    }
+
+    /// A lazy reply's match is `min(durable, verified)`, and `verified` was
+    /// verified against one leader's stream. Node 0 holds entries 1–10 of
+    /// term 1, durable, with 3 committed; then node 2 leads term 2, its log
+    /// agreeing only through the commit. Its first lazy probe stands at its
+    /// acked prefix, 0. Answered "match 10", the new leader would count
+    /// node 0 as holding its own entries 4–10 — of term 2 — and commit them
+    /// on node 0's term-1 entries. What node 0 verified for the old leader
+    /// stands for the new one only as far as it is committed.
+    #[test]
+    fn a_new_leaders_lazy_probe_is_not_answered_from_the_old_leaders_stream() {
+        let (sim, _w, core) = node_zero_under(1);
+        let append = |ticket, req: AppendReq| {
+            let c = core.clone();
+            let resp = sim.block_on(async move { handle_append(&c, NodeId(1), req, ticket).await });
+            resp.expect("answered")
+        };
+        let old = AppendReq {
+            term: 1,
+            leader: 1,
+            prev_index: 0,
+            prev_term: 0,
+            entries: to_wire(&entries(1, 10)),
+            commit: 3,
+            lazy: false,
+        };
+        let acked = append(0, old);
+        assert_eq!((acked.match_index, acked.verified), (10, 10));
+        assert_eq!(core.commit.get(), 3);
+        let probe = AppendReq {
+            term: 2,
+            leader: 2,
+            prev_index: 0,
+            prev_term: 0,
+            entries: Vec::new(),
+            commit: 3,
+            lazy: true,
+        };
+        let resp = append(1, probe);
+        assert!(resp.success);
+        assert_eq!((resp.match_index, resp.verified), (3, 3));
     }
 
     #[test]

@@ -305,8 +305,8 @@ impl DepFastRaft {
                     };
                     // A quarantined peer gets the lazy-probe treatment
                     // instead: empty lazy appends harvest its durable
-                    // prefix at no cost to it, one adaptively paced chunk
-                    // ships whenever it has drained everything delivered,
+                    // prefix at no cost to it, one catch-up chunk ships
+                    // whenever it has drained everything delivered,
                     // and once its lag has shrunk the quarantine lifts
                     // (the next heartbeat's normal send takes over).
                     Self::record_health(&core, peer, health);
@@ -529,7 +529,7 @@ impl DepFastRaft {
     /// One election round, in the paper's §3.2 nested-event style.
     async fn run_election(core: &Rc<RaftCore>) {
         let term = core.log.current_term() + 1;
-        let io = core.log.set_term_vote(term, Some(core.id.0));
+        let io = core.adopt_term(term, Some(core.id.0));
         if !io.handle().wait().await.is_ready() {
             return;
         }

@@ -33,9 +33,12 @@
 //!   host memory and no simulated result.
 //! * **Quarantine** (DepFastRaft: [`Feed::quarantine`] when a follower's
 //!   append window fills, then [`Feed::plan`] on every heartbeat). The
-//!   follower is fed by lazy probes and one paced catch-up chunk at a time
+//!   follower is fed by lazy probes and one catch-up chunk at a time
 //!   instead of pipelined rounds, until its lag has shrunk and its disk is
-//!   seen keeping up.
+//!   seen keeping up. The next chunk ships on the first heartbeat after the
+//!   last one is durable, twice its size: the follower is fed at the rate
+//!   its disk drains, however slow. Only a chunk outstanding past
+//!   `REPLICATE_TIMEOUT` holds the next one back.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -156,32 +159,23 @@ pub enum SuspectAction {
     },
 }
 
-/// A catch-up chunk shipped and not yet drained: it carries the entries
-/// `(from, target]`.
+/// A catch-up chunk shipped and not yet drained.
 #[derive(Clone, Copy)]
 struct Outstanding {
     /// When it shipped.
     at: SimTime,
-    /// The peer's acked prefix when it shipped.
-    from: u64,
     /// Last index it carries.
     target: u64,
-    /// The leader's last index when it shipped.
-    last_at_ship: u64,
-    /// The leader's last index when a reply last showed the peer still
-    /// draining the chunk (at first: when it shipped).
-    last_while_draining: u64,
 }
 
 /// Catch-up state for one quarantined (suspect) peer.
 #[derive(Default)]
 struct Suspect {
-    /// Entries per catch-up chunk; ramps up while the peer gains on the
-    /// leader, backs off while it does not.
+    /// Entries per catch-up chunk; doubles with every drained chunk.
     chunk: usize,
     /// Outstanding chunk, if any.
     pending: Option<Outstanding>,
-    /// Earliest time the next chunk may ship.
+    /// Earliest time the next chunk may ship: a lost chunk holds it back.
     next_chunk_at: SimTime,
     /// The peer's last reported verified index (`None` until the first
     /// lazy reply arrives).
@@ -281,11 +275,13 @@ impl<E: Clone> Feed<E> {
     /// `None` if the peer is not quarantined. Control law: probe with
     /// empty lazy appends (which cost the peer nothing but report its
     /// durable prefix) until the peer has drained everything delivered,
-    /// then ship one catch-up chunk; a chunk the peer drained faster than
-    /// the leader appended ramps the chunk size (the peer gains on the
-    /// leader), any other drain backs the pace off proportionally so a
-    /// still-crawling disk is never saturated by its own catch-up stream
-    /// ([`Feed::on_lazy_reply`]).
+    /// then ship one catch-up chunk, twice the last one's size if that one
+    /// drained ([`Feed::on_lazy_reply`]). One chunk in flight is what keeps
+    /// a crawling disk from being flooded by its own catch-up stream, and
+    /// its drain is what paces the next, however slow. A chunk still
+    /// outstanding after `REPLICATE_TIMEOUT` is forgotten and the next one
+    /// held back as long again; it still ships only once the peer has
+    /// drained what it was delivered.
     pub fn plan(
         &mut self,
         now: SimTime,
@@ -310,10 +306,7 @@ impl<E: Clone> Feed<E> {
             let (lo, n) = (match_index + 1, s.chunk);
             s.pending = Some(Outstanding {
                 at: now,
-                from: match_index,
                 target: match_index + n as u64,
-                last_at_ship: last_index,
-                last_while_draining: last_index,
             });
             let evidence = format!("catch-up chunk [{lo}, {})", lo + n as u64);
             let chunk = SuspectAction::Chunk { lo, n };
@@ -335,46 +328,23 @@ impl<E: Clone> Feed<E> {
         }
     }
 
-    /// Digests a lazy reply from a quarantined peer, `last_index` being
-    /// the leader's last index now: learns the peer's verified index and
-    /// adapts the catch-up pace to whether the peer gained on the leader
-    /// with the outstanding chunk — whether, once it drained, it had
-    /// delivered more entries than the leader appended while it was
-    /// draining them, that is, until the last reply that still showed it
-    /// short of the chunk. How long the drain took is no evidence either
-    /// way: a full chunk costs even a healthy peer more than a heartbeat
-    /// of append CPU, and the drain is only *seen* at the next heartbeat's
-    /// probe, up to a heartbeat after it happened.
+    /// Digests a lazy reply from a quarantined peer: learns the peer's
+    /// verified index, and whether the outstanding chunk has drained
+    /// (`match_index` reaches it: the next chunk, twice the size, may ship
+    /// on the next heartbeat). How long the drain took is no evidence either
+    /// way: one chunk in flight is the most the peer's disk is given.
     ///
     /// Returns whether the fork is to be asked at the peer's next index: a
     /// reject backs it up to where the peer's log ends, which quarantine
     /// never reads from (it feeds from the acked prefix), so if that is
     /// below the base this is where it is found out.
-    pub fn on_lazy_reply(
-        &mut self,
-        now: SimTime,
-        peer: NodeId,
-        last_index: u64,
-        resp: &AppendResp,
-    ) -> bool {
+    pub fn on_lazy_reply(&mut self, peer: NodeId, resp: &AppendResp) -> bool {
         if let Some(s) = self.suspects.get_mut(&peer.0) {
             s.peer_verified = Some(resp.verified.max(s.peer_verified.unwrap_or(0)));
             s.draining_fast = resp.success && resp.match_index >= resp.verified;
-            if let Some(p) = s.pending.as_mut().filter(|_| resp.success) {
-                if resp.match_index < p.target {
-                    p.last_while_draining = last_index;
-                } else {
-                    let dt = now - p.at;
-                    let arrived = p.last_while_draining.saturating_sub(p.last_at_ship);
-                    if p.target - p.from > arrived {
-                        s.chunk = (s.chunk * 2).min(self.cfg.max_entries_per_append);
-                        s.next_chunk_at = now;
-                    } else {
-                        s.chunk = (s.chunk / 2).max(self.cfg.batch_max.max(1));
-                        s.next_chunk_at = now + (dt * 4).min(REPLICATE_TIMEOUT);
-                    }
-                    s.pending = None;
-                }
+            if resp.success && s.pending.is_some_and(|p| resp.match_index >= p.target) {
+                s.chunk = (s.chunk * 2).min(self.cfg.max_entries_per_append);
+                s.pending = None;
             }
         }
         !resp.success
@@ -594,12 +564,12 @@ mod tests {
         // No reply yet: nothing is known about the peer's disk.
         assert_eq!(action(&mut f, ms(30), 100, 1000), SuspectAction::Probe);
         // Durable prefix 100 trails the verified 180: still draining.
-        f.on_lazy_reply(ms(31), PEER, 1000, &reply(true, 100, 180));
+        f.on_lazy_reply(PEER, &reply(true, 100, 180));
         assert_eq!(action(&mut f, ms(60), 100, 1000), SuspectAction::Probe);
-        f.on_lazy_reply(ms(61), PEER, 1000, &reply(true, 150, 180));
+        f.on_lazy_reply(PEER, &reply(true, 150, 180));
         assert_eq!(action(&mut f, ms(90), 150, 1000), SuspectAction::Probe);
         // Drained (match_index >= verified): one chunk of batch_max.
-        f.on_lazy_reply(ms(91), PEER, 1000, &reply(true, 180, 180));
+        f.on_lazy_reply(PEER, &reply(true, 180, 180));
         let (act, health) = f.plan(ms(120), PEER, 180, 1000).unwrap();
         assert_eq!(act, SuspectAction::Chunk { lo: 181, n: 64 });
         assert_eq!(health.transition, "chunk");
@@ -610,51 +580,60 @@ mod tests {
         assert_eq!(health.evidence, "lazy probe; acked=180");
     }
 
+    /// One row of the drain table: (case, chunk, a reply shows it appended
+    /// at ms, durable at ms — `None`: no reply does, the next chunk's size,
+    /// the heartbeat it ships on).
+    type DrainRow = (&'static str, usize, Option<u64>, Option<u64>, usize, u64);
+
     #[test]
-    fn gaining_on_the_leader_sets_chunk_size_and_pace() {
-        // (chunk, a reply shows it still draining at ms, entries the leader
-        // had appended by then, the next shows it drained at ms, appended
-        // by then) -> (chunk after, pause before the next chunk ms). The
-        // peer starts 100 000 entries behind and acks exactly the chunk.
+    fn the_next_chunk_waits_for_the_drain_and_only_a_lost_one_backs_off() {
+        // A healthy drain ramps 64 -> 512, one chunk a heartbeat.
+        let mut f = quarantined(ms(0));
+        f.on_lazy_reply(PEER, &reply(true, 0, 0));
+        let mut acked = 0;
+        for (k, n) in [64, 128, 256, 512, 512].into_iter().enumerate() {
+            let next = action(&mut f, ms(30 * (k as u64 + 1)), acked, 100_000);
+            assert_eq!(next, SuspectAction::Chunk { lo: acked + 1, n }, "chunk {k}");
+            acked += n as u64;
+            f.on_lazy_reply(PEER, &reply(true, acked, acked));
+        }
+        // Heartbeats every 30 ms from the ship; the peer is 100 000 behind.
         #[rustfmt::skip]
-        let table: &[(usize, u64, u64, u64, u64, usize, u64)] = &[
-            // The defect: a recovered follower drains a full chunk — 30 µs
-            // + 512 × 120 µs ≈ 61.5 ms of append CPU — in 65 ms while 200
-            // arrive. A 45 ms deadline halved it and paused 260 ms.
-            (512, 60, 185, 65, 200, 512, 0),
-            // Drained within a heartbeat and seen at the next probe, by
-            // when 90 had arrived; only the 20 that arrived while the peer
-            // still held it count against it.
-            (64, 8, 20, 31, 90, 128, 0),
-            (256, 60, 100, 90, 150, 512, 0),    // doubles up to max_entries_per_append
-            (64, 370, 10, 400, 12, 128, 0),     // a healthy peer behind a starved leader
-            (256, 70, 256, 100, 300, 128, 400), // drained what arrived: no gain; halves, 4·dt
-            (128, 30, 170, 46, 200, 64, 184),   // lost ground
-            (64, 170, 500, 200, 600, 64, 800),  // floored at batch_max
-            (64, 270, 810, 300, 900, 64, 1000), // a crawling disk: pace capped at replicate_timeout
+        let table: &[DrainRow] = &[
+            ("drained at the first probe", 64, Some(1), Some(8), 128, 30),
+            ("seen drained at the second", 256, Some(1), Some(40), 512, 60),
+            ("capped at max_entries_per_append", 512, Some(1), Some(70), 512, 90),
+            ("a crawling disk: drained after 325 ms, not paused", 64, Some(1), Some(325), 128, 330),
+            ("a 0.1 % disk: forgotten past replicate_timeout, the next still waits for the drain", 64, Some(1), Some(2_500), 64, 2_520),
+            ("never answered: forgotten, the next held back 1 s", 256, None, None, 256, 2_040),
         ];
-        for &(chunk, busy_ms, busy_arrived, done_ms, arrived, chunk_after, pause) in table {
-            let case = format!("chunk={chunk} draining at {busy_ms} ms, drained at {done_ms}");
+        for &(case, chunk, appended, durable, n, at) in table {
             let last = 100_000;
             let mut f = quarantined(ms(0));
-            f.on_lazy_reply(ms(1), PEER, last, &reply(true, 0, 0));
+            f.on_lazy_reply(PEER, &reply(true, 0, 0));
             f.suspects.get_mut(&PEER.0).unwrap().chunk = chunk;
-            let shipped = action(&mut f, ms(10), 0, last);
-            assert_eq!(shipped, SuspectAction::Chunk { lo: 1, n: chunk }, "{case}");
+            let shipped = ms(10);
+            let first = action(&mut f, shipped, 0, last);
+            assert_eq!(first, SuspectAction::Chunk { lo: 1, n: chunk }, "{case}");
             let m = chunk as u64;
-            // Appended (verified) but not yet durable.
-            let busy = reply(true, 0, m);
-            f.on_lazy_reply(ms(10 + busy_ms), PEER, last + busy_arrived, &busy);
-            let (now, last) = (ms(10 + done_ms), last + arrived);
-            f.on_lazy_reply(now, PEER, last, &reply(true, m, m));
-            if pause > 0 {
-                let early = now + Duration::from_millis(pause - 1);
-                let held = action(&mut f, early, m, last);
-                assert_eq!(held, SuspectAction::Probe, "{case}: paced {pause} ms");
-            }
-            let next = action(&mut f, now + Duration::from_millis(pause), m, last);
-            let n = chunk_after;
-            assert_eq!(next, SuspectAction::Chunk { lo: m + 1, n }, "{case}");
+            let mut replies = [(appended, reply(true, 0, m)), (durable, reply(true, m, m))];
+            let mut acked = 0;
+            let next = (1..200).find_map(|k| {
+                let tick = 30 * k;
+                for (when, resp) in &mut replies {
+                    if when.is_some_and(|w| w <= tick) {
+                        f.on_lazy_reply(PEER, resp);
+                        acked = acked.max(resp.match_index);
+                        *when = None;
+                    }
+                }
+                let now = shipped + Duration::from_millis(tick);
+                match action(&mut f, now, acked, last) {
+                    SuspectAction::Chunk { lo, n } => Some((lo, n, tick)),
+                    _ => None,
+                }
+            });
+            assert_eq!(next, Some((acked + 1, n, at)), "{case}");
         }
     }
 
@@ -671,12 +650,7 @@ mod tests {
         for &(success, matched, verified, lag, resumes) in table {
             let case = format!("success={success} match={matched} verified={verified} lag={lag}");
             let mut f = quarantined(ms(0));
-            let refork = f.on_lazy_reply(
-                ms(1),
-                PEER,
-                matched + lag,
-                &reply(success, matched, verified),
-            );
+            let refork = f.on_lazy_reply(PEER, &reply(success, matched, verified));
             assert_eq!(refork, !success, "{case}");
             let (act, health) = f.plan(ms(30), PEER, matched, matched + lag).unwrap();
             assert_eq!(act == SuspectAction::Resume, resumes, "{case}");
@@ -695,13 +669,13 @@ mod tests {
     #[test]
     fn a_lost_chunk_is_forgotten_after_replicate_timeout() {
         let mut f = quarantined(ms(0));
-        f.on_lazy_reply(ms(1), PEER, 10_000, &reply(true, 0, 0));
+        f.on_lazy_reply(PEER, &reply(true, 0, 0));
         let first = action(&mut f, ms(10), 0, 10_000);
         assert_eq!(first, SuspectAction::Chunk { lo: 1, n: 64 });
         // The send shipped fewer entries than planned: the target follows,
         // so an ack through 50 completes the chunk.
         f.chunk_sent(PEER, Some(50));
-        f.on_lazy_reply(ms(20), PEER, 10_000, &reply(true, 50, 50));
+        f.on_lazy_reply(PEER, &reply(true, 50, 50));
         let second = action(&mut f, ms(40), 50, 10_000);
         assert_eq!(second, SuspectAction::Chunk { lo: 51, n: 128 });
         // No reply ever covers this one. Until the timeout: probes. At the
@@ -716,5 +690,15 @@ mod tests {
         f.chunk_sent(PEER, None);
         let fourth = action(&mut f, ms(2070), 50, 10_000);
         assert_eq!(fourth, SuspectAction::Chunk { lo: 51, n: 128 });
+        // One that arrived but takes past the timeout to drain is forgotten
+        // too, and the next still waits for the drain: one chunk is on the
+        // peer's disk at a time.
+        f.on_lazy_reply(PEER, &reply(true, 50, 178));
+        for at in [3070, 9000] {
+            assert_eq!(action(&mut f, ms(at), 50, 10_000), SuspectAction::Probe);
+        }
+        f.on_lazy_reply(PEER, &reply(true, 178, 178));
+        let fifth = action(&mut f, ms(9030), 178, 10_000);
+        assert_eq!(fifth, SuspectAction::Chunk { lo: 179, n: 128 });
     }
 }
