@@ -281,12 +281,22 @@ mod tests {
     }
 
     /// Below the splice line a value travels by copy, as every message
-    /// did: the contract is equality, and says nothing about sharing.
+    /// did, so a follower's log payload is a view of the `AppendEntries`
+    /// run it arrived in and the leader's of the client's request. Each
+    /// replica stores its own copy of the value, a view of neither: a
+    /// stored value would otherwise keep a whole run alive until every
+    /// value in it had been overwritten.
     #[test]
-    fn a_small_value_arrives_equal_everywhere() {
+    fn a_small_value_owns_its_bytes_on_every_replica() {
         let (payloads, values, got) = put_then_read_index_get(100);
         assert!(payloads.iter().all(|p| *p == payloads[0]));
         assert!(values.iter().chain([&got]).all(|v| v[..] == [7u8; 100]));
+        let leader = payloads[0].as_ptr_range();
+        for (payload, value) in payloads.iter().zip(&values) {
+            let v = value.as_ptr();
+            assert!(!payload.as_ptr_range().contains(&v), "not its own log's");
+            assert!(!leader.contains(&v), "not the leader's");
+        }
     }
 
     /// What the log-GC tests below build on: three servers of `kind` led

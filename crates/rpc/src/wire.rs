@@ -24,13 +24,22 @@
 //! view of it (so the spliced buffer comes back out as the field, not as a
 //! copy), a field that straddles a cut is gathered by copy, and truncation
 //! or trailing bytes are `None` wherever the cuts fall.
+//!
+//! # What a holder keeps
+//!
+//! A view pins the whole buffer it is a view of. A decoded field below
+//! `SPLICE_MIN` is a view of the run its message's small fields were
+//! copied into, so a state machine that keeps one past its message passes
+//! it through [`detach`] first: it keeps a copy of exactly the field's
+//! bytes below the line, and the spliced buffer itself above it.
 
 use std::cell::Cell;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use simkit::Frame;
 
-/// Smallest [`Bytes`] field a [`Writer`] puts on the wire by reference.
+/// Smallest [`Bytes`] field a [`Writer`] puts on the wire by reference,
+/// and so the smallest field [`detach`] hands back as it is.
 ///
 /// A splice costs a reference count and two list slots on each side of the
 /// wire and leaves the receiver holding the sender's whole buffer; a copy
@@ -38,6 +47,20 @@ use simkit::Frame;
 /// below the line and travel as one contiguous run exactly as before;
 /// the 1 KB record bodies that dominate replication traffic cross it.
 const SPLICE_MIN: usize = 256;
+
+/// The bytes of a decoded `field` that a holder keeps past its message.
+///
+/// From `SPLICE_MIN` bytes up the field comes back as it is: the wire
+/// spliced it, so it already is its own buffer or the sender's. A smaller
+/// field is a view of its message's run, and comes back as a copy of
+/// exactly its bytes, so it keeps nothing else of the message alive.
+pub fn detach(field: Bytes) -> Bytes {
+    if field.len() >= SPLICE_MIN {
+        field
+    } else {
+        Bytes::copy_from_slice(&field)
+    }
+}
 
 thread_local! {
     /// The previous [`Writer`]'s run, kept for its capacity.
@@ -612,6 +635,24 @@ mod tests {
         ) {
             let s = Sample { a, e: testing::payload(pick, a as u8), ..sample() };
             testing::assert_segmentation_agnostic(&s, &cuts);
+        }
+    }
+
+    #[test]
+    fn detach_copies_below_the_splice_line_and_keeps_the_buffer_from_it_up() {
+        // (field length, copied)
+        let table = [(0, true), (255, true), (256, false), (1000, false)];
+        for (len, copied) in table {
+            let run = Bytes::from(vec![3u8; len + 16]);
+            let field = run.slice(8..8 + len);
+            let kept = detach(field.clone());
+            assert_eq!(kept, field, "{len} B: same bytes");
+            if copied {
+                let inside = run.as_ptr_range().contains(&kept.as_ptr());
+                assert!(!inside, "{len} B: a copy, outside the run");
+            } else {
+                assert_eq!(kept.as_ptr(), field.as_ptr(), "{len} B: the same buffer");
+            }
         }
     }
 

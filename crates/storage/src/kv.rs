@@ -8,13 +8,16 @@
 //! The state machine *is* the snapshot: [`MemKv`]'s wire encoding carries
 //! the map, the session table and the apply count, so a replica restored
 //! from it answers a retried command exactly as the one it was taken from
-//! would. Values keep the buffers they arrived in (`depfast_rpc::wire`
-//! splices large ones by reference); keys do not — see [`MemKv::put`].
+//! would. A stored key or value keeps no message alive: a key is copied
+//! the first time the map sees it, and a value goes through
+//! [`wire::detach`] — a record-sized value is the buffer the wire spliced
+//! from the client's put, a smaller one is copied out of the run it
+//! arrived in. See [`MemKv::put`].
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use depfast_rpc::wire::{Reader, WireRead, WireWrite, Writer};
+use depfast_rpc::wire::{self, Reader, WireRead, WireWrite, Writer};
 
 /// An in-memory key-value state machine with session deduplication.
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -35,8 +38,12 @@ impl MemKv {
     /// whole request body, the map keeps the key it already has on an
     /// overwrite, and a 23-byte view would otherwise pin the first body
     /// ever written for it long after the log has dropped it. The value is
-    /// kept as it came — it *is* most of the body.
+    /// kept as [`wire::detach`] hands it back: a record-sized value as it
+    /// came (it *is* most of the body), a small one as its own copy, not as
+    /// a view of the `AppendEntries` run or request it arrived in, which
+    /// would live until every value in it had been overwritten.
     pub fn put(&mut self, key: Bytes, value: Bytes) {
+        let value = wire::detach(value);
         match self.map.get_mut(&key) {
             Some(slot) => *slot = value,
             None => {
@@ -131,8 +138,8 @@ impl WireRead for MemKv {
             kv.put(Bytes::read(r)?, Bytes::read(r)?);
         }
         for _ in 0..u32::read(r)? {
-            let (client, session) = (u64::read(r)?, (u64::read(r)?, Bytes::read(r)?));
-            kv.sessions.insert(client, session);
+            let (client, seq, reply) = (u64::read(r)?, u64::read(r)?, Bytes::read(r)?);
+            kv.sessions.insert(client, (seq, wire::detach(reply)));
         }
         kv.applied = u64::read(r)?;
         Some(kv)
@@ -215,6 +222,7 @@ mod tests {
         });
         kv.apply_dedup(8, 1, |kv| {
             kv.put(b("k0"), b("small"));
+            kv.put(b("k2"), Bytes::from(vec![5u8; 100]));
             b("fine")
         });
         let frame = kv.to_frame();
@@ -224,6 +232,19 @@ mod tests {
         // A large value travels by reference: the restored map holds the
         // buffer the original does.
         assert_eq!(back.get(&b("k1")).unwrap().as_ptr(), big.as_ptr());
+        // A small value, and a cached reply, are the restored replica's
+        // own: neither pins the snapshot it came in.
+        let in_snapshot = |v: &Bytes| {
+            let p = v.as_ptr();
+            frame
+                .segments()
+                .iter()
+                .any(|s| s.as_ptr_range().contains(&p))
+        };
+        let small = back.get(&b("k2")).unwrap();
+        assert_eq!(small[..], [5u8; 100]);
+        assert!(!in_snapshot(small), "the 100 B value is a copy");
+        assert!(!in_snapshot(&back.sessions[&8].1), "so is the reply");
         // The restored session table answers a retry; it does not re-apply.
         let r = back.apply_dedup(7, 3, |_| panic!("must not re-apply"));
         assert_eq!(r, b("ok"));

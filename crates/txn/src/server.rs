@@ -16,7 +16,7 @@ use depfast::event::Watchable;
 use depfast::runtime::Coroutine;
 use depfast_raft::core::{RaftServer, StateMachine};
 use depfast_raft::Entry;
-use depfast_rpc::wire::{Reader, WireRead, WireWrite, Writer};
+use depfast_rpc::wire::{self, Reader, WireRead, WireWrite, Writer};
 use simkit::Frame;
 
 use crate::command::{TxnCmd, TxnVote, TxnWrite, TXN_EXEC};
@@ -58,18 +58,11 @@ impl TxnState {
             TxnCmd::Commit { txn } => {
                 if let Some(writes) = self.staged.remove(txn) {
                     for w in writes {
+                        // A lock's key is a view of the prepare's body, but
+                        // lives exactly as long as the staged writes that
+                        // hold the same body.
                         self.locks.remove(&w.key);
-                        // As `MemKv::put`: the map keeps the key it has, so
-                        // a new key is copied out of the prepare's body
-                        // rather than pinning it for good. (A lock's key is
-                        // a view too, but lives exactly as long as the
-                        // staged writes that hold the same body.)
-                        match self.data.get_mut(&w.key) {
-                            Some(slot) => *slot = w.value,
-                            None => {
-                                self.data.insert(Bytes::copy_from_slice(&w.key), w.value);
-                            }
-                        }
+                        self.store(w.key, w.value);
                     }
                     self.commits += 1;
                 }
@@ -83,6 +76,20 @@ impl TxnState {
                     self.aborts += 1;
                 }
                 TxnVote::Yes
+            }
+        }
+    }
+
+    /// Keeps committed data, from a commit or a restore, as `MemKv::put`
+    /// does: the map keeps the key it has, so a new key is copied out of
+    /// the body it came in rather than pinning it for good, and the value
+    /// is what [`wire::detach`] hands back.
+    fn store(&mut self, key: Bytes, value: Bytes) {
+        let value = wire::detach(value);
+        match self.data.get_mut(&key) {
+            Some(slot) => *slot = value,
+            None => {
+                self.data.insert(Bytes::copy_from_slice(&key), value);
             }
         }
     }
@@ -124,7 +131,7 @@ impl WireRead for TxnState {
     fn read(r: &mut Reader<'_>) -> Option<Self> {
         let mut st = TxnState::default();
         for _ in 0..u32::read(r)? {
-            st.data.insert(Bytes::read(r)?, Bytes::read(r)?);
+            st.store(Bytes::read(r)?, Bytes::read(r)?);
         }
         for _ in 0..u32::read(r)? {
             st.locks.insert(Bytes::read(r)?, u64::read(r)?);
@@ -342,6 +349,46 @@ mod tests {
         assert_eq!((back.commits, back.aborts), (2, 1));
         let bytes = st.to_bytes();
         assert!(TxnState::from_bytes(&bytes.slice(..bytes.len() - 1)).is_none());
+    }
+
+    /// A restore keeps data the way a commit does, so the restored map pins
+    /// none of the snapshot's runs: the map never replaces a key, and a
+    /// small value stays until it is overwritten.
+    #[test]
+    fn a_restored_state_owns_its_keys_and_small_values() {
+        let mut st = TxnState::default();
+        let big = Bytes::from(vec![9u8; 1000]);
+        let writes = (0..8u8)
+            .map(|i| TxnWrite {
+                key: Bytes::from(vec![b'k', i]),
+                value: Bytes::from(vec![i; 100]),
+            })
+            .chain([TxnWrite {
+                key: Bytes::from_static(b"big"),
+                value: big.clone(),
+            }])
+            .collect();
+        st.apply(&TxnCmd::Prepare { txn: 1, writes });
+        st.apply(&TxnCmd::Commit { txn: 1 });
+        let frame = st.to_frame();
+        let back = TxnState::from_frame(&frame).expect("decodes");
+        assert_eq!(back, st);
+        let in_snapshot = |b: &Bytes| {
+            let p = b.as_ptr();
+            frame
+                .segments()
+                .iter()
+                .any(|s| s.as_ptr_range().contains(&p))
+        };
+        for (key, value) in &back.data {
+            assert!(!in_snapshot(key), "key {key:?} is a copy");
+            if value.len() < 1000 {
+                assert!(!in_snapshot(value), "{key:?}'s value is a copy");
+            }
+        }
+        // A record-sized value is still the one buffer it was committed as.
+        let restored = &back.data[&Bytes::from_static(b"big")];
+        assert_eq!(restored.as_ptr(), big.as_ptr());
     }
 
     #[test]
