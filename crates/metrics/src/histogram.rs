@@ -1,20 +1,32 @@
 //! A log-bucketed latency histogram (HdrHistogram-style, ~3% relative
 //! resolution), generalized from the YCSB client statistics so every
 //! layer of the stack shares one distribution type.
+//!
+//! The buckets are stored by power of two, and a power's block of counts
+//! is allocated the first time a sample lands in it: a histogram is
+//! 368 B, plus 256 B per power it has seen.
 
 use std::time::Duration;
 
 /// Number of linear sub-buckets per power-of-two bucket.
 const SUBS: usize = 32;
-/// Number of power-of-two buckets (covers 1 ns .. ~584 s).
+/// Number of power-of-two buckets. The top one is [2^39, 2^40) ns, about
+/// 550–1 100 s; a larger value lands in its last sub-bucket.
 const POWERS: usize = 40;
+
+/// The counts of one power of two, one per sub-bucket.
+type Block = [u64; SUBS];
 
 /// A log-bucketed histogram of nanosecond values.
 ///
 /// Buckets are powers of two split into 32 linear sub-buckets, giving
-/// roughly 3% relative resolution across twelve decades. Recording is
-/// O(1); quantiles walk the bucket array. Means are exact (computed from
-/// the running total, not the buckets).
+/// roughly 3% relative resolution across twelve decades; below 32 ns
+/// every value has its own bucket. Recording is O(1); quantiles walk the
+/// buckets. Means are exact (computed from the running total, not the
+/// buckets).
+///
+/// Only the powers that hold a sample are allocated, so an idle or
+/// narrow series costs well under 1 KiB, not the 10 KiB of all 40.
 ///
 /// ```
 /// use depfast_metrics::Histogram;
@@ -28,7 +40,7 @@ const POWERS: usize = 40;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    buckets: Vec<u64>,
+    blocks: [Option<Box<Block>>; POWERS],
     count: u64,
     total_nanos: u128,
     max_nanos: u64,
@@ -42,10 +54,10 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Creates an empty histogram.
+    /// Creates an empty histogram. It allocates nothing.
     pub fn new() -> Self {
         Histogram {
-            buckets: vec![0; POWERS * SUBS],
+            blocks: [const { None }; POWERS],
             count: 0,
             total_nanos: 0,
             max_nanos: 0,
@@ -54,26 +66,18 @@ impl Histogram {
     }
 
     fn index(nanos: u64) -> usize {
-        let n = nanos.max(1);
+        let n = nanos.clamp(1, (1 << POWERS) - 1);
         let power = 63 - n.leading_zeros() as usize;
-        let power = power.min(POWERS - 1);
-        let sub = if power == 0 {
-            0
-        } else {
-            // Position within [2^power, 2^(power+1)).
-            ((n >> (power.saturating_sub(5))) as usize) & (SUBS - 1)
-        };
+        // Position within [2^power, 2^(power+1)); one value per sub-bucket
+        // below 2^5.
+        let sub = ((n - (1 << power)) >> power.saturating_sub(5)) as usize;
         power * SUBS + sub
     }
 
     fn bucket_value(index: usize) -> u64 {
         let power = index / SUBS;
         let sub = (index % SUBS) as u64;
-        if power == 0 {
-            1
-        } else {
-            (1u64 << power) + (sub << power.saturating_sub(5))
-        }
+        (1u64 << power) + (sub << power.saturating_sub(5))
     }
 
     /// Records one latency sample.
@@ -83,22 +87,47 @@ impl Histogram {
 
     /// Records one sample given directly in nanoseconds.
     pub fn record_ns(&mut self, nanos: u64) {
-        self.buckets[Self::index(nanos)] += 1;
+        let i = Self::index(nanos);
+        match &mut self.blocks[i / SUBS] {
+            Some(block) => block[i % SUBS] += 1,
+            None => self.first_in(i),
+        }
         self.count += 1;
         self.total_nanos += nanos as u128;
         self.max_nanos = self.max_nanos.max(nanos);
         self.min_nanos = self.min_nanos.min(nanos);
     }
 
+    /// Counts bucket `index` in a power that has no block yet. Out of line,
+    /// so that recording into an allocated power makes no call.
+    #[cold]
+    #[inline(never)]
+    fn first_in(&mut self, index: usize) {
+        let mut block = Box::new([0; SUBS]);
+        block[index % SUBS] = 1;
+        self.blocks[index / SUBS] = Some(block);
+    }
+
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
+        for (mine, theirs) in self.blocks.iter_mut().zip(&other.blocks) {
+            if let Some(theirs) = theirs {
+                let mine = mine.get_or_insert_with(|| Box::new([0; SUBS]));
+                for (a, b) in mine.iter_mut().zip(theirs.iter()) {
+                    *a += b;
+                }
+            }
         }
         self.count += other.count;
         self.total_nanos += other.total_nanos;
         self.max_nanos = self.max_nanos.max(other.max_nanos);
         self.min_nanos = self.min_nanos.min(other.min_nanos);
+    }
+
+    /// Powers of two that hold a block of counts.
+    #[doc(hidden)]
+    pub fn blocks_allocated(&self) -> usize {
+        self.blocks.iter().flatten().count()
     }
 
     /// Samples recorded.
@@ -138,10 +167,13 @@ impl Histogram {
         }
         let target = ((q.clamp(0.0, 1.0)) * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0;
-        for (i, c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Duration::from_nanos(Self::bucket_value(i));
+        for (power, block) in self.blocks.iter().enumerate() {
+            let Some(block) = block else { continue };
+            for (sub, c) in block.iter().enumerate() {
+                seen += c;
+                if seen >= target {
+                    return Duration::from_nanos(Self::bucket_value(power * SUBS + sub));
+                }
             }
         }
         self.max()
@@ -183,9 +215,134 @@ pub struct Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
+    }
+
+    /// The reference: every bucket allocated up front, and the raw samples
+    /// for the exact statistics.
+    struct Dense {
+        buckets: Vec<u64>,
+        samples: Vec<u64>,
+    }
+
+    impl Dense {
+        fn new() -> Self {
+            Dense {
+                buckets: vec![0; POWERS * SUBS],
+                samples: Vec::new(),
+            }
+        }
+
+        fn record_ns(&mut self, n: u64) {
+            self.buckets[Histogram::index(n)] += 1;
+            self.samples.push(n);
+        }
+
+        fn quantile(&self, q: f64) -> Duration {
+            let target = (q * self.samples.len() as f64).ceil().max(1.0) as u64;
+            let mut seen = 0;
+            for (i, c) in self.buckets.iter().enumerate() {
+                seen += c;
+                if seen >= target {
+                    return Duration::from_nanos(Histogram::bucket_value(i));
+                }
+            }
+            unreachable!("the buckets hold every sample")
+        }
+
+        fn assert_matches(&self, h: &Histogram) {
+            let total: u128 = self.samples.iter().map(|&s| s as u128).sum();
+            let n = self.samples.len() as u128;
+            assert_eq!(h.count() as u128, n);
+            assert_eq!(h.total_nanos(), total);
+            assert_eq!(h.mean(), Duration::from_nanos((total / n) as u64));
+            let min = self.samples.iter().min().expect("a sample");
+            let max = self.samples.iter().max().expect("a sample");
+            assert_eq!(h.min(), Duration::from_nanos(*min));
+            assert_eq!(h.max(), Duration::from_nanos(*max));
+            for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
+                assert_eq!(h.quantile(q), self.quantile(q), "quantile {q}");
+            }
+        }
+    }
+
+    /// A value in [2^p, 2^(p+1)) for a power `p` drawn from 0..64, so every
+    /// bucket power and the clamped range above the top one are reached.
+    fn sample() -> impl Strategy<Value = (usize, u64)> {
+        (0usize..64, any::<u64>()).prop_map(|(p, r)| (p, (1u64 << p) + (r & ((1u64 << p) - 1))))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn sparse_agrees_with_dense(samples in prop::collection::vec(sample(), 1..200)) {
+            let mut h = Histogram::new();
+            let mut dense = Dense::new();
+            for &(_, n) in &samples {
+                h.record_ns(n);
+                dense.record_ns(n);
+            }
+            dense.assert_matches(&h);
+        }
+
+        #[test]
+        fn merge_of_disjoint_powers_agrees_with_dense(
+            samples in prop::collection::vec(sample(), 2..200),
+        ) {
+            // Even bucket powers go to `a`, odd ones to `b`.
+            let (mut a, mut b) = (Histogram::new(), Histogram::new());
+            let mut dense = Dense::new();
+            for &(p, n) in &samples {
+                let side = if p.min(POWERS - 1) % 2 == 0 { &mut a } else { &mut b };
+                side.record_ns(n);
+                dense.record_ns(n);
+            }
+            let blocks = a.blocks_allocated() + b.blocks_allocated();
+            a.merge(&b);
+            prop_assert_eq!(a.blocks_allocated(), blocks);
+            dense.assert_matches(&a);
+        }
+    }
+
+    #[test]
+    fn a_block_is_allocated_per_power_seen() {
+        let mut h = Histogram::new();
+        assert_eq!(h.blocks_allocated(), 0);
+        // Three samples in 2^3, two in 2^20, one past the top power.
+        for n in [8, 9, 15, 1 << 20, (1 << 21) - 1, u64::MAX] {
+            h.record_ns(n);
+        }
+        assert_eq!(h.blocks_allocated(), 3);
+        let mut empty = Histogram::new();
+        empty.merge(&Histogram::new());
+        assert_eq!(empty.blocks_allocated(), 0);
+        h.merge(&empty);
+        assert_eq!(h.blocks_allocated(), 3);
+        empty.merge(&h);
+        assert_eq!(empty.blocks_allocated(), 3);
+    }
+
+    #[test]
+    fn every_value_lands_in_the_bucket_that_brackets_it() {
+        let top = (1u64 << POWERS) - 1;
+        for n in (1..4096).chain([top]) {
+            let i = Histogram::index(n);
+            let (lo, hi) = (Histogram::bucket_value(i), Histogram::bucket_value(i + 1));
+            assert!(lo <= n && n < hi, "{n} in [{lo}, {hi})");
+            if n < 32 {
+                assert_eq!(lo, n, "{n} ns must be exact");
+            }
+        }
+        // Zero reads as 1 ns; a value past the top power shares its last
+        // bucket, whose lower edge is still below it.
+        assert_eq!(Histogram::index(0), Histogram::index(1));
+        for n in [1 << POWERS, 1 << (POWERS + 1), u64::MAX] {
+            assert_eq!(Histogram::index(n), Histogram::index(top), "{n}");
+        }
     }
 
     #[test]
@@ -230,9 +387,8 @@ mod tests {
     fn bucket_boundaries_are_exact_at_powers_of_two() {
         // A power of two must land in its own bucket: recording 2^k and
         // querying the max quantile must return exactly 2^k (the bucket's
-        // lower edge). Holds from 2^5 up — below 32 ns the sub-bucket
-        // width rounds up (the scheme's documented coarse floor).
-        for k in 5..34u32 {
+        // lower edge).
+        for k in 0..34u32 {
             let v = 1u64 << k;
             let mut h = Histogram::new();
             h.record_ns(v);
@@ -288,7 +444,11 @@ mod tests {
         h.record(Duration::ZERO);
         h.record(Duration::from_secs(10_000));
         assert_eq!(h.count(), 2);
-        assert!(h.max() >= Duration::from_secs(100));
+        assert_eq!(h.max(), Duration::from_secs(10_000));
+        // Past the top power a value reads as its last bucket, 1 082 s,
+        // not where an unclamped sub-bucket wrapped to (653 s here).
+        let last = (1u64 << 39) + (31 << 34);
+        assert_eq!(h.quantile(1.0), Duration::from_nanos(last));
     }
 
     #[test]

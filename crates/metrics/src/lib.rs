@@ -18,7 +18,10 @@
 //!    deterministic.
 //! 2. **Cheap hot paths.** [`Counter`], [`Gauge`] and [`Histogram`]
 //!    handles are `Rc`-backed and cached by the recording site; updating
-//!    one is a `Cell` store, not a map lookup.
+//!    one is a `Cell` store, not a map lookup. Storage is paid for what
+//!    is recorded: a [`Histogram`] is 368 B, plus 256 B for each power of
+//!    two a sample has landed in, so every node can keep its own
+//!    always-on series.
 //! 3. **Per-node scoping.** One registry serves a whole simulated
 //!    cluster: a [`Key`] is `(name, node, tag)`, and [`NodeScope`] makes
 //!    per-replica recording one call.
