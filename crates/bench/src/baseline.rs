@@ -344,8 +344,8 @@ mod tests {
 
     /// A storm-monitored cell: the mitigated shape (stabilizes, not
     /// sustained) unless doctored otherwise.
-    fn storm_record(scenario: &str) -> ScenarioRecord {
-        let mut r = scenario_record(scenario, "DepFastRaft", true);
+    fn storm_record() -> ScenarioRecord {
+        let mut r = scenario_record("retry-storm", "DepFastRaft", true);
         r.score.tts_ns = Some(800 * MS);
         r.amp = Some(1.5);
         r
@@ -370,7 +370,7 @@ mod tests {
             ]),
             scenario_suite(vec![
                 scenario_record("disk-slow-follower", "d", true),
-                storm_record("retry-storm-budget"),
+                storm_record(),
             ]),
         ]
     }
@@ -554,10 +554,10 @@ mod tests {
 
     #[test]
     fn sustained_storm_flip_fails_the_gate() {
-        let mut flipped = storm_record("retry-storm-budget");
+        let mut flipped = storm_record();
         flipped.score.storm_sustained = true;
         flipped.score.tts_ns = None;
-        let out = compare_scenarios(storm_record("retry-storm-budget"), flipped);
+        let out = compare_scenarios(storm_record(), flipped);
         for what in ["sustained", "no longer stabilizes"] {
             assert!(
                 out.failures.iter().any(|f| f.contains(what)),
@@ -569,9 +569,9 @@ mod tests {
 
     #[test]
     fn doubled_tts_fails_the_gate_but_dissolving_is_a_note() {
-        let mut slower = storm_record("retry-storm-budget");
+        let mut slower = storm_record();
         slower.score.tts_ns = Some(1600 * MS);
-        let out = compare_scenarios(storm_record("retry-storm-budget"), slower);
+        let out = compare_scenarios(storm_record(), slower);
         assert!(!out.passed());
         assert!(
             out.failures.iter().any(|f| f.contains("time-to-stabilize")),
@@ -579,7 +579,7 @@ mod tests {
             out.failures
         );
         // The unmitigated cell learning to stabilize is an improvement.
-        let mut sustained_base = storm_record("retry-storm");
+        let mut sustained_base = storm_record();
         sustained_base.score.storm_sustained = true;
         sustained_base.score.tts_ns = None;
         sustained_base.live = false;

@@ -11,14 +11,14 @@
 //!   blast-radius scorecards of a sharded fleet.
 //! - [`scenario`] — survival: the 8 gray-failure scenarios of
 //!   [`depfast_scenario::catalog`] × all five drivers, plus the
-//!   retry-storm ablation pair of [`storm_catalog`].
+//!   retry-storm cell of [`storm_catalog`].
 
 use std::time::Duration;
 
 use depfast_detect::{DetectorCfg, DetectorMode};
 use depfast_fault::FaultKind;
 use depfast_incident::{render_report, score, IncidentDump, RECOVERY_BAND};
-use depfast_kv::{RetryBudget, RetryPolicy};
+use depfast_kv::RetryPolicy;
 use depfast_raft::cluster::{Placement, RaftKind};
 use depfast_scenario::{CompileError, Scenario};
 
@@ -294,40 +294,32 @@ pub const ALL_DRIVERS: [RaftKind; 5] = [
     RaftKind::Chain,
 ];
 
-/// The fixed retry-storm pair: the same short severe leader fault and
-/// aggressive-timeout client population, with and without a client-side
-/// retry budget (token-bucket admission), so the survival report reads
-/// as an ablation. A storm cell measures how the *client population*
-/// survives: the fault can tip the system into a metastable state where
-/// the retries themselves keep goodput collapsed long after it cleared
-/// — the "Building on Quicksand" feedback loop. No leader mitigation is
-/// armed: the retry budget is the only intervention under test. The
-/// measurement window is long enough to observe the post-clear regime.
+/// The fixed retry-storm cell: a short severe leader fault under a
+/// population of clients with a short attempt deadline. A storm cell
+/// measures how the *client population* survives: the fault can tip the
+/// system into a metastable state where the retries themselves keep
+/// goodput collapsed long after it cleared — the "Building on Quicksand"
+/// feedback loop. No leader mitigation is armed, so the cell shows
+/// whether retries alone outlive their fault. The measurement window is
+/// long enough to observe the post-clear regime.
 pub fn storm_catalog() -> Vec<Run> {
-    let aggressive = RetryPolicy::aggressive(Duration::from_millis(150), 8);
-    let budget = aggressive.with_budget(RetryBudget {
-        rate_per_sec: 4.0,
-        burst: 2.0,
+    let mut run = Run {
+        n_clients: 160,
+        measure: Duration::from_millis(5500),
+        ..episode(RaftKind::DepFast, matrix_detector_cfg())
+    }
+    .with_fault(
+        [0],
+        FaultKind::CpuSlow { quota: 0.02 },
+        Duration::from_millis(2500),
+        Some(Duration::from_secs(1)),
+    );
+    run.fault = "retry-storm".to_string();
+    run.instruments.retry = Some(RetryPolicy {
+        attempt_timeout: Duration::from_millis(150),
+        max_attempts: 8,
     });
-    [("retry-storm", aggressive), ("retry-storm-budget", budget)]
-        .into_iter()
-        .map(|(name, policy)| {
-            let mut run = Run {
-                n_clients: 160,
-                measure: Duration::from_millis(5500),
-                ..episode(RaftKind::DepFast, matrix_detector_cfg())
-            }
-            .with_fault(
-                [0],
-                FaultKind::CpuSlow { quota: 0.02 },
-                Duration::from_millis(2500),
-                Some(Duration::from_secs(1)),
-            );
-            run.fault = name.to_string();
-            run.instruments.retry = Some(policy);
-            run
-        })
-        .collect()
+    vec![run]
 }
 
 /// One scenario × driver cell of the survival matrix, with the incident

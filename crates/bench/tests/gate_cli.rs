@@ -87,12 +87,12 @@ fn detect_suite(ttd_scale: u64, false_positives: u64, misattributions: u64) -> S
 }
 
 /// One storm-monitored survival cell, the shape `gate scenario` emits
-/// for the retry-budget cell.
+/// for the retry-storm cell.
 fn storm_suite(live: bool, sustained: bool, tts_ms: Option<u64>, amp: f64) -> Suite {
     let mut s = Suite::new("scenarios", 20210531);
     s.config("clients", 160.0);
     s.scenarios.push(ScenarioRecord {
-        scenario: "retry-storm-budget".to_string(),
+        scenario: "retry-storm".to_string(),
         driver: "DepFastRaft".to_string(),
         live,
         crashed: false,

@@ -26,10 +26,11 @@ use simkit::{NodeId, SimTime};
 
 /// Ticks of pre-fault goodput averaged into the baseline.
 const BASELINE_TICKS: usize = 5;
-/// Rolling window (in ticks) the storm condition is evaluated over.
-/// Smoothing matters: admission-controlled clients phase-lock on their
-/// token refills, so single ticks alternate between all-attempts and
-/// all-successes — a beat pattern, not a storm.
+/// Rolling window (in ticks) the storm condition is evaluated over. The
+/// window sets when `storm_cleared` fires: a recovery is seen only once
+/// enough healthy ticks have pushed the storm out of it.
+/// `SUSTAIN_TICKS` is sized against that lag, and the pinned
+/// `retry-storm` cell's time-to-stabilize is measured with this window.
 const SMOOTH_TICKS: usize = 5;
 /// Storm requires amplification ≥ this (attempts per fresh op, over the
 /// rolling window) ...
@@ -366,12 +367,11 @@ mod tests {
     }
 
     #[test]
-    fn the_token_bucket_beat_pattern_is_not_a_storm() {
-        // Admission-controlled clients phase-lock on their token refills:
-        // ticks alternate between all-attempts and all-successes. Every
-        // `burst` tick alone meets the storm condition (3 attempts per op,
-        // no goodput); over the rolling window the pair is 1.5 attempts per
-        // op at full goodput.
+    fn a_beat_pattern_is_not_a_storm() {
+        // Clients that move in lockstep can make ticks alternate between
+        // all-attempts and all-successes. Every `burst` tick alone meets
+        // the storm condition (3 attempts per op, no goodput); over the
+        // rolling window the pair is 1.5 attempts per op at full goodput.
         let (burst, drain) = ((300, 100, 0), (0, 100, 200));
         let beat = |seen| {
             [

@@ -9,11 +9,12 @@
 //! The retry loop is where "Building on Quicksand"-style metastability
 //! is born, so it is fully instrumented: every attempt is counted
 //! (`client.attempts`), every retry is attributed to a reason
-//! (`client.retry[timeout|not_leader|error]`), backoff and admission
-//! waits are accounted (`client.backoff_wait`), exhausted operations are
+//! (`client.retry[timeout|not_leader|error]`), exhausted operations are
 //! visible (`client.give_up`), and each attempt opens a [`PhaseSpan`]
-//! blamed on the server it targeted — so a blame report charges
-//! retry/backoff time to the slow component, not to the client.
+//! blamed on the server it targeted — so a blame report charges retry
+//! time to the slow component, not to the client. A retry goes out at
+//! once to the next server: the policy is an attempt deadline and an
+//! attempt cap, with no backoff and no admission control.
 
 use std::cell::Cell;
 use std::time::Duration;
@@ -46,52 +47,18 @@ impl std::fmt::Display for KvError {
 
 impl std::error::Error for KvError {}
 
-/// Wait strategy between retry attempts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Backoff {
-    /// Retry immediately (the historical behavior).
-    None,
-    /// Exponential backoff with seeded jitter: attempt `k` waits a
-    /// uniform draw from `[d/2, d]` where `d = min(cap, base × 2^(k-1))`.
-    /// The draw comes from the world RNG (never the wall clock), so
-    /// same-seed runs back off identically.
-    ExpJitter {
-        /// First-retry backoff ceiling.
-        base: Duration,
-        /// Upper bound on any single backoff.
-        cap: Duration,
-    },
-}
-
-/// Token-bucket admission control over *attempts* (fresh and retried
-/// alike): the client-side retry budget that caps the load a storm of
-/// timeouts can offer the cluster. An attempt consumes one token; tokens
-/// refill at `rate_per_sec` up to `burst`. When the bucket is empty the
-/// attempt waits (virtual time) for the next token — accounted under
-/// `client.backoff_wait` — instead of joining the stampede.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryBudget {
-    /// Sustained attempts per second this session may offer.
-    pub rate_per_sec: f64,
-    /// Bucket capacity (burst allowance), in tokens.
-    pub burst: f64,
-}
-
-/// Retry policy of one client session.
+/// Retry policy of one client session: each attempt waits at most
+/// `attempt_timeout` for its reply, and an operation gives up after
+/// `max_attempts` attempts.
 ///
 /// [`RetryPolicy::default`] reproduces the historical client behavior
-/// byte-for-byte: 1500 ms attempt timeout, 6 attempts, no backoff, no
-/// admission control.
+/// byte-for-byte: 1500 ms attempt timeout, 6 attempts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Per-attempt reply deadline.
     pub attempt_timeout: Duration,
     /// Maximum attempts per operation.
     pub max_attempts: usize,
-    /// Wait strategy between attempts.
-    pub backoff: Backoff,
-    /// Optional token-bucket admission control (retry budget).
-    pub admission: Option<RetryBudget>,
 }
 
 impl Default for RetryPolicy {
@@ -99,35 +66,7 @@ impl Default for RetryPolicy {
         RetryPolicy {
             attempt_timeout: Duration::from_millis(1500),
             max_attempts: 6,
-            backoff: Backoff::None,
-            admission: None,
         }
-    }
-}
-
-impl RetryPolicy {
-    /// An aggressive storm-prone policy: short attempt deadline, a few
-    /// attempts, no backoff. The retry-storm scenario cells use this to
-    /// reproduce metastable timeout storms.
-    pub fn aggressive(attempt_timeout: Duration, max_attempts: usize) -> Self {
-        RetryPolicy {
-            attempt_timeout,
-            max_attempts,
-            backoff: Backoff::None,
-            admission: None,
-        }
-    }
-
-    /// This policy with a token-bucket retry budget attached.
-    pub fn with_budget(mut self, budget: RetryBudget) -> Self {
-        self.admission = Some(budget);
-        self
-    }
-
-    /// This policy with seeded-jitter exponential backoff attached.
-    pub fn with_backoff(mut self, base: Duration, cap: Duration) -> Self {
-        self.backoff = Backoff::ExpJitter { base, cap };
-        self
     }
 }
 
@@ -152,9 +91,6 @@ struct ClientMetrics {
     retry_timeout: Counter,
     retry_not_leader: Counter,
     retry_error: Counter,
-    /// Nanoseconds spent in backoff / admission waits
-    /// (`client.backoff_wait`).
-    backoff_wait: Counter,
     /// Operations that exhausted every attempt (`client.give_up`).
     give_up: Counter,
 }
@@ -173,7 +109,6 @@ impl ClientMetrics {
             retry_timeout: metrics.counter(tagged("timeout")),
             retry_not_leader: metrics.counter(tagged("not_leader")),
             retry_error: metrics.counter(tagged("error")),
-            backoff_wait: metrics.counter(Key::global("client.backoff_wait")),
             give_up: metrics.counter(Key::global("client.give_up")),
         }
     }
@@ -212,11 +147,8 @@ pub struct KvClient {
     method: Method,
     seq: Cell<u64>,
     leader: Cell<Option<NodeId>>,
-    /// Retry policy (attempt deadline, attempt cap, backoff, admission).
+    /// Retry policy (attempt deadline, attempt cap).
     policy: Cell<RetryPolicy>,
-    /// Token-bucket admission state: tokens left, last refill instant.
-    bucket_tokens: Cell<f64>,
-    bucket_refill_at: Cell<simkit::SimTime>,
     metrics: ClientMetrics,
 }
 
@@ -236,8 +168,6 @@ impl KvClient {
             seq: Cell::new(0),
             leader: Cell::new(None),
             policy: Cell::new(RetryPolicy::default()),
-            bucket_tokens: Cell::new(0.0),
-            bucket_refill_at: Cell::new(simkit::SimTime::ZERO),
             metrics,
         }
     }
@@ -259,13 +189,9 @@ impl KvClient {
         self.leader.get()
     }
 
-    /// Replaces the session's retry policy. A new admission budget
-    /// starts full (burst tokens available).
+    /// Replaces the session's retry policy.
     pub fn set_policy(&self, policy: RetryPolicy) {
         self.policy.set(policy);
-        self.bucket_tokens
-            .set(policy.admission.map_or(0.0, |b| b.burst));
-        self.bucket_refill_at.set(self.ep.runtime().now());
     }
 
     /// Inserts or overwrites `key`.
@@ -288,50 +214,6 @@ impl KvClient {
     /// not immediately hammer the same node.
     fn rotate_target(&self, failed: NodeId, rotate: &mut usize) -> NodeId {
         next_rotation(&self.servers, failed, rotate)
-    }
-
-    /// Blocks (virtual time) until the admission bucket grants a token.
-    /// No-op without an admission budget.
-    async fn admit(&self) {
-        let Some(budget) = self.policy.get().admission else {
-            return;
-        };
-        let rt = self.ep.runtime();
-        let now = rt.now();
-        let elapsed = (now - self.bucket_refill_at.get()).as_secs_f64();
-        let tokens = (self.bucket_tokens.get() + elapsed * budget.rate_per_sec).min(budget.burst);
-        self.bucket_refill_at.set(now);
-        if tokens >= 1.0 {
-            self.bucket_tokens.set(tokens - 1.0);
-            return;
-        }
-        let wait = Duration::from_secs_f64((1.0 - tokens) / budget.rate_per_sec);
-        self.metrics.backoff_wait.add(wait.as_nanos() as u64);
-        rt.sleep(wait).await;
-        self.bucket_tokens.set(0.0);
-        self.bucket_refill_at.set(rt.now());
-    }
-
-    /// Waits out the policy's backoff before retry attempt `attempt`
-    /// (1-based count of attempts already made), charging the wait to
-    /// the server that failed.
-    async fn backoff(&self, attempt: usize, blame: NodeId) {
-        let Backoff::ExpJitter { base, cap } = self.policy.get().backoff else {
-            return;
-        };
-        let rt = self.ep.runtime();
-        let exp = base
-            .saturating_mul(1u32 << (attempt - 1).min(16) as u32)
-            .min(cap);
-        let hi = exp.as_nanos() as u64;
-        if hi == 0 {
-            return;
-        }
-        // Seeded jitter: uniform in [d/2, d] from the world RNG.
-        let wait = Duration::from_nanos(rt.rand_range(hi / 2, hi.max(hi / 2 + 1)));
-        self.metrics.backoff_wait.add(wait.as_nanos() as u64);
-        let _span = PhaseSpan::begin_blaming(rt, "client:backoff", blame);
-        rt.sleep(wait).await;
     }
 
     async fn run(&self, op: KvOp, key: Bytes, value: Bytes) -> Result<Option<Bytes>, KvError> {
@@ -368,8 +250,7 @@ impl KvClient {
             .get()
             .unwrap_or_else(|| self.servers[(self.client_id as usize) % self.servers.len()]);
         let mut rotate = 0usize;
-        for attempt in 1..=policy.max_attempts {
-            self.admit().await;
+        for _ in 0..policy.max_attempts {
             self.metrics.attempts.inc();
             let span = PhaseSpan::begin_blaming(self.ep.runtime(), "client:attempt", target);
             let ev = self
@@ -391,13 +272,9 @@ impl KvClient {
                             target = match resp.leader_hint {
                                 Some(h) if NodeId(h) != target => NodeId(h),
                                 _ => {
-                                    // No usable hint: rotate (skipping the
-                                    // server that just rejected us) and
-                                    // back off like any other failure.
-                                    let failed = target;
-                                    let next = self.rotate_target(failed, &mut rotate);
-                                    self.backoff(attempt, failed).await;
-                                    next
+                                    // No usable hint: rotate, skipping the
+                                    // server that just rejected us.
+                                    self.rotate_target(target, &mut rotate)
                                 }
                             };
                             self.leader.set(None);
@@ -407,9 +284,7 @@ impl KvClient {
                             // Leadership churn mid-commit: retry (the
                             // session dedup makes this safe).
                             self.metrics.retry(RetryReason::Error);
-                            let failed = target;
-                            target = self.rotate_target(failed, &mut rotate);
-                            self.backoff(attempt, failed).await;
+                            target = self.rotate_target(target, &mut rotate);
                             continue;
                         }
                     }
@@ -419,9 +294,7 @@ impl KvClient {
             // out — the historical rotation could re-pick it).
             self.metrics.retry(RetryReason::Timeout);
             self.leader.set(None);
-            let failed = target;
-            target = self.rotate_target(failed, &mut rotate);
-            self.backoff(attempt, failed).await;
+            target = self.rotate_target(target, &mut rotate);
         }
         self.metrics.give_up.inc();
         Err(KvError::Timeout)
@@ -474,7 +347,5 @@ mod tests {
         let p = RetryPolicy::default();
         assert_eq!(p.attempt_timeout, Duration::from_millis(1500));
         assert_eq!(p.max_attempts, 6);
-        assert_eq!(p.backoff, Backoff::None);
-        assert_eq!(p.admission, None);
     }
 }

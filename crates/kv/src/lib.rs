@@ -17,7 +17,7 @@ pub mod harness;
 pub mod server;
 pub mod shard;
 
-pub use client::{Backoff, KvClient, KvError, RetryBudget, RetryPolicy};
+pub use client::{KvClient, KvError, RetryPolicy};
 pub use command::{KvOp, KvRequest, KvResponse, KvStatus};
 pub use harness::{KvCluster, ShardedKvCluster};
 pub use server::{KvServer, DEFAULT_SERVE_CPU};

@@ -29,7 +29,7 @@ fn committed_baselines_round_trip_and_self_compare_green() {
     for (name, cells) in [
         ("BENCH_baseline.json", 5),
         ("BENCH_detect_baseline.json", 20),
-        ("BENCH_scenarios_baseline.json", 42),
+        ("BENCH_scenarios_baseline.json", 41),
         // The one with `profile` arrays, `8g9n/g3`-style cluster labels
         // and a crashed cell.
         ("BENCH_fig1.json", 50),
