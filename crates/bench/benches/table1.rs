@@ -12,7 +12,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use depfast_bench::Table;
-use depfast_fault::{inject, FaultKind};
+use depfast_fault::{inject_at, FaultKind};
 use simkit::disk::DiskOp;
 use simkit::{NodeId, Sim, World, WorldCfg};
 
@@ -106,7 +106,9 @@ fn main() {
             FaultKind::NetSlow { delay } => format!("tc netem -> +{}ms egress", delay.as_millis()),
             FaultKind::PartialPartition { .. } => unreachable!("not a Table 1 fault"),
         };
-        let guard = inject(&sim, &world, NODE, kind);
+        // A window for the rest of the row, in force before it measures.
+        inject_at(&sim, &world, NODE, kind, Duration::ZERO, None);
+        sim.run_until_time(sim.now());
         if matches!(kind, FaultKind::MemContention { .. }) {
             // Memory pressure only bites once usage is near the limit.
             world
@@ -125,7 +127,6 @@ fn main() {
             FaultKind::NetSlow { .. } => measure_delay(&sim, &world),
             FaultKind::PartialPartition { .. } => unreachable!("not a Table 1 fault"),
         };
-        guard.revert();
         let inflation = faulty.as_secs_f64() / healthy.as_secs_f64().max(1e-12);
         table.row(vec![
             kind.name().to_string(),

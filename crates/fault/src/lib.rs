@@ -16,13 +16,16 @@
 //! | Memory (contention) | cgroup max user memory | lowered memory limit → swap penalty / OOM on new allocations |
 //! | Network (slow) | `tc` +400 ms on the interface | +400 ms egress delay |
 //!
-//! Injections can additionally be journaled into a per-run
-//! [`FaultLedger`] — the *ground truth* side of the incident timeline:
-//! every [`FaultRecord`] carries exact virtual-clock onset and clear
-//! times, so detector reactions (`depfast-incident`) can be scored
-//! against what actually happened and when.
+//! A fault is a window: [`inject_at`] applies one to a node at a virtual
+//! offset and, given a duration, clears it that much later. Every window
+//! is journaled into a per-run [`FaultLedger`] — the *ground truth* side
+//! of the incident timeline: each [`FaultRecord`] carries exact
+//! virtual-clock onset and clear times, so detector reactions
+//! (`depfast-incident`) can be scored against what actually happened and
+//! when.
 
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -149,14 +152,14 @@ pub struct FaultRecord {
     pub node: NodeId,
     /// The injected fault.
     pub kind: FaultKind,
-    /// The onset `inject_at` planned, if the injection was scheduled
-    /// (`None` for immediate [`inject`]). Normally equals `onset`; they
-    /// diverge only if the scheduler could not run the injection on time.
+    /// The onset the window was scheduled for: equal to `onset` for a
+    /// window armed by [`inject_at_logged`], `None` for a record opened
+    /// with [`FaultLedger::log_onset`].
     pub scheduled: Option<SimTime>,
     /// When the fault actually took effect.
     pub onset: SimTime,
-    /// When the fault was reverted; `None` while it is still active (a
-    /// fault injected for the remainder of a run never clears).
+    /// When the fault was cleared; `None` while it is still active (a
+    /// window without a duration never clears).
     pub cleared: Option<SimTime>,
     /// Injected intensity ([`FaultKind::severity`]).
     pub severity: f64,
@@ -170,12 +173,21 @@ impl FaultRecord {
 }
 
 /// Per-run journal of injected faults (cheap to clone; all clones share
-/// the same record list). This is the ground-truth half of the incident
+/// the same records). This is the ground-truth half of the incident
 /// timeline: reacting layers report [`depfast::HealthEvent`]s, and the
 /// scorecard joins the two.
+///
+/// The ledger also decides which window owns a node's resource knob. A
+/// run arms all its windows into one ledger, and the latest window armed
+/// on a knob owns it: an older window's clear, or its contender loop,
+/// leaves the knob alone. A flapping schedule that re-arms a fault at the
+/// instant the older window clears thus gets adjacent, non-overlapping
+/// records and keeps the new fault active, whichever call runs first.
 #[derive(Clone, Default)]
 pub struct FaultLedger {
     records: Rc<RefCell<Vec<FaultRecord>>>,
+    /// Owner epoch per knob ([`knob`]); the latest claim holds it.
+    owners: Rc<RefCell<HashMap<[u32; 3], u64>>>,
 }
 
 impl FaultLedger {
@@ -213,6 +225,20 @@ impl FaultLedger {
         }
     }
 
+    /// Makes a new window the owner of its knob, returning the epoch that
+    /// names it.
+    fn claim(&self, node: NodeId, kind: FaultKind) -> u64 {
+        let mut owners = self.owners.borrow_mut();
+        let epoch = owners.entry(knob(node, kind)).or_insert(0);
+        *epoch += 1;
+        *epoch
+    }
+
+    /// `true` while no later window has claimed the knob `epoch` owns.
+    fn owns(&self, node: NodeId, kind: FaultKind, epoch: u64) -> bool {
+        self.owners.borrow().get(&knob(node, kind)) == Some(&epoch)
+    }
+
     /// Records an onset that happened outside the injection API (an
     /// externally induced fault a harness still wants in the ground
     /// truth). Returns the record's slot for [`log_clear`].
@@ -244,10 +270,10 @@ impl FaultLedger {
     }
 }
 
-/// The world knob a fault kind owns while active. Two faults of the same
-/// class on the same node contend for one knob (latest injection wins);
-/// partial partitions are per-link, so the peer participates in the key.
-fn knob_key(world: &World, node: NodeId, kind: FaultKind) -> (usize, u32, u8, u32) {
+/// The world knob a fault kind turns. Two windows of one class on one
+/// node contend for one knob; partial partitions are per link, so the
+/// peer is part of the key.
+fn knob(node: NodeId, kind: FaultKind) -> [u32; 3] {
     let (class, param) = match kind {
         FaultKind::CpuSlow { .. } => (0, 0),
         FaultKind::CpuContention { .. } => (1, 0),
@@ -257,169 +283,80 @@ fn knob_key(world: &World, node: NodeId, kind: FaultKind) -> (usize, u32, u8, u3
         FaultKind::NetSlow { .. } => (5, 0),
         FaultKind::PartialPartition { peer } => (6, peer),
     };
-    (world.uid(), node.0, class, param)
+    [node.0, class, param]
 }
 
-thread_local! {
-    /// Current owner epoch per world knob. Sim is single-threaded, so a
-    /// thread-local map is the whole synchronization story. Keyed by
-    /// [`World::uid`]: many worlds in one test process stay independent.
-    static KNOB_OWNERS: RefCell<std::collections::HashMap<(usize, u32, u8, u32), u64>> =
-        RefCell::new(std::collections::HashMap::new());
-}
-
-/// Claims the knob for a new injection, returning the epoch that marks
-/// this injection as the knob's current owner.
-fn claim_knob(world: &World, node: NodeId, kind: FaultKind) -> u64 {
-    KNOB_OWNERS.with(|m| {
-        let mut m = m.borrow_mut();
-        let e = m.entry(knob_key(world, node, kind)).or_insert(0);
-        *e += 1;
-        *e
-    })
-}
-
-/// `true` while `epoch` is still the knob's current owner — i.e. no newer
-/// injection of the same class has re-armed the node since.
-fn owns_knob(world: &World, node: NodeId, kind: FaultKind, epoch: u64) -> bool {
-    KNOB_OWNERS.with(|m| {
-        m.borrow()
-            .get(&knob_key(world, node, kind))
-            .is_some_and(|e| *e == epoch)
-    })
-}
-
-/// Handle to an injected fault. Reverting — explicitly with
-/// [`FaultGuard::revert`] or implicitly by dropping the guard — removes
-/// the fault and stamps the ledger's clear time, so fault durations in
-/// the ledger are exact. Use [`FaultGuard::leak`] to keep a fault active
-/// for the remainder of the run.
-///
-/// Re-injection is safe: each injection claims ownership of its node's
-/// resource knob, and a guard only resets world state it still owns. A
-/// flapping schedule that re-arms a fault at the exact instant an older
-/// window's revert fires gets adjacent, non-overlapping ledger intervals
-/// and keeps the new fault active, regardless of scheduler ordering.
-pub struct FaultGuard {
-    sim: Sim,
-    world: World,
+/// Schedules `kind` on `node` at virtual offset `at`, cleared after
+/// `duration` if one is given.
+pub fn inject_at(
+    sim: &Sim,
+    world: &World,
     node: NodeId,
     kind: FaultKind,
-    epoch: u64,
-    stop: Rc<Cell<bool>>,
-    ledger: Option<(FaultLedger, usize)>,
-    reverted: bool,
+    at: Duration,
+    duration: Option<Duration>,
+) {
+    inject_at_logged(sim, world, node, kind, at, duration, &FaultLedger::new())
 }
 
-impl FaultGuard {
-    /// The afflicted node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The injected fault.
-    pub fn kind(&self) -> FaultKind {
-        self.kind
-    }
-
-    /// Removes the fault (background contenders stop at their next tick)
-    /// and records the clear time in the ledger, if one is attached.
-    /// Dropping the guard does the same; `revert` exists for call sites
-    /// that want the timing explicit.
-    pub fn revert(mut self) {
-        self.undo();
-    }
-
-    /// Leaves the fault active for the remainder of the run: the guard is
-    /// consumed without reverting, and the ledger record (if any) keeps
-    /// `cleared: None` — exactly what a fault that never healed looks
-    /// like in the ground truth.
-    pub fn leak(self) {
-        std::mem::forget(self);
-    }
-
-    fn undo(&mut self) {
-        if std::mem::replace(&mut self.reverted, true) {
-            return;
+/// Like [`inject_at`], journaling the window into `ledger`, which also
+/// owns the knobs the window turns (see [`FaultLedger`]). The record is
+/// opened at onset and, when `duration` is given, stamped with the exact
+/// clear time.
+pub fn inject_at_logged(
+    sim: &Sim,
+    world: &World,
+    node: NodeId,
+    kind: FaultKind,
+    at: Duration,
+    duration: Option<Duration>,
+    ledger: &FaultLedger,
+) {
+    let (sim2, world, ledger) = (sim.clone(), world.clone(), ledger.clone());
+    let onset = sim.now() + at;
+    sim.schedule_call(onset, move || {
+        let clear = arm(&sim2, &world, node, kind, &ledger);
+        if let Some(d) = duration {
+            sim2.schedule_call(onset + d, clear);
         }
-        self.stop.set(true);
-        // Only the knob's current owner may reset world state: if a newer
-        // injection re-armed this node (flapping window k+1 landing at the
-        // same instant as window k's revert), the stale guard must not
-        // stomp the live fault.
-        if owns_knob(&self.world, self.node, self.kind, self.epoch) {
-            match self.kind {
-                FaultKind::CpuSlow { .. } => self.world.set_cpu_quota(self.node, 1.0),
-                FaultKind::CpuContention { .. } => self.world.set_cpu_contention(self.node, None),
-                FaultKind::DiskSlow { .. } => self.world.set_disk_bw_factor(self.node, 1.0),
-                FaultKind::DiskContention { .. } => {}
-                FaultKind::MemContention { .. } => self.world.reset_mem_limit(self.node),
-                FaultKind::NetSlow { .. } => self.world.set_egress_delay(self.node, Duration::ZERO),
-                FaultKind::PartialPartition { peer } => self.world.heal(self.node, NodeId(peer)),
-            }
-        }
-        if let Some((ledger, slot)) = &self.ledger {
-            ledger.close(*slot, self.sim.now());
-        }
-    }
+    });
 }
 
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        self.undo();
-    }
-}
-
-/// Injects `kind` into `node` immediately.
-pub fn inject(sim: &Sim, world: &World, node: NodeId, kind: FaultKind) -> FaultGuard {
-    inject_inner(sim, world, node, kind, None)
-}
-
-/// Like [`inject`], additionally journaling the fault into `ledger`.
-pub fn inject_logged(
+/// Applies `kind` to `node` now and opens its record, returning the
+/// closure that clears the window: it stops the window's contender and
+/// resets the knob if the window still owns it.
+fn arm(
     sim: &Sim,
     world: &World,
     node: NodeId,
     kind: FaultKind,
     ledger: &FaultLedger,
-) -> FaultGuard {
-    inject_inner(sim, world, node, kind, Some((ledger.clone(), None)))
-}
-
-fn inject_inner(
-    sim: &Sim,
-    world: &World,
-    node: NodeId,
-    kind: FaultKind,
-    ledger: Option<(FaultLedger, Option<SimTime>)>,
-) -> FaultGuard {
+) -> impl FnOnce() + 'static {
     let stop = Rc::new(Cell::new(false));
-    let epoch = claim_knob(world, node, kind);
+    let epoch = ledger.claim(node, kind);
     match kind {
         FaultKind::CpuSlow { quota } => world.set_cpu_quota(node, quota),
         FaultKind::CpuContention { share, on, off } => {
-            let w = world.clone();
-            let s = sim.clone();
-            let stop2 = stop.clone();
+            let (w, s, l, stop) = (world.clone(), sim.clone(), ledger.clone(), stop.clone());
             sim.spawn(async move {
                 // The contending program: bursts of activity that squeeze
                 // the victim's share, with gaps in between. Every touch of
                 // the contention knob is ownership-checked: once a newer
-                // injection re-arms the node, this loop exits without
+                // window re-arms the node, this loop exits without
                 // resetting state it no longer owns.
                 loop {
-                    if stop2.get() || w.is_crashed(node) {
-                        if owns_knob(&w, node, kind, epoch) {
+                    if stop.get() || w.is_crashed(node) {
+                        if l.owns(node, kind, epoch) {
                             w.set_cpu_contention(node, None);
                         }
                         break;
                     }
-                    if !owns_knob(&w, node, kind, epoch) {
+                    if !l.owns(node, kind, epoch) {
                         break;
                     }
                     w.set_cpu_contention(node, Some(share));
                     s.sleep(on).await;
-                    if owns_knob(&w, node, kind, epoch) {
+                    if l.owns(node, kind, epoch) {
                         w.set_cpu_contention(node, None);
                     }
                     s.sleep(off).await;
@@ -431,18 +368,16 @@ fn inject_inner(
             write_bytes,
             period,
         } => {
-            let w = world.clone();
-            let s = sim.clone();
-            let stop2 = stop.clone();
+            let (w, s, l, stop) = (world.clone(), sim.clone(), ledger.clone(), stop.clone());
             sim.spawn(async move {
                 // The contending program: a heavy writer submitting bursts
                 // on a fixed schedule, regardless of completion — it can
                 // oversubscribe the shared disk queue, exactly how a
                 // misbehaving neighbour starves foreground fsyncs. The
                 // ownership check stops a stale writer the moment a newer
-                // injection takes over the node's disk queue.
+                // window takes over the node's disk queue.
                 loop {
-                    if stop2.get() || w.is_crashed(node) || !owns_knob(&w, node, kind, epoch) {
+                    if stop.get() || w.is_crashed(node) || !l.owns(node, kind, epoch) {
                         break;
                     }
                     let w2 = w.clone();
@@ -457,72 +392,24 @@ fn inject_inner(
         FaultKind::NetSlow { delay } => world.set_egress_delay(node, delay),
         FaultKind::PartialPartition { peer } => world.partition(node, NodeId(peer)),
     }
-    let ledger = ledger.map(|(l, scheduled)| {
-        let slot = l.open(node, kind, scheduled, sim.now());
-        (l, slot)
-    });
-    FaultGuard {
-        sim: sim.clone(),
-        world: world.clone(),
-        node,
-        kind,
-        epoch,
-        stop,
-        ledger,
-        reverted: false,
-    }
-}
-
-/// Schedules `kind` on `node` at virtual offset `at`, with an optional
-/// automatic revert after `duration`.
-pub fn inject_at(
-    sim: &Sim,
-    world: &World,
-    node: NodeId,
-    kind: FaultKind,
-    at: Duration,
-    duration: Option<Duration>,
-) {
-    inject_at_inner(sim, world, node, kind, at, duration, None)
-}
-
-/// Like [`inject_at`], additionally journaling the fault into `ledger`.
-/// The record carries both the *scheduled* onset (`now + at`, fixed at
-/// scheduling time) and the *actual* onset (stamped when the injection
-/// runs), and — when `duration` is given — the exact clear time.
-pub fn inject_at_logged(
-    sim: &Sim,
-    world: &World,
-    node: NodeId,
-    kind: FaultKind,
-    at: Duration,
-    duration: Option<Duration>,
-    ledger: &FaultLedger,
-) {
-    inject_at_inner(sim, world, node, kind, at, duration, Some(ledger.clone()))
-}
-
-fn inject_at_inner(
-    sim: &Sim,
-    world: &World,
-    node: NodeId,
-    kind: FaultKind,
-    at: Duration,
-    duration: Option<Duration>,
-    ledger: Option<FaultLedger>,
-) {
-    let sim2 = sim.clone();
-    let world2 = world.clone();
-    let when = sim.now() + at;
-    sim.schedule_call(when, move || {
-        let guard = inject_inner(&sim2, &world2, node, kind, ledger.map(|l| (l, Some(when))));
-        if let Some(d) = duration {
-            let until = sim2.now() + d;
-            sim2.schedule_call(until, move || guard.revert());
-        } else {
-            guard.leak();
+    let onset = sim.now();
+    let slot = ledger.open(node, kind, Some(onset), onset);
+    let (sim, world, ledger) = (sim.clone(), world.clone(), ledger.clone());
+    move || {
+        stop.set(true);
+        if ledger.owns(node, kind, epoch) {
+            match kind {
+                FaultKind::CpuSlow { .. } => world.set_cpu_quota(node, 1.0),
+                FaultKind::CpuContention { .. } => world.set_cpu_contention(node, None),
+                FaultKind::DiskSlow { .. } => world.set_disk_bw_factor(node, 1.0),
+                FaultKind::DiskContention { .. } => {}
+                FaultKind::MemContention { .. } => world.reset_mem_limit(node),
+                FaultKind::NetSlow { .. } => world.set_egress_delay(node, Duration::ZERO),
+                FaultKind::PartialPartition { peer } => world.heal(node, NodeId(peer)),
+            }
         }
-    });
+        ledger.close(slot, sim.now());
+    }
 }
 
 #[cfg(test)]
@@ -536,45 +423,41 @@ mod tests {
         (sim, world)
     }
 
+    /// Arms a window on `node` starting now and runs to its onset, so the
+    /// fault is in force when the caller looks.
+    fn arm_now(sim: &Sim, w: &World, node: NodeId, kind: FaultKind, duration: Option<Duration>) {
+        inject_at(sim, w, node, kind, Duration::ZERO, duration);
+        sim.run_until_time(sim.now());
+    }
+
     #[test]
     fn cpu_slow_inflates_service_time_and_reverts() {
         let (sim, w) = setup();
-        let g = inject(&sim, &w, NodeId(0), FaultKind::CpuSlow { quota: 0.05 });
+        let kind = FaultKind::CpuSlow { quota: 0.05 };
+        arm_now(&sim, &w, NodeId(0), kind, Some(Duration::from_millis(10)));
         assert!((w.cpu_rate(NodeId(0)) - 0.05).abs() < 1e-12);
-        g.revert();
+        sim.run_until_time(SimTime::from_millis(10));
         assert!((w.cpu_rate(NodeId(0)) - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn dropping_the_guard_reverts_too() {
+    fn a_window_without_duration_stays_active() {
         let (sim, w) = setup();
-        {
-            let _g = inject(&sim, &w, NodeId(0), FaultKind::CpuSlow { quota: 0.05 });
-            assert!((w.cpu_rate(NodeId(0)) - 0.05).abs() < 1e-12);
-        }
-        assert!((w.cpu_rate(NodeId(0)) - 1.0).abs() < 1e-12, "RAII revert");
-    }
-
-    #[test]
-    fn leak_keeps_the_fault_active() {
-        let (sim, w) = setup();
-        inject(&sim, &w, NodeId(0), FaultKind::CpuSlow { quota: 0.05 }).leak();
+        let kind = FaultKind::CpuSlow { quota: 0.05 };
+        arm_now(&sim, &w, NodeId(0), kind, None);
+        sim.run_until_time(SimTime::from_secs(1));
         assert!((w.cpu_rate(NodeId(0)) - 0.05).abs() < 1e-12);
     }
 
     #[test]
     fn cpu_contention_toggles_share() {
         let (sim, w) = setup();
-        let _g = inject(
-            &sim,
-            &w,
-            NodeId(1),
-            FaultKind::CpuContention {
-                share: 1.0 / 17.0,
-                on: Duration::from_millis(10),
-                off: Duration::from_millis(10),
-            },
-        );
+        let kind = FaultKind::CpuContention {
+            share: 1.0 / 17.0,
+            on: Duration::from_millis(10),
+            off: Duration::from_millis(10),
+        };
+        arm_now(&sim, &w, NodeId(1), kind, None);
         sim.run_until_time(SimTime::from_millis(5));
         assert!(w.cpu_rate(NodeId(1)) < 0.1, "contender active");
         sim.run_until_time(SimTime::from_millis(15));
@@ -596,15 +479,11 @@ mod tests {
                 s2.now() - t0
             })
         };
-        let _g = inject(
-            &sim,
-            &w,
-            NodeId(0),
-            FaultKind::DiskContention {
-                write_bytes: 8 * 1024 * 1024,
-                period: Duration::from_millis(1),
-            },
-        );
+        let kind = FaultKind::DiskContention {
+            write_bytes: 8 * 1024 * 1024,
+            period: Duration::from_millis(1),
+        };
+        arm_now(&sim, &w, NodeId(0), kind, None);
         sim.run_until_time(sim.now() + Duration::from_millis(50));
         let w3 = w.clone();
         let s3 = sim.clone();
@@ -625,30 +504,21 @@ mod tests {
     fn mem_contention_induces_swap_slowdown() {
         let (sim, w) = setup();
         let used = w.mem_used(NodeId(2));
-        let _g = inject(
-            &sim,
-            &w,
-            NodeId(2),
-            FaultKind::MemContention {
-                limit: (used as f64 * 1.05) as u64,
-            },
-        );
+        let kind = FaultKind::MemContention {
+            limit: (used as f64 * 1.05) as u64,
+        };
+        arm_now(&sim, &w, NodeId(2), kind, None);
         assert!(w.mem_slowdown(NodeId(2)) > 1.0);
-        let _ = sim;
     }
 
     #[test]
     fn net_slow_delays_egress_only() {
         let (sim, w) = setup();
-        let _g = inject(
-            &sim,
-            &w,
-            NodeId(1),
-            FaultKind::NetSlow {
-                delay: Duration::from_millis(400),
-            },
-        );
-        let stamps: Rc<std::cell::RefCell<Vec<SimTime>>> = Rc::default();
+        let kind = FaultKind::NetSlow {
+            delay: Duration::from_millis(400),
+        };
+        arm_now(&sim, &w, NodeId(1), kind, None);
+        let stamps: Rc<RefCell<Vec<SimTime>>> = Rc::default();
         let st = stamps.clone();
         let s2 = sim.clone();
         w.register_handler(NodeId(0), move |_| st.borrow_mut().push(s2.now()));
@@ -694,42 +564,27 @@ mod tests {
         let (sim, w) = setup();
         let ledger = FaultLedger::new();
         sim.run_until_time(SimTime::from_millis(10));
-        let g = inject_logged(
+        inject_at_logged(
             &sim,
             &w,
             NodeId(1),
             FaultKind::CpuSlow { quota: 0.05 },
+            Duration::ZERO,
+            Some(Duration::from_millis(25)),
             &ledger,
         );
+        sim.run_until_time(sim.now());
         assert_eq!(ledger.len(), 1);
         let open = &ledger.records()[0];
         assert_eq!(open.node, NodeId(1));
-        assert_eq!(open.scheduled, None);
+        assert_eq!(open.scheduled, Some(SimTime::from_millis(10)));
         assert_eq!(open.onset, SimTime::from_millis(10));
         assert_eq!(open.cleared, None);
         assert!((open.severity - 0.95).abs() < 1e-12);
         sim.run_until_time(SimTime::from_millis(35));
-        g.revert();
         let rec = &ledger.records()[0];
         assert_eq!(rec.cleared, Some(SimTime::from_millis(35)));
         assert_eq!(rec.duration(), Some(Duration::from_millis(25)));
-    }
-
-    #[test]
-    fn guard_drop_records_the_clear_time() {
-        let (sim, w) = setup();
-        let ledger = FaultLedger::new();
-        {
-            let _g = inject_logged(
-                &sim,
-                &w,
-                NodeId(0),
-                FaultKind::CpuSlow { quota: 0.05 },
-                &ledger,
-            );
-            sim.run_until_time(SimTime::from_millis(20));
-        }
-        assert_eq!(ledger.records()[0].cleared, Some(SimTime::from_millis(20)));
     }
 
     #[test]
@@ -805,45 +660,95 @@ mod tests {
     }
 
     #[test]
+    fn a_ramp_hands_the_knob_to_the_latest_window() {
+        // Two adjacent NetSlow windows on node 1, 100 ms then 200 ms. At
+        // 200 ms the second onset runs before the first window's clear,
+        // which no longer owns the egress delay: the 200 ms step holds.
+        let (sim, w) = setup();
+        let ledger = FaultLedger::new();
+        let ms = Duration::from_millis;
+        for (at, delay) in [(100, 100), (200, 200)] {
+            let kind = FaultKind::NetSlow { delay: ms(delay) };
+            inject_at_logged(&sim, &w, NodeId(1), kind, ms(at), Some(ms(100)), &ledger);
+        }
+        // One probe per step, told apart by its length. Probes 1 and 3
+        // share a link, so probe 3 is sent after probe 1 arrives; probe 2
+        // takes the other link, where nothing it would queue behind is
+        // in flight.
+        let arrivals: Rc<RefCell<HashMap<usize, SimTime>>> = Rc::default();
+        for dst in [0, 2] {
+            let (a, s) = (arrivals.clone(), sim.clone());
+            w.register_handler(NodeId(dst), move |m| {
+                a.borrow_mut().insert(m.payload.len(), s.now());
+            });
+        }
+        let mut one_way = Vec::new();
+        for (len, dst, at) in [(1, 0, 150), (2, 2, 250), (3, 0, 300)] {
+            let at = SimTime::from_millis(at);
+            sim.run_until_time(at);
+            w.send(NodeId(1), NodeId(dst), bytes::Bytes::from(vec![0; len]));
+            one_way.push((len, at));
+        }
+        sim.run();
+        let one_way: Vec<Duration> = one_way
+            .into_iter()
+            .map(|(len, at)| arrivals.borrow()[&len] - at)
+            .collect();
+        assert!(one_way[0] >= ms(100) && one_way[0] < ms(150), "{one_way:?}");
+        assert!(
+            one_way[1] >= ms(200) && one_way[1] < ms(250),
+            "the latest window owns the delay at the boundary: {one_way:?}"
+        );
+        assert!(one_way[2] < ms(50), "the last clear resets it: {one_way:?}");
+    }
+
+    #[test]
     fn stale_contention_loop_does_not_stomp_a_reinjection() {
         let (sim, w) = setup();
+        let ledger = FaultLedger::new();
         let kind = FaultKind::CpuContention {
             share: 1.0 / 17.0,
             on: Duration::from_millis(10),
             off: Duration::from_millis(10),
         };
-        let g1 = inject(&sim, &w, NodeId(0), kind);
-        sim.run_until_time(SimTime::from_millis(5));
+        let window = |duration| {
+            inject_at_logged(&sim, &w, NodeId(0), kind, Duration::ZERO, duration, &ledger);
+            sim.run_until_time(sim.now());
+        };
+        window(Some(Duration::from_millis(5)));
+        sim.run_until_time(SimTime::from_millis(4));
         assert!(w.cpu_rate(NodeId(0)) < 0.1, "first burst active");
-        // Revert and immediately re-arm: g1's background loop is still
-        // asleep mid-burst and wakes at 10 ms, inside g2's first burst.
-        g1.revert();
-        let _g2 = inject(&sim, &w, NodeId(0), kind);
+        // Clear at 5 ms and re-arm at once: window 1's background loop is
+        // still asleep mid-burst and wakes at 10 ms, inside window 2's
+        // first burst.
+        sim.run_until_time(SimTime::from_millis(5));
+        window(None);
         sim.run_until_time(SimTime::from_millis(12));
         assert!(
             w.cpu_rate(NodeId(0)) < 0.1,
-            "g2's burst survives g1's stale loop tick; rate {}",
+            "window 2's burst survives window 1's stale loop tick; rate {}",
             w.cpu_rate(NodeId(0))
         );
     }
 
     #[test]
-    fn partial_partition_drops_the_link_and_heals_on_revert() {
+    fn partial_partition_drops_the_link_and_heals_on_clear() {
         let (sim, w) = setup();
-        let hits: Rc<std::cell::RefCell<Vec<u32>>> = Rc::default();
+        let hits: Rc<RefCell<Vec<u32>>> = Rc::default();
         for target in [1u32, 2] {
             let h = hits.clone();
             w.register_handler(NodeId(target), move |_| h.borrow_mut().push(target));
         }
-        let g = inject(&sim, &w, NodeId(0), FaultKind::PartialPartition { peer: 1 });
+        let kind = FaultKind::PartialPartition { peer: 1 };
+        arm_now(&sim, &w, NodeId(0), kind, Some(Duration::from_millis(100)));
         w.send(NodeId(0), NodeId(1), bytes::Bytes::from_static(b"x"));
         w.send(NodeId(0), NodeId(2), bytes::Bytes::from_static(b"y"));
-        sim.run();
+        sim.run_until_time(SimTime::from_millis(50));
         assert_eq!(*hits.borrow(), vec![2], "0↔1 severed, 0↔2 alive");
-        g.revert();
+        sim.run_until_time(SimTime::from_millis(100));
         w.send(NodeId(0), NodeId(1), bytes::Bytes::from_static(b"z"));
         sim.run();
-        assert_eq!(*hits.borrow(), vec![2, 1], "link heals on revert");
+        assert_eq!(*hits.borrow(), vec![2, 1], "link heals on clear");
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub enum Schedule {
     },
     /// Periodic on/off windows: active for `period × duty` at the start
     /// of each period, from `at` until `until`. `duty = 1.0` produces
-    /// back-to-back windows — the `FaultGuard` re-injection stress case.
+    /// back-to-back windows — the case for the `FaultLedger`'s knob
+    /// ownership.
     Flapping {
         /// First onset.
         at: Duration,

@@ -293,16 +293,6 @@ impl Sim {
         self.core.borrow_mut().rng.random()
     }
 
-    /// Draws a random value in `[lo, hi)` from the seeded stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn rand_range(&self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "rand_range requires lo < hi");
-        self.core.borrow_mut().rng.random_range(lo..hi)
-    }
-
     /// Runs `f` with mutable access to the seeded RNG.
     pub fn with_rng<T>(&self, f: impl FnOnce(&mut SmallRng) -> T) -> T {
         f(&mut self.core.borrow_mut().rng)

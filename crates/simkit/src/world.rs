@@ -208,13 +208,6 @@ impl World {
         &self.sim
     }
 
-    /// A token identifying this world instance: clones share it, distinct
-    /// worlds differ. Layers that keep per-world side state (e.g. the
-    /// fault injector's ownership of resource knobs) key it by this.
-    pub fn uid(&self) -> usize {
-        Rc::as_ptr(&self.inner) as usize
-    }
-
     /// The cluster-shared metric registry. Every resource interaction on
     /// this world records into it under `sim.*` names; higher layers
     /// (RPC, the event runtime, Raft drivers) adopt the same registry so
