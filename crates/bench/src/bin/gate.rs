@@ -17,21 +17,19 @@
 //! | `scenario` | survival verdicts | `BENCH_scenarios_baseline.json` | `BENCH_scenarios.json` |
 //!
 //! The subcommand picks only which live suite runs (see
-//! [`depfast_bench::suites`]) and the default file names: every suite
-//! file is diffed by the same [`compare`] over every section it
-//! carries, so a detect artifact fed to `gate bench` is held to the
-//! detection bands too. Runs are deterministic, so a diff only moves
-//! when code behavior moves. Exit codes: 0 pass, 1 regression (or a live
-//! run that lost health events), 2 usage/IO error.
+//! [`depfast_bench::suites`]) and the default file names. The rule is
+//! one for every suite file: it passes when it is its baseline, byte for
+//! byte. Runs are deterministic, so a fresh suite only differs when code
+//! behavior moved, and every [`Suite::diff`] line — a moved column, a
+//! missing or new cell — fails until the move is explained and re-pinned
+//! with `--write-baseline` in the same commit. Exit codes: 0 pass, 1 a
+//! difference (or a live run that lost health events), 2 usage/IO error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use depfast_bench::baseline::{
-    compare, load_suite, P99_RISE, THROUGHPUT_DROP, TIME_RISE, TIME_SLACK_MS,
-};
-use depfast_bench::repo_root;
 use depfast_bench::suites::{self, Live};
+use depfast_bench::{repo_root, Suite};
 
 const USAGE: &str = "usage: gate <bench|detect|scenario> [--write-baseline] [--current <file>] \
                      [--baseline <file>] [--out <file>] [--report]";
@@ -79,9 +77,9 @@ struct Cli {
     out: Option<PathBuf>,
 }
 
-/// Strict: an unknown suite or flag, or a flag missing its value, is an
-/// error — a typo must never silently become a live run that overwrites
-/// the repo-root artifact.
+/// Strict: an unknown suite or flag, a flag missing its value, or two
+/// flags of which one would be ignored is an error — a typo must never
+/// silently become a live run that overwrites the repo-root artifact.
 fn parse(args: &[String]) -> Result<Cli, String> {
     let mut args = args.iter();
     let name = args.next().ok_or("no suite named")?;
@@ -117,6 +115,19 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             _ => return Err(format!("{arg} needs a value")),
         }
     }
+    // Any two make one meaningless: `--current` skips the live run, and
+    // `--write-baseline` writes it where `--baseline`, not `--out`, says.
+    let chosen: Vec<&str> = [
+        ("--current", cli.current.is_some()),
+        ("--write-baseline", cli.write_baseline),
+        ("--out", cli.out.is_some()),
+    ]
+    .into_iter()
+    .filter_map(|(flag, set)| set.then_some(flag))
+    .collect();
+    if let [a, b, ..] = chosen[..] {
+        return Err(format!("{a} and {b} exclude each other"));
+    }
     Ok(cli)
 }
 
@@ -151,11 +162,11 @@ fn main() -> ExitCode {
     }
 
     let current = match &cli.current {
-        Some(path) if !cli.write_baseline => match load_suite(path) {
+        Some(path) => match Suite::load(path) {
             Ok(s) => s,
             Err(e) => return setup_error(e),
         },
-        _ => {
+        None => {
             let live = match (cli.suite.live)(cli.report) {
                 Ok(live) => live,
                 Err(e) => return setup_error(e),
@@ -188,7 +199,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline = match load_suite(&baseline_path) {
+    let baseline = match Suite::load(&baseline_path) {
         Ok(s) => s,
         Err(e) => {
             return setup_error(format!(
@@ -198,30 +209,25 @@ fn main() -> ExitCode {
         }
     };
 
-    let outcome = compare(&baseline, &current);
+    let differences = baseline.diff(&current);
     println!(
-        "{tag} {} cell(s) checked against {} (throughput −{:.0}%, p99 +{:.0}%, \
-         time-to-detect/stabilize +{:.0}% +{:.0}ms; liveness, crashes, detection and \
-         FP/FN/misattribution counts exact)",
-        outcome.checked,
-        baseline_path.display(),
-        THROUGHPUT_DROP * 100.0,
-        P99_RISE * 100.0,
-        TIME_RISE * 100.0,
-        TIME_SLACK_MS
+        "{tag} {} cell(s) checked against {} (a pass is the baseline, byte for byte)",
+        current.cells(),
+        baseline_path.display()
     );
     print!("{}", current.render_cells());
-    for note in &outcome.notes {
-        println!("  note: {note}");
-    }
-    if outcome.passed() {
+    if differences.is_empty() {
         println!("{tag} PASS");
-        ExitCode::SUCCESS
-    } else {
-        for failure in &outcome.failures {
-            println!("  FAIL: {failure}");
-        }
-        println!("{tag} FAIL ({} regression(s))", outcome.failures.len());
-        ExitCode::FAILURE
+        return ExitCode::SUCCESS;
     }
+    for line in &differences {
+        println!("  FAIL: {line}");
+    }
+    println!(
+        "{tag} FAIL ({} difference(s)); once each is explained, re-pin with \
+         `cargo run --release -p depfast-bench --bin gate -- {} --write-baseline`",
+        differences.len(),
+        cli.suite.name
+    );
+    ExitCode::FAILURE
 }

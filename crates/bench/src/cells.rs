@@ -12,8 +12,11 @@
 //! how it prints is decided here and nowhere else: each section states
 //! its columns once (`Cell::columns` — JSON key, table header, the field
 //! and how it is stored), and [`Suite::to_json`], the strict
-//! [`Suite::parse`] and every table a cell is printed in walk that
-//! list. What fails the gate is policy, not format: [`crate::baseline`].
+//! [`Suite::parse`], [`Suite::diff`] and every table a cell is printed
+//! in walk that list. The gate's one rule is [`Suite::diff`]: a fresh
+//! suite passes when it is its baseline, byte for byte.
+
+use std::path::Path;
 
 use crate::json::Json;
 use crate::report::Table;
@@ -78,7 +81,7 @@ fn round4(v: f64) -> f64 {
 }
 
 /// Nanoseconds as milliseconds.
-pub(crate) fn ms(ns: u64) -> f64 {
+fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
@@ -439,6 +442,71 @@ fn section_from_json<C: Cell>(v: &Json) -> Result<Vec<C>, String> {
     Ok(cells)
 }
 
+/// Each cell's key and how many earlier cells of the list hold it: a
+/// baseline cell pairs with the current cell of the same key and count,
+/// so a second holder of a key is a cell of its own, never looked past.
+fn keyed<C: Cell>(cells: &[C]) -> Vec<(String, usize)> {
+    let mut keyed: Vec<(String, usize)> = Vec::new();
+    for cell in cells {
+        let key = cell.key();
+        let held = keyed.iter().filter(|(k, _)| *k == key).count();
+        keyed.push((key, held));
+    }
+    keyed
+}
+
+/// A written value as the diff shows it: on one line, `absent` when the
+/// column is omitted.
+fn shown(text: Option<&str>) -> String {
+    text.map_or("absent".to_string(), |t| {
+        t.split_whitespace().collect::<Vec<_>>().join(" ")
+    })
+}
+
+/// One section's share of [`Suite::diff`]: a cell missing or new (a
+/// second holder of a key is a duplicate), the paired cells out of
+/// order, and every column whose written value differs within a pair.
+fn section_diff<C: Cell>(base: &[C], cur: &[C], out: &mut Vec<String>) {
+    let section = C::SECTION;
+    let (base_ids, cur_ids) = (keyed(base), keyed(cur));
+    let cell = |held: usize| if held == 0 { "cell" } else { "duplicate cell" };
+    for (b, id @ (key, held)) in base.iter().zip(&base_ids) {
+        let Some(at) = cur_ids.iter().position(|c| c == id) else {
+            out.push(format!(
+                "[{key}] {} missing from the current suite's {section:?}",
+                cell(*held)
+            ));
+            continue;
+        };
+        let (mut b, mut c) = (b.clone(), cur[at].clone());
+        for (b, c) in b.columns().iter().zip(c.columns().iter()) {
+            let (was, is) = (b.write().map(|v| v.pretty()), c.write().map(|v| v.pretty()));
+            if was != is {
+                out.push(format!(
+                    "[{key}] {}: {} → {}",
+                    b.key,
+                    shown(was.as_deref()),
+                    shown(is.as_deref())
+                ));
+            }
+        }
+    }
+    for (key, held) in cur_ids.iter().filter(|id| !base_ids.contains(id)) {
+        out.push(format!(
+            "[{key}] new {} in the current suite's {section:?}",
+            cell(*held)
+        ));
+    }
+    let in_base = base_ids.iter().filter(|id| cur_ids.contains(id));
+    let in_cur = cur_ids.iter().filter(|id| base_ids.contains(id));
+    if let Some((b, c)) = in_base.zip(in_cur).find(|(b, c)| b != c) {
+        out.push(format!(
+            "[{}] out of order in the current suite's {section:?}: the baseline has [{}] there",
+            c.0, b.0
+        ));
+    }
+}
+
 /// The cells as a table, one column per entry of the section's column
 /// list. A column that is absent in every row is dropped — the storm
 /// columns outside storm tables, an all-empty label; one absent in some
@@ -481,17 +549,26 @@ impl Suite {
         self.runs.len() + self.detect.len() + self.scenarios.len()
     }
 
-    /// Serializes the suite (deterministic bytes for identical content).
-    pub fn to_json(&self) -> String {
-        let mut o = Json::obj();
-        o.set("schema", Json::Str(SCHEMA.to_string()));
-        o.set("suite", Json::Str(self.suite.clone()));
-        o.set("seed", Json::Num(self.seed as f64));
+    /// The provenance fields, as written after the schema.
+    fn provenance(&self) -> [(&'static str, Json); 3] {
         let mut cfg = Json::obj();
         for (k, v) in &self.config {
             cfg.set(k, Json::Num(*v));
         }
-        o.set("config", cfg);
+        [
+            ("suite", Json::Str(self.suite.clone())),
+            ("seed", Json::Num(self.seed as f64)),
+            ("config", cfg),
+        ]
+    }
+
+    /// Serializes the suite (deterministic bytes for identical content).
+    pub fn to_json(&self) -> String {
+        let mut o = Json::obj();
+        o.set("schema", Json::Str(SCHEMA.to_string()));
+        for (key, value) in self.provenance() {
+            o.set(key, value);
+        }
         o.set(RunRecord::SECTION, section_to_json(&self.runs));
         if !self.detect.is_empty() {
             o.set(DetectRecord::SECTION, section_to_json(&self.detect));
@@ -529,6 +606,36 @@ impl Suite {
             detect: section_from_json(&v)?,
             scenarios: section_from_json(&v)?,
         })
+    }
+
+    /// Reads and parses a suite file.
+    pub fn load(path: &Path) -> Result<Suite, String> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        Suite::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    }
+
+    /// Every way `current` differs from `self` as a baseline, one line
+    /// each: a provenance field (suite, seed, config); a cell missing,
+    /// new, duplicated or out of order; `[key] column: base → cur` for
+    /// each column whose written value moved. Empty exactly when
+    /// `self.to_json() == current.to_json()` — the gate's one rule.
+    pub fn diff(&self, current: &Suite) -> Vec<String> {
+        let mut out = Vec::new();
+        for ((key, was), (_, is)) in self.provenance().into_iter().zip(current.provenance()) {
+            let (was, is) = (was.pretty(), is.pretty());
+            if was != is {
+                out.push(format!(
+                    "{key}: {} → {}",
+                    shown(Some(&was)),
+                    shown(Some(&is))
+                ));
+            }
+        }
+        section_diff(&self.runs, &current.runs, &mut out);
+        section_diff(&self.detect, &current.detect, &mut out);
+        section_diff(&self.scenarios, &current.scenarios, &mut out);
+        out
     }
 
     /// Every cell, one table per nonempty section: what the gate prints
@@ -603,5 +710,250 @@ mod tests {
         assert_eq!(cells(lines[3])[at("Storm")], "false");
         // …except what no row holds: this storm never dissolved.
         assert!(!header.contains(&"TTS (ms)".to_string()), "{text}");
+    }
+
+    fn record(driver: &str, fault: &str, tput: f64, p99: f64) -> RunRecord {
+        RunRecord {
+            driver: driver.into(),
+            fault: fault.into(),
+            cluster: String::new(),
+            ops: (tput * 2.0) as u64,
+            throughput: tput,
+            mean_ms: p99 / 2.0,
+            p50_ms: p99 / 4.0,
+            p99_ms: p99,
+            crashed: false,
+            drift: 1.0,
+            profile: vec![("cpu".into(), 1_000_000), ("disk:device".into(), 2_000_000)],
+        }
+    }
+
+    fn suite(runs: Vec<RunRecord>) -> Suite {
+        let mut s = Suite::new("gate", 7);
+        s.config("clients", 64.0);
+        s.runs = runs;
+        s
+    }
+
+    const MS: u64 = 1_000_000;
+
+    fn quality(ttd_ms: Option<u64>) -> ScoreCell {
+        ScoreCell {
+            detected: ttd_ms.is_some(),
+            ttd_ns: ttd_ms.map(|v| v * MS),
+            ttm_ns: ttd_ms.map(|v| (v + 50) * MS),
+            ttr_ns: ttd_ms.map(|v| (v + 500) * MS),
+            ..ScoreCell::default()
+        }
+    }
+
+    fn detect_record(driver: &str, fault: &str, ttd_ms: Option<u64>) -> DetectRecord {
+        DetectRecord {
+            driver: driver.into(),
+            fault: fault.into(),
+            cluster: "3x64".into(),
+            score: quality(ttd_ms),
+        }
+    }
+
+    fn detect_suite(detect: Vec<DetectRecord>) -> Suite {
+        let mut s = Suite::new("detect", 7);
+        s.detect = detect;
+        s
+    }
+
+    fn scenario_record(scenario: &str, driver: &str, live: bool) -> ScenarioRecord {
+        ScenarioRecord {
+            scenario: scenario.into(),
+            driver: driver.into(),
+            live,
+            crashed: false,
+            throughput: 3000.0,
+            floor: 800.0,
+            p99_ms: 25.0,
+            stall_ms: 200.0,
+            score: quality(Some(400)),
+            amp: None,
+        }
+    }
+
+    /// A storm-monitored cell of the mitigated shape: it stabilizes and
+    /// is not sustained.
+    fn storm_record() -> ScenarioRecord {
+        let mut r = scenario_record("retry-storm", "DepFastRaft", true);
+        r.score.tts_ns = Some(800 * MS);
+        r.amp = Some(1.5);
+        r
+    }
+
+    fn scenario_suite(scenarios: Vec<ScenarioRecord>) -> Suite {
+        let mut s = Suite::new("scenarios", 7);
+        s.scenarios = scenarios;
+        s
+    }
+
+    /// One two-cell suite per section, for the section-generic walk.
+    fn one_of_each() -> [Suite; 3] {
+        [
+            suite(vec![
+                record("d", "none", 5000.0, 8.0),
+                record("d", "disk_slow", 4000.0, 10.0),
+            ]),
+            detect_suite(vec![
+                detect_record("d", "Disk Slowness", Some(400)),
+                detect_record("d", "none", None),
+            ]),
+            scenario_suite(vec![
+                scenario_record("disk-slow-follower", "d", true),
+                storm_record(),
+            ]),
+        ]
+    }
+
+    fn drop_last(mut s: Suite) -> Suite {
+        let _ = s.runs.pop().is_some() || s.detect.pop().is_some() || s.scenarios.pop().is_some();
+        s
+    }
+
+    #[test]
+    fn every_section_round_trips_and_a_missing_or_new_cell_is_a_difference() {
+        for s in one_of_each() {
+            let text = s.to_json();
+            assert_eq!(text, s.to_json(), "serialization must be deterministic");
+            let back = Suite::parse(&text).unwrap();
+            assert_eq!(back, s);
+            assert_eq!(back.to_json(), text);
+            assert_eq!(s.diff(&back), Vec::<String>::new());
+
+            let short = drop_last(s.clone());
+            assert_eq!(short.cells(), 1, "{}", s.suite);
+            let missing = s.diff(&short);
+            assert_eq!(missing.len(), 1, "{missing:?}");
+            assert!(missing[0].contains("cell missing"), "{missing:?}");
+            // A new cell fails too: the baseline is re-pinned to hold it.
+            let new = short.diff(&s);
+            assert_eq!(new.len(), 1, "{new:?}");
+            assert!(new[0].contains("new cell"), "{new:?}");
+        }
+    }
+
+    #[test]
+    fn provenance_and_cell_order_are_differences() {
+        let [base, ..] = one_of_each();
+        let mut swapped = base.clone();
+        swapped.runs.reverse();
+        assert_eq!(
+            base.diff(&swapped),
+            [
+                "[d |  | disk_slow] out of order in the current suite's \"runs\": \
+                 the baseline has [d |  | none] there"
+            ]
+        );
+        let mut other = base.clone();
+        other.seed = 8;
+        other.config[0].1 = 32.0;
+        assert_eq!(
+            base.diff(&other),
+            [
+                "seed: 7 → 8",
+                "config: { \"clients\": 64 } → { \"clients\": 32 }"
+            ]
+        );
+    }
+
+    /// Moves the field behind `slot`: an optional time appears or
+    /// disappears, any other value changes.
+    fn doctor(slot: Slot) {
+        match slot {
+            Text(s) => s.push('x'),
+            Flag(b) => *b = !*b,
+            Count(n) => *n += 1,
+            Num(v, ..) => *v += 1.0,
+            OptNum(v, ..) => *v = Some(v.unwrap_or(0.0) + 1.0),
+            Ms(ns) => *ns = if ns.is_some() { None } else { Some(5 * MS) },
+            Sites(sites) => sites.push(("cpu".into(), 1)),
+        }
+    }
+
+    /// Doctors each column of `sample` alone and diffs the one-cell
+    /// suite `wrap` makes of it against the undoctored one: exactly one
+    /// line, naming the cell and the column. Returns the columns
+    /// doctored — all but the labels, which make up the key (a renamed
+    /// cell is a missing one plus a new one), and an optional part the
+    /// sample lacks.
+    fn doctor_each<C: Cell>(sample: C, wrap: fn(Vec<C>) -> Suite) -> Vec<&'static str> {
+        let (base, key) = (wrap(vec![sample.clone()]), sample.key());
+        let mut doctored = Vec::new();
+        for i in 0..sample.clone().columns().len() {
+            let mut cell = sample.clone();
+            let column = cell.columns().swap_remove(i);
+            if matches!(column.slot, Text(_)) || !column.present {
+                continue;
+            }
+            let name = column.key;
+            doctor(column.slot);
+            let lines = base.diff(&wrap(vec![cell]));
+            assert_eq!(lines.len(), 1, "{name}: {lines:?}");
+            let head = format!("[{key}] {name}: ");
+            assert!(lines[0].starts_with(&head), "{name}: {lines:?}");
+            doctored.push(name);
+        }
+        doctored
+    }
+
+    #[test]
+    fn each_column_moved_alone_is_one_difference_naming_its_cell_and_column() {
+        let runs = doctor_each(record("d", "none", 5000.0, 8.0), suite);
+        let all = "ops throughput mean_ms p50_ms p99_ms crashed drift profile";
+        assert_eq!(runs.join(" "), all);
+        let scorecard =
+            "detected ttd_ms ttm_ms ttr_ms false_positives false_negatives misattributions";
+        // No TTM: that optional column appears, TTD disappears.
+        let mut detect = detect_record("d", "Disk Slowness", Some(400));
+        detect.score.ttm_ns = None;
+        assert_eq!(doctor_each(detect, detect_suite).join(" "), scorecard);
+        let mut storm = storm_record();
+        storm.score.ttm_ns = None;
+        let scenarios = doctor_each(storm, scenario_suite).join(" ");
+        let all = format!(
+            "live crashed throughput floor p99_ms stall_ms {scorecard} tts_ms storm_sustained amp"
+        );
+        assert_eq!(scenarios, all);
+
+        // No move is too small to be a difference.
+        let base = record("d", "none", 5000.0, 8.0);
+        let mut moved = base.clone();
+        moved.throughput *= 1.01;
+        assert_eq!(
+            suite(vec![base]).diff(&suite(vec![moved])),
+            ["[d |  | none] throughput: 5000 → 5050"]
+        );
+    }
+
+    #[test]
+    fn rounding_happens_at_serialization_and_optional_parts_stay_absent() {
+        // A parse → serialize cycle is idempotent even for values with
+        // more precision than stored.
+        let mut ragged = suite(vec![record("DepFastRaft", "none", 5000.0, 8.0)]);
+        ragged.runs[0].mean_ms = 2.0 / 3.0;
+        let text = ragged.to_json();
+        assert_eq!(Suite::parse(&text).unwrap().to_json(), text);
+        // A pure perf suite carries no other section's array.
+        assert!(!text.contains("detect") && !text.contains("scenarios"));
+        // Absent optional times stay absent, and storm keys appear only
+        // on storm-monitored cells.
+        let [_, detect, scenarios] = one_of_each();
+        let back = Suite::parse(&detect.to_json()).unwrap();
+        assert!(back.detect[1].score.ttd_ns.is_none());
+        let text = scenarios.to_json();
+        assert_eq!(text.matches("storm_sustained").count(), 1);
+        assert_eq!(text.matches("tts_ms").count(), 1);
+        assert_eq!(text.matches("\"amp\"").count(), 1);
+    }
+
+    #[test]
+    fn parse_rejects_foreign_json() {
+        assert!(Suite::parse("{\"schema\": \"other/v9\"}").is_err());
+        assert!(Suite::parse("[1,2,3]").is_err());
     }
 }

@@ -366,8 +366,6 @@ impl Run {
             faults: ledger.records(),
             storm: monitor.map_or_else(Vec::new, |m| m.series()),
             metrics,
-            sim,
-            world,
         }
     }
 }
@@ -452,10 +450,6 @@ pub struct RunReport {
     /// The storm monitor's per-tick amplification series (empty without
     /// a retry policy).
     pub storm: Vec<AmpSample>,
-    /// The simulation, for post-run inspection (executor counters).
-    pub sim: Sim,
-    /// The world, for post-run inspection (per-node resource state).
-    pub world: World,
 }
 
 impl RunReport {

@@ -20,11 +20,11 @@
 //! it, the `depfast-inspect` binary renders it); the fixed-seed
 //! [`suites`] are lists of `Run`s rolled into a [`Suite`] of cells
 //! ([`cells`]: the one place that knows the `BENCH_*.json` format), and
-//! the `gate` binary (`gate bench | detect | scenario`) diffs a fresh
-//! suite against its committed baseline ([`baseline`]).
+//! the `gate` binary (`gate bench | detect | scenario`) passes a fresh
+//! suite only when [`Suite::diff`] finds nothing between it and its
+//! committed baseline.
 
 pub mod artifact;
-pub mod baseline;
 pub mod cells;
 pub mod experiment;
 pub mod json;
@@ -32,7 +32,6 @@ pub mod report;
 pub mod suites;
 
 pub use artifact::Artifact;
-pub use baseline::{compare, GateOutcome};
 pub use cells::{DetectRecord, RunRecord, ScenarioRecord, Suite};
 pub use depfast_raft::cluster::Placement;
 pub use experiment::{striped, Instruments, Run, RunReport, SAMPLE_EVERY};

@@ -22,7 +22,6 @@ use depfast_kv::RetryPolicy;
 use depfast_raft::cluster::{Placement, RaftKind};
 use depfast_scenario::{CompileError, Scenario};
 
-use crate::baseline::health_loss;
 use crate::cells::{DetectRecord, ScenarioRecord, Suite};
 use crate::experiment::{striped, Instruments, Run, RunReport};
 
@@ -70,8 +69,20 @@ pub fn matrix_detector_cfg() -> DetectorCfg {
     }
 }
 
+/// The one rule for loss: a dump whose health timeline was truncated at
+/// the tracer's capacity cap under-counts reactions, so a gate run that
+/// produced one fails rather than warns. Returns the failure line.
+fn health_loss(dump: &IncidentDump) -> Option<String> {
+    (dump.health_dropped > 0).then(|| {
+        format!(
+            "[{} | {} | {}] {} health event(s) dropped at the tracer capacity cap — its scorecard under-counts reactions",
+            dump.driver, dump.cluster, dump.fault, dump.health_dropped
+        )
+    })
+}
+
 /// What a live suite run produced: the suite, and one failure line per
-/// incident dump that lost health events ([`health_loss`]).
+/// incident dump that lost health events (`health_loss`).
 pub struct Live {
     /// The fresh suite.
     pub suite: Suite,
@@ -383,4 +394,32 @@ pub fn scenario(report: bool) -> Result<Live, String> {
         }
     }
     Ok(live)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_dump_that_lost_health_events_fails_the_gate_by_name() {
+        let mut dump = IncidentDump {
+            driver: "DepFastRaft".into(),
+            fault: "Disk Slowness".into(),
+            cluster: "3x64".into(),
+            seed: 7,
+            faults: Vec::new(),
+            events: Vec::new(),
+            throughput: Vec::new(),
+            end_ns: 0,
+            health_dropped: 0,
+        };
+        assert_eq!(health_loss(&dump), None);
+        dump.health_dropped = 7;
+        let line = health_loss(&dump).expect("a lossy dump must fail");
+        assert!(
+            line.contains("DepFastRaft | 3x64 | Disk Slowness"),
+            "{line}"
+        );
+        assert!(line.contains("7 health event(s) dropped"), "{line}");
+    }
 }

@@ -1,13 +1,13 @@
 //! End-to-end acceptance for the one `gate` binary: fed two suite
-//! files, it must exit 0 when the current suite matches the baseline
-//! and exit 1 — naming the regressed metric — on every doctored
-//! regression: a 10% throughput drop, a 2× time-to-detect, a new false
-//! positive, a new misattribution, a liveness flip, a sustained-storm
-//! flip, a 2× time-to-stabilize. This is the same code path CI runs —
-//! the only difference there is that the current suite comes from a live
-//! fixed-seed run instead of a file. Setup mistakes (missing baseline,
-//! unknown or incomplete flags, a filtered `--write-baseline`) are
-//! exit 2 and never start a live run.
+//! files, it must exit 0 when the current suite is the baseline and
+//! exit 1 — naming the moved column — on every doctored move, whichever
+//! way it points: a 1 % or a 10 % throughput move, a 2× time-to-detect,
+//! a new false positive, a new misattribution, a liveness flip, a
+//! sustained-storm flip, a 2× time-to-stabilize. This is the same code
+//! path CI runs — the only difference there is that the current suite
+//! comes from a live fixed-seed run instead of a file. Setup mistakes
+//! (missing baseline, unknown, incomplete or conflicting flags, a
+//! filtered `--write-baseline`) are exit 2 and never start a live run.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -165,41 +165,49 @@ fn identical_suites_pass_every_subcommand() {
     }
 }
 
-/// Every doctored regression drives the real binary to exit 1, and the
-/// failure report names the regressed metric.
+/// Every doctored move drives the real binary to exit 1, and the
+/// failure report names the moved column.
 #[test]
 fn doctored_suites_fail_the_gate_naming_the_metric() {
     let storm = storm_suite(true, false, Some(800), 1.5);
     let mut flipped = storm.clone();
     flipped.scenarios[0].live = false;
-    let cases: [(&str, &str, Suite, Suite, &str); 8] = [
+    let cases: [(&str, &str, Suite, Suite, &str); 10] = [
         (
             "bench",
             "tput",
             bench_suite(1.0),
             bench_suite(0.9),
-            "throughput",
+            "throughput: 5000 → 4500",
+        ),
+        // A 1 % move, and an improvement: it fails until re-pinned.
+        (
+            "bench",
+            "tput1",
+            bench_suite(1.0),
+            bench_suite(1.01),
+            "throughput: 5000 → 5050",
         ),
         (
             "detect",
             "ttd",
             detect_suite(1, 0, 0),
             detect_suite(2, 0, 0),
-            "time-to-detect",
+            "ttd_ms: 200 → 400",
         ),
         (
             "detect",
             "fp",
             detect_suite(1, 0, 0),
             detect_suite(1, 1, 0),
-            "false positives",
+            "false_positives: 0 → 1",
         ),
         (
             "detect",
             "mis",
             detect_suite(1, 0, 0),
             detect_suite(1, 0, 1),
-            "misattributions",
+            "misattributions: 0 → 1",
         ),
         // Any subcommand holds a suite to every section it carries: a
         // doctored detect artifact fails `gate bench` the same way.
@@ -208,14 +216,14 @@ fn doctored_suites_fail_the_gate_naming_the_metric() {
             "cross",
             detect_suite(1, 0, 0),
             detect_suite(2, 0, 0),
-            "time-to-detect",
+            "ttd_ms: 200 → 400",
         ),
         (
             "scenario",
             "live",
             storm.clone(),
             flipped,
-            "liveness verdict flipped",
+            "live: true → false",
         ),
         // The mitigation stopped working: the storm outlives its fault.
         (
@@ -223,15 +231,23 @@ fn doctored_suites_fail_the_gate_naming_the_metric() {
             "storm",
             storm.clone(),
             storm_suite(false, true, None, 6.1),
-            "metastable",
+            "storm_sustained: false → true",
         ),
-        // Still dissolves, but takes 2× as long (band is +50% + 50 ms).
+        // Still dissolves, but takes 2× as long.
         (
             "scenario",
             "tts",
-            storm,
+            storm.clone(),
             storm_suite(true, false, Some(1600), 1.5),
-            "time-to-stabilize",
+            "tts_ms: 800 → 1600",
+        ),
+        // Dissolves faster: an improvement fails until re-pinned too.
+        (
+            "scenario",
+            "tts_faster",
+            storm,
+            storm_suite(true, false, Some(400), 1.5),
+            "tts_ms: 800 → 400",
         ),
     ];
     for (suite, name, baseline, current, metric) in cases {
@@ -241,6 +257,7 @@ fn doctored_suites_fail_the_gate_naming_the_metric() {
             text.contains(metric),
             "{name}: failure report should name {metric:?}:\n{text}"
         );
+        assert!(text.contains("--write-baseline"), "{name}: {text}");
     }
 }
 
@@ -306,11 +323,22 @@ fn a_truncated_or_duplicated_suite_file_is_a_setup_error() {
 /// (instantly — a live run would take seconds and print cells).
 #[test]
 fn unknown_flags_and_missing_values_are_usage_errors() {
+    // One flag of each pair would be silently ignored.
+    let conflicts: [&[&str]; 4] = [
+        &["bench", "--current", "x.json", "--write-baseline"],
+        &["bench", "--write-baseline", "--current", "x.json"],
+        &["bench", "--current", "x.json", "--out", "y.json"],
+        &["bench", "--out", "y.json", "--write-baseline"],
+    ];
     for args in [
         &["bench", "--curent", "x.json"][..],
         &["bench", "--current"],
         &["bench", "--current", "--baseline"],
         &["detect", "--reports"],
+        conflicts[0],
+        conflicts[1],
+        conflicts[2],
+        conflicts[3],
         &["benchmark"],
         &[],
     ] {
@@ -319,6 +347,12 @@ fn unknown_flags_and_missing_values_are_usage_errors() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: gate"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} must not start a run");
+        if conflicts.contains(&args) {
+            let error = stderr.lines().next().unwrap_or_default();
+            for flag in args.iter().filter(|a| a.starts_with("--")) {
+                assert!(error.contains(flag), "{args:?} must name {flag}: {stderr}");
+            }
+        }
     }
     let help = gate(&["--help"]);
     assert_eq!(help.status.code(), Some(0));

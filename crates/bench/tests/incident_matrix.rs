@@ -2,8 +2,8 @@
 //! detector attached, must produce an EMPTY incident timeline and an
 //! all-zero scorecard. This is the false-positive floor the detector
 //! scorecard is judged against — a healthy cluster that trips suspicion,
-//! quarantine, or mitigation anywhere in the matrix is a regression no
-//! tolerance band should forgive.
+//! quarantine, or mitigation anywhere in the matrix is a regression,
+//! whatever its size.
 
 use std::time::Duration;
 

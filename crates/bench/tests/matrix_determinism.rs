@@ -1,12 +1,12 @@
 //! Matrix-runner determinism and detector-track behavior, end to end:
 //! same-seed sub-matrices render byte-identical survival reports, the
 //! correlated-pair cell is caught by the fallback track that the
-//! peer-relative signal alone misses, survival regressions doctored
-//! into a recorded suite fail the gate comparison, and the scenario
+//! peer-relative signal alone misses, survival moves doctored into a
+//! recorded suite are differences naming their column, and the scenario
 //! counters audit what a cell actually injected.
 
 use depfast_bench::suites::{episode, matrix_cell, matrix_detector_cfg, GATE_SEED};
-use depfast_bench::{compare, ScenarioRecord, Suite};
+use depfast_bench::{ScenarioRecord, Suite};
 use depfast_incident::IncidentDump;
 use depfast_metrics::Key;
 use depfast_raft::cluster::RaftKind;
@@ -72,8 +72,8 @@ fn correlated_pair_cell_is_detected_via_the_fallback_track() {
     );
 }
 
-/// Doctoring a recorded suite — liveness flip or a 2× TTD — turns a
-/// passing gate comparison into a failing one (the CI contract the
+/// Doctoring a recorded suite — liveness flip or a 2× TTD — turns an
+/// empty diff into one naming the moved column (the CI contract the
 /// committed `BENCH_scenarios_baseline.json` rides on).
 #[test]
 fn doctored_survival_records_fail_the_gate_comparison() {
@@ -82,39 +82,30 @@ fn doctored_survival_records_fail_the_gate_comparison() {
         record.live && record.score.detected,
         "healthy baseline cell expected"
     );
+    let key = format!("[{} | {}]", record.scenario, record.driver);
     let mut baseline = Suite::new("scenarios", GATE_SEED);
     baseline.scenarios = vec![record.clone()];
 
     // Identical current suite: pass.
-    let mut current = Suite::new("scenarios", GATE_SEED);
-    current.scenarios = vec![record.clone()];
-    assert!(compare(&baseline, &current).passed());
+    let mut current = baseline.clone();
+    assert_eq!(baseline.diff(&current), Vec::<String>::new());
 
     // Liveness flip: fail.
-    let mut flipped = record.clone();
-    flipped.live = false;
-    current.scenarios = vec![flipped];
-    let outcome = compare(&baseline, &current);
-    assert!(!outcome.passed());
-    assert!(
-        outcome.failures.iter().any(|f| f.contains("liveness")),
-        "failures: {:?}",
-        outcome.failures
+    current.scenarios[0].live = false;
+    assert_eq!(
+        baseline.diff(&current),
+        [format!("{key} live: true → false")]
     );
 
-    // 2× TTD: fail (default band is +50% + 50ms on a 200ms TTD).
+    // 2× TTD: fail.
     let mut slower = record.clone();
     slower.score.ttd_ns = record.score.ttd_ns.map(|v| v * 2);
     current.scenarios = vec![slower];
-    let outcome = compare(&baseline, &current);
-    assert!(!outcome.passed());
+    let differences = baseline.diff(&current);
+    assert_eq!(differences.len(), 1, "{differences:?}");
     assert!(
-        outcome
-            .failures
-            .iter()
-            .any(|f| f.contains("time-to-detect")),
-        "failures: {:?}",
-        outcome.failures
+        differences[0].starts_with(&format!("{key} ttd_ms: ")),
+        "{differences:?}"
     );
 }
 

@@ -1,7 +1,8 @@
 //! Tier-1 smoke test of the regression gate, its suite format and the
 //! run-artifact path, so `cargo test -q` at the root cannot be green
 //! while any is broken: every committed suite file parses, re-serialises
-//! to its own bytes and self-compares green over all of its cells; a
+//! to its own bytes and diffs empty against itself, and a doctored copy
+//! both diffs and serialises differently; a
 //! baseline that lost a required column or carries one key twice is
 //! refused instead of silently passing everything; two live
 //! gate cells — the healthy DepFastRaft and SyncRaft cells of `gate
@@ -12,7 +13,7 @@
 use std::time::Duration;
 
 use depfast_bench::suites::{bench_cell, gate_detector_cfg};
-use depfast_bench::{compare, repo_root, Artifact, Run, Suite};
+use depfast_bench::{repo_root, Artifact, Run, Suite};
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 
@@ -41,10 +42,26 @@ fn committed_baselines_round_trip_and_self_compare_green() {
             text,
             "{name} must re-serialise to its own bytes"
         );
-        let outcome = compare(&suite, &suite);
-        assert!(outcome.passed(), "{name}: {:?}", outcome.failures);
-        assert!(outcome.notes.is_empty(), "{name}: {:?}", outcome.notes);
-        assert_eq!(outcome.checked, cells, "{name}: every cell is checked");
+        assert_eq!(suite.diff(&suite), Vec::<String>::new(), "{name}");
+        // `diff` is empty exactly when the bytes are equal: one column
+        // of one cell, moved by a hundredth, is one line and one
+        // byte-level difference.
+        let mut doctored = suite.clone();
+        let column = if let Some(cell) = doctored.runs.last_mut() {
+            cell.throughput += 0.01;
+            "throughput"
+        } else if let Some(cell) = doctored.detect.last_mut() {
+            cell.score.false_positives += 1;
+            "false_positives"
+        } else {
+            doctored.scenarios[0].p99_ms += 0.01;
+            "p99_ms"
+        };
+        assert_ne!(suite.to_json(), doctored.to_json(), "{name}");
+        let differences = suite.diff(&doctored);
+        assert_eq!(differences.len(), 1, "{name}: {differences:?}");
+        let named = format!("] {column}: ");
+        assert!(differences[0].contains(&named), "{name}: {differences:?}");
     }
 }
 
@@ -78,7 +95,7 @@ fn a_baseline_missing_a_required_column_is_refused_by_name() {
 
 /// Cells are matched by key, so the second holder of a key would never
 /// be looked at: a file carrying one is a parse error, a live suite
-/// carrying one fails the comparison, both naming the key.
+/// carrying one is a difference, both naming the key.
 #[test]
 fn a_duplicate_cell_key_is_refused_by_name() {
     let (_, baseline) = committed("BENCH_baseline.json");
@@ -86,10 +103,10 @@ fn a_duplicate_cell_key_is_refused_by_name() {
     let mut copy = doctored.runs[0].clone();
     copy.throughput = 1.0;
     doctored.runs.push(copy);
-    let outcome = compare(&baseline, &doctored);
-    assert_eq!(outcome.failures.len(), 1, "{:?}", outcome.failures);
+    let differences = baseline.diff(&doctored);
+    assert_eq!(differences.len(), 1, "{differences:?}");
     for what in ["duplicate", "DepFastRaft |  | none"] {
-        assert!(outcome.failures[0].contains(what), "{:?}", outcome.failures);
+        assert!(differences[0].contains(what), "{differences:?}");
     }
     let e = Suite::parse(&doctored.to_json()).expect_err("duplicate keys must not parse");
     assert!(
