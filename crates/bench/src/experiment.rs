@@ -230,9 +230,6 @@ impl Run {
     /// Runs the experiment end to end.
     pub fn execute(&self) -> RunReport {
         let ins = &self.instruments;
-        // Runs must not inherit a causal context left in the ambient slot
-        // by an earlier run in the same process: traces would differ.
-        depfast::set_trace_ctx(None);
         let sim = Sim::new(self.seed);
         let world = World::new(
             sim.clone(),
@@ -350,21 +347,28 @@ impl Run {
         if let Some(p) = &profiler {
             p.uninstall(&tracer, &world);
         }
+        let health = tracer.take_health_events();
+        // The one rule for loss: both capacity-capped buffers are read
+        // here, once, and carried by the report.
+        let health_dropped = tracer.health_dropped();
+        let trace_dropped = metrics.counter(Key::global("trace.dropped")).get();
+        let faults = ledger.records();
+        let storm = monitor.map_or_else(Vec::new, |m| m.series());
+        // Everything the report keeps has been read: the world ends here,
+        // and with the sampling task gone the sampler is the report's.
+        cluster.raft.teardown(&sim);
+        let sampler = Rc::into_inner(sampler).expect("the sampling task is gone");
         RunReport {
             run: self.clone(),
             stats,
-            // The sampling task still holds a clone of the cell; swap
-            // the sampler out rather than trying to unwrap the Rc.
-            sampler: sampler.replace(Sampler::new(MetricsRegistry::new(), 1)),
-            health: tracer.take_health_events(),
-            // The one rule for loss: both capacity-capped buffers are
-            // read here, once, and carried by the report.
-            health_dropped: tracer.health_dropped(),
-            trace_dropped: metrics.counter(Key::global("trace.dropped")).get(),
+            sampler: sampler.into_inner(),
+            health,
+            health_dropped,
+            trace_dropped,
             records,
             profiler,
-            faults: ledger.records(),
-            storm: monitor.map_or_else(Vec::new, |m| m.series()),
+            faults,
+            storm,
             metrics,
         }
     }
@@ -737,6 +741,42 @@ mod tests {
         };
         assert!(level_at(onset) >= 500);
         assert!(level_at(onset - SAMPLE_EVERY.as_nanos() as u64) < 500);
+    }
+
+    /// Once `execute` returns, no executor of the run is alive, and so no
+    /// world, runtime, endpoint or Raft core either: each holds one. A
+    /// disk-slow follower leaves calls unanswered and quorums unresolved
+    /// when the run stops, under every driver and over a striped fleet.
+    #[test]
+    fn a_run_frees_its_world() {
+        let disk_slow = |run: Run| {
+            let at = run.warmup / 2;
+            run.with_fault([2], FaultKind::DiskSlow { bw_factor: 0.008 }, at, None)
+        };
+        let short = |kind| Run {
+            measure: Duration::from_secs(1),
+            ..quick(kind)
+        };
+        let striped = Run {
+            placement: striped(8, 9),
+            ..short(RaftKind::DepFast)
+        };
+        let runs = crate::suites::ALL_DRIVERS
+            .map(short)
+            .into_iter()
+            .chain([striped]);
+        for run in runs.map(disk_slow) {
+            let before = Sim::alive_on_this_thread();
+            let report = run.execute();
+            assert!(report.stats.ops > 0, "{} ran", run.cluster_label());
+            assert_eq!(
+                Sim::alive_on_this_thread(),
+                before,
+                "{} on {} kept its world",
+                run.kind.name(),
+                run.cluster_label()
+            );
+        }
     }
 
     /// Each old wrapper enabled exactly one instrument; the one harness

@@ -69,7 +69,7 @@ pub struct TypedEvent<T> {
     value: Rc<RefCell<Option<T>>>,
 }
 
-impl<T> TypedEvent<T> {
+impl<T: 'static> TypedEvent<T> {
     /// Creates an unfired typed event of structural `kind`.
     pub fn new(rt: &Runtime, kind: EventKind, label: &'static str) -> Self {
         TypedEvent {
@@ -92,6 +92,16 @@ impl<T> TypedEvent<T> {
     /// Takes the payload, if the event fired `Ok` and it was not yet taken.
     pub fn take(&self) -> Option<T> {
         self.value.borrow_mut().take()
+    }
+
+    /// Subscribes `hook` to the firing, handing it the payload taken
+    /// (`None` on `Err` or once taken). The hook holds the payload slot,
+    /// not the event: an event that never fires does not keep itself
+    /// alive through its own hook.
+    pub fn on_fire_take(&self, hook: impl FnOnce(Option<T>) + 'static) {
+        let value = self.value.clone();
+        self.handle
+            .on_fire(move |_| hook(value.borrow_mut().take()));
     }
 
     /// Reads the payload without consuming it.

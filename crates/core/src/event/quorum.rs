@@ -37,10 +37,12 @@ struct Tally {
     ok: usize,
     err: usize,
     sealed: bool,
-    /// Child handles, retained for straggler attribution: when the quorum
-    /// fires `Ok`, the children that have *not* fired name the replicas the
-    /// round did not wait for.
-    children: Vec<EventHandle>,
+    /// Each child's kind and whether it has fired, in add order, for
+    /// straggler attribution: when the quorum fires `Ok`, the children
+    /// that have *not* fired name the replicas the round did not wait for.
+    /// Not their handles: a child's hook holds the quorum, so a child that
+    /// never fires would keep both alive for good.
+    children: Vec<(EventKind, bool)>,
 }
 
 impl Tally {
@@ -160,13 +162,13 @@ impl QuorumEvent {
     /// Adds a child event; its outcome counts toward the quorum.
     pub fn add(&self, child: &impl Watchable) {
         let child_handle = child.handle();
-        let meta = {
+        let (index, meta) = {
             let mut st = self.state.borrow_mut();
             st.n += 1;
-            st.children.push(child_handle.clone());
+            st.children.push((child_handle.kind(), false));
             let (k, n) = (st.threshold(), st.n);
             self.handle.set_quorum_meta(k, n);
-            (k, n)
+            (st.children.len() - 1, (k, n))
         };
         let rt = self.handle.runtime();
         let t = rt.now();
@@ -177,13 +179,14 @@ impl QuorumEvent {
             parent_meta: Some(meta),
         });
         let me = self.clone();
-        child_handle.on_fire(move |s| me.on_child(s));
+        child_handle.on_fire(move |s| me.on_child(index, s));
         self.maybe_fire();
     }
 
-    fn on_child(&self, signal: Signal) {
+    fn on_child(&self, index: usize, signal: Signal) {
         {
             let mut st = self.state.borrow_mut();
+            st.children[index].1 = true;
             match signal {
                 Signal::Ok => st.ok += 1,
                 Signal::Err => st.err += 1,
@@ -222,13 +225,11 @@ impl QuorumEvent {
                 label,
             ))
             .record(waited);
-        for child in self.state.borrow().children.iter() {
-            if child.fired().is_none() {
-                if let EventKind::Rpc { target } = child.kind() {
-                    metrics
-                        .counter(Key::tagged("event.quorum.straggler", target.0, label))
-                        .inc();
-                }
+        for &(kind, fired) in &self.state.borrow().children {
+            if let (EventKind::Rpc { target }, false) = (kind, fired) {
+                metrics
+                    .counter(Key::tagged("event.quorum.straggler", target.0, label))
+                    .inc();
             }
         }
     }

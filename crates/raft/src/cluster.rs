@@ -247,6 +247,19 @@ impl RaftCluster {
         }
     }
 
+    /// Frees the cluster's world, ending it: the executor drops every
+    /// task and timer ([`Sim::shutdown`]), every endpoint of the registry,
+    /// client sessions included, drops its services, calls and queues
+    /// ([`Registry::teardown`]), and the thread's ambient trace context
+    /// and phase are left as a fresh process has them. Read what is to
+    /// be kept first; the cluster serves nothing afterwards.
+    pub fn teardown(&self, sim: &Sim) {
+        sim.shutdown();
+        self.registry.teardown();
+        depfast::set_trace_ctx(None);
+        depfast::runtime::swap_current_phase(None);
+    }
+
     /// The group with id `gid`.
     pub fn group(&self, gid: u32) -> &RaftGroup {
         self.groups

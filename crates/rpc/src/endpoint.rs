@@ -139,6 +139,22 @@ impl Registry {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Tears down every endpoint still alive: drops its services, pending
+    /// calls, connections with their queued sends, and inbox, firing none
+    /// of them. A service holds the server that holds its endpoint, and a
+    /// call nobody answered holds its reply hooks and what they capture;
+    /// once the executor has dropped its tasks (`Sim::shutdown`), this is
+    /// what frees the cluster.
+    pub fn teardown(&self) {
+        for ep in self.endpoints.borrow().values().filter_map(Weak::upgrade) {
+            // Each `take` ends its borrow before what it took is dropped.
+            ep.services.take();
+            ep.pending.take();
+            ep.conns.take();
+            ep.inbox.take();
+        }
+    }
 }
 
 pub(crate) struct EndpointInner {
@@ -648,6 +664,31 @@ mod tests {
         let out =
             sim.block_on(async move { ev.handle().wait_timeout(Duration::from_millis(50)).await });
         assert!(out.is_timeout());
+    }
+
+    #[test]
+    fn teardown_frees_what_an_unanswered_classified_call_captured() {
+        let (sim, _world, eps) = cluster(2);
+        let captured = Rc::new(());
+        let c = captured.clone();
+        let verdict = eps[0].proxy(NodeId(1)).call_classified(
+            999,
+            "nope",
+            &7u64,
+            None,
+            move |_: Option<u64>| {
+                drop(c);
+                true
+            },
+        );
+        drop(verdict);
+        sim.run();
+        let weak = Rc::downgrade(&captured);
+        drop(captured);
+        assert_eq!(weak.strong_count(), 1, "the call is still pending");
+        sim.shutdown();
+        eps[0].inner.registry.teardown();
+        assert_eq!(weak.strong_count(), 0);
     }
 
     #[test]

@@ -112,12 +112,9 @@ pub fn classified_reply<R: WireRead + 'static>(
     judge: impl FnOnce(Option<R>) -> bool + 'static,
 ) -> EventHandle {
     let verdict = derived(ev.handle());
-    let (v, ev2) = (verdict.clone(), ev.clone());
-    ev.handle().on_fire(move |s| {
-        let decoded = match s {
-            Signal::Ok => ev2.take().and_then(|b| R::from_frame(&b)),
-            Signal::Err => None,
-        };
+    let v = verdict.clone();
+    ev.on_fire_take(move |reply| {
+        let decoded = reply.and_then(|b| R::from_frame(&b));
         v.fire(if judge(decoded) {
             Signal::Ok
         } else {

@@ -218,6 +218,15 @@ struct Core {
     polls: u64,
 }
 
+// Executors alive on this thread, for `Sim::alive_on_this_thread`.
+thread_local!(static ALIVE: Cell<usize> = const { Cell::new(0) });
+
+impl Drop for Core {
+    fn drop(&mut self) {
+        ALIVE.with(|n| n.set(n.get() - 1));
+    }
+}
+
 /// A deterministic, single-threaded discrete-event simulator and executor.
 ///
 /// `Sim` is cheap to clone (it is a reference-counted handle) and is the
@@ -247,6 +256,7 @@ pub struct Sim {
 impl Sim {
     /// Creates a new simulator whose random stream is derived from `seed`.
     pub fn new(seed: u64) -> Self {
+        ALIVE.with(|n| n.set(n.get() + 1));
         Sim {
             core: Rc::new(RefCell::new(Core {
                 now: SimTime::ZERO,
@@ -265,6 +275,14 @@ impl Sim {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.core.borrow().now
+    }
+
+    /// Executors on this thread not yet freed: a leak probe. An executor
+    /// lives while any handle on it does, and every world, runtime,
+    /// endpoint and server built on it holds one.
+    #[doc(hidden)]
+    pub fn alive_on_this_thread() -> usize {
+        ALIVE.with(Cell::get)
     }
 
     /// Number of tasks spawned so far (diagnostics).
@@ -430,6 +448,35 @@ impl Sim {
     pub fn block_on<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> T {
         let handle = self.spawn(fut);
         self.run_until(handle)
+    }
+
+    /// Ends the simulation: drops every task and every pending timer, and
+    /// with them the handles they hold — tasks and timer callbacks are
+    /// what keep a simulated cluster alive. Nothing is polled and no timer
+    /// fires. Dropping a parked task runs its destructors, which may fire
+    /// events, schedule timers or spawn, so this repeats until both are
+    /// empty. Task generations and the timer count carry on: a stale
+    /// [`TaskId`] or [`TimerId`] never reaches a later occupant. Call it
+    /// from outside the executor, not from a task.
+    pub fn shutdown(&self) {
+        loop {
+            let mut core = self.core.borrow_mut();
+            // Every slot ends up free, under a generation no id names.
+            let mut tasks = Vec::new();
+            for slot in &mut core.tasks {
+                slot.generation = slot.generation.wrapping_add(1);
+                tasks.extend(slot.task.take());
+            }
+            core.free_slots = (0..core.tasks.len() as u32).rev().collect();
+            let timers = std::mem::take(&mut core.timers);
+            core.timers.scheduled = timers.scheduled;
+            // The destructors run at the end of this round, outside the
+            // core borrow.
+            drop(core);
+            if tasks.is_empty() && timers.len() == 0 {
+                break;
+            }
+        }
     }
 
     /// Runs the simulation until virtual time reaches `deadline`, then
@@ -889,6 +936,70 @@ mod tests {
             "a finished task's waker reached its successor"
         );
         assert_eq!(sim.polls(), executor_polls);
+    }
+
+    /// Spawns a task from its destructor: what a parked coroutine's
+    /// guards may do when the executor drops it.
+    struct SpawnOnDrop(Sim, Rc<()>);
+
+    impl Drop for SpawnOnDrop {
+        fn drop(&mut self) {
+            let held = self.1.clone();
+            self.0.spawn(async move {
+                let _held = held;
+                std::future::pending::<()>().await
+            });
+        }
+    }
+
+    #[test]
+    fn shutdown_drops_every_task_timer_and_what_their_drops_spawn() {
+        let sim = Sim::new(1);
+        let (parked, call, spawned) = (Rc::new(()), Rc::new(()), Rc::new(()));
+        let s = sim.clone();
+        let p = parked.clone();
+        sim.spawn(async move {
+            let _p = p;
+            s.sleep(Duration::from_secs(1)).await;
+        });
+        let c = call.clone();
+        sim.schedule_call(SimTime::from_secs(2), move || drop(c));
+        let guard = SpawnOnDrop(sim.clone(), spawned.clone());
+        sim.spawn(async move {
+            let _guard = guard;
+            std::future::pending::<()>().await
+        });
+        sim.run_until_time(SimTime::from_millis(1));
+        let weak = [&parked, &call, &spawned].map(Rc::downgrade);
+        drop((parked, call, spawned));
+        assert!(weak.iter().all(|w| w.strong_count() == 1));
+        sim.shutdown();
+        assert!(weak.iter().all(|w| w.strong_count() == 0));
+        assert_eq!(sim.pending_timers(), 0);
+        let polls = sim.polls();
+        sim.run();
+        assert_eq!((sim.polls(), sim.now()), (polls, SimTime::from_millis(1)));
+    }
+
+    #[test]
+    fn a_stale_sleep_or_timer_id_after_shutdown_cancels_no_later_timer() {
+        let sim = Sim::new(1);
+        let wakes = Arc::new(CountingWaker(Default::default()));
+        let stale = sim.schedule_wake(SimTime::from_millis(5), Waker::from(wakes.clone()));
+        let mut sleep = sim.sleep(Duration::from_millis(5));
+        let mut cx = Context::from_waker(Waker::noop());
+        assert!(Pin::new(&mut sleep).poll(&mut cx).is_pending());
+        sim.shutdown();
+        // The later timers take the slots the stale ids name.
+        for ms in [1, 2] {
+            sim.schedule_wake(SimTime::from_millis(ms), Waker::from(wakes.clone()));
+        }
+        sim.cancel_timer(stale);
+        assert!(Pin::new(&mut sleep).poll(&mut cx).is_pending());
+        drop(sleep);
+        assert_eq!(sim.pending_timers(), 2);
+        sim.run();
+        assert_eq!(wakes.0.load(std::sync::atomic::Ordering::Relaxed), 2);
     }
 
     #[test]

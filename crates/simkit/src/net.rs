@@ -61,7 +61,6 @@ fn pair(a: NodeId, b: NodeId) -> (u32, u32) {
 pub struct NetModel {
     cfg: NetCfg,
     egress_delay: HashMap<u32, Duration>,
-    link_extra: HashMap<(u32, u32), Duration>,
     fifo_tail: HashMap<(u32, u32), SimTime>,
     partitioned: HashSet<(u32, u32)>,
     messages: u64,
@@ -75,7 +74,6 @@ impl NetModel {
         NetModel {
             cfg,
             egress_delay: HashMap::new(),
-            link_extra: HashMap::new(),
             fifo_tail: HashMap::new(),
             partitioned: HashSet::new(),
             messages: 0,
@@ -90,15 +88,6 @@ impl NetModel {
             self.egress_delay.remove(&node.0);
         } else {
             self.egress_delay.insert(node.0, delay);
-        }
-    }
-
-    /// Sets extra one-way delay on the (undirected) link `a`–`b`.
-    pub fn set_link_delay(&mut self, a: NodeId, b: NodeId, delay: Duration) {
-        if delay.is_zero() {
-            self.link_extra.remove(&pair(a, b));
-        } else {
-            self.link_extra.insert(pair(a, b), delay);
         }
     }
 
@@ -152,9 +141,6 @@ impl NetModel {
         }
         delay += Duration::from_nanos((bytes as f64 / self.cfg.bandwidth_bps * 1e9) as u64);
         if let Some(d) = self.egress_delay.get(&from.0) {
-            delay += *d;
-        }
-        if let Some(d) = self.link_extra.get(&pair(from, to)) {
             delay += *d;
         }
         if self.cfg.hiccup_prob > 0.0 && rng.random::<f64>() < self.cfg.hiccup_prob {
@@ -228,17 +214,6 @@ mod tests {
         assert!(n.delivery_time(SimTime::ZERO, B, A, 0, &mut rng).is_none());
         n.heal(A, B);
         assert!(n.delivery_time(SimTime::ZERO, A, B, 0, &mut rng).is_some());
-    }
-
-    #[test]
-    fn link_delay_is_undirected() {
-        let (mut n, mut rng) = net();
-        n.set_link_delay(A, B, Duration::from_millis(10));
-        let fwd = n.delivery_time(SimTime::ZERO, A, B, 0, &mut rng).unwrap();
-        let back = n.delivery_time(SimTime::ZERO, B, A, 0, &mut rng).unwrap();
-        assert_eq!(fwd, SimTime::from_micros(10_100));
-        // FIFO tail is per directed link, so the reverse is independent.
-        assert_eq!(back, SimTime::from_micros(10_100));
     }
 
     #[test]
