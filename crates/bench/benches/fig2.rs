@@ -2,8 +2,8 @@
 //! deployed with three shards (quorums {s1–s3}, {s4–s6}, {s7–s9}) and
 //! three clients (c1–c3).
 //!
-//! The bench runs a short traced workload on exactly that topology, builds
-//! the SPG from the event trace, prints the aggregated edge table and the
+//! The bench runs a short workload on exactly that topology, folds the SPG
+//! from its waits as they begin, prints the aggregated edge table and the
 //! Graphviz DOT (also written to `target/depfast-bench/fig2_spg.dot`), and
 //! then reproduces the figure's two analytical observations:
 //!
@@ -17,7 +17,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use depfast::spg::{self, EdgeKind};
+use depfast::spg::EdgeKind;
 use depfast::verify;
 use depfast_bench::Table;
 use depfast_raft::core::RaftCfg;
@@ -52,10 +52,13 @@ fn main() {
             ..RaftCfg::default()
         },
     ));
-    cluster.tracer.set_record_full(true);
+    cluster.tracer.install_spg_fold();
 
-    // Each client writes through its shard group (and occasionally across
-    // shards, exercising the nested AndEvent-of-quorums wait).
+    // Each client transacts one key at a time: both phases of a
+    // transaction go to the leader of the one shard that owns the key, so
+    // each client waits 1/1 on every leader in turn and no wait spans two
+    // shards. (The cross-shard, nested-quorum wait is covered by the law
+    // table in `depfast::spg` and by `depfast::verify`'s tests.)
     let handles: Vec<_> = (0..3)
         .map(|c| {
             let cl = cluster.clone();
@@ -73,10 +76,7 @@ fn main() {
         sim.run_until(h);
     }
     sim.run_until_time(sim.now() + Duration::from_millis(200));
-    cluster.tracer.set_record_full(false);
-
-    let records = cluster.tracer.take_records();
-    let spg = spg::build(&records);
+    let spg = cluster.tracer.finish_spg_fold();
 
     let mut table = Table::new(
         "Figure 2: SPG edges (aggregated; red = singular wait, green = quorum wait)",

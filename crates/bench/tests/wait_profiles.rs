@@ -10,14 +10,20 @@
 //! disk-slow follower dominates its own node profile with `disk` wait
 //! sites under the TiDB-style sync driver, while DepFastRaft's lazy
 //! catch-up keeps that node's append handlers from waiting on its disk.
+//! The SPG fold taps the same waits as they begin, so it can run beside
+//! the profiler without moving a byte of the profile.
 
+use std::rc::Rc;
 use std::time::Duration;
 
+use bytes::Bytes;
 use depfast_bench::{Artifact, Instruments, Run};
 use depfast_fault::FaultKind;
+use depfast_kv::KvCluster;
 use depfast_profile::Profiler;
 use depfast_raft::cluster::RaftKind;
-use simkit::NodeId;
+use depfast_raft::core::RaftCfg;
+use simkit::{NodeId, Sim, World, WorldCfg};
 
 fn profiled_cfg(kind: RaftKind) -> Run {
     let warmup = Duration::from_millis(500);
@@ -112,4 +118,65 @@ fn disk_wait_dominates_the_slow_follower_under_sync_but_not_depfast() {
         "DepFastRaft's append handlers should not park on node 2's disk: \
          {depfast_parked:?} against SyncRaft's {sync_parked:?}"
     );
+}
+
+/// The folded stacks of a CallbackRaft run with a CPU-starved follower —
+/// one with red edges — and the number of SPG edges folded beside them.
+fn profile_beside_the_fold(fold: bool) -> (String, usize) {
+    let sim = Sim::new(7);
+    let world = World::new(
+        sim.clone(),
+        WorldCfg {
+            nodes: 5,
+            ..WorldCfg::default()
+        },
+    );
+    let cfg = RaftCfg {
+        bootstrap_leader: Some(0),
+        ..RaftCfg::default()
+    };
+    let cluster = Rc::new(KvCluster::build(
+        &sim,
+        &world,
+        RaftKind::Callback,
+        3,
+        2,
+        cfg,
+    ));
+    world.set_cpu_quota(NodeId(2), 0.02);
+    let tracer = cluster.raft.tracer.clone();
+    let profiler = Profiler::new("CallbackRaft");
+    profiler.install(&tracer, &world);
+    if fold {
+        tracer.install_spg_fold();
+    }
+    let clients: Vec<_> = (0..2)
+        .map(|c| {
+            let cl = cluster.clone();
+            sim.spawn(async move {
+                for i in 0..300u32 {
+                    let key = Bytes::from(format!("k{c}-{i}"));
+                    let _ = cl.clients[c].put(key, Bytes::from(vec![0u8; 256])).await;
+                }
+            })
+        })
+        .collect();
+    for h in clients {
+        sim.run_until(h);
+    }
+    let edges = tracer.finish_spg_fold().edges().len();
+    profiler.uninstall(&tracer, &world);
+    // The next run starts from the ambient state a fresh process has.
+    cluster.raft.teardown(&sim);
+    (profiler.folded(), edges)
+}
+
+#[test]
+fn the_spg_fold_beside_the_profiler_leaves_the_profile_byte_identical() {
+    let (alone, no_edges) = profile_beside_the_fold(false);
+    let (beside, edges) = profile_beside_the_fold(true);
+    assert_eq!(no_edges, 0, "no fold was installed");
+    assert!(edges > 0, "the fold saw the run's waits");
+    assert!(!alone.is_empty(), "the profiler saw the run's waits");
+    assert_eq!(alone, beside, "the fold must not move the profile");
 }

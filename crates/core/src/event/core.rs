@@ -9,6 +9,7 @@ use std::time::Duration;
 
 use simkit::{NodeId, SimTime, Sleep};
 
+use super::quorum::{self, Tally};
 use crate::runtime::{
     current_coro, current_coro_label, current_phase, swap_current_phase, trace_ctx, Runtime,
 };
@@ -118,8 +119,10 @@ struct Inner {
     sample: bool,
     wakers: Vec<Waker>,
     hooks: Vec<Hook>,
-    /// `(k, n)` for quorum-like events, maintained by the owner.
-    quorum_meta: Option<(usize, usize)>,
+    /// A compound event's own tally: what the SPG fold walks and where
+    /// the traced `(k, n)` is read. A tally holds no handle, so this link
+    /// closes no cycle.
+    tally: Option<Rc<RefCell<Tally>>>,
 }
 
 /// The reference-counted core shared by all event types.
@@ -180,9 +183,26 @@ impl EventHandle {
                 sample,
                 wakers: Vec::new(),
                 hooks: Vec::new(),
-                quorum_meta: None,
+                tally: None,
             })),
         }
+    }
+
+    /// A compound event's handle, linked to its tally.
+    pub(super) fn compound(
+        rt: &Runtime,
+        kind: EventKind,
+        label: &'static str,
+        tally: Rc<RefCell<Tally>>,
+    ) -> Self {
+        let h = Self::new(rt, kind, label);
+        h.inner.borrow_mut().tally = Some(tally);
+        h
+    }
+
+    /// A compound event's tally, if this is one.
+    pub(super) fn tally(&self) -> Option<Rc<RefCell<Tally>>> {
+        self.inner.borrow().tally.clone()
     }
 
     /// This event's id.
@@ -225,14 +245,10 @@ impl EventHandle {
         self.inner.borrow().fired
     }
 
-    /// Sets the `(k, n)` metadata traced for quorum-like events.
-    pub(crate) fn set_quorum_meta(&self, k: usize, n: usize) {
-        self.inner.borrow_mut().quorum_meta = Some((k, n));
-    }
-
-    /// Current `(k, n)` metadata, if this is a quorum-like event.
-    pub fn quorum_meta(&self) -> Option<(usize, usize)> {
-        self.inner.borrow().quorum_meta
+    /// Current `(k, n)` of a compound event, once it has a child or is
+    /// sealed.
+    pub(crate) fn quorum_meta(&self) -> Option<(usize, usize)> {
+        self.inner.borrow().tally.as_ref()?.borrow().meta()
     }
 
     /// Fires the event. Idempotent: only the first signal takes effect.
@@ -318,9 +334,9 @@ impl EventHandle {
 
 /// Future returned by [`EventHandle::wait`] / [`EventHandle::wait_timeout`].
 ///
-/// Each `Wait` is one *waiting point*: its begin and end are trace records,
-/// which is what lets [`crate::verify`] classify the wait and
-/// [`crate::spg`] draw it as an edge.
+/// Each `Wait` is one *waiting point*. Its begin is folded into the SPG
+/// when a fold is installed ([`crate::spg`]), its end is delivered to the
+/// wait probe, and both are trace records.
 ///
 /// A wait that ends before its deadline, resolved or dropped, takes the
 /// deadline's timer with it: a timeout that does not fire costs nothing
@@ -350,7 +366,6 @@ impl Wait {
             phase: current_phase(),
             kind: h.kind(),
             label: h.label(),
-            quorum: h.quorum_meta(),
             result,
             waited: t - begun,
         });
@@ -372,6 +387,12 @@ impl Future for Wait {
                 coro_label: current_coro_label().unwrap_or("?"),
                 event: h.id(),
                 quorum: h.quorum_meta(),
+            });
+            h.rt.tracer().fold_wait(|| {
+                // What the wait waits for, read off the live tallies.
+                let inner = h.inner.borrow();
+                let shape = quorum::shape(inner.kind, inner.label, inner.tally.as_ref());
+                (h.rt.node(), current_coro_label().unwrap_or("?"), shape)
             });
         }
         if let Some(signal) = h.fired() {

@@ -14,6 +14,7 @@ use depfast_metrics::Key;
 
 use super::core::{EventHandle, EventKind, Signal, Watchable};
 use crate::runtime::Runtime;
+use crate::spg::Shape;
 use crate::trace::TraceRecord;
 
 /// How the threshold of a [`QuorumEvent`] is determined.
@@ -31,26 +32,62 @@ pub enum QuorumMode {
 
 /// The one k-of-n counter behind [`QuorumEvent`] and its
 /// [`AndEvent`](super::AndEvent) / [`OrEvent`](super::OrEvent) faces.
-struct Tally {
+pub(super) struct Tally {
     mode: QuorumMode,
-    n: usize,
     ok: usize,
     err: usize,
     sealed: bool,
-    /// Each child's kind and whether it has fired, in add order, for
-    /// straggler attribution: when the quorum fires `Ok`, the children
-    /// that have *not* fired name the replicas the round did not wait for.
-    /// Not their handles: a child's hook holds the quorum, so a child that
-    /// never fires would keep both alive for good.
-    children: Vec<(EventKind, bool)>,
+    /// Each child, in add order.
+    children: Vec<Child>,
+}
+
+/// What a tally keeps of one child. Not its handle: a child's hook holds
+/// the quorum, so a child that never fires would keep both alive for good.
+struct Child {
+    kind: EventKind,
+    label: &'static str,
+    /// Whether it has fired, for straggler attribution: when the quorum
+    /// fires `Ok`, the children that have *not* fired name the replicas the
+    /// round did not wait for.
+    fired: bool,
+    /// A compound child's own tally, which the SPG fold walks.
+    tally: Option<Rc<RefCell<Tally>>>,
+}
+
+/// The SPG shape of an event of `kind` and `label`, whose tally, if it is
+/// compound, is `tally`.
+pub(super) fn shape(
+    kind: EventKind,
+    label: &'static str,
+    tally: Option<&Rc<RefCell<Tally>>>,
+) -> Shape {
+    let (k, children) = tally.map_or((0, Vec::new()), |t| {
+        let t = t.borrow();
+        let children = t.children.iter();
+        let children = children.map(|c| shape(c.kind, c.label, c.tally.as_ref()));
+        (t.threshold(), children.collect())
+    });
+    Shape {
+        kind,
+        label,
+        k,
+        children,
+    }
 }
 
 impl Tally {
+    /// `(k, n)` once the tally has a child or is sealed: what the trace
+    /// records for a wait on it.
+    pub(super) fn meta(&self) -> Option<(usize, usize)> {
+        let n = self.children.len();
+        (n > 0 || self.sealed).then(|| (self.threshold(), n))
+    }
+
     fn threshold(&self) -> usize {
         match self.mode {
-            QuorumMode::Majority => self.n / 2 + 1,
+            QuorumMode::Majority => self.children.len() / 2 + 1,
             QuorumMode::Count(k) => k,
-            QuorumMode::All => self.n,
+            QuorumMode::All => self.children.len(),
         }
     }
 
@@ -65,7 +102,7 @@ impl Tally {
         let all = self.mode == QuorumMode::All;
         if self.ok >= k && (self.sealed || !all) {
             Some(Signal::Ok)
-        } else if self.n - self.err < k && (self.sealed || all) {
+        } else if self.children.len() - self.err < k && (self.sealed || all) {
             Some(Signal::Err)
         } else {
             None
@@ -136,16 +173,16 @@ impl QuorumEvent {
         mode: QuorumMode,
         label: &'static str,
     ) -> Self {
+        let state = Rc::new(RefCell::new(Tally {
+            mode,
+            ok: 0,
+            err: 0,
+            sealed: false,
+            children: Vec::new(),
+        }));
         QuorumEvent {
-            handle: EventHandle::new(rt, kind, label),
-            state: Rc::new(RefCell::new(Tally {
-                mode,
-                n: 0,
-                ok: 0,
-                err: 0,
-                sealed: false,
-                children: Vec::new(),
-            })),
+            handle: EventHandle::compound(rt, kind, label, state.clone()),
+            state,
         }
     }
 
@@ -164,11 +201,14 @@ impl QuorumEvent {
         let child_handle = child.handle();
         let (index, meta) = {
             let mut st = self.state.borrow_mut();
-            st.n += 1;
-            st.children.push((child_handle.kind(), false));
-            let (k, n) = (st.threshold(), st.n);
-            self.handle.set_quorum_meta(k, n);
-            (st.children.len() - 1, (k, n))
+            st.children.push(Child {
+                kind: child_handle.kind(),
+                label: child_handle.label(),
+                fired: false,
+                tally: child_handle.tally(),
+            });
+            let n = st.children.len();
+            (n - 1, (st.threshold(), n))
         };
         let rt = self.handle.runtime();
         let t = rt.now();
@@ -186,7 +226,7 @@ impl QuorumEvent {
     fn on_child(&self, index: usize, signal: Signal) {
         {
             let mut st = self.state.borrow_mut();
-            st.children[index].1 = true;
+            st.children[index].fired = true;
             match signal {
                 Signal::Ok => st.ok += 1,
                 Signal::Err => st.err += 1,
@@ -196,11 +236,7 @@ impl QuorumEvent {
     }
 
     fn maybe_fire(&self) {
-        let verdict = {
-            let st = self.state.borrow();
-            self.handle.set_quorum_meta(st.threshold(), st.n);
-            st.verdict()
-        };
+        let verdict = self.state.borrow().verdict();
         if let Some(s) = verdict {
             let first = self.handle.fired().is_none();
             self.handle.fire(s);
@@ -225,8 +261,8 @@ impl QuorumEvent {
                 label,
             ))
             .record(waited);
-        for &(kind, fired) in &self.state.borrow().children {
-            if let (EventKind::Rpc { target }, false) = (kind, fired) {
+        for c in &self.state.borrow().children {
+            if let (EventKind::Rpc { target }, false) = (c.kind, c.fired) {
                 metrics
                     .counter(Key::tagged("event.quorum.straggler", target.0, label))
                     .inc();
@@ -265,14 +301,9 @@ impl QuorumEvent {
         self.state.borrow().ok
     }
 
-    /// Number of children that fired `Err` so far.
-    pub fn err_count(&self) -> usize {
-        self.state.borrow().err
-    }
-
     /// Number of children added.
     pub fn n(&self) -> usize {
-        self.state.borrow().n
+        self.state.borrow().children.len()
     }
 
     /// The current success threshold `k`.
@@ -334,7 +365,6 @@ mod tests {
         c[0].set(Signal::Ok);
         c[1].set(Signal::Err);
         assert_eq!(q.ok_count(), 1);
-        assert_eq!(q.err_count(), 1);
         assert_eq!(q.n(), 5);
         assert_eq!(q.threshold(), 3);
     }

@@ -17,8 +17,9 @@
 //!   completions is what makes code *fail-slow fault-tolerant by
 //!   construction*: no single slow component sits on the critical path;
 //! * every event doubles as a trace point. The [`trace`] module records
-//!   waiting-for relationships, [`spg`] builds slowness propagation graphs
-//!   from them, and [`verify`] checks — at runtime, from real executions —
+//!   waiting-for relationships, [`spg`] folds each wait, as it begins, into
+//!   a slowness propagation graph from the live events, and [`verify`]
+//!   checks — at runtime, from real executions —
 //!   that a code path has no singular remote waits and predicts how far a
 //!   slow node's impact would propagate.
 //!

@@ -6,19 +6,21 @@
 //! wait on a basic event (e.g., an RpcEvent) contributes to a red edge; a
 //! wait on a QuorumEvent contributes to a green edge."*
 //!
-//! [`build`] reconstructs, from a full trace, every *wait group*: node `A`
-//! waited for `k` of the events targeting nodes `{B₁…Bₙ}`. Singular remote
-//! waits (`k = n = 1` on an RPC) are the red edges; quorum waits are green
-//! with a `k/n` label — exactly the Figure 2 visualization, which
-//! [`Spg::to_dot`] emits in Graphviz form.
+//! The graph is folded at runtime, once per wait, when the wait begins
+//! ([`Tracer::install_spg_fold`](crate::Tracer::install_spg_fold)). The
+//! awaited event and its compound children, read off their live tallies,
+//! are a `Shape`; the pure law `wait_groups` turns it into *wait groups*:
+//! node `A` waited for `k` of the events targeting nodes `{B₁…Bₙ}`.
+//! Singular remote waits (`k = n = 1` on an RPC) are the red edges; quorum
+//! waits are green with a `k/n` label — exactly the Figure 2 visualization,
+//! which [`Spg::to_dot`] emits in Graphviz form. A wait that never ends —
+//! one parked on a fail-slow node — is folded like any other.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use simkit::{NodeId, SimTime};
+use simkit::NodeId;
 
-use crate::event::{EventId, EventKind};
-use crate::runtime::CoroId;
-use crate::trace::{TraceIndex, TraceRecord};
+use crate::event::EventKind;
 
 /// Color of an SPG edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -29,14 +31,12 @@ pub enum EdgeKind {
     Quorum,
 }
 
-/// One reconstructed waiting point: `waiter` needed `k` of the events
-/// targeting `targets`.
-#[derive(Debug, Clone)]
+/// One waiting point: `waiter` needed `k` of the events targeting
+/// `targets`, `count` times.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WaitGroup {
     /// Node that waited.
     pub waiter: NodeId,
-    /// Coroutine that waited, if the wait happened inside one.
-    pub coro: Option<CoroId>,
     /// Label of the waiting coroutine (`"?"` if unknown).
     pub coro_label: &'static str,
     /// Label of the waited-on event.
@@ -54,8 +54,8 @@ pub struct WaitGroup {
     pub label_k: usize,
     /// Display label denominator (the quorum's full child count).
     pub label_n: usize,
-    /// When the wait began.
-    pub t: SimTime,
+    /// Waits folded into this waiting point.
+    pub count: u64,
 }
 
 /// An aggregated directed edge of the SPG.
@@ -73,210 +73,150 @@ pub struct SpgEdge {
     pub count: u64,
 }
 
-/// A slowness propagation graph reconstructed from a trace.
+/// A slowness propagation graph, folded from the waits of a run.
 #[derive(Debug, Clone, Default)]
 pub struct Spg {
-    /// Every reconstructed waiting point (used by `verify`).
+    /// Every distinct waiting point, in the order first seen (used by
+    /// `verify`).
     pub groups: Vec<WaitGroup>,
 }
 
-/// Builds an SPG from full trace records.
-///
-/// Requires the tracer to have been in full-recording mode
-/// ([`crate::Tracer::set_record_full`]) during the run.
-pub fn build(records: &[TraceRecord]) -> Spg {
-    let index = TraceIndex::build(records);
-    let mut groups = Vec::new();
-    for rec in records {
-        let TraceRecord::WaitBegin {
-            t,
-            node,
-            coro,
-            coro_label,
-            event,
-            quorum,
-        } = rec
-        else {
-            continue;
-        };
-        let coro_label = if *coro_label != "?" {
-            coro_label
-        } else {
-            coro.and_then(|c| index.coros.get(&c))
-                .map_or("?", |c| c.label)
-        };
-        collect_groups(
-            &index,
-            *event,
-            *quorum,
-            *node,
-            *coro,
-            coro_label,
-            *t,
-            &mut groups,
-        );
-    }
-    Spg { groups }
+/// What one wait waits for, as far as slowness can travel: the awaited
+/// event and, for a compound one, its threshold and children.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Shape {
+    /// Structural kind.
+    pub kind: EventKind,
+    /// The event's label (the `event_label` of the groups it yields).
+    pub label: &'static str,
+    /// Success threshold of a compound event (0 otherwise).
+    pub k: usize,
+    /// Children of a compound event, in add order.
+    pub children: Vec<Shape>,
 }
 
-/// Every remote (RPC) leaf target under `event`, in child order.
-fn leaf_targets(index: &TraceIndex, event: EventId, out: &mut Vec<NodeId>) {
-    let Some(info) = index.events.get(&event) else {
-        return;
-    };
-    match info.kind {
-        EventKind::Rpc { target } => out.push(target),
-        EventKind::Quorum | EventKind::And | EventKind::Or => {
-            for c in index.children_of(event) {
-                leaf_targets(index, *c, out);
-            }
+impl Shape {
+    fn is_compound(&self) -> bool {
+        matches!(
+            self.kind,
+            EventKind::Quorum | EventKind::And | EventKind::Or
+        )
+    }
+
+    /// Every remote (RPC) leaf target under `self`, in child order.
+    fn leaf_targets(&self, out: &mut Vec<NodeId>) {
+        match self.kind {
+            EventKind::Rpc { target } => out.push(target),
+            _ => self.children.iter().for_each(|c| c.leaf_targets(out)),
         }
-        _ => {}
     }
 }
 
-/// Splits a compound event's children into remote leaf targets and the
-/// count of purely-local children.
-fn split_children(index: &TraceIndex, children: &[EventId]) -> (Vec<NodeId>, usize) {
+/// The remote leaf targets under `children`, and how many of them have
+/// none (purely local children).
+fn split<'a>(children: impl IntoIterator<Item = &'a Shape>) -> (Vec<NodeId>, usize) {
     let mut targets = Vec::new();
     let mut local = 0;
     for c in children {
-        let mut t = Vec::new();
-        leaf_targets(index, *c, &mut t);
-        if t.is_empty() {
-            local += 1;
-        } else {
-            targets.extend(t);
-        }
+        let before = targets.len();
+        c.leaf_targets(&mut targets);
+        local += usize::from(targets.len() == before);
     }
     (targets, local)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn collect_groups(
-    index: &TraceIndex,
-    event: EventId,
-    wait_quorum: Option<(usize, usize)>,
+/// The waiting points one wait of coroutine `coro_label` on `waiter` puts
+/// on remote nodes, each with `count` 1 — the SPG's one law:
+///
+/// - an RPC is a red `1/1` requirement on its target;
+/// - a quorum needs `k` of its children's leaf targets, with local
+///   children (own disk write, self vote) assumed to succeed and discounted
+///   from `k`;
+/// - an all-of quorum over compound children (a quorum of quorums) needs
+///   each nested child with its own threshold; a partial one stays
+///   flattened, as a flat group cannot say "k of these sub-requirements";
+/// - an `And` needs each child;
+/// - an `Or` with a local branch needs no remote node, otherwise one of its
+///   leaf targets (a conservative green `1/n`);
+/// - a requirement whose remote targets are all on one node is a red `1/1`
+///   on that node, however it was composed.
+pub(crate) fn wait_groups(
     waiter: NodeId,
-    coro: Option<CoroId>,
     coro_label: &'static str,
-    t: SimTime,
-    out: &mut Vec<WaitGroup>,
-) {
-    let Some(info) = index.events.get(&event) else {
-        return;
-    };
-    let children = index.children_of(event);
-    // A requirement over remote targets. If every remote dependence is on
-    // one single node, the wait is semantically singular on that node (the
-    // paper's red edge) no matter how it was composed.
-    let push = |out: &mut Vec<WaitGroup>,
-                targets: Vec<NodeId>,
-                k: usize,
-                label_k: usize,
-                label_n: usize,
-                kind: EdgeKind| {
+    shape: &Shape,
+) -> Vec<WaitGroup> {
+    let mut out = Vec::new();
+    requirements(shape, &mut |event_label, targets, k, (label_k, label_n)| {
         if targets.is_empty() || k == 0 {
             return; // Purely local, or locally satisfiable.
         }
-        let distinct: std::collections::BTreeSet<NodeId> = targets.iter().copied().collect();
-        if distinct.len() == 1 {
-            out.push(WaitGroup {
-                waiter,
-                coro,
-                coro_label,
-                event_label: info.label,
-                targets: vec![*distinct.iter().next().expect("non-empty")],
-                k: 1,
-                kind: EdgeKind::Singular,
-                label_k: 1,
-                label_n: 1,
-                t,
-            });
+        let (targets, k, kind, label_k, label_n) = if targets.iter().all(|t| *t == targets[0]) {
+            (vec![targets[0]], 1, EdgeKind::Singular, 1, 1)
         } else {
-            out.push(WaitGroup {
-                waiter,
-                coro,
-                coro_label,
-                event_label: info.label,
-                targets,
-                k,
-                kind,
-                label_k,
-                label_n,
-                t,
-            });
-        }
-    };
-    match info.kind {
-        EventKind::Rpc { target } => {
-            push(out, vec![target], 1, 1, 1, EdgeKind::Singular);
-        }
+            (targets, k, EdgeKind::Quorum, label_k, label_n)
+        };
+        out.push(WaitGroup {
+            waiter,
+            coro_label,
+            event_label,
+            targets,
+            k,
+            kind,
+            label_k,
+            label_n,
+            count: 1,
+        });
+    });
+    out
+}
+
+/// Calls `need(event label, remote targets, k, display k/n)` once per
+/// requirement a wait on `shape` makes.
+fn requirements(
+    shape: &Shape,
+    need: &mut dyn FnMut(&'static str, Vec<NodeId>, usize, (usize, usize)),
+) {
+    let (k, n) = (shape.k, shape.children.len());
+    match shape.kind {
+        EventKind::Rpc { target } => need(shape.label, vec![target], 1, (1, 1)),
         EventKind::Quorum => {
-            let n_children = children.len();
-            let (k, _n) = wait_quorum
-                .or(index.quorum_meta.get(&event).copied())
-                .unwrap_or((n_children / 2 + 1, n_children));
-            // An all-mode quorum over compound children — a quorum of
-            // quorums — requires every child individually, so each nested
-            // quorum keeps its own threshold (recovered from the
-            // `parent_meta` snapshots in `ChildAdded` records). Partial
-            // (k < n) outer thresholds over compound children stay
-            // flattened below: the flat WaitGroup form cannot express
-            // "k of these sub-requirements".
-            let compound: Vec<EventId> = children
+            let nested = k == n && shape.children.iter().any(Shape::is_compound);
+            let (compound, simple): (Vec<&Shape>, Vec<&Shape>) = shape
+                .children
                 .iter()
-                .copied()
-                .filter(|c| {
-                    matches!(
-                        index.events.get(c).map(|i| i.kind),
-                        Some(EventKind::Quorum | EventKind::And | EventKind::Or)
-                    )
-                })
-                .collect();
-            if k == n_children && !compound.is_empty() {
-                for c in &compound {
-                    let meta = index.quorum_meta.get(c).copied();
-                    collect_groups(index, *c, meta, waiter, coro, coro_label, t, out);
-                }
-                let simple: Vec<EventId> = children
-                    .iter()
-                    .copied()
-                    .filter(|c| !compound.contains(c))
-                    .collect();
-                let (targets, local) = split_children(index, &simple);
-                let k_remote = simple.len().saturating_sub(local);
-                push(out, targets, k_remote, k, n_children, EdgeKind::Quorum);
-                return;
-            }
-            let (targets, local) = split_children(index, children);
-            // Local children (own disk write, self vote) are assumed to
-            // succeed; the remote requirement shrinks accordingly.
-            let k_remote = k.saturating_sub(local);
-            push(out, targets, k_remote, k, n_children, EdgeKind::Quorum);
+                .partition(|c| nested && c.is_compound());
+            compound.into_iter().for_each(|c| requirements(c, need));
+            let k_simple = if nested { simple.len() } else { k };
+            let (targets, local) = split(simple);
+            need(shape.label, targets, k_simple.saturating_sub(local), (k, n));
         }
-        EventKind::And => {
-            // Each conjunct is its own requirement: recurse per child so a
-            // nested quorum keeps its own threshold.
-            for c in children {
-                let meta = index.quorum_meta.get(c).copied();
-                collect_groups(index, *c, meta, waiter, coro, coro_label, t, out);
-            }
-        }
+        EventKind::And => shape.children.iter().for_each(|c| requirements(c, need)),
         EventKind::Or => {
-            // Any branch suffices. A fully-local branch means the wait can
-            // resolve without any remote node; otherwise it needs one of
-            // the union of leaf dependences (a conservative green edge).
-            let (targets, local) = split_children(index, children);
-            let k_remote = if local > 0 { 0 } else { 1 };
-            push(out, targets, k_remote, 1, children.len(), EdgeKind::Quorum);
+            let (targets, local) = split(&shape.children);
+            need(shape.label, targets, usize::from(local == 0), (1, n));
         }
-        // Local waits (notify, value, timer, io) do not produce SPG edges.
+        // Local waits (notify, value, timer, io, phase) need no remote node.
         _ => {}
     }
 }
 
 impl Spg {
+    /// Folds one wait of coroutine `coro_label` on `waiter`, on an event of
+    /// `shape`, into its waiting points.
+    pub(crate) fn fold(&mut self, waiter: NodeId, coro_label: &'static str, shape: &Shape) {
+        for mut g in wait_groups(waiter, coro_label, shape) {
+            // Equal but for the count is the same waiting point.
+            let seen = self.groups.iter_mut().find(|old| {
+                g.count = old.count;
+                **old == g
+            });
+            match seen {
+                Some(old) => old.count += 1,
+                None => self.groups.push(WaitGroup { count: 1, ..g }),
+            }
+        }
+    }
+
     /// Aggregated directed edges, ordered by (from, to, kind, label).
     pub fn edges(&self) -> Vec<SpgEdge> {
         let mut agg: BTreeMap<(u32, u32, EdgeKind, String), u64> = BTreeMap::new();
@@ -284,7 +224,7 @@ impl Spg {
             let label = format!("{}/{}", g.label_k, g.label_n);
             for t in &g.targets {
                 *agg.entry((g.waiter.0, t.0, g.kind, label.clone()))
-                    .or_insert(0) += 1;
+                    .or_insert(0) += g.count;
             }
         }
         agg.into_iter()
@@ -339,16 +279,15 @@ impl Spg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventHandle, Notify, QuorumEvent, Watchable};
+    use crate::event::{EventHandle, Notify, QuorumEvent, Signal, Watchable};
     use crate::runtime::{Coroutine, Runtime};
-    use crate::trace::Tracer;
     use simkit::Sim;
+    use std::time::Duration;
 
-    fn traced_rt(node: u32) -> (Sim, Runtime) {
+    fn folding_rt(node: u32) -> (Sim, Runtime) {
         let sim = Sim::new(1);
-        let tracer = Tracer::new();
-        tracer.set_record_full(true);
-        let rt = Runtime::with_tracer(sim.clone(), NodeId(node), tracer);
+        let rt = Runtime::new_sim(sim.clone(), NodeId(node));
+        rt.tracer().install_spg_fold();
         (sim, rt)
     }
 
@@ -362,20 +301,142 @@ mod tests {
         )
     }
 
+    fn shape(kind: EventKind, label: &'static str, k: usize, children: Vec<Shape>) -> Shape {
+        Shape {
+            kind,
+            label,
+            k,
+            children,
+        }
+    }
+
+    fn rpc(target: u32) -> Shape {
+        let kind = EventKind::Rpc {
+            target: NodeId(target),
+        };
+        shape(kind, "rpc", 0, Vec::new())
+    }
+
+    fn local() -> Shape {
+        shape(EventKind::Io, "wal", 0, Vec::new())
+    }
+
+    fn quorum(label: &'static str, k: usize, children: Vec<Shape>) -> Shape {
+        shape(EventKind::Quorum, label, k, children)
+    }
+
+    fn replicas(first: u32) -> Vec<Shape> {
+        (first..first + 3).map(rpc).collect()
+    }
+
+    #[test]
+    fn requirement_law_table() {
+        use EdgeKind::{Quorum as Green, Singular as Red};
+        type Want = (&'static str, Vec<u32>, usize, EdgeKind, (usize, usize));
+        let table: Vec<(&str, Shape, Vec<Want>)> = vec![
+            (
+                "an rpc is a red 1/1 on its target",
+                rpc(2),
+                vec![("rpc", vec![2], 1, Red, (1, 1))],
+            ),
+            ("a purely local wait needs no remote node", local(), vec![]),
+            (
+                "local children are discounted from k",
+                quorum("q", 2, vec![local(), rpc(1), rpc(2)]),
+                vec![("q", vec![1, 2], 1, Green, (2, 3))],
+            ),
+            (
+                "a quorum of local children needs no remote node",
+                quorum("q", 2, vec![local(), local(), rpc(1)]),
+                vec![],
+            ),
+            (
+                "remote targets all on one node collapse to a red 1/1",
+                quorum("q", 2, vec![local(), rpc(1)]),
+                vec![("q", vec![1], 1, Red, (1, 1))],
+            ),
+            (
+                "a duplicate target counts twice toward k",
+                quorum("q", 2, vec![rpc(1), rpc(1), rpc(2)]),
+                vec![("q", vec![1, 1, 2], 2, Green, (2, 3))],
+            ),
+            (
+                "an and needs each child, under each child's label",
+                shape(
+                    EventKind::And,
+                    "and",
+                    3,
+                    vec![quorum("q", 2, replicas(1)), rpc(4), local()],
+                ),
+                vec![
+                    ("q", vec![1, 2, 3], 2, Green, (2, 3)),
+                    ("rpc", vec![4], 1, Red, (1, 1)),
+                ],
+            ),
+            (
+                "an all-of quorum over compound children keeps each nested threshold",
+                quorum(
+                    "outer",
+                    3,
+                    vec![
+                        quorum("s1", 2, replicas(1)),
+                        quorum("s2", 2, replicas(4)),
+                        rpc(7),
+                    ],
+                ),
+                vec![
+                    ("s1", vec![1, 2, 3], 2, Green, (2, 3)),
+                    ("s2", vec![4, 5, 6], 2, Green, (2, 3)),
+                    ("outer", vec![7], 1, Red, (1, 1)),
+                ],
+            ),
+            (
+                "a partial quorum over compound children stays flattened",
+                quorum(
+                    "outer",
+                    1,
+                    vec![quorum("s1", 2, replicas(1)), quorum("s2", 2, replicas(4))],
+                ),
+                vec![("outer", vec![1, 2, 3, 4, 5, 6], 1, Green, (1, 2))],
+            ),
+            (
+                "an or with a local branch needs no remote node",
+                shape(EventKind::Or, "or", 1, vec![local(), rpc(1)]),
+                vec![],
+            ),
+            (
+                "an or over remote branches needs one of them",
+                shape(EventKind::Or, "or", 1, vec![rpc(1), rpc(2)]),
+                vec![("or", vec![1, 2], 1, Green, (1, 2))],
+            ),
+        ];
+        for (what, shape, want) in table {
+            let got: Vec<Want> = wait_groups(NodeId(0), "c", &shape)
+                .into_iter()
+                .map(|g| {
+                    assert_eq!((g.waiter, g.coro_label, g.count), (NodeId(0), "c", 1));
+                    let targets = g.targets.iter().map(|t| t.0).collect();
+                    (g.event_label, targets, g.k, g.kind, (g.label_k, g.label_n))
+                })
+                .collect();
+            assert_eq!(got, want, "{what}");
+        }
+    }
+
     #[test]
     fn singular_rpc_wait_is_red_edge() {
-        let (sim, rt) = traced_rt(0);
+        let (sim, rt) = folding_rt(0);
         let e = rpc_like(&rt, 2);
         let rt2 = rt.clone();
         Coroutine::create(&rt, "replicate", async move {
             let e2 = e.clone();
-            rt2.schedule_call(rt2.now() + std::time::Duration::from_millis(1), move || {
-                e2.fire(crate::event::Signal::Ok)
+            rt2.schedule_call(rt2.now() + Duration::from_millis(1), move || {
+                e2.fire(Signal::Ok)
             });
             e.wait().await;
         });
         sim.run();
-        let spg = build(&rt.tracer().records());
+        let spg = rt.tracer().finish_spg_fold();
         let edges = spg.edges();
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].from, NodeId(0));
@@ -385,20 +446,63 @@ mod tests {
     }
 
     #[test]
+    fn a_wait_that_never_ends_is_a_red_edge() {
+        let (sim, rt) = folding_rt(0);
+        // Node 2 never answers: the coroutine stays parked for good.
+        let e = rpc_like(&rt, 2);
+        Coroutine::create(&rt, "replicate", async move {
+            e.wait().await;
+        });
+        sim.run();
+        let edges = rt.tracer().finish_spg_fold().edges();
+        let red = SpgEdge {
+            from: NodeId(0),
+            to: NodeId(2),
+            kind: EdgeKind::Singular,
+            label: "1/1".into(),
+            count: 1,
+        };
+        assert_eq!(edges, vec![red]);
+    }
+
+    #[test]
+    fn identical_waits_fold_into_one_waiting_point() {
+        let (sim, rt) = folding_rt(0);
+        let rt2 = rt.clone();
+        Coroutine::create(&rt, "replicate", async move {
+            for _ in 0..5 {
+                let e = rpc_like(&rt2, 2);
+                let e2 = e.clone();
+                rt2.schedule_call(rt2.now() + Duration::from_millis(1), move || {
+                    e2.fire(Signal::Ok)
+                });
+                e.wait().await;
+            }
+        });
+        sim.run();
+        let spg = rt.tracer().finish_spg_fold();
+        assert_eq!(spg.groups.len(), 1, "groups: {:?}", spg.groups);
+        assert_eq!(spg.groups[0].count, 5);
+        let edges = spg.edges();
+        assert_eq!(edges.len(), 1);
+        assert_eq!(edges[0].count, 5);
+    }
+
+    #[test]
     fn quorum_wait_is_green_edges_with_k_of_n() {
-        let (sim, rt) = traced_rt(0);
+        let (sim, rt) = folding_rt(0);
         let q = QuorumEvent::majority(&rt);
         for t in 1..=3u32 {
             let e = rpc_like(&rt, t);
             q.add(&e);
-            e.fire(crate::event::Signal::Ok);
+            e.fire(Signal::Ok);
         }
         let q2 = q.clone();
         Coroutine::create(&rt, "replicate", async move {
             q2.handle().wait().await;
         });
         sim.run();
-        let spg = build(&rt.tracer().records());
+        let spg = rt.tracer().finish_spg_fold();
         let edges = spg.edges();
         assert_eq!(edges.len(), 3);
         for e in &edges {
@@ -409,33 +513,33 @@ mod tests {
 
     #[test]
     fn local_waits_produce_no_edges() {
-        let (sim, rt) = traced_rt(0);
+        let (sim, rt) = folding_rt(0);
         let n = Notify::new(&rt);
-        n.set(crate::event::Signal::Ok);
+        n.set(Signal::Ok);
         let h = n.handle().clone();
         Coroutine::create(&rt, "local", async move {
             h.wait().await;
         });
         sim.run();
-        let spg = build(&rt.tracer().records());
+        let spg = rt.tracer().finish_spg_fold();
         assert!(spg.edges().is_empty());
     }
 
     #[test]
     fn dot_output_contains_colors_and_labels() {
-        let (sim, rt) = traced_rt(0);
+        let (sim, rt) = folding_rt(0);
         let q = QuorumEvent::majority(&rt);
         for t in 1..=3u32 {
             let e = rpc_like(&rt, t);
             q.add(&e);
-            e.fire(crate::event::Signal::Ok);
+            e.fire(Signal::Ok);
         }
         let q2 = q.clone();
         Coroutine::create(&rt, "replicate", async move {
             q2.handle().wait().await;
         });
         sim.run();
-        let spg = build(&rt.tracer().records());
+        let spg = rt.tracer().finish_spg_fold();
         let dot = spg.to_dot(|n| format!("s{}", n.0 + 1));
         assert!(dot.contains("color=green"));
         assert!(dot.contains("label=\"2/3\""));
@@ -444,14 +548,14 @@ mod tests {
 
     #[test]
     fn nested_and_of_quorums_keeps_child_thresholds() {
-        let (sim, rt) = traced_rt(0);
+        let (sim, rt) = folding_rt(0);
         let and = crate::event::AndEvent::new(&rt);
         for shard in 0..2u32 {
             let q = QuorumEvent::majority(&rt);
             for i in 0..3u32 {
                 let e = rpc_like(&rt, 1 + shard * 3 + i);
                 q.add(&e);
-                e.fire(crate::event::Signal::Ok);
+                e.fire(Signal::Ok);
             }
             and.add(&q);
         }
@@ -459,7 +563,7 @@ mod tests {
             and.wait().await;
         });
         sim.run();
-        let spg = build(&rt.tracer().records());
+        let spg = rt.tracer().finish_spg_fold();
         // Two quorum groups of 3 targets each, k=2.
         let quorum_groups: Vec<_> = spg
             .groups

@@ -10,7 +10,10 @@
 //! Full recording is opt-in ([`Tracer::set_record_full`]) because a
 //! saturated benchmark produces millions of records; the registry series
 //! are cheap and always on. [`TraceIndex`] is the queryable form of a
-//! record stream that the SPG builder and the offline analyses share.
+//! record stream that the offline analyses share. Two synchronous taps
+//! need no records at all: the SPG fold sees every wait as it begins
+//! ([`Tracer::install_spg_fold`]), the wait probe every wait as it ends
+//! ([`Tracer::set_wait_probe`]).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -21,6 +24,7 @@ use simkit::{NodeId, SimTime};
 
 use crate::event::{EventId, EventKind, Signal, WaitResult};
 use crate::runtime::CoroId;
+use crate::spg::{Shape, Spg};
 
 mod index;
 
@@ -48,16 +52,6 @@ impl SpanId {
     /// The span identifying coroutine `c`.
     pub fn coro(c: CoroId) -> SpanId {
         SpanId(((c.0 + 1) << 1) | 1)
-    }
-
-    /// The event this span denotes, if it is an event span.
-    pub fn as_event(self) -> Option<EventId> {
-        (self.0 != 0 && self.0 & 1 == 0).then(|| EventId((self.0 >> 1) - 1))
-    }
-
-    /// The coroutine this span denotes, if it is a coroutine span.
-    pub fn as_coro(self) -> Option<CoroId> {
-        (self.0 != 0 && self.0 & 1 == 1).then(|| CoroId((self.0 >> 1) - 1))
     }
 }
 
@@ -211,8 +205,6 @@ pub struct WaitObservation {
     pub kind: EventKind,
     /// Label of the awaited event.
     pub label: &'static str,
-    /// `(k, n)` snapshot for quorum-like events.
-    pub quorum: Option<(usize, usize)>,
     /// What the wait observed.
     pub result: WaitResult,
     /// How long the wait blocked (virtual time).
@@ -289,6 +281,7 @@ struct TraceInner {
     next_trace: u64,
     metrics: MetricsRegistry,
     wait_probe: Option<WaitProbe>,
+    spg: Option<Spg>,
 }
 
 /// The cluster-shared trace sink and id allocator. Cheap to clone.
@@ -329,6 +322,7 @@ impl Tracer {
                 next_trace: 1,
                 metrics,
                 wait_probe: None,
+                spg: None,
             })),
         }
     }
@@ -414,6 +408,30 @@ impl Tracer {
         }
     }
 
+    /// Starts folding every wait that begins on runtimes sharing this
+    /// tracer into a fresh slowness propagation graph, until
+    /// [`Tracer::finish_spg_fold`]. Independent of the wait probe: the
+    /// profiler and the fold can run together.
+    pub fn install_spg_fold(&self) {
+        self.inner.borrow_mut().spg = Some(Spg::default());
+    }
+
+    /// Stops the fold and yields the graph it built (empty if none was
+    /// installed).
+    pub fn finish_spg_fold(&self) -> Spg {
+        self.inner.borrow_mut().spg.take().unwrap_or_default()
+    }
+
+    /// Folds one beginning wait — `(waiter, coroutine label, what it waits
+    /// for)` — into the installed SPG, if any. The closure keeps the
+    /// disabled path free of the walk over the live events.
+    pub(crate) fn fold_wait(&self, make: impl FnOnce() -> (NodeId, &'static str, Shape)) {
+        if let Some(spg) = &mut self.inner.borrow_mut().spg {
+            let (waiter, coro_label, shape) = make();
+            spg.fold(waiter, coro_label, &shape);
+        }
+    }
+
     /// Feeds one RPC completion into the shared registry, scoped to the
     /// *callee*: an `rpc.latency` series that inflates names the slow
     /// peer, which is exactly the attribution the fail-slow detector
@@ -448,11 +466,6 @@ impl Tracer {
     /// budget resets with it: subsequent records fill a fresh buffer.
     pub fn take_records(&self) -> Vec<TraceRecord> {
         std::mem::take(&mut self.inner.borrow_mut().records)
-    }
-
-    /// Number of full records collected so far.
-    pub fn record_count(&self) -> usize {
-        self.inner.borrow().records.len()
     }
 
     /// Records one health-state transition — the one way to say one: at
@@ -521,30 +534,24 @@ mod tests {
     fn recording_is_gated() {
         let t = Tracer::new();
         t.record(|| panic!("must not be built when disabled"));
-        assert_eq!(t.record_count(), 0);
+        assert_eq!(t.records().len(), 0);
         t.set_record_full(true);
         t.record(|| TraceRecord::EventFired {
             t: SimTime::ZERO,
             event: EventId(0),
             signal: Signal::Ok,
         });
-        assert_eq!(t.record_count(), 1);
+        assert_eq!(t.records().len(), 1);
     }
 
     #[test]
-    fn span_ids_are_disjoint_and_invertible() {
+    fn span_ids_are_disjoint() {
         let e = SpanId::event(EventId(0));
         let c = SpanId::coro(CoroId(0));
         assert_ne!(e, c);
         assert_ne!(e, SpanId::NONE);
         assert_ne!(c, SpanId::NONE);
-        assert_eq!(e.as_event(), Some(EventId(0)));
-        assert_eq!(e.as_coro(), None);
-        assert_eq!(c.as_coro(), Some(CoroId(0)));
-        assert_eq!(c.as_event(), None);
-        assert_eq!(SpanId::NONE.as_event(), None);
-        assert_eq!(SpanId::NONE.as_coro(), None);
-        assert_eq!(SpanId::event(EventId(41)).as_event(), Some(EventId(41)));
+        assert_ne!(SpanId::event(EventId(1)), SpanId::coro(CoroId(0)));
     }
 
     #[test]
@@ -560,18 +567,18 @@ mod tests {
                 signal: Signal::Ok,
             });
         }
-        assert_eq!(t.record_count(), 3);
+        assert_eq!(t.records().len(), 3);
         assert_eq!(r.counter(Key::global("trace.dropped")).get(), 2);
         // Taking the buffer frees the budget again.
         let taken = t.take_records();
         assert_eq!(taken.len(), 3);
-        assert_eq!(t.record_count(), 0);
+        assert_eq!(t.records().len(), 0);
         t.record(|| TraceRecord::EventFired {
             t: SimTime::ZERO,
             event: EventId(9),
             signal: Signal::Ok,
         });
-        assert_eq!(t.record_count(), 1);
+        assert_eq!(t.records().len(), 1);
         assert_eq!(r.counter(Key::global("trace.dropped")).get(), 2);
     }
 

@@ -36,8 +36,7 @@ pub struct CoroInfo {
 
 /// Index over one trace: events by id, fire times, compound-event
 /// structure, proposal→round links. Built once per record stream and
-/// shared by the SPG builder ([`crate::spg::build`]), the blame report and
-/// the Chrome export.
+/// shared by the blame report and the Chrome export.
 #[derive(Default)]
 pub struct TraceIndex {
     /// Creation records by event id.
@@ -126,10 +125,5 @@ impl TraceIndex {
             Some((t, Signal::Ok)) => Some(*t),
             _ => None,
         }
-    }
-
-    /// Children of `event`, in add order (empty for a basic event).
-    pub fn children_of(&self, event: EventId) -> &[EventId] {
-        self.children.get(&event).map_or(&[], Vec::as_slice)
     }
 }

@@ -2,15 +2,15 @@
 //!
 //! §3.1 gives the definition this module checks: *"we define code that
 //! only uses QuorumEvent and has no other waiting points as fail-slow
-//! fault-tolerant code."* [`check_fail_slow_tolerance`] scans a trace for
-//! singular remote waits inside the coroutines the caller designates as
-//! critical, and reports each one as a [`Violation`] — the analysis that
+//! fault-tolerant code."* [`check_fail_slow_tolerance`] scans the SPG of a
+//! real run for singular remote waits inside the coroutines the caller
+//! designates as critical, and reports each one as a [`Violation`] — the analysis that
 //! took the paper's authors "two person-years" to do by hand with printf
 //! timestamps (§2.3).
 //!
 //! [`propagation_impact`] answers the complementary what-if question on
 //! the same data: given that some nodes fail slow, which other nodes'
-//! waits would stall? It runs a fixed point over the reconstructed wait
+//! waits would stall? It runs a fixed point over the folded wait
 //! groups: a singular wait stalls if its one target is impacted; a k-of-n
 //! quorum wait stalls only when fewer than `k` healthy targets remain.
 
@@ -31,7 +31,7 @@ pub struct Violation {
     pub coro_label: &'static str,
     /// Label of the waited-on event.
     pub event_label: &'static str,
-    /// How many times this wait occurred in the trace.
+    /// How many times this wait occurred in the folded window.
     pub count: u64,
 }
 
@@ -62,7 +62,7 @@ pub fn check_fail_slow_tolerance(spg: &Spg, is_critical: impl Fn(&str) -> bool) 
                 continue; // A wait on oneself is a local wait.
             }
             *agg.entry((g.waiter.0, t.0, g.coro_label, g.event_label))
-                .or_insert(0) += 1;
+                .or_insert(0) += g.count;
         }
     }
     agg.into_iter()
@@ -80,7 +80,7 @@ pub fn check_fail_slow_tolerance(spg: &Spg, is_critical: impl Fn(&str) -> bool) 
 ///
 /// Returns every node (including the seeds) whose waits would stall if the
 /// seed nodes were arbitrarily slow, according to the wait groups observed
-/// in the trace.
+/// in the run.
 pub fn propagation_impact(spg: &Spg, slow: &BTreeSet<NodeId>) -> BTreeSet<NodeId> {
     let mut impacted = slow.clone();
     loop {
@@ -189,12 +189,10 @@ fn stall_probability(targets: &[NodeId], k: usize, prob: &BTreeMap<NodeId, f64>)
 mod tests {
     use super::*;
     use crate::spg::WaitGroup;
-    use simkit::SimTime;
 
     fn group(waiter: u32, targets: &[u32], k: usize, kind: EdgeKind) -> WaitGroup {
         WaitGroup {
             waiter: NodeId(waiter),
-            coro: None,
             coro_label: "raft:replicate",
             event_label: "append_entries",
             targets: targets.iter().map(|t| NodeId(*t)).collect(),
@@ -202,7 +200,7 @@ mod tests {
             kind,
             label_k: k,
             label_n: targets.len(),
-            t: SimTime::ZERO,
+            count: 1,
         }
     }
 
@@ -335,20 +333,18 @@ mod tests {
 
     #[test]
     fn propagation_with_nested_quorums_from_a_real_trace() {
-        // Quorum-of-quorums, reconstructed from trace records (not
-        // hand-built groups): a coordinator on node 0 waits for *all* of
-        // two per-shard majorities, each 2-of-3 over RPCs to that shard's
-        // replicas. The inner thresholds are recovered from the
-        // `parent_meta` snapshots in `ChildAdded` records.
+        // Quorum-of-quorums, folded from a real run (not hand-built
+        // groups): a coordinator on node 0 waits for *all* of two per-shard
+        // majorities, each 2-of-3 over RPCs to that shard's replicas. The
+        // inner thresholds are read off the nested tallies.
         use crate::event::{EventHandle, EventKind, QuorumEvent, QuorumMode};
         use crate::runtime::{Coroutine, Runtime};
-        use crate::spg;
         use simkit::Sim;
         use std::time::Duration;
 
         let sim = Sim::new(1);
         let rt = Runtime::new_sim(sim.clone(), NodeId(0));
-        rt.tracer().set_record_full(true);
+        rt.tracer().install_spg_fold();
         let outer = QuorumEvent::labeled(&rt, QuorumMode::All, "xshard");
         for shard in 0..2u32 {
             let inner = QuorumEvent::labeled(&rt, QuorumMode::Majority, "shard");
@@ -366,8 +362,7 @@ mod tests {
         });
         sim.run();
 
-        let records = rt.tracer().take_records();
-        let s = spg::build(&records);
+        let s = rt.tracer().finish_spg_fold();
         // One 2-of-3 quorum group per shard; no singular edges.
         let quorums: Vec<_> = s
             .groups

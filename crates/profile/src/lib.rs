@@ -418,7 +418,6 @@ mod tests {
             phase,
             kind,
             label,
-            quorum: None,
             result: WaitResult::Ready,
             waited: Duration::from_millis(ms),
         }

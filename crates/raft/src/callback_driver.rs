@@ -269,13 +269,12 @@ mod tests {
         let (sim, world, cl) = cluster();
         let tracer = cl.tracer.clone();
         world.set_cpu_quota(NodeId(2), 0.01);
-        // Build up lag first (tracing off to keep the trace small), then
-        // record a window in which flow control is active.
+        // Build up lag first, then fold a window in which flow control is
+        // active.
         drive(&sim, &cl, 400);
-        tracer.set_record_full(true);
+        tracer.install_spg_fold();
         drive(&sim, &cl, 200);
-        tracer.set_record_full(false);
-        let spg = depfast::spg::build(&tracer.take_records());
+        let spg = tracer.finish_spg_fold();
         let violations =
             depfast::verify::check_fail_slow_tolerance(&spg, |l| l.starts_with("raft:"));
         assert!(

@@ -198,10 +198,9 @@ mod tests {
     #[test]
     fn verifier_flags_every_chain_hop() {
         let (sim, _world, cl) = cluster();
-        cl.tracer.set_record_full(true);
+        cl.tracer.install_spg_fold();
         drive(&sim, &cl, 10);
-        cl.tracer.set_record_full(false);
-        let spg = depfast::spg::build(&cl.tracer.take_records());
+        let spg = cl.tracer.finish_spg_fold();
         let violations =
             depfast::verify::check_fail_slow_tolerance(&spg, |l| l.starts_with("chain:"));
         // Head waits on middle, middle waits on tail: two singular hops.
@@ -222,12 +221,11 @@ mod tests {
     #[test]
     fn propagation_analysis_shows_chain_wide_impact() {
         let (sim, _world, cl) = cluster();
-        cl.tracer.set_record_full(true);
+        cl.tracer.install_spg_fold();
         drive(&sim, &cl, 10);
-        cl.tracer.set_record_full(false);
-        let spg = depfast::spg::build(&cl.tracer.take_records());
+        let spg = cl.tracer.finish_spg_fold();
         // Slow TAIL impacts every chain member — the §3.3 tradeoff,
-        // quantified from a real trace.
+        // quantified from a real run.
         let impacted = depfast::verify::propagation_impact(&spg, &[NodeId(2)].into());
         assert!(impacted.contains(&NodeId(0)), "head impacted: {impacted:?}");
         assert!(

@@ -1,7 +1,7 @@
-//! Runtime verification in action: build slowness propagation graphs from
-//! live traces and let the checker find the fail-slow bug.
+//! Runtime verification in action: fold slowness propagation graphs from
+//! live runs and let the checker find the fail-slow bug.
 //!
-//! Runs the same traced workload on DepFastRaft (expected: all-green SPG,
+//! Runs the same workload on DepFastRaft (expected: all-green SPG,
 //! zero violations) and on CallbackRaft with a lagging follower (expected:
 //! the synchronous flow-control probe shows up as a red edge and a
 //! verifier violation).
@@ -22,7 +22,7 @@ use depfast_raft::cluster::RaftKind;
 use depfast_raft::core::RaftCfg;
 use simkit::{NodeId, Sim, World, WorldCfg};
 
-fn run_traced(kind: RaftKind, slow_follower: bool) -> (spg::Spg, Vec<verify::Violation>) {
+fn run_folded(kind: RaftKind, slow_follower: bool) -> (spg::Spg, Vec<verify::Violation>) {
     let sim = Sim::new(7);
     let world = World::new(
         sim.clone(),
@@ -45,7 +45,7 @@ fn run_traced(kind: RaftKind, slow_follower: bool) -> (spg::Spg, Vec<verify::Vio
     if slow_follower {
         world.set_cpu_quota(NodeId(2), 0.02);
     }
-    // Build up lag untraced, then record a window.
+    // Build up lag first, then fold a window.
     let drive = |n: u32| {
         let handles: Vec<_> = (0..2)
             .map(|c| {
@@ -63,10 +63,9 @@ fn run_traced(kind: RaftKind, slow_follower: bool) -> (spg::Spg, Vec<verify::Vio
         }
     };
     drive(400);
-    cluster.raft.tracer.set_record_full(true);
+    cluster.raft.tracer.install_spg_fold();
     drive(150);
-    cluster.raft.tracer.set_record_full(false);
-    let graph = spg::build(&cluster.raft.tracer.records());
+    let graph = cluster.raft.tracer.finish_spg_fold();
     let violations = verify::check_fail_slow_tolerance(&graph, |l| l.starts_with("raft:"));
     (graph, violations)
 }
@@ -81,7 +80,7 @@ fn name(n: NodeId) -> String {
 
 fn main() {
     println!("=== DepFastRaft (healthy): the all-green SPG ===");
-    let (graph, violations) = run_traced(RaftKind::DepFast, false);
+    let (graph, violations) = run_folded(RaftKind::DepFast, false);
     println!("{}", graph.to_dot(name));
     println!("verifier violations: {}", violations.len());
     let slow: BTreeSet<NodeId> = [NodeId(1)].into();
@@ -92,7 +91,7 @@ fn main() {
     );
 
     println!("=== CallbackRaft with a CPU-starved follower: the red edge ===");
-    let (graph, violations) = run_traced(RaftKind::Callback, true);
+    let (graph, violations) = run_folded(RaftKind::Callback, true);
     println!("{}", graph.to_dot(name));
     println!("verifier violations: {}", violations.len());
     for v in &violations {

@@ -1,4 +1,4 @@
-//! End-to-end trace → SPG → verification pipeline tests (the Figure 2
+//! End-to-end run → SPG → verification pipeline tests (the Figure 2
 //! topology at test scale).
 
 use std::collections::BTreeSet;
@@ -12,7 +12,7 @@ use depfast_raft::core::RaftCfg;
 use depfast_txn::ShardedCluster;
 use simkit::{NodeId, Sim, World, WorldCfg};
 
-fn traced_sharded_run() -> (Rc<ShardedCluster>, spg::Spg) {
+fn folded_sharded_run() -> (Rc<ShardedCluster>, spg::Spg) {
     let sim = Sim::new(2);
     let world = World::new(
         sim.clone(),
@@ -32,7 +32,7 @@ fn traced_sharded_run() -> (Rc<ShardedCluster>, spg::Spg) {
             ..RaftCfg::default()
         },
     ));
-    cluster.tracer.set_record_full(true);
+    cluster.tracer.install_spg_fold();
     let handles: Vec<_> = (0..3)
         .map(|c| {
             let cl = cluster.clone();
@@ -50,15 +50,15 @@ fn traced_sharded_run() -> (Rc<ShardedCluster>, spg::Spg) {
         sim.run_until(h);
     }
     sim.run_until_time(sim.now() + Duration::from_millis(200));
-    let graph = spg::build(&cluster.tracer.records());
+    let graph = cluster.tracer.finish_spg_fold();
     (cluster, graph)
 }
 
 #[test]
 fn figure2_topology_has_green_quorum_edges_and_red_client_edges() {
-    let (_cluster, graph) = traced_sharded_run();
+    let (_cluster, graph) = folded_sharded_run();
     let edges = graph.edges();
-    assert!(!edges.is_empty(), "trace produced no SPG edges");
+    assert!(!edges.is_empty(), "the run produced no SPG edges");
 
     // Green 2/3 edges exist from each shard leader to its followers.
     for (leader, followers) in [(0u32, [1u32, 2]), (3, [4, 5]), (6, [7, 8])] {
@@ -99,7 +99,7 @@ fn figure2_topology_has_green_quorum_edges_and_red_client_edges() {
 
 #[test]
 fn verifier_passes_depfast_and_propagation_matches_paper() {
-    let (_cluster, graph) = traced_sharded_run();
+    let (_cluster, graph) = folded_sharded_run();
     let violations = verify::check_fail_slow_tolerance(&graph, |l| l.starts_with("raft:"));
     assert!(
         violations.is_empty(),
@@ -125,7 +125,7 @@ fn verifier_passes_depfast_and_propagation_matches_paper() {
 
 #[test]
 fn dot_output_is_well_formed() {
-    let (_cluster, graph) = traced_sharded_run();
+    let (_cluster, graph) = folded_sharded_run();
     let dot = graph.to_dot(|n| {
         if n.0 < 9 {
             format!("s{}", n.0 + 1)
