@@ -30,12 +30,18 @@ pub fn slug(s: &str) -> String {
 
 /// An integer knob from the environment — how CI shrinks the figure
 /// benches (`FIG1_*`, `FIG3_*`, `ABL_MEASURE_SECS`); `default` when
-/// unset or unparsable.
+/// unset.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when it is set but is not
+/// an unsigned integer (`2s`): a typo must not run the full-size config.
 pub fn env_knob(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let Some(value) = std::env::var_os(name) else {
+        return default;
+    };
+    let parsed = value.to_str().and_then(|v| v.parse().ok());
+    parsed.unwrap_or_else(|| panic!("{name}={value:?} is not an unsigned integer"))
 }
 
 /// The figures' name for what a run injects: its fault class, or
@@ -184,6 +190,20 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn an_env_knob_is_its_default_when_unset_and_its_value_when_set() {
+        assert_eq!(env_knob("DEPFAST_TEST_KNOB_UNSET", 10), 10);
+        std::env::set_var("DEPFAST_TEST_KNOB_SET", "2");
+        assert_eq!(env_knob("DEPFAST_TEST_KNOB_SET", 10), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "DEPFAST_TEST_KNOB_UNPARSABLE=\"2s\" is not an unsigned integer")]
+    fn an_unparsable_env_knob_panics_naming_it() {
+        std::env::set_var("DEPFAST_TEST_KNOB_UNPARSABLE", "2s");
+        env_knob("DEPFAST_TEST_KNOB_UNPARSABLE", 10);
+    }
 
     #[test]
     fn render_aligns_columns() {

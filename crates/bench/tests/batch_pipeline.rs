@@ -253,7 +253,7 @@ fn a_recovered_follower_gains_on_the_leader_until_it_is_resumed() {
         assert!(pair[1] <= pair[0], "lag grew after the clear: {lags:?}");
     }
 
-    let health = cl.tracer.health_events();
+    let health = cl.tracer.take_health_events();
     let resumed = health
         .iter()
         .find(|e| e.node == SLOW && e.transition == "resume")

@@ -40,6 +40,7 @@ fn depfast_quorum_keeps_the_disk_slow_follower_off_the_critical_path() {
     assert!(stats.ops > 100, "workload ran: {}", stats.ops);
     let report = blame_report(&TraceIndex::build(&records));
     assert!(report.commits > 100, "commits analyzed: {}", report.commits);
+    assert!(!report.total.is_zero(), "commits were blamed on someone");
     let share = report.node_share(NodeId(2));
     assert!(
         share < 0.10,
@@ -64,9 +65,11 @@ fn sync_driver_blame_lands_on_the_disk_slow_follower() {
     assert!(stats.ops > 100, "workload ran: {}", stats.ops);
     let report = blame_report(&TraceIndex::build(&records));
     assert!(report.commits > 100, "commits analyzed: {}", report.commits);
-    assert_eq!(
-        report.plurality_node(),
-        Some(NodeId(2)),
+    // Node 2 carries blame, and more than any other node does.
+    let slow = report.node_share(NodeId(2));
+    let others = report.by.keys().filter(|k| k.node != NodeId(2));
+    assert!(
+        slow > 0.0 && others.map(|k| report.node_share(k.node)).all(|s| s < slow),
         "SyncRaft's inline cold reads must put the laggard on top\n{}",
         report.table(12)
     );

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use depfast_bench::Run;
 use depfast_detect::DetectorCfg;
-use depfast_incident::{score, RECOVERY_BAND};
+use depfast_incident::{score, ScoreCell, RECOVERY_BAND};
 use depfast_raft::cluster::RaftKind;
 
 const DRIVERS: [RaftKind; 5] = [
@@ -55,9 +55,10 @@ fn no_fault_matrix_is_silent_and_scores_all_zero() {
                 dump.events
             );
             let cell = score(&dump, RECOVERY_BAND);
-            assert!(
-                cell.is_all_zero(),
-                "{} seed {seed}: healthy run must score all-zero, got {cell:?}",
+            assert_eq!(
+                cell,
+                ScoreCell::default(),
+                "{} seed {seed}: healthy run must score all-zero",
                 kind.name()
             );
         }

@@ -19,7 +19,7 @@ use std::time::Duration;
 use depfast_bench::suites::gate_detector_cfg;
 use depfast_bench::{striped, Run, RunReport};
 use depfast_fault::FaultKind;
-use depfast_incident::{score, RECOVERY_BAND};
+use depfast_incident::{score, ScoreCell, RECOVERY_BAND};
 use depfast_raft::cluster::RaftKind;
 
 const FAULT_NODE: u32 = 4;
@@ -84,9 +84,10 @@ fn scorecards_confine_the_fault_to_hosted_groups() {
             assert!(cell.ttm_ns.is_some(), "g{gid} never quarantined: {cell:?}");
         } else {
             assert!(dump.faults.is_empty(), "g{gid} is outside the radius");
-            assert!(
-                cell.is_all_zero(),
-                "g{gid} is not hosted on n{FAULT_NODE} but scored {cell:?}"
+            assert_eq!(
+                cell,
+                ScoreCell::default(),
+                "g{gid} is not hosted on n{FAULT_NODE}"
             );
         }
     }

@@ -82,6 +82,29 @@ fn profiling_does_not_perturb_the_simulation() {
     );
 }
 
+/// Fraction of `node`'s *blocked* time — everything except on-CPU service
+/// (`cpu`) and its swap inflation (`mem:*`) — spent at sites of
+/// `site_kind`: a node can be busy *and* disk-bound, and the wait share
+/// isolates the waiting from the work. Zero if the node never waited.
+fn wait_share(profile: &Profiler, node: NodeId, site_kind: &str) -> f64 {
+    let (mut waited, mut matched) = (0u64, 0u64);
+    for l in profile.lines().into_iter().filter(|l| l.node == node.0) {
+        let kind = l.site.split(':').next().unwrap();
+        if kind == "cpu" || kind == "mem" {
+            continue;
+        }
+        waited += l.nanos;
+        if kind == site_kind {
+            matched += l.nanos;
+        }
+    }
+    if waited == 0 {
+        0.0
+    } else {
+        matched as f64 / waited as f64
+    }
+}
+
 /// Time `node`'s append handlers (`raft:handle_append`) spent at `disk`
 /// sites: parked on the WAL's durability watermark, or on the device.
 fn append_handlers_on_disk(profile: &Profiler, node: NodeId) -> Duration {
@@ -106,7 +129,7 @@ fn append_handlers_on_disk(profile: &Profiler, node: NodeId) -> Duration {
 fn disk_wait_dominates_the_slow_follower_under_sync_but_not_depfast() {
     let sync = profile(&profiled_cfg(RaftKind::Sync));
     let depfast = profile(&profiled_cfg(RaftKind::DepFast));
-    let sync_share = sync.node_wait_share(NodeId(2), "disk");
+    let sync_share = wait_share(&sync, NodeId(2), "disk");
     assert!(
         sync_share > 0.5,
         "SyncRaft: the disk-slow follower's waiting should be disk-dominated, got {sync_share:.3}"

@@ -103,11 +103,6 @@ impl<T: 'static> TypedEvent<T> {
         self.handle
             .on_fire(move |_| hook(value.borrow_mut().take()));
     }
-
-    /// Reads the payload without consuming it.
-    pub fn peek<R>(&self, f: impl FnOnce(Option<&T>) -> R) -> R {
-        f(self.value.borrow().as_ref())
-    }
 }
 
 impl<T> Watchable for TypedEvent<T> {

@@ -50,11 +50,6 @@ impl WaitResult {
     pub fn is_ready(self) -> bool {
         matches!(self, WaitResult::Ready)
     }
-
-    /// `true` for [`WaitResult::Timeout`].
-    pub fn is_timeout(self) -> bool {
-        matches!(self, WaitResult::Timeout)
-    }
 }
 
 /// The structural kind of an event, used by tracing and SPG construction.
@@ -445,11 +440,6 @@ impl PhaseSpan {
             handle: EventHandle::with_sampling(rt, EventKind::Phase { blame }, label, false),
             prev_phase,
         }
-    }
-
-    /// The underlying event.
-    pub fn handle(&self) -> &EventHandle {
-        &self.handle
     }
 
     /// Closes the phase explicitly (dropping the span does the same).

@@ -296,19 +296,10 @@ impl QuorumEvent {
         self.handle.ready()
     }
 
-    /// Number of children that fired `Ok` so far.
-    pub fn ok_count(&self) -> usize {
-        self.state.borrow().ok
-    }
-
-    /// Number of children added.
+    /// Test probe: number of children added.
+    #[doc(hidden)]
     pub fn n(&self) -> usize {
         self.state.borrow().children.len()
-    }
-
-    /// The current success threshold `k`.
-    pub fn threshold(&self) -> usize {
-        self.state.borrow().threshold()
     }
 }
 
@@ -364,9 +355,9 @@ mod tests {
         let (_s, _rt, q, c) = setup(5);
         c[0].set(Signal::Ok);
         c[1].set(Signal::Err);
-        assert_eq!(q.ok_count(), 1);
+        assert_eq!(c.iter().filter(|c| c.handle().ready()).count(), 1);
         assert_eq!(q.n(), 5);
-        assert_eq!(q.threshold(), 3);
+        assert_eq!(q.state.borrow().threshold(), 3);
     }
 
     #[test]

@@ -366,7 +366,7 @@ mod tests {
         let seen = Rc::new(RefCell::new(Vec::new()));
         let ctx = TraceCtx {
             trace_id: 3,
-            parent_span: SpanId::coro(CoroId(99)),
+            parent_span: SpanId::event(crate::event::EventId(99)),
         };
         let s1 = seen.clone();
         Coroutine::create_traced(&rt, "with", Some(ctx), async move {
@@ -390,7 +390,7 @@ mod tests {
         Coroutine::create(&a, "on-a", async {});
         Coroutine::create(&b, "on-b", async {});
         sim.run();
-        let recs = tracer.records();
+        let recs = tracer.take_records();
         let nodes: Vec<NodeId> = recs
             .iter()
             .filter_map(|r| match r {

@@ -32,11 +32,10 @@ pub use index::{CoroInfo, EventInfo, TraceIndex};
 
 /// Identifier of a span in a request's causal tree.
 ///
-/// Spans are not a third id space: every span *is* either an event or a
-/// coroutine, so a `SpanId` is an [`EventId`] or a [`CoroId`] with one
-/// discriminator bit. `SpanId(0)` is reserved as "no span" for the wire
-/// encoding (the first event id maps to span 2, the first coroutine id to
-/// span 1, so 0 is never produced).
+/// Spans are not a third id space: every span *is* an event, so a
+/// `SpanId` is an [`EventId`] plus one, above a low bit that is always clear.
+/// `SpanId(0)` is reserved as "no span" for the wire encoding (the first
+/// event id maps to span 2, so 0 is never produced).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
 
@@ -47,11 +46,6 @@ impl SpanId {
     /// The span identifying event `e`.
     pub fn event(e: EventId) -> SpanId {
         SpanId((e.0 + 1) << 1)
-    }
-
-    /// The span identifying coroutine `c`.
-    pub fn coro(c: CoroId) -> SpanId {
-        SpanId(((c.0 + 1) << 1) | 1)
     }
 }
 
@@ -67,8 +61,8 @@ impl SpanId {
 pub struct TraceCtx {
     /// The client operation this work belongs to.
     pub trace_id: u64,
-    /// The span that caused the current work (an RPC event, a parent
-    /// coroutine, ...). [`SpanId::NONE`] at the root.
+    /// The span that caused the current work (an RPC event, ...).
+    /// [`SpanId::NONE`] at the root.
     pub parent_span: SpanId,
 }
 
@@ -454,14 +448,6 @@ impl Tracer {
         }
     }
 
-    /// Snapshot of all full records collected so far.
-    ///
-    /// Clones the buffer; when the trace is consumed exactly once prefer
-    /// [`Tracer::take_records`].
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.inner.borrow().records.clone()
-    }
-
     /// Moves the full-record buffer out, leaving it empty. The capacity
     /// budget resets with it: subsequent records fill a fresh buffer.
     pub fn take_records(&self) -> Vec<TraceRecord> {
@@ -497,12 +483,6 @@ impl Tracer {
         }
     }
 
-    /// Snapshot of all health events recorded so far (in recording order;
-    /// the incident layer canonicalizes ordering before serializing).
-    pub fn health_events(&self) -> Vec<HealthEvent> {
-        self.inner.borrow().health.clone()
-    }
-
     /// Number of health events dropped on the capacity cap
     /// (`trace.health_dropped`). Non-zero means the health timeline is
     /// incomplete — reports must say so rather than present a truncated
@@ -534,24 +514,21 @@ mod tests {
     fn recording_is_gated() {
         let t = Tracer::new();
         t.record(|| panic!("must not be built when disabled"));
-        assert_eq!(t.records().len(), 0);
+        assert_eq!(t.take_records().len(), 0);
         t.set_record_full(true);
         t.record(|| TraceRecord::EventFired {
             t: SimTime::ZERO,
             event: EventId(0),
             signal: Signal::Ok,
         });
-        assert_eq!(t.records().len(), 1);
+        assert_eq!(t.take_records().len(), 1);
     }
 
     #[test]
     fn span_ids_are_disjoint() {
         let e = SpanId::event(EventId(0));
-        let c = SpanId::coro(CoroId(0));
-        assert_ne!(e, c);
         assert_ne!(e, SpanId::NONE);
-        assert_ne!(c, SpanId::NONE);
-        assert_ne!(SpanId::event(EventId(1)), SpanId::coro(CoroId(0)));
+        assert_ne!(SpanId::event(EventId(1)), e);
     }
 
     #[test]
@@ -567,18 +544,17 @@ mod tests {
                 signal: Signal::Ok,
             });
         }
-        assert_eq!(t.records().len(), 3);
-        assert_eq!(r.counter(Key::global("trace.dropped")).get(), 2);
-        // Taking the buffer frees the budget again.
         let taken = t.take_records();
         assert_eq!(taken.len(), 3);
-        assert_eq!(t.records().len(), 0);
+        assert_eq!(r.counter(Key::global("trace.dropped")).get(), 2);
+        // Taking the buffer frees the budget again.
+        assert_eq!(t.take_records().len(), 0);
         t.record(|| TraceRecord::EventFired {
             t: SimTime::ZERO,
             event: EventId(9),
             signal: Signal::Ok,
         });
-        assert_eq!(t.records().len(), 1);
+        assert_eq!(t.take_records().len(), 1);
         assert_eq!(r.counter(Key::global("trace.dropped")).get(), 2);
     }
 
@@ -586,16 +562,15 @@ mod tests {
     fn health_events_are_always_on_and_capped() {
         let r = MetricsRegistry::new();
         let t = Tracer::with_metrics(r.clone());
-        assert!(t.health_events().is_empty());
+        assert!(t.take_health_events().is_empty());
         let health = Health::new("suspect", "mean 40ms vs baseline 1ms".into());
         t.record_health(SimTime::from_nanos(5), NodeId(2), "detector", health, None);
         // Recording is not gated on record_full.
         assert!(!t.record_full());
-        assert_eq!(t.health_events().len(), 1);
-        assert_eq!(t.health_events()[0].node, NodeId(2));
         let taken = t.take_health_events();
         assert_eq!(taken.len(), 1);
-        assert!(t.health_events().is_empty());
+        assert_eq!(taken[0].node, NodeId(2));
+        assert!(t.take_health_events().is_empty());
         assert_eq!(r.counter(Key::global("trace.health_dropped")).get(), 0);
     }
 

@@ -133,11 +133,12 @@ fn late_signals_are_inert() {
     q.add(&a);
     q.add(&b);
     a.set(Signal::Ok);
+    let oks = || [&a, &b].iter().filter(|c| c.handle().ready()).count();
     assert!(q.ready());
-    assert_eq!(q.ok_count(), 1);
+    assert_eq!(oks(), 1);
     b.set(Signal::Ok);
     b.set(Signal::Err);
-    assert_eq!(q.ok_count(), 2, "late ok still counted in stats");
+    assert_eq!(oks(), 2, "a late ok still fires its child");
     assert!(q.ready());
 }
 

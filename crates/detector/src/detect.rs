@@ -164,7 +164,8 @@ impl Judge {
         }
     }
 
-    /// Nodes currently under suspicion.
+    /// Test probe: nodes currently under suspicion.
+    #[doc(hidden)]
     pub fn suspects(&self) -> BTreeSet<NodeId> {
         self.suspects.keys().copied().collect()
     }
@@ -327,12 +328,14 @@ impl FailSlowDetector {
         self.hooks.borrow_mut().push(Box::new(f));
     }
 
-    /// Nodes currently under suspicion.
+    /// Test probe: nodes currently under suspicion.
+    #[doc(hidden)]
     pub fn suspects(&self) -> BTreeSet<NodeId> {
         self.state.borrow().judge.suspects()
     }
 
-    /// All suspicions raised so far.
+    /// Test probe: all suspicions raised so far.
+    #[doc(hidden)]
     pub fn history(&self) -> Vec<Suspicion> {
         self.state.borrow().history.clone()
     }
@@ -668,7 +671,7 @@ mod tests {
             "the mitigation hook fires once per fault"
         );
         let transitions: Vec<&str> = tracer
-            .health_events()
+            .take_health_events()
             .iter()
             .map(|e| e.transition)
             .collect();
@@ -775,7 +778,7 @@ mod tests {
             feed(&tracer, 1, 1, 50);
             step(&sim, POLL);
         }
-        let events = tracer.health_events();
+        let events = tracer.take_health_events();
         let transitions: Vec<&str> = events.iter().map(|e| e.transition).collect();
         assert_eq!(transitions, vec!["suspect", "clear"]);
         assert!(events.iter().all(|e| e.layer == "detector"));
@@ -798,7 +801,7 @@ mod tests {
         feed(&tracer, 2, 40, 50);
         step(&sim, POLL);
         assert_eq!(det.suspects(), [NodeId(1), NodeId(2)].into());
-        let events = tracer.health_events();
+        let events = tracer.take_health_events();
         assert_eq!(events.len(), 2);
         for e in &events {
             assert!(

@@ -16,7 +16,7 @@ use std::time::Duration;
 use depfast::Health;
 use depfast_raft::core::RaftCore;
 use depfast_raft::depfast_driver::DepFastRaft;
-use simkit::{NodeId, Sim};
+use simkit::Sim;
 
 use crate::detect::FailSlowDetector;
 
@@ -90,11 +90,6 @@ pub fn spawn_leader_mitigation(
     });
 }
 
-/// Returns the first node currently acting as leader among `cores`.
-pub fn current_leader(cores: &[Rc<RaftCore>]) -> Option<NodeId> {
-    cores.iter().find(|c| c.is_leader()).map(|c| c.id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,7 +98,7 @@ mod tests {
     use depfast_kv::KvCluster;
     use depfast_raft::cluster::RaftKind;
     use depfast_raft::core::RaftCfg;
-    use simkit::{Sim, World, WorldCfg};
+    use simkit::{NodeId, Sim, World, WorldCfg};
 
     /// End-to-end §5 scenario: leader goes fail-slow → detector flags it →
     /// mitigation demotes it → healthy node leads → commits stay fast.
@@ -133,6 +128,7 @@ mod tests {
             .iter()
             .map(|s| s.core().clone())
             .collect();
+        let current_leader = || cores.iter().find(|c| c.is_leader()).map(|c| c.id);
         let detector = FailSlowDetector::spawn(&sim, &cl.raft.tracer, DetectorCfg::default());
         spawn_leader_mitigation(&sim, &detector, cores.clone(), Duration::from_secs(2));
 
@@ -165,7 +161,7 @@ mod tests {
         // detector's warm-up windows).
         let healthy_ok = drive(700);
         assert!(healthy_ok >= 11_000, "healthy commits: {healthy_ok}");
-        assert_eq!(current_leader(&cores), Some(NodeId(0)));
+        assert_eq!(current_leader(), Some(NodeId(0)));
 
         // The leader fails slow (CPU quota 5%).
         world.set_cpu_quota(NodeId(0), 0.05);
@@ -177,7 +173,7 @@ mod tests {
             "detector must flag the slow leader; history: {:?}",
             detector.history()
         );
-        let new_leader = current_leader(&cores);
+        let new_leader = current_leader();
         assert!(
             new_leader.is_some() && new_leader != Some(NodeId(0)),
             "a healthy node must take over, got {new_leader:?}"
@@ -185,7 +181,7 @@ mod tests {
         // The whole incident is on the health timeline: the detector's
         // suspicion of n0, the mitigation demoting it, and the transfer
         // target campaigning.
-        let events = cl.raft.tracer.health_events();
+        let events = cl.raft.tracer.take_health_events();
         let has = |layer: &str, transition: &str, node: NodeId| {
             events
                 .iter()

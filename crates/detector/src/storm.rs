@@ -99,7 +99,8 @@ fn keep_newest<T>(window: &mut Vec<T>, len: usize) {
 }
 
 impl StormLaw {
-    /// `true` if any storm episode was flagged sustained (metastable).
+    /// Test probe: `true` if any storm episode was flagged sustained (metastable).
+    #[doc(hidden)]
     pub fn sustained(&self) -> bool {
         self.sustained_ever
     }
@@ -244,7 +245,8 @@ impl StormMonitor {
         self.state.borrow().series.clone()
     }
 
-    /// `true` if any storm episode was flagged sustained (metastable).
+    /// Test probe: `true` if any storm episode was flagged sustained (metastable).
+    #[doc(hidden)]
     pub fn sustained(&self) -> bool {
         self.state.borrow().law.sustained()
     }
@@ -433,7 +435,7 @@ mod tests {
             mon.tick(ns(i * 100));
         }
         assert!(!mon.sustained());
-        assert!(tracer.health_events().is_empty());
+        assert!(tracer.take_health_events().is_empty());
         assert!(mon.series().iter().all(|s| !s.stormy));
         assert_eq!(mon.series().len(), 20);
     }
@@ -479,7 +481,7 @@ mod tests {
     fn metastable_storm_is_flagged_sustained_only_after_fault_clears() {
         let (tracer, mon) = run_storm(false);
         assert!(mon.sustained());
-        let events = tracer.health_events();
+        let events = tracer.take_health_events();
         let transitions: Vec<&str> = events.iter().map(|e| e.transition).collect();
         assert_eq!(transitions, vec!["storm_onset", "storm_sustained"]);
         assert!(events.iter().all(|e| e.layer == "storm"));
@@ -491,7 +493,7 @@ mod tests {
     #[test]
     fn recovery_emits_storm_cleared() {
         let (tracer, mon) = run_storm(true);
-        let events = tracer.health_events();
+        let events = tracer.take_health_events();
         let transitions: Vec<&str> = events.iter().map(|e| e.transition).collect();
         assert_eq!(
             transitions,
@@ -526,7 +528,7 @@ mod tests {
         }
         assert!(!mon.sustained());
         let transitions: Vec<&str> = tracer
-            .health_events()
+            .take_health_events()
             .iter()
             .map(|e| e.transition)
             .collect();

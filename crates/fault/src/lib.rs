@@ -153,8 +153,8 @@ pub struct FaultRecord {
     /// The injected fault.
     pub kind: FaultKind,
     /// The onset the window was scheduled for: equal to `onset` for a
-    /// window armed by [`inject_at_logged`], `None` for a record opened
-    /// with [`FaultLedger::log_onset`].
+    /// window armed by [`inject_at_logged`], `None` for a record a test
+    /// opened by hand (the `FaultLedger::log_onset` probe).
     pub scheduled: Option<SimTime>,
     /// When the fault actually took effect.
     pub onset: SimTime,
@@ -163,13 +163,6 @@ pub struct FaultRecord {
     pub cleared: Option<SimTime>,
     /// Injected intensity ([`FaultKind::severity`]).
     pub severity: f64,
-}
-
-impl FaultRecord {
-    /// Exact fault duration, if the fault has cleared.
-    pub fn duration(&self) -> Option<Duration> {
-        self.cleared.map(|c| c - self.onset)
-    }
 }
 
 /// Per-run journal of injected faults (cheap to clone; all clones share
@@ -239,17 +232,17 @@ impl FaultLedger {
         self.owners.borrow().get(&knob(node, kind)) == Some(&epoch)
     }
 
-    /// Records an onset that happened outside the injection API (an
-    /// externally induced fault a harness still wants in the ground
-    /// truth). Returns the record's slot for [`log_clear`].
-    ///
-    /// [`log_clear`]: FaultLedger::log_clear
+    /// Test probe: records an onset that happened outside the injection
+    /// API (hand-built ground truth). Returns the record's slot for
+    /// `log_clear`.
+    #[doc(hidden)]
     pub fn log_onset(&self, node: NodeId, kind: FaultKind, onset: SimTime) -> usize {
         self.open(node, kind, None, onset)
     }
 
-    /// Stamps the clear time of a record opened with
-    /// [`log_onset`](FaultLedger::log_onset) (idempotent).
+    /// Test probe: stamps the clear time of a record opened with
+    /// `log_onset` (idempotent).
+    #[doc(hidden)]
     pub fn log_clear(&self, slot: usize, at: SimTime) {
         self.close(slot, at);
     }
@@ -257,16 +250,6 @@ impl FaultLedger {
     /// Snapshot of all records (open faults have `cleared: None`).
     pub fn records(&self) -> Vec<FaultRecord> {
         self.records.borrow().clone()
-    }
-
-    /// Number of recorded faults.
-    pub fn len(&self) -> usize {
-        self.records.borrow().len()
-    }
-
-    /// `true` when no fault has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.borrow().is_empty()
     }
 }
 
@@ -574,7 +557,7 @@ mod tests {
             &ledger,
         );
         sim.run_until_time(sim.now());
-        assert_eq!(ledger.len(), 1);
+        assert_eq!(ledger.records().len(), 1);
         let open = &ledger.records()[0];
         assert_eq!(open.node, NodeId(1));
         assert_eq!(open.scheduled, Some(SimTime::from_millis(10)));
@@ -584,7 +567,10 @@ mod tests {
         sim.run_until_time(SimTime::from_millis(35));
         let rec = &ledger.records()[0];
         assert_eq!(rec.cleared, Some(SimTime::from_millis(35)));
-        assert_eq!(rec.duration(), Some(Duration::from_millis(25)));
+        assert_eq!(
+            rec.cleared.map(|c| c - rec.onset),
+            Some(Duration::from_millis(25))
+        );
     }
 
     #[test]
@@ -601,7 +587,7 @@ mod tests {
             &ledger,
         );
         // Nothing recorded until the injection actually runs.
-        assert!(ledger.is_empty());
+        assert!(ledger.records().is_empty());
         sim.run_until_time(SimTime::from_millis(120));
         let rec = &ledger.records()[0];
         assert_eq!(rec.scheduled, Some(SimTime::from_millis(100)));
@@ -610,7 +596,10 @@ mod tests {
         sim.run_until_time(SimTime::from_millis(200));
         let rec = &ledger.records()[0];
         assert_eq!(rec.cleared, Some(SimTime::from_millis(150)));
-        assert_eq!(rec.duration(), Some(Duration::from_millis(50)));
+        assert_eq!(
+            rec.cleared.map(|c| c - rec.onset),
+            Some(Duration::from_millis(50))
+        );
     }
 
     #[test]

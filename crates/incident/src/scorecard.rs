@@ -60,14 +60,6 @@ pub struct ScoreCell {
     pub storm_sustained: bool,
 }
 
-impl ScoreCell {
-    /// `true` when the cell shows no detector activity and no faults —
-    /// the required shape for every cell of the no-fault matrix.
-    pub fn is_all_zero(&self) -> bool {
-        *self == ScoreCell::default()
-    }
-}
-
 /// Scores one dump. `band` is the recovery threshold as a fraction of
 /// the pre-onset throughput baseline ([`RECOVERY_BAND`] is the standard
 /// setting).
@@ -222,7 +214,7 @@ mod tests {
     #[test]
     fn clean_run_scores_all_zero() {
         let cell = score(&no_fault_dump(), RECOVERY_BAND);
-        assert!(cell.is_all_zero(), "{cell:?}");
+        assert_eq!(cell, ScoreCell::default());
     }
 
     #[test]
@@ -238,7 +230,7 @@ mod tests {
         });
         let cell = score(&d, RECOVERY_BAND);
         assert_eq!(cell.false_positives, 1);
-        assert!(!cell.is_all_zero());
+        assert_ne!(cell, ScoreCell::default());
     }
 
     #[test]

@@ -172,7 +172,8 @@ impl KvClient {
         }
     }
 
-    /// The session id.
+    /// Test probe: the session id.
+    #[doc(hidden)]
     pub fn id(&self) -> u64 {
         self.client_id
     }
@@ -184,7 +185,8 @@ impl KvClient {
         self.ep.runtime()
     }
 
-    /// Last known leader.
+    /// Test probe: the last known leader (the session's leader cache).
+    #[doc(hidden)]
     pub fn known_leader(&self) -> Option<NodeId> {
         self.leader.get()
     }
@@ -202,11 +204,6 @@ impl KvClient {
     /// Linearizable read of `key`.
     pub async fn get(&self, key: Bytes) -> Result<Option<Bytes>, KvError> {
         self.run(KvOp::Get, key, Bytes::new()).await
-    }
-
-    /// Removes `key`.
-    pub async fn delete(&self, key: Bytes) -> Result<(), KvError> {
-        self.run(KvOp::Delete, key, Bytes::new()).await.map(|_| ())
     }
 
     /// Picks the next rotation target, never re-picking the server that

@@ -10,8 +10,6 @@ pub enum KvOp {
     Put,
     /// Linearizable read (through the log).
     Get,
-    /// Remove.
-    Delete,
 }
 
 impl KvOp {
@@ -19,7 +17,6 @@ impl KvOp {
         match self {
             KvOp::Put => 0,
             KvOp::Get => 1,
-            KvOp::Delete => 2,
         }
     }
 
@@ -27,7 +24,6 @@ impl KvOp {
         match v {
             0 => Some(KvOp::Put),
             1 => Some(KvOp::Get),
-            2 => Some(KvOp::Delete),
             _ => None,
         }
     }
@@ -44,7 +40,7 @@ pub struct KvRequest {
     pub op: KvOp,
     /// Key.
     pub key: Bytes,
-    /// Value (empty for `Get`/`Delete`).
+    /// Value (empty for `Get`).
     pub value: Bytes,
 }
 
@@ -169,7 +165,7 @@ mod tests {
         #[test]
         fn request_and_response_decode_from_any_segmentation(
             ids in (any::<u64>(), any::<u64>()),
-            op in prop_oneof![Just(KvOp::Put), Just(KvOp::Get), Just(KvOp::Delete)],
+            op in prop_oneof![Just(KvOp::Put), Just(KvOp::Get)],
             key in prop::collection::vec(any::<u8>(), 0..32),
             pick in 0usize..4,
             hint in prop_oneof![Just(None), any::<u32>().prop_map(Some)],
@@ -204,7 +200,7 @@ mod tests {
 
     #[test]
     fn all_ops_round_trip() {
-        for op in [KvOp::Put, KvOp::Get, KvOp::Delete] {
+        for op in [KvOp::Put, KvOp::Get] {
             let r = KvRequest {
                 client: 1,
                 seq: 2,
@@ -238,8 +234,11 @@ mod tests {
             key: Bytes::from_static(b"k"),
             value: Bytes::new(),
         };
-        let mut enc = BytesMut::from(&r.to_bytes()[..]);
-        enc[16] = 9; // Corrupt the op byte.
-        assert_eq!(KvRequest::from_bytes(&enc.freeze()), None);
+        // Put is 0 and Get is 1; no other byte is an op.
+        for op in [2, 9, 255] {
+            let mut enc = BytesMut::from(&r.to_bytes()[..]);
+            enc[16] = op; // Corrupt the op byte.
+            assert_eq!(KvRequest::from_bytes(&enc.freeze()), None, "op byte {op}");
+        }
     }
 }

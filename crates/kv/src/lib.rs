@@ -1,7 +1,9 @@
 //! The replicated key-value store: §3.4's "Raft-based replicated key-value
 //! store" over any of the five Raft drivers.
 //!
-//! * [`command`] — the client command/response wire format and session ids;
+//! * [`command`] — the client command/response wire format and session
+//!   ids. There are two operations, `Put` and a linearizable `Get`;
+//!   nothing removes a key;
 //! * [`server`] — installs the KV state machine (with exactly-once session
 //!   dedup) on a Raft server and serves client proposals;
 //! * [`client`] — closed-loop clients with leader discovery and retry.

@@ -48,10 +48,6 @@ impl StateMachine for KvMachine {
                     KvResponse::ok(None)
                 }
                 KvOp::Get => KvResponse::ok(kv.get(&req.key).cloned()),
-                KvOp::Delete => {
-                    kv.delete(&req.key);
-                    KvResponse::ok(None)
-                }
             };
             resp.to_bytes()
         })

@@ -36,11 +36,6 @@ impl ShardMap {
         }
     }
 
-    /// Number of groups keys are spread over.
-    pub fn n_groups(&self) -> usize {
-        self.n_groups as usize
-    }
-
     /// The 1-based group id owning `key`.
     pub fn group_of(&self, key: &[u8]) -> u32 {
         // FNV-1a. The one hash of the workspace (the txn coordinator
@@ -79,11 +74,6 @@ impl ShardedKvClient {
         ShardedKvClient { map, groups }
     }
 
-    /// The session id.
-    pub fn id(&self) -> u64 {
-        self.groups[0].id()
-    }
-
     /// The shard map in use.
     pub fn shard_map(&self) -> ShardMap {
         self.map
@@ -99,7 +89,8 @@ impl ShardedKvClient {
         &self.groups[(self.map.group_of(key) - 1) as usize]
     }
 
-    /// All per-group sessions, in the cluster's group order.
+    /// Test probe: all per-group sessions, in the cluster's group order.
+    #[doc(hidden)]
     pub fn groups(&self) -> &[KvClient] {
         &self.groups
     }
@@ -119,11 +110,6 @@ impl ShardedKvClient {
     /// Linearizable read of `key` from its owning group.
     pub async fn get(&self, key: Bytes) -> Result<Option<Bytes>, KvError> {
         self.client_for(&key).get(key.clone()).await
-    }
-
-    /// Removes `key` from its owning group.
-    pub async fn delete(&self, key: Bytes) -> Result<(), KvError> {
-        self.client_for(&key).delete(key.clone()).await
     }
 }
 

@@ -95,7 +95,7 @@ fn run_once(seed: u64) -> (String, String) {
     metric_lines.sort();
 
     let export: String = tracer
-        .records()
+        .take_records()
         .into_iter()
         .filter_map(|r| match r {
             TraceRecord::EventCreated {

@@ -44,7 +44,6 @@ pub struct Histogram {
     count: u64,
     total_nanos: u128,
     max_nanos: u64,
-    min_nanos: u64,
 }
 
 impl Default for Histogram {
@@ -61,7 +60,6 @@ impl Histogram {
             count: 0,
             total_nanos: 0,
             max_nanos: 0,
-            min_nanos: u64::MAX,
         }
     }
 
@@ -95,7 +93,6 @@ impl Histogram {
         self.count += 1;
         self.total_nanos += nanos as u128;
         self.max_nanos = self.max_nanos.max(nanos);
-        self.min_nanos = self.min_nanos.min(nanos);
     }
 
     /// Counts bucket `index` in a power that has no block yet. Out of line,
@@ -121,10 +118,9 @@ impl Histogram {
         self.count += other.count;
         self.total_nanos += other.total_nanos;
         self.max_nanos = self.max_nanos.max(other.max_nanos);
-        self.min_nanos = self.min_nanos.min(other.min_nanos);
     }
 
-    /// Powers of two that hold a block of counts.
+    /// Test probe: powers of two that hold a block of counts.
     #[doc(hidden)]
     pub fn blocks_allocated(&self) -> usize {
         self.blocks.iter().flatten().count()
@@ -153,11 +149,6 @@ impl Histogram {
     /// Maximum recorded latency.
     pub fn max(&self) -> Duration {
         Duration::from_nanos(if self.count == 0 { 0 } else { self.max_nanos })
-    }
-
-    /// Minimum recorded latency (zero if empty).
-    pub fn min(&self) -> Duration {
-        Duration::from_nanos(if self.count == 0 { 0 } else { self.min_nanos })
     }
 
     /// The `q`-quantile (`0.0..=1.0`), approximated to bucket resolution.
@@ -259,9 +250,7 @@ mod tests {
             assert_eq!(h.count() as u128, n);
             assert_eq!(h.total_nanos(), total);
             assert_eq!(h.mean(), Duration::from_nanos((total / n) as u64));
-            let min = self.samples.iter().min().expect("a sample");
             let max = self.samples.iter().max().expect("a sample");
-            assert_eq!(h.min(), Duration::from_nanos(*min));
             assert_eq!(h.max(), Duration::from_nanos(*max));
             for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
                 assert_eq!(h.quantile(q), self.quantile(q), "quantile {q}");

@@ -41,11 +41,6 @@ impl Sampler {
         }
     }
 
-    /// The configured interval.
-    pub fn interval_ns(&self) -> TimeNs {
-        self.interval_ns
-    }
-
     /// Offers the sampler the current virtual time. Records a row if a
     /// new interval tick has been reached, aligning the row's timestamp
     /// down to the interval grid; returns `true` when a row was taken.

@@ -38,7 +38,6 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::time::Duration;
 
 use depfast::trace::WaitObservation;
 use depfast::{current_coro_label, current_phase, EventKind, Tracer};
@@ -100,7 +99,7 @@ struct ProfInner {
 /// use depfast_profile::Profiler;
 ///
 /// let p = Profiler::new("DemoDriver");
-/// assert_eq!(p.total(), std::time::Duration::ZERO);
+/// assert_eq!(p.lines().iter().map(|l| l.nanos).sum::<u64>(), 0);
 /// assert!(p.folded().is_empty());
 /// ```
 #[derive(Clone)]
@@ -257,20 +256,6 @@ impl Profiler {
         self.inner.borrow().driver.clone()
     }
 
-    /// Total profiled time across all nodes and sites.
-    pub fn total(&self) -> Duration {
-        Duration::from_nanos(self.inner.borrow().samples.values().sum())
-    }
-
-    /// Total profiled nanoseconds per node.
-    pub fn node_total(&self) -> BTreeMap<u32, u64> {
-        let mut out = BTreeMap::new();
-        for (k, v) in self.inner.borrow().samples.iter() {
-            *out.entry(k.node).or_insert(0) += v;
-        }
-        out
-    }
-
     /// Fraction of `node`'s profiled time spent at sites whose kind is
     /// `site_kind` (e.g. `"disk"` covers the device queue, device busy
     /// time and blocked I/O-event waits). Zero if the node has no samples.
@@ -291,31 +276,6 @@ impl Profiler {
             0.0
         } else {
             matched as f64 / total as f64
-        }
-    }
-
-    /// Fraction of `node`'s *blocked* time — everything except on-CPU
-    /// service (`cpu`) and its swap inflation (`mem:*`) — spent at sites
-    /// of `site_kind`. This is the "what is this node waiting for?"
-    /// question: a node can be busy *and* disk-bound, and the wait share
-    /// isolates the waiting from the work. Zero if the node never waited.
-    pub fn node_wait_share(&self, node: NodeId, site_kind: &str) -> f64 {
-        let inner = self.inner.borrow();
-        let mut waited = 0u64;
-        let mut matched = 0u64;
-        for (k, v) in inner.samples.iter() {
-            if k.node != node.0 || k.site_kind == "cpu" || k.site_kind == "mem" {
-                continue;
-            }
-            waited += v;
-            if k.site_kind == site_kind {
-                matched += v;
-            }
-        }
-        if waited == 0 {
-            0.0
-        } else {
-            matched as f64 / waited as f64
         }
     }
 
@@ -404,6 +364,7 @@ fn sanitize(s: &str) -> String {
 mod tests {
     use super::*;
     use depfast::WaitResult;
+    use std::time::Duration;
 
     fn obs(
         node: u32,
@@ -492,13 +453,21 @@ mod tests {
             folded.contains("n2;d;unphased;disk:device 3000000\n"),
             "{folded}"
         );
-        assert_eq!(p.total(), Duration::from_millis(10));
+        let lines = p.lines();
+        let total: u64 = lines.iter().map(|l| l.nanos).sum();
+        assert_eq!(Duration::from_nanos(total), Duration::from_millis(10));
         // disk share = (queue + device) / node total
         let share = p.node_site_share(NodeId(2), "disk");
         assert!((share - 0.5).abs() < 1e-9, "{share}");
         // wait share excludes on-CPU service and its swap inflation:
         // disk (2+3) over run_queue (1) + disk (5) = 5/6.
-        let wait_share = p.node_wait_share(NodeId(2), "disk");
+        let at = |kind: &str| -> u64 {
+            let sites = lines
+                .iter()
+                .filter(|l| l.site.split(':').next() == Some(kind));
+            sites.map(|l| l.nanos).sum()
+        };
+        let wait_share = at("disk") as f64 / (total - at("cpu") - at("mem")) as f64;
         assert!((wait_share - 5.0 / 6.0).abs() < 1e-9, "{wait_share}");
     }
 

@@ -158,7 +158,8 @@ pub struct RaftGroup {
 }
 
 impl RaftGroup {
-    /// The group's current leader node, if exactly one member claims it.
+    /// Test probe: the group's current leader node, if exactly one member claims it.
+    #[doc(hidden)]
     pub fn leader(&self) -> Option<NodeId> {
         let mut leaders = self.servers.iter().filter(|s| s.is_leader());
         let one = leaders.next()?;
@@ -434,7 +435,7 @@ mod tests {
             leader.propose(Bytes::from(vec![i as u8; 4096]));
         }
         sim.run_until_time(sim.now() + Duration::from_secs(3));
-        let health = cl.tracer.health_events();
+        let health = cl.tracer.take_health_events();
         assert!(
             health.iter().any(|e| e.layer == "raft"),
             "no flow-control transition recorded"

@@ -1358,7 +1358,8 @@ impl RaftServer {
         self.core.is_leader()
     }
 
-    /// This node's id.
+    /// Test probe: this node's id.
+    #[doc(hidden)]
     pub fn node(&self) -> NodeId {
         self.core.id
     }

@@ -109,7 +109,7 @@ mod tests {
     }
 
     /// One echo round to [`PEERS`] counting every reply that arrives,
-    /// waited up to `patience`.
+    /// waited up to `patience`; returns how many verdicts fired `Ok`.
     fn echo_round(
         sim: &Sim,
         ep: &Endpoint,
@@ -117,21 +117,25 @@ mod tests {
         body: usize,
         discard: bool,
         patience: Duration,
-    ) -> (QuorumEvent, depfast::WaitResult) {
+    ) -> (usize, depfast::WaitResult) {
         let quorum = QuorumEvent::labeled(ep.runtime(), mode, "bcast");
         let calls = PEERS.map(|p| (p, ECHO, Bytes::from(vec![0u8; body])));
         let arrived = |reply: Option<Bytes>| reply.is_some();
-        broadcast(ep, &quorum, None, "bcast", calls, arrived, discard);
-        let q = quorum.clone();
-        let out = sim.block_on(async move { q.wait_timeout(patience).await });
-        (quorum, out)
+        let votes = broadcast(ep, &quorum, None, "bcast", calls, arrived, discard);
+        let out = sim.block_on(async move { quorum.wait_timeout(patience).await });
+        (oks(&votes), out)
+    }
+
+    /// How many of `votes` fired `Ok`.
+    fn oks(votes: &[EventHandle]) -> usize {
+        votes.iter().filter(|v| v.ready()).count()
     }
 
     #[test]
     fn majority_completes_despite_one_dead_peer() {
         let (sim, world, eps) = cluster(4);
         world.crash(NodeId(3));
-        let (quorum, out) = echo_round(
+        let (oks, out) = echo_round(
             &sim,
             &eps[0],
             QuorumMode::Majority,
@@ -140,7 +144,7 @@ mod tests {
             Duration::from_secs(1),
         );
         assert!(out.is_ready());
-        assert_eq!(quorum.ok_count(), 2);
+        assert_eq!(oks, 2);
     }
 
     #[test]
@@ -204,7 +208,7 @@ mod tests {
         world.crash(NodeId(3));
         // Dead peers never reply (no transport error signal), so the
         // wait resolves by timeout rather than explicit failure.
-        let (quorum, out) = echo_round(
+        let (oks, out) = echo_round(
             &sim,
             &eps[0],
             QuorumMode::Majority,
@@ -212,8 +216,8 @@ mod tests {
             false,
             Duration::from_millis(500),
         );
-        assert!(out.is_timeout());
-        assert_eq!(quorum.ok_count(), 1);
+        assert_eq!(out, depfast::WaitResult::Timeout);
+        assert_eq!(oks, 1);
     }
 
     #[test]
@@ -260,11 +264,12 @@ mod tests {
             |reply: Option<u64>| reply == Some(7),
             false,
         );
-        assert_eq!((quorum.n(), quorum.ok_count(), votes.len()), (4, 1, 3));
+        // The one `Ok` member so far is the local vote.
+        assert_eq!((quorum.n(), oks(&votes), votes.len()), (4, 0, 3));
         assert!(!quorum.ready(), "the local vote alone is not the quorum");
         let q = quorum.clone();
         let out = sim.block_on(async move { q.wait_timeout(Duration::from_secs(1)).await });
         assert!(out.is_ready());
-        assert_eq!(quorum.ok_count(), 2);
+        assert_eq!(oks(&votes), 1, "with the local vote, 2 of 4");
     }
 }

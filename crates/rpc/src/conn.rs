@@ -299,12 +299,14 @@ impl Connection {
         self.inner.borrow().queue.len()
     }
 
-    /// Bytes currently queued (and charged to the memory model).
+    /// Test probe: bytes currently queued (and charged to the memory model).
+    #[doc(hidden)]
     pub fn queued_bytes(&self) -> u64 {
         self.inner.borrow().queued_bytes
     }
 
-    /// Messages sent so far.
+    /// Test probe: messages sent so far.
+    #[doc(hidden)]
     pub fn sent(&self) -> u64 {
         self.inner.borrow().sent
     }

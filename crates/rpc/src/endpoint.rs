@@ -222,11 +222,6 @@ impl Endpoint {
         &self.inner.rt
     }
 
-    /// The simulated world.
-    pub fn world(&self) -> &World {
-        &self.inner.world
-    }
-
     /// Registers a service: requests for `method` run `f` in a fresh
     /// coroutine labelled `label`. `f` replies through the [`Responder`].
     pub fn register(
@@ -452,7 +447,7 @@ impl Responder {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use depfast::event::Watchable;
+    use depfast::event::{WaitResult, Watchable};
     use proptest::prelude::*;
     use simkit::{Sim, WorldCfg};
 
@@ -587,8 +582,9 @@ mod tests {
         let (ok, served) = tasks(4u64.to_bytes());
         let (bad, dropped) = tasks(Bytes::from_static(b"not a u64"));
         assert!(ok.is_ready());
-        assert!(
-            bad.is_timeout(),
+        assert_eq!(
+            bad,
+            WaitResult::Timeout,
             "no reply to a request that does not decode"
         );
         assert_eq!(*seen.borrow(), vec![4, 4], "the handler never saw it");
@@ -602,7 +598,7 @@ mod tests {
         let ev = eps[0].proxy(NodeId(1)).call_t(90, "typed", &3u64);
         let out =
             sim.block_on(async move { ev.handle().wait_timeout(Duration::from_millis(50)).await });
-        assert!(out.is_timeout());
+        assert_eq!(out, WaitResult::Timeout);
         assert_eq!(*seen.borrow(), vec![3], "the handler ran");
     }
 
@@ -654,7 +650,7 @@ mod tests {
         let ev = eps[0].proxy(NodeId(1)).call(ECHO, "echo", Bytes::new());
         let out =
             sim.block_on(async move { ev.handle().wait_timeout(Duration::from_millis(100)).await });
-        assert!(out.is_timeout());
+        assert_eq!(out, WaitResult::Timeout);
     }
 
     #[test]
@@ -663,7 +659,7 @@ mod tests {
         let ev = eps[0].proxy(NodeId(1)).call(999, "nope", Bytes::new());
         let out =
             sim.block_on(async move { ev.handle().wait_timeout(Duration::from_millis(50)).await });
-        assert!(out.is_timeout());
+        assert_eq!(out, WaitResult::Timeout);
     }
 
     #[test]

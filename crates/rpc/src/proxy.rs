@@ -44,11 +44,6 @@ impl Proxy {
         Proxy { ep, peer }
     }
 
-    /// The remote node this proxy targets.
-    pub fn peer(&self) -> NodeId {
-        self.peer
-    }
-
     /// Issues an RPC; the returned event fires when the reply arrives.
     ///
     /// `label` names this waiting point in traces and reports (e.g.

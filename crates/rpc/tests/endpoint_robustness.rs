@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use depfast::event::Watchable;
+use depfast::event::{WaitResult, Watchable};
 use depfast::runtime::Runtime;
 use depfast::Tracer;
 use depfast_rpc::endpoint::{Endpoint, Envelope, Registry, RpcCfg};
@@ -187,7 +187,7 @@ fn crash_mid_flight_times_out_cleanly() {
     for ev in &evs {
         let h = ev.handle().clone();
         let out = sim.block_on(async move { h.wait_timeout(Duration::from_millis(300)).await });
-        if out.is_timeout() {
+        if out == WaitResult::Timeout {
             timeouts += 1;
         }
     }

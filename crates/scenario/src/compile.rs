@@ -49,7 +49,8 @@ pub struct InjectionPlan {
 }
 
 impl InjectionPlan {
-    /// Distinct nodes this plan degrades.
+    /// Test probe: distinct nodes this plan degrades.
+    #[doc(hidden)]
     pub fn targets(&self) -> BTreeSet<u32> {
         self.windows
             .iter()

@@ -83,11 +83,6 @@ impl CpuModel {
         self.quota * self.contention_share.unwrap_or(1.0)
     }
 
-    /// Cumulative busy time across all cores.
-    pub fn busy(&self) -> Duration {
-        Duration::from_nanos(self.busy_nanos)
-    }
-
     /// Instant at which the earliest-free core becomes available: the
     /// start time the next scheduled work item would get. Exposed so the
     /// world can observe queueing delay (contention stalls) per request.

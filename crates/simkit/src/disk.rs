@@ -57,10 +57,6 @@ pub struct DiskModel {
     cfg: DiskCfg,
     bw_factor: f64,
     queue_free_at: SimTime,
-    /// Cumulative bytes written, for reporting.
-    bytes_written: u64,
-    /// Cumulative operations served.
-    ops: u64,
 }
 
 impl DiskModel {
@@ -71,8 +67,6 @@ impl DiskModel {
             cfg,
             bw_factor: 1.0,
             queue_free_at: SimTime::ZERO,
-            bytes_written: 0,
-            ops: 0,
         }
     }
 
@@ -89,16 +83,6 @@ impl DiskModel {
     /// Current effective bandwidth in bytes/second.
     pub fn effective_bandwidth(&self) -> f64 {
         self.cfg.bandwidth_bps * self.bw_factor
-    }
-
-    /// Total bytes written so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
-    /// Total operations served so far.
-    pub fn ops(&self) -> u64 {
-        self.ops
     }
 
     /// Instant at which the FIFO queue drains: the start time the next
@@ -131,10 +115,6 @@ impl DiskModel {
         let start = now.max(self.queue_free_at);
         let finish = start + effective;
         self.queue_free_at = finish;
-        self.ops += 1;
-        if let DiskOp::Write { bytes } | DiskOp::Fsync { bytes } = op {
-            self.bytes_written += bytes;
-        }
         finish
     }
 }
@@ -189,16 +169,6 @@ mod tests {
         let mut d = disk();
         let f = d.schedule(SimTime::ZERO, DiskOp::Write { bytes: 1 }, 2.0);
         assert_eq!(f, SimTime::from_micros(200));
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut d = disk();
-        d.schedule(SimTime::ZERO, DiskOp::Write { bytes: 10 }, 1.0);
-        d.schedule(SimTime::ZERO, DiskOp::Fsync { bytes: 10 }, 1.0);
-        d.schedule(SimTime::ZERO, DiskOp::Read { bytes: 99 }, 1.0);
-        assert_eq!(d.bytes_written(), 20);
-        assert_eq!(d.ops(), 3);
     }
 
     #[test]

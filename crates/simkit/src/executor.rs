@@ -277,7 +277,7 @@ impl Sim {
         self.core.borrow().now
     }
 
-    /// Executors on this thread not yet freed: a leak probe. An executor
+    /// Test probe: executors on this thread not yet freed. An executor
     /// lives while any handle on it does, and every world, runtime,
     /// endpoint and server built on it holds one.
     #[doc(hidden)]
@@ -295,8 +295,9 @@ impl Sim {
         self.core.borrow().timers.scheduled
     }
 
-    /// Number of timers scheduled and neither fired nor cancelled yet
-    /// (diagnostics).
+    /// Test probe: number of timers scheduled and neither fired nor
+    /// cancelled yet.
+    #[doc(hidden)]
     pub fn pending_timers(&self) -> usize {
         self.core.borrow().timers.len()
     }

@@ -92,14 +92,10 @@ impl MemoryModel {
         self.used
     }
 
-    /// High-water mark of usage.
+    /// Test probe: high-water mark of usage.
+    #[doc(hidden)]
     pub fn peak(&self) -> u64 {
         self.peak
-    }
-
-    /// Current limit in bytes.
-    pub fn limit(&self) -> u64 {
-        self.limit
     }
 
     /// Changes the limit (the cgroup memory fault). Usage already above the

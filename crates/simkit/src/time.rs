@@ -36,12 +36,14 @@ impl SimTime {
         SimTime(nanos)
     }
 
-    /// Creates an instant from whole microseconds.
+    /// Test probe: creates an instant from whole microseconds.
+    #[doc(hidden)]
     pub const fn from_micros(micros: u64) -> Self {
         SimTime(micros * 1_000)
     }
 
-    /// Creates an instant from whole milliseconds.
+    /// Test probe: creates an instant from whole milliseconds.
+    #[doc(hidden)]
     pub const fn from_millis(millis: u64) -> Self {
         SimTime(millis * 1_000_000)
     }
@@ -54,19 +56,6 @@ impl SimTime {
     /// Returns the raw nanosecond count.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Returns the instant as fractional seconds (for reporting only).
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
-    /// Saturating duration since an earlier instant.
-    ///
-    /// Returns [`Duration::ZERO`] if `earlier` is in the future, mirroring
-    /// [`std::time::Instant::saturating_duration_since`].
-    pub fn saturating_duration_since(self, earlier: SimTime) -> Duration {
-        Duration::from_nanos(self.0.saturating_sub(earlier.0))
     }
 
     /// Returns the later of two instants.
@@ -124,8 +113,6 @@ mod tests {
         assert_eq!(b - a, Duration::from_millis(15));
         // Subtraction saturates rather than panicking.
         assert_eq!(a - b, Duration::ZERO);
-        assert_eq!(a.saturating_duration_since(b), Duration::ZERO);
-        assert_eq!(b.saturating_duration_since(a), Duration::from_millis(15));
     }
 
     #[test]

@@ -128,16 +128,6 @@ pub enum ResourceKind {
     Disk,
 }
 
-impl ResourceKind {
-    /// Short name for reports (`"cpu"` / `"disk"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            ResourceKind::Cpu => "cpu",
-            ResourceKind::Disk => "disk",
-        }
-    }
-}
-
 /// One resource interaction, delivered synchronously to an installed
 /// [resource probe](World::set_resource_probe) at schedule time (i.e.
 /// inside the calling task's poll, before the completion is awaited).
@@ -340,7 +330,8 @@ impl World {
         self.inner.borrow().nodes[node.0 as usize].mem.used()
     }
 
-    /// Current swap-penalty multiplier of `node`.
+    /// Test probe: current swap-penalty multiplier of `node`.
+    #[doc(hidden)]
     pub fn mem_slowdown(&self, node: NodeId) -> f64 {
         self.inner.borrow().nodes[node.0 as usize].mem.slowdown()
     }
@@ -460,7 +451,8 @@ impl World {
         self.inner.borrow().net.bytes()
     }
 
-    /// Current effective CPU rate multiplier of `node`.
+    /// Test probe: current effective CPU rate multiplier of `node`.
+    #[doc(hidden)]
     pub fn cpu_rate(&self, node: NodeId) -> f64 {
         self.inner.borrow().nodes[node.0 as usize].cpu.rate()
     }

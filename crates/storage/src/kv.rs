@@ -57,17 +57,12 @@ impl MemKv {
         self.map.get(key)
     }
 
-    /// Reads `key` together with the key the map holds for it (its own
-    /// copy, see [`MemKv::put`]). For `depfast-kv`'s pointer-range test of
-    /// that copy; nothing in production asks where a key lives.
+    /// Test probe: reads `key` together with the key the map holds for it
+    /// (its own copy, see [`MemKv::put`]). For `depfast-kv`'s pointer-range
+    /// test of that copy; nothing in production asks where a key lives.
     #[doc(hidden)]
     pub fn get_key_value(&self, key: &Bytes) -> Option<(&Bytes, &Bytes)> {
         self.map.get_key_value(key)
-    }
-
-    /// Removes `key`, returning whether it existed.
-    pub fn delete(&mut self, key: &Bytes) -> bool {
-        self.map.remove(key).is_some()
     }
 
     /// Number of live keys.
@@ -155,13 +150,10 @@ mod tests {
     }
 
     #[test]
-    fn put_get_delete() {
+    fn put_get() {
         let mut kv = MemKv::new();
         kv.put(b("k"), b("v"));
         assert_eq!(kv.get(&b("k")), Some(&b("v")));
-        assert!(kv.delete(&b("k")));
-        assert!(!kv.delete(&b("k")));
-        assert!(kv.is_empty());
     }
 
     #[test]

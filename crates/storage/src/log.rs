@@ -173,7 +173,8 @@ impl LogStore {
         self.durable.when_at_least(index)
     }
 
-    /// The WAL backing this log.
+    /// Test probe: the WAL backing this log.
+    #[doc(hidden)]
     pub fn wal(&self) -> &Wal {
         &self.wal
     }
@@ -376,12 +377,13 @@ impl LogStore {
         self.inner.borrow().cache_misses
     }
 
-    /// Lowest index currently in the EntryCache.
+    /// Test probe: lowest index currently in the EntryCache.
+    #[doc(hidden)]
     pub fn cache_low(&self) -> u64 {
         self.inner.borrow().cache_low
     }
 
-    /// Bytes currently in the EntryCache ([`Entry::size`] summed from
+    /// Test probe: bytes currently in the EntryCache ([`Entry::size`] summed from
     /// [`LogStore::cache_low`] up). The eviction books, exposed for
     /// `tests/proptest_log.rs` to hold against its model.
     #[doc(hidden)]

@@ -103,17 +103,20 @@ impl Wal {
         event
     }
 
-    /// Number of fsync batches completed (group-commit effectiveness).
+    /// Test probe: number of fsync batches completed (group-commit effectiveness).
+    #[doc(hidden)]
     pub fn synced_batches(&self) -> u64 {
         self.inner.borrow().synced_batches
     }
 
-    /// Total records appended.
+    /// Test probe: total records appended.
+    #[doc(hidden)]
     pub fn appended(&self) -> u64 {
         self.inner.borrow().appended
     }
 
-    /// Total bytes made durable.
+    /// Test probe: total bytes made durable.
+    #[doc(hidden)]
     pub fn synced_bytes(&self) -> u64 {
         self.inner.borrow().synced_bytes
     }

@@ -19,8 +19,8 @@ pub struct BlameKey {
 }
 
 /// Aggregate critical-path blame across all committed commands in a
-/// trace. Durations are request-seconds of critical-path exposure; use
-/// [`BlameReport::node_share`] for comparable fractions.
+/// trace. Durations are request-seconds of critical-path exposure;
+/// [`BlameReport::rows`] gives each one's share of the total.
 #[derive(Debug, Default, Clone)]
 pub struct BlameReport {
     /// Committed commands analyzed.
@@ -40,34 +40,16 @@ impl BlameReport {
         self.total += d;
     }
 
-    /// Total blame charged to `node` across all layers.
-    pub fn node_total(&self, node: NodeId) -> Duration {
-        self.by
-            .iter()
-            .filter(|(k, _)| k.node == node)
-            .map(|(_, d)| *d)
-            .sum()
-    }
-
-    /// Fraction of all blame charged to `node` (0 when the report is
-    /// empty).
+    /// Test probe: fraction of all blame charged to `node` across all
+    /// layers (0 when the report is empty).
+    #[doc(hidden)]
     pub fn node_share(&self, node: NodeId) -> f64 {
         if self.total.is_zero() {
             return 0.0;
         }
-        self.node_total(node).as_secs_f64() / self.total.as_secs_f64()
-    }
-
-    /// The node carrying the largest blame share, if any.
-    pub fn plurality_node(&self) -> Option<NodeId> {
-        let mut per_node: BTreeMap<NodeId, Duration> = BTreeMap::new();
-        for (k, d) in &self.by {
-            *per_node.entry(k.node).or_default() += *d;
-        }
-        per_node
-            .into_iter()
-            .max_by_key(|(node, d)| (*d, std::cmp::Reverse(*node)))
-            .map(|(node, _)| node)
+        let by_node = self.by.iter().filter(|(k, _)| k.node == node);
+        let node_total: Duration = by_node.map(|(_, d)| *d).sum();
+        node_total.as_secs_f64() / self.total.as_secs_f64()
     }
 
     /// Rows sorted by descending blame (ties broken by key for
@@ -328,9 +310,10 @@ mod tests {
             Duration::from_nanos(300)
         );
         // The straggler got nothing.
-        assert_eq!(report.node_total(NodeId(2)), Duration::ZERO);
+        let share = |n| report.node_share(NodeId(n));
+        assert_eq!(share(2), 0.0);
         assert_eq!(report.total, Duration::from_nanos(1400));
-        assert_eq!(report.plurality_node(), Some(NodeId(1)));
+        assert!(share(1) > share(0) && share(1) > share(2));
     }
 
     #[test]
@@ -369,8 +352,9 @@ mod tests {
             Duration::from_nanos(1000)
         );
         assert_eq!(report.total, Duration::from_nanos(4000));
-        assert!(report.node_share(NodeId(2)) > 0.49);
-        assert_eq!(report.plurality_node(), Some(NodeId(2)));
+        let share = |n| report.node_share(NodeId(n));
+        assert!(share(2) > 0.49);
+        assert!(share(2) > share(0) && share(2) > share(1));
     }
 
     #[test]

@@ -204,7 +204,8 @@ impl TxnServer {
         TxnServer { raft, state }
     }
 
-    /// The underlying Raft server.
+    /// Test probe: the underlying Raft server.
+    #[doc(hidden)]
     pub fn raft(&self) -> &RaftServer {
         &self.raft
     }
@@ -214,7 +215,9 @@ impl TxnServer {
         self.state.borrow().data.get(key).cloned()
     }
 
-    /// Number of keys currently locked on the local replica.
+    /// Test probe: number of keys currently locked on the local replica
+    /// (the lock-leak oracle).
+    #[doc(hidden)]
     pub fn locked_keys(&self) -> usize {
         self.state.borrow().locks.len()
     }

@@ -45,7 +45,6 @@ impl KeyDist for Uniform {
 #[derive(Debug, Clone)]
 pub struct Zipfian {
     n: u64,
-    theta: f64,
     alpha: f64,
     zeta_n: f64,
     eta: f64,
@@ -56,34 +55,27 @@ impl Zipfian {
     pub const THETA: f64 = 0.99;
 
     /// Creates a zipfian distribution over `n` records with θ = 0.99.
-    pub fn new(n: u64) -> Self {
-        Self::with_theta(n, Self::THETA)
-    }
-
-    /// Creates a zipfian distribution with a custom θ in `(0, 1)`.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or θ is out of range.
-    pub fn with_theta(n: u64, theta: f64) -> Self {
+    /// Panics if `n == 0`.
+    pub fn new(n: u64) -> Self {
         assert!(n > 0, "need at least one record");
-        assert!((0.0..1.0).contains(&theta), "theta must be in (0, 1)");
-        let zeta_n = Self::zeta(n, theta);
-        let zeta2 = Self::zeta(2, theta);
-        let alpha = 1.0 / (1.0 - theta);
-        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zeta_n);
+        let zeta_n = Self::zeta(n);
+        let zeta2 = Self::zeta(2);
+        let alpha = 1.0 / (1.0 - Self::THETA);
+        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - Self::THETA)) / (1.0 - zeta2 / zeta_n);
         Zipfian {
             n,
-            theta,
             alpha,
             zeta_n,
             eta,
         }
     }
 
-    fn zeta(n: u64, theta: f64) -> f64 {
+    fn zeta(n: u64) -> f64 {
         // O(n) precompute; fine for the ≤1M-record keyspaces used here.
-        (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
+        (1..=n).map(|i| 1.0 / (i as f64).powf(Self::THETA)).sum()
     }
 }
 
@@ -94,7 +86,7 @@ impl KeyDist for Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < 1.0 + 0.5f64.powf(Self::THETA) {
             return 1;
         }
         let idx = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;

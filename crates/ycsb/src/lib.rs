@@ -7,15 +7,15 @@
 //! utilization of the leader nodes to around 75%."*
 //!
 //! * [`dist`] — key-choosing distributions: uniform, YCSB zipfian (θ =
-//!   0.99) and latest;
+//!   0.99, the one θ in use) and latest;
 //! * [`workload`] — op mixes and record/value sizing (the paper's update
-//!   workload is [`WorkloadSpec::update_heavy`]);
+//!   workload is [`WorkloadSpec::update_heavy`]; any other mix, such as a
+//!   YCSB letter workload, is a struct literal over it);
 //! * [`driver`] — closed-loop client driver with warm-up trimming; its
 //!   latency [`Histogram`] and [`Summary`] are `depfast-metrics`' own.
 
 pub mod dist;
 pub mod driver;
-pub mod mixes;
 pub mod workload;
 
 pub use depfast_metrics::{Histogram, Summary};

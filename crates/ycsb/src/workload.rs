@@ -140,6 +140,45 @@ mod tests {
     }
 
     #[test]
+    fn mixed_workload_respects_proportions() {
+        let spec = WorkloadSpec {
+            update_prop: 0.5,
+            read_prop: 0.5,
+            ..WorkloadSpec::update_heavy().with_records(100)
+        };
+        let mut g = OpGen::new(spec, 2);
+        let mut updates = 0;
+        let mut reads = 0;
+        for _ in 0..2000 {
+            match g.next_op().0 {
+                OpKind::Update => updates += 1,
+                OpKind::Read => reads += 1,
+                OpKind::Insert => {}
+            }
+        }
+        let frac = updates as f64 / (updates + reads) as f64;
+        assert!((0.42..0.58).contains(&frac), "update frac {frac}");
+    }
+
+    #[test]
+    fn reads_have_empty_values() {
+        let spec = WorkloadSpec {
+            update_prop: 0.05,
+            read_prop: 0.95,
+            ..WorkloadSpec::update_heavy().with_records(100)
+        };
+        let mut g = OpGen::new(spec, 3);
+        for _ in 0..100 {
+            let (kind, _, value) = g.next_op();
+            if kind == OpKind::Read {
+                assert!(value.is_empty());
+                return;
+            }
+        }
+        panic!("no read generated");
+    }
+
+    #[test]
     fn inserts_use_fresh_keys() {
         let spec = WorkloadSpec {
             update_prop: 0.0,

@@ -412,7 +412,7 @@ fn a_traced_get_links_to_the_confirmation_round_that_woke_it() {
     }
     sim.run_until_time(sim.now() + Duration::from_secs(1));
 
-    let index = TraceIndex::build(&cl.raft.tracer.records());
+    let index = TraceIndex::build(&cl.raft.tracer.take_records());
     let mut riders: HashMap<EventId, usize> = HashMap::new();
     for (wait, _) in index
         .events
