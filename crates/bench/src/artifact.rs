@@ -3,13 +3,14 @@
 //! `depfast-inspect` binary is a CLI over this module).
 //!
 //! A file is a sequence of sections, each opened by a
-//! `# depfast-<kind>/v1` header line and running to the next one. One
+//! `# depfast-<kind>/v<n>` header line and running to the next one. One
 //! section per instrument that was on, each body in the encoding its own
-//! crate defines:
+//! crate defines; a header whose version is not the one below is refused
+//! as an unknown section:
 //!
 //! | Header | Body |
 //! |---|---|
-//! | `# depfast-trace/v1\tdropped\t<n>` | trace-record lines ([`depfast_trace_analysis::serialize_records`]) |
+//! | `# depfast-trace/v2\tdropped\t<n>` | trace-record lines ([`depfast_trace_analysis::serialize_records`]) |
 //! | `# depfast-incident/v1` | one incident dump ([`depfast_incident::serialize_dumps`]); the first is the whole cluster's, any further ones its per-group split |
 //! | `# depfast-profile/v1\tdriver\t<name>` | folded stacks ([`depfast_profile::Profiler::folded`]) |
 //! | `# depfast-series/v1` | sampler CSV ([`depfast_metrics::Sampler::to_csv`]) |
@@ -19,6 +20,7 @@
 //! the headers is exact. The file is a pure function of the report: same
 //! seed, byte-identical file.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -36,7 +38,7 @@ use crate::experiment::RunReport;
 use crate::json::Json;
 use crate::report::{out_dir, Table};
 
-const TRACE: &str = "# depfast-trace/v1";
+const TRACE: &str = "# depfast-trace/v2";
 const INCIDENT: &str = depfast_incident::serial::HEADER;
 const PROFILE: &str = "# depfast-profile/v1";
 const SERIES: &str = "# depfast-series/v1";
@@ -118,8 +120,9 @@ pub struct Artifact {
     /// Wait-state profile, if the run was profiled.
     pub profile: Option<ProfileSection>,
     /// `(t_seconds, commits/s)` per sampling interval, if the run was
-    /// sampled: the cluster-wide `raft.commit_index` level (max over
-    /// replicas — leadership may move) differenced across sample times.
+    /// sampled: the cluster-wide `raft.commit_index` level (max over a
+    /// group's replicas — leadership may move — summed over groups)
+    /// differenced across sample times.
     pub series: Option<Vec<(f64, f64)>>,
     /// Final registry values, if the run was sampled.
     pub metrics: Option<Json>,
@@ -138,7 +141,7 @@ impl Artifact {
             } else if starts.is_empty() && !line.trim().is_empty() {
                 return Err(LineError {
                     line: no + 1,
-                    msg: "expected a `# depfast-<kind>/v1` section header".to_string(),
+                    msg: "expected a `# depfast-<kind>/v<n>` section header".to_string(),
                 });
             }
             at += line.len();
@@ -146,7 +149,7 @@ impl Artifact {
         if starts.is_empty() {
             return Err(LineError {
                 line: 1,
-                msg: "no `# depfast-<kind>/v1` section".to_string(),
+                msg: "no `# depfast-<kind>/v<n>` section".to_string(),
             });
         }
         let ends = starts.iter().skip(1).map(|s| s.1).chain([text.len()]);
@@ -279,7 +282,9 @@ fn key(header: &mut Fields<'_>, key: &str) -> Result<(), LineError> {
 /// [`Artifact::series`] from a `series` section (header and CSV column
 /// line skipped).
 fn commit_rates(section: &str) -> Result<Vec<(f64, f64)>, LineError> {
-    let mut levels: Vec<(f64, f64)> = Vec::new();
+    // Per sample time, each group's level (by tag): the max over its
+    // replicas.
+    let mut levels: Vec<(f64, BTreeMap<&str, f64>)> = Vec::new();
     for (no, row) in section.lines().enumerate() {
         if row.is_empty() || row.starts_with('#') || row.starts_with("t_seconds,") {
             continue;
@@ -289,18 +294,24 @@ fn commit_rates(section: &str) -> Result<Vec<(f64, f64)>, LineError> {
             msg: format!("{msg} in series row {row:?}"),
         };
         let cols: Vec<&str> = row.split(',').collect();
-        let [t, name, _node, _tag, _kind, value, _delta, _mean_ns] = cols[..] else {
+        let [t, name, _node, tag, _kind, value, _delta, _mean_ns] = cols[..] else {
             return Err(err("expected 8 columns"));
         };
         let t: f64 = t.parse().map_err(|_| err("bad t_seconds"))?;
         let value: f64 = value.parse().map_err(|_| err("bad value"))?;
         if name == "raft.commit_index" {
-            match levels.last_mut() {
-                Some((last_t, level)) if *last_t == t => *level = level.max(value),
-                _ => levels.push((t, value)),
+            if levels.last().is_none_or(|(last_t, _)| *last_t != t) {
+                levels.push((t, BTreeMap::new()));
             }
+            let groups = &mut levels.last_mut().expect("pushed above").1;
+            let level = groups.entry(tag).or_insert(value);
+            *level = level.max(value);
         }
     }
+    let levels: Vec<(f64, f64)> = levels
+        .into_iter()
+        .map(|(t, groups)| (t, groups.values().sum()))
+        .collect();
     Ok(levels
         .windows(2)
         .map(|w| (w[1].0, (w[1].1 - w[0].1).max(0.0) / (w[1].0 - w[0].0)))
@@ -346,6 +357,19 @@ mod tests {
     }
 
     #[test]
+    fn commit_rate_sums_the_groups_of_a_striped_run() {
+        let rows = "t_seconds,name,node,tag,kind,value,delta,mean_ns\n\
+            0.100,raft.commit_index,0,g1,gauge,50,50,\n\
+            0.100,raft.commit_index,1,g1,gauge,40,40,\n\
+            0.100,raft.commit_index,1,g2,gauge,30,30,\n\
+            0.200,raft.commit_index,0,g1,gauge,150,100,\n\
+            0.200,raft.commit_index,1,g2,gauge,130,100,\n";
+        let rates = commit_rates(rows).unwrap();
+        assert_eq!(rates.len(), 1);
+        assert!((rates[0].1 - 2000.0).abs() < 1e-6, "{rates:?}");
+    }
+
+    #[test]
     fn errors_carry_the_line_of_the_file() {
         let text = format!(
             "{PROFILE}\tdriver\tD\nn0;D;apply;cpu 5\n{TRACE}\tdropped\t0\nfired\t1\t2\tok\nfired\t1\n"
@@ -366,6 +390,11 @@ mod tests {
             .expect("key");
         assert!(e.msg.contains("expected `dropped`"), "{e}");
         let e = Artifact::parse("# depfast-bogus/v1\n").err().expect("kind");
+        assert!(e.msg.contains("unknown section"), "{e}");
+        // A trace section of the previous encoding is refused at its header.
+        let e = Artifact::parse("# depfast-trace/v1\tdropped\t0\n")
+            .err()
+            .expect("old version");
         assert!(e.msg.contains("unknown section"), "{e}");
     }
 }

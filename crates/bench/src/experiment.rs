@@ -10,6 +10,7 @@
 //! verdict. Deterministic: same description, byte-identical report.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -387,7 +388,8 @@ enum Series {
 
 impl Series {
     /// The counter's level in one registry snapshot: the max over the
-    /// matching keys (replicas of a group — leadership may move).
+    /// replicas of a group (leadership may move), summed over groups
+    /// (a group's keys carry its tag).
     fn level(self, values: &[(Key, MetricValue)]) -> i128 {
         let (name, tag) = match self {
             // Group 0 is a cluster's only group, and its series are untagged.
@@ -395,12 +397,14 @@ impl Series {
             Series::GroupCommits(gid) => ("raft.commit_index", Some(group_label(gid))),
             Series::Goodput => ("client.success", None),
         };
-        values
-            .iter()
-            .filter(|(k, _)| k.name == name && (tag.is_none() || k.tag == tag))
-            .map(|(_, v)| v.scalar())
-            .max()
-            .unwrap_or(0)
+        let mut groups: BTreeMap<Option<&str>, i128> = BTreeMap::new();
+        for (k, v) in values {
+            if k.name == name && (tag.is_none() || k.tag == tag) {
+                let level = groups.entry(k.tag).or_insert(v.scalar());
+                *level = (*level).max(v.scalar());
+            }
+        }
+        groups.values().sum()
     }
 
     /// `(t_ns, ops/s)` per sampling interval: the level differenced
@@ -714,6 +718,30 @@ mod tests {
             four.stats.throughput,
             one.stats.throughput
         );
+    }
+
+    /// A striped run's cluster-wide series is its groups' commits added
+    /// up, not the busiest group's.
+    #[test]
+    fn the_cluster_commit_series_sums_its_groups() {
+        let mut run = Run {
+            placement: striped(2, 3),
+            n_clients: 16,
+            measure: Duration::from_millis(500),
+            ..quick(RaftKind::DepFast)
+        };
+        run.instruments.sampler = true;
+        let r = run.execute();
+        let cluster = r.dump().throughput;
+        let groups = r.group_dumps();
+        assert_eq!(groups.len(), 2);
+        assert!(cluster.len() > 5, "{cluster:?}");
+        for (i, &(t, rate)) in cluster.iter().enumerate() {
+            let sum: f64 = groups.iter().map(|g| g.throughput[i].1).sum();
+            assert!(groups.iter().all(|g| g.throughput[i].0 == t));
+            assert!((rate - sum).abs() < 1e-6, "at {t}: {rate} != {sum}");
+        }
+        assert!(cluster.iter().any(|&(_, rate)| rate > 0.0));
     }
 
     #[test]

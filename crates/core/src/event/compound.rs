@@ -335,7 +335,10 @@ mod tests {
         and.seal();
         a.set(Signal::Ok);
         assert!(and.ready());
-        assert_eq!(and.handle().quorum_meta(), Some((1, 1)));
+        // The face's own tally: all of one child.
+        let h = and.handle();
+        let shape = crate::event::quorum::shape(h.kind(), h.label(), h.tally().as_ref());
+        assert_eq!((shape.k, shape.children.len()), (1, 1));
         let key = depfast_metrics::Key::tagged("event.quorum.wait", 0, "both");
         let waits = rt.tracer().metrics().histogram(key);
         assert_eq!(waits.snapshot().count, 1);

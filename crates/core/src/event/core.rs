@@ -114,9 +114,8 @@ struct Inner {
     sample: bool,
     wakers: Vec<Waker>,
     hooks: Vec<Hook>,
-    /// A compound event's own tally: what the SPG fold walks and where
-    /// the traced `(k, n)` is read. A tally holds no handle, so this link
-    /// closes no cycle.
+    /// A compound event's own tally: what the SPG fold walks. A tally
+    /// holds no handle, so this link closes no cycle.
     tally: Option<Rc<RefCell<Tally>>>,
 }
 
@@ -240,12 +239,6 @@ impl EventHandle {
         self.inner.borrow().fired
     }
 
-    /// Current `(k, n)` of a compound event, once it has a child or is
-    /// sealed.
-    pub(crate) fn quorum_meta(&self) -> Option<(usize, usize)> {
-        self.inner.borrow().tally.as_ref()?.borrow().meta()
-    }
-
     /// Fires the event. Idempotent: only the first signal takes effect.
     ///
     /// Waiters are woken and subscribed hooks run immediately (still on the
@@ -330,8 +323,9 @@ impl EventHandle {
 /// Future returned by [`EventHandle::wait`] / [`EventHandle::wait_timeout`].
 ///
 /// Each `Wait` is one *waiting point*. Its begin is folded into the SPG
-/// when a fold is installed ([`crate::spg`]), its end is delivered to the
-/// wait probe, and both are trace records.
+/// when a fold is installed ([`crate::spg`]) and its end is delivered to
+/// the wait probe; neither is a trace record, since no trace reader
+/// needs one.
 ///
 /// A wait that ends before its deadline, resolved or dropped, takes the
 /// deadline's timer with it: a timeout that does not fire costs nothing
@@ -343,25 +337,16 @@ pub struct Wait {
 }
 
 impl Wait {
-    fn finish(&self, result: WaitResult) {
+    fn finish(&self) {
         let h = &self.handle;
         let t = h.rt.now();
         let begun = self.begun_at.unwrap_or(t);
-        h.rt.tracer().record(|| TraceRecord::WaitEnd {
-            t,
-            node: h.rt.node(),
-            coro: current_coro().map(|(_, c)| c),
-            event: h.id(),
-            result,
-            waited: t - begun,
-        });
         h.rt.tracer().probe_wait(|| WaitObservation {
             node: h.rt.node(),
             coro_label: current_coro_label().unwrap_or("?"),
             phase: current_phase(),
             kind: h.kind(),
             label: h.label(),
-            result,
             waited: t - begun,
         });
     }
@@ -373,16 +358,7 @@ impl Future for Wait {
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<WaitResult> {
         let h = self.handle.clone();
         if self.begun_at.is_none() {
-            let t = h.rt.now();
-            self.begun_at = Some(t);
-            h.rt.tracer().record(|| TraceRecord::WaitBegin {
-                t,
-                node: h.rt.node(),
-                coro: current_coro().map(|(_, c)| c),
-                coro_label: current_coro_label().unwrap_or("?"),
-                event: h.id(),
-                quorum: h.quorum_meta(),
-            });
+            self.begun_at = Some(h.rt.now());
             h.rt.tracer().fold_wait(|| {
                 // What the wait waits for, read off the live tallies.
                 let inner = h.inner.borrow();
@@ -395,12 +371,12 @@ impl Future for Wait {
                 Signal::Ok => WaitResult::Ready,
                 Signal::Err => WaitResult::Failed,
             };
-            self.finish(result);
+            self.finish();
             return Poll::Ready(result);
         }
         if let Some(deadline) = &mut self.deadline {
             if Pin::new(deadline).poll(cx).is_ready() {
-                self.finish(WaitResult::Timeout);
+                self.finish();
                 return Poll::Ready(WaitResult::Timeout);
             }
         }
@@ -634,7 +610,6 @@ mod tests {
         assert_eq!(o.phase, Some("wal_append"));
         assert_eq!(o.label, "wal_fsync");
         assert_eq!(o.kind, EventKind::Io);
-        assert_eq!(o.result, WaitResult::Ready);
         assert_eq!(o.waited, Duration::from_millis(3));
         drop(seen);
         rt.tracer().set_wait_probe(None);

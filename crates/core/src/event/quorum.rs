@@ -76,13 +76,6 @@ pub(super) fn shape(
 }
 
 impl Tally {
-    /// `(k, n)` once the tally has a child or is sealed: what the trace
-    /// records for a wait on it.
-    pub(super) fn meta(&self) -> Option<(usize, usize)> {
-        let n = self.children.len();
-        (n > 0 || self.sealed).then(|| (self.threshold(), n))
-    }
-
     fn threshold(&self) -> usize {
         match self.mode {
             QuorumMode::Majority => self.children.len() / 2 + 1,
@@ -199,7 +192,7 @@ impl QuorumEvent {
     /// Adds a child event; its outcome counts toward the quorum.
     pub fn add(&self, child: &impl Watchable) {
         let child_handle = child.handle();
-        let (index, meta) = {
+        let (index, threshold) = {
             let mut st = self.state.borrow_mut();
             st.children.push(Child {
                 kind: child_handle.kind(),
@@ -207,8 +200,7 @@ impl QuorumEvent {
                 fired: false,
                 tally: child_handle.tally(),
             });
-            let n = st.children.len();
-            (n - 1, (st.threshold(), n))
+            (st.children.len() - 1, st.threshold())
         };
         let rt = self.handle.runtime();
         let t = rt.now();
@@ -216,7 +208,7 @@ impl QuorumEvent {
             t,
             parent: self.handle.id(),
             child: child_handle.id(),
-            parent_meta: Some(meta),
+            threshold,
         });
         let me = self.clone();
         child_handle.on_fire(move |s| me.on_child(index, s));

@@ -212,7 +212,6 @@ impl Coroutine {
             node,
             coro: id,
             label,
-            ctx: trace,
         });
         rt.spawn(Scoped {
             ctx: (node, id, label),

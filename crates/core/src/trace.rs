@@ -2,18 +2,20 @@
 //!
 //! §3.3: *"Having events as trace points, DepFast supports runtime
 //! verification and trace analysis for fail-slow fault tolerance."* Every
-//! event creation, fire, wait-begin and wait-end can be recorded; RPC
-//! completions additionally feed the per-callee `rpc.latency` /
-//! `rpc.errors` registry series that the fail-slow detector
+//! coroutine launch, event creation, child add and fire can be recorded,
+//! with the request roots and proposal→round links drivers add: exactly
+//! what [`TraceIndex`], the queryable form the offline analyses share,
+//! reads. RPC completions additionally feed the per-callee `rpc.latency`
+//! / `rpc.errors` registry series that the fail-slow detector
 //! (`depfast-detect`) reads from registry snapshots.
 //!
 //! Full recording is opt-in ([`Tracer::set_record_full`]) because a
 //! saturated benchmark produces millions of records; the registry series
-//! are cheap and always on. [`TraceIndex`] is the queryable form of a
-//! record stream that the offline analyses share. Two synchronous taps
-//! need no records at all: the SPG fold sees every wait as it begins
-//! ([`Tracer::install_spg_fold`]), the wait probe every wait as it ends
-//! ([`Tracer::set_wait_probe`]).
+//! are cheap and always on. A wait is not a record: two synchronous taps
+//! see it instead, the SPG fold as it begins
+//! ([`Tracer::install_spg_fold`]) and the wait probe as it ends
+//! ([`Tracer::set_wait_probe`]); a quorum's resolution lands in the
+//! `event.quorum.*` series.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -22,7 +24,7 @@ use std::time::Duration;
 use depfast_metrics::{Counter, Key, MetricsRegistry};
 use simkit::{NodeId, SimTime};
 
-use crate::event::{EventId, EventKind, Signal, WaitResult};
+use crate::event::{EventId, EventKind, Signal};
 use crate::runtime::CoroId;
 use crate::spg::{Shape, Spg};
 
@@ -91,8 +93,6 @@ pub enum TraceRecord {
         coro: CoroId,
         /// Label given to [`Coroutine::create`](crate::Coroutine::create).
         label: &'static str,
-        /// Causal context inherited at spawn, if any.
-        ctx: Option<TraceCtx>,
     },
     /// An event was created.
     EventCreated {
@@ -132,9 +132,9 @@ pub enum TraceRecord {
         parent: EventId,
         /// The added child.
         child: EventId,
-        /// `(k, n)` snapshot of the parent after this add, for quorum-like
-        /// parents (lets analysis recover thresholds of nested quorums).
-        parent_meta: Option<(usize, usize)>,
+        /// The parent's threshold `k` after this add (a majority's grows
+        /// with its children): blame charges a round to its k-th arrival.
+        threshold: usize,
     },
     /// An event fired.
     EventFired {
@@ -144,36 +144,6 @@ pub enum TraceRecord {
         event: EventId,
         /// Outcome.
         signal: Signal,
-    },
-    /// A coroutine began waiting on an event.
-    WaitBegin {
-        /// Virtual time.
-        t: SimTime,
-        /// Waiting node.
-        node: NodeId,
-        /// Waiting coroutine, if inside one.
-        coro: Option<CoroId>,
-        /// Event being waited on.
-        event: EventId,
-        /// Label of the waiting coroutine (`"?"` outside any coroutine).
-        coro_label: &'static str,
-        /// `(k, n)` snapshot for quorum-like events.
-        quorum: Option<(usize, usize)>,
-    },
-    /// A wait finished.
-    WaitEnd {
-        /// Virtual time.
-        t: SimTime,
-        /// Waiting node.
-        node: NodeId,
-        /// Waiting coroutine, if inside one.
-        coro: Option<CoroId>,
-        /// Event that was waited on.
-        event: EventId,
-        /// What the wait observed.
-        result: WaitResult,
-        /// How long the wait blocked.
-        waited: Duration,
     },
 }
 
@@ -199,8 +169,6 @@ pub struct WaitObservation {
     pub kind: EventKind,
     /// Label of the awaited event.
     pub label: &'static str,
-    /// What the wait observed.
-    pub result: WaitResult,
     /// How long the wait blocked (virtual time).
     pub waited: Duration,
 }
@@ -363,8 +331,8 @@ impl Tracer {
 
     /// Caps full-record collection at `cap` records. Once the buffer is
     /// full, further records are counted in the global `trace.dropped`
-    /// metric and discarded, so `--metrics` runs with full recording
-    /// cannot exhaust memory. Default: [`DEFAULT_RECORD_CAPACITY`].
+    /// metric and discarded, so a traced run (`--trace`) cannot exhaust
+    /// memory however long it is. Default: [`DEFAULT_RECORD_CAPACITY`].
     pub fn set_record_capacity(&self, cap: usize) {
         self.inner.borrow_mut().capacity = cap;
     }

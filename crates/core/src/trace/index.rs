@@ -45,8 +45,8 @@ pub struct TraceIndex {
     pub fired: HashMap<EventId, (SimTime, Signal)>,
     /// Children of each compound event, in add order.
     pub children: HashMap<EventId, Vec<EventId>>,
-    /// Last `(k, n)` snapshot seen for each quorum-like event.
-    pub quorum_meta: HashMap<EventId, (usize, usize)>,
+    /// Threshold `k` of each compound event, as of its last child add.
+    pub threshold: HashMap<EventId, usize>,
     /// Round (quorum event) of each linked proposal or ReadIndex wait.
     pub round_of: HashMap<EventId, EventId>,
     /// Launch records by coroutine id.
@@ -101,19 +101,16 @@ impl TraceIndex {
                 TraceRecord::ChildAdded {
                     parent,
                     child,
-                    parent_meta,
+                    threshold,
                     ..
                 } => {
                     ix.children.entry(*parent).or_default().push(*child);
-                    if let Some(meta) = parent_meta {
-                        ix.quorum_meta.insert(*parent, *meta);
-                    }
+                    ix.threshold.insert(*parent, *threshold);
                 }
                 TraceRecord::EventFired { t, event, signal } => {
                     // Keep the first fire; re-fires don't change readiness.
                     ix.fired.entry(*event).or_insert((*t, *signal));
                 }
-                TraceRecord::WaitBegin { .. } | TraceRecord::WaitEnd { .. } => {}
             }
         }
         ix

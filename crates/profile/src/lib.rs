@@ -363,7 +363,6 @@ fn sanitize(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use depfast::WaitResult;
     use std::time::Duration;
 
     fn obs(
@@ -379,7 +378,6 @@ mod tests {
             phase,
             kind,
             label,
-            result: WaitResult::Ready,
             waited: Duration::from_millis(ms),
         }
     }

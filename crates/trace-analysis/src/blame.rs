@@ -171,9 +171,9 @@ fn blame_round(
     // The k-th Ok arrival made the quorum ready: it, alone, bounds the
     // round's duration from below.
     let round_blame = index
-        .quorum_meta
+        .threshold
         .get(&round)
-        .and_then(|(k, _n)| {
+        .and_then(|k| {
             let mut arrivals: Vec<(u64, EventId)> = index
                 .children
                 .get(&round)?
@@ -252,12 +252,12 @@ mod tests {
         }
     }
 
-    fn child(parent: u64, c: u64, meta: (usize, usize)) -> TraceRecord {
+    fn child(parent: u64, c: u64, threshold: usize) -> TraceRecord {
         TraceRecord::ChildAdded {
             t: SimTime::ZERO,
             parent: EventId(parent),
             child: EventId(c),
-            parent_meta: Some(meta),
+            threshold,
         }
     }
 
@@ -277,9 +277,9 @@ mod tests {
             created(200, 0, 2, EventKind::Io, "wal"),
             created(200, 0, 3, EventKind::Rpc { target: NodeId(1) }, "append"),
             created(200, 0, 4, EventKind::Rpc { target: NodeId(2) }, "append"),
-            child(1, 2, (2, 1)),
-            child(1, 3, (2, 2)),
-            child(1, 4, (2, 3)),
+            child(1, 2, 2),
+            child(1, 3, 2),
+            child(1, 4, 2),
             fired(300, 2),  // local disk first
             fired(1200, 3), // node 1 completes the quorum
             fired(1200, 1), // round ready

@@ -348,7 +348,6 @@ mod tests {
                 node: NodeId(0),
                 coro: depfast::CoroId(0),
                 label: "raft:replicate",
-                ctx: None,
             },
             TraceRecord::EventCreated {
                 t: SimTime::from_nanos(100),

@@ -15,9 +15,12 @@
 //!   run's incident track over them, as `trace_event` JSON loadable in
 //!   `chrome://tracing` or Perfetto;
 //! - a **portable dump format** ([`serialize_records`] /
-//!   [`parse_records`]): a line-based encoding of the raw records — the
-//!   `trace` section of a `.run` file — so `depfast-inspect` can analyze
-//!   a recorded run without re-running the simulation.
+//!   [`parse_records`]): one line per raw record — `begin`, `coro`,
+//!   `event`, `link`, `child` or `fired`, each holding only fields the two
+//!   analyses above read, plus its time — that is the body of a `.run`
+//!   file's `# depfast-trace/v2` section, so `depfast-inspect` can analyze
+//!   a recorded run without re-running the simulation. Waits are not
+//!   records: the SPG fold and the wait probe see them live.
 //!
 //! Everything here is a pure function of the record stream: a
 //! deterministic simulation therefore yields byte-identical reports and

@@ -1,15 +1,27 @@
 //! A portable line-based dump format for raw trace records — the body of
 //! a `.run` file's `trace` section — so `depfast-inspect` can work from a
-//! recorded file instead of re-running the simulation. One record per line, tab-separated fields, first field is
-//! the record tag. `-` encodes "absent"; causal contexts are encoded as
-//! `trace_id` + `parent_span` with `0 0` meaning "none" (trace ids start
-//! at 1 and span 0 is [`depfast::SpanId::NONE`]).
+//! recorded file instead of re-running the simulation. One record per
+//! line, tab-separated fields, first field is the record tag:
+//!
+//! | Tag | Fields after the time |
+//! |---|---|
+//! | `begin` | node, trace id, label |
+//! | `coro` | node, coroutine id, label |
+//! | `event` | node, coroutine id, event id, kind, kind argument, label, causal context |
+//! | `link` | proposal id, round id |
+//! | `child` | parent id, child id, parent threshold `k` |
+//! | `fired` | event id, `ok` / `err` |
+//!
+//! The time is virtual nanoseconds. `-` encodes "absent" (a coroutine id
+//! outside any coroutine, the argument of a kind that has none); a causal
+//! context is `trace_id` + `parent_span`, with `0 0` meaning "none" (trace
+//! ids start at 1 and span 0 is [`depfast::SpanId::NONE`]).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use depfast::event::{Signal, WaitResult};
+use depfast::event::Signal;
 use depfast::{CoroId, EventId, EventKind, SpanId, TraceCtx, TraceRecord};
 use depfast_metrics::text::{Fields, LineError};
 use simkit::{NodeId, SimTime};
@@ -51,13 +63,6 @@ fn opt_coro(c: &Option<CoroId>) -> String {
     c.map(|c| c.0.to_string()).unwrap_or_else(|| "-".into())
 }
 
-fn opt_meta(m: &Option<(usize, usize)>) -> String {
-    match m {
-        Some((k, n)) => format!("{k}\t{n}"),
-        None => "-\t-".into(),
-    }
-}
-
 /// Serializes records into the dump format.
 pub fn serialize_records(records: &[TraceRecord]) -> String {
     let mut out = String::new();
@@ -83,18 +88,14 @@ pub fn serialize_records(records: &[TraceRecord]) -> String {
                 node,
                 coro,
                 label,
-                ctx,
             } => {
-                let (tid, span) = ctx_fields(ctx);
                 writeln!(
                     out,
-                    "coro\t{}\t{}\t{}\t{}\t{}\t{}",
+                    "coro\t{}\t{}\t{}\t{}",
                     t.as_nanos(),
                     node.0,
                     coro.0,
-                    label,
-                    tid,
-                    span
+                    label
                 )
             }
             TraceRecord::EventCreated {
@@ -129,7 +130,7 @@ pub fn serialize_records(records: &[TraceRecord]) -> String {
                 t,
                 parent,
                 child,
-                parent_meta,
+                threshold,
             } => {
                 writeln!(
                     out,
@@ -137,7 +138,7 @@ pub fn serialize_records(records: &[TraceRecord]) -> String {
                     t.as_nanos(),
                     parent.0,
                     child.0,
-                    opt_meta(parent_meta)
+                    threshold
                 )
             }
             TraceRecord::EventFired { t, event, signal } => {
@@ -147,49 +148,6 @@ pub fn serialize_records(records: &[TraceRecord]) -> String {
                 };
                 writeln!(out, "fired\t{}\t{}\t{}", t.as_nanos(), event.0, s)
             }
-            TraceRecord::WaitBegin {
-                t,
-                node,
-                coro,
-                event,
-                coro_label,
-                quorum,
-            } => {
-                writeln!(
-                    out,
-                    "wbegin\t{}\t{}\t{}\t{}\t{}\t{}",
-                    t.as_nanos(),
-                    node.0,
-                    opt_coro(coro),
-                    event.0,
-                    coro_label,
-                    opt_meta(quorum)
-                )
-            }
-            TraceRecord::WaitEnd {
-                t,
-                node,
-                coro,
-                event,
-                result,
-                waited,
-            } => {
-                let r = match result {
-                    WaitResult::Ready => "ready",
-                    WaitResult::Failed => "failed",
-                    WaitResult::Timeout => "timeout",
-                };
-                writeln!(
-                    out,
-                    "wend\t{}\t{}\t{}\t{}\t{}\t{}",
-                    t.as_nanos(),
-                    node.0,
-                    opt_coro(coro),
-                    event.0,
-                    r,
-                    waited.as_nanos()
-                )
-            }
         }
         .expect("writing to a String cannot fail");
     }
@@ -197,7 +155,7 @@ pub fn serialize_records(records: &[TraceRecord]) -> String {
 }
 
 /// Parses one line of a dump produced by [`serialize_records`] (a
-/// causal context is two fields, a `(k, n)` snapshot two `-`-able ones).
+/// causal context is two fields).
 fn parse_record(line: &mut Fields<'_>) -> Result<TraceRecord, LineError> {
     fn time(line: &mut Fields<'_>) -> Result<SimTime, LineError> {
         line.parse("time").map(SimTime::from_nanos)
@@ -210,10 +168,6 @@ fn parse_record(line: &mut Fields<'_>) -> Result<TraceRecord, LineError> {
     }
     fn opt_coro(line: &mut Fields<'_>) -> Result<Option<CoroId>, LineError> {
         Ok(line.opt("coro id")?.map(CoroId))
-    }
-    fn opt_meta(line: &mut Fields<'_>) -> Result<Option<(usize, usize)>, LineError> {
-        let (k, n) = (line.opt("quorum k")?, line.opt("quorum n")?);
-        Ok(k.zip(n))
     }
     fn ctx(line: &mut Fields<'_>) -> Result<Option<TraceCtx>, LineError> {
         let (trace_id, span) = (line.parse("trace id")?, line.parse("parent span")?);
@@ -234,7 +188,6 @@ fn parse_record(line: &mut Fields<'_>) -> Result<TraceRecord, LineError> {
             node: node(line, "node")?,
             coro: CoroId(line.parse("coro id")?),
             label: intern(line.next("label")?),
-            ctx: ctx(line)?,
         },
         "event" => {
             let t = time(line)?;
@@ -279,7 +232,7 @@ fn parse_record(line: &mut Fields<'_>) -> Result<TraceRecord, LineError> {
             t: time(line)?,
             parent: event(line, "parent id")?,
             child: event(line, "child id")?,
-            parent_meta: opt_meta(line)?,
+            threshold: line.parse("parent threshold")?,
         },
         "fired" => TraceRecord::EventFired {
             t: time(line)?,
@@ -289,27 +242,6 @@ fn parse_record(line: &mut Fields<'_>) -> Result<TraceRecord, LineError> {
                 "err" => Signal::Err,
                 other => return Err(line.err(format!("unknown signal {other:?}"))),
             },
-        },
-        "wbegin" => TraceRecord::WaitBegin {
-            t: time(line)?,
-            node: node(line, "node")?,
-            coro: opt_coro(line)?,
-            event: event(line, "event id")?,
-            coro_label: intern(line.next("coroutine label")?),
-            quorum: opt_meta(line)?,
-        },
-        "wend" => TraceRecord::WaitEnd {
-            t: time(line)?,
-            node: node(line, "node")?,
-            coro: opt_coro(line)?,
-            event: event(line, "event id")?,
-            result: match line.next("result")? {
-                "ready" => WaitResult::Ready,
-                "failed" => WaitResult::Failed,
-                "timeout" => WaitResult::Timeout,
-                other => return Err(line.err(format!("unknown result {other:?}"))),
-            },
-            waited: std::time::Duration::from_nanos(line.parse("waited")?),
         },
         other => return Err(line.err(format!("unknown record tag {other:?}"))),
     };
@@ -334,7 +266,6 @@ pub fn parse_records(text: &str) -> Result<Vec<TraceRecord>, LineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn sample() -> Vec<TraceRecord> {
         vec![
@@ -349,10 +280,6 @@ mod tests {
                 node: NodeId(0),
                 coro: CoroId(4),
                 label: "raft:replicate",
-                ctx: Some(TraceCtx {
-                    trace_id: 1,
-                    parent_span: SpanId::event(EventId(9)),
-                }),
             },
             TraceRecord::EventCreated {
                 t: SimTime::from_nanos(12),
@@ -361,7 +288,10 @@ mod tests {
                 event: EventId(5),
                 kind: EventKind::Rpc { target: NodeId(2) },
                 label: "append_entries",
-                ctx: None,
+                ctx: Some(TraceCtx {
+                    trace_id: 1,
+                    parent_span: SpanId::event(EventId(9)),
+                }),
             },
             TraceRecord::EventCreated {
                 t: SimTime::from_nanos(12),
@@ -381,28 +311,12 @@ mod tests {
                 t: SimTime::from_nanos(14),
                 parent: EventId(5),
                 child: EventId(6),
-                parent_meta: Some((2, 3)),
+                threshold: 2,
             },
             TraceRecord::EventFired {
                 t: SimTime::from_nanos(15),
                 event: EventId(5),
                 signal: Signal::Err,
-            },
-            TraceRecord::WaitBegin {
-                t: SimTime::from_nanos(16),
-                node: NodeId(0),
-                coro: None,
-                event: EventId(5),
-                coro_label: "?",
-                quorum: None,
-            },
-            TraceRecord::WaitEnd {
-                t: SimTime::from_nanos(17),
-                node: NodeId(0),
-                coro: Some(CoroId(4)),
-                event: EventId(5),
-                result: WaitResult::Timeout,
-                waited: Duration::from_nanos(123),
             },
         ]
     }
@@ -423,13 +337,16 @@ mod tests {
         assert!(parse_records("fired\t1\n").is_err());
         assert!(parse_records("fired\t1\t2\tmaybe\n").is_err());
         assert!(parse_records("fired\t1\t2\tok\textra\n").is_err());
+        // The v1 shapes: wait records, and a child line carrying `(k, n)`.
+        assert!(parse_records("wend\t1\t0\t-\t2\tready\t5\n").is_err());
+        assert!(parse_records("child\t1\t2\t3\t2\t3\n").is_err());
         let e = parse_records("fired\t1\t2\tok\nfired\t1\n").unwrap_err();
         assert_eq!(e.line, 2, "{e}");
     }
 
     #[test]
     fn empty_and_header_lines_are_skipped() {
-        assert!(parse_records("\n# depfast-trace/v1\tdropped\t0\n\n")
+        assert!(parse_records("\n# depfast-trace/v2\tdropped\t0\n\n")
             .expect("ok")
             .is_empty());
     }

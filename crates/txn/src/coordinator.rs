@@ -20,6 +20,10 @@ use simkit::NodeId;
 
 use crate::command::{TxnCmd, TxnVote, TxnWrite, TXN_EXEC};
 
+/// Phase-1 deadline: past it, a transaction not yet prepared everywhere
+/// aborts.
+const PREPARE_TIMEOUT: Duration = Duration::from_millis(1000);
+
 /// Routes a key to a shard: shard `i` is the group `ShardMap` numbers
 /// `i + 1`.
 pub fn shard_of(key: &Bytes, n_shards: usize) -> usize {
@@ -60,8 +64,6 @@ pub struct TxnClient {
     leaders: Rc<Vec<Cell<usize>>>,
     client_id: u64,
     seq: Cell<u64>,
-    /// Phase-1 deadline.
-    pub prepare_timeout: Duration,
 }
 
 impl TxnClient {
@@ -74,7 +76,6 @@ impl TxnClient {
             shards,
             client_id,
             seq: Cell::new(0),
-            prepare_timeout: Duration::from_millis(1000),
         }
     }
 
@@ -153,7 +154,7 @@ impl TxnClient {
         let outcome = OrEvent::labeled(&self.rt, "txn_phase1");
         outcome.add(&all_prepared);
         outcome.add(&any_abort);
-        outcome.wait_timeout(self.prepare_timeout).await;
+        outcome.wait_timeout(PREPARE_TIMEOUT).await;
 
         // ---- Phase 2: commit or abort everywhere. ------------------------
         if all_prepared.ready() {
