@@ -11,7 +11,7 @@
 //! | Header | Body |
 //! |---|---|
 //! | `# depfast-trace/v2\tdropped\t<n>` | trace-record lines ([`depfast_trace_analysis::serialize_records`]) |
-//! | `# depfast-incident/v1` | one incident dump ([`depfast_incident::serialize_dumps`]); the first is the whole cluster's, any further ones its per-group split |
+//! | `# depfast-incident/v2` | one incident dump ([`depfast_incident::serialize_dumps`]): the run's own fault records and health events; the first is the whole cluster's, any further ones its per-group split |
 //! | `# depfast-profile/v1\tdriver\t<name>` | folded stacks ([`depfast_profile::Profiler::folded`]) |
 //! | `# depfast-series/v1` | sampler CSV ([`depfast_metrics::Sampler::to_csv`]) |
 //! | `# depfast-metrics/v1` | final registry JSON ([`depfast_metrics::MetricsRegistry::to_json`]) |
@@ -20,7 +20,6 @@
 //! the headers is exact. The file is a pure function of the report: same
 //! seed, byte-identical file.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -34,7 +33,7 @@ use depfast_trace_analysis::{
     blame_report, chrome_trace, parse_records, serialize_records, TraceIndex,
 };
 
-use crate::experiment::RunReport;
+use crate::experiment::{level, RunReport};
 use crate::json::Json;
 use crate::report::{out_dir, Table};
 
@@ -43,6 +42,8 @@ const INCIDENT: &str = depfast_incident::serial::HEADER;
 const PROFILE: &str = "# depfast-profile/v1";
 const SERIES: &str = "# depfast-series/v1";
 const METRICS: &str = "# depfast-metrics/v1";
+/// The counter [`Artifact::series`] differences.
+const COMMITS: &str = "raft.commit_index";
 
 impl RunReport {
     /// The run as `.run` text: one section per instrument that was on
@@ -120,8 +121,8 @@ pub struct Artifact {
     /// Wait-state profile, if the run was profiled.
     pub profile: Option<ProfileSection>,
     /// `(t_seconds, commits/s)` per sampling interval, if the run was
-    /// sampled: the cluster-wide `raft.commit_index` level (max over a
-    /// group's replicas — leadership may move — summed over groups)
+    /// sampled: the cluster-wide `raft.commit_index` level (the run's one
+    /// level rule: max over a group's replicas, summed over groups)
     /// differenced across sample times.
     pub series: Option<Vec<(f64, f64)>>,
     /// Final registry values, if the run was sampled.
@@ -282,9 +283,8 @@ fn key(header: &mut Fields<'_>, key: &str) -> Result<(), LineError> {
 /// [`Artifact::series`] from a `series` section (header and CSV column
 /// line skipped).
 fn commit_rates(section: &str) -> Result<Vec<(f64, f64)>, LineError> {
-    // Per sample time, each group's level (by tag): the max over its
-    // replicas.
-    let mut levels: Vec<(f64, BTreeMap<&str, f64>)> = Vec::new();
+    // Every `raft.commit_index` point, in sample-time order.
+    let mut points: Vec<(f64, &str, Option<&str>, f64)> = Vec::new();
     for (no, row) in section.lines().enumerate() {
         if row.is_empty() || row.starts_with('#') || row.starts_with("t_seconds,") {
             continue;
@@ -299,18 +299,16 @@ fn commit_rates(section: &str) -> Result<Vec<(f64, f64)>, LineError> {
         };
         let t: f64 = t.parse().map_err(|_| err("bad t_seconds"))?;
         let value: f64 = value.parse().map_err(|_| err("bad value"))?;
-        if name == "raft.commit_index" {
-            if levels.last().is_none_or(|(last_t, _)| *last_t != t) {
-                levels.push((t, BTreeMap::new()));
-            }
-            let groups = &mut levels.last_mut().expect("pushed above").1;
-            let level = groups.entry(tag).or_insert(value);
-            *level = level.max(value);
+        if name == COMMITS {
+            points.push((t, name, Some(tag).filter(|t| !t.is_empty()), value));
         }
     }
-    let levels: Vec<(f64, f64)> = levels
-        .into_iter()
-        .map(|(t, groups)| (t, groups.values().sum()))
+    let levels: Vec<(f64, f64)> = points
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|snapshot| {
+            let points = snapshot.iter().map(|&(_, name, tag, v)| (name, tag, v));
+            (snapshot[0].0, level(points, COMMITS, None))
+        })
         .collect();
     Ok(levels
         .windows(2)
@@ -391,10 +389,13 @@ mod tests {
         assert!(e.msg.contains("expected `dropped`"), "{e}");
         let e = Artifact::parse("# depfast-bogus/v1\n").err().expect("kind");
         assert!(e.msg.contains("unknown section"), "{e}");
-        // A trace section of the previous encoding is refused at its header.
-        let e = Artifact::parse("# depfast-trace/v1\tdropped\t0\n")
-            .err()
-            .expect("old version");
-        assert!(e.msg.contains("unknown section"), "{e}");
+        // A section of a previous encoding is refused at its header.
+        for old in [
+            "# depfast-trace/v1\tdropped\t0\n",
+            "# depfast-incident/v1\n",
+        ] {
+            let e = Artifact::parse(old).err().expect("old version");
+            assert!(e.msg.contains("unknown section"), "{old:?}: {e}");
+        }
     }
 }

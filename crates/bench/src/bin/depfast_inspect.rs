@@ -4,7 +4,7 @@
 //! ```text
 //! depfast-inspect <file.run>...    # render every section of every file
 //!      --top <N>                   # rows of the blame and wait-site tables (default 12)
-//!      --band <F>                  # recovery band of the incident scorecards
+//!      --band <F>                  # recovery band of the incident scorecards, in (0, 1]
 //!      --chrome <out.json>         # one file: its trace + incident track as Chrome trace_event JSON
 //!      --svg <out.svg>             # one file: its wait-state profile as an SVG flamegraph
 //! ```
@@ -61,7 +61,15 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         };
         match arg.as_str() {
             "--top" => cli.top = number(arg, value()?)?,
-            "--band" => cli.band = number(arg, value()?)?,
+            "--band" => {
+                let v = value()?;
+                cli.band = number(arg, v)?;
+                // A fraction of the pre-onset baseline: outside (0, 1] the
+                // recovery threshold can never be met.
+                if !(cli.band > 0.0 && cli.band <= 1.0) {
+                    return Err(format!("{arg} {v:?}: outside (0, 1]"));
+                }
+            }
             "--chrome" => cli.chrome = Some(PathBuf::from(value()?)),
             "--svg" => cli.svg = Some(PathBuf::from(value()?)),
             _ => return Err(format!("unknown argument {arg:?}")),

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Duration;
 
-use depfast_detect::{AmpSample, DetectorCfg, FailSlowDetector, StormMonitor};
+use depfast_detect::{DetectorCfg, FailSlowDetector, StormMonitor};
 use depfast_fault::{FaultKind, FaultLedger, FaultRecord};
 use depfast_incident::{score, IncidentDump, RECOVERY_BAND};
 use depfast_kv::{RetryPolicy, ShardedKvCluster};
@@ -26,7 +26,7 @@ use depfast_scenario::{CompileError, InjectionPlan, Scenario, Target, Window};
 use depfast_storage::{LogStoreCfg, WalCfg};
 use depfast_ycsb::driver::{run_workload, DriverCfg, RunStats};
 use depfast_ycsb::workload::WorkloadSpec;
-use simkit::{MemCfg, NodeId, Sim, SimTime, World, WorldCfg};
+use simkit::{MemCfg, NodeId, Sim, World, WorldCfg};
 
 use crate::cells::{RunRecord, ScenarioRecord};
 
@@ -354,7 +354,6 @@ impl Run {
         let health_dropped = tracer.health_dropped();
         let trace_dropped = metrics.counter(Key::global("trace.dropped")).get();
         let faults = ledger.records();
-        let storm = monitor.map_or_else(Vec::new, |m| m.series());
         // Everything the report keeps has been read: the world ends here,
         // and with the sampling task gone the sampler is the report's.
         cluster.raft.teardown(&sim);
@@ -369,10 +368,33 @@ impl Run {
             records,
             profiler,
             faults,
-            storm,
             metrics,
         }
     }
+}
+
+/// The level rule of every series a run differences, over one snapshot's
+/// `(name, tag, level)` points: `name`'s level is the max over a group's
+/// replicas (leadership may move), summed over groups (a group's points
+/// carry its tag). With `tag`, only that group's points count.
+pub(crate) fn level<'a, T>(
+    points: impl IntoIterator<Item = (&'a str, Option<&'a str>, T)>,
+    name: &str,
+    tag: Option<&str>,
+) -> T
+where
+    T: Copy + PartialOrd + std::iter::Sum,
+{
+    let mut groups: BTreeMap<Option<&str>, T> = BTreeMap::new();
+    for (n, t, v) in points {
+        if n == name && (tag.is_none() || t == tag) {
+            let level = groups.entry(t).or_insert(v);
+            if v > *level {
+                *level = v;
+            }
+        }
+    }
+    groups.into_values().sum()
 }
 
 /// The cumulative counter a survival series differences.
@@ -382,29 +404,21 @@ enum Series {
     Commits,
     /// Commits of one group (by gid).
     GroupCommits(u32),
-    /// Client operations completed `Ok`.
-    Goodput,
+    /// One cluster-global counter, e.g. `client.success` (goodput).
+    Global(&'static str),
 }
 
 impl Series {
-    /// The counter's level in one registry snapshot: the max over the
-    /// replicas of a group (leadership may move), summed over groups
-    /// (a group's keys carry its tag).
+    /// The counter's [`level`] in one registry snapshot.
     fn level(self, values: &[(Key, MetricValue)]) -> i128 {
         let (name, tag) = match self {
             // Group 0 is a cluster's only group, and its series are untagged.
             Series::Commits | Series::GroupCommits(0) => ("raft.commit_index", None),
             Series::GroupCommits(gid) => ("raft.commit_index", Some(group_label(gid))),
-            Series::Goodput => ("client.success", None),
+            Series::Global(name) => (name, None),
         };
-        let mut groups: BTreeMap<Option<&str>, i128> = BTreeMap::new();
-        for (k, v) in values {
-            if k.name == name && (tag.is_none() || k.tag == tag) {
-                let level = groups.entry(k.tag).or_insert(v.scalar());
-                *level = (*level).max(v.scalar());
-            }
-        }
-        groups.values().sum()
+        let points = values.iter().map(|(k, v)| (k.name, k.tag, v.scalar()));
+        level(points, name, tag)
     }
 
     /// `(t_ns, ops/s)` per sampling interval: the level differenced
@@ -455,9 +469,6 @@ pub struct RunReport {
     pub profiler: Option<Profiler>,
     /// Ground truth: the fault ledger.
     pub faults: Vec<FaultRecord>,
-    /// The storm monitor's per-tick amplification series (empty without
-    /// a retry policy).
-    pub storm: Vec<AmpSample>,
 }
 
 impl RunReport {
@@ -477,14 +488,13 @@ impl RunReport {
                 .faults
                 .iter()
                 .filter(|r| fault_on(r.node))
-                .map(Into::into)
+                .cloned()
                 .collect(),
             events: self
                 .health
                 .iter()
                 .filter(|e| event_in(e))
                 .cloned()
-                .map(Into::into)
                 .collect(),
             throughput: series.rate(&self.sampler),
             end_ns: (self.run.warmup + self.run.measure).as_nanos() as u64,
@@ -500,7 +510,7 @@ impl RunReport {
     /// scoring, reporting or serialization.
     pub fn dump(&self) -> IncidentDump {
         let series = match self.run.instruments.retry {
-            Some(_) => Series::Goodput,
+            Some(_) => Series::Global("client.success"),
             None => Series::Commits,
         };
         self.dump_of(self.run.cluster_label(), series, |_| true, |_| true)
@@ -591,7 +601,7 @@ impl RunReport {
     pub fn survival(&self, stall_limit: Duration) -> (ScenarioRecord, IncidentDump) {
         let dump = self.dump();
         let warmup_ns = self.run.warmup.as_nanos() as u64;
-        let onset_ns = dump.faults.iter().map(|f| f.onset_ns).min();
+        let onset_ns = dump.faults.iter().map(|f| f.onset.as_nanos()).min();
         let floor = dump
             .throughput
             .iter()
@@ -609,16 +619,18 @@ impl RunReport {
             longest = longest.max(stall);
         }
         let stall_ms = longest as f64 * SAMPLE_EVERY.as_secs_f64() * 1e3;
+        // Attempts per fresh op from the onset on: what the storm monitor's
+        // ticks, taken with the sampler's rows, added up. A counter grew by
+        // its level at the last row less its level at the row before the
+        // first one at or after onset (0 before the first row).
         let amp = self.run.instruments.retry.map(|_| {
-            let onset = SimTime::from_nanos(onset_ns.unwrap_or(0));
-            let (attempts, ops) = self
-                .storm
-                .iter()
-                .filter(|a| a.t >= onset)
-                .fold((0u64, 0u64), |(att, ops), a| {
-                    (att + a.attempts, ops + a.ops)
-                });
-            attempts as f64 / ops.max(1) as f64
+            let rows = self.sampler.rows();
+            let from = rows.partition_point(|r| r.t_ns < onset_ns.unwrap_or(0));
+            let grown = |name| {
+                let at = |i: usize| Series::Global(name).level(&rows[i].values);
+                rows.len().checked_sub(1).map_or(0, at) - from.checked_sub(1).map_or(0, at)
+            };
+            grown("client.attempts") as f64 / grown("client.ops").max(1) as f64
         });
         let cell = ScenarioRecord {
             scenario: self.run.fault.clone(),

@@ -158,6 +158,10 @@ fn unknown_flags_and_missing_values_are_usage_errors() {
         &["x.run", "--top", "five"],
         &["x.run", "y.run", "--chrome", "out.json"],
         &["--band", "0.5"],
+        &["x.run", "--band", "nan"],
+        &["x.run", "--band", "0"],
+        &["x.run", "--band", "-0.5"],
+        &["x.run", "--band", "1.5"],
         &[],
     ] {
         let out = inspect(args);

@@ -343,7 +343,7 @@ impl Wait {
         let begun = self.begun_at.unwrap_or(t);
         h.rt.tracer().probe_wait(|| WaitObservation {
             node: h.rt.node(),
-            coro_label: current_coro_label().unwrap_or("?"),
+            coro_label: current_coro_label(),
             phase: current_phase(),
             kind: h.kind(),
             label: h.label(),
@@ -606,7 +606,7 @@ mod tests {
         // explicit wait is observed.
         assert_eq!(seen.len(), 1);
         let o = &seen[0];
-        assert_eq!(o.coro_label, "server");
+        assert_eq!(o.coro_label, Some("server"));
         assert_eq!(o.phase, Some("wal_append"));
         assert_eq!(o.label, "wal_fsync");
         assert_eq!(o.kind, EventKind::Io);

@@ -161,8 +161,8 @@ pub const DEFAULT_RECORD_CAPACITY: usize = 4_000_000;
 pub struct WaitObservation {
     /// Node the waiting coroutine runs on.
     pub node: NodeId,
-    /// Label of the waiting coroutine (`"?"` outside any coroutine).
-    pub coro_label: &'static str,
+    /// Label of the waiting coroutine (`None` outside any coroutine).
+    pub coro_label: Option<&'static str>,
     /// Protocol phase active at the wait, if any.
     pub phase: Option<&'static str>,
     /// Structural kind of the awaited event.
@@ -181,8 +181,10 @@ pub type WaitProbe = Rc<dyn Fn(&WaitObservation)>;
 /// mitigation, ...). Unlike full trace records these are always on: they
 /// are rare by construction — a healthy run records none — and they are
 /// the raw material of the incident timeline (`depfast-incident`), which
-/// joins them against the fault ledger's ground truth.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// joins them against the fault ledger's ground truth. The fields are in
+/// the incident timeline's canonical order, so the derived order sorts a
+/// timeline by time, then subject, layer, transition, evidence and group.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct HealthEvent {
     /// Virtual time of the transition.
     pub t: SimTime,

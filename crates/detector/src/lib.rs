@@ -21,4 +21,4 @@ pub mod storm;
 
 pub use detect::{DetectorCfg, DetectorMode, FailSlowDetector, Suspicion};
 pub use mitigate::spawn_leader_mitigation;
-pub use storm::{AmpSample, StormMonitor};
+pub use storm::StormMonitor;

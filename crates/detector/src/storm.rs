@@ -2,12 +2,14 @@
 //!
 //! The client telemetry (`client.attempts` / `client.success` /
 //! `client.ops`) separates *offered load* from *goodput*; this monitor
-//! turns their ratio into an interval-aligned amplification series and
-//! joins it with the [`FaultLedger`]'s ground truth. The metastable
-//! signature — the "Building on Quicksand" feedback loop the paper's
-//! gray-failure arc leads to — is goodput still collapsed while
-//! amplification stays high *after the injected fault has cleared*: the
-//! retries themselves are now the load keeping the system saturated.
+//! turns their ratio, tick by tick, into a rolling amplification and
+//! joins it with the [`FaultLedger`]'s ground truth. It keeps no series
+//! of its own: the run's sampler rows hold the same counters at the same
+//! instants. The metastable signature — the "Building on Quicksand"
+//! feedback loop the paper's gray-failure arc leads to — is goodput still
+//! collapsed while amplification stays high *after the injected fault has
+//! cleared*: the retries themselves are now the load keeping the system
+//! saturated.
 //!
 //! The law is [`StormLaw`], a pure state machine over per-tick deltas and
 //! two facts about the ledger; [`StormMonitor`] is the shell that reads the
@@ -47,17 +49,9 @@ const SUSTAIN_TICKS: u32 = 12;
 /// Consecutive healthy ticks before the storm is declared over.
 const CLEAR_TICKS: u32 = 3;
 
-/// One tick of the offered-load / goodput series.
+/// What one tick of the law saw.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AmpSample {
-    /// Tick timestamp.
-    pub t: SimTime,
-    /// RPC attempts sent this tick (offered load).
-    pub attempts: u64,
-    /// Fresh operations started this tick.
-    pub ops: u64,
-    /// Operations completed `Ok` this tick (goodput).
-    pub success: u64,
     /// Attempts per fresh op over the rolling `SMOOTH_TICKS` window
     /// (1.0 when idle).
     pub amplification: f64,
@@ -105,13 +99,12 @@ impl StormLaw {
         self.sustained_ever
     }
 
-    /// Digests the interval ending at `now`: its `(attempts, ops,
-    /// success)` deltas, whether any ledger fault has begun (`fault_seen`)
-    /// and whether every one has cleared (`all_cleared`). Returns the
-    /// tick's sample and the `storm_*` transition it caused, if any.
+    /// Digests one interval: its `(attempts, ops, success)` deltas,
+    /// whether any ledger fault has begun (`fault_seen`) and whether every
+    /// one has cleared (`all_cleared`). Returns the tick's sample and the
+    /// `storm_*` transition it caused, if any.
     pub fn tick(
         &mut self,
-        now: SimTime,
         (attempts, ops, success): (u64, u64, u64),
         fault_seen: bool,
         all_cleared: bool,
@@ -152,10 +145,6 @@ impl StormLaw {
                 && amplification >= AMP_HIGH
         });
         let sample = AmpSample {
-            t: now,
-            attempts,
-            ops,
-            success,
             amplification,
             stormy,
         };
@@ -214,14 +203,13 @@ struct StormState {
     /// Last-seen `client.attempts` / `client.ops` / `client.success`.
     last: (u64, u64, u64),
     law: StormLaw,
-    series: Vec<AmpSample>,
 }
 
 /// Joins client amplification telemetry with fault ground truth and
 /// emits `storm_*` health events. Drive it from your own sampling loop
 /// via [`StormMonitor::tick`], interval-aligned with an incident sampler
-/// so the amplification series lines up with the throughput series —
-/// what the run harness does.
+/// so its verdicts line up with the throughput series — what the run
+/// harness does.
 #[derive(Clone)]
 pub struct StormMonitor {
     state: Rc<RefCell<StormState>>,
@@ -240,20 +228,15 @@ impl StormMonitor {
         }
     }
 
-    /// The amplification series so far.
-    pub fn series(&self) -> Vec<AmpSample> {
-        self.state.borrow().series.clone()
-    }
-
     /// Test probe: `true` if any storm episode was flagged sustained (metastable).
     #[doc(hidden)]
     pub fn sustained(&self) -> bool {
         self.state.borrow().law.sustained()
     }
 
-    /// Processes one interval ending at `now`: extends the amplification
-    /// series, advances the storm law, and records the `storm_*` health
-    /// event it returns, if any.
+    /// Processes one interval ending at `now`: advances the storm law by
+    /// the counters' deltas and records the `storm_*` health event it
+    /// returns, if any.
     pub fn tick(&self, now: SimTime) {
         let metrics = self.tracer.metrics();
         let read = |name| metrics.counter(Key::global(name)).get();
@@ -273,9 +256,7 @@ impl StormMonitor {
             level.2 - st.last.2,
         );
         st.last = level;
-        let (sample, health) = st.law.tick(now, deltas, fault_seen, all_cleared);
-        st.series.push(sample);
-        if let Some(health) = health {
+        if let Some(health) = st.law.tick(deltas, fault_seen, all_cleared).1 {
             // The storm is pinned on the first ledger fault's target (it
             // is *caused* by retries, but *about* the fault that seeded
             // it); `NodeId(0)` when no fault was ever recorded.
@@ -301,14 +282,13 @@ mod tests {
     const OUTLIVES: Tick = (300, 10, 5, true, true);
     const RECOVERED: Tick = (110, 100, 100, true, true);
 
-    /// Runs `ticks` through a fresh law, 100 ms apart: its transitions as
-    /// `(tick number from 1, transition)`, its samples, and the law.
+    /// Runs `ticks` through a fresh law: its transitions as `(tick number
+    /// from 1, transition)`, its samples, and the law.
     fn run(ticks: &[Tick]) -> (Vec<(usize, &'static str)>, Vec<AmpSample>, StormLaw) {
         let mut law = StormLaw::default();
         let (mut transitions, mut samples) = (Vec::new(), Vec::new());
         for (i, &(attempts, ops, success, seen, cleared)) in ticks.iter().enumerate() {
-            let now = ns(100 * (i as u64 + 1));
-            let (sample, health) = law.tick(now, (attempts, ops, success), seen, cleared);
+            let (sample, health) = law.tick((attempts, ops, success), seen, cleared);
             samples.push(sample);
             transitions.extend(health.map(|h| (i + 1, h.transition)));
         }
@@ -392,19 +372,15 @@ mod tests {
             baseline: Some(100.0),
             ..StormLaw::default()
         };
-        assert!(law.tick(ns(100), burst, true, false).0.stormy);
+        assert!(law.tick(burst, true, false).0.stormy);
     }
 
     #[test]
     fn evidence_reports_windowed_goodput_against_the_frozen_baseline() {
         let mut law = StormLaw::default();
         let mut onset = None;
-        for (i, &(a, o, s, seen, cleared)) in
-            ticks(&[(6, HEALTHY), (3, COLLAPSED)]).iter().enumerate()
-        {
-            onset = law
-                .tick(ns(100 * (i as u64 + 1)), (a, o, s), seen, cleared)
-                .1;
+        for (a, o, s, seen, cleared) in ticks(&[(6, HEALTHY), (3, COLLAPSED)]) {
+            onset = law.tick((a, o, s), seen, cleared).1;
         }
         let evidence = "goodput 43/tick vs baseline 100/tick, amp x100 = 478, attempts 220";
         assert_eq!(
@@ -436,8 +412,6 @@ mod tests {
         }
         assert!(!mon.sustained());
         assert!(tracer.take_health_events().is_empty());
-        assert!(mon.series().iter().all(|s| !s.stormy));
-        assert_eq!(mon.series().len(), 20);
     }
 
     /// Drives the canonical metastable trajectory: healthy baseline, a
@@ -536,17 +510,12 @@ mod tests {
     }
 
     #[test]
-    fn amplification_series_tracks_offered_vs_goodput() {
-        let tracer = Tracer::new();
-        let ledger = FaultLedger::new();
-        let mon = StormMonitor::new(&tracer, &ledger);
-        activity(&tracer, 50, 150, 40);
-        mon.tick(ns(100));
-        let s = mon.series();
-        assert_eq!(s.len(), 1);
-        assert_eq!(s[0].attempts, 150);
-        assert_eq!(s[0].ops, 50);
-        assert_eq!(s[0].success, 40);
-        assert!((s[0].amplification - 3.0).abs() < 1e-9);
+    fn amplification_is_attempts_per_fresh_op() {
+        let mut law = StormLaw::default();
+        let (sample, _) = law.tick((150, 50, 40), false, false);
+        assert!((sample.amplification - 3.0).abs() < 1e-9);
+        assert!(!sample.stormy);
+        let (idle, _) = StormLaw::default().tick((0, 0, 0), false, false);
+        assert_eq!(idle.amplification, 1.0);
     }
 }

@@ -150,13 +150,9 @@ impl FaultKind {
 pub struct FaultRecord {
     /// The afflicted node.
     pub node: NodeId,
-    /// The injected fault.
-    pub kind: FaultKind,
-    /// The onset the window was scheduled for: equal to `onset` for a
-    /// window armed by [`inject_at_logged`], `None` for a record a test
-    /// opened by hand (the `FaultLedger::log_onset` probe).
-    pub scheduled: Option<SimTime>,
-    /// When the fault actually took effect.
+    /// The injected fault's name ([`FaultKind::name`]).
+    pub kind: &'static str,
+    /// When the fault took effect.
     pub onset: SimTime,
     /// When the fault was cleared; `None` while it is still active (a
     /// window without a duration never clears).
@@ -190,18 +186,11 @@ impl FaultLedger {
     }
 
     /// Opens a record at fault onset, returning its slot for `close`.
-    fn open(
-        &self,
-        node: NodeId,
-        kind: FaultKind,
-        scheduled: Option<SimTime>,
-        onset: SimTime,
-    ) -> usize {
+    fn open(&self, node: NodeId, kind: FaultKind, onset: SimTime) -> usize {
         let mut records = self.records.borrow_mut();
         records.push(FaultRecord {
             node,
-            kind,
-            scheduled,
+            kind: kind.name(),
             onset,
             cleared: None,
             severity: kind.severity(),
@@ -237,7 +226,7 @@ impl FaultLedger {
     /// `log_clear`.
     #[doc(hidden)]
     pub fn log_onset(&self, node: NodeId, kind: FaultKind, onset: SimTime) -> usize {
-        self.open(node, kind, None, onset)
+        self.open(node, kind, onset)
     }
 
     /// Test probe: stamps the clear time of a record opened with
@@ -375,8 +364,7 @@ fn arm(
         FaultKind::NetSlow { delay } => world.set_egress_delay(node, delay),
         FaultKind::PartialPartition { peer } => world.partition(node, NodeId(peer)),
     }
-    let onset = sim.now();
-    let slot = ledger.open(node, kind, Some(onset), onset);
+    let slot = ledger.open(node, kind, sim.now());
     let (sim, world, ledger) = (sim.clone(), world.clone(), ledger.clone());
     move || {
         stop.set(true);
@@ -560,7 +548,7 @@ mod tests {
         assert_eq!(ledger.records().len(), 1);
         let open = &ledger.records()[0];
         assert_eq!(open.node, NodeId(1));
-        assert_eq!(open.scheduled, Some(SimTime::from_millis(10)));
+        assert_eq!(open.kind, "CPU Slowness");
         assert_eq!(open.onset, SimTime::from_millis(10));
         assert_eq!(open.cleared, None);
         assert!((open.severity - 0.95).abs() < 1e-12);
@@ -574,7 +562,7 @@ mod tests {
     }
 
     #[test]
-    fn inject_at_logged_records_scheduled_and_actual_onset() {
+    fn inject_at_logged_opens_the_record_at_the_scheduled_onset() {
         let (sim, w) = setup();
         let ledger = FaultLedger::new();
         inject_at_logged(
@@ -590,7 +578,6 @@ mod tests {
         assert!(ledger.records().is_empty());
         sim.run_until_time(SimTime::from_millis(120));
         let rec = &ledger.records()[0];
-        assert_eq!(rec.scheduled, Some(SimTime::from_millis(100)));
         assert_eq!(rec.onset, SimTime::from_millis(100));
         assert_eq!(rec.cleared, None, "still active");
         sim.run_until_time(SimTime::from_millis(200));

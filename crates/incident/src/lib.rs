@@ -15,8 +15,8 @@
 //!   suspicions and clears, blame confirmations, DepFastRaft quarantine /
 //!   probe / chunk / resume, leader-mitigation demote / campaign.
 //!
-//! An [`IncidentDump`] snapshots both sides (plus the run's throughput
-//! series) in plain data. From a dump this crate derives:
+//! An [`IncidentDump`] holds both sides as the run recorded them (plus
+//! the run's throughput series). From a dump this crate derives:
 //!
 //! - a [`scorecard`] — time-to-detect, time-to-mitigate,
 //!   time-to-recover, false positives / negatives, misattribution;
@@ -41,73 +41,10 @@ pub use report::render_report;
 pub use scorecard::{score, ScoreCell, RECOVERY_BAND};
 pub use serial::{parse_dumps, serialize_dumps};
 
+use depfast::HealthEvent;
+use depfast_fault::FaultRecord;
 use depfast_trace_analysis::{IncidentMark, IncidentSpan};
-
-/// One health-state transition, in plain data (see
-/// [`depfast::HealthEvent`] for the live form).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Event {
-    /// Virtual time, nanoseconds.
-    pub t_ns: u64,
-    /// Subject node.
-    pub node: u32,
-    /// Reacting layer: `detector`, `raft`, `mitigation`.
-    pub layer: String,
-    /// State transition, e.g. `suspect`, `quarantine`, `probe`.
-    pub transition: String,
-    /// Supporting evidence.
-    pub evidence: String,
-    /// Raft group the transition is scoped to, when the reacting layer
-    /// is group-aware (multi-group raft events); `None` for node-level
-    /// layers (detector, mitigation) and legacy single-group runs.
-    /// Kept last so the derived canonical ordering only uses it as a
-    /// final tiebreaker — single-group dumps sort exactly as before.
-    pub group: Option<u32>,
-}
-
-impl From<depfast::HealthEvent> for Event {
-    fn from(e: depfast::HealthEvent) -> Self {
-        Event {
-            t_ns: e.t.as_nanos(),
-            node: e.node.0,
-            layer: e.layer.to_string(),
-            transition: e.transition.to_string(),
-            evidence: e.evidence,
-            group: e.group,
-        }
-    }
-}
-
-/// One injected fault, in plain data (see
-/// [`depfast_fault::FaultRecord`] for the live form).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultEntry {
-    /// Afflicted node.
-    pub node: u32,
-    /// Fault name ([`depfast_fault::FaultKind::name`]).
-    pub kind: String,
-    /// Scheduled onset, if the injection was scheduled.
-    pub scheduled_ns: Option<u64>,
-    /// Actual onset.
-    pub onset_ns: u64,
-    /// Clear time; `None` if the fault never healed.
-    pub cleared_ns: Option<u64>,
-    /// Injected intensity in `(0, 1]`.
-    pub severity: f64,
-}
-
-impl From<&depfast_fault::FaultRecord> for FaultEntry {
-    fn from(r: &depfast_fault::FaultRecord) -> Self {
-        FaultEntry {
-            node: r.node.0,
-            kind: r.kind.name().to_string(),
-            scheduled_ns: r.scheduled.map(|t| t.as_nanos()),
-            onset_ns: r.onset.as_nanos(),
-            cleared_ns: r.cleared.map(|t| t.as_nanos()),
-            severity: r.severity,
-        }
-    }
-}
+use simkit::SimTime;
 
 /// Everything the incident layer knows about one run: identity, ground
 /// truth, reaction timeline, and the throughput series the
@@ -122,10 +59,10 @@ pub struct IncidentDump {
     pub cluster: String,
     /// Simulation seed.
     pub seed: u64,
-    /// Ground truth: the fault ledger.
-    pub faults: Vec<FaultEntry>,
-    /// Reaction: the health-event timeline.
-    pub events: Vec<Event>,
+    /// Ground truth: the fault ledger's records.
+    pub faults: Vec<FaultRecord>,
+    /// Reaction: the tracer's health-event timeline.
+    pub events: Vec<HealthEvent>,
     /// `(t_ns, ops/s)` per sampling interval, virtual time.
     pub throughput: Vec<(u64, f64)>,
     /// End of the observed window, nanoseconds (open faults and
@@ -139,23 +76,20 @@ pub struct IncidentDump {
 }
 
 impl IncidentDump {
-    /// Canonical ordering: faults by `(onset, node)`, events by
-    /// `(t, node, layer, transition, evidence)`, throughput by time.
+    /// Canonical ordering: faults by `(onset, node, kind)`, events by
+    /// their derived order (`t`, `node`, `layer`, `transition`,
+    /// `evidence`, `group`), throughput by time.
     /// Recording order is already deterministic for a fixed seed; the
     /// canonical sort additionally makes artifacts stable under
     /// refactorings that only reorder same-timestamp recordings.
     pub fn canonicalize(&mut self) {
-        self.faults.sort_by(|a, b| {
-            (a.onset_ns, a.node, &a.kind)
-                .partial_cmp(&(b.onset_ns, b.node, &b.kind))
-                .expect("no NaN in fault ordering keys")
-        });
+        self.faults.sort_by_key(|f| (f.onset, f.node, f.kind));
         self.events.sort();
         self.throughput.sort_by_key(|(t, _)| *t);
     }
 
     /// The timeline restricted to `layer`.
-    pub fn events_in<'a>(&'a self, layer: &'a str) -> impl Iterator<Item = &'a Event> + 'a {
+    pub fn events_in<'a>(&'a self, layer: &'a str) -> impl Iterator<Item = &'a HealthEvent> + 'a {
         self.events.iter().filter(move |e| e.layer == layer)
     }
 }
@@ -168,32 +102,32 @@ pub fn incident_track(dump: &IncidentDump) -> (Vec<IncidentSpan>, Vec<IncidentMa
     let mut spans = Vec::new();
     for f in &dump.faults {
         spans.push(IncidentSpan {
-            node: f.node,
+            node: f.node.0,
             name: format!("fault: {}", f.kind),
             detail: format!(
                 "severity {:.3}{}",
                 f.severity,
-                if f.cleared_ns.is_none() {
+                if f.cleared.is_none() {
                     " (never cleared)"
                 } else {
                     ""
                 }
             ),
-            start_ns: f.onset_ns,
-            end_ns: f.cleared_ns.unwrap_or(dump.end_ns),
+            start_ns: f.onset.as_nanos(),
+            end_ns: f.cleared.map_or(dump.end_ns, SimTime::as_nanos),
         });
     }
     // Suspicion lifetimes: pair detector suspect → clear per node.
     let mut open: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
     let mut suspicion_spans = Vec::new();
     for e in dump.events_in("detector") {
-        match e.transition.as_str() {
+        match e.transition {
             "suspect" => {
-                open.entry(e.node).or_insert(e.t_ns);
+                open.entry(e.node.0).or_insert(e.t.as_nanos());
             }
             "clear" => {
-                if let Some(start) = open.remove(&e.node) {
-                    suspicion_spans.push((e.node, start, e.t_ns));
+                if let Some(start) = open.remove(&e.node.0) {
+                    suspicion_spans.push((e.node.0, start, e.t.as_nanos()));
                 }
             }
             _ => {}
@@ -216,8 +150,8 @@ pub fn incident_track(dump: &IncidentDump) -> (Vec<IncidentSpan>, Vec<IncidentMa
         .events
         .iter()
         .map(|e| IncidentMark {
-            node: e.node,
-            t_ns: e.t_ns,
+            node: e.node.0,
+            t_ns: e.t.as_nanos(),
             name: format!("{}: {}", e.layer, e.transition),
             detail: e.evidence.clone(),
         })
@@ -228,6 +162,25 @@ pub fn incident_track(dump: &IncidentDump) -> (Vec<IncidentSpan>, Vec<IncidentMa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::NodeId;
+
+    /// A health event on node `node` at `t_ns`, with no group.
+    pub(crate) fn event(
+        t_ns: u64,
+        node: u32,
+        layer: &'static str,
+        transition: &'static str,
+        evidence: &str,
+    ) -> HealthEvent {
+        HealthEvent {
+            t: SimTime::from_nanos(t_ns),
+            node: NodeId(node),
+            layer,
+            transition,
+            evidence: evidence.to_string(),
+            group: None,
+        }
+    }
 
     pub(crate) fn sample_dump() -> IncidentDump {
         IncidentDump {
@@ -235,39 +188,35 @@ mod tests {
             fault: "Disk Slowness".into(),
             cluster: "3x64".into(),
             seed: 20210531,
-            faults: vec![FaultEntry {
-                node: 2,
-                kind: "Disk Slowness".into(),
-                scheduled_ns: Some(2_000_000_000),
-                onset_ns: 2_000_000_000,
-                cleared_ns: Some(3_200_000_000),
+            faults: vec![FaultRecord {
+                node: NodeId(2),
+                kind: "Disk Slowness",
+                onset: SimTime::from_nanos(2_000_000_000),
+                cleared: Some(SimTime::from_nanos(3_200_000_000)),
                 severity: 0.992,
             }],
             events: vec![
-                Event {
-                    t_ns: 2_400_000_000,
-                    node: 2,
-                    layer: "detector".into(),
-                    transition: "suspect".into(),
-                    evidence: "append_entries: window mean 40000us > 3x baseline 900us".into(),
-                    group: None,
-                },
-                Event {
-                    t_ns: 2_450_000_000,
-                    node: 2,
-                    layer: "raft".into(),
-                    transition: "quarantine".into(),
-                    evidence: "append window full; acked=1200 leader_last=1500".into(),
-                    group: None,
-                },
-                Event {
-                    t_ns: 3_400_000_000,
-                    node: 2,
-                    layer: "detector".into(),
-                    transition: "clear".into(),
-                    evidence: "append_entries: window mean 1000us back under baseline 900us".into(),
-                    group: None,
-                },
+                event(
+                    2_400_000_000,
+                    2,
+                    "detector",
+                    "suspect",
+                    "append_entries: window mean 40000us > 3x baseline 900us",
+                ),
+                event(
+                    2_450_000_000,
+                    2,
+                    "raft",
+                    "quarantine",
+                    "append window full; acked=1200 leader_last=1500",
+                ),
+                event(
+                    3_400_000_000,
+                    2,
+                    "detector",
+                    "clear",
+                    "append_entries: window mean 1000us back under baseline 900us",
+                ),
             ],
             throughput: vec![
                 (1_000_000_000, 1000.0),
@@ -288,7 +237,7 @@ mod tests {
         let mut d = sample_dump();
         d.events.reverse();
         d.canonicalize();
-        let ts: Vec<u64> = d.events.iter().map(|e| e.t_ns).collect();
+        let ts: Vec<u64> = d.events.iter().map(|e| e.t.as_nanos()).collect();
         assert_eq!(ts, vec![2_400_000_000, 2_450_000_000, 3_400_000_000]);
     }
 
@@ -315,7 +264,7 @@ mod tests {
     #[test]
     fn never_cleared_fault_extends_to_window_end() {
         let mut d = sample_dump();
-        d.faults[0].cleared_ns = None;
+        d.faults[0].cleared = None;
         // Drop the clear so the suspicion stays open too.
         d.events.retain(|e| e.transition != "clear");
         let (spans, _) = incident_track(&d);

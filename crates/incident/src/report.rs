@@ -5,10 +5,14 @@
 //! transitions coalesced — forty probe polls are one line), then the
 //! scorecard verdict.
 
+use depfast::HealthEvent;
+use simkit::SimTime;
+
 use crate::scorecard::ScoreCell;
 use crate::IncidentDump;
 
-fn fmt_t(ns: u64) -> String {
+fn fmt_t(t: SimTime) -> String {
+    let ns = t.as_nanos();
     format!(
         "{}.{:03}s",
         ns / 1_000_000_000,
@@ -40,11 +44,11 @@ pub fn render_report(dump: &IncidentDump, cell: &ScoreCell) -> String {
     }
     for f in &dump.faults {
         out.push_str(&format!(
-            "  n{}  {}  onset {}  {}  severity {:.3}\n",
+            "  {}  {}  onset {}  {}  severity {:.3}\n",
             f.node,
             f.kind,
-            fmt_t(f.onset_ns),
-            f.cleared_ns.map_or_else(
+            fmt_t(f.onset),
+            f.cleared.map_or_else(
                 || "never cleared".to_string(),
                 |c| format!("cleared {}", fmt_t(c))
             ),
@@ -60,9 +64,9 @@ pub fn render_report(dump: &IncidentDump, cell: &ScoreCell) -> String {
     // transition): the first occurrence keeps its evidence; repeats fold
     // into a count and a time range. Group-scoped events render the
     // group next to the node; ungrouped lines are unchanged.
-    let subject = |e: &crate::Event| match e.group {
-        Some(g) => format!("n{}/g{g}", e.node),
-        None => format!("n{}", e.node),
+    let subject = |e: &HealthEvent| match e.group {
+        Some(g) => format!("{}/g{g}", e.node),
+        None => e.node.to_string(),
     };
     let mut i = 0;
     while i < dump.events.len() {
@@ -83,7 +87,7 @@ pub fn render_report(dump: &IncidentDump, cell: &ScoreCell) -> String {
         if j - i == 1 {
             out.push_str(&format!(
                 "  {}  {}  {:<10}  {:<10}  {}\n",
-                fmt_t(e.t_ns),
+                fmt_t(e.t),
                 subject(e),
                 e.layer,
                 e.transition,
@@ -92,8 +96,8 @@ pub fn render_report(dump: &IncidentDump, cell: &ScoreCell) -> String {
         } else {
             out.push_str(&format!(
                 "  {}..{}  {}  {:<10}  {:<10}  x{}  {}\n",
-                fmt_t(e.t_ns),
-                fmt_t(dump.events[j - 1].t_ns),
+                fmt_t(e.t),
+                fmt_t(dump.events[j - 1].t),
                 subject(e),
                 e.layer,
                 e.transition,
@@ -133,7 +137,7 @@ pub fn render_report(dump: &IncidentDump, cell: &ScoreCell) -> String {
 mod tests {
     use super::*;
     use crate::scorecard::{score, RECOVERY_BAND};
-    use crate::Event;
+    use crate::tests::event;
 
     #[test]
     fn report_has_truth_timeline_and_verdict() {
@@ -152,14 +156,14 @@ mod tests {
     fn repeated_transitions_coalesce() {
         let mut d = crate::tests::sample_dump();
         for k in 0..40u64 {
-            d.events.push(Event {
-                t_ns: 2_500_000_000 + k * 20_000_000,
-                node: 2,
-                layer: "raft".into(),
-                transition: "probe".into(),
-                evidence: format!("lazy probe; acked={}", 1200 + k),
-                group: None,
-            });
+            let evidence = format!("lazy probe; acked={}", 1200 + k);
+            d.events.push(event(
+                2_500_000_000 + k * 20_000_000,
+                2,
+                "raft",
+                "probe",
+                &evidence,
+            ));
         }
         d.canonicalize();
         let cell = score(&d, RECOVERY_BAND);

@@ -26,6 +26,9 @@
 //! - **storm sustained** — whether the storm monitor flagged the run
 //!   metastable (`storm_sustained`: the storm outlived its cause).
 
+use depfast_fault::FaultRecord;
+use simkit::{NodeId, SimTime};
+
 use crate::IncidentDump;
 
 /// Fraction of the pre-onset throughput baseline that counts as
@@ -88,14 +91,14 @@ pub fn score(dump: &IncidentDump, band: f64) -> ScoreCell {
         let last_clear = dump
             .faults
             .iter()
-            .map(|f| f.cleared_ns)
-            .collect::<Option<Vec<u64>>>()
+            .map(|f| f.cleared)
+            .collect::<Option<Vec<SimTime>>>()
             .and_then(|clears| clears.into_iter().max());
         if let Some(last_clear) = last_clear {
             cell.tts_ns = dump
                 .events_in("storm")
-                .filter(|e| e.transition == "storm_cleared" && e.t_ns >= last_clear)
-                .map(|e| e.t_ns - last_clear)
+                .filter(|e| e.transition == "storm_cleared" && e.t >= last_clear)
+                .map(|e| since(last_clear, e.t))
                 .min();
         }
     }
@@ -106,15 +109,15 @@ pub fn score(dump: &IncidentDump, band: f64) -> ScoreCell {
         return cell;
     }
 
-    let injected = |node: u32| dump.faults.iter().any(|f| f.node == node);
+    let injected = |node: NodeId| dump.faults.iter().any(|f| f.node == node);
     cell.misattributions = suspicions.iter().filter(|s| !injected(s.node)).count() as u64;
 
     let mut detected_all = true;
     for f in &dump.faults {
         let ttd = suspicions
             .iter()
-            .filter(|s| s.node == f.node && s.t_ns >= f.onset_ns)
-            .map(|s| s.t_ns - f.onset_ns)
+            .filter(|s| s.node == f.node && s.t >= f.onset)
+            .map(|s| since(f.onset, s.t))
             .min();
         match ttd {
             Some(d) => cell.ttd_ns = Some(cell.ttd_ns.map_or(d, |c| c.min(d))),
@@ -127,21 +130,24 @@ pub fn score(dump: &IncidentDump, band: f64) -> ScoreCell {
             .events
             .iter()
             .filter(|e| {
-                (e.layer == "raft" || e.layer == "mitigation")
-                    && e.node == f.node
-                    && e.t_ns >= f.onset_ns
+                (e.layer == "raft" || e.layer == "mitigation") && e.node == f.node && e.t >= f.onset
             })
-            .map(|e| e.t_ns - f.onset_ns)
+            .map(|e| since(f.onset, e.t))
             .min();
         if let Some(m) = ttm {
             cell.ttm_ns = Some(cell.ttm_ns.map_or(m, |c| c.min(m)));
         }
-        if let Some(r) = time_to_recover(dump, f.onset_ns, f.cleared_ns, band) {
+        if let Some(r) = time_to_recover(dump, f, band) {
             cell.ttr_ns = Some(cell.ttr_ns.map_or(r, |c| c.max(r)));
         }
     }
     cell.detected = detected_all;
     cell
+}
+
+/// Nanoseconds from `from` to `to` (`to` is not earlier).
+fn since(from: SimTime, to: SimTime) -> u64 {
+    to.as_nanos() - from.as_nanos()
 }
 
 /// Onset → first of two consecutive throughput samples at or above
@@ -150,12 +156,8 @@ pub fn score(dump: &IncidentDump, band: f64) -> ScoreCell {
 /// fault recovers while it is still active). `None` when there is no
 /// pre-onset traffic to define a baseline, or recovery never happens
 /// inside the observed window.
-fn time_to_recover(
-    dump: &IncidentDump,
-    onset_ns: u64,
-    cleared_ns: Option<u64>,
-    band: f64,
-) -> Option<u64> {
+fn time_to_recover(dump: &IncidentDump, f: &FaultRecord, band: f64) -> Option<u64> {
+    let onset_ns = f.onset.as_nanos();
     let pre: Vec<f64> = dump
         .throughput
         .iter()
@@ -171,7 +173,7 @@ fn time_to_recover(
         return None;
     }
     let threshold = baseline * band;
-    let from = cleared_ns.unwrap_or(onset_ns);
+    let from = f.cleared.unwrap_or(f.onset).as_nanos();
     let post: Vec<&(u64, f64)> = dump.throughput.iter().filter(|(t, _)| *t >= from).collect();
     for w in post.windows(2) {
         if w[0].1 >= threshold && w[1].1 >= threshold {
@@ -184,7 +186,7 @@ fn time_to_recover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Event, IncidentDump};
+    use crate::tests::event;
 
     fn no_fault_dump() -> IncidentDump {
         IncidentDump {
@@ -200,15 +202,9 @@ mod tests {
         }
     }
 
-    fn storm_event(t_ns: u64, transition: &str) -> Event {
-        Event {
-            t_ns,
-            node: 2,
-            layer: "storm".into(),
-            transition: transition.into(),
-            evidence: "goodput 5/tick vs baseline 100/tick, amp x100 = 3000, attempts 300".into(),
-            group: None,
-        }
+    fn storm_event(t_ns: u64, transition: &'static str) -> depfast::HealthEvent {
+        let evidence = "goodput 5/tick vs baseline 100/tick, amp x100 = 3000, attempts 300";
+        event(t_ns, 2, "storm", transition, evidence)
     }
 
     #[test]
@@ -220,14 +216,8 @@ mod tests {
     #[test]
     fn suspicion_without_fault_is_a_false_positive() {
         let mut d = no_fault_dump();
-        d.events.push(Event {
-            t_ns: 1_500_000_000,
-            node: 1,
-            layer: "detector".into(),
-            transition: "suspect".into(),
-            evidence: "phantom".into(),
-            group: None,
-        });
+        d.events
+            .push(event(1_500_000_000, 1, "detector", "suspect", "phantom"));
         let cell = score(&d, RECOVERY_BAND);
         assert_eq!(cell.false_positives, 1);
         assert_ne!(cell, ScoreCell::default());
@@ -263,14 +253,8 @@ mod tests {
     #[test]
     fn suspecting_the_wrong_node_is_misattribution() {
         let mut d = crate::tests::sample_dump();
-        d.events.push(Event {
-            t_ns: 2_500_000_000,
-            node: 0,
-            layer: "detector".into(),
-            transition: "suspect".into(),
-            evidence: "wrong node".into(),
-            group: None,
-        });
+        d.events
+            .push(event(2_500_000_000, 0, "detector", "suspect", "wrong node"));
         let cell = score(&d, RECOVERY_BAND);
         assert_eq!(cell.misattributions, 1);
         assert_eq!(cell.false_positives, 0, "faulted runs count misattribution");
@@ -317,7 +301,7 @@ mod tests {
     #[test]
     fn never_cleared_fault_leaves_tts_undefined() {
         let mut d = crate::tests::sample_dump();
-        d.faults[0].cleared_ns = None;
+        d.faults[0].cleared = None;
         d.events.push(storm_event(2_600_000_000, "storm_onset"));
         d.events.push(storm_event(3_800_000_000, "storm_cleared"));
         d.canonicalize();
@@ -329,7 +313,7 @@ mod tests {
     fn tolerant_driver_recovers_while_fault_is_active() {
         let mut d = crate::tests::sample_dump();
         // Never cleared, but throughput never left the band either.
-        d.faults[0].cleared_ns = None;
+        d.faults[0].cleared = None;
         d.throughput = vec![
             (1_000_000_000, 1000.0),
             (1_500_000_000, 1000.0),

@@ -1,37 +1,38 @@
 //! Portable text encoding of incident dumps.
 //!
-//! Line-based, tab-separated, one section marker per dump:
+//! Line-based, tab-separated, one section marker per dump. A `fault` line
+//! is one [`FaultRecord`] and an `event` line one [`HealthEvent`], times
+//! in virtual nanoseconds:
 //!
 //! ```text
-//! # depfast-incident/v1
+//! # depfast-incident/v2
 //! meta\t<driver>\t<fault>\t<cluster>\t<seed>\t<end_ns>
 //! dropped\t<health_dropped>
-//! fault\t<node>\t<kind>\t<scheduled_ns|->\t<onset_ns>\t<cleared_ns|->\t<severity>
+//! fault\t<node>\t<kind>\t<onset_ns>\t<cleared_ns|->\t<severity>
 //! event\t<t_ns>\t<node>\t<layer>\t<transition>\t<evidence>[\t<group>]
 //! tput\t<t_ns>\t<ops_per_sec>
 //! ```
 //!
 //! The trailing `<group>` field is written only for group-scoped events
 //! (multi-group runs), and the `dropped` line only when the run lost
-//! health events at the tracer capacity cap, so legacy dumps serialize
-//! byte-identically to the original form.
+//! health events at the tracer capacity cap.
 //!
-//! Evidence strings are escaped (`\t`, `\n`, `\\`), everything else is
-//! plain. A file may hold any number of dumps; each starts with the
-//! header line. The encoding is a pure function of the dumps, so
+//! Text fields are escaped ([`Field`]); the fault kind, layer and
+//! transition come back as the `&'static str` labels the records hold
+//! ([`intern`]). A file may hold any number of dumps; each starts with
+//! the header line. The encoding is a pure function of the dumps, so
 //! same-seed runs write byte-identical files — the property the
 //! determinism tests pin.
 
-use depfast_metrics::text::{unescape, Field, Fields, LineError};
+use depfast::HealthEvent;
+use depfast_fault::FaultRecord;
+use depfast_metrics::text::{intern, unescape, Field, Fields, LineError};
+use simkit::{NodeId, SimTime};
 
-use crate::{Event, FaultEntry, IncidentDump};
+use crate::IncidentDump;
 
 /// Header line starting each serialized dump.
-pub const HEADER: &str = "# depfast-incident/v1";
-
-fn opt_ns(v: Option<u64>) -> String {
-    v.map_or_else(|| "-".to_string(), |n| n.to_string())
-}
+pub const HEADER: &str = "# depfast-incident/v2";
 
 /// Serializes `dumps` into one text artifact.
 pub fn serialize_dumps(dumps: &[IncidentDump]) -> String {
@@ -52,22 +53,22 @@ pub fn serialize_dumps(dumps: &[IncidentDump]) -> String {
         }
         for f in &d.faults {
             out.push_str(&format!(
-                "fault\t{}\t{}\t{}\t{}\t{}\t{:.6}\n",
-                f.node,
-                Field(&f.kind),
-                opt_ns(f.scheduled_ns),
-                f.onset_ns,
-                opt_ns(f.cleared_ns),
+                "fault\t{}\t{}\t{}\t{}\t{:.6}\n",
+                f.node.0,
+                Field(f.kind),
+                f.onset.as_nanos(),
+                f.cleared
+                    .map_or_else(|| "-".to_string(), |t| t.as_nanos().to_string()),
                 f.severity
             ));
         }
         for e in &d.events {
             out.push_str(&format!(
                 "event\t{}\t{}\t{}\t{}\t{}",
-                e.t_ns,
-                e.node,
-                Field(&e.layer),
-                Field(&e.transition),
+                e.t.as_nanos(),
+                e.node.0,
+                Field(e.layer),
+                Field(e.transition),
                 Field(&e.evidence)
             ));
             if let Some(g) = e.group {
@@ -116,19 +117,18 @@ pub fn parse_dumps(text: &str) -> Result<Vec<IncidentDump>, LineError> {
                 d.end_ns = f.parse("end_ns")?;
             }
             "dropped" => d.health_dropped = f.parse("dropped")?,
-            "fault" => d.faults.push(FaultEntry {
-                node: f.parse("node")?,
-                kind: unescape(f.next("kind")?),
-                scheduled_ns: f.opt("scheduled_ns")?,
-                onset_ns: f.parse("onset_ns")?,
-                cleared_ns: f.opt("cleared_ns")?,
+            "fault" => d.faults.push(FaultRecord {
+                node: NodeId(f.parse("node")?),
+                kind: intern(&unescape(f.next("kind")?)),
+                onset: SimTime::from_nanos(f.parse("onset_ns")?),
+                cleared: f.opt("cleared_ns")?.map(SimTime::from_nanos),
                 severity: f.parse("severity")?,
             }),
-            "event" => d.events.push(Event {
-                t_ns: f.parse("t_ns")?,
-                node: f.parse("node")?,
-                layer: unescape(f.next("layer")?),
-                transition: unescape(f.next("transition")?),
+            "event" => d.events.push(HealthEvent {
+                t: SimTime::from_nanos(f.parse("t_ns")?),
+                node: NodeId(f.parse("node")?),
+                layer: intern(&unescape(f.next("layer")?)),
+                transition: intern(&unescape(f.next("transition")?)),
                 evidence: unescape(f.next("evidence")?),
                 // Written for group-scoped events only.
                 group: f.more().then(|| f.parse("group")).transpose()?,
@@ -156,6 +156,36 @@ mod tests {
         assert_eq!(back[1], d);
         // And the encoding itself is stable.
         assert_eq!(serialize_dumps(&back), text);
+    }
+
+    /// The records the run keeps, written and read back: a group-scoped
+    /// event and a fault that never cleared (`-`), with every label
+    /// interned to one `&'static str` per distinct text.
+    #[test]
+    fn live_records_round_trip_with_interned_labels() {
+        let mut d = crate::tests::sample_dump();
+        d.faults[0].cleared = None;
+        d.events[1].group = Some(3);
+        d.canonicalize();
+        let text = serialize_dumps(&[d.clone()]);
+        assert!(text.starts_with("# depfast-incident/v2\n"), "{text}");
+        assert!(
+            text.contains("fault\t2\tDisk Slowness\t2000000000\t-\t0.992000\n"),
+            "{text}"
+        );
+        let (a, b) = (parse_dumps(&text).unwrap(), parse_dumps(&text).unwrap());
+        assert_eq!(a, vec![d.clone()]);
+        assert_eq!(a[0].faults[0].cleared, None);
+        assert_eq!(a[0].events[1].group, Some(3));
+        // Equal by content to what was written, and one string per label.
+        assert_eq!(a[0].faults[0].kind, d.faults[0].kind);
+        assert!(std::ptr::eq(a[0].faults[0].kind, b[0].faults[0].kind));
+        assert!(std::ptr::eq(a[0].events[0].layer, b[0].events[2].layer));
+        assert!(std::ptr::eq(
+            a[0].events[1].transition,
+            b[0].events[1].transition
+        ));
+        assert_eq!(serialize_dumps(&a), text);
     }
 
     #[test]
@@ -204,5 +234,8 @@ mod tests {
         assert_eq!(parse_dumps(&bad).unwrap_err().line, 2);
         let long = format!("{HEADER}\ntput\t1\t2.0\t3");
         assert!(parse_dumps(&long).unwrap_err().msg.contains("trailing"));
+        // A v1 fault line carries a `scheduled_ns` column v2 does not.
+        let v1 = format!("{HEADER}\nfault\t2\tDisk Slowness\t7\t7\t-\t0.5");
+        assert_eq!(parse_dumps(&v1).unwrap_err().line, 2);
     }
 }

@@ -5,8 +5,11 @@
 //! trace; tab-separated lines for the trace and incident sections of a
 //! `.run` file. Every emitter quotes strings through [`JsonStr`] or
 //! [`Field`], and every line parser reads through [`Fields`], so an
-//! escaping rule exists once.
+//! escaping rule exists once. Parsers turn the code labels they read back
+//! into `&'static str` through [`intern`].
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::str::FromStr;
 
@@ -67,6 +70,25 @@ pub fn unescape(s: &str) -> String {
         }
     }
     out
+}
+
+/// A label read back from an artifact as the `&'static str` the code
+/// wrote it from: interned once per distinct string and leaked
+/// deliberately (the labels of an artifact are few and fixed by the
+/// code).
+pub fn intern(s: &str) -> &'static str {
+    thread_local! {
+        static POOL: RefCell<HashMap<String, &'static str>> = RefCell::new(HashMap::new());
+    }
+    POOL.with(|pool| {
+        let mut pool = pool.borrow_mut();
+        if let Some(v) = pool.get(s) {
+            return *v;
+        }
+        let v: &'static str = Box::leak(s.to_owned().into_boxed_str());
+        pool.insert(s.to_owned(), v);
+        v
+    })
 }
 
 /// A parse failure at a 1-based line of the parsed text.

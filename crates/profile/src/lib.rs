@@ -51,6 +51,12 @@ pub mod flame;
 /// client waits still read as `ycsb:client` rather than a catch-all.
 pub const UNPHASED: &str = "unphased";
 
+/// The phase a sample is charged to: its protocol phase, else its
+/// coroutine's label, else [`UNPHASED`].
+fn phase_of(phase: Option<&'static str>, coro: Option<&'static str>) -> &'static str {
+    phase.or(coro).unwrap_or(UNPHASED)
+}
+
 /// One aggregation bucket: everything but the driver name (which is
 /// per-run, not per-sample). `&'static str` fields order by content, so
 /// iteration order — and therefore every export — is deterministic.
@@ -147,34 +153,18 @@ impl Profiler {
         *self.inner.borrow_mut().samples.entry(key).or_insert(0) += nanos;
     }
 
-    fn ambient_phase() -> &'static str {
-        current_phase()
-            .or_else(current_coro_label)
-            .unwrap_or(UNPHASED)
-    }
-
-    /// Records one finished event wait (the tracer probe target).
+    /// Records one finished event wait (the tracer probe target). Its
+    /// site is the event kind's name, except that an I/O wait is a `disk`
+    /// site.
     pub fn record_wait(&self, o: &WaitObservation) {
-        let site_kind = match o.kind {
-            EventKind::Quorum => "quorum",
-            EventKind::Rpc { .. } => "rpc",
-            EventKind::Io => "disk",
-            EventKind::Timer => "timer",
-            EventKind::Notify => "notify",
-            EventKind::Value => "value",
-            EventKind::And => "and",
-            EventKind::Or => "or",
-            EventKind::Phase { .. } => "phase",
-        };
         self.add(
             StackKey {
                 node: o.node.0,
-                phase: o.phase.unwrap_or(if o.coro_label == "?" {
-                    UNPHASED
-                } else {
-                    o.coro_label
-                }),
-                site_kind,
+                phase: phase_of(o.phase, o.coro_label),
+                site_kind: match o.kind {
+                    EventKind::Io => "disk",
+                    kind => kind.name(),
+                },
                 site_label: o.label,
             },
             o.waited.as_nanos() as u64,
@@ -187,7 +177,7 @@ impl Profiler {
     /// phase/coroutine attribution is read here rather than carried in the
     /// observation.
     pub fn record_resource(&self, o: &ResourceObservation) {
-        let phase = Self::ambient_phase();
+        let phase = phase_of(current_phase(), current_coro_label());
         let node = o.node.0;
         let wait = o.wait.as_nanos() as u64;
         let service = o.service.as_nanos() as u64;
@@ -374,7 +364,7 @@ mod tests {
     ) -> WaitObservation {
         WaitObservation {
             node: NodeId(node),
-            coro_label: "worker",
+            coro_label: Some("worker"),
             phase,
             kind,
             label,

@@ -17,32 +17,12 @@
 //! context is `trace_id` + `parent_span`, with `0 0` meaning "none" (trace
 //! ids start at 1 and span 0 is [`depfast::SpanId::NONE`]).
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use depfast::event::Signal;
 use depfast::{CoroId, EventId, EventKind, SpanId, TraceCtx, TraceRecord};
-use depfast_metrics::text::{Fields, LineError};
+use depfast_metrics::text::{intern, Fields, LineError};
 use simkit::{NodeId, SimTime};
-
-/// Labels parsed from a dump must be `&'static str` like the originals;
-/// they are interned once per distinct string and leaked deliberately
-/// (the set of labels in a trace is small and fixed by the code).
-fn intern(s: &str) -> &'static str {
-    thread_local! {
-        static POOL: RefCell<HashMap<String, &'static str>> = RefCell::new(HashMap::new());
-    }
-    POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if let Some(v) = pool.get(s) {
-            return *v;
-        }
-        let v: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        pool.insert(s.to_owned(), v);
-        v
-    })
-}
 
 fn ctx_fields(ctx: &Option<TraceCtx>) -> (u64, u64) {
     match ctx {
