@@ -2,6 +2,7 @@
 
 use bytes::Bytes;
 use depfast_rpc::wire::{Reader, WireRead, WireWrite, Writer};
+use depfast_storage::Record;
 
 /// A key-value operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,14 +55,44 @@ impl WireWrite for KvRequest {
     }
 }
 
+/// The fields in front of a request's key: client, seq and op.
+fn read_header(r: &mut Reader<'_>) -> Option<(u64, u64, KvOp)> {
+    Some((u64::read(r)?, u64::read(r)?, KvOp::from_u8(u8::read(r)?)?))
+}
+
 impl WireRead for KvRequest {
     fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let (client, seq, op) = read_header(r)?;
         Some(KvRequest {
-            client: u64::read(r)?,
-            seq: u64::read(r)?,
-            op: KvOp::from_u8(u8::read(r)?)?,
+            client,
+            seq,
+            op,
             key: Bytes::read(r)?,
             value: Bytes::read(r)?,
+        })
+    }
+}
+
+/// A logged [`KvRequest`] as the state machine applies it: the same
+/// bytes, with the key and value decoded as the one [`Record`] a put
+/// stores. A record-sized one is a view of the request body — its tail
+/// after the fixed header — and a smaller one is one copy.
+pub(crate) struct Logged {
+    pub(crate) client: u64,
+    pub(crate) seq: u64,
+    pub(crate) op: KvOp,
+    pub(crate) record: Record,
+}
+
+impl WireRead for Logged {
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let (client, seq, op) = read_header(r)?;
+        let record = Record::read(r)?;
+        Some(Logged {
+            client,
+            seq,
+            op,
+            record,
         })
     }
 }
@@ -175,6 +206,13 @@ mod tests {
             let value = testing::payload(pick, seq as u8);
             let req = KvRequest { client, seq, op, key: Bytes::from(key), value: value.clone() };
             testing::assert_segmentation_agnostic(&req, &cuts);
+            // The state machine reads the same bytes, however they are cut.
+            for frame in [req.to_frame(), testing::recut(&req.to_bytes(), &cuts)] {
+                let logged = Logged::from_frame(&frame).expect("decodes");
+                prop_assert_eq!((logged.client, logged.seq, logged.op), (client, seq, op));
+                prop_assert_eq!(logged.record.key(), req.key.clone());
+                prop_assert_eq!(logged.record.value(), req.value.clone());
+            }
             for (status, value) in [
                 (KvStatus::Ok, Some(value)),
                 (KvStatus::NotLeader, None),

@@ -175,7 +175,7 @@ mod tests {
     use depfast::event::Watchable;
     use depfast_raft::depfast_driver::DepFastRaft;
     use depfast_rpc::wire::WireWrite;
-    use depfast_storage::LogStoreCfg;
+    use depfast_storage::{LogStoreCfg, Record};
     use simkit::{MemCfg, WorldCfg};
     use std::cell::{Cell, RefCell};
     use std::collections::VecDeque;
@@ -227,8 +227,8 @@ mod tests {
 
     /// One acknowledged put and one ReadIndex get of a `len`-byte value;
     /// returns each replica's log payload for the put, each replica's
-    /// stored value, and the value the get handed the client.
-    fn put_then_read_index_get(len: usize) -> (Vec<Bytes>, Vec<Bytes>, Bytes) {
+    /// stored record, and the value the get handed the client.
+    fn put_then_read_index_get(len: usize) -> (Vec<Bytes>, Vec<Record>, Bytes) {
         let (sim, w) = world(4);
         let cfg = RaftCfg {
             bootstrap_leader: Some(0),
@@ -256,7 +256,7 @@ mod tests {
             cl.servers.iter().map(logged).collect(),
             cl.servers
                 .iter()
-                .map(|s| s.local_get(&key).expect("applied"))
+                .map(|s| s.stored(&key).expect("applied"))
                 .collect(),
             got.expect("the get sees the put"),
         )
@@ -264,17 +264,25 @@ mod tests {
 
     /// A record-sized value is copied once, by the client that encodes the
     /// put: all three logs, all three state machines and the get's reply
-    /// hold views of that one buffer. A silent fall-back to a copy per hop
-    /// fails here, not only in a later memory benchmark.
+    /// hold views of that one buffer — each replica's stored key too, so a
+    /// put costs a replica no allocation. A silent fall-back to a copy per
+    /// hop fails here, not only in a later memory benchmark.
     #[test]
     fn a_large_value_is_one_allocation_from_the_put_to_every_replica_and_back() {
-        let (payloads, values, got) = put_then_read_index_get(1000);
+        let (payloads, records, got) = put_then_read_index_get(1000);
         let body = payloads[0].as_ptr_range();
         for p in &payloads {
             assert_eq!(p.as_ptr_range(), body, "each log holds the client's buffer");
         }
-        for v in values.iter().chain([&got]) {
-            assert_eq!(v.len(), 1000);
+        let key = b"user0000000000000000042";
+        for r in &records {
+            assert_eq!(r.key()[..], key[..]);
+            assert_eq!(r.value()[..], [7u8; 1000]);
+        }
+        assert_eq!(got[..], [7u8; 1000]);
+        let keys = records.iter().map(Record::key);
+        let values = records.iter().map(Record::value);
+        for v in keys.chain(values).chain([got]) {
             let v = v.as_ptr_range();
             assert!(body.start <= v.start && v.end <= body.end, "a view of it");
         }
@@ -286,16 +294,23 @@ mod tests {
     /// replica stores its own copy of the value, a view of neither: a
     /// stored value would otherwise keep a whole run alive until every
     /// value in it had been overwritten.
+    /// The copy is one buffer: the key, the value's length and the value,
+    /// as they lie in the request.
     #[test]
     fn a_small_value_owns_its_bytes_on_every_replica() {
-        let (payloads, values, got) = put_then_read_index_get(100);
+        let (payloads, records, got) = put_then_read_index_get(100);
         assert!(payloads.iter().all(|p| *p == payloads[0]));
-        assert!(values.iter().chain([&got]).all(|v| v[..] == [7u8; 100]));
+        assert!(records.iter().all(|r| r.value()[..] == [7u8; 100]));
+        assert_eq!(got[..], [7u8; 100]);
         let leader = payloads[0].as_ptr_range();
-        for (payload, value) in payloads.iter().zip(&values) {
-            let v = value.as_ptr();
-            assert!(!payload.as_ptr_range().contains(&v), "not its own log's");
-            assert!(!leader.contains(&v), "not the leader's");
+        for (payload, record) in payloads.iter().zip(&records) {
+            let (key, value) = (record.key(), record.value());
+            for p in [key.as_ptr(), value.as_ptr()] {
+                assert!(!payload.as_ptr_range().contains(&p), "not its own log's");
+                assert!(!leader.contains(&p), "not the leader's");
+            }
+            let after_key = key.as_ptr_range().end.wrapping_add(4);
+            assert_eq!(value.as_ptr(), after_key, "one buffer: key, length, value");
         }
     }
 
@@ -437,10 +452,11 @@ mod tests {
         }
     }
 
-    /// The values a put leaves behind stay shared (the test above this
-    /// one); the *key* does not: a key that stayed a view of the first body
-    /// ever written for it would pin that body for good, and compacting
-    /// the log would free nothing.
+    /// A put's record is a view of its body, key and all; an overwrite
+    /// replaces the whole record, so the key goes with the value it was
+    /// stored with. A key that stayed a view of the first body ever
+    /// written for it would pin that body for good, and compacting the
+    /// log would free nothing.
     #[test]
     fn a_stored_key_does_not_pin_the_first_body_written_for_it() {
         let (sim, _w, cl) = trio(RaftKind::DepFast, 1);
@@ -460,18 +476,21 @@ mod tests {
         settle(&sim, 1);
         for s in &cl.servers {
             assert!(s.raft().core().log.first_index() > 2, "compacted past both");
-            let stored_key = s.stored_key(&k).expect("stored");
-            let value = s.local_get(&k).expect("stored");
-            for body in &bodies {
-                let body = body.as_ptr_range();
-                assert!(!body.contains(&stored_key.as_ptr()), "key owns its bytes");
-            }
-            assert_eq!(value[..], [1u8; 1000]);
-            let (second, v) = (bodies[1].as_ptr_range(), value.as_ptr_range());
+            let record = s.stored(&k).expect("stored");
+            let (key, value) = (record.key(), record.value());
+            let first = bodies[0].as_ptr_range();
             assert!(
-                second.start <= v.start && v.end <= second.end,
-                "the value is still a view of the second body"
+                !first.contains(&key.as_ptr()),
+                "the key left the first body"
             );
+            assert_eq!(value[..], [1u8; 1000]);
+            let second = bodies[1].as_ptr_range();
+            for v in [key.as_ptr_range(), value.as_ptr_range()] {
+                assert!(
+                    second.start <= v.start && v.end <= second.end,
+                    "key and value are a view of the second body"
+                );
+            }
         }
     }
 

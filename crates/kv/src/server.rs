@@ -15,7 +15,7 @@ use depfast_rpc::wire::{WireRead, WireWrite};
 use depfast_storage::{Entry, MemKv};
 use simkit::Frame;
 
-use crate::command::{KvOp, KvRequest, KvResponse};
+use crate::command::{KvOp, KvRequest, KvResponse, Logged};
 
 /// How long the server shepherds one proposal before reporting an error.
 const PROPOSAL_DEADLINE: Duration = Duration::from_secs(5);
@@ -37,17 +37,17 @@ struct KvMachine(Rc<RefCell<MemKv>>);
 
 impl StateMachine for KvMachine {
     fn apply(&mut self, entry: &Entry) -> Bytes {
-        let Some(req) = KvRequest::from_bytes(&entry.payload) else {
+        let Some(req) = Logged::from_bytes(&entry.payload) else {
             return KvResponse::error().to_bytes();
         };
         let mut kv = self.0.borrow_mut();
         kv.apply_dedup(req.client, req.seq, |kv| {
             let resp = match req.op {
+                KvOp::Get => KvResponse::ok(kv.get(&req.record.key())),
                 KvOp::Put => {
-                    kv.put(req.key.clone(), req.value.clone());
+                    kv.put_record(req.record);
                     KvResponse::ok(None)
                 }
-                KvOp::Get => KvResponse::ok(kv.get(&req.key).cloned()),
             };
             resp.to_bytes()
         })
@@ -128,7 +128,7 @@ impl KvServer {
                                 responder.reply_t(&KvResponse::error());
                                 return;
                             }
-                            let value = st.borrow().get(&req.key).cloned();
+                            let value = st.borrow().get(&req.key);
                             responder.reply_t(&KvResponse::ok(value));
                             return;
                         }
@@ -171,15 +171,14 @@ impl KvServer {
 
     /// Reads a key directly from the local replica (test/diagnostic use;
     /// not linearizable).
-    pub fn local_get(&self, key: &Bytes) -> Option<Bytes> {
-        self.state.borrow().get(key).cloned()
+    pub fn local_get(&self, key: &[u8]) -> Option<Bytes> {
+        self.state.borrow().get(key)
     }
 
-    /// The key the local replica stores for `key` (where it lives is what
-    /// the harness tests look at).
+    /// The record the local replica stores for `key` (which buffer it is
+    /// is what the harness tests look at).
     #[cfg(test)]
-    pub(crate) fn stored_key(&self, key: &Bytes) -> Option<Bytes> {
-        let state = self.state.borrow();
-        state.get_key_value(key).map(|(stored, _)| stored.clone())
+    pub(crate) fn stored(&self, key: &[u8]) -> Option<depfast_storage::Record> {
+        self.state.borrow().record(key).cloned()
     }
 }

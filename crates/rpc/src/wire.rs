@@ -31,7 +31,9 @@
 //! `SPLICE_MIN` is a view of the run its message's small fields were
 //! copied into, so a state machine that keeps one past its message passes
 //! it through [`detach`] first: it keeps a copy of exactly the field's
-//! bytes below the line, and the spliced buffer itself above it.
+//! bytes below the line, and the spliced buffer itself above it. A key and
+//! its value are kept as one such field: [`Reader::pair`] reads the two
+//! as one buffer, and [`Writer::put_bytes`] writes that buffer back.
 
 use std::cell::Cell;
 
@@ -102,7 +104,7 @@ impl Writer {
 
     /// Appends `bytes` raw (no length prefix): by reference from
     /// `SPLICE_MIN` bytes up, by copy below.
-    fn put_bytes(&mut self, bytes: &Bytes) {
+    pub fn put_bytes(&mut self, bytes: &Bytes) {
         if self.splicing && bytes.len() >= SPLICE_MIN {
             self.splices.push((self.run.len(), bytes.clone()));
             self.spliced_len += bytes.len();
@@ -277,6 +279,40 @@ impl<'a> Reader<'a> {
             return Some(self.view(len));
         }
         self.frame(len).map(Frame::into_bytes)
+    }
+
+    /// Consumes a key and its value, written as two [`Bytes`] fields, as
+    /// one buffer and the key's length. The buffer is the pair in wire
+    /// order less the key's length prefix — `key ‖ value length ‖ value` —
+    /// and is a view when it lies inside one segment, a gathered copy
+    /// when it straddles a cut.
+    pub fn pair(&mut self) -> Option<(Bytes, usize)> {
+        let key_len = u32::read(self)? as usize;
+        // A pair spliced as one buffer starts exactly at a cut.
+        while self.cur.is_empty() && self.next_segment() {}
+        let value_at = key_len + 4;
+        if let Some(&prefix) = self
+            .cur
+            .get(key_len..value_at)
+            .and_then(|p| p.first_chunk())
+        {
+            let len = value_at + u32::from_le_bytes(prefix) as usize;
+            if len <= self.cur.len() {
+                return Some((self.view(len), key_len));
+            }
+        }
+        let key = self.frame(key_len)?;
+        let value_len = u32::read(self)?;
+        let value = self.frame(value_len as usize)?;
+        let mut body = Vec::with_capacity(value_at + value.len());
+        for segment in key.segments() {
+            body.extend_from_slice(segment);
+        }
+        body.extend_from_slice(&value_len.to_le_bytes());
+        for segment in value.segments() {
+            body.extend_from_slice(segment);
+        }
+        Some((Bytes::from(body), key_len))
     }
 }
 
@@ -653,6 +689,70 @@ mod tests {
             } else {
                 assert_eq!(kept.as_ptr(), field.as_ptr(), "{len} B: the same buffer");
             }
+        }
+    }
+
+    /// `key` and `value` written as two fields, cut at `cuts`, read back
+    /// as one pair.
+    fn pair_of(key: &[u8], value: &Bytes, cuts: &[usize]) -> (Bytes, usize, Frame) {
+        let mut flat = Bytes::copy_from_slice(key).to_bytes().to_vec();
+        flat.extend_from_slice(&value.to_bytes());
+        let frame = testing::recut(&Bytes::from(flat), cuts);
+        let mut r = Reader::new(frame.segments());
+        let (body, key_len) = r.pair().expect("decodes");
+        assert_eq!(r.remaining(), 0, "consumed both fields");
+        (body, key_len, frame)
+    }
+
+    proptest! {
+        #[test]
+        fn a_pair_decodes_from_any_segmentation(
+            key in prop::collection::vec(any::<u8>(), 0..16),
+            pick in 0usize..4,
+            cuts in prop::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let value = testing::payload(pick, key.len() as u8);
+            let (body, key_len, _) = pair_of(&key, &value, &cuts);
+            let mut expected = key.clone();
+            expected.extend_from_slice(&(value.len() as u32).to_le_bytes());
+            expected.extend_from_slice(&value);
+            prop_assert_eq!(key_len, key.len());
+            prop_assert_eq!(&body[..], &expected[..]);
+        }
+    }
+
+    #[test]
+    fn a_pair_is_a_view_inside_a_segment_and_a_copy_across_a_cut() {
+        let value = Bytes::from(vec![4u8; 300]);
+        // Cut after the key's prefix: the pair is the second segment.
+        let (body, _, frame) = pair_of(b"key", &value, &[4]);
+        assert_eq!(body.as_ptr(), frame.segments()[1].as_ptr(), "a view");
+        // Cut inside the value: gathered.
+        let (body, _, frame) = pair_of(b"key", &value, &[4, 100]);
+        let inside = |s: &Bytes| s.as_ptr_range().contains(&body.as_ptr());
+        assert!(!frame.segments().iter().any(inside), "a copy");
+        // Spliced, as a writer puts a pair's buffer on the wire.
+        let pair = Bytes::from([&b"key"[..], &300u32.to_le_bytes(), &value].concat());
+        let mut w = Writer::new(true);
+        3u32.write(&mut w);
+        w.put_bytes(&pair);
+        let frame = w.finish();
+        let (body, key_len) = Reader::new(frame.segments()).pair().expect("decodes");
+        assert_eq!(
+            (body.as_ptr(), key_len),
+            (pair.as_ptr(), 3),
+            "the same buffer"
+        );
+    }
+
+    #[test]
+    fn a_pair_that_claims_more_than_there_is_is_refused() {
+        for bytes in [
+            &[3, 0, 0, 0, b'k', b'e'][..],
+            &[1, 0, 0, 0, b'k', 9, 0, 0, 0, 1],
+        ] {
+            let segs = [Bytes::copy_from_slice(bytes)];
+            assert_eq!(Reader::new(&segs).pair(), None, "{bytes:?}");
         }
     }
 

@@ -1,28 +1,31 @@
 //! The in-memory KV state machine replicated by the Raft drivers.
 //!
 //! Commands are opaque bytes at this layer; `depfast-kv` defines the wire
-//! encoding and session semantics. `MemKv` supplies the raw map plus a
-//! session table for exactly-once apply (client id → last sequence number
-//! and its cached reply), the standard RSM dedup construction.
+//! encoding and session semantics. `MemKv` supplies the map — a
+//! [`Records`] store — plus a session table for exactly-once apply
+//! (client id → last sequence number and its cached reply), the standard
+//! RSM dedup construction.
 //!
 //! The state machine *is* the snapshot: [`MemKv`]'s wire encoding carries
 //! the map, the session table and the apply count, so a replica restored
 //! from it answers a retried command exactly as the one it was taken from
-//! would. A stored key or value keeps no message alive: a key is copied
-//! the first time the map sees it, and a value goes through
-//! [`wire::detach`] — a record-sized value is the buffer the wire spliced
-//! from the client's put, a smaller one is copied out of the run it
-//! arrived in. See [`MemKv::put`].
+//! would. A stored key and its value are one [`Record`], which keeps no
+//! message alive but its own: a record-sized one is a view of the put's
+//! request body, which the wire spliced from the client's buffer, and a
+//! smaller one is one copy of the key and value. An overwrite releases the
+//! previous record. See [`crate::record`].
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
 use depfast_rpc::wire::{self, Reader, WireRead, WireWrite, Writer};
 
+use crate::record::{Record, Records};
+
 /// An in-memory key-value state machine with session deduplication.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct MemKv {
-    map: HashMap<Bytes, Bytes>,
+    map: Records,
     sessions: HashMap<u64, (u64, Bytes)>,
     applied: u64,
 }
@@ -33,36 +36,28 @@ impl MemKv {
         Self::default()
     }
 
-    /// Inserts or overwrites `key`. A key seen for the first time is
-    /// copied out of the buffer it came in: `key` is usually a view into a
-    /// whole request body, the map keeps the key it already has on an
-    /// overwrite, and a 23-byte view would otherwise pin the first body
-    /// ever written for it long after the log has dropped it. The value is
-    /// kept as [`wire::detach`] hands it back: a record-sized value as it
-    /// came (it *is* most of the body), a small one as its own copy, not as
-    /// a view of the `AppendEntries` run or request it arrived in, which
-    /// would live until every value in it had been overwritten.
-    pub fn put(&mut self, key: Bytes, value: Bytes) {
-        let value = wire::detach(value);
-        match self.map.get_mut(&key) {
-            Some(slot) => *slot = value,
-            None => {
-                self.map.insert(Bytes::copy_from_slice(&key), value);
-            }
-        }
+    /// Inserts or overwrites the record's key. The replicas' puts come
+    /// this way, decoded from the request as the record they keep.
+    pub fn put_record(&mut self, record: Record) {
+        self.map.put(record);
     }
 
-    /// Reads `key`.
-    pub fn get(&self, key: &Bytes) -> Option<&Bytes> {
+    /// Inserts or overwrites `key` with a copy of `key` and `value` in one
+    /// buffer.
+    pub fn put(&mut self, key: Bytes, value: Bytes) {
+        self.put_record(Record::new(&key, &value));
+    }
+
+    /// Reads `key`: a view of its record.
+    pub fn get(&self, key: &[u8]) -> Option<Bytes> {
         self.map.get(key)
     }
 
-    /// Test probe: reads `key` together with the key the map holds for it
-    /// (its own copy, see [`MemKv::put`]). For `depfast-kv`'s pointer-range
-    /// test of that copy; nothing in production asks where a key lives.
+    /// Test probe: the record of `key`, for `depfast-kv`'s pointer-range
+    /// tests of which buffer it is; nothing in production asks.
     #[doc(hidden)]
-    pub fn get_key_value(&self, key: &Bytes) -> Option<(&Bytes, &Bytes)> {
-        self.map.get_key_value(key)
+    pub fn record(&self, key: &[u8]) -> Option<&Record> {
+        self.map.record(key)
     }
 
     /// Number of live keys.
@@ -72,10 +67,11 @@ impl MemKv {
 
     /// `true` if no keys are stored.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
-    /// Total commands applied (including deduplicated replays).
+    /// Commands applied, each `(client, seq)` once: a deduplicated replay
+    /// is not counted.
     pub fn applied(&self) -> u64 {
         self.applied
     }
@@ -103,17 +99,12 @@ impl MemKv {
     }
 }
 
-/// Map entries and sessions go out in key order, so two replicas in the
-/// same state encode to the same bytes whatever their hash seeds.
+/// The map's records and the sessions go out in key order, so two
+/// replicas in the same state encode to the same bytes whatever their hash
+/// seeds.
 impl WireWrite for MemKv {
     fn write(&self, w: &mut Writer) {
-        let mut entries: Vec<_> = self.map.iter().collect();
-        entries.sort_unstable();
-        (entries.len() as u32).write(w);
-        for (key, value) in entries {
-            key.write(w);
-            value.write(w);
-        }
+        self.map.write(w);
         let mut sessions: Vec<_> = self.sessions.iter().collect();
         sessions.sort_unstable_by_key(|(client, _)| **client);
         (sessions.len() as u32).write(w);
@@ -128,10 +119,10 @@ impl WireWrite for MemKv {
 
 impl WireRead for MemKv {
     fn read(r: &mut Reader<'_>) -> Option<Self> {
-        let mut kv = MemKv::new();
-        for _ in 0..u32::read(r)? {
-            kv.put(Bytes::read(r)?, Bytes::read(r)?);
-        }
+        let mut kv = MemKv {
+            map: Records::read(r)?,
+            ..MemKv::default()
+        };
         for _ in 0..u32::read(r)? {
             let (client, seq, reply) = (u64::read(r)?, u64::read(r)?, Bytes::read(r)?);
             kv.sessions.insert(client, (seq, wire::detach(reply)));
@@ -144,6 +135,7 @@ impl WireRead for MemKv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use depfast_rpc::wire::testing;
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -153,7 +145,7 @@ mod tests {
     fn put_get() {
         let mut kv = MemKv::new();
         kv.put(b("k"), b("v"));
-        assert_eq!(kv.get(&b("k")), Some(&b("v")));
+        assert_eq!(kv.get(b"k"), Some(b("v")));
     }
 
     #[test]
@@ -161,7 +153,7 @@ mod tests {
         let mut kv = MemKv::new();
         kv.put(b("k"), b("1"));
         kv.put(b("k"), b("2"));
-        assert_eq!(kv.get(&b("k")), Some(&b("2")));
+        assert_eq!(kv.get(b"k"), Some(b("2")));
         assert_eq!(kv.len(), 1);
     }
 
@@ -192,24 +184,63 @@ mod tests {
     }
 
     #[test]
-    fn a_new_key_is_copied_out_of_the_buffer_it_came_in() {
+    fn a_put_copies_its_key_and_value_out_of_the_buffer_they_came_in() {
         let body = Bytes::from(vec![7u8; 64]);
         let mut kv = MemKv::new();
         kv.put(body.slice(0..8), body.slice(8..64));
-        kv.put(body.slice(0..8), b("second"));
-        let (key, value) = kv.map.get_key_value(&body.slice(0..8)).unwrap();
-        let (range, k) = (body.as_ptr_range(), key.as_ptr());
+        let record = kv.record(&body[0..8]).expect("stored");
+        let (range, k) = (body.as_ptr_range(), record.key().as_ptr());
         assert!(!range.contains(&k), "the stored key pins no request body");
-        assert_eq!(value, &b("second"));
-        assert_eq!(kv.len(), 1);
+        assert_eq!(record.value(), body.slice(8..64));
+    }
+
+    /// Golden bytes: a map of a 0 B, a 3 B and a record-sized value, two
+    /// sessions and the count, as the tree before the record store wrote
+    /// them. The models charge a snapshot's length, and a replica restores
+    /// from another's bytes, so neither may move.
+    #[test]
+    fn a_snapshot_is_the_bytes_it_always_was() {
+        let mut kv = MemKv::new();
+        kv.apply_dedup(3, 9, |kv| {
+            kv.put(b("kb"), Bytes::from(vec![0xab; 256]));
+            b("ok")
+        });
+        kv.apply_dedup(1, 2, |kv| {
+            kv.put(b("ka"), b("abc"));
+            kv.put(b("k"), Bytes::new());
+            b("")
+        });
+        let golden = concat!(
+            "03000000",
+            "010000006b00000000",
+            "020000006b6103000000616263",
+            "020000006b6200010000",
+            "abababababababababababababababababababababababababababababababab",
+            "abababababababababababababababababababababababababababababababab",
+            "abababababababababababababababababababababababababababababababab",
+            "abababababababababababababababababababababababababababababababab",
+            "abababababababababababababababababababababababababababababababab",
+            "abababababababababababababababababababababababababababababababab",
+            "abababababababababababababababababababababababababababababababab",
+            "abababababababababababababababababababababababababababababababab",
+            "02000000",
+            "0100000000000000020000000000000000000000",
+            "03000000000000000900000000000000020000006f6b",
+            "0200000000000000",
+        );
+        let hex = |b: Bytes| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        assert_eq!(hex(kv.to_bytes()), golden);
+        assert_eq!(hex(kv.to_frame().into_bytes()), golden, "spliced");
+        testing::assert_segmentation_agnostic(&kv, &[9, 40, 300]);
     }
 
     #[test]
     fn the_encoding_round_trips_map_sessions_and_count() {
         let mut kv = MemKv::new();
-        let big = Bytes::from(vec![9u8; 1000]);
+        // As a replica keeps a put: key and value in one buffer.
+        let big = Record::new(b"k1", &[9u8; 1000]);
         kv.apply_dedup(7, 3, |kv| {
-            kv.put(b("k1"), big.clone());
+            kv.put_record(big.clone());
             b("ok")
         });
         kv.apply_dedup(8, 1, |kv| {
@@ -223,7 +254,7 @@ mod tests {
         assert_eq!(back, kv);
         // A large value travels by reference: the restored map holds the
         // buffer the original does.
-        assert_eq!(back.get(&b("k1")).unwrap().as_ptr(), big.as_ptr());
+        assert_eq!(back.get(b"k1").unwrap().as_ptr(), big.value().as_ptr());
         // A small value, and a cached reply, are the restored replica's
         // own: neither pins the snapshot it came in.
         let in_snapshot = |v: &Bytes| {
@@ -233,9 +264,9 @@ mod tests {
                 .iter()
                 .any(|s| s.as_ptr_range().contains(&p))
         };
-        let small = back.get(&b("k2")).unwrap();
+        let small = back.get(b"k2").unwrap();
         assert_eq!(small[..], [5u8; 100]);
-        assert!(!in_snapshot(small), "the 100 B value is a copy");
+        assert!(!in_snapshot(&small), "the 100 B value is a copy");
         assert!(!in_snapshot(&back.sessions[&8].1), "so is the reply");
         // The restored session table answers a retry; it does not re-apply.
         let r = back.apply_dedup(7, 3, |_| panic!("must not re-apply"));

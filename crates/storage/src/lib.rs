@@ -14,12 +14,16 @@
 //!   miss on this path. The log is what lies after a compaction base:
 //!   a prefix the replication layer no longer needs is dropped for free;
 //! * [`kv`] — the in-memory KV state machine replicated by the Raft
-//!   drivers, whose wire encoding is its snapshot.
+//!   drivers, whose wire encoding is its snapshot;
+//! * [`record`] — the record store it keeps its data in, and the 2PC
+//!   shards theirs: a key and its value in one buffer, one slot per key.
 
 pub mod kv;
 pub mod log;
+pub mod record;
 pub mod wal;
 
 pub use kv::MemKv;
 pub use log::{Entry, LogStore, LogStoreCfg};
+pub use record::{Record, Records};
 pub use wal::{IoEvent, Wal, WalCfg};

@@ -1,0 +1,248 @@
+//! The record store the replicated state machines keep their data in.
+//!
+//! A [`Record`] is a key and its value in **one** buffer, laid out as the
+//! wire lays out the two fields — `key ‖ value length ‖ value` — with the
+//! key's length beside it: a key costs the set one 40 B slot and no buffer
+//! of its own. [`Records`] finds a record by its key and replaces it on an
+//! overwrite, releasing the old one's buffer in the same probe.
+//!
+//! Which buffer a record is follows [`wire::detach`]'s line: a decoded
+//! record of `SPLICE_MIN` bytes or more — every record-sized value — is a
+//! view of the command body it arrived in (the wire spliced that body by
+//! reference, so it is already the client's buffer, shared by the log and
+//! every replica); a smaller one is one copy of exactly its own bytes, so
+//! it keeps no message alive. The snapshot writes each record's buffer as
+//! it is, so a restore hands back a record-sized value as the same buffer
+//! too.
+
+use std::borrow::Borrow;
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
+
+use bytes::Bytes;
+use depfast_rpc::wire::{self, Reader, WireRead, WireWrite, Writer};
+
+/// A key and its value in one buffer. Encodes as the two length-prefixed
+/// fields it holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Record {
+    /// `key ‖ value length (u32 LE) ‖ value`.
+    body: Bytes,
+    /// Where the key ends; the value starts four bytes later.
+    key_end: u32,
+}
+
+impl Record {
+    /// `key` and `value` copied into one buffer: one allocation.
+    pub fn new(key: &[u8], value: &[u8]) -> Self {
+        let key_end = u32::try_from(key.len()).expect("a key's length fits its u32 prefix");
+        let value_len = u32::try_from(value.len()).expect("a value's length fits its u32 prefix");
+        let mut body = Vec::with_capacity(key.len() + 4 + value.len());
+        body.extend_from_slice(key);
+        body.extend_from_slice(&value_len.to_le_bytes());
+        body.extend_from_slice(value);
+        Record {
+            body: Bytes::from(body),
+            key_end,
+        }
+    }
+
+    fn key_bytes(&self) -> &[u8] {
+        &self.body[..self.key_end as usize]
+    }
+
+    /// The key, as a view of the record's buffer.
+    pub fn key(&self) -> Bytes {
+        self.body.slice(..self.key_end as usize)
+    }
+
+    /// The value, as a view of the record's buffer.
+    pub fn value(&self) -> Bytes {
+        self.body.slice(self.key_end as usize + 4..)
+    }
+}
+
+impl WireWrite for Record {
+    fn write(&self, w: &mut Writer) {
+        self.key_end.write(w);
+        w.put_bytes(&self.body);
+    }
+}
+
+/// Decodes what the store keeps: see the module docs.
+impl WireRead for Record {
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let (body, key_end) = r.pair()?;
+        Some(Record {
+            body: wire::detach(body),
+            key_end: key_end as u32,
+        })
+    }
+}
+
+/// A record as the set holds it: equal to, and hashed as, its key alone,
+/// so a put of a key the set has replaces that key's record.
+#[derive(Debug)]
+struct Slot(Record);
+
+const _: () = assert!(std::mem::size_of::<Slot>() <= 40, "a slot is at most 40 B");
+
+impl PartialEq for Slot {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.key_bytes() == other.0.key_bytes()
+    }
+}
+
+impl Eq for Slot {}
+
+impl Hash for Slot {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.key_bytes().hash(state);
+    }
+}
+
+impl Borrow<[u8]> for Slot {
+    fn borrow(&self) -> &[u8] {
+        self.0.key_bytes()
+    }
+}
+
+/// Records by key.
+#[derive(Debug, Default)]
+pub struct Records {
+    set: HashSet<Slot>,
+}
+
+impl Records {
+    /// Inserts `record`, or overwrites the record of its key and releases
+    /// that one's buffer.
+    pub fn put(&mut self, record: Record) {
+        self.set.replace(Slot(record));
+    }
+
+    /// The value of `key`, as a view of its record.
+    pub fn get(&self, key: &[u8]) -> Option<Bytes> {
+        self.record(key).map(Record::value)
+    }
+
+    /// Test probe: the record of `key`, for the tests that look at which
+    /// buffer it is.
+    #[doc(hidden)]
+    pub fn record(&self, key: &[u8]) -> Option<&Record> {
+        self.set.get(key).map(|slot| &slot.0)
+    }
+
+    /// Number of keys.
+    pub(crate) fn len(&self) -> usize {
+        self.set.len()
+    }
+}
+
+/// Two stores are equal when they hold the same records, values included.
+impl PartialEq for Records {
+    fn eq(&self, other: &Self) -> bool {
+        let same = |slot: &Slot| other.record(slot.0.key_bytes()) == Some(&slot.0);
+        self.len() == other.len() && self.set.iter().all(same)
+    }
+}
+
+impl Eq for Records {}
+
+/// The count, then the records in key order, so two replicas in the same
+/// state encode to the same bytes whatever their hash seeds.
+impl WireWrite for Records {
+    fn write(&self, w: &mut Writer) {
+        let mut records: Vec<&Record> = self.set.iter().map(|slot| &slot.0).collect();
+        records.sort_unstable_by(|a, b| a.key_bytes().cmp(b.key_bytes()));
+        (records.len() as u32).write(w);
+        for record in records {
+            record.write(w);
+        }
+    }
+}
+
+impl WireRead for Records {
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let mut records = Records::default();
+        for _ in 0..u32::read(r)? {
+            records.put(Record::read(r)?);
+        }
+        Some(records)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `key` and `value` as the wire writes two [`Bytes`] fields.
+    fn encoded(key: &[u8], value: &[u8]) -> Bytes {
+        let (key, value) = (Bytes::copy_from_slice(key), Bytes::copy_from_slice(value));
+        let mut w = Vec::new();
+        w.extend_from_slice(&key.to_bytes());
+        w.extend_from_slice(&value.to_bytes());
+        Bytes::from(w)
+    }
+
+    #[test]
+    fn an_overwrite_keeps_one_record_and_only_the_new_value() {
+        let mut store = Records::default();
+        store.put(Record::new(b"k", b"old"));
+        store.put(Record::new(b"k", b"new"));
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.get(b"k"), Some(Bytes::from_static(b"new")));
+        let record = store.record(b"k").expect("stored");
+        assert_eq!(record, &Record::new(b"k", b"new"), "the old record is gone");
+    }
+
+    #[test]
+    fn an_overwrite_releases_the_previous_body() {
+        let mut store = Records::default();
+        let body = encoded(b"k", &[1u8; 300]);
+        store.put(Record::from_bytes(&body).expect("decodes"));
+        assert!(!body.is_unique(), "the record is a view of the body");
+        store.put(Record::new(b"k", b"x"));
+        assert!(body.is_unique(), "the overwrite let go of it");
+    }
+
+    /// A decoded record is a view of the body it came in from
+    /// `SPLICE_MIN` bytes up, and one copy of itself below: with a 23 B
+    /// key the line falls between a 228 B and a 229 B value.
+    #[test]
+    fn a_decoded_record_is_a_view_from_the_splice_line_up_and_one_copy_below() {
+        let key = [b'u'; 23];
+        // (value length, view of the body)
+        for (len, view) in [
+            (0, false),
+            (100, false),
+            (228, false),
+            (229, true),
+            (1000, true),
+        ] {
+            let body = encoded(&key, &vec![7u8; len]);
+            let record = Record::from_bytes(&body).expect("decodes");
+            let (k, v) = (record.key(), record.value());
+            assert_eq!((&k[..], &v[..]), (&key[..], &vec![7u8; len][..]));
+            let inside = body.as_ptr_range().contains(&k.as_ptr());
+            assert_eq!(inside, view, "{len} B value");
+            assert_eq!(Record::from_frame(&record.to_frame()), Some(record.clone()));
+            // A copy made from the two pieces is the same bytes.
+            let copy = Record::new(&key, &vec![7u8; len]);
+            assert_eq!(copy.to_bytes(), body);
+            for r in [record, copy] {
+                let after_key = r.key().as_ptr_range().end.wrapping_add(4);
+                assert_eq!(r.value().as_ptr(), after_key, "{len} B: one buffer");
+            }
+        }
+    }
+
+    #[test]
+    fn stores_are_equal_by_their_values_too() {
+        let (mut a, mut b) = (Records::default(), Records::default());
+        a.put(Record::new(b"k", b"1"));
+        b.put(Record::new(b"k", b"2"));
+        assert_ne!(a, b);
+        b.put(Record::new(b"k", b"1"));
+        assert_eq!(a, b);
+    }
+}

@@ -3,34 +3,10 @@
 use bytes::Bytes;
 use depfast_rpc::wire::{Reader, WireRead, WireWrite, Writer};
 use depfast_rpc::Method;
+use depfast_storage::Record;
 
 /// RPC method id for transaction commands (served by `TxnServer`).
 pub const TXN_EXEC: Method = 0x20;
-
-/// A write in a transaction: key → value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TxnWrite {
-    /// Key.
-    pub key: Bytes,
-    /// New value.
-    pub value: Bytes,
-}
-
-impl WireWrite for TxnWrite {
-    fn write(&self, w: &mut Writer) {
-        self.key.write(w);
-        self.value.write(w);
-    }
-}
-
-impl WireRead for TxnWrite {
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
-        Some(TxnWrite {
-            key: Bytes::read(r)?,
-            value: Bytes::read(r)?,
-        })
-    }
-}
 
 /// A replicated transaction command (one Raft log entry per shard).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,8 +15,9 @@ pub enum TxnCmd {
     Prepare {
         /// Globally unique transaction id.
         txn: u64,
-        /// Writes touching this shard.
-        writes: Vec<TxnWrite>,
+        /// Writes touching this shard: each key with its new value, as
+        /// the shard will store it.
+        writes: Vec<Record>,
     },
     /// Phase 2 (success): apply staged writes and release locks.
     Commit {
@@ -84,6 +61,29 @@ impl WireRead for TxnCmd {
             1 => Some(TxnCmd::Commit { txn: u64::read(r)? }),
             2 => Some(TxnCmd::Abort { txn: u64::read(r)? }),
             _ => None,
+        }
+    }
+}
+
+/// A [`TxnCmd::Prepare`] as the coordinator writes it: the same bytes,
+/// from each write's key and value as the caller gave them, so a
+/// record-sized value goes on the wire by reference and the shard's log
+/// entry is its one copy.
+pub(crate) struct Prepare<'a> {
+    /// Globally unique transaction id.
+    pub txn: u64,
+    /// Writes touching this shard: key → new value.
+    pub writes: &'a [(Bytes, Bytes)],
+}
+
+impl WireWrite for Prepare<'_> {
+    fn write(&self, w: &mut Writer) {
+        0u8.write(w);
+        self.txn.write(w);
+        (self.writes.len() as u32).write(w);
+        for (key, value) in self.writes {
+            key.write(w);
+            value.write(w);
         }
     }
 }
@@ -136,10 +136,7 @@ mod tests {
         ) {
             let writes = writes
                 .into_iter()
-                .map(|(key, pick)| TxnWrite {
-                    value: testing::payload(pick, key.len() as u8),
-                    key: Bytes::from(key),
-                })
+                .map(|(key, pick)| Record::new(&key, &testing::payload(pick, key.len() as u8)))
                 .collect();
             for cmd in [TxnCmd::Prepare { txn, writes }, TxnCmd::Commit { txn }, TxnCmd::Abort { txn }] {
                 testing::assert_segmentation_agnostic(&cmd, &cuts);
@@ -151,18 +148,36 @@ mod tests {
     fn prepare_round_trips() {
         let cmd = TxnCmd::Prepare {
             txn: 42,
-            writes: vec![
-                TxnWrite {
-                    key: Bytes::from_static(b"a"),
-                    value: Bytes::from_static(b"1"),
-                },
-                TxnWrite {
-                    key: Bytes::from_static(b"b"),
-                    value: Bytes::from_static(b"2"),
-                },
-            ],
+            writes: vec![Record::new(b"a", b"1"), Record::new(b"b", b"2")],
         };
         assert_eq!(TxnCmd::from_bytes(&cmd.to_bytes()), Some(cmd));
+    }
+
+    /// The coordinator's prepare is the shard's `TxnCmd::Prepare` to the
+    /// byte, and carries a record-sized value as the caller's buffer.
+    #[test]
+    fn a_coordinator_prepare_is_a_prepare_with_its_large_values_spliced() {
+        let writes: Vec<(Bytes, Bytes)> = (0..4)
+            .map(|pick| (Bytes::from(vec![b'k'; pick + 1]), testing::payload(pick, 3)))
+            .collect();
+        let sent = Prepare {
+            txn: 9,
+            writes: &writes,
+        };
+        let cmd = TxnCmd::Prepare {
+            txn: 9,
+            writes: writes.iter().map(|(k, v)| Record::new(k, v)).collect(),
+        };
+        assert_eq!(sent.to_bytes(), cmd.to_bytes());
+        let large = writes[3].1.as_ptr_range();
+        let frame = sent.to_frame();
+        assert!(
+            frame
+                .segments()
+                .iter()
+                .any(|seg| seg.as_ptr_range() == large),
+            "the 1000 B value goes by reference"
+        );
     }
 
     #[test]

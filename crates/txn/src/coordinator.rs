@@ -18,7 +18,7 @@ use depfast_kv::ShardMap;
 use depfast_rpc::{broadcast, group_method, inverse, Endpoint, Method};
 use simkit::NodeId;
 
-use crate::command::{TxnCmd, TxnVote, TxnWrite, TXN_EXEC};
+use crate::command::{Prepare, TxnCmd, TxnVote, TXN_EXEC};
 
 /// Phase-1 deadline: past it, a transaction not yet prepared everywhere
 /// aborts.
@@ -118,13 +118,10 @@ impl TxnClient {
             s
         };
         // Group writes by shard.
-        let mut by_shard: HashMap<usize, Vec<TxnWrite>> = HashMap::new();
+        let mut by_shard: HashMap<usize, Vec<(Bytes, Bytes)>> = HashMap::new();
         for (key, value) in writes {
             let shard = shard_of(&key, self.shards.len());
-            by_shard
-                .entry(shard)
-                .or_default()
-                .push(TxnWrite { key, value });
+            by_shard.entry(shard).or_default().push((key, value));
         }
         let participants: Vec<usize> = by_shard.keys().copied().collect();
 
@@ -135,10 +132,7 @@ impl TxnClient {
         let any_abort = QuorumEvent::labeled(&self.rt, QuorumMode::Count(1), "txn_any_abort");
         let redirected = Rc::new(Cell::new(false));
         for (&shard, writes) in &by_shard {
-            let cmd = TxnCmd::Prepare {
-                txn,
-                writes: writes.clone(),
-            };
+            let cmd = Prepare { txn, writes };
             let (leader, method) = self.route(shard);
             let yes = self.ep.proxy(leader).call_classified(
                 method,

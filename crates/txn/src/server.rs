@@ -5,6 +5,14 @@
 //! the shard's Raft log before its vote is returned, so a shard's vote
 //! already carries quorum durability — the coordinator's `AndEvent` of
 //! votes nests a Raft `QuorumEvent` per branch.
+//!
+//! Committed data is a [`Records`] store, the one `MemKv` keeps: a
+//! prepare's writes decode as the [`Record`]s the shard will store — a
+//! record-sized one a view of the prepare's body, a smaller one its own
+//! copy — are staged as they are, and a commit moves them into the store.
+//! Nothing the shard keeps from a snapshot is a view of it below the
+//! splice line: restored data, staged writes and lock keys own their small
+//! fields.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -17,19 +25,20 @@ use depfast::runtime::Coroutine;
 use depfast_raft::core::{RaftServer, StateMachine};
 use depfast_raft::Entry;
 use depfast_rpc::wire::{self, Reader, WireRead, WireWrite, Writer};
+use depfast_storage::{Record, Records};
 use simkit::Frame;
 
-use crate::command::{TxnCmd, TxnVote, TxnWrite, TXN_EXEC};
+use crate::command::{TxnCmd, TxnVote, TXN_EXEC};
 
 const PROPOSAL_DEADLINE: Duration = Duration::from_secs(5);
 
 #[derive(Debug, Default, PartialEq, Eq)]
 struct TxnState {
-    data: HashMap<Bytes, Bytes>,
+    data: Records,
     /// key → owning transaction.
     locks: HashMap<Bytes, u64>,
     /// txn → staged writes.
-    staged: HashMap<u64, Vec<TxnWrite>>,
+    staged: HashMap<u64, Vec<Record>>,
     commits: u64,
     aborts: u64,
 }
@@ -45,12 +54,14 @@ impl TxnState {
                 }
                 let conflict = writes
                     .iter()
-                    .any(|w| self.locks.get(&w.key).is_some_and(|owner| owner != txn));
+                    .any(|w| self.locks.get(&w.key()).is_some_and(|owner| owner != txn));
                 if conflict {
                     return TxnVote::No;
                 }
                 for w in writes {
-                    self.locks.insert(w.key.clone(), *txn);
+                    // A view of the staged write, which lives exactly as
+                    // long as the lock.
+                    self.locks.insert(w.key(), *txn);
                 }
                 self.staged.insert(*txn, writes.clone());
                 TxnVote::Yes
@@ -58,11 +69,8 @@ impl TxnState {
             TxnCmd::Commit { txn } => {
                 if let Some(writes) = self.staged.remove(txn) {
                     for w in writes {
-                        // A lock's key is a view of the prepare's body, but
-                        // lives exactly as long as the staged writes that
-                        // hold the same body.
-                        self.locks.remove(&w.key);
-                        self.store(w.key, w.value);
+                        self.locks.remove(&w.key());
+                        self.data.put(w);
                     }
                     self.commits += 1;
                 }
@@ -71,25 +79,11 @@ impl TxnState {
             TxnCmd::Abort { txn } => {
                 if let Some(writes) = self.staged.remove(txn) {
                     for w in &writes {
-                        self.locks.remove(&w.key);
+                        self.locks.remove(&w.key());
                     }
                     self.aborts += 1;
                 }
                 TxnVote::Yes
-            }
-        }
-    }
-
-    /// Keeps committed data, from a commit or a restore, as `MemKv::put`
-    /// does: the map keeps the key it has, so a new key is copied out of
-    /// the body it came in rather than pinning it for good, and the value
-    /// is what [`wire::detach`] hands back.
-    fn store(&mut self, key: Bytes, value: Bytes) {
-        let value = wire::detach(value);
-        match self.data.get_mut(&key) {
-            Some(slot) => *slot = value,
-            None => {
-                self.data.insert(Bytes::copy_from_slice(&key), value);
             }
         }
     }
@@ -101,13 +95,7 @@ impl TxnState {
 /// one state encode to the same bytes.
 impl WireWrite for TxnState {
     fn write(&self, w: &mut Writer) {
-        let mut data: Vec<_> = self.data.iter().collect();
-        data.sort_unstable();
-        (data.len() as u32).write(w);
-        for (key, value) in data {
-            key.write(w);
-            value.write(w);
-        }
+        self.data.write(w);
         let mut locks: Vec<_> = self.locks.iter().collect();
         locks.sort_unstable();
         (locks.len() as u32).write(w);
@@ -129,12 +117,13 @@ impl WireWrite for TxnState {
 
 impl WireRead for TxnState {
     fn read(r: &mut Reader<'_>) -> Option<Self> {
-        let mut st = TxnState::default();
+        let mut st = TxnState {
+            data: Records::read(r)?,
+            ..TxnState::default()
+        };
         for _ in 0..u32::read(r)? {
-            st.store(Bytes::read(r)?, Bytes::read(r)?);
-        }
-        for _ in 0..u32::read(r)? {
-            st.locks.insert(Bytes::read(r)?, u64::read(r)?);
+            st.locks
+                .insert(wire::detach(Bytes::read(r)?), u64::read(r)?);
         }
         for _ in 0..u32::read(r)? {
             st.staged.insert(u64::read(r)?, Vec::read(r)?);
@@ -211,8 +200,8 @@ impl TxnServer {
     }
 
     /// Reads a key from the local replica (diagnostics; not linearizable).
-    pub fn local_get(&self, key: &Bytes) -> Option<Bytes> {
-        self.state.borrow().data.get(key).cloned()
+    pub fn local_get(&self, key: &[u8]) -> Option<Bytes> {
+        self.state.borrow().data.get(key)
     }
 
     /// Test probe: number of keys currently locked on the local replica
@@ -237,11 +226,8 @@ impl TxnServer {
 mod tests {
     use super::*;
 
-    fn w(k: &'static [u8], v: &'static [u8]) -> TxnWrite {
-        TxnWrite {
-            key: Bytes::from_static(k),
-            value: Bytes::from_static(v),
-        }
+    fn w(k: &[u8], v: &[u8]) -> Record {
+        Record::new(k, v)
     }
 
     #[test]
@@ -255,10 +241,7 @@ mod tests {
             TxnVote::Yes
         );
         assert_eq!(st.apply(&TxnCmd::Commit { txn: 1 }), TxnVote::Yes);
-        assert_eq!(
-            st.data.get(&Bytes::from_static(b"a")),
-            Some(&Bytes::from_static(b"1"))
-        );
+        assert_eq!(st.data.get(b"a"), Some(Bytes::from_static(b"1")));
         assert!(st.locks.is_empty());
         assert_eq!(st.commits, 1);
     }
@@ -289,7 +272,7 @@ mod tests {
             writes: vec![w(b"a", b"1")],
         });
         st.apply(&TxnCmd::Abort { txn: 1 });
-        assert!(st.data.is_empty());
+        assert_eq!(st.data, Records::default());
         assert!(st.locks.is_empty());
         assert_eq!(st.aborts, 1);
         // A later transaction can now take the lock.
@@ -334,6 +317,23 @@ mod tests {
             writes: vec![w(b"c", b"3")],
         });
         st.apply(&TxnCmd::Abort { txn: 3 });
+        // Golden bytes, as the tree before the record store wrote them:
+        // data, locks, staged writes, then the two counts.
+        let golden = concat!(
+            "01000000",
+            "0100000061_0100000030",
+            "02000000",
+            "0100000061_0200000000000000",
+            "0100000062_0200000000000000",
+            "01000000_0200000000000000_02000000",
+            "0100000061_0100000031",
+            "0100000062_0100000032",
+            "0100000000000000_0100000000000000",
+        )
+        .replace('_', "");
+        let hex = |b: Bytes| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        assert_eq!(hex(st.to_bytes()), golden);
+        assert_eq!(hex(st.to_frame().into_bytes()), golden, "spliced");
         let mut back = TxnState::from_frame(&st.to_frame()).expect("decodes");
         assert_eq!(back, st);
         // The restored lock still refuses a rival, and the restored staged
@@ -344,35 +344,37 @@ mod tests {
         };
         assert_eq!(back.apply(&rival), TxnVote::No);
         assert_eq!(back.apply(&TxnCmd::Commit { txn: 2 }), TxnVote::Yes);
-        assert_eq!(
-            back.data.get(&Bytes::from_static(b"b")),
-            Some(&Bytes::from_static(b"2"))
-        );
+        assert_eq!(back.data.get(b"b"), Some(Bytes::from_static(b"2")));
         assert!(back.locks.is_empty());
         assert_eq!((back.commits, back.aborts), (2, 1));
         let bytes = st.to_bytes();
         assert!(TxnState::from_bytes(&bytes.slice(..bytes.len() - 1)).is_none());
     }
 
-    /// A restore keeps data the way a commit does, so the restored map pins
-    /// none of the snapshot's runs: the map never replaces a key, and a
-    /// small value stays until it is overwritten.
+    /// A restore keeps data the way a commit does, and staged writes and
+    /// locks the way a prepare does, so the restored state pins none of
+    /// the snapshot's runs: an open transaction would otherwise keep every
+    /// small field of the whole snapshot alive until it commits or aborts.
     #[test]
     fn a_restored_state_owns_its_keys_and_small_values() {
         let mut st = TxnState::default();
-        let big = Bytes::from(vec![9u8; 1000]);
-        let writes = (0..8u8)
-            .map(|i| TxnWrite {
-                key: Bytes::from(vec![b'k', i]),
-                value: Bytes::from(vec![i; 100]),
-            })
-            .chain([TxnWrite {
-                key: Bytes::from_static(b"big"),
-                value: big.clone(),
-            }])
-            .collect();
-        st.apply(&TxnCmd::Prepare { txn: 1, writes });
+        let big = Record::new(b"big", &[9u8; 1000]);
+        let writes = |txn: u8| {
+            (0..8u8)
+                .map(|i| Record::new(&[b'k', txn, i], &[i; 100]))
+                .collect::<Vec<_>>()
+        };
+        let committed = writes(1).into_iter().chain([big.clone()]).collect();
+        st.apply(&TxnCmd::Prepare {
+            txn: 1,
+            writes: committed,
+        });
         st.apply(&TxnCmd::Commit { txn: 1 });
+        // Transaction 2 is open when the snapshot is taken.
+        st.apply(&TxnCmd::Prepare {
+            txn: 2,
+            writes: writes(2),
+        });
         let frame = st.to_frame();
         let back = TxnState::from_frame(&frame).expect("decodes");
         assert_eq!(back, st);
@@ -383,15 +385,26 @@ mod tests {
                 .iter()
                 .any(|s| s.as_ptr_range().contains(&p))
         };
-        for (key, value) in &back.data {
-            assert!(!in_snapshot(key), "key {key:?} is a copy");
-            if value.len() < 1000 {
-                assert!(!in_snapshot(value), "{key:?}'s value is a copy");
-            }
+        for i in 0..8u8 {
+            let record = back.data.record(&[b'k', 1, i]).expect("committed");
+            assert!(!in_snapshot(&record.key()), "key {i} is a copy");
+            assert!(!in_snapshot(&record.value()), "value {i} is a copy");
+        }
+        assert_eq!(back.locks.len(), 8);
+        for key in back.locks.keys() {
+            assert!(!in_snapshot(key), "lock {key:?} is a copy");
+        }
+        for staged in &back.staged[&2] {
+            assert!(
+                !in_snapshot(&staged.key()),
+                "staged {:?} is a copy",
+                staged.key()
+            );
+            assert!(!in_snapshot(&staged.value()), "so is its value");
         }
         // A record-sized value is still the one buffer it was committed as.
-        let restored = &back.data[&Bytes::from_static(b"big")];
-        assert_eq!(restored.as_ptr(), big.as_ptr());
+        let restored = back.data.get(b"big").expect("committed");
+        assert_eq!(restored.as_ptr(), big.value().as_ptr());
     }
 
     #[test]

@@ -78,10 +78,10 @@ impl ShardedCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::{TxnCmd, TxnVote, TxnWrite};
-    use bytes::Bytes;
+    use crate::command::{TxnCmd, TxnVote};
     use depfast::event::Watchable;
     use depfast_rpc::wire::{WireRead, WireWrite};
+    use depfast_storage::Record;
     use simkit::WorldCfg;
     use std::time::Duration;
 
@@ -126,10 +126,8 @@ mod tests {
         let leader = &cl.servers[0][0];
         let mut last = None;
         for txn in 1..=1_100u64 {
-            let writes = vec![TxnWrite {
-                key: Bytes::from(format!("filler{}", txn % 50)),
-                value: Bytes::from(txn.to_string()),
-            }];
+            let key = format!("filler{}", txn % 50);
+            let writes = vec![Record::new(key.as_bytes(), txn.to_string().as_bytes())];
             leader
                 .raft()
                 .propose(TxnCmd::Prepare { txn, writes }.to_bytes());
@@ -140,10 +138,7 @@ mod tests {
         assert!(sim.block_on(done).is_ready());
 
         // Phase one of the cross-shard transaction, on every shard.
-        let write = |shard: usize| TxnWrite {
-            key: Bytes::from(format!("account{shard}")),
-            value: Bytes::from_static(b"100"),
-        };
+        let write = |shard: usize| Record::new(format!("account{shard}").as_bytes(), b"100");
         for shard in 0..3 {
             let writes = vec![write(shard)];
             let vote = exec(
@@ -168,7 +163,7 @@ mod tests {
         assert!(b_log.first_index() > 2_000, "by snapshot, not by log");
         assert_eq!(b.commits(), 1_100);
         assert_eq!(b.locked_keys(), 1, "the prepared lock came with the state");
-        assert_eq!(b.local_get(&write(0).key), None, "staged, not applied");
+        assert_eq!(b.local_get(&write(0).key()), None, "staged, not applied");
 
         // Phase two.
         let leaders = [a, &cl.servers[1][0], &cl.servers[2][0]];
@@ -184,8 +179,8 @@ mod tests {
                 }
                 let node = r.raft().node().0;
                 assert_eq!(
-                    r.local_get(&write(shard).key),
-                    Some(write(shard).value),
+                    r.local_get(&write(shard).key()),
+                    Some(write(shard).value()),
                     "node {node}: the staged write was applied"
                 );
                 assert_eq!(r.locked_keys(), 0, "node {node}: the lock was released");

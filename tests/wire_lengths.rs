@@ -10,8 +10,8 @@ use depfast_kv::{KvOp, KvRequest, KvResponse};
 use depfast_raft::types::{to_wire, AppendReq, AppendResp, VoteReq, VoteResp};
 use depfast_rpc::endpoint::Envelope;
 use depfast_rpc::wire::WireWrite;
-use depfast_storage::Entry;
-use depfast_txn::command::{TxnCmd, TxnVote, TxnWrite};
+use depfast_storage::{Entry, Record};
+use depfast_txn::command::{TxnCmd, TxnVote};
 use simkit::Frame;
 
 /// Encoded length on the wire (the spliced form) — checked equal to the
@@ -105,10 +105,7 @@ fn golden_wire_lengths() {
     let prepare = |writes: usize| TxnCmd::Prepare {
         txn: 1,
         writes: (0..writes)
-            .map(|_| TxnWrite {
-                key: bytes(10),
-                value: bytes(100),
-            })
+            .map(|_| Record::new(&bytes(10), &bytes(100)))
             .collect(),
     };
     assert_eq!(len(&prepare(0)), 13);
