@@ -47,6 +47,11 @@ pub struct Entry {
     pub payload: Bytes,
 }
 
+const _: () = assert!(
+    std::mem::size_of::<Entry>() <= 32,
+    "an entry is at most 32 B"
+);
+
 impl Entry {
     /// Approximate serialized size, used for cache budgeting and I/O.
     pub fn size(&self) -> u64 {

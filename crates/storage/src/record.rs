@@ -2,9 +2,10 @@
 //!
 //! A [`Record`] is a key and its value in **one** buffer, laid out as the
 //! wire lays out the two fields — `key ‖ value length ‖ value` — with the
-//! key's length beside it: a key costs the set one 40 B slot and no buffer
-//! of its own. [`Records`] finds a record by its key and replaces it on an
-//! overwrite, releasing the old one's buffer in the same probe.
+//! key's length beside it: a key costs the set one 24 B slot (a 16 B
+//! `Bytes` and the `u32`) and no buffer of its own. [`Records`] finds a
+//! record by its key and replaces it on an overwrite, releasing the old
+//! one's buffer in the same probe.
 //!
 //! Which buffer a record is follows [`wire::detach`]'s line: a decoded
 //! record of `SPLICE_MIN` bytes or more — every record-sized value — is a
@@ -85,7 +86,7 @@ impl WireRead for Record {
 #[derive(Debug)]
 struct Slot(Record);
 
-const _: () = assert!(std::mem::size_of::<Slot>() <= 40, "a slot is at most 40 B");
+const _: () = assert!(std::mem::size_of::<Slot>() <= 24, "a slot is at most 24 B");
 
 impl PartialEq for Slot {
     fn eq(&self, other: &Self) -> bool {

@@ -1,5 +1,7 @@
 //! Workload specifications: op mixes and record sizing.
 
+use std::io::Write;
+
 use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -75,6 +77,8 @@ pub struct OpGen {
     dist: Box<dyn KeyDist>,
     rng: SmallRng,
     inserted: u64,
+    /// Where each value is drawn before it is copied into its buffer.
+    value: Vec<u8>,
 }
 
 impl OpGen {
@@ -91,6 +95,7 @@ impl OpGen {
             dist,
             rng: SmallRng::seed_from_u64(seed),
             inserted: 0,
+            value: Vec::new(),
         }
     }
 
@@ -111,22 +116,47 @@ impl OpGen {
             }
             _ => scramble(self.dist.next(&mut self.rng)) % self.spec.records,
         };
-        let key = Bytes::from(format!("user{key:019}"));
+        let key = key_bytes(key);
         let value = match kind {
             OpKind::Read => Bytes::new(),
             _ => {
-                let mut v = vec![0u8; self.spec.value_size];
-                self.rng.fill(&mut v[..]);
-                Bytes::from(v)
+                self.value.resize(self.spec.value_size, 0);
+                self.rng.fill(&mut self.value[..]);
+                Bytes::copy_from_slice(&self.value)
             }
         };
         (kind, key, value)
     }
 }
 
+/// `user` and `n` in 19 zero-padded digits, formatted on the stack (24 B
+/// holds a `u64` of 20) and copied once into its buffer.
+fn key_bytes(n: u64) -> Bytes {
+    let mut buf = [0u8; 24];
+    let unwritten = {
+        let mut rest = &mut buf[..];
+        write!(rest, "user{n:019}").expect("a u64 key fits 24 bytes");
+        rest.len()
+    };
+    Bytes::copy_from_slice(&buf[..buf.len() - unwritten])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_key_is_what_format_writes() {
+        for n in [
+            0,
+            7,
+            9_999_999_999_999_999_999,
+            10_000_000_000_000_000_000,
+            u64::MAX,
+        ] {
+            assert_eq!(key_bytes(n)[..], *format!("user{n:019}").as_bytes());
+        }
+    }
 
     #[test]
     fn update_heavy_generates_only_updates() {
