@@ -75,8 +75,9 @@ impl WireRead for KvRequest {
 
 /// A logged [`KvRequest`] as the state machine applies it: the same
 /// bytes, with the key and value decoded as the one [`Record`] a put
-/// stores. A record-sized one is a view of the request body — its tail
-/// after the fixed header — and a smaller one is one copy.
+/// stores, a view of the entry's payload — its tail after the fixed
+/// header — at any size. The payload is this one command, so the record
+/// pins no other.
 pub(crate) struct Logged {
     pub(crate) client: u64,
     pub(crate) seq: u64,
@@ -87,7 +88,7 @@ pub(crate) struct Logged {
 impl WireRead for Logged {
     fn read(r: &mut Reader<'_>) -> Option<Self> {
         let (client, seq, op) = read_header(r)?;
-        let record = Record::read(r)?;
+        let record = Record::read_view(r)?;
         Some(Logged {
             client,
             seq,

@@ -262,55 +262,40 @@ mod tests {
         )
     }
 
-    /// A record-sized value is copied once, by the client that encodes the
-    /// put: all three logs, all three state machines and the get's reply
-    /// hold views of that one buffer — each replica's stored key too, so a
-    /// put costs a replica no allocation. A silent fall-back to a copy per
-    /// hop fails here, not only in a later memory benchmark.
+    /// A put is one buffer at any size, the one the leader received the
+    /// client's request in: every log holds a view of it (a follower's
+    /// entry is the leader's payload, spliced into each `AppendEntries`,
+    /// not a view of the append's run), and every replica's stored key
+    /// and value lie inside it, so a put costs a replica no allocation. A
+    /// record-sized value comes back in the get's reply as a view of it
+    /// too. A silent fall-back to a copy per replica, or to a view of an
+    /// `AppendEntries` run, fails here, not only in a later memory
+    /// benchmark.
     #[test]
-    fn a_large_value_is_one_allocation_from_the_put_to_every_replica_and_back() {
-        let (payloads, records, got) = put_then_read_index_get(1000);
-        let body = payloads[0].as_ptr_range();
-        for p in &payloads {
-            assert_eq!(p.as_ptr_range(), body, "each log holds the client's buffer");
-        }
+    fn a_put_is_one_buffer_from_the_request_to_every_replica() {
         let key = b"user0000000000000000042";
-        for r in &records {
-            assert_eq!(r.key()[..], key[..]);
-            assert_eq!(r.value()[..], [7u8; 1000]);
-        }
-        assert_eq!(got[..], [7u8; 1000]);
-        let keys = records.iter().map(Record::key);
-        let values = records.iter().map(Record::value);
-        for v in keys.chain(values).chain([got]) {
-            let v = v.as_ptr_range();
-            assert!(body.start <= v.start && v.end <= body.end, "a view of it");
-        }
-    }
-
-    /// Below the splice line a value travels by copy, as every message
-    /// did, so a follower's log payload is a view of the `AppendEntries`
-    /// run it arrived in and the leader's of the client's request. Each
-    /// replica stores its own copy of the value, a view of neither: a
-    /// stored value would otherwise keep a whole run alive until every
-    /// value in it had been overwritten.
-    /// The copy is one buffer: the key, the value's length and the value,
-    /// as they lie in the request.
-    #[test]
-    fn a_small_value_owns_its_bytes_on_every_replica() {
-        let (payloads, records, got) = put_then_read_index_get(100);
-        assert!(payloads.iter().all(|p| *p == payloads[0]));
-        assert!(records.iter().all(|r| r.value()[..] == [7u8; 100]));
-        assert_eq!(got[..], [7u8; 100]);
-        let leader = payloads[0].as_ptr_range();
-        for (payload, record) in payloads.iter().zip(&records) {
-            let (key, value) = (record.key(), record.value());
-            for p in [key.as_ptr(), value.as_ptr()] {
-                assert!(!payload.as_ptr_range().contains(&p), "not its own log's");
-                assert!(!leader.contains(&p), "not the leader's");
+        // (value length, the reply is a view of it: it is spliced back)
+        for (len, reply_is_a_view) in [(100, false), (1000, true)] {
+            let (payloads, records, got) = put_then_read_index_get(len);
+            let body = payloads[0].as_ptr_range();
+            for p in &payloads {
+                assert_eq!(p.as_ptr_range(), body, "{len} B: the leader's payload");
             }
-            let after_key = key.as_ptr_range().end.wrapping_add(4);
-            assert_eq!(value.as_ptr(), after_key, "one buffer: key, length, value");
+            let inside = |v: Bytes| {
+                let v = v.as_ptr_range();
+                body.start <= v.start && v.end <= body.end
+            };
+            let value = vec![7u8; len];
+            for r in &records {
+                assert_eq!((&r.key()[..], &r.value()[..]), (&key[..], &value[..]));
+                for (part, v) in [("key", r.key()), ("value", r.value())] {
+                    assert!(inside(v), "{len} B: the stored {part} is a view of it");
+                }
+            }
+            assert_eq!(got[..], value[..]);
+            if reply_is_a_view {
+                assert!(inside(got), "{len} B: the reply is a view of it");
+            }
         }
     }
 

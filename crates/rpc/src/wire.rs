@@ -34,6 +34,12 @@
 //! bytes below the line, and the spliced buffer itself above it. A key and
 //! its value are kept as one such field: [`Reader::pair`] reads the two
 //! as one buffer, and [`Writer::put_bytes`] writes that buffer back.
+//!
+//! A field that is a whole message of its own — a log entry's payload,
+//! one command — goes on the wire by [`Writer::put_spliced`] whatever its
+//! length, so it never lies in a run: the receiver's copy is a view of the
+//! sender's buffer, and a holder keeps it, or a view inside it, with no
+//! `detach`.
 
 use std::cell::Cell;
 
@@ -45,9 +51,12 @@ use simkit::Frame;
 ///
 /// A splice costs a reference count and two list slots on each side of the
 /// wire and leaves the receiver holding the sender's whole buffer; a copy
-/// costs its bytes once per message. Keys, votes and 100 B values stay
-/// below the line and travel as one contiguous run exactly as before;
-/// the 1 KB record bodies that dominate replication traffic cross it.
+/// costs its bytes once per message. Keys, votes, session replies and the
+/// records of a snapshot or a 2PC prepare stay below the line and travel
+/// copied into their message's run; the 1 KB record bodies cross it. A log
+/// entry's payload does not ask: it is spliced at any length
+/// ([`Writer::put_spliced`]), so a 100 B put crosses the wire by reference
+/// too.
 const SPLICE_MIN: usize = 256;
 
 /// The bytes of a decoded `field` that a holder keeps past its message.
@@ -105,7 +114,20 @@ impl Writer {
     /// Appends `bytes` raw (no length prefix): by reference from
     /// `SPLICE_MIN` bytes up, by copy below.
     pub fn put_bytes(&mut self, bytes: &Bytes) {
-        if self.splicing && bytes.len() >= SPLICE_MIN {
+        if bytes.len() >= SPLICE_MIN {
+            self.put_spliced(bytes);
+        } else {
+            self.run.put_slice(bytes);
+        }
+    }
+
+    /// Appends `bytes` raw (no length prefix) by reference whatever its
+    /// length, for a field that is a buffer of its own — a log entry's
+    /// payload — so the receiver holds the sender's buffer and no view of
+    /// a run. A contiguous sink copies it; an empty one has nothing to
+    /// share.
+    pub fn put_spliced(&mut self, bytes: &Bytes) {
+        if self.splicing && !bytes.is_empty() {
             self.splices.push((self.run.len(), bytes.clone()));
             self.spliced_len += bytes.len();
         } else {

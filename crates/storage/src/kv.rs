@@ -10,10 +10,10 @@
 //! the map, the session table and the apply count, so a replica restored
 //! from it answers a retried command exactly as the one it was taken from
 //! would. A stored key and its value are one [`Record`], which keeps no
-//! message alive but its own: a record-sized one is a view of the put's
-//! request body, which the wire spliced from the client's buffer, and a
-//! smaller one is one copy of the key and value. An overwrite releases the
-//! previous record. See [`crate::record`].
+//! message alive but its own: an applied put is a view of its log entry's
+//! payload, the one buffer every log and replica shares, and a restored
+//! record below the splice line is one copy of the key and value. An
+//! overwrite releases the previous record. See [`crate::record`].
 
 use std::collections::HashMap;
 

@@ -7,14 +7,19 @@
 //! record by its key and replaces it on an overwrite, releasing the old
 //! one's buffer in the same probe.
 //!
-//! Which buffer a record is follows [`wire::detach`]'s line: a decoded
-//! record of `SPLICE_MIN` bytes or more — every record-sized value — is a
-//! view of the command body it arrived in (the wire spliced that body by
-//! reference, so it is already the client's buffer, shared by the log and
-//! every replica); a smaller one is one copy of exactly its own bytes, so
-//! it keeps no message alive. The snapshot writes each record's buffer as
-//! it is, so a restore hands back a record-sized value as the same buffer
-//! too.
+//! Which buffer a record is depends on what it was decoded from.
+//! - A put applied from a log entry ([`Record::read_view`]) is a view of
+//!   the entry's payload at any size. The payload is one command, put on
+//!   the wire by reference, so it is the buffer the leader received the
+//!   client's request in, shared by every log and every replica; the
+//!   record pins no other command.
+//! - A record read from a message that carries many of them — a snapshot,
+//!   a 2PC prepare — follows [`wire::detach`]'s line ([`Record`]'s
+//!   `WireRead`): from `SPLICE_MIN` bytes up it is the buffer the wire
+//!   spliced, and below it one copy of exactly its own bytes, so it keeps
+//!   no message's run alive. The snapshot writes each record's buffer as
+//!   it is, so a restore hands back a record-sized value as the same
+//!   buffer too.
 
 use std::borrow::Borrow;
 use std::collections::HashSet;
@@ -61,6 +66,17 @@ impl Record {
     pub fn value(&self) -> Bytes {
         self.body.slice(self.key_end as usize + 4..)
     }
+
+    /// Decodes a record as a view of the buffer it lies in, whatever its
+    /// size: for a message that is exactly one command, such as a log
+    /// entry's payload, which the record may keep whole.
+    pub fn read_view(r: &mut Reader<'_>) -> Option<Self> {
+        let (body, key_end) = r.pair()?;
+        Some(Record {
+            body,
+            key_end: key_end as u32,
+        })
+    }
 }
 
 impl WireWrite for Record {
@@ -70,13 +86,14 @@ impl WireWrite for Record {
     }
 }
 
-/// Decodes what the store keeps: see the module docs.
+/// Decodes one of many records in a message: a view from `SPLICE_MIN`
+/// bytes up, one copy below (see the module docs).
 impl WireRead for Record {
     fn read(r: &mut Reader<'_>) -> Option<Self> {
-        let (body, key_end) = r.pair()?;
+        let record = Record::read_view(r)?;
         Some(Record {
-            body: wire::detach(body),
-            key_end: key_end as u32,
+            body: wire::detach(record.body),
+            ..record
         })
     }
 }
