@@ -151,7 +151,11 @@ impl Histogram {
         Duration::from_nanos(if self.count == 0 { 0 } else { self.max_nanos })
     }
 
-    /// The `q`-quantile (`0.0..=1.0`), approximated to bucket resolution.
+    /// The `q`-quantile (`0.0..=1.0`): the *lower edge* of the bucket that
+    /// holds the nearest-rank sample (the `⌈q·count⌉`-th smallest, at least
+    /// the first). A bucket is 1/32 of a power of two, so the answer is up
+    /// to 3.1 % below that sample, and a p99 can read below the mean of
+    /// the same samples.
     pub fn quantile(&self, q: f64) -> Duration {
         if self.count == 0 {
             return Duration::ZERO;
