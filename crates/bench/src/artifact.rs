@@ -10,7 +10,7 @@
 //!
 //! | Header | Body |
 //! |---|---|
-//! | `# depfast-trace/v2\tdropped\t<n>` | trace-record lines ([`depfast_trace_analysis::serialize_records`]) |
+//! | `# depfast-trace/v3\tdropped\t<n>` | trace-record lines ([`depfast_trace_analysis::serialize_records`]) |
 //! | `# depfast-incident/v2` | one incident dump ([`depfast_incident::serialize_dumps`]): the run's own fault records and health events; the first is the whole cluster's, any further ones its per-group split |
 //! | `# depfast-profile/v1\tdriver\t<name>` | folded stacks ([`depfast_profile::Profiler::folded`]) |
 //! | `# depfast-series/v1` | sampler CSV ([`depfast_metrics::Sampler::to_csv`]) |
@@ -37,7 +37,7 @@ use crate::experiment::{level, RunReport};
 use crate::json::Json;
 use crate::report::{out_dir, Table};
 
-const TRACE: &str = "# depfast-trace/v2";
+const TRACE: &str = "# depfast-trace/v3";
 const INCIDENT: &str = depfast_incident::serial::HEADER;
 const PROFILE: &str = "# depfast-profile/v1";
 const SERIES: &str = "# depfast-series/v1";
@@ -392,6 +392,7 @@ mod tests {
         // A section of a previous encoding is refused at its header.
         for old in [
             "# depfast-trace/v1\tdropped\t0\n",
+            "# depfast-trace/v2\tdropped\t0\n",
             "# depfast-incident/v1\n",
         ] {
             let e = Artifact::parse(old).err().expect("old version");

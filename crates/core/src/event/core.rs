@@ -264,6 +264,7 @@ impl EventHandle {
             t,
             event: self.id(),
             signal,
+            by: self.tally().and_then(|t| t.borrow().by),
         });
         // RPC completion latency feeds the fail-slow detector's per-peer
         // statistics.

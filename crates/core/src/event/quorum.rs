@@ -12,10 +12,9 @@ use std::rc::Rc;
 
 use depfast_metrics::Key;
 
-use super::core::{EventHandle, EventKind, Signal, Watchable};
+use super::core::{EventHandle, EventId, EventKind, Signal, Watchable};
 use crate::runtime::Runtime;
 use crate::spg::Shape;
-use crate::trace::TraceRecord;
 
 /// How the threshold of a [`QuorumEvent`] is determined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +38,9 @@ pub(super) struct Tally {
     sealed: bool,
     /// Each child, in add order.
     children: Vec<Child>,
+    /// The last child to fire: at the verdict, the child that decided it
+    /// (an `Ok` quorum's k-th arrival), which the fire record names.
+    pub(super) by: Option<EventId>,
 }
 
 /// What a tally keeps of one child. Not its handle: a child's hook holds
@@ -172,6 +174,7 @@ impl QuorumEvent {
             err: 0,
             sealed: false,
             children: Vec::new(),
+            by: None,
         }));
         QuorumEvent {
             handle: EventHandle::compound(rt, kind, label, state.clone()),
@@ -192,7 +195,7 @@ impl QuorumEvent {
     /// Adds a child event; its outcome counts toward the quorum.
     pub fn add(&self, child: &impl Watchable) {
         let child_handle = child.handle();
-        let (index, threshold) = {
+        let index = {
             let mut st = self.state.borrow_mut();
             st.children.push(Child {
                 kind: child_handle.kind(),
@@ -200,25 +203,18 @@ impl QuorumEvent {
                 fired: false,
                 tally: child_handle.tally(),
             });
-            (st.children.len() - 1, st.threshold())
+            st.children.len() - 1
         };
-        let rt = self.handle.runtime();
-        let t = rt.now();
-        rt.tracer().record(|| TraceRecord::ChildAdded {
-            t,
-            parent: self.handle.id(),
-            child: child_handle.id(),
-            threshold,
-        });
-        let me = self.clone();
-        child_handle.on_fire(move |s| me.on_child(index, s));
+        let (me, id) = (self.clone(), child_handle.id());
+        child_handle.on_fire(move |s| me.on_child(index, id, s));
         self.maybe_fire();
     }
 
-    fn on_child(&self, index: usize, signal: Signal) {
+    fn on_child(&self, index: usize, id: EventId, signal: Signal) {
         {
             let mut st = self.state.borrow_mut();
             st.children[index].fired = true;
+            st.by = Some(id);
             match signal {
                 Signal::Ok => st.ok += 1,
                 Signal::Err => st.err += 1,

@@ -113,7 +113,7 @@ pub enum TraceRecord {
     },
     /// Links a proposal's completion event to the replication round
     /// (quorum event) that carries it — the hop critical-path analysis
-    /// walks from a committed command into the quorum's children — and,
+    /// walks from a committed command to the round's deciding child — and,
     /// likewise, a ReadIndex get's wait to the confirmation round that
     /// ended it.
     RoundLink {
@@ -124,18 +124,6 @@ pub enum TraceRecord {
         /// The round's quorum event.
         round: EventId,
     },
-    /// A child was added to a compound event.
-    ChildAdded {
-        /// Virtual time.
-        t: SimTime,
-        /// The compound event.
-        parent: EventId,
-        /// The added child.
-        child: EventId,
-        /// The parent's threshold `k` after this add (a majority's grows
-        /// with its children): blame charges a round to its k-th arrival.
-        threshold: usize,
-    },
     /// An event fired.
     EventFired {
         /// Virtual time.
@@ -144,6 +132,11 @@ pub enum TraceRecord {
         event: EventId,
         /// Outcome.
         signal: Signal,
+        /// A compound event's deciding child: the last child to fire
+        /// before the verdict (an `Ok` quorum's k-th arrival, the child
+        /// blame charges a round to). `None` for a simple event and for a
+        /// compound one no child fired before (an empty `All` sealed).
+        by: Option<EventId>,
     },
 }
 
@@ -490,6 +483,7 @@ mod tests {
             t: SimTime::ZERO,
             event: EventId(0),
             signal: Signal::Ok,
+            by: None,
         });
         assert_eq!(t.take_records().len(), 1);
     }
@@ -512,6 +506,7 @@ mod tests {
                 t: SimTime::ZERO,
                 event: EventId(i),
                 signal: Signal::Ok,
+                by: None,
             });
         }
         let taken = t.take_records();
@@ -523,6 +518,7 @@ mod tests {
             t: SimTime::ZERO,
             event: EventId(9),
             signal: Signal::Ok,
+            by: None,
         });
         assert_eq!(t.take_records().len(), 1);
         assert_eq!(r.counter(Key::global("trace.dropped")).get(), 2);
@@ -552,6 +548,7 @@ mod tests {
             t: SimTime::ZERO,
             event: EventId(0),
             signal: Signal::Ok,
+            by: None,
         });
         assert_eq!(t.take_records().len(), 1);
         assert!(t.take_records().is_empty());

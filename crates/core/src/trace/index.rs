@@ -34,19 +34,16 @@ pub struct CoroInfo {
     pub label: &'static str,
 }
 
-/// Index over one trace: events by id, fire times, compound-event
-/// structure, proposal→round links. Built once per record stream and
-/// shared by the blame report and the Chrome export.
+/// Index over one trace: events by id, fires, proposal→round links.
+/// Built once per record stream and shared by the blame report and the
+/// Chrome export.
 #[derive(Default)]
 pub struct TraceIndex {
     /// Creation records by event id.
     pub events: HashMap<EventId, EventInfo>,
-    /// Fire time and outcome by event id.
-    pub fired: HashMap<EventId, (SimTime, Signal)>,
-    /// Children of each compound event, in add order.
-    pub children: HashMap<EventId, Vec<EventId>>,
-    /// Threshold `k` of each compound event, as of its last child add.
-    pub threshold: HashMap<EventId, usize>,
+    /// Fire time, outcome and deciding child (a compound event's) by
+    /// event id.
+    pub fired: HashMap<EventId, (SimTime, Signal, Option<EventId>)>,
     /// Round (quorum event) of each linked proposal or ReadIndex wait.
     pub round_of: HashMap<EventId, EventId>,
     /// Launch records by coroutine id.
@@ -98,18 +95,14 @@ impl TraceIndex {
                 } => {
                     ix.round_of.insert(*proposal, *round);
                 }
-                TraceRecord::ChildAdded {
-                    parent,
-                    child,
-                    threshold,
-                    ..
+                TraceRecord::EventFired {
+                    t,
+                    event,
+                    signal,
+                    by,
                 } => {
-                    ix.children.entry(*parent).or_default().push(*child);
-                    ix.threshold.insert(*parent, *threshold);
-                }
-                TraceRecord::EventFired { t, event, signal } => {
                     // Keep the first fire; re-fires don't change readiness.
-                    ix.fired.entry(*event).or_insert((*t, *signal));
+                    ix.fired.entry(*event).or_insert((*t, *signal, *by));
                 }
             }
         }
@@ -119,7 +112,7 @@ impl TraceIndex {
     /// When `event` fired with [`Signal::Ok`], if it did.
     pub fn ok_fire_time(&self, event: EventId) -> Option<SimTime> {
         match self.fired.get(&event) {
-            Some((t, Signal::Ok)) => Some(*t),
+            Some((t, Signal::Ok, _)) => Some(*t),
             _ => None,
         }
     }

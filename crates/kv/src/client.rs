@@ -266,15 +266,17 @@ impl KvClient {
                         }
                         KvStatus::NotLeader => {
                             self.metrics.retry(RetryReason::NotLeader);
-                            target = match resp.leader_hint {
-                                Some(h) if NodeId(h) != target => NodeId(h),
-                                _ => {
-                                    // No usable hint: rotate, skipping the
-                                    // server that just rejected us.
-                                    self.rotate_target(target, &mut rotate)
-                                }
+                            // A hint naming another server is kept past
+                            // this operation: on the last attempt it is
+                            // where the next operation starts.
+                            let hint = resp.leader_hint.map(NodeId).filter(|h| *h != target);
+                            self.leader.set(hint);
+                            target = match hint {
+                                Some(h) => h,
+                                // No usable hint: rotate, skipping the
+                                // server that just rejected us.
+                                None => self.rotate_target(target, &mut rotate),
                             };
-                            self.leader.set(None);
                             continue;
                         }
                         KvStatus::Error => {

@@ -170,6 +170,7 @@ impl ShardedKvCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{KvError, RetryPolicy};
     use crate::command::{KvOp, KvRequest};
     use bytes::Bytes;
     use depfast::event::Watchable;
@@ -743,6 +744,43 @@ mod tests {
                 .unwrap();
         });
         assert_eq!(cl.clients[0].known_leader(), Some(NodeId(2)));
+    }
+
+    #[test]
+    fn a_leader_hint_on_the_last_attempt_routes_the_next_operation() {
+        let (sim, w) = world(4);
+        let cl = Rc::new(KvCluster::build(
+            &sim,
+            &w,
+            RaftKind::DepFast,
+            3,
+            1,
+            RaftCfg {
+                bootstrap_leader: Some(2),
+                ..RaftCfg::default()
+            },
+        ));
+        // Session 1's default server is node 1, a follower; let it learn
+        // its leader first.
+        sim.run_until_time(sim.now() + Duration::from_millis(100));
+        cl.clients[0].set_policy(RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        });
+        let cl2 = cl.clone();
+        let (first, hint, second) = sim.block_on(async move {
+            let c = &cl2.clients[0];
+            let first = c.put(Bytes::from_static(b"a"), Bytes::from_static(b"1"));
+            let first = first.await;
+            let hint = c.known_leader();
+            let second = c.put(Bytes::from_static(b"a"), Bytes::from_static(b"2"));
+            (first, hint, second.await)
+        });
+        // The one attempt met the follower, which named the leader...
+        assert_eq!((first, hint), (Err(KvError::Timeout), Some(NodeId(2))));
+        // ...so the next operation's one attempt went there.
+        assert_eq!(second, Ok(()));
+        assert_eq!(cl.servers[2].local_get(b"a").as_deref(), Some(&b"2"[..]));
     }
 
     #[test]

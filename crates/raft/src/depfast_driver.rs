@@ -225,7 +225,8 @@ impl DepFastRaft {
                 // ∪ {classified peer acks}.
                 let quorum = QuorumEvent::labeled(&core.rt, QuorumMode::Majority, "replicate");
                 // Tie each batched proposal to this round so critical-path
-                // analysis can walk commit → round → k-th quorum child.
+                // analysis can walk commit → round → the child that
+                // decided it (named on the round's fire record).
                 let round_id = quorum.handle().id();
                 let t_link = core.rt.now();
                 for pid in proposal_ids {

@@ -3,6 +3,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
+use depfast::event::Signal;
 use depfast::{EventId, EventKind};
 use simkit::NodeId;
 
@@ -151,7 +152,7 @@ pub fn blame_report(index: &TraceIndex) -> BlameReport {
     report
 }
 
-/// Round mode: queue → k-th-arriving quorum child → apply.
+/// Round mode: queue → the round's deciding child → apply.
 fn blame_round(
     index: &TraceIndex,
     report: &mut BlameReport,
@@ -165,32 +166,23 @@ fn blame_round(
         return;
     };
     let t1 = round_info.t;
-    let t2 = index.ok_fire_time(round).unwrap_or(t3);
+    let (t2, by) = match index.fired.get(&round) {
+        Some(&(t, Signal::Ok, by)) => (t, by),
+        _ => (t3, None),
+    };
     report.charge(leader, "queue", nanos_between(t0, t1));
 
-    // The k-th Ok arrival made the quorum ready: it, alone, bounds the
-    // round's duration from below.
-    let round_blame = index
-        .threshold
-        .get(&round)
-        .and_then(|k| {
-            let mut arrivals: Vec<(u64, EventId)> = index
-                .children
-                .get(&round)?
-                .iter()
-                .filter_map(|c| index.ok_fire_time(*c).map(|t| (t.as_nanos(), *c)))
-                .collect();
-            arrivals.sort();
-            let (_, decisive) = *arrivals.get(k.saturating_sub(1)).or(arrivals.last())?;
-            let child = index.events.get(&decisive)?;
-            Some(match child.kind {
-                EventKind::Io => (child.node, "disk"),
-                EventKind::Rpc { target } => (target, "rpc"),
-                EventKind::Phase { blame } => (blame, child.label),
-                _ => (child.node, child.kind.name()),
-            })
-        })
-        .unwrap_or((leader, "other"));
+    // The child that made the quorum ready (its k-th Ok arrival) alone
+    // bounds the round's duration from below.
+    let round_blame = match by.and_then(|c| index.events.get(&c)) {
+        Some(child) => match child.kind {
+            EventKind::Io => (child.node, "disk"),
+            EventKind::Rpc { target } => (target, "rpc"),
+            EventKind::Phase { blame } => (blame, child.label),
+            _ => (child.node, child.kind.name()),
+        },
+        None => (leader, "other"),
+    };
     report.charge(round_blame.0, round_blame.1, nanos_between(t1, t2));
     report.charge(leader, "apply", nanos_between(t2, t3));
 }
@@ -228,7 +220,6 @@ fn blame_phases(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use depfast::event::Signal;
     use depfast::TraceRecord;
     use simkit::SimTime;
 
@@ -249,23 +240,16 @@ mod tests {
             t: SimTime::from_nanos(t),
             event: EventId(event),
             signal: Signal::Ok,
-        }
-    }
-
-    fn child(parent: u64, c: u64, threshold: usize) -> TraceRecord {
-        TraceRecord::ChildAdded {
-            t: SimTime::ZERO,
-            parent: EventId(parent),
-            child: EventId(c),
-            threshold,
+            by: None,
         }
     }
 
     #[test]
-    fn round_mode_blames_the_kth_arrival() {
+    fn round_mode_blames_the_deciding_child() {
         // Proposal 0 on node 0; round 1 is a 2-of-3 quorum over local
         // disk (2) and RPCs to nodes 1 (3) and 2 (4). Node 2's ack is
-        // last and is NOT waited for; node 1's ack is the 2nd (decisive).
+        // last and is NOT waited for; node 1's ack is the 2nd, and the
+        // round's fire names it.
         let records = vec![
             created(100, 0, 0, EventKind::Notify, "proposal"),
             created(200, 0, 1, EventKind::Quorum, "replicate"),
@@ -277,12 +261,14 @@ mod tests {
             created(200, 0, 2, EventKind::Io, "wal"),
             created(200, 0, 3, EventKind::Rpc { target: NodeId(1) }, "append"),
             created(200, 0, 4, EventKind::Rpc { target: NodeId(2) }, "append"),
-            child(1, 2, 2),
-            child(1, 3, 2),
-            child(1, 4, 2),
             fired(300, 2),  // local disk first
             fired(1200, 3), // node 1 completes the quorum
-            fired(1200, 1), // round ready
+            TraceRecord::EventFired {
+                t: SimTime::from_nanos(1200),
+                event: EventId(1),
+                signal: Signal::Ok,
+                by: Some(EventId(3)),
+            },
             fired(9000, 4), // node 2 straggles, off the critical path
             fired(1500, 0), // applied
         ];
@@ -314,6 +300,134 @@ mod tests {
         assert_eq!(share(2), 0.0);
         assert_eq!(report.total, Duration::from_nanos(1400));
         assert!(share(1) > share(0) && share(1) > share(2));
+    }
+
+    /// One step of a live round; the number names a child: 0 is the
+    /// leader's WAL write, 1 and 2 are appends to nodes 1 and 2.
+    #[derive(Clone, Copy)]
+    enum Step {
+        Add(usize),
+        Ok(usize),
+        Err(usize),
+        Seal,
+    }
+
+    /// The tally names the child that decided its round on the round's
+    /// fire record, and blame charges the round to that child; a round
+    /// that did not fire `Ok` is charged to the leader's `other`.
+    #[test]
+    fn a_rounds_deciding_child_is_the_tallys() {
+        use depfast::event::{QuorumEvent, QuorumMode, Watchable};
+        use depfast::{EventHandle, Runtime};
+        use simkit::Sim;
+        use std::time::Duration as D;
+        use QuorumMode::{All, Count, Majority};
+        use Step::{Add, Err, Ok, Seal};
+        // (case, mode, script, deciding child, the round's signal)
+        type Row = (&'static str, QuorumMode, &'static [Step], usize, Signal);
+        let rows: &[Row] = &[
+            (
+                "2 of 3, replies out of order",
+                Count(2),
+                &[Add(0), Add(1), Add(2), Ok(2), Ok(1), Ok(0)],
+                1,
+                Signal::Ok,
+            ),
+            (
+                "a pre-fired self vote added first",
+                Count(2),
+                &[Ok(0), Add(0), Add(1), Add(2), Ok(2), Ok(1)],
+                2,
+                Signal::Ok,
+            ),
+            (
+                "majority, past a rejection",
+                Majority,
+                &[Add(0), Add(1), Add(2), Ok(1), Err(0), Ok(2)],
+                2,
+                Signal::Ok,
+            ),
+            (
+                "all, resolved at seal",
+                All,
+                &[Add(0), Add(1), Add(2), Ok(1), Ok(2), Ok(0), Seal],
+                0,
+                Signal::Ok,
+            ),
+            (
+                "an Err verdict",
+                Count(2),
+                &[Add(0), Add(1), Add(2), Seal, Ok(0), Err(1), Err(2)],
+                2,
+                Signal::Err,
+            ),
+        ];
+        for &(case, mode, script, decider, signal) in rows {
+            let sim = Sim::new(1);
+            let rt = Runtime::new_sim(sim.clone(), NodeId(0));
+            rt.tracer().set_record_full(true);
+            let proposal = EventHandle::new(&rt, EventKind::Notify, "proposal");
+            let round = QuorumEvent::labeled(&rt, mode, "replicate");
+            rt.tracer().record(|| TraceRecord::RoundLink {
+                t: rt.now(),
+                proposal: proposal.id(),
+                round: round.handle().id(),
+            });
+            let children = [
+                EventHandle::new(&rt, EventKind::Io, "wal"),
+                EventHandle::new(&rt, EventKind::Rpc { target: NodeId(1) }, "append"),
+                EventHandle::new(&rt, EventKind::Rpc { target: NodeId(2) }, "append"),
+            ];
+            let (rt2, round2, proposal2) = (rt.clone(), round.clone(), proposal.clone());
+            let t2 = sim.block_on(async move {
+                let mut t2 = None;
+                for step in script {
+                    rt2.sleep(D::from_micros(1)).await;
+                    match *step {
+                        Add(i) => round2.add(&children[i]),
+                        Ok(i) => children[i].fire(Signal::Ok),
+                        Err(i) => children[i].fire(Signal::Err),
+                        Seal => round2.seal(),
+                    }
+                    if t2.is_none() && round2.handle().fired().is_some() {
+                        t2 = Some(rt2.now());
+                    }
+                }
+                rt2.sleep(D::from_micros(1)).await;
+                proposal2.fire(Signal::Ok);
+                (t2.expect("the round fired"), children[decider].id())
+            });
+            let (t2, decider) = t2;
+            let records = rt.tracer().take_records();
+            let fire = records.iter().find_map(|r| match r {
+                TraceRecord::EventFired {
+                    event, signal, by, ..
+                } if *event == round.handle().id() => Some((*signal, *by)),
+                _ => None,
+            });
+            assert_eq!(fire, Some((signal, Some(decider))), "{case}");
+
+            let index = TraceIndex::build(&records);
+            let report = blame_report(&index);
+            let t3 = rt.now();
+            let (key, d) = match signal {
+                Signal::Ok => {
+                    let child = index.events[&decider];
+                    let key = match child.kind {
+                        EventKind::Rpc { target } => (target, "rpc"),
+                        _ => (NodeId(0), "disk"),
+                    };
+                    (key, t2)
+                }
+                Signal::Err => ((NodeId(0), "other"), t3),
+            };
+            let key = BlameKey {
+                node: key.0,
+                layer: key.1,
+            };
+            assert_eq!(report.by[&key], D::from_nanos(d.as_nanos()), "{case}");
+            assert_eq!(report.total, D::from_nanos(t3.as_nanos()), "{case}");
+        }
     }
 
     #[test]

@@ -140,7 +140,7 @@ pub fn chrome_trace(index: &TraceIndex, spans: &[IncidentSpan], marks: &[Inciden
     ids.sort();
     for id in &ids {
         let info = &index.events[id];
-        let Some((end, _)) = index.fired.get(id) else {
+        let Some((end, ..)) = index.fired.get(id) else {
             continue;
         };
         let begin = info.t.as_nanos();
@@ -365,6 +365,7 @@ mod tests {
                 t: SimTime::from_nanos(2600),
                 event: depfast::EventId(0),
                 signal: Signal::Ok,
+                by: None,
             },
         ];
         let json = chrome_trace(&TraceIndex::build(&records), &[], &[]);
@@ -394,6 +395,7 @@ mod tests {
                 t: SimTime::from_nanos(5),
                 event: depfast::EventId(0),
                 signal: Signal::Ok,
+                by: None,
             },
         ];
         let index = TraceIndex::build(&records);
@@ -473,6 +475,7 @@ mod tests {
                 t: SimTime::from_nanos(5),
                 event: depfast::EventId(7),
                 signal: Signal::Ok,
+                by: None,
             },
         ];
         let a = chrome_trace(&TraceIndex::build(&records), &[], &[]);

@@ -16,9 +16,9 @@
 //!   `chrome://tracing` or Perfetto;
 //! - a **portable dump format** ([`serialize_records`] /
 //!   [`parse_records`]): one line per raw record — `begin`, `coro`,
-//!   `event`, `link`, `child` or `fired`, each holding only fields the two
+//!   `event`, `link` or `fired`, each holding only fields the two
 //!   analyses above read, plus its time — that is the body of a `.run`
-//!   file's `# depfast-trace/v2` section, so `depfast-inspect` can analyze
+//!   file's `# depfast-trace/v3` section, so `depfast-inspect` can analyze
 //!   a recorded run without re-running the simulation. Waits are not
 //!   records: the SPG fold and the wait probe see them live.
 //!
@@ -34,10 +34,12 @@
 //!   replication round's quorum event ([`depfast::TraceRecord::RoundLink`]).
 //!   The proposal window splits into *queue* (proposal created → round
 //!   created, charged to the leader), *round* (round created → round
-//!   fired, charged to the **k-th-arriving** successful quorum child —
-//!   the child that actually made the quorum ready; earlier arrivals
-//!   were not the bottleneck and later ones were not waited for), and
-//!   *apply* (round fired → proposal fired, charged to the leader).
+//!   fired, charged to the round's **deciding child** — the k-th
+//!   successful arrival, which the quorum's own tally names on the
+//!   round's fire record; earlier arrivals were not the bottleneck and
+//!   later ones were not waited for — or to the leader as `other` when
+//!   the round did not fire `Ok`), and *apply* (round fired → proposal
+//!   fired, charged to the leader).
 //! - **Phase mode** (Sync/Backlog/Callback/Chain): without round links,
 //!   the proposal window is intersected with the leader's
 //!   driver-annotated phase spans ([`depfast::PhaseSpan`]); each overlap

@@ -9,8 +9,7 @@
 //! | `coro` | node, coroutine id, label |
 //! | `event` | node, coroutine id, event id, kind, kind argument, label, causal context |
 //! | `link` | proposal id, round id |
-//! | `child` | parent id, child id, parent threshold `k` |
-//! | `fired` | event id, `ok` / `err` |
+//! | `fired` | event id, `ok` / `err`, and for a compound event its deciding child's id |
 //!
 //! The time is virtual nanoseconds. `-` encodes "absent" (a coroutine id
 //! outside any coroutine, the argument of a kind that has none); a causal
@@ -106,27 +105,21 @@ pub fn serialize_records(records: &[TraceRecord]) -> String {
             TraceRecord::RoundLink { t, proposal, round } => {
                 writeln!(out, "link\t{}\t{}\t{}", t.as_nanos(), proposal.0, round.0)
             }
-            TraceRecord::ChildAdded {
+            TraceRecord::EventFired {
                 t,
-                parent,
-                child,
-                threshold,
+                event,
+                signal,
+                by,
             } => {
-                writeln!(
-                    out,
-                    "child\t{}\t{}\t{}\t{}",
-                    t.as_nanos(),
-                    parent.0,
-                    child.0,
-                    threshold
-                )
-            }
-            TraceRecord::EventFired { t, event, signal } => {
                 let s = match signal {
                     Signal::Ok => "ok",
                     Signal::Err => "err",
                 };
-                writeln!(out, "fired\t{}\t{}\t{}", t.as_nanos(), event.0, s)
+                let (t, event) = (t.as_nanos(), event.0);
+                match by {
+                    Some(by) => writeln!(out, "fired\t{t}\t{event}\t{s}\t{}", by.0),
+                    None => writeln!(out, "fired\t{t}\t{event}\t{s}"),
+                }
             }
         }
         .expect("writing to a String cannot fail");
@@ -208,12 +201,6 @@ fn parse_record(line: &mut Fields<'_>) -> Result<TraceRecord, LineError> {
             proposal: event(line, "proposal id")?,
             round: event(line, "round id")?,
         },
-        "child" => TraceRecord::ChildAdded {
-            t: time(line)?,
-            parent: event(line, "parent id")?,
-            child: event(line, "child id")?,
-            threshold: line.parse("parent threshold")?,
-        },
         "fired" => TraceRecord::EventFired {
             t: time(line)?,
             event: event(line, "event id")?,
@@ -221,6 +208,11 @@ fn parse_record(line: &mut Fields<'_>) -> Result<TraceRecord, LineError> {
                 "ok" => Signal::Ok,
                 "err" => Signal::Err,
                 other => return Err(line.err(format!("unknown signal {other:?}"))),
+            },
+            by: if line.more() {
+                Some(event(line, "deciding child id")?)
+            } else {
+                None
             },
         },
         other => return Err(line.err(format!("unknown record tag {other:?}"))),
@@ -287,16 +279,17 @@ mod tests {
                 proposal: EventId(2),
                 round: EventId(5),
             },
-            TraceRecord::ChildAdded {
+            TraceRecord::EventFired {
                 t: SimTime::from_nanos(14),
-                parent: EventId(5),
-                child: EventId(6),
-                threshold: 2,
+                event: EventId(6),
+                signal: Signal::Ok,
+                by: None,
             },
             TraceRecord::EventFired {
                 t: SimTime::from_nanos(15),
                 event: EventId(5),
                 signal: Signal::Err,
+                by: Some(EventId(6)),
             },
         ]
     }
@@ -312,21 +305,40 @@ mod tests {
     }
 
     #[test]
+    fn a_fired_line_names_its_deciding_child_or_nothing() {
+        let text = "fired\t14\t6\tok\nfired\t15\t5\terr\t6\n";
+        let parsed = parse_records(text).expect("parses");
+        let by: Vec<_> = parsed
+            .iter()
+            .map(|r| match r {
+                TraceRecord::EventFired { event, by, .. } => (event.0, by.map(|b| b.0)),
+                other => panic!("not a fire: {other:?}"),
+            })
+            .collect();
+        assert_eq!(by, [(6, None), (5, Some(6))]);
+        assert_eq!(serialize_records(&parsed), text);
+    }
+
+    #[test]
     fn rejects_garbage() {
         assert!(parse_records("nonsense\t1\t2\n").is_err());
         assert!(parse_records("fired\t1\n").is_err());
         assert!(parse_records("fired\t1\t2\tmaybe\n").is_err());
         assert!(parse_records("fired\t1\t2\tok\textra\n").is_err());
-        // The v1 shapes: wait records, and a child line carrying `(k, n)`.
+        assert!(parse_records("fired\t1\t2\tok\t-\n").is_err());
+        assert!(parse_records("fired\t1\t2\tok\t3\t4\n").is_err());
+        // The v1 shapes: wait records, and a child line carrying `(k, n)`;
+        // the v2 child line, carrying `k`.
         assert!(parse_records("wend\t1\t0\t-\t2\tready\t5\n").is_err());
         assert!(parse_records("child\t1\t2\t3\t2\t3\n").is_err());
+        assert!(parse_records("child\t1\t2\t3\t2\n").is_err());
         let e = parse_records("fired\t1\t2\tok\nfired\t1\n").unwrap_err();
         assert_eq!(e.line, 2, "{e}");
     }
 
     #[test]
     fn empty_and_header_lines_are_skipped() {
-        assert!(parse_records("\n# depfast-trace/v2\tdropped\t0\n\n")
+        assert!(parse_records("\n# depfast-trace/v3\tdropped\t0\n\n")
             .expect("ok")
             .is_empty());
     }
