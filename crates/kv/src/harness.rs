@@ -171,11 +171,11 @@ impl ShardedKvCluster {
 mod tests {
     use super::*;
     use crate::client::{KvError, RetryPolicy};
-    use crate::command::{KvOp, KvRequest};
+    use crate::command::{KvOp, KvRequest, KvResponse, KvStatus};
     use bytes::Bytes;
     use depfast::event::Watchable;
     use depfast_raft::depfast_driver::DepFastRaft;
-    use depfast_rpc::wire::WireWrite;
+    use depfast_rpc::wire::{WireRead, WireWrite};
     use depfast_storage::{LogStoreCfg, Record};
     use simkit::{MemCfg, WorldCfg};
     use std::cell::{Cell, RefCell};
@@ -296,6 +296,56 @@ mod tests {
             assert_eq!(got[..], value[..]);
             if reply_is_a_view {
                 assert!(inside(got), "{len} B: the reply is a view of it");
+            }
+        }
+    }
+
+    /// A 100 B put's record is, on all three replicas, a view of the one
+    /// buffer the client encoded its request in: the request crosses the
+    /// wire to the leader as a segment of its own, not copied into the
+    /// run of the envelope around it, and from there into every log and
+    /// every record. The request goes out from a bare endpoint, so the
+    /// test holds that buffer.
+    #[test]
+    fn a_small_puts_record_is_a_view_of_the_clients_request_on_every_replica() {
+        let (sim, w) = world(4);
+        let cfg = RaftCfg {
+            bootstrap_leader: Some(0),
+            ..RaftCfg::default()
+        };
+        let cl = KvCluster::build(&sim, &w, RaftKind::DepFast, 3, 0, cfg);
+        let ep = cl.raft.client_endpoints(&sim, &w, 1).remove(0);
+        let key = Bytes::from_static(b"user0000000000000000042");
+        let put = KvRequest {
+            client: 1,
+            seq: 1,
+            op: KvOp::Put,
+            key: key.clone(),
+            value: Bytes::from(vec![7u8; 100]),
+        };
+        let request = put.to_bytes();
+        assert_eq!(request.len(), 148, "a scale-out put");
+        let method = depfast_raft::types::CLIENT_PROPOSE;
+        let call = ep
+            .proxy(NodeId(0))
+            .call(method, "kv_request", request.clone());
+        sim.run_until_time(sim.now() + Duration::from_secs(1));
+        let reply = call.take().and_then(|f| KvResponse::from_frame(&f));
+        assert_eq!(reply.map(|r| r.status), Some(KvStatus::Ok), "acknowledged");
+        let buffer = request.as_ptr_range();
+        for (r, s) in cl.servers.iter().enumerate() {
+            let record = s.stored(&key).expect("applied");
+            assert_eq!(
+                (record.key(), record.value()),
+                (key.clone(), put.value.clone())
+            );
+            for (part, v) in [("key", record.key()), ("value", record.value())] {
+                let v = v.as_ptr_range();
+                let inside = buffer.start <= v.start && v.end <= buffer.end;
+                assert!(
+                    inside,
+                    "replica {r}: the {part} lies in the client's request"
+                );
             }
         }
     }

@@ -87,9 +87,10 @@ impl KvServer {
             raft.core().method(CLIENT_PROPOSE),
             "kv:serve",
             move |_from, payload, responder| {
-                // The request body as the client encoded it: when it came
-                // on the wire by reference this is the client's own buffer,
-                // and it is what the log and the state machine will hold.
+                // The request body as the client encoded it: an encoded
+                // payload crosses the wire by reference, so this is the
+                // client's own buffer, and it is what every log and every
+                // replica's state machine will hold.
                 let payload = payload.into_bytes();
                 let r = r.clone();
                 let ri = read_index.clone();

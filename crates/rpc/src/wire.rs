@@ -36,7 +36,8 @@
 //! as one buffer, and [`Writer::put_bytes`] writes that buffer back.
 //!
 //! A field that is a whole message of its own — a log entry's payload,
-//! one command — goes on the wire by [`Writer::put_spliced`] whatever its
+//! one command, an already-encoded [`Frame`] payload such as a client's
+//! request — goes on the wire by [`Writer::put_spliced`] whatever its
 //! length, so it never lies in a run: the receiver's copy is a view of the
 //! sender's buffer, and a holder keeps it, or a view inside it, with no
 //! `detach`.
@@ -54,9 +55,9 @@ use simkit::Frame;
 /// costs its bytes once per message. Keys, votes, session replies and the
 /// records of a snapshot or a 2PC prepare stay below the line and travel
 /// copied into their message's run; the 1 KB record bodies cross it. A log
-/// entry's payload does not ask: it is spliced at any length
-/// ([`Writer::put_spliced`]), so a 100 B put crosses the wire by reference
-/// too.
+/// entry's payload and an already-encoded [`Frame`] payload do not ask:
+/// they are spliced at any length ([`Writer::put_spliced`]), so a 100 B
+/// put crosses the wire by reference too, to the leader and from it.
 const SPLICE_MIN: usize = 256;
 
 /// The bytes of a decoded `field` that a holder keeps past its message.
@@ -304,37 +305,27 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes a key and its value, written as two [`Bytes`] fields, as
-    /// one buffer and the key's length. The buffer is the pair in wire
-    /// order less the key's length prefix — `key ‖ value length ‖ value` —
-    /// and is a view when it lies inside one segment, a gathered copy
-    /// when it straddles a cut.
-    pub fn pair(&mut self) -> Option<(Bytes, usize)> {
-        let key_len = u32::read(self)? as usize;
+    /// one buffer: the pair in wire order — `key length ‖ key ‖ value
+    /// length ‖ value` — a view when it lies inside one segment, a
+    /// gathered copy when it straddles a cut.
+    pub fn pair(&mut self) -> Option<Bytes> {
         // A pair spliced as one buffer starts exactly at a cut.
         while self.cur.is_empty() && self.next_segment() {}
-        let value_at = key_len + 4;
-        if let Some(&prefix) = self
-            .cur
-            .get(key_len..value_at)
-            .and_then(|p| p.first_chunk())
-        {
-            let len = value_at + u32::from_le_bytes(prefix) as usize;
-            if len <= self.cur.len() {
-                return Some((self.view(len), key_len));
+        let cur = self.cur;
+        let len_at = |at: usize| {
+            let prefix = cur.get(at..)?.first_chunk()?;
+            Some(at + 4 + u32::from_le_bytes(*prefix) as usize)
+        };
+        if let Some(len) = len_at(0).and_then(len_at) {
+            if len <= cur.len() {
+                return Some(self.view(len));
             }
         }
-        let key = self.frame(key_len)?;
-        let value_len = u32::read(self)?;
-        let value = self.frame(value_len as usize)?;
-        let mut body = Vec::with_capacity(value_at + value.len());
-        for segment in key.segments() {
-            body.extend_from_slice(segment);
-        }
-        body.extend_from_slice(&value_len.to_le_bytes());
-        for segment in value.segments() {
-            body.extend_from_slice(segment);
-        }
-        Some((Bytes::from(body), key_len))
+        let (key, value) = (Frame::read(self)?, Frame::read(self)?);
+        let mut w = Writer::new(false);
+        key.write(&mut w);
+        value.write(&mut w);
+        Some(w.finish().into_bytes())
     }
 }
 
@@ -424,12 +415,14 @@ impl WireRead for Bytes {
 }
 
 /// An opaque payload that is already segments: the same encoding as a
-/// [`Bytes`] of its byte string, each segment spliced or copied by size.
+/// [`Bytes`] of its byte string, each segment spliced whatever its length.
+/// An encoded payload is a message of its own — a client's request, a
+/// reply — so the receiver's payload is a view of the sender's buffer.
 impl WireWrite for Frame {
     fn write(&self, w: &mut Writer) {
         w.put_u32_le(self.len() as u32);
         for segment in self.segments() {
-            w.put_bytes(segment);
+            w.put_spliced(segment);
         }
     }
 }
@@ -716,17 +709,19 @@ mod tests {
 
     /// `key` and `value` written as two fields, cut at `cuts`, read back
     /// as one pair.
-    fn pair_of(key: &[u8], value: &Bytes, cuts: &[usize]) -> (Bytes, usize, Frame) {
+    fn pair_of(key: &[u8], value: &Bytes, cuts: &[usize]) -> (Bytes, Frame) {
         let mut flat = Bytes::copy_from_slice(key).to_bytes().to_vec();
         flat.extend_from_slice(&value.to_bytes());
         let frame = testing::recut(&Bytes::from(flat), cuts);
         let mut r = Reader::new(frame.segments());
-        let (body, key_len) = r.pair().expect("decodes");
+        let body = r.pair().expect("decodes");
         assert_eq!(r.remaining(), 0, "consumed both fields");
-        (body, key_len, frame)
+        (body, frame)
     }
 
     proptest! {
+        /// The pair is the whole record, both length prefixes included:
+        /// the two fields' own encoding, however it was cut.
         #[test]
         fn a_pair_decodes_from_any_segmentation(
             key in prop::collection::vec(any::<u8>(), 0..16),
@@ -734,11 +729,11 @@ mod tests {
             cuts in prop::collection::vec(any::<usize>(), 0..6),
         ) {
             let value = testing::payload(pick, key.len() as u8);
-            let (body, key_len, _) = pair_of(&key, &value, &cuts);
-            let mut expected = key.clone();
+            let (body, _) = pair_of(&key, &value, &cuts);
+            let mut expected = (key.len() as u32).to_le_bytes().to_vec();
+            expected.extend_from_slice(&key);
             expected.extend_from_slice(&(value.len() as u32).to_le_bytes());
             expected.extend_from_slice(&value);
-            prop_assert_eq!(key_len, key.len());
             prop_assert_eq!(&body[..], &expected[..]);
         }
     }
@@ -746,25 +741,31 @@ mod tests {
     #[test]
     fn a_pair_is_a_view_inside_a_segment_and_a_copy_across_a_cut() {
         let value = Bytes::from(vec![4u8; 300]);
-        // Cut after the key's prefix: the pair is the second segment.
-        let (body, _, frame) = pair_of(b"key", &value, &[4]);
-        assert_eq!(body.as_ptr(), frame.segments()[1].as_ptr(), "a view");
+        // One segment: the pair is a view of it from its first byte.
+        let (body, frame) = pair_of(b"key", &value, &[]);
+        assert_eq!(body.as_ptr(), frame.segments()[0].as_ptr(), "a view");
         // Cut inside the value: gathered.
-        let (body, _, frame) = pair_of(b"key", &value, &[4, 100]);
+        let (body, frame) = pair_of(b"key", &value, &[4, 100]);
         let inside = |s: &Bytes| s.as_ptr_range().contains(&body.as_ptr());
         assert!(!frame.segments().iter().any(inside), "a copy");
         // Spliced, as a writer puts a pair's buffer on the wire.
-        let pair = Bytes::from([&b"key"[..], &300u32.to_le_bytes(), &value].concat());
+        let pair = Bytes::from(
+            [
+                &3u32.to_le_bytes(),
+                &b"key"[..],
+                &300u32.to_le_bytes(),
+                &value,
+            ]
+            .concat(),
+        );
         let mut w = Writer::new(true);
-        3u32.write(&mut w);
+        0u8.write(&mut w);
         w.put_bytes(&pair);
         let frame = w.finish();
-        let (body, key_len) = Reader::new(frame.segments()).pair().expect("decodes");
-        assert_eq!(
-            (body.as_ptr(), key_len),
-            (pair.as_ptr(), 3),
-            "the same buffer"
-        );
+        let mut r = Reader::new(frame.segments());
+        u8::read(&mut r).expect("the byte in front");
+        let body = r.pair().expect("decodes");
+        assert_eq!(body.as_ptr_range(), pair.as_ptr_range(), "the same buffer");
     }
 
     #[test]

@@ -23,6 +23,16 @@
 //! entry on the host. [`LogStore::install_snapshot`] is the other way the
 //! base moves: to a snapshot's position, keeping the suffix that matches
 //! it or nothing.
+//!
+//! # What an entry costs the host
+//!
+//! The log keeps an entry as its payload alone, one 16 B [`Bytes`] slot:
+//! its index is its position after the base, and its term is that of its
+//! *run*. Terms change only at elections, so the log keeps them as runs
+//! of equal term, `(first index, term)` in ascending order — a handful
+//! per log, where a slot per entry would repeat the term and the index
+//! thousands of times. [`LogStore::read_raw`] builds the [`Entry`]s it
+//! hands out from the two.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -55,7 +65,7 @@ const _: () = assert!(
 impl Entry {
     /// Approximate serialized size, used for cache budgeting and I/O.
     pub fn size(&self) -> u64 {
-        16 + self.payload.len() as u64
+        size(&self.payload)
     }
 }
 
@@ -77,16 +87,34 @@ impl Default for LogStoreCfg {
     }
 }
 
+/// What the log keeps of one entry: its payload. The entry's index is its
+/// position and its term is its run's.
+const _: () = assert!(
+    std::mem::size_of::<Bytes>() <= 16,
+    "a log slot is at most 16 B"
+);
+
+/// [`Entry::size`] of an entry carrying `payload`.
+fn size(payload: &Bytes) -> u64 {
+    16 + payload.len() as u64
+}
+
 struct LogInner {
-    /// All entries from `first_index` (ground truth; what "disk" holds).
-    /// A deque: compaction pops the front without moving the rest.
-    entries: VecDeque<Entry>,
-    /// Index of `entries[0]`: one past the compaction base.
+    /// The payload of every entry from `first_index` (ground truth; what
+    /// "disk" holds): entry `first_index + i` is `payloads[i]`. A deque:
+    /// compaction pops the front without moving the rest.
+    payloads: VecDeque<Bytes>,
+    /// The terms of the held entries as runs of one term, `(first index,
+    /// term)` in ascending index order: a run ends where the next starts,
+    /// the first starts at `first_index`, and the log holds none while it
+    /// holds no entry.
+    runs: VecDeque<(u64, u64)>,
+    /// Index of `payloads[0]`: one past the compaction base.
     first_index: u64,
     /// Term of the entry at the base, `first_index - 1` (0 while that is
     /// the sentinel).
     base_term: u64,
-    /// Sum of [`Entry::size`] over `entries`.
+    /// Sum of [`Entry::size`] over the held entries.
     bytes: u64,
     /// Entries with `index >= cache_low` are in the EntryCache.
     cache_low: u64,
@@ -101,14 +129,19 @@ struct LogInner {
 
 impl LogInner {
     fn last_index(&self) -> u64 {
-        self.first_index + self.entries.len() as u64 - 1
+        self.first_index + self.payloads.len() as u64 - 1
     }
 
-    /// Takes an entry that has just left `entries` off the books.
-    fn forget(&mut self, e: &Entry) {
-        self.bytes -= e.size();
-        if e.index >= self.cache_low {
-            self.cached_bytes -= e.size();
+    /// The position in `runs` of the run that holds `index`, a held entry.
+    fn run_of(&self, index: u64) -> usize {
+        self.runs.partition_point(|&(start, _)| start <= index) - 1
+    }
+
+    /// Takes entry `index`, which has just left `payloads`, off the books.
+    fn forget(&mut self, index: u64, payload: &Bytes) {
+        self.bytes -= size(payload);
+        if index >= self.cache_low {
+            self.cached_bytes -= size(payload);
         }
     }
 
@@ -116,10 +149,10 @@ impl LogInner {
     fn evict(&mut self, budget: u64) {
         while self.cached_bytes > budget {
             let idx = (self.cache_low - self.first_index) as usize;
-            let Some(e) = self.entries.get(idx) else {
+            let Some(payload) = self.payloads.get(idx) else {
                 break;
             };
-            self.cached_bytes -= e.size();
+            self.cached_bytes -= size(payload);
             self.cache_low += 1;
         }
     }
@@ -149,7 +182,8 @@ impl LogStore {
             wal: Wal::new(rt, world, cfg.wal),
             cfg,
             inner: Rc::new(RefCell::new(LogInner {
-                entries: VecDeque::new(),
+                payloads: VecDeque::new(),
+                runs: VecDeque::new(),
                 first_index: 1,
                 base_term: 0,
                 bytes: 0,
@@ -207,14 +241,10 @@ impl LogStore {
         if index + 1 == inner.first_index {
             return inner.base_term;
         }
-        if index < inner.first_index {
+        if index < inner.first_index || index > inner.last_index() {
             return 0;
         }
-        inner
-            .entries
-            .get((index - inner.first_index) as usize)
-            .map(|e| e.term)
-            .unwrap_or(0)
+        inner.runs[inner.run_of(index)].1
     }
 
     /// Current persistent term.
@@ -250,7 +280,10 @@ impl LogStore {
             for e in new {
                 assert_eq!(e.index, inner.last_index() + 1, "non-contiguous append");
                 bytes += e.size();
-                inner.entries.push_back(e.clone());
+                inner.payloads.push_back(e.payload.clone());
+                if inner.runs.back().map(|&(_, term)| term) != Some(e.term) {
+                    inner.runs.push_back((e.index, e.term));
+                }
             }
             inner.bytes += bytes;
             inner.cached_bytes += bytes;
@@ -281,11 +314,14 @@ impl LogStore {
         {
             let mut inner = self.inner.borrow_mut();
             if index >= inner.first_index {
-                let keep = ((index - inner.first_index) as usize).min(inner.entries.len());
-                for e in inner.entries.split_off(keep) {
-                    inner.forget(&e);
+                let keep = ((index - inner.first_index) as usize).min(inner.payloads.len());
+                let end = inner.first_index + keep as u64;
+                for (at, payload) in (end..).zip(inner.payloads.split_off(keep)) {
+                    inner.forget(at, &payload);
                 }
-                let end = inner.last_index() + 1;
+                while inner.runs.back().is_some_and(|&(start, _)| start >= end) {
+                    inner.runs.pop_back();
+                }
                 inner.cache_low = inner.cache_low.min(end);
             }
         }
@@ -299,13 +335,26 @@ impl LogStore {
     pub fn compact_through(&self, index: u64) {
         let mut inner = self.inner.borrow_mut();
         let index = index.min(inner.last_index());
+        if index < inner.first_index {
+            return;
+        }
+        inner.base_term = inner.runs[inner.run_of(index)].1;
         while inner.first_index <= index {
-            let e = inner.entries.pop_front().expect("index is in the log");
-            inner.forget(&e);
-            inner.base_term = e.term;
+            let payload = inner.payloads.pop_front().expect("index is in the log");
+            let at = inner.first_index;
+            inner.forget(at, &payload);
             inner.first_index += 1;
         }
-        inner.cache_low = inner.cache_low.max(inner.first_index);
+        let first = inner.first_index;
+        while inner.runs.get(1).is_some_and(|&(start, _)| start <= first) {
+            inner.runs.pop_front();
+        }
+        if inner.payloads.is_empty() {
+            inner.runs.clear();
+        } else {
+            inner.runs[0].0 = first;
+        }
+        inner.cache_low = inner.cache_low.max(first);
     }
 
     /// Moves the compaction base to a snapshot's position `(index, term)`:
@@ -321,7 +370,8 @@ impl LogStore {
                 self.compact_through(index);
             } else {
                 let mut inner = self.inner.borrow_mut();
-                inner.entries.clear();
+                inner.payloads.clear();
+                inner.runs.clear();
                 inner.bytes = 0;
                 inner.cached_bytes = 0;
                 inner.first_index = index + 1;
@@ -359,15 +409,30 @@ impl LogStore {
             return (Vec::new(), 0);
         }
         let at = |index: u64| (index - first) as usize;
-        let slice: Vec<Entry> = inner.entries.range(at(lo)..at(hi)).cloned().collect();
+        // One stretch of payloads per run the range crosses.
+        let mut slice = Vec::with_capacity(at(hi) - at(lo));
+        let runs = &inner.runs;
+        for (i, &(start, term)) in runs.iter().enumerate().skip(inner.run_of(lo)) {
+            let from = start.max(lo);
+            if from >= hi {
+                break;
+            }
+            let to = runs.get(i + 1).map_or(hi, |&(next, _)| next.min(hi));
+            let payloads = inner.payloads.range(at(from)..at(to));
+            slice.extend((from..).zip(payloads).map(|(index, payload)| Entry {
+                term,
+                index,
+                payload: payload.clone(),
+            }));
+        }
         if lo >= inner.cache_low {
             inner.cache_hits += 1;
             (slice, 0)
         } else {
             inner.cache_misses += 1;
             let miss_hi = hi.min(inner.cache_low);
-            let missed = inner.entries.range(at(lo)..at(miss_hi));
-            let bytes: u64 = missed.map(Entry::size).sum();
+            let missed = inner.payloads.range(at(lo)..at(miss_hi));
+            let bytes: u64 = missed.map(size).sum();
             (slice, bytes)
         }
     }

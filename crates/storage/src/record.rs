@@ -1,18 +1,18 @@
 //! The record store the replicated state machines keep their data in.
 //!
 //! A [`Record`] is a key and its value in **one** buffer, laid out as the
-//! wire lays out the two fields — `key ‖ value length ‖ value` — with the
-//! key's length beside it: a key costs the set one 24 B slot (a 16 B
-//! `Bytes` and the `u32`) and no buffer of its own. [`Records`] finds a
-//! record by its key and replaces it on an overwrite, releasing the old
-//! one's buffer in the same probe.
+//! wire lays out the two fields — `key length ‖ key ‖ value length ‖
+//! value` — so it is its own encoding, and the key's end is read from the
+//! prefix: a key costs the set one 16 B slot (the `Bytes` alone) and no
+//! buffer of its own. [`Records`] finds a record by its key and replaces
+//! it on an overwrite, releasing the old one's buffer in the same probe.
 //!
 //! Which buffer a record is depends on what it was decoded from.
 //! - A put applied from a log entry ([`Record::read_view`]) is a view of
 //!   the entry's payload at any size. The payload is one command, put on
-//!   the wire by reference, so it is the buffer the leader received the
-//!   client's request in, shared by every log and every replica; the
-//!   record pins no other command.
+//!   the wire by reference, so it is the buffer the client encoded its
+//!   request in, shared by every log and every replica; the record pins
+//!   no other command.
 //! - A record read from a message that carries many of them — a snapshot,
 //!   a 2PC prepare — follows [`wire::detach`]'s line ([`Record`]'s
 //!   `WireRead`): from `SPLICE_MIN` bytes up it is the buffer the wire
@@ -28,60 +28,62 @@ use std::hash::{Hash, Hasher};
 use bytes::Bytes;
 use depfast_rpc::wire::{self, Reader, WireRead, WireWrite, Writer};
 
-/// A key and its value in one buffer. Encodes as the two length-prefixed
-/// fields it holds.
+/// A key and its value in one buffer, which is their encoding as two
+/// length-prefixed fields.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
-    /// `key ‖ value length (u32 LE) ‖ value`.
+    /// `key length (u32 LE) ‖ key ‖ value length (u32 LE) ‖ value`.
     body: Bytes,
-    /// Where the key ends; the value starts four bytes later.
-    key_end: u32,
 }
 
 impl Record {
     /// `key` and `value` copied into one buffer: one allocation.
     pub fn new(key: &[u8], value: &[u8]) -> Self {
-        let key_end = u32::try_from(key.len()).expect("a key's length fits its u32 prefix");
-        let value_len = u32::try_from(value.len()).expect("a value's length fits its u32 prefix");
-        let mut body = Vec::with_capacity(key.len() + 4 + value.len());
-        body.extend_from_slice(key);
-        body.extend_from_slice(&value_len.to_le_bytes());
-        body.extend_from_slice(value);
+        let mut body = Vec::with_capacity(4 + key.len() + 4 + value.len());
+        for field in [key, value] {
+            let len = u32::try_from(field.len()).expect("a field's length fits its u32 prefix");
+            body.extend_from_slice(&len.to_le_bytes());
+            body.extend_from_slice(field);
+        }
         Record {
             body: Bytes::from(body),
-            key_end,
         }
     }
 
+    /// Where the key ends, as its prefix says; the value starts four
+    /// bytes later.
+    fn key_end(&self) -> usize {
+        let prefix = self
+            .body
+            .first_chunk()
+            .expect("a record starts with its key's length");
+        4 + u32::from_le_bytes(*prefix) as usize
+    }
+
     fn key_bytes(&self) -> &[u8] {
-        &self.body[..self.key_end as usize]
+        &self.body[4..self.key_end()]
     }
 
     /// The key, as a view of the record's buffer.
     pub fn key(&self) -> Bytes {
-        self.body.slice(..self.key_end as usize)
+        self.body.slice(4..self.key_end())
     }
 
     /// The value, as a view of the record's buffer.
     pub fn value(&self) -> Bytes {
-        self.body.slice(self.key_end as usize + 4..)
+        self.body.slice(self.key_end() + 4..)
     }
 
     /// Decodes a record as a view of the buffer it lies in, whatever its
     /// size: for a message that is exactly one command, such as a log
     /// entry's payload, which the record may keep whole.
     pub fn read_view(r: &mut Reader<'_>) -> Option<Self> {
-        let (body, key_end) = r.pair()?;
-        Some(Record {
-            body,
-            key_end: key_end as u32,
-        })
+        r.pair().map(|body| Record { body })
     }
 }
 
 impl WireWrite for Record {
     fn write(&self, w: &mut Writer) {
-        self.key_end.write(w);
         w.put_bytes(&self.body);
     }
 }
@@ -93,7 +95,6 @@ impl WireRead for Record {
         let record = Record::read_view(r)?;
         Some(Record {
             body: wire::detach(record.body),
-            ..record
         })
     }
 }
@@ -103,7 +104,7 @@ impl WireRead for Record {
 #[derive(Debug)]
 struct Slot(Record);
 
-const _: () = assert!(std::mem::size_of::<Slot>() <= 24, "a slot is at most 24 B");
+const _: () = assert!(std::mem::size_of::<Slot>() <= 16, "a slot is at most 16 B");
 
 impl PartialEq for Slot {
     fn eq(&self, other: &Self) -> bool {
@@ -225,7 +226,9 @@ mod tests {
 
     /// A decoded record is a view of the body it came in from
     /// `SPLICE_MIN` bytes up, and one copy of itself below: with a 23 B
-    /// key the line falls between a 228 B and a 229 B value.
+    /// key the line falls between a 224 B and a 225 B value. It fell 4 B
+    /// later, between 228 B and 229 B, while a record left its key's 4 B
+    /// length prefix out; the line itself did not move.
     #[test]
     fn a_decoded_record_is_a_view_from_the_splice_line_up_and_one_copy_below() {
         let key = [b'u'; 23];
@@ -233,8 +236,8 @@ mod tests {
         for (len, view) in [
             (0, false),
             (100, false),
-            (228, false),
-            (229, true),
+            (224, false),
+            (225, true),
             (1000, true),
         ] {
             let body = encoded(&key, &vec![7u8; len]);

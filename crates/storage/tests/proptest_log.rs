@@ -1,5 +1,5 @@
 //! Property-based tests on the log store's invariants under random
-//! append/truncate/read interleavings.
+//! append/truncate/compact/snapshot/read interleavings.
 
 use bytes::Bytes;
 use depfast::runtime::Runtime;
@@ -9,19 +9,50 @@ use simkit::{NodeId, Sim, World, WorldCfg};
 
 #[derive(Debug, Clone)]
 enum Op {
-    Append { count: u8, size: u16 },
-    Truncate { back: u8 },
-    Compact { keep: u8 },
-    Read { lo_off: u8, len: u8 },
-    ReadRaw { lo_off: u8, len: u8 },
+    /// `count` entries of `size` bytes, at a fresh term or, `continued`,
+    /// at the last entry's term, so that the store's term runs merge.
+    Append {
+        count: u8,
+        size: u16,
+        continued: bool,
+    },
+    Truncate {
+        back: u8,
+    },
+    Compact {
+        keep: u8,
+    },
+    /// A snapshot at `off` past the base: with the held entry's own term
+    /// or, not `matching`, another; past the end when `off` is.
+    InstallSnapshot {
+        off: u8,
+        matching: bool,
+    },
+    Read {
+        lo_off: u8,
+        len: u8,
+    },
+    ReadRaw {
+        lo_off: u8,
+        len: u8,
+    },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (1u8..8, 1u16..512).prop_map(|(count, size)| Op::Append { count, size }),
-        (1u8..8, 1u16..512).prop_map(|(count, size)| Op::Append { count, size }),
+        (1u8..8, 1u16..512, any::<bool>()).prop_map(|(count, size, continued)| Op::Append {
+            count,
+            size,
+            continued
+        }),
+        (1u8..8, 1u16..512, any::<bool>()).prop_map(|(count, size, continued)| Op::Append {
+            count,
+            size,
+            continued
+        }),
         (0u8..16).prop_map(|back| Op::Truncate { back }),
         (0u8..24).prop_map(|keep| Op::Compact { keep }),
+        (0u8..24, any::<bool>()).prop_map(|(off, matching)| Op::InstallSnapshot { off, matching }),
         (0u8..32, 1u8..16).prop_map(|(lo_off, len)| Op::Read { lo_off, len }),
         (0u8..32, 1u8..16).prop_map(|(lo_off, len)| Op::ReadRaw { lo_off, len }),
     ]
@@ -45,11 +76,14 @@ proptest! {
 
     /// A reference `Vec<Entry>` of everything ever appended (and not
     /// truncated) plus a base index agrees with the LogStore under any
-    /// interleaving of append, truncate, compact and read; and a twin store
-    /// fed the same operations *without* the compactions answers every read
-    /// above the base identically — same entries, same miss bytes, same
-    /// hit/miss counts — so compaction is invisible to whoever reads what
-    /// is kept.
+    /// interleaving of append, truncate, compact, snapshot and read —
+    /// `first_index`, `term_at` everywhere and the terms every read
+    /// returns, which the store keeps as runs; and a twin store fed the
+    /// same operations *without* the compactions (a snapshot that replaces
+    /// the log is, for the twin, the entries it stands for) answers every
+    /// read above the base identically — same entries, same miss bytes,
+    /// same hit/miss counts — so compaction is invisible to whoever reads
+    /// what is kept.
     #[test]
     fn log_store_matches_reference_model(ops in prop::collection::vec(arb_op(), 1..60)) {
         let sim = Sim::new(7);
@@ -60,13 +94,17 @@ proptest! {
         let mut high_water = 0u64;
         for (step, op) in ops.into_iter().enumerate() {
             match op {
-                Op::Append { count, size } => {
+                Op::Append { count, size, continued } => {
                     let start = model.len() as u64 + 1;
+                    // Terms change along the log, so a base term read off
+                    // the wrong entry shows; a continued one merges runs.
+                    let term = match model.last() {
+                        Some(e) if continued => e.term,
+                        _ => 1 + step as u64,
+                    };
                     let new: Vec<Entry> = (0..count as u64)
                         .map(|i| Entry {
-                            // Terms change along the log, so a base term
-                            // read off the wrong entry shows.
-                            term: 1 + step as u64,
+                            term,
                             index: start + i,
                             payload: Bytes::from(vec![0u8; size as usize]),
                         })
@@ -90,6 +128,32 @@ proptest! {
                     log.compact_through(through);
                     base = base.max(through);
                     prop_assert_eq!(log.last_index(), last, "compaction moves no end");
+                }
+                Op::InstallSnapshot { off, matching } => {
+                    let index = base + off as u64;
+                    let end = model.len() as u64;
+                    let own = |i: u64| i.checked_sub(1).and_then(|i| model.get(i as usize)).map(|e| e.term);
+                    let term = match own(index) {
+                        // At or below the base the snapshot agrees with it.
+                        Some(t) if matching || index <= base => t,
+                        Some(t) => t + 1_000,
+                        None if index == 0 => 0,
+                        None => 1_000 + step as u64,
+                    };
+                    if index > base && (index > end || !matching) {
+                        // Nothing held is known to follow: the log is the
+                        // snapshot, whose last entry the twin holds.
+                        let keep = index.min(end) as usize - usize::from(index <= end);
+                        model.truncate(keep);
+                        let fill: Vec<Entry> = (keep as u64 + 1..=index)
+                            .map(|i| Entry { term, index: i, payload: Bytes::new() })
+                            .collect();
+                        model.extend(fill.iter().cloned());
+                        twin.truncate_from(keep as u64 + 1);
+                        twin.append(&fill);
+                    }
+                    log.install_snapshot(index, term, 64);
+                    base = base.max(index);
                 }
                 Op::Read { lo_off, len } => {
                     let lo = 1 + lo_off as u64;
