@@ -160,11 +160,17 @@ fn ablation_buffers() {
                 Duration::from_secs(1),
             );
         }
-        let conn = eps[0].conn(NodeId(3));
+        // Only sends to the slow peer queue long enough to be dropped.
+        let dropped = eps[0]
+            .runtime()
+            .tracer()
+            .metrics()
+            .node(0)
+            .counter("rpc.dropped");
         t.row(vec![
             name.to_string(),
-            conn.queue_len().to_string(),
-            conn.dropped().to_string(),
+            eps[0].queue_len(NodeId(3)).to_string(),
+            dropped.get().to_string(),
             format!(
                 "{:.1}",
                 (world.mem_used(NodeId(0)).saturating_sub(baseline_mem)) as f64 / (1024.0 * 1024.0)

@@ -76,7 +76,8 @@ pub use event::{
     Signal, TimerEvent, TypedEvent, ValueEvent, WaitResult, Watchable,
 };
 pub use runtime::{
-    current_coro_label, current_phase, set_trace_ctx, trace_ctx, CoroId, Coroutine, Runtime,
+    current_coro_label, current_phase, set_trace_ctx, trace_ctx, CoroId, Coroutine, Recurring,
+    Runtime,
 };
 pub use trace::{
     Health, HealthEvent, SpanId, TraceCtx, TraceRecord, Tracer, WaitObservation, WaitProbe,

@@ -204,22 +204,70 @@ impl Coroutine {
         trace: Option<TraceCtx>,
         fut: impl Future<Output = ()> + 'static,
     ) -> CoroId {
-        let id = rt.tracer().next_coro_id();
-        let node = rt.node();
-        let t = rt.now();
-        rt.tracer().record(|| TraceRecord::CoroutineStart {
-            t,
-            node,
-            coro: id,
-            label,
-        });
-        rt.spawn(Scoped {
-            ctx: (node, id, label),
-            trace: Cell::new(trace),
-            phase: Cell::new(None),
-            fut,
-        });
+        let id = start(rt, label);
+        spawn_as(rt, id, label, trace, fut);
         id
+    }
+}
+
+/// Names a new coroutine and writes its start record.
+fn start(rt: &Runtime, label: &'static str) -> CoroId {
+    let id = rt.tracer().next_coro_id();
+    let (t, node) = (rt.now(), rt.node());
+    rt.tracer().record(|| TraceRecord::CoroutineStart {
+        t,
+        node,
+        coro: id,
+        label,
+    });
+    id
+}
+
+fn spawn_as(
+    rt: &Runtime,
+    id: CoroId,
+    label: &'static str,
+    trace: Option<TraceCtx>,
+    fut: impl Future<Output = ()> + 'static,
+) {
+    rt.spawn(Scoped {
+        ctx: (rt.node(), id, label),
+        trace: Cell::new(trace),
+        phase: Cell::new(None),
+        fut,
+    });
+}
+
+/// One coroutine whose work comes in bursts, each burst a task of its own:
+/// plumbing that is idle most of the time (a connection's sender) holds no
+/// task between bursts. The first burst names the coroutine and writes its
+/// one start record; every burst runs under that id and label. A burst
+/// carries no causal context, since one coroutine serves many requests.
+pub struct Recurring {
+    label: &'static str,
+    id: Cell<Option<CoroId>>,
+}
+
+impl Recurring {
+    /// A coroutine labelled `label` that has not run yet.
+    pub fn new(label: &'static str) -> Self {
+        Recurring {
+            label,
+            id: Cell::new(None),
+        }
+    }
+
+    /// Spawns `fut` as the coroutine's next burst.
+    pub fn spawn(&self, rt: &Runtime, fut: impl Future<Output = ()> + 'static) {
+        let id = match self.id.get() {
+            Some(id) => id,
+            None => {
+                let id = start(rt, self.label);
+                self.id.set(Some(id));
+                id
+            }
+        };
+        spawn_as(rt, id, self.label, None, fut);
     }
 }
 
@@ -301,6 +349,44 @@ mod tests {
         assert_eq!(log.len(), 3);
         assert_eq!(log[0], log[2]);
         assert_ne!(log[0], log[1]);
+    }
+
+    #[test]
+    fn a_recurring_coroutine_runs_every_burst_under_one_identity() {
+        use crate::trace::SpanId;
+        let sim = Sim::new(1);
+        let rt = Runtime::new_sim(sim.clone(), NodeId(2));
+        rt.tracer().set_record_full(true);
+        let bursts = Recurring::new("bursty");
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        for _ in 0..3 {
+            let s = seen.clone();
+            // A burst spawned under a request's context does not take it.
+            set_trace_ctx(Some(TraceCtx {
+                trace_id: 9,
+                parent_span: SpanId::NONE,
+            }));
+            bursts.spawn(&rt, async move {
+                let who = CURRENT_CORO.with(|c| c.get());
+                s.borrow_mut().push((who, trace_ctx()));
+            });
+            set_trace_ctx(None);
+            sim.run();
+        }
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), 3);
+        let (who, ctx) = seen[0];
+        assert!(seen.iter().all(|s| *s == (who, None)), "{seen:?}");
+        assert_eq!(ctx, None);
+        assert!(matches!(who, Some((NodeId(2), _, "bursty"))));
+        let starts = rt.tracer().take_records();
+        assert!(matches!(
+            starts[..],
+            [TraceRecord::CoroutineStart {
+                label: "bursty",
+                ..
+            }]
+        ));
     }
 
     #[test]

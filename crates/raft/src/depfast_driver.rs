@@ -80,7 +80,7 @@ impl DepFastRaft {
         // Framework-aware backpressure: if this peer's outgoing buffer is
         // already deep (a laggard that is not absorbing catch-up traffic),
         // do not stack more entries onto it — the next heartbeat retries.
-        if core.ep.conn(peer).queue_len() > 64 {
+        if core.ep.queue_len(peer) > 64 {
             core.flow.borrow_mut().release(peer);
             return false;
         }

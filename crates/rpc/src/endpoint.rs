@@ -3,8 +3,8 @@
 //! An [`Endpoint`] owns one node's RPC machinery: the inbox fed by the
 //! network, a receive-pump coroutine that charges per-message CPU (this is
 //! where a CPU-slow node becomes slow to *everyone*), the registered
-//! services, the table of pending outbound calls, and the per-peer
-//! [`Connection`]s.
+//! services, the table of pending outbound calls, and the node's
+//! connections, one per peer while it carries something.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -18,7 +18,7 @@ use depfast::runtime::{Coroutine, Runtime};
 use depfast::TypedEvent;
 use simkit::{Frame, NodeId, WakerSlot, World};
 
-use crate::conn::{BufferPolicy, Connection, OutMsg};
+use crate::conn::{BufferPolicy, Links, OutMsg};
 use crate::proxy::{Proxy, RpcEvent};
 use crate::wire::{Reader, WireRead, WireWrite, Writer};
 use crate::Method;
@@ -151,7 +151,7 @@ impl Registry {
             // Each `take` ends its borrow before what it took is dropped.
             ep.services.take();
             ep.pending.take();
-            ep.conns.take();
+            ep.links.close_all();
             ep.inbox.take();
         }
     }
@@ -161,11 +161,10 @@ pub(crate) struct EndpointInner {
     rt: Runtime,
     world: World,
     node: NodeId,
-    buffer: BufferPolicy,
     services: RefCell<HashMap<Method, (&'static str, Service)>>,
     pending: RefCell<HashMap<u64, RpcEvent>>,
     next_id: Cell<u64>,
-    conns: RefCell<HashMap<u32, Connection>>,
+    links: Rc<Links>,
     registry: Registry,
     inbox: RefCell<VecDeque<simkit::world::NetMessage>>,
     /// Where the receive pump parks on an empty inbox.
@@ -187,11 +186,10 @@ impl Endpoint {
             rt: rt.clone(),
             world: world.clone(),
             node,
-            buffer: cfg.buffer,
             services: RefCell::new(HashMap::new()),
             pending: RefCell::new(HashMap::new()),
             next_id: Cell::new(1),
-            conns: RefCell::new(HashMap::new()),
+            links: Links::new(rt, world, cfg.buffer, WINDOW, TX_CPU),
             registry: registry.clone(),
             inbox: RefCell::new(VecDeque::new()),
             pump: WakerSlot::default(),
@@ -272,16 +270,9 @@ impl Endpoint {
         Proxy::new(self.clone(), peer)
     }
 
-    /// The connection to `peer`, opened on first use.
-    pub fn conn(&self, peer: NodeId) -> Connection {
-        let mut conns = self.inner.conns.borrow_mut();
-        conns
-            .entry(peer.0)
-            .or_insert_with(|| {
-                let inner = &self.inner;
-                Connection::open(&inner.rt, &inner.world, peer, inner.buffer, WINDOW, TX_CPU)
-            })
-            .clone()
+    /// Messages queued to `peer`; 0 when nothing is, connection or not.
+    pub fn queue_len(&self, peer: NodeId) -> usize {
+        self.inner.links.queue_len(peer)
     }
 
     /// Issues an RPC to `peer`, returning the reply event.
@@ -314,8 +305,8 @@ impl Endpoint {
         };
         let ev = event.clone();
         let me = Rc::downgrade(&self.inner);
-        self.conn(peer).enqueue(
-            &self.inner.world,
+        self.inner.links.enqueue(
+            peer,
             OutMsg {
                 bytes: env.to_frame(),
                 cancel,
@@ -340,8 +331,8 @@ impl Endpoint {
             parent_span: ctx.1,
             payload,
         };
-        self.conn(peer).enqueue(
-            &self.inner.world,
+        self.inner.links.enqueue(
+            peer,
             OutMsg {
                 bytes: env.to_frame(),
                 cancel: None,
@@ -373,19 +364,21 @@ impl Endpoint {
         });
     }
 
-    /// Schedules the transport-level credit back to `from`'s connection.
+    /// Schedules the transport-level credit back to `from`'s connection
+    /// to this node — whichever connection that is when the credit lands.
     fn return_credit(&self, from: NodeId) {
         let registry = self.inner.registry.endpoints.borrow();
         let Some(sender) = registry.get(&from.0).and_then(Weak::upgrade) else {
             return;
         };
-        drop(registry);
+        let links = Rc::downgrade(&sender.links);
         let me = self.inner.node;
-        let conn = sender.conns.borrow().get(&me.0).cloned();
-        if let Some(conn) = conn {
-            let at = self.inner.rt.now() + ACK_LATENCY;
-            self.inner.rt.schedule_call(at, move || conn.grant_credit());
-        }
+        let at = self.inner.rt.now() + ACK_LATENCY;
+        self.inner.rt.schedule_call(at, move || {
+            if let Some(links) = links.upgrade() {
+                links.grant_credit(me);
+            }
+        });
     }
 
     fn route(&self, from: NodeId, raw: Frame) {
@@ -571,24 +564,37 @@ mod tests {
     fn serve_drops_a_malformed_request_before_any_coroutine() {
         let (sim, _world, eps) = cluster(2);
         let seen = serve_doubler(&eps[1]);
-        let tasks = |payload: Bytes| {
-            let before = sim.tasks_spawned();
+        let tracer = eps[1].runtime().tracer().clone();
+        tracer.set_record_full(true);
+        // The `svc:typed` coroutines one call starts: the one that routes
+        // the request and, if it decodes, the handler's.
+        let services = |payload: Bytes| {
             let ev = eps[0].proxy(NodeId(1)).call(90, "typed", payload);
             let out = sim
                 .block_on(async move { ev.handle().wait_timeout(Duration::from_millis(50)).await });
-            (out, sim.tasks_spawned() - before)
+            let started = tracer
+                .take_records()
+                .into_iter()
+                .filter(|r| {
+                    matches!(r, depfast::TraceRecord::CoroutineStart { label, .. } if *label == "svc:typed")
+                })
+                .count();
+            (out, started)
         };
-        tasks(4u64.to_bytes()); // Opens both connections (a sender task each).
-        let (ok, served) = tasks(4u64.to_bytes());
-        let (bad, dropped) = tasks(Bytes::from_static(b"not a u64"));
+        let (ok, served) = services(4u64.to_bytes());
+        let (bad, dropped) = services(Bytes::from_static(b"not a u64"));
         assert!(ok.is_ready());
         assert_eq!(
             bad,
             WaitResult::Timeout,
             "no reply to a request that does not decode"
         );
-        assert_eq!(*seen.borrow(), vec![4, 4], "the handler never saw it");
-        assert_eq!(served - dropped, 1, "and no handler coroutine was spawned");
+        assert_eq!(*seen.borrow(), vec![4], "the handler never saw it");
+        assert_eq!(
+            (served, dropped),
+            (2, 1),
+            "and no handler coroutine was spawned"
+        );
     }
 
     #[test]
@@ -698,9 +704,8 @@ mod tests {
                 .call(ECHO, "echo", Bytes::from_static(b"x"));
         }
         sim.run_until_time(simkit::SimTime::from_millis(200));
-        let conn = eps[0].conn(NodeId(1));
         assert!(
-            conn.queue_len() > 0,
+            eps[0].queue_len(NodeId(1)) > 0,
             "sender queue should back up behind a slow receiver"
         );
     }
@@ -719,5 +724,97 @@ mod tests {
             let reply = u64::from_frame(&ev.take().unwrap()).unwrap();
             assert_eq!(reply, i as u64 * 2);
         }
+    }
+
+    #[test]
+    fn an_idle_link_holds_no_connection_and_no_sender() {
+        let (sim, _world, eps) = cluster(2);
+        let ev = eps[0].proxy(NodeId(1)).call_t(DOUBLE, "double", &21u64);
+        sim.run();
+        assert_eq!(ev.take().and_then(|b| u64::from_frame(&b)), Some(42));
+        for ep in &eps {
+            assert_eq!(ep.inner.links.conns_open(), 0, "node {}", ep.node().0);
+            // A running sender holds its links; none is left running.
+            assert_eq!(Rc::strong_count(&ep.inner.links), 1);
+        }
+    }
+
+    #[test]
+    fn a_reopened_connection_sends_under_the_full_window() {
+        let (sim, world, eps) = cluster(2);
+        let sent = eps[0]
+            .runtime()
+            .tracer()
+            .metrics()
+            .node(0)
+            .counter("rpc.sent");
+        let calls = |n: usize| {
+            for _ in 0..n {
+                eps[0].proxy(NodeId(1)).call(ECHO, "echo", Bytes::new());
+            }
+        };
+        let ms = |n: u64| sim.now() + Duration::from_millis(n);
+        // Node 1 takes 15 ms to receive a message: no credit comes back
+        // while node 0 sends what its window lets out.
+        world.set_cpu_quota(NodeId(1), 0.001);
+        calls(1);
+        sim.run_until_time(ms(1));
+        // The sender has ended, the message's credit is still out.
+        calls(2 * WINDOW);
+        sim.run_until_time(ms(5));
+        assert_eq!(
+            sent.get(),
+            WINDOW as u64,
+            "the first message is in the window"
+        );
+        assert_eq!(eps[0].queue_len(NodeId(1)), WINDOW + 1);
+        world.set_cpu_quota(NodeId(1), 1.0);
+        sim.run();
+        assert_eq!(eps[0].inner.links.conns_open(), 0);
+        // Idle, the connection closed; the one that opens now has its
+        // whole window again.
+        let before = sent.get();
+        world.set_cpu_quota(NodeId(1), 0.001);
+        calls(2 * WINDOW);
+        sim.run_until_time(ms(5));
+        assert_eq!(sent.get() - before, WINDOW as u64);
+        assert_eq!(eps[0].queue_len(NodeId(1)), WINDOW);
+    }
+
+    #[test]
+    fn a_late_grant_for_a_reclaimed_credit_reaches_the_current_connection() {
+        let (sim, world, eps) = cluster(2);
+        // Nothing crosses the link: the test returns node 0's credit
+        // itself, as node 1's receive pump would.
+        world.partition(NodeId(0), NodeId(1));
+        let call = |cancel| {
+            eps[0].proxy(NodeId(1)).call_classified(
+                ECHO,
+                "echo",
+                &0u64,
+                cancel,
+                |_: Option<u64>| true,
+            );
+        };
+        let us = |n: u64| sim.now() + Duration::from_micros(n);
+        call(None);
+        sim.run_until_time(sim.now() + Duration::from_secs(3));
+        // Node 1 takes the message in only now, long after its credit
+        // expired; the grant lands in 250 µs.
+        eps[1].return_credit(NodeId(0));
+        // Before it does, a discarded send reclaims the expired credit,
+        // and the connection, idle, closes.
+        let discarded = crate::conn::CancelToken::new();
+        discarded.cancel();
+        call(Some(discarded));
+        sim.run_until_time(us(10));
+        assert_eq!(eps[0].inner.links.conns_open(), 0);
+        // The next send opens a fresh connection, one credit out.
+        call(None);
+        sim.run_until_time(us(100));
+        assert_eq!(eps[0].inner.links.conns_open(), 1);
+        // The late grant returns that credit: the connection is idle.
+        sim.run_until_time(us(300));
+        assert_eq!(eps[0].inner.links.conns_open(), 0);
     }
 }
