@@ -347,6 +347,9 @@ pub struct ScenarioRecord {
     /// operation started; ~1 in a healthy system, ≥ 2 means the offered
     /// load is mostly retries.
     pub amp: Option<f64>,
+    /// Client operations that spent every attempt of their retry policy
+    /// over the whole run (`client.give_up`). Omitted while 0.
+    pub give_up: u64,
 }
 
 impl Cell for ScenarioRecord {
@@ -369,6 +372,8 @@ impl Cell for ScenarioRecord {
         ];
         columns.extend(scorecard(&mut self.score, self.amp.is_some()));
         columns.push(col("amp", "Amp", OptNum(&mut self.amp, round4, 1)));
+        let gave_up = self.give_up > 0;
+        columns.push(col("give_up", "Give-ups", Count(&mut self.give_up)).only_if(gave_up));
         columns
     }
 
@@ -691,7 +696,7 @@ mod tests {
             inner.map(|c| c.trim().to_string()).collect()
         };
         let header = cells(lines[0]);
-        for dropped in ["TTR (ms)", "TTS (ms)", "Storm", "Amp"] {
+        for dropped in ["TTR (ms)", "TTS (ms)", "Storm", "Amp", "Give-ups"] {
             assert!(!header.contains(&dropped.to_string()), "{dropped}: {text}");
         }
         let ttm = header.iter().position(|h| h == "TTM (ms)").expect("TTM");
@@ -774,6 +779,7 @@ mod tests {
             stall_ms: 200.0,
             score: quality(Some(400)),
             amp: None,
+            give_up: 0,
         }
     }
 
@@ -783,6 +789,7 @@ mod tests {
         let mut r = scenario_record("retry-storm", "DepFastRaft", true);
         r.score.tts_ns = Some(800 * MS);
         r.amp = Some(1.5);
+        r.give_up = 12;
         r
     }
 
@@ -916,7 +923,7 @@ mod tests {
         storm.score.ttm_ns = None;
         let scenarios = doctor_each(storm, scenario_suite).join(" ");
         let all = format!(
-            "live crashed throughput floor p99_ms stall_ms {scorecard} tts_ms storm_sustained amp"
+            "live crashed throughput floor p99_ms stall_ms {scorecard} tts_ms storm_sustained amp give_up"
         );
         assert_eq!(scenarios, all);
 
@@ -940,8 +947,8 @@ mod tests {
         assert_eq!(Suite::parse(&text).unwrap().to_json(), text);
         // A pure perf suite carries no other section's array.
         assert!(!text.contains("detect") && !text.contains("scenarios"));
-        // Absent optional times stay absent, and storm keys appear only
-        // on storm-monitored cells.
+        // Absent optional times stay absent, storm keys appear only on
+        // storm-monitored cells, and `give_up` only where one was counted.
         let [_, detect, scenarios] = one_of_each();
         let back = Suite::parse(&detect.to_json()).unwrap();
         assert!(back.detect[1].score.ttd_ns.is_none());
@@ -949,6 +956,7 @@ mod tests {
         assert_eq!(text.matches("storm_sustained").count(), 1);
         assert_eq!(text.matches("tts_ms").count(), 1);
         assert_eq!(text.matches("\"amp\"").count(), 1);
+        assert_eq!(text.matches("\"give_up\"").count(), 1);
     }
 
     #[test]

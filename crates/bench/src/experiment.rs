@@ -322,7 +322,7 @@ impl Run {
                 panic!("leader mitigation needs a single group and a detector");
             };
             let cores = group.servers.iter().map(|s| s.core().clone()).collect();
-            depfast_detect::spawn_leader_mitigation(&sim, detector, cores, Duration::from_secs(2));
+            depfast_detect::spawn_leader_mitigation(&sim, detector, cores);
         }
         for w in &self.plan.windows {
             inject(w.node, w.kind, w.at, w.duration);
@@ -645,6 +645,7 @@ impl RunReport {
             stall_ms,
             score: score(&dump, RECOVERY_BAND),
             amp,
+            give_up: Series::Global("client.give_up").level(&self.metrics.snapshot()) as u64,
         };
         (cell, dump)
     }

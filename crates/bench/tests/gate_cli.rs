@@ -108,6 +108,7 @@ fn storm_suite(live: bool, sustained: bool, tts_ms: Option<u64>, amp: f64) -> Su
             ..quality(Some(210), 0, 0)
         },
         amp: Some(amp),
+        give_up: 0,
     });
     s
 }

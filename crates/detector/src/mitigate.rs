@@ -20,27 +20,27 @@ use simkit::Sim;
 
 use crate::detect::FailSlowDetector;
 
+/// How long a demoted leader's candidacies are held back
+/// ([`RaftCore::election_penalty`]), so a healthy follower's election
+/// timer fires first.
+const ELECTION_PENALTY: Duration = Duration::from_secs(2);
+
 /// Wires `detector` suspicions to leadership transfer across `cores`.
 ///
 /// On suspicion of the current leader, the mitigation penalizes the
-/// suspect's future candidacies, waits for its healthiest follower to be
-/// caught up (the suspect keeps leading — and replicating — meanwhile),
-/// and then triggers that follower to campaign. The higher-term election
-/// demotes the fail-slow leader into a fail-slow follower, which
-/// DepFastRaft tolerates by construction.
-pub fn spawn_leader_mitigation(
-    sim: &Sim,
-    detector: &FailSlowDetector,
-    cores: Vec<Rc<RaftCore>>,
-    penalty: Duration,
-) {
+/// suspect's future candidacies by two seconds, waits for its healthiest
+/// follower to be caught up (the suspect keeps leading — and replicating
+/// — meanwhile), and then triggers that follower to campaign. The
+/// higher-term election demotes the fail-slow leader into a fail-slow
+/// follower, which DepFastRaft tolerates by construction.
+pub fn spawn_leader_mitigation(sim: &Sim, detector: &FailSlowDetector, cores: Vec<Rc<RaftCore>>) {
     let sim = sim.clone();
     detector.on_suspect(move |suspicion| {
         let node = suspicion.node;
         let Some(suspect) = cores.iter().find(|c| c.id == node && c.is_leader()) else {
             return;
         };
-        suspect.election_penalty.set(penalty);
+        suspect.election_penalty.set(ELECTION_PENALTY);
         // Healthiest follower = highest replicated index from the
         // suspect's view.
         let Some(target_id) = suspect
@@ -57,7 +57,7 @@ pub fn spawn_leader_mitigation(
         let suspect = suspect.clone();
         let evidence = format!(
             "fail-slow leader: election penalty {}ms, transfer to n{}",
-            penalty.as_millis(),
+            ELECTION_PENALTY.as_millis(),
             target_id.0
         );
         let demote = Health::new("demote", evidence);
@@ -130,7 +130,7 @@ mod tests {
             .collect();
         let current_leader = || cores.iter().find(|c| c.is_leader()).map(|c| c.id);
         let detector = FailSlowDetector::spawn(&sim, &cl.raft.tracer, DetectorCfg::default());
-        spawn_leader_mitigation(&sim, &detector, cores.clone(), Duration::from_secs(2));
+        spawn_leader_mitigation(&sim, &detector, cores.clone());
 
         // Concurrent closed-loop clients over real RPC (their kv_request
         // completions are the detector's per-leader samples).

@@ -44,7 +44,7 @@ fn setup() -> (
         .map(|s| s.core().clone())
         .collect();
     let detector = FailSlowDetector::spawn(&sim, &cluster.raft.tracer, DetectorCfg::default());
-    spawn_leader_mitigation(&sim, &detector, cores.clone(), Duration::from_secs(2));
+    spawn_leader_mitigation(&sim, &detector, cores.clone());
     (sim, world, cluster, detector, cores)
 }
 

@@ -13,10 +13,11 @@
 //! visible (`client.give_up`), and each attempt opens a [`PhaseSpan`]
 //! blamed on the server it targeted — so a blame report charges retry
 //! time to the slow component, not to the client. A retry goes out at
-//! once to the next server: the policy is an attempt deadline and an
-//! attempt cap, with no backoff and no admission control.
+//! once to the server the session's [`Route`] names next: the policy is
+//! an attempt deadline and an attempt cap, with no backoff and no
+//! admission control.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -29,6 +30,7 @@ use depfast_rpc::{group_method, Endpoint, Method};
 use simkit::NodeId;
 
 use crate::command::{KvOp, KvRequest, KvResponse, KvStatus};
+use crate::route::Route;
 
 /// Client-side failure after exhausting retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,31 +124,15 @@ impl ClientMetrics {
     }
 }
 
-/// Advances `rotate` past `failed` and returns the next candidate from
-/// `servers`, falling back to `failed` itself only when it is the sole
-/// member. The historical rotation (`rotate += 1` with no skip) could
-/// hand a timed-out attempt straight back to the server that just
-/// failed it.
-fn next_rotation(servers: &[NodeId], failed: NodeId, rotate: &mut usize) -> NodeId {
-    for _ in 0..servers.len() {
-        *rotate += 1;
-        let candidate = servers[*rotate % servers.len()];
-        if candidate != failed {
-            return candidate;
-        }
-    }
-    failed
-}
-
 /// A KV client session bound to one client host node.
 pub struct KvClient {
     ep: Endpoint,
-    servers: Vec<NodeId>,
+    /// Which server each attempt goes to.
+    route: RefCell<Route>,
     client_id: u64,
     /// The (possibly group-namespaced) method id requests go to.
     method: Method,
     seq: Cell<u64>,
-    leader: Cell<Option<NodeId>>,
     /// Retry policy (attempt deadline, attempt cap).
     policy: Cell<RetryPolicy>,
     metrics: ClientMetrics,
@@ -162,11 +148,10 @@ impl KvClient {
         let metrics = ClientMetrics::new(&ep.runtime().tracer().metrics());
         KvClient {
             ep,
-            servers,
+            route: RefCell::new(Route::new(servers, client_id as usize)),
             client_id,
             method: group_method(CLIENT_PROPOSE, group),
             seq: Cell::new(0),
-            leader: Cell::new(None),
             policy: Cell::new(RetryPolicy::default()),
             metrics,
         }
@@ -185,10 +170,10 @@ impl KvClient {
         self.ep.runtime()
     }
 
-    /// Test probe: the last known leader (the session's leader cache).
+    /// Test probe: the leader the session's route believes in.
     #[doc(hidden)]
     pub fn known_leader(&self) -> Option<NodeId> {
-        self.leader.get()
+        self.route.borrow().leader
     }
 
     /// Replaces the session's retry policy.
@@ -204,13 +189,6 @@ impl KvClient {
     /// Linearizable read of `key`.
     pub async fn get(&self, key: Bytes) -> Result<Option<Bytes>, KvError> {
         self.run(KvOp::Get, key, Bytes::new()).await
-    }
-
-    /// Picks the next rotation target, never re-picking the server that
-    /// just failed (unless it is the only one): a timed-out attempt must
-    /// not immediately hammer the same node.
-    fn rotate_target(&self, failed: NodeId, rotate: &mut usize) -> NodeId {
-        next_rotation(&self.servers, failed, rotate)
     }
 
     async fn run(&self, op: KvOp, key: Bytes, value: Bytes) -> Result<Option<Bytes>, KvError> {
@@ -242,12 +220,8 @@ impl KvClient {
             parent_span: depfast::SpanId::NONE,
         }));
         let policy = self.policy.get();
-        let mut target = self
-            .leader
-            .get()
-            .unwrap_or_else(|| self.servers[(self.client_id as usize) % self.servers.len()]);
-        let mut rotate = 0usize;
         for _ in 0..policy.max_attempts {
+            let target = self.route.borrow().target();
             self.metrics.attempts.inc();
             let span = PhaseSpan::begin_blaming(self.ep.runtime(), "client:attempt", target);
             let ev = self
@@ -256,44 +230,24 @@ impl KvClient {
                 .call(self.method, "kv_request", payload.clone());
             let out = ev.handle().wait_timeout(policy.attempt_timeout).await;
             drop(span);
-            if out.is_ready() {
-                if let Some(resp) = ev.take().and_then(|b| KvResponse::from_frame(&b)) {
-                    match resp.status {
-                        KvStatus::Ok => {
-                            self.leader.set(Some(target));
-                            self.metrics.success.inc();
-                            return Ok(resp.value);
-                        }
-                        KvStatus::NotLeader => {
-                            self.metrics.retry(RetryReason::NotLeader);
-                            // A hint naming another server is kept past
-                            // this operation: on the last attempt it is
-                            // where the next operation starts.
-                            let hint = resp.leader_hint.map(NodeId).filter(|h| *h != target);
-                            self.leader.set(hint);
-                            target = match hint {
-                                Some(h) => h,
-                                // No usable hint: rotate, skipping the
-                                // server that just rejected us.
-                                None => self.rotate_target(target, &mut rotate),
-                            };
-                            continue;
-                        }
-                        KvStatus::Error => {
-                            // Leadership churn mid-commit: retry (the
-                            // session dedup makes this safe).
-                            self.metrics.retry(RetryReason::Error);
-                            target = self.rotate_target(target, &mut rotate);
-                            continue;
-                        }
+            let reply = out.is_ready().then(|| ev.take()).flatten();
+            // A reply that never came (or did not decode) is a timeout.
+            let (reason, hint) = match reply.and_then(|b| KvResponse::from_frame(&b)) {
+                None => (RetryReason::Timeout, None),
+                Some(resp) => match resp.status {
+                    KvStatus::Ok => {
+                        self.route.borrow_mut().confirmed(target);
+                        self.metrics.success.inc();
+                        return Ok(resp.value);
                     }
-                }
-            }
-            // Timeout: try another server (never the one that just timed
-            // out — the historical rotation could re-pick it).
-            self.metrics.retry(RetryReason::Timeout);
-            self.leader.set(None);
-            target = self.rotate_target(target, &mut rotate);
+                    KvStatus::NotLeader => (RetryReason::NotLeader, resp.leader_hint.map(NodeId)),
+                    // Leadership churn mid-commit: retry (the session
+                    // dedup makes this safe).
+                    KvStatus::Error => (RetryReason::Error, None),
+                },
+            };
+            self.metrics.retry(reason);
+            self.route.borrow_mut().failed(target, hint);
         }
         self.metrics.give_up.inc();
         Err(KvError::Timeout)
@@ -303,43 +257,6 @@ impl KvClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rotation_never_repicks_the_failed_server() {
-        let servers: Vec<NodeId> = (0..3).map(NodeId).collect();
-        let mut rotate = 0usize;
-        // Whatever the cursor position, the node that just failed is
-        // skipped — for every failed node, many times over.
-        for failed in &servers {
-            for _ in 0..10 {
-                let next = next_rotation(&servers, *failed, &mut rotate);
-                assert_ne!(next, *failed, "rotation re-picked the failed server");
-            }
-        }
-    }
-
-    #[test]
-    fn rotation_cycles_through_the_survivors() {
-        let servers: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let mut rotate = 0usize;
-        let failed = NodeId(2);
-        let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..8 {
-            seen.insert(next_rotation(&servers, failed, &mut rotate).0);
-        }
-        assert_eq!(
-            seen.into_iter().collect::<Vec<_>>(),
-            vec![0, 1, 3],
-            "all non-failed servers must stay in rotation"
-        );
-    }
-
-    #[test]
-    fn single_server_rotation_returns_it_even_when_failed() {
-        let servers = vec![NodeId(7)];
-        let mut rotate = 0usize;
-        assert_eq!(next_rotation(&servers, NodeId(7), &mut rotate), NodeId(7));
-    }
 
     #[test]
     fn default_policy_matches_the_historical_client() {

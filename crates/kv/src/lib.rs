@@ -6,6 +6,8 @@
 //!   nothing removes a key;
 //! * [`server`] — installs the KV state machine (with exactly-once session
 //!   dedup) on a Raft server and serves client proposals;
+//! * [`route`] — session routing stated once: a pure law for which member
+//!   of a group a session asks next, shared with the 2PC coordinator;
 //! * [`client`] — closed-loop clients with leader discovery and retry.
 //!   A client's wait on the leader is a deliberate singular (red) edge —
 //!   exactly what Figure 2 of the paper shows: "the clients wait for
@@ -25,6 +27,7 @@ pub mod harness;
 /// only tests call the checker.
 #[doc(hidden)]
 pub mod history;
+pub mod route;
 pub mod server;
 pub mod shard;
 

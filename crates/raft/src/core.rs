@@ -229,7 +229,8 @@ impl ProposalQueue {
 pub struct CoreState {
     /// Current role.
     pub role: Role,
-    /// Last known leader.
+    /// The current term's leader, once heard from (this node itself
+    /// while it leads).
     pub leader_hint: Option<NodeId>,
     /// When the last valid leader contact arrived.
     pub last_heartbeat: SimTime,
@@ -536,10 +537,14 @@ impl RaftCore {
     /// the old term's leader stands for the new term only as far as it is
     /// committed: committed entries are the same under every leader, and
     /// past them a lazy reply's `min(durable, verified)` would report a
-    /// prefix of the old leader's stream as a match to the new one.
+    /// prefix of the old leader's stream as a match to the new one. The
+    /// old term's leader is no hint either: a new term has no known leader
+    /// until one is heard from, so a hint always names a leader of the
+    /// current term.
     pub fn adopt_term(&self, term: u64, vote: Option<u32>) -> IoEvent {
         let verified = self.verified_index.get().min(self.commit.get());
         self.verified_index.set(verified);
+        self.st.borrow_mut().leader_hint = None;
         self.log.set_term_vote(term, vote)
     }
 
@@ -1869,6 +1874,65 @@ mod tests {
         assert_eq!(ev1.handle().fired(), Some(Signal::Err));
         assert_eq!(ev2.handle().fired(), Some(Signal::Err));
         assert_eq!(core.leader_hint(), Some(NodeId(1)));
+    }
+
+    /// A hint names a leader of the node's current term. Node 0 follows
+    /// node 1 in term 1, then enters term 2 in each of the three ways a
+    /// node can; only an `AppendEntries` names term 2's leader.
+    #[test]
+    fn a_new_term_keeps_no_hint_of_the_old_terms_leader() {
+        #[derive(Debug, Clone, Copy)]
+        enum Enters {
+            /// Node 2 asks for its vote.
+            RequestVote,
+            /// It campaigns itself: a candidate's first step
+            /// (`DepFastRaft::run_election`).
+            OwnCandidacy,
+            /// Node 2 appends as term 2's leader.
+            AppendEntries,
+        }
+        let rows = [
+            (Enters::RequestVote, None),
+            (Enters::OwnCandidacy, None),
+            (Enters::AppendEntries, Some(NodeId(2))),
+        ];
+        for (how, hint) in rows {
+            let (sim, _w, core) = node_zero_under(1);
+            assert_eq!(core.leader_hint(), Some(NodeId(1)));
+            let c = core.clone();
+            sim.block_on(async move {
+                match how {
+                    Enters::RequestVote => {
+                        let req = VoteReq {
+                            term: 2,
+                            candidate: 2,
+                            last_index: 0,
+                            last_term: 0,
+                        };
+                        handle_vote(&c, req).await.expect("answered");
+                    }
+                    Enters::OwnCandidacy => {
+                        c.adopt_term(2, Some(c.id.0)).handle().wait().await;
+                    }
+                    Enters::AppendEntries => {
+                        let req = AppendReq {
+                            term: 2,
+                            leader: 2,
+                            prev_index: 0,
+                            prev_term: 0,
+                            entries: Vec::new(),
+                            commit: 0,
+                            lazy: false,
+                        };
+                        handle_append(&c, NodeId(2), req, 0)
+                            .await
+                            .expect("answered");
+                    }
+                }
+            });
+            assert_eq!(core.log.current_term(), 2, "{how:?}");
+            assert_eq!(core.leader_hint(), hint, "{how:?}");
+        }
     }
 
     #[test]

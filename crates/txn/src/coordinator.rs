@@ -6,7 +6,7 @@
 //! participant and waits for all of them under a single quorum event (or
 //! fires aborts and waits for nothing).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
@@ -14,7 +14,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use depfast::event::{AndEvent, OrEvent, QuorumEvent, QuorumMode};
 use depfast::runtime::Runtime;
-use depfast_kv::ShardMap;
+use depfast_kv::{route::Route, ShardMap};
 use depfast_rpc::{broadcast, group_method, inverse, Endpoint, Method};
 use simkit::NodeId;
 
@@ -59,9 +59,9 @@ impl std::error::Error for TxnError {}
 pub struct TxnClient {
     rt: Runtime,
     ep: Endpoint,
-    shards: Vec<Vec<NodeId>>,
-    /// Per shard, which of `shards[shard]` is believed to lead it.
-    leaders: Rc<Vec<Cell<usize>>>,
+    /// Per shard, which member its commands go to; every shard's
+    /// rotation starts at its member 0.
+    routes: Rc<Vec<RefCell<Route>>>,
     client_id: u64,
     seq: Cell<u64>,
 }
@@ -69,41 +69,41 @@ pub struct TxnClient {
 impl TxnClient {
     /// Creates a coordinator talking to `shards` (member lists per shard).
     pub fn new(rt: Runtime, ep: Endpoint, shards: Vec<Vec<NodeId>>, client_id: u64) -> Self {
+        let routes = shards.into_iter().map(|m| RefCell::new(Route::new(m, 0)));
         TxnClient {
             rt,
             ep,
-            leaders: Rc::new(shards.iter().map(|_| Cell::new(0)).collect()),
-            shards,
+            routes: Rc::new(routes.collect()),
             client_id,
             seq: Cell::new(0),
         }
     }
 
-    /// Where `shard`'s commands go: its believed leader, under the method
+    /// Where `shard`'s commands go: its route's target, under the method
     /// id of Raft group `shard + 1` (the ShardedCluster convention).
     fn route(&self, shard: usize) -> (NodeId, Method) {
-        let leader = self.shards[shard][self.leaders[shard].get()];
-        (leader, group_method(TXN_EXEC, shard as u32 + 1))
+        let target = self.routes[shard].borrow().target();
+        (target, group_method(TXN_EXEC, shard as u32 + 1))
     }
 
-    /// The judge of `shard`'s prepare vote: `Yes` counts. `NotLeader`
-    /// marks the attempt `redirected` and moves the shard's believed
-    /// leader on to its next member — once per refusal: a reply from a
-    /// member already left behind moves nothing.
+    /// The judge of the prepare vote `asked` gives for `shard`: `Yes`
+    /// counts and confirms `asked` as the shard's leader. `NotLeader`
+    /// marks the attempt `redirected` and is a failure of `asked` on the
+    /// shard's route.
     fn prepare_judge(
         &self,
         shard: usize,
+        asked: NodeId,
         redirected: &Rc<Cell<bool>>,
     ) -> impl Fn(Option<TxnVote>) -> bool {
-        let (leaders, redirected) = (self.leaders.clone(), redirected.clone());
-        let (asked, members) = (leaders[shard].get(), self.shards[shard].len());
+        let (routes, redirected) = (self.routes.clone(), redirected.clone());
         move |vote| {
-            if vote == Some(TxnVote::NotLeader) {
-                redirected.set(true);
-                if leaders[shard].get() == asked {
-                    leaders[shard].set((asked + 1) % members);
-                }
+            match vote {
+                Some(TxnVote::Yes) => routes[shard].borrow_mut().confirmed(asked),
+                Some(TxnVote::NotLeader) => routes[shard].borrow_mut().failed(asked, None),
+                _ => {}
             }
+            redirected.set(redirected.get() || vote == Some(TxnVote::NotLeader));
             vote == Some(TxnVote::Yes)
         }
     }
@@ -120,7 +120,7 @@ impl TxnClient {
         // Group writes by shard.
         let mut by_shard: HashMap<usize, Vec<(Bytes, Bytes)>> = HashMap::new();
         for (key, value) in writes {
-            let shard = shard_of(&key, self.shards.len());
+            let shard = shard_of(&key, self.routes.len());
             by_shard.entry(shard).or_default().push((key, value));
         }
         let participants: Vec<usize> = by_shard.keys().copied().collect();
@@ -139,7 +139,7 @@ impl TxnClient {
                 "txn_prepare",
                 &cmd,
                 None,
-                self.prepare_judge(shard, &redirected),
+                self.prepare_judge(shard, leader, &redirected),
             );
             all_prepared.add(&yes);
             any_abort.add(&inverse(&yes));

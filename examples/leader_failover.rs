@@ -48,7 +48,7 @@ fn main() {
             s.node, s.label, s.observed, s.baseline, s.at
         );
     });
-    spawn_leader_mitigation(&sim, &detector, cores.clone(), Duration::from_secs(2));
+    spawn_leader_mitigation(&sim, &detector, cores.clone());
 
     let drive = |label: &str, ops_per_client: u32| {
         let t0 = sim.now();
