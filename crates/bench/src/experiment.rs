@@ -111,8 +111,10 @@ pub struct Instruments {
     pub profiler: bool,
     /// Fail-slow detector watching the cluster's `rpc.latency` series.
     pub detector: Option<DetectorCfg>,
-    /// Demote-and-campaign mitigation when the detector suspects the
-    /// leader (one group only; needs `detector`).
+    /// §5's leader handover when the detector suspects the leader: the
+    /// suspect holds its proposals until its healthiest follower has its
+    /// whole log, then that follower campaigns (one group only; needs
+    /// `detector`).
     pub leader_mitigation: bool,
     /// Retry policy installed on every client session, plus a storm
     /// monitor ticked with the sampler. The survival series becomes

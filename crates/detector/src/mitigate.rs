@@ -6,12 +6,14 @@
 //! DepFastRaft."*
 //!
 //! On suspicion of the current leader, the mitigation (playing the role of
-//! the cluster's control plane) steps that node down and penalizes its
-//! next candidacies, so a healthy follower's election timer fires first
-//! and the cluster re-forms around a fast leader.
+//! the cluster's control plane) hands its leadership over to its healthiest
+//! follower as one ordered step (Raft's leadership transfer, Ongaro §3.10):
+//! the suspect holds its proposals until the target holds its whole log,
+//! and then the target campaigns. Its log is then at least as long as
+//! every voter's, so it wins the next term, and the cluster re-forms
+//! around a fast leader without a leaderless gap.
 
 use std::rc::Rc;
-use std::time::Duration;
 
 use depfast::Health;
 use depfast_raft::core::RaftCore;
@@ -20,19 +22,17 @@ use simkit::Sim;
 
 use crate::detect::FailSlowDetector;
 
-/// How long a demoted leader's candidacies are held back
-/// ([`RaftCore::election_penalty`]), so a healthy follower's election
-/// timer fires first.
-const ELECTION_PENALTY: Duration = Duration::from_secs(2);
-
 /// Wires `detector` suspicions to leadership transfer across `cores`.
 ///
-/// On suspicion of the current leader, the mitigation penalizes the
-/// suspect's future candidacies by two seconds, waits for its healthiest
-/// follower to be caught up (the suspect keeps leading — and replicating
-/// — meanwhile), and then triggers that follower to campaign. The
-/// higher-term election demotes the fail-slow leader into a fail-slow
-/// follower, which DepFastRaft tolerates by construction.
+/// On suspicion of the current leader, the mitigation picks its healthiest
+/// follower (the highest replicated index from the suspect's view) and
+/// starts a handover to it ([`DepFastRaft::hand_over`]): the suspect keeps
+/// replicating what it has staged but stages nothing new. Once the target
+/// holds the suspect's whole log, the target campaigns
+/// ([`DepFastRaft::force_campaign`]); the higher-term election demotes the
+/// fail-slow leader into a fail-slow follower, which DepFastRaft tolerates
+/// by construction. Nothing polls: the campaign waits on the target's
+/// match, and the hold ends at the step-down or at its one bound.
 pub fn spawn_leader_mitigation(sim: &Sim, detector: &FailSlowDetector, cores: Vec<Rc<RaftCore>>) {
     let sim = sim.clone();
     detector.on_suspect(move |suspicion| {
@@ -40,51 +40,20 @@ pub fn spawn_leader_mitigation(sim: &Sim, detector: &FailSlowDetector, cores: Ve
         let Some(suspect) = cores.iter().find(|c| c.id == node && c.is_leader()) else {
             return;
         };
-        suspect.election_penalty.set(ELECTION_PENALTY);
-        // Healthiest follower = highest replicated index from the
-        // suspect's view.
-        let Some(target_id) = suspect
-            .peers
-            .iter()
-            .copied()
-            .max_by_key(|p| suspect.match_index(*p))
-        else {
+        let followers = cores.iter().filter(|c| c.id != node);
+        let Some(target) = followers.max_by_key(|c| suspect.match_index(c.id)).cloned() else {
             return;
         };
-        let Some(target) = cores.iter().find(|c| c.id == target_id).cloned() else {
-            return;
-        };
-        let suspect = suspect.clone();
-        let evidence = format!(
-            "fail-slow leader: election penalty {}ms, transfer to n{}",
-            ELECTION_PENALTY.as_millis(),
-            target_id.0
-        );
-        let demote = Health::new("demote", evidence);
+        let caught_up = DepFastRaft::hand_over(suspect, target.id);
+        let demote = Health::new("demote", format!("leadership transfer to {}", target.id));
         let tracer = suspect.rt.tracer();
-        tracer.record_health(sim.now(), suspect.id, "mitigation", demote, None);
-        let s = sim.clone();
+        tracer.record_health(sim.now(), node, "mitigation", demote, None);
+        let campaign = Health::new("campaign", format!("leadership transfer from {node}"));
         sim.spawn(async move {
-            // Leadership transfer: wait for the target to be (nearly)
-            // caught up, then have it campaign at a higher term.
-            for _ in 0..100 {
-                if !suspect.is_leader() {
-                    return; // Someone already took over.
-                }
-                let caught_up = suspect.match_index(target.id) + 8 >= suspect.log.last_index();
-                if caught_up {
-                    let evidence = format!("leadership transfer from n{}", suspect.id.0);
-                    let campaign = Health::new("campaign", evidence);
-                    let tracer = target.rt.tracer();
-                    tracer.record_health(s.now(), target.id, "mitigation", campaign, None);
-                    DepFastRaft::force_campaign(&target);
-                    s.sleep(Duration::from_millis(400)).await;
-                    if !suspect.is_leader() {
-                        return;
-                    }
-                } else {
-                    s.sleep(Duration::from_millis(20)).await;
-                }
+            if caught_up.wait().await.is_ready() {
+                let (tracer, now) = (target.rt.tracer(), target.rt.now());
+                tracer.record_health(now, target.id, "mitigation", campaign, None);
+                DepFastRaft::force_campaign(&target);
             }
         });
     });
@@ -97,8 +66,10 @@ mod tests {
     use bytes::Bytes;
     use depfast_kv::KvCluster;
     use depfast_raft::cluster::RaftKind;
-    use depfast_raft::core::RaftCfg;
-    use simkit::{NodeId, Sim, World, WorldCfg};
+    use depfast_raft::core::{RaftCfg, ELECTION_TIMEOUT};
+    use simkit::{NodeId, Sim, SimTime, World, WorldCfg};
+    use std::cell::{Cell, RefCell};
+    use std::time::Duration;
 
     /// End-to-end §5 scenario: leader goes fail-slow → detector flags it →
     /// mitigation demotes it → healthy node leads → commits stay fast.
@@ -178,6 +149,9 @@ mod tests {
             new_leader.is_some() && new_leader != Some(NodeId(0)),
             "a healthy node must take over, got {new_leader:?}"
         );
+        // It won its first election: the bootstrap term is 1.
+        let term = cores[new_leader.unwrap().0 as usize].log.current_term();
+        assert_eq!(term, 2, "the transfer must win the next term");
         // The whole incident is on the health timeline: the detector's
         // suspicion of n0, the mitigation demoting it, and the transfer
         // target campaigning.
@@ -204,5 +178,120 @@ mod tests {
             per_op < Duration::from_millis(20),
             "recovered throughput too slow: {per_op:?} per op"
         );
+    }
+
+    /// The handover under load. 64 closed-loop clients run on a healthy
+    /// cluster; then the leader fails slow (5 % CPU and 10 ms on every
+    /// message it sends, so rounds are still in flight) and n2's CPU drops
+    /// to 30 %, so n2 appends each round after n1 does. When the handover
+    /// starts (the onset's phase puts it between n1's append of a round
+    /// and n2's) the suspect is ahead of both followers, and its target,
+    /// n2 — the follower with the highest acknowledged index — is behind
+    /// the third node's log. The target must still win the suspect's
+    /// term + 1, no session may give up, and no stretch without a leader
+    /// may last the shortest election timeout (a gap that long is one that
+    /// some node's own timer ended).
+    #[test]
+    fn a_loaded_handover_wins_the_next_term_with_no_leaderless_gap() {
+        let clients = 64;
+        let sim = Sim::new(7);
+        let world = World::new(
+            sim.clone(),
+            WorldCfg {
+                nodes: 3 + clients,
+                ..WorldCfg::default()
+            },
+        );
+        let cfg = RaftCfg {
+            bootstrap_leader: Some(0),
+            batch_window: Duration::from_millis(4),
+            max_entries_per_append: 512,
+            propose_cpu: Duration::from_micros(30),
+            append_cpu_base: Duration::from_micros(30),
+            append_cpu_per_entry: Duration::from_micros(120),
+            apply_cpu: Duration::from_micros(190),
+            ..RaftCfg::default()
+        };
+        let serve_cpu = Duration::from_micros(250);
+        let (kind, n) = (RaftKind::DepFast, 3);
+        let cl = KvCluster::build_tuned(&sim, &world, kind, n, clients, cfg, serve_cpu);
+        let cl = Rc::new(cl);
+        let cores: Vec<Rc<RaftCore>> = cl.raft.groups[0]
+            .servers
+            .iter()
+            .map(|s| s.core().clone())
+            .collect();
+        let detector = FailSlowDetector::spawn(&sim, &cl.raft.tracer, DetectorCfg::default());
+        // Registered before the mitigation's hook, so it sees the cluster
+        // as the handover starts: the term, and every log's last index.
+        let at_start = Rc::new(RefCell::new(None));
+        let (c, start) = (cores.clone(), at_start.clone());
+        detector.on_suspect(move |s| {
+            if s.node == NodeId(0) {
+                let logs: Vec<u64> = c.iter().map(|c| c.log.last_index()).collect();
+                let seen = (c[0].log.current_term(), logs);
+                start.borrow_mut().get_or_insert(seen);
+            }
+        });
+        spawn_leader_mitigation(&sim, &detector, cores.clone());
+
+        let (fault_at, end) = (SimTime::from_millis(2031), SimTime::from_millis(3000));
+        let gap = Rc::new(Cell::new(Duration::ZERO));
+        let (c, longest, s) = (cores.clone(), gap.clone(), sim.clone());
+        sim.spawn(async move {
+            let mut since = None;
+            while s.now() < end {
+                s.sleep(Duration::from_millis(1)).await;
+                if c.iter().any(|c| c.is_leader()) {
+                    since = None;
+                } else {
+                    let from = *since.get_or_insert(s.now());
+                    longest.set(longest.get().max(s.now() - from));
+                }
+            }
+        });
+        let sessions: Vec<_> = (0..clients)
+            .map(|c| {
+                let (cl, s) = (cl.clone(), sim.clone());
+                sim.spawn(async move {
+                    let mut gave_up = 0;
+                    for round in 0.. {
+                        if s.now() >= end {
+                            break;
+                        }
+                        let key = Bytes::from(format!("k{c}-{round}"));
+                        let put = cl.clients[c].put(key, Bytes::from(vec![0u8; 64]));
+                        gave_up += put.await.is_err() as u32;
+                    }
+                    gave_up
+                })
+            })
+            .collect();
+        sim.run_until_time(fault_at);
+        world.set_cpu_quota(NodeId(0), 0.05);
+        world.set_egress_delay(NodeId(0), Duration::from_millis(10));
+        world.set_cpu_quota(NodeId(2), 0.3);
+        let gave_up: u32 = sessions.into_iter().map(|h| sim.run_until(h)).sum();
+
+        let (term, logs) = at_start.borrow_mut().take().expect("n0 suspected");
+        let events = cl.raft.tracer.take_health_events();
+        let demote = events
+            .iter()
+            .find(|e| e.layer == "mitigation" && e.transition == "demote");
+        let demote = &demote.expect("the mitigation demotes n0").evidence;
+        assert!(demote.ends_with("to n2"), "the target is n2: {demote}");
+        assert!(
+            logs[2] < logs[1] && logs[1] < logs[0],
+            "n0 appending, n2 behind n1: last indices {logs:?}"
+        );
+        let leaders: Vec<_> = cores
+            .iter()
+            .filter(|c| c.is_leader())
+            .map(|c| (c.id, c.log.current_term()))
+            .collect();
+        assert_eq!(leaders, [(NodeId(2), term + 1)], "the transfer wins");
+        assert_eq!(gave_up, 0, "no session gives up");
+        let gap = gap.get();
+        assert!(gap < ELECTION_TIMEOUT.0, "leaderless for {gap:?}");
     }
 }

@@ -36,7 +36,7 @@ use std::task::Poll;
 use std::time::Duration;
 
 use bytes::Bytes;
-use depfast::event::{EventHandle, EventKind, ValueEvent};
+use depfast::event::{EventHandle, EventKind, Signal, ValueEvent};
 use depfast::runtime::{Coroutine, Runtime};
 use depfast::TypedEvent;
 use depfast_metrics::{Counter, Gauge, HistogramHandle};
@@ -370,10 +370,12 @@ pub struct RaftCore {
     /// applying to the log in arrival order even though their (entry-count
     /// proportional) CPU costs finish out of order on a multi-core node.
     append_turn: ValueEvent<u64>,
-    /// Extra delay added to this node's election timeout draws — the
-    /// fail-slow mitigation (§5) uses it to keep a demoted fail-slow
-    /// leader from immediately winning re-election.
-    pub election_penalty: Cell<Duration>,
+    /// DepFastRaft's leadership handover while one holds this leader's
+    /// rounds ([`DepFastRaft::hand_over`](crate::depfast_driver::DepFastRaft::hand_over)):
+    /// its target; an event that fires `Ok` once the target holds this
+    /// leader's whole log, `Err` if the hold ends first; and one that fires
+    /// when the hold ends, at step-down or at its bound.
+    pub(crate) handover: RefCell<Option<(NodeId, EventHandle, EventHandle)>>,
     /// Raft group id. `0` is the identity namespace of a single group
     /// (untagged metrics, un-namespaced RPC methods); multi-group
     /// placements number their groups from 1.
@@ -435,7 +437,7 @@ impl RaftCore {
             verified_index: Cell::new(0),
             append_ticket: Cell::new(0),
             append_turn: ValueEvent::labeled(rt, 0, "append_turn"),
-            election_penalty: Cell::new(Duration::ZERO),
+            handover: RefCell::new(None),
             group,
         });
         if cfg.bootstrap_leader.is_some() {
@@ -566,6 +568,10 @@ impl RaftCore {
             // No round will confirm the gets waiting for one: refuse them
             // now rather than at their deadline.
             self.reads_confirmed.fail_waiters();
+            // The step-down ends a handover: the held loop goes on.
+            if let Some((_, _, ended)) = self.handover.take() {
+                ended.fire(Signal::Ok);
+            }
             self.proposals.fail_all();
             // Fail in log-index order: HashMap drain order varies per
             // process and would wake waiting proposers nondeterministically.
@@ -799,6 +805,19 @@ impl RaftCore {
         *m = (*m).max(match_index);
         let n = st.next_index.entry(peer.0).or_insert(1);
         *n = (*n).max(match_index + 1);
+        drop(st);
+        self.check_handover(peer);
+    }
+
+    /// Fires the handover's `caught_up` if `peer` is its target and holds
+    /// this leader's whole log: the log as it stands when the hold begins
+    /// or a match arrives, so a batch staged meanwhile counts too.
+    pub(crate) fn check_handover(&self, peer: NodeId) {
+        if let Some((target, caught_up, _)) = &*self.handover.borrow() {
+            if *target == peer && self.match_index(peer) >= self.log.last_index() {
+                caught_up.fire(Signal::Ok);
+            }
+        }
     }
 
     /// Records a rejection hint from `peer`: back `next_index` up.

@@ -18,7 +18,7 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use depfast::event::{OrEvent, QuorumEvent, QuorumMode, Signal, Watchable};
+use depfast::event::{EventHandle, EventKind, OrEvent, QuorumEvent, QuorumMode, Signal, Watchable};
 use depfast::runtime::Coroutine;
 use depfast_rpc::conn::CancelToken;
 use depfast_rpc::{broadcast, inverse, Method};
@@ -203,12 +203,6 @@ impl DepFastRaft {
                     let room = core.cfg.batch_max - batch.len();
                     batch.extend(core.proposals.drain_up_to(room));
                 }
-                if core.st.borrow().role != Role::Leader {
-                    for (_, ev) in batch {
-                        ev.fire_err();
-                    }
-                    continue;
-                }
                 // Charge leader-side proposal processing.
                 let propose_phase = depfast::PhaseSpan::begin(&core.rt, "propose");
                 let cpu = core.cfg.propose_cpu * batch.len() as u32;
@@ -216,6 +210,20 @@ impl DepFastRaft {
                     break;
                 }
                 propose_phase.end();
+                // A handover holds the round until it ends — a batch popped
+                // or charged while it began included.
+                let held = core.handover.borrow().as_ref().map(|h| h.2.clone());
+                if let Some(ended) = held {
+                    let _g = depfast::PhaseGuard::enter("handover");
+                    ended.wait().await;
+                }
+                // Deposed meanwhile: the batch is refused like the queue.
+                if core.st.borrow().role != Role::Leader {
+                    for (_, ev) in batch {
+                        ev.fire_err();
+                    }
+                    continue;
+                }
                 let term = core.log.current_term();
                 let proposal_ids: Vec<_> = batch.iter().map(|(_, ev)| ev.handle().id()).collect();
                 let staged = core.stage_batch(batch);
@@ -354,9 +362,7 @@ impl DepFastRaft {
             loop {
                 let (lo, hi) = ELECTION_TIMEOUT;
                 let span = (hi - lo).as_nanos() as u64;
-                let timeout = lo
-                    + Duration::from_nanos(core.rt.rand_range(0, span.max(1)))
-                    + core.election_penalty.get();
+                let timeout = lo + Duration::from_nanos(core.rt.rand_range(0, span.max(1)));
                 core.rt.sleep(timeout).await;
                 if core.world.is_crashed(core.id) {
                     break;
@@ -379,9 +385,31 @@ impl DepFastRaft {
         });
     }
 
-    /// Forces this node to campaign immediately (leadership transfer:
-    /// the mitigation layer calls this on a caught-up healthy follower
-    /// after demoting a fail-slow leader).
+    /// Starts handing this leader's leadership to `target` (Raft's
+    /// leadership transfer, Ongaro §3.10), in place of any handover under
+    /// way: the leader holds its proposals — it stages no new round and
+    /// refuses nothing — until it steps down, or for one
+    /// [`ELECTION_TIMEOUT`] bound, the hold's one timer, if that comes
+    /// first. The returned event fires `Ok` once `target` holds the
+    /// leader's whole log — now, or at the match that gets it there — so
+    /// that a campaign of `target`'s wins the next term, and `Err` if the
+    /// hold ends first.
+    pub fn hand_over(core: &Rc<RaftCore>, target: NodeId) -> EventHandle {
+        let caught_up = EventHandle::new(&core.rt, EventKind::Notify, "handover_caught_up");
+        let ended = EventHandle::new(&core.rt, EventKind::Notify, "handover");
+        let (c, e) = (caught_up.clone(), ended.clone());
+        ended.on_fire(move |_| c.fire(Signal::Err));
+        let bound = core.rt.now() + ELECTION_TIMEOUT.1;
+        core.rt.schedule_call(bound, move || e.fire(Signal::Ok));
+        *core.handover.borrow_mut() = Some((target, caught_up.clone(), ended));
+        core.check_handover(target);
+        caught_up
+    }
+
+    /// Forces this node to campaign now: the second half of a handover
+    /// ([`DepFastRaft::hand_over`]), which the mitigation layer starts on
+    /// the fail-slow leader and finishes here, on the target, once the
+    /// target holds the leader's whole log.
     pub fn force_campaign(core: &Rc<RaftCore>) {
         let core = core.clone();
         Coroutine::create(&core.rt.clone(), "raft:election", async move {

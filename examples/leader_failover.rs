@@ -73,10 +73,13 @@ fn main() {
             .collect();
         let ok: u32 = handles.into_iter().map(|h| sim.run_until(h)).sum();
         let dt = (sim.now() - t0).as_secs_f64();
+        let leader = match cores.iter().find(|c| c.is_leader()) {
+            Some(c) => format!("leader {} in term {}", c.id, c.log.current_term()),
+            None => "no leader".to_string(),
+        };
         println!(
-            "[{label}] {ok} commits in {dt:.2}s virtual = {:.0} req/s (leader = {:?})",
-            ok as f64 / dt,
-            cores.iter().find(|c| c.is_leader()).map(|c| c.id)
+            "[{label}] {ok} commits in {dt:.2}s virtual = {:.0} req/s ({leader})",
+            ok as f64 / dt
         );
     };
 
