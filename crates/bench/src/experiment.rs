@@ -789,7 +789,9 @@ mod tests {
     /// Once `execute` returns, no executor of the run is alive, and so no
     /// world, runtime, endpoint or Raft core either: each holds one. A
     /// disk-slow follower leaves calls unanswered and quorums unresolved
-    /// when the run stops, under every driver and over a striped fleet.
+    /// when the run stops, under every driver and over a striped fleet;
+    /// the gated `leader-cpu-slow` cell adds the detector and the leader
+    /// mitigation, whose hook the detector owns.
     #[test]
     fn a_run_frees_its_world() {
         let disk_slow = |run: Run| {
@@ -804,14 +806,26 @@ mod tests {
             placement: striped(8, 9),
             ..short(RaftKind::DepFast)
         };
+        let leader_cpu_slow = depfast_scenario::catalog()
+            .into_iter()
+            .find(|s| s.name == "leader-cpu-slow")
+            .expect("a catalog cell");
+        let dcfg = crate::suites::matrix_detector_cfg();
+        let mitigated = crate::suites::episode(RaftKind::DepFast, dcfg)
+            .with_scenario(&leader_cpu_slow)
+            .expect("compiles");
         let runs = crate::suites::ALL_DRIVERS
             .map(short)
             .into_iter()
-            .chain([striped]);
-        for run in runs.map(disk_slow) {
+            .chain([striped])
+            .map(disk_slow)
+            .chain([mitigated]);
+        for run in runs {
             let before = Sim::alive_on_this_thread();
             let report = run.execute();
             assert!(report.stats.ops > 0, "{} ran", run.cluster_label());
+            let demoted = report.health.iter().any(|e| e.transition == "demote");
+            assert_eq!(demoted, run.instruments.leader_mitigation, "{}", run.fault);
             assert_eq!(
                 Sim::alive_on_this_thread(),
                 before,

@@ -20,7 +20,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::time::Duration;
 
 use depfast::{Health, Tracer};
@@ -164,8 +164,7 @@ impl Judge {
         }
     }
 
-    /// Test probe: nodes currently under suspicion.
-    #[doc(hidden)]
+    /// Nodes currently under suspicion.
     pub fn suspects(&self) -> BTreeSet<NodeId> {
         self.suspects.keys().copied().collect()
     }
@@ -293,9 +292,12 @@ type SuspectHook = Box<dyn Fn(&Suspicion)>;
 
 /// Handle to a running detector.
 #[derive(Clone)]
-pub struct FailSlowDetector {
-    state: Rc<RefCell<DetectorState>>,
-    hooks: Rc<RefCell<Vec<SuspectHook>>>,
+pub struct FailSlowDetector(Rc<Detector>);
+
+/// What every handle to one detector shares.
+pub(crate) struct Detector {
+    state: RefCell<DetectorState>,
+    hooks: RefCell<Vec<SuspectHook>>,
     tracer: Tracer,
 }
 
@@ -303,15 +305,15 @@ impl FailSlowDetector {
     /// Starts a detector polling the `rpc.latency` histograms of
     /// `tracer`'s metric registry every [`POLL`].
     pub fn spawn(sim: &Sim, tracer: &Tracer, cfg: DetectorCfg) -> Self {
-        let detector = FailSlowDetector {
-            state: Rc::new(RefCell::new(DetectorState {
+        let detector = FailSlowDetector(Rc::new(Detector {
+            state: RefCell::new(DetectorState {
                 judge: Judge::new(cfg),
                 history: Vec::new(),
                 last: HashMap::new(),
-            })),
-            hooks: Rc::new(RefCell::new(Vec::new())),
+            }),
+            hooks: RefCell::new(Vec::new()),
             tracer: tracer.clone(),
-        };
+        }));
         let d = detector.clone();
         let sim2 = sim.clone();
         sim.spawn(async move {
@@ -325,30 +327,41 @@ impl FailSlowDetector {
 
     /// Registers a callback invoked on every new suspicion.
     pub fn on_suspect(&self, f: impl Fn(&Suspicion) + 'static) {
-        self.hooks.borrow_mut().push(Box::new(f));
+        self.0.hooks.borrow_mut().push(Box::new(f));
     }
 
-    /// Test probe: nodes currently under suspicion.
-    #[doc(hidden)]
+    /// Nodes currently under suspicion.
     pub fn suspects(&self) -> BTreeSet<NodeId> {
-        self.state.borrow().judge.suspects()
+        self.0.state.borrow().judge.suspects()
+    }
+
+    /// A handle that does not keep the detector alive, for a hook to
+    /// hold: the detector owns its hooks, so a hook holding the detector
+    /// would keep it, and the world it polls, alive in a cycle.
+    pub(crate) fn downgrade(&self) -> Weak<Detector> {
+        Rc::downgrade(&self.0)
+    }
+
+    /// The detector `weak` names, while something else keeps it.
+    pub(crate) fn upgrade(weak: &Weak<Detector>) -> Option<Self> {
+        weak.upgrade().map(FailSlowDetector)
     }
 
     /// Test probe: all suspicions raised so far.
     #[doc(hidden)]
     pub fn history(&self) -> Vec<Suspicion> {
-        self.state.borrow().history.clone()
+        self.0.state.borrow().history.clone()
     }
 
     fn poll(&self, now: SimTime) {
-        let metrics = self.tracer.metrics();
+        let metrics = self.0.tracer.metrics();
         let mut fired = Vec::new();
         {
             // Window means come from the registry's cumulative,
             // callee-scoped `rpc.latency` histograms: diffing consecutive
             // snapshots yields this poll period's (count, total) without
             // any drain side-effects.
-            let mut st = self.state.borrow_mut();
+            let mut st = self.0.state.borrow_mut();
             let mut windows = Windows::new();
             for (key, h) in metrics.histograms_named("rpc.latency") {
                 let snap = h.snapshot();
@@ -362,7 +375,8 @@ impl FailSlowDetector {
                 }
             }
             for v in st.judge.judge(now, &windows) {
-                self.tracer
+                self.0
+                    .tracer
                     .record_health(now, v.node, "detector", v.health, None);
                 let key = match v.raised {
                     Some((track, suspicion)) => {
@@ -376,7 +390,7 @@ impl FailSlowDetector {
             }
         }
         for s in &fired {
-            for hook in self.hooks.borrow().iter() {
+            for hook in self.0.hooks.borrow().iter() {
                 hook(s);
             }
         }

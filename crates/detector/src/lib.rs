@@ -12,8 +12,8 @@
 //! [`detect`] polls the callee-scoped `rpc.latency` histograms every RPC
 //! event fire records into the shared metric registry and flags nodes
 //! whose completion latencies deviate from their own baseline; [`mitigate`]
-//! implements the named mitigation: demote a suspected fail-slow leader
-//! and penalize its next candidacy so a healthy follower takes over.
+//! implements the named mitigation: hand a suspected fail-slow leader's
+//! leadership to a follower that can serve, until leadership moves.
 
 pub mod detect;
 pub mod mitigate;

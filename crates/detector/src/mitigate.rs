@@ -11,52 +11,115 @@
 //! the suspect holds its proposals until the target holds its whole log,
 //! and then the target campaigns. Its log is then at least as long as
 //! every voter's, so it wins the next term, and the cluster re-forms
-//! around a fast leader without a leaderless gap.
+//! around a fast leader without a leaderless gap. The healthiest follower
+//! is the one `pick` names: not suspected itself, applied to within one
+//! batch of the suspect's commit index, so it can serve as soon as it
+//! leads, and of those the one with the most of the suspect's log. A
+//! handover whose hold ends without a campaign is tried again, for as
+//! long as the suspect leads and is suspected.
 
-use std::rc::Rc;
+use std::cell::RefCell;
+use std::collections::BTreeSet;
+use std::rc::{Rc, Weak};
 
 use depfast::Health;
 use depfast_raft::core::RaftCore;
 use depfast_raft::depfast_driver::DepFastRaft;
-use simkit::Sim;
+use simkit::{NodeId, Sim};
 
-use crate::detect::FailSlowDetector;
+use crate::detect::{Detector, FailSlowDetector, POLL};
+
+/// What the control plane knows of one follower when it picks a target.
+struct Follower {
+    id: NodeId,
+    /// Its match index, as the suspect sees it.
+    matched: u64,
+    /// Its own applied index.
+    applied: u64,
+    /// Whether the detector suspects it.
+    suspected: bool,
+}
+
+/// The handover target among `followers` (in member order) of a leader
+/// whose commit index is `commit`: of the followers that are not
+/// suspected and have applied to within `batch_max` entries of `commit`,
+/// the one with the highest match; the last of them on a tie. `None`
+/// when no follower qualifies.
+fn pick(commit: u64, batch_max: u64, followers: &[Follower]) -> Option<NodeId> {
+    let eligible = |f: &&Follower| !f.suspected && f.applied + batch_max >= commit;
+    let best = followers.iter().filter(eligible).max_by_key(|f| f.matched);
+    best.map(|f| f.id)
+}
 
 /// Wires `detector` suspicions to leadership transfer across `cores`.
 ///
-/// On suspicion of the current leader, the mitigation picks its healthiest
-/// follower (the highest replicated index from the suspect's view) and
-/// starts a handover to it ([`DepFastRaft::hand_over`]): the suspect keeps
+/// On suspicion of the current leader, the mitigation starts one loop for
+/// that suspect, which runs while it leads and is suspected (a second
+/// suspicion of it meanwhile starts nothing). Each round, `pick` names
+/// the healthiest follower: not suspected, applied to within
+/// [`RaftCfg::batch_max`](depfast_raft::core::RaftCfg::batch_max) entries
+/// of the suspect's commit index, and of those the highest replicated
+/// index from the suspect's view. With a target, the loop starts a
+/// handover to it ([`DepFastRaft::hand_over`]): the suspect keeps
 /// replicating what it has staged but stages nothing new. Once the target
 /// holds the suspect's whole log, the target campaigns
-/// ([`DepFastRaft::force_campaign`]); the higher-term election demotes the
-/// fail-slow leader into a fail-slow follower, which DepFastRaft tolerates
-/// by construction. Nothing polls: the campaign waits on the target's
-/// match, and the hold ends at the step-down or at its one bound.
+/// ([`DepFastRaft::force_campaign`]) and the loop ends; the higher-term
+/// election demotes the fail-slow leader into a fail-slow follower, which
+/// DepFastRaft tolerates by construction. A hold that ends first, at its
+/// one bound, starts the next round at once; with no target, the next
+/// round comes one detector [`POLL`] later.
 pub fn spawn_leader_mitigation(sim: &Sim, detector: &FailSlowDetector, cores: Vec<Rc<RaftCore>>) {
-    let sim = sim.clone();
+    let (sim, weak) = (sim.clone(), detector.downgrade());
+    let running = Rc::new(RefCell::new(BTreeSet::new()));
     detector.on_suspect(move |suspicion| {
         let node = suspicion.node;
-        let Some(suspect) = cores.iter().find(|c| c.id == node && c.is_leader()) else {
+        let leads = cores.iter().any(|c| c.id == node && c.is_leader());
+        if leads && running.borrow_mut().insert(node) {
+            let (sim2, cores, weak, running) =
+                (sim.clone(), cores.clone(), weak.clone(), running.clone());
+            sim.spawn(async move {
+                transfer(&sim2, &cores, node, &weak).await;
+                running.borrow_mut().remove(&node);
+            });
+        }
+    });
+}
+
+/// The loop [`spawn_leader_mitigation`] runs for the suspect `node`.
+async fn transfer(sim: &Sim, cores: &[Rc<RaftCore>], node: NodeId, detector: &Weak<Detector>) {
+    let core = |id| cores.iter().find(|c| c.id == id).expect("a member");
+    let suspect = core(node);
+    loop {
+        let suspects =
+            FailSlowDetector::upgrade(detector).map_or_else(BTreeSet::new, |d| d.suspects());
+        if !suspect.is_leader() || !suspects.contains(&node) {
             return;
+        }
+        let followers: Vec<Follower> = (cores.iter().filter(|c| c.id != node))
+            .map(|c| Follower {
+                id: c.id,
+                matched: suspect.match_index(c.id),
+                applied: c.applied_idx.get(),
+                suspected: suspects.contains(&c.id),
+            })
+            .collect();
+        let batch_max = suspect.cfg.batch_max as u64;
+        let Some(to) = pick(suspect.commit.get(), batch_max, &followers) else {
+            sim.sleep(POLL).await;
+            continue;
         };
-        let followers = cores.iter().filter(|c| c.id != node);
-        let Some(target) = followers.max_by_key(|c| suspect.match_index(c.id)).cloned() else {
-            return;
-        };
-        let caught_up = DepFastRaft::hand_over(suspect, target.id);
-        let demote = Health::new("demote", format!("leadership transfer to {}", target.id));
+        let demote = Health::new("demote", format!("leadership transfer to {to}"));
         let tracer = suspect.rt.tracer();
         tracer.record_health(sim.now(), node, "mitigation", demote, None);
-        let campaign = Health::new("campaign", format!("leadership transfer from {node}"));
-        sim.spawn(async move {
-            if caught_up.wait().await.is_ready() {
-                let (tracer, now) = (target.rt.tracer(), target.rt.now());
-                tracer.record_health(now, target.id, "mitigation", campaign, None);
-                DepFastRaft::force_campaign(&target);
-            }
-        });
-    });
+        if DepFastRaft::hand_over(suspect, to).wait().await.is_ready() {
+            let target = core(to);
+            let campaign = Health::new("campaign", format!("leadership transfer from {node}"));
+            let (tracer, now) = (target.rt.tracer(), target.rt.now());
+            tracer.record_health(now, to, "mitigation", campaign, None);
+            DepFastRaft::force_campaign(target);
+            return;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -64,6 +127,7 @@ mod tests {
     use super::*;
     use crate::detect::DetectorCfg;
     use bytes::Bytes;
+    use depfast::HealthEvent;
     use depfast_kv::KvCluster;
     use depfast_raft::cluster::RaftKind;
     use depfast_raft::core::{RaftCfg, ELECTION_TIMEOUT};
@@ -293,5 +357,224 @@ mod tests {
         assert_eq!(gave_up, 0, "no session gives up");
         let gap = gap.get();
         assert!(gap < ELECTION_TIMEOUT.0, "leaderless for {gap:?}");
+    }
+
+    fn follower(id: u32, matched: u64, applied: u64, suspected: bool) -> Follower {
+        let id = NodeId(id);
+        Follower {
+            id,
+            matched,
+            applied,
+            suspected,
+        }
+    }
+
+    /// The target rule, row by row, at the default `batch_max` of 64 and
+    /// a commit index of 1 000: `(row, followers in member order, target)`.
+    #[test]
+    fn the_target_is_the_most_matched_follower_that_can_serve() {
+        let rows = [
+            (
+                "all eligible: the highest match",
+                vec![follower(1, 990, 990, false), follower(2, 1000, 999, false)],
+                Some(2),
+            ),
+            (
+                "the top match lags in apply by more than batch_max",
+                vec![follower(1, 990, 990, false), follower(2, 1000, 935, false)],
+                Some(1),
+            ),
+            (
+                "applied exactly batch_max behind is eligible",
+                vec![follower(1, 990, 990, false), follower(2, 1000, 936, false)],
+                Some(2),
+            ),
+            (
+                "the top match is suspected",
+                vec![follower(1, 990, 990, false), follower(2, 1000, 1000, true)],
+                Some(1),
+            ),
+            (
+                "none eligible",
+                vec![follower(1, 1000, 900, false), follower(2, 1000, 1000, true)],
+                None,
+            ),
+            (
+                "a tie: the last in member order",
+                vec![follower(1, 1000, 990, false), follower(2, 1000, 980, false)],
+                Some(2),
+            ),
+            ("no followers", vec![], None),
+        ];
+        for (row, followers, target) in rows {
+            let picked = pick(1000, 64, &followers);
+            assert_eq!(picked, target.map(NodeId), "{row}");
+        }
+    }
+
+    /// What a run of [`loaded`] saw.
+    struct Loaded {
+        /// Operations the sessions gave up on.
+        gave_up: u32,
+        /// The longest stretch with no leader.
+        gap: Duration,
+        /// Each node that led, when it was first seen leading.
+        led: Vec<(NodeId, SimTime)>,
+        /// The health timeline.
+        events: Vec<HealthEvent>,
+    }
+
+    impl Loaded {
+        fn demotions(&self) -> Vec<&HealthEvent> {
+            let demote = |e: &&HealthEvent| e.layer == "mitigation" && e.transition == "demote";
+            self.events.iter().filter(demote).collect()
+        }
+    }
+
+    /// The loaded handover test's cluster (seed 7, 64 closed-loop sessions
+    /// until 3 s, the detector and the mitigation), with `slow` applied
+    /// to the world at the start, `onset` at 2.031 s, and `on_suspect` at
+    /// each suspicion of n0, before the mitigation sees it.
+    fn loaded(
+        slow: impl FnOnce(&World),
+        onset: impl FnOnce(&World),
+        on_suspect: impl Fn(&World) + 'static,
+    ) -> Loaded {
+        let clients = 64;
+        let sim = Sim::new(7);
+        let world = World::new(
+            sim.clone(),
+            WorldCfg {
+                nodes: 3 + clients,
+                ..WorldCfg::default()
+            },
+        );
+        let cfg = RaftCfg {
+            bootstrap_leader: Some(0),
+            batch_window: Duration::from_millis(4),
+            max_entries_per_append: 512,
+            propose_cpu: Duration::from_micros(30),
+            append_cpu_base: Duration::from_micros(30),
+            append_cpu_per_entry: Duration::from_micros(120),
+            apply_cpu: Duration::from_micros(190),
+            ..RaftCfg::default()
+        };
+        let serve_cpu = Duration::from_micros(250);
+        let (kind, n) = (RaftKind::DepFast, 3);
+        let cl = KvCluster::build_tuned(&sim, &world, kind, n, clients, cfg, serve_cpu);
+        let cl = Rc::new(cl);
+        let cores: Vec<Rc<RaftCore>> = cl.raft.groups[0]
+            .servers
+            .iter()
+            .map(|s| s.core().clone())
+            .collect();
+        let detector = FailSlowDetector::spawn(&sim, &cl.raft.tracer, DetectorCfg::default());
+        let w = world.clone();
+        detector.on_suspect(move |s| {
+            if s.node == NodeId(0) {
+                on_suspect(&w);
+            }
+        });
+        spawn_leader_mitigation(&sim, &detector, cores.clone());
+        slow(&world);
+
+        let (fault_at, end) = (SimTime::from_millis(2031), SimTime::from_millis(3000));
+        let seen = Rc::new(RefCell::new((Duration::ZERO, Vec::new())));
+        let (c, watch, s) = (cores.clone(), seen.clone(), sim.clone());
+        sim.spawn(async move {
+            let mut since = None;
+            while s.now() < end {
+                s.sleep(Duration::from_millis(1)).await;
+                let (longest, led) = &mut *watch.borrow_mut();
+                for leader in c.iter().filter(|c| c.is_leader()) {
+                    if led.iter().all(|&(id, _)| id != leader.id) {
+                        led.push((leader.id, s.now()));
+                    }
+                }
+                if c.iter().any(|c| c.is_leader()) {
+                    since = None;
+                } else {
+                    let from = *since.get_or_insert(s.now());
+                    *longest = (*longest).max(s.now() - from);
+                }
+            }
+        });
+        let sessions: Vec<_> = (0..clients)
+            .map(|c| {
+                let (cl, s) = (cl.clone(), sim.clone());
+                sim.spawn(async move {
+                    let mut gave_up = 0;
+                    for round in 0.. {
+                        if s.now() >= end {
+                            break;
+                        }
+                        let key = Bytes::from(format!("k{c}-{round}"));
+                        let put = cl.clients[c].put(key, Bytes::from(vec![0u8; 64]));
+                        gave_up += put.await.is_err() as u32;
+                    }
+                    gave_up
+                })
+            })
+            .collect();
+        sim.run_until_time(fault_at);
+        onset(&world);
+        let gave_up = sessions.into_iter().map(|h| sim.run_until(h)).sum();
+        let (gap, led) = seen.take();
+        let events = cl.raft.tracer.take_health_events();
+        Loaded {
+            gave_up,
+            gap,
+            led,
+            events,
+        }
+    }
+
+    /// A handover whose hold reaches its bound is tried again. The loaded
+    /// test's faults (n0 at 5 % CPU with 10 ms on every message it sends,
+    /// n2 at 30 % CPU), with n0's link to n2 cut as n0 is suspected: the
+    /// first handover goes to n2, which cannot catch up, so its hold ends
+    /// at its bound; the next goes to n1. Leadership leaves n0 within two
+    /// bounds of the first demotion, no session gives up, and no stretch
+    /// without a leader lasts the shortest election timeout.
+    #[test]
+    fn a_handover_that_reaches_its_bound_is_tried_again() {
+        let onset = |w: &World| {
+            w.set_cpu_quota(NodeId(0), 0.05);
+            w.set_egress_delay(NodeId(0), Duration::from_millis(10));
+            w.set_cpu_quota(NodeId(2), 0.3);
+        };
+        let cut = |w: &World| w.partition(NodeId(0), NodeId(2));
+        let run = loaded(|_| {}, onset, cut);
+        let demotions = run.demotions();
+        let first = demotions.first().expect("the mitigation demotes n0");
+        assert!(
+            first.evidence.ends_with("to n2"),
+            "first to n2: {demotions:?}"
+        );
+        let moved = run.led.iter().find(|&&(id, _)| id != NodeId(0));
+        let &(_, moved) = moved.expect("leadership leaves n0");
+        let within = moved - first.t;
+        assert!(within <= ELECTION_TIMEOUT.1 * 2, "n0 led {within:?} longer");
+        assert_eq!(run.gave_up, 0, "no session gives up");
+        assert!(run.gap < ELECTION_TIMEOUT.0, "leaderless for {:?}", run.gap);
+    }
+
+    /// The target can serve. n2 runs at 30 % CPU and n1's sends take 5 ms
+    /// longer from the start, so n2's match leads n1's while its apply
+    /// loop falls far behind the commit index; n0's sends take 30 ms
+    /// longer from 2.031 s. Leadership must not go to n2, which would
+    /// answer nobody until it had applied its backlog: no session gives
+    /// up, and n2 never leads.
+    #[test]
+    fn a_follower_that_lags_in_apply_is_not_the_target() {
+        let slow = |w: &World| {
+            w.set_cpu_quota(NodeId(2), 0.3);
+            w.set_egress_delay(NodeId(1), Duration::from_millis(5));
+        };
+        let onset = |w: &World| w.set_egress_delay(NodeId(0), Duration::from_millis(30));
+        let run = loaded(slow, onset, |_| {});
+        assert_eq!(run.gave_up, 0, "no session gives up");
+        let leaders: Vec<_> = run.led.iter().map(|&(id, _)| id).collect();
+        assert!(!leaders.contains(&NodeId(2)), "leaders: {leaders:?}");
     }
 }

@@ -329,7 +329,8 @@ pub struct RaftCore {
     pub log: LogStore,
     /// Commit index as a watchable variable (the apply loop waits on it).
     pub commit: ValueEvent<u64>,
-    /// Applied index as a watchable variable (ReadIndex reads wait on it).
+    /// Applied index as a watchable variable (ReadIndex reads wait on it;
+    /// the apply loop and snapshots read and move it).
     pub applied_idx: ValueEvent<u64>,
     /// Leadership epoch as a watchable variable (driver loops wait on it).
     pub leader_gen: ValueEvent<u64>,
@@ -342,7 +343,6 @@ pub struct RaftCore {
     /// Incoming proposals.
     pub proposals: ProposalQueue,
     machine: RefCell<Option<Box<dyn StateMachine>>>,
-    applied: Cell<u64>,
     pub(crate) stats: RaftStats,
     /// Every per-peer catch-up decision: log or state, the state in
     /// flight, what the log retains, DepFastRaft's quarantine.
@@ -427,7 +427,6 @@ impl RaftCore {
             pending: RefCell::new(HashMap::new()),
             proposals: ProposalQueue::default(),
             machine: RefCell::new(None),
-            applied: Cell::new(0),
             stats: RaftStats::new(rt, group),
             feed: RefCell::new(Feed::new(cfg)),
             flow: RefCell::new(Flow::new(cfg)),
@@ -723,7 +722,7 @@ impl RaftCore {
             Fork::Snapshot(patience) => patience,
         };
         drop(feed);
-        let last_index = self.applied.get();
+        let last_index = self.applied_idx.get();
         let state = self.machine.borrow().as_ref().map(|m| m.snapshot());
         let req = SnapshotReq {
             term: self.log.current_term(),
@@ -896,7 +895,7 @@ impl RaftCore {
         let core = self.clone();
         Coroutine::create(&self.rt, "raft:apply", async move {
             loop {
-                let target = core.applied.get() + 1;
+                let target = core.applied_idx.get() + 1;
                 core.commit.when_at_least(target).wait().await;
                 if core.apply_committed().await.is_err() {
                     break; // Crashed.
@@ -912,14 +911,14 @@ impl RaftCore {
     /// needs any more.
     async fn apply_committed(&self) -> Result<(), Crashed> {
         let hi = self.commit.get();
-        let lo = self.applied.get() + 1;
+        let lo = self.applied_idx.get() + 1;
         if lo > hi {
             return Ok(());
         }
         let entries = self.log.read(lo, hi + 1).await.map_err(|_| Crashed)?;
         for e in entries {
             self.world.cpu(self.id, self.cfg.apply_cpu).await?;
-            if e.index <= self.applied.get() {
+            if e.index <= self.applied_idx.get() {
                 // A snapshot was installed while this pass was on the CPU:
                 // the state machine is already past this entry.
                 continue;
@@ -928,7 +927,6 @@ impl RaftCore {
                 Some(m) => m.apply(&e),
                 None => Bytes::new(),
             };
-            self.applied.set(e.index);
             self.applied_idx.set(e.index);
             let pending = self.pending.borrow_mut().remove(&e.index);
             if let Some(ev) = pending {
@@ -943,7 +941,7 @@ impl RaftCore {
         }
         let standing = feed::Standing {
             first_index: self.log.first_index(),
-            applied: self.applied.get(),
+            applied: self.applied_idx.get(),
             log_bytes: self.log.bytes(),
             slowest_match: self
                 .is_leader()
@@ -1254,7 +1252,7 @@ pub async fn handle_snapshot(core: &Rc<RaftCore>, req: SnapshotReq) -> Option<Ap
     if !core.follow_leader(req.term, req.leader) {
         return Some(core.stale_term_reply());
     }
-    if req.last_index > core.applied.get() {
+    if req.last_index > core.applied_idx.get() {
         if core.log.durable_index() + 1 < core.log.first_index() {
             return None;
         }
@@ -1265,7 +1263,6 @@ pub async fn handle_snapshot(core: &Rc<RaftCore>, req: SnapshotReq) -> Option<Ap
         }
         core.log
             .install_snapshot(req.last_index, req.last_term, req.state.len() as u64);
-        core.applied.set(req.last_index);
         core.applied_idx.set(req.last_index);
         core.set_commit(req.last_index);
         // What was verified past the snapshot still is iff the log kept it.
@@ -1599,7 +1596,7 @@ mod tests {
         assert_eq!(tally.get(), 50);
         assert_eq!((core.log.first_index(), core.log.last_index()), (51, 50));
         assert_eq!(core.log.term_at(50), 1);
-        assert_eq!((core.applied.get(), core.commit.get()), (50, 50));
+        assert_eq!((core.applied_idx.get(), core.commit.get()), (50, 50));
         assert!(core.log.durable_index() >= 50);
         assert!(
             core.log.wal().synced_bytes() >= wal_before + 8,
@@ -1608,7 +1605,7 @@ mod tests {
         // At or below what is applied: acknowledged, nothing touched.
         assert_eq!(install(snapshot(40, 1)), ack(40));
         assert_eq!(tally.get(), 50);
-        assert_eq!(core.applied.get(), 50);
+        assert_eq!(core.applied_idx.get(), 50);
         // From a stale term: refused by the term rule.
         let refused = install(snapshot(90, 0)).expect("answered");
         assert!(!refused.success);
@@ -1617,7 +1614,7 @@ mod tests {
         let mut garbled = snapshot(90, 1);
         garbled.state = Frame::from(Bytes::from_static(b"xyz"));
         assert_eq!(install(garbled), None);
-        assert_eq!((tally.get(), core.applied.get()), (50, 50));
+        assert_eq!((tally.get(), core.applied_idx.get()), (50, 50));
     }
 
     #[test]
@@ -1816,12 +1813,12 @@ mod tests {
             assert!(durable_then >= 50, "acknowledged before it was durable");
         }
         assert_eq!(newer.try_take().expect("ran").0, None);
-        assert_eq!((core.applied.get(), core.log.last_index()), (50, 50));
+        assert_eq!((core.applied_idx.get(), core.log.last_index()), (50, 50));
         // Once the write is done the next one is taken.
         let third = install(snapshot(60));
         sim.run();
         assert!(third.try_take().expect("ran").0.is_some());
-        assert_eq!(core.applied.get(), 60);
+        assert_eq!(core.applied_idx.get(), 60);
     }
 
     #[test]
