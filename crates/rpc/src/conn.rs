@@ -4,9 +4,11 @@
 //! carries something: a queued message, a running sender or a credit the
 //! peer has not returned yet. A connection with none of these is in a
 //! fresh one's state — its whole window of credits, nothing queued — so
-//! it is dropped, and the next send to that peer opens a fresh one. Its
-//! sender is a burst, not a resident task: the enqueue that finds none
-//! running spawns it, and it ends when the queue drains.
+//! it is closed, and the next send to that peer opens a fresh one. A
+//! closed connection's state is kept, buffers and all, for the node's next
+//! connection to open. Its sender is a burst, not a resident task: the
+//! enqueue that finds none running spawns it, and it ends when the queue
+//! drains.
 //!
 //! Three mechanisms meet here, all central to the paper:
 //!
@@ -154,6 +156,10 @@ pub(crate) struct Links {
     stats: OnceCell<ConnStats>,
     sender: Recurring,
     conns: RefCell<HashMap<u32, Rc<RefCell<ConnState>>>>,
+    /// Closed connections' states, each a fresh one's whose queue and
+    /// timestamp buffers keep their capacity: the next connections to
+    /// open take them. No more than the node ever had open at once.
+    closed: RefCell<Vec<Rc<RefCell<ConnState>>>>,
 }
 
 impl Links {
@@ -177,6 +183,7 @@ impl Links {
             stats: OnceCell::new(),
             sender: Recurring::new("rpc:sender"),
             conns: RefCell::new(HashMap::new()),
+            closed: RefCell::new(Vec::new()),
         })
     }
 
@@ -214,7 +221,13 @@ impl Links {
                 } else {
                     stats.buffer_bytes.add(len as i64);
                     stats.buffer_msgs.add(1);
-                    let conn = self.conns.borrow_mut().entry(to.0).or_default().clone();
+                    // Opened, if it is not open, on a closed one's state.
+                    let conn = self
+                        .conns
+                        .borrow_mut()
+                        .entry(to.0)
+                        .or_insert_with(|| self.closed.borrow_mut().pop().unwrap_or_default())
+                        .clone();
                     let mut c = conn.borrow_mut();
                     c.queue.push_back(msg);
                     if c.sending {
@@ -262,8 +275,15 @@ impl Links {
     }
 
     fn close_if_idle(&self, to: NodeId, conn: &RefCell<ConnState>) {
-        if conn.borrow().is_idle() {
-            self.conns.borrow_mut().remove(&to.0);
+        if !conn.borrow().is_idle() {
+            return;
+        }
+        if let Some(state) = self.conns.borrow_mut().remove(&to.0) {
+            // An idle state is a fresh one's but for the waker of a burst
+            // that its credit's expiry woke: the next connection's sender
+            // parks here, so no finished burst may stay parked.
+            state.borrow_mut().parked = WakerSlot::default();
+            self.closed.borrow_mut().push(state);
         }
     }
 
@@ -441,6 +461,76 @@ mod tests {
         assert_eq!(conn.sent(), 3);
         let queued = rt.tracer().metrics().node(0).gauge("rpc.buffer.bytes");
         assert_eq!(queued.get(), 0);
+    }
+
+    /// A waker that counts its wakes.
+    #[derive(Default)]
+    struct Wakes(std::sync::atomic::AtomicU32);
+
+    impl std::task::Wake for Wakes {
+        fn wake(self: std::sync::Arc<Self>) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn a_reopened_connection_is_the_closed_ones_state_made_fresh() {
+        let (sim, world, rt) = setup();
+        let to = NodeId(1);
+        let links = Links::new(
+            &rt,
+            &world,
+            BufferPolicy::Unbounded,
+            4,
+            Duration::from_micros(1),
+        );
+        let settle = || sim.run_until_time(sim.now() + Duration::from_millis(1));
+        for _ in 0..8 {
+            links.enqueue(to, msg(1));
+        }
+        settle();
+        let state = links.conns.borrow()[&to.0].clone();
+        // Four credits back: the burst sends the other four and ends with
+        // their credits out.
+        for _ in 0..4 {
+            links.grant_credit(to);
+        }
+        settle();
+        assert_eq!(links.stats().sent.get(), 8);
+        assert!(!state.borrow().sending);
+        // What a burst leaves parked when its credit's expiry, not the
+        // slot, woke it: its waker.
+        let old = std::sync::Arc::new(Wakes::default());
+        let waker = std::task::Waker::from(old.clone());
+        state
+            .borrow()
+            .parked
+            .park(&std::task::Context::from_waker(&waker));
+        let capacity = (
+            state.borrow().queue.capacity(),
+            state.borrow().outstanding.capacity(),
+        );
+        for _ in 0..4 {
+            links.grant_credit(to);
+        }
+        assert_eq!(links.conns_open(), 0);
+        let kept = (
+            state.borrow().queue.capacity(),
+            state.borrow().outstanding.capacity(),
+        );
+        assert_eq!(kept, capacity);
+
+        // The next burst runs on that state: the whole window free, and its
+        // enqueues wake no burst but its own.
+        for _ in 0..8 {
+            links.enqueue(to, msg(1));
+        }
+        assert!(Rc::ptr_eq(&links.conns.borrow()[&to.0], &state));
+        settle();
+        assert_eq!(links.stats().sent.get(), 12);
+        assert_eq!(old.0.load(std::sync::atomic::Ordering::Relaxed), 0);
+        sim.run();
+        assert_eq!(links.stats().sent.get(), 16);
     }
 
     #[test]

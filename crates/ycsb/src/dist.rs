@@ -1,5 +1,7 @@
 //! Key-choosing distributions, matching the YCSB generators.
 
+use std::cell::RefCell;
+
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -50,6 +52,20 @@ pub struct Zipfian {
     eta: f64,
 }
 
+thread_local! {
+    /// Every zipfian this thread has built, one per keyspace size: a
+    /// client session's generator reuses its keyspace's constants instead
+    /// of summing ζ(n) again. Per thread, so nothing is shared between
+    /// worlds that run on different threads.
+    static BUILT: RefCell<Vec<Zipfian>> = const { RefCell::new(Vec::new()) };
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Keyspaces this thread has summed ζ(n) over (`Zipfian::build` calls).
+    static SUMS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl Zipfian {
     /// Standard YCSB constant.
     pub const THETA: f64 = 0.99;
@@ -61,6 +77,20 @@ impl Zipfian {
     /// Panics if `n == 0`.
     pub fn new(n: u64) -> Self {
         assert!(n > 0, "need at least one record");
+        BUILT.with_borrow_mut(|built| {
+            if let Some(z) = built.iter().find(|z| z.n == n) {
+                return z.clone();
+            }
+            let z = Self::build(n);
+            built.push(z.clone());
+            z
+        })
+    }
+
+    /// Computes the constants of a keyspace of `n` records.
+    fn build(n: u64) -> Self {
+        #[cfg(test)]
+        SUMS.set(SUMS.get() + 1);
         let zeta_n = Self::zeta(n);
         let zeta2 = Self::zeta(2);
         let alpha = 1.0 / (1.0 - Self::THETA);
@@ -74,7 +104,8 @@ impl Zipfian {
     }
 
     fn zeta(n: u64) -> f64 {
-        // O(n) precompute; fine for the ≤1M-record keyspaces used here.
+        // O(n): summed once per thread per keyspace (see `BUILT`), not once
+        // per client session.
         (1..=n).map(|i| 1.0 / (i as f64).powf(Self::THETA)).sum()
     }
 }
@@ -197,6 +228,55 @@ mod tests {
         };
         assert_eq!(draw(7), draw(7));
         assert_ne!(draw(7), draw(8));
+    }
+
+    /// Keyspace sizes in the order a thread builds them: each size again
+    /// after others, so every warm construction follows a different one.
+    const SIZES: [u64; 10] = [20_000, 1_000, 20_000, 1, 2, 3, 1_000, 20_000, 3, 1];
+
+    /// `d`'s first 1 000 draws at `seed`.
+    fn draws(d: &mut impl KeyDist, seed: u64) -> Vec<u64> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..1_000).map(|_| d.next(&mut rng)).collect()
+    }
+
+    fn bits(z: &Zipfian) -> [u64; 4] {
+        [z.n, z.alpha.to_bits(), z.zeta_n.to_bits(), z.eta.to_bits()]
+    }
+
+    #[test]
+    fn a_warm_keyspace_is_its_cold_sum_bit_for_bit() {
+        for (i, n) in SIZES.into_iter().enumerate() {
+            let (mut warm, mut cold) = (Zipfian::new(n), Zipfian::build(n));
+            assert_eq!(bits(&warm), bits(&cold), "n = {n}, construction {i}");
+            assert_eq!(draws(&mut warm, i as u64), draws(&mut cold, i as u64));
+            let mut latest = Latest::new(n);
+            let mut cold = Latest {
+                inner: Zipfian::build(n),
+            };
+            assert_eq!(bits(&latest.inner), bits(&cold.inner), "latest, n = {n}");
+            assert_eq!(draws(&mut latest, i as u64), draws(&mut cold, i as u64));
+        }
+    }
+
+    #[test]
+    fn a_fresh_thread_draws_what_a_warm_one_does() {
+        for n in SIZES {
+            Zipfian::new(n);
+        }
+        let here = draws(&mut Zipfian::new(20_000), 9);
+        let there = std::thread::spawn(|| draws(&mut Zipfian::new(20_000), 9));
+        assert_eq!(here, there.join().unwrap());
+    }
+
+    #[test]
+    fn a_keyspace_is_summed_once_per_thread() {
+        let before = SUMS.get();
+        for _ in 0..256 {
+            Zipfian::new(4_321);
+            Latest::new(4_321);
+        }
+        assert_eq!(SUMS.get() - before, 1);
     }
 
     #[test]

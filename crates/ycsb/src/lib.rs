@@ -7,7 +7,9 @@
 //! utilization of the leader nodes to around 75%."*
 //!
 //! * [`dist`] — key-choosing distributions: uniform, YCSB zipfian (θ =
-//!   0.99, the one θ in use) and latest;
+//!   0.99, the one θ in use) and latest. A zipfian keyspace's ζ(n) is
+//!   summed once per thread per keyspace, not once per client session, so
+//!   opening 256 sessions over one keyspace costs one O(n) sum;
 //! * [`workload`] — op mixes and record/value sizing (the paper's update
 //!   workload is [`WorkloadSpec::update_heavy`]; any other mix, such as a
 //!   YCSB letter workload, is a struct literal over it);
