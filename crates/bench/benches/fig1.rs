@@ -29,9 +29,9 @@
 //! slow follower without touching the workload numbers.
 //!
 //! Pass `--trace` to instead run ONE short fully-traced DepFastRaft
-//! experiment with a disk-slow follower: the blame table is printed and
-//! `depfast-inspect --chrome` turns the export into Chrome `trace_event`
-//! JSON (load in Perfetto).
+//! experiment with a disk-slow follower: the blame table, folded live
+//! from every record, is printed, and `depfast-inspect --chrome` turns
+//! the export into Chrome `trace_event` JSON (load in Perfetto).
 //!
 //! Pass `--incidents` to run each legacy system (plus DepFastRaft for
 //! contrast) through one incident-instrumented disk-slow episode:
@@ -51,7 +51,6 @@ use depfast_bench::{
 };
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
-use depfast_trace_analysis as trace_analysis;
 use depfast_ycsb::driver::RunStats;
 use simkit::NodeId;
 
@@ -78,15 +77,8 @@ fn trace_mode() {
         run.records.len(),
         run.stats.throughput
     );
-    if run.trace_dropped > 0 {
-        eprintln!(
-            "[fig1] WARNING: trace ring buffer dropped {} record(s); blame shares \
-             below are computed from a truncated stream",
-            run.trace_dropped
-        );
-    }
-    let index = trace_analysis::TraceIndex::build(&run.records);
-    print!("{}", trace_analysis::blame_report(&index).table(12));
+    let blame = run.blame.as_ref().expect("the blame fold was on");
+    print!("{}", blame.table(12));
     run.export("fig1_trace").expect("write run artifact");
 }
 

@@ -104,7 +104,8 @@ pub struct Instruments {
     /// time. Implied by `detector` and `retry`, whose verdicts read the
     /// series.
     pub sampler: bool,
-    /// Full causal tracing for the whole run ([`RunReport::records`]).
+    /// Full causal tracing for the whole run ([`RunReport::records`]),
+    /// with critical-path blame folded live ([`RunReport::blame`]).
     pub trace: bool,
     /// Wait-state profiler installed for the whole run, warm-up
     /// included ([`RunReport::profiler`]).
@@ -258,6 +259,7 @@ impl Run {
         });
         if ins.trace {
             tracer.set_record_full(true);
+            tracer.install_blame_fold();
         }
         let profiler = ins.profiler.then(|| {
             let p = Profiler::new(self.kind.name());
@@ -341,11 +343,11 @@ impl Run {
             seed: self.seed ^ 0x5eed,
         };
         let stats = run_workload(&sim, &world, &cluster, spec, dcfg);
-        let records = if ins.trace {
+        let (records, blame) = if ins.trace {
             tracer.set_record_full(false);
-            tracer.take_records()
+            (tracer.take_records(), Some(tracer.finish_blame_fold()))
         } else {
-            Vec::new()
+            (Vec::new(), None)
         };
         if let Some(p) = &profiler {
             p.uninstall(&tracer, &world);
@@ -368,6 +370,7 @@ impl Run {
             health_dropped,
             trace_dropped,
             records,
+            blame,
             profiler,
             faults,
             metrics,
@@ -464,8 +467,11 @@ pub struct RunReport {
     /// Every trace record the ring buffer retained (empty unless traced).
     pub records: Vec<depfast::TraceRecord>,
     /// Records the ring buffer had to drop (`trace.dropped`). Nonzero
-    /// means blame percentages are computed from a truncated stream.
+    /// means the exported trace, and a blame replayed from it, is
+    /// truncated; `blame` saw every record.
     pub trace_dropped: u64,
+    /// Critical-path blame, folded live from every record (when traced).
+    pub blame: Option<depfast::blame::BlameReport>,
     /// The wait-state profile of the whole run, ready for folded/SVG
     /// export (when profiled).
     pub profiler: Option<Profiler>,

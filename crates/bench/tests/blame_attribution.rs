@@ -2,15 +2,14 @@
 //! disk fault on follower 2 is *absorbed* by DepFastRaft's quorum
 //! structure (the slow node almost never bounds a commit) but lands on
 //! the critical path of the TiDB-style sync driver (inline cold reads
-//! blamed on the laggard), and the blame report proves both from the
-//! recorded traces alone.
+//! blamed on the laggard), and the blame report, folded live from the
+//! trace records, proves both.
 
 use std::time::Duration;
 
 use depfast_bench::{Artifact, Run};
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
-use depfast_trace_analysis::{blame_report, TraceIndex};
 use simkit::NodeId;
 
 fn traced_cfg(kind: RaftKind) -> Run {
@@ -36,9 +35,8 @@ fn traced_cfg(kind: RaftKind) -> Run {
 #[test]
 fn depfast_quorum_keeps_the_disk_slow_follower_off_the_critical_path() {
     let run = traced_cfg(RaftKind::DepFast).execute();
-    let (stats, records) = (run.stats, run.records);
-    assert!(stats.ops > 100, "workload ran: {}", stats.ops);
-    let report = blame_report(&TraceIndex::build(&records));
+    assert!(run.stats.ops > 100, "workload ran: {}", run.stats.ops);
+    let report = run.blame.expect("traced");
     assert!(report.commits > 100, "commits analyzed: {}", report.commits);
     assert!(!report.total.is_zero(), "commits were blamed on someone");
     let share = report.node_share(NodeId(2));
@@ -61,9 +59,8 @@ fn sync_driver_blame_lands_on_the_disk_slow_follower() {
         ..traced_cfg(RaftKind::Sync)
     };
     let run = cfg.execute();
-    let (stats, records) = (run.stats, run.records);
-    assert!(stats.ops > 100, "workload ran: {}", stats.ops);
-    let report = blame_report(&TraceIndex::build(&records));
+    assert!(run.stats.ops > 100, "workload ran: {}", run.stats.ops);
+    let report = run.blame.expect("traced");
     assert!(report.commits > 100, "commits analyzed: {}", report.commits);
     // Node 2 carries blame, and more than any other node does.
     let slow = report.node_share(NodeId(2));

@@ -18,10 +18,11 @@
 //!   construction*: no single slow component sits on the critical path;
 //! * every event doubles as a trace point. The [`trace`] module records
 //!   waiting-for relationships, [`spg`] folds each wait, as it begins, into
-//!   a slowness propagation graph from the live events, and [`verify`]
-//!   checks — at runtime, from real executions —
-//!   that a code path has no singular remote waits and predicts how far a
-//!   slow node's impact would propagate.
+//!   a slowness propagation graph from the live events, [`blame`] folds
+//!   the records into each committed command's critical-path blame, and
+//!   [`verify`] checks — at runtime, from real executions — that a code
+//!   path has no singular remote waits and predicts how far a slow node's
+//!   impact would propagate.
 //!
 //! # Quick example
 //!
@@ -65,6 +66,7 @@
 //! [`OrEvent::of2`], or by waiting through the compound's own `wait` /
 //! `wait_timeout`.
 
+pub mod blame;
 pub mod event;
 pub mod runtime;
 pub mod spg;

@@ -11,8 +11,10 @@
 //!
 //! Full recording is opt-in ([`Tracer::set_record_full`]) because a
 //! saturated benchmark produces millions of records; the registry series
-//! are cheap and always on. A wait is not a record: two synchronous taps
-//! see it instead, the SPG fold as it begins
+//! are cheap and always on. A record can also be folded as it is made,
+//! without being kept: the blame fold ([`Tracer::install_blame_fold`])
+//! sees every one, whether or not full recording buffers it. A wait is not
+//! a record: two synchronous taps see it instead, the SPG fold as it begins
 //! ([`Tracer::install_spg_fold`]) and the wait probe as it ends
 //! ([`Tracer::set_wait_probe`]); a quorum's resolution lands in the
 //! `event.quorum.*` series.
@@ -24,6 +26,7 @@ use std::time::Duration;
 use depfast_metrics::{Counter, Key, MetricsRegistry};
 use simkit::{NodeId, SimTime};
 
+use crate::blame::{BlameReport, Fold};
 use crate::event::{EventId, EventKind, Signal};
 use crate::runtime::CoroId;
 use crate::spg::{Shape, Spg};
@@ -239,6 +242,7 @@ struct TraceInner {
     metrics: MetricsRegistry,
     wait_probe: Option<WaitProbe>,
     spg: Option<Spg>,
+    blame: Option<Fold>,
 }
 
 /// The cluster-shared trace sink and id allocator. Cheap to clone.
@@ -280,6 +284,7 @@ impl Tracer {
                 metrics,
                 wait_probe: None,
                 spg: None,
+                blame: None,
             })),
         }
     }
@@ -332,17 +337,24 @@ impl Tracer {
         self.inner.borrow_mut().capacity = cap;
     }
 
-    /// Records `make()` if full recording is on. The closure keeps the
-    /// disabled path allocation-free.
+    /// Makes `make()` if full recording or the blame fold is on, feeds it
+    /// to the fold, and keeps it under full recording. The closure keeps
+    /// the disabled path allocation-free.
     pub fn record(&self, make: impl FnOnce() -> TraceRecord) {
         let mut inner = self.inner.borrow_mut();
-        if inner.record_full {
-            if inner.records.len() < inner.capacity {
-                let rec = make();
-                inner.records.push(rec);
-            } else {
-                inner.dropped.inc();
-            }
+        let keep = inner.record_full && inner.records.len() < inner.capacity;
+        if inner.record_full && !keep {
+            inner.dropped.inc();
+        }
+        if !keep && inner.blame.is_none() {
+            return;
+        }
+        let rec = make();
+        if let Some(fold) = &mut inner.blame {
+            fold.feed(&rec);
+        }
+        if keep {
+            inner.records.push(rec);
         }
     }
 
@@ -377,6 +389,21 @@ impl Tracer {
     /// installed).
     pub fn finish_spg_fold(&self) -> Spg {
         self.inner.borrow_mut().spg.take().unwrap_or_default()
+    }
+
+    /// Starts folding every record made on runtimes sharing this tracer
+    /// into critical-path blame ([`crate::blame`]), whether or not full
+    /// recording keeps it, until [`Tracer::finish_blame_fold`]. Beside the
+    /// SPG fold: a run needs no stored stream to know its blame.
+    pub fn install_blame_fold(&self) {
+        self.inner.borrow_mut().blame = Some(Fold::default());
+    }
+
+    /// Stops the blame fold and yields its report (empty if none was
+    /// installed).
+    pub fn finish_blame_fold(&self) -> BlameReport {
+        let fold = self.inner.borrow_mut().blame.take();
+        fold.map(Fold::finish).unwrap_or_default()
     }
 
     /// Folds one beginning wait — `(waiter, coroutine label, what it waits
@@ -486,6 +513,36 @@ mod tests {
             by: None,
         });
         assert_eq!(t.take_records().len(), 1);
+    }
+
+    #[test]
+    fn the_blame_fold_sees_records_full_recording_does_not_keep() {
+        let t = Tracer::new();
+        t.install_blame_fold();
+        t.record(|| TraceRecord::EventCreated {
+            t: SimTime::ZERO,
+            node: NodeId(0),
+            coro: None,
+            event: EventId(0),
+            kind: EventKind::Notify,
+            label: "proposal",
+            ctx: None,
+        });
+        t.set_record_full(true);
+        t.set_record_capacity(0);
+        t.record(|| TraceRecord::EventFired {
+            t: SimTime::from_nanos(7),
+            event: EventId(0),
+            signal: Signal::Ok,
+            by: None,
+        });
+        assert!(t.take_records().is_empty());
+        let report = t.finish_blame_fold();
+        assert_eq!((report.commits, report.total), (1, Duration::from_nanos(7)));
+        // Finished: the disabled path is back.
+        t.set_record_full(false);
+        t.record(|| panic!("must not be built when nothing reads it"));
+        assert_eq!(t.finish_blame_fold().commits, 0);
     }
 
     #[test]

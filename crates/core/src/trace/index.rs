@@ -5,6 +5,7 @@ use std::collections::HashMap;
 use simkit::{NodeId, SimTime};
 
 use super::{TraceCtx, TraceRecord};
+use crate::blame::{BlameReport, Fold};
 use crate::event::{EventId, EventKind, Signal};
 use crate::runtime::CoroId;
 
@@ -34,29 +35,33 @@ pub struct CoroInfo {
     pub label: &'static str,
 }
 
-/// Index over one trace: events by id, fires, proposal→round links.
-/// Built once per record stream and shared by the blame report and the
-/// Chrome export.
+/// Index over one trace: events by id, fires, proposal→round links, and
+/// the stream's critical-path blame. Built once per record stream; the
+/// Chrome export reads the index, the blame report is the blame fold
+/// replayed over the same records.
 #[derive(Default)]
 pub struct TraceIndex {
     /// Creation records by event id.
     pub events: HashMap<EventId, EventInfo>,
-    /// Fire time, outcome and deciding child (a compound event's) by
-    /// event id.
-    pub fired: HashMap<EventId, (SimTime, Signal, Option<EventId>)>,
+    /// First fire time and outcome by event id.
+    pub fired: HashMap<EventId, (SimTime, Signal)>,
     /// Round (quorum event) of each linked proposal or ReadIndex wait.
     pub round_of: HashMap<EventId, EventId>,
     /// Launch records by coroutine id.
     pub coros: HashMap<CoroId, CoroInfo>,
     /// Request roots, in record order: `(t, node, trace id, label)`.
     pub begins: Vec<(SimTime, NodeId, u64, &'static str)>,
+    /// The blame [`Fold`] fed every record of the stream.
+    pub blame: BlameReport,
 }
 
 impl TraceIndex {
     /// Builds the index from a record stream.
     pub fn build(records: &[TraceRecord]) -> Self {
         let mut ix = TraceIndex::default();
+        let mut blame = Fold::default();
         for rec in records {
+            blame.feed(rec);
             match rec {
                 TraceRecord::TraceBegin {
                     t,
@@ -96,24 +101,14 @@ impl TraceIndex {
                     ix.round_of.insert(*proposal, *round);
                 }
                 TraceRecord::EventFired {
-                    t,
-                    event,
-                    signal,
-                    by,
+                    t, event, signal, ..
                 } => {
                     // Keep the first fire; re-fires don't change readiness.
-                    ix.fired.entry(*event).or_insert((*t, *signal, *by));
+                    ix.fired.entry(*event).or_insert((*t, *signal));
                 }
             }
         }
+        ix.blame = blame.finish();
         ix
-    }
-
-    /// When `event` fired with [`Signal::Ok`], if it did.
-    pub fn ok_fire_time(&self, event: EventId) -> Option<SimTime> {
-        match self.fired.get(&event) {
-            Some((t, Signal::Ok, _)) => Some(*t),
-            _ => None,
-        }
     }
 }

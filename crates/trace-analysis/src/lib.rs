@@ -5,12 +5,11 @@
 //! coroutines and RPC envelopes, so one committed command's work forms a
 //! tree of spans across nodes. This crate turns those raw records into:
 //!
-//! - a **blame report** ([`blame_report`]): for every committed command,
-//!   the wall-clock interval from proposal to completion is decomposed
-//!   into critical-path segments and each segment is charged to a
-//!   `(node, layer)` pair — the node whose slowness the segment's
-//!   duration evidences, and the layer (disk, rpc, queue, apply, or a
-//!   driver-annotated phase) it was spent in;
+//! - a **blame report** ([`blame_report`]): every committed command's
+//!   critical-path blame, each segment of its latency charged to a
+//!   `(node, layer)` pair. It is the core's one blame fold
+//!   ([`depfast::blame`]) replayed over the records; a traced run folds
+//!   the same law live and needs no stored stream for it;
 //! - a **Chrome trace** ([`chrome_trace`]): the span trees, with the
 //!   run's incident track over them, as `trace_event` JSON loadable in
 //!   `chrome://tracing` or Perfetto;
@@ -25,38 +24,20 @@
 //! Everything here is a pure function of the record stream: a
 //! deterministic simulation therefore yields byte-identical reports and
 //! trace files across same-seed runs.
-//!
-//! # Blame semantics
-//!
-//! Two decomposition modes cover the two driver shapes in this repo:
-//!
-//! - **Round mode** (DepFastRaft): the driver links each proposal to its
-//!   replication round's quorum event ([`depfast::TraceRecord::RoundLink`]).
-//!   The proposal window splits into *queue* (proposal created → round
-//!   created, charged to the leader), *round* (round created → round
-//!   fired, charged to the round's **deciding child** — the k-th
-//!   successful arrival, which the quorum's own tally names on the
-//!   round's fire record; earlier arrivals were not the bottleneck and
-//!   later ones were not waited for — or to the leader as `other` when
-//!   the round did not fire `Ok`), and *apply* (round fired → proposal
-//!   fired, charged to the leader).
-//! - **Phase mode** (Sync/Backlog/Callback/Chain): without round links,
-//!   the proposal window is intersected with the leader's
-//!   driver-annotated phase spans ([`depfast::PhaseSpan`]); each overlap
-//!   is charged to the phase's blame node and label, the uncovered
-//!   residual to the leader as `other`.
-//!
-//! Concurrent commands share phases and rounds, so blame measures
-//! *request-seconds* of critical-path exposure, not exclusive wall
-//! clock; shares (fractions of the aggregate) are the meaningful unit.
 
 #![warn(missing_docs)]
 
-mod blame;
 mod chrome;
 mod serial;
 
-pub use blame::{blame_report, BlameKey, BlameReport};
 pub use chrome::{chrome_trace, IncidentMark, IncidentSpan, INCIDENT_TID};
+pub use depfast::blame::{BlameKey, BlameReport};
 pub use depfast::trace::{EventInfo, TraceIndex};
 pub use serial::{parse_records, serialize_records};
+
+/// The blame report of an indexed trace: the blame fold replayed over
+/// every record the index was built from (see [`depfast::blame`] for the
+/// rules).
+pub fn blame_report(index: &TraceIndex) -> BlameReport {
+    index.blame.clone()
+}
