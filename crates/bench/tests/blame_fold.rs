@@ -166,10 +166,16 @@ fn the_mitigated_leader_cell_blames_the_same_live_and_replayed() {
         .any(|k| k.node != NodeId(0) && k.layer == "queue"));
 }
 
-/// One DepFastRaft cluster, two closed-loop clients of `puts` puts each,
+/// One DepFastRaft cluster, two closed-loop clients of `puts` puts each
+/// (with `read_index`, each put followed by a ReadIndex get of its key),
 /// with the blame fold on or not and full recording on or not: the
 /// fold's report and the recorded stream.
-fn cluster_run(puts: u32, fold: bool, full: bool) -> (BlameReport, Vec<TraceRecord>) {
+fn cluster_run(
+    puts: u32,
+    fold: bool,
+    full: bool,
+    read_index: bool,
+) -> (BlameReport, Vec<TraceRecord>) {
     let sim = Sim::new(11);
     let world = World::new(
         sim.clone(),
@@ -183,6 +189,9 @@ fn cluster_run(puts: u32, fold: bool, full: bool) -> (BlameReport, Vec<TraceReco
         ..RaftCfg::default()
     };
     let cluster = Rc::new(KvCluster::build(&sim, &world, RaftKind::DepFast, 3, 2, cfg));
+    for s in &cluster.servers {
+        s.set_read_index(read_index);
+    }
     let tracer = cluster.raft.tracer.clone();
     tracer.set_record_full(full);
     if fold {
@@ -194,7 +203,12 @@ fn cluster_run(puts: u32, fold: bool, full: bool) -> (BlameReport, Vec<TraceReco
             sim.spawn(async move {
                 for i in 0..puts {
                     let key = Bytes::from(format!("k{c}-{i}"));
-                    let _ = cl.clients[c].put(key, Bytes::from(vec![0u8; 256])).await;
+                    let _ = cl.clients[c]
+                        .put(key.clone(), Bytes::from(vec![0u8; 256]))
+                        .await;
+                    if read_index {
+                        let _ = cl.clients[c].get(key).await;
+                    }
                 }
             })
         })
@@ -210,12 +224,34 @@ fn cluster_run(puts: u32, fold: bool, full: bool) -> (BlameReport, Vec<TraceReco
 
 #[test]
 fn the_fold_needs_no_full_recording() {
-    let (folded, none) = cluster_run(300, true, false);
+    let (folded, none) = cluster_run(300, true, false, false);
     assert!(none.is_empty(), "full recording was off");
     assert_eq!(folded.commits, 600);
-    let (_, records) = cluster_run(300, false, true);
+    let (_, records) = cluster_run(300, false, true, false);
     assert_eq!(folded, blame_report(&TraceIndex::build(&records)));
     assert_children(&folded, &records, "a cluster with full recording off");
+}
+
+/// ReadIndex gets are linked to the confirmation round that woke them
+/// whenever records are made, the fold's alone included.
+#[test]
+fn a_read_index_run_folds_without_full_recording_what_it_replays() {
+    let (folded, none) = cluster_run(300, true, false, true);
+    assert!(none.is_empty(), "full recording was off");
+    assert_eq!(folded.commits, 600);
+    let (_, records) = cluster_run(300, false, true, true);
+    let rounds = records.iter().filter(|r| {
+        matches!(
+            r,
+            TraceRecord::EventCreated {
+                label: "read_index",
+                ..
+            }
+        )
+    });
+    assert!(rounds.count() > 0, "the gets confirmed no round");
+    assert_eq!(folded, blame_report(&TraceIndex::build(&records)));
+    assert_children(&folded, &records, "ReadIndex with full recording off");
 }
 
 /// The most entries a fold holds while fed `records`.
@@ -231,8 +267,8 @@ fn peak_held(records: &[TraceRecord]) -> usize {
 
 #[test]
 fn the_fold_holds_what_is_in_flight_not_what_has_run() {
-    let (_, short) = cluster_run(200, false, true);
-    let (_, long) = cluster_run(2_000, false, true);
+    let (_, short) = cluster_run(200, false, true, false);
+    let (_, long) = cluster_run(2_000, false, true, false);
     assert!(long.len() > 9 * short.len());
     // An entry kept per command would hold ten times as many.
     let (short, long) = (peak_held(&short), peak_held(&long));

@@ -245,6 +245,13 @@ struct TraceInner {
     blame: Option<Fold>,
 }
 
+impl TraceInner {
+    /// What [`Tracer::recording`] answers.
+    fn recording(&self) -> bool {
+        self.record_full || self.blame.is_some()
+    }
+}
+
 /// The cluster-shared trace sink and id allocator. Cheap to clone.
 #[derive(Clone)]
 pub struct Tracer {
@@ -299,9 +306,11 @@ impl Tracer {
         self.inner.borrow_mut().record_full = on;
     }
 
-    /// `true` if full records are being collected.
-    pub fn record_full(&self) -> bool {
-        self.inner.borrow().record_full
+    /// `true` if [`Tracer::record`] makes the records it is given: full
+    /// recording is on or the blame fold is installed. A record site that
+    /// must gather its records' inputs first asks this.
+    pub fn recording(&self) -> bool {
+        self.inner.borrow().recording()
     }
 
     /// Allocates a cluster-unique event id.
@@ -337,17 +346,20 @@ impl Tracer {
         self.inner.borrow_mut().capacity = cap;
     }
 
-    /// Makes `make()` if full recording or the blame fold is on, feeds it
-    /// to the fold, and keeps it under full recording. The closure keeps
-    /// the disabled path allocation-free.
+    /// Makes `make()` if [`Tracer::recording`], feeds it to the fold, and
+    /// keeps it under full recording (past the capacity, counts it as
+    /// dropped). The closure keeps the disabled path allocation-free.
     pub fn record(&self, make: impl FnOnce() -> TraceRecord) {
         let mut inner = self.inner.borrow_mut();
+        if !inner.recording() {
+            return;
+        }
         let keep = inner.record_full && inner.records.len() < inner.capacity;
         if inner.record_full && !keep {
             inner.dropped.inc();
-        }
-        if !keep && inner.blame.is_none() {
-            return;
+            if inner.blame.is_none() {
+                return;
+            }
         }
         let rec = make();
         if let Some(fold) = &mut inner.blame {
@@ -516,6 +528,18 @@ mod tests {
     }
 
     #[test]
+    fn the_blame_fold_alone_is_recording() {
+        let t = Tracer::new();
+        assert!(!t.recording());
+        t.install_blame_fold();
+        assert!(t.recording());
+        t.finish_blame_fold();
+        assert!(!t.recording());
+        t.set_record_full(true);
+        assert!(t.recording());
+    }
+
+    #[test]
     fn the_blame_fold_sees_records_full_recording_does_not_keep() {
         let t = Tracer::new();
         t.install_blame_fold();
@@ -588,8 +612,8 @@ mod tests {
         assert!(t.take_health_events().is_empty());
         let health = Health::new("suspect", "mean 40ms vs baseline 1ms".into());
         t.record_health(SimTime::from_nanos(5), NodeId(2), "detector", health, None);
-        // Recording is not gated on record_full.
-        assert!(!t.record_full());
+        // Recording is not gated on full recording.
+        assert!(!t.recording());
         let taken = t.take_health_events();
         assert_eq!(taken.len(), 1);
         assert_eq!(taken[0].node, NodeId(2));

@@ -3,8 +3,8 @@
 //! layer of the stack shares one distribution type.
 //!
 //! The buckets are stored by power of two, and a power's block of counts
-//! is allocated the first time a sample lands in it: a histogram is
-//! 368 B, plus 256 B per power it has seen.
+//! is added the first time a sample lands in it: a histogram is 64 B, plus
+//! 256 B per power it has seen, in one vector of blocks.
 
 use std::time::Duration;
 
@@ -25,8 +25,8 @@ type Block = [u64; SUBS];
 /// buckets. Means are exact (computed from the running total, not the
 /// buckets).
 ///
-/// Only the powers that hold a sample are allocated, so an idle or
-/// narrow series costs well under 1 KiB, not the 10 KiB of all 40.
+/// Only the powers that hold a sample have a block, so an idle or narrow
+/// series costs well under 1 KiB, not the 10 KiB of all 40.
 ///
 /// ```
 /// use depfast_metrics::Histogram;
@@ -40,7 +40,10 @@ type Block = [u64; SUBS];
 /// ```
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    blocks: [Option<Box<Block>>; POWERS],
+    /// Bit `p` is set when power `p` has a block.
+    present: u64,
+    /// The blocks of the present powers, in power order.
+    blocks: Vec<Block>,
     count: u64,
     total_nanos: u128,
     max_nanos: u64,
@@ -56,7 +59,8 @@ impl Histogram {
     /// Creates an empty histogram. It allocates nothing.
     pub fn new() -> Self {
         Histogram {
-            blocks: [const { None }; POWERS],
+            present: 0,
+            blocks: Vec::new(),
             count: 0,
             total_nanos: 0,
             max_nanos: 0,
@@ -86,33 +90,45 @@ impl Histogram {
     /// Records one sample given directly in nanoseconds.
     pub fn record_ns(&mut self, nanos: u64) {
         let i = Self::index(nanos);
-        match &mut self.blocks[i / SUBS] {
-            Some(block) => block[i % SUBS] += 1,
-            None => self.first_in(i),
-        }
+        self.block_mut(i / SUBS)[i % SUBS] += 1;
         self.count += 1;
         self.total_nanos += nanos as u128;
         self.max_nanos = self.max_nanos.max(nanos);
     }
 
-    /// Counts bucket `index` in a power that has no block yet. Out of line,
-    /// so that recording into an allocated power makes no call.
+    /// Power `power`'s block, added empty if it has none yet.
+    fn block_mut(&mut self, power: usize) -> &mut Block {
+        if self.present & 1 << power == 0 {
+            return self.add_block(power);
+        }
+        let slot = self.slot(power);
+        &mut self.blocks[slot]
+    }
+
+    /// Where power `power`'s block is, or goes: after one block per
+    /// present power below it.
+    fn slot(&self, power: usize) -> usize {
+        (self.present & ((1 << power) - 1)).count_ones() as usize
+    }
+
+    /// Adds an empty block for `power`, which has none yet. Out of line,
+    /// so that recording into a present power makes no call; the vector
+    /// grows by exactly one block.
     #[cold]
     #[inline(never)]
-    fn first_in(&mut self, index: usize) {
-        let mut block = Box::new([0; SUBS]);
-        block[index % SUBS] = 1;
-        self.blocks[index / SUBS] = Some(block);
+    fn add_block(&mut self, power: usize) -> &mut Block {
+        let slot = self.slot(power);
+        self.present |= 1 << power;
+        self.blocks.reserve_exact(1);
+        self.blocks.insert(slot, [0; SUBS]);
+        &mut self.blocks[slot]
     }
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.blocks.iter_mut().zip(&other.blocks) {
-            if let Some(theirs) = theirs {
-                let mine = mine.get_or_insert_with(|| Box::new([0; SUBS]));
-                for (a, b) in mine.iter_mut().zip(theirs.iter()) {
-                    *a += b;
-                }
+        for (power, theirs) in other.powers() {
+            for (a, b) in self.block_mut(power).iter_mut().zip(theirs) {
+                *a += b;
             }
         }
         self.count += other.count;
@@ -123,7 +139,13 @@ impl Histogram {
     /// Test probe: powers of two that hold a block of counts.
     #[doc(hidden)]
     pub fn blocks_allocated(&self) -> usize {
-        self.blocks.iter().flatten().count()
+        self.blocks.len()
+    }
+
+    /// The present powers and their blocks, in power order.
+    fn powers(&self) -> impl Iterator<Item = (usize, &Block)> {
+        let powers = (0..POWERS).filter(|p| self.present & 1 << p != 0);
+        powers.zip(&self.blocks)
     }
 
     /// Samples recorded.
@@ -162,8 +184,7 @@ impl Histogram {
         }
         let target = ((q.clamp(0.0, 1.0)) * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0;
-        for (power, block) in self.blocks.iter().enumerate() {
-            let Some(block) = block else { continue };
+        for (power, block) in self.powers() {
             for (sub, c) in block.iter().enumerate() {
                 seen += c;
                 if seen >= target {

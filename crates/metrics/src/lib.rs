@@ -19,7 +19,7 @@
 //! 2. **Cheap hot paths.** [`Counter`], [`Gauge`] and [`Histogram`]
 //!    handles are `Rc`-backed and cached by the recording site; updating
 //!    one is a `Cell` store, not a map lookup. Storage is paid for what
-//!    is recorded: a [`Histogram`] is 368 B, plus 256 B for each power of
+//!    is recorded: a [`Histogram`] is 64 B, plus 256 B for each power of
 //!    two a sample has landed in, so every node can keep its own
 //!    always-on series.
 //! 3. **Per-node scoping.** One registry serves a whole simulated

@@ -507,7 +507,7 @@ impl DepFastRaft {
             // Tie each get this round wakes to it, as a proposal is tied to
             // its replication round.
             let tracer = core.rt.tracer();
-            if tracer.record_full() {
+            if tracer.recording() {
                 let (t, round_id) = (core.rt.now(), quorum.handle().id());
                 for get in core.reads_confirmed.waiting_through(watermark) {
                     tracer.record(|| depfast::TraceRecord::RoundLink {

@@ -8,12 +8,27 @@
 //! harness relies on.
 //!
 //! Host cost follows *live* work. Tasks sit in a slab indexed by the low
-//! half of their [`TaskId`] (no hashing per poll; a generation in the high
-//! half rejects wakes meant for a finished task whose slot was reused).
+//! bits of their [`TaskId`] (no hashing per poll; a generation above them
+//! rejects wakes meant for a finished task whose slot was reused).
 //! Timers can be cancelled by the [`TimerId`] [`Sim::schedule_wake`]
 //! returns, so a timeout whose wait resolved early leaves nothing behind:
 //! no waker, no wake, no poll, and a queue no deeper than twice the timers
 //! still wanted.
+//!
+//! A task's [`Waker`] is its [`TaskId`]: the waker's data word is the id
+//! itself, never dereferenced, so spawning allocates only the boxed
+//! future, and cloning or dropping a waker costs nothing. The id packs
+//! the executor's key, the slot's generation and the slot index (see
+//! [`TaskId`]). A wake looks its executor up by key in a thread-local
+//! registry and pushes the id on that executor's woken queue, a plain
+//! `RefCell<VecDeque>`: a wake takes no lock and touches no atomic.
+//!
+//! **A `Sim` and its tasks live on one thread.** A task's waker woken on
+//! another thread, or after its executor is dropped, finds no executor
+//! with its key and wakes nothing. Independent worlds may run one per
+//! thread: their executors share nothing. Wakers that are not task
+//! wakers — whatever a caller hands to [`Sim::schedule_wake`] or parks in a
+//! [`WakerSlot`] — are woken as they are, on this thread.
 //!
 //! The DepFast paper (§3.3) describes a runtime with "coroutines, events, a
 //! scheduler, and I/O helper threads". This executor plays the scheduler
@@ -27,20 +42,34 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::time::SimTime;
 use crate::LocalBoxFuture;
 
-/// Identifier of a spawned task, unique within one [`Sim`]:
-/// `generation << 32 | slot index`.
+/// Identifier of a spawned task, and the data word of its waker:
+/// `executor key << 48 | generation << 24 | slot index`.
+///
+/// The key tells the executors alive on a thread apart. The generation
+/// is bumped each time the slot's occupant finishes, so it wraps after
+/// 2^24 (16 777 216) reuses of one slot; only a waker kept that long past
+/// its task's end could then wake the slot's occupant, with a spurious
+/// poll. A slab of 2^24 slots bounds the tasks alive at once.
 pub type TaskId = u64;
+
+const INDEX_BITS: u32 = 24;
+const INDEX_MASK: TaskId = (1 << INDEX_BITS) - 1;
+const GENERATION_BITS: u32 = 24;
+const GENERATION_MASK: u32 = (1 << GENERATION_BITS) - 1;
+const KEY_SHIFT: u32 = INDEX_BITS + GENERATION_BITS;
+
+// A task id is the waker's pointer-sized data word.
+const _: () = assert!(usize::BITS == TaskId::BITS);
 
 /// Handle to a scheduled wake-up, for [`Sim::cancel_timer`].
 ///
@@ -171,40 +200,66 @@ impl TimerQueue {
     }
 }
 
-/// The shared FIFO of tasks whose wakers have fired.
-///
-/// Wakers must be `Send + Sync` per the std contract, so the queue sits
-/// behind a lightweight mutex even though in practice only the simulation
-/// thread touches it. It may name a task twice, or one that has since
-/// finished; the slab's generation check drops the latter.
-#[derive(Default)]
+/// One executor's FIFO of tasks whose wakers have fired. It may name a
+/// task twice, or one that has since finished; the slab's generation
+/// check drops the latter.
 struct WokenQueue {
-    queue: Mutex<VecDeque<TaskId>>,
+    /// The executor's key, in place: `key << KEY_SHIFT`.
+    key: TaskId,
+    queue: RefCell<VecDeque<TaskId>>,
 }
 
-struct TaskWaker {
-    id: TaskId,
-    woken: Arc<WokenQueue>,
+thread_local! {
+    /// The woken queues of the executors alive on this thread, for wakes.
+    static WOKEN: RefCell<Vec<Rc<WokenQueue>>> = const { RefCell::new(Vec::new()) };
 }
 
-impl std::task::Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.woken.queue.lock().push_back(self.id);
-    }
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.woken.queue.lock().push_back(self.id);
-    }
+/// Executor keys ever drawn in this process, so that no two executors
+/// alive on one thread share a key (it wraps after 2^16 executors, and a
+/// key still alive on this thread is skipped).
+static KEYS: AtomicU64 = AtomicU64::new(0);
+
+/// A task's waker. The data word is the [`TaskId`], only ever read as an
+/// integer: cloning copies it and dropping does nothing.
+static TASK_WAKER: RawWakerVTable =
+    RawWakerVTable::new(clone_task, wake_task, wake_task, drop_task);
+
+fn task_waker(id: TaskId) -> Waker {
+    let raw = RawWaker::new(std::ptr::without_provenance(id as usize), &TASK_WAKER);
+    // SAFETY: no entry of the vtable dereferences the data word, and each
+    // is sound on any thread: a wake on a thread with no executor of the
+    // word's key does nothing.
+    unsafe { Waker::from_raw(raw) }
 }
+
+fn clone_task(word: *const ()) -> RawWaker {
+    RawWaker::new(word, &TASK_WAKER)
+}
+
+fn wake_task(word: *const ()) {
+    let id = word.addr() as TaskId;
+    // A thread that is exiting has no executor left to wake.
+    let _ = WOKEN.try_with(|woken| {
+        let key = id >> KEY_SHIFT << KEY_SHIFT;
+        if let Some(q) = woken.borrow().iter().find(|q| q.key == key) {
+            q.queue.borrow_mut().push_back(id);
+        }
+    });
+}
+
+fn drop_task(_: *const ()) {}
 
 /// One entry of the task slab.
 struct Slot {
     /// Bumped when the occupant finishes, so its wakers stop matching.
     generation: u32,
     /// The occupant; `None` while it is being polled or the slot is free.
-    task: Option<(LocalBoxFuture<()>, Waker)>,
+    task: Option<LocalBoxFuture<()>>,
 }
 
 struct Core {
+    /// This executor's key, as in [`WokenQueue::key`].
+    key: TaskId,
     now: SimTime,
     tasks: Vec<Slot>,
     free_slots: Vec<u32>,
@@ -224,6 +279,9 @@ thread_local!(static ALIVE: Cell<usize> = const { Cell::new(0) });
 impl Drop for Core {
     fn drop(&mut self) {
         ALIVE.with(|n| n.set(n.get() - 1));
+        // From here on this executor's wakers wake nothing, the wakes of
+        // its tasks' destructors included.
+        let _ = WOKEN.try_with(|woken| woken.borrow_mut().retain(|q| q.key != self.key));
     }
 }
 
@@ -250,15 +308,31 @@ impl Drop for Core {
 #[derive(Clone)]
 pub struct Sim {
     core: Rc<RefCell<Core>>,
-    woken: Arc<WokenQueue>,
+    woken: Rc<WokenQueue>,
 }
 
 impl Sim {
     /// Creates a new simulator whose random stream is derived from `seed`.
     pub fn new(seed: u64) -> Self {
         ALIVE.with(|n| n.set(n.get() + 1));
+        let woken = WOKEN.with(|woken| {
+            let mut woken = woken.borrow_mut();
+            let key = loop {
+                let key = KEYS.fetch_add(1, Ordering::Relaxed) << KEY_SHIFT;
+                if woken.iter().all(|q| q.key != key) {
+                    break key;
+                }
+            };
+            let queue = Rc::new(WokenQueue {
+                key,
+                queue: RefCell::default(),
+            });
+            woken.push(queue.clone());
+            queue
+        });
         Sim {
             core: Rc::new(RefCell::new(Core {
+                key: woken.key,
                 now: SimTime::ZERO,
                 tasks: Vec::new(),
                 free_slots: Vec::new(),
@@ -268,7 +342,7 @@ impl Sim {
                 spawned: 0,
                 polls: 0,
             })),
-            woken: Arc::new(WokenQueue::default()),
+            woken,
         }
     }
 
@@ -338,8 +412,9 @@ impl Sim {
     }
 
     /// Spawns an already boxed task nobody joins: `fut` goes into the task
-    /// table as it is, so the only allocation made here is the task's
-    /// waker. Scheduling is the same as [`Sim::spawn`]'s.
+    /// table as it is, so nothing is allocated here but the table's and
+    /// the woken queue's amortised growth (a task's waker is its id).
+    /// Scheduling is the same as [`Sim::spawn`]'s.
     pub fn spawn_detached(&self, fut: LocalBoxFuture<()>) {
         let id = {
             let mut core = self.core.borrow_mut();
@@ -347,7 +422,8 @@ impl Sim {
             let index = match core.free_slots.pop() {
                 Some(index) => index,
                 None => {
-                    let index = u32::try_from(core.tasks.len()).expect("fewer than 2^32 tasks");
+                    let index = core.tasks.len() as u32;
+                    assert!(index as TaskId <= INDEX_MASK, "fewer than 2^24 tasks");
                     core.tasks.push(Slot {
                         generation: 0,
                         task: None,
@@ -356,17 +432,11 @@ impl Sim {
                 }
             };
             let slot = &mut core.tasks[index as usize];
-            let id = (slot.generation as TaskId) << 32 | index as TaskId;
-            // One waker per task for its whole life: lets futures
-            // deduplicate registrations via `Waker::will_wake`.
-            let waker = Waker::from(Arc::new(TaskWaker {
-                id,
-                woken: self.woken.clone(),
-            }));
-            slot.task = Some((fut, waker));
-            id
+            slot.task = Some(fut);
+            let generation = slot.generation as TaskId;
+            core.key | generation << INDEX_BITS | index as TaskId
         };
-        self.woken.queue.lock().push_back(id);
+        self.woken.queue.borrow_mut().push_back(id);
     }
 
     /// Schedules `waker` to be woken at virtual instant `at`. Pass the
@@ -412,7 +482,7 @@ impl Sim {
         loop {
             self.drain_ready();
             let fired = self.advance_to_next_timer();
-            if !fired && self.woken.queue.lock().is_empty() {
+            if !fired && self.woken.queue.borrow().is_empty() {
                 break;
             }
         }
@@ -436,7 +506,7 @@ impl Sim {
                 return v;
             }
             let fired = self.advance_to_next_timer();
-            if !fired && self.woken.queue.lock().is_empty() {
+            if !fired && self.woken.queue.borrow().is_empty() {
                 panic!(
                     "simulation deadlocked at {} waiting for run_until task",
                     self.now()
@@ -465,7 +535,7 @@ impl Sim {
             // Every slot ends up free, under a generation no id names.
             let mut tasks = Vec::new();
             for slot in &mut core.tasks {
-                slot.generation = slot.generation.wrapping_add(1);
+                slot.generation = (slot.generation + 1) & GENERATION_MASK;
                 tasks.extend(slot.task.take());
             }
             core.free_slots = (0..core.tasks.len() as u32).rev().collect();
@@ -491,7 +561,7 @@ impl Sim {
                     self.advance_to_next_timer();
                 }
                 _ => {
-                    if self.woken.queue.lock().is_empty() {
+                    if self.woken.queue.borrow().is_empty() {
                         // Nothing left to do before the deadline.
                         self.core.borrow_mut().now = deadline.max(self.now());
                         return;
@@ -508,9 +578,10 @@ impl Sim {
     /// Polls tasks from the woken queue until it is empty.
     fn drain_ready(&self) {
         loop {
-            let id = { self.woken.queue.lock().pop_front() };
+            let id = self.woken.queue.borrow_mut().pop_front();
             let Some(id) = id else { break };
-            let (index, generation) = (id as u32 as usize, (id >> 32) as u32);
+            let index = (id & INDEX_MASK) as usize;
+            let generation = (id >> INDEX_BITS) as u32 & GENERATION_MASK;
             // Take the task out of its slot so the poll can spawn/schedule
             // without re-borrowing the core.
             let taken = {
@@ -522,21 +593,26 @@ impl Sim {
                 core.polls += task.is_some() as u64;
                 task
             };
-            let Some((mut fut, waker)) = taken else {
+            let Some(mut fut) = taken else {
                 continue; // Already finished; stale wake.
             };
-            let mut cx = Context::from_waker(&waker);
-            let done = fut.as_mut().poll(&mut cx).is_ready();
+            // Every poll of a task sees the same waker, so futures can
+            // deduplicate registrations with `Waker::will_wake`.
+            let waker = task_waker(id);
+            let done = fut
+                .as_mut()
+                .poll(&mut Context::from_waker(&waker))
+                .is_ready();
             let mut core = self.core.borrow_mut();
             if done {
                 let slot = &mut core.tasks[index];
-                slot.generation = slot.generation.wrapping_add(1);
+                slot.generation = (slot.generation + 1) & GENERATION_MASK;
                 core.free_slots.push(index as u32);
                 // Dropping the future may cancel timers: end the borrow first.
                 drop(core);
                 drop(fut);
             } else {
-                core.tasks[index].task = Some((fut, waker));
+                core.tasks[index].task = Some(fut);
             }
         }
     }
@@ -723,6 +799,7 @@ impl Future for YieldNow {
 mod tests {
     use super::*;
     use std::cell::Cell;
+    use std::sync::Arc;
 
     #[test]
     fn block_on_returns_value() {
@@ -937,6 +1014,96 @@ mod tests {
             "a finished task's waker reached its successor"
         );
         assert_eq!(sim.polls(), executor_polls);
+    }
+
+    /// Spawns a task that never finishes; each poll counts itself and
+    /// keeps a clone of its waker.
+    fn parked(sim: &Sim) -> (Rc<RefCell<Option<Waker>>>, Rc<Cell<u32>>) {
+        let (waker, polls) = (
+            Rc::<RefCell<Option<Waker>>>::default(),
+            Rc::new(Cell::new(0)),
+        );
+        let (w, p) = (waker.clone(), polls.clone());
+        sim.spawn(std::future::poll_fn(move |cx| {
+            p.set(p.get() + 1);
+            *w.borrow_mut() = Some(cx.waker().clone());
+            Poll::<()>::Pending
+        }));
+        sim.run();
+        (waker, polls)
+    }
+
+    #[test]
+    fn a_tasks_wakers_will_wake_each_other_and_no_other_tasks() {
+        let sim = Sim::new(1);
+        let (first, _) = parked(&sim);
+        let (second, _) = parked(&sim);
+        let kept = first.borrow().clone().expect("polled");
+        kept.wake_by_ref();
+        sim.run();
+        let first = first.borrow().clone().expect("polled");
+        // A clone, and the waker of a later poll: `register_waker`'s dedup
+        // sees one task.
+        assert!(first.will_wake(&kept) && first.clone().will_wake(&first));
+        assert!(!first.will_wake(second.borrow().as_ref().expect("polled")));
+    }
+
+    #[test]
+    fn two_sims_on_one_thread_each_wake_only_their_own_tasks() {
+        let (a, b) = (Sim::new(1), Sim::new(1));
+        // Both tasks sit in slot 0 under generation 0: only the key differs.
+        let (wake_a, polls_a) = parked(&a);
+        let (wake_b, polls_b) = parked(&b);
+        wake_a.borrow().as_ref().expect("polled").wake_by_ref();
+        b.run();
+        assert_eq!((polls_a.get(), polls_b.get()), (1, 1));
+        a.run();
+        assert_eq!((polls_a.get(), polls_b.get()), (2, 1));
+        wake_b.borrow().as_ref().expect("polled").wake_by_ref();
+        a.run();
+        b.run();
+        assert_eq!((polls_a.get(), polls_b.get()), (2, 2));
+    }
+
+    #[test]
+    fn a_waker_kept_past_its_sims_drop_wakes_nothing() {
+        let alive = Sim::alive_on_this_thread();
+        let sim = Sim::new(1);
+        let (stale, _) = parked(&sim);
+        drop(sim);
+        assert_eq!(Sim::alive_on_this_thread(), alive);
+        let stale = stale.borrow_mut().take().expect("polled");
+        // The next executor's first task has the dropped one's slot and
+        // generation.
+        let next = Sim::new(1);
+        let (_, polls) = parked(&next);
+        stale.wake();
+        next.run();
+        assert_eq!((polls.get(), next.polls()), (1, 1));
+    }
+
+    #[test]
+    fn a_waker_woken_on_another_thread_wakes_nothing() {
+        let sim = Sim::new(1);
+        let (waker, polls) = parked(&sim);
+        let waker = waker.borrow_mut().take().expect("polled");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // That thread's own executor, task in slot 0, is not woken
+                // either.
+                let there = Sim::new(1);
+                let (_, polls) = parked(&there);
+                waker.wake_by_ref();
+                there.run();
+                assert_eq!(polls.get(), 1);
+            });
+        });
+        sim.run();
+        assert_eq!((polls.get(), sim.polls()), (1, 1));
+        // On its own thread it still wakes its task.
+        waker.wake();
+        sim.run();
+        assert_eq!(polls.get(), 2);
     }
 
     /// Spawns a task from its destructor: what a parked coroutine's
