@@ -20,10 +20,11 @@
 //! `event.quorum.*` series.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
-use depfast_metrics::{Counter, Key, MetricsRegistry};
+use depfast_metrics::{Counter, HistogramHandle, Key, MetricsRegistry};
 use simkit::{NodeId, SimTime};
 
 use crate::blame::{BlameReport, Fold};
@@ -240,9 +241,21 @@ struct TraceInner {
     next_coro: u64,
     next_trace: u64,
     metrics: MetricsRegistry,
+    /// The `rpc.*` series of each `(callee, label)` seen, resolved in the
+    /// registry on its first completion.
+    rpc_series: HashMap<(u32, &'static str), RpcSeries>,
     wait_probe: Option<WaitProbe>,
     spg: Option<Spg>,
     blame: Option<Fold>,
+}
+
+/// One `(callee, label)`'s registry series, as [`Tracer::sample_rpc`]
+/// keeps them.
+struct RpcSeries {
+    latency: HistogramHandle,
+    /// Registered on the pair's first error: a pair that never errs has
+    /// no `rpc.errors` key.
+    errors: Option<Counter>,
 }
 
 impl TraceInner {
@@ -289,6 +302,7 @@ impl Tracer {
                 // Trace id 0 is the wire's "untraced" sentinel.
                 next_trace: 1,
                 metrics,
+                rpc_series: HashMap::new(),
                 wait_probe: None,
                 spg: None,
                 blame: None,
@@ -431,7 +445,8 @@ impl Tracer {
     /// Feeds one RPC completion into the shared registry, scoped to the
     /// *callee*: an `rpc.latency` series that inflates names the slow
     /// peer, which is exactly the attribution the fail-slow detector
-    /// needs.
+    /// needs. Each `(callee, label)` is looked up in the registry once;
+    /// later completions record through the kept handles.
     pub fn sample_rpc(
         &self,
         callee: NodeId,
@@ -439,13 +454,20 @@ impl Tracer {
         latency: Duration,
         signal: Signal,
     ) {
-        let metrics = self.metrics();
-        metrics
-            .histogram(Key::tagged("rpc.latency", callee.0, label))
-            .record(latency);
+        let inner = &mut *self.inner.borrow_mut();
+        let metrics = &inner.metrics;
+        let series = inner
+            .rpc_series
+            .entry((callee.0, label))
+            .or_insert_with(|| RpcSeries {
+                latency: metrics.histogram(Key::tagged("rpc.latency", callee.0, label)),
+                errors: None,
+            });
+        series.latency.record(latency);
         if signal == Signal::Err {
-            metrics
-                .counter(Key::tagged("rpc.errors", callee.0, label))
+            series
+                .errors
+                .get_or_insert_with(|| metrics.counter(Key::tagged("rpc.errors", callee.0, label)))
                 .inc();
         }
     }
@@ -646,5 +668,28 @@ mod tests {
         assert_eq!(h.snapshot().count, 2);
         assert_eq!(h.snapshot().max_ns, 9_000_000);
         assert_eq!(r.counter(Key::tagged("rpc.errors", 2, "append")).get(), 1);
+    }
+
+    #[test]
+    fn rpc_samples_look_up_each_series_once() {
+        let r = MetricsRegistry::new();
+        let t = Tracer::with_metrics(r.clone());
+        let before = r.lookups();
+        for _ in 0..100 {
+            t.sample_rpc(NodeId(2), "append", Duration::from_millis(7), Signal::Ok);
+        }
+        assert_eq!(
+            r.lookups() - before,
+            1,
+            "one lookup, not one per completion"
+        );
+        // An error registers `rpc.errors` once, beside the kept latency series.
+        for _ in 0..3 {
+            t.sample_rpc(NodeId(2), "append", Duration::from_millis(9), Signal::Err);
+        }
+        assert_eq!(r.lookups() - before, 2);
+        let h = r.histogram(Key::tagged("rpc.latency", 2, "append"));
+        assert_eq!(h.snapshot().count, 103);
+        assert_eq!(r.counter(Key::tagged("rpc.errors", 2, "append")).get(), 3);
     }
 }

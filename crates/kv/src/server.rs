@@ -33,33 +33,44 @@ pub struct KvServer {
 /// to [`KvRequest`]s, and the snapshot is the `MemKv`'s own encoding — map
 /// and dedup sessions, so a restored replica answers a retried
 /// `(client, seq)` from the table instead of applying it twice.
-struct KvMachine(Rc<RefCell<MemKv>>);
+struct KvMachine {
+    state: Rc<RefCell<MemKv>>,
+    /// Every put's reply, encoded once: each put (and its dedup entry)
+    /// holds a clone of this one buffer.
+    put_ok: Bytes,
+}
+
+impl KvMachine {
+    fn new(state: Rc<RefCell<MemKv>>) -> Self {
+        KvMachine {
+            state,
+            put_ok: KvResponse::ok(None).to_bytes(),
+        }
+    }
+}
 
 impl StateMachine for KvMachine {
     fn apply(&mut self, entry: &Entry) -> Bytes {
         let Some(req) = Logged::from_bytes(&entry.payload) else {
             return KvResponse::error().to_bytes();
         };
-        let mut kv = self.0.borrow_mut();
-        kv.apply_dedup(req.client, req.seq, |kv| {
-            let resp = match req.op {
-                KvOp::Get => KvResponse::ok(kv.get(&req.record.key())),
-                KvOp::Put => {
-                    kv.put_record(req.record);
-                    KvResponse::ok(None)
-                }
-            };
-            resp.to_bytes()
+        let mut kv = self.state.borrow_mut();
+        kv.apply_dedup(req.client, req.seq, |kv| match req.op {
+            KvOp::Get => KvResponse::ok(kv.get(&req.record.key())).to_bytes(),
+            KvOp::Put => {
+                kv.put_record(req.record);
+                self.put_ok.clone()
+            }
         })
     }
 
     fn snapshot(&self) -> Frame {
-        self.0.borrow().to_frame()
+        self.state.borrow().to_frame()
     }
 
     fn restore(&mut self, snapshot: &Frame) -> bool {
         let restored = MemKv::from_frame(snapshot);
-        restored.map(|kv| *self.0.borrow_mut() = kv).is_some()
+        restored.map(|kv| *self.state.borrow_mut() = kv).is_some()
     }
 }
 
@@ -75,7 +86,7 @@ impl KvServer {
     pub fn install_tuned(raft: RaftServer, serve_cpu: Duration) -> Self {
         let read_index = Rc::new(Cell::new(false));
         let state = Rc::new(RefCell::new(MemKv::new()));
-        raft.core().set_state_machine(KvMachine(state.clone()));
+        raft.core().set_state_machine(KvMachine::new(state.clone()));
 
         let server = KvServer {
             raft: raft.clone(),
@@ -181,5 +192,34 @@ impl KvServer {
     #[cfg(test)]
     pub(crate) fn stored(&self, key: &[u8]) -> Option<depfast_storage::Record> {
         self.state.borrow().record(key).cloned()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::command::{KvRequest, KvStatus};
+
+    #[test]
+    fn put_replies_share_one_encoded_buffer() {
+        let mut machine = KvMachine::new(Rc::new(RefCell::new(MemKv::new())));
+        let put = |seq| Entry {
+            term: 1,
+            index: seq,
+            payload: KvRequest {
+                client: 7,
+                seq,
+                op: KvOp::Put,
+                key: Bytes::from_static(b"k"),
+                value: Bytes::from_static(b"v"),
+            }
+            .to_bytes(),
+        };
+        let (a, b) = (machine.apply(&put(1)), machine.apply(&put(2)));
+        assert_eq!(a.as_ptr(), b.as_ptr(), "one buffer, not one per put");
+        for reply in [a, b] {
+            let resp = KvResponse::from_bytes(&reply).expect("decodes");
+            assert_eq!((resp.status, resp.value), (KvStatus::Ok, None));
+        }
     }
 }

@@ -214,6 +214,16 @@ enum Metric {
 struct Inner {
     // BTreeMap: deterministic iteration order for snapshots and CSV.
     metrics: BTreeMap<Key, Metric>,
+    /// Lookups by key made so far (see [`MetricsRegistry::lookups`]).
+    lookups: u64,
+}
+
+impl Inner {
+    /// The metric under `key`, made by `make` on first use.
+    fn entry(&mut self, key: Key, make: impl FnOnce() -> Metric) -> &Metric {
+        self.lookups += 1;
+        self.metrics.entry(key).or_insert_with(make)
+    }
 }
 
 /// The cluster-shared metric registry. Cheap to clone (one `Rc`); one
@@ -237,11 +247,7 @@ impl MetricsRegistry {
     /// The counter registered under `key` (created on first use).
     pub fn counter(&self, key: Key) -> Counter {
         let mut inner = self.inner.borrow_mut();
-        match inner
-            .metrics
-            .entry(key)
-            .or_insert_with(|| Metric::Counter(Counter::default()))
-        {
+        match inner.entry(key, || Metric::Counter(Counter::default())) {
             Metric::Counter(c) => c.clone(),
             _ => panic!("metric {key} already registered with a different kind"),
         }
@@ -250,11 +256,7 @@ impl MetricsRegistry {
     /// The gauge registered under `key` (created on first use).
     pub fn gauge(&self, key: Key) -> Gauge {
         let mut inner = self.inner.borrow_mut();
-        match inner
-            .metrics
-            .entry(key)
-            .or_insert_with(|| Metric::Gauge(Gauge::default()))
-        {
+        match inner.entry(key, || Metric::Gauge(Gauge::default())) {
             Metric::Gauge(g) => g.clone(),
             _ => panic!("metric {key} already registered with a different kind"),
         }
@@ -263,12 +265,20 @@ impl MetricsRegistry {
     /// The histogram registered under `key` (created on first use).
     pub fn histogram(&self, key: Key) -> HistogramHandle {
         let mut inner = self.inner.borrow_mut();
-        match inner.metrics.entry(key).or_insert_with(|| {
+        match inner.entry(key, || {
             Metric::Histogram(HistogramHandle(Rc::new(RefCell::new(Histogram::new()))))
         }) {
             Metric::Histogram(h) => h.clone(),
             _ => panic!("metric {key} already registered with a different kind"),
         }
+    }
+
+    /// Test probe: lookups by key (`counter`, `gauge`, `histogram`) made
+    /// so far, found or created. A hot path that keeps its handle makes
+    /// one.
+    #[doc(hidden)]
+    pub fn lookups(&self) -> u64 {
+        self.inner.borrow().lookups
     }
 
     /// A recording scope bound to one node: `registry.node(3).counter("x")`
