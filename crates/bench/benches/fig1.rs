@@ -43,12 +43,13 @@
 use std::time::Duration;
 
 use depfast_bench::suites::{
-    contrast, disk_slow_episode, episode, gate_detector_cfg, short_disk_slow, DISK_SLOW, EPISODE_AT,
+    contrast, disk_slow_episode, episode, short_disk_slow, DISK_SLOW, EPISODE_AT,
 };
 use depfast_bench::{
     condition, env_knob, format_ms, run_figure_cell, slug, striped, write_repo_artifact,
     DetectRecord, Run, Suite, Table,
 };
+use depfast_detect::DetectorMode;
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 use depfast_ycsb::driver::RunStats;
@@ -78,7 +79,7 @@ fn trace_mode() {
         run.stats.throughput
     );
     let blame = run.blame.as_ref().expect("the blame fold was on");
-    print!("{}", blame.table(12));
+    print!("{}", blame.table());
     run.export("fig1_trace").expect("write run artifact");
 }
 
@@ -99,7 +100,7 @@ fn incidents_mode() {
             "[fig1] incident run ({}, disk-slow follower 2)...",
             kind.name()
         );
-        let run = disk_slow_episode(episode(kind, gate_detector_cfg()), [2]).execute();
+        let run = disk_slow_episode(episode(kind, DetectorMode::SelfBaseline), [2]).execute();
         let dump = run.dump();
         let cell = DetectRecord::from_dump(&dump);
         print!("{}", depfast_incident::render_report(&dump, &cell.score));
@@ -321,7 +322,7 @@ fn main() {
         let healthy = base_cfg.execute();
         eprintln!("[fig1] {} blast-radius episode...", kind.name());
         let run = base_cfg
-            .with_detector(gate_detector_cfg())
+            .with_detector(DetectorMode::SelfBaseline)
             .with_fault([8], DISK_SLOW, EPISODE_AT, None)
             .execute();
         let (dumps, hosted) = (run.group_dumps(), run.hosted(8));

@@ -34,13 +34,12 @@
 
 use std::time::Duration;
 
-use depfast_bench::suites::{
-    contrast, disk_slow_episode, episode, gate_detector_cfg, short_disk_slow,
-};
+use depfast_bench::suites::{contrast, disk_slow_episode, episode, short_disk_slow};
 use depfast_bench::{
     condition, env_knob, format_ms, run_figure_cell, write_repo_artifact, DetectRecord, Placement,
     Run, Suite, Table,
 };
+use depfast_detect::DetectorMode;
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 
@@ -79,7 +78,7 @@ fn incidents_mode() {
         );
         let run = Run {
             placement: Placement::Single { n: n_servers },
-            ..episode(RaftKind::DepFast, gate_detector_cfg())
+            ..episode(RaftKind::DepFast, DetectorMode::SelfBaseline)
         };
         let run = disk_slow_episode(run, followers(slow_followers)).execute();
         let dump = run.dump();

@@ -23,6 +23,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use depfast::blame::TABLE_ROWS;
 use depfast::TraceRecord;
 use depfast_incident::{
     incident_track, parse_dumps, render_report, score, serialize_dumps, IncidentDump,
@@ -200,10 +201,10 @@ impl Artifact {
 
     /// Renders every section, in symptom → cause order: the throughput
     /// series (where is the dip?), the blame table (which node and layer
-    /// bound commits?), the top `top` wait sites (where did coroutines
-    /// block?), then each incident report and scorecard (what was
-    /// injected, who reacted, how fast) scored with recovery band `band`.
-    pub fn render(&self, top: usize, band: f64) -> String {
+    /// bound commits?), the top wait sites (where did coroutines block?),
+    /// then each incident report and scorecard (what was injected, who
+    /// reacted, how fast).
+    pub fn render(&self) -> String {
         let mut out = String::new();
         if let Some(rates) = &self.series {
             let _ = writeln!(out, "{}", series_summary(rates));
@@ -221,13 +222,13 @@ impl Artifact {
                 );
             }
             let index = TraceIndex::build(&trace.records);
-            out.push_str(&blame_report(&index).table(top));
+            out.push_str(&blame_report(&index).table());
         }
         if let Some(profile) = &self.profile {
-            out.push_str(&top_sites(profile, top).render());
+            out.push_str(&top_sites(profile).render());
         }
         for dump in &self.dumps {
-            out.push_str(&render_report(dump, &score(dump, band)));
+            out.push_str(&render_report(dump, &score(dump)));
             out.push('\n');
         }
         out
@@ -249,9 +250,9 @@ impl Artifact {
     }
 }
 
-/// The wait sites that took the most virtual time, with their share of
-/// everything profiled.
-fn top_sites(profile: &ProfileSection, top: usize) -> Table {
+/// The [`TABLE_ROWS`] wait sites that took the most virtual time, with
+/// their share of everything profiled.
+fn top_sites(profile: &ProfileSection) -> Table {
     let total: u64 = profile.lines.iter().map(|l| l.nanos).sum();
     let mut lines: Vec<&ProfileLine> = profile.lines.iter().collect();
     // Stable: ties keep the (node, phase, site) order of the section.
@@ -260,7 +261,7 @@ fn top_sites(profile: &ProfileSection, top: usize) -> Table {
         &format!("Top wait sites — {}", profile.driver),
         &["Node", "Phase", "Site", "Time (ms)", "Share"],
     );
-    for l in lines.into_iter().take(top) {
+    for l in lines.into_iter().take(TABLE_ROWS) {
         table.row(vec![
             l.node.to_string(),
             l.phase.clone(),

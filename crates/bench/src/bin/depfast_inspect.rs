@@ -3,49 +3,34 @@
 //!
 //! ```text
 //! depfast-inspect <file.run>...    # render every section of every file
-//!      --top <N>                   # rows of the blame and wait-site tables (default 12)
-//!      --band <F>                  # recovery band of the incident scorecards, in (0, 1]
 //!      --chrome <out.json>         # one file: its trace + incident track as Chrome trace_event JSON
 //!      --svg <out.svg>             # one file: its wait-state profile as an SVG flamegraph
 //! ```
 //!
 //! Per file, in symptom → cause order: the sampled commit rate and where
-//! it dipped, the critical-path blame table, the top wait sites, then
-//! each incident report with its scorecard. Exit codes: 0 rendered,
-//! 1 a file is unreadable or a section corrupt (named as `file:line`),
-//! 2 usage error.
+//! it dipped, the critical-path blame table and the top wait sites (12
+//! rows each), then each incident report with its scorecard. Exit codes:
+//! 0 rendered, 1 a file is unreadable or a section corrupt (named as
+//! `file:line`), 2 usage error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use depfast_bench::Artifact;
-use depfast_incident::RECOVERY_BAND;
 
-const USAGE: &str = "usage: depfast-inspect <file.run>... [--top <N>] [--band <F>] \
-                     [--chrome <out.json>] [--svg <out.svg>]";
+const USAGE: &str = "usage: depfast-inspect <file.run>... [--chrome <out.json>] [--svg <out.svg>]";
 
 struct Cli {
     files: Vec<PathBuf>,
-    top: usize,
-    band: f64,
     chrome: Option<PathBuf>,
     svg: Option<PathBuf>,
 }
 
-fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    value.parse().map_err(|e| format!("{flag} {value:?}: {e}"))
-}
-
-/// Strict: an unknown flag, a flag missing its value or an unparsable
-/// number is an error, never a silently different rendering.
+/// Strict: an unknown flag or a flag missing its value is an error,
+/// never a silently different rendering.
 fn parse(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         files: Vec::new(),
-        top: 12,
-        band: RECOVERY_BAND,
         chrome: None,
         svg: None,
     };
@@ -60,16 +45,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             _ => Err(format!("{arg} needs a value")),
         };
         match arg.as_str() {
-            "--top" => cli.top = number(arg, value()?)?,
-            "--band" => {
-                let v = value()?;
-                cli.band = number(arg, v)?;
-                // A fraction of the pre-onset baseline: outside (0, 1] the
-                // recovery threshold can never be met.
-                if !(cli.band > 0.0 && cli.band <= 1.0) {
-                    return Err(format!("{arg} {v:?}: outside (0, 1]"));
-                }
-            }
             "--chrome" => cli.chrome = Some(PathBuf::from(value()?)),
             "--svg" => cli.svg = Some(PathBuf::from(value()?)),
             _ => return Err(format!("unknown argument {arg:?}")),
@@ -93,7 +68,7 @@ fn inspect(cli: &Cli) -> Result<(), String> {
         let artifact =
             Artifact::parse(&text).map_err(|e| format!("{name}:{}: {}", e.line, e.msg))?;
         println!("== {name} ==");
-        print!("{}", artifact.render(cli.top, cli.band));
+        print!("{}", artifact.render());
         let write = |what: &str, path: &PathBuf, contents: String| {
             std::fs::write(path, contents)
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;

@@ -34,14 +34,12 @@ use depfast_bench::{repo_root, Suite};
 const USAGE: &str = "usage: gate <bench|detect|scenario> [--write-baseline] [--current <file>] \
                      [--baseline <file>] [--out <file>] [--report]";
 
-/// What a subcommand selects: default file names, the live suite, and
-/// the environment variables that shrink it.
+/// What a subcommand selects: default file names and the live suite.
 struct SuiteDef {
     name: &'static str,
     baseline: &'static str,
     out: &'static str,
     live: fn(bool) -> Result<Live, String>,
-    filters: &'static [&'static str],
 }
 
 const SUITES: [SuiteDef; 3] = [
@@ -50,21 +48,18 @@ const SUITES: [SuiteDef; 3] = [
         baseline: "BENCH_baseline.json",
         out: "BENCH_gate.json",
         live: suites::bench,
-        filters: &[],
     },
     SuiteDef {
         name: "detect",
         baseline: "BENCH_detect_baseline.json",
         out: "BENCH_detect.json",
         live: suites::detect,
-        filters: &[],
     },
     SuiteDef {
         name: "scenario",
         baseline: "BENCH_scenarios_baseline.json",
         out: "BENCH_scenarios.json",
         live: suites::scenario,
-        filters: &suites::SCENARIO_FILTERS,
     },
 ];
 
@@ -141,26 +136,15 @@ fn main() -> ExitCode {
         eprintln!("gate: {e}");
         ExitCode::from(2)
     };
-    let usage_error = |e: String| setup_error(format!("{e}\n{USAGE}"));
     let cli = match parse(&args) {
         Ok(cli) => cli,
-        Err(e) => return usage_error(e),
+        Err(e) => return setup_error(format!("{e}\n{USAGE}")),
     };
     let tag = format!("[gate {}]", cli.suite.name);
     let root = repo_root();
     let baseline_path = cli
         .baseline
         .unwrap_or_else(|| root.join(cli.suite.baseline));
-    if cli.write_baseline {
-        let set = |var: &&&str| std::env::var_os(var).is_some();
-        if let Some(var) = cli.suite.filters.iter().find(set) {
-            return usage_error(format!(
-                "refusing --write-baseline while {var} filters the suite: \
-                 a truncated baseline makes CI report the other cells missing"
-            ));
-        }
-    }
-
     let current = match &cli.current {
         Some(path) => match Suite::load(path) {
             Ok(s) => s,

@@ -20,7 +20,7 @@ use std::path::Path;
 
 use crate::json::Json;
 use crate::report::Table;
-use depfast_incident::{score, IncidentDump, ScoreCell, RECOVERY_BAND};
+use depfast_incident::{score, IncidentDump, ScoreCell};
 
 /// Format marker embedded in every artifact.
 pub const SCHEMA: &str = "depfast-bench/v1";
@@ -275,13 +275,13 @@ pub struct DetectRecord {
 }
 
 impl DetectRecord {
-    /// A dump's identity and its scorecard at [`RECOVERY_BAND`].
+    /// A dump's identity and its scorecard.
     pub fn from_dump(dump: &IncidentDump) -> DetectRecord {
         DetectRecord {
             driver: dump.driver.clone(),
             fault: dump.fault.clone(),
             cluster: dump.cluster.clone(),
-            score: score(dump, RECOVERY_BAND),
+            score: score(dump),
         }
     }
 

@@ -14,9 +14,9 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Duration;
 
-use depfast_detect::{DetectorCfg, FailSlowDetector, StormMonitor};
+use depfast_detect::{DetectorMode, FailSlowDetector, StormMonitor};
 use depfast_fault::{FaultKind, FaultLedger, FaultRecord};
-use depfast_incident::{score, IncidentDump, RECOVERY_BAND};
+use depfast_incident::{score, IncidentDump};
 use depfast_kv::{RetryPolicy, ShardedKvCluster};
 use depfast_metrics::{group_label, Key, MetricValue, MetricsRegistry, Sampler, Summary};
 use depfast_profile::Profiler;
@@ -29,6 +29,7 @@ use depfast_ycsb::workload::WorkloadSpec;
 use simkit::{MemCfg, NodeId, Sim, World, WorldCfg};
 
 use crate::cells::{RunRecord, ScenarioRecord};
+use crate::suites::GATE_SEED;
 
 /// Raft tuning used by every experiment: calibrated so a healthy 3-node
 /// DepFastRaft cluster lands near the paper's ~5 K req/s base performance
@@ -110,8 +111,9 @@ pub struct Instruments {
     /// Wait-state profiler installed for the whole run, warm-up
     /// included ([`RunReport::profiler`]).
     pub profiler: bool,
-    /// Fail-slow detector watching the cluster's `rpc.latency` series.
-    pub detector: Option<DetectorCfg>,
+    /// Fail-slow detector watching the cluster's `rpc.latency` series,
+    /// judging against this mode's references.
+    pub detector: Option<DetectorMode>,
     /// §5's leader handover when the detector suspects the leader: the
     /// suspect holds its proposals until its healthiest follower has its
     /// whole log, then that follower campaigns (one group only; needs
@@ -164,7 +166,7 @@ impl Default for Run {
             kind: RaftKind::DepFast,
             placement: Placement::Single { n: 3 },
             n_clients: 256,
-            seed: 20210531, // HotOS '21 opening day.
+            seed: GATE_SEED,
             warmup: Duration::from_secs(2),
             measure: Duration::from_secs(10),
             records: 500_000,
@@ -216,9 +218,9 @@ impl Run {
         Ok(self)
     }
 
-    /// Turns on the detector (and with it the sampler).
-    pub fn with_detector(mut self, dcfg: DetectorCfg) -> Run {
-        self.instruments.detector = Some(dcfg);
+    /// Turns on the detector in `mode` (and with it the sampler).
+    pub fn with_detector(mut self, mode: DetectorMode) -> Run {
+        self.instruments.detector = Some(mode);
         self
     }
 
@@ -320,7 +322,7 @@ impl Run {
         }
         let detector = ins
             .detector
-            .map(|dcfg| FailSlowDetector::spawn(&sim, &tracer, dcfg));
+            .map(|mode| FailSlowDetector::spawn(&sim, &tracer, mode));
         if ins.leader_mitigation {
             let ([group], Some(detector)) = (&cluster.raft.groups[..], &detector) else {
                 panic!("leader mitigation needs a single group and a detector");
@@ -651,7 +653,7 @@ impl RunReport {
             floor: if floor.is_finite() { floor } else { 0.0 },
             p99_ms: self.stats.latency.p99.as_secs_f64() * 1e3,
             stall_ms,
-            score: score(&dump, RECOVERY_BAND),
+            score: score(&dump),
             amp,
             give_up: Series::Global("client.give_up").level(&self.metrics.snapshot()) as u64,
         };
@@ -816,8 +818,8 @@ mod tests {
             .into_iter()
             .find(|s| s.name == "leader-cpu-slow")
             .expect("a catalog cell");
-        let dcfg = crate::suites::matrix_detector_cfg();
-        let mitigated = crate::suites::episode(RaftKind::DepFast, dcfg)
+        let mode = DetectorMode::PeerWithFallback;
+        let mitigated = crate::suites::episode(RaftKind::DepFast, mode)
             .with_scenario(&leader_cpu_slow)
             .expect("compiles");
         let runs = crate::suites::ALL_DRIVERS

@@ -15,7 +15,7 @@
 
 use std::time::Duration;
 
-use depfast_detect::{DetectorCfg, DetectorMode};
+use depfast_detect::DetectorMode;
 use depfast_fault::FaultKind;
 use depfast_incident::{render_report, score, IncidentDump, RECOVERY_BAND};
 use depfast_kv::RetryPolicy;
@@ -25,7 +25,8 @@ use depfast_scenario::{CompileError, Scenario};
 use crate::cells::{DetectRecord, ScenarioRecord, Suite};
 use crate::experiment::{striped, Instruments, Run, RunReport};
 
-/// Seed of every gated cell.
+/// Seed of every gated cell, and [`Run::default`]'s: HotOS '21 opening
+/// day.
 pub const GATE_SEED: u64 = 20210531;
 
 /// A matrix cell whose longest post-warm-up commit stall exceeds this
@@ -37,37 +38,9 @@ pub const MATRIX_STALL_LIMIT: Duration = Duration::from_millis(1500);
 /// its cause.
 pub const STORM_STALL_LIMIT: Duration = Duration::from_millis(2500);
 
-/// Environment allowlists (comma-separated name substrings) that shrink
-/// the scenario suite for local runs. CI runs the full matrix, and a
-/// baseline is never written from a filtered one.
-pub const SCENARIO_FILTERS: [&str; 2] = ["SCEN_SCALE_SCENARIOS", "SCEN_SCALE_DRIVERS"];
-
 /// The disk-slow fault of every gated cell and figure side mode: Table
 /// 1's 125× write-bandwidth cut.
 pub const DISK_SLOW: FaultKind = FaultKind::DiskSlow { bw_factor: 0.008 };
-
-/// Detector tuning of the gated suites. The sample floor is lowered from
-/// 10: a SyncRaft leader coupled to a 125×-slow disk completes so few
-/// appends per 200 ms window that the default starves the detector and
-/// the fault goes entirely unnoticed — which is itself the paper's
-/// point, but makes the DepFast-vs-Sync time-to-detect comparison
-/// degenerate. Four completions per window still reject scheduler noise
-/// at a 3× threshold.
-pub fn gate_detector_cfg() -> DetectorCfg {
-    DetectorCfg {
-        min_samples: 4,
-        ..DetectorCfg::default()
-    }
-}
-
-/// Detector tuning of the scenario matrix: the gate floor plus the
-/// peer-relative mode with its absolute-baseline fallback track.
-pub fn matrix_detector_cfg() -> DetectorCfg {
-    DetectorCfg {
-        mode: DetectorMode::PeerWithFallback,
-        ..gate_detector_cfg()
-    }
-}
 
 /// The one rule for loss: a dump whose health timeline was truncated at
 /// the tracer's capacity cap under-counts reactions, so a gate run that
@@ -103,7 +76,7 @@ impl Live {
     /// health events.
     fn admit(&mut self, dump: &IncidentDump, report: bool) {
         if report {
-            eprint!("{}", render_report(dump, &score(dump, RECOVERY_BAND)));
+            eprint!("{}", render_report(dump, &score(dump)));
         }
         self.lost.extend(health_loss(dump));
     }
@@ -159,7 +132,6 @@ pub fn bench_cell(kind: RaftKind) -> Run {
     Run {
         kind,
         n_clients: 64,
-        seed: GATE_SEED,
         warmup: Duration::from_millis(600),
         measure: Duration::from_secs(2),
         records: 10_000,
@@ -217,18 +189,17 @@ pub fn bench(_report: bool) -> Result<Live, String> {
 /// 3.2 s measurement, 10 K records — the catalog's faults land at 2 s,
 /// after the detector's warm-up windows (5 × 200 ms of polling need
 /// healthy traffic first), and heal 1.2 s later, before the run ends,
-/// so time-to-recover is observable.
-pub fn episode(kind: RaftKind, dcfg: DetectorCfg) -> Run {
+/// so time-to-recover is observable. The detector judges in `mode`.
+pub fn episode(kind: RaftKind, mode: DetectorMode) -> Run {
     Run {
         kind,
         n_clients: 64,
-        seed: GATE_SEED,
         warmup: Duration::from_secs(2),
         measure: Duration::from_millis(3200),
         records: 10_000,
         ..Run::default()
     }
-    .with_detector(dcfg)
+    .with_detector(mode)
 }
 
 /// When an [`episode`]'s fault lands…
@@ -246,7 +217,7 @@ pub fn disk_slow_episode(run: Run, nodes: impl IntoIterator<Item = u32>) -> Run 
 pub fn detect(report: bool) -> Result<Live, String> {
     let mut live = Live::new("detect");
     let suite = &mut live.suite;
-    let base = episode(RaftKind::DepFast, gate_detector_cfg());
+    let base = episode(RaftKind::DepFast, DetectorMode::SelfBaseline);
     suite.config("clients", base.n_clients as f64);
     suite.config("warmup_secs", base.warmup.as_secs_f64());
     suite.config("measure_secs", base.measure.as_secs_f64());
@@ -270,7 +241,7 @@ pub fn detect(report: bool) -> Result<Live, String> {
     suite.config("blast_nodes", blast.placement.server_nodes() as f64);
     suite.config("blast_fault_node", f64::from(blast.plan.windows[0].node));
     for kind in [RaftKind::DepFast, RaftKind::Sync] {
-        let healthy = episode(kind, gate_detector_cfg());
+        let healthy = episode(kind, DetectorMode::SelfBaseline);
         let faulted = disk_slow_episode(healthy.clone(), [2]);
         for run in [healthy, faulted] {
             eprintln!("[gate] {} / {}...", kind.name(), run.fault);
@@ -317,7 +288,7 @@ pub fn storm_catalog() -> Vec<Run> {
     let mut run = Run {
         n_clients: 160,
         measure: Duration::from_millis(5500),
-        ..episode(RaftKind::DepFast, matrix_detector_cfg())
+        ..episode(RaftKind::DepFast, DetectorMode::PeerWithFallback)
     }
     .with_fault(
         [0],
@@ -339,32 +310,15 @@ pub fn matrix_cell(
     scenario: &Scenario,
     kind: RaftKind,
 ) -> Result<(ScenarioRecord, IncidentDump), CompileError> {
-    let run = episode(kind, matrix_detector_cfg()).with_scenario(scenario)?;
+    let run = episode(kind, DetectorMode::PeerWithFallback).with_scenario(scenario)?;
     Ok(run.execute().survival(MATRIX_STALL_LIMIT))
 }
 
-/// The allowlist in `var` as a predicate on names (everything passes
-/// when it is unset).
-fn env_filter(var: &str) -> impl Fn(&str) -> bool {
-    let list = std::env::var(var).ok();
-    if let Some(list) = &list {
-        eprintln!("[gate] {var} set: suite filtered to {list:?}");
-    }
-    move |name| {
-        list.as_ref().is_none_or(|l| {
-            l.split(',')
-                .map(str::trim)
-                .any(|a| !a.is_empty() && name.contains(a))
-        })
-    }
-}
-
-/// Runs the survival suite, shrunk by [`SCENARIO_FILTERS`] when set.
-/// `report` also prints each cell's incident report (stderr).
+/// Runs the survival suite. `report` also prints each cell's incident
+/// report (stderr).
 pub fn scenario(report: bool) -> Result<Live, String> {
-    let [keep_scenario, keep_driver] = SCENARIO_FILTERS.map(env_filter);
     let mut live = Live::new("scenarios");
-    let base = episode(RaftKind::DepFast, matrix_detector_cfg());
+    let base = episode(RaftKind::DepFast, DetectorMode::PeerWithFallback);
     let suite = &mut live.suite;
     suite.config("n_servers", 3.0);
     suite.config("clients", base.n_clients as f64);
@@ -376,22 +330,18 @@ pub fn scenario(report: bool) -> Result<Live, String> {
     suite.config("storm_stall_limit_secs", STORM_STALL_LIMIT.as_secs_f64());
     for s in depfast_scenario::catalog() {
         for kind in ALL_DRIVERS {
-            if keep_scenario(&s.name) && keep_driver(kind.name()) {
-                eprintln!("[gate] {} / {}...", s.name, kind.name());
-                let (cell, dump) = matrix_cell(&s, kind)
-                    .map_err(|e| format!("scenario {} failed to compile: {e}", s.name))?;
-                live.admit(&dump, report);
-                live.suite.scenarios.push(cell);
-            }
-        }
-    }
-    for run in storm_catalog() {
-        if keep_scenario(&run.fault) {
-            eprintln!("[gate] {} / {}...", run.fault, run.kind.name());
-            let (cell, dump) = run.execute().survival(STORM_STALL_LIMIT);
+            eprintln!("[gate] {} / {}...", s.name, kind.name());
+            let (cell, dump) = matrix_cell(&s, kind)
+                .map_err(|e| format!("scenario {} failed to compile: {e}", s.name))?;
             live.admit(&dump, report);
             live.suite.scenarios.push(cell);
         }
+    }
+    for run in storm_catalog() {
+        eprintln!("[gate] {} / {}...", run.fault, run.kind.name());
+        let (cell, dump) = run.execute().survival(STORM_STALL_LIMIT);
+        live.admit(&dump, report);
+        live.suite.scenarios.push(cell);
     }
     Ok(live)
 }

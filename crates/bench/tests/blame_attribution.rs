@@ -44,7 +44,7 @@ fn depfast_quorum_keeps_the_disk_slow_follower_off_the_critical_path() {
         share < 0.10,
         "DepFastRaft must absorb the slow follower: node 2 carries {:.1}% of blame\n{}",
         share * 100.0,
-        report.table(12)
+        report.table()
     );
 }
 
@@ -68,7 +68,7 @@ fn sync_driver_blame_lands_on_the_disk_slow_follower() {
     assert!(
         slow > 0.0 && others.map(|k| report.node_share(k.node)).all(|s| s < slow),
         "SyncRaft's inline cold reads must put the laggard on top\n{}",
-        report.table(12)
+        report.table()
     );
 }
 

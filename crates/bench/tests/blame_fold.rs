@@ -14,8 +14,9 @@ use std::time::Duration;
 use bytes::Bytes;
 use depfast::blame::{BlameKey, BlameReport, Fold};
 use depfast::{EventKind, Signal, TraceRecord};
-use depfast_bench::suites::{episode, matrix_detector_cfg};
+use depfast_bench::suites::episode;
 use depfast_bench::Run;
+use depfast_detect::DetectorMode;
 use depfast_fault::FaultKind;
 use depfast_kv::KvCluster;
 use depfast_raft::cluster::RaftKind;
@@ -56,7 +57,7 @@ fn live_equals_replay(run: &Run, what: &str) -> BlameReport {
     let live = report.blame.expect("a traced run folds blame");
     assert!(live.commits > 50, "{what}: {} commits", live.commits);
     let replay = blame_report(&TraceIndex::build(&report.records));
-    assert_eq!(live, replay, "{what}\nlive:\n{}", live.table(12));
+    assert_eq!(live, replay, "{what}\nlive:\n{}", live.table());
     if run.kind == RaftKind::DepFast {
         assert_children(&live, &report.records, what);
     }
@@ -153,7 +154,7 @@ fn the_mitigated_leader_cell_blames_the_same_live_and_replayed() {
         .into_iter()
         .find(|s| s.name == "leader-cpu-slow")
         .expect("the catalog has the cell");
-    let mut run = episode(RaftKind::DepFast, matrix_detector_cfg())
+    let mut run = episode(RaftKind::DepFast, DetectorMode::PeerWithFallback)
         .with_scenario(&scenario)
         .expect("compiles");
     assert!(run.instruments.leader_mitigation);

@@ -7,10 +7,10 @@
 
 use std::time::Duration;
 
-use depfast_bench::suites::gate_detector_cfg;
+use depfast_bench::suites::GATE_SEED;
 use depfast_bench::{Artifact, DetectRecord, Run, RunReport, Suite};
+use depfast_detect::DetectorMode;
 use depfast_fault::FaultKind;
-use depfast_incident::RECOVERY_BAND;
 use depfast_raft::cluster::RaftKind;
 
 fn episode() -> RunReport {
@@ -22,7 +22,7 @@ fn episode() -> RunReport {
         records: 10_000,
         ..Run::default()
     }
-    .with_detector(gate_detector_cfg())
+    .with_detector(DetectorMode::SelfBaseline)
     .with_fault(
         [2],
         FaultKind::DiskSlow { bw_factor: 0.008 },
@@ -35,11 +35,11 @@ fn episode() -> RunReport {
 /// Suite JSON, `.run` text, and the report + Chrome track rendered from
 /// the `.run` text alone.
 fn artifacts(run: &RunReport) -> (String, String, String, String) {
-    let mut suite = Suite::new("detect", 20210531);
+    let mut suite = Suite::new("detect", GATE_SEED);
     suite.detect.push(DetectRecord::from_dump(&run.dump()));
     let text = run.artifact();
     let parsed = Artifact::parse(&text).expect("a fresh artifact parses");
-    let (report, chrome) = (parsed.render(12, RECOVERY_BAND), parsed.chrome());
+    let (report, chrome) = (parsed.render(), parsed.chrome());
     (suite.to_json(), text, report, chrome)
 }
 

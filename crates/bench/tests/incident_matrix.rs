@@ -8,8 +8,8 @@
 use std::time::Duration;
 
 use depfast_bench::Run;
-use depfast_detect::DetectorCfg;
-use depfast_incident::{score, ScoreCell, RECOVERY_BAND};
+use depfast_detect::DetectorMode;
+use depfast_incident::{score, ScoreCell};
 use depfast_raft::cluster::RaftKind;
 
 const DRIVERS: [RaftKind; 5] = [
@@ -34,7 +34,7 @@ fn healthy_cfg(kind: RaftKind, seed: u64) -> Run {
         records: 10_000,
         ..Run::default()
     }
-    .with_detector(DetectorCfg::default())
+    .with_detector(DetectorMode::SelfBaseline)
 }
 
 #[test]
@@ -54,7 +54,7 @@ fn no_fault_matrix_is_silent_and_scores_all_zero() {
                 kind.name(),
                 dump.events
             );
-            let cell = score(&dump, RECOVERY_BAND);
+            let cell = score(&dump);
             assert_eq!(
                 cell,
                 ScoreCell::default(),

@@ -7,10 +7,10 @@
 
 use std::time::Duration;
 
-use depfast_bench::suites::gate_detector_cfg;
 use depfast_bench::Run;
+use depfast_detect::DetectorMode;
 use depfast_fault::FaultKind;
-use depfast_incident::{score, ScoreCell, RECOVERY_BAND};
+use depfast_incident::{score, ScoreCell};
 use depfast_raft::cluster::RaftKind;
 
 fn disk_slow_cell(kind: RaftKind) -> ScoreCell {
@@ -25,14 +25,14 @@ fn disk_slow_cell(kind: RaftKind) -> ScoreCell {
     // The gate's lowered sample floor: a SyncRaft leader coupled to a
     // 125×-slow disk completes too few appends per window for the
     // default floor of 10.
-    .with_detector(gate_detector_cfg())
+    .with_detector(DetectorMode::SelfBaseline)
     .with_fault(
         [2],
         FaultKind::DiskSlow { bw_factor: 0.008 },
         Duration::from_secs(2),
         Some(Duration::from_millis(1000)),
     );
-    score(&run.execute().dump(), RECOVERY_BAND)
+    score(&run.execute().dump())
 }
 
 #[test]

@@ -5,8 +5,9 @@
 //! recorded suite are differences naming their column, and the scenario
 //! counters audit what a cell actually injected.
 
-use depfast_bench::suites::{episode, matrix_cell, matrix_detector_cfg, GATE_SEED};
+use depfast_bench::suites::{episode, matrix_cell, GATE_SEED};
 use depfast_bench::{ScenarioRecord, Suite};
+use depfast_detect::DetectorMode;
 use depfast_incident::IncidentDump;
 use depfast_metrics::Key;
 use depfast_raft::cluster::RaftKind;
@@ -123,7 +124,7 @@ fn the_scenario_counters_equal_the_plan_that_ran() {
             continue;
         }
         load_triggered += usize::from(triggered);
-        let run = episode(RaftKind::DepFast, matrix_detector_cfg())
+        let run = episode(RaftKind::DepFast, DetectorMode::PeerWithFallback)
             .with_scenario(&scenario)
             .expect("catalog scenarios compile on the matrix shape");
         assert_eq!(

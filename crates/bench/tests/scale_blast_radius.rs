@@ -16,10 +16,10 @@
 
 use std::time::Duration;
 
-use depfast_bench::suites::gate_detector_cfg;
 use depfast_bench::{striped, Run, RunReport};
+use depfast_detect::DetectorMode;
 use depfast_fault::FaultKind;
-use depfast_incident::{score, ScoreCell, RECOVERY_BAND};
+use depfast_incident::{score, ScoreCell};
 use depfast_raft::cluster::RaftKind;
 
 const FAULT_NODE: u32 = 4;
@@ -41,7 +41,7 @@ fn incident(kind: RaftKind) -> RunReport {
     // 125x-slow disk completes too few appends per window for the
     // default floor.
     cfg(kind)
-        .with_detector(gate_detector_cfg())
+        .with_detector(DetectorMode::SelfBaseline)
         .with_fault(
             [FAULT_NODE],
             FaultKind::DiskSlow { bw_factor: 0.008 },
@@ -74,7 +74,7 @@ fn scorecards_confine_the_fault_to_hosted_groups() {
     assert_eq!(hosted, vec![3, 4], "striping changed under us");
     for dump in &run.group_dumps() {
         let gid: u32 = dump.cluster.rsplit('g').next().unwrap().parse().unwrap();
-        let cell = score(dump, RECOVERY_BAND);
+        let cell = score(dump);
         if hosted.contains(&gid) {
             assert_eq!(dump.faults.len(), 1, "g{gid} hosts the fault: {dump:?}");
             assert!(cell.detected, "g{gid} must detect its fault: {cell:?}");

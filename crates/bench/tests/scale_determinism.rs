@@ -6,10 +6,10 @@
 
 use std::time::Duration;
 
-use depfast_bench::suites::gate_detector_cfg;
 use depfast_bench::{striped, Run, RunReport};
+use depfast_detect::DetectorMode;
 use depfast_fault::FaultKind;
-use depfast_incident::{render_report, score, RECOVERY_BAND};
+use depfast_incident::{render_report, score};
 use depfast_raft::cluster::RaftKind;
 
 fn episode() -> RunReport {
@@ -22,7 +22,7 @@ fn episode() -> RunReport {
         records: 10_000,
         ..Run::default()
     }
-    .with_detector(gate_detector_cfg())
+    .with_detector(DetectorMode::SelfBaseline)
     .with_fault(
         [4],
         FaultKind::DiskSlow { bw_factor: 0.008 },
@@ -69,7 +69,7 @@ fn same_seed_sharded_runs_are_byte_identical() {
         "the .run artifact (cluster dump + per-group dumps) must be byte-stable"
     );
     for (da, db) in dumps_a.iter().zip(&dumps_b) {
-        let (ca, cb) = (score(da, RECOVERY_BAND), score(db, RECOVERY_BAND));
+        let (ca, cb) = (score(da), score(db));
         assert_eq!(
             render_report(da, &ca),
             render_report(db, &cb),

@@ -44,6 +44,10 @@ use crate::trace::TraceRecord;
 /// The label of a proposal's completion event: the commands blame walks.
 const PROPOSAL: &str = "proposal";
 
+/// Rows of every ranked table a run renders: the blame table and the
+/// inspector's top wait sites.
+pub const TABLE_ROWS: usize = 12;
+
 /// What a blame segment is charged to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlameKey {
@@ -120,8 +124,8 @@ impl BlameReport {
             .collect()
     }
 
-    /// A formatted top-`k` blame table.
-    pub fn table(&self, k: usize) -> String {
+    /// A formatted blame table of the top [`TABLE_ROWS`] rows.
+    pub fn table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "critical-path blame over {} committed command(s), {:.3}s total\n",
@@ -132,7 +136,7 @@ impl BlameReport {
             "{:<6} {:<14} {:>12} {:>8}\n",
             "node", "layer", "blame", "share"
         ));
-        for (key, d, share) in self.rows().into_iter().take(k) {
+        for (key, d, share) in self.rows().into_iter().take(TABLE_ROWS) {
             out.push_str(&format!(
                 "{:<6} {:<14} {:>10.3}ms {:>7.1}%\n",
                 key.node.0,
@@ -819,7 +823,7 @@ mod tests {
         let report = fold(&[proposal(0, 0)]);
         assert_eq!(report.commits, 0);
         assert!(report.total.is_zero());
-        assert_eq!(report.table(5).lines().count(), 2);
+        assert_eq!(report.table().lines().count(), 2);
     }
 
     /// One step of a live round; the number names a child: 0 is the

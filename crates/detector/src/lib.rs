@@ -19,6 +19,6 @@ pub mod detect;
 pub mod mitigate;
 pub mod storm;
 
-pub use detect::{DetectorCfg, DetectorMode, FailSlowDetector, Suspicion};
+pub use detect::{DetectorMode, FailSlowDetector, Suspicion};
 pub use mitigate::spawn_leader_mitigation;
 pub use storm::StormMonitor;

@@ -125,7 +125,7 @@ async fn transfer(sim: &Sim, cores: &[Rc<RaftCore>], node: NodeId, detector: &We
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::DetectorCfg;
+    use crate::detect::DetectorMode;
     use bytes::Bytes;
     use depfast::HealthEvent;
     use depfast_kv::KvCluster;
@@ -164,7 +164,7 @@ mod tests {
             .map(|s| s.core().clone())
             .collect();
         let current_leader = || cores.iter().find(|c| c.is_leader()).map(|c| c.id);
-        let detector = FailSlowDetector::spawn(&sim, &cl.raft.tracer, DetectorCfg::default());
+        let detector = FailSlowDetector::spawn(&sim, &cl.raft.tracer, DetectorMode::SelfBaseline);
         spawn_leader_mitigation(&sim, &detector, cores.clone());
 
         // Concurrent closed-loop clients over real RPC (their kv_request
@@ -244,20 +244,10 @@ mod tests {
         );
     }
 
-    /// The handover under load. 64 closed-loop clients run on a healthy
-    /// cluster; then the leader fails slow (5 % CPU and 10 ms on every
-    /// message it sends, so rounds are still in flight) and n2's CPU drops
-    /// to 30 %, so n2 appends each round after n1 does. When the handover
-    /// starts (the onset's phase puts it between n1's append of a round
-    /// and n2's) the suspect is ahead of both followers, and its target,
-    /// n2 — the follower with the highest acknowledged index — is behind
-    /// the third node's log. The target must still win the suspect's
-    /// term + 1, no session may give up, and no stretch without a leader
-    /// may last the shortest election timeout (a gap that long is one that
-    /// some node's own timer ended).
-    #[test]
-    fn a_loaded_handover_wins_the_next_term_with_no_leaderless_gap() {
-        let clients = 64;
+    /// The loaded tests' cluster at seed 7: a 0-led DepFastRaft group of
+    /// three with `clients` closed-loop sessions, at the bench's
+    /// calibration, and its cores in member order.
+    fn calibrated(clients: usize) -> (Sim, World, Rc<KvCluster>, Vec<Rc<RaftCore>>) {
         let sim = Sim::new(7);
         let world = World::new(
             sim.clone(),
@@ -280,12 +270,30 @@ mod tests {
         let (kind, n) = (RaftKind::DepFast, 3);
         let cl = KvCluster::build_tuned(&sim, &world, kind, n, clients, cfg, serve_cpu);
         let cl = Rc::new(cl);
-        let cores: Vec<Rc<RaftCore>> = cl.raft.groups[0]
+        let cores = cl.raft.groups[0]
             .servers
             .iter()
             .map(|s| s.core().clone())
             .collect();
-        let detector = FailSlowDetector::spawn(&sim, &cl.raft.tracer, DetectorCfg::default());
+        (sim, world, cl, cores)
+    }
+
+    /// The handover under load. 64 closed-loop clients run on a healthy
+    /// cluster; then the leader fails slow (5 % CPU and 10 ms on every
+    /// message it sends, so rounds are still in flight) and n2's CPU drops
+    /// to 30 %, so n2 appends each round after n1 does. When the handover
+    /// starts (the onset's phase puts it between n1's append of a round
+    /// and n2's) the suspect is ahead of both followers, and its target,
+    /// n2 — the follower with the highest acknowledged index — is behind
+    /// the third node's log. The target must still win the suspect's
+    /// term + 1, no session may give up, and no stretch without a leader
+    /// may last the shortest election timeout (a gap that long is one that
+    /// some node's own timer ended).
+    #[test]
+    fn a_loaded_handover_wins_the_next_term_with_no_leaderless_gap() {
+        let clients = 64;
+        let (sim, world, cl, cores) = calibrated(clients);
+        let detector = FailSlowDetector::spawn(&sim, &cl.raft.tracer, DetectorMode::SelfBaseline);
         // Registered before the mitigation's hook, so it sees the cluster
         // as the handover starts: the term, and every log's last index.
         let at_start = Rc::new(RefCell::new(None));
@@ -441,34 +449,8 @@ mod tests {
         on_suspect: impl Fn(&World) + 'static,
     ) -> Loaded {
         let clients = 64;
-        let sim = Sim::new(7);
-        let world = World::new(
-            sim.clone(),
-            WorldCfg {
-                nodes: 3 + clients,
-                ..WorldCfg::default()
-            },
-        );
-        let cfg = RaftCfg {
-            bootstrap_leader: Some(0),
-            batch_window: Duration::from_millis(4),
-            max_entries_per_append: 512,
-            propose_cpu: Duration::from_micros(30),
-            append_cpu_base: Duration::from_micros(30),
-            append_cpu_per_entry: Duration::from_micros(120),
-            apply_cpu: Duration::from_micros(190),
-            ..RaftCfg::default()
-        };
-        let serve_cpu = Duration::from_micros(250);
-        let (kind, n) = (RaftKind::DepFast, 3);
-        let cl = KvCluster::build_tuned(&sim, &world, kind, n, clients, cfg, serve_cpu);
-        let cl = Rc::new(cl);
-        let cores: Vec<Rc<RaftCore>> = cl.raft.groups[0]
-            .servers
-            .iter()
-            .map(|s| s.core().clone())
-            .collect();
-        let detector = FailSlowDetector::spawn(&sim, &cl.raft.tracer, DetectorCfg::default());
+        let (sim, world, cl, cores) = calibrated(clients);
+        let detector = FailSlowDetector::spawn(&sim, &cl.raft.tracer, DetectorMode::SelfBaseline);
         let w = world.clone();
         detector.on_suspect(move |s| {
             if s.node == NodeId(0) {

@@ -136,14 +136,14 @@ pub fn render_report(dump: &IncidentDump, cell: &ScoreCell) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scorecard::{score, RECOVERY_BAND};
+    use crate::scorecard::score;
     use crate::tests::event;
 
     #[test]
     fn report_has_truth_timeline_and_verdict() {
         let mut d = crate::tests::sample_dump();
         d.canonicalize();
-        let cell = score(&d, RECOVERY_BAND);
+        let cell = score(&d);
         let r = render_report(&d, &cell);
         assert!(r.contains("driver=DepFast fault=Disk Slowness"));
         assert!(r.contains("n2  Disk Slowness  onset 2.000s  cleared 3.200s"));
@@ -166,7 +166,7 @@ mod tests {
             ));
         }
         d.canonicalize();
-        let cell = score(&d, RECOVERY_BAND);
+        let cell = score(&d);
         let r = render_report(&d, &cell);
         assert!(r.contains("x40"), "{r}");
         assert_eq!(
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn dropped_health_events_are_called_out() {
         let mut d = crate::tests::sample_dump();
-        let cell = score(&d, RECOVERY_BAND);
+        let cell = score(&d);
         let clean = render_report(&d, &cell);
         assert!(!clean.contains("WARNING"), "{clean}");
         d.health_dropped = 12;
@@ -204,7 +204,7 @@ mod tests {
             end_ns: 0,
             health_dropped: 0,
         };
-        let cell = score(&d, RECOVERY_BAND);
+        let cell = score(&d);
         let r = render_report(&d, &cell);
         assert!(r.contains("(no fault injected)"));
         assert!(r.contains("(no health events)"));

@@ -10,8 +10,8 @@
 //!   or after onset, minus the onset;
 //! - **time-to-recover** — onset until throughput is back inside the
 //!   pre-onset baseline band (two consecutive samples at or above
-//!   `band × baseline`, judged from the fault's clear time onward — or
-//!   from onset, for drivers that never dipped);
+//!   [`RECOVERY_BAND`] × the baseline, judged from the fault's clear time
+//!   onward — or from onset, for drivers that never dipped);
 //! - **false positives** — suspicions with no injected fault to blame
 //!   (every suspicion in a no-fault run, and in faulted runs suspicions
 //!   of healthy nodes are counted under *misattribution*);
@@ -63,10 +63,8 @@ pub struct ScoreCell {
     pub storm_sustained: bool,
 }
 
-/// Scores one dump. `band` is the recovery threshold as a fraction of
-/// the pre-onset throughput baseline ([`RECOVERY_BAND`] is the standard
-/// setting).
-pub fn score(dump: &IncidentDump, band: f64) -> ScoreCell {
+/// Scores one dump; recovery is judged at [`RECOVERY_BAND`].
+pub fn score(dump: &IncidentDump) -> ScoreCell {
     let mut cell = ScoreCell::default();
     let suspicions: Vec<_> = dump
         .events_in("detector")
@@ -137,7 +135,7 @@ pub fn score(dump: &IncidentDump, band: f64) -> ScoreCell {
         if let Some(m) = ttm {
             cell.ttm_ns = Some(cell.ttm_ns.map_or(m, |c| c.min(m)));
         }
-        if let Some(r) = time_to_recover(dump, f, band) {
+        if let Some(r) = time_to_recover(dump, f) {
             cell.ttr_ns = Some(cell.ttr_ns.map_or(r, |c| c.max(r)));
         }
     }
@@ -151,12 +149,12 @@ fn since(from: SimTime, to: SimTime) -> u64 {
 }
 
 /// Onset → first of two consecutive throughput samples at or above
-/// `band ×` the pre-onset baseline, searching from the fault's clear
+/// [`RECOVERY_BAND`] × the pre-onset baseline, searching from the fault's clear
 /// time (or its onset, if it never cleared — a driver that tolerates the
 /// fault recovers while it is still active). `None` when there is no
 /// pre-onset traffic to define a baseline, or recovery never happens
 /// inside the observed window.
-fn time_to_recover(dump: &IncidentDump, f: &FaultRecord, band: f64) -> Option<u64> {
+fn time_to_recover(dump: &IncidentDump, f: &FaultRecord) -> Option<u64> {
     let onset_ns = f.onset.as_nanos();
     let pre: Vec<f64> = dump
         .throughput
@@ -172,7 +170,7 @@ fn time_to_recover(dump: &IncidentDump, f: &FaultRecord, band: f64) -> Option<u6
     if baseline <= 0.0 {
         return None;
     }
-    let threshold = baseline * band;
+    let threshold = baseline * RECOVERY_BAND;
     let from = f.cleared.unwrap_or(f.onset).as_nanos();
     let post: Vec<&(u64, f64)> = dump.throughput.iter().filter(|(t, _)| *t >= from).collect();
     for w in post.windows(2) {
@@ -209,7 +207,7 @@ mod tests {
 
     #[test]
     fn clean_run_scores_all_zero() {
-        let cell = score(&no_fault_dump(), RECOVERY_BAND);
+        let cell = score(&no_fault_dump());
         assert_eq!(cell, ScoreCell::default());
     }
 
@@ -218,7 +216,7 @@ mod tests {
         let mut d = no_fault_dump();
         d.events
             .push(event(1_500_000_000, 1, "detector", "suspect", "phantom"));
-        let cell = score(&d, RECOVERY_BAND);
+        let cell = score(&d);
         assert_eq!(cell.false_positives, 1);
         assert_ne!(cell, ScoreCell::default());
     }
@@ -227,7 +225,7 @@ mod tests {
     fn full_incident_yields_ttd_ttm_ttr() {
         let mut d = crate::tests::sample_dump();
         d.canonicalize();
-        let cell = score(&d, RECOVERY_BAND);
+        let cell = score(&d);
         assert!(cell.detected);
         assert_eq!(cell.ttd_ns, Some(400_000_000));
         assert_eq!(cell.ttm_ns, Some(450_000_000));
@@ -243,7 +241,7 @@ mod tests {
     fn undetected_fault_is_a_false_negative() {
         let mut d = crate::tests::sample_dump();
         d.events.clear();
-        let cell = score(&d, RECOVERY_BAND);
+        let cell = score(&d);
         assert!(!cell.detected);
         assert_eq!(cell.false_negatives, 1);
         assert_eq!(cell.ttd_ns, None);
@@ -255,7 +253,7 @@ mod tests {
         let mut d = crate::tests::sample_dump();
         d.events
             .push(event(2_500_000_000, 0, "detector", "suspect", "wrong node"));
-        let cell = score(&d, RECOVERY_BAND);
+        let cell = score(&d);
         assert_eq!(cell.misattributions, 1);
         assert_eq!(cell.false_positives, 0, "faulted runs count misattribution");
         assert!(cell.detected, "the real fault was still found");
@@ -269,7 +267,7 @@ mod tests {
         d.events.push(storm_event(2_600_000_000, "storm_onset"));
         d.events.push(storm_event(3_800_000_000, "storm_cleared"));
         d.canonicalize();
-        let cell = score(&d, RECOVERY_BAND);
+        let cell = score(&d);
         assert_eq!(cell.tts_ns, Some(600_000_000));
         assert!(!cell.storm_sustained);
     }
@@ -280,7 +278,7 @@ mod tests {
         d.events.push(storm_event(2_600_000_000, "storm_onset"));
         d.events.push(storm_event(3_900_000_000, "storm_sustained"));
         d.canonicalize();
-        let cell = score(&d, RECOVERY_BAND);
+        let cell = score(&d);
         assert!(cell.storm_sustained);
         assert_eq!(cell.tts_ns, None, "never stabilized");
         // Storm events must not leak into the detector's accounting.
@@ -293,7 +291,7 @@ mod tests {
     fn storm_free_runs_have_no_tts() {
         let mut d = crate::tests::sample_dump();
         d.canonicalize();
-        let cell = score(&d, RECOVERY_BAND);
+        let cell = score(&d);
         assert_eq!(cell.tts_ns, None);
         assert!(!cell.storm_sustained);
     }
@@ -305,7 +303,7 @@ mod tests {
         d.events.push(storm_event(2_600_000_000, "storm_onset"));
         d.events.push(storm_event(3_800_000_000, "storm_cleared"));
         d.canonicalize();
-        let cell = score(&d, RECOVERY_BAND);
+        let cell = score(&d);
         assert_eq!(cell.tts_ns, None);
     }
 
@@ -320,7 +318,7 @@ mod tests {
             (2_500_000_000, 980.0),
             (3_000_000_000, 985.0),
         ];
-        let cell = score(&d, RECOVERY_BAND);
+        let cell = score(&d);
         assert_eq!(cell.ttr_ns, Some(500_000_000));
     }
 }

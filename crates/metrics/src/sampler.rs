@@ -69,13 +69,15 @@ impl Sampler {
     }
 
     /// Renders the series as long-format CSV:
-    /// `t_seconds,name,node,tag,kind,value,delta`.
+    /// `t_seconds,name,node,tag,kind,value,delta,mean_ns`.
     ///
     /// `value` is the cumulative scalar (counter value, gauge level or
     /// histogram count); `delta` is its change since the previous row —
-    /// i.e. per-interval throughput for counters. For histograms an
-    /// extra `mean_ns` column carries the windowed mean latency of the
-    /// interval (from snapshot differencing), the detector's EWMA input.
+    /// i.e. per-interval throughput for counters. For histograms the
+    /// `mean_ns` column carries the windowed mean latency of the interval
+    /// (from snapshot differencing). The detector computes its own window
+    /// means the same way, from the registry's `rpc.latency` histograms
+    /// at its own poll period; it reads no sampler row.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("t_seconds,name,node,tag,kind,value,delta,mean_ns\n");
         let mut prev: Option<&SampleRow> = None;

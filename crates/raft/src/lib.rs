@@ -12,7 +12,7 @@
 //!
 //! | Driver | Waits like | Wait site (profile label) | Paper root cause |
 //! |---|---|---|---|
-//! | [`DepFastRaft`](depfast_driver::DepFastRaft) | `QuorumEvent` over {own disk write} ∪ {peer acks}; bounded buffers; quorum-discard broadcast; per-follower append window ([`flow`]) and quarantine ([`feed`]); ReadIndex gets sharing confirmation rounds ([`reads`]) | `replicate_wait` (a quorum, never one peer) | none — §3.4's fail-slow tolerant implementation |
+//! | [`DepFastRaft`](depfast_driver::DepFastRaft) | `QuorumEvent` over {own disk write} ∪ {peer acks}; bounded buffers; a round's `AppendEntries` still queued to slow peers cancelled once its quorum fires (`CancelToken::cancel_when`); per-follower append window ([`flow`]) and quarantine ([`feed`]); ReadIndex gets sharing confirmation rounds ([`reads`]) | `replicate_wait` (a quorum, never one peer) | none — §3.4's fail-slow tolerant implementation |
 //! | [`SyncRaft`](sync_driver::SyncRaft) | one region thread does everything serially; EntryCache misses for a lagging follower are read from disk *inline* | `cold_read` | TiDB (§2.2): "blocking the whole thread during the disk I/O" |
 //! | [`BacklogRaft`](backlog_driver::BacklogRaft) | per-follower unbounded replication queues charged to leader memory; stop-and-wait senders | `queue_drain` | RethinkDB (§2.2): "unbounded buffer ... run out of memory" |
 //! | [`CallbackRaft`](callback_driver::CallbackRaft) | one message loop runs every callback serially; lag triggers synchronous flow-control probes of the slow follower | `flow_probe` | MongoDB-style event-loop head-of-line blocking; tail amplification |

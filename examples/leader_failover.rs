@@ -10,7 +10,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use depfast_detect::{spawn_leader_mitigation, DetectorCfg, FailSlowDetector};
+use depfast_detect::{spawn_leader_mitigation, DetectorMode, FailSlowDetector};
 use depfast_kv::KvCluster;
 use depfast_raft::cluster::RaftKind;
 use depfast_raft::core::{RaftCfg, RaftCore};
@@ -41,7 +41,7 @@ fn main() {
         .iter()
         .map(|s| s.core().clone())
         .collect();
-    let detector = FailSlowDetector::spawn(&sim, &cluster.raft.tracer, DetectorCfg::default());
+    let detector = FailSlowDetector::spawn(&sim, &cluster.raft.tracer, DetectorMode::SelfBaseline);
     detector.on_suspect(|s| {
         println!(
             "[detector] {} suspected fail-slow via `{}`: {:?} vs baseline {:?} (at {})",

@@ -12,8 +12,9 @@
 
 use std::time::Duration;
 
-use depfast_bench::suites::{bench_cell, gate_detector_cfg};
+use depfast_bench::suites::bench_cell;
 use depfast_bench::{repo_root, Artifact, Run, Suite};
+use depfast_detect::DetectorMode;
 use depfast_fault::FaultKind;
 use depfast_raft::cluster::RaftKind;
 
@@ -143,13 +144,13 @@ fn a_run_artifact_parses_and_renders_every_section() {
         records: 10_000,
         ..Run::default()
     }
-    .with_detector(gate_detector_cfg())
+    .with_detector(DetectorMode::SelfBaseline)
     .with_fault([2], FaultKind::DiskSlow { bw_factor: 0.008 }, warmup, None);
     run.instruments.trace = true;
     run.instruments.profiler = true;
     let text = run.execute().artifact();
     let artifact = Artifact::parse(&text).expect("a fresh artifact parses");
-    let rendered = artifact.render(12, depfast_incident::RECOVERY_BAND);
+    let rendered = artifact.render();
     for rendering in [
         "series: ",
         "critical-path blame over",
