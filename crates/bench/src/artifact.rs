@@ -10,7 +10,7 @@
 //!
 //! | Header | Body |
 //! |---|---|
-//! | `# depfast-trace/v3\tdropped\t<n>` | trace-record lines ([`depfast_trace_analysis::serialize_records`]) |
+//! | `# depfast-trace/v3\tdropped\t<n>` | trace-record lines (the private `trace_codec` module) |
 //! | `# depfast-incident/v2` | one incident dump ([`depfast_incident::serialize_dumps`]): the run's own fault records and health events; the first is the whole cluster's, any further ones its per-group split |
 //! | `# depfast-profile/v1\tdriver\t<name>` | folded stacks ([`depfast_profile::Profiler::folded`]) |
 //! | `# depfast-series/v1` | sampler CSV ([`depfast_metrics::Sampler::to_csv`]) |
@@ -24,19 +24,17 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use depfast::blame::TABLE_ROWS;
+use depfast::trace::TraceIndex;
 use depfast::TraceRecord;
-use depfast_incident::{
-    incident_track, parse_dumps, render_report, score, serialize_dumps, IncidentDump,
-};
+use depfast_incident::{parse_dumps, render_report, score, serialize_dumps, IncidentDump};
 use depfast_metrics::text::{unescape, Field, Fields, LineError};
 use depfast_profile::{flame, parse_folded, ProfileLine};
-use depfast_trace_analysis::{
-    blame_report, chrome_trace, parse_records, serialize_records, TraceIndex,
-};
 
+use crate::chrome::chrome_trace;
 use crate::experiment::{level, RunReport};
 use crate::json::Json;
 use crate::report::{out_dir, Table};
+use crate::trace_codec::{parse_records, serialize_records};
 
 const TRACE: &str = "# depfast-trace/v3";
 const INCIDENT: &str = depfast_incident::serial::HEADER;
@@ -221,8 +219,7 @@ impl Artifact {
                     trace.dropped
                 );
             }
-            let index = TraceIndex::build(&trace.records);
-            out.push_str(&blame_report(&index).table());
+            out.push_str(&TraceIndex::build(&trace.records).blame.table());
         }
         if let Some(profile) = &self.profile {
             out.push_str(&top_sites(profile).render());
@@ -237,9 +234,8 @@ impl Artifact {
     /// One Chrome `trace_event` file for the run: its span trees (none
     /// if it was not traced) with its incident track laid over them.
     pub fn chrome(&self) -> String {
-        let (spans, marks) = self.dumps.first().map(incident_track).unwrap_or_default();
         let records = self.trace.as_ref().map_or(&[][..], |t| &t.records);
-        chrome_trace(&TraceIndex::build(records), &spans, &marks)
+        chrome_trace(&TraceIndex::build(records), self.dumps.first())
     }
 
     /// The profile section as an SVG flamegraph, if the run was profiled.
@@ -251,23 +247,37 @@ impl Artifact {
 }
 
 /// The [`TABLE_ROWS`] wait sites that took the most virtual time, with
-/// their share of everything profiled.
+/// their share of everything profiled. Clients are many and alike, so a
+/// `client:` phase is one row per `(phase, site)` summed over every
+/// client node; a server's rows stay its own.
 fn top_sites(profile: &ProfileSection) -> Table {
     let total: u64 = profile.lines.iter().map(|l| l.nanos).sum();
-    let mut lines: Vec<&ProfileLine> = profile.lines.iter().collect();
+    let mut rows: Vec<((String, &str, &str), u64)> = Vec::new();
+    for l in &profile.lines {
+        let node = if l.phase.starts_with("client:") {
+            "clients".to_string()
+        } else {
+            l.node.to_string()
+        };
+        let key = (node, l.phase.as_str(), l.site.as_str());
+        match rows.iter_mut().find(|r| r.0 == key) {
+            Some(row) => row.1 += l.nanos,
+            None => rows.push((key, l.nanos)),
+        }
+    }
     // Stable: ties keep the (node, phase, site) order of the section.
-    lines.sort_by_key(|l| std::cmp::Reverse(l.nanos));
+    rows.sort_by_key(|r| std::cmp::Reverse(r.1));
     let mut table = Table::new(
         &format!("Top wait sites — {}", profile.driver),
         &["Node", "Phase", "Site", "Time (ms)", "Share"],
     );
-    for l in lines.into_iter().take(TABLE_ROWS) {
+    for ((node, phase, site), nanos) in rows.into_iter().take(TABLE_ROWS) {
         table.row(vec![
-            l.node.to_string(),
-            l.phase.clone(),
-            l.site.clone(),
-            format!("{:.3}", l.nanos as f64 / 1e6),
-            format!("{:.1}%", l.nanos as f64 / total.max(1) as f64 * 100.0),
+            node,
+            phase.to_string(),
+            site.to_string(),
+            format!("{:.3}", nanos as f64 / 1e6),
+            format!("{:.1}%", nanos as f64 / total.max(1) as f64 * 100.0),
         ]);
     }
     table
@@ -366,6 +376,48 @@ mod tests {
         let rates = commit_rates(rows).unwrap();
         assert_eq!(rates.len(), 1);
         assert!((rates[0].1 - 2000.0).abs() < 1e-6, "{rates:?}");
+    }
+
+    #[test]
+    fn client_rows_fold_into_one_so_server_sites_show() {
+        let line = |node, phase: &str, site: &str, ms: u64| ProfileLine {
+            node,
+            phase: phase.to_string(),
+            site: site.to_string(),
+            nanos: ms * 1_000_000,
+        };
+        let mut lines = vec![
+            line(0, "replicate_wait", "quorum:replicate", 950),
+            line(2, "wal:flusher", "disk:device", 1040),
+        ];
+        lines.extend((3..35).map(|n| line(n, "client:attempt", "rpc:kv_request", 1500)));
+        lines.extend((3..35).map(|n| line(n, "client:attempt", "cpu", 1)));
+        let profile = ProfileSection {
+            driver: "D".to_string(),
+            folded: String::new(),
+            lines,
+        };
+        let table = top_sites(&profile).render();
+        let rows: Vec<Vec<&str>> = table
+            .lines()
+            .map(|l| {
+                l.split('|')
+                    .map(str::trim)
+                    .filter(|c| !c.is_empty())
+                    .collect()
+            })
+            .filter(|cells: &Vec<&str>| cells.len() == 5 && cells[3].contains('.'))
+            .collect();
+        let want = [
+            ["clients", "client:attempt", "rpc:kv_request", "48000.000"],
+            ["2", "wal:flusher", "disk:device", "1040.000"],
+            ["0", "replicate_wait", "quorum:replicate", "950.000"],
+            ["clients", "client:attempt", "cpu", "32.000"],
+        ];
+        assert_eq!(rows.len(), want.len(), "{table}");
+        for (row, want) in rows.iter().zip(want) {
+            assert_eq!(row[..4], want, "{table}");
+        }
     }
 
     #[test]

@@ -296,11 +296,12 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // The run up to the next quote or escape. Both are ASCII, so
+                // the run ends on a character boundary of the `&str` input.
+                let run = bytes[*pos..].iter().position(|b| matches!(b, b'"' | b'\\'));
+                let end = run.map_or(bytes.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?);
+                *pos = end;
             }
         }
     }
@@ -362,6 +363,10 @@ mod tests {
         let s = Json::Str("a\"b\\c\nd\te".into());
         let text = s.pretty();
         assert_eq!(Json::parse(&text).unwrap(), s);
+        let wide = Json::parse("[\"wait sites — n2\", \"µs\\u00b5\"]").unwrap();
+        let wide: Vec<_> = wide.as_arr().unwrap().iter().map(Json::as_str).collect();
+        assert_eq!(wide, [Some("wait sites — n2"), Some("µsµ")]);
+        assert!(Json::parse("\"— unterminated").is_err());
     }
 
     #[test]

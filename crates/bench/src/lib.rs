@@ -26,10 +26,12 @@
 
 pub mod artifact;
 pub mod cells;
+mod chrome;
 pub mod experiment;
 pub mod json;
 pub mod report;
 pub mod suites;
+mod trace_codec;
 
 pub use artifact::Artifact;
 pub use cells::{DetectRecord, RunRecord, ScenarioRecord, Suite};

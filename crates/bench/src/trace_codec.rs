@@ -1,7 +1,9 @@
-//! A portable line-based dump format for raw trace records — the body of
-//! a `.run` file's `trace` section — so `depfast-inspect` can work from a
-//! recorded file instead of re-running the simulation. One record per
-//! line, tab-separated fields, first field is the record tag:
+//! The body of a `.run` file's `trace` section: a line-based dump of raw
+//! trace records, so `depfast-inspect` can work from a recorded file
+//! instead of re-running the simulation. Each line holds only fields the
+//! blame replay and the Chrome export read. Waits are not records: the
+//! SPG fold and the wait probe see them live. One record per line,
+//! tab-separated fields, first field is the record tag:
 //!
 //! | Tag | Fields after the time |
 //! |---|---|
@@ -43,7 +45,7 @@ fn opt_coro(c: &Option<CoroId>) -> String {
 }
 
 /// Serializes records into the dump format.
-pub fn serialize_records(records: &[TraceRecord]) -> String {
+pub(crate) fn serialize_records(records: &[TraceRecord]) -> String {
     let mut out = String::new();
     for rec in records {
         match rec {
@@ -53,14 +55,8 @@ pub fn serialize_records(records: &[TraceRecord]) -> String {
                 trace_id,
                 label,
             } => {
-                writeln!(
-                    out,
-                    "begin\t{}\t{}\t{}\t{}",
-                    t.as_nanos(),
-                    node.0,
-                    trace_id,
-                    label
-                )
+                let (t, node) = (t.as_nanos(), node.0);
+                writeln!(out, "begin\t{t}\t{node}\t{trace_id}\t{label}")
             }
             TraceRecord::CoroutineStart {
                 t,
@@ -68,14 +64,8 @@ pub fn serialize_records(records: &[TraceRecord]) -> String {
                 coro,
                 label,
             } => {
-                writeln!(
-                    out,
-                    "coro\t{}\t{}\t{}\t{}",
-                    t.as_nanos(),
-                    node.0,
-                    coro.0,
-                    label
-                )
+                let (t, node, coro) = (t.as_nanos(), node.0, coro.0);
+                writeln!(out, "coro\t{t}\t{node}\t{coro}\t{label}")
             }
             TraceRecord::EventCreated {
                 t,
@@ -86,20 +76,12 @@ pub fn serialize_records(records: &[TraceRecord]) -> String {
                 label,
                 ctx,
             } => {
+                let (t, node, coro, event) = (t.as_nanos(), node.0, opt_coro(coro), event.0);
                 let (kname, karg) = kind_fields(*kind);
                 let (tid, span) = ctx_fields(ctx);
                 writeln!(
                     out,
-                    "event\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                    t.as_nanos(),
-                    node.0,
-                    opt_coro(coro),
-                    event.0,
-                    kname,
-                    karg,
-                    label,
-                    tid,
-                    span
+                    "event\t{t}\t{node}\t{coro}\t{event}\t{kname}\t{karg}\t{label}\t{tid}\t{span}"
                 )
             }
             TraceRecord::RoundLink { t, proposal, round } => {
@@ -222,7 +204,7 @@ fn parse_record(line: &mut Fields<'_>) -> Result<TraceRecord, LineError> {
 
 /// Parses a dump produced by [`serialize_records`]. Empty lines and `#`
 /// lines (a `.run` file's section header) are skipped.
-pub fn parse_records(text: &str) -> Result<Vec<TraceRecord>, LineError> {
+pub(crate) fn parse_records(text: &str) -> Result<Vec<TraceRecord>, LineError> {
     let mut records = Vec::new();
     for (no, raw) in text.lines().enumerate() {
         if raw.is_empty() || raw.starts_with('#') {

@@ -13,6 +13,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use depfast::blame::{BlameKey, BlameReport, Fold};
+use depfast::trace::TraceIndex;
 use depfast::{EventKind, Signal, TraceRecord};
 use depfast_bench::suites::episode;
 use depfast_bench::Run;
@@ -21,7 +22,6 @@ use depfast_fault::FaultKind;
 use depfast_kv::KvCluster;
 use depfast_raft::cluster::RaftKind;
 use depfast_raft::core::RaftCfg;
-use depfast_trace_analysis::{blame_report, TraceIndex};
 use simkit::{NodeId, Sim, World, WorldCfg};
 
 /// A short traced run of `kind` with a disk-slow follower 2.
@@ -56,7 +56,7 @@ fn live_equals_replay(run: &Run, what: &str) -> BlameReport {
     );
     let live = report.blame.expect("a traced run folds blame");
     assert!(live.commits > 50, "{what}: {} commits", live.commits);
-    let replay = blame_report(&TraceIndex::build(&report.records));
+    let replay = TraceIndex::build(&report.records).blame;
     assert_eq!(live, replay, "{what}\nlive:\n{}", live.table());
     if run.kind == RaftKind::DepFast {
         assert_children(&live, &report.records, what);
@@ -229,7 +229,7 @@ fn the_fold_needs_no_full_recording() {
     assert!(none.is_empty(), "full recording was off");
     assert_eq!(folded.commits, 600);
     let (_, records) = cluster_run(300, false, true, false);
-    assert_eq!(folded, blame_report(&TraceIndex::build(&records)));
+    assert_eq!(folded, TraceIndex::build(&records).blame);
     assert_children(&folded, &records, "a cluster with full recording off");
 }
 
@@ -251,7 +251,7 @@ fn a_read_index_run_folds_without_full_recording_what_it_replays() {
         )
     });
     assert!(rounds.count() > 0, "the gets confirmed no round");
-    assert_eq!(folded, blame_report(&TraceIndex::build(&records)));
+    assert_eq!(folded, TraceIndex::build(&records).blame);
     assert_children(&folded, &records, "ReadIndex with full recording off");
 }
 

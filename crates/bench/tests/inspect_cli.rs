@@ -11,7 +11,7 @@ use std::process::{Command, Output};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use depfast_bench::{out_dir, Artifact, Run, RunReport};
+use depfast_bench::{out_dir, Artifact, Json, Run, RunReport};
 use depfast_detect::DetectorMode;
 use depfast_fault::FaultKind;
 
@@ -123,6 +123,9 @@ fn inspect_renders_every_section_of_an_exported_run() {
     let json = std::fs::read_to_string(&chrome).expect("chrome file written");
     assert!(json.contains("\"cat\":\"incident\""), "no incident track");
     assert!(json.contains("\"cat\":\"quorum\""), "no trace slices");
+    let parsed = Json::parse(&json).expect("the chrome file is JSON");
+    let events = parsed.get("traceEvents").and_then(Json::as_arr);
+    assert!(events.is_some_and(|e| !e.is_empty()), "no traceEvents");
     assert!(std::fs::read_to_string(&svg).unwrap().starts_with("<svg"));
 }
 

@@ -21,15 +21,14 @@
 //! - a [`scorecard`] — time-to-detect, time-to-mitigate,
 //!   time-to-recover, false positives / negatives, misattribution;
 //! - a human-readable [`report`](crate::render_report);
-//! - an incident track for the Chrome/Perfetto export
-//!   ([`incident_track`]);
 //! - a portable text encoding ([`serialize_dumps`] / [`parse_dumps`]):
 //!   the `incident` sections of a `.run` file, rendered offline by
 //!   `depfast-inspect`.
 //!
 //! Everything is a pure function of the dump, and dumps are
 //! [canonicalized](IncidentDump::canonicalize), so same-seed runs render
-//! byte-identical artifacts.
+//! byte-identical artifacts. The Chrome export's incident track is
+//! `depfast-bench`'s: it projects a run's first dump onto its own lane.
 
 #![warn(missing_docs)]
 
@@ -43,8 +42,6 @@ pub use serial::{parse_dumps, serialize_dumps};
 
 use depfast::HealthEvent;
 use depfast_fault::FaultRecord;
-use depfast_trace_analysis::{IncidentMark, IncidentSpan};
-use simkit::SimTime;
 
 /// Everything the incident layer knows about one run: identity, ground
 /// truth, reaction timeline, and the throughput series the
@@ -66,7 +63,7 @@ pub struct IncidentDump {
     /// `(t_ns, ops/s)` per sampling interval, virtual time.
     pub throughput: Vec<(u64, f64)>,
     /// End of the observed window, nanoseconds (open faults and
-    /// suspicions extend to here in the incident track).
+    /// suspicions extend to here in the Chrome export's incident track).
     pub end_ns: u64,
     /// Health events lost at the tracer's capacity cap
     /// (`trace.health_dropped`). Non-zero means `events` is an
@@ -94,75 +91,10 @@ impl IncidentDump {
     }
 }
 
-/// Projects a dump onto the Chrome export's incident track: faults and
-/// suspicion lifetimes become spans, every timeline event becomes an
-/// instant mark. Outputs are canonically ordered (the dump should be
-/// [canonicalized](IncidentDump::canonicalize) first).
-pub fn incident_track(dump: &IncidentDump) -> (Vec<IncidentSpan>, Vec<IncidentMark>) {
-    let mut spans = Vec::new();
-    for f in &dump.faults {
-        spans.push(IncidentSpan {
-            node: f.node.0,
-            name: format!("fault: {}", f.kind),
-            detail: format!(
-                "severity {:.3}{}",
-                f.severity,
-                if f.cleared.is_none() {
-                    " (never cleared)"
-                } else {
-                    ""
-                }
-            ),
-            start_ns: f.onset.as_nanos(),
-            end_ns: f.cleared.map_or(dump.end_ns, SimTime::as_nanos),
-        });
-    }
-    // Suspicion lifetimes: pair detector suspect → clear per node.
-    let mut open: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-    let mut suspicion_spans = Vec::new();
-    for e in dump.events_in("detector") {
-        match e.transition {
-            "suspect" => {
-                open.entry(e.node.0).or_insert(e.t.as_nanos());
-            }
-            "clear" => {
-                if let Some(start) = open.remove(&e.node.0) {
-                    suspicion_spans.push((e.node.0, start, e.t.as_nanos()));
-                }
-            }
-            _ => {}
-        }
-    }
-    for (node, start) in open {
-        suspicion_spans.push((node, start, dump.end_ns));
-    }
-    suspicion_spans.sort_unstable();
-    for (node, start, end) in suspicion_spans {
-        spans.push(IncidentSpan {
-            node,
-            name: "suspected".to_string(),
-            detail: String::new(),
-            start_ns: start,
-            end_ns: end,
-        });
-    }
-    let marks = dump
-        .events
-        .iter()
-        .map(|e| IncidentMark {
-            node: e.node.0,
-            t_ns: e.t.as_nanos(),
-            name: format!("{}: {}", e.layer, e.transition),
-            detail: e.evidence.clone(),
-        })
-        .collect();
-    (spans, marks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::NodeId;
+    use simkit::{NodeId, SimTime};
 
     /// A health event on node `node` at `t_ns`, with no group.
     pub(crate) fn event(
@@ -239,37 +171,5 @@ mod tests {
         d.canonicalize();
         let ts: Vec<u64> = d.events.iter().map(|e| e.t.as_nanos()).collect();
         assert_eq!(ts, vec![2_400_000_000, 2_450_000_000, 3_400_000_000]);
-    }
-
-    #[test]
-    fn incident_track_spans_faults_and_suspicions() {
-        let mut d = sample_dump();
-        d.canonicalize();
-        let (spans, marks) = incident_track(&d);
-        assert_eq!(spans.len(), 2, "fault + suspicion: {spans:?}");
-        assert_eq!(spans[0].name, "fault: Disk Slowness");
-        assert_eq!(
-            (spans[0].start_ns, spans[0].end_ns),
-            (2_000_000_000, 3_200_000_000)
-        );
-        assert_eq!(spans[1].name, "suspected");
-        assert_eq!(
-            (spans[1].start_ns, spans[1].end_ns),
-            (2_400_000_000, 3_400_000_000)
-        );
-        assert_eq!(marks.len(), 3);
-        assert_eq!(marks[0].name, "detector: suspect");
-    }
-
-    #[test]
-    fn never_cleared_fault_extends_to_window_end() {
-        let mut d = sample_dump();
-        d.faults[0].cleared = None;
-        // Drop the clear so the suspicion stays open too.
-        d.events.retain(|e| e.transition != "clear");
-        let (spans, _) = incident_track(&d);
-        assert_eq!(spans[0].end_ns, d.end_ns);
-        assert!(spans[0].detail.contains("never cleared"));
-        assert_eq!(spans[1].end_ns, d.end_ns);
     }
 }

@@ -1,8 +1,8 @@
 //! **depfast-profile** — continuous wait-state profiling on the virtual
 //! clock.
 //!
-//! Metrics (`depfast-metrics`) say *how much*, causal traces
-//! (`depfast-trace-analysis`) say *who is to blame* — this crate answers
+//! Metrics (`depfast-metrics`) say *how much*, critical-path blame
+//! ([`depfast::blame`]) says *who is to blame* — this crate answers
 //! *where a coroutine's time actually goes*, below the phase level. A
 //! [`Profiler`] taps two synchronous probe points:
 //!
