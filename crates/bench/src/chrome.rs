@@ -24,57 +24,12 @@ fn tid_of(coro: Option<CoroId>) -> u64 {
 /// coroutine tid, so incidents render as their own row under each node.
 const INCIDENT_TID: u64 = 1_000_000;
 
-/// One duration on the incident track (a fault's active interval or a
-/// suspicion's lifetime): a complete slice on the node's incident lane.
-#[derive(Debug)]
-struct IncidentSpan {
-    /// Chrome `pid`.
-    node: u32,
-    name: String,
-    /// `args.detail`.
-    detail: String,
-    start_ns: u64,
-    end_ns: u64,
-}
-
-/// One health transition on the incident track: an instant on the
-/// node's incident lane.
-#[derive(Debug)]
-struct IncidentMark {
-    /// Chrome `pid`.
-    node: u32,
-    t_ns: u64,
-    name: String,
-    /// `args.detail`.
-    detail: String,
-}
-
-/// Projects a dump onto the incident track: faults and suspicion
-/// lifetimes become spans, every timeline event becomes an instant mark.
-/// Outputs are canonically ordered (the dump should be
-/// [canonicalized](IncidentDump::canonicalize) first).
-fn incident_track(dump: &IncidentDump) -> (Vec<IncidentSpan>, Vec<IncidentMark>) {
-    let mut spans = Vec::new();
-    for f in &dump.faults {
-        spans.push(IncidentSpan {
-            node: f.node.0,
-            name: format!("fault: {}", f.kind),
-            detail: format!(
-                "severity {:.3}{}",
-                f.severity,
-                if f.cleared.is_none() {
-                    " (never cleared)"
-                } else {
-                    ""
-                }
-            ),
-            start_ns: f.onset.as_nanos(),
-            end_ns: f.cleared.map_or(dump.end_ns, SimTime::as_nanos),
-        });
-    }
-    // Suspicion lifetimes: pair detector suspect → clear per node.
+/// Suspicion lifetimes on the incident track: each node's detector
+/// `suspect` paired with its next `clear`, or with the window's end if
+/// none comes, as `(node, start_ns, end_ns)` in canonical order.
+fn suspicions(dump: &IncidentDump) -> Vec<(u32, u64, u64)> {
     let mut open: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut suspicion_spans = Vec::new();
+    let mut spans = Vec::new();
     for e in dump.events_in("detector") {
         match e.transition {
             "suspect" => {
@@ -82,36 +37,17 @@ fn incident_track(dump: &IncidentDump) -> (Vec<IncidentSpan>, Vec<IncidentMark>)
             }
             "clear" => {
                 if let Some(start) = open.remove(&e.node.0) {
-                    suspicion_spans.push((e.node.0, start, e.t.as_nanos()));
+                    spans.push((e.node.0, start, e.t.as_nanos()));
                 }
             }
             _ => {}
         }
     }
     for (node, start) in open {
-        suspicion_spans.push((node, start, dump.end_ns));
+        spans.push((node, start, dump.end_ns));
     }
-    suspicion_spans.sort_unstable();
-    for (node, start, end) in suspicion_spans {
-        spans.push(IncidentSpan {
-            node,
-            name: "suspected".to_string(),
-            detail: String::new(),
-            start_ns: start,
-            end_ns: end,
-        });
-    }
-    let marks = dump
-        .events
-        .iter()
-        .map(|e| IncidentMark {
-            node: e.node.0,
-            t_ns: e.t.as_nanos(),
-            name: format!("{}: {}", e.layer, e.transition),
-            detail: e.evidence.clone(),
-        })
-        .collect();
-    (spans, marks)
+    spans.sort_unstable();
+    spans
 }
 
 /// Renders the indexed trace as Chrome `trace_event` JSON, with the
@@ -126,7 +62,6 @@ fn incident_track(dump: &IncidentDump) -> (Vec<IncidentSpan>, Vec<IncidentMark>)
 /// transitions as instants. The output is a pure function of its inputs,
 /// so deterministic simulations export byte-identical files.
 pub(crate) fn chrome_trace(index: &TraceIndex, dump: Option<&IncidentDump>) -> String {
-    let (spans, marks) = dump.map(incident_track).unwrap_or_default();
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     let mut first = true;
     let mut push = |out: &mut String, line: String| {
@@ -137,10 +72,14 @@ pub(crate) fn chrome_trace(index: &TraceIndex, dump: Option<&IncidentDump>) -> S
     };
 
     // Metadata: name processes after nodes, threads after coroutines.
-    let incident_nodes: BTreeSet<u32> = spans
+    // Every suspicion's node is an event's node, so faults and events
+    // name every node the incident track touches.
+    let incident_nodes: BTreeSet<u32> = dump
         .iter()
-        .map(|s| s.node)
-        .chain(marks.iter().map(|m| m.node))
+        .flat_map(|d| {
+            let faults = d.faults.iter().map(|f| f.node.0);
+            faults.chain(d.events.iter().map(|e| e.node.0))
+        })
         .collect();
     let mut nodes: BTreeSet<u32> = index.events.values().map(|e| e.node.0).collect();
     nodes.extend(index.coros.values().map(|c| c.node.0));
@@ -253,32 +192,47 @@ pub(crate) fn chrome_trace(index: &TraceIndex, dump: Option<&IncidentDump>) -> S
 
     // The incident track: fault / suspicion intervals as slices, health
     // transitions as instants, all on the dedicated lane.
-    for s in &spans {
-        push(
-            &mut out,
+    if let Some(dump) = dump {
+        let slice = |node: u32, start: u64, end: u64, name: &str, detail: &str| {
             format!(
-                "{{\"ph\":\"X\",\"pid\":{},\"tid\":{INCIDENT_TID},\"ts\":{},\"dur\":{},\
+                "{{\"ph\":\"X\",\"pid\":{node},\"tid\":{INCIDENT_TID},\"ts\":{},\"dur\":{},\
                  \"name\":{},\"cat\":\"incident\",\"args\":{{\"detail\":{}}}}}",
-                s.node,
-                fmt_us(s.start_ns),
-                fmt_us(s.end_ns.saturating_sub(s.start_ns)),
-                JsonStr(&s.name),
-                JsonStr(&s.detail)
-            ),
-        );
-    }
-    for m in &marks {
-        push(
-            &mut out,
-            format!(
-                "{{\"ph\":\"i\",\"pid\":{},\"tid\":{INCIDENT_TID},\"ts\":{},\"s\":\"t\",\
-                 \"name\":{},\"cat\":\"incident\",\"args\":{{\"detail\":{}}}}}",
-                m.node,
-                fmt_us(m.t_ns),
-                JsonStr(&m.name),
-                JsonStr(&m.detail)
-            ),
-        );
+                fmt_us(start),
+                fmt_us(end.saturating_sub(start)),
+                JsonStr(name),
+                JsonStr(detail)
+            )
+        };
+        for f in &dump.faults {
+            let never = if f.cleared.is_none() {
+                " (never cleared)"
+            } else {
+                ""
+            };
+            let end = f.cleared.map_or(dump.end_ns, SimTime::as_nanos);
+            let name = format!("fault: {}", f.kind);
+            let detail = format!("severity {:.3}{never}", f.severity);
+            push(
+                &mut out,
+                slice(f.node.0, f.onset.as_nanos(), end, &name, &detail),
+            );
+        }
+        for (node, start, end) in suspicions(dump) {
+            push(&mut out, slice(node, start, end, "suspected", ""));
+        }
+        for e in &dump.events {
+            push(
+                &mut out,
+                format!(
+                    "{{\"ph\":\"i\",\"pid\":{},\"tid\":{INCIDENT_TID},\"ts\":{},\"s\":\"t\",\
+                     \"name\":{},\"cat\":\"incident\",\"args\":{{\"detail\":{}}}}}",
+                    e.node.0,
+                    fmt_us(e.t.as_nanos()),
+                    JsonStr(&format!("{}: {}", e.layer, e.transition)),
+                    JsonStr(&e.evidence)
+                ),
+            );
+        }
     }
 
     out.push_str("\n]}\n");
@@ -491,26 +445,28 @@ mod tests {
         ];
         let json = chrome_trace(&TraceIndex::build(&records), None);
         let events = events(&json);
-        let flows: Vec<(&str, f64, f64)> = events
+        let flows: Vec<_> = events
             .iter()
             .filter(|e| e.str("cat") == Some("flow"))
             .map(|e| {
+                let n = |key| e.num(key).unwrap();
                 (
                     e.str("ph").unwrap(),
-                    e.num("ts").unwrap(),
-                    e.num("id").unwrap(),
+                    n("pid"),
+                    n("tid"),
+                    n("ts"),
+                    n("id"),
+                    e.str("bp"),
                 )
             })
             .collect();
         let want = [
-            ("s", 1.0, 0.0),
-            ("f", 2.0, 0.0),
-            ("s", 3.0, 3.0),
-            ("f", 4.0, 3.0),
+            ("s", 0.0, 0.0, 1.0, 0.0, None),
+            ("f", 0.0, 0.0, 2.0, 0.0, Some("e")),
+            ("s", 0.0, 0.0, 3.0, 3.0, None),
+            ("f", 0.0, 0.0, 4.0, 3.0, Some("e")),
         ];
         assert_eq!(flows, want, "{json}");
-        let finish = events.iter().find(|e| e.str("ph") == Some("f")).unwrap();
-        assert_eq!(finish.str("bp"), Some("e"));
     }
 
     #[test]
@@ -537,25 +493,48 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The incident lane's slices of `dump`'s export, as
+    /// `(name, ts, dur, detail)` in export order.
+    fn incident_slices(dump: &IncidentDump) -> Vec<(String, f64, f64, String)> {
+        let json = chrome_trace(&TraceIndex::build(&[]), Some(dump));
+        events(&json)
+            .iter()
+            .filter(|e| e.str("ph") == Some("X") && e.str("cat") == Some("incident"))
+            .map(|e| {
+                let detail = e.get("args").unwrap().str("detail").unwrap();
+                let name = e.str("name").unwrap().to_string();
+                (
+                    name,
+                    e.num("ts").unwrap(),
+                    e.num("dur").unwrap(),
+                    detail.to_string(),
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn incident_track_spans_faults_and_suspicions() {
         let mut d = dump();
         d.events.reverse();
         d.canonicalize();
-        let (spans, marks) = incident_track(&d);
-        assert_eq!(spans.len(), 2, "fault + suspicion: {spans:?}");
-        assert_eq!(spans[0].name, "fault: Disk Slowness");
-        assert_eq!(
-            (spans[0].start_ns, spans[0].end_ns),
-            (2_000_000_000, 3_200_000_000)
-        );
-        assert_eq!(spans[1].name, "suspected");
-        assert_eq!(
-            (spans[1].start_ns, spans[1].end_ns),
-            (2_400_000_000, 3_400_000_000)
-        );
-        assert_eq!(marks.len(), 3);
-        assert_eq!(marks[0].name, "detector: suspect");
+        let slices = incident_slices(&d);
+        let want = [
+            ("fault: Disk Slowness", 2e6, 1.2e6, "severity 0.992"),
+            ("suspected", 2.4e6, 1e6, ""),
+        ];
+        let want: Vec<_> = want
+            .map(|(n, ts, dur, detail)| (n.to_string(), ts, dur, detail.to_string()))
+            .into();
+        assert_eq!(slices, want);
+        let json = chrome_trace(&TraceIndex::build(&[]), Some(&d));
+        let marks: Vec<_> = events(&json)
+            .iter()
+            .filter(|e| e.str("ph") == Some("i") && e.str("cat") == Some("incident"))
+            .map(|e| e.str("name").unwrap().to_string())
+            .collect();
+        let want = ["detector: suspect", "raft: quarantine", "detector: clear"];
+        assert_eq!(marks, want);
     }
 
     #[test]
@@ -564,9 +543,9 @@ mod tests {
         d.faults[0].cleared = None;
         // Drop the clear so the suspicion stays open too.
         d.events.retain(|e| e.transition != "clear");
-        let (spans, _) = incident_track(&d);
-        assert_eq!(spans[0].end_ns, d.end_ns);
-        assert!(spans[0].detail.contains("never cleared"));
-        assert_eq!(spans[1].end_ns, d.end_ns);
+        let slices = incident_slices(&d);
+        let ends: Vec<f64> = slices.iter().map(|(_, ts, dur, _)| ts + dur).collect();
+        assert_eq!(ends, [4e6, 4e6]);
+        assert_eq!(slices[0].3, "severity 0.992 (never cleared)");
     }
 }
